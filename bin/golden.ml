@@ -4,6 +4,7 @@
 
      dune exec bin/golden.exe -- fig3       > test/golden/fig3_smoke.txt
      dune exec bin/golden.exe -- saturation > test/golden/saturation_smoke.txt
+     dune exec bin/golden.exe -- recovery   > test/golden/recovery_smoke.txt
 
    Regenerate (and eyeball the diff) whenever a protocol or engine change
    intentionally moves the DES trajectory. *)
@@ -12,12 +13,16 @@ open Sss_experiments.Experiments
 
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "" in
+  if String.equal name "recovery" then begin
+    print_string (recovery_smoke ());
+    exit 0
+  end;
   let fig =
     match name with
     | "fig3" -> fig3
     | "saturation" -> fun c scale -> saturation c scale
     | _ ->
-        prerr_endline "usage: golden (fig3|saturation)";
+        prerr_endline "usage: golden (fig3|saturation|recovery)";
         exit 2
   in
   let buf = Buffer.create 4096 in

@@ -940,3 +940,136 @@ let all ctx scale =
     meters_zero
     [ fig3; fig4a; fig4b; fig5; fig6; fig7; fig8; abort_rate; ablation; skewed; durability;
       (fun ctx scale -> saturation ctx scale) ]
+
+(* ---------- recovery trajectory fingerprint ----------
+
+   Two crash-and-fault runs per system, each reduced to its simulator event
+   count, committed count and an MD5 over the recorded history: a durable
+   node crash and log-replay restart (the durability test's plan, seed 7),
+   and the at-least-once transport under message drops and duplicates.
+   test/golden/recovery_smoke.txt pins the text byte-for-byte. *)
+
+let history_md5 h =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (s : Sss_consistency.History.stamped) ->
+      Buffer.add_string b
+        (Format.asprintf "%d %h %a\n" s.seq s.at Sss_consistency.History.pp_event s.event))
+    (Sss_consistency.History.events h);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let recovery_smoke () =
+  let module Chaos = Sss_chaos.Chaos in
+  let module Driver = Sss_workload.Driver in
+  let seed = 7 in
+  let any = { Chaos.src = None; dst = None; kinds = [] } in
+  let rule ~drop ~dup =
+    { Chaos.target = any; drop; dup; delay = 0.0; from_ = 0.0; until = Float.infinity }
+  in
+  let runs =
+    [
+      ( "durable",
+        true,
+        {
+          Chaos.seed;
+          rules = [];
+          events = [ Chaos.Crash { at = 0.015; restart_at = Some 0.019; node = 2 } ];
+        } );
+      ( "lossy",
+        false,
+        { Chaos.seed; rules = [ rule ~drop:0.03 ~dup:0.0; rule ~drop:0.0 ~dup:0.02 ]; events = [] }
+      );
+    ]
+  in
+  let line system (label, durable, plan) =
+    let sim = Sim.create () in
+    let config =
+      {
+        Sss_kv.Config.default with
+        nodes = 4;
+        replication_degree = (if system = Rococo then 1 else 2);
+        total_keys = 24;
+        seed;
+        fault_tolerance = true;
+        durability = durable;
+      }
+    in
+    let drive ops =
+      Driver.run sim ~nodes:4 ~total_keys:24
+        ~local_keys:(fun _ -> [||])
+        ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
+        ~load:
+          { Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03; seed }
+        ~ops
+    in
+    let install net kind_of on_crash on_restart =
+      ignore
+        (if durable then Chaos.install sim net ~kind_of ~on_crash ~on_restart plan
+         else Chaos.install sim net ~kind_of plan
+          : Chaos.handle)
+    in
+    let committed, history =
+      match system with
+      | Sss ->
+          let module K = Sss_kv.Kv in
+          let cl = K.create sim config in
+          install (K.network cl) Sss_kv.Message.kind_name (K.crash_node cl) (K.restart_node cl);
+          let r =
+            drive
+              {
+                Driver.begin_txn = (fun ~node ~read_only -> K.begin_txn cl ~node ~read_only);
+                read = K.read;
+                write = K.write;
+                commit = K.commit;
+              }
+          in
+          (r.Driver.committed, K.history cl)
+      | Twopc ->
+          let module T = Twopc_kv.Twopc in
+          let cl = T.create sim config in
+          install (T.network cl) T.message_kind (T.crash_node cl) (T.restart_node cl);
+          let r =
+            drive
+              {
+                Driver.begin_txn = (fun ~node ~read_only -> T.begin_txn cl ~node ~read_only);
+                read = T.read;
+                write = T.write;
+                commit = T.commit;
+              }
+          in
+          (r.Driver.committed, T.history cl)
+      | Walter ->
+          let module W = Walter_kv.Walter in
+          let cl = W.create sim config in
+          install (W.network cl) W.message_kind (W.crash_node cl) (W.restart_node cl);
+          let r =
+            drive
+              {
+                Driver.begin_txn = (fun ~node ~read_only -> W.begin_txn cl ~node ~read_only);
+                read = W.read;
+                write = W.write;
+                commit = W.commit;
+              }
+          in
+          (r.Driver.committed, W.history cl)
+      | Rococo ->
+          let module R = Rococo_kv.Rococo in
+          let cl = R.create sim config in
+          install (R.network cl) R.message_kind (R.crash_node cl) (R.restart_node cl);
+          let r =
+            drive
+              {
+                Driver.begin_txn = (fun ~node ~read_only -> R.begin_txn cl ~node ~read_only);
+                read = R.read;
+                write = R.write;
+                commit = R.commit;
+              }
+          in
+          (r.Driver.committed, R.history cl)
+    in
+    Printf.sprintf "%s %s des_events %d committed %d history_md5 %s\n"
+      (String.lowercase_ascii (system_name system))
+      label (Sim.events_processed sim) committed (history_md5 history)
+  in
+  String.concat ""
+    (List.concat_map (fun s -> List.map (line s) runs) [ Sss; Twopc; Walter; Rococo ])

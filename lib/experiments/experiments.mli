@@ -260,3 +260,10 @@ val observed_metrics : scale -> string
 
 val all : ctx -> scale -> meters
 (** Run every experiment in order. *)
+
+val recovery_smoke : unit -> string
+(** The recovery trajectory fingerprint: for each system, a durable
+    crash/restart run and a lossy-transport run (drops + duplicates), each
+    as one line of simulator events, committed count and history MD5.
+    [bin/golden.exe recovery] prints it; test/golden/recovery_smoke.txt
+    pins it. *)

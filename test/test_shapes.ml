@@ -112,7 +112,16 @@ let test_hardening_overhead_bounded_at_standard_profile () =
    types, protocol edits) must regenerate the fixture:
 
      dune exec bin/golden.exe -- fig3       > test/golden/fig3_smoke.txt
-     dune exec bin/golden.exe -- saturation > test/golden/saturation_smoke.txt *)
+     dune exec bin/golden.exe -- saturation > test/golden/saturation_smoke.txt
+     dune exec bin/golden.exe -- recovery   > test/golden/recovery_smoke.txt *)
+let read_fixture fixture_name =
+  (* cwd is test/ under [dune runtest], the repo root under [dune exec] *)
+  let fixture =
+    if Sys.file_exists ("golden/" ^ fixture_name) then "golden/" ^ fixture_name
+    else "test/golden/" ^ fixture_name
+  in
+  In_channel.with_open_text fixture In_channel.input_all
+
 let check_golden what fig fixture_name =
   let buf = Buffer.create 4096 in
   let c = ctx ~jobs:1 ~out:(Buffer.add_string buf) () in
@@ -120,13 +129,7 @@ let check_golden what fig fixture_name =
   Buffer.add_string buf
     (Printf.sprintf "des_events %d\nvirtual_seconds %.6f\ncommitted_txns %d\nruns %d\n"
        m.des_events m.virtual_seconds m.committed_txns m.runs);
-  let fixture =
-    (* cwd is test/ under [dune runtest], the repo root under [dune exec] *)
-    if Sys.file_exists ("golden/" ^ fixture_name) then "golden/" ^ fixture_name
-    else "test/golden/" ^ fixture_name
-  in
-  let expected = In_channel.with_open_text fixture In_channel.input_all in
-  Alcotest.(check string) what expected (Buffer.contents buf)
+  Alcotest.(check string) what (read_fixture fixture_name) (Buffer.contents buf)
 
 let test_fig3_smoke_golden () = check_golden "fig3 smoke trajectory" fig3 "fig3_smoke.txt"
 
@@ -135,6 +138,12 @@ let test_fig3_smoke_golden () = check_golden "fig3 smoke trajectory" fig3 "fig3_
    rejection, and watermark GC for both SSS and the 2PC baseline. *)
 let test_saturation_smoke_golden () =
   check_golden "saturation smoke trajectory" saturation "saturation_smoke.txt"
+
+(* Crash, recovery and lossy-transport paths of all four systems under the
+   same pin: a durable crash/restart run and a drop/duplicate run each. *)
+let test_recovery_smoke_golden () =
+  Alcotest.(check string)
+    "recovery smoke trajectory" (read_fixture "recovery_smoke.txt") (recovery_smoke ())
 
 let () =
   Alcotest.run "shapes"
@@ -155,5 +164,7 @@ let () =
           Alcotest.test_case "fig3 smoke golden trajectory" `Slow test_fig3_smoke_golden;
           Alcotest.test_case "saturation smoke golden trajectory" `Slow
             test_saturation_smoke_golden;
+          Alcotest.test_case "recovery smoke golden trajectory" `Slow
+            test_recovery_smoke_golden;
         ] );
     ]
