@@ -240,102 +240,33 @@ let verify_cmd =
         seed;
       }
     in
-    let history, extra =
-      match system with
-      | Sss ->
-          let cl = Sss_kv.Kv.create sim config in
-          let ops =
-            {
-              Sss_workload.Driver.begin_txn =
-                (fun ~node ~read_only -> Sss_kv.Kv.begin_txn cl ~node ~read_only);
-              read = Sss_kv.Kv.read;
-              write = Sss_kv.Kv.write;
-              commit = Sss_kv.Kv.commit;
-            }
-          in
-          let _ =
-            Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-              ~local_keys:(fun _ -> [||])
-              ~profile ~load ~ops
-          in
-          (Sss_kv.Kv.history cl, [ ("quiescent", Sss_kv.Kv.quiescent cl) ])
-      | Twopc ->
-          let cl = Twopc_kv.Twopc.create sim config in
-          let ops =
-            {
-              Sss_workload.Driver.begin_txn =
-                (fun ~node ~read_only -> Twopc_kv.Twopc.begin_txn cl ~node ~read_only);
-              read = Twopc_kv.Twopc.read;
-              write = Twopc_kv.Twopc.write;
-              commit = Twopc_kv.Twopc.commit;
-            }
-          in
-          let _ =
-            Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-              ~local_keys:(fun _ -> [||])
-              ~profile ~load ~ops
-          in
-          (Twopc_kv.Twopc.history cl, [ ("quiescent", Twopc_kv.Twopc.quiescent cl) ])
-      | Walter ->
-          let cl = Walter_kv.Walter.create sim config in
-          let ops =
-            {
-              Sss_workload.Driver.begin_txn =
-                (fun ~node ~read_only -> Walter_kv.Walter.begin_txn cl ~node ~read_only);
-              read = Walter_kv.Walter.read;
-              write = Walter_kv.Walter.write;
-              commit = Walter_kv.Walter.commit;
-            }
-          in
-          let _ =
-            Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-              ~local_keys:(fun _ -> [||])
-              ~profile ~load ~ops
-          in
-          (Walter_kv.Walter.history cl, [ ("quiescent", Walter_kv.Walter.quiescent cl) ])
-      | Rococo ->
-          let cl = Rococo_kv.Rococo.create sim config in
-          let ops =
-            {
-              Sss_workload.Driver.begin_txn =
-                (fun ~node ~read_only -> Rococo_kv.Rococo.begin_txn cl ~node ~read_only);
-              read = Rococo_kv.Rococo.read;
-              write = Rococo_kv.Rococo.write;
-              commit = Rococo_kv.Rococo.commit;
-            }
-          in
-          let _ =
-            Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-              ~local_keys:(fun _ -> [||])
-              ~profile ~load ~ops
-          in
-          (Rococo_kv.Rococo.history cl, [ ("quiescent", Rococo_kv.Rococo.quiescent cl) ])
+    let (Sss_experiments.Store.Store s) = Sss_experiments.Store.create system sim config in
+    let _ =
+      Sss_workload.Driver.run sim ~nodes ~total_keys:keys ~local_keys:s.local_keys ~profile
+        ~load ~ops:s.ops
     in
+    let history = s.history in
     Printf.printf "transactions: %d committed, %d aborted\n"
       (Checker.committed_count history)
       (Checker.aborted_count history);
-    let checks =
-      [
-        ("external consistency (session)", Checker.external_consistency history);
-        ("serializability", Checker.serializability history);
-        ("no lost updates", Checker.no_lost_updates history);
-        ("read-only abort-free", Checker.read_only_abort_free history);
-      ]
-      @ extra
+    let verdicts =
+      Sss_experiments.Store.verdicts system history ~quiescent:(s.quiescent ())
     in
     List.iter
-      (fun (name, res) ->
-        match res with
-        | Ok () -> Printf.printf "  %-34s PASS\n" name
-        | Error msg -> Printf.printf "  %-34s FAIL: %s\n" name msg)
-      checks;
-    match dot with
+      (fun (name, v) ->
+        match v with
+        | Sss_experiments.Store.Pass -> Printf.printf "  %-34s PASS\n" name
+        | Fail msg -> Printf.printf "  %-34s FAIL: %s\n" name msg
+        | Not_promised -> Printf.printf "  %-34s n/a (not promised)\n" name)
+      verdicts;
+    (match dot with
     | None -> ()
     | Some path ->
         let oc = open_out path in
         output_string oc (Checker.to_dot history);
         close_out oc;
-        Printf.printf "dependency graph written to %s\n" path
+        Printf.printf "dependency graph written to %s\n" path);
+    exit (Sss_experiments.Store.exit_code verdicts)
   in
   let duration_t =
     Arg.(value & opt float 0.05 & info [ "duration" ] ~doc:"measured window (virtual seconds)")
@@ -352,7 +283,10 @@ let verify_cmd =
       $ seed_t $ dot_t)
   in
   Cmd.v
-    (Cmd.info "verify" ~doc:"Run a recorded workload and check consistency properties")
+    (Cmd.info "verify"
+       ~doc:
+         "Run a recorded workload and check the properties the system promises; exits 1 \
+          when one fails")
     term
 
 let () =

@@ -9,7 +9,8 @@
 open Sss_sim
 open Sss_data
 open Sss_kv
-open Sss_consistency
+open Sss_experiments.Experiments
+module Store = Sss_experiments.Store
 module Pool = Sss_par.Pool
 module Sweep = Sss_par.Sweep
 
@@ -24,18 +25,9 @@ let run_one ?(strict = true) ?(observe = false) ?(gc = false) ~nodes ~degree ~ke
     { Config.default with nodes; replication_degree = degree; total_keys = keys; seed;
       strict_order = strict; observe; gc }
   in
-  let cl = Kv.create sim config in
-  let ops =
-    {
-      Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-      read = Kv.read;
-      write = Kv.write;
-      commit = Kv.commit;
-    }
-  in
+  let (Store.Store s) = Store.create Sss sim config in
   let result =
-    Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-      ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
+    Sss_workload.Driver.run sim ~nodes ~total_keys:keys ~local_keys:s.local_keys
       ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:ro)
       ~load:
         {
@@ -45,115 +37,48 @@ let run_one ?(strict = true) ?(observe = false) ?(gc = false) ~nodes ~degree ~ke
           duration;
           seed;
         }
-      ~ops
+      ~ops:s.ops
   in
-  let h = Kv.history cl in
-  let checks =
-    [
-      ("external-consistency", Checker.external_consistency h);
-      ("serializability", Checker.serializability h);
-      ("no-lost-updates", Checker.no_lost_updates h);
-      ("ro-abort-free", Checker.read_only_abort_free h);
-      ("quiescent", Kv.quiescent cl);
-    ]
-  in
-  (result.Sss_workload.Driver.committed, checks, Kv.metrics_json cl)
+  (result.Sss_workload.Driver.committed, Store.checks s, Option.map Sss_obs.Obs.metrics_json s.obs)
 
-(* generic driver over any store exposing the ops quadruple *)
-let drive_any sim ~nodes ~keys ~ro ~seed ~clients ~ops ~history ~extra_checks ~kind =
-  let result =
-    Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-      ~local_keys:(fun _ -> [||])
-      ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:ro)
+(* Drive one store of [system] on the small 4-node sweep cluster (ROCOCO
+   unreplicated, as in the paper's comparisons); return the committed
+   count and its promised checks plus quiescence. *)
+let sweep_run ?durable ?plan ~config ~clients ~duration system =
+  let sim = Sim.create () in
+  let degree = if system = Rococo then 1 else 2 in
+  let (Store.Store s) =
+    Store.create system sim
+      { config with Config.nodes = 4; replication_degree = degree; total_keys = 24 }
+  in
+  Option.iter (fun plan -> ignore (s.chaos ?durable plan : Sss_chaos.Chaos.handle)) plan;
+  let r =
+    Sss_workload.Driver.run sim ~nodes:4 ~total_keys:24 ~local_keys:s.local_keys
+      ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
       ~load:
         {
           Sss_workload.Driver.default_load with
           clients_per_node = clients;
           warmup = 0.005;
-          duration = 0.04;
-          seed;
+          duration;
+          seed = config.Config.seed;
         }
-      ~ops
+      ~ops:s.ops
   in
-  ignore kind;
-  (result.Sss_workload.Driver.committed, extra_checks history)
+  (r.Sss_workload.Driver.committed, Store.checks s)
+
+let lower system = String.lowercase_ascii (system_name system)
 
 (* One baseline seed: the three non-SSS systems, checks in 2PC, ROCOCO,
    Walter order (the print order of the pre-pool sequential sweep). *)
 let baseline_one seed =
-  (* 2PC-baseline: must be externally consistent and lost-update free *)
-  let sim = Sim.create () in
-  let config =
-    { Sss_kv.Config.default with nodes = 4; replication_degree = 2; total_keys = 24; seed }
-  in
-  let cl = Twopc_kv.Twopc.create sim config in
-  let _, twopc_checks =
-    drive_any sim ~nodes:4 ~keys:24 ~ro:0.5 ~seed ~clients:4 ~kind:"2pc"
-      ~ops:
-        {
-          Sss_workload.Driver.begin_txn =
-            (fun ~node ~read_only -> Twopc_kv.Twopc.begin_txn cl ~node ~read_only);
-          read = Twopc_kv.Twopc.read;
-          write = Twopc_kv.Twopc.write;
-          commit = Twopc_kv.Twopc.commit;
-        }
-      ~history:(Twopc_kv.Twopc.history cl)
-      ~extra_checks:(fun h ->
-        [
-          ("2pc external-consistency", Checker.external_consistency h);
-          ("2pc no-lost-updates", Checker.no_lost_updates h);
-          ("2pc quiescent", Twopc_kv.Twopc.quiescent cl);
-        ])
-  in
-  (* ROCOCO: serializable, updates never abort *)
-  let sim = Sim.create () in
-  let config =
-    { Sss_kv.Config.default with nodes = 4; replication_degree = 1; total_keys = 24; seed }
-  in
-  let cl = Rococo_kv.Rococo.create sim config in
-  let _, rococo_checks =
-    drive_any sim ~nodes:4 ~keys:24 ~ro:0.5 ~seed ~clients:4 ~kind:"rococo"
-      ~ops:
-        {
-          Sss_workload.Driver.begin_txn =
-            (fun ~node ~read_only -> Rococo_kv.Rococo.begin_txn cl ~node ~read_only);
-          read = Rococo_kv.Rococo.read;
-          write = Rococo_kv.Rococo.write;
-          commit = Rococo_kv.Rococo.commit;
-        }
-      ~history:(Rococo_kv.Rococo.history cl)
-      ~extra_checks:(fun h ->
-        [
-          ("rococo serializability", Checker.serializability h);
-          ("rococo no-lost-updates", Checker.no_lost_updates h);
-          ("rococo quiescent", Rococo_kv.Rococo.quiescent cl);
-        ])
-  in
-  (* Walter: PSI-level properties only *)
-  let sim = Sim.create () in
-  let config =
-    { Sss_kv.Config.default with nodes = 4; replication_degree = 2; total_keys = 24; seed }
-  in
-  let cl = Walter_kv.Walter.create sim config in
-  let _, walter_checks =
-    drive_any sim ~nodes:4 ~keys:24 ~ro:0.5 ~seed ~clients:4 ~kind:"walter"
-      ~ops:
-        {
-          Sss_workload.Driver.begin_txn =
-            (fun ~node ~read_only -> Walter_kv.Walter.begin_txn cl ~node ~read_only);
-          read = Walter_kv.Walter.read;
-          write = Walter_kv.Walter.write;
-          commit = Walter_kv.Walter.commit;
-        }
-      ~history:(Walter_kv.Walter.history cl)
-      ~extra_checks:(fun h ->
-        [
-          ("walter no-lost-updates", Checker.no_lost_updates h);
-          ("walter ro-abort-free", Checker.read_only_abort_free h);
-          ("walter quiescent", Walter_kv.Walter.quiescent cl);
-        ])
-  in
-  twopc_checks @ rococo_checks @ walter_checks
+  List.concat_map
+    (fun system ->
+      let _, checks =
+        sweep_run ~config:{ Config.default with seed } ~clients:4 ~duration:0.04 system
+      in
+      List.map (fun (name, res) -> (lower system ^ " " ^ name, res)) checks)
+    [ Twopc; Rococo; Walter ]
 
 let baseline_sweep pool =
   let failures = ref 0 in
@@ -181,167 +106,23 @@ let baseline_sweep pool =
    so both the workload and the injected faults vary together.  Chaos runs
    never feed the paper-shape figures (see EXPERIMENTS.md). *)
 
-let chaos_config ?(durable = false) ~degree ~seed () =
-  { Config.default with nodes = 4; replication_degree = degree; total_keys = 24; seed;
-    fault_tolerance = true; durability = durable }
-
-let chaos_drive sim ~seed ~ops =
-  Sss_workload.Driver.run sim ~nodes:4 ~total_keys:24
-    ~local_keys:(fun _ -> [||])
-    ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
-    ~load:
-      {
-        Sss_workload.Driver.default_load with
-        clients_per_node = 2;
-        warmup = 0.005;
-        duration = 0.03;
-        seed;
-      }
-    ~ops
-
 (* One chaos seed: all four systems; returns the committed total and the
    per-system checks, in SSS, 2PC, Walter, ROCOCO order.  [durable] turns
    on write-ahead logging and wires the Chaos crash/restart hooks so a
    fail-stopped node replays its log instead of just dropping messages. *)
 let chaos_one ?(durable = false) base_plan seed =
-  let module Chaos = Sss_chaos.Chaos in
-  let plan = { base_plan with Chaos.seed = base_plan.Chaos.seed + seed } in
-  (* SSS *)
-  let sim = Sim.create () in
-  let cl = Kv.create sim (chaos_config ~durable ~degree:2 ~seed ()) in
-  (if durable then
-     ignore
-       (Chaos.install sim (Kv.network cl) ~kind_of:Message.kind_name
-          ~on_crash:(Kv.crash_node cl)
-          ~on_restart:(Kv.restart_node cl) plan)
-   else ignore (Chaos.install sim (Kv.network cl) ~kind_of:Message.kind_name plan));
-  let r =
-    chaos_drive sim ~seed
-      ~ops:
-        {
-          Sss_workload.Driver.begin_txn =
-            (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-          read = Kv.read;
-          write = Kv.write;
-          commit = Kv.commit;
-        }
+  let plan = { base_plan with Sss_chaos.Chaos.seed = base_plan.Sss_chaos.Chaos.seed + seed } in
+  let config = { Config.default with seed; fault_tolerance = true; durability = durable } in
+  let runs =
+    List.map
+      (fun system ->
+        let committed, checks =
+          sweep_run ~durable ~plan ~config ~clients:2 ~duration:0.03 system
+        in
+        (committed, (lower system, checks)))
+      [ Sss; Twopc; Walter; Rococo ]
   in
-  let committed = ref r.Sss_workload.Driver.committed in
-  let h = Kv.history cl in
-  let sss_checks =
-    ( "sss",
-      [
-        ("external-consistency", Checker.external_consistency h);
-        ("serializability", Checker.serializability h);
-        ("no-lost-updates", Checker.no_lost_updates h);
-        ("no-torn-commits", Checker.no_torn_commits h);
-        ("ro-abort-free", Checker.read_only_abort_free h);
-        ("quiescent", Kv.quiescent cl);
-      ] )
-  in
-  (* 2PC *)
-  let sim = Sim.create () in
-  let cl = Twopc_kv.Twopc.create sim (chaos_config ~durable ~degree:2 ~seed ()) in
-  (if durable then
-     ignore
-       (Chaos.install sim (Twopc_kv.Twopc.network cl) ~kind_of:Twopc_kv.Twopc.message_kind
-          ~on_crash:(Twopc_kv.Twopc.crash_node cl)
-          ~on_restart:(Twopc_kv.Twopc.restart_node cl) plan)
-   else
-     ignore
-       (Chaos.install sim (Twopc_kv.Twopc.network cl) ~kind_of:Twopc_kv.Twopc.message_kind
-          plan));
-  let r =
-    chaos_drive sim ~seed
-      ~ops:
-        {
-          Sss_workload.Driver.begin_txn =
-            (fun ~node ~read_only -> Twopc_kv.Twopc.begin_txn cl ~node ~read_only);
-          read = Twopc_kv.Twopc.read;
-          write = Twopc_kv.Twopc.write;
-          commit = Twopc_kv.Twopc.commit;
-        }
-  in
-  committed := !committed + r.Sss_workload.Driver.committed;
-  let h = Twopc_kv.Twopc.history cl in
-  let twopc_checks =
-    ( "2pc",
-      [
-        ("external-consistency", Checker.external_consistency h);
-        ("no-lost-updates", Checker.no_lost_updates h);
-        ("no-torn-commits", Checker.no_torn_commits h);
-        ("quiescent", Twopc_kv.Twopc.quiescent cl);
-      ] )
-  in
-  (* Walter *)
-  let sim = Sim.create () in
-  let cl = Walter_kv.Walter.create sim (chaos_config ~durable ~degree:2 ~seed ()) in
-  (if durable then
-     ignore
-       (Chaos.install sim (Walter_kv.Walter.network cl) ~kind_of:Walter_kv.Walter.message_kind
-          ~on_crash:(Walter_kv.Walter.crash_node cl)
-          ~on_restart:(Walter_kv.Walter.restart_node cl) plan)
-   else
-     ignore
-       (Chaos.install sim (Walter_kv.Walter.network cl) ~kind_of:Walter_kv.Walter.message_kind
-          plan));
-  let r =
-    chaos_drive sim ~seed
-      ~ops:
-        {
-          Sss_workload.Driver.begin_txn =
-            (fun ~node ~read_only -> Walter_kv.Walter.begin_txn cl ~node ~read_only);
-          read = Walter_kv.Walter.read;
-          write = Walter_kv.Walter.write;
-          commit = Walter_kv.Walter.commit;
-        }
-  in
-  committed := !committed + r.Sss_workload.Driver.committed;
-  let h = Walter_kv.Walter.history cl in
-  let walter_checks =
-    ( "walter",
-      [
-        ("no-lost-updates", Checker.no_lost_updates h);
-        ("no-torn-commits", Checker.no_torn_commits h);
-        ("ro-abort-free", Checker.read_only_abort_free h);
-        ("quiescent", Walter_kv.Walter.quiescent cl);
-      ] )
-  in
-  (* ROCOCO *)
-  let sim = Sim.create () in
-  let cl = Rococo_kv.Rococo.create sim (chaos_config ~durable ~degree:1 ~seed ()) in
-  (if durable then
-     ignore
-       (Chaos.install sim (Rococo_kv.Rococo.network cl) ~kind_of:Rococo_kv.Rococo.message_kind
-          ~on_crash:(Rococo_kv.Rococo.crash_node cl)
-          ~on_restart:(Rococo_kv.Rococo.restart_node cl) plan)
-   else
-     ignore
-       (Chaos.install sim (Rococo_kv.Rococo.network cl) ~kind_of:Rococo_kv.Rococo.message_kind
-          plan));
-  let r =
-    chaos_drive sim ~seed
-      ~ops:
-        {
-          Sss_workload.Driver.begin_txn =
-            (fun ~node ~read_only -> Rococo_kv.Rococo.begin_txn cl ~node ~read_only);
-          read = Rococo_kv.Rococo.read;
-          write = Rococo_kv.Rococo.write;
-          commit = Rococo_kv.Rococo.commit;
-        }
-  in
-  committed := !committed + r.Sss_workload.Driver.committed;
-  let h = Rococo_kv.Rococo.history cl in
-  let rococo_checks =
-    ( "rococo",
-      [
-        ("serializability", Checker.serializability h);
-        ("no-lost-updates", Checker.no_lost_updates h);
-        ("no-torn-commits", Checker.no_torn_commits h);
-        ("quiescent", Rococo_kv.Rococo.quiescent cl);
-      ] )
-  in
-  (!committed, [ sss_checks; twopc_checks; walter_checks; rococo_checks ])
+  (List.fold_left (fun acc (c, _) -> acc + c) 0 runs, List.map snd runs)
 
 (* Durable crash-recovery sweep (always on): every system with write-ahead
    logging enabled, one node fail-stopped mid-run and restarted through log

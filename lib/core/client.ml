@@ -26,17 +26,9 @@ type handle = {
 }
 
 let begin_txn cl ~node:home_id ~read_only =
+  let id = State.begin_txn cl ~node:home_id ~ro:read_only in
   let home = State.node cl home_id in
-  if not home.alive then Sss_net.Rpc.crashed ~system:"sss" ~node:home_id;
-  let id = Ids.Gen.next home.gen in
   Hashtbl.replace home.active id ();
-  record cl (History.Begin { txn = id; ro = read_only; node = home_id });
-  (match cl.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o (if read_only then "txn.begin.ro" else "txn.begin.update");
-      Sss_obs.Obs.emit o ~at:(now cl)
-        (Sss_obs.Obs.Txn_begin { txn = Ids.txn_to_string id; node = home_id; ro = read_only })
-  | None -> ());
   (* Hardened mode: read-only transactions start from the externally
      committed (stable) view plus the node's session knowledge, so they
      only ever observe externally committed data; update transactions (and
@@ -98,22 +90,8 @@ let read h key =
       send_nodes h.cl ~src:h.home.id
         ~dsts:(Replication.replicas h.cl.repl key)
         msg;
-      (* All replicas are contacted; the fastest answer wins (§III-C).  In
-         fault-tolerance mode the request and its answer are retried by the
-         transport, so the wait only needs the [ack_timeout] backstop; the
-         plain read keeps the healthy path free of timeout events. *)
-      let resp =
-        if h.cl.config.Config.fault_tolerance then
-          match
-            Sss_net.Rpc.Pending.await_timeout h.cl.sim ivar
-              ~timeout:h.cl.config.ack_timeout
-          with
-          | Some r -> r
-          | None ->
-              Sss_net.Rpc.stalled ~system:"sss" ~phase:"read"
-                (Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.id))
-        else Sss_net.Rpc.Pending.await h.cl.sim ivar
-      in
+      (* All replicas are contacted; the fastest answer wins (§III-C). *)
+      let resp = await_read h.cl ivar ~key ~txn:h.id in
       h.has_read.(resp.from) <- true;
       h.vc <- Vclock.max h.vc resp.vc;
       let pair = (key, resp.writer) in
@@ -158,7 +136,7 @@ let await_observed_parked h =
       match Sss_net.Rpc.Pending.await_timeout cl.sim ivar ~timeout:cl.config.ack_timeout with
       | Some () -> ()
       | None ->
-          Sss_net.Rpc.stalled ~system:"sss" ~phase:"wait-finalized" (Ids.txn_to_string h.id))
+          stalled ~phase:"wait-finalized" (Ids.txn_to_string h.id))
     slots
 
 (* Completion waits under durability retry their message: the transport's
@@ -178,9 +156,9 @@ let await_acks cl (h : handle) box ~dsts ~msg ~phase =
           (* a crash of the home node fills the ivar; reaching here means
              the home survives but some participant has not answered *)
           if not (node_live cl h.home) then
-            Sss_net.Rpc.crashed ~system:"sss" ~node:h.home.id;
+            crashed h.home.id;
           if now cl >= deadline then
-            Sss_net.Rpc.stalled ~system:"sss" ~phase (Ids.txn_to_string h.id);
+            stalled ~phase (Ids.txn_to_string h.id);
           List.iter
             (fun dst ->
               if not (Hashtbl.mem box.acked dst) then send cl ~src:h.home.id ~dst msg)
@@ -192,7 +170,7 @@ let await_acks cl (h : handle) box ~dsts ~msg ~phase =
   else
     match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:cl.config.ack_timeout with
     | Some () -> ()
-    | None -> Sss_net.Rpc.stalled ~system:"sss" ~phase (Ids.txn_to_string h.id)
+    | None -> stalled ~phase (Ids.txn_to_string h.id)
 
 (* Read-only (and write-free) commit: the client is informed immediately;
    the Remove message then clears this transaction's snapshot-queue entries
@@ -203,17 +181,9 @@ let commit_read_only h =
      (read-only transactions never do): its response chains as well. *)
   if h.observed_parked <> [] then await_observed_parked h;
   h.home.coordinated_max <- Vclock.max h.home.coordinated_max h.vc;
-  record cl (History.Commit { txn = h.id; ws = [] });
-  if h.ro then cl.stats.committed_ro <- cl.stats.committed_ro + 1
-  else cl.stats.committed_update <- cl.stats.committed_update + 1;
-  (match cl.obs with
-  | Some o ->
-      let cls = if h.ro then "ro" else "update" in
-      Sss_obs.Obs.incr o ("txn.commit." ^ cls);
-      Sss_obs.Obs.observe o ("lat.txn." ^ cls) (now cl -. h.begin_at);
-      Sss_obs.Obs.emit o ~at:(now cl)
-        (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string h.id; node = h.home.id; ro = h.ro })
-  | None -> ());
+  if h.ro then cl.ext.stats.committed_ro <- cl.ext.stats.committed_ro + 1
+  else cl.ext.stats.committed_update <- cl.ext.stats.committed_update + 1;
+  committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at ~ws:[];
   let keys = read_keys h in
   if keys <> [] then
     send_nodes cl ~src:h.home.id ~dsts:(replica_nodes cl keys) (Message.Remove { txn = h.id });
@@ -257,22 +227,15 @@ let commit_update h =
     send_nodes cl ~src:h.home.id ~dsts:participants
       (Message.Decide { txn = h.id; vc = h.vc; outcome = false });
     mark_finalized h;
-    cl.stats.aborted <- cl.stats.aborted + 1;
-    record cl (History.Abort { txn = h.id });
-    (match cl.obs with
-    | Some o ->
-        let reason = if box.any_false then "vote-false" else "vote-timeout" in
-        Sss_obs.Obs.incr o ("txn.abort." ^ reason);
-        Sss_obs.Obs.emit o ~at:(now cl)
-          (Sss_obs.Obs.Txn_abort
-             { txn = Ids.txn_to_string h.id; node = h.home.id; ro = false; reason })
-    | None -> ());
+    cl.ext.stats.aborted <- cl.ext.stats.aborted + 1;
+    aborted cl ~txn:h.id ~node:h.home.id ~ro:false
+      ~reason:(if box.any_false then "vote-false" else "vote-timeout");
     false
   end
   else begin
     (* The vote wait suspended: the home node may have crashed under it, in
        which case this fiber holds a stale record and must not decide. *)
-    if not (node_live cl h.home) then Sss_net.Rpc.crashed ~system:"sss" ~node:h.home.id;
+    if not (node_live cl h.home) then crashed h.home.id;
     (* Alg. 1 lines 18-24: entry-wise maximum of the votes, then equalise
        the write replicas' entries so every CommitQ orders this transaction
        identically. *)
@@ -298,13 +261,11 @@ let commit_update h =
         { dvc = commit_vc; ddurable = false; ddriving = true; d_at = now cl };
       sweep_decided cl h.home;
       let flush_from = now cl in
-      let lsn = log h.home (SDecided { d_txn = h.id; d_vc = commit_vc }) in
-      if (not (log_sync h.home lsn)) || not (node_live cl h.home) then
-        Sss_net.Rpc.crashed ~system:"sss" ~node:h.home.id;
+      let lsn = log cl h.home (SDecided { d_txn = h.id; d_vc = commit_vc }) in
+      if (not (log_sync cl h.home lsn)) || not (node_live cl h.home) then
+        crashed h.home.id;
       (Hashtbl.find h.home.decided_commits h.id).ddurable <- true;
-      match cl.obs with
-      | Some o -> Sss_obs.Obs.observe o "lat.commit.durable" (now cl -. flush_from)
-      | None -> ()
+      observe_since cl "lat.commit.durable" ~since:flush_from
     end;
     let ack =
       {
@@ -322,7 +283,7 @@ let commit_update h =
       ~msg:(Message.Decide { txn = h.id; vc = commit_vc; outcome = true })
       ~phase:"external-commit ack";
     (* a crash fills the ivar to wake this fiber; distinguish it here *)
-    if not (node_live cl h.home) then Sss_net.Rpc.crashed ~system:"sss" ~node:h.home.id;
+    if not (node_live cl h.home) then crashed h.home.id;
     Hashtbl.remove h.home.ack_boxes h.id;
     if cl.config.Config.strict_order then begin
       (* wr-chaining: the parked writers we read from must externally commit
@@ -346,7 +307,7 @@ let commit_update h =
       send_nodes cl ~src:h.home.id ~dsts:write_nodes (Message.Finalize { txn = h.id });
       await_acks cl h fin ~dsts:write_nodes ~msg:(Message.Finalize { txn = h.id })
         ~phase:"finalize ack";
-      if not (node_live cl h.home) then Sss_net.Rpc.crashed ~system:"sss" ~node:h.home.id;
+      if not (node_live cl h.home) then crashed h.home.id;
       Hashtbl.remove h.home.ack_boxes h.id
     end;
     (* Completion protocol done: in-doubt queries no longer need this
@@ -356,17 +317,10 @@ let commit_update h =
     | None -> ());
     mark_finalized h;
     h.home.coordinated_max <- Vclock.max h.home.coordinated_max commit_vc;
-    cl.stats.committed_update <- cl.stats.committed_update + 1;
-    if cl.stats.collect_latencies then
-      cl.stats.latencies <- (h.begin_at, decide_at, now cl) :: cl.stats.latencies;
-    record cl (History.Commit { txn = h.id; ws = ws_keys });
-    (match cl.obs with
-    | Some o ->
-        Sss_obs.Obs.incr o "txn.commit.update";
-        Sss_obs.Obs.observe o "lat.txn.update" (now cl -. h.begin_at);
-        Sss_obs.Obs.emit o ~at:(now cl)
-          (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string h.id; node = h.home.id; ro = false })
-    | None -> ());
+    cl.ext.stats.committed_update <- cl.ext.stats.committed_update + 1;
+    if cl.ext.stats.collect_latencies then
+      cl.ext.stats.latencies <- (h.begin_at, decide_at, now cl) :: cl.ext.stats.latencies;
+    committed cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:ws_keys;
     true
   end
 
@@ -386,15 +340,8 @@ let abort h =
   Hashtbl.remove h.home.active h.id;
   if h.ro then State.gc_unregister_ro h.cl h.id;
   let cl = h.cl in
-  cl.stats.aborted <- cl.stats.aborted + 1;
-  record cl (History.Abort { txn = h.id });
-  (match cl.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o "txn.abort.client";
-      Sss_obs.Obs.emit o ~at:(now cl)
-        (Sss_obs.Obs.Txn_abort
-           { txn = Ids.txn_to_string h.id; node = h.home.id; ro = h.ro; reason = "client" })
-  | None -> ());
+  cl.ext.stats.aborted <- cl.ext.stats.aborted + 1;
+  aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client";
   let keys = read_keys h in
   if h.ro && keys <> [] then
     send_nodes cl ~src:h.home.id ~dsts:(replica_nodes cl keys) (Message.Remove { txn = h.id })

@@ -44,7 +44,8 @@ type t = {
   priority_network : bool;
       (** give protocol-completing messages (Remove, Decide, ...) priority
           over new work in node ingress queues, as the paper's optimized
-          network component does (§V); disable for the ablation *)
+          network component does (§V); disable for the ablation.  All four
+          systems honour it: the shared runtime's [send] reads it *)
   compress_metadata : bool;
       (** account message sizes with varint-compressed vector clocks
           (§III-A); affects only the byte telemetry, not behaviour *)

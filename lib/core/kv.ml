@@ -4,10 +4,9 @@ type cluster = State.t
 
 type handle = Client.handle
 
-let create sim config =
-  let t = State.create sim config in
-  Server.install t;
-  t
+type msg = Message.payload
+
+let create sim config = State.create sim config Server.hooks
 
 let begin_txn = Client.begin_txn
 
@@ -36,21 +35,21 @@ let with_txn cluster ~node ~read_only ?(max_attempts = 5) f =
 
 let is_read_only = Client.is_read_only
 
-let history (t : cluster) = t.State.history
+let history = State.history
 
-let stats (t : cluster) = t.State.stats
+let stats (t : cluster) = t.State.ext.State.stats
 
-let set_collect_latencies (t : cluster) flag = t.State.stats.State.collect_latencies <- flag
+let set_collect_latencies (t : cluster) flag = t.State.ext.State.stats.State.collect_latencies <- flag
 
 let network_stats (t : cluster) = Sss_net.Network.stats t.State.net
 
 let wal_stats (t : cluster) =
   Array.fold_left
-    (fun acc (n : State.node) ->
-      match n.State.wal with
+    (fun acc w ->
+      match w with
       | None -> acc
       | Some w -> Sss_storage.Storage.add_stats acc (Sss_storage.Storage.stats w))
-    Sss_storage.Storage.zero_stats t.State.nodes
+    Sss_storage.Storage.zero_stats t.State.wals
 
 let version_count = State.version_count
 
@@ -62,13 +61,21 @@ let mem_words (t : cluster) =
 let nlog_entries = State.nlog_entries
 
 let gc_stats (t : cluster) =
-  match t.State.gc with
+  match t.State.ext.State.gc with
   | None -> (0, 0, 0)
   | Some g -> (g.State.refreshes, g.State.versions_dropped, g.State.entries_dropped)
 
-let network (t : cluster) = t.State.net
+let network = State.network
 
-let obs (t : cluster) = t.State.obs
+let message_kind = Message.kind_name
+
+let repl = State.repl
+
+let local_keys = State.local_keys
+
+let store_words t = Mvstore.mem_total (mem_words t)
+
+let obs = State.obs
 
 let metrics_json (t : cluster) = Option.map Sss_obs.Obs.metrics_json t.State.obs
 
@@ -78,9 +85,9 @@ let transport_retries (t : cluster) = Sss_net.Reliable.retries t.State.rel
 
 let transport_stalled (t : cluster) = Sss_net.Reliable.stalled t.State.rel
 
-let crash_node = Server.crash_node
+let crash_node = State.crash_node
 
-let restart_node = Server.restart_node
+let restart_node = State.restart_node
 
 let quiescent (t : cluster) =
   let problems = ref [] in

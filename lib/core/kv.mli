@@ -34,6 +34,8 @@ type cluster = State.t
 
 type handle = Client.handle
 
+type msg = Message.payload
+
 val create : Sss_sim.Sim.t -> Config.t -> cluster
 (** Build a cluster: nodes, network, replica placement, and pre-populated
     keys ([0 .. total_keys-1], each initialised to ["init:<k>"]). *)
@@ -111,10 +113,20 @@ val gc_stats : cluster -> int * int * int
 (** [(watermark refreshes, versions dropped, log entries dropped)] by the
     online GC — all zeros unless {!Config.t.gc} is on. *)
 
-val network : cluster -> Message.payload Sss_net.Network.t
+val network : cluster -> msg Sss_net.Network.t
 (** The cluster's simulated network — exposed so fault plans
-    ([Sss_chaos.Chaos.install]) can be attached to it.  Message kinds for
-    per-type fault rules come from {!Message.kind_name}. *)
+    ([Sss_chaos.Chaos.install]) can be attached to it. *)
+
+val message_kind : msg -> string
+(** {!Message.kind_name}: the kind per-type fault rules match. *)
+
+val repl : cluster -> Replication.t
+
+val local_keys : cluster -> Ids.node -> Ids.key array
+(** Keys replicated at a node (for the locality workload). *)
+
+val store_words : cluster -> int
+(** [Mvstore.mem_total] of {!mem_words}. *)
 
 val obs : cluster -> Sss_obs.Obs.t option
 (** The cluster's observability sink — [Some] iff {!Config.t.observe} was

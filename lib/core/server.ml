@@ -98,10 +98,10 @@ let wait_covered_finalizing t node ~bound_local =
       Sim.Cond.await_timeout t.sim node.squeue_changed ~timeout:0.1 (fun () ->
           not (covered_parked ()))
     in
-    if not ok then t.stats.wait_covered_timeouts <- t.stats.wait_covered_timeouts + 1
+    if not ok then t.ext.stats.wait_covered_timeouts <- t.ext.stats.wait_covered_timeouts + 1
 
 let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
-  t.stats.reads_served <- t.stats.reads_served + 1;
+  t.ext.stats.reads_served <- t.ext.stats.reads_served + 1;
   let reply ?parked_coord value rvc writer propagated =
     send t ~src:node.id ~dst:src
       (Message.Read_return { req; value; vc = rvc; writer; propagated; parked_coord })
@@ -295,7 +295,7 @@ let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
     (* The Ack promises the writes survive this node: it must not outrun
        their log records.  [lsn] is the apply record; the device is serial
        FIFO, so awaiting it covers the whole log prefix. *)
-    if log_sync node lsn && node_live t node then
+    if log_sync t node lsn && node_live t node then
       send t ~src:node.id ~dst:coord (Message.Ack { txn })
   end
   else begin
@@ -318,9 +318,9 @@ let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
       (* The prepared entry retires here in paper mode, so the retirement
          is what must reach the disk before the Ack (which covers the apply
          record too — serial device). *)
-      let flsn = log node (SFinalized { f_txn = txn }) in
+      let flsn = log t node (SFinalized { f_txn = txn }) in
       let gate = match flsn with Some _ -> flsn | None -> lsn in
-      if log_sync node gate && node_live t node then
+      if log_sync t node gate && node_live t node then
         send t ~src:node.id ~dst:coord (Message.Ack { txn })
     end
   end
@@ -351,7 +351,7 @@ let rec try_drain t node =
             prep.prop_set)
         prep.ws_local;
       Nlog.add node.nlog ~txn ~vc ~ws:(List.map fst prep.ws_local) ~at:(now t);
-      (match t.gc with
+      (match t.ext.gc with
       | Some g ->
           (* watermark-driven collection: drop only state no live or future
              read-only snapshot can still reach (State.gc_after_apply) *)
@@ -375,7 +375,7 @@ let rec try_drain t node =
       Sim.Cond.broadcast t.sim node.squeue_changed;
       (* Logged in the same event as the apply: redo either replays the
          whole install-park-insert bundle or none of it. *)
-      let lsn = log node (SApplied { ap_txn = txn; ap_vc = vc }) in
+      let lsn = log t node (SApplied { ap_txn = txn; ap_vc = vc }) in
       let keys = List.map fst prep.ws_local in
       Sim.spawn t.sim (fun () ->
           pre_commit_wait t node ~txn ~sid ~keys ~coord:prep.coord ~lsn);
@@ -440,8 +440,8 @@ let handle_finalize t node ~txn ~reply_to =
             Hashtbl.remove node.prepared txn;
             unpark_writer t node txn;
             Sim.Cond.broadcast t.sim node.squeue_changed;
-            let lsn = log node (SFinalized { f_txn = txn }) in
-            if log_sync node lsn && node_live t node then
+            let lsn = log t node (SFinalized { f_txn = txn }) in
+            if log_sync t node lsn && node_live t node then
               send t ~src:node.id ~dst:prep.coord (Message.Finalize_ack { txn })
           end)
 
@@ -456,7 +456,7 @@ let handle_decide t node ~txn ~vc ~outcome =
         (* Fire-and-forget: losing an abort record only resurrects the
            prepared entry at recovery, and the in-doubt watchdog re-learns
            the abort from the coordinator. *)
-        ignore (log node (SAborted { a_txn = txn }) : int option);
+        ignore (log t node (SAborted { a_txn = txn }) : int option);
         Commitq.remove node.commitq txn;
         Locks.release_txn node.locks txn;
         try_drain t node;
@@ -478,11 +478,11 @@ let handle_decide t node ~txn ~vc ~outcome =
           Hashtbl.remove node.prepared txn;
           drop_parked_stamp t node txn;
           (* read-only participant: retire the prepared entry durably *)
-          ignore (log node (SFinalized { f_txn = txn }) : int option)
+          ignore (log t node (SFinalized { f_txn = txn }) : int option)
         end
       end
       else begin
-        ignore (log node (SAborted { a_txn = txn }) : int option);
+        ignore (log t node (SAborted { a_txn = txn }) : int option);
         Commitq.remove node.commitq txn;
         Locks.release_txn node.locks txn;
         Hashtbl.remove node.prepared txn;
@@ -507,7 +507,7 @@ let resolve_indoubt t node txn =
     | None -> ()
     | Some prep ->
         if attempt >= t.config.Config.retry_limit then
-          Sss_net.Rpc.stalled ~system:"sss" ~phase:"in-doubt" (Ids.txn_to_string txn)
+          stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
         else begin
           let req, slot = Sss_net.Rpc.Pending.fresh node.pending_outcomes in
           send t ~src:node.id ~dst:prep.coord (Message.Dquery { req; txn });
@@ -611,7 +611,7 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
        no record).  Logged atomically with the CommitQ insertion; the vote
        leaves only once the record did. *)
     let lsn =
-      log node
+      log t node
         (SPrepared
            { p_txn = txn; p_rs = local_rs; p_ws = local_ws; p_prop = propagated;
              p_coord = coord; p_vc = prep_vc })
@@ -621,7 +621,7 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
           (* linger past the healthy decide round-trip before querying *)
           Sim.sleep t.sim (2. *. t.config.Config.retry_max);
           resolve_indoubt t node txn);
-    if log_sync node lsn && node_live t node then
+    if log_sync t node lsn && node_live t node then
       send t ~src:node.id ~dst:coord (Message.Vote { txn; ok = true; vc = prep_vc })
   end
 
@@ -658,12 +658,7 @@ let ack_arrival t node ~src ~txn ~phase =
 let rec dispatch t node ~src payload =
   match payload with
   | Message.Tracked { token; inner } ->
-      (* Receipt for every copy (receipts can be lost), processing only for
-         the first: the protocol handlers below never see re-deliveries. *)
-      Sss_net.Network.send t.net ~prio:(Message.priority (Message.Delivered { token }))
-        ~src:node.id ~dst:src
-        (Message.Delivered { token });
-      if Sss_net.Reliable.receive t.rel token then dispatch t node ~src inner
+      if receive t ~me:node.id ~src token then dispatch t node ~src inner
   | Message.Delivered { token } -> Sss_net.Reliable.delivered t.rel token
   | Message.Read_request { req; txn; key; vc; has_read; is_update } ->
       handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update
@@ -713,12 +708,6 @@ let rec dispatch t node ~src payload =
         send t ~src:node.id ~dst:src (Message.Reader_done { reader })
   | Message.Reader_done { reader } -> handle_remove t node ~reader
   | Message.Recovered { node = _ } -> probe_orphans t node
-
-let install t =
-  Array.iter
-    (fun n ->
-      Sss_net.Network.set_handler t.net n.id (fun ~src payload -> dispatch t n ~src payload))
-    t.nodes
 
 (* ---- crash & redo recovery (durability mode; docs/DURABILITY.md) ---- *)
 
@@ -791,7 +780,7 @@ let replay_record t node = function
           (* legacy chain-keep trimming only: watermark GC waits for the
              next live apply (replay must not consult a watermark computed
              against the pre-crash registry) *)
-          (match t.gc with
+          (match t.ext.gc with
           | None ->
               List.iter
                 (fun (k, _) -> Mvstore.truncate node.store k ~keep:t.config.Config.chain_keep)
@@ -818,115 +807,84 @@ let replay_record t node = function
         if Vclock.get d_vc i > node.minted then node.minted <- Vclock.get d_vc i
       done
 
-let crash_node t id =
-  if t.config.Config.durability then begin
-    let old = t.nodes.(id) in
-    old.alive <- false;
-    (match old.wal with Some w -> Sss_storage.Storage.crash w | None -> ());
-    let exn = Sss_net.Rpc.Crashed { system = "sss"; node = id } in
-    Sss_net.Rpc.Pending.poison_all t.sim old.pending_reads exn;
-    Sss_net.Rpc.Pending.poison_all t.sim old.pending_finalized exn;
-    Sss_net.Rpc.Pending.poison_all t.sim old.pending_outcomes exn;
-    (* Wake the old record's waiters so their fibers observe the crash
-       (they re-check [node_live] and raise); sorted for determinism. *)
-    List.iter
-      (fun (_, (b : vote_box)) -> Sim.Cond.broadcast t.sim b.vchanged)
-      (sorted_bindings old.vote_boxes);
-    List.iter
-      (fun (_, (b : ack_box)) ->
-        if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
-      (sorted_bindings old.ack_boxes);
-    Sim.Cond.broadcast t.sim old.nlog_changed;
-    Sim.Cond.broadcast t.sim old.squeue_changed;
-    (* Read-only transactions homed here die with the node (their clients
-       observe Crashed and abandon them): release their watermark pins, or
-       the GC floor would stay anchored to a snapshot nobody can use. *)
-    (match t.gc with
-    | Some g ->
-        List.iter (fun (txn, ()) -> Hashtbl.remove g.ro_bounds txn) (sorted_bindings old.active)
-    | None -> ());
-    (* Fresh volatile state; the generator is carried over (transaction ids
-       name client requests, not node state) and the log survives on its
-       device.  The genesis versions are re-created exactly as at boot —
-       recovery overwrites them from the checkpoint. *)
-    let fresh = make_node ~gen:old.gen t.sim ~nodes:t.config.Config.nodes ~id in
-    fresh.alive <- false;
-    fresh.wal <- old.wal;
-    let ks = Replication.keys_at t.repl id in
-    Mvstore.reserve fresh.store (Array.length ks);
-    Array.iter
-      (fun k -> Mvstore.init_key fresh.store k ~value:(Printf.sprintf "init:%d" k))
-      ks;
-    t.nodes.(id) <- fresh;
-    Sss_net.Network.set_handler t.net id (fun ~src payload -> dispatch t fresh ~src payload)
-  end
+(* Wake the dead record's waiters so their fibers observe the crash (they
+   re-check [node_live] and raise); sorted for determinism. *)
+let wound t old exn =
+  Sss_net.Rpc.Pending.poison_all t.sim old.pending_reads exn;
+  Sss_net.Rpc.Pending.poison_all t.sim old.pending_finalized exn;
+  Sss_net.Rpc.Pending.poison_all t.sim old.pending_outcomes exn;
+  List.iter
+    (fun (_, (b : vote_box)) -> Sim.Cond.broadcast t.sim b.vchanged)
+    (sorted_bindings old.vote_boxes);
+  List.iter
+    (fun (_, (b : ack_box)) ->
+      if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
+    (sorted_bindings old.ack_boxes);
+  Sim.Cond.broadcast t.sim old.nlog_changed;
+  Sim.Cond.broadcast t.sim old.squeue_changed;
+  (* Read-only transactions homed here die with the node (their clients
+     observe Crashed and abandon them): release their watermark pins, or
+     the GC floor would stay anchored to a snapshot nobody can use. *)
+  match t.ext.gc with
+  | Some g ->
+      List.iter (fun (txn, ()) -> Hashtbl.remove g.ro_bounds txn) (sorted_bindings old.active)
+  | None -> ()
 
-let restart_node t id =
-  let node = t.nodes.(id) in
-  match node.wal with
-  | None -> Sss_net.Network.recover t.net id
-  | Some w ->
-      Sss_storage.Storage.recover w (fun ~recovered ~replay ->
-          Sim.run_fiber (fun () ->
-              (match recovered with Some s -> load_snap t node s | None -> ());
-              List.iter (replay_record t node) replay;
-              (* Re-derive the volatile side of the prepared table: in-doubt
-                 entries re-take their locks (mutually compatible — they
-                 co-held them before the crash), applied entries re-park and
-                 re-insert their snapshot-queue writer entries. *)
-              let indoubt = sorted_bindings node.prepared in
-              List.iter
-                (fun (txn, (p : prep)) ->
-                  match p.final_vc with
-                  | None ->
-                      ignore
-                        (Locks.acquire_all node.locks txn
-                           ~exclusive:(List.map fst p.ws_local)
-                           ~shared:(List.map fst p.rs_local)
-                           ~timeout:t.config.Config.lock_timeout
-                          : bool)
-                  | Some fvc ->
-                      let sid = Vclock.get fvc node.id in
-                      park_writer t node txn ~stamp:sid;
-                      List.iter
-                        (fun (k, _) -> Squeue.insert_write (squeue node k) ~txn ~sid)
-                        p.ws_local)
-                indoubt;
-              (* The checkpoint may predate read-only completions whose
-                 bounds fed past watermarks; folding the GC floor into the
-                 reborn node's visibility floor guarantees its future
-                 readers start at or above everything already collected. *)
-              (match t.gc with
-              | Some g -> node.coordinated_max <- Vclock.max node.coordinated_max g.floor_used
-              | None -> ());
-              node.alive <- true;
-              Sss_net.Network.recover t.net id;
-              Sss_storage.Storage.start_checkpoints w
-                ~interval:t.config.Config.checkpoint_interval;
-              Sim.Cond.broadcast t.sim node.nlog_changed;
-              Sim.Cond.broadcast t.sim node.squeue_changed;
-              (* Resume the interrupted lifecycles: applied entries re-enter
-                 the pre-commit wait (their Ack may have been lost with us;
-                 re-sends are deduplicated at the coordinator), finalizing
-                 entries re-enter the release path, and every in-doubt entry
-                 gets a termination watchdog. *)
-              List.iter
-                (fun (txn, (p : prep)) ->
-                  (match p.final_vc with
-                  | Some _ when p.finalizing -> handle_finalize t node ~txn ~reply_to:None
-                  | Some fvc ->
-                      let sid = Vclock.get fvc node.id in
-                      let keys = List.map fst p.ws_local in
-                      Sim.spawn t.sim (fun () ->
-                          pre_commit_wait t node ~txn ~sid ~keys ~coord:p.coord ~lsn:None)
-                  | None -> ());
-                  Sim.spawn t.sim (fun () -> resolve_indoubt t node txn))
-                indoubt;
-              (* Reclaim entries the crash orphaned, here and cluster-wide:
-                 redo just re-inserted propagated readers whose pre-crash
-                 Remove left no durable trace, and readers homed here died
-                 without sending theirs.  One probe pass per node. *)
-              probe_orphans t node;
-              for dst = 0 to t.config.Config.nodes - 1 do
-                if dst <> id then send t ~src:id ~dst (Message.Recovered { node = id })
-              done))
+let recover t node =
+  let id = node.id in
+  (* Re-derive the volatile side of the prepared table: in-doubt entries
+     re-take their locks (mutually compatible — they co-held them before
+     the crash), applied entries re-park and re-insert their snapshot-queue
+     writer entries. *)
+  let indoubt = sorted_bindings node.prepared in
+  List.iter
+    (fun (txn, (p : prep)) ->
+      match p.final_vc with
+      | None ->
+          ignore
+            (Locks.acquire_all node.locks txn
+               ~exclusive:(List.map fst p.ws_local)
+               ~shared:(List.map fst p.rs_local)
+               ~timeout:t.config.Config.lock_timeout
+              : bool)
+      | Some fvc ->
+          let sid = Vclock.get fvc id in
+          park_writer t node txn ~stamp:sid;
+          List.iter (fun (k, _) -> Squeue.insert_write (squeue node k) ~txn ~sid) p.ws_local)
+    indoubt;
+  (* The checkpoint may predate read-only completions whose bounds fed past
+     watermarks; folding the GC floor into the reborn node's visibility
+     floor guarantees its future readers start at or above everything
+     already collected. *)
+  (match t.ext.gc with
+  | Some g -> node.coordinated_max <- Vclock.max node.coordinated_max g.floor_used
+  | None -> ());
+  rejoin t id;
+  Sim.Cond.broadcast t.sim node.nlog_changed;
+  Sim.Cond.broadcast t.sim node.squeue_changed;
+  (* Resume the interrupted lifecycles: applied entries re-enter the
+     pre-commit wait (their Ack may have been lost with us; re-sends are
+     deduplicated at the coordinator), finalizing entries re-enter the
+     release path, and every in-doubt entry gets a termination watchdog. *)
+  List.iter
+    (fun (txn, (p : prep)) ->
+      (match p.final_vc with
+      | Some _ when p.finalizing -> handle_finalize t node ~txn ~reply_to:None
+      | Some fvc ->
+          let sid = Vclock.get fvc id in
+          let keys = List.map fst p.ws_local in
+          Sim.spawn t.sim (fun () ->
+              pre_commit_wait t node ~txn ~sid ~keys ~coord:p.coord ~lsn:None)
+      | None -> ());
+      Sim.spawn t.sim (fun () -> resolve_indoubt t node txn))
+    indoubt;
+  (* Reclaim entries the crash orphaned, here and cluster-wide: redo just
+     re-inserted propagated readers whose pre-crash Remove left no durable
+     trace, and readers homed here died without sending theirs.  One probe
+     pass per node. *)
+  probe_orphans t node;
+  for dst = 0 to t.config.Config.nodes - 1 do
+    if dst <> id then send t ~src:id ~dst (Message.Recovered { node = id })
+  done
+
+let hooks = { handler = dispatch; wound; load = load_snap; replay = replay_record; recover }

@@ -1,5 +1,6 @@
-(** Runtime state of an SSS deployment: per-node protocol state plus the
-    cluster-wide wiring (simulator, network, replica map, history).
+(** Runtime state of an SSS deployment: per-node protocol state on top of
+    the shared cluster wiring of {!Runtime} (simulator, network, replica
+    map, history).
 
     This module only holds data and small helpers; the protocol logic lives
     in {!Server} (participant side) and {!Client} (coordinator side). *)
@@ -7,7 +8,6 @@
 open Sss_sim
 open Sss_data
 open Sss_net
-open Sss_consistency
 
 (* Response to a read, delivered to the requesting coordinator. *)
 type read_resp = {
@@ -117,12 +117,6 @@ type snap = {
 
 type node = {
   id : Ids.node;
-  (* false between a crash and the end of recovery; begin_txn refuses *)
-  mutable alive : bool;
-  (* the node's log — [None] unless [Config.durability]; survives crashes
-     (the device is the durable medium, the node record is the volatile
-     state) *)
-  mutable wal : (logrec, snap) Sss_storage.Storage.t option;
   store : Mvstore.t;
   nlog : Nlog.t;
   commitq : Commitq.t;
@@ -145,7 +139,6 @@ type node = {
   (* last clock value minted by this node as a coordinator (see
      [mint_xact_vn]) *)
   mutable minted : int;
-  gen : Ids.Gen.t;
   (* coordinator-side rendezvous *)
   pending_reads : read_resp Rpc.Pending.t;
   vote_boxes : (Ids.txn, vote_box) Hashtbl.t;
@@ -216,70 +209,54 @@ type gc_state = {
   mutable entries_dropped : int;
 }
 
-type t = {
-  sim : Sim.t;
-  config : Config.t;
-  repl : Replication.t;
-  net : Message.payload Network.t;
-  rel : Message.payload Reliable.t;
-      (* the at-least-once transport; consulted only when
-         [config.fault_tolerance] is set *)
-  nodes : node array;
-  history : History.t;
-  stats : stats;
-  gc : gc_state option;
-  (* observability sink; [None] unless [config.observe] — every emit site
-     matches on this, so a disabled run executes no observation code *)
-  obs : Sss_obs.Obs.t option;
-}
+type ext = { stats : stats; gc : gc_state option }
 
-(* [gen] is threaded through crash/restart cycles: transaction ids name
-   client requests, not node state, so a reborn node must never re-mint an
-   id its previous incarnation already handed out. *)
-let make_node ?gen sim ~nodes ~id =
-  {
-    id;
-    alive = true;
-    wal = None;
-    store = Mvstore.create ~nodes;
-    nlog = Nlog.create ~nodes ~node:id;
-    commitq = Commitq.create ~node:id;
-    locks = Locks.create sim;
-    squeues = Hashtbl.create 256;
-    node_vc = Vclock.zero nodes;
-    coordinated_max = Vclock.zero nodes;
-    stable_vc = Vclock.zero nodes;
-    minted = 0;
-    gen = (match gen with Some g -> g | None -> Ids.Gen.create id);
-    pending_reads = Rpc.Pending.create ();
-    vote_boxes = Hashtbl.create 64;
-    ack_boxes = Hashtbl.create 64;
-    decided_commits = Hashtbl.create 64;
-    pending_outcomes = Rpc.Pending.create ();
-    prepared = Hashtbl.create 64;
-    aborted_decides = Hashtbl.create 64;
-    tombstones = Hashtbl.create 256;
-    forwards = Hashtbl.create 256;
-    reader_keys = Hashtbl.create 256;
-    writer_since = Hashtbl.create 64;
-    parked = Stampset.create ();
-    parked_stamp = Hashtbl.create 64;
-    recent_ws = Hashtbl.create 1024;
-    cancelled = Hashtbl.create 16;
-    active = Hashtbl.create 64;
-    unfinalized = Hashtbl.create 64;
-    pending_finalized = Rpc.Pending.create ();
-    recent_ws_ops = 0;
-    nlog_changed = Sim.Cond.create ();
-    squeue_changed = Sim.Cond.create ();
-  }
+(* A pristine node: every key of its replicas at its genesis version. *)
+let make_node sim (config : Config.t) repl id =
+  let nodes = config.nodes in
+  let node =
+    {
+      id;
+      store = Mvstore.create ~nodes;
+      nlog = Nlog.create ~nodes ~node:id;
+      commitq = Commitq.create ~node:id;
+      locks = Locks.create sim;
+      squeues = Hashtbl.create 256;
+      node_vc = Vclock.zero nodes;
+      coordinated_max = Vclock.zero nodes;
+      stable_vc = Vclock.zero nodes;
+      minted = 0;
+      pending_reads = Rpc.Pending.create ();
+      vote_boxes = Hashtbl.create 64;
+      ack_boxes = Hashtbl.create 64;
+      decided_commits = Hashtbl.create 64;
+      pending_outcomes = Rpc.Pending.create ();
+      prepared = Hashtbl.create 64;
+      aborted_decides = Hashtbl.create 64;
+      tombstones = Hashtbl.create 256;
+      forwards = Hashtbl.create 256;
+      reader_keys = Hashtbl.create 256;
+      writer_since = Hashtbl.create 64;
+      parked = Stampset.create ();
+      parked_stamp = Hashtbl.create 64;
+      recent_ws = Hashtbl.create 1024;
+      cancelled = Hashtbl.create 16;
+      active = Hashtbl.create 64;
+      unfinalized = Hashtbl.create 64;
+      pending_finalized = Rpc.Pending.create ();
+      recent_ws_ops = 0;
+      nlog_changed = Sim.Cond.create ();
+      squeue_changed = Sim.Cond.create ();
+    }
+  in
+  let ks = Replication.keys_at repl id in
+  Mvstore.reserve node.store (Array.length ks);
+  Array.iter (fun k -> Mvstore.init_key node.store k ~value:(Printf.sprintf "init:%d" k)) ks;
+  node
 
 (* ---- durability helpers ---- *)
 
-(* Deterministic traversal of txn-keyed tables (snapshots, crash sweeps). *)
-let sorted_bindings tbl =
-  (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] [@order_ok])
-  |> List.sort (fun (a, _) (b, _) -> Ids.compare_txn a b)
+let sorted_bindings = Runtime.sorted_bindings
 
 (* On-disk size model, in the same spirit as [Message.wire_size]: 16-byte
    record header, 8 bytes per scalar/txn id, raw clocks, values verbatim. *)
@@ -361,90 +338,28 @@ let snap_of (node : node) =
     s_recent_ws = sorted_bindings node.recent_ws;
   }
 
-let log (node : node) r =
-  match node.wal with Some w -> Some (Sss_storage.Storage.append w r) | None -> None
+include Runtime.Make (struct
+  type nonrec msg = Message.payload
+  type nonrec node = node
+  type nonrec logrec = logrec
+  type nonrec snap = snap
+  type nonrec ext = ext
 
-(* Wait for [lsn] to reach the disk; true without suspending when not in
-   durability mode.  The device is serial FIFO, so a durable [lsn] implies
-   every earlier record is durable too. *)
-let log_sync (node : node) lsn =
-  match (node.wal, lsn) with
-  | Some w, Some l -> Sss_storage.Storage.await w l
-  | _ -> true
+  let system = "sss"
+  let priority = Message.priority
+  let kind_of = Message.kind_name
+  let tracked token inner = Message.Tracked { token; inner }
+  let receipt token = Message.Delivered { token }
+  let id node = node.id
+  let make_node = make_node
+  let snapshot = snap_of
+  let record_bytes _ = logrec_bytes
+  let snapshot_bytes _ = snap_bytes
+end)
 
-(* A fiber that suspended may resume on a node record that crashed in the
-   meantime (the cluster slot then holds the replacement).  Everything
-   externally visible — sends, log appends — must re-check this in the
-   event that performs it. *)
-let node_live (t : t) (node : node) = t.nodes.(node.id) == node
-
-let create sim (config : Config.t) =
-  let repl =
-    Replication.create ~nodes:config.nodes ~degree:config.replication_degree
-      ~total_keys:config.total_keys
-  in
-  let rng = Prng.create ~seed:config.seed in
-  let net =
-    Network.create
-      ~size_of:(Message.wire_size ~compress:config.compress_metadata)
-      sim rng ~nodes:config.nodes ~config:config.network
-  in
-  let nodes = Array.init config.nodes (fun id -> make_node sim ~nodes:config.nodes ~id) in
-  let obs =
-    if config.observe then Some (Sss_obs.Obs.create ~capacity:config.trace_capacity ())
-    else None
-  in
-  (match obs with
-  | Some o ->
-      Network.set_observer net (Some { Network.obs = o; kind_of = Message.kind_name });
-      (* Sample per-node ingress depths on DES ticks (amortized: every
-         1024th event).  The probe is passive, so the trajectory is the
-         same with or without it. *)
-      Sim.set_probe sim
-        (Some
-           (fun () ->
-             if Sim.events_processed sim land 1023 = 0 then
-               for i = 0 to config.nodes - 1 do
-                 Sss_obs.Obs.gauge_set o
-                   ("net.queue.node" ^ string_of_int i)
-                   (Network.queue_depth net i);
-                 (* storage-retention gauges (GC telemetry; O(1) counters) *)
-                 Sss_obs.Obs.gauge_set o
-                   ("store.versions.node" ^ string_of_int i)
-                   (Mvstore.version_count nodes.(i).store);
-                 Sss_obs.Obs.gauge_set o
-                   ("nlog.entries.node" ^ string_of_int i)
-                   (Nlog.size nodes.(i).nlog)
-               done))
-  | None -> ());
-  (* Pre-populate every key on its replicas with a genesis version. *)
-  Array.iter
-    (fun node ->
-      let ks = Replication.keys_at repl node.id in
-      Mvstore.reserve node.store (Array.length ks);
-      Array.iter
-        (fun k -> Mvstore.init_key node.store k ~value:(Printf.sprintf "init:%d" k))
-        ks)
-    nodes;
-  let rel =
-    Reliable.create sim net
-      ~retry:
-        {
-          Reliable.initial = config.retry_initial;
-          max = config.retry_max;
-          limit = config.retry_limit;
-        }
-  in
-  Reliable.set_obs rel obs;
-  let t =
+let create sim (config : Config.t) hooks =
+  let ext =
     {
-      sim;
-      config;
-      repl;
-      net;
-      rel;
-      nodes;
-      history = History.create ~enabled:config.record_history ();
       stats =
         {
           wait_covered_timeouts = 0;
@@ -468,32 +383,33 @@ let create sim (config : Config.t) =
                entries_dropped = 0;
              }
          else None);
-      obs;
     }
   in
-  if config.durability then
-    Array.iter
-      (fun n ->
-        let id = n.id in
-        let dev =
-          Iodev.create sim ~op_latency:config.fsync_latency ~bandwidth:config.disk_bandwidth
-        in
-        (* The snapshot closure reads through [t.nodes]: checkpoints must
-           cover the node's current incarnation, not the one alive at
-           creation time. *)
-        let w =
-          Sss_storage.Storage.create sim dev ~record_bytes:logrec_bytes
-            ~snapshot:(fun () -> snap_of t.nodes.(id))
-            ~snapshot_bytes:snap_bytes ?obs ()
-        in
-        n.wal <- Some w;
-        Sss_storage.Storage.start_checkpoints w ~interval:config.checkpoint_interval)
-      nodes;
+  let t =
+    create ~size_of:(Message.wire_size ~compress:config.compress_metadata) ~hooks ~ext sim config
+  in
+  (* Sample per-node ingress depths on DES ticks (amortized: every 1024th
+     event).  The probe is passive, so the trajectory is the same with or
+     without it. *)
+  Option.iter
+    (fun o ->
+      Sim.set_probe sim
+        (Some
+           (fun () ->
+             if Sim.events_processed sim land 1023 = 0 then
+               for i = 0 to config.nodes - 1 do
+                 Sss_obs.Obs.gauge_set o ("net.queue.node" ^ string_of_int i)
+                   (Network.queue_depth t.net i);
+                 (* storage-retention gauges (GC telemetry; O(1) counters) *)
+                 Sss_obs.Obs.gauge_set o ("store.versions.node" ^ string_of_int i)
+                   (Mvstore.version_count t.nodes.(i).store);
+                 Sss_obs.Obs.gauge_set o ("nlog.entries.node" ^ string_of_int i)
+                   (Nlog.size t.nodes.(i).nlog)
+               done)))
+    t.obs;
   t
 
 let node t i = t.nodes.(i)
-
-let now t = Sim.now t.sim
 
 let squeue node key =
   match Hashtbl.find_opt node.squeues key with
@@ -503,21 +419,8 @@ let squeue node key =
       Hashtbl.replace node.squeues key q;
       q
 
-let send t ~src ~dst payload =
-  let prio = if t.config.Config.priority_network then Message.priority payload else 100 in
-  if t.config.Config.fault_tolerance then
-    Reliable.send t.rel ~prio ~src ~dst (fun token -> Message.Tracked { token; inner = payload })
-  else Network.send t.net ~prio ~src ~dst payload
-
 let send_nodes t ~src ~dsts payload =
   List.iter (fun dst -> send t ~src ~dst payload) dsts
-
-(* Nodes storing any key of [keys], deduplicated, ascending. *)
-let replica_nodes t keys =
-  List.sort_uniq Int.compare
-    (List.concat_map (fun k -> Replication.replicas t.repl k) keys)
-
-let record t event = History.record t.history ~at:(now t) event
 
 (* Clock values are [raw * nodes + minting_node]: every value is created by
    exactly one bump or one xactVN mint, so equal scalars always denote the
@@ -546,11 +449,6 @@ let mint_xact_vn t node ~at_least =
   let fresh = (((base / n) + 1) * n) + node.id in
   node.minted <- fresh;
   fresh
-
-let is_primary t node_id key =
-  match Replication.replicas t.repl key with
-  | first :: _ -> first = node_id
-  | [] -> false
 
 (* ---- parked-writer stamp index ---- *)
 
@@ -626,10 +524,10 @@ let cluster_watermark t g =
    moment its bound is refreshed and becomes monotone (a paper-mode bound
    registered at begin could still shrink at the refresh). *)
 let gc_register_ro t txn bound =
-  match t.gc with Some g -> Hashtbl.replace g.ro_bounds txn bound | None -> ()
+  match t.ext.gc with Some g -> Hashtbl.replace g.ro_bounds txn bound | None -> ()
 
 let gc_unregister_ro t txn =
-  match t.gc with Some g -> Hashtbl.remove g.ro_bounds txn | None -> ()
+  match t.ext.gc with Some g -> Hashtbl.remove g.ro_bounds txn | None -> ()
 
 (* The watermark as applicable to [node]'s own store and log: the local
    component additionally capped below the minimum parked apply stamp, so

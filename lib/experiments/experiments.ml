@@ -1,13 +1,9 @@
 open Sss_sim
 open Sss_data
 
-type system = Sss | Walter | Twopc | Rococo
+type system = Store.system = Sss | Walter | Twopc | Rococo
 
-let system_name = function
-  | Sss -> "SSS"
-  | Walter -> "Walter"
-  | Twopc -> "2PC"
-  | Rococo -> "ROCOCO"
+let system_name = Store.system_name
 
 type params = {
   system : system;
@@ -24,7 +20,7 @@ type params = {
   strict : bool;
       (* SSS only: hardened external-commit ordering (DESIGN.md) instead of
          the paper's literal per-key release *)
-  priority_network : bool;  (* SSS only: §V's prioritized message queues *)
+  priority_network : bool;  (* §V's prioritized message queues *)
   compress : bool;  (* SSS only: §III-A metadata compression (byte telemetry) *)
   zipf : float option;  (* skewed key popularity instead of uniform *)
   observe : bool;  (* attach the sss_obs sink; must not change trajectories *)
@@ -178,106 +174,29 @@ let run (p : params) =
               });
     }
   in
-  let drive ~ops ~local_keys =
-    Sss_workload.Driver.run sim ~nodes:p.nodes ~total_keys:p.keys ~local_keys ~profile ~load
-      ~ops
-  in
-  let wire_chaos network ~kind_of ~on_crash ~on_restart =
-    match p.crash with
-    | None -> ()
-    | Some (at, restart_at) ->
-        let plan =
-          {
-            Sss_chaos.Chaos.seed = p.seed;
-            rules = [];
-            events =
-              [
-                Sss_chaos.Chaos.Crash
-                  { at; restart_at = Some restart_at; node = min 2 (p.nodes - 1) };
-              ];
-          }
-        in
-        let (_ : Sss_chaos.Chaos.handle) =
-          Sss_chaos.Chaos.install sim network ~kind_of ~on_crash ~on_restart plan
-        in
-        ()
-  in
-  let metrics_of obs = Option.map Sss_obs.Obs.metrics_json obs in
-  let result, sss_cluster, metrics, other_store_words =
-    match p.system with
-    | Sss ->
-        let cl = Sss_kv.Kv.create sim config in
-        wire_chaos (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Message.kind_name
-          ~on_crash:(Sss_kv.Kv.crash_node cl)
-          ~on_restart:(Sss_kv.Kv.restart_node cl);
-        Sss_kv.Kv.set_collect_latencies cl true;
-        let ops =
-          {
-            Sss_workload.Driver.begin_txn =
-              (fun ~node ~read_only -> Sss_kv.Kv.begin_txn cl ~node ~read_only);
-            read = Sss_kv.Kv.read;
-            write = Sss_kv.Kv.write;
-            commit = Sss_kv.Kv.commit;
-          }
-        in
-        let r = drive ~ops ~local_keys:(fun n -> Replication.keys_at cl.Sss_kv.State.repl n) in
-        (r, Some cl, Sss_kv.Kv.metrics_json cl, 0)
-    | Walter ->
-        let cl = Walter_kv.Walter.create sim config in
-        wire_chaos (Walter_kv.Walter.network cl) ~kind_of:Walter_kv.Walter.message_kind
-          ~on_crash:(Walter_kv.Walter.crash_node cl)
-          ~on_restart:(Walter_kv.Walter.restart_node cl);
-        let ops =
-          {
-            Sss_workload.Driver.begin_txn =
-              (fun ~node ~read_only -> Walter_kv.Walter.begin_txn cl ~node ~read_only);
-            read = Walter_kv.Walter.read;
-            write = Walter_kv.Walter.write;
-            commit = Walter_kv.Walter.commit;
-          }
-        in
-        let r = drive ~ops ~local_keys:(fun n -> Replication.keys_at (Walter_kv.Walter.repl cl) n) in
-        (r, None, metrics_of (Walter_kv.Walter.obs cl), Walter_kv.Walter.store_words cl)
-    | Twopc ->
-        let cl = Twopc_kv.Twopc.create sim config in
-        wire_chaos (Twopc_kv.Twopc.network cl) ~kind_of:Twopc_kv.Twopc.message_kind
-          ~on_crash:(Twopc_kv.Twopc.crash_node cl)
-          ~on_restart:(Twopc_kv.Twopc.restart_node cl);
-        let ops =
-          {
-            Sss_workload.Driver.begin_txn =
-              (fun ~node ~read_only -> Twopc_kv.Twopc.begin_txn cl ~node ~read_only);
-            read = Twopc_kv.Twopc.read;
-            write = Twopc_kv.Twopc.write;
-            commit = Twopc_kv.Twopc.commit;
-          }
-        in
-        let r = drive ~ops ~local_keys:(Twopc_kv.Twopc.local_keys cl) in
-        (r, None, metrics_of (Twopc_kv.Twopc.obs cl), Twopc_kv.Twopc.store_words cl)
-    | Rococo ->
-        let cl = Rococo_kv.Rococo.create sim config in
-        wire_chaos (Rococo_kv.Rococo.network cl) ~kind_of:Rococo_kv.Rococo.message_kind
-          ~on_crash:(Rococo_kv.Rococo.crash_node cl)
-          ~on_restart:(Rococo_kv.Rococo.restart_node cl);
-        let ops =
-          {
-            Sss_workload.Driver.begin_txn =
-              (fun ~node ~read_only -> Rococo_kv.Rococo.begin_txn cl ~node ~read_only);
-            read = Rococo_kv.Rococo.read;
-            write = Rococo_kv.Rococo.write;
-            commit = Rococo_kv.Rococo.commit;
-          }
-        in
-        let r = drive ~ops ~local_keys:(fun n -> Replication.keys_at (Rococo_kv.Rococo.repl cl) n) in
-        (r, None, metrics_of (Rococo_kv.Rococo.obs cl), Rococo_kv.Rococo.store_words cl)
-  in
-  let wire_bytes =
-    match sss_cluster with
-    | None -> 0
-    | Some cl -> (Sss_kv.Kv.network_stats cl).Sss_net.Network.bytes
+  let (Store.Store s) = Store.create p.system sim config in
+  (match p.crash with
+  | None -> ()
+  | Some (at, restart_at) ->
+      ignore
+        (s.chaos ~durable:true
+           {
+             Sss_chaos.Chaos.seed = p.seed;
+             rules = [];
+             events =
+               [
+                 Sss_chaos.Chaos.Crash
+                   { at; restart_at = Some restart_at; node = min 2 (p.nodes - 1) };
+               ];
+           }
+          : Sss_chaos.Chaos.handle));
+  Option.iter (fun cl -> Sss_kv.Kv.set_collect_latencies cl true) s.kv;
+  let result =
+    Sss_workload.Driver.run sim ~nodes:p.nodes ~total_keys:p.keys ~local_keys:s.local_keys
+      ~profile ~load ~ops:s.ops
   in
   let sss_internal, sss_wait, timeouts =
-    match sss_cluster with
+    match s.kv with
     | None -> (None, None, 0)
     | Some cl ->
         let stats = Sss_kv.Kv.stats cl in
@@ -296,6 +215,8 @@ let run (p : params) =
             stats.Sss_kv.State.wait_covered_timeouts )
         end
   in
+  let sss f zero = match s.kv with Some cl -> f cl | None -> zero in
+  let _, gc_versions, gc_entries = sss Sss_kv.Kv.gc_stats (0, 0, 0) in
   {
     throughput = result.Sss_workload.Driver.throughput;
     committed = result.Sss_workload.Driver.committed;
@@ -308,44 +229,23 @@ let run (p : params) =
     sss_internal;
     sss_wait;
     wait_covered_timeouts = timeouts;
-    wire_bytes;
-    metrics;
+    wire_bytes = (s.network_stats ()).Sss_net.Network.bytes;
+    metrics = Option.map Sss_obs.Obs.metrics_json s.obs;
     des_events = Sim.events_processed sim;
     virtual_seconds = Sim.now sim;
-    wal =
-      (match sss_cluster with
-      | Some cl -> Sss_kv.Kv.wal_stats cl
-      | None -> Sss_storage.Storage.zero_stats);
+    wal = sss Sss_kv.Kv.wal_stats Sss_storage.Storage.zero_stats;
     offered = result.Sss_workload.Driver.offered;
     accepted = result.Sss_workload.Driver.accepted;
     rejected = result.Sss_workload.Driver.rejected;
     p99_sojourn = Sss_workload.Stats.percentile result.Sss_workload.Driver.sojourn 0.99;
     mean_sojourn = Sss_workload.Stats.mean result.Sss_workload.Driver.sojourn;
     mean_queue_wait = Sss_workload.Stats.mean result.Sss_workload.Driver.queue_wait;
-    store_versions =
-      (match sss_cluster with Some cl -> Sss_kv.Kv.version_count cl | None -> 0);
-    store_words =
-      (match sss_cluster with
-      | Some cl -> Mvstore.mem_total (Sss_kv.Kv.mem_words cl)
-      | None -> other_store_words);
-    store_mem =
-      (match sss_cluster with
-      | Some cl -> Sss_kv.Kv.mem_words cl
-      | None -> Mvstore.mem_zero);
-    nlog_entries =
-      (match sss_cluster with Some cl -> Sss_kv.Kv.nlog_entries cl | None -> 0);
-    gc_dropped_versions =
-      (match sss_cluster with
-      | Some cl ->
-          let _, v, _ = Sss_kv.Kv.gc_stats cl in
-          v
-      | None -> 0);
-    gc_dropped_entries =
-      (match sss_cluster with
-      | Some cl ->
-          let _, _, e = Sss_kv.Kv.gc_stats cl in
-          e
-      | None -> 0);
+    store_versions = sss Sss_kv.Kv.version_count 0;
+    store_words = s.store_words ();
+    store_mem = sss Sss_kv.Kv.mem_words Mvstore.mem_zero;
+    nlog_entries = sss Sss_kv.Kv.nlog_entries 0;
+    gc_dropped_versions = gc_versions;
+    gc_dropped_entries = gc_entries;
   }
 
 let run_in ctx p = run (if ctx.observe_all then { p with observe = true } else p)
@@ -994,82 +894,19 @@ let recovery_smoke () =
         durability = durable;
       }
     in
-    let drive ops =
+    let (Store.Store s) = Store.create system sim config in
+    ignore (s.chaos ~durable plan : Chaos.handle);
+    let r =
       Driver.run sim ~nodes:4 ~total_keys:24
         ~local_keys:(fun _ -> [||])
         ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
         ~load:
           { Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03; seed }
-        ~ops
-    in
-    let install net kind_of on_crash on_restart =
-      ignore
-        (if durable then Chaos.install sim net ~kind_of ~on_crash ~on_restart plan
-         else Chaos.install sim net ~kind_of plan
-          : Chaos.handle)
-    in
-    let committed, history =
-      match system with
-      | Sss ->
-          let module K = Sss_kv.Kv in
-          let cl = K.create sim config in
-          install (K.network cl) Sss_kv.Message.kind_name (K.crash_node cl) (K.restart_node cl);
-          let r =
-            drive
-              {
-                Driver.begin_txn = (fun ~node ~read_only -> K.begin_txn cl ~node ~read_only);
-                read = K.read;
-                write = K.write;
-                commit = K.commit;
-              }
-          in
-          (r.Driver.committed, K.history cl)
-      | Twopc ->
-          let module T = Twopc_kv.Twopc in
-          let cl = T.create sim config in
-          install (T.network cl) T.message_kind (T.crash_node cl) (T.restart_node cl);
-          let r =
-            drive
-              {
-                Driver.begin_txn = (fun ~node ~read_only -> T.begin_txn cl ~node ~read_only);
-                read = T.read;
-                write = T.write;
-                commit = T.commit;
-              }
-          in
-          (r.Driver.committed, T.history cl)
-      | Walter ->
-          let module W = Walter_kv.Walter in
-          let cl = W.create sim config in
-          install (W.network cl) W.message_kind (W.crash_node cl) (W.restart_node cl);
-          let r =
-            drive
-              {
-                Driver.begin_txn = (fun ~node ~read_only -> W.begin_txn cl ~node ~read_only);
-                read = W.read;
-                write = W.write;
-                commit = W.commit;
-              }
-          in
-          (r.Driver.committed, W.history cl)
-      | Rococo ->
-          let module R = Rococo_kv.Rococo in
-          let cl = R.create sim config in
-          install (R.network cl) R.message_kind (R.crash_node cl) (R.restart_node cl);
-          let r =
-            drive
-              {
-                Driver.begin_txn = (fun ~node ~read_only -> R.begin_txn cl ~node ~read_only);
-                read = R.read;
-                write = R.write;
-                commit = R.commit;
-              }
-          in
-          (r.Driver.committed, R.history cl)
+        ~ops:s.ops
     in
     Printf.sprintf "%s %s des_events %d committed %d history_md5 %s\n"
       (String.lowercase_ascii (system_name system))
-      label (Sim.events_processed sim) committed (history_md5 history)
+      label (Sim.events_processed sim) r.Driver.committed (history_md5 s.history)
   in
   String.concat ""
     (List.concat_map (fun s -> List.map (line s) runs) [ Sss; Twopc; Walter; Rococo ])

@@ -11,7 +11,7 @@
     their results consumed strictly in submission order, so a figure's text
     and {!meters} are byte-identical at every jobs count. *)
 
-type system = Sss | Walter | Twopc | Rococo
+type system = Store.system = Sss | Walter | Twopc | Rococo
 
 val system_name : system -> string
 

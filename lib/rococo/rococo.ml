@@ -112,13 +112,11 @@ type node = {
   id : Ids.node;
   store : (Ids.key, cell) Hashtbl.t;
   mutable counter : int;
-  gen : Ids.Gen.t;
   pending_disp : (int * string * Ids.txn) Rpc.Pending.t;
   pending_ro : (string * Ids.txn * bool) Rpc.Pending.t;
   ack_boxes : (Ids.txn, ack_box) Hashtbl.t;
   executed : Sim.Cond.t;
   (* durability mode only *)
-  mutable alive : bool;
   staged : (Ids.txn, ts * (Ids.key * string) list) Hashtbl.t;
       (* positioned transactions whose RInsert flush is still in flight *)
   seen_commits : (Ids.txn, unit) Hashtbl.t;  (* dedup for coordinator retries *)
@@ -129,74 +127,35 @@ type node = {
          live client fiber; lost in a crash — which is exactly the signal
          the aliveness protocol needs *)
   pending_alive : bool Rpc.Pending.t;
-  mutable wal : (logrec, snap) Sss_storage.Storage.t option;
 }
 
-type cluster = {
-  sim : Sim.t;
-  config : Sss_kv.Config.t;
-  repl : Replication.t;
-  net : msg Network.t;
-  rel : msg Reliable.t;
-  nodes : node array;
-  history : History.t;
-  obs : Sss_obs.Obs.t option;
-}
-
-type handle = {
-  cl : cluster;
-  home : node;
-  id : Ids.txn;
-  ro : bool;
-  mutable rs : (Ids.key * string) list;  (* dispatch-time reads, client-visible *)
-  mutable ws : (Ids.key * string) list;
-  mutable counters : int list;  (* collected in round 1 *)
-  mutable finished : bool;
-  begin_at : float;
-}
-
-let record t event = History.record t.history ~at:(Sim.now t.sim) event
-
-let obs_begin t ~txn ~node ~ro =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_commit t ~txn ~node ~ro ~began =
-  match t.obs with
-  | Some o ->
-      let cls = if ro then "ro" else "update" in
-      Sss_obs.Obs.incr o ("txn.commit." ^ cls);
-      Sss_obs.Obs.observe o ("lat.txn." ^ cls) (Sim.now t.sim -. began);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_abort t ~txn ~node ~ro ~reason =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o ("txn.abort." ^ reason);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
-  | None -> ()
-
-let send t ~src ~dst payload =
-  let prio = priority payload in
-  if t.config.Sss_kv.Config.fault_tolerance then
-    Reliable.send t.rel ~prio ~src ~dst (fun token -> Tracked { token; inner = payload })
-  else Network.send t.net ~prio ~src ~dst payload
-
-let await_read cl ivar ~phase ~detail =
-  if cl.config.Sss_kv.Config.fault_tolerance then
-    match
-      Rpc.Pending.await_timeout cl.sim ivar ~timeout:cl.config.Sss_kv.Config.ack_timeout
-    with
-    | Some r -> r
-    | None -> Rpc.stalled ~system:"rococo" ~phase detail
-  else Rpc.Pending.await cl.sim ivar
+let make_node _sim _config repl id =
+  let store = Hashtbl.create 256 in
+  Array.iter
+    (fun k ->
+      Hashtbl.replace store k
+        {
+          value = Printf.sprintf "init:%d" k;
+          writer = Ids.genesis;
+          pending = Hashtbl.create 8;
+          ready = [];
+        })
+    (Replication.keys_at repl id);
+  {
+    id;
+    store;
+    counter = 0;
+    pending_disp = Rpc.Pending.create ();
+    pending_ro = Rpc.Pending.create ();
+    ack_boxes = Hashtbl.create 64;
+    executed = Sim.Cond.create ();
+    staged = Hashtbl.create 16;
+    seen_commits = Hashtbl.create 64;
+    done_pieces = Hashtbl.create 64;
+    rounds = Hashtbl.create 16;
+    inflight = Hashtbl.create 16;
+    pending_alive = Rpc.Pending.create ();
+  }
 
 let cell (node : node) key =
   match Hashtbl.find_opt node.store key with
@@ -224,10 +183,7 @@ let snap_bytes (s : snap) =
   + (16 * List.length s.s_done)
   + (8 * List.length s.s_seen)
 
-let sorted_bindings table =
-  List.sort
-    (fun (a, _) (b, _) -> Ids.compare_txn a b)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] [@order_ok])
+let sorted_bindings = Sss_kv.Runtime.sorted_bindings
 
 let snap_of (node : node) =
   {
@@ -244,21 +200,40 @@ let snap_of (node : node) =
     s_seen = List.map fst (sorted_bindings node.seen_commits);
   }
 
-let log (node : node) r =
-  match node.wal with
-  | Some w -> Some (Sss_storage.Storage.append w r)
-  | None -> None
+module Rt = Sss_kv.Runtime.Make (struct
+  type nonrec msg = msg
+  type nonrec node = node
+  type nonrec logrec = logrec
+  type nonrec snap = snap
+  type ext = unit
 
-(* Await durability of the given append; [true] when it is safe to act on
-   it (immediately so when durability is off). *)
-let log_sync (node : node) lsn =
-  match (node.wal, lsn) with
-  | Some w, Some l -> Sss_storage.Storage.await w l
-  | _ -> true
+  let system = "rococo"
+  let priority = priority
+  let kind_of = message_kind
+  let tracked token inner = Tracked { token; inner }
+  let receipt token = Delivered { token }
+  let id (n : node) = n.id
+  let make_node = make_node
+  let snapshot = snap_of
+  let record_bytes _ = logrec_bytes
+  let snapshot_bytes _ = snap_bytes
+end)
 
-(* Is this node record still the live one?  A crash under durability
-   replaces the record, so stale fibers observe it here. *)
-let node_live (cl : cluster) (node : node) = cl.nodes.(node.id) == node
+include Rt
+
+type cluster = Rt.t
+
+type handle = {
+  cl : cluster;
+  home : node;
+  id : Ids.txn;
+  ro : bool;
+  mutable rs : (Ids.key * string) list;  (* dispatch-time reads, client-visible *)
+  mutable ws : (Ids.key * string) list;
+  mutable counters : int list;  (* collected in round 1 *)
+  mutable finished : bool;
+  begin_at : float;
+}
 
 (* Request/response reads (dispatch round-1, read-only rounds).  Without
    durability a single long-timeout wait is enough — the reply can only be
@@ -270,12 +245,13 @@ let node_live (cl : cluster) (node : node) = cl.nodes.(node.id) == node
    client re-issues the request on a short slice; dispatch re-issue simply
    replaces this transaction's pending counter, and read-only reads are
    idempotent. *)
-let read_rpc cl (pending : 'a Rpc.Pending.t) ~(home : node) ~dsts ~mk_msg ~phase ~detail =
+let read_rpc cl (pending : 'a Rpc.Pending.t) ~(home : node) ~key ~txn ~mk_msg ~phase =
+  let dsts = Replication.replicas cl.repl key in
   if cl.config.Sss_kv.Config.durability then
     let rec attempt n =
       if n > cl.config.Sss_kv.Config.retry_limit then
-        Rpc.stalled ~system:"rococo" ~phase detail;
-      if not (node_live cl home) then Rpc.crashed ~system:"rococo" ~node:home.id;
+        stalled ~phase (Printf.sprintf "key %d in %s" key (Ids.txn_to_string txn));
+      if not (node_live cl home) then crashed home.id;
       let req, ivar = Rpc.Pending.fresh pending in
       List.iter (fun dst -> send cl ~src:home.id ~dst (mk_msg req)) dsts;
       match
@@ -291,7 +267,7 @@ let read_rpc cl (pending : 'a Rpc.Pending.t) ~(home : node) ~dsts ~mk_msg ~phase
   else begin
     let req, ivar = Rpc.Pending.fresh pending in
     List.iter (fun dst -> send cl ~src:home.id ~dst (mk_msg req)) dsts;
-    await_read cl ivar ~phase ~detail
+    await_read ~phase cl ivar ~key ~txn
   end
 
 (* Execute every ready piece that can no longer be preceded: the smallest
@@ -346,7 +322,7 @@ let insert_positioned t (node : node) ~txn ~ts ~writes =
     writes
 
 let handle_commit t (node : node) ~txn ~ts ~writes ~round =
-  match node.wal with
+  match t.wals.(node.id) with
   | None -> insert_positioned t node ~txn ~ts ~writes
   | Some _ when Hashtbl.mem node.seen_commits txn ->
       (* coordinator retry: the position is already durable (or in flight);
@@ -367,12 +343,9 @@ let handle_commit t (node : node) ~txn ~ts ~writes ~round =
          either in [staged] or (after the flush) in the cells *)
       Hashtbl.replace node.staged txn (ts, writes);
       let flush_began = Sim.now t.sim in
-      let lsn = log node (RInsert { txn; ts; writes }) in
-      if log_sync node lsn && node_live t node then begin
-        (match t.obs with
-        | Some o ->
-            Sss_obs.Obs.observe o "lat.commit.durable" (Sim.now t.sim -. flush_began)
-        | None -> ());
+      let lsn = log t node (RInsert { txn; ts; writes }) in
+      if log_sync t node lsn && node_live t node then begin
+        observe_since t "lat.commit.durable" ~since:flush_began;
         Hashtbl.remove node.staged txn;
         insert_positioned t node ~txn ~ts ~writes
       end
@@ -397,7 +370,7 @@ let spawn_alive_watchdog t (node : node) ~txn ~key =
         Sim.sleep t.sim (2. *. t.config.Sss_kv.Config.retry_max);
         if still_pending () then
           if attempt >= t.config.Sss_kv.Config.retry_limit then
-            Rpc.stalled ~system:"rococo" ~phase:"alive query" (Ids.txn_to_string txn)
+            stalled ~phase:"alive query" (Ids.txn_to_string txn)
           else begin
             let req, slot = Rpc.Pending.fresh node.pending_alive in
             send t ~src:node.id ~dst:txn.Ids.node (Alive_query { req; txn });
@@ -422,16 +395,13 @@ let spawn_alive_watchdog t (node : node) ~txn ~key =
 
 let rec dispatch t (node : node) ~src payload =
   match payload with
-  | Tracked { token; inner } ->
-      Network.send t.net ~prio:(priority (Delivered { token })) ~src:node.id ~dst:src
-        (Delivered { token });
-      if Reliable.receive t.rel token then dispatch t node ~src inner
+  | Tracked { token; inner } -> if receive t ~me:node.id ~src token then dispatch t node ~src inner
   | Delivered { token } -> Reliable.delivered t.rel token
   | Dispatch { req; txn; key } ->
       let c = cell node key in
       node.counter <- node.counter + 1;
       Hashtbl.replace c.pending txn node.counter;
-      if node.wal = None then
+      if not t.config.Sss_kv.Config.durability then
         send t ~src:node.id ~dst:src
           (Dispatch_ack { req; counter = node.counter; value = c.value; writer = c.writer })
       else begin
@@ -439,9 +409,9 @@ let rec dispatch t (node : node) ~src payload =
            build a position on it: recovery rebuilds [pending] from these
            records, and [could_precede] gating is unsound without them *)
         let counter = node.counter and value = c.value and writer = c.writer in
-        let lsn = log node (RDispatch { txn; key; counter }) in
+        let lsn = log t node (RDispatch { txn; key; counter }) in
         spawn_alive_watchdog t node ~txn ~key;
-        if log_sync node lsn && node_live t node then
+        if log_sync t node lsn && node_live t node then
           send t ~src:node.id ~dst:src (Dispatch_ack { req; counter; value; writer })
       end
   | Dispatch_ack { req; counter; value; writer } ->
@@ -479,89 +449,6 @@ let rec dispatch t (node : node) ~src payload =
       send t ~src:node.id ~dst:src (Alive_ret { req; alive = Hashtbl.mem node.inflight txn })
   | Alive_ret { req; alive } -> Rpc.Pending.resolve t.sim node.pending_alive req alive
 
-let create sim (config : Sss_kv.Config.t) =
-  let repl =
-    Replication.create ~nodes:config.nodes ~degree:config.replication_degree
-      ~total_keys:config.total_keys
-  in
-  let rng = Prng.create ~seed:config.seed in
-  let net = Network.create sim rng ~nodes:config.nodes ~config:config.network in
-  let nodes =
-    Array.init config.nodes (fun id ->
-        {
-          id;
-          store = Hashtbl.create 256;
-          counter = 0;
-          gen = Ids.Gen.create id;
-          pending_disp = Rpc.Pending.create ();
-          pending_ro = Rpc.Pending.create ();
-          ack_boxes = Hashtbl.create 64;
-          executed = Sim.Cond.create ();
-          alive = true;
-          staged = Hashtbl.create 16;
-          seen_commits = Hashtbl.create 64;
-          done_pieces = Hashtbl.create 64;
-          rounds = Hashtbl.create 16;
-          inflight = Hashtbl.create 16;
-          pending_alive = Rpc.Pending.create ();
-          wal = None;
-        })
-  in
-  Array.iter
-    (fun (node : node) ->
-      Array.iter
-        (fun k ->
-          Hashtbl.replace node.store k
-            {
-              value = Printf.sprintf "init:%d" k;
-              writer = Ids.genesis;
-              pending = Hashtbl.create 8;
-              ready = [];
-            })
-        (Replication.keys_at repl node.id))
-    nodes;
-  let rel =
-    Reliable.create sim net
-      ~retry:
-        {
-          Reliable.initial = config.retry_initial;
-          max = config.retry_max;
-          limit = config.retry_limit;
-        }
-  in
-  let obs =
-    if config.observe then Some (Sss_obs.Obs.create ~capacity:config.trace_capacity ())
-    else None
-  in
-  (match obs with
-  | Some o -> Network.set_observer net (Some { Network.obs = o; kind_of = message_kind })
-  | None -> ());
-  Reliable.set_obs rel obs;
-  let t =
-    { sim; config; repl; net; rel; nodes;
-      history = History.create ~enabled:config.record_history (); obs }
-  in
-  Array.iter
-    (fun (n : node) ->
-      Network.set_handler net n.id (fun ~src payload -> dispatch t n ~src payload))
-    nodes;
-  if config.durability then
-    Array.iter
-      (fun (n : node) ->
-        let dev =
-          Iodev.create sim ~op_latency:config.fsync_latency
-            ~bandwidth:config.disk_bandwidth
-        in
-        let w =
-          Sss_storage.Storage.create sim dev ~record_bytes:logrec_bytes
-            ~snapshot:(fun () -> snap_of t.nodes.(n.id))
-            ~snapshot_bytes:snap_bytes ?obs:t.obs ()
-        in
-        n.wal <- Some w;
-        Sss_storage.Storage.start_checkpoints w ~interval:config.checkpoint_interval)
-      nodes;
-  t
-
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap (node : node) (s : snap) =
@@ -592,105 +479,52 @@ let replay_record (node : node) = function
       node.counter <- Stdlib.max node.counter ts.num;
       Hashtbl.replace node.staged txn (ts, writes)
 
-let crash_node t id =
-  if t.config.Sss_kv.Config.durability then begin
-    let old = t.nodes.(id) in
-    old.alive <- false;
-    (match old.wal with Some w -> Sss_storage.Storage.crash w | None -> ());
-    let e = Rpc.Crashed { system = "rococo"; node = id } in
-    Rpc.Pending.poison_all t.sim old.pending_disp e;
-    Rpc.Pending.poison_all t.sim old.pending_ro e;
-    Rpc.Pending.poison_all t.sim old.pending_alive e;
-    (* wake commit fibers parked on acks; they observe the record swap and
-       raise *)
-    List.iter
-      (fun (_, (b : ack_box)) ->
-        if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
-      (sorted_bindings old.ack_boxes);
-    let fresh =
-      {
-        id;
-        store = Hashtbl.create 256;
-        counter = 0;
-        (* transaction ids name client requests, not node state: the
-           counter persists so a restarted node never re-mints an id *)
-        gen = old.gen;
-        pending_disp = Rpc.Pending.create ();
-        pending_ro = Rpc.Pending.create ();
-        ack_boxes = Hashtbl.create 64;
-        executed = Sim.Cond.create ();
-        alive = false;
-        staged = Hashtbl.create 16;
-        seen_commits = Hashtbl.create 64;
-        done_pieces = Hashtbl.create 64;
-        rounds = Hashtbl.create 16;
-        inflight = Hashtbl.create 16;
-        pending_alive = Rpc.Pending.create ();
-        wal = old.wal;
-      }
-    in
-    Array.iter
-      (fun k ->
-        Hashtbl.replace fresh.store k
-          {
-            value = Printf.sprintf "init:%d" k;
-            writer = Ids.genesis;
-            pending = Hashtbl.create 8;
-            ready = [];
-          })
-      (Replication.keys_at t.repl id);
-    t.nodes.(id) <- fresh;
-    Network.set_handler t.net id (fun ~src payload -> dispatch t fresh ~src payload)
-  end
+(* Wake commit fibers parked on acks; they observe the record swap and
+   raise. *)
+let wound t (old : node) e =
+  Rpc.Pending.poison_all t.sim old.pending_disp e;
+  Rpc.Pending.poison_all t.sim old.pending_ro e;
+  Rpc.Pending.poison_all t.sim old.pending_alive e;
+  List.iter
+    (fun (_, (b : ack_box)) ->
+      if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
+    (sorted_bindings old.ack_boxes)
 
-let restart_node t id =
-  let node = t.nodes.(id) in
-  match node.wal with
-  | None -> Network.recover t.net id
-  | Some w ->
-      Sss_storage.Storage.recover w (fun ~recovered ~replay ->
-          Sim.run_fiber (fun () ->
-              (match recovered with Some s -> load_snap node s | None -> ());
-              List.iter (replay_record node) replay;
-              node.alive <- true;
-              Network.recover t.net id;
-              (* re-execute positioned transactions whose insert was cut
-                 short, in final-position order; their first durable record
-                 fixes the order, so this reconstructs the same state *)
-              List.iter
-                (fun (txn, (ts, writes)) ->
-                  Hashtbl.remove node.staged txn;
-                  insert_positioned t node ~txn ~ts ~writes)
-                (List.sort
-                   (fun (_, (a, _)) (_, (b, _)) -> ts_compare a b)
-                   (sorted_bindings node.staged));
-              let keys =
-                List.sort Int.compare
-                  (Hashtbl.fold (fun k _ acc -> k :: acc) node.store [] [@order_ok])
-              in
-              (* gates may have vanished with the crash (their Cancel was
-                 volatile); drains + watchdogs settle every restored key *)
-              List.iter (fun key -> drain t node key) keys;
-              Sss_storage.Storage.start_checkpoints w
-                ~interval:t.config.Sss_kv.Config.checkpoint_interval;
-              List.iter
-                (fun key ->
-                  let c = cell node key in
-                  List.iter
-                    (fun (txn, _) -> spawn_alive_watchdog t node ~txn ~key)
-                    (sorted_bindings c.pending))
-                keys))
+let recover t (node : node) =
+  let keys =
+    List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) node.store [] [@order_ok])
+  in
+  rejoin t node.id ~rejoined:(fun () ->
+      (* re-execute positioned transactions whose insert was cut short, in
+         final-position order; their first durable record fixes the order,
+         so this reconstructs the same state *)
+      List.iter
+        (fun (txn, (ts, writes)) ->
+          Hashtbl.remove node.staged txn;
+          insert_positioned t node ~txn ~ts ~writes)
+        (List.sort (fun (_, (a, _)) (_, (b, _)) -> ts_compare a b) (sorted_bindings node.staged));
+      (* gates may have vanished with the crash (their Cancel was volatile);
+         drains + watchdogs settle every restored key *)
+      List.iter (fun key -> drain t node key) keys);
+  List.iter
+    (fun key ->
+      let c = cell node key in
+      List.iter (fun (txn, _) -> spawn_alive_watchdog t node ~txn ~key) (sorted_bindings c.pending))
+    keys
+
+let hooks =
+  { handler = dispatch; wound; load = (fun _ -> load_snap); replay = (fun _ -> replay_record);
+    recover }
+
+let create sim config = Rt.create ~hooks ~ext:() sim config
 
 let begin_txn cl ~node ~read_only =
+  let id = Rt.begin_txn cl ~node ~ro:read_only in
   let home = cl.nodes.(node) in
-  if not home.alive then Rpc.crashed ~system:"rococo" ~node;
-  let id = Ids.Gen.next home.gen in
   if cl.config.Sss_kv.Config.durability && not read_only then
     (* the aliveness protocol answers for this transaction from here until
        commit/abort deregisters it (or a crash wipes the table) *)
     Hashtbl.replace home.inflight id ();
-  record cl (History.Begin { txn = id; ro = read_only; node });
-  obs_begin cl ~txn:id ~node ~ro:read_only;
   { cl; home; id; ro = read_only; rs = []; ws = []; counters = []; finished = false;
     begin_at = Sim.now cl.sim }
 
@@ -706,21 +540,17 @@ let read h key =
       | Some v -> v
       | None ->
           let value, _writer, _stable =
-            read_rpc h.cl h.home.pending_ro ~home:h.home
-              ~dsts:(Replication.replicas h.cl.repl key)
+            read_rpc h.cl h.home.pending_ro ~home:h.home ~key ~txn:h.id
               ~mk_msg:(fun req -> Ro_read { req; key })
               ~phase:"ro read"
-              ~detail:(Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.id))
           in
           h.rs <- (key, value) :: h.rs;
           value)
   | None ->
       let counter, value, _writer =
-        read_rpc h.cl h.home.pending_disp ~home:h.home
-          ~dsts:(Replication.replicas h.cl.repl key)
+        read_rpc h.cl h.home.pending_disp ~home:h.home ~key ~txn:h.id
           ~mk_msg:(fun req -> Dispatch { req; txn = h.id; key })
           ~phase:"dispatch"
-          ~detail:(Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.id))
       in
       h.counters <- counter :: h.counters;
       h.rs <- (key, value) :: h.rs;
@@ -730,9 +560,6 @@ let write h key value =
   if h.finished then invalid_arg "Rococo: write on a finished transaction";
   if h.ro then invalid_arg "Rococo: write in a read-only transaction";
   h.ws <- (key, value) :: List.remove_assoc key h.ws
-
-let replica_nodes t keys =
-  List.sort_uniq Int.compare (List.concat_map (fun k -> Replication.replicas t.repl k) keys)
 
 let commit_update h =
   let cl = h.cl in
@@ -770,15 +597,15 @@ let commit_update h =
         ~timeout:cl.config.Sss_kv.Config.ack_timeout
     with
     | Some () -> ()
-    | None -> Rpc.stalled ~system:"rococo" ~phase:"commit ack" (Ids.txn_to_string h.id)
+    | None -> stalled ~phase:"commit ack" (Ids.txn_to_string h.id)
   end
   else begin
     (* a server crash can eat Commit or its acks; retry in numbered rounds
        so re-acknowledgements of stale rounds are never double-counted *)
     let rec rounds round =
       if round > cl.config.Sss_kv.Config.retry_limit then
-        Rpc.stalled ~system:"rococo" ~phase:"commit ack" (Ids.txn_to_string h.id);
-      if not (node_live cl h.home) then Rpc.crashed ~system:"rococo" ~node:h.home.id;
+        stalled ~phase:"commit ack" (Ids.txn_to_string h.id);
+      if not (node_live cl h.home) then crashed h.home.id;
       box.ack_round <- round;
       box.ack_count <- 0;
       broadcast round;
@@ -790,12 +617,11 @@ let commit_update h =
       | None -> rounds (round + 1)
     in
     rounds 0;
-    if not (node_live cl h.home) then Rpc.crashed ~system:"rococo" ~node:h.home.id
+    if not (node_live cl h.home) then crashed h.home.id
   end;
   Hashtbl.remove h.home.ack_boxes h.id;
   Hashtbl.remove h.home.inflight h.id;
-  record cl (History.Commit { txn = h.id; ws = List.map fst h.ws });
-  obs_commit cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at;
+  committed cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:(List.map fst h.ws);
   true
 
 (* Round-based read-only: re-read the key set until two consecutive rounds
@@ -807,11 +633,9 @@ let commit_read_only h =
     List.map
       (fun key ->
         let value, writer, stable =
-          read_rpc cl h.home.pending_ro ~home:h.home
-            ~dsts:(Replication.replicas cl.repl key)
+          read_rpc cl h.home.pending_ro ~home:h.home ~key ~txn:h.id
             ~mk_msg:(fun req -> Ro_read { req; key })
             ~phase:"ro round"
-            ~detail:(Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.id))
         in
         (key, value, writer, stable))
       keys
@@ -837,12 +661,10 @@ let commit_read_only h =
       List.iter
         (fun (key, _, writer, _) -> record cl (History.Read { txn = h.id; key; writer }))
         round;
-      record cl (History.Commit { txn = h.id; ws = [] });
-      obs_commit cl ~txn:h.id ~node:h.home.id ~ro:true ~began:h.begin_at;
+      committed cl ~txn:h.id ~node:h.home.id ~ro:true ~began:h.begin_at ~ws:[];
       true
   | None ->
-      record cl (History.Abort { txn = h.id });
-      obs_abort cl ~txn:h.id ~node:h.home.id ~ro:true ~reason:"ro-rounds";
+      aborted cl ~txn:h.id ~node:h.home.id ~ro:true ~reason:"ro-rounds";
       false
 
 let commit h =
@@ -850,14 +672,12 @@ let commit h =
   h.finished <- true;
   if h.ro then
     if h.rs = [] then (
-      record h.cl (History.Commit { txn = h.id; ws = [] });
-      obs_commit h.cl ~txn:h.id ~node:h.home.id ~ro:true ~began:h.begin_at;
+      committed h.cl ~txn:h.id ~node:h.home.id ~ro:true ~began:h.begin_at ~ws:[];
       true)
     else commit_read_only h
   else if h.ws = [] && h.rs = [] then (
     Hashtbl.remove h.home.inflight h.id;
-    record h.cl (History.Commit { txn = h.id; ws = [] });
-    obs_commit h.cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at;
+    committed h.cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:[];
     true)
   else commit_update h
 
@@ -874,18 +694,9 @@ let abort h =
     List.iter
       (fun dst -> send h.cl ~src:h.home.id ~dst (Cancel { txn = h.id; keys }))
       (replica_nodes h.cl keys);
-  record h.cl (History.Abort { txn = h.id });
-  obs_abort h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
+  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
 
 let txn_id h = h.id
-
-let history t = t.history
-
-let obs t = t.obs
-
-let repl t = t.repl
-
-let network t = t.net
 
 (* Resident words of every node's store, under the same heap model as
    [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, the cell

@@ -10,80 +10,15 @@
     attempts — so their cost grows with the read-set size and contention
     (the effect Figure 8 measures).
 
+    An update's [read] dispatches the key's piece and returns the
+    dispatch-time value; the authoritative read-modify-write happens at
+    execution, in the agreed order.  [abort] withdraws dispatched pieces so
+    they never gate other transactions.  After a crash, [restart_node]
+    re-executes positioned transactions cut short by the crash in
+    final-position order and spawns aliveness watchdogs that withdraw
+    restored pieces whose driving client no longer exists.
+
     Deployment parameters are shared with SSS ({!Sss_kv.Config.t}); the
     paper disables replication for ROCOCO comparisons (degree 1). *)
 
-open Sss_data
-
-type cluster
-
-type handle
-
-type msg
-(** The ROCOCO wire protocol (abstract; inspect with {!message_kind}). *)
-
-val create : Sss_sim.Sim.t -> Sss_kv.Config.t -> cluster
-
-val begin_txn : cluster -> node:Ids.node -> read_only:bool -> handle
-
-val read : handle -> Ids.key -> string
-(** Update transactions: dispatches the key's piece (round 1) and returns
-    the dispatch-time value; the authoritative read-modify-write happens at
-    execution in the agreed order.  Read-only transactions: a conflict-
-    waiting read (the commit then re-validates the whole set). *)
-
-val write : handle -> Ids.key -> string -> unit
-
-val commit : handle -> bool
-(** Updates: distributes the final position and waits until every piece
-    executed (never aborts).  Read-only: the round-based protocol; [false]
-    when it exhausts its attempts under contention. *)
-
-val abort : handle -> unit
-(** Withdraws dispatched pieces so they never gate other transactions. *)
-
-val txn_id : handle -> Ids.txn
-
-val history : cluster -> Sss_consistency.History.t
-
-val obs : cluster -> Sss_obs.Obs.t option
-(** The observability sink — [Some] iff [Config.observe] was set at
-    creation (docs/OBSERVABILITY.md). *)
-
-val quiescent : cluster -> (unit, string) result
-
-val store_words : cluster -> int
-(** Resident words of every node's store, under the heap model of
-    [Sss_data.Mvstore.mem_words] — the cross-protocol storage-footprint
-    gauge of the saturation figure. *)
-
-(** Exposed for the experiment harness. *)
-
-val repl : cluster -> Replication.t
-
-val network : cluster -> msg Sss_net.Network.t
-(** The cluster's network, for attaching fault plans ([Sss_chaos.Chaos]). *)
-
-val message_kind : msg -> string
-(** Stable lowercase kind name ("dispatch", "commit", …) for
-    per-message-type fault rules; transport wrappers report their payload's
-    kind. *)
-
-(** {1 Crash & recovery} — durability mode (docs/DURABILITY.md)
-
-    Wired to {!Sss_chaos.Chaos.install}'s [on_crash]/[on_restart] hooks.
-    With [Config.durability = false] both are (nearly) no-ops: the NIC
-    fault is all there is, and [restart_node] merely reconnects it. *)
-
-val crash_node : cluster -> Ids.node -> unit
-(** Discard the node's volatile state: wound every parked waiter with
-    {!Sss_net.Rpc.Crashed}, lose the unflushed log tail, and swap in a
-    pristine node record (not yet [alive]).  Bare callback — safe from
-    {!Sss_chaos.Chaos} event position. *)
-
-val restart_node : cluster -> Ids.node -> unit
-(** Redo recovery: reload the last checkpoint, replay the durable log
-    tail (dispatched-piece counters and positioned write sets), re-execute
-    positioned transactions cut short by the crash in final-position
-    order, reconnect the NIC, and spawn aliveness watchdogs that withdraw
-    restored pieces whose driving client no longer exists. *)
+include Sss_kv.Runtime.STORE

@@ -86,92 +86,34 @@ type node = {
   locks : Locks.t;
   prepared : (Ids.txn, prep) Hashtbl.t;
   aborted_decides : (Ids.txn, unit) Hashtbl.t;
-  gen : Ids.Gen.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
   vote_boxes : (Ids.txn, vote_box) Hashtbl.t;
   ack_boxes : (Ids.txn, ack_box) Hashtbl.t;
   (* durability mode only *)
-  mutable alive : bool;  (* false between a crash and the end of recovery *)
   decided : (Ids.txn, bool) Hashtbl.t;
       (* coordinator commit decisions; [true] once the PDecided record is
          durable — only then may a Query be answered "committed" *)
   pending_outcomes : verdict Rpc.Pending.t;
-  mutable wal : (logrec, snap) Sss_storage.Storage.t option;
 }
 
-type cluster = {
-  sim : Sim.t;
-  config : Sss_kv.Config.t;
-  repl : Replication.t;
-  net : msg Network.t;
-  rel : msg Reliable.t;
-  nodes : node array;
-  history : History.t;
-  obs : Sss_obs.Obs.t option;
-}
-
-type handle = {
-  cl : cluster;
-  home : node;
-  id : Ids.txn;
-  ro : bool;
-  mutable rs : (Ids.key * Ids.txn) list;
-  mutable ws : (Ids.key * string) list;
-  mutable finished : bool;
-  begin_at : float;
-}
-
-let record t event = History.record t.history ~at:(Sim.now t.sim) event
-
-(* Transaction-class observation shared by all three baselines' shapes:
-   commit/abort counters, per-class latency histograms, lifecycle events. *)
-let obs_begin t ~txn ~node ~ro =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_commit t ~txn ~node ~ro ~began =
-  match t.obs with
-  | Some o ->
-      let cls = if ro then "ro" else "update" in
-      Sss_obs.Obs.incr o ("txn.commit." ^ cls);
-      Sss_obs.Obs.observe o ("lat.txn." ^ cls) (Sim.now t.sim -. began);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_abort t ~txn ~node ~ro ~reason =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o ("txn.abort." ^ reason);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
-  | None -> ()
-
-let replica_nodes t keys =
-  List.sort_uniq Int.compare (List.concat_map (fun k -> Replication.replicas t.repl k) keys)
-
-let is_primary t node_id key =
-  match Replication.replicas t.repl key with first :: _ -> first = node_id | [] -> false
-
-let send t ~src ~dst payload =
-  let prio = priority payload in
-  if t.config.Sss_kv.Config.fault_tolerance then
-    Reliable.send t.rel ~prio ~src ~dst (fun token -> Tracked { token; inner = payload })
-  else Network.send t.net ~prio ~src ~dst payload
-
-let cell (node : node) key =
-  match Hashtbl.find_opt node.store key with
-  | Some c -> c
-  | None -> invalid_arg "Twopc: unknown key"
-
-let validate node rs =
-  List.for_all
-    (fun (k, observed) -> Ids.equal_txn (cell node k).writer observed)
-    rs
+let make_node sim _config repl id =
+  let store = Hashtbl.create 256 in
+  Array.iter
+    (fun k ->
+      Hashtbl.replace store k { value = Printf.sprintf "init:%d" k; writer = Ids.genesis })
+    (Replication.keys_at repl id);
+  {
+    id;
+    store;
+    locks = Locks.create sim;
+    prepared = Hashtbl.create 64;
+    aborted_decides = Hashtbl.create 64;
+    pending_reads = Rpc.Pending.create ();
+    vote_boxes = Hashtbl.create 64;
+    ack_boxes = Hashtbl.create 64;
+    decided = Hashtbl.create 64;
+    pending_outcomes = Rpc.Pending.create ();
+  }
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 
@@ -192,10 +134,7 @@ let snap_bytes (s : snap) =
   + (8 * List.length s.s_decided)
   + (8 * List.length s.s_aborted)
 
-let sorted_bindings table =
-  List.sort
-    (fun (a, _) (b, _) -> Ids.compare_txn a b)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] [@order_ok])
+let sorted_bindings = Sss_kv.Runtime.sorted_bindings
 
 let snap_of (node : node) =
   {
@@ -213,21 +152,49 @@ let snap_of (node : node) =
     s_aborted = List.map fst (sorted_bindings node.aborted_decides);
   }
 
-let log (node : node) r =
-  match node.wal with
-  | Some w -> Some (Sss_storage.Storage.append w r)
-  | None -> None
+module Rt = Sss_kv.Runtime.Make (struct
+  type nonrec msg = msg
+  type nonrec node = node
+  type nonrec logrec = logrec
+  type nonrec snap = snap
+  type ext = unit
 
-(* Await durability of the given append; [true] when it is safe to act on
-   it (immediately so when durability is off). *)
-let log_sync (node : node) lsn =
-  match (node.wal, lsn) with
-  | Some w, Some l -> Sss_storage.Storage.await w l
-  | _ -> true
+  let system = "2pc"
+  let priority = priority
+  let kind_of = message_kind
+  let tracked token inner = Tracked { token; inner }
+  let receipt token = Delivered { token }
+  let id (n : node) = n.id
+  let make_node = make_node
+  let snapshot = snap_of
+  let record_bytes _ = logrec_bytes
+  let snapshot_bytes _ = snap_bytes
+end)
 
-(* Is the client handle's home record still the live one?  A crash under
-   durability replaces the record, so stale handles observe it here. *)
-let home_live (cl : cluster) (node : node) = cl.nodes.(node.id) == node
+include Rt
+
+type cluster = Rt.t
+
+type handle = {
+  cl : cluster;
+  home : node;
+  id : Ids.txn;
+  ro : bool;
+  mutable rs : (Ids.key * Ids.txn) list;
+  mutable ws : (Ids.key * string) list;
+  mutable finished : bool;
+  begin_at : float;
+}
+
+let cell (node : node) key =
+  match Hashtbl.find_opt node.store key with
+  | Some c -> c
+  | None -> invalid_arg "Twopc: unknown key"
+
+let validate node rs =
+  List.for_all
+    (fun (k, observed) -> Ids.equal_txn (cell node k).writer observed)
+    rs
 
 let handle_decide t (node : node) ~txn ~outcome =
   match Hashtbl.find_opt node.prepared txn with
@@ -243,16 +210,16 @@ let handle_decide t (node : node) ~txn ~outcome =
             if is_primary t node.id k then record t (History.Install { txn; key = k }))
           prep.ws_local;
         (* the apply and its log record are made in the same DES event *)
-        let lsn = log node (PApplied { txn }) in
+        let lsn = log t node (PApplied { txn }) in
         Locks.release_txn node.locks txn;
         (* the coordinator (and through it the client) may only learn of
            the apply once it would survive a crash here *)
-        if log_sync node lsn then send t ~src:node.id ~dst:prep.coord (Applied { txn })
+        if log_sync t node lsn then send t ~src:node.id ~dst:prep.coord (Applied { txn })
       end
       else begin
         (* presumed abort: the record spares recovery a query, but nothing
            externally visible depends on it — no flush wait *)
-        ignore (log node (PAborted { txn }) : int option);
+        ignore (log t node (PAborted { txn }) : int option);
         Locks.release_txn node.locks txn
       end
 
@@ -264,7 +231,7 @@ let resolve_indoubt t (node : node) txn (prep : prep) =
   let rec loop attempt =
     if t.nodes.(node.id) == node && Hashtbl.mem node.prepared txn then
       if attempt >= t.config.Sss_kv.Config.retry_limit then
-        Rpc.stalled ~system:"2pc" ~phase:"in-doubt" (Ids.txn_to_string txn)
+        stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
       else begin
         let req, slot = Rpc.Pending.fresh node.pending_outcomes in
         send t ~src:node.id ~dst:prep.coord (Query { req; txn });
@@ -302,22 +269,19 @@ let handle_prepare t (node : node) ~txn ~coord ~rs ~ws =
     Hashtbl.replace node.prepared txn prep;
     (* force the prepare record before promising "yes": after a crash this
        node must still be able to honour a commit decision *)
-    let lsn = log node (PPrepared { txn; prep }) in
+    let lsn = log t node (PPrepared { txn; prep }) in
     (* a yes-voter may be orphaned by a coordinator crash: if the decision
        is still unknown after a couple of retry rounds, go ask for it *)
     if t.config.Sss_kv.Config.durability then
       Sim.spawn t.sim (fun () ->
           Sim.sleep t.sim (2. *. t.config.Sss_kv.Config.retry_max);
           resolve_indoubt t node txn prep);
-    if log_sync node lsn then send t ~src:node.id ~dst:coord (Vote { txn; ok = true })
+    if log_sync t node lsn then send t ~src:node.id ~dst:coord (Vote { txn; ok = true })
   end
 
 let rec dispatch t (node : node) ~src payload =
   match payload with
-  | Tracked { token; inner } ->
-      Network.send t.net ~prio:(priority (Delivered { token })) ~src:node.id ~dst:src
-        (Delivered { token });
-      if Reliable.receive t.rel token then dispatch t node ~src inner
+  | Tracked { token; inner } -> if receive t ~me:node.id ~src token then dispatch t node ~src inner
   | Delivered { token } -> Reliable.delivered t.rel token
   | Read_req { req; key } ->
       let c = cell node key in
@@ -354,81 +318,6 @@ let rec dispatch t (node : node) ~src payload =
       send t ~src:node.id ~dst:src (Outcome { req; verdict })
   | Outcome { req; verdict } -> Rpc.Pending.resolve t.sim node.pending_outcomes req verdict
 
-let create sim (config : Sss_kv.Config.t) =
-  let repl =
-    Replication.create ~nodes:config.nodes ~degree:config.replication_degree
-      ~total_keys:config.total_keys
-  in
-  let rng = Prng.create ~seed:config.seed in
-  let net = Network.create sim rng ~nodes:config.nodes ~config:config.network in
-  let nodes =
-    Array.init config.nodes (fun id ->
-        {
-          id;
-          store = Hashtbl.create 256;
-          locks = Locks.create sim;
-          prepared = Hashtbl.create 64;
-          aborted_decides = Hashtbl.create 64;
-          gen = Ids.Gen.create id;
-          pending_reads = Rpc.Pending.create ();
-          vote_boxes = Hashtbl.create 64;
-          ack_boxes = Hashtbl.create 64;
-          alive = true;
-          decided = Hashtbl.create 64;
-          pending_outcomes = Rpc.Pending.create ();
-          wal = None;
-        })
-  in
-  Array.iter
-    (fun node ->
-      Array.iter
-        (fun k ->
-          Hashtbl.replace node.store k
-            { value = Printf.sprintf "init:%d" k; writer = Ids.genesis })
-        (Replication.keys_at repl node.id))
-    nodes;
-  let rel =
-    Reliable.create sim net
-      ~retry:
-        {
-          Reliable.initial = config.retry_initial;
-          max = config.retry_max;
-          limit = config.retry_limit;
-        }
-  in
-  let obs =
-    if config.observe then Some (Sss_obs.Obs.create ~capacity:config.trace_capacity ())
-    else None
-  in
-  (match obs with
-  | Some o -> Network.set_observer net (Some { Network.obs = o; kind_of = message_kind })
-  | None -> ());
-  Reliable.set_obs rel obs;
-  let t =
-    { sim; config; repl; net; rel; nodes;
-      history = History.create ~enabled:config.record_history (); obs }
-  in
-  Array.iter
-    (fun (n : node) ->
-      Network.set_handler net n.id (fun ~src payload -> dispatch t n ~src payload))
-    nodes;
-  if config.durability then
-    Array.iter
-      (fun (n : node) ->
-        let dev =
-          Iodev.create sim ~op_latency:config.fsync_latency
-            ~bandwidth:config.disk_bandwidth
-        in
-        let w =
-          Sss_storage.Storage.create sim dev ~record_bytes:logrec_bytes
-            ~snapshot:(fun () -> snap_of t.nodes.(n.id))
-            ~snapshot_bytes:snap_bytes ?obs:t.obs ()
-        in
-        n.wal <- Some w;
-        Sss_storage.Storage.start_checkpoints w ~interval:config.checkpoint_interval)
-      nodes;
-  t
-
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap (node : node) (s : snap) =
@@ -463,86 +352,42 @@ let replay_record (node : node) = function
               c.writer <- txn)
             prep.ws_local)
 
-let crash_node t id =
-  if t.config.Sss_kv.Config.durability then begin
-    let old = t.nodes.(id) in
-    old.alive <- false;
-    (match old.wal with Some w -> Sss_storage.Storage.crash w | None -> ());
-    let e = Rpc.Crashed { system = "2pc"; node = id } in
-    Rpc.Pending.poison_all t.sim old.pending_reads e;
-    Rpc.Pending.poison_all t.sim old.pending_outcomes e;
-    (* wake commit fibers parked on apply acks; they observe the record
-       swap and raise *)
-    List.iter
-      (fun (_, (b : ack_box)) ->
-        if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
-      (sorted_bindings old.ack_boxes);
-    let fresh =
-      {
-        id;
-        store = Hashtbl.create 256;
-        locks = Locks.create t.sim;
-        prepared = Hashtbl.create 64;
-        aborted_decides = Hashtbl.create 64;
-        (* transaction ids name client requests, not node state: the
-           counter persists so a restarted node never re-mints an id *)
-        gen = old.gen;
-        pending_reads = Rpc.Pending.create ();
-        vote_boxes = Hashtbl.create 64;
-        ack_boxes = Hashtbl.create 64;
-        alive = false;
-        decided = Hashtbl.create 64;
-        pending_outcomes = Rpc.Pending.create ();
-        wal = old.wal;
-      }
-    in
-    Array.iter
-      (fun k ->
-        Hashtbl.replace fresh.store k
-          { value = Printf.sprintf "init:%d" k; writer = Ids.genesis })
-      (Replication.keys_at t.repl id);
-    t.nodes.(id) <- fresh;
-    Network.set_handler t.net id (fun ~src payload -> dispatch t fresh ~src payload)
-  end
+(* Wake commit fibers parked on apply acks; they observe the record swap
+   and raise. *)
+let wound t (old : node) e =
+  Rpc.Pending.poison_all t.sim old.pending_reads e;
+  Rpc.Pending.poison_all t.sim old.pending_outcomes e;
+  List.iter
+    (fun (_, (b : ack_box)) ->
+      if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
+    (sorted_bindings old.ack_boxes)
 
-let restart_node t id =
-  let node = t.nodes.(id) in
-  match node.wal with
-  | None -> Network.recover t.net id
-  | Some w ->
-      Sss_storage.Storage.recover w (fun ~recovered ~replay ->
-          Sim.run_fiber (fun () ->
-              (match recovered with Some s -> load_snap node s | None -> ());
-              List.iter (replay_record node) replay;
-              let indoubt = sorted_bindings node.prepared in
-              (* in-doubt transactions held their locks when the node went
-                 down; restore them before admitting new prepares.  The
-                 set is mutually compatible, so acquisition is immediate. *)
-              List.iter
-                (fun (txn, (p : prep)) ->
-                  ignore
-                    (Locks.acquire_all node.locks txn
-                       ~exclusive:(List.map fst p.ws_local)
-                       ~shared:(List.map fst p.rs_local)
-                       ~timeout:t.config.Sss_kv.Config.lock_timeout
-                      : bool))
-                indoubt;
-              node.alive <- true;
-              Network.recover t.net id;
-              Sss_storage.Storage.start_checkpoints w
-                ~interval:t.config.Sss_kv.Config.checkpoint_interval;
-              List.iter
-                (fun (txn, p) ->
-                  Sim.spawn t.sim (fun () -> resolve_indoubt t node txn p))
-                indoubt))
+(* In-doubt transactions held their locks when the node went down: restore
+   them before admitting new prepares (the set is mutually compatible, so
+   acquisition is immediate), then ask each coordinator for its verdict. *)
+let recover t (node : node) =
+  let indoubt = sorted_bindings node.prepared in
+  List.iter
+    (fun (txn, (p : prep)) ->
+      ignore
+        (Locks.acquire_all node.locks txn
+           ~exclusive:(List.map fst p.ws_local)
+           ~shared:(List.map fst p.rs_local)
+           ~timeout:t.config.Sss_kv.Config.lock_timeout
+          : bool))
+    indoubt;
+  rejoin t node.id;
+  List.iter (fun (txn, p) -> Sim.spawn t.sim (fun () -> resolve_indoubt t node txn p)) indoubt
+
+let hooks =
+  { handler = dispatch; wound; load = (fun _ -> load_snap); replay = (fun _ -> replay_record);
+    recover }
+
+let create sim config = Rt.create ~hooks ~ext:() sim config
 
 let begin_txn cl ~node ~read_only =
-  let home = cl.nodes.(node) in
-  if not home.alive then Rpc.crashed ~system:"2pc" ~node;
-  let id = Ids.Gen.next home.gen in
-  record cl (History.Begin { txn = id; ro = read_only; node });
-  obs_begin cl ~txn:id ~node ~ro:read_only;
-  { cl; home; id; ro = read_only; rs = []; ws = []; finished = false;
+  let id = Rt.begin_txn cl ~node ~ro:read_only in
+  { cl; home = cl.nodes.(node); id; ro = read_only; rs = []; ws = []; finished = false;
     begin_at = Sim.now cl.sim }
 
 let read h key =
@@ -554,18 +399,7 @@ let read h key =
       List.iter
         (fun dst -> send h.cl ~src:h.home.id ~dst (Read_req { req; key }))
         (Replication.replicas h.cl.repl key);
-      let value, writer =
-        if h.cl.config.Sss_kv.Config.fault_tolerance then
-          match
-            Rpc.Pending.await_timeout h.cl.sim ivar
-              ~timeout:h.cl.config.Sss_kv.Config.ack_timeout
-          with
-          | Some r -> r
-          | None ->
-              Rpc.stalled ~system:"2pc" ~phase:"read"
-                (Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.id))
-        else Rpc.Pending.await h.cl.sim ivar
-      in
+      let value, writer = await_read h.cl ivar ~key ~txn:h.id in
       let pair = (key, writer) in
       if not (List.mem pair h.rs) then h.rs <- pair :: h.rs;
       record h.cl (History.Read { txn = h.id; key; writer });
@@ -582,8 +416,7 @@ let commit h =
   let cl = h.cl in
   let keys = List.map fst h.rs @ List.map fst h.ws in
   if keys = [] then begin
-    record cl (History.Commit { txn = h.id; ws = [] });
-    obs_commit cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at;
+    committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at ~ws:[];
     true
   end
   else begin
@@ -607,14 +440,13 @@ let commit h =
     (* A crashed home can still abort (nothing was promised), so the
        Decide(false) fan-out below runs either way and frees the
        participants; only the commit path dies with the node. *)
-    if all_ok && not (home_live cl h.home) then
-      Rpc.crashed ~system:"2pc" ~node:h.home.id;
+    if all_ok && not (node_live cl h.home) then
+      crashed h.home.id;
     if not all_ok then begin
       List.iter
         (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.id; outcome = false }))
         participants;
-      record cl (History.Abort { txn = h.id });
-      obs_abort cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"vote";
+      aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"vote";
       false
     end
     else begin
@@ -626,14 +458,11 @@ let commit h =
       if cl.config.Sss_kv.Config.durability then begin
         Hashtbl.replace h.home.decided h.id false;
         let flush_began = Sim.now cl.sim in
-        let lsn = log h.home (PDecided { txn = h.id }) in
-        if not (log_sync h.home lsn) || not (home_live cl h.home) then
-          Rpc.crashed ~system:"2pc" ~node:h.home.id;
+        let lsn = log cl h.home (PDecided { txn = h.id }) in
+        if not (log_sync cl h.home lsn) || not (node_live cl h.home) then
+          crashed h.home.id;
         Hashtbl.replace h.home.decided h.id true;
-        match cl.obs with
-        | Some o ->
-            Sss_obs.Obs.observe o "lat.commit.durable" (Sim.now cl.sim -. flush_began)
-        | None -> ()
+        observe_since cl "lat.commit.durable" ~since:flush_began
       end;
       let write_nodes = replica_nodes cl (List.map fst h.ws) in
       let ack =
@@ -651,12 +480,12 @@ let commit h =
              ~timeout:cl.config.Sss_kv.Config.ack_timeout
          with
         | Some () -> ()
-        | None -> Rpc.stalled ~system:"2pc" ~phase:"apply ack" (Ids.txn_to_string h.id));
+        | None -> stalled ~phase:"apply ack" (Ids.txn_to_string h.id));
         Hashtbl.remove h.home.ack_boxes h.id;
-        if not (home_live cl h.home) then Rpc.crashed ~system:"2pc" ~node:h.home.id
+        if not (node_live cl h.home) then crashed h.home.id
       end;
-      record cl (History.Commit { txn = h.id; ws = List.map fst h.ws });
-      obs_commit cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at;
+      committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at
+        ~ws:(List.map fst h.ws);
       true
     end
   end
@@ -664,18 +493,9 @@ let commit h =
 let abort h =
   if h.finished then invalid_arg "Twopc: abort on a finished transaction";
   h.finished <- true;
-  record h.cl (History.Abort { txn = h.id });
-  obs_abort h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
+  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
 
 let txn_id h = h.id
-
-let history t = t.history
-
-let obs t = t.obs
-
-let local_keys t n = Replication.keys_at t.repl n
-
-let network t = t.net
 
 (* Resident words of every node's store, under the same heap model as
    [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, one cell

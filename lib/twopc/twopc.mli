@@ -6,74 +6,16 @@
     external consistency — at the cost of aborting read-only transactions
     and holding locks across the commit round.
 
+    [read_only] is accepted by [begin_txn] for interface parity: such
+    transactions simply never write, and still validate and may abort.
+    [commit] runs the full 2PC (lock, validate, apply) for every
+    transaction; the client is informed once all participants applied.
+    After a crash, [restart_node] re-takes the locks of in-doubt prepared
+    transactions and queries each one's coordinator until its outcome is
+    known.
+
     The deployment parameters are shared with SSS ({!Sss_kv.Config.t}) so
     the experiment harness can run both under identical conditions; the
     snapshot-queuing-specific fields are ignored. *)
 
-open Sss_data
-
-type cluster
-
-type handle
-
-type msg
-(** The 2PC wire protocol (abstract; inspect with {!message_kind}). *)
-
-val create : Sss_sim.Sim.t -> Sss_kv.Config.t -> cluster
-
-val begin_txn : cluster -> node:Ids.node -> read_only:bool -> handle
-(** [read_only] is accepted for interface parity; such transactions simply
-    never write, and still validate and may abort. *)
-
-val read : handle -> Ids.key -> string
-
-val write : handle -> Ids.key -> string -> unit
-
-val commit : handle -> bool
-(** Runs the full 2PC (lock, validate, apply) for every transaction; the
-    client is informed once all participants applied. *)
-
-val abort : handle -> unit
-
-val txn_id : handle -> Ids.txn
-
-val history : cluster -> Sss_consistency.History.t
-
-val obs : cluster -> Sss_obs.Obs.t option
-(** The observability sink — [Some] iff [Config.observe] was set at
-    creation (docs/OBSERVABILITY.md). *)
-
-val local_keys : cluster -> Ids.node -> Ids.key array
-(** Keys replicated at a node (for the locality workload). *)
-
-val network : cluster -> msg Sss_net.Network.t
-(** The cluster's network, for attaching fault plans ([Sss_chaos.Chaos]). *)
-
-val message_kind : msg -> string
-(** Stable lowercase kind name ("prepare", "vote", …) for per-message-type
-    fault rules; transport wrappers report their payload's kind. *)
-
-val quiescent : cluster -> (unit, string) result
-
-val store_words : cluster -> int
-(** Resident words of every node's store, under the heap model of
-    [Sss_data.Mvstore.mem_words] — the cross-protocol storage-footprint
-    gauge of the saturation figure. *)
-
-(** {1 Crash & recovery} — durability mode (docs/DURABILITY.md)
-
-    Wired to {!Sss_chaos.Chaos.install}'s [on_crash]/[on_restart] hooks.
-    With [Config.durability = false] both are (nearly) no-ops: the NIC
-    fault is all there is, and [restart_node] merely reconnects it. *)
-
-val crash_node : cluster -> Ids.node -> unit
-(** Discard the node's volatile state: wound every parked waiter with
-    {!Sss_net.Rpc.Crashed}, lose the unflushed log tail, and swap in a
-    pristine node record (not yet [alive]).  Bare callback — safe from
-    {!Sss_chaos.Chaos} event position. *)
-
-val restart_node : cluster -> Ids.node -> unit
-(** Redo recovery: reload the last checkpoint, replay the durable log
-    tail, re-take locks for in-doubt prepared transactions, reconnect the
-    NIC, and spawn termination watchdogs that query each in-doubt
-    transaction's coordinator until its outcome is known. *)
+include Sss_kv.Runtime.STORE

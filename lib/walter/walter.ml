@@ -127,78 +127,51 @@ type node = {
   locks : Locks.t;
   prepared : (Ids.txn, wprep) Hashtbl.t;
   aborted_decides : (Ids.txn, unit) Hashtbl.t;
-  gen : Ids.Gen.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
   vote_boxes : (Ids.txn, vote_box) Hashtbl.t;
   applied_changed : Sim.Cond.t;
   (* durability mode only *)
-  mutable alive : bool;
   origin_log : (int, Ids.txn * Vclock.t * (Ids.key * string) list) Hashtbl.t;
       (* own-site commit order, seq -> payload; serves Pull re-sends *)
   committed : (Ids.txn, bool) Hashtbl.t;
       (* commits decided at this site; [true] once the WCommit record is
          durable — only then may a Query be answered "committed" *)
   pending_outcomes : verdict Rpc.Pending.t;
-  mutable wal : (logrec, snap) Sss_storage.Storage.t option;
 }
 
-type cluster = {
-  sim : Sim.t;
-  config : Sss_kv.Config.t;
-  repl : Replication.t;
-  net : msg Network.t;
-  rel : msg Reliable.t;
-  nodes : node array;
-  history : History.t;
-  obs : Sss_obs.Obs.t option;
-}
-
-type handle = {
-  cl : cluster;
-  home : node;
-  id : Ids.txn;
-  ro : bool;
-  start : Vclock.t;
-  mutable ws : (Ids.key * string) list;
-  mutable finished : bool;
-  begin_at : float;
-}
-
-let record t event = History.record t.history ~at:(Sim.now t.sim) event
-
-let obs_begin t ~txn ~node ~ro =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_commit t ~txn ~node ~ro ~began =
-  match t.obs with
-  | Some o ->
-      let cls = if ro then "ro" else "update" in
-      Sss_obs.Obs.incr o ("txn.commit." ^ cls);
-      Sss_obs.Obs.observe o ("lat.txn." ^ cls) (Sim.now t.sim -. began);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_commit { txn = Ids.txn_to_string txn; node; ro })
-  | None -> ()
-
-let obs_abort t ~txn ~node ~ro ~reason =
-  match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o ("txn.abort." ^ reason);
-      Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
-  | None -> ()
-
-let send t ~src ~dst payload =
-  let prio = priority payload in
-  if t.config.Sss_kv.Config.fault_tolerance then
-    Reliable.send t.rel ~prio ~src ~dst (fun token -> Tracked { token; inner = payload })
-  else Network.send t.net ~prio ~src ~dst payload
-
-let primary t key = List.hd (Replication.replicas t.repl key)
+let make_node sim (config : Sss_kv.Config.t) repl id =
+  let zero = Vclock.zero config.nodes in
+  let chains = Hashtbl.create 256 in
+  Array.iter
+    (fun k ->
+      Hashtbl.replace chains k
+        (ref
+           [
+             {
+               value = Printf.sprintf "init:%d" k;
+               writer = Ids.genesis;
+               site = 0;
+               seq = 0;
+               wstart = zero;
+             };
+           ]))
+    (Replication.keys_at repl id);
+  {
+    id;
+    chains;
+    applied = zero;
+    site_seq = 0;
+    holdback = Hashtbl.create 8;
+    locks = Locks.create sim;
+    prepared = Hashtbl.create 64;
+    aborted_decides = Hashtbl.create 64;
+    pending_reads = Rpc.Pending.create ();
+    vote_boxes = Hashtbl.create 64;
+    applied_changed = Sim.Cond.create ();
+    origin_log = Hashtbl.create 64;
+    committed = Hashtbl.create 64;
+    pending_outcomes = Rpc.Pending.create ();
+  }
 
 let chain (node : node) key =
   match Hashtbl.find_opt node.chains key with
@@ -232,10 +205,7 @@ let snap_bytes nodes (s : snap) =
   + List.fold_left (fun acc (_, p) -> acc + 16 + (8 * List.length p.keys)) 0 s.s_prepared
   + (8 * List.length s.s_aborted)
 
-let sorted_bindings table =
-  List.sort
-    (fun (a, _) (b, _) -> Ids.compare_txn a b)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] [@order_ok])
+let sorted_bindings = Sss_kv.Runtime.sorted_bindings
 
 let snap_of (node : node) =
   {
@@ -258,21 +228,41 @@ let snap_of (node : node) =
     s_aborted = List.map fst (sorted_bindings node.aborted_decides);
   }
 
-let log (node : node) r =
-  match node.wal with
-  | Some w -> Some (Sss_storage.Storage.append w r)
-  | None -> None
+module Rt = Sss_kv.Runtime.Make (struct
+  type nonrec msg = msg
+  type nonrec node = node
+  type nonrec logrec = logrec
+  type nonrec snap = snap
+  type ext = unit
 
-(* Await durability of the given append; [true] when it is safe to act on
-   it (immediately so when durability is off). *)
-let log_sync (node : node) lsn =
-  match (node.wal, lsn) with
-  | Some w, Some l -> Sss_storage.Storage.await w l
-  | _ -> true
+  let system = "walter"
+  let priority = priority
+  let kind_of = message_kind
+  let tracked token inner = Tracked { token; inner }
+  let receipt token = Delivered { token }
+  let id (n : node) = n.id
+  let make_node = make_node
+  let snapshot = snap_of
+  let record_bytes (c : Sss_kv.Config.t) = logrec_bytes c.nodes
+  let snapshot_bytes (c : Sss_kv.Config.t) = snap_bytes c.nodes
+end)
 
-(* Is this node record still the live one?  A crash under durability
-   replaces the record, so stale fibers observe it here. *)
-let node_live (cl : cluster) (node : node) = cl.nodes.(node.id) == node
+include Rt
+
+type cluster = Rt.t
+
+let primary t key = List.hd (Replication.replicas t.repl key)
+
+type handle = {
+  cl : cluster;
+  home : node;
+  id : Ids.txn;
+  ro : bool;
+  start : Vclock.t;
+  mutable ws : (Ids.key * string) list;
+  mutable finished : bool;
+  begin_at : float;
+}
 
 (* Newest version whose writer's commit is within the snapshot.  The caller
    guarantees the snapshot is applied locally, so the first visible version
@@ -360,7 +350,7 @@ let resolve_indoubt t (node : node) txn (prep : wprep) =
   let rec loop attempt =
     if node_live t node && Hashtbl.mem node.prepared txn then
       if attempt >= t.config.Sss_kv.Config.retry_limit then
-        Rpc.stalled ~system:"walter" ~phase:"in-doubt" (Ids.txn_to_string txn)
+        stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
       else begin
         let req, slot = Rpc.Pending.fresh node.pending_outcomes in
         send t ~src:node.id ~dst:prep.coord (Query { req; txn });
@@ -372,7 +362,7 @@ let resolve_indoubt t (node : node) txn (prep : wprep) =
             if node_live t node && Hashtbl.mem node.prepared txn then begin
               Hashtbl.replace node.aborted_decides txn ();
               Hashtbl.remove node.prepared txn;
-              ignore (log node (WAborted { txn }) : int option);
+              ignore (log t node (WAborted { txn }) : int option);
               Locks.release_txn node.locks txn
             end
         | Some Vundecided | None ->
@@ -403,22 +393,19 @@ let handle_prepare t (node : node) ~txn ~coord ~start ~keys =
     Hashtbl.replace node.prepared txn prep;
     (* force the prepare record before promising "yes": after a crash this
        node must still be able to honour a commit decision *)
-    let lsn = log node (WPrepared { txn; prep }) in
+    let lsn = log t node (WPrepared { txn; prep }) in
     (* a yes-voter may be orphaned by a coordinator crash: if the decision
        is still unknown after a couple of retry rounds, go ask for it *)
     if t.config.Sss_kv.Config.durability then
       Sim.spawn t.sim (fun () ->
           Sim.sleep t.sim (2. *. t.config.Sss_kv.Config.retry_max);
           resolve_indoubt t node txn prep);
-    if log_sync node lsn then send t ~src:node.id ~dst:coord (Wvote { txn; ok = true })
+    if log_sync t node lsn then send t ~src:node.id ~dst:coord (Wvote { txn; ok = true })
   end
 
 let rec dispatch t (node : node) ~src payload =
   match payload with
-  | Tracked { token; inner } ->
-      Network.send t.net ~prio:(priority (Delivered { token })) ~src:node.id ~dst:src
-        (Delivered { token });
-      if Reliable.receive t.rel token then dispatch t node ~src inner
+  | Tracked { token; inner } -> if receive t ~me:node.id ~src token then dispatch t node ~src inner
   | Delivered { token } -> Reliable.delivered t.rel token
   | Read_req { req; key; start } ->
       (* Walter reads block until the local replica has applied the whole
@@ -443,7 +430,7 @@ let rec dispatch t (node : node) ~src payload =
         Hashtbl.remove node.prepared txn;
         (* presumed abort: the record spares recovery a query, but nothing
            externally visible depends on it — no flush wait *)
-        ignore (log node (WAborted { txn }) : int option);
+        ignore (log t node (WAborted { txn }) : int option);
         Locks.release_txn node.locks txn
       end
       (* on commit the locks are released when the propagated write applies,
@@ -480,95 +467,6 @@ let rec dispatch t (node : node) ~src payload =
             (Propagate { txn; site = node.id; seq; start; writes }))
         seqs
 
-let create sim (config : Sss_kv.Config.t) =
-  let repl =
-    Replication.create ~nodes:config.nodes ~degree:config.replication_degree
-      ~total_keys:config.total_keys
-  in
-  let rng = Prng.create ~seed:config.seed in
-  let net = Network.create sim rng ~nodes:config.nodes ~config:config.network in
-  let nodes =
-    Array.init config.nodes (fun id ->
-        {
-          id;
-          chains = Hashtbl.create 256;
-          applied = Vclock.zero config.nodes;
-          site_seq = 0;
-          holdback = Hashtbl.create 8;
-          locks = Locks.create sim;
-          prepared = Hashtbl.create 64;
-          aborted_decides = Hashtbl.create 64;
-          gen = Ids.Gen.create id;
-          pending_reads = Rpc.Pending.create ();
-          vote_boxes = Hashtbl.create 64;
-          applied_changed = Sim.Cond.create ();
-          alive = true;
-          origin_log = Hashtbl.create 64;
-          committed = Hashtbl.create 64;
-          pending_outcomes = Rpc.Pending.create ();
-          wal = None;
-        })
-  in
-  Array.iter
-    (fun (node : node) ->
-      Array.iter
-        (fun k ->
-          Hashtbl.replace node.chains k
-            (ref
-               [
-                 {
-                   value = Printf.sprintf "init:%d" k;
-                   writer = Ids.genesis;
-                   site = 0;
-                   seq = 0;
-                   wstart = Vclock.zero config.nodes;
-                 };
-               ]))
-        (Replication.keys_at repl node.id))
-    nodes;
-  let rel =
-    Reliable.create sim net
-      ~retry:
-        {
-          Reliable.initial = config.retry_initial;
-          max = config.retry_max;
-          limit = config.retry_limit;
-        }
-  in
-  let obs =
-    if config.observe then Some (Sss_obs.Obs.create ~capacity:config.trace_capacity ())
-    else None
-  in
-  (match obs with
-  | Some o -> Network.set_observer net (Some { Network.obs = o; kind_of = message_kind })
-  | None -> ());
-  Reliable.set_obs rel obs;
-  let t =
-    { sim; config; repl; net; rel; nodes;
-      history = History.create ~enabled:config.record_history (); obs }
-  in
-  Array.iter
-    (fun (n : node) ->
-      Network.set_handler net n.id (fun ~src payload -> dispatch t n ~src payload))
-    nodes;
-  if config.durability then
-    Array.iter
-      (fun (n : node) ->
-        let dev =
-          Iodev.create sim ~op_latency:config.fsync_latency
-            ~bandwidth:config.disk_bandwidth
-        in
-        let w =
-          Sss_storage.Storage.create sim dev
-            ~record_bytes:(logrec_bytes config.nodes)
-            ~snapshot:(fun () -> snap_of t.nodes.(n.id))
-            ~snapshot_bytes:(snap_bytes config.nodes) ?obs:t.obs ()
-        in
-        n.wal <- Some w;
-        Sss_storage.Storage.start_checkpoints w ~interval:config.checkpoint_interval)
-      nodes;
-  t
-
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap (node : node) (s : snap) =
@@ -593,120 +491,59 @@ let replay_record (node : node) = function
       Hashtbl.remove node.prepared txn;
       Hashtbl.replace node.aborted_decides txn ()
 
-let crash_node t id =
-  if t.config.Sss_kv.Config.durability then begin
-    let old = t.nodes.(id) in
-    old.alive <- false;
-    (match old.wal with Some w -> Sss_storage.Storage.crash w | None -> ());
-    let e = Rpc.Crashed { system = "walter"; node = id } in
-    Rpc.Pending.poison_all t.sim old.pending_reads e;
-    Rpc.Pending.poison_all t.sim old.pending_outcomes e;
-    let zero = Vclock.zero t.config.Sss_kv.Config.nodes in
-    let fresh =
-      {
-        id;
-        chains = Hashtbl.create 256;
-        applied = zero;
-        site_seq = 0;
-        holdback = Hashtbl.create 8;
-        locks = Locks.create t.sim;
-        prepared = Hashtbl.create 64;
-        aborted_decides = Hashtbl.create 64;
-        (* transaction ids name client requests, not node state: the
-           counter persists so a restarted node never re-mints an id *)
-        gen = old.gen;
-        pending_reads = Rpc.Pending.create ();
-        vote_boxes = Hashtbl.create 64;
-        applied_changed = Sim.Cond.create ();
-        alive = false;
-        origin_log = Hashtbl.create 64;
-        committed = Hashtbl.create 64;
-        pending_outcomes = Rpc.Pending.create ();
-        wal = old.wal;
-      }
-    in
-    Array.iter
-      (fun k ->
-        Hashtbl.replace fresh.chains k
-          (ref
-             [
-               {
-                 value = Printf.sprintf "init:%d" k;
-                 writer = Ids.genesis;
-                 site = 0;
-                 seq = 0;
-                 wstart = zero;
-               };
-             ]))
-      (Replication.keys_at t.repl id);
-    t.nodes.(id) <- fresh;
-    Network.set_handler t.net id (fun ~src payload -> dispatch t fresh ~src payload)
-  end
+let wound t (old : node) e =
+  Rpc.Pending.poison_all t.sim old.pending_reads e;
+  Rpc.Pending.poison_all t.sim old.pending_outcomes e
 
-let restart_node t id =
-  let node = t.nodes.(id) in
-  match node.wal with
-  | None -> Network.recover t.net id
-  | Some w ->
-      Sss_storage.Storage.recover w (fun ~recovered ~replay ->
-          Sim.run_fiber (fun () ->
-              (match recovered with Some s -> load_snap node s | None -> ());
-              List.iter (replay_record node) replay;
-              (* redo own-site commits past the applied prefix: a commit
-                 can be durable without its local apply (or its Propagate
-                 fan-out) having happened *)
-              let resend = ref [] in
-              let rec catchup () =
-                let next = Vclock.get node.applied node.id + 1 in
-                if next <= node.site_seq then
-                  match Hashtbl.find_opt node.origin_log next with
-                  | None -> ()
-                  | Some (txn, start, writes) ->
-                      apply_committed t node ~txn ~site:node.id ~seq:next ~start
-                        ~writes;
-                      resend := (txn, next, start, writes) :: !resend;
-                      catchup ()
-              in
-              catchup ();
-              let indoubt = sorted_bindings node.prepared in
-              (* in-doubt transactions held their (exclusive) locks when
-                 the node went down; restore them before admitting new
-                 prepares.  The set is mutually compatible, so acquisition
-                 is immediate. *)
-              List.iter
-                (fun (txn, (p : wprep)) ->
-                  ignore
-                    (Locks.acquire_all node.locks txn ~exclusive:p.keys ~shared:[]
-                       ~timeout:t.config.Sss_kv.Config.lock_timeout
-                      : bool))
-                indoubt;
-              node.alive <- true;
-              Network.recover t.net id;
-              Sss_storage.Storage.start_checkpoints w
-                ~interval:t.config.Sss_kv.Config.checkpoint_interval;
-              List.iter
-                (fun (txn, seq, start, writes) ->
-                  for dst = 0 to t.config.Sss_kv.Config.nodes - 1 do
-                    if dst <> id then
-                      send t ~src:id ~dst
-                        (Propagate { txn; site = id; seq; start; writes })
-                  done)
-                (List.rev !resend);
-              (* fetch remote-site commits this replica missed while down *)
-              for dst = 0 to t.config.Sss_kv.Config.nodes - 1 do
-                if dst <> id then send t ~src:id ~dst (Pull { have = node.applied })
-              done;
-              List.iter
-                (fun (txn, p) ->
-                  Sim.spawn t.sim (fun () -> resolve_indoubt t node txn p))
-                indoubt))
+let recover t (node : node) =
+  let id = node.id in
+  (* redo own-site commits past the applied prefix: a commit can be durable
+     without its local apply (or its Propagate fan-out) having happened *)
+  let resend = ref [] in
+  let rec catchup () =
+    let next = Vclock.get node.applied id + 1 in
+    if next <= node.site_seq then
+      match Hashtbl.find_opt node.origin_log next with
+      | None -> ()
+      | Some (txn, start, writes) ->
+          apply_committed t node ~txn ~site:id ~seq:next ~start ~writes;
+          resend := (txn, next, start, writes) :: !resend;
+          catchup ()
+  in
+  catchup ();
+  let indoubt = sorted_bindings node.prepared in
+  (* in-doubt transactions held their (exclusive) locks when the node went
+     down; restore them before admitting new prepares.  The set is mutually
+     compatible, so acquisition is immediate. *)
+  List.iter
+    (fun (txn, (p : wprep)) ->
+      ignore
+        (Locks.acquire_all node.locks txn ~exclusive:p.keys ~shared:[]
+           ~timeout:t.config.Sss_kv.Config.lock_timeout
+          : bool))
+    indoubt;
+  rejoin t id;
+  List.iter
+    (fun (txn, seq, start, writes) ->
+      for dst = 0 to t.config.Sss_kv.Config.nodes - 1 do
+        if dst <> id then send t ~src:id ~dst (Propagate { txn; site = id; seq; start; writes })
+      done)
+    (List.rev !resend);
+  (* fetch remote-site commits this replica missed while down *)
+  for dst = 0 to t.config.Sss_kv.Config.nodes - 1 do
+    if dst <> id then send t ~src:id ~dst (Pull { have = node.applied })
+  done;
+  List.iter (fun (txn, p) -> Sim.spawn t.sim (fun () -> resolve_indoubt t node txn p)) indoubt
+
+let hooks =
+  { handler = dispatch; wound; load = (fun _ -> load_snap); replay = (fun _ -> replay_record);
+    recover }
+
+let create sim config = Rt.create ~hooks ~ext:() sim config
 
 let begin_txn cl ~node ~read_only =
+  let id = Rt.begin_txn cl ~node ~ro:read_only in
   let home = cl.nodes.(node) in
-  if not home.alive then Rpc.crashed ~system:"walter" ~node;
-  let id = Ids.Gen.next home.gen in
-  record cl (History.Begin { txn = id; ro = read_only; node });
-  obs_begin cl ~txn:id ~node ~ro:read_only;
   { cl; home; id; ro = read_only; start = home.applied; ws = []; finished = false;
     begin_at = Sim.now cl.sim }
 
@@ -719,18 +556,7 @@ let read h key =
       List.iter
         (fun dst -> send h.cl ~src:h.home.id ~dst (Read_req { req; key; start = h.start }))
         (Replication.replicas h.cl.repl key);
-      let value, writer =
-        if h.cl.config.Sss_kv.Config.fault_tolerance then
-          match
-            Rpc.Pending.await_timeout h.cl.sim ivar
-              ~timeout:h.cl.config.Sss_kv.Config.ack_timeout
-          with
-          | Some r -> r
-          | None ->
-              Rpc.stalled ~system:"walter" ~phase:"read"
-                (Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.id))
-        else Rpc.Pending.await h.cl.sim ivar
-      in
+      let value, writer = await_read h.cl ivar ~key ~txn:h.id in
       record h.cl (History.Read { txn = h.id; key; writer });
       value
 
@@ -747,7 +573,7 @@ let commit_at_home h =
   (* the fiber may have suspended (locks, votes) since the handle was
      made: a stale record must not write to the shared log *)
   if cl.config.Sss_kv.Config.durability && not (node_live cl h.home) then
-    Rpc.crashed ~system:"walter" ~node:h.home.id;
+    crashed h.home.id;
   h.home.site_seq <- h.home.site_seq + 1;
   let seq = h.home.site_seq in
   if cl.config.Sss_kv.Config.durability then begin
@@ -759,18 +585,14 @@ let commit_at_home h =
     Hashtbl.replace h.home.origin_log seq (h.id, h.start, h.ws);
     Hashtbl.replace h.home.committed h.id false;
     let flush_began = Sim.now cl.sim in
-    let lsn = log h.home (WCommit { txn = h.id; seq; start = h.start; writes = h.ws }) in
-    if (not (log_sync h.home lsn)) || not (node_live cl h.home) then
-      Rpc.crashed ~system:"walter" ~node:h.home.id;
+    let lsn = log cl h.home (WCommit { txn = h.id; seq; start = h.start; writes = h.ws }) in
+    if (not (log_sync cl h.home lsn)) || not (node_live cl h.home) then
+      crashed h.home.id;
     Hashtbl.replace h.home.committed h.id true;
-    match cl.obs with
-    | Some o ->
-        Sss_obs.Obs.observe o "lat.commit.durable" (Sim.now cl.sim -. flush_began)
-    | None -> ()
+    observe_since cl "lat.commit.durable" ~since:flush_began
   end;
   apply_committed cl h.home ~txn:h.id ~site:h.home.id ~seq ~start:h.start ~writes:h.ws;
-  record cl (History.Commit { txn = h.id; ws = List.map fst h.ws });
-  obs_commit cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at;
+  committed cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:(List.map fst h.ws);
   for dst = 0 to cl.config.Sss_kv.Config.nodes - 1 do
     if dst <> h.home.id then
       send cl ~src:h.home.id ~dst
@@ -784,8 +606,7 @@ let commit h =
   let cl = h.cl in
   if h.ws = [] then begin
     (* read-only (or write-free): purely local, never aborts *)
-    record cl (History.Commit { txn = h.id; ws = [] });
-    obs_commit cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at;
+    committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at ~ws:[];
     true
   end
   else begin
@@ -813,8 +634,7 @@ let commit h =
         then commit_at_home h  (* locks released when the local apply runs *)
         else begin
           Locks.release_txn h.home.locks h.id;
-          record cl (History.Abort { txn = h.id });
-          obs_abort cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"conflict";
+          aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"conflict";
           false
         end
     | _ ->
@@ -842,8 +662,7 @@ let commit h =
           sites;
         if all_ok then commit_at_home h
         else begin
-          record cl (History.Abort { txn = h.id });
-          obs_abort cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"vote";
+          aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"vote";
           false
         end
   end
@@ -851,18 +670,9 @@ let commit h =
 let abort h =
   if h.finished then invalid_arg "Walter: abort on a finished transaction";
   h.finished <- true;
-  record h.cl (History.Abort { txn = h.id });
-  obs_abort h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
+  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
 
 let txn_id h = h.id
-
-let history t = t.history
-
-let obs t = t.obs
-
-let repl t = t.repl
-
-let network t = t.net
 
 (* Resident words of every node's version chains, under the same heap
    model as [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes and

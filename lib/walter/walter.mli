@@ -8,81 +8,17 @@
     (PSI's "long fork", demonstrably not serializable; see
     [test_baselines.ml] and [examples/document_sync.ml]).
 
+    [begin_txn] snapshots the home site's applied prefix (the start vector
+    timestamp); [read] returns the newest version within it, blocking only
+    until the contacted replica has applied the snapshot.  [commit] of a
+    read-only transaction is always [true] and sends nothing; an update is
+    write-write checked at each written key's preferred site (a local fast
+    path when they all live at the home site), then the client is answered
+    and the writes propagate in per-site commit order.  After a crash,
+    [restart_node] also re-applies and re-propagates own-site commits past
+    the applied prefix and pulls the remote-site commits missed while down.
+
     Deployment parameters are shared with SSS ({!Sss_kv.Config.t}) so the
     experiment harness drives every system identically. *)
 
-open Sss_data
-
-type cluster
-
-type handle
-
-type msg
-(** The Walter wire protocol (abstract; inspect with {!message_kind}). *)
-
-val create : Sss_sim.Sim.t -> Sss_kv.Config.t -> cluster
-
-val begin_txn : cluster -> node:Ids.node -> read_only:bool -> handle
-(** Snapshots the home site's applied prefix (the start vector
-    timestamp). *)
-
-val read : handle -> Ids.key -> string
-(** Newest version within the start snapshot; blocks only until the
-    contacted replica has applied the snapshot locally. *)
-
-val write : handle -> Ids.key -> string -> unit
-
-val commit : handle -> bool
-(** Read-only: always true, no messages.  Updates: write-write conflict
-    check at each written key's preferred site (local fast path when they
-    all live at the home site), then the client is answered and the writes
-    propagate asynchronously in per-site commit order. *)
-
-val abort : handle -> unit
-
-val txn_id : handle -> Ids.txn
-
-val history : cluster -> Sss_consistency.History.t
-
-val obs : cluster -> Sss_obs.Obs.t option
-(** The observability sink — [Some] iff [Config.observe] was set at
-    creation (docs/OBSERVABILITY.md). *)
-
-val quiescent : cluster -> (unit, string) result
-
-val store_words : cluster -> int
-(** Resident words of every node's store, under the heap model of
-    [Sss_data.Mvstore.mem_words] — the cross-protocol storage-footprint
-    gauge of the saturation figure. *)
-
-(** Exposed for the experiment harness. *)
-
-val repl : cluster -> Replication.t
-
-val network : cluster -> msg Sss_net.Network.t
-(** The cluster's network, for attaching fault plans ([Sss_chaos.Chaos]). *)
-
-val message_kind : msg -> string
-(** Stable lowercase kind name ("prepare", "propagate", …) for
-    per-message-type fault rules; transport wrappers report their payload's
-    kind. *)
-
-(** {1 Crash & recovery} — durability mode (docs/DURABILITY.md)
-
-    Wired to {!Sss_chaos.Chaos.install}'s [on_crash]/[on_restart] hooks.
-    With [Config.durability = false] both are (nearly) no-ops: the NIC
-    fault is all there is, and [restart_node] merely reconnects it. *)
-
-val crash_node : cluster -> Ids.node -> unit
-(** Discard the node's volatile state: wound every parked waiter with
-    {!Sss_net.Rpc.Crashed}, lose the unflushed log tail, and swap in a
-    pristine node record (not yet [alive]).  Bare callback — safe from
-    {!Sss_chaos.Chaos} event position. *)
-
-val restart_node : cluster -> Ids.node -> unit
-(** Redo recovery: reload the last checkpoint, replay the durable log
-    tail, re-apply (and re-propagate) own-site commits past the applied
-    prefix, re-take locks for in-doubt prepared transactions, reconnect
-    the NIC, Pull the remote-site commits missed while down, and spawn
-    termination watchdogs that query each in-doubt transaction's
-    coordinator until its outcome is known. *)
+include Sss_kv.Runtime.STORE

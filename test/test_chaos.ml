@@ -8,6 +8,7 @@ open Sss_sim
 open Sss_consistency
 module Chaos = Sss_chaos.Chaos
 module Driver = Sss_workload.Driver
+module Store = Sss_experiments.Store
 
 let any = { Chaos.src = None; dst = None; kinds = [] }
 
@@ -62,134 +63,22 @@ type outcome = {
   chaos_stats : Chaos.stats;
 }
 
-let run_sss ~plan ~seed =
+let run system ~plan ~seed =
   let sim = Sim.create () in
-  let cl = Sss_kv.Kv.create sim (chaos_config ~degree:2 ~seed) in
-  let h = Chaos.install sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Message.kind_name plan in
-  let result =
-    drive sim ~seed
-      ~ops:
-        {
-          Driver.begin_txn = (fun ~node ~read_only -> Sss_kv.Kv.begin_txn cl ~node ~read_only);
-          read = Sss_kv.Kv.read;
-          write = Sss_kv.Kv.write;
-          commit = Sss_kv.Kv.commit;
-        }
-  in
-  let history = Sss_kv.Kv.history cl in
+  let degree = if system = Store.Rococo then 1 else 2 in
+  let (Store.Store s) = Store.create system sim (chaos_config ~degree ~seed) in
+  let h = s.chaos plan in
+  let result = drive sim ~seed ~ops:s.ops in
   {
     committed = result.Driver.committed;
-    checks =
-      [
-        ("sss external-consistency", Checker.external_consistency history);
-        ("sss serializability", Checker.serializability history);
-        ("sss no-lost-updates", Checker.no_lost_updates history);
-        ("sss ro-abort-free", Checker.read_only_abort_free history);
-        ("sss quiescent", Sss_kv.Kv.quiescent cl);
-      ];
-    history;
+    checks = Store.checks s;
+    history = s.history;
     events_processed = Sim.events_processed sim;
-    net_stats = Sss_kv.Kv.network_stats cl;
+    net_stats = s.network_stats ();
     chaos_stats = Chaos.stats h;
   }
 
-let run_twopc ~plan ~seed =
-  let sim = Sim.create () in
-  let cl = Twopc_kv.Twopc.create sim (chaos_config ~degree:2 ~seed) in
-  let h =
-    Chaos.install sim (Twopc_kv.Twopc.network cl) ~kind_of:Twopc_kv.Twopc.message_kind plan
-  in
-  let result =
-    drive sim ~seed
-      ~ops:
-        {
-          Driver.begin_txn =
-            (fun ~node ~read_only -> Twopc_kv.Twopc.begin_txn cl ~node ~read_only);
-          read = Twopc_kv.Twopc.read;
-          write = Twopc_kv.Twopc.write;
-          commit = Twopc_kv.Twopc.commit;
-        }
-  in
-  let history = Twopc_kv.Twopc.history cl in
-  {
-    committed = result.Driver.committed;
-    checks =
-      [
-        ("2pc external-consistency", Checker.external_consistency history);
-        ("2pc no-lost-updates", Checker.no_lost_updates history);
-        ("2pc quiescent", Twopc_kv.Twopc.quiescent cl);
-      ];
-    history;
-    events_processed = Sim.events_processed sim;
-    net_stats = Sss_net.Network.stats (Twopc_kv.Twopc.network cl);
-    chaos_stats = Chaos.stats h;
-  }
-
-let run_walter ~plan ~seed =
-  let sim = Sim.create () in
-  let cl = Walter_kv.Walter.create sim (chaos_config ~degree:2 ~seed) in
-  let h =
-    Chaos.install sim (Walter_kv.Walter.network cl) ~kind_of:Walter_kv.Walter.message_kind plan
-  in
-  let result =
-    drive sim ~seed
-      ~ops:
-        {
-          Driver.begin_txn =
-            (fun ~node ~read_only -> Walter_kv.Walter.begin_txn cl ~node ~read_only);
-          read = Walter_kv.Walter.read;
-          write = Walter_kv.Walter.write;
-          commit = Walter_kv.Walter.commit;
-        }
-  in
-  let history = Walter_kv.Walter.history cl in
-  {
-    committed = result.Driver.committed;
-    checks =
-      [
-        ("walter no-lost-updates", Checker.no_lost_updates history);
-        ("walter ro-abort-free", Checker.read_only_abort_free history);
-        ("walter quiescent", Walter_kv.Walter.quiescent cl);
-      ];
-    history;
-    events_processed = Sim.events_processed sim;
-    net_stats = Sss_net.Network.stats (Walter_kv.Walter.network cl);
-    chaos_stats = Chaos.stats h;
-  }
-
-let run_rococo ~plan ~seed =
-  let sim = Sim.create () in
-  let cl = Rococo_kv.Rococo.create sim (chaos_config ~degree:1 ~seed) in
-  let h =
-    Chaos.install sim (Rococo_kv.Rococo.network cl) ~kind_of:Rococo_kv.Rococo.message_kind plan
-  in
-  let result =
-    drive sim ~seed
-      ~ops:
-        {
-          Driver.begin_txn =
-            (fun ~node ~read_only -> Rococo_kv.Rococo.begin_txn cl ~node ~read_only);
-          read = Rococo_kv.Rococo.read;
-          write = Rococo_kv.Rococo.write;
-          commit = Rococo_kv.Rococo.commit;
-        }
-  in
-  let history = Rococo_kv.Rococo.history cl in
-  {
-    committed = result.Driver.committed;
-    checks =
-      [
-        ("rococo serializability", Checker.serializability history);
-        ("rococo no-lost-updates", Checker.no_lost_updates history);
-        ("rococo quiescent", Rococo_kv.Rococo.quiescent cl);
-      ];
-    history;
-    events_processed = Sim.events_processed sim;
-    net_stats = Sss_net.Network.stats (Rococo_kv.Rococo.network cl);
-    chaos_stats = Chaos.stats h;
-  }
-
-let systems = [ ("sss", run_sss); ("2pc", run_twopc); ("walter", run_walter); ("rococo", run_rococo) ]
+let systems = Store.[ Sss; Twopc; Walter; Rococo ]
 
 (* ---------- the seed sweep: every system, checker-accepted, under the
    full plan ---------- *)
@@ -199,8 +88,9 @@ let test_sweep () =
   for seed = 1 to 20 do
     let plan = base_plan ~seed in
     List.iter
-      (fun (name, run) ->
-        let o = run ~plan ~seed in
+      (fun system ->
+        let name = Store.system_name system in
+        let o = run system ~plan ~seed in
         total_committed := !total_committed + o.committed;
         (* the plan must actually bite, or the test proves nothing *)
         if o.chaos_stats.Chaos.injected_drops = 0 then
@@ -225,7 +115,7 @@ let test_sweep () =
 
 let test_sss_ro_abort_zero () =
   for seed = 1 to 20 do
-    let o = run_sss ~plan:(base_plan ~seed) ~seed in
+    let o = run Store.Sss ~plan:(base_plan ~seed) ~seed in
     let ro_txns = Hashtbl.create 64 in
     let ro_aborts = ref 0 and ro_commits = ref 0 in
     List.iter
@@ -245,10 +135,11 @@ let test_sss_ro_abort_zero () =
 
 let test_deterministic_replay () =
   List.iter
-    (fun (name, run) ->
+    (fun system ->
+      let name = Store.system_name system in
       let seed = 5 in
-      let a = run ~plan:(base_plan ~seed) ~seed in
-      let b = run ~plan:(base_plan ~seed) ~seed in
+      let a = run system ~plan:(base_plan ~seed) ~seed in
+      let b = run system ~plan:(base_plan ~seed) ~seed in
       Alcotest.(check int)
         (name ^ ": events processed") a.events_processed b.events_processed;
       Alcotest.(check bool)
@@ -274,7 +165,7 @@ let test_partition_heal_liveness () =
       events = [ Chaos.Partition { at = 0.008; heal_at; groups = [ [ 0; 1 ]; [ 2; 3 ] ] } ];
     }
   in
-  let o = run_sss ~plan ~seed:3 in
+  let o = run Store.Sss ~plan ~seed:3 in
   List.iter
     (fun (check, res) ->
       match res with

@@ -434,9 +434,7 @@ let test_mutation_dropped_install () =
 (* the bug durability mode exists to prevent: a commit acknowledged to the
    client whose write never reached the store — the log record was lost in
    a crash but the ack escaped anyway *)
-let test_mutation_torn_commit () =
-  let evs = real_history () in
-  check_ok "unmutated history has no torn commits" (Checker.no_torn_commits (rebuild evs));
+let tear_first_commit evs =
   let target =
     find_map_seq evs (fun (s : History.stamped) ->
         match s.event with
@@ -446,15 +444,51 @@ let test_mutation_torn_commit () =
   match target with
   | None -> Alcotest.fail "no committed update in the real history"
   | Some (txn, key) ->
-      let mutated =
-        List.filter
-          (fun (s : History.stamped) ->
-            match s.event with
-            | History.Install { txn = t; key = k } -> not (Ids.equal_txn t txn && k = key)
-            | _ -> true)
-          evs
-      in
-      check_err "torn commit rejected" (Checker.no_torn_commits (rebuild mutated))
+      List.filter
+        (fun (s : History.stamped) ->
+          match s.event with
+          | History.Install { txn = t; key = k } -> not (Ids.equal_txn t txn && k = key)
+          | _ -> true)
+        evs
+
+let test_mutation_torn_commit () =
+  let evs = real_history () in
+  check_ok "unmutated history has no torn commits" (Checker.no_torn_commits (rebuild evs));
+  check_err "torn commit rejected" (Checker.no_torn_commits (rebuild (tear_first_commit evs)))
+
+(* [sss-cli verify]'s verdicts: a property the system does not promise is
+   reported as such, never failed; a promised one that fails makes the
+   exit status 1. *)
+let test_verify_verdicts () =
+  let module Store = Sss_experiments.Store in
+  let verify system h = Store.verdicts system h ~quiescent:(Ok ()) in
+  let evs = real_history () in
+  Alcotest.(check int) "clean history" 0 (Store.exit_code (verify Store.Walter (rebuild evs)));
+  Alcotest.(check int)
+    "torn commit under walter" 1
+    (Store.exit_code (verify Store.Walter (rebuild (tear_first_commit evs))));
+  (* a same-session stale read: serializable, not externally consistent *)
+  let stale =
+    mk
+      History.
+        [
+          Begin { txn = t1; ro = false; node = 0 };
+          Install { txn = t1; key = 0 };
+          Commit { txn = t1; ws = [ 0 ] };
+          Begin { txn = t2; ro = true; node = 0 };
+          Read { txn = t2; key = 0; writer = Ids.genesis };
+          Commit { txn = t2; ws = [] };
+        ]
+  in
+  let walter = verify Store.Walter stale in
+  Alcotest.(check bool)
+    "walter: external consistency not promised" true
+    (List.assoc "external-consistency" walter = Store.Not_promised);
+  Alcotest.(check int) "walter accepts" 0 (Store.exit_code walter);
+  Alcotest.(check int) "2pc rejects" 1 (Store.exit_code (verify Store.Twopc stale));
+  Alcotest.(check int)
+    "failed quiescence" 1
+    (Store.exit_code (Store.verdicts Store.Walter (rebuild evs) ~quiescent:(Error "locks")))
 
 (* recovered histories may re-install a version whose apply predated the
    crash (redo replay of a Decide redelivery): the duplicate must not
@@ -624,6 +658,7 @@ let () =
           Alcotest.test_case "dropped install in a real history" `Quick
             test_mutation_dropped_install;
           Alcotest.test_case "torn commit in a real history" `Quick test_mutation_torn_commit;
+          Alcotest.test_case "verify verdicts and exit status" `Quick test_verify_verdicts;
           Alcotest.test_case "duplicate install accepted" `Quick
             test_duplicate_install_accepted;
         ] );

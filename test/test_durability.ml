@@ -12,6 +12,7 @@ open Sss_sim
 open Sss_consistency
 module Chaos = Sss_chaos.Chaos
 module Driver = Sss_workload.Driver
+module Store = Sss_experiments.Store
 
 (* crash node 2 mid-window; recovery gets ~a third of the run to finish
    and prove liveness afterwards *)
@@ -50,155 +51,25 @@ type outcome = {
   chaos_stats : Chaos.stats;
 }
 
-let run_sss ?(durability = true) ?(wire_hooks = true) ~plan ~seed () =
+let run ?(durability = true) ?(wire_hooks = true) system ~plan ~seed =
   let sim = Sim.create () in
-  let config = { (durable_config ~degree:2 ~seed) with durability } in
-  let cl = Sss_kv.Kv.create sim config in
-  let h =
-    if wire_hooks then
-      Chaos.install sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Message.kind_name
-        ~on_crash:(Sss_kv.Kv.crash_node cl)
-        ~on_restart:(Sss_kv.Kv.restart_node cl)
-        plan
-    else Chaos.install sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Message.kind_name plan
-  in
-  let result =
-    drive sim ~seed
-      ~ops:
-        {
-          Driver.begin_txn = (fun ~node ~read_only -> Sss_kv.Kv.begin_txn cl ~node ~read_only);
-          read = Sss_kv.Kv.read;
-          write = Sss_kv.Kv.write;
-          commit = Sss_kv.Kv.commit;
-        }
-  in
-  let history = Sss_kv.Kv.history cl in
+  let degree = if system = Store.Rococo then 1 else 2 in
+  let config = { (durable_config ~degree ~seed) with durability } in
+  let (Store.Store s) = Store.create system sim config in
+  let h = s.chaos ~durable:wire_hooks plan in
+  let result = drive sim ~seed ~ops:s.ops in
   {
     committed = result.Driver.committed;
-    checks =
-      [
-        ("sss external-consistency", Checker.external_consistency history);
-        ("sss serializability", Checker.serializability history);
-        ("sss no-lost-updates", Checker.no_lost_updates history);
-        ("sss no-torn-commits", Checker.no_torn_commits history);
-        ("sss ro-abort-free", Checker.read_only_abort_free history);
-      ];
-    history;
+    checks = Store.checks s;
+    history = s.history;
     events_processed = Sim.events_processed sim;
     chaos_stats = Chaos.stats h;
   }
 
-let run_twopc ~plan ~seed =
-  let sim = Sim.create () in
-  let cl = Twopc_kv.Twopc.create sim (durable_config ~degree:2 ~seed) in
-  let h =
-    Chaos.install sim (Twopc_kv.Twopc.network cl) ~kind_of:Twopc_kv.Twopc.message_kind
-      ~on_crash:(Twopc_kv.Twopc.crash_node cl)
-      ~on_restart:(Twopc_kv.Twopc.restart_node cl)
-      plan
-  in
-  let result =
-    drive sim ~seed
-      ~ops:
-        {
-          Driver.begin_txn =
-            (fun ~node ~read_only -> Twopc_kv.Twopc.begin_txn cl ~node ~read_only);
-          read = Twopc_kv.Twopc.read;
-          write = Twopc_kv.Twopc.write;
-          commit = Twopc_kv.Twopc.commit;
-        }
-  in
-  let history = Twopc_kv.Twopc.history cl in
-  {
-    committed = result.Driver.committed;
-    checks =
-      [
-        ("2pc external-consistency", Checker.external_consistency history);
-        ("2pc no-lost-updates", Checker.no_lost_updates history);
-        ("2pc no-torn-commits", Checker.no_torn_commits history);
-      ];
-    history;
-    events_processed = Sim.events_processed sim;
-    chaos_stats = Chaos.stats h;
-  }
+let systems = Store.[ Sss; Twopc; Walter; Rococo ]
 
-let run_walter ~plan ~seed =
-  let sim = Sim.create () in
-  let cl = Walter_kv.Walter.create sim (durable_config ~degree:2 ~seed) in
-  let h =
-    Chaos.install sim (Walter_kv.Walter.network cl) ~kind_of:Walter_kv.Walter.message_kind
-      ~on_crash:(Walter_kv.Walter.crash_node cl)
-      ~on_restart:(Walter_kv.Walter.restart_node cl)
-      plan
-  in
-  let result =
-    drive sim ~seed
-      ~ops:
-        {
-          Driver.begin_txn =
-            (fun ~node ~read_only -> Walter_kv.Walter.begin_txn cl ~node ~read_only);
-          read = Walter_kv.Walter.read;
-          write = Walter_kv.Walter.write;
-          commit = Walter_kv.Walter.commit;
-        }
-  in
-  let history = Walter_kv.Walter.history cl in
-  {
-    committed = result.Driver.committed;
-    checks =
-      [
-        ("walter no-lost-updates", Checker.no_lost_updates history);
-        ("walter no-torn-commits", Checker.no_torn_commits history);
-        ("walter ro-abort-free", Checker.read_only_abort_free history);
-      ];
-    history;
-    events_processed = Sim.events_processed sim;
-    chaos_stats = Chaos.stats h;
-  }
-
-let run_rococo ~plan ~seed =
-  let sim = Sim.create () in
-  let cl = Rococo_kv.Rococo.create sim (durable_config ~degree:1 ~seed) in
-  let h =
-    Chaos.install sim (Rococo_kv.Rococo.network cl) ~kind_of:Rococo_kv.Rococo.message_kind
-      ~on_crash:(Rococo_kv.Rococo.crash_node cl)
-      ~on_restart:(Rococo_kv.Rococo.restart_node cl)
-      plan
-  in
-  let result =
-    drive sim ~seed
-      ~ops:
-        {
-          Driver.begin_txn =
-            (fun ~node ~read_only -> Rococo_kv.Rococo.begin_txn cl ~node ~read_only);
-          read = Rococo_kv.Rococo.read;
-          write = Rococo_kv.Rococo.write;
-          commit = Rococo_kv.Rococo.commit;
-        }
-  in
-  let history = Rococo_kv.Rococo.history cl in
-  {
-    committed = result.Driver.committed;
-    checks =
-      [
-        ("rococo serializability", Checker.serializability history);
-        ("rococo no-lost-updates", Checker.no_lost_updates history);
-        ("rococo no-torn-commits", Checker.no_torn_commits history);
-      ];
-    history;
-    events_processed = Sim.events_processed sim;
-    chaos_stats = Chaos.stats h;
-  }
-
-let systems =
-  [
-    ("sss", fun ~plan ~seed -> run_sss ~plan ~seed ());
-    ("2pc", run_twopc);
-    ("walter", run_walter);
-    ("rococo", run_rococo);
-  ]
-
-let assert_recovered name seed (o : outcome) =
+let assert_recovered system seed (o : outcome) =
+  let name = Store.system_name system in
   if o.chaos_stats.Chaos.crashes <> 1 || o.chaos_stats.Chaos.restarts <> 1 then
     Alcotest.failf "%s seed=%d: crash/restart did not fire" name seed;
   List.iter
@@ -224,10 +95,10 @@ let test_crash_recovery_sweep () =
   let total = ref 0 in
   for seed = 1 to 10 do
     List.iter
-      (fun (name, run) ->
-        let o = run ~plan:(crash_plan ~seed) ~seed in
+      (fun system ->
+        let o = run system ~plan:(crash_plan ~seed) ~seed in
         total := !total + o.committed;
-        assert_recovered name seed o)
+        assert_recovered system seed o)
       systems
   done;
   if !total = 0 then Alcotest.fail "durable sweep committed nothing"
@@ -245,7 +116,7 @@ let test_sss_crash_grid () =
           events = [ Chaos.Crash { at; restart_at = Some (at +. 0.004); node = 1 } ];
         }
       in
-      let o = run_sss ~plan ~seed () in
+      let o = run Store.Sss ~plan ~seed in
       if o.chaos_stats.Chaos.crashes <> 1 then Alcotest.failf "grid %d: crash did not fire" i;
       List.iter
         (fun (check, res) ->
@@ -259,7 +130,7 @@ let test_sss_crash_grid () =
    events, and RO work actually committed *)
 let test_sss_ro_abort_free_durable () =
   for seed = 1 to 10 do
-    let o = run_sss ~plan:(crash_plan ~seed) ~seed () in
+    let o = run Store.Sss ~plan:(crash_plan ~seed) ~seed in
     let ro_txns = Hashtbl.create 64 in
     let ro_aborts = ref 0 and ro_commits = ref 0 in
     List.iter
@@ -278,10 +149,11 @@ let test_sss_ro_abort_free_durable () =
 
 let test_deterministic_replay () =
   List.iter
-    (fun (name, run) ->
+    (fun system ->
+      let name = Store.system_name system in
       let seed = 7 in
-      let a = run ~plan:(crash_plan ~seed) ~seed in
-      let b = run ~plan:(crash_plan ~seed) ~seed in
+      let a = run system ~plan:(crash_plan ~seed) ~seed in
+      let b = run system ~plan:(crash_plan ~seed) ~seed in
       Alcotest.(check int) (name ^ ": events processed") a.events_processed b.events_processed;
       if History.events a.history <> History.events b.history then
         Alcotest.failf "%s: durable histories diverge between identical runs" name)
@@ -293,8 +165,8 @@ let test_off_trajectory_unchanged () =
   let seed = 7 in
   (* without durability, crash_node/restart_node fall back to the NIC-only
      fault: wiring the hooks must not move a single event *)
-  let bare = run_sss ~durability:false ~wire_hooks:false ~plan:(crash_plan ~seed) ~seed () in
-  let hooked = run_sss ~durability:false ~wire_hooks:true ~plan:(crash_plan ~seed) ~seed () in
+  let bare = run ~durability:false ~wire_hooks:false Store.Sss ~plan:(crash_plan ~seed) ~seed in
+  let hooked = run ~durability:false ~wire_hooks:true Store.Sss ~plan:(crash_plan ~seed) ~seed in
   Alcotest.(check int) "events identical" bare.events_processed hooked.events_processed;
   if History.events bare.history <> History.events hooked.history then
     Alcotest.fail "durability=off trajectory depends on hook wiring"
