@@ -229,7 +229,7 @@ let commit_update h =
     mark_finalized h;
     cl.ext.stats.aborted <- cl.ext.stats.aborted + 1;
     aborted cl ~txn:h.id ~node:h.home.id ~ro:false
-      ~reason:(if box.any_false then "vote-false" else "vote-timeout");
+      ~reason:(if box.any_false then Vote_false else Vote_timeout);
     false
   end
   else begin
@@ -341,7 +341,7 @@ let abort h =
   if h.ro then State.gc_unregister_ro h.cl h.id;
   let cl = h.cl in
   cl.ext.stats.aborted <- cl.ext.stats.aborted + 1;
-  aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client";
+  aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Client_abort;
   let keys = read_keys h in
   if h.ro && keys <> [] then
     send_nodes cl ~src:h.home.id ~dsts:(replica_nodes cl keys) (Message.Remove { txn = h.id })

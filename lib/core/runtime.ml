@@ -9,7 +9,7 @@
     its state from the log (docs/DURABILITY.md).
 
     Per-slot state that outlives a node record — liveness, the transaction
-    id generator and the log — lives here, indexed by node id, so a crash
+    id generator and the log — lives here, keyed by node id, so a crash
     swaps the protocol's volatile record and keeps the rest. *)
 
 open Sss_sim
@@ -71,7 +71,7 @@ module Make (P : PROTOCOL) = struct
     obs : Obs.t option;
         (* [None] unless [config.observe]: a disabled run executes no
            observation code *)
-    alive : bool array;  (* false between a crash and the end of recovery *)
+    mutable down : Ids.node list;  (* slots between a crash and the end of recovery *)
     gens : Ids.Gen.t array;
         (* transaction ids name client requests, not node state: a restarted
            node must never re-mint an id its previous incarnation issued *)
@@ -101,7 +101,7 @@ module Make (P : PROTOCOL) = struct
     in
     let rng = Prng.create ~seed:config.seed in
     let net = Network.create ?size_of sim rng ~nodes:n ~config:config.network in
-    let nodes = Array.init n (P.make_node sim config repl) in
+    let nodes = Array.init n (fun id -> P.make_node sim config repl id) in
     let rel =
       Reliable.create sim net
         ~retry:
@@ -114,9 +114,9 @@ module Make (P : PROTOCOL) = struct
     let obs =
       if config.observe then Some (Obs.create ~capacity:config.trace_capacity ()) else None
     in
-    Option.iter
-      (fun o -> Network.set_observer net (Some { Network.obs = o; kind_of = P.kind_of }))
-      obs;
+    (match obs with
+    | Some o -> Network.set_observer net (Some { Network.obs = o; kind_of = P.kind_of })
+    | None -> ());
     Reliable.set_obs rel obs;
     let t =
       {
@@ -128,14 +128,17 @@ module Make (P : PROTOCOL) = struct
         nodes;
         history = History.create ~enabled:config.record_history ();
         obs;
-        alive = Array.make n true;
+        down = [];
         gens = Array.init n Ids.Gen.create;
         wals = Array.make n None;
         hooks;
         ext;
       }
     in
-    Array.iteri (fun id node -> Network.set_handler net id (hooks.handler t node)) nodes;
+    Array.iter
+      (fun node ->
+        Network.set_handler t.net (P.id node) (fun ~src m -> t.hooks.handler t node ~src m))
+      nodes;
     if config.durability then
       for id = 0 to n - 1 do
         let dev =
@@ -165,13 +168,13 @@ module Make (P : PROTOCOL) = struct
 
   (* Mint the next id at a live home and record the begin. *)
   let begin_txn t ~node ~ro =
-    if not t.alive.(node) then crashed node;
+    if List.mem node t.down then crashed node;
     let txn = Ids.Gen.next t.gens.(node) in
     record t (History.Begin { txn; ro; node });
     (match t.obs with
     | Some o ->
         Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
-        Obs.emit o ~at:(now t) (Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
+        Obs.emit o ~at:(Sim.now t.sim) (Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
     | None -> ());
     txn
 
@@ -180,23 +183,35 @@ module Make (P : PROTOCOL) = struct
     record t (History.Commit { txn; ws });
     match t.obs with
     | Some o ->
-        let cls = if ro then "ro" else "update" in
-        Obs.incr o ("txn.commit." ^ cls);
-        Obs.observe o ("lat.txn." ^ cls) (now t -. began);
-        Obs.emit o ~at:(now t) (Obs.Txn_commit { txn = Ids.txn_to_string txn; node; ro })
+        Obs.incr o (if ro then "txn.commit.ro" else "txn.commit.update");
+        Obs.observe o (if ro then "lat.txn.ro" else "lat.txn.update") (Sim.now t.sim -. began);
+        Obs.emit o ~at:(Sim.now t.sim) (Obs.Txn_commit { txn = Ids.txn_to_string txn; node; ro })
     | None -> ()
+
+  (* Why a transaction aborted; the names are the [txn.abort.*] counters'
+     suffixes, spelled out so observing an abort builds no string. *)
+  type reason = Client_abort | Vote | Vote_false | Vote_timeout | Conflict | Ro_rounds
+
+  let reason_names = function
+    | Client_abort -> ("client", "txn.abort.client")
+    | Vote -> ("vote", "txn.abort.vote")
+    | Vote_false -> ("vote-false", "txn.abort.vote-false")
+    | Vote_timeout -> ("vote-timeout", "txn.abort.vote-timeout")
+    | Conflict -> ("conflict", "txn.abort.conflict")
+    | Ro_rounds -> ("ro-rounds", "txn.abort.ro-rounds")
 
   let aborted t ~txn ~node ~ro ~reason =
     record t (History.Abort { txn });
     match t.obs with
     | Some o ->
-        Obs.incr o ("txn.abort." ^ reason);
-        Obs.emit o ~at:(now t) (Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
+        let reason, counter = reason_names reason in
+        Obs.incr o counter;
+        Obs.emit o ~at:(Sim.now t.sim) (Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
     | None -> ()
 
   (* Record the virtual time elapsed since [since] in a latency histogram. *)
   let observe_since t name ~since =
-    match t.obs with Some o -> Obs.observe o name (now t -. since) | None -> ()
+    match t.obs with Some o -> Obs.observe o name (Sim.now t.sim -. since) | None -> ()
 
   (* ---- messaging ---- *)
 
@@ -256,12 +271,12 @@ module Make (P : PROTOCOL) = struct
   let crash_node t id =
     if t.config.durability then begin
       let old = t.nodes.(id) in
-      t.alive.(id) <- false;
+      t.down <- id :: t.down;
       Option.iter Storage.crash t.wals.(id);
       t.hooks.wound t old (Rpc.Crashed { system = P.system; node = id });
       let fresh = P.make_node t.sim t.config t.repl id in
       t.nodes.(id) <- fresh;
-      Network.set_handler t.net id (t.hooks.handler t fresh)
+      Network.set_handler t.net id (fun ~src m -> t.hooks.handler t fresh ~src m)
     end
 
   (* Redo recovery: read the checkpoint and the durable tail back, install
@@ -282,7 +297,7 @@ module Make (P : PROTOCOL) = struct
      [rejoined] (work that needs the network but must precede the next
      checkpoint), and restart the checkpoint timer. *)
   let rejoin ?(rejoined = ignore) t id =
-    t.alive.(id) <- true;
+    t.down <- List.filter (( <> ) id) t.down;
     Network.recover t.net id;
     rejoined ();
     Option.iter

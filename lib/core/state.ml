@@ -391,8 +391,8 @@ let create sim (config : Config.t) hooks =
   (* Sample per-node ingress depths on DES ticks (amortized: every 1024th
      event).  The probe is passive, so the trajectory is the same with or
      without it. *)
-  Option.iter
-    (fun o ->
+  (match t.obs with
+  | Some o ->
       Sim.set_probe sim
         (Some
            (fun () ->
@@ -405,8 +405,8 @@ let create sim (config : Config.t) hooks =
                    (Mvstore.version_count t.nodes.(i).store);
                  Sss_obs.Obs.gauge_set o ("nlog.entries.node" ^ string_of_int i)
                    (Nlog.size t.nodes.(i).nlog)
-               done)))
-    t.obs;
+               done))
+  | None -> ());
   t
 
 let node t i = t.nodes.(i)

@@ -664,7 +664,7 @@ let commit_read_only h =
       committed cl ~txn:h.id ~node:h.home.id ~ro:true ~began:h.begin_at ~ws:[];
       true
   | None ->
-      aborted cl ~txn:h.id ~node:h.home.id ~ro:true ~reason:"ro-rounds";
+      aborted cl ~txn:h.id ~node:h.home.id ~ro:true ~reason:Ro_rounds;
       false
 
 let commit h =
@@ -694,7 +694,7 @@ let abort h =
     List.iter
       (fun dst -> send h.cl ~src:h.home.id ~dst (Cancel { txn = h.id; keys }))
       (replica_nodes h.cl keys);
-  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
+  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Client_abort
 
 let txn_id h = h.id
 

@@ -446,7 +446,7 @@ let commit h =
       List.iter
         (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.id; outcome = false }))
         participants;
-      aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"vote";
+      aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Vote;
       false
     end
     else begin
@@ -493,7 +493,7 @@ let commit h =
 let abort h =
   if h.finished then invalid_arg "Twopc: abort on a finished transaction";
   h.finished <- true;
-  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
+  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Client_abort
 
 let txn_id h = h.id
 

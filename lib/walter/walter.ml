@@ -634,7 +634,7 @@ let commit h =
         then commit_at_home h  (* locks released when the local apply runs *)
         else begin
           Locks.release_txn h.home.locks h.id;
-          aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"conflict";
+          aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Conflict;
           false
         end
     | _ ->
@@ -662,7 +662,7 @@ let commit h =
           sites;
         if all_ok then commit_at_home h
         else begin
-          aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"vote";
+          aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Vote;
           false
         end
   end
@@ -670,7 +670,7 @@ let commit h =
 let abort h =
   if h.finished then invalid_arg "Walter: abort on a finished transaction";
   h.finished <- true;
-  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:"client"
+  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Client_abort
 
 let txn_id h = h.id
 
