@@ -124,6 +124,28 @@ let chaos_one ?(durable = false) base_plan seed =
   in
   (List.fold_left (fun acc (c, _) -> acc + c) 0 runs, List.map snd runs)
 
+(* [chaos_one] over [seeds]: print every failed check, return the
+   committed total and the failure count. *)
+let system_sweep pool ~label ?durable plan seeds =
+  let failures = ref 0 and committed = ref 0 in
+  List.iter2
+    (fun seed (c, per_system) ->
+      committed := !committed + c;
+      List.iter
+        (fun (system, checks) ->
+          List.iter
+            (fun (name, res) ->
+              match res with
+              | Ok () -> ()
+              | Error msg ->
+                  incr failures;
+                  Printf.printf "FAIL %s %s seed=%d %s: %s\n%!" label system seed name msg)
+            checks)
+        per_system)
+    seeds
+    (Pool.map_list pool (chaos_one ?durable plan) seeds);
+  (!committed, !failures)
+
 (* Durable crash-recovery sweep (always on): every system with write-ahead
    logging enabled, one node fail-stopped mid-run and restarted through log
    replay, across 10 seeds.  Histories must stay checker-accepted —
@@ -137,28 +159,11 @@ let durability_sweep pool =
       events = [ Chaos.Crash { at = 0.015; restart_at = Some 0.019; node = 2 } ];
     }
   in
-  let failures = ref 0 in
-  let committed = ref 0 in
   let seeds = Sweep.seeds 10 in
-  let results = Pool.map_list pool (chaos_one ~durable:true plan) seeds in
-  List.iter2
-    (fun seed (c, per_system) ->
-      committed := !committed + c;
-      List.iter
-        (fun (system, checks) ->
-          List.iter
-            (fun (name, res) ->
-              match res with
-              | Ok () -> ()
-              | Error msg ->
-                  incr failures;
-                  Printf.printf "FAIL durable %s seed=%d %s: %s\n%!" system seed name msg)
-            checks)
-        per_system)
-    seeds results;
+  let committed, failures = system_sweep pool ~label:"durable" ~durable:true plan seeds in
   Printf.printf "durability sweep: %d seeds x 4 systems, %d committed, %d failures\n%!"
-    (List.length seeds) !committed !failures;
-  !failures
+    (List.length seeds) committed failures;
+  failures
 
 let chaos_sweep pool plan_text =
   let module Chaos = Sss_chaos.Chaos in
@@ -174,28 +179,10 @@ let chaos_sweep pool plan_text =
   | Error e ->
       Printf.eprintf "invalid --chaos plan: %s\n" e;
       exit 2);
-  let failures = ref 0 in
-  let committed = ref 0 in
-  let seeds = Sweep.seeds 20 in
-  let results = Pool.map_list pool (chaos_one plan) seeds in
-  List.iter2
-    (fun seed (c, per_system) ->
-      committed := !committed + c;
-      List.iter
-        (fun (system, checks) ->
-          List.iter
-            (fun (name, res) ->
-              match res with
-              | Ok () -> ()
-              | Error msg ->
-                  incr failures;
-                  Printf.printf "FAIL chaos %s seed=%d %s: %s\n%!" system seed name msg)
-            checks)
-        per_system)
-    seeds results;
-  Printf.printf "chaos sweep: 20 seeds x 4 systems, %d committed, %d failures\n%!" !committed
-    !failures;
-  exit (if !failures > 0 then 1 else 0)
+  let committed, failures = system_sweep pool ~label:"chaos" plan (Sweep.seeds 20) in
+  Printf.printf "chaos sweep: 20 seeds x 4 systems, %d committed, %d failures\n%!" committed
+    failures;
+  exit (if failures > 0 then 1 else 0)
 
 (* --open: the large open-loop ladder — 100 then 200 nodes, 1M keys each,
    Poisson arrivals, online version GC on.  The store starts at keys x

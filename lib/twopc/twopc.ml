@@ -229,7 +229,7 @@ let handle_decide t (node : node) ~txn ~outcome =
    Ask the coordinator until the verdict is known. *)
 let resolve_indoubt t (node : node) txn (prep : prep) =
   let rec loop attempt =
-    if t.nodes.(node.id) == node && Hashtbl.mem node.prepared txn then
+    if node_live t node && Hashtbl.mem node.prepared txn then
       if attempt >= t.config.Sss_kv.Config.retry_limit then
         stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
       else begin
