@@ -39,7 +39,8 @@ let history = State.history
 
 let stats (t : cluster) = t.State.ext.State.stats
 
-let set_collect_latencies (t : cluster) flag = t.State.ext.State.stats.State.collect_latencies <- flag
+let set_collect_latencies (t : cluster) flag =
+  t.State.ext.State.stats.State.collect_latencies <- flag
 
 let network_stats (t : cluster) = Sss_net.Network.stats t.State.net
 

@@ -206,7 +206,8 @@ module Make (P : PROTOCOL) = struct
     | Some o ->
         let reason, counter = reason_names reason in
         Obs.incr o counter;
-        Obs.emit o ~at:(Sim.now t.sim) (Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
+        Obs.emit o ~at:(Sim.now t.sim)
+          (Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
     | None -> ()
 
   (* Record the virtual time elapsed since [since] in a latency histogram. *)

@@ -815,11 +815,11 @@ let wound t old exn =
   Sss_net.Rpc.Pending.poison_all t.sim old.pending_outcomes exn;
   List.iter
     (fun (_, (b : vote_box)) -> Sim.Cond.broadcast t.sim b.vchanged)
-    (sorted_bindings old.vote_boxes);
+    (Runtime.sorted_bindings old.vote_boxes);
   List.iter
     (fun (_, (b : ack_box)) ->
       if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
-    (sorted_bindings old.ack_boxes);
+    (Runtime.sorted_bindings old.ack_boxes);
   Sim.Cond.broadcast t.sim old.nlog_changed;
   Sim.Cond.broadcast t.sim old.squeue_changed;
   (* Read-only transactions homed here die with the node (their clients
@@ -827,7 +827,9 @@ let wound t old exn =
      the GC floor would stay anchored to a snapshot nobody can use. *)
   match t.ext.gc with
   | Some g ->
-      List.iter (fun (txn, ()) -> Hashtbl.remove g.ro_bounds txn) (sorted_bindings old.active)
+      List.iter
+        (fun (txn, ()) -> Hashtbl.remove g.ro_bounds txn)
+        (Runtime.sorted_bindings old.active)
   | None -> ()
 
 let recover t node =
@@ -836,7 +838,7 @@ let recover t node =
      re-take their locks (mutually compatible — they co-held them before
      the crash), applied entries re-park and re-insert their snapshot-queue
      writer entries. *)
-  let indoubt = sorted_bindings node.prepared in
+  let indoubt = Runtime.sorted_bindings node.prepared in
   List.iter
     (fun (txn, (p : prep)) ->
       match p.final_vc with

@@ -256,8 +256,6 @@ let make_node sim (config : Config.t) repl id =
 
 (* ---- durability helpers ---- *)
 
-let sorted_bindings = Runtime.sorted_bindings
-
 (* On-disk size model, in the same spirit as [Message.wire_size]: 16-byte
    record header, 8 bytes per scalar/txn id, raw clocks, values verbatim. *)
 let logrec_bytes = function
@@ -327,15 +325,15 @@ let snap_of (node : node) =
               sp_final_vc = p.final_vc;
               sp_finalizing = p.finalizing;
             } ))
-        (sorted_bindings node.prepared);
+        (Runtime.sorted_bindings node.prepared);
     s_decided =
       List.filter_map
         (fun (txn, (d : decided_rec)) -> if d.ddurable then Some (txn, d.dvc) else None)
-        (sorted_bindings node.decided_commits);
-    s_aborted = sorted_bindings node.aborted_decides;
-    s_tombstones = sorted_bindings node.tombstones;
-    s_forwards = List.map (fun (r, l) -> (r, !l)) (sorted_bindings node.forwards);
-    s_recent_ws = sorted_bindings node.recent_ws;
+        (Runtime.sorted_bindings node.decided_commits);
+    s_aborted = Runtime.sorted_bindings node.aborted_decides;
+    s_tombstones = Runtime.sorted_bindings node.tombstones;
+    s_forwards = List.map (fun (r, l) -> (r, !l)) (Runtime.sorted_bindings node.forwards);
+    s_recent_ws = Runtime.sorted_bindings node.recent_ws;
   }
 
 include Runtime.Make (struct

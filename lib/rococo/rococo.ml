@@ -183,8 +183,6 @@ let snap_bytes (s : snap) =
   + (16 * List.length s.s_done)
   + (8 * List.length s.s_seen)
 
-let sorted_bindings = Sss_kv.Runtime.sorted_bindings
-
 let snap_of (node : node) =
   {
     s_cells =
@@ -192,12 +190,12 @@ let snap_of (node : node) =
         (fun (a, _) (b, _) -> Int.compare a b)
         (Hashtbl.fold
            (fun k (c : cell) acc ->
-             (k, (c.value, c.writer, sorted_bindings c.pending, c.ready)) :: acc)
+             (k, (c.value, c.writer, Sss_kv.Runtime.sorted_bindings c.pending, c.ready)) :: acc)
            node.store [] [@order_ok]);
     s_counter = node.counter;
-    s_staged = sorted_bindings node.staged;
-    s_done = sorted_bindings node.done_pieces;
-    s_seen = List.map fst (sorted_bindings node.seen_commits);
+    s_staged = Sss_kv.Runtime.sorted_bindings node.staged;
+    s_done = Sss_kv.Runtime.sorted_bindings node.done_pieces;
+    s_seen = List.map fst (Sss_kv.Runtime.sorted_bindings node.seen_commits);
   }
 
 module Rt = Sss_kv.Runtime.Make (struct
@@ -488,7 +486,7 @@ let wound t (old : node) e =
   List.iter
     (fun (_, (b : ack_box)) ->
       if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
-    (sorted_bindings old.ack_boxes)
+    (Sss_kv.Runtime.sorted_bindings old.ack_boxes)
 
 let recover t (node : node) =
   let keys =
@@ -502,14 +500,18 @@ let recover t (node : node) =
         (fun (txn, (ts, writes)) ->
           Hashtbl.remove node.staged txn;
           insert_positioned t node ~txn ~ts ~writes)
-        (List.sort (fun (_, (a, _)) (_, (b, _)) -> ts_compare a b) (sorted_bindings node.staged));
+        (List.sort
+           (fun (_, (a, _)) (_, (b, _)) -> ts_compare a b)
+           (Sss_kv.Runtime.sorted_bindings node.staged));
       (* gates may have vanished with the crash (their Cancel was volatile);
          drains + watchdogs settle every restored key *)
       List.iter (fun key -> drain t node key) keys);
   List.iter
     (fun key ->
       let c = cell node key in
-      List.iter (fun (txn, _) -> spawn_alive_watchdog t node ~txn ~key) (sorted_bindings c.pending))
+      List.iter
+        (fun (txn, _) -> spawn_alive_watchdog t node ~txn ~key)
+        (Sss_kv.Runtime.sorted_bindings c.pending))
     keys
 
 let hooks =

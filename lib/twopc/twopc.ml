@@ -134,8 +134,6 @@ let snap_bytes (s : snap) =
   + (8 * List.length s.s_decided)
   + (8 * List.length s.s_aborted)
 
-let sorted_bindings = Sss_kv.Runtime.sorted_bindings
-
 let snap_of (node : node) =
   {
     s_cells =
@@ -143,13 +141,13 @@ let snap_of (node : node) =
         (fun (a, _, _) (b, _, _) -> Int.compare a b)
         (Hashtbl.fold (fun k (c : cell) acc -> (k, c.value, c.writer) :: acc)
            node.store [] [@order_ok]);
-    s_prepared = sorted_bindings node.prepared;
+    s_prepared = Sss_kv.Runtime.sorted_bindings node.prepared;
     s_decided =
       List.sort Ids.compare_txn
         (Hashtbl.fold
            (fun txn durable acc -> if durable then txn :: acc else acc)
            node.decided [] [@order_ok]);
-    s_aborted = List.map fst (sorted_bindings node.aborted_decides);
+    s_aborted = List.map fst (Sss_kv.Runtime.sorted_bindings node.aborted_decides);
   }
 
 module Rt = Sss_kv.Runtime.Make (struct
@@ -360,13 +358,13 @@ let wound t (old : node) e =
   List.iter
     (fun (_, (b : ack_box)) ->
       if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
-    (sorted_bindings old.ack_boxes)
+    (Sss_kv.Runtime.sorted_bindings old.ack_boxes)
 
 (* In-doubt transactions held their locks when the node went down: restore
    them before admitting new prepares (the set is mutually compatible, so
    acquisition is immediate), then ask each coordinator for its verdict. *)
 let recover t (node : node) =
-  let indoubt = sorted_bindings node.prepared in
+  let indoubt = Sss_kv.Runtime.sorted_bindings node.prepared in
   List.iter
     (fun (txn, (p : prep)) ->
       ignore

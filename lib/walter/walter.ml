@@ -205,8 +205,6 @@ let snap_bytes nodes (s : snap) =
   + List.fold_left (fun acc (_, p) -> acc + 16 + (8 * List.length p.keys)) 0 s.s_prepared
   + (8 * List.length s.s_aborted)
 
-let sorted_bindings = Sss_kv.Runtime.sorted_bindings
-
 let snap_of (node : node) =
   {
     s_chains =
@@ -224,8 +222,8 @@ let snap_of (node : node) =
         (Hashtbl.fold
            (fun txn durable acc -> if durable then txn :: acc else acc)
            node.committed [] [@order_ok]);
-    s_prepared = sorted_bindings node.prepared;
-    s_aborted = List.map fst (sorted_bindings node.aborted_decides);
+    s_prepared = Sss_kv.Runtime.sorted_bindings node.prepared;
+    s_aborted = List.map fst (Sss_kv.Runtime.sorted_bindings node.aborted_decides);
   }
 
 module Rt = Sss_kv.Runtime.Make (struct
@@ -511,7 +509,7 @@ let recover t (node : node) =
           catchup ()
   in
   catchup ();
-  let indoubt = sorted_bindings node.prepared in
+  let indoubt = Sss_kv.Runtime.sorted_bindings node.prepared in
   (* in-doubt transactions held their (exclusive) locks when the node went
      down; restore them before admitting new prepares.  The set is mutually
      compatible, so acquisition is immediate. *)
