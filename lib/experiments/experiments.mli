@@ -261,6 +261,10 @@ val observed_metrics : scale -> string
 val all : ctx -> scale -> meters
 (** Run every experiment in order. *)
 
+val history_md5 : Sss_consistency.History.t -> string
+(** MD5 over every recorded history event, with its sequence number and
+    virtual time — the trajectory fingerprint of {!recovery_smoke}. *)
+
 val recovery_smoke : unit -> string
 (** The recovery trajectory fingerprint: for each system, a durable
     crash/restart run and a lossy-transport run (drops + duplicates), each

@@ -49,12 +49,13 @@ type outcome = {
   history : History.t;
   events_processed : int;
   chaos_stats : Chaos.stats;
+  obs : Sss_obs.Obs.t option;
 }
 
-let run ?(durability = true) ?(wire_hooks = true) system ~plan ~seed =
+let run ?(durability = true) ?(wire_hooks = true) ?(observe = false) system ~plan ~seed =
   let sim = Sim.create () in
   let degree = if system = Store.Rococo then 1 else 2 in
-  let config = { (durable_config ~degree ~seed) with durability } in
+  let config = { (durable_config ~degree ~seed) with durability; observe } in
   let (Store.Store s) = Store.create system sim config in
   let h = s.chaos ~durable:wire_hooks plan in
   let result = drive sim ~seed ~ops:s.ops in
@@ -64,6 +65,7 @@ let run ?(durability = true) ?(wire_hooks = true) system ~plan ~seed =
     history = s.history;
     events_processed = Sim.events_processed sim;
     chaos_stats = Chaos.stats h;
+    obs = s.obs;
   }
 
 let systems = Store.[ Sss; Twopc; Walter; Rococo ]
@@ -159,6 +161,40 @@ let test_deterministic_replay () =
         Alcotest.failf "%s: durable histories diverge between identical runs" name)
     systems
 
+(* ---------- the recovery golden covers the atomic-commitment paths ----------
+
+   test/golden/recovery_smoke.txt pins each system's durable crash run
+   (this file's plan at seed 7).  Rerun it observed — observation is
+   passive, so the line must match byte-for-byte — and require that the
+   in-doubt termination protocol actually ran: a golden that never sends
+   an in-doubt query could not catch a regression in the vote round, the
+   decision table or the watchdog. *)
+
+let test_golden_covers_indoubt () =
+  let fixture =
+    if Sys.file_exists "golden/recovery_smoke.txt" then "golden/recovery_smoke.txt"
+    else "test/golden/recovery_smoke.txt"
+  in
+  let golden = String.split_on_char '\n' (In_channel.with_open_text fixture In_channel.input_all) in
+  List.iter
+    (fun (system, query_kind) ->
+      let seed = 7 in
+      let o = run ~observe:true system ~plan:(crash_plan ~seed) ~seed in
+      let line =
+        Printf.sprintf "%s durable des_events %d committed %d history_md5 %s"
+          (String.lowercase_ascii (Store.system_name system))
+          o.events_processed o.committed
+          (Sss_experiments.Experiments.history_md5 o.history)
+      in
+      if not (List.mem line golden) then
+        Alcotest.failf "observed run %S is not in the recovery golden" line;
+      let queries =
+        match o.obs with Some obs -> Sss_obs.Obs.counter obs ("msg.sent." ^ query_kind) | None -> 0
+      in
+      if queries = 0 then
+        Alcotest.failf "%s: the golden run sent no in-doubt query" (Store.system_name system))
+    Store.[ (Sss, "dquery"); (Twopc, "query"); (Walter, "query") ]
+
 (* ---------- durability off: the hooks are inert ---------- *)
 
 let test_off_trajectory_unchanged () =
@@ -184,5 +220,6 @@ let () =
         [
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
           Alcotest.test_case "off trajectory unchanged" `Quick test_off_trajectory_unchanged;
+          Alcotest.test_case "golden covers in-doubt" `Quick test_golden_covers_indoubt;
         ] );
     ]
