@@ -204,11 +204,13 @@ let commit_update h =
   let participants =
     List.sort_uniq Int.compare (h.home.id :: replica_nodes cl (rs_keys @ ws_keys))
   in
-  let box =
-    { expect = List.length participants; votes = []; any_false = false;
-      vchanged = Sim.Cond.create () }
+  (* Alg. 1 lines 18-24: the commit clock is the entry-wise maximum of
+     the votes, folded into a private copy of this transaction's clock as
+     they arrive; it is published (in the Decide) after the last
+     mutation. *)
+  let round =
+    Ac.open_round h.home h.id ~expect:(List.length participants) (Vclock.copy h.vc)
   in
-  Hashtbl.replace h.home.vote_boxes h.id box;
   (* Readers whose Remove already chased this transaction must not be
      re-propagated into snapshot-queues. *)
   let cancelled = take_cancelled h.home h.id in
@@ -219,110 +221,84 @@ let commit_update h =
   send_nodes cl ~src:h.home.id ~dsts:participants
     (Message.Prepare
        { txn = h.id; coord = h.home.id; vc = h.vc; rs = h.rs; ws = h.ws; propagated = prop });
-  let complete () = box.any_false || List.length box.votes >= box.expect in
-  let _ = Sim.Cond.await_timeout cl.sim box.vchanged ~timeout:cl.config.vote_timeout complete in
-  Hashtbl.remove h.home.vote_boxes h.id;
-  let all_ok = (not box.any_false) && List.length box.votes >= box.expect in
-  if not all_ok then begin
-    send_nodes cl ~src:h.home.id ~dsts:participants
-      (Message.Decide { txn = h.id; vc = h.vc; outcome = false });
-    mark_finalized h;
-    cl.ext.stats.aborted <- cl.ext.stats.aborted + 1;
-    aborted cl ~txn:h.id ~node:h.home.id ~ro:false
-      ~reason:(if box.any_false then Vote_false else Vote_timeout);
-    false
-  end
-  else begin
-    (* The vote wait suspended: the home node may have crashed under it, in
-       which case this fiber holds a stale record and must not decide. *)
-    if not (node_live cl h.home) then crashed h.home.id;
-    (* Alg. 1 lines 18-24: entry-wise maximum of the votes, then equalise
-       the write replicas' entries so every CommitQ orders this transaction
-       identically. *)
-    (* The merge works on a private copy so each vote folds in place
-       instead of allocating a fresh clock per vote; [commit_vc] is only
-       published (in the Decide message) after the last mutation. *)
-    let commit_vc = Vclock.copy h.vc in
-    List.iter (fun (_, vvc) -> (Vclock.max_into commit_vc vvc [@owned])) box.votes;
-    let write_nodes = replica_nodes cl ws_keys in
-    let max_entry =
-      List.fold_left (fun acc w -> Stdlib.max acc (Vclock.get commit_vc w)) 0 write_nodes
-    in
-    (* Mint a fresh, globally unique xactVN (Alg. 1 line 21 computes a
-       maximum; we additionally guarantee uniqueness, see State.mint). *)
-    let xact_vn = mint_xact_vn cl h.home ~at_least:max_entry in
-    List.iter (fun w -> (Vclock.set_into commit_vc w xact_vn [@owned])) write_nodes;
-    (* Durable decision point: the commit clock is logged and flushed
-       before any participant can learn the outcome.  Until the flush
-       completes, an in-doubt Dquery is answered "undecided" — a decision
-       that could still be lost with this node must not leak. *)
-    if cl.config.Config.durability then begin
-      Hashtbl.replace h.home.decided_commits h.id
-        { dvc = commit_vc; ddurable = false; ddriving = true; d_at = now cl };
-      sweep_decided cl h.home;
-      let flush_from = now cl in
-      let lsn = log cl h.home (SDecided { d_txn = h.id; d_vc = commit_vc }) in
-      if (not (log_sync cl h.home lsn)) || not (node_live cl h.home) then
-        crashed h.home.id;
-      (Hashtbl.find h.home.decided_commits h.id).ddurable <- true;
-      observe_since cl "lat.commit.durable" ~since:flush_from
-    end;
-    let ack =
-      {
-        ack_expect = List.length write_nodes;
-        acked = Hashtbl.create 8;
-        ack_phase = `Acks;
-        ack_done = Sim.Ivar.create ();
-      }
-    in
-    Hashtbl.replace h.home.ack_boxes h.id ack;
-    let decide_at = now cl in
-    send_nodes cl ~src:h.home.id ~dsts:participants
-      (Message.Decide { txn = h.id; vc = commit_vc; outcome = true });
-    await_acks cl h ack ~dsts:write_nodes
-      ~msg:(Message.Decide { txn = h.id; vc = commit_vc; outcome = true })
-      ~phase:"external-commit ack";
-    (* a crash fills the ivar to wake this fiber; distinguish it here *)
-    if not (node_live cl h.home) then crashed h.home.id;
-    Hashtbl.remove h.home.ack_boxes h.id;
-    if cl.config.Config.strict_order then begin
-      (* wr-chaining: the parked writers we read from must externally commit
-         before our own writes become reader-visible (and a fortiori before
-         our client is informed) — otherwise a reader could observe our
-         data, still serialize before the writer we depend on, and close a
-         cycle. *)
-      await_observed_parked h;
-      (* Release the writer entries everywhere and wait for confirmation
-         BEFORE informing the client: a reader that finds the entry parked
-         can then always safely serialize before this transaction. *)
-      let fin =
+  match Ac.await_round cl h.home h.id round with
+  | Some reason ->
+      send_nodes cl ~src:h.home.id ~dsts:participants
+        (Message.Decide { txn = h.id; vc = h.vc; outcome = false });
+      mark_finalized h;
+      cl.ext.stats.aborted <- cl.ext.stats.aborted + 1;
+      aborted cl ~txn:h.id ~node:h.home.id ~ro:false ~reason;
+      false
+  | None ->
+      (* The vote wait suspended: the home node may have crashed under it, in
+         which case this fiber holds a stale record and must not decide. *)
+      if not (node_live cl h.home) then crashed h.home.id;
+      (* Equalise the write replicas' entries of the merged clock so every
+         CommitQ orders this transaction identically. *)
+      let commit_vc = round.acc in
+      let write_nodes = replica_nodes cl ws_keys in
+      let max_entry =
+        List.fold_left (fun acc w -> Stdlib.max acc (Vclock.get commit_vc w)) 0 write_nodes
+      in
+      (* Mint a fresh, globally unique xactVN (Alg. 1 line 21 computes a
+         maximum; we additionally guarantee uniqueness, see State.mint). *)
+      let xact_vn = mint_xact_vn cl h.home ~at_least:max_entry in
+      List.iter (fun w -> (Vclock.set_into commit_vc w xact_vn [@owned])) write_nodes;
+      if cl.config.Config.durability then
+        Ac.decide cl h.home h.id commit_vc (SDecided { d_txn = h.id; d_vc = commit_vc });
+      let ack =
         {
           ack_expect = List.length write_nodes;
           acked = Hashtbl.create 8;
-          ack_phase = `Fin;
+          ack_phase = `Acks;
           ack_done = Sim.Ivar.create ();
         }
       in
-      Hashtbl.replace h.home.ack_boxes h.id fin;
-      send_nodes cl ~src:h.home.id ~dsts:write_nodes (Message.Finalize { txn = h.id });
-      await_acks cl h fin ~dsts:write_nodes ~msg:(Message.Finalize { txn = h.id })
-        ~phase:"finalize ack";
+      Hashtbl.replace h.home.ack_boxes h.id ack;
+      let decide_at = now cl in
+      send_nodes cl ~src:h.home.id ~dsts:participants
+        (Message.Decide { txn = h.id; vc = commit_vc; outcome = true });
+      await_acks cl h ack ~dsts:write_nodes
+        ~msg:(Message.Decide { txn = h.id; vc = commit_vc; outcome = true })
+        ~phase:"external-commit ack";
+      (* a crash fills the ivar to wake this fiber; distinguish it here *)
       if not (node_live cl h.home) then crashed h.home.id;
-      Hashtbl.remove h.home.ack_boxes h.id
-    end;
-    (* Completion protocol done: in-doubt queries no longer need this
-       incarnation (and after a crash the restored decision will say so). *)
-    (match Hashtbl.find_opt h.home.decided_commits h.id with
-    | Some d -> d.ddriving <- false
-    | None -> ());
-    mark_finalized h;
-    h.home.coordinated_max <- Vclock.max h.home.coordinated_max commit_vc;
-    cl.ext.stats.committed_update <- cl.ext.stats.committed_update + 1;
-    if cl.ext.stats.collect_latencies then
-      cl.ext.stats.latencies <- (h.begin_at, decide_at, now cl) :: cl.ext.stats.latencies;
-    committed cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:ws_keys;
-    true
-  end
+      Hashtbl.remove h.home.ack_boxes h.id;
+      if cl.config.Config.strict_order then begin
+        (* wr-chaining: the parked writers we read from must externally commit
+           before our own writes become reader-visible (and a fortiori before
+           our client is informed) — otherwise a reader could observe our
+           data, still serialize before the writer we depend on, and close a
+           cycle. *)
+        await_observed_parked h;
+        (* Release the writer entries everywhere and wait for confirmation
+           BEFORE informing the client: a reader that finds the entry parked
+           can then always safely serialize before this transaction. *)
+        let fin =
+          {
+            ack_expect = List.length write_nodes;
+            acked = Hashtbl.create 8;
+            ack_phase = `Fin;
+            ack_done = Sim.Ivar.create ();
+          }
+        in
+        Hashtbl.replace h.home.ack_boxes h.id fin;
+        send_nodes cl ~src:h.home.id ~dsts:write_nodes (Message.Finalize { txn = h.id });
+        await_acks cl h fin ~dsts:write_nodes ~msg:(Message.Finalize { txn = h.id })
+          ~phase:"finalize ack";
+        if not (node_live cl h.home) then crashed h.home.id;
+        Hashtbl.remove h.home.ack_boxes h.id
+      end;
+      (* Completion protocol done: in-doubt queries no longer need this
+         incarnation (and after a crash the restored decision will say so). *)
+      Ac.completed h.home h.id;
+      mark_finalized h;
+      h.home.coordinated_max <- Vclock.max h.home.coordinated_max commit_vc;
+      cl.ext.stats.committed_update <- cl.ext.stats.committed_update + 1;
+      if cl.ext.stats.collect_latencies then
+        cl.ext.stats.latencies <- (h.begin_at, decide_at, now cl) :: cl.ext.stats.latencies;
+      committed cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:ws_keys;
+      true
 
 let commit h =
   if h.finished then invalid_arg "Sss_kv: commit on a finished transaction";

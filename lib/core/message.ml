@@ -7,16 +7,6 @@
 
 open Sss_data
 
-(* Answer to a [Dquery]: what the coordinator's durable state says about a
-   transaction a recovering participant holds in doubt.  [driving] tells the
-   participant whether the coordinator is still running the completion
-   protocol (Finalize will arrive) or has itself crashed and restarted
-   (the participant must self-finalize). *)
-type verdict =
-  | Vcommitted of { vc : Vclock.t; driving : bool }
-  | Vaborted
-  | Vundecided
-
 type payload =
   | Read_request of {
       req : int;
@@ -69,7 +59,11 @@ type payload =
       (** durability mode: a participant holding [txn] in doubt (prepared
           but without a decide, e.g. after a crash on either side) asks the
           coordinator for the durable outcome *)
-  | Doutcome of { req : int; verdict : verdict }  (** answer to a {!Dquery} *)
+  | Doutcome of { req : int; verdict : Vclock.t Runtime.verdict }
+      (** answer to a {!Dquery}; a commit carries its clock, and [driving]
+          tells the participant whether the coordinator still runs the
+          completion protocol (Finalize will arrive) or has itself crashed
+          and restarted (the participant must self-finalize) *)
   | Reader_probe of { reader : Ids.txn }
       (** durability mode: a pre-commit wait blocked on [reader]'s
           snapshot-queue entry asks the reader's home node whether it is
@@ -138,7 +132,9 @@ let rec wire_size ~compress payload =
   | Dquery _ -> scalar + txn
   | Doutcome { verdict; _ } -> (
       scalar + 1
-      + match verdict with Vcommitted { vc; _ } -> vc_size ~compress vc | _ -> 0)
+      + match verdict with
+        | Runtime.Committed { payload = vc; _ } -> vc_size ~compress vc
+        | Aborted | Undecided -> 0)
 
 (* [Tracked] is transparent here: fault plans target logical message kinds,
    not the transport envelope. *)

@@ -25,6 +25,77 @@ let sorted_bindings tbl =
     (fun (a, _) (b, _) -> Ids.compare_txn a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] [@order_ok])
 
+(* ---- retention of txn-keyed tables ---- *)
+
+let retention_limit = 20_000
+
+let retention_horizon = 10.0
+
+(* Once [tbl] outgrows [retention_limit], drop the entries stamped before
+   [now - retention_horizon] that are not [pinned], in sorted order so the
+   table's shape never depends on bucket order; returns the dropped keys.
+   No live protocol step consults an entry that old. *)
+let sweep tbl ~now ~at ~pinned =
+  if Hashtbl.length tbl <= retention_limit then []
+  else begin
+    let cutoff = now -. retention_horizon in
+    let stale =
+      (Hashtbl.fold
+         (fun k v acc -> if at v < cutoff && not (pinned v) then k :: acc else acc)
+         tbl []
+      [@order_ok])
+      |> List.sort Ids.compare_txn
+    in
+    List.iter (Hashtbl.remove tbl) stale;
+    stale
+  end
+
+(* Stamp [txn] into a table of insertion times, then sweep it. *)
+let stamp tbl txn ~now =
+  Hashtbl.replace tbl txn now;
+  ignore (sweep tbl ~now ~at:Fun.id ~pinned:(fun _ -> false) : Ids.txn list)
+
+(* ---- atomic commitment: the state SSS, 2PC and Walter share ---- *)
+
+(** A coordinator's answer to an in-doubt query.  [driving] is [true]
+    while the deciding incarnation still runs the completion protocol; a
+    restarted coordinator reloads its decisions not driving. *)
+type 'd verdict = Committed of { payload : 'd; driving : bool } | Aborted | Undecided
+
+(* An open vote round; yes votes fold their payload into [acc] on arrival. *)
+type 'v round = {
+  expect : int;
+  mutable votes : int;
+  mutable voted_no : bool;
+  acc : 'v;
+  changed : Sim.Cond.t;
+}
+
+(* A commit decision: pending while its log record flushes, durable after. *)
+type 'd decision = {
+  payload : 'd;
+  mutable durable : bool;
+  mutable driving : bool;
+  at : float;  (* insertion time, for the retention sweep *)
+}
+
+(** A node's atomic-commitment state: the vote rounds it coordinates, its
+    decision table, and its termination watchdogs' query rendezvous. *)
+type ('v, 'd) commitment = {
+  rounds : (Ids.txn, 'v round) Hashtbl.t;
+  decisions : (Ids.txn, 'd decision) Hashtbl.t;
+  outcomes : 'd verdict Rpc.Pending.t;
+}
+
+let commitment () =
+  { rounds = Hashtbl.create 64; decisions = Hashtbl.create 64; outcomes = Rpc.Pending.create () }
+
+(* The durable decisions, sorted: the checkpoint's part of the table. *)
+let durable_decisions ac =
+  List.filter_map
+    (fun (txn, d) -> if d.durable then Some (txn, d.payload) else None)
+    (sorted_bindings ac.decisions)
+
 module type PROTOCOL = sig
   type msg
   type node
@@ -190,11 +261,10 @@ module Make (P : PROTOCOL) = struct
 
   (* Why a transaction aborted; the names are the [txn.abort.*] counters'
      suffixes, spelled out so observing an abort builds no string. *)
-  type reason = Client_abort | Vote | Vote_false | Vote_timeout | Conflict | Ro_rounds
+  type reason = Client_abort | Vote_false | Vote_timeout | Conflict | Ro_rounds
 
   let reason_names = function
     | Client_abort -> ("client", "txn.abort.client")
-    | Vote -> ("vote", "txn.abort.vote")
     | Vote_false -> ("vote-false", "txn.abort.vote-false")
     | Vote_timeout -> ("vote-timeout", "txn.abort.vote-timeout")
     | Conflict -> ("conflict", "txn.abort.conflict")
@@ -304,6 +374,141 @@ module Make (P : PROTOCOL) = struct
     Option.iter
       (fun w -> Storage.start_checkpoints w ~interval:t.config.checkpoint_interval)
       t.wals.(id)
+
+  (* ---- atomic commitment (docs/DURABILITY.md) ----
+
+     The vote round, the decision table, the in-doubt answer and the
+     termination watchdog, for a protocol whose nodes carry a
+     {!commitment}.  [merge acc v] folds a yes vote's payload into the
+     round's accumulator; [query] and [outcome] build the protocol's
+     in-doubt request and its answer. *)
+  module Commit (A : sig
+    type vote
+    type decision
+
+    val state : P.node -> (vote, decision) commitment
+    val merge : vote -> vote -> unit
+    val query : req:int -> Ids.txn -> P.msg
+    val outcome : req:int -> decision verdict -> P.msg
+  end) =
+  struct
+    (* Coordinator: register the round before the Prepares leave. *)
+    let open_round node txn ~expect acc =
+      let r = { expect; votes = 0; voted_no = false; acc; changed = Sim.Cond.create () } in
+      Hashtbl.replace (A.state node).rounds txn r;
+      r
+
+    (* Wait for every vote, the first no, or [vote_timeout]; [None] means
+       all voted yes, otherwise the abort reason. *)
+    let await_round t node txn r =
+      let complete () = r.voted_no || r.votes >= r.expect in
+      ignore
+        (Sim.Cond.await_timeout t.sim r.changed ~timeout:t.config.Config.vote_timeout complete
+          : bool);
+      Hashtbl.remove (A.state node).rounds txn;
+      if r.voted_no then Some Vote_false
+      else if r.votes >= r.expect then None
+      else Some Vote_timeout
+
+    let vote_arrived t node txn ~ok v =
+      match Hashtbl.find_opt (A.state node).rounds txn with
+      | Some r ->
+          r.votes <- r.votes + 1;
+          if ok then A.merge r.acc v else r.voted_no <- true;
+          Sim.Cond.broadcast t.sim r.changed
+      | None -> ()  (* the coordinator timed out and moved on *)
+
+    (* Durable decision point (durability mode): the decision is logged and
+       flushed before any participant can learn it; until then an in-doubt
+       query reads it as undecided, since it could still be lost with this
+       node.  Raises [Crashed] if the node crashed under the flush. *)
+    let decide t node txn payload record =
+      let ac = A.state node in
+      let d = { payload; durable = false; driving = true; at = now t } in
+      Hashtbl.replace ac.decisions txn d;
+      ignore (sweep ac.decisions ~now:(now t) ~at:(fun d -> d.at) ~pinned:(fun d -> d.driving)
+               : Ids.txn list);
+      let flush_began = now t in
+      let lsn = log t node record in
+      if (not (log_sync t node lsn)) || not (node_live t node) then crashed (P.id node);
+      d.durable <- true;
+      observe_since t "lat.commit.durable" ~since:flush_began
+
+    (* The coordinator finished driving [txn]'s completion. *)
+    let completed node txn =
+      match Hashtbl.find_opt (A.state node).decisions txn with
+      | Some d -> d.driving <- false
+      | None -> ()
+
+    (* A decision reloaded at restart: durable, and no longer driven. *)
+    let restore t node txn payload =
+      Hashtbl.replace (A.state node).decisions txn
+        { payload; durable = true; driving = false; at = now t }
+
+    (* Durable means committed; a flush in flight or a vote round still
+       open means undecided; no trace means presumed abort — never decided,
+       or swept past the retention horizon, by which time no participant
+       still holds the transaction in doubt. *)
+    let verdict node txn =
+      let ac = A.state node in
+      match Hashtbl.find_opt ac.decisions txn with
+      | Some d when d.durable -> Committed { payload = d.payload; driving = d.driving }
+      | Some _ -> Undecided
+      | None -> if Hashtbl.mem ac.rounds txn then Undecided else Aborted
+
+    let answer t node ~src ~req txn =
+      send t ~src:(P.id node) ~dst:src (A.outcome ~req (verdict node txn))
+
+    let outcome_arrived t node ~req v = Rpc.Pending.resolve t.sim (A.state node).outcomes req v
+
+    (* Termination watchdog for a yes vote whose outcome this participant
+       may never hear — the coordinator crashed before deciding, or this
+       node restarted with the prepare on disk.  [linger] first waits out
+       a healthy decide round-trip (the watchdog spawned at vote time).
+       While [in_doubt ()], ask [coord] once per attempt: [on_committed]
+       returns whether to keep watching, undecided or unanswered attempts
+       back off, and [retry_limit] of them stall the run.  A crash of this
+       node ends the watch: its restart spawns a new one. *)
+    let watch t node ~txn ~coord ~linger ~in_doubt ~on_committed ~on_aborted =
+      let c = t.config in
+      let outcomes = (A.state node).outcomes in
+      let rec loop attempt =
+        if node_live t node && in_doubt () then
+          if attempt >= c.Config.retry_limit then stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
+          else begin
+            let req, slot = Rpc.Pending.fresh outcomes in
+            send t ~src:(P.id node) ~dst:coord (A.query ~req txn);
+            match Rpc.Pending.await_timeout t.sim slot ~timeout:c.retry_max with
+            | Some (Committed { payload; driving }) ->
+                if on_committed payload ~driving then begin
+                  Sim.sleep t.sim (2. *. c.retry_max);
+                  loop 0
+                end
+            | Some Aborted -> on_aborted ()
+            | Some Undecided | None ->
+                Rpc.Pending.forget outcomes req;
+                Sim.sleep t.sim c.retry_initial;
+                loop (attempt + 1)
+          end
+      in
+      Sim.spawn t.sim (fun () ->
+          try
+            if linger then Sim.sleep t.sim (2. *. c.retry_max);
+            loop 0
+          with Rpc.Crashed _ -> ())
+
+    (* A crash: fail the watchdogs' queries. *)
+    let wound t node e = Rpc.Pending.poison_all t.sim (A.state node).outcomes e
+
+    (* Wake the dead record's vote-round waiters.  The round's predicate
+       does not look at liveness, so they re-park until [vote_timeout]
+       and the coordinator's stale-record check settles them; only SSS
+       wakes them, and its pinned trajectories count those events. *)
+    let wake_rounds t node =
+      List.iter
+        (fun (_, r) -> Sim.Cond.broadcast t.sim r.changed)
+        (sorted_bindings (A.state node).rounds)
+  end
 
   (* ---- accessors ---- *)
 

@@ -219,7 +219,7 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
    visibility bound already covers its (equalised) commit clock, which then
    forces them to wait for its writes on every written key. *)
 let handle_remove t node ~reader =
-  add_tombstone t node reader;
+  Runtime.stamp node.tombstones reader ~now:(now t);
   let keys = take_reader_keys node reader in
   List.iter (fun k -> ignore (Squeue.remove (squeue node k) reader)) keys;
   if keys <> [] then Sim.Cond.broadcast t.sim node.squeue_changed;
@@ -452,7 +452,7 @@ let handle_decide t node ~txn ~vc ~outcome =
          Prepare is still in flight — remember aborts so a late Prepare
          cannot resurrect the transaction. *)
       if not outcome then begin
-        note_aborted_decide t node txn;
+        Runtime.stamp node.aborted_decides txn ~now:(now t);
         (* Fire-and-forget: losing an abort record only resurrects the
            prepared entry at recovery, and the in-doubt watchdog re-learns
            the abort from the coordinator. *)
@@ -491,67 +491,41 @@ let handle_decide t node ~txn ~vc ~outcome =
         Sim.Cond.broadcast t.sim node.nlog_changed
       end
 
-(* Termination watchdog (durability mode): spawned for every prepared entry
-   at yes-vote time and again at recovery.  While this node holds [txn] in
-   doubt it queries the coordinator's durable decision, completing lost
+(* The termination watchdog of a prepared entry.  It completes lost
    Decides and — when the coordinator itself crashed mid-completion
-   ([driving] false) — self-finalizing applied entries.  The latter is safe:
+   ([driving] false) — self-finalizes applied entries.  The latter is safe:
    a restarted coordinator answered no client, so finishing without it can
-   violate no completion-order constraint. *)
-let resolve_indoubt t node txn =
-  let live_prep () =
-    if node_live t node then Hashtbl.find_opt node.prepared txn else None
-  in
-  let rec loop attempt =
-    match live_prep () with
-    | None -> ()
-    | Some prep ->
-        if attempt >= t.config.Config.retry_limit then
-          stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
-        else begin
-          let req, slot = Sss_net.Rpc.Pending.fresh node.pending_outcomes in
-          send t ~src:node.id ~dst:prep.coord (Message.Dquery { req; txn });
-          match
-            Sss_net.Rpc.Pending.await_timeout t.sim slot ~timeout:t.config.Config.retry_max
-          with
-          | Some (Message.Vcommitted { vc; driving }) -> (
-              match live_prep () with
-              | None -> ()
-              | Some prep -> (
-                  match prep.final_vc with
-                  | None ->
-                      (* the Decide was lost: complete the internal commit *)
-                      handle_decide t node ~txn ~vc ~outcome:true;
-                      Sim.sleep t.sim (2. *. t.config.Config.retry_max);
-                      loop 0
-                  | Some _ when driving ->
-                      (* the coordinator is alive and mid-completion: its
-                         Finalize (strict mode) or this node's own
-                         pre-commit fiber retires the entry in due course *)
-                      Sim.sleep t.sim (2. *. t.config.Config.retry_max);
-                      loop 0
-                  | Some _ ->
-                      (* orphaned applied entry: the coordinator restarted
-                         and no longer drives completion.  In paper mode the
-                         (respawned) pre-commit fiber retires the entry; in
-                         strict mode nobody else will. *)
-                      if t.config.Config.strict_order && not prep.finalizing then
-                        handle_finalize t node ~txn ~reply_to:None;
-                      Sim.sleep t.sim (2. *. t.config.Config.retry_max);
-                      loop 0))
-          | Some Message.Vaborted ->
-              if live_prep () <> None then
-                handle_decide t node ~txn ~vc:prep.prep_vc ~outcome:false
-          | Some Message.Vundecided ->
-              Sim.sleep t.sim t.config.Config.retry_initial;
-              loop (attempt + 1)
+   violate no completion-order constraint.  An entry stays watched until it
+   retires. *)
+let watch t node txn ~coord ~linger =
+  let live_prep () = if node_live t node then Hashtbl.find_opt node.prepared txn else None in
+  Ac.watch t node ~txn ~coord ~linger
+    ~in_doubt:(fun () -> Hashtbl.mem node.prepared txn)
+    ~on_committed:(fun vc ~driving ->
+      match live_prep () with
+      | None -> false
+      | Some prep ->
+          (match prep.final_vc with
           | None ->
-              Sss_net.Rpc.Pending.forget node.pending_outcomes req;
-              Sim.sleep t.sim t.config.Config.retry_initial;
-              loop (attempt + 1)
-        end
-  in
-  try loop 0 with Sss_net.Rpc.Crashed _ -> ()
+              (* the Decide was lost: complete the internal commit *)
+              handle_decide t node ~txn ~vc ~outcome:true
+          | Some _ when driving ->
+              (* the coordinator is alive and mid-completion: its Finalize
+                 (strict mode) or this node's own pre-commit fiber retires
+                 the entry in due course *)
+              ()
+          | Some _ ->
+              (* orphaned applied entry: the coordinator restarted and no
+                 longer drives completion.  In paper mode the (respawned)
+                 pre-commit fiber retires the entry; in strict mode nobody
+                 else will. *)
+              if t.config.Config.strict_order && not prep.finalizing then
+                handle_finalize t node ~txn ~reply_to:None);
+          true)
+    ~on_aborted:(fun () ->
+      match live_prep () with
+      | Some prep -> handle_decide t node ~txn ~vc:prep.prep_vc ~outcome:false
+      | None -> ())
 
 let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
   let local_rs = List.filter (fun (k, _) -> Replication.is_replica t.repl node.id k) rs in
@@ -616,11 +590,7 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
            { p_txn = txn; p_rs = local_rs; p_ws = local_ws; p_prop = propagated;
              p_coord = coord; p_vc = prep_vc })
     in
-    if t.config.Config.durability then
-      Sim.spawn t.sim (fun () ->
-          (* linger past the healthy decide round-trip before querying *)
-          Sim.sleep t.sim (2. *. t.config.Config.retry_max);
-          resolve_indoubt t node txn);
+    if t.config.Config.durability then watch t node txn ~coord ~linger:true;
     if log_sync t node lsn && node_live t node then
       send t ~src:node.id ~dst:coord (Message.Vote { txn; ok = true; vc = prep_vc })
   end
@@ -667,33 +637,13 @@ let rec dispatch t node ~src payload =
         { value; vc; writer; propagated; parked_coord; from = src }
   | Message.Prepare { txn; coord; vc; rs; ws; propagated } ->
       handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated
-  | Message.Vote { txn; ok; vc } -> (
-      match Hashtbl.find_opt node.vote_boxes txn with
-      | Some box ->
-          box.votes <- (ok, vc) :: box.votes;
-          if not ok then box.any_false <- true;
-          Sim.Cond.broadcast t.sim box.vchanged
-      | None -> () (* the coordinator timed out and moved on *))
+  | Message.Vote { txn; ok; vc } -> Ac.vote_arrived t node txn ~ok vc
   | Message.Decide { txn; vc; outcome } -> handle_decide t node ~txn ~vc ~outcome
   | Message.Ack { txn } -> ack_arrival t node ~src ~txn ~phase:`Acks
   | Message.Finalize { txn } -> handle_finalize t node ~txn ~reply_to:(Some src)
   | Message.Finalize_ack { txn } -> ack_arrival t node ~src ~txn ~phase:`Fin
-  | Message.Dquery { req; txn } ->
-      (* In-doubt query: answer from the durable decision table.  A not yet
-         flushed decision is "undecided" (it could still be lost with this
-         node); no trace at all means presumed abort — either we never
-         decided, or the decision is older than the retention horizon, by
-         which time no participant can still hold the transaction in doubt. *)
-      let verdict =
-        match Hashtbl.find_opt node.decided_commits txn with
-        | Some d when d.ddurable -> Message.Vcommitted { vc = d.dvc; driving = d.ddriving }
-        | Some _ -> Message.Vundecided
-        | None ->
-            if Hashtbl.mem node.vote_boxes txn then Message.Vundecided else Message.Vaborted
-      in
-      send t ~src:node.id ~dst:src (Message.Doutcome { req; verdict })
-  | Message.Doutcome { req; verdict } ->
-      Sss_net.Rpc.Pending.resolve t.sim node.pending_outcomes req verdict
+  | Message.Dquery { req; txn } -> Ac.answer t node ~src ~req txn
+  | Message.Doutcome { req; verdict } -> Ac.outcome_arrived t node ~req verdict
   | Message.Wait_finalized { writer; req } -> (
       match Hashtbl.find_opt node.unfinalized writer with
       | Some waiters ->
@@ -734,11 +684,7 @@ let load_snap t node (s : snap) =
       if sp.sp_ws <> [] && sp.sp_final_vc = None then
         Commitq.put node.commitq ~txn ~vc:sp.sp_vc)
     s.s_prepared;
-  List.iter
-    (fun (txn, vc) ->
-      Hashtbl.replace node.decided_commits txn
-        { dvc = vc; ddurable = true; ddriving = false; d_at = now t })
-    s.s_decided;
+  List.iter (fun (txn, vc) -> Ac.restore t node txn vc) s.s_decided;
   List.iter (fun (txn, at) -> Hashtbl.replace node.aborted_decides txn at) s.s_aborted;
   List.iter (fun (txn, at) -> Hashtbl.replace node.tombstones txn at) s.s_tombstones;
   List.iter (fun (r, l) -> Hashtbl.replace node.forwards r (ref l)) s.s_forwards;
@@ -799,8 +745,7 @@ let replay_record t node = function
   | SDecided { d_txn; d_vc } ->
       (* restored decisions no longer drive completion: in-doubt
          participants asking about them must self-finalize *)
-      Hashtbl.replace node.decided_commits d_txn
-        { dvc = d_vc; ddurable = true; ddriving = false; d_at = now t };
+      Ac.restore t node d_txn d_vc;
       (* re-learn the mint floor so this node never re-mints a clock value
          a pre-crash decision already published *)
       for i = 0 to Vclock.size d_vc - 1 do
@@ -812,10 +757,8 @@ let replay_record t node = function
 let wound t old exn =
   Sss_net.Rpc.Pending.poison_all t.sim old.pending_reads exn;
   Sss_net.Rpc.Pending.poison_all t.sim old.pending_finalized exn;
-  Sss_net.Rpc.Pending.poison_all t.sim old.pending_outcomes exn;
-  List.iter
-    (fun (_, (b : vote_box)) -> Sim.Cond.broadcast t.sim b.vchanged)
-    (Runtime.sorted_bindings old.vote_boxes);
+  Ac.wound t old exn;
+  Ac.wake_rounds t old;
   List.iter
     (fun (_, (b : ack_box)) ->
       if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
@@ -878,7 +821,7 @@ let recover t node =
           Sim.spawn t.sim (fun () ->
               pre_commit_wait t node ~txn ~sid ~keys ~coord:p.coord ~lsn:None)
       | None -> ());
-      Sim.spawn t.sim (fun () -> resolve_indoubt t node txn))
+      watch t node txn ~coord:p.coord ~linger:false)
     indoubt;
   (* Reclaim entries the crash orphaned, here and cluster-wide: redo just
      re-inserted propagated readers whose pre-crash Remove left no durable

@@ -19,15 +19,6 @@ type read_resp = {
   from : Ids.node;
 }
 
-(* Vote collection: unlike a plain Gather, the coordinator wants to stop
-   early on the first negative vote. *)
-type vote_box = {
-  expect : int;
-  mutable votes : (bool * Vclock.t) list;
-  mutable any_false : bool;
-  vchanged : Sim.Cond.t;
-}
-
 (* Completion-phase rendezvous.  Arrivals are deduplicated by sender and
    tagged with the phase they acknowledge: after a participant crash its
    recovery re-sends the Ack of a pre-commit wait that already counted, and
@@ -50,20 +41,6 @@ type prep = {
   prep_vc : Vclock.t;  (* the clock sent with the yes-vote (CommitQ position) *)
   mutable final_vc : Vclock.t option;  (* set when the writes are applied *)
   mutable finalizing : bool;  (* the coordinator's Finalize has arrived *)
-}
-
-(* Coordinator-side durable decision bookkeeping (durability mode).
-   [ddurable] flips once the SDecided record is flushed — until then a
-   participant's Dquery is answered "undecided" (the decision could still be
-   lost with the coordinator).  [ddriving] is true while this incarnation of
-   the coordinator is running the completion protocol; a restarted
-   coordinator loads decisions with [ddriving = false], telling in-doubt
-   participants to finalize themselves. *)
-type decided_rec = {
-  dvc : Vclock.t;
-  mutable ddurable : bool;
-  mutable ddriving : bool;
-  d_at : float;  (* insertion time, for the retention sweep *)
 }
 
 (* ---- write-ahead log records and checkpoint snapshot (durability mode) ---- *)
@@ -141,12 +118,10 @@ type node = {
   mutable minted : int;
   (* coordinator-side rendezvous *)
   pending_reads : read_resp Rpc.Pending.t;
-  vote_boxes : (Ids.txn, vote_box) Hashtbl.t;
+  (* vote rounds (the votes' clocks merged), commit decisions with their
+     clocks, and the in-doubt watchdogs' Dquery rendezvous *)
+  ac : (Vclock.t, Vclock.t) Runtime.commitment;
   ack_boxes : (Ids.txn, ack_box) Hashtbl.t;
-  (* durable commit decisions made as a coordinator (durability mode) *)
-  decided_commits : (Ids.txn, decided_rec) Hashtbl.t;
-  (* in-doubt watchdogs' Dquery rendezvous *)
-  pending_outcomes : Message.verdict Rpc.Pending.t;
   (* participant-side 2PC state *)
   prepared : (Ids.txn, prep) Hashtbl.t;
   (* abort decisions that may have overtaken their own Prepare *)
@@ -227,10 +202,8 @@ let make_node sim (config : Config.t) repl id =
       stable_vc = Vclock.zero nodes;
       minted = 0;
       pending_reads = Rpc.Pending.create ();
-      vote_boxes = Hashtbl.create 64;
+      ac = Runtime.commitment ();
       ack_boxes = Hashtbl.create 64;
-      decided_commits = Hashtbl.create 64;
-      pending_outcomes = Rpc.Pending.create ();
       prepared = Hashtbl.create 64;
       aborted_decides = Hashtbl.create 64;
       tombstones = Hashtbl.create 256;
@@ -326,10 +299,7 @@ let snap_of (node : node) =
               sp_finalizing = p.finalizing;
             } ))
         (Runtime.sorted_bindings node.prepared);
-    s_decided =
-      List.filter_map
-        (fun (txn, (d : decided_rec)) -> if d.ddurable then Some (txn, d.dvc) else None)
-        (Runtime.sorted_bindings node.decided_commits);
+    s_decided = Runtime.durable_decisions node.ac;
     s_aborted = Runtime.sorted_bindings node.aborted_decides;
     s_tombstones = Runtime.sorted_bindings node.tombstones;
     s_forwards = List.map (fun (r, l) -> (r, !l)) (Runtime.sorted_bindings node.forwards);
@@ -353,6 +323,19 @@ include Runtime.Make (struct
   let snapshot = snap_of
   let record_bytes _ = logrec_bytes
   let snapshot_bytes _ = snap_bytes
+end)
+
+module Ac = Commit (struct
+  type vote = Vclock.t
+  type decision = Vclock.t
+
+  let state node = node.ac
+
+  (* the accumulator is the coordinator's private copy of its clock; the
+     entry-wise max is order-insensitive, so votes fold in as they arrive *)
+  let merge acc vc = (Vclock.max_into acc vc [@owned])
+  let query ~req txn = Message.Dquery { req; txn }
+  let outcome ~req verdict = Message.Doutcome { req; verdict }
 end)
 
 let create sim (config : Config.t) hooks =
@@ -576,57 +559,9 @@ let nlog_entries t = Array.fold_left (fun acc node -> acc + Nlog.size node.nlog)
 
 (* ---- tombstones and recent write-set GC ---- *)
 
-let tombstone_horizon = 10.0
-
-let add_tombstone t node txn =
-  Hashtbl.replace node.tombstones txn (now t);
-  if Hashtbl.length node.tombstones > 20_000 then begin
-    let cutoff = now t -. tombstone_horizon in
-    (* Sweep in sorted txn order so the table's post-sweep shape never
-       depends on bucket order (deterministic by construction). *)
-    let stale =
-      (Hashtbl.fold (fun k at acc -> if at < cutoff then k :: acc else acc) node.tombstones []
-      [@order_ok])
-      |> List.sort Ids.compare_txn
-    in
-    List.iter (Hashtbl.remove node.tombstones) stale
-  end
-
 let is_tombstoned node txn = Hashtbl.mem node.tombstones txn
 
-let note_aborted_decide t node txn =
-  Hashtbl.replace node.aborted_decides txn (now t);
-  if Hashtbl.length node.aborted_decides > 20_000 then begin
-    let cutoff = now t -. tombstone_horizon in
-    let stale =
-      (Hashtbl.fold
-         (fun k at acc -> if at < cutoff then k :: acc else acc)
-         node.aborted_decides []
-      [@order_ok])
-      |> List.sort Ids.compare_txn
-    in
-    List.iter (Hashtbl.remove node.aborted_decides) stale
-  end
-
 let was_abort_decided node txn = Hashtbl.mem node.aborted_decides txn
-
-(* Bound the durable-decision table like the tombstone table: entries past
-   the horizon answer no live in-doubt query (watchdogs only exist while a
-   prepared entry does, and those retire well within it).  A swept commit
-   then reads as presumed abort, which is exactly the 2PC convention. *)
-let sweep_decided t node =
-  if Hashtbl.length node.decided_commits > 20_000 then begin
-    let cutoff = now t -. tombstone_horizon in
-    let stale =
-      (Hashtbl.fold
-         (fun k (d : decided_rec) acc ->
-           if d.d_at < cutoff && not d.ddriving then k :: acc else acc)
-         node.decided_commits []
-      [@order_ok])
-      |> List.sort Ids.compare_txn
-    in
-    List.iter (Hashtbl.remove node.decided_commits) stale
-  end
 
 let recent_ws_horizon = 5.0
 

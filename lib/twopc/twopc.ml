@@ -7,10 +7,6 @@ open Sss_consistency
    identity, used for validation and by the consistency checker). *)
 type cell = { mutable value : string; mutable writer : Ids.txn }
 
-(* What a recovered participant learns about an in-doubt transaction when
-   it queries the coordinator (durability mode, docs/DURABILITY.md). *)
-type verdict = Vcommitted | Vaborted | Vundecided
-
 type msg =
   | Read_req of { req : int; key : Ids.key }
   | Read_ret of { req : int; value : string; writer : Ids.txn }
@@ -24,7 +20,7 @@ type msg =
   | Decide of { txn : Ids.txn; outcome : bool }
   | Applied of { txn : Ids.txn }
   | Query of { req : int; txn : Ids.txn }
-  | Outcome of { req : int; verdict : verdict }
+  | Outcome of { req : int; verdict : unit Sss_kv.Runtime.verdict }
   | Tracked of { token : int; inner : msg }
   | Delivered of { token : int }
 
@@ -53,13 +49,6 @@ type prep = {
   coord : Ids.node;
 }
 
-type vote_box = {
-  expect : int;
-  mutable votes : int;
-  mutable any_false : bool;
-  vchanged : Sim.Cond.t;
-}
-
 type ack_box = { ack_expect : int; mutable ack_count : int; ack_done : unit Sim.Ivar.t }
 
 (* Durability-mode write-ahead-log records (docs/DURABILITY.md).  Each is
@@ -85,15 +74,10 @@ type node = {
   store : (Ids.key, cell) Hashtbl.t;
   locks : Locks.t;
   prepared : (Ids.txn, prep) Hashtbl.t;
-  aborted_decides : (Ids.txn, unit) Hashtbl.t;
+  aborted_decides : (Ids.txn, float) Hashtbl.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
-  vote_boxes : (Ids.txn, vote_box) Hashtbl.t;
+  ac : (unit, unit) Sss_kv.Runtime.commitment;
   ack_boxes : (Ids.txn, ack_box) Hashtbl.t;
-  (* durability mode only *)
-  decided : (Ids.txn, bool) Hashtbl.t;
-      (* coordinator commit decisions; [true] once the PDecided record is
-         durable — only then may a Query be answered "committed" *)
-  pending_outcomes : verdict Rpc.Pending.t;
 }
 
 let make_node sim _config repl id =
@@ -109,10 +93,8 @@ let make_node sim _config repl id =
     prepared = Hashtbl.create 64;
     aborted_decides = Hashtbl.create 64;
     pending_reads = Rpc.Pending.create ();
-    vote_boxes = Hashtbl.create 64;
+    ac = Sss_kv.Runtime.commitment ();
     ack_boxes = Hashtbl.create 64;
-    decided = Hashtbl.create 64;
-    pending_outcomes = Rpc.Pending.create ();
   }
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
@@ -142,11 +124,7 @@ let snap_of (node : node) =
         (Hashtbl.fold (fun k (c : cell) acc -> (k, c.value, c.writer) :: acc)
            node.store [] [@order_ok]);
     s_prepared = Sss_kv.Runtime.sorted_bindings node.prepared;
-    s_decided =
-      List.sort Ids.compare_txn
-        (Hashtbl.fold
-           (fun txn durable acc -> if durable then txn :: acc else acc)
-           node.decided [] [@order_ok]);
+    s_decided = List.map fst (Sss_kv.Runtime.durable_decisions node.ac);
     s_aborted = List.map fst (Sss_kv.Runtime.sorted_bindings node.aborted_decides);
   }
 
@@ -170,6 +148,16 @@ module Rt = Sss_kv.Runtime.Make (struct
 end)
 
 include Rt
+
+module Ac = Commit (struct
+  type vote = unit
+  type decision = unit
+
+  let state (n : node) = n.ac
+  let merge () () = ()
+  let query ~req txn = Query { req; txn }
+  let outcome ~req verdict = Outcome { req; verdict }
+end)
 
 type cluster = Rt.t
 
@@ -196,7 +184,7 @@ let validate node rs =
 
 let handle_decide t (node : node) ~txn ~outcome =
   match Hashtbl.find_opt node.prepared txn with
-  | None -> if not outcome then Hashtbl.replace node.aborted_decides txn ()
+  | None -> if not outcome then Sss_kv.Runtime.stamp node.aborted_decides txn ~now:(now t)
   | Some prep ->
       Hashtbl.remove node.prepared txn;
       if outcome then begin
@@ -221,30 +209,15 @@ let handle_decide t (node : node) ~txn ~outcome =
         Locks.release_txn node.locks txn
       end
 
-(* Termination protocol for a prepared transaction whose outcome this
-   participant does not know — because the participant restarted with the
-   prepare on disk, or because the coordinator crashed before deciding.
-   Ask the coordinator until the verdict is known. *)
-let resolve_indoubt t (node : node) txn (prep : prep) =
-  let rec loop attempt =
-    if node_live t node && Hashtbl.mem node.prepared txn then
-      if attempt >= t.config.Sss_kv.Config.retry_limit then
-        stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
-      else begin
-        let req, slot = Rpc.Pending.fresh node.pending_outcomes in
-        send t ~src:node.id ~dst:prep.coord (Query { req; txn });
-        match
-          Rpc.Pending.await_timeout t.sim slot ~timeout:t.config.Sss_kv.Config.retry_max
-        with
-        | Some Vcommitted -> handle_decide t node ~txn ~outcome:true
-        | Some Vaborted -> handle_decide t node ~txn ~outcome:false
-        | Some Vundecided | None ->
-            Rpc.Pending.forget node.pending_outcomes req;
-            Sim.sleep t.sim t.config.Sss_kv.Config.retry_initial;
-            loop (attempt + 1)
-      end
-  in
-  try loop 0 with Rpc.Crashed _ -> ()
+(* The termination watchdog of a yes vote: the coordinator's verdict is
+   applied like the Decide it stands in for. *)
+let watch t (node : node) txn (prep : prep) ~linger =
+  Ac.watch t node ~txn ~coord:prep.coord ~linger
+    ~in_doubt:(fun () -> Hashtbl.mem node.prepared txn)
+    ~on_committed:(fun () ~driving:_ ->
+      handle_decide t node ~txn ~outcome:true;
+      false)
+    ~on_aborted:(fun () -> handle_decide t node ~txn ~outcome:false)
 
 let handle_prepare t (node : node) ~txn ~coord ~rs ~ws =
   let local_rs = List.filter (fun (k, _) -> Replication.is_replica t.repl node.id k) rs in
@@ -268,12 +241,7 @@ let handle_prepare t (node : node) ~txn ~coord ~rs ~ws =
     (* force the prepare record before promising "yes": after a crash this
        node must still be able to honour a commit decision *)
     let lsn = log t node (PPrepared { txn; prep }) in
-    (* a yes-voter may be orphaned by a coordinator crash: if the decision
-       is still unknown after a couple of retry rounds, go ask for it *)
-    if t.config.Sss_kv.Config.durability then
-      Sim.spawn t.sim (fun () ->
-          Sim.sleep t.sim (2. *. t.config.Sss_kv.Config.retry_max);
-          resolve_indoubt t node txn prep);
+    if t.config.Sss_kv.Config.durability then watch t node txn prep ~linger:true;
     if log_sync t node lsn then send t ~src:node.id ~dst:coord (Vote { txn; ok = true })
   end
 
@@ -287,13 +255,7 @@ let rec dispatch t (node : node) ~src payload =
   | Read_ret { req; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_reads req (value, writer)
   | Prepare { txn; coord; rs; ws } -> handle_prepare t node ~txn ~coord ~rs ~ws
-  | Vote { txn; ok } -> (
-      match Hashtbl.find_opt node.vote_boxes txn with
-      | Some box ->
-          box.votes <- box.votes + 1;
-          if not ok then box.any_false <- true;
-          Sim.Cond.broadcast t.sim box.vchanged
-      | None -> ())
+  | Vote { txn; ok } -> Ac.vote_arrived t node txn ~ok ()
   | Decide { txn; outcome } -> handle_decide t node ~txn ~outcome
   | Applied { txn } -> (
       match Hashtbl.find_opt node.ack_boxes txn with
@@ -302,23 +264,12 @@ let rec dispatch t (node : node) ~src payload =
           if box.ack_count = box.ack_expect && not (Sim.Ivar.is_filled box.ack_done) then
             Sim.Ivar.fill t.sim box.ack_done ()
       | None -> ())
-  | Query { req; txn } ->
-      (* a recovered participant resolving an in-doubt transaction.
-         "Committed" may only be answered once the decision record is
-         durable; an in-flight decision reads as undecided; everything
-         else is presumed aborted. *)
-      let verdict =
-        match Hashtbl.find_opt node.decided txn with
-        | Some true -> Vcommitted
-        | Some false -> Vundecided
-        | None -> if Hashtbl.mem node.vote_boxes txn then Vundecided else Vaborted
-      in
-      send t ~src:node.id ~dst:src (Outcome { req; verdict })
-  | Outcome { req; verdict } -> Rpc.Pending.resolve t.sim node.pending_outcomes req verdict
+  | Query { req; txn } -> Ac.answer t node ~src ~req txn
+  | Outcome { req; verdict } -> Ac.outcome_arrived t node ~req verdict
 
 (* ------------- crash / recovery (durability mode) ------------- *)
 
-let load_snap (node : node) (s : snap) =
+let load_snap t (node : node) (s : snap) =
   List.iter
     (fun (k, v, w) ->
       let c = cell node k in
@@ -326,18 +277,18 @@ let load_snap (node : node) (s : snap) =
       c.writer <- w)
     s.s_cells;
   List.iter (fun (txn, p) -> Hashtbl.replace node.prepared txn p) s.s_prepared;
-  List.iter (fun txn -> Hashtbl.replace node.decided txn true) s.s_decided;
-  List.iter (fun txn -> Hashtbl.replace node.aborted_decides txn ()) s.s_aborted
+  List.iter (fun txn -> Ac.restore t node txn ()) s.s_decided;
+  List.iter (fun txn -> Hashtbl.replace node.aborted_decides txn (now t)) s.s_aborted
 
 (* Redo one durable record.  Replay never records history: installs of
    already-applied writes were recorded before the crash, and in-doubt
    transactions go through the normal decide path afterwards. *)
-let replay_record (node : node) = function
+let replay_record t (node : node) = function
   | PPrepared { txn; prep } -> Hashtbl.replace node.prepared txn prep
   | PAborted { txn } ->
       Hashtbl.remove node.prepared txn;
-      Hashtbl.replace node.aborted_decides txn ()
-  | PDecided { txn } -> Hashtbl.replace node.decided txn true
+      Hashtbl.replace node.aborted_decides txn (now t)
+  | PDecided { txn } -> Ac.restore t node txn ()
   | PApplied { txn } -> (
       match Hashtbl.find_opt node.prepared txn with
       | None -> ()
@@ -354,7 +305,7 @@ let replay_record (node : node) = function
    and raise. *)
 let wound t (old : node) e =
   Rpc.Pending.poison_all t.sim old.pending_reads e;
-  Rpc.Pending.poison_all t.sim old.pending_outcomes e;
+  Ac.wound t old e;
   List.iter
     (fun (_, (b : ack_box)) ->
       if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
@@ -375,11 +326,9 @@ let recover t (node : node) =
           : bool))
     indoubt;
   rejoin t node.id;
-  List.iter (fun (txn, p) -> Sim.spawn t.sim (fun () -> resolve_indoubt t node txn p)) indoubt
+  List.iter (fun (txn, p) -> watch t node txn p ~linger:false) indoubt
 
-let hooks =
-  { handler = dispatch; wound; load = (fun _ -> load_snap); replay = (fun _ -> replay_record);
-    recover }
+let hooks = { handler = dispatch; wound; load = load_snap; replay = replay_record; recover }
 
 let create sim config = Rt.create ~hooks ~ext:() sim config
 
@@ -419,73 +368,49 @@ let commit h =
   end
   else begin
     let participants = List.sort_uniq Int.compare (h.home.id :: replica_nodes cl keys) in
-    let box =
-      { expect = List.length participants; votes = 0; any_false = false;
-        vchanged = Sim.Cond.create () }
-    in
-    Hashtbl.replace h.home.vote_boxes h.id box;
+    let round = Ac.open_round h.home h.id ~expect:(List.length participants) () in
     List.iter
       (fun dst ->
         send cl ~src:h.home.id ~dst (Prepare { txn = h.id; coord = h.home.id; rs = h.rs; ws = h.ws }))
       participants;
-    let complete () = box.any_false || box.votes >= box.expect in
-    let _ =
-      Sim.Cond.await_timeout cl.sim box.vchanged
-        ~timeout:cl.config.Sss_kv.Config.vote_timeout complete
-    in
-    Hashtbl.remove h.home.vote_boxes h.id;
-    let all_ok = (not box.any_false) && box.votes >= box.expect in
-    (* A crashed home can still abort (nothing was promised), so the
-       Decide(false) fan-out below runs either way and frees the
-       participants; only the commit path dies with the node. *)
-    if all_ok && not (node_live cl h.home) then
-      crashed h.home.id;
-    if not all_ok then begin
-      List.iter
-        (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.id; outcome = false }))
-        participants;
-      aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Vote;
-      false
-    end
-    else begin
-      (* Durable decision point: the commit verdict must reach the log
-         before any Decide(true) leaves the node.  While the flush is in
-         flight the coordinator answers Query with Vundecided (the
-         [decided] entry is [false]), so a recovering participant cannot
-         presume abort during the window. *)
-      if cl.config.Sss_kv.Config.durability then begin
-        Hashtbl.replace h.home.decided h.id false;
-        let flush_began = Sim.now cl.sim in
-        let lsn = log cl h.home (PDecided { txn = h.id }) in
-        if not (log_sync cl h.home lsn) || not (node_live cl h.home) then
-          crashed h.home.id;
-        Hashtbl.replace h.home.decided h.id true;
-        observe_since cl "lat.commit.durable" ~since:flush_began
-      end;
-      let write_nodes = replica_nodes cl (List.map fst h.ws) in
-      let ack =
-        { ack_expect = List.length write_nodes; ack_count = 0; ack_done = Sim.Ivar.create () }
-      in
-      if write_nodes <> [] then Hashtbl.replace h.home.ack_boxes h.id ack;
-      List.iter
-        (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.id; outcome = true }))
-        participants;
-      (* The client is informed once every write replica applied: later
-         transactions beginning after this response always see the data. *)
-      if write_nodes <> [] then begin
-        (match
-           Sim.Ivar.read_timeout cl.sim ack.ack_done
-             ~timeout:cl.config.Sss_kv.Config.ack_timeout
-         with
-        | Some () -> ()
-        | None -> stalled ~phase:"apply ack" (Ids.txn_to_string h.id));
-        Hashtbl.remove h.home.ack_boxes h.id;
-        if not (node_live cl h.home) then crashed h.home.id
-      end;
-      committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at
-        ~ws:(List.map fst h.ws);
-      true
-    end
+    match Ac.await_round cl h.home h.id round with
+    | Some reason ->
+        (* A crashed home can still abort (nothing was promised), so the
+           Decide(false) fan-out runs either way and frees the
+           participants; only the commit path dies with the node. *)
+        List.iter
+          (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.id; outcome = false }))
+          participants;
+        aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason;
+        false
+    | None ->
+        if not (node_live cl h.home) then crashed h.home.id;
+        if cl.config.Sss_kv.Config.durability then
+          Ac.decide cl h.home h.id () (PDecided { txn = h.id });
+        let write_nodes = replica_nodes cl (List.map fst h.ws) in
+        let ack =
+          { ack_expect = List.length write_nodes; ack_count = 0; ack_done = Sim.Ivar.create () }
+        in
+        if write_nodes <> [] then Hashtbl.replace h.home.ack_boxes h.id ack;
+        List.iter
+          (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.id; outcome = true }))
+          participants;
+        (* The client is informed once every write replica applied: later
+           transactions beginning after this response always see the data. *)
+        if write_nodes <> [] then begin
+          (match
+             Sim.Ivar.read_timeout cl.sim ack.ack_done
+               ~timeout:cl.config.Sss_kv.Config.ack_timeout
+           with
+          | Some () -> ()
+          | None -> stalled ~phase:"apply ack" (Ids.txn_to_string h.id));
+          Hashtbl.remove h.home.ack_boxes h.id;
+          if not (node_live cl h.home) then crashed h.home.id
+        end;
+        Ac.completed h.home h.id;
+        committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at
+          ~ws:(List.map fst h.ws);
+        true
   end
 
 let abort h =

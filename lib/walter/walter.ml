@@ -34,10 +34,6 @@ type version = {
   wstart : Vclock.t;  (* the writer's start snapshot: orders same-key versions *)
 }
 
-(* What a recovered participant learns about an in-doubt transaction when
-   it queries the coordinator (durability mode, docs/DURABILITY.md). *)
-type verdict = Vcommitted | Vaborted | Vundecided
-
 type msg =
   | Read_req of { req : int; key : Ids.key; start : Vclock.t }
   | Read_ret of { req : int; value : string; writer : Ids.txn }
@@ -57,7 +53,7 @@ type msg =
       writes : (Ids.key * string) list;  (* full write set; nodes filter *)
     }
   | Query of { req : int; txn : Ids.txn }
-  | Outcome of { req : int; verdict : verdict }
+  | Outcome of { req : int; verdict : unit Sss_kv.Runtime.verdict }
   | Pull of { have : Vclock.t }
       (* recovery: "re-send me your own commits past [have]" *)
   | Tracked of { token : int; inner : msg }
@@ -83,13 +79,6 @@ let rec message_kind = function
   | Pull _ -> "pull"
   | Tracked { inner; _ } -> message_kind inner
   | Delivered _ -> "delivered"
-
-type vote_box = {
-  expect : int;
-  mutable votes : int;
-  mutable any_false : bool;
-  vchanged : Sim.Cond.t;
-}
 
 (* A yes-vote's local state: enough to restore locks and find the
    coordinator after a restart. *)
@@ -126,17 +115,13 @@ type node = {
     (Ids.node, (int * (Ids.txn * Vclock.t * (Ids.key * string) list)) list ref) Hashtbl.t;
   locks : Locks.t;
   prepared : (Ids.txn, wprep) Hashtbl.t;
-  aborted_decides : (Ids.txn, unit) Hashtbl.t;
+  aborted_decides : (Ids.txn, float) Hashtbl.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
-  vote_boxes : (Ids.txn, vote_box) Hashtbl.t;
+  ac : (unit, unit) Sss_kv.Runtime.commitment;  (* commits decided at this site *)
   applied_changed : Sim.Cond.t;
   (* durability mode only *)
   origin_log : (int, Ids.txn * Vclock.t * (Ids.key * string) list) Hashtbl.t;
       (* own-site commit order, seq -> payload; serves Pull re-sends *)
-  committed : (Ids.txn, bool) Hashtbl.t;
-      (* commits decided at this site; [true] once the WCommit record is
-         durable — only then may a Query be answered "committed" *)
-  pending_outcomes : verdict Rpc.Pending.t;
 }
 
 let make_node sim (config : Sss_kv.Config.t) repl id =
@@ -166,11 +151,9 @@ let make_node sim (config : Sss_kv.Config.t) repl id =
     prepared = Hashtbl.create 64;
     aborted_decides = Hashtbl.create 64;
     pending_reads = Rpc.Pending.create ();
-    vote_boxes = Hashtbl.create 64;
+    ac = Sss_kv.Runtime.commitment ();
     applied_changed = Sim.Cond.create ();
     origin_log = Hashtbl.create 64;
-    committed = Hashtbl.create 64;
-    pending_outcomes = Rpc.Pending.create ();
   }
 
 let chain (node : node) key =
@@ -217,11 +200,7 @@ let snap_of (node : node) =
       List.sort
         (fun (a, _) (b, _) -> Int.compare a b)
         (Hashtbl.fold (fun s p acc -> (s, p) :: acc) node.origin_log [] [@order_ok]);
-    s_committed =
-      List.sort Ids.compare_txn
-        (Hashtbl.fold
-           (fun txn durable acc -> if durable then txn :: acc else acc)
-           node.committed [] [@order_ok]);
+    s_committed = List.map fst (Sss_kv.Runtime.durable_decisions node.ac);
     s_prepared = Sss_kv.Runtime.sorted_bindings node.prepared;
     s_aborted = List.map fst (Sss_kv.Runtime.sorted_bindings node.aborted_decides);
   }
@@ -246,6 +225,16 @@ module Rt = Sss_kv.Runtime.Make (struct
 end)
 
 include Rt
+
+module Ac = Commit (struct
+  type vote = unit
+  type decision = unit
+
+  let state (n : node) = n.ac
+  let merge () () = ()
+  let query ~req txn = Query { req; txn }
+  let outcome ~req verdict = Outcome { req; verdict }
+end)
 
 type cluster = Rt.t
 
@@ -339,37 +328,23 @@ let rec apply_committed t (node : node) ~txn ~site ~seq ~start ~writes =
       pending := (seq, (txn, start, writes)) :: !pending
   end
 
-(* Termination protocol for a prepared transaction whose outcome this
-   participant does not know — because the participant restarted with the
-   prepare on disk, or because the coordinator crashed before deciding.
-   On "committed" nothing is done here: the (re-)propagated write applies
-   the transaction and releases its locks. *)
-let resolve_indoubt t (node : node) txn (prep : wprep) =
-  let rec loop attempt =
-    if node_live t node && Hashtbl.mem node.prepared txn then
-      if attempt >= t.config.Sss_kv.Config.retry_limit then
-        stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
-      else begin
-        let req, slot = Rpc.Pending.fresh node.pending_outcomes in
-        send t ~src:node.id ~dst:prep.coord (Query { req; txn });
-        match
-          Rpc.Pending.await_timeout t.sim slot ~timeout:t.config.Sss_kv.Config.retry_max
-        with
-        | Some Vcommitted -> ()
-        | Some Vaborted ->
-            if node_live t node && Hashtbl.mem node.prepared txn then begin
-              Hashtbl.replace node.aborted_decides txn ();
-              Hashtbl.remove node.prepared txn;
-              ignore (log t node (WAborted { txn }) : int option);
-              Locks.release_txn node.locks txn
-            end
-        | Some Vundecided | None ->
-            Rpc.Pending.forget node.pending_outcomes req;
-            Sim.sleep t.sim t.config.Sss_kv.Config.retry_initial;
-            loop (attempt + 1)
-      end
-  in
-  try loop 0 with Rpc.Crashed _ -> ()
+(* A slow-path abort decision, from Wdecide(false) or the watchdog. *)
+let abort_prepared t (node : node) txn =
+  Sss_kv.Runtime.stamp node.aborted_decides txn ~now:(now t);
+  Hashtbl.remove node.prepared txn;
+  (* presumed abort: the record spares recovery a query, but nothing
+     externally visible depends on it — no flush wait *)
+  ignore (log t node (WAborted { txn }) : int option);
+  Locks.release_txn node.locks txn
+
+(* The termination watchdog of a slow-path yes vote.  On "committed"
+   nothing is done here: the (re-)propagated write applies the transaction
+   and releases its locks. *)
+let watch t (node : node) txn (prep : wprep) ~linger =
+  let in_doubt () = Hashtbl.mem node.prepared txn in
+  Ac.watch t node ~txn ~coord:prep.coord ~linger ~in_doubt
+    ~on_committed:(fun () ~driving:_ -> false)
+    ~on_aborted:(fun () -> if node_live t node && in_doubt () then abort_prepared t node txn)
 
 let handle_prepare t (node : node) ~txn ~coord ~start ~keys =
   let ok =
@@ -392,12 +367,7 @@ let handle_prepare t (node : node) ~txn ~coord ~start ~keys =
     (* force the prepare record before promising "yes": after a crash this
        node must still be able to honour a commit decision *)
     let lsn = log t node (WPrepared { txn; prep }) in
-    (* a yes-voter may be orphaned by a coordinator crash: if the decision
-       is still unknown after a couple of retry rounds, go ask for it *)
-    if t.config.Sss_kv.Config.durability then
-      Sim.spawn t.sim (fun () ->
-          Sim.sleep t.sim (2. *. t.config.Sss_kv.Config.retry_max);
-          resolve_indoubt t node txn prep);
+    if t.config.Sss_kv.Config.durability then watch t node txn prep ~linger:true;
     if log_sync t node lsn then send t ~src:node.id ~dst:coord (Wvote { txn; ok = true })
   end
 
@@ -415,39 +385,15 @@ let rec dispatch t (node : node) ~src payload =
   | Read_ret { req; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_reads req (value, writer)
   | Wprepare { txn; coord; start; keys } -> handle_prepare t node ~txn ~coord ~start ~keys
-  | Wvote { txn; ok } -> (
-      match Hashtbl.find_opt node.vote_boxes txn with
-      | Some box ->
-          box.votes <- box.votes + 1;
-          if not ok then box.any_false <- true;
-          Sim.Cond.broadcast t.sim box.vchanged
-      | None -> ())
+  | Wvote { txn; ok } -> Ac.vote_arrived t node txn ~ok ()
   | Wdecide { txn; outcome } ->
-      if not outcome then begin
-        Hashtbl.replace node.aborted_decides txn ();
-        Hashtbl.remove node.prepared txn;
-        (* presumed abort: the record spares recovery a query, but nothing
-           externally visible depends on it — no flush wait *)
-        ignore (log t node (WAborted { txn }) : int option);
-        Locks.release_txn node.locks txn
-      end
+      if not outcome then abort_prepared t node txn
       (* on commit the locks are released when the propagated write applies,
          so no concurrent writer can slip a conflicting check in between *)
   | Propagate { txn; site; seq; start; writes } ->
       apply_committed t node ~txn ~site ~seq ~start ~writes
-  | Query { req; txn } ->
-      (* a participant resolving an in-doubt transaction coordinated here.
-         "Committed" may only be answered once the decision record is
-         durable; an in-flight decision reads as undecided; everything
-         else is presumed aborted. *)
-      let verdict =
-        match Hashtbl.find_opt node.committed txn with
-        | Some true -> Vcommitted
-        | Some false -> Vundecided
-        | None -> if Hashtbl.mem node.vote_boxes txn then Vundecided else Vaborted
-      in
-      send t ~src:node.id ~dst:src (Outcome { req; verdict })
-  | Outcome { req; verdict } -> Rpc.Pending.resolve t.sim node.pending_outcomes req verdict
+  | Query { req; txn } -> Ac.answer t node ~src ~req txn
+  | Outcome { req; verdict } -> Ac.outcome_arrived t node ~req verdict
   | Pull { have } ->
       (* recovery catch-up: re-send this site's own commits the puller has
          not applied yet, in sequence order *)
@@ -467,31 +413,31 @@ let rec dispatch t (node : node) ~src payload =
 
 (* ------------- crash / recovery (durability mode) ------------- *)
 
-let load_snap (node : node) (s : snap) =
+let load_snap t (node : node) (s : snap) =
   List.iter (fun (k, vers) -> chain node k := vers) s.s_chains;
   node.applied <- s.s_applied;
   node.site_seq <- s.s_site_seq;
   List.iter (fun (seq, p) -> Hashtbl.replace node.origin_log seq p) s.s_origin;
-  List.iter (fun txn -> Hashtbl.replace node.committed txn true) s.s_committed;
+  List.iter (fun txn -> Ac.restore t node txn ()) s.s_committed;
   List.iter (fun (txn, p) -> Hashtbl.replace node.prepared txn p) s.s_prepared;
-  List.iter (fun txn -> Hashtbl.replace node.aborted_decides txn ()) s.s_aborted
+  List.iter (fun txn -> Hashtbl.replace node.aborted_decides txn (now t)) s.s_aborted
 
 (* Redo one durable record.  Chains are not touched here: own-site commits
    past the applied prefix are re-applied (and re-propagated) in a second
    pass, remote-site writes are pulled from their origins. *)
-let replay_record (node : node) = function
+let replay_record t (node : node) = function
   | WCommit { txn; seq; start; writes } ->
       Hashtbl.replace node.origin_log seq (txn, start, writes);
-      Hashtbl.replace node.committed txn true;
+      Ac.restore t node txn ();
       if seq > node.site_seq then node.site_seq <- seq
   | WPrepared { txn; prep } -> Hashtbl.replace node.prepared txn prep
   | WAborted { txn } ->
       Hashtbl.remove node.prepared txn;
-      Hashtbl.replace node.aborted_decides txn ()
+      Hashtbl.replace node.aborted_decides txn (now t)
 
 let wound t (old : node) e =
   Rpc.Pending.poison_all t.sim old.pending_reads e;
-  Rpc.Pending.poison_all t.sim old.pending_outcomes e
+  Ac.wound t old e
 
 let recover t (node : node) =
   let id = node.id in
@@ -531,11 +477,9 @@ let recover t (node : node) =
   for dst = 0 to t.config.Sss_kv.Config.nodes - 1 do
     if dst <> id then send t ~src:id ~dst (Pull { have = node.applied })
   done;
-  List.iter (fun (txn, p) -> Sim.spawn t.sim (fun () -> resolve_indoubt t node txn p)) indoubt
+  List.iter (fun (txn, p) -> watch t node txn p ~linger:false) indoubt
 
-let hooks =
-  { handler = dispatch; wound; load = (fun _ -> load_snap); replay = (fun _ -> replay_record);
-    recover }
+let hooks = { handler = dispatch; wound; load = load_snap; replay = replay_record; recover }
 
 let create sim config = Rt.create ~hooks ~ext:() sim config
 
@@ -575,19 +519,10 @@ let commit_at_home h =
   h.home.site_seq <- h.home.site_seq + 1;
   let seq = h.home.site_seq in
   if cl.config.Sss_kv.Config.durability then begin
-    (* Durable decision point: bookkeeping and the log record in one
-       event; the local apply, the client answer and the Propagate
-       fan-out all wait for the flush.  While it is in flight the home
-       answers Query with Vundecided (the [committed] entry is [false]),
-       so a participant cannot presume abort during the window. *)
+    (* the local apply, the client answer and the Propagate fan-out all
+       wait for the decision's flush *)
     Hashtbl.replace h.home.origin_log seq (h.id, h.start, h.ws);
-    Hashtbl.replace h.home.committed h.id false;
-    let flush_began = Sim.now cl.sim in
-    let lsn = log cl h.home (WCommit { txn = h.id; seq; start = h.start; writes = h.ws }) in
-    if (not (log_sync cl h.home lsn)) || not (node_live cl h.home) then
-      crashed h.home.id;
-    Hashtbl.replace h.home.committed h.id true;
-    observe_since cl "lat.commit.durable" ~since:flush_began
+    Ac.decide cl h.home h.id () (WCommit { txn = h.id; seq; start = h.start; writes = h.ws })
   end;
   apply_committed cl h.home ~txn:h.id ~site:h.home.id ~seq ~start:h.start ~writes:h.ws;
   committed cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:(List.map fst h.ws);
@@ -596,6 +531,7 @@ let commit_at_home h =
       send cl ~src:h.home.id ~dst
         (Propagate { txn = h.id; site = h.home.id; seq; start = h.start; writes = h.ws })
   done;
+  Ac.completed h.home h.id;
   true
 
 let commit h =
@@ -638,31 +574,22 @@ let commit h =
     | _ ->
         (* slow path: conflict-check at each preferred site *)
         let sites = List.sort (fun (a, _) (b, _) -> Int.compare a b) sites in
-        let box =
-          { expect = List.length sites; votes = 0; any_false = false;
-            vchanged = Sim.Cond.create () }
-        in
-        Hashtbl.replace h.home.vote_boxes h.id box;
+        let round = Ac.open_round h.home h.id ~expect:(List.length sites) () in
         List.iter
           (fun (s, ks) ->
             send cl ~src:h.home.id ~dst:s
               (Wprepare { txn = h.id; coord = h.home.id; start = h.start; keys = ks }))
           sites;
-        let complete () = box.any_false || box.votes >= box.expect in
-        let _ =
-          Sim.Cond.await_timeout cl.sim box.vchanged
-            ~timeout:cl.config.Sss_kv.Config.vote_timeout complete
-        in
-        Hashtbl.remove h.home.vote_boxes h.id;
-        let all_ok = (not box.any_false) && box.votes >= box.expect in
+        let result = Ac.await_round cl h.home h.id round in
+        let all_ok = Option.is_none result in
         List.iter
           (fun (s, _) -> send cl ~src:h.home.id ~dst:s (Wdecide { txn = h.id; outcome = all_ok }))
           sites;
-        if all_ok then commit_at_home h
-        else begin
-          aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Vote;
-          false
-        end
+        match result with
+        | None -> commit_at_home h
+        | Some reason ->
+            aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason;
+            false
   end
 
 let abort h =

@@ -1,0 +1,238 @@
+(* The atomic-commitment core of Sss_kv.Runtime, driven through a toy
+   protocol whose only messages are the in-doubt query and its answer:
+   the four in-doubt answers, the termination watchdog's exits, and the
+   retention sweep of txn-keyed tables. *)
+
+open Sss_sim
+open Sss_data
+module Runtime = Sss_kv.Runtime
+
+type msg =
+  | Query of { req : int; txn : Ids.txn }
+  | Outcome of { req : int; verdict : unit Runtime.verdict }
+  | Tracked of { token : int; inner : msg }
+  | Delivered of { token : int }
+
+type node = { id : Ids.node; ac : (unit, unit) Runtime.commitment }
+
+(* the coordinator answers queries only while [answering]; [queries]
+   counts the ones it received *)
+type ext = { mutable answering : bool; mutable queries : int }
+
+module Rt = Runtime.Make (struct
+  type nonrec msg = msg
+  type nonrec node = node
+  type logrec = Ids.txn
+  type snap = unit
+  type nonrec ext = ext
+
+  let system = "toy"
+  let priority _ = 100
+
+  let kind_of = function
+    | Query _ -> "query"
+    | Outcome _ -> "outcome"
+    | Tracked _ -> "tracked"
+    | Delivered _ -> "delivered"
+
+  let tracked token inner = Tracked { token; inner }
+  let receipt token = Delivered { token }
+  let id n = n.id
+  let make_node _ _ _ id = { id; ac = Runtime.commitment () }
+  let snapshot _ = ()
+  let record_bytes _ _ = 24
+  let snapshot_bytes _ () = 64
+end)
+
+module Ac = Rt.Commit (struct
+  type vote = unit
+  type decision = unit
+
+  let state n = n.ac
+  let merge () () = ()
+  let query ~req txn = Query { req; txn }
+  let outcome ~req verdict = Outcome { req; verdict }
+end)
+
+let handler (t : Rt.t) node ~src = function
+  | Query { req; txn } ->
+      t.ext.queries <- t.ext.queries + 1;
+      if t.ext.answering then Ac.answer t node ~src ~req txn
+  | Outcome { req; verdict } -> Ac.outcome_arrived t node ~req verdict
+  | Tracked _ | Delivered _ -> ()
+
+let cluster ?(durability = false) ?(answering = true) () =
+  let sim = Sim.create () in
+  let config = { Sss_kv.Config.default with nodes = 2; durability; retry_limit = 4 } in
+  let hooks =
+    {
+      Rt.handler;
+      wound = Ac.wound;
+      load = (fun _ _ () -> ());
+      replay = (fun _ _ _ -> ());
+      recover = (fun t n -> Rt.rejoin t n.id);
+    }
+  in
+  (sim, Rt.create ~hooks ~ext:{ answering; queries = 0 } sim config)
+
+let txn local = { Ids.node = 1; local }
+
+let verdict_name = function
+  | Runtime.Committed { driving = true; _ } -> "committed (driving)"
+  | Runtime.Committed { driving = false; _ } -> "committed"
+  | Runtime.Aborted -> "aborted"
+  | Runtime.Undecided -> "undecided"
+
+let check_verdict what expected node tx =
+  Alcotest.(check string) what expected (verdict_name (Ac.verdict node tx))
+
+(* ---------- the in-doubt answer ---------- *)
+
+let test_answers () =
+  let sim, t = cluster ~durability:true () in
+  let coord = t.nodes.(1) in
+  check_verdict "unknown" "aborted" coord (txn 1);
+  let round = Ac.open_round coord (txn 2) ~expect:2 () in
+  check_verdict "vote round open" "undecided" coord (txn 2);
+  Sim.spawn sim (fun () -> Ac.decide t coord (txn 3) () (txn 3));
+  Sim.run_until sim 1e-5;
+  check_verdict "decision flushing" "undecided" coord (txn 3);
+  Sim.run_until sim 1e-3;
+  check_verdict "decision durable" "committed (driving)" coord (txn 3);
+  Ac.completed coord (txn 3);
+  check_verdict "completion done" "committed" coord (txn 3);
+  Ac.restore t coord (txn 4) ();
+  check_verdict "reloaded" "committed" coord (txn 4);
+  Alcotest.(check (list int)) "checkpointed decisions" [ 3; 4 ]
+    (List.map (fun ((tx : Ids.txn), ()) -> tx.local) (Runtime.durable_decisions coord.ac));
+  (* a round that hears nothing times out and stops answering undecided *)
+  Sim.spawn sim (fun () ->
+      match Ac.await_round t coord (txn 2) round with
+      | Some Rt.Vote_timeout -> ()
+      | _ -> Alcotest.fail "an unanswered round must time out");
+  Sim.run_until sim 1.0;
+  check_verdict "round closed" "aborted" coord (txn 2)
+
+(* ---------- the vote round ---------- *)
+
+let test_round_results () =
+  let sim, t = cluster () in
+  let coord = t.nodes.(1) in
+  let result = ref None in
+  let run_round tx votes =
+    let round = Ac.open_round coord tx ~expect:2 () in
+    List.iter (fun ok -> Ac.vote_arrived t coord tx ~ok ()) votes;
+    Sim.spawn sim (fun () -> result := Some (Ac.await_round t coord tx round));
+    Sim.run_until sim (Sim.now sim +. 1.0);
+    Option.get !result
+  in
+  Alcotest.(check bool) "all yes" true (run_round (txn 1) [ true; true ] = None);
+  Alcotest.(check bool) "a no vote" true (run_round (txn 2) [ true; false ] = Some Rt.Vote_false);
+  Alcotest.(check bool) "missing vote" true (run_round (txn 3) [ true ] = Some Rt.Vote_timeout)
+
+(* ---------- the termination watchdog ---------- *)
+
+let watch ?(on_committed = fun () ~driving:_ -> false) t ~in_doubt =
+  Ac.watch t t.Rt.nodes.(0) ~txn:(txn 9) ~coord:1 ~linger:false ~in_doubt ~on_committed
+    ~on_aborted:(fun () -> Alcotest.fail "nothing was aborted")
+
+let test_watch_stops_when_settled () =
+  let sim, t = cluster () in
+  (* the coordinator keeps answering undecided: its vote round stays open *)
+  ignore (Ac.open_round t.nodes.(1) (txn 9) ~expect:2 () : unit Runtime.round);
+  (* in doubt for three attempts; a fourth would reach retry_limit *)
+  let checks = ref 0 in
+  watch t ~in_doubt:(fun () ->
+      incr checks;
+      !checks <= 3);
+  Sim.run_until sim 1.0;
+  Alcotest.(check int) "no query once settled" 3 t.ext.queries
+
+let test_watch_done_on_commit () =
+  let sim, t = cluster () in
+  Ac.restore t t.nodes.(1) (txn 9) ();
+  let heard = ref 0 in
+  watch t ~in_doubt:(fun () -> true) ~on_committed:(fun () ~driving ->
+      Alcotest.(check bool) "reloaded decision is not driven" false driving;
+      incr heard;
+      false);
+  Sim.run_until sim 1.0;
+  Alcotest.(check int) "one answer" 1 !heard;
+  Alcotest.(check int) "one query" 1 t.ext.queries
+
+let test_watch_stalls () =
+  let sim, t = cluster ~answering:false () in
+  watch t ~in_doubt:(fun () -> true);
+  (match Sim.run_until sim 1.0 with
+  | () -> Alcotest.fail "an unanswered watchdog must stall"
+  | exception Sss_net.Rpc.Stalled { phase; _ } ->
+      Alcotest.(check string) "phase" "in-doubt" phase);
+  Alcotest.(check int) "retry_limit queries" t.config.retry_limit t.ext.queries
+
+let test_watch_exits_on_crash () =
+  let sim, t = cluster ~durability:true ~answering:false () in
+  watch t ~in_doubt:(fun () -> true);
+  (* the query has arrived; the watchdog waits for an answer *)
+  Sim.run_until sim 4e-3;
+  Alcotest.(check int) "first query" 1 t.ext.queries;
+  Rt.crash_node t 0;
+  Sim.run_until sim 1.0;
+  Alcotest.(check int) "no query after the crash" 1 t.ext.queries
+
+(* ---------- retention sweep ---------- *)
+
+let test_sweep () =
+  (* local ids 0 .. retention_limit: every 1000th entry is old, and every
+     2000th of those pinned *)
+  let tbl = Hashtbl.create 16 in
+  for i = Runtime.retention_limit downto 0 do
+    Hashtbl.replace tbl (txn i) ((if i mod 1000 = 0 then 1.0 else 5.0), i mod 2000 = 0)
+  done;
+  let sweep ~now =
+    List.map (fun (k : Ids.txn) -> k.local) (Runtime.sweep tbl ~now ~at:fst ~pinned:snd)
+  in
+  Alcotest.(check (list int)) "nothing past the horizon" [] (sweep ~now:11.0);
+  Alcotest.(check (list int)) "old unpinned entries, sorted"
+    (List.init 10 (fun i -> 1000 + (2000 * i)))
+    (sweep ~now:11.5);
+  Alcotest.(check int) "the rest stays" (Runtime.retention_limit - 9) (Hashtbl.length tbl);
+  Alcotest.(check (list int)) "within the limit: no sweep" [] (sweep ~now:100.0)
+
+(* The decision table's own sweep: a decision past the horizon goes, unless
+   its coordinator still drives it. *)
+let test_decision_sweep () =
+  let sim, t = cluster () in
+  let coord = t.nodes.(1) in
+  for i = 1 to Runtime.retention_limit - 2 do
+    Ac.restore t coord (txn i) ()
+  done;
+  (* decided without durability: no flush, so no fiber is needed *)
+  Ac.decide t coord (txn 100_001) () (txn 100_001);
+  Ac.decide t coord (txn 100_002) () (txn 100_002);
+  Ac.completed coord (txn 100_002);
+  Sim.schedule sim ~delay:20.0 (fun () -> Ac.decide t coord (txn 100_003) () (txn 100_003));
+  Sim.run sim;
+  Alcotest.(check (list int)) "the driven and the fresh decision stay" [ 100_001; 100_003 ]
+    (List.map (fun ((tx : Ids.txn), ()) -> tx.local) (Runtime.durable_decisions coord.ac))
+
+let () =
+  Alcotest.run "commitment"
+    [
+      ( "answer",
+        [
+          Alcotest.test_case "four in-doubt answers" `Quick test_answers;
+          Alcotest.test_case "vote round results" `Quick test_round_results;
+        ] );
+      ( "watchdog",
+        [
+          Alcotest.test_case "stops once settled" `Quick test_watch_stops_when_settled;
+          Alcotest.test_case "done on commit" `Quick test_watch_done_on_commit;
+          Alcotest.test_case "stalls after retry_limit" `Quick test_watch_stalls;
+          Alcotest.test_case "exits on crash" `Quick test_watch_exits_on_crash;
+        ] );
+      ( "retention",
+        [
+          Alcotest.test_case "sweep" `Quick test_sweep;
+          Alcotest.test_case "decision sweep" `Quick test_decision_sweep;
+        ] );
+    ]
