@@ -6,7 +6,8 @@
     [Make] builds that substrate once for a protocol's message and node
     types; the protocol keeps only its own logic plus a few hooks: the
     message handler, what a crash wounds, and how a restarted node rebuilds
-    its state from the log (docs/DURABILITY.md).
+    its state from the log (docs/DURABILITY.md).  [Make(..).Commit] adds
+    the atomic commitment SSS, 2PC and Walter share.
 
     Per-slot state that outlives a node record — liveness, the transaction
     id generator and the log — lives here, keyed by node id, so a crash

@@ -117,7 +117,7 @@ type node = {
   prepared : (Ids.txn, wprep) Hashtbl.t;
   aborted_decides : (Ids.txn, float) Hashtbl.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
-  ac : (unit, unit) Sss_kv.Runtime.commitment;  (* commits decided at this site *)
+  ac : (unit, unit) Sss_kv.Runtime.commitment;  (* slow-path rounds, commits decided here *)
   applied_changed : Sim.Cond.t;
   (* durability mode only *)
   origin_log : (int, Ids.txn * Vclock.t * (Ids.key * string) list) Hashtbl.t;
