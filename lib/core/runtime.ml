@@ -30,6 +30,9 @@ let sorted_bindings tbl =
 
 let retention_limit = 20_000
 
+(* Also the horizon of the transaction sets ([Sss_data.Idset.Txns]): a
+   transaction minted longer ago than this retires and reads as a
+   member. *)
 let retention_horizon = 10.0
 
 (* Once [tbl] outgrows [retention_limit], drop the entries stamped before
@@ -51,10 +54,10 @@ let sweep tbl ~now ~at ~pinned =
     stale
   end
 
-(* Stamp [txn] into a table of insertion times, then sweep it. *)
-let stamp tbl txn ~now =
-  Hashtbl.replace tbl txn now;
-  ignore (sweep tbl ~now ~at:Fun.id ~pinned:(fun _ -> false) : Ids.txn list)
+(* A table past the limit is rescanned only after it grew by this much
+   since the last scan, so a table of fresh entries costs no scan per
+   insert. *)
+let sweep_step = retention_limit / 4
 
 (* ---- atomic commitment: the state SSS, 2PC and Walter share ---- *)
 
@@ -86,10 +89,18 @@ type ('v, 'd) commitment = {
   rounds : (Ids.txn, 'v round) Hashtbl.t;
   decisions : (Ids.txn, 'd decision) Hashtbl.t;
   outcomes : 'd verdict Rpc.Pending.t;
+  mutable sweep_at : int;  (* the table size that triggers the next scan *)
+  mutable scans : int;  (* retention scans run so far *)
 }
 
 let commitment () =
-  { rounds = Hashtbl.create 64; decisions = Hashtbl.create 64; outcomes = Rpc.Pending.create () }
+  {
+    rounds = Hashtbl.create 64;
+    decisions = Hashtbl.create 64;
+    outcomes = Rpc.Pending.create ();
+    sweep_at = retention_limit;
+    scans = 0;
+  }
 
 (* The durable decisions, sorted: the checkpoint's part of the table. *)
 let durable_decisions ac =
@@ -427,8 +438,12 @@ module Make (P : PROTOCOL) = struct
       let ac = A.state node in
       let d = { payload; durable = false; driving = true; at = now t } in
       Hashtbl.replace ac.decisions txn d;
-      ignore (sweep ac.decisions ~now:(now t) ~at:(fun d -> d.at) ~pinned:(fun d -> d.driving)
-               : Ids.txn list);
+      if Hashtbl.length ac.decisions > ac.sweep_at then begin
+        ignore (sweep ac.decisions ~now:(now t) ~at:(fun d -> d.at) ~pinned:(fun d -> d.driving)
+                 : Ids.txn list);
+        ac.scans <- ac.scans + 1;
+        ac.sweep_at <- Int.max retention_limit (Hashtbl.length ac.decisions) + sweep_step
+      end;
       let flush_began = now t in
       let lsn = log t node record in
       if (not (log_sync t node lsn)) || not (node_live t node) then crashed (P.id node);

@@ -219,7 +219,7 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
    visibility bound already covers its (equalised) commit clock, which then
    forces them to wait for its writes on every written key. *)
 let handle_remove t node ~reader =
-  Runtime.stamp node.tombstones reader ~now:(now t);
+  Idset.Txns.add node.tombstones reader ~now:(now t);
   let keys = take_reader_keys node reader in
   List.iter (fun k -> ignore (Squeue.remove (squeue node k) reader)) keys;
   if keys <> [] then Sim.Cond.broadcast t.sim node.squeue_changed;
@@ -452,7 +452,7 @@ let handle_decide t node ~txn ~vc ~outcome =
          Prepare is still in flight — remember aborts so a late Prepare
          cannot resurrect the transaction. *)
       if not outcome then begin
-        Runtime.stamp node.aborted_decides txn ~now:(now t);
+        Idset.Txns.add node.aborted_decides txn ~now:(now t);
         (* Fire-and-forget: losing an abort record only resurrects the
            prepared entry at recovery, and the in-doubt watchdog re-learns
            the abort from the coordinator. *)
@@ -685,8 +685,8 @@ let load_snap t node (s : snap) =
         Commitq.put node.commitq ~txn ~vc:sp.sp_vc)
     s.s_prepared;
   List.iter (fun (txn, vc) -> Ac.restore t node txn vc) s.s_decided;
-  List.iter (fun (txn, at) -> Hashtbl.replace node.aborted_decides txn at) s.s_aborted;
-  List.iter (fun (txn, at) -> Hashtbl.replace node.tombstones txn at) s.s_tombstones;
+  node.aborted_decides <- Idset.Txns.copy s.s_aborted;
+  node.tombstones <- Idset.Txns.copy s.s_tombstones;
   List.iter (fun (r, l) -> Hashtbl.replace node.forwards r (ref l)) s.s_forwards;
   List.iter (fun (txn, entry) -> Hashtbl.replace node.recent_ws txn entry) s.s_recent_ws
 
@@ -707,7 +707,7 @@ let replay_record t node = function
       (Vclock.max_into node.node_vc p_vc [@owned]);
       if p_ws <> [] then Commitq.put node.commitq ~txn:p_txn ~vc:p_vc
   | SAborted { a_txn } ->
-      Hashtbl.replace node.aborted_decides a_txn (now t);
+      Idset.Txns.add node.aborted_decides a_txn ~now:(now t);
       Commitq.remove node.commitq a_txn;
       Hashtbl.remove node.prepared a_txn
   | SApplied { ap_txn; ap_vc } -> (

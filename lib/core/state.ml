@@ -86,8 +86,8 @@ type snap = {
   s_minted : int;
   s_prepared : (Ids.txn * sprep) list;
   s_decided : (Ids.txn * Vclock.t) list;  (* durable decisions only *)
-  s_aborted : (Ids.txn * float) list;
-  s_tombstones : (Ids.txn * float) list;
+  s_aborted : Idset.Txns.t;
+  s_tombstones : Idset.Txns.t;
   s_forwards : (Ids.txn * (Ids.txn * Ids.node) list) list;
   s_recent_ws : (Ids.txn * (Ids.key list * float)) list;
 }
@@ -125,9 +125,9 @@ type node = {
   (* participant-side 2PC state *)
   prepared : (Ids.txn, prep) Hashtbl.t;
   (* abort decisions that may have overtaken their own Prepare *)
-  aborted_decides : (Ids.txn, float) Hashtbl.t;
+  mutable aborted_decides : Idset.Txns.t;
   (* Remove propagation machinery *)
-  tombstones : (Ids.txn, float) Hashtbl.t;
+  mutable tombstones : Idset.Txns.t;
   forwards : (Ids.txn, (Ids.txn * Ids.node) list ref) Hashtbl.t;
   reader_keys : (Ids.txn, Ids.key list ref) Hashtbl.t;
   writer_since : (Ids.txn, float) Hashtbl.t;
@@ -205,8 +205,8 @@ let make_node sim (config : Config.t) repl id =
       ac = Runtime.commitment ();
       ack_boxes = Hashtbl.create 64;
       prepared = Hashtbl.create 64;
-      aborted_decides = Hashtbl.create 64;
-      tombstones = Hashtbl.create 256;
+      aborted_decides = Idset.Txns.create ~horizon:Runtime.retention_horizon;
+      tombstones = Idset.Txns.create ~horizon:Runtime.retention_horizon;
       forwards = Hashtbl.create 256;
       reader_keys = Hashtbl.create 256;
       writer_since = Hashtbl.create 64;
@@ -259,7 +259,7 @@ let snap_bytes s =
   + vc s.s_node_vc + vc s.s_coordinated_max + vc s.s_stable_vc
   + List.fold_left (fun acc sp -> acc + sprep_bytes sp) 0 s.s_prepared
   + List.fold_left (fun acc (_, c) -> acc + 8 + vc c) 0 s.s_decided
-  + (16 * (List.length s.s_aborted + List.length s.s_tombstones))
+  + (16 * (Idset.Txns.cardinal s.s_aborted + Idset.Txns.cardinal s.s_tombstones))
   + List.fold_left (fun acc (_, l) -> acc + 8 + (16 * List.length l)) 0 s.s_forwards
   + List.fold_left
       (fun acc (_, (ks, _)) -> acc + 16 + (4 * List.length ks))
@@ -300,8 +300,8 @@ let snap_of (node : node) =
             } ))
         (Runtime.sorted_bindings node.prepared);
     s_decided = Runtime.durable_decisions node.ac;
-    s_aborted = Runtime.sorted_bindings node.aborted_decides;
-    s_tombstones = Runtime.sorted_bindings node.tombstones;
+    s_aborted = Idset.Txns.copy node.aborted_decides;
+    s_tombstones = Idset.Txns.copy node.tombstones;
     s_forwards = List.map (fun (r, l) -> (r, !l)) (Runtime.sorted_bindings node.forwards);
     s_recent_ws = Runtime.sorted_bindings node.recent_ws;
   }
@@ -559,9 +559,9 @@ let nlog_entries t = Array.fold_left (fun acc node -> acc + Nlog.size node.nlog)
 
 (* ---- tombstones and recent write-set GC ---- *)
 
-let is_tombstoned node txn = Hashtbl.mem node.tombstones txn
+let is_tombstoned node txn = Idset.Txns.mem node.tombstones txn
 
-let was_abort_decided node txn = Hashtbl.mem node.aborted_decides txn
+let was_abort_decided node txn = Idset.Txns.mem node.aborted_decides txn
 
 let recent_ws_horizon = 5.0
 

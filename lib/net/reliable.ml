@@ -15,12 +15,19 @@
    simulation.
 
    Allocation audit: this module is inactive in healthy runs
-   ([Config.fault_tolerance] defaults to [false]; [State.send] then calls
-   [Network.send] directly), so nothing here sits on the benchmark hot
-   path.  In fault-tolerance mode the per-send cost is one envelope, one
-   ivar, two hashtable entries and a retry fiber — all inherent to the
-   at-least-once contract, none carrying floats across non-inlined
-   boundaries (timeouts stay inside the fiber's own frames). *)
+   ([Config.fault_tolerance] defaults to [false]; [Runtime.send] then
+   calls [Network.send] directly), so nothing here sits on the benchmark
+   hot path.  In fault-tolerance mode the per-send cost is one envelope,
+   one ivar, one [awaiting] entry (removed when the send settles) and a
+   retry fiber — all inherent to the at-least-once contract, none carrying
+   floats across non-inlined boundaries (timeouts stay inside the fiber's
+   own frames).  The receiver's dedup costs one bit per token in an
+   {!Sss_data.Idset}.  [receive] is [[@hot]]: lint R8 holds its code free
+   of closures, tuples and float boxing, and the bitmap allocates only
+   when it grows.  What remains is the clock read that stamps a first
+   receipt: builds without cross-module inlining pass it as one boxed
+   float (2 words), against about 7 words per token for the hashtable
+   this replaced. *)
 
 open Sss_sim
 
@@ -32,12 +39,32 @@ type 'msg t = {
   retry : retry;
   mutable token : int;  (* cluster-global: tokens are unique per send *)
   awaiting : (int, unit Sim.Ivar.t) Hashtbl.t;
-  seen : (int, float) Hashtbl.t;  (* token -> first processing time *)
-  mutable seen_ops : int;
+  seen : Sss_data.Idset.t;  (* tokens processed, retired past [dedup_horizon] *)
   mutable retries : int;
   mutable stalled : int;
   mutable obs : Sss_obs.Obs.t option;
 }
+
+(* How long a copy may still be in flight or queued after the sender's
+   last (re-)send.  Network latency and injected delays are milliseconds;
+   the slack is the old fixed horizon, so no schedule forgets a token
+   sooner than before. *)
+let flight_slack = 30.0
+
+(* How long after a token is minted a copy of it can still arrive: the
+   sender's whole watch — the same waits its retry fiber makes, [initial]
+   doubling up to [max], [limit] of them — plus the flight slack.  A token
+   retires from the dedup set only once a later token was first processed
+   longer ago than this, so no copy of it can still be on its way. *)
+let dedup_horizon r =
+  let rec budget attempt timeout acc =
+    if attempt > r.limit then acc
+    else if timeout *. 2.0 >= r.max then
+      (* every later wait is [max] *)
+      acc +. timeout +. (float_of_int (r.limit - attempt) *. r.max)
+    else budget (attempt + 1) (timeout *. 2.0) (acc +. timeout)
+  in
+  budget 1 r.initial 0.0 +. flight_slack
 
 let create sim net ~retry =
   {
@@ -46,8 +73,7 @@ let create sim net ~retry =
     retry;
     token = 0;
     awaiting = Hashtbl.create 256;
-    seen = Hashtbl.create 1024;
-    seen_ops = 0;
+    seen = Sss_data.Idset.create ~horizon:(dedup_horizon retry);
     retries = 0;
     stalled = 0;
     obs = None;
@@ -99,26 +125,10 @@ let delivered t token =
   | Some iv -> if not (Sim.Ivar.is_filled iv) then Sim.Ivar.fill t.sim iv ()
   | None -> ()  (* late receipt of an already-confirmed (or abandoned) send *)
 
-(* Re-delivery ends with the sender's retry horizon, which is bounded by
-   [limit] backoffs; anything older than this can be forgotten safely. *)
-let seen_horizon = 30.0
-
-let receive t token =
-  if Hashtbl.mem t.seen token then false
+let[@hot] receive t token =
+  if Sss_data.Idset.mem t.seen token then false
   else begin
-    Hashtbl.replace t.seen token (Sim.now t.sim);
-    t.seen_ops <- t.seen_ops + 1;
-    if t.seen_ops land 8191 = 0 then begin
-      let cutoff = Sim.now t.sim -. seen_horizon in
-      (* Sweep in sorted token order so the table's post-sweep shape never
-         depends on bucket order (deterministic by construction). *)
-      let stale =
-        (Hashtbl.fold (fun k at acc -> if at < cutoff then k :: acc else acc) t.seen []
-        [@order_ok])
-        |> List.sort Int.compare
-      in
-      List.iter (Hashtbl.remove t.seen) stale
-    end;
+    Sss_data.Idset.add t.seen token ~now:(Sim.now t.sim);
     true
   end
 

@@ -52,8 +52,13 @@ val delivered : 'msg t -> int -> unit
 val receive : 'msg t -> int -> bool
 (** [receive t token] is [true] exactly the first time the token is seen;
     the caller processes the payload only then, but must send its receipt
-    for every copy (receipts can be lost too).  Old tokens are swept after
-    a horizon comfortably beyond any retry schedule. *)
+    for every copy (receipts can be lost too).  Processed tokens are kept
+    as one bit each ({!Sss_data.Idset}); a token retires — and keeps
+    reading as seen — once a later token was first processed more than
+    the dedup horizon ago: the sender's whole retry watch ([initial]
+    doubling up to [max], [limit] waits) plus 30 s of flight slack, after
+    which no copy of it can still arrive.  A copy already seen allocates
+    nothing. *)
 
 val set_obs : 'msg t -> Sss_obs.Obs.t option -> unit
 (** Attach (or detach) an observability sink: each re-send then emits a

@@ -66,7 +66,7 @@ type snap = {
   s_cells : (Ids.key * string * Ids.txn) list;
   s_prepared : (Ids.txn * prep) list;
   s_decided : Ids.txn list;  (* durably decided commits (coordinator role) *)
-  s_aborted : Ids.txn list;  (* aborted_decides *)
+  s_aborted : Idset.Txns.t;  (* aborted_decides *)
 }
 
 type node = {
@@ -74,7 +74,7 @@ type node = {
   store : (Ids.key, cell) Hashtbl.t;
   locks : Locks.t;
   prepared : (Ids.txn, prep) Hashtbl.t;
-  aborted_decides : (Ids.txn, float) Hashtbl.t;
+  mutable aborted_decides : Idset.Txns.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
   ac : (unit, unit) Sss_kv.Runtime.commitment;
   ack_boxes : (Ids.txn, ack_box) Hashtbl.t;
@@ -91,7 +91,7 @@ let make_node sim _config repl id =
     store;
     locks = Locks.create sim;
     prepared = Hashtbl.create 64;
-    aborted_decides = Hashtbl.create 64;
+    aborted_decides = Idset.Txns.create ~horizon:Sss_kv.Runtime.retention_horizon;
     pending_reads = Rpc.Pending.create ();
     ac = Sss_kv.Runtime.commitment ();
     ack_boxes = Hashtbl.create 64;
@@ -114,7 +114,7 @@ let snap_bytes (s : snap) =
   + List.fold_left (fun acc (_, v, _) -> acc + 12 + String.length v) 0 s.s_cells
   + List.fold_left (fun acc (_, p) -> acc + 8 + prep_bytes p) 0 s.s_prepared
   + (8 * List.length s.s_decided)
-  + (8 * List.length s.s_aborted)
+  + (8 * Idset.Txns.cardinal s.s_aborted)
 
 let snap_of (node : node) =
   {
@@ -125,7 +125,7 @@ let snap_of (node : node) =
            node.store [] [@order_ok]);
     s_prepared = Sss_kv.Runtime.sorted_bindings node.prepared;
     s_decided = List.map fst (Sss_kv.Runtime.durable_decisions node.ac);
-    s_aborted = List.map fst (Sss_kv.Runtime.sorted_bindings node.aborted_decides);
+    s_aborted = Idset.Txns.copy node.aborted_decides;
   }
 
 module Rt = Sss_kv.Runtime.Make (struct
@@ -184,7 +184,7 @@ let validate node rs =
 
 let handle_decide t (node : node) ~txn ~outcome =
   match Hashtbl.find_opt node.prepared txn with
-  | None -> if not outcome then Sss_kv.Runtime.stamp node.aborted_decides txn ~now:(now t)
+  | None -> if not outcome then Idset.Txns.add node.aborted_decides txn ~now:(now t)
   | Some prep ->
       Hashtbl.remove node.prepared txn;
       if outcome then begin
@@ -223,13 +223,13 @@ let handle_prepare t (node : node) ~txn ~coord ~rs ~ws =
   let local_rs = List.filter (fun (k, _) -> Replication.is_replica t.repl node.id k) rs in
   let local_ws = List.filter (fun (k, _) -> Replication.is_replica t.repl node.id k) ws in
   let ok =
-    (not (Hashtbl.mem node.aborted_decides txn))
+    (not (Idset.Txns.mem node.aborted_decides txn))
     && Locks.acquire_all node.locks txn
          ~exclusive:(List.map fst local_ws)
          ~shared:(List.map fst local_rs)
          ~timeout:t.config.Sss_kv.Config.lock_timeout
     && validate node local_rs
-    && not (Hashtbl.mem node.aborted_decides txn)
+    && not (Idset.Txns.mem node.aborted_decides txn)
   in
   if not ok then begin
     Locks.release_txn node.locks txn;
@@ -278,7 +278,7 @@ let load_snap t (node : node) (s : snap) =
     s.s_cells;
   List.iter (fun (txn, p) -> Hashtbl.replace node.prepared txn p) s.s_prepared;
   List.iter (fun txn -> Ac.restore t node txn ()) s.s_decided;
-  List.iter (fun txn -> Hashtbl.replace node.aborted_decides txn (now t)) s.s_aborted
+  node.aborted_decides <- Idset.Txns.copy s.s_aborted
 
 (* Redo one durable record.  Replay never records history: installs of
    already-applied writes were recorded before the crash, and in-doubt
@@ -287,7 +287,7 @@ let replay_record t (node : node) = function
   | PPrepared { txn; prep } -> Hashtbl.replace node.prepared txn prep
   | PAborted { txn } ->
       Hashtbl.remove node.prepared txn;
-      Hashtbl.replace node.aborted_decides txn (now t)
+      Idset.Txns.add node.aborted_decides txn ~now:(now t)
   | PDecided { txn } -> Ac.restore t node txn ()
   | PApplied { txn } -> (
       match Hashtbl.find_opt node.prepared txn with

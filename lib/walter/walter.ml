@@ -103,7 +103,7 @@ type snap = {
   s_origin : (int * (Ids.txn * Vclock.t * (Ids.key * string) list)) list;
   s_committed : Ids.txn list;
   s_prepared : (Ids.txn * wprep) list;
-  s_aborted : Ids.txn list;
+  s_aborted : Idset.Txns.t;
 }
 
 type node = {
@@ -115,7 +115,7 @@ type node = {
     (Ids.node, (int * (Ids.txn * Vclock.t * (Ids.key * string) list)) list ref) Hashtbl.t;
   locks : Locks.t;
   prepared : (Ids.txn, wprep) Hashtbl.t;
-  aborted_decides : (Ids.txn, float) Hashtbl.t;
+  mutable aborted_decides : Idset.Txns.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
   ac : (unit, unit) Sss_kv.Runtime.commitment;  (* slow-path rounds, commits decided here *)
   applied_changed : Sim.Cond.t;
@@ -149,7 +149,7 @@ let make_node sim (config : Sss_kv.Config.t) repl id =
     holdback = Hashtbl.create 8;
     locks = Locks.create sim;
     prepared = Hashtbl.create 64;
-    aborted_decides = Hashtbl.create 64;
+    aborted_decides = Idset.Txns.create ~horizon:Sss_kv.Runtime.retention_horizon;
     pending_reads = Rpc.Pending.create ();
     ac = Sss_kv.Runtime.commitment ();
     applied_changed = Sim.Cond.create ();
@@ -186,7 +186,7 @@ let snap_bytes nodes (s : snap) =
       0 s.s_origin
   + (8 * List.length s.s_committed)
   + List.fold_left (fun acc (_, p) -> acc + 16 + (8 * List.length p.keys)) 0 s.s_prepared
-  + (8 * List.length s.s_aborted)
+  + (8 * Idset.Txns.cardinal s.s_aborted)
 
 let snap_of (node : node) =
   {
@@ -202,7 +202,7 @@ let snap_of (node : node) =
         (Hashtbl.fold (fun s p acc -> (s, p) :: acc) node.origin_log [] [@order_ok]);
     s_committed = List.map fst (Sss_kv.Runtime.durable_decisions node.ac);
     s_prepared = Sss_kv.Runtime.sorted_bindings node.prepared;
-    s_aborted = List.map fst (Sss_kv.Runtime.sorted_bindings node.aborted_decides);
+    s_aborted = Idset.Txns.copy node.aborted_decides;
   }
 
 module Rt = Sss_kv.Runtime.Make (struct
@@ -330,7 +330,7 @@ let rec apply_committed t (node : node) ~txn ~site ~seq ~start ~writes =
 
 (* A slow-path abort decision, from Wdecide(false) or the watchdog. *)
 let abort_prepared t (node : node) txn =
-  Sss_kv.Runtime.stamp node.aborted_decides txn ~now:(now t);
+  Idset.Txns.add node.aborted_decides txn ~now:(now t);
   Hashtbl.remove node.prepared txn;
   (* presumed abort: the record spares recovery a query, but nothing
      externally visible depends on it — no flush wait *)
@@ -348,11 +348,11 @@ let watch t (node : node) txn (prep : wprep) ~linger =
 
 let handle_prepare t (node : node) ~txn ~coord ~start ~keys =
   let ok =
-    (not (Hashtbl.mem node.aborted_decides txn))
+    (not (Idset.Txns.mem node.aborted_decides txn))
     && Locks.acquire_all node.locks txn ~exclusive:keys ~shared:[]
          ~timeout:t.config.Sss_kv.Config.lock_timeout
     && List.for_all (fun k -> ww_ok node k ~start) keys
-    && not (Hashtbl.mem node.aborted_decides txn)
+    && not (Idset.Txns.mem node.aborted_decides txn)
     (* the node may have crashed while this fiber waited for the locks:
        a stale record must not vote (or log) on behalf of the fresh one *)
     && node_live t node
@@ -420,7 +420,7 @@ let load_snap t (node : node) (s : snap) =
   List.iter (fun (seq, p) -> Hashtbl.replace node.origin_log seq p) s.s_origin;
   List.iter (fun txn -> Ac.restore t node txn ()) s.s_committed;
   List.iter (fun (txn, p) -> Hashtbl.replace node.prepared txn p) s.s_prepared;
-  List.iter (fun txn -> Hashtbl.replace node.aborted_decides txn (now t)) s.s_aborted
+  node.aborted_decides <- Idset.Txns.copy s.s_aborted
 
 (* Redo one durable record.  Chains are not touched here: own-site commits
    past the applied prefix are re-applied (and re-propagated) in a second
@@ -433,7 +433,7 @@ let replay_record t (node : node) = function
   | WPrepared { txn; prep } -> Hashtbl.replace node.prepared txn prep
   | WAborted { txn } ->
       Hashtbl.remove node.prepared txn;
-      Hashtbl.replace node.aborted_decides txn (now t)
+      Idset.Txns.add node.aborted_decides txn ~now:(now t)
 
 let wound t (old : node) e =
   Rpc.Pending.poison_all t.sim old.pending_reads e;

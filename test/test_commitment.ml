@@ -215,6 +215,23 @@ let test_decision_sweep () =
   Alcotest.(check (list int)) "the driven and the fresh decision stay" [ 100_001; 100_003 ]
     (List.map (fun ((tx : Ids.txn), ()) -> tx.local) (Runtime.durable_decisions coord.ac))
 
+(* Past the limit, a table of fresh decisions is rescanned only every
+   [sweep_step] inserts: one scan per insert would fold and sort the whole
+   table 40,000 times here. *)
+let test_sweep_cadence () =
+  let _sim, t = cluster () in
+  let coord = t.nodes.(1) in
+  let n = 3 * Runtime.retention_limit in
+  for i = 1 to n do
+    Ac.decide t coord (txn i) () (txn i)
+  done;
+  Alcotest.(check int) "nothing stale, nothing dropped" n (Hashtbl.length coord.ac.decisions);
+  Alcotest.(check bool) "the table was scanned" true (coord.ac.scans > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "scans bounded (%d)" coord.ac.scans)
+    true
+    (coord.ac.scans <= 2 * Runtime.retention_limit / Runtime.sweep_step)
+
 let () =
   Alcotest.run "commitment"
     [
@@ -234,5 +251,6 @@ let () =
         [
           Alcotest.test_case "sweep" `Quick test_sweep;
           Alcotest.test_case "decision sweep" `Quick test_decision_sweep;
+          Alcotest.test_case "sweep cadence" `Quick test_sweep_cadence;
         ] );
     ]

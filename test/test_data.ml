@@ -649,6 +649,165 @@ let test_replication_bad_degree () =
     (Invalid_argument "Replication.create: degree must be within 1 .. nodes") (fun () ->
       ignore (Replication.create ~nodes:3 ~degree:4 ~total_keys:10))
 
+(* ---------- Idset ---------- *)
+
+(* Ids per bitmap word: the retirement granularity. *)
+let idset_width = 63
+
+(* Dense ids minted in order, with a gap at every tenth: once the horizon
+   has passed since a later word's newest insert, the early gaps read as
+   present, the words holding them are reclaimed, and recent gaps still
+   read as absent. *)
+let test_idset_retirement () =
+  let s = Idset.create ~horizon:1.0 in
+  let now = ref 0.0 in
+  let add id =
+    now := !now +. 1e-3;
+    if id mod 10 <> 0 then Idset.add s id ~now:!now
+  in
+  for id = 1 to 1000 do add id done;
+  Alcotest.(check bool) "a gap reads absent" false (Idset.mem s 10);
+  Alcotest.(check int) "every member counted" 900 (Idset.cardinal s);
+  for id = 1001 to 20_000 do add id done;
+  Alcotest.(check bool) "an early gap retired: present" true (Idset.mem s 10);
+  Alcotest.(check bool) "an early member stays present" true (Idset.mem s 11);
+  Alcotest.(check bool) "a recent gap reads absent" false (Idset.mem s 19_990);
+  Alcotest.(check bool) "a recent member reads present" true (Idset.mem s 19_991);
+  Alcotest.(check bool) "an id never reached reads absent" false (Idset.mem s 40_000);
+  Alcotest.(check bool) "retired members leave the count" true (Idset.cardinal s < 18_000);
+  (* about 1,000 ids (16 words) inside the horizon at any time; without
+     reclaiming, the 318 words of 20,000 ids would stay *)
+  let held = Obj.reachable_words (Obj.repr s) in
+  Alcotest.(check bool) (Printf.sprintf "retired words reclaimed (%d words)" held) true
+    (held <= 300);
+  let c = Idset.copy s in
+  Alcotest.(check bool) "the copy keeps retired ids present" true (Idset.mem c 10);
+  Alcotest.(check bool) "the copy keeps recent gaps absent" false (Idset.mem c 19_990);
+  Idset.add c 19_990 ~now:!now;
+  Alcotest.(check bool) "the copy is independent" false (Idset.mem s 19_990);
+  Alcotest.check_raises "negative ids are refused"
+    (Invalid_argument "Idset.add: negative id") (fun () -> Idset.add s (-1) ~now:!now)
+
+type idset_op =
+  | Add of int * int * float  (* origin, id, time step *)
+  | Mem of int * int
+  | Copy
+
+(* Random adds (ids near the start and far past the capacity), lookups and
+   copies on a transaction set over three origins, against a table of
+   first-insert times.  An inserted id always reads present.  An id never
+   inserted may read present only once retired, and retirement must be
+   justified: a member of a higher word of the same origin was inserted
+   more than the horizon ago.  Copies taken along the way must keep
+   answering for the state they copied. *)
+let idset_matches_model =
+  let horizon = 1.0 in
+  let gen_id = QCheck.Gen.(frequency [ (8, int_bound 400); (1, int_range 10_000 100_000) ]) in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 5,
+            map3
+              (fun o id dt -> Add (o, id, dt))
+              (int_bound 2) gen_id
+              (oneofl [ 0.0; 0.0; 0.01; 0.3; 1.5 ]) );
+          (3, map2 (fun o id -> Mem (o, id)) (int_bound 2) gen_id);
+          (1, return Copy);
+        ])
+  in
+  let print_op = function
+    | Add (o, id, dt) -> Printf.sprintf "add %d.%d +%g" o id dt
+    | Mem (o, id) -> Printf.sprintf "mem %d.%d" o id
+    | Copy -> "copy"
+  in
+  let run ops =
+    let s = ref (Idset.Txns.create ~horizon) in
+    let model = Hashtbl.create 64 in
+    let now = ref 0.0 in
+    let frozen = ref [] in
+    let justified model ~now (o, id) =
+      Hashtbl.fold
+        (fun (o', x) at ok ->
+          ok || (o' = o && x / idset_width > id / idset_width && at < now -. horizon))
+        model false
+    in
+    let agrees set model ~now (o, id) =
+      let present = Idset.Txns.mem set (tx o id) in
+      if Hashtbl.mem model (o, id) then present
+      else (not present) || justified model ~now (o, id)
+    in
+    let ok = ref true in
+    List.iter
+      (fun op ->
+        match op with
+        | Add (o, id, dt) ->
+            now := !now +. dt;
+            Idset.Txns.add !s (tx o id) ~now:!now;
+            if not (Hashtbl.mem model (o, id)) then Hashtbl.replace model (o, id) !now;
+            let distinct = Hashtbl.length model in
+            let card = Idset.Txns.cardinal !s in
+            if card > distinct || (!now <= horizon && card <> distinct) then ok := false
+        | Mem (o, id) -> if not (agrees !s model ~now:!now (o, id)) then ok := false
+        | Copy ->
+            frozen := (Idset.Txns.copy !s, Hashtbl.copy model, !now) :: !frozen;
+            s := Idset.Txns.copy !s)
+      ops;
+    let probes =
+      List.concat_map (fun o -> List.init 500 (fun id -> (o, id))) [ 0; 1; 2; 3 ]
+      @ Hashtbl.fold (fun k _ acc -> k :: acc) model []
+    in
+    !ok
+    && List.for_all (agrees !s model ~now:!now) probes
+    && List.for_all
+         (fun (set, model, now) -> List.for_all (agrees set model ~now) probes)
+         !frozen
+  in
+  QCheck.Test.make ~name:"idset agrees with a table of insert times" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(list_size (int_range 1 200) gen_op))
+    run
+
+type rmsg = Tracked of int | Delivered of int
+
+(* The transport's dedup state stays bounded: a two-node cell that sends
+   200,000 tokens, one every half millisecond, retains about 22k words in
+   all.  The token table the bitmap replaced held about 464k here: a 30 s
+   window of entries at about 7 words each. *)
+let test_idset_reliable_retention () =
+  let open Sss_sim in
+  let open Sss_net in
+  let sim = Sim.create () in
+  let net =
+    Network.create sim (Prng.create ~seed:1) ~nodes:2 ~config:Network.default_config
+  in
+  let rel =
+    Reliable.create sim net ~retry:{ Reliable.initial = 0.5e-3; max = 8e-3; limit = 64 }
+  in
+  let processed = ref 0 in
+  Network.set_handler net 1 (fun ~src -> function
+    | Tracked token ->
+        Network.send net ~src:1 ~dst:src (Delivered token);
+        if Reliable.receive rel token then incr processed
+    | Delivered _ -> ());
+  Network.set_handler net 0 (fun ~src:_ -> function
+    | Delivered token -> Reliable.delivered rel token
+    | Tracked _ -> ());
+  let sent = ref 0 in
+  let rec pump () =
+    if !sent < 200_000 then begin
+      incr sent;
+      Reliable.send rel ~src:0 ~dst:1 (fun token -> Tracked token);
+      Sim.schedule sim ~delay:0.5e-3 pump
+    end
+  in
+  pump ();
+  Sim.run sim;
+  Alcotest.(check int) "every token processed once" 200_000 !processed;
+  let words = Obj.reachable_words (Obj.repr rel) in
+  Alcotest.(check bool) (Printf.sprintf "cell retains %d words" words) true (words < 65_536)
+
 let () =
   Alcotest.run "data"
     [
@@ -705,6 +864,12 @@ let () =
           QCheck_alcotest.to_alcotest vcodec_roundtrip;
           Alcotest.test_case "compresses small deltas" `Quick test_vcodec_compresses_small_deltas;
           Alcotest.test_case "size mismatch" `Quick test_vcodec_size_mismatch;
+        ] );
+      ( "idset",
+        [
+          Alcotest.test_case "retirement" `Quick test_idset_retirement;
+          QCheck_alcotest.to_alcotest idset_matches_model;
+          Alcotest.test_case "reliable retention" `Quick test_idset_reliable_retention;
         ] );
       ( "replication",
         [

@@ -195,6 +195,128 @@ let test_golden_covers_indoubt () =
         Alcotest.failf "%s: the golden run sent no in-doubt query" (Store.system_name system))
     Store.[ (Sss, "dquery"); (Twopc, "query"); (Walter, "query") ]
 
+(* ---------- abort decisions and tombstones survive a checkpoint ----------
+
+   Checkpoints carry each node's abort-decision set (and SSS's remove
+   tombstones) as a bitmap image, and truncate the log records that built
+   it.  A node restarted from such an image must still know those sets. *)
+
+let round_trip_config ~degree =
+  {
+    Sss_kv.Config.default with
+    nodes = 3;
+    replication_degree = degree;
+    total_keys = 12;
+    durability = true;
+  }
+
+(* the keys whose replicas are exactly [nodes] *)
+let keys_at repl nodes =
+  List.filter
+    (fun k -> List.sort Int.compare (Sss_data.Replication.replicas repl k) = nodes)
+    (List.init 12 Fun.id)
+
+(* Hold back the first message of [kind] to node 1 by half a second. *)
+let hold_first net ~kind_of ~kind =
+  let held = ref false in
+  Sss_net.Network.set_perturb net
+    (Some
+       (fun ~src:_ ~dst msg ->
+         if dst = 1 && (not !held) && String.equal (kind_of msg) kind then begin
+           held := true;
+           { Sss_net.Network.no_fault with extra_delay = 0.5 }
+         end
+         else Sss_net.Network.no_fault));
+  held
+
+(* Crash node 1 at 0.1 s, after its checkpoint, and restart it at 0.11 s. *)
+let crash_and_restart sim net ~crash ~restart =
+  Sim.schedule sim ~delay:0.1 (fun () ->
+      Sss_net.Network.crash net 1;
+      crash ());
+  Sim.schedule sim ~delay:0.11 restart
+
+module Late_prepare (S : Sss_kv.Runtime.STORE) = struct
+  (* Node 0 writes a key held only by node 1, whose Prepare is held back:
+     the vote round times out and node 1 learns the abort first.  A later
+     update of another key at node 1 dirties its log (the same key would
+     make Walter refuse the Prepare as a write conflict anyway), so a
+     checkpoint carries the abort
+     decision (2PC logs none for a transaction it never prepared).  Node 1
+     then crashes and restarts before the Prepare lands, and must refuse
+     it: an accepted Prepare leaves a prepared entry and its locks
+     behind. *)
+  let run name =
+    let sim = Sim.create () in
+    let cl = S.create sim (round_trip_config ~degree:1) in
+    let key, other =
+      match keys_at (S.repl cl) [ 1 ] with k :: o :: _ -> (k, o) | _ -> assert false
+    in
+    let net = S.network cl in
+    let held = hold_first net ~kind_of:S.message_kind ~kind:"prepare" in
+    let outcome = ref None in
+    Sim.spawn sim (fun () ->
+        let h = S.begin_txn cl ~node:0 ~read_only:false in
+        S.write h key "late";
+        outcome := Some (S.commit h);
+        let w = S.begin_txn cl ~node:1 ~read_only:false in
+        S.write w other "after";
+        ignore (S.commit w : bool));
+    crash_and_restart sim net
+      ~crash:(fun () -> S.crash_node cl 1)
+      ~restart:(fun () -> S.restart_node cl 1);
+    Sim.run_until sim 0.502;
+    Alcotest.(check bool) (name ^ ": prepare held back") true !held;
+    Alcotest.(check (option bool)) (name ^ ": vote round timed out") (Some false) !outcome;
+    match S.quiescent cl with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: the late prepare was accepted after restart: %s" name e
+end
+
+let test_late_prepare_after_restart () =
+  let module Sss = Late_prepare (Sss_kv.Kv) in
+  let module Twopc = Late_prepare (Twopc_kv.Twopc) in
+  let module Walter = Late_prepare (Walter_kv.Walter) in
+  Sss.run "SSS";
+  Twopc.run "2PC";
+  Walter.run "Walter"
+
+(* A read-only transaction at node 0 reads a key held by nodes 1 and 2;
+   node 1's copy of the read request is held back, so node 2 answers, the
+   reader commits and node 1 tombstones it on its Remove.  An update at
+   node 1 dirties its log, so a checkpoint carries the tombstone; node 1
+   then crashes and restarts before the read request lands.  The restarted
+   node must not enter the finished reader into its snapshot-queue, where
+   nothing would ever remove it. *)
+let test_sss_tombstone_after_restart () =
+  let module Kv = Sss_kv.Kv in
+  let sim = Sim.create () in
+  let cl = Kv.create sim (round_trip_config ~degree:2) in
+  let key = List.hd (keys_at (Kv.repl cl) [ 1; 2 ]) in
+  let net = Kv.network cl in
+  let held = hold_first net ~kind_of:Kv.message_kind ~kind:"read_request" in
+  let reader = ref None in
+  Sim.spawn sim (fun () ->
+      let h = Kv.begin_txn cl ~node:0 ~read_only:true in
+      ignore (Kv.read h key : string);
+      if Kv.commit h then reader := Some (Kv.txn_id h);
+      let w = Kv.begin_txn cl ~node:1 ~read_only:false in
+      Kv.write w key "after";
+      ignore (Kv.commit w : bool));
+  crash_and_restart sim net
+    ~crash:(fun () -> Kv.crash_node cl 1)
+    ~restart:(fun () -> Kv.restart_node cl 1);
+  Sim.run_until sim 0.502;
+  Alcotest.(check bool) "read request held back" true !held;
+  match !reader with
+  | None -> Alcotest.fail "the reader did not commit"
+  | Some r ->
+      Alcotest.(check bool) "the restarted node keeps the tombstone" true
+        (Sss_kv.State.is_tombstoned cl.Sss_kv.State.nodes.(1) r);
+      (match Kv.quiescent cl with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "the late read entered a finished reader: %s" e)
+
 (* ---------- durability off: the hooks are inert ---------- *)
 
 let test_off_trajectory_unchanged () =
@@ -215,6 +337,8 @@ let () =
           Alcotest.test_case "crash-recovery sweep" `Quick test_crash_recovery_sweep;
           Alcotest.test_case "sss crash grid" `Quick test_sss_crash_grid;
           Alcotest.test_case "sss ro abort-free" `Quick test_sss_ro_abort_free_durable;
+          Alcotest.test_case "late prepare after restart" `Quick test_late_prepare_after_restart;
+          Alcotest.test_case "sss tombstone after restart" `Quick test_sss_tombstone_after_restart;
         ] );
       ( "determinism",
         [

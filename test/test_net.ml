@@ -275,6 +275,65 @@ let test_reliable_dedup_across_crash () =
   Alcotest.(check int) "settled, not stalled" 0 (Reliable.stalled rel);
   Alcotest.(check bool) "token stays seen after restart" false (Reliable.receive rel !token)
 
+let test_reliable_dedup_outlives_long_schedule () =
+  (* A one-second backoff cap over 64 attempts keeps a send alive for about
+     a minute, while a send every millisecond pushes the receiver through a
+     hundred thousand tokens and past the point where old tokens retire.
+     The receipts of token [first] are always lost, so its copies keep
+     arriving up to a minute after it was processed: every late copy must
+     be rejected.  Every copy of token [late] is lost for its first 50 s:
+     the copy that finally lands must still be processed, once. *)
+  let retry = Reliable.{ initial = 1.0; max = 1.0; limit = 64 } in
+  let sim, net = make ~nodes:2 () in
+  let rel = Reliable.create sim net ~retry in
+  let first = ref (-1) and late = ref (-1) in
+  let processed_first = ref 0 and processed_at = ref 0.0 and late_copies = ref 0 in
+  let processed_late = ref 0 in
+  Network.set_handler net 1 (fun ~src msg ->
+      match msg with
+      | Tracked { token; _ } ->
+          Network.send net ~src:1 ~dst:src (Delivered { token });
+          if token = !first && !processed_first > 0 && Sim.now sim -. !processed_at > 30.0 then
+            incr late_copies;
+          if Reliable.receive rel token then begin
+            if token = !first then begin
+              incr processed_first;
+              processed_at := Sim.now sim
+            end;
+            if token = !late then incr processed_late
+          end
+      | Delivered _ -> ());
+  Network.set_handler net 0 (fun ~src:_ msg ->
+      match msg with Delivered { token } -> Reliable.delivered rel token | Tracked _ -> ());
+  Network.set_perturb net
+    (Some
+       (fun ~src:_ ~dst:_ msg ->
+         match msg with
+         | Delivered { token } when token = !first -> { Network.no_fault with drop = true }
+         | Tracked { token; _ } when token = !late && Sim.now sim < 50.0 ->
+             { Network.no_fault with drop = true }
+         | _ -> Network.no_fault));
+  Reliable.send rel ~src:0 ~dst:1 (fun t ->
+      first := t;
+      Tracked { token = t; inner = "first" });
+  Reliable.send rel ~src:0 ~dst:1 (fun t ->
+      late := t;
+      Tracked { token = t; inner = "late" });
+  let rec filler () =
+    if Sim.now sim < 100.0 then begin
+      Reliable.send rel ~src:0 ~dst:1 (fun t -> Tracked { token = t; inner = "" });
+      Sim.schedule sim ~delay:1e-3 filler
+    end
+  in
+  filler ();
+  Sim.run sim;
+  Alcotest.(check bool) "copies arrived more than 30 s after processing" true (!late_copies > 0);
+  Alcotest.(check int) "processed exactly once" 1 !processed_first;
+  Alcotest.(check int) "a first copy 50 s late is processed" 1 !processed_late;
+  Alcotest.(check int) "only the receipt-less send stalled" 1 (Reliable.stalled rel);
+  (* never sent: it reads as seen only because its word retired *)
+  Alcotest.(check bool) "old words retired" false (Reliable.receive rel (!first - 1))
+
 let () =
   Alcotest.run "net"
     [
@@ -303,5 +362,7 @@ let () =
           Alcotest.test_case "ack after stall" `Quick test_reliable_ack_after_stall;
           Alcotest.test_case "duplicate copies" `Quick test_reliable_duplicate_copies;
           Alcotest.test_case "dedup across crash" `Quick test_reliable_dedup_across_crash;
+          Alcotest.test_case "dedup outlives a long schedule" `Quick
+            test_reliable_dedup_outlives_long_schedule;
         ] );
     ]
