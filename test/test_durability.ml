@@ -241,11 +241,10 @@ module Late_prepare (S : Sss_kv.Runtime.STORE) = struct
      the vote round times out and node 1 learns the abort first.  A later
      update of another key at node 1 dirties its log (the same key would
      make Walter refuse the Prepare as a write conflict anyway), so a
-     checkpoint carries the abort
-     decision (2PC logs none for a transaction it never prepared).  Node 1
-     then crashes and restarts before the Prepare lands, and must refuse
-     it: an accepted Prepare leaves a prepared entry and its locks
-     behind. *)
+     checkpoint carries the abort decision (2PC logs none for a
+     transaction it never prepared).  Node 1 then crashes and restarts
+     before the Prepare lands, and must refuse it: an accepted Prepare
+     leaves a prepared entry and its locks behind. *)
   let run name =
     let sim = Sim.create () in
     let cl = S.create sim (round_trip_config ~degree:1) in
@@ -286,8 +285,9 @@ let test_late_prepare_after_restart () =
    reader commits and node 1 tombstones it on its Remove.  An update at
    node 1 dirties its log, so a checkpoint carries the tombstone; node 1
    then crashes and restarts before the read request lands.  The restarted
-   node must not enter the finished reader into its snapshot-queue, where
-   nothing would ever remove it. *)
+   node must keep the tombstone, which both the read path and a writer's
+   propagated reader entries consult, and must not enter the finished
+   reader into its snapshot-queue, where nothing would ever remove it. *)
 let test_sss_tombstone_after_restart () =
   let module Kv = Sss_kv.Kv in
   let sim = Sim.create () in
