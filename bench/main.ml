@@ -55,7 +55,7 @@ let micro_tests () =
   let nlog = Nlog.create ~nodes:n ~node:0 in
   for i = 1 to 1000 do
     let vc = Vclock.set (Vclock.of_array (Array.init n (fun w -> i - (w mod 3)))) 0 i in
-    Nlog.add nlog ~txn:{ Ids.node = 0; local = i } ~vc ~ws:[ i mod 50 ] ~at:(float_of_int i)
+    Nlog.add nlog ~txn:{ Ids.node = 0; local = i } ~vc ~ws:[ i mod 50 ]
   done;
   let has_read = Array.make n false in
   has_read.(3) <- true;

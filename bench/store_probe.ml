@@ -1,71 +1,30 @@
-(* Store-only microbench: the pre-arena boxed-list layout vs the arena
-   store, replaying identical traffic at a 100-node clock size.  Three
-   sections isolate where the bytes go:
+(* Store-only microbench: the arena store replaying synthetic traffic at a
+   100-node clock size.  Three sections isolate where the bytes go:
 
    - genesis: K keys initialised, nothing written — the shape that
-     dominates 1M-key open-loop clusters (the boxed layout shares the
-     zero clock but pays cons + record + hashtable + value string per
-     key; the arena's implicit genesis pays an index entry and a byte).
+     dominates 1M-key open-loop clusters (the implicit genesis pays an
+     index entry and a byte per key).
    - affine: replica-affine write sets of 4 keys per commit, per-node
-     clocks that advance mostly in their own entry — the arena's
-     refcount-shared head cells and sparse delta demotion both engage.
+     clocks that advance mostly in their own entry — refcount-shared head
+     cells and sparse delta demotion both engage.
    - scattered: uniform single-key commits under a globally racing clock,
      the no-compression worst case — demotion's size cap keeps every
      clock at full-cell cost instead of inflating into wide deltas.
 
    Each section reports GC-measured live words per version (plus the
-   arena's own mem_words model, which should agree), and the churn
+   store's own mem_words model, which should agree), and the churn
    sections report install and select throughput with allocation per
-   deep select (the arena decodes into a scratch clock — 0 words).
+   deep select (the store decodes into a scratch clock — 0 words).
+   Chains are trimmed to their [keep] newest versions through the
+   watermark collector: a key's clocks only grow in both replays, so the
+   clock of its [keep]-th newest version, used as the watermark, keeps
+   exactly [keep] versions.  EXPERIMENTS.md records the numbers of the
+   pre-arena boxed-list layout this probe once reconstructed alongside.
 
      store_probe [nodes] [keys] [installs]      (default 100 10000 200000)
-
-   The boxed reference reproduces the replaced implementation faithfully:
-   genesis zero clocks shared, one clock and one writer id physically
-   shared across a commit's write set, chains as version-record lists in
-   per-key refs under a Hashtbl. *)
+*)
 
 open Sss_data
-
-module Boxed = struct
-  type ver = { value : string; vc : int array; writer : Ids.txn }
-
-  type t = {
-    zero : int array;
-    tbl : (int, ver list ref) Hashtbl.t;
-    mutable key_seq : int list;
-  }
-
-  let create ~nodes = { zero = Array.make nodes 0; tbl = Hashtbl.create 1024; key_seq = [] }
-
-  let init_key t k =
-    Hashtbl.replace t.tbl k
-      (ref [ { value = "init:" ^ string_of_int k; vc = t.zero; writer = Ids.genesis } ]);
-    t.key_seq <- k :: t.key_seq
-
-  let install t k ~value ~vc ~writer =
-    let r = Hashtbl.find t.tbl k in
-    r := { value; vc; writer } :: !r
-
-  let truncate t k ~keep =
-    let r = Hashtbl.find t.tbl k in
-    let rec take n = function
-      | [] -> []
-      | v :: rest -> if n = 0 then [] else v :: take (n - 1) rest
-    in
-    r := take keep !r
-
-  let select t k ~skip =
-    let rec walk = function
-      | [] -> assert false
-      | [ oldest ] -> oldest
-      | v :: rest -> if skip (Vclock.unsafe_of_array v.vc [@owned]) then walk rest else v
-    in
-    walk !(Hashtbl.find t.tbl k)
-
-  let version_count t =
-    Hashtbl.fold (fun _ r acc -> acc + List.length !r) t.tbl 0 [@order_ok]
-end
 
 let live_words () =
   Gc.full_major ();
@@ -140,44 +99,29 @@ let () =
   let shallow vc = ignore (Sys.opaque_identity vc); false in
   let deep vc = ignore (Sys.opaque_identity vc); true in
   let churn name replay =
-    (* boxed *)
-    let base = live_words () in
-    let b = Boxed.create ~nodes in
-    for k = 0 to keys - 1 do
-      Boxed.init_key b k
-    done;
-    let t0 = (Unix.gettimeofday () [@wallclock_ok]) in
-    replay
-      ~install:(fun k ~value ~vc ~writer -> Boxed.install b k ~value ~vc ~writer)
-      ~truncate:(fun k -> Boxed.truncate b k ~keep);
-    let t1 = (Unix.gettimeofday () [@wallclock_ok]) in
-    let bl = live_words () - base in
-    let bv = Boxed.version_count b in
-    let t2 = (Unix.gettimeofday () [@wallclock_ok]) in
-    let sink = ref 0 in
-    Array.iter
-      (fun k -> sink := !sink + String.length (Boxed.select b k ~skip:deep).Boxed.value)
-      sel;
-    let t3 = (Unix.gettimeofday () [@wallclock_ok]) in
-    Printf.printf "%s, boxed-list reference:\n" name;
-    Printf.printf "  live words/version   %.2f  (%d versions, %d words)\n"
-      (float_of_int bl /. float_of_int bv) bv bl;
-    Printf.printf "  installs/sec         %.0f\n" (float_of_int installs /. (t1 -. t0));
-    Printf.printf "  deep selects/sec     %.0f\n" (float_of_int selects /. (t3 -. t2));
-    ignore !sink;
-    (* arena *)
     let base = live_words () in
     let s = Mvstore.create ~nodes in
     Mvstore.reserve s keys;
     for k = 0 to keys - 1 do
       Mvstore.init_key s k ~value:("init:" ^ string_of_int k)
     done;
+    (* each key's last [keep] installed clocks, oldest at [installed mod
+       keep]; the replays never mutate a clock once installed *)
+    let recent = Array.make (keys * keep) [||] and installed = Array.make keys 0 in
     let t0 = (Unix.gettimeofday () [@wallclock_ok]) in
     replay
       ~install:(fun k ~value ~vc ~writer ->
+        recent.((k * keep) + (installed.(k) mod keep)) <- vc;
+        installed.(k) <- installed.(k) + 1;
         Mvstore.install s k ~value ~vc:(Vclock.unsafe_of_array vc [@owned]) ~writer)
-      ~truncate:(fun k -> Mvstore.truncate s k ~keep);
+      ~truncate:(fun k ->
+        if installed.(k) >= keep then
+          let oldest = recent.((k * keep) + (installed.(k) mod keep)) in
+          let watermark = (Vclock.unsafe_of_array oldest [@owned]) in
+          ignore (Mvstore.truncate_covered s k ~watermark : int));
     let t1 = (Unix.gettimeofday () [@wallclock_ok]) in
+    (* the harness's clock references must not count as store words *)
+    Array.fill recent 0 (Array.length recent) [||];
     let al = live_words () - base in
     let av = Mvstore.version_count s in
     let mem = Mvstore.mem_words s in
@@ -194,7 +138,7 @@ let () =
       (fun k -> sink := !sink + String.length (Mvstore.slot_value s (Mvstore.select s k ~skip:shallow)))
       sel;
     let t5 = (Unix.gettimeofday () [@wallclock_ok]) in
-    Printf.printf "%s, arena store:\n" name;
+    Printf.printf "%s:\n" name;
     Printf.printf "  live words/version   %.2f  (%d versions, %d words; model %.2f)\n"
       (float_of_int al /. float_of_int av) av al (Mvstore.words_per_version mem);
     Printf.printf "  installs/sec         %.0f\n" (float_of_int installs /. (t1 -. t0));
@@ -207,13 +151,6 @@ let () =
 
   (* -- genesis-only footprint -- *)
   let base = live_words () in
-  let b = Boxed.create ~nodes in
-  for k = 0 to keys - 1 do
-    Boxed.init_key b k
-  done;
-  let bl = live_words () - base in
-  ignore (Sys.opaque_identity b);
-  let base = live_words () in
   let s = Mvstore.create ~nodes in
   Mvstore.reserve s keys;
   for k = 0 to keys - 1 do
@@ -221,8 +158,7 @@ let () =
   done;
   let al = live_words () - base in
   let mem = Mvstore.mem_words s in
-  Printf.printf "genesis only: boxed %.2f words/version, arena %.2f (model %.2f)\n"
-    (float_of_int bl /. float_of_int keys)
+  Printf.printf "genesis only: %.2f words/version (model %.2f)\n"
     (float_of_int al /. float_of_int keys)
     (Mvstore.words_per_version mem);
   ignore (Sys.opaque_identity s);

@@ -71,12 +71,9 @@ let queue_t =
 let workers_t =
   Arg.(value & opt int 10 & info [ "workers" ] ~doc:"open loop: service fibers per node")
 
-let gc_t =
-  Arg.(value & flag & info [ "gc" ] ~doc:"watermark-driven online version GC (SSS)")
-
 let point_cmd =
   let run_point system nodes degree keys ro ro_ops locality clients duration seed strict observe
-      durable rate queue workers gc =
+      durable rate queue workers =
     let o =
       run
         {
@@ -102,7 +99,6 @@ let point_cmd =
           arrival = (if rate > 0.0 then Some (Sss_workload.Driver.Poisson rate) else None);
           queue_capacity = queue;
           workers;
-          gc;
         }
     in
     Printf.printf "system      : %s\n" (system_name system);
@@ -129,7 +125,7 @@ let point_cmd =
         (o.mean_sojourn *. 1e3) (o.p99_sojourn *. 1e3)
         (o.mean_queue_wait *. 1e3)
     end;
-    if gc then
+    if system = Sss then
       Printf.printf "gc          : %d versions retained, %d versions + %d log entries dropped\n"
         o.store_versions o.gc_dropped_versions o.gc_dropped_entries;
     (let m = o.store_mem in
@@ -151,7 +147,7 @@ let point_cmd =
     Term.(
       const run_point $ system_t $ nodes_t $ degree_t $ keys_t $ ro_t $ ro_ops_t $ locality_t
       $ clients_t $ duration_t $ seed_t $ strict_t $ observe_t $ durable_t $ rate_t $ queue_t
-      $ workers_t $ gc_t)
+      $ workers_t)
   in
   Cmd.v (Cmd.info "point" ~doc:"Run a single experiment point") term
 

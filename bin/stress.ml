@@ -18,12 +18,12 @@ module Sweep = Sss_par.Sweep
    run's metrics as a section at the end.  The observer-effect contract says
    this must not change any committed count or checker verdict. *)
 
-let run_one ?(strict = true) ?(observe = false) ?(gc = false) ~nodes ~degree ~keys ~ro ~seed
+let run_one ?(strict = true) ?(observe = false) ~nodes ~degree ~keys ~ro ~seed
     ~duration ~clients () =
   let sim = Sim.create () in
   let config =
     { Config.default with nodes; replication_degree = degree; total_keys = keys; seed;
-      strict_order = strict; observe; gc }
+      strict_order = strict; observe }
   in
   let (Store.Store s) = Store.create Sss sim config in
   let result =
@@ -200,8 +200,7 @@ let open_rung ~nodes ~keys ~assert_footprint () =
   let degree = 2 in
   let sim = Sim.create () in
   let config =
-    { Config.default with nodes; replication_degree = degree; total_keys = keys; seed = 42;
-      gc = true }
+    { Config.default with nodes; replication_degree = degree; total_keys = keys; seed = 42 }
   in
   let cl = Kv.create sim config in
   let ops =
@@ -429,33 +428,6 @@ let () =
   Printf.printf
     "paper mode: %d runs, %d committed, %d divergence reports (the documented §8 finding)\n"
     (List.length pm_grid) !pm_committed !pm_div;
-  (* GC-on sweep: the online watermark GC must never change a checker
-     verdict — the full strict matrix again with Config.gc on, all
-     properties asserted. *)
-  let gc_grid = Sweep.cross configs (Sweep.seeds 6) in
-  let gc_results =
-    Pool.map_list pool
-      (fun ((nodes, degree, keys, ro, clients), seed) ->
-        run_one ~gc:true ~observe ~nodes ~degree ~keys ~ro ~seed ~duration:0.04 ~clients ())
-      gc_grid
-  in
-  let gc_committed = ref 0 in
-  List.iter2
-    (fun ((nodes, degree, keys, ro, _clients), seed) (committed, checks, _metrics) ->
-      gc_committed := !gc_committed + committed;
-      List.iter
-        (fun (name, res) ->
-          match res with
-          | Ok () -> ()
-          | Error msg ->
-              incr failures;
-              Printf.printf
-                "FAIL gc-on %s: nodes=%d degree=%d keys=%d ro=%.1f seed=%d: %s\n%!" name
-                nodes degree keys ro seed msg)
-        checks)
-    gc_grid gc_results;
-  Printf.printf "gc-on sweep: %d runs, %d committed, all properties asserted\n%!"
-    (List.length gc_grid) !gc_committed;
   failures := !failures + baseline_sweep pool;
   failures := !failures + durability_sweep pool;
   (match !first_metrics with

@@ -12,8 +12,6 @@ type t = {
   record_history : bool;
   seed : int;
   strict_order : bool;
-  gc_horizon : float;
-  chain_keep : int;
   gc : bool;
   priority_network : bool;
   compress_metadata : bool;
@@ -44,9 +42,7 @@ let default =
     record_history = true;
     seed = 1;
     strict_order = true;
-    gc_horizon = 1.0;
-    chain_keep = 128;
-    gc = false;
+    gc = true;
     priority_network = true;
     compress_metadata = true;
     fault_tolerance = false;

@@ -26,21 +26,20 @@ type t = {
       (** order external commits per node by commit stamp (see DESIGN.md
           "hardening"); disable to measure the paper's literal per-key
           release *)
-  gc_horizon : float;
-      (** node logs are pruned and version chains truncated for state older
-          than this; must exceed the longest transaction lifetime *)
-  chain_keep : int;  (** minimum versions kept per key under GC *)
   gc : bool;
-      (** watermark-driven online garbage collection: version chains are
-          truncated and node logs pruned up to the cluster low-watermark
-          (the entry-wise minimum over every node's [coordinated_max] and
-          every live read-only snapshot bound), so nothing any live or
-          future read-only transaction could still {!Mvstore.select} is
-          ever dropped.  Off by default: the legacy amortized
-          horizon/chain-keep collection then runs exactly as before, so
-          trajectories are byte-for-byte identical to builds without this
-          subsystem.  GC is passive — it draws no randomness and schedules
-          no events — so turning it on changes memory, not trajectories. *)
+      (** watermark-driven online garbage collection, the store's only
+          collector: version chains are truncated and node logs pruned up
+          to the cluster low-watermark (the entry-wise minimum over every
+          node's [coordinated_max] and every live read-only snapshot
+          bound), so nothing any live or future read-only transaction could
+          still {!Mvstore.select} is ever dropped.  On by default.  Off
+          means nothing is collected: chains and logs grow without bound.
+          The GC-off reference runs (perfbench's [paper-closed] workload
+          and the consistency tests that compare histories against GC-off)
+          use that.  GC is passive — it draws no randomness and schedules
+          no events — so turning it off changes memory, not trajectories;
+          the one exception is [durability], where a checkpoint's write
+          time depends on how much the GC left to image. *)
   priority_network : bool;
       (** give protocol-completing messages (Remove, Decide, ...) priority
           over new work in node ingress queues, as the paper's optimized

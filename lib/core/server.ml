@@ -350,19 +350,10 @@ let rec try_drain t node =
               end)
             prep.prop_set)
         prep.ws_local;
-      Nlog.add node.nlog ~txn ~vc ~ws:(List.map fst prep.ws_local) ~at:(now t);
-      (match t.ext.gc with
-      | Some g ->
-          (* watermark-driven collection: drop only state no live or future
-             read-only snapshot can still reach (State.gc_after_apply) *)
-          gc_after_apply t g node ~ws:prep.ws_local
-      | None ->
-          (* inline garbage collection, amortized over applies *)
-          if Nlog.size node.nlog land 1023 = 0 then
-            Nlog.prune node.nlog ~before:(now t -. t.config.Config.gc_horizon);
-          List.iter
-            (fun (k, _) -> Mvstore.truncate node.store k ~keep:t.config.Config.chain_keep)
-            prep.ws_local);
+      Nlog.add node.nlog ~txn ~vc ~ws:(List.map fst prep.ws_local);
+      (* watermark-driven collection: drop only state no live or future
+         read-only snapshot can still reach (State.gc_after_apply) *)
+      (match t.ext.gc with Some g -> gc_after_apply t g node ~ws:prep.ws_local | None -> ());
       Commitq.remove node.commitq txn;
       Locks.release_txn node.locks txn;
       (match t.obs with
@@ -663,7 +654,7 @@ let rec dispatch t node ~src payload =
 
 let load_snap t node (s : snap) =
   Mvstore.restore node.store s.s_store;
-  List.iter (fun (txn, vc, ws, at) -> Nlog.add node.nlog ~txn ~vc ~ws ~at) s.s_nlog;
+  List.iter (fun (txn, vc, ws) -> Nlog.add node.nlog ~txn ~vc ~ws) s.s_nlog;
   Nlog.restore_floor node.nlog s.s_nlog_floor;
   node.node_vc <- Vclock.copy s.s_node_vc;
   node.coordinated_max <- s.s_coordinated_max;
@@ -720,18 +711,9 @@ let replay_record t node = function
           List.iter
             (fun (k, v) -> Mvstore.install node.store k ~value:v ~vc:ap_vc ~writer:ap_txn)
             prep.ws_local;
-          Nlog.add node.nlog ~txn:ap_txn ~vc:ap_vc
-            ~ws:(List.map fst prep.ws_local)
-            ~at:(now t);
-          (* legacy chain-keep trimming only: watermark GC waits for the
-             next live apply (replay must not consult a watermark computed
-             against the pre-crash registry) *)
-          (match t.ext.gc with
-          | None ->
-              List.iter
-                (fun (k, _) -> Mvstore.truncate node.store k ~keep:t.config.Config.chain_keep)
-                prep.ws_local
-          | Some _ -> ());
+          (* watermark GC waits for the next live apply: replay must not
+             consult a watermark computed against the pre-crash registry *)
+          Nlog.add node.nlog ~txn:ap_txn ~vc:ap_vc ~ws:(List.map fst prep.ws_local);
           Commitq.remove node.commitq ap_txn)
   | SFinalized { f_txn } -> (
       match Hashtbl.find_opt node.prepared f_txn with

@@ -76,7 +76,7 @@ type sprep = {
 
 type snap = {
   s_store : Mvstore.image;
-  s_nlog : (Ids.txn * Vclock.t * Ids.key list * float) list;
+  s_nlog : (Ids.txn * Vclock.t * Ids.key list) list;
   (* the NLog's covered-prune floor: recovery rebuilds the log entry by
      entry and would otherwise lose the pruned contributions (Config.gc) *)
   s_nlog_floor : Vclock.t;
@@ -253,7 +253,7 @@ let snap_bytes s =
   64
   + Mvstore.image_bytes s.s_store
   + List.fold_left
-      (fun acc (_, c, ws, _) -> acc + 24 + vc c + (4 * List.length ws))
+      (fun acc (_, c, ws) -> acc + 24 + vc c + (4 * List.length ws))
       0 s.s_nlog
   + vc s.s_nlog_floor
   + vc s.s_node_vc + vc s.s_coordinated_max + vc s.s_stable_vc
@@ -278,7 +278,7 @@ let snap_of (node : node) =
     s_nlog =
       List.filter_map
         (fun (e : Nlog.entry) ->
-          if Ids.equal_txn e.txn Ids.genesis then None else Some (e.txn, e.vc, e.ws, e.at))
+          if Ids.equal_txn e.txn Ids.genesis then None else Some (e.txn, e.vc, e.ws))
         (Nlog.entries node.nlog);
     s_nlog_floor = Nlog.floor node.nlog;
     s_node_vc = Vclock.copy node.node_vc;

@@ -27,7 +27,7 @@
      Chains therefore cost 0 slots until first written.
 
    Chains only ever change by head-prepend ([install]), suffix-drop
-   ([truncate]/[truncate_covered]) or whole-chain replace ([restore_chain]),
+   ([truncate_covered]) or whole-chain replace ([restore_chain]),
    so a delta's newer neighbour is stable for the delta's whole lifetime.
 
    [total] maintains the store's version count incrementally so GC telemetry
@@ -549,29 +549,6 @@ let drop_genesis t h =
   end;
   Bytes.set t.g_state h g_dropped;
   t.total <- t.total - 1
-
-let truncate t k ~keep =
-  let keep = Stdlib.max keep 1 in
-  let h = find_handle t k in
-  let s = t.head.(h) in
-  if s >= 0 then begin
-    (* walk to the keep-th newest explicit version, if the chain reaches it *)
-    let cur = ref s and n = ref 1 in
-    while !n < keep && t.v_next.(!cur) >= 0 do
-      cur := t.v_next.(!cur);
-      incr n
-    done;
-    if !n = keep then begin
-      let tail = t.v_next.(!cur) in
-      if tail >= 0 then begin
-        t.v_next.(!cur) <- -1;
-        ignore (free_tail t tail)
-      end;
-      if genesis_present t h then drop_genesis t h
-    end
-    (* else: fewer than [keep] explicit versions — the genesis (if any)
-       sits within the kept prefix too *)
-  end
 
 let truncate_covered_h t h ~watermark =
   let s = t.head.(h) in

@@ -27,7 +27,7 @@
     Reads therefore return opaque {!slot} handles with O(1) accessors; the
     decoded {!version} record remains for cold paths ({!chain},
     {!restore_chain}).  A slot handle is only valid until the next mutation
-    of its store ({!install}/{!truncate}/GC may recycle it). *)
+    of its store ({!install}/{!truncate_covered}/GC may recycle it). *)
 
 type version = {
   value : string;
@@ -87,10 +87,6 @@ val slot_writer : t -> slot -> Ids.txn
 val slot_writer_is : t -> slot -> Ids.txn -> bool
 (** [slot_writer_is t s w] = [Ids.equal_txn (slot_writer t s) w] without
     allocating (single packed-int compare). *)
-
-val truncate : t -> Ids.key -> keep:int -> unit
-(** Garbage-collect a chain down to its [keep] newest versions (but never
-    dropping the last one). *)
 
 val truncate_covered : t -> Ids.key -> watermark:Vclock.t -> int
 (** Watermark-driven collection: keep the newest version whose clock is

@@ -1,4 +1,4 @@
-type entry = { txn : Ids.txn; vc : Vclock.t; ws : Ids.key list; at : float }
+type entry = { txn : Ids.txn; vc : Vclock.t; ws : Ids.key list }
 
 (* Entries are kept in an append-ordered dynamic array (the node-local clock
    component strictly increases with application order), together with
@@ -17,13 +17,13 @@ type t = {
          were below the cluster low-watermark, hence admissible for every
          live and future visibility query, so constrained queries seed
          their accumulator here instead of losing the pruned contributions.
-         All-zero until the first covered prune, keeping legacy behaviour
-         byte-identical.  Rows are write-once (replaced wholesale). *)
+         All-zero until the first covered prune.  Rows are write-once
+         (replaced wholesale). *)
 }
 
 let create ~nodes ~node =
   let zero = Vclock.zero nodes in
-  let genesis = { txn = Ids.genesis; vc = zero; ws = []; at = 0.0 } in
+  let genesis = { txn = Ids.genesis; vc = zero; ws = [] } in
   {
     node;
     nodes;
@@ -48,9 +48,9 @@ let grow t =
     t.pmax <- pmax
   end
 
-let add t ~txn ~vc ~ws ~at =
+let add t ~txn ~vc ~ws =
   grow t;
-  t.entries.(t.len) <- { txn; vc; ws; at };
+  t.entries.(t.len) <- { txn; vc; ws };
   let prev = t.pmax.(t.len - 1) in
   let m = Array.make t.nodes 0 in
   for w = 0 to t.nodes - 1 do
@@ -166,27 +166,6 @@ let drop_prefix t ~from =
     prev := m
   done;
   t.pmax <- pmax
-
-let prune ?watermark t ~before =
-  (* Keep a contiguous suffix of entries with [at >= before], always keeping
-     at least one entry as the floor. *)
-  let rec first_kept i =
-    if i >= t.len - 1 then t.len - 1
-    else if t.entries.(i).at >= before then i
-    else first_kept (i + 1)
-  in
-  (* keep one older entry as the floor, matching the documented contract *)
-  let from = Stdlib.max 0 (first_kept 0 - 1) in
-  (match watermark with
-  | None -> ()
-  | Some wm ->
-      (* the "no active transaction still needs pruned entries" contract,
-         checked: every dropped entry must sit below the caller's cluster
-         low-watermark (debug builds only; compiled out under -noassert) *)
-      for i = 0 to from - 1 do
-        assert (Vclock.leq t.entries.(i).vc wm)
-      done);
-  if from > 0 then drop_prefix t ~from
 
 let prune_covered t ~watermark =
   (* Drop the longest prefix of entries entry-wise covered by [watermark]

@@ -14,10 +14,9 @@
     The log is seeded with a genesis all-zero entry so the visible set is
     never empty. *)
 
-type entry = { txn : Ids.txn; vc : Vclock.t; ws : Ids.key list; at : float }
-(** One internal commit: the transaction, its commit clock, its write set
-    (key names, for propagation bookkeeping), and the virtual time it
-    applied ([at], used only by {!prune}). *)
+type entry = { txn : Ids.txn; vc : Vclock.t; ws : Ids.key list }
+(** One internal commit: the transaction, its commit clock, and its write
+    set (key names, for propagation bookkeeping). *)
 
 type t
 
@@ -28,9 +27,8 @@ val create : nodes:int -> node:int -> t
 val node : t -> int
 (** The owning node's index (fixed at {!create}). *)
 
-val add : t -> txn:Ids.txn -> vc:Vclock.t -> ws:Ids.key list -> at:float -> unit
-(** Append an internal commit.  [at] is the virtual time of application,
-    used only for pruning. *)
+val add : t -> txn:Ids.txn -> vc:Vclock.t -> ws:Ids.key list -> unit
+(** Append an internal commit. *)
 
 val most_recent_vc : t -> Vclock.t
 (** Commit clock of the latest internally-committed transaction (the
@@ -59,16 +57,7 @@ val visible_max :
     provably cannot grow. *)
 
 val size : t -> int
-(** Number of retained entries (shrinks under {!prune}). *)
-
-val prune : ?watermark:Vclock.t -> t -> before:float -> unit
-(** Drop entries applied strictly before [before], always keeping at least
-    one.  Callers must guarantee no active transaction still needs pruned
-    entries (the experiment harness uses a horizon far larger than any
-    transaction lifetime).  Passing [watermark] checks that contract in
-    debug builds: an assertion fires if any dropped entry's clock is not
-    entry-wise [<=] the cluster low-watermark (compiled out under
-    [-noassert]). *)
+(** Number of retained entries (shrinks under {!prune_covered}). *)
 
 val prune_covered : t -> watermark:Vclock.t -> int
 (** Watermark-driven pruning: drop the longest prefix of entries whose

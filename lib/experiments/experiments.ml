@@ -35,7 +35,6 @@ type params = {
          loop (byte-identical to builds without the open-loop engine) *)
   queue_capacity : int;  (* open loop: max waiting arrivals per node *)
   workers : int;  (* open loop: service fibers per node *)
-  gc : bool;  (* watermark-driven online GC (SSS; Config.gc) *)
 }
 
 let default_params =
@@ -62,7 +61,6 @@ let default_params =
     arrival = None;
     queue_capacity = 64;
     workers = 10;
-    gc = false;
   }
 
 type outcome = {
@@ -125,7 +123,6 @@ let config_of (p : params) : Sss_kv.Config.t =
     record_history = false;
     seed = p.seed;
     strict_order = p.strict;
-    gc = p.gc;
     priority_network = p.priority_network;
     compress_metadata = p.compress;
     observe = p.observe;
@@ -767,7 +764,7 @@ let saturation_body scale ~slo_ms ~slo ~run ~out =
           (fun rate ->
             let (o : outcome) =
               run
-                { base with system = sys; nodes; keys; ro_ratio = 0.5; gc = true;
+                { base with system = sys; nodes; keys; ro_ratio = 0.5;
                   arrival = Some (Sss_workload.Driver.Poisson rate) }
             in
             pr out "%-11.0f%10d%10d%10d%9.1f%12.3f%7.1f%%%10d%9d%10d\n" rate o.offered
@@ -814,7 +811,7 @@ let saturation_body scale ~slo_ms ~slo ~run ~out =
     (fun sys ->
       let (o : outcome) =
         run
-          { base with system = sys; nodes; keys; ro_ratio = 0.5; gc = true;
+          { base with system = sys; nodes; keys; ro_ratio = 0.5;
             arrival = Some (Sss_workload.Driver.Ramp { from_rate = lo; to_rate = hi }) }
       in
       pr out "%-8s%10d%10d%10d%9.1f%12.3f%7.1f%%\n" (system_name sys) o.offered

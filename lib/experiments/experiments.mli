@@ -62,9 +62,6 @@ type params = {
       (** open loop: bounded admission queue per node; arrivals beyond it
           are rejected (counted, not queued) *)
   workers : int;  (** open loop: service fibers per node *)
-  gc : bool;
-      (** watermark-driven online version GC ({!Sss_kv.Config.t.gc});
-          default off, which is trajectory-identical to builds without it *)
 }
 
 val default_params : params

@@ -105,10 +105,14 @@ let test_mvstore_truncate () =
   for i = 1 to 10 do
     Mvstore.install s 1 ~value:(Printf.sprintf "v%d" i) ~vc:(vc [ i ]) ~writer:(tx 0 i)
   done;
-  Mvstore.truncate s 1 ~keep:3;
+  (* the genesis is always covered, and nothing is older than it *)
+  Alcotest.(check int) "zero watermark drops nothing" 0
+    (Mvstore.truncate_covered s 1 ~watermark:(vc [ 0 ]));
+  Alcotest.(check int) "dropped v1..v7 and the genesis" 8
+    (Mvstore.truncate_covered s 1 ~watermark:(vc [ 8 ]));
   Alcotest.(check int) "kept 3" 3 (List.length (Mvstore.chain s 1));
   Alcotest.(check string) "newest survives" "v10" (Mvstore.slot_value s (Mvstore.last s 1));
-  Mvstore.truncate s 1 ~keep:0;
+  ignore (Mvstore.truncate_covered s 1 ~watermark:(vc [ max_int ]) : int);
   Alcotest.(check int) "never below 1" 1 (List.length (Mvstore.chain s 1))
 
 (* A 200k-version tail freed in one truncate: the arena walks the chain
@@ -122,10 +126,11 @@ let test_mvstore_long_chain_truncate () =
     Mvstore.install s 0 ~value:"x" ~vc:(vc [ i ]) ~writer:(tx 0 i)
   done;
   Alcotest.(check int) "all installed" (n + 1) (Mvstore.version_count s);
-  Mvstore.truncate s 0 ~keep:2;
+  Alcotest.(check int) "dropped the tail" (n - 1)
+    (Mvstore.truncate_covered s 0 ~watermark:(vc [ n - 1 ]));
   Alcotest.(check int) "kept 2" 2 (Mvstore.version_count s);
   Alcotest.(check string) "newest survives" "x" (Mvstore.slot_value s (Mvstore.last s 0));
-  Mvstore.truncate s 0 ~keep:1;
+  ignore (Mvstore.truncate_covered s 0 ~watermark:(vc [ n ]) : int);
   Alcotest.(check int) "kept 1" 1 (Mvstore.version_count s)
 
 (* Clock-arena recycling: drive identical install/GC cycles and require the
@@ -181,7 +186,6 @@ type mop =
   | MInstall of int * int array * (int * int)
   | MInstall2 of int * int * int array * (int * int)  (* shared-clock write set *)
   | MSelect of int * int array
-  | MTruncate of int * int
   | MCovered of int * int array
   | MSweep of int array * int
   | MRestore of int * (int * int array * (int * int)) list * int
@@ -194,7 +198,6 @@ let mop_to_string op =
   | MInstall2 (k1, k2, c, (w, l)) ->
       Printf.sprintf "install2 k%d k%d %s T<%d.%d>" k1 k2 (arr c) w l
   | MSelect (k, b) -> Printf.sprintf "select k%d %s" k (arr b)
-  | MTruncate (k, n) -> Printf.sprintf "truncate k%d keep:%d" k n
   | MCovered (k, w) -> Printf.sprintf "covered k%d %s" k (arr w)
   | MSweep (w, b) -> Printf.sprintf "sweep %s budget:%d" (arr w) b
   | MRestore (k, vs, tail) ->
@@ -222,7 +225,6 @@ let mvstore_matches_model =
           (6, map3 (fun k c w -> MInstall (k, c, w)) k clock writer);
           (2, map3 (fun (k1, k2) c w -> MInstall2 (k1, k2, c, w)) (pair k k) clock writer);
           (4, map2 (fun k b -> MSelect (k, b)) k clock);
-          (2, map2 (fun k n -> MTruncate (k, n)) k (int_bound 4));
           (2, map2 (fun k w -> MCovered (k, w)) k clock);
           (2, map2 (fun w b -> MSweep (w, b)) clock (int_range 1 6));
           (1, map3 (fun k vs tail -> MRestore (k, vs, tail)) k (list_size (int_bound 4) ver) (int_bound 2));
@@ -318,15 +320,6 @@ let mvstore_matches_model =
           let want = walk model.(i) in
           String.equal want.mvalue (Mvstore.slot_value s got)
           && Mvstore.slot_writer_is s got want.mwriter
-      | MTruncate (i, n) ->
-          Mvstore.truncate s (key i) ~keep:n;
-          let keep = Stdlib.max n 1 in
-          let rec take n = function
-            | [] -> []
-            | v :: rest -> if n = 0 then [] else v :: take (n - 1) rest
-          in
-          model.(i) <- take keep model.(i);
-          true
       | MCovered (i, w) ->
           let got = Mvstore.truncate_covered s (key i) ~watermark:(Vclock.of_array w) in
           got = m_covered i w
@@ -452,16 +445,16 @@ let test_commitq_update_missing_is_noop () =
 let test_nlog_most_recent () =
   let l = Nlog.create ~nodes:2 ~node:0 in
   Alcotest.(check int) "genesis local" 0 (Nlog.most_recent_local l);
-  Nlog.add l ~txn:(tx 0 1) ~vc:(vc [ 1; 0 ]) ~ws:[ 1 ] ~at:0.1;
-  Nlog.add l ~txn:(tx 0 2) ~vc:(vc [ 2; 3 ]) ~ws:[ 2 ] ~at:0.2;
+  Nlog.add l ~txn:(tx 0 1) ~vc:(vc [ 1; 0 ]) ~ws:[ 1 ];
+  Nlog.add l ~txn:(tx 0 2) ~vc:(vc [ 2; 3 ]) ~ws:[ 2 ];
   Alcotest.(check int) "local entry" 2 (Nlog.most_recent_local l);
   Alcotest.(check (list int)) "most recent vc" [ 2; 3 ]
     (Array.to_list (Vclock.to_array (Nlog.most_recent_vc l)))
 
 let test_nlog_visible_max_unconstrained () =
   let l = Nlog.create ~nodes:2 ~node:0 in
-  Nlog.add l ~txn:(tx 0 1) ~vc:(vc [ 1; 4 ]) ~ws:[] ~at:0.0;
-  Nlog.add l ~txn:(tx 0 2) ~vc:(vc [ 2; 1 ]) ~ws:[] ~at:0.0;
+  Nlog.add l ~txn:(tx 0 1) ~vc:(vc [ 1; 4 ]) ~ws:[];
+  Nlog.add l ~txn:(tx 0 2) ~vc:(vc [ 2; 1 ]) ~ws:[];
   let m =
     Nlog.visible_max l ~has_read:[| false; false |] ~bound:(vc [ 0; 0 ]) ~cutoff:max_int
   in
@@ -470,8 +463,8 @@ let test_nlog_visible_max_unconstrained () =
 
 let test_nlog_visible_max_bounded () =
   let l = Nlog.create ~nodes:2 ~node:0 in
-  Nlog.add l ~txn:(tx 0 1) ~vc:(vc [ 1; 1 ]) ~ws:[] ~at:0.0;
-  Nlog.add l ~txn:(tx 0 2) ~vc:(vc [ 2; 9 ]) ~ws:[] ~at:0.0;
+  Nlog.add l ~txn:(tx 0 1) ~vc:(vc [ 1; 1 ]) ~ws:[];
+  Nlog.add l ~txn:(tx 0 2) ~vc:(vc [ 2; 9 ]) ~ws:[];
   (* Node 1 was already read with bound 5: the second entry (vc[1]=9) is not
      admissible. *)
   let m =
@@ -483,9 +476,9 @@ let test_nlog_visible_max_cutoff () =
   (* The cutoff makes the local snapshot a prefix of the apply order: the
      entry at local clock 2 and everything after it are invisible. *)
   let l = Nlog.create ~nodes:2 ~node:0 in
-  Nlog.add l ~txn:(tx 0 1) ~vc:(vc [ 1; 1 ]) ~ws:[] ~at:0.0;
-  Nlog.add l ~txn:(tx 0 2) ~vc:(vc [ 2; 2 ]) ~ws:[] ~at:0.0;
-  Nlog.add l ~txn:(tx 0 3) ~vc:(vc [ 3; 1 ]) ~ws:[] ~at:0.0;
+  Nlog.add l ~txn:(tx 0 1) ~vc:(vc [ 1; 1 ]) ~ws:[];
+  Nlog.add l ~txn:(tx 0 2) ~vc:(vc [ 2; 2 ]) ~ws:[];
+  Nlog.add l ~txn:(tx 0 3) ~vc:(vc [ 3; 1 ]) ~ws:[];
   let m =
     Nlog.visible_max l ~has_read:[| false; false |] ~bound:(vc [ 0; 0 ]) ~cutoff:2
   in
@@ -495,15 +488,19 @@ let test_nlog_visible_max_cutoff () =
 let test_nlog_prune () =
   let l = Nlog.create ~nodes:1 ~node:0 in
   for i = 1 to 10 do
-    Nlog.add l ~txn:(tx 0 i) ~vc:(vc [ i ]) ~ws:[] ~at:(float_of_int i)
+    Nlog.add l ~txn:(tx 0 i) ~vc:(vc [ i ]) ~ws:[]
   done;
   Alcotest.(check int) "11 entries (incl genesis)" 11 (Nlog.size l);
-  Nlog.prune l ~before:8.0;
-  (* Keeps entries at >= 8.0 plus one floor entry. *)
-  Alcotest.(check int) "pruned" 4 (Nlog.size l);
+  (* drops the genesis and entries 1..7, keeping the uncovered suffix *)
+  Alcotest.(check int) "dropped the covered prefix" 8
+    (Nlog.prune_covered l ~watermark:(vc [ 7 ]));
+  Alcotest.(check int) "pruned" 3 (Nlog.size l);
   Alcotest.(check int) "most recent preserved" 10 (Nlog.most_recent_local l);
   Alcotest.(check int) "committed max survives pruning" 10
-    (Vclock.get (Nlog.committed_max l) 0)
+    (Vclock.get (Nlog.committed_max l) 0);
+  Alcotest.(check int) "floor holds the dropped maximum" 7 (Vclock.get (Nlog.floor l) 0);
+  ignore (Nlog.prune_covered l ~watermark:(vc [ max_int ]) : int);
+  Alcotest.(check int) "never below 1" 1 (Nlog.size l)
 
 (* ---------- Locks ---------- *)
 

@@ -317,6 +317,76 @@ let test_sss_tombstone_after_restart () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "the late read entered a finished reader: %s" e)
 
+(* ---------- the watermark GC across a crash ----------
+
+   Read-only transactions homed at a crashed node die with it; the crash
+   must release their watermark pins, or the cluster watermark stays
+   anchored to their snapshots and the GC stops collecting for good.  At
+   seed 9 the crashed node homes live readers at the crash.  The run is
+   twice the recovery sweep's window, and collection must still make progress from
+   20 ms after the restart to the end: a pinned watermark lets the GC trim
+   chains once more down to the pin, then nothing.  Collection must also
+   stay invisible: the history equals the GC-off run's.  Checkpointing is
+   off, as a checkpoint's write time depends on how much the GC left to
+   image; recovery replays the log. *)
+
+let test_gc_across_crash () =
+  let seed = 9 and crashed = 2 and crash_at = 0.015 and restart_at = 0.019 in
+  let plan =
+    {
+      Chaos.seed;
+      rules = [];
+      events = [ Chaos.Crash { at = crash_at; restart_at = Some restart_at; node = crashed } ];
+    }
+  in
+  let run gc =
+    let sim = Sim.create () in
+    let config = { (durable_config ~degree:2 ~seed) with gc; checkpoint_interval = 0.0 } in
+    let (Store.Store s) = Store.create Store.Sss sim config in
+    let cl = Option.get s.kv in
+    let h = s.chaos ~durable:true plan in
+    let dropped () =
+      let _, versions, _ = Sss_kv.Kv.gc_stats cl in
+      versions
+    in
+    (* live read-only transactions homed at the crashed node just before
+       the crash, as the watermark sees them *)
+    let homed = ref 0 and after_restart = ref 0 in
+    Sim.schedule sim ~delay:(crash_at -. 1e-5) (fun () ->
+        match cl.Sss_kv.State.ext.Sss_kv.State.gc with
+        | Some g ->
+            (Hashtbl.iter
+               (fun (txn : Sss_data.Ids.txn) _ -> if txn.node = crashed then incr homed)
+               g.Sss_kv.State.ro_bounds [@order_ok])
+        | None -> ());
+    Sim.schedule sim ~delay:(restart_at +. 0.02) (fun () -> after_restart := dropped ());
+    let result =
+      Driver.run sim ~nodes:4 ~total_keys:24
+        ~local_keys:(fun _ -> [||])
+        ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
+        ~load:{ (load ~seed) with duration = 0.06 }
+        ~ops:s.ops
+    in
+    if (Chaos.stats h).Chaos.restarts <> 1 then Alcotest.fail "crash/restart did not fire";
+    List.iter
+      (fun (check, res) ->
+        match res with Ok () -> () | Error msg -> Alcotest.failf "gc=%b %s: %s" gc check msg)
+      (Store.checks s);
+    (result.Driver.committed, s.history, !homed, !after_restart, dropped ())
+  in
+  let off_committed, off_history, _, _, _ = run false in
+  let committed, history, homed, after_restart, at_end = run true in
+  Alcotest.(check bool)
+    (Printf.sprintf "node %d homed live read-only transactions (%d)" crashed homed)
+    true (homed > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "GC kept collecting after the restart (%d -> %d versions)" after_restart
+       at_end)
+    true (at_end > after_restart);
+  Alcotest.(check int) "committed as with GC off" off_committed committed;
+  if History.events off_history <> History.events history then
+    Alcotest.fail "GC changed the durable crash history"
+
 (* ---------- durability off: the hooks are inert ---------- *)
 
 let test_off_trajectory_unchanged () =
@@ -339,6 +409,7 @@ let () =
           Alcotest.test_case "sss ro abort-free" `Quick test_sss_ro_abort_free_durable;
           Alcotest.test_case "late prepare after restart" `Quick test_late_prepare_after_restart;
           Alcotest.test_case "sss tombstone after restart" `Quick test_sss_tombstone_after_restart;
+          Alcotest.test_case "gc keeps collecting across a crash" `Quick test_gc_across_crash;
         ] );
       ( "determinism",
         [

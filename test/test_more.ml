@@ -1,5 +1,5 @@
-(* Second-round test battery: paper-mode behaviour, garbage collection,
-   workload-generator properties, statistics, and protocol edge cases. *)
+(* Second-round test battery: paper-mode behaviour, workload-generator
+   properties, statistics, and protocol edge cases. *)
 
 open Sss_sim
 open Sss_data
@@ -10,8 +10,7 @@ let check_ok what = function
   | Ok () -> ()
   | Error msg -> Alcotest.fail (Printf.sprintf "%s: %s" what msg)
 
-let make ?(nodes = 3) ?(degree = 1) ?(keys = 24) ?(seed = 1) ?(strict = true)
-    ?(gc_horizon = 1.0) ?(chain_keep = 128) () =
+let make ?(nodes = 3) ?(degree = 1) ?(keys = 24) ?(seed = 1) ?(strict = true) () =
   let sim = Sim.create () in
   let config =
     {
@@ -21,8 +20,6 @@ let make ?(nodes = 3) ?(degree = 1) ?(keys = 24) ?(seed = 1) ?(strict = true)
       total_keys = keys;
       seed;
       strict_order = strict;
-      gc_horizon;
-      chain_keep;
     }
   in
   (sim, Kv.create sim config)
@@ -98,28 +95,6 @@ let test_paper_mode_faster_on_long_reads () =
   Alcotest.(check bool)
     (Printf.sprintf "paper mode >= hardened under long scans (%.0f vs %.0f)" paper hardened)
     true (paper >= hardened)
-
-(* ---------- garbage collection ---------- *)
-
-let test_gc_bounds_state () =
-  let sim, cl = make ~nodes:3 ~degree:1 ~keys:8 ~seed:11 ~gc_horizon:0.004 ~chain_keep:4 () in
-  let r = run_workload sim cl ~nodes:3 ~keys:8 ~ro:0.2 ~seed:11 ~duration:0.08 in
-  Alcotest.(check bool) "progress" true (r.Sss_workload.Driver.committed > 200);
-  Array.iter
-    (fun (n : State.node) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "node %d nlog bounded (%d)" n.State.id (Nlog.size n.State.nlog))
-        true
-        (Nlog.size n.State.nlog < 2048);
-      Alcotest.(check bool)
-        (Printf.sprintf "node %d chains bounded (%d versions)" n.State.id
-           (Mvstore.version_count n.State.store))
-        true
-        (Mvstore.version_count n.State.store <= 8 * 8))
-    cl.State.nodes;
-  check_ok "still externally consistent under GC"
-    (Checker.external_consistency (Kv.history cl));
-  check_ok "quiescent" (Kv.quiescent cl)
 
 (* ---------- replication degree 3 with history ---------- *)
 
@@ -345,8 +320,6 @@ let () =
         ] );
       ( "experiments",
         [ Alcotest.test_case "harness smoke, all systems" `Quick test_experiments_smoke ] );
-      ( "gc",
-        [ Alcotest.test_case "bounded state, same guarantees" `Quick test_gc_bounds_state ] );
       ( "protocol",
         [
           Alcotest.test_case "degree-3 consistency" `Quick test_degree3_consistency;

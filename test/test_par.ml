@@ -172,7 +172,6 @@ let test_open_loop_run_determinism () =
       arrival = Some (Sss_workload.Driver.Poisson 4_000.0);
       queue_capacity = 8;
       workers = 4;
-      gc = true;
     }
   in
   let digest outs =

@@ -189,8 +189,7 @@ let nlog_visible_max_model =
         (fun i (b, c) ->
           let vc = [| i + 1; b; c |] in
           all := vc :: !all;
-          Nlog.add l ~txn:(tx 0 (i + 1)) ~vc:(Vclock.of_array vc) ~ws:[]
-            ~at:(float_of_int i))
+          Nlog.add l ~txn:(tx 0 (i + 1)) ~vc:(Vclock.of_array vc) ~ws:[])
         entries;
       let has_read = [| false; true; false |] in
       let bound = Vclock.of_array [| max_int; bound1; max_int |] in
@@ -209,26 +208,25 @@ let nlog_visible_max_model =
 
 let nlog_prune_preserves_views =
   QCheck.Test.make ~name:"nlog prune never shrinks unconstrained visibility" ~count:100
-    QCheck.(list_of_size (Gen.int_range 1 30) (int_bound 20))
-    (fun others ->
+    QCheck.(pair (list_of_size (Gen.int_range 1 30) (int_bound 20)) (int_bound 20))
+    (fun (others, wm1) ->
       let nodes = 2 in
       let l = Nlog.create ~nodes ~node:0 in
       List.iteri
-        (fun i b ->
-          Nlog.add l ~txn:(tx 0 (i + 1))
-            ~vc:(Vclock.of_array [| i + 1; b |])
-            ~ws:[] ~at:(float_of_int i))
+        (fun i b -> Nlog.add l ~txn:(tx 0 (i + 1)) ~vc:(Vclock.of_array [| i + 1; b |]) ~ws:[])
         others;
       let before =
         Nlog.visible_max l ~has_read:[| false; false |] ~bound:(Vclock.zero nodes)
           ~cutoff:max_int
       in
-      Nlog.prune l ~before:(float_of_int (List.length others / 2));
+      ignore
+        (Nlog.prune_covered l ~watermark:(Vclock.of_array [| List.length others / 2; wm1 |])
+          : int);
       let after =
         Nlog.visible_max l ~has_read:[| false; false |] ~bound:(Vclock.zero nodes)
           ~cutoff:max_int
       in
-      Vclock.leq before after)
+      Vclock.equal before after)
 
 (* ---------- Commitq: random puts/updates/removes keep order ---------- *)
 

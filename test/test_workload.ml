@@ -1,6 +1,6 @@
 (* Workload-generator tests: Zipfian key popularity, the open-loop arrival
    process (Poisson / Ramp), bounded admission-queue edge cases, and the
-   Nlog.prune watermark contract.  The statistical checks use fixed seeds
+   Nlog.prune_covered watermark contract.  The statistical checks use fixed seeds
    and generous tolerances so they are deterministic, not flaky. *)
 
 open Sss_sim
@@ -322,38 +322,33 @@ let test_closed_loop_counters_zero () =
   Alcotest.(check int) "rejected = 0" 0 r.rejected;
   Alcotest.(check bool) "but the closed loop committed" true (r.committed > 10)
 
-(* ---------- Nlog.prune watermark contract ---------- *)
+(* ---------- Nlog.prune_covered watermark contract ---------- *)
 
-(* [prune ?watermark] documents that callers must not drop entries a live
-   transaction still needs; passing the cluster watermark turns that
-   contract into a debug assertion.  Violating it must trip. *)
-let test_nlog_prune_watermark_trips () =
+(* [prune_covered] may drop only entries a live transaction can no longer
+   need: a prefix of entries entry-wise below the cluster watermark.  An
+   entry the watermark does not cover must survive, and so must every
+   entry after it. *)
+let test_nlog_prune_covered_prefix () =
   let txn local = { Ids.node = 0; local } in
-  (* three entries past genesis: prune keeps the newest plus one floor
-     entry, so the genesis AND the [1;0] entry get dropped — and [1;0] is
-     not covered by the zero watermark *)
   let log = Nlog.create ~nodes:2 ~node:0 in
-  Nlog.add log ~txn:(txn 1) ~vc:(Vclock.of_array [| 1; 0 |]) ~ws:[ 0 ] ~at:0.001;
-  Nlog.add log ~txn:(txn 2) ~vc:(Vclock.of_array [| 2; 0 |]) ~ws:[ 1 ] ~at:0.002;
-  Nlog.add log ~txn:(txn 3) ~vc:(Vclock.of_array [| 3; 0 |]) ~ws:[ 0 ] ~at:0.003;
-  (* watermark below the entries about to be dropped: the contract is
-     violated, the debug assertion must fire *)
-  let tripped =
-    try
-      Nlog.prune ~watermark:(Vclock.zero 2) log ~before:0.01;
-      false
-    with Assert_failure _ -> true
-  in
-  Alcotest.(check bool) "violating the prune contract trips the assertion" true tripped;
-  (* and a watermark that does cover the dropped entries passes *)
+  Nlog.add log ~txn:(txn 1) ~vc:(Vclock.of_array [| 1; 0 |]) ~ws:[ 0 ];
+  Nlog.add log ~txn:(txn 2) ~vc:(Vclock.of_array [| 2; 0 |]) ~ws:[ 1 ];
+  Nlog.add log ~txn:(txn 3) ~vc:(Vclock.of_array [| 3; 0 |]) ~ws:[ 0 ];
+  (* a zero watermark covers only the genesis *)
+  Alcotest.(check int) "zero watermark drops only the genesis" 1
+    (Nlog.prune_covered log ~watermark:(Vclock.zero 2));
+  Alcotest.(check int) "uncovered entries kept" 3 (Nlog.size log);
+  (* [2;6] is not covered by [3;5], so [3;0] behind it survives too *)
   let log2 = Nlog.create ~nodes:2 ~node:0 in
-  Nlog.add log2 ~txn:(txn 4) ~vc:(Vclock.of_array [| 1; 0 |]) ~ws:[ 0 ] ~at:0.001;
-  Nlog.add log2 ~txn:(txn 5) ~vc:(Vclock.of_array [| 2; 0 |]) ~ws:[ 1 ] ~at:0.002;
-  Nlog.add log2 ~txn:(txn 6) ~vc:(Vclock.of_array [| 3; 0 |]) ~ws:[ 0 ] ~at:0.003;
-  let before = Nlog.size log2 in
-  Nlog.prune ~watermark:(Vclock.of_array [| 5; 5 |]) log2 ~before:0.01;
-  Alcotest.(check bool) "covered prune is accepted and drops entries" true
-    (Nlog.size log2 < before && Nlog.size log2 >= 1)
+  Nlog.add log2 ~txn:(txn 4) ~vc:(Vclock.of_array [| 1; 0 |]) ~ws:[ 0 ];
+  Nlog.add log2 ~txn:(txn 5) ~vc:(Vclock.of_array [| 2; 6 |]) ~ws:[ 1 ];
+  Nlog.add log2 ~txn:(txn 6) ~vc:(Vclock.of_array [| 3; 0 |]) ~ws:[ 0 ];
+  Alcotest.(check int) "covered prefix dropped" 2
+    (Nlog.prune_covered log2 ~watermark:(Vclock.of_array [| 3; 5 |]));
+  Alcotest.(check int) "first uncovered entry and its suffix kept" 2 (Nlog.size log2);
+  (* and a watermark that covers everything still keeps one entry *)
+  ignore (Nlog.prune_covered log2 ~watermark:(Vclock.of_array [| 5; 9 |]) : int);
+  Alcotest.(check int) "covered prune keeps one entry" 1 (Nlog.size log2)
 
 let () =
   Alcotest.run "workload"
@@ -390,7 +385,6 @@ let () =
         ] );
       ( "nlog-prune",
         [
-          Alcotest.test_case "watermark contract trips" `Quick
-            test_nlog_prune_watermark_trips;
+          Alcotest.test_case "covered prefix only" `Quick test_nlog_prune_covered_prefix;
         ] );
     ]
