@@ -18,8 +18,8 @@
    Chains are trimmed to their [keep] newest versions through the
    watermark collector: a key's clocks only grow in both replays, so the
    clock of its [keep]-th newest version, used as the watermark, keeps
-   exactly [keep] versions.  EXPERIMENTS.md records the numbers of the
-   pre-arena boxed-list layout this probe once reconstructed alongside.
+   exactly [keep] versions.  EXPERIMENTS.md records the pre-arena
+   boxed-list layout's numbers for comparison.
 
      store_probe [nodes] [keys] [installs]      (default 100 10000 200000)
 *)
