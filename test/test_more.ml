@@ -1,5 +1,5 @@
-(* Second-round test battery: paper-mode behaviour, workload-generator
-   properties, statistics, and protocol edge cases. *)
+(* Second-round test battery: paper-mode behaviour, garbage collection,
+   workload-generator properties, statistics, and protocol edge cases. *)
 
 open Sss_sim
 open Sss_data
@@ -95,6 +95,43 @@ let test_paper_mode_faster_on_long_reads () =
   Alcotest.(check bool)
     (Printf.sprintf "paper mode >= hardened under long scans (%.0f vs %.0f)" paper hardened)
     true (paper >= hardened)
+
+(* ---------- garbage collection ---------- *)
+
+(* A small, hot key space (8 keys, 20% read-only) grows chains and logs
+   fastest.  The watermark collector, on by default, keeps only what live
+   snapshots can reach, so state stays bounded without weakening any
+   guarantee.  GC is passive, so a GC-off run of the same seed follows the
+   same trajectory and shows what would otherwise be retained. *)
+let test_gc_bounds_state () =
+  let run gc =
+    let sim = Sim.create () in
+    let cl =
+      Kv.create sim
+        { Config.default with nodes = 3; replication_degree = 1; total_keys = 8; seed = 11; gc }
+    in
+    let r = run_workload sim cl ~nodes:3 ~keys:8 ~ro:0.2 ~seed:11 ~duration:0.08 in
+    (r, cl)
+  in
+  let r, cl = run true and _, off = run false in
+  Alcotest.(check bool) "progress" true (r.Sss_workload.Driver.committed > 200);
+  Array.iteri
+    (fun i (n : State.node) ->
+      let kept = Mvstore.version_count n.State.store
+      and unbounded = Mvstore.version_count off.State.nodes.(i).State.store in
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d nlog bounded (%d)" n.State.id (Nlog.size n.State.nlog))
+        true
+        (Nlog.size n.State.nlog < 2048);
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d chains bounded (%d versions, %d without GC)" n.State.id kept
+           unbounded)
+        true
+        (4 * kept < unbounded))
+    cl.State.nodes;
+  check_ok "still externally consistent under GC"
+    (Checker.external_consistency (Kv.history cl));
+  check_ok "quiescent" (Kv.quiescent cl)
 
 (* ---------- replication degree 3 with history ---------- *)
 
@@ -320,6 +357,8 @@ let () =
         ] );
       ( "experiments",
         [ Alcotest.test_case "harness smoke, all systems" `Quick test_experiments_smoke ] );
+      ( "gc",
+        [ Alcotest.test_case "bounded state, same guarantees" `Quick test_gc_bounds_state ] );
       ( "protocol",
         [
           Alcotest.test_case "degree-3 consistency" `Quick test_degree3_consistency;
