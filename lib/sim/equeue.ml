@@ -471,3 +471,130 @@ let min_time t =
       else bt
     end
   end
+
+(* ---- dead-entry hooks (the simulator's cancelled timers) ---- *)
+
+let[@inline] popped_is t fn = t.pop_fn == fn
+
+let[@inline] popped_arg t = t.pop_arg
+
+let[@inline] drop_popped t =
+  t.pop_fn <- dummy_fn;
+  t.pop_arg <- dummy_arg
+
+(* ---- filter and release: cold paths ---- *)
+
+(* Pack the slots among the first [n] whose [keep fn arg] holds to the
+   front, in their current order, and poison the vacated tail.  Returns the
+   survivor count. *)
+let compact_slots keep ts ks fs xs n =
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let f = fs.(i) and x = xs.(i) in
+    if keep f x then begin
+      ts.(!j) <- ts.(i);
+      ks.(!j) <- ks.(i);
+      fs.(!j) <- f;
+      xs.(!j) <- x;
+      incr j
+    end
+  done;
+  for i = !j to n - 1 do
+    fs.(i) <- dummy_fn;
+    xs.(i) <- dummy_arg
+  done;
+  !j
+
+let rung_resize r ncap =
+  let n = r.h_size in
+  let nt = Array.make ncap 0.0
+  and nk = Array.make ncap 0
+  and nf = Array.make ncap dummy_fn
+  and na = Array.make ncap dummy_arg in
+  Array.blit r.h_times 0 nt 0 n;
+  Array.blit r.h_keys 0 nk 0 n;
+  Array.blit r.h_fns 0 nf 0 n;
+  Array.blit r.h_args 0 na 0 n;
+  r.h_times <- nt;
+  r.h_keys <- nk;
+  r.h_fns <- nf;
+  r.h_args <- na
+
+let swap a i j =
+  let v = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- v
+
+(* Restore the heap property below [i] for a heap of [n] slots. *)
+let rec sift_down r i n =
+  let ts = r.h_times and ks = r.h_keys in
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c =
+      let rr = l + 1 in
+      if rr < n && (ts.(rr) < ts.(l) || (ts.(rr) = ts.(l) && ks.(rr) < ks.(l))) then rr else l
+    in
+    if ts.(c) < ts.(i) || (ts.(c) = ts.(i) && ks.(c) < ks.(i)) then begin
+      swap ts i c;
+      swap ks i c;
+      swap r.h_fns i c;
+      swap r.h_args i c;
+      sift_down r c n
+    end
+  end
+
+(* Drop a rung's rejected entries, re-heapify bottom-up, and give back
+   capacity once the survivors fill at most a quarter of it. *)
+let filter_rung r keep =
+  let n = r.h_size in
+  let m = compact_slots keep r.h_times r.h_keys r.h_fns r.h_args n in
+  r.h_size <- m;
+  for i = (m / 2) - 1 downto 0 do
+    sift_down r i m
+  done;
+  let cap = Array.length r.h_times in
+  if cap > 16 && 4 * m <= cap then begin
+    let ncap = ref 16 in
+    while !ncap < 2 * m do
+      ncap := 2 * !ncap
+    done;
+    rung_resize r !ncap
+  end;
+  n - m
+
+let filter t keep =
+  let dropped = ref (filter_rung t.front keep + filter_rung t.overflow keep) in
+  Array.iteri
+    (fun i b ->
+      let n = b.b_size in
+      let m = compact_slots keep b.b_times b.b_keys b.b_fns b.b_args n in
+      b.b_size <- m;
+      dropped := !dropped + (n - m);
+      (* buckets strictly after [cur] are counted in [in_window] and the
+         occupancy bitmap; buckets before it are drained *)
+      if i > t.cur && n > m then begin
+        t.in_window <- t.in_window - (n - m);
+        if m = 0 then t.occ.(i lsr 5) <- t.occ.(i lsr 5) land lnot (1 lsl (i land 31))
+      end)
+    t.buckets;
+  t.sc_i <- -1;
+  t.size <- t.size - !dropped
+
+let release t =
+  if t.size <> 0 then invalid_arg "Equeue.release: queue not empty";
+  let drop_rung r =
+    r.h_times <- [||];
+    r.h_keys <- [||];
+    r.h_fns <- [||];
+    r.h_args <- [||]
+  in
+  drop_rung t.front;
+  drop_rung t.overflow;
+  Array.iter
+    (fun b ->
+      b.b_times <- [||];
+      b.b_keys <- [||];
+      b.b_fns <- [||];
+      b.b_args <- [||])
+    t.buckets;
+  t.sc_i <- -1

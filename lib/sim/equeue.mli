@@ -18,7 +18,9 @@
     network's delivery handler) can schedule without allocating a closure
     per event.  All internal storage is struct-of-arrays with recycled
     slots: steady-state push/pop allocates nothing, and vacated slots are
-    poisoned so spent payloads are not kept alive. *)
+    poisoned so spent payloads are not kept alive.  Off the hot path,
+    {!filter} drops unwanted payloads in one pass and {!release} gives back
+    a drained queue's storage. *)
 
 type t
 
@@ -54,3 +56,30 @@ val run_popped : t -> unit
 val min_time : t -> float
 (** Smallest queued time, [infinity] when empty.  May advance internal
     cursors but never changes the pop order. *)
+
+val popped_is : t -> (Obj.t -> unit) -> bool
+(** [popped_is t fn] holds iff the last popped event's [fn] is physically
+    [fn] (until {!run_popped} or {!drop_popped} clears it).  Lets the owner
+    recognise one of its own payloads — the simulator's cancelled timers —
+    before running it. *)
+
+val popped_arg : t -> Obj.t
+(** The [arg] of the last popped event, under the same terms as
+    {!popped_is}. *)
+
+val drop_popped : t -> unit
+(** Discard the last popped event without applying it: the alternative to
+    {!run_popped}, clearing the same slots. *)
+
+val filter : t -> ((Obj.t -> unit) -> Obj.t -> bool) -> unit
+(** [filter t keep] removes every queued event whose [(fn, arg)] fails
+    [keep], from the current bucket, the window buckets, the front rung and
+    the overflow rung, then restores each rung's heap order and gives back
+    rung capacity the survivors no longer need.  Survivors keep their
+    [(time, key)] order, so a filter never changes which live event pops
+    next.  O(length + buckets); meant for occasional compaction. *)
+
+val release : t -> unit
+(** Drop the storage every rung and bucket has grown, keeping the queue
+    usable (later pushes grow it again from scratch).  Raises
+    [Invalid_argument] unless the queue is empty. *)

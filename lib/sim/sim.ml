@@ -56,6 +56,8 @@ type t = {
      bare closure ([ignore] when absent) so the per-event path has no
      option check. *)
   mutable probe : unit -> unit;
+  (* Cancelled timers still sitting in [events]; see [cancel]. *)
+  mutable dead : int;
 }
 
 (* The protocols above the simulator remain allocation-heavy (message
@@ -84,6 +86,7 @@ let create () =
     processed = 0;
     events = Equeue.create ();
     probe = ignore;
+    dead = 0;
   }
 
 let[@inline] now t = Array.unsafe_get t.clock 0
@@ -132,6 +135,57 @@ let sleep t delay =
 
 let set_probe t p = t.probe <- (match p with None -> ignore | Some f -> f)
 
+(* ---- cancellable timers ----
+
+   A timer is one mutable cell holding the action it will run.  Firing or
+   cancelling swaps in the static [inert] action, so a settled wait drops
+   its closure (and with it the continuation and state the closure
+   captured) at once, and [fire]'s identity tells a cancelled entry apart
+   from a live one.  The queue entry is [(fire_timer, timer)]: a cancelled
+   timer stays queued until [run] pops and discards it or a compaction
+   filters it out. *)
+type timer = { mutable fire : unit -> unit }
+
+let inert () = ()
+
+let fire_timer : Obj.t -> unit =
+ fun o ->
+  let tm : timer = Obj.obj o in
+  let f = tm.fire in
+  tm.fire <- inert;
+  f ()
+
+let[@inline] push_timer t ~delay tm =
+  assert (delay >= 0.0);
+  let key = pack_key ~prio:100 ~seq:t.seq in
+  t.seq <- t.seq + 1;
+  Equeue.push t.events ~time:(now t +. delay) ~key fire_timer (Obj.repr tm)
+
+let arm t ~delay f =
+  let tm = { fire = f } in
+  push_timer t ~delay tm;
+  tm
+
+(* Compaction rule: filter the queue once cancelled entries outnumber the
+   live ones, and only past a floor that keeps the O(queue + buckets)
+   filter pass amortised over at least as many dropped entries. *)
+let compact_floor = 1024
+
+let keep_live fn arg = not (fn == fire_timer && (Obj.obj arg : timer).fire == inert)
+
+let compact t =
+  Equeue.filter t.events keep_live;
+  t.dead <- 0
+
+let[@hot] cancel t tm =
+  if tm.fire == inert then false
+  else begin
+    tm.fire <- inert;
+    t.dead <- t.dead + 1;
+    if t.dead > compact_floor && 2 * t.dead > Equeue.length t.events then compact t;
+    true
+  end
+
 let[@inline] [@hot] exec_popped t =
   let q = t.events in
   Array.unsafe_set t.clock 0 (Equeue.popped_time q);
@@ -139,16 +193,28 @@ let[@inline] [@hot] exec_popped t =
   Equeue.run_popped q;
   t.probe ()
 
+(* A cancelled timer leaves the queue without touching the clock, the
+   event count or the probe. *)
+let[@inline] [@hot] step t =
+  let q = t.events in
+  if Equeue.popped_is q fire_timer && (Obj.obj (Equeue.popped_arg q) : timer).fire == inert
+  then begin
+    t.dead <- t.dead - 1;
+    Equeue.drop_popped q
+  end
+  else exec_popped t
+
 let run t =
   let q = t.events in
   while Equeue.pop q do
-    exec_popped t
-  done
+    step t
+  done;
+  Equeue.release q
 
 let run_until t limit =
   let q = t.events in
   while Equeue.min_time q <= limit && Equeue.pop q do
-    exec_popped t
+    step t
   done;
   if now t < limit then t.clock.(0) <- limit
 
@@ -206,28 +272,21 @@ module Cond = struct
       if pred () then true
       else if now sim >= deadline then false
       else begin
-        (* Park on the condition but also arm a timer; whichever fires
-           first wins through the [fired] flag.  When the timer wins, the
-           dead waiter is compacted out of [c.waiters] immediately — a
-           long-lived condition whose waiters keep timing out (lock waits,
-           vote timeouts) must not accumulate cancelled closures until the
-           next broadcast. *)
-        let fired = ref false in
+        (* Park on the condition and arm a backstop; whichever comes first
+           disarms the other.  A wake cancels the backstop; a backstop that
+           fires compacts the dead waiter out of [c.waiters] immediately —
+           a long-lived condition whose waiters keep timing out (lock
+           waits, vote timeouts) must not accumulate cancelled closures
+           until the next broadcast. *)
         raw_suspend (fun resume ->
-            let wake () =
-              if not !fired then begin
-                fired := true;
-                resume ()
-              end
-            in
+            let tm = { fire = inert } in
+            let wake () = if cancel sim tm then resume () in
             c.waiters <- wake :: c.waiters;
-            enqueue sim ~prio:100 ~delay:(deadline -. now sim) ~fiber:false
+            tm.fire <-
               (fun () ->
-                if not !fired then begin
-                  fired := true;
-                  c.waiters <- List.filter (fun w -> w != wake) c.waiters;
-                  resume ()
-                end));
+                c.waiters <- List.filter (fun w -> w != wake) c.waiters;
+                resume ());
+            push_timer sim ~delay:(deadline -. now sim) tm);
         loop ()
       end
     in
@@ -267,21 +326,16 @@ module Ivar = struct
     match iv.value with
     | Some _ -> iv.value
     | None ->
-        let fired = ref false in
+        (* the same race as [Cond.await_timeout]: a fill cancels the
+           backstop, a backstop that fires compacts the dead waiter *)
         raw_suspend (fun resume ->
-            let wake () =
-              if not !fired then begin
-                fired := true;
-                resume ()
-              end
-            in
+            let tm = { fire = inert } in
+            let wake () = if cancel sim tm then resume () in
             iv.waiters <- wake :: iv.waiters;
-            enqueue sim ~prio:100 ~delay:timeout ~fiber:false (fun () ->
-                if not !fired then begin
-                  fired := true;
-                  (* compact the dead waiter, as in [Cond.await_timeout] *)
-                  iv.waiters <- List.filter (fun w -> w != wake) iv.waiters;
-                  resume ()
-                end));
+            tm.fire <-
+              (fun () ->
+                iv.waiters <- List.filter (fun w -> w != wake) iv.waiters;
+                resume ());
+            push_timer sim ~delay:timeout tm);
         iv.value
 end

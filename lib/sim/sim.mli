@@ -26,7 +26,9 @@ val now : t -> float
 (** Current virtual time, in seconds. *)
 
 val events_processed : t -> int
-(** Number of events executed so far (for reporting and loop guards). *)
+(** Number of events executed so far (for reporting and loop guards),
+    plus the logical events counted by {!tick}.  Cancelled timers are not
+    events: {!run} discards them uncounted. *)
 
 val schedule : t -> ?prio:int -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] as a new fiber at time [now t +. delay].
@@ -51,6 +53,9 @@ val schedule_apply : t -> ?prio:int -> delay:float -> ('a -> unit) -> 'a -> unit
     directly and thread the per-event state through [arg], so scheduling
     an event allocates nothing.  [fn] must not suspend. *)
 
+type timer
+(** A pending callback that can be cancelled before it fires. *)
+
 val run_fiber : (unit -> unit) -> unit
 (** Run [f] immediately under a fresh effect handler.  If [f] suspends,
     the call returns and [f]'s continuation is parked exactly as a
@@ -67,7 +72,8 @@ val tick : t -> unit
 (** Count one logical event against {!events_processed} without executing
     anything.  Used by the network's inline dispatch, which fuses what used
     to be a separate handler event into its CPU-charge event — counting the
-    fused delivery keeps DES events/sec comparable across dispatch modes. *)
+    fused delivery keeps DES event counts comparable with the handler
+    running as an event of its own. *)
 
 val sleep : t -> float -> unit
 (** Suspend the current fiber for the given amount of virtual time.  Must be
@@ -79,13 +85,32 @@ val suspend : t -> ?prio:int -> ((unit -> unit) -> unit) -> unit
     calls are errors the caller must prevent).  This is the primitive the
     higher-level {!Cond} and {!Ivar} are built from. *)
 
+val arm : t -> delay:float -> (unit -> unit) -> timer
+(** [arm t ~delay f] schedules [f] like {!schedule_callback} at the default
+    priority (a bare callback: it must not suspend) and returns a handle
+    that can {!cancel} it until it fires. *)
+
+val cancel : t -> timer -> bool
+(** [cancel t tm] stops [tm] from firing and drops its action at once.
+    Returns [true] iff [tm] was still pending, so of two racing parties
+    exactly one wins; cancelling a timer that fired or was already
+    cancelled does nothing and returns [false].  The cancelled entry stays
+    queued until {!run} pops and discards it, or until cancelled entries
+    exceed half the queue (past a fixed floor of 1024), when the queue is
+    filtered in one pass.  Neither changes the order of live events. *)
+
 val run : t -> unit
-(** Execute events until the queue is empty.  Exceptions raised by fibers
+(** Execute events until the queue is empty.  A cancelled timer popped on
+    the way is discarded: it does not move the clock, is not counted by
+    {!events_processed} and does not run the probe, so the clock ends at
+    the last live event's time.  On return the queue releases the storage
+    it grew; later events grow it again.  Exceptions raised by fibers
     propagate to the caller. *)
 
 val run_until : t -> float -> unit
-(** [run_until t limit] executes events with time <= [limit], then stops.
-    The clock is left at [min limit time_of_next_event]. *)
+(** [run_until t limit] executes events with time <= [limit], discarding
+    cancelled timers as {!run} does, then stops.  The clock is left at
+    [limit] if it was earlier. *)
 
 (** Broadcast-style condition variables for "wait until P" loops. *)
 module Cond : sig
@@ -111,9 +136,11 @@ module Cond : sig
 
   val await_timeout : sim -> t -> timeout:float -> (unit -> bool) -> bool
   (** Like {!await} but gives up after [timeout] seconds of virtual time.
-      Returns [true] if the predicate held, [false] on timeout.  A waiter
-      whose timer fires is compacted out of the condition's waiter list
-      immediately, so long-lived conditions do not accumulate cancelled
+      Returns [true] if the predicate held, [false] on timeout.  Each park
+      arms a backstop {!timer}: a wake cancels it, so a settled wait leaves
+      nothing live in the queue and never runs its backstop; a backstop
+      that fires compacts its waiter out of the condition's waiter list
+      immediately, so long-lived conditions do not accumulate dead
       closures. *)
 end
 
@@ -137,5 +164,7 @@ module Ivar : sig
 
   val read_timeout : sim -> 'a t -> timeout:float -> 'a option
   (** [read_timeout] returns [None] if the ivar is still empty after
-      [timeout] seconds of virtual time. *)
+      [timeout] seconds of virtual time.  Its backstop {!timer} is
+      cancelled when the fill wakes the reader, as in
+      {!Cond.await_timeout}. *)
 end

@@ -108,6 +108,88 @@ let equeue_arena_reuse =
       done;
       !ok)
 
+(* The same model with random [filter] calls.  Ops: 0-99 push at a profile
+   delay; 100-104 a burst of 80 pushes at the watermark, which overflows the
+   current bucket into the front rung; 105-117 pop; 118-129 filter out the
+   keys divisible by 2..13.  Survivors must pop in sorted-model order. *)
+let eq_insert x l =
+  let rec go = function [] -> [ x ] | y :: tl as l -> if compare x y <= 0 then x :: l else y :: go tl in
+  go l
+
+let eq_keep m _fn arg = snd (Obj.obj arg : float * int) mod m <> 0
+
+let equeue_filter_ops =
+  QCheck.Test.make ~name:"equeue push/pop/filter matches model" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 400) (int_bound 129))
+    (fun ops ->
+      let q = Sss_sim.Equeue.create () in
+      let out = ref [] in
+      let model = ref [] and watermark = ref 0.0 and next_key = ref 0 in
+      let push time =
+        let key = !next_key in
+        incr next_key;
+        Sss_sim.Equeue.push q ~time ~key (eq_record out) (Obj.repr (time, key));
+        model := eq_insert (time, key) !model
+      in
+      let pop () =
+        match !model with
+        | [] -> not (Sss_sim.Equeue.pop q)
+        | ((t, _) as hd) :: rest ->
+            Sss_sim.Equeue.min_time q = t
+            && Sss_sim.Equeue.pop q
+            &&
+            (Sss_sim.Equeue.run_popped q;
+             model := rest;
+             watermark := t;
+             Sss_sim.Equeue.popped_time q = t && match !out with x :: _ -> x = hd | [] -> false)
+      in
+      let step op =
+        if op < 100 then (push (!watermark +. eq_delay op); true)
+        else if op < 105 then begin
+          for _ = 1 to 80 do
+            push !watermark
+          done;
+          true
+        end
+        else if op < 118 then pop ()
+        else begin
+          let m = op - 116 in
+          Sss_sim.Equeue.filter q (eq_keep m);
+          model := List.filter (fun (_, k) -> k mod m <> 0) !model;
+          true
+        end
+      in
+      let ok = List.for_all (fun op -> step op && Sss_sim.Equeue.length q = List.length !model) ops in
+      let rec drain () = !model = [] || (pop () && drain ()) in
+      ok && drain () && not (Sss_sim.Equeue.pop q))
+
+(* A filter between draining the window and the re-anchor it forces: the
+   overflow rung survivors must seed the new window in order, and a filter
+   that empties the queue leaves it empty. *)
+let test_equeue_filter_before_re_anchor () =
+  let q = Sss_sim.Equeue.create () in
+  let out = ref [] in
+  let push time key = Sss_sim.Equeue.push q ~time ~key (eq_record out) (Obj.repr (time, key)) in
+  push 1e-6 0;
+  List.iteri (fun i t -> push t (i + 1)) [ 0.5; 0.2; 0.2; 0.7; 0.3; 0.9 ];
+  Alcotest.(check bool) "popped the window event" true (Sss_sim.Equeue.pop q);
+  Sss_sim.Equeue.run_popped q;
+  (* window drained; only the overflow rung holds events *)
+  Sss_sim.Equeue.filter q (eq_keep 2);
+  Alcotest.(check int) "odd keys survive" 3 (Sss_sim.Equeue.length q);
+  while Sss_sim.Equeue.pop q do
+    Sss_sim.Equeue.run_popped q
+  done;
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "survivors in order"
+    [ (1e-6, 0); (0.2, 3); (0.3, 5); (0.5, 1) ]
+    (List.rev !out);
+  push 1.0 7;
+  push 1.5 8;
+  Sss_sim.Equeue.filter q (fun _ _ -> false);
+  Alcotest.(check bool) "filtered to empty" true (Sss_sim.Equeue.is_empty q);
+  Alcotest.(check bool) "nothing to pop" false (Sss_sim.Equeue.pop q)
+
 (* ---------- Prng statistical sanity ---------- *)
 
 let test_prng_chi_square_uniform () =
@@ -329,6 +411,8 @@ let () =
           QCheck_alcotest.to_alcotest equeue_mixed_ops;
           QCheck_alcotest.to_alcotest equeue_spill_bucket;
           QCheck_alcotest.to_alcotest equeue_arena_reuse;
+          QCheck_alcotest.to_alcotest equeue_filter_ops;
+          Alcotest.test_case "filter before re-anchor" `Quick test_equeue_filter_before_re_anchor;
           Alcotest.test_case "chi-square uniformity" `Quick test_prng_chi_square_uniform;
           Alcotest.test_case "copy independence" `Quick test_prng_copy_independent;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;

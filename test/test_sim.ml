@@ -261,6 +261,93 @@ let test_ivar_read_timeout () =
   Alcotest.(check (option int)) "timed out" None !r1;
   Alcotest.(check (option int)) "filled in time" (Some 7) !r2
 
+(* ---------- cancellable timers ---------- *)
+
+(* Settled timed waits cancel their backstops: nothing fires at the 30 s
+   deadlines (a backstop that ran would resume its fiber a second time), and
+   the run ends at the last live event. *)
+let test_settled_waits_cancel_backstops () =
+  let sim = Sim.create () in
+  let iv = Sim.Ivar.create () and c = Sim.Cond.create () in
+  let flag = ref false in
+  let got = ref None and held = ref None in
+  Sim.spawn sim (fun () ->
+      let v = Sim.Ivar.read_timeout sim iv ~timeout:30.0 in
+      got := Some (v, Sim.now sim));
+  Sim.spawn sim (fun () ->
+      let ok = Sim.Cond.await_timeout sim c ~timeout:30.0 (fun () -> !flag) in
+      held := Some (ok, Sim.now sim));
+  Sim.schedule_callback sim ~delay:1.0 (fun () ->
+      Sim.Ivar.fill sim iv 7;
+      flag := true;
+      Sim.Cond.broadcast sim c);
+  Sim.run sim;
+  Alcotest.(check (option (pair (option int) (float 0.0)))) "read settled" (Some (Some 7, 1.0)) !got;
+  Alcotest.(check (option (pair bool (float 0.0)))) "await settled" (Some (true, 1.0)) !held;
+  Alcotest.(check (float 0.0)) "run ends at the last live event" 1.0 (Sim.now sim)
+
+let test_cancelled_timer_not_an_event () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let doomed = Sim.arm sim ~delay:5.0 (fun () -> fired := "doomed" :: !fired) in
+  let kept = Sim.arm sim ~delay:2.0 (fun () -> fired := "kept" :: !fired) in
+  let won = ref false and again = ref true in
+  Sim.schedule_callback sim ~delay:1.0 (fun () ->
+      won := Sim.cancel sim doomed;
+      again := Sim.cancel sim doomed);
+  Sim.run sim;
+  Alcotest.(check (list string)) "only the live timer fired" [ "kept" ] !fired;
+  Alcotest.(check bool) "first cancel wins" true !won;
+  Alcotest.(check bool) "second cancel is a no-op" false !again;
+  Alcotest.(check bool) "cancelling a fired timer is a no-op" false (Sim.cancel sim kept);
+  Alcotest.(check int) "cancelled timer not counted" 2 (Sim.events_processed sim);
+  Alcotest.(check (float 0.0)) "clock at the last live event" 2.0 (Sim.now sim)
+
+(* Cancel enough timers to pass the compaction rule (more than 1024, and
+   more than half the queue), spread over the current bucket, the window
+   and the overflow rung; then keep arming.  No cancelled timer may fire,
+   and the live ones must fire in (time, scheduling) order. *)
+let test_compacted_timers_never_fire () =
+  let sim = Sim.create () in
+  let fired = ref [] and expect = ref [] in
+  let delay i = [| 0.0; 1e-7; 3e-6; 2e-4; 0.01; 0.5; 3.0 |].(i mod 7) in
+  let timers =
+    Array.init 3000 (fun i -> (i, delay i, Sim.arm sim ~delay:(delay i) (fun () -> fired := i :: !fired)))
+  in
+  Array.iter
+    (fun (i, d, tm) ->
+      if i mod 3 = 0 then expect := (d, i) :: !expect
+      else Alcotest.(check bool) "cancel pending" true (Sim.cancel sim tm))
+    timers;
+  for j = 3000 to 3099 do
+    let d = delay j in
+    ignore (Sim.arm sim ~delay:d (fun () -> fired := j :: !fired));
+    expect := (d, j) :: !expect
+  done;
+  Sim.run sim;
+  let order = List.map snd (List.sort compare !expect) in
+  Alcotest.(check (list int)) "live timers in order, cancelled never" order (List.rev !fired);
+  Alcotest.(check int) "events = live timers" (List.length order) (Sim.events_processed sim)
+
+(* [run] releases the drained queue's storage; the queue must keep working
+   afterwards, including for times below the last discarded timer's. *)
+let test_push_after_release () =
+  let sim = Sim.create () in
+  let late = Sim.arm sim ~delay:30.0 (fun () -> Alcotest.fail "cancelled timer fired") in
+  Sim.schedule_callback sim ~delay:1.0 (fun () -> ignore (Sim.cancel sim late));
+  Sim.run sim;
+  Alcotest.(check (float 0.0)) "ended at 1.0" 1.0 (Sim.now sim);
+  let fired = ref [] in
+  List.iter
+    (fun d -> Sim.schedule_callback sim ~delay:d (fun () -> fired := Sim.now sim :: !fired))
+    [ 40.0; 0.5; 1e-6; 0.2 ];
+  Sim.run sim;
+  Alcotest.(check (list (float 1e-12))) "fresh events in order" [ 1.000001; 1.2; 1.5; 41.0 ]
+    (List.rev !fired);
+  Sim.spawn sim (fun () -> Sim.sleep sim 2.0);
+  Sim.run sim;
+  Alcotest.(check (float 1e-12)) "fibers after a second release" 43.0 (Sim.now sim)
+
 let test_many_fibers () =
   let sim = Sim.create () in
   let n = 1000 in
@@ -365,5 +452,14 @@ let () =
           Alcotest.test_case "already filled" `Quick test_ivar_already_filled;
           Alcotest.test_case "double fill rejected" `Quick test_ivar_double_fill_rejected;
           Alcotest.test_case "read timeout" `Quick test_ivar_read_timeout;
+        ] );
+      ( "timer",
+        [
+          Alcotest.test_case "settled waits cancel backstops" `Quick
+            test_settled_waits_cancel_backstops;
+          Alcotest.test_case "cancelled timer is not an event" `Quick
+            test_cancelled_timer_not_an_event;
+          Alcotest.test_case "compacted timers never fire" `Quick test_compacted_timers_never_fire;
+          Alcotest.test_case "push after release" `Quick test_push_after_release;
         ] );
     ]
