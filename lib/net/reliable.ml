@@ -4,11 +4,12 @@
    The sender wraps a payload in a protocol-level [Tracked]-style envelope
    carrying a token unique across the cluster (the envelope constructor is
    supplied by the protocol, since the message type is its own), then a
-   retry fiber re-sends the envelope with exponential backoff until the
-   receiver's receipt arrives or the retry budget is exhausted.  The
-   receiver acknowledges every copy (receipts themselves can be lost) but
-   processes the payload only the first time, so protocol handlers never
-   observe re-deliveries and need no per-message idempotency reasoning.
+   retry timer re-sends the envelope with exponential backoff until the
+   receiver's receipt arrives and cancels it, or the retry budget is
+   exhausted.  The receiver acknowledges every copy (receipts themselves
+   can be lost) but processes the payload only the first time, so protocol
+   handlers never observe re-deliveries and need no per-message
+   idempotency reasoning.
 
    Everything runs on virtual time and plain data: no wall clock, no
    ambient randomness, so retries are as deterministic as the rest of the
@@ -18,10 +19,10 @@
    ([Config.fault_tolerance] defaults to [false]; [Runtime.send] then
    calls [Network.send] directly), so nothing here sits on the benchmark
    hot path.  In fault-tolerance mode the per-send cost is one envelope,
-   one ivar, one [awaiting] entry (removed when the send settles) and a
-   retry fiber — all inherent to the at-least-once contract, none carrying
-   floats across non-inlined boundaries (timeouts stay inside the fiber's
-   own frames).  The receiver's dedup costs one bit per token in an
+   one [awaiting] entry (removed when the send settles) and one retry
+   timer with its closure per wait — all inherent to the at-least-once
+   contract.  The receipt cancels the timer, so a settled send leaves no
+   live event behind.  The receiver's dedup costs one bit per token in an
    {!Sss_data.Idset}.  [receive] is [[@hot]]: lint R8 holds its code free
    of closures, tuples and float boxing, and the bitmap allocates only
    when it grows.  What remains is the clock read that stamps a first
@@ -38,7 +39,7 @@ type 'msg t = {
   net : 'msg Network.t;
   retry : retry;
   mutable token : int;  (* cluster-global: tokens are unique per send *)
-  awaiting : (int, unit Sim.Ivar.t) Hashtbl.t;
+  awaiting : (int, Sim.timer) Hashtbl.t;  (* token -> its pending retry timer *)
   seen : Sss_data.Idset.t;  (* tokens processed, retired past [dedup_horizon] *)
   mutable retries : int;
   mutable stalled : int;
@@ -52,7 +53,7 @@ type 'msg t = {
 let flight_slack = 30.0
 
 (* How long after a token is minted a copy of it can still arrive: the
-   sender's whole watch — the same waits its retry fiber makes, [initial]
+   sender's whole watch — the same waits its retry timer makes, [initial]
    doubling up to [max], [limit] of them — plus the flight slack.  A token
    retires from the dedup set only once a later token was first processed
    longer ago than this, so no copy of it can still be on its way. *)
@@ -85,44 +86,42 @@ let send t ?prio ~src ~dst wrap =
   t.token <- t.token + 1;
   let token = t.token in
   let msg = wrap token in
-  let iv = Sim.Ivar.create () in
-  Hashtbl.replace t.awaiting token iv;
   Network.send t.net ?prio ~src ~dst msg;
-  (* The retry fiber gives up silently after [limit] attempts (counted in
+  (* Wait [timeout], then re-send and wait twice as long (capped at [max]).
+     The watch gives up silently after [limit] waits (counted in
      [stalled]): an unreachable destination must not keep the event queue
      alive forever, and the foreground waiter has its own backstop that
      turns the stall into a typed {!Rpc.Stalled}. *)
-  Sim.spawn t.sim (fun () ->
-      let rec watch attempt timeout =
-        match Sim.Ivar.read_timeout t.sim iv ~timeout with
-        | Some () -> Hashtbl.remove t.awaiting token
-        | None ->
-            if attempt >= t.retry.limit then begin
-              Hashtbl.remove t.awaiting token;
-              t.stalled <- t.stalled + 1;
-              match t.obs with
-              | Some o ->
-                  Sss_obs.Obs.incr o "transport.stall";
-                  Sss_obs.Obs.emit o ~at:(Sim.now t.sim) (Sss_obs.Obs.Stall { src; dst })
-              | None -> ()
-            end
-            else begin
-              t.retries <- t.retries + 1;
-              (match t.obs with
-              | Some o ->
-                  Sss_obs.Obs.incr o "transport.retry";
-                  Sss_obs.Obs.emit o ~at:(Sim.now t.sim)
-                    (Sss_obs.Obs.Retry { src; dst; attempt })
-              | None -> ());
-              Network.send t.net ?prio ~src ~dst msg;
-              watch (attempt + 1) (Float.min (timeout *. 2.0) t.retry.max)
-            end
-      in
-      watch 1 t.retry.initial)
+  let rec watch attempt timeout =
+    Hashtbl.replace t.awaiting token
+      (Sim.arm t.sim ~delay:timeout (fun () ->
+           if attempt >= t.retry.limit then begin
+             Hashtbl.remove t.awaiting token;
+             t.stalled <- t.stalled + 1;
+             match t.obs with
+             | Some o ->
+                 Sss_obs.Obs.incr o "transport.stall";
+                 Sss_obs.Obs.emit o ~at:(Sim.now t.sim) (Sss_obs.Obs.Stall { src; dst })
+             | None -> ()
+           end
+           else begin
+             t.retries <- t.retries + 1;
+             (match t.obs with
+             | Some o ->
+                 Sss_obs.Obs.incr o "transport.retry";
+                 Sss_obs.Obs.emit o ~at:(Sim.now t.sim) (Sss_obs.Obs.Retry { src; dst; attempt })
+             | None -> ());
+             Network.send t.net ?prio ~src ~dst msg;
+             watch (attempt + 1) (Float.min (timeout *. 2.0) t.retry.max)
+           end))
+  in
+  watch 1 t.retry.initial
 
 let delivered t token =
   match Hashtbl.find_opt t.awaiting token with
-  | Some iv -> if not (Sim.Ivar.is_filled iv) then Sim.Ivar.fill t.sim iv ()
+  | Some tm ->
+      Hashtbl.remove t.awaiting token;
+      ignore (Sim.cancel t.sim tm)
   | None -> ()  (* late receipt of an already-confirmed (or abandoned) send *)
 
 let[@hot] receive t token =

@@ -42,12 +42,14 @@ val create : Sss_sim.Sim.t -> 'msg Network.t -> retry:retry -> 'msg t
 val send :
   'msg t -> ?prio:int -> src:Sss_data.Ids.node -> dst:Sss_data.Ids.node -> (int -> 'msg) -> unit
 (** [send t ~src ~dst wrap] allocates a fresh token, sends [wrap token] and
-    spawns a retry fiber that re-sends it until {!delivered} is called for
-    the token or the budget is exhausted.  Give [wrap] no side effects. *)
+    arms a retry timer ({!Sss_sim.Sim.arm}) that re-sends it after
+    [initial], then after waits doubling up to [max], until {!delivered}
+    cancels the timer or [limit] waits have passed.  Give [wrap] no side
+    effects. *)
 
 val delivered : 'msg t -> int -> unit
-(** The receiver's receipt for a token arrived: stop retrying it.  Late and
-    duplicate receipts are ignored. *)
+(** The receiver's receipt for a token arrived: cancel its retry timer.
+    Late and duplicate receipts are ignored. *)
 
 val receive : 'msg t -> int -> bool
 (** [receive t token] is [true] exactly the first time the token is seen;

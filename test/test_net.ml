@@ -202,7 +202,7 @@ let reliable_cell ~retry () =
 let test_reliable_ack_after_stall () =
   (* A tiny retry budget against a severed link exhausts into a stall; a
      receipt showing up *after* the stall must be ignored — no state change,
-     no resurrected retry fiber — and fresh sends must still work. *)
+     no resurrected retry timer — and fresh sends must still work. *)
   let retry = Reliable.{ initial = 100e-6; max = 100e-6; limit = 2 } in
   let sim, net, rel, processed, copies = reliable_cell ~retry () in
   Network.sever net 0 1;
@@ -223,6 +223,48 @@ let test_reliable_ack_after_stall () =
   Reliable.send rel ~src:0 ~dst:1 (fun t -> Tracked { token = t; inner = "fresh" });
   Sim.run sim;
   Alcotest.(check (list string)) "fresh send processed" [ "fresh" ] !processed
+
+let test_reliable_retry_schedule () =
+  (* Every receipt is lost, so the sender re-sends after 0.5 ms, then after
+     waits doubling up to [max] (3.5 ms and past it capped at 4 ms), and
+     gives up when its [limit]-th wait ends.  Copies arrive one 20 us hop
+     after each send. *)
+  let retry = Reliable.{ initial = 0.5e-3; max = 4e-3; limit = 6 } in
+  let sim, net, rel, processed, _ = reliable_cell ~retry () in
+  let arrivals = ref [] in
+  Network.set_perturb net
+    (Some
+       (fun ~src:_ ~dst:_ msg ->
+         match msg with
+         | Tracked _ ->
+             arrivals := (Sim.now sim +. 20e-6) :: !arrivals;
+             Network.no_fault
+         | Delivered _ -> { Network.no_fault with drop = true }));
+  Reliable.send rel ~src:0 ~dst:1 (fun t -> Tracked { token = t; inner = "lost receipts" });
+  Sim.run sim;
+  Alcotest.(check (list (float 1e-12)))
+    "copies at the backoff schedule"
+    (List.map (fun ms -> (ms *. 1e-3) +. 20e-6) [ 0.0; 0.5; 1.5; 3.5; 7.5; 11.5 ])
+    (List.rev !arrivals);
+  Alcotest.(check int) "re-sends" 5 (Reliable.retries rel);
+  Alcotest.(check int) "stalled after the budget" 1 (Reliable.stalled rel);
+  Alcotest.(check (float 1e-12)) "stall ends the run" 15.5e-3 (Sim.now sim);
+  Alcotest.(check (list string)) "processed once" [ "lost receipts" ] !processed
+
+let test_reliable_settled_send_cancels_timer () =
+  (* The receipt cancels the retry timer: the run ends when the receipt
+     lands (two 20 us hops), not at the 10 s retry deadline, and the
+     cancelled timer is not counted as an event. *)
+  let retry = Reliable.{ initial = 10.0; max = 10.0; limit = 3 } in
+  let sim, _, rel, processed, _ = reliable_cell ~retry () in
+  Reliable.send rel ~src:0 ~dst:1 (fun t -> Tracked { token = t; inner = "ok" });
+  Sim.run sim;
+  Alcotest.(check (list string)) "processed" [ "ok" ] !processed;
+  Alcotest.(check (float 1e-12)) "run ends with the receipt" 40e-6 (Sim.now sim);
+  Alcotest.(check int) "no retries" 0 (Reliable.retries rel);
+  (* two deliveries, each four events (delivery, serve step, dispatch and
+     the handler fused into it): nothing else *)
+  Alcotest.(check int) "no timer event" 8 (Sim.events_processed sim)
 
 let test_reliable_duplicate_copies () =
   (* The chaos duplication rule hands the receiver extra copies of the same
@@ -360,6 +402,9 @@ let () =
       ( "reliable",
         [
           Alcotest.test_case "ack after stall" `Quick test_reliable_ack_after_stall;
+          Alcotest.test_case "retry schedule" `Quick test_reliable_retry_schedule;
+          Alcotest.test_case "settled send cancels its timer" `Quick
+            test_reliable_settled_send_cancels_timer;
           Alcotest.test_case "duplicate copies" `Quick test_reliable_duplicate_copies;
           Alcotest.test_case "dedup across crash" `Quick test_reliable_dedup_across_crash;
           Alcotest.test_case "dedup outlives a long schedule" `Quick
