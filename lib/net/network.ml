@@ -180,7 +180,6 @@ type 'msg t = {
   mutable severed : (Sss_data.Ids.node * Sss_data.Ids.node) list;
   mutable drop_probability : float;
   mutable perturb : (src:Sss_data.Ids.node -> dst:Sss_data.Ids.node -> 'msg -> fault) option;
-  mutable fast_dispatch : bool;
   mutable observer : 'msg observer option;
   mutable seq : int;
   mutable sent : int;
@@ -208,8 +207,6 @@ and 'msg flight = {
 let nodes t = Array.length t.nodes
 
 let set_handler t n f = t.nodes.(n).handler <- f
-
-let set_fast_dispatch t b = t.fast_dispatch <- b
 
 let set_observer t o = t.observer <- o
 
@@ -252,39 +249,15 @@ let observe_dispatch t n (o : _ observer) =
   Sss_obs.Obs.emit o.obs ~at
     (Sss_obs.Obs.Dequeue { kind; node = n; depth = q.Iq.size; waited })
 
-(* Drain a node's ingress queue — slow (reference) path: each message
-   occupies the CPU for the configured service time via a fiber sleep, then
-   its handler runs in its own spawned fiber so that a blocking handler
-   never stalls the queue. *)
-let rec serve_slow t n =
-  let st = t.nodes.(n) in
-  if Iq.is_empty st.queue then st.serving <- false
-  else begin
-    Iq.pop_min st.queue;
-    let src = st.queue.Iq.p_src in
-    let msg = Obj.obj st.queue.Iq.p_msg in
-    Sim.sleep t.sim t.config.cpu_per_message;
-    if not st.crashed then begin
-      t.delivered <- t.delivered + 1;
-      (match t.observer with Some o -> observe_dispatch t n o | None -> ());
-      let f = st.handler in
-      if f != no_handler then Sim.spawn t.sim (fun () -> f ~src msg)
-    end;
-    st.queue.Iq.p_msg <- Iq.no_msg;
-    serve_slow t n
-  end
-
-(* Fast path: one plain-callback event per message instead of a fiber sleep
-   plus a spawned handler fiber.  The CPU charge is the event's delay; when
-   it fires, [dispatch] runs the handler inline under its own effect
-   handler at the same virtual instant the slow path would have started its
-   handler fiber.  A handler that suspends simply parks its continuation
-   and the serve chain moves on — blocking handlers still never stall the
-   queue.  The chain runs entirely on the node's persistent closures: a
+(* Drain a node's ingress queue: one plain-callback event per message.  The
+   CPU charge is the event's delay; when it fires, [dispatch] runs the
+   handler inline under its own effect handler.  A handler that suspends
+   simply parks its continuation and the serve chain moves on — blocking
+   handlers never stall the queue.  The chain runs entirely on the node's persistent closures: a
    serve step pops into the queue's slots and schedules [dispatch_cb]; at
    most one dispatch per node is outstanding, so the slots survive until it
    reads them. *)
-let[@hot] serve_fast t n =
+let[@hot] serve t n =
   let st = t.nodes.(n) in
   if Iq.is_empty st.queue then st.serving <- false
   else begin
@@ -298,26 +271,26 @@ let[@hot] dispatch t n =
     t.delivered <- t.delivered + 1;
     (match t.observer with Some o -> observe_dispatch t n o | None -> ());
     if st.handler != no_handler then begin
-      (* the fused handler still counts as one simulator event so DES
-         events/sec stays comparable across dispatch modes *)
+      (* the handler fused into this event counts as a simulator event of
+         its own *)
       Sim.tick t.sim;
       Sim.run_fiber st.handler_thunk
     end
   end;
   (* unpin after the handler: a suspended fiber already read its args *)
   st.queue.Iq.p_msg <- Iq.no_msg;
-  serve_fast t n
+  serve t n
 
 let install_node_cbs t n =
   let st = t.nodes.(n) in
-  st.serve_cb <- (fun () -> serve_fast t n);
+  st.serve_cb <- (fun () -> serve t n);
   st.dispatch_cb <- (fun () -> dispatch t n);
   st.handler_thunk <-
     (fun () ->
       let q = st.queue in
       st.handler ~src:q.Iq.p_src (Obj.obj q.Iq.p_msg))
 
-let create ?(size_of = fun _ -> 0) ?(fast_dispatch = true) sim rng ~nodes ~config =
+let create ?(size_of = fun _ -> 0) sim rng ~nodes ~config =
   let mk _ =
     {
       handler = no_handler;
@@ -341,7 +314,6 @@ let create ?(size_of = fun _ -> 0) ?(fast_dispatch = true) sim rng ~nodes ~confi
       severed = [];
       drop_probability = 0.0;
       perturb = None;
-      fast_dispatch;
       observer = None;
       seq = 0;
       sent = 0;
@@ -380,8 +352,7 @@ let[@hot] deliver t ~prio ~src ~dst ~sent msg =
     | None -> ());
     if not st.serving then begin
       st.serving <- true;
-      if t.fast_dispatch then Sim.schedule_callback t.sim ~delay:0.0 st.serve_cb
-      else Sim.spawn t.sim ((fun () -> serve_slow t dst) [@alloc_ok])
+      Sim.schedule_callback t.sim ~delay:0.0 st.serve_cb
     end
   end
 

@@ -27,7 +27,6 @@ type 'msg t
 
 val create :
   ?size_of:('msg -> int) ->
-  ?fast_dispatch:bool ->
   Sss_sim.Sim.t ->
   Sss_sim.Prng.t ->
   nodes:int ->
@@ -37,24 +36,16 @@ val create :
     letting protocols account for their wire footprint (e.g. vector-clock
     compression).
 
-    [fast_dispatch] (default [true]) selects the inline dispatch fast path:
-    one callback event per delivered message, with the handler run inline
-    under its own effect handler (parking only if it actually suspends)
-    instead of a fiber sleep plus a spawned handler fiber per message.
-    Disable to run the reference path, e.g. for the cross-path determinism
-    test. *)
+    Dispatch is one callback event per delivered message, whose delay is
+    the CPU charge; the handler runs inline under its own effect handler
+    and parks only if it actually suspends. *)
 
 val nodes : 'msg t -> int
 
 val set_handler : 'msg t -> Sss_data.Ids.node -> (src:Sss_data.Ids.node -> 'msg -> unit) -> unit
 (** Install the message handler for a node.  Each delivery runs the handler
-    in a fresh fiber context (inline on the fast path, spawned on the slow
-    path), so handlers may block without stalling the node's ingress
-    queue. *)
-
-val set_fast_dispatch : 'msg t -> bool -> unit
-(** Switch dispatch paths at runtime (see {!create}); intended for tests
-    comparing the two. *)
+    inline in a fresh fiber context, so handlers may block without stalling
+    the node's ingress queue. *)
 
 (** {1 Observation} *)
 

@@ -1,13 +1,9 @@
 (* Properties for the hot-path optimizations: the sharing/in-place Vclock
    operations against a naive reference, the parked-writer Stampset index
-   against a sorted-list oracle, the single-pass Squeue.remove against a
-   filter model, and cross-dispatch-mode determinism of the full SSS
-   cluster (the network's inline fast path must produce a byte-identical
-   execution to the reference fiber-per-message path). *)
+   against a sorted-list oracle, and the single-pass Squeue.remove against
+   a filter model. *)
 
-open Sss_sim
 open Sss_data
-open Sss_kv
 
 let vc l = Vclock.of_array (Array.of_list l)
 
@@ -147,62 +143,6 @@ let squeue_remove_matches_model =
       && Squeue.readers q = List.filter keep before_r
       && Squeue.writers q = List.filter keep before_w)
 
-(* ---------- cross-dispatch-mode determinism ---------- *)
-
-(* The same seeded workload, once per dispatch path.  Everything observable
-   must coincide: committed/aborted counts, simulator event count, network
-   telemetry, and the full recorded history (timestamps included). *)
-let run_mode ~fast_dispatch =
-  let sim = Sim.create () in
-  let nodes = 3 and keys = 16 in
-  let config =
-    { Config.default with nodes; replication_degree = 2; total_keys = keys; seed = 23 }
-  in
-  let cl = Kv.create sim config in
-  Sss_net.Network.set_fast_dispatch cl.State.net fast_dispatch;
-  let ops =
-    {
-      Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-      read = Kv.read;
-      write = Kv.write;
-      commit = Kv.commit;
-    }
-  in
-  let result =
-    Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-      ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-      ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
-      ~load:
-        {
-          Sss_workload.Driver.default_load with
-          clients_per_node = 4;
-          warmup = 0.01;
-          duration = 0.05;
-          seed = 23;
-        }
-      ~ops
-  in
-  ( result.Sss_workload.Driver.committed,
-    result.Sss_workload.Driver.aborted,
-    Sss_net.Network.stats cl.State.net,
-    Sss_consistency.History.events (Kv.history cl) )
-
-(* Raw [Sim.events_processed] is deliberately NOT compared: the two paths
-   may split a node's ingress stream into serve batches at slightly
-   different points (a message arriving at the exact instant a batch
-   finishes joins it in one mode and starts a fresh batch — one extra
-   event — in the other), without moving any handler in virtual time.
-   Everything protocol-observable must still coincide exactly. *)
-let test_dispatch_modes_identical () =
-  let fc, fa, fs, fh = run_mode ~fast_dispatch:true in
-  let sc, sa, ss, sh = run_mode ~fast_dispatch:false in
-  Alcotest.(check int) "committed" sc fc;
-  Alcotest.(check int) "aborted" sa fa;
-  Alcotest.(check bool) "network stats" true (fs = ss);
-  Alcotest.(check int) "history length" (List.length sh) (List.length fh);
-  Alcotest.(check bool) "history byte-identical" true (fh = sh);
-  Alcotest.(check bool) "made progress" true (fc > 50)
-
 let () =
   Alcotest.run "hotpath"
     [
@@ -217,6 +157,4 @@ let () =
         ] );
       ("stampset", [ QCheck_alcotest.to_alcotest stampset_matches_oracle ]);
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_matches_model ]);
-      ( "determinism",
-        [ Alcotest.test_case "fast vs slow dispatch identical" `Quick test_dispatch_modes_identical ] );
     ]
