@@ -253,10 +253,10 @@ let observe_dispatch t n (o : _ observer) =
    CPU charge is the event's delay; when it fires, [dispatch] runs the
    handler inline under its own effect handler.  A handler that suspends
    simply parks its continuation and the serve chain moves on — blocking
-   handlers never stall the queue.  The chain runs entirely on the node's persistent closures: a
-   serve step pops into the queue's slots and schedules [dispatch_cb]; at
-   most one dispatch per node is outstanding, so the slots survive until it
-   reads them. *)
+   handlers never stall the queue.  The chain runs entirely on the node's
+   persistent closures: a serve step pops into the queue's slots and
+   schedules [dispatch_cb]; at most one dispatch per node is outstanding,
+   so the slots survive until it reads them. *)
 let[@hot] serve t n =
   let st = t.nodes.(n) in
   if Iq.is_empty st.queue then st.serving <- false

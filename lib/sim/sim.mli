@@ -53,9 +53,6 @@ val schedule_apply : t -> ?prio:int -> delay:float -> ('a -> unit) -> 'a -> unit
     directly and thread the per-event state through [arg], so scheduling
     an event allocates nothing.  [fn] must not suspend. *)
 
-type timer
-(** A pending callback that can be cancelled before it fires. *)
-
 val run_fiber : (unit -> unit) -> unit
 (** Run [f] immediately under a fresh effect handler.  If [f] suspends,
     the call returns and [f]'s continuation is parked exactly as a
@@ -84,6 +81,9 @@ val suspend : t -> ?prio:int -> ((unit -> unit) -> unit) -> unit
     The fiber continues when [resume ()] is invoked (at most once; later
     calls are errors the caller must prevent).  This is the primitive the
     higher-level {!Cond} and {!Ivar} are built from. *)
+
+type timer
+(** A pending callback that can be cancelled before it fires. *)
 
 val arm : t -> delay:float -> (unit -> unit) -> timer
 (** [arm t ~delay f] schedules [f] like {!schedule_callback} at the default
