@@ -1,9 +1,12 @@
 (* Properties for the hot-path optimizations: the sharing/in-place Vclock
    operations against a naive reference, the parked-writer Stampset index
-   against a sorted-list oracle, and the single-pass Squeue.remove against
-   a filter model. *)
+   against a sorted-list oracle, the single-pass Squeue.remove against a
+   filter model, and run-to-run determinism of the full SSS cluster on the
+   network's inline dispatch path. *)
 
+open Sss_sim
 open Sss_data
+open Sss_kv
 
 let vc l = Vclock.of_array (Array.of_list l)
 
@@ -143,6 +146,59 @@ let squeue_remove_matches_model =
       && Squeue.readers q = List.filter keep before_r
       && Squeue.writers q = List.filter keep before_w)
 
+(* ---------- inline-dispatch determinism ---------- *)
+
+(* One seeded workload on a fresh cluster.  Everything observable is
+   returned: committed/aborted counts, simulator event count, network
+   telemetry, and the full recorded history (timestamps included). *)
+let run_seeded () =
+  let sim = Sim.create () in
+  let nodes = 3 and keys = 16 in
+  let config =
+    { Config.default with nodes; replication_degree = 2; total_keys = keys; seed = 23 }
+  in
+  let cl = Kv.create sim config in
+  let ops =
+    {
+      Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
+      read = Kv.read;
+      write = Kv.write;
+      commit = Kv.commit;
+    }
+  in
+  let result =
+    Sss_workload.Driver.run sim ~nodes ~total_keys:keys
+      ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
+      ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
+      ~load:
+        {
+          Sss_workload.Driver.default_load with
+          clients_per_node = 4;
+          warmup = 0.01;
+          duration = 0.05;
+          seed = 23;
+        }
+      ~ops
+  in
+  ( result.Sss_workload.Driver.committed,
+    result.Sss_workload.Driver.aborted,
+    Sim.events_processed sim,
+    Sss_net.Network.stats cl.State.net,
+    Sss_consistency.History.events (Kv.history cl) )
+
+(* Inline dispatch and the cancellable transport timers must not let
+   anything but the seed steer an execution: two runs coincide exactly. *)
+let test_inline_dispatch_replays () =
+  let c1, a1, e1, s1, h1 = run_seeded () in
+  let c2, a2, e2, s2, h2 = run_seeded () in
+  Alcotest.(check int) "committed" c1 c2;
+  Alcotest.(check int) "aborted" a1 a2;
+  Alcotest.(check int) "events processed" e1 e2;
+  Alcotest.(check bool) "network stats" true (s1 = s2);
+  Alcotest.(check int) "history length" (List.length h1) (List.length h2);
+  Alcotest.(check bool) "history byte-identical" true (h1 = h2);
+  Alcotest.(check bool) "made progress" true (c1 > 50)
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -157,4 +213,6 @@ let () =
         ] );
       ("stampset", [ QCheck_alcotest.to_alcotest stampset_matches_oracle ]);
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_matches_model ]);
+      ( "determinism",
+        [ Alcotest.test_case "inline dispatch replays identically" `Quick test_inline_dispatch_replays ] );
     ]
