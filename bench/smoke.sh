@@ -12,6 +12,8 @@ baseline_eps=$(git show HEAD:BENCH_smoke.json 2>/dev/null \
 # Resident-store baseline for the footprint gate (absent before schema 6).
 baseline_wpv=$(git show HEAD:BENCH_smoke.json 2>/dev/null \
   | grep '"words_per_version"' | head -1 | sed -n 's/.*: *\([0-9.]*\).*/\1/p' || true)
+baseline_sw=$(git show HEAD:BENCH_smoke.json 2>/dev/null \
+  | grep '"store_words"' | head -1 | tr -cd '0-9' || true)
 
 dune build
 dune runtest
@@ -53,6 +55,18 @@ if [ -n "$baseline_wpv" ] && [ -n "$new_wpv" ]; then
   echo "smoke: storage gate OK ($new_wpv words/version vs baseline $baseline_wpv)"
 else
   echo "smoke: storage gate skipped (no words_per_version baseline)"
+fi
+# The same bound on resident store words themselves, which (unlike the
+# per-version ratio) fall when the store shrinks.
+new_sw=$(grep '"store_words"' BENCH_smoke.json | head -1 | tr -cd '0-9')
+if [ -n "$baseline_sw" ] && [ -n "$new_sw" ]; then
+  if awk "BEGIN { exit !($new_sw > 1.1 * $baseline_sw) }"; then
+    echo "smoke FAIL: store_words $new_sw > 110% of baseline $baseline_sw" >&2
+    exit 1
+  fi
+  echo "smoke: store-words gate OK ($new_sw words vs baseline $baseline_sw)"
+else
+  echo "smoke: store-words gate skipped (no store_words baseline)"
 fi
 
 # Observer-effect gate: the same fig3 smoke run traced (--observe) must

@@ -133,7 +133,7 @@ let await_observed_parked h =
   in
   List.iter
     (fun ivar ->
-      match Sss_net.Rpc.Pending.await_timeout cl.sim ivar ~timeout:cl.config.ack_timeout with
+      match Sss_net.Rpc.Pending.await_timeout cl.sim ivar ~timeout:Config.ack_timeout with
       | Some () -> ()
       | None ->
           stalled ~phase:"wait-finalized" (Ids.txn_to_string h.id))
@@ -147,8 +147,8 @@ let await_observed_parked h =
    single-timeout wait is kept bit-for-bit (no extra timer events). *)
 let await_acks cl (h : handle) box ~dsts ~msg ~phase =
   if cl.config.Config.durability then begin
-    let slice = 4. *. cl.config.Config.retry_max in
-    let deadline = now cl +. cl.config.Config.ack_timeout in
+    let slice = 4. *. Config.retry_max in
+    let deadline = now cl +. Config.ack_timeout in
     let rec wait () =
       match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:slice with
       | Some () -> ()
@@ -168,7 +168,7 @@ let await_acks cl (h : handle) box ~dsts ~msg ~phase =
     wait ()
   end
   else
-    match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:cl.config.ack_timeout with
+    match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:Config.ack_timeout with
     | Some () -> ()
     | None -> stalled ~phase (Ids.txn_to_string h.id)
 

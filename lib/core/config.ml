@@ -3,12 +3,6 @@ type t = {
   replication_degree : int;
   total_keys : int;
   network : Sss_net.Network.config;
-  vote_timeout : float;
-  lock_timeout : float;
-  ack_timeout : float;
-  starvation_threshold : float;
-  backoff_initial : float;
-  backoff_max : float;
   record_history : bool;
   seed : int;
   strict_order : bool;
@@ -16,14 +10,10 @@ type t = {
   priority_network : bool;
   compress_metadata : bool;
   fault_tolerance : bool;
-  retry_initial : float;
-  retry_max : float;
   retry_limit : int;
   observe : bool;
   trace_capacity : int;
   durability : bool;
-  fsync_latency : float;
-  disk_bandwidth : float;
   checkpoint_interval : float;
 }
 
@@ -33,12 +23,6 @@ let default =
     replication_degree = 2;
     total_keys = 64;
     network = Sss_net.Network.default_config;
-    vote_timeout = 1e-3;
-    lock_timeout = 1e-3;
-    ack_timeout = 30.0;
-    starvation_threshold = 5e-3;
-    backoff_initial = 0.5e-3;
-    backoff_max = 8e-3;
     record_history = true;
     seed = 1;
     strict_order = true;
@@ -46,13 +30,20 @@ let default =
     priority_network = true;
     compress_metadata = true;
     fault_tolerance = false;
-    retry_initial = 0.5e-3;
-    retry_max = 8e-3;
     retry_limit = 64;
     observe = false;
     trace_capacity = 65536;
     durability = false;
-    fsync_latency = 5e-5;
-    disk_bandwidth = 2e9;
     checkpoint_interval = 0.05;
   }
+
+let vote_timeout = 1e-3
+let lock_timeout = 1e-3
+let ack_timeout = 30.0
+let starvation_threshold = 5e-3
+let backoff_initial = 0.5e-3
+let backoff_max = 8e-3
+let retry_initial = 0.5e-3
+let retry_max = 8e-3
+let fsync_latency = 5e-5
+let disk_bandwidth = 2e9

@@ -5,21 +5,6 @@ type t = {
   replication_degree : int;  (** replicas per key (1 = no replication) *)
   total_keys : int;  (** size of the key space, pre-populated at start *)
   network : Sss_net.Network.config;
-  vote_timeout : float;
-      (** how long a 2PC coordinator waits for votes before aborting
-          (the paper uses 1 ms on a 20 µs-latency network) *)
-  lock_timeout : float;  (** prepare-phase lock acquisition timeout *)
-  ack_timeout : float;
-      (** backstop on the client-side commit waits (external-commit Ack,
-          Finalize ack, wait-finalized chaining — and, in fault-tolerance
-          mode, reads): exceeding it raises {!Sss_net.Rpc.Stalled}, which in
-          a healthy run indicates a protocol bug and under fault injection
-          means the plan out-lasted the retry budget *)
-  starvation_threshold : float;
-      (** a writer parked in a snapshot-queue longer than this triggers
-          admission control on new read-only reads of its keys (§III-E) *)
-  backoff_initial : float;  (** first admission-control delay *)
-  backoff_max : float;  (** exponential back-off cap *)
   record_history : bool;  (** record events for the consistency checker *)
   seed : int;  (** PRNG seed for network jitter *)
   strict_order : bool;
@@ -56,15 +41,12 @@ type t = {
           telemetry, PRNG draw sequence — is then byte-for-byte what the
           committed benchmark figures were produced with.  All four systems
           (SSS and the three baselines) honour this flag. *)
-  retry_initial : float;
-      (** fault-tolerance mode: first re-send of an unacknowledged message
-          after this much virtual time (default 0.5 ms) *)
-  retry_max : float;  (** exponential backoff cap between re-sends (8 ms) *)
   retry_limit : int;
-      (** re-send attempts before a tracked send is abandoned (64 — together
-          with [retry_max] this rides out fault windows of several hundred
-          ms; a foreground wait that depended on an abandoned send fails
-          with {!Sss_net.Rpc.Stalled} once [ack_timeout] expires) *)
+      (** fault-tolerance mode: re-send attempts before a tracked send is
+          abandoned (64 — together with {!retry_max} this rides out fault
+          windows of several hundred ms; a foreground wait that depended on
+          an abandoned send fails with {!Sss_net.Rpc.Stalled} once
+          {!ack_timeout} expires) *)
   observe : bool;
       (** attach an {!Sss_obs.Obs.t} to the cluster: typed trace events,
           per-message-kind counters and latency histograms, per-node
@@ -88,12 +70,6 @@ type t = {
           identical to a build without this subsystem.  All four systems
           honour the flag; crash/restart plans under it normally also want
           [fault_tolerance] so in-flight messages survive the outage. *)
-  fsync_latency : float;
-      (** durability mode: fixed per-operation cost of a log device write
-          (the fsync floor, default 50 µs) *)
-  disk_bandwidth : float;
-      (** durability mode: sustained log-device transfer rate in bytes per
-          second (default 2 GB/s) *)
   checkpoint_interval : float;
       (** durability mode: virtual seconds between fuzzy checkpoints of a
           node's store; [<= 0] disables checkpointing, leaving recovery to
@@ -101,5 +77,47 @@ type t = {
 }
 
 val default : t
-(** 4 nodes, replication degree 2, 64 keys, paper-like timeouts; unit tests
-    override fields as needed. *)
+(** 4 nodes, replication degree 2, 64 keys; unit tests override fields as
+    needed. *)
+
+(** {1 Protocol constants}
+    Shared by all four systems; no run varies them.  Virtual seconds. *)
+
+val vote_timeout : float
+(** 1 ms, as in the paper: a commit coordinator's wait for votes before it
+    decides abort (SSS, 2PC, Walter). *)
+
+val lock_timeout : float
+(** 1 ms: prepare-phase lock acquisition timeout (then the vote is no). *)
+
+val ack_timeout : float
+(** 30 s: backstop on the client-side waits for acknowledgements — SSS
+    update commits (the external-commit Ack; the overall deadline under
+    [durability]) and hardened-mode finalize waits, 2PC apply acks, ROCOCO
+    commit acks without [durability], and read replies only under
+    [fault_tolerance].  Exceeding
+    it raises {!Sss_net.Rpc.Stalled}, which in a healthy run indicates a
+    protocol bug and under fault injection means the plan out-lasted the
+    retry budget. *)
+
+val starvation_threshold : float
+(** 5 ms: a writer parked in a snapshot-queue longer than this triggers
+    admission control on new read-only reads of its keys (§III-E). *)
+
+val backoff_initial : float
+(** 0.5 ms: first admission-control delay. *)
+
+val backoff_max : float
+(** 8 ms: admission-control back-off cap. *)
+
+val retry_initial : float
+(** 0.5 ms: first re-send of an unacknowledged tracked message. *)
+
+val retry_max : float
+(** 8 ms: exponential backoff cap between re-sends. *)
+
+val fsync_latency : float
+(** 50 µs: fixed per-operation cost of a log device write (fsync floor). *)
+
+val disk_bandwidth : float
+(** 2 GB/s: sustained log-device transfer rate, in bytes per second. *)

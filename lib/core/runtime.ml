@@ -189,8 +189,8 @@ module Make (P : PROTOCOL) = struct
       Reliable.create sim net
         ~retry:
           {
-            Reliable.initial = config.retry_initial;
-            max = config.retry_max;
+            Reliable.initial = Config.retry_initial;
+            max = Config.retry_max;
             limit = config.retry_limit;
           }
     in
@@ -225,7 +225,7 @@ module Make (P : PROTOCOL) = struct
     if config.durability then
       for id = 0 to n - 1 do
         let dev =
-          Iodev.create sim ~op_latency:config.fsync_latency ~bandwidth:config.disk_bandwidth
+          Iodev.create sim ~op_latency:Config.fsync_latency ~bandwidth:Config.disk_bandwidth
         in
         (* The snapshot closure reads through [t.nodes]: checkpoints must
            cover the node's current incarnation, not the boot one. *)
@@ -317,7 +317,7 @@ module Make (P : PROTOCOL) = struct
      backstop; the plain wait keeps the healthy path free of timeouts. *)
   let await_read ?(phase = "read") t slot ~key ~txn =
     if t.config.fault_tolerance then
-      match Rpc.Pending.await_timeout t.sim slot ~timeout:t.config.ack_timeout with
+      match Rpc.Pending.await_timeout t.sim slot ~timeout:Config.ack_timeout with
       | Some r -> r
       | None -> stalled ~phase (Printf.sprintf "key %d in %s" key (Ids.txn_to_string txn))
     else Rpc.Pending.await t.sim slot
@@ -415,7 +415,7 @@ module Make (P : PROTOCOL) = struct
     let await_round t node txn r =
       let complete () = r.voted_no || r.votes >= r.expect in
       ignore
-        (Sim.Cond.await_timeout t.sim r.changed ~timeout:t.config.Config.vote_timeout complete
+        (Sim.Cond.await_timeout t.sim r.changed ~timeout:Config.vote_timeout complete
           : bool);
       Hashtbl.remove (A.state node).rounds txn;
       if r.voted_no then Some Vote_false
@@ -494,22 +494,22 @@ module Make (P : PROTOCOL) = struct
           else begin
             let req, slot = Rpc.Pending.fresh outcomes in
             send t ~src:(P.id node) ~dst:coord (A.query ~req txn);
-            match Rpc.Pending.await_timeout t.sim slot ~timeout:c.retry_max with
+            match Rpc.Pending.await_timeout t.sim slot ~timeout:Config.retry_max with
             | Some (Committed { payload; driving }) ->
                 if on_committed payload ~driving then begin
-                  Sim.sleep t.sim (2. *. c.retry_max);
+                  Sim.sleep t.sim (2. *. Config.retry_max);
                   loop 0
                 end
             | Some Aborted -> on_aborted ()
             | Some Undecided | None ->
                 Rpc.Pending.forget outcomes req;
-                Sim.sleep t.sim c.retry_initial;
+                Sim.sleep t.sim Config.retry_initial;
                 loop (attempt + 1)
           end
       in
       Sim.spawn t.sim (fun () ->
           try
-            if linger then Sim.sleep t.sim (2. *. c.retry_max);
+            if linger then Sim.sleep t.sim (2. *. Config.retry_max);
             loop 0
           with Rpc.Crashed _ -> ())
 

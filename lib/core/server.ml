@@ -27,14 +27,13 @@ let validate node rs =
    cover it) with exponential back-off so the writer can drain.  Readers
    whose bound covers the writer never block it and pass straight through. *)
 let admission_control t node key ~bound_local =
-  let cfg = t.config in
   let old_writer () =
     List.exists
       (fun e ->
         e.Squeue.sid > bound_local
         &&
         match Hashtbl.find_opt node.writer_since e.Squeue.txn with
-        | Some since -> now t -. since > cfg.starvation_threshold
+        | Some since -> now t -. since > Config.starvation_threshold
         | None -> false)
       (Squeue.writers (squeue node key))
   in
@@ -44,11 +43,10 @@ let admission_control t node key ~bound_local =
   let rec loop delay budget =
     if old_writer () && budget > 0.0 then begin
       Sim.sleep t.sim delay;
-      loop (Float.min (delay *. 2.0) cfg.backoff_max) (budget -. delay)
+      loop (Float.min (delay *. 2.0) Config.backoff_max) (budget -. delay)
     end
   in
-  if cfg.starvation_threshold > 0.0 then
-    loop cfg.backoff_initial (4.0 *. cfg.backoff_max)
+  loop Config.backoff_initial (4.0 *. Config.backoff_max)
 
 (* The candidate clock [cvc] is the store's scratch decode, borrowed for the
    duration of the call (see [Mvstore.select]). *)
@@ -245,7 +243,7 @@ let await_writer_unblocked t node ~sid key =
   let clear () = not (Squeue.blocks_writer q ~sid) in
   if not t.config.Config.durability then Sim.Cond.await t.sim node.squeue_changed clear
   else
-    let slice = 4. *. t.config.Config.retry_max in
+    let slice = 4. *. Config.retry_max in
     let rec loop () =
       if
         (not (Sim.Cond.await_timeout t.sim node.squeue_changed ~timeout:slice clear))
@@ -525,7 +523,7 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
     (not (was_abort_decided node txn))
     && Locks.acquire_all node.locks txn
          ~exclusive:(List.map fst local_ws)
-         ~shared:(List.map fst local_rs) ~timeout:t.config.lock_timeout
+         ~shared:(List.map fst local_rs) ~timeout:Config.lock_timeout
   in
   (* The coordinator's vote timeout can beat a lock wait: its Decide(abort)
      then overtakes this very Prepare.  A late success here would strand an
@@ -771,8 +769,7 @@ let recover t node =
           ignore
             (Locks.acquire_all node.locks txn
                ~exclusive:(List.map fst p.ws_local)
-               ~shared:(List.map fst p.rs_local)
-               ~timeout:t.config.Config.lock_timeout
+               ~shared:(List.map fst p.rs_local) ~timeout:Config.lock_timeout
               : bool)
       | Some fvc ->
           let sid = Vclock.get fvc id in

@@ -252,10 +252,7 @@ let read_rpc cl (pending : 'a Rpc.Pending.t) ~(home : node) ~key ~txn ~mk_msg ~p
       if not (node_live cl home) then crashed home.id;
       let req, ivar = Rpc.Pending.fresh pending in
       List.iter (fun dst -> send cl ~src:home.id ~dst (mk_msg req)) dsts;
-      match
-        Rpc.Pending.await_timeout cl.sim ivar
-          ~timeout:(2. *. cl.config.Sss_kv.Config.retry_max)
-      with
+      match Rpc.Pending.await_timeout cl.sim ivar ~timeout:(2. *. Sss_kv.Config.retry_max) with
       | Some r -> r
       | None ->
           Rpc.Pending.forget pending req;
@@ -365,17 +362,14 @@ let spawn_alive_watchdog t (node : node) ~txn ~key =
   in
   Sim.spawn t.sim (fun () ->
       let rec loop attempt =
-        Sim.sleep t.sim (2. *. t.config.Sss_kv.Config.retry_max);
+        Sim.sleep t.sim (2. *. Sss_kv.Config.retry_max);
         if still_pending () then
           if attempt >= t.config.Sss_kv.Config.retry_limit then
             stalled ~phase:"alive query" (Ids.txn_to_string txn)
           else begin
             let req, slot = Rpc.Pending.fresh node.pending_alive in
             send t ~src:node.id ~dst:txn.Ids.node (Alive_query { req; txn });
-            match
-              Rpc.Pending.await_timeout t.sim slot
-                ~timeout:t.config.Sss_kv.Config.retry_max
-            with
+            match Rpc.Pending.await_timeout t.sim slot ~timeout:Sss_kv.Config.retry_max with
             | Some false when still_pending () ->
                 (* orphaned: withdraw the piece so it stops gating drains *)
                 let c = cell node key in
@@ -594,10 +588,7 @@ let commit_update h =
   in
   if not cl.config.Sss_kv.Config.durability then begin
     broadcast 0;
-    match
-      Sim.Ivar.read_timeout cl.sim box.ack_done
-        ~timeout:cl.config.Sss_kv.Config.ack_timeout
-    with
+    match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:Sss_kv.Config.ack_timeout with
     | Some () -> ()
     | None -> stalled ~phase:"commit ack" (Ids.txn_to_string h.id)
   end
@@ -612,8 +603,7 @@ let commit_update h =
       box.ack_count <- 0;
       broadcast round;
       match
-        Sim.Ivar.read_timeout cl.sim box.ack_done
-          ~timeout:(2. *. cl.config.Sss_kv.Config.retry_max)
+        Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:(2. *. Sss_kv.Config.retry_max)
       with
       | Some () -> ()
       | None -> rounds (round + 1)

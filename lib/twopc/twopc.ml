@@ -227,7 +227,7 @@ let handle_prepare t (node : node) ~txn ~coord ~rs ~ws =
     && Locks.acquire_all node.locks txn
          ~exclusive:(List.map fst local_ws)
          ~shared:(List.map fst local_rs)
-         ~timeout:t.config.Sss_kv.Config.lock_timeout
+         ~timeout:Sss_kv.Config.lock_timeout
     && validate node local_rs
     && not (Idset.Txns.mem node.aborted_decides txn)
   in
@@ -321,8 +321,7 @@ let recover t (node : node) =
       ignore
         (Locks.acquire_all node.locks txn
            ~exclusive:(List.map fst p.ws_local)
-           ~shared:(List.map fst p.rs_local)
-           ~timeout:t.config.Sss_kv.Config.lock_timeout
+           ~shared:(List.map fst p.rs_local) ~timeout:Sss_kv.Config.lock_timeout
           : bool))
     indoubt;
   rejoin t node.id;
@@ -400,7 +399,7 @@ let commit h =
         if write_nodes <> [] then begin
           (match
              Sim.Ivar.read_timeout cl.sim ack.ack_done
-               ~timeout:cl.config.Sss_kv.Config.ack_timeout
+               ~timeout:Sss_kv.Config.ack_timeout
            with
           | Some () -> ()
           | None -> stalled ~phase:"apply ack" (Ids.txn_to_string h.id));

@@ -350,7 +350,7 @@ let handle_prepare t (node : node) ~txn ~coord ~start ~keys =
   let ok =
     (not (Idset.Txns.mem node.aborted_decides txn))
     && Locks.acquire_all node.locks txn ~exclusive:keys ~shared:[]
-         ~timeout:t.config.Sss_kv.Config.lock_timeout
+         ~timeout:Sss_kv.Config.lock_timeout
     && List.for_all (fun k -> ww_ok node k ~start) keys
     && not (Idset.Txns.mem node.aborted_decides txn)
     (* the node may have crashed while this fiber waited for the locks:
@@ -463,7 +463,7 @@ let recover t (node : node) =
     (fun (txn, (p : wprep)) ->
       ignore
         (Locks.acquire_all node.locks txn ~exclusive:p.keys ~shared:[]
-           ~timeout:t.config.Sss_kv.Config.lock_timeout
+           ~timeout:Sss_kv.Config.lock_timeout
           : bool))
     indoubt;
   rejoin t id;
@@ -563,7 +563,7 @@ let commit h =
         (* fast path: all preferred sites local *)
         if
           Locks.acquire_all h.home.locks h.id ~exclusive:ks ~shared:[]
-            ~timeout:cl.config.Sss_kv.Config.lock_timeout
+            ~timeout:Sss_kv.Config.lock_timeout
           && List.for_all (fun k -> ww_ok h.home k ~start:h.start) ks
         then commit_at_home h  (* locks released when the local apply runs *)
         else begin

@@ -1,6 +1,11 @@
 (* R2 fixture: comparisons that are fine in a hot library — scalar
    operands, monomorphic comparators, or reviewed [@poly_ok] sites. *)
 
+(* stub of the project's id comparators *)
+module Ids = struct
+  let compare_txn (a : int) b = Int.compare a b
+end
+
 let small x = x < 3
 
 let nonempty xs = xs <> []

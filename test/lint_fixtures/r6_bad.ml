@@ -2,6 +2,9 @@
    fan out through Sss_par.Pool.  Expected findings, in order: ref,
    Hashtbl.create, {mutable record}, Array.make, lazy, ref (in submodule). *)
 
+(* stub of an expensive immutable builder *)
+let build_table () = [ 1; 2; 3 ]
+
 let total_runs = ref 0
 
 let memo = Hashtbl.create 64

@@ -1,7 +1,7 @@
 (* R7/typed-R1 fixture: wall clock laundered through a two-module alias
-   chain.  The syntactic pass sees only [V.gettimeofday] and stays silent;
-   the typed engine resolves V -> U -> Unix and flags the occurrence (R1)
-   plus its reachability from an entry-scope caller (R7). *)
+   chain.  The source text shows only [V.gettimeofday]; the engine resolves
+   V -> U -> Unix and flags the occurrence (R1) plus its reachability from
+   an entry-scope caller (R7). *)
 
 module U = Unix
 module V = U

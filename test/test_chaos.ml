@@ -341,11 +341,18 @@ let test_perturb_duplicates_and_delay () =
 
 let test_chaos_lint_clean () =
   (* cwd is test/ under dune runtest, the workspace root under dune exec *)
-  let source =
-    if Sys.file_exists "../lib/chaos/chaos.ml" then "../lib/chaos/chaos.ml"
-    else "lib/chaos/chaos.ml"
+  let objs =
+    List.find Sys.file_exists
+      [ "../lib/chaos/.sss_chaos.objs/byte"; "_build/default/lib/chaos/.sss_chaos.objs/byte" ]
   in
-  let findings = Lint.check_file ~rules:[ Lint.R1 ] ~scope_as:"lib/chaos/chaos.ml" source in
+  let cmts =
+    Sys.readdir objs |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".cmt")
+    |> List.sort String.compare
+    |> List.map (Filename.concat objs)
+  in
+  Alcotest.(check bool) "found sss_chaos .cmt files" true (cmts <> []);
+  let findings = Typed_lint.check_cmts ~rules:[ Lint.R1 ] cmts in
   Alcotest.(check int) "no wall-clock or Random in sss_chaos" 0 (List.length findings)
 
 let () =

@@ -1,24 +1,15 @@
-(* Fixture-based tests for sss_lint (tools/lint), covering both engines:
-
-   - the legacy syntactic Parsetree pass ({!Lint.check_file}): each rule
-     fires exactly where expected on a known-bad snippet, stays silent on
-     the annotated clean twin, and respects scoping, allowlists, and
-     baselines.  These fixtures are parsed, never compiled, so they may
-     reference modules freely.
-   - the typed whole-program engine ({!Typed_lint.check_source}): R7/R8/R9
-     fixtures plus the typed-R2 instantiation judgment.  These fixtures are
-     typechecked in-process, so they are self-contained (stdlib + unix
-     only).  The r7 pair doubles as the regression proof that the syntactic
-     pass cannot see alias laundering. *)
+(* Fixture-based tests for sss_lint's typed whole-program engine
+   ({!Typed_lint.check_source}): each rule fires exactly where expected on a
+   known-bad snippet, stays silent on the annotated clean twin, and respects
+   scoping, allowlists, and baselines.  The fixtures are typechecked
+   in-process, so each is self-contained (stdlib + unix, plus small stubs
+   of the project modules it names). *)
 
 let fixture name = Filename.concat "lint_fixtures" name
 
 (* Default logical scope: a hot, history-affecting library so every rule is
    armed. *)
 let check ?rules ?owned_allow ?(scope = "lib/core/fixture.ml") name =
-  Lint.check_file ?rules ?owned_allow ~scope_as:scope (fixture name)
-
-let tcheck ?rules ?owned_allow ?(scope = "lib/core/fixture.ml") name =
   Typed_lint.check_source ?rules ?owned_allow ~scope_as:scope (fixture name)
 
 let summary (f : Lint.finding) = (Lint.rule_name f.rule, f.line, f.lexeme)
@@ -30,12 +21,7 @@ let expect ?rules ?owned_allow ?scope name expected =
     name expected
     (List.map summary (check ?rules ?owned_allow ?scope name))
 
-let texpect ?rules ?owned_allow ?scope name expected =
-  Alcotest.(check (list finding_t))
-    name expected
-    (List.map summary (tcheck ?rules ?owned_allow ?scope name))
-
-(* ---------- each syntactic rule fires exactly where expected ---------- *)
+(* ---------- each rule fires exactly where expected ---------- *)
 
 let test_r1_bad () =
   expect "r1_bad.ml"
@@ -43,7 +29,7 @@ let test_r1_bad () =
       ("R1", 3, "Unix.gettimeofday");
       ("R1", 5, "Sys.time");
       ("R1", 7, "Random.int");
-      ("R1", 9, "Stdlib.Random.float");
+      ("R1", 9, "Random.float");
     ]
 
 let test_r2_bad () =
@@ -51,7 +37,7 @@ let test_r2_bad () =
     [
       ("R2", 6, "compare");
       ("R2", 8, "compare");
-      ("R2", 10, "Stdlib.min");
+      ("R2", 10, "min");
       ("R2", 12, "Hashtbl.hash");
       ("R2", 14, "=");
       ("R2", 16, "=");
@@ -62,14 +48,14 @@ let test_r2_bad () =
 let test_r3_bad () =
   expect "r3_bad.ml"
     [
-      ("R3", 4, "Vclock.set_into");
-      ("R3", 6, "Vclock.max_into");
-      ("R3", 8, "Vclock.blit");
-      ("R3", 10, "Vclock.unsafe_of_array");
+      ("R3", 14, "Vclock.set_into");
+      ("R3", 16, "Vclock.max_into");
+      ("R3", 18, "Vclock.blit");
+      ("R3", 20, "Vclock.unsafe_of_array");
     ]
 
 let test_r4_bad () =
-  expect "r4_bad.ml" [ ("R4", 4, "Hashtbl.fold"); ("R4", 7, "Hashtbl.iter") ]
+  expect "r4_bad.ml" [ ("R4", 9, "Hashtbl.fold"); ("R4", 12, "Hashtbl.iter") ]
 
 let test_r5_bad () =
   expect "r5_bad.ml"
@@ -84,12 +70,12 @@ let test_r5_bad () =
 let test_r6_bad () =
   expect "r6_bad.ml"
     [
-      ("R6", 5, "ref");
-      ("R6", 7, "Hashtbl.create");
-      ("R6", 11, "{mutable record}");
-      ("R6", 13, "Array.make");
-      ("R6", 15, "lazy");
-      ("R6", 18, "ref");
+      ("R6", 8, "ref");
+      ("R6", 10, "Hashtbl.create");
+      ("R6", 14, "{mutable record}");
+      ("R6", 16, "Array.make");
+      ("R6", 18, "lazy");
+      ("R6", 21, "ref");
     ]
 
 (* ---------- annotated twins are clean ---------- *)
@@ -109,7 +95,7 @@ let test_clean_twins () =
    defeated (rules still on, scope still hot). *)
 let test_suppression_is_the_attribute () =
   (* r4_clean's folds are all annotated; the identical code in r4_bad is
-     not.  Both parse to the same calls, so the attribute is what decides. *)
+     not.  Both typecheck to the same calls, so the attribute is what decides. *)
   Alcotest.(check int)
     "bad fixture flags" 2
     (List.length (check "r4_bad.ml"));
@@ -130,7 +116,7 @@ let test_scoping () =
       ("R1", 3, "Unix.gettimeofday");
       ("R1", 5, "Sys.time");
       ("R1", 7, "Random.int");
-      ("R1", 9, "Stdlib.Random.float");
+      ("R1", 9, "Random.float");
     ];
   (* ... but the lib-only rules stay off outside lib/ *)
   expect ~scope:"bin/fixture.ml" "r6_bad.ml" [];
@@ -149,28 +135,25 @@ let test_scoping () =
 let test_wallclock_scoping () =
   expect ~scope:"bench/fixture.ml" "r1_harness.ml" [];
   expect ~scope:"lib/core/fixture.ml" "r1_harness.ml"
-    [ ("R1", 5, "Unix.gettimeofday") ];
-  texpect ~scope:"bench/fixture.ml" "r1_harness.ml" [];
-  texpect ~rules:[ Lint.R1 ] ~scope:"lib/core/fixture.ml" "r1_harness.ml"
     [ ("R1", 5, "Unix.gettimeofday") ]
 
 (* ---------- R3 allowlist ---------- *)
 
 let test_owned_allowlist () =
-  expect "r3_allow.ml" [ ("R3", 4, "Vclock.unsafe_of_array") ];
+  expect "r3_allow.ml" [ ("R3", 14, "Vclock.unsafe_of_array") ];
   expect ~owned_allow:[ "recompute" ] "r3_allow.ml" [];
   (* qualified Module.function form, module derived from the file name *)
   expect ~owned_allow:[ "R3_allow.recompute" ] "r3_allow.ml" [];
   expect ~owned_allow:[ "other_fn" ] "r3_allow.ml"
-    [ ("R3", 4, "Vclock.unsafe_of_array") ]
+    [ ("R3", 14, "Vclock.unsafe_of_array") ]
 
 (* ---------- typed engine: R7 determinism taint ---------- *)
 
 let test_typed_r7 () =
   (* the source is reported once, at its occurrence, with the shortest
      entry-point chain *)
-  texpect ~rules:[ Lint.R7 ] "r7_bad.ml" [ ("R7", 9, "Unix.gettimeofday") ];
-  (match tcheck ~rules:[ Lint.R7 ] "r7_bad.ml" with
+  expect ~rules:[ Lint.R7 ] "r7_bad.ml" [ ("R7", 9, "Unix.gettimeofday") ];
+  (match check ~rules:[ Lint.R7 ] "r7_bad.ml" with
   | [ f ] ->
       Alcotest.(check (list string))
         "taint chain is entry -> source"
@@ -178,36 +161,29 @@ let test_typed_r7 () =
         f.Lint.chain
   | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
   (* [@deterministic] on the boundary is a barrier *)
-  texpect ~rules:[ Lint.R7 ] "r7_clean.ml" []
+  expect ~rules:[ Lint.R7 ] "r7_clean.ml" []
 
 (* The typed engine resolves the alias chain for the intraprocedural rules
    too: R1 flags [V.gettimeofday] as Unix. *)
 let test_typed_r1_alias () =
-  texpect ~rules:[ Lint.R1 ] "r7_bad.ml" [ ("R1", 9, "Unix.gettimeofday") ]
-
-(* Regression: the syntactic pass string-matches module heads, so the same
-   fixture passes it clean — the laundering the typed engine exists to
-   kill. *)
-let test_syntactic_misses_alias () =
-  expect "r7_bad.ml" [];
-  expect ~rules:[ Lint.R1 ] "r7_bad.ml" []
+  expect ~rules:[ Lint.R1 ] "r7_bad.ml" [ ("R1", 9, "Unix.gettimeofday") ]
 
 (* ---------- typed engine: R8 hot-path allocation ---------- *)
 
 let test_typed_r8 () =
-  texpect ~rules:[ Lint.R8 ] "r8_bad.ml"
+  expect ~rules:[ Lint.R8 ] "r8_bad.ml"
     [ ("R8", 5, "fun"); ("R8", 7, "(,)"); ("R8", 9, "Hashtbl.replace") ];
-  texpect ~rules:[ Lint.R8 ] "r8_clean.ml" [];
+  expect ~rules:[ Lint.R8 ] "r8_clean.ml" [];
   (* R8 is [@hot]-driven, not scope-gated: it fires in harness trees too *)
-  texpect ~rules:[ Lint.R8 ] ~scope:"bench/fixture.ml" "r8_bad.ml"
+  expect ~rules:[ Lint.R8 ] ~scope:"bench/fixture.ml" "r8_bad.ml"
     [ ("R8", 5, "fun"); ("R8", 7, "(,)"); ("R8", 9, "Hashtbl.replace") ]
 
 (* ---------- typed engine: R9 escaping mutable state ---------- *)
 
 let test_typed_r9 () =
-  texpect ~rules:[ Lint.R9 ] "r9_bad.ml"
+  expect ~rules:[ Lint.R9 ] "r9_bad.ml"
     [ ("R9", 11, "R9_bad.make_counter"); ("R9", 13, "Hashtbl.create") ];
-  (match tcheck ~rules:[ Lint.R9 ] "r9_bad.ml" with
+  (match check ~rules:[ Lint.R9 ] "r9_bad.ml" with
   | [ via_factory; direct ] ->
       Alcotest.(check (list string))
         "factory chain"
@@ -215,14 +191,14 @@ let test_typed_r9 () =
         via_factory.Lint.chain;
       Alcotest.(check (list string)) "direct chain" [ "R9_bad.lookup" ] direct.Lint.chain
   | fs -> Alcotest.failf "expected 2 findings, got %d" (List.length fs));
-  texpect ~rules:[ Lint.R9 ] "r9_clean.ml" []
+  expect ~rules:[ Lint.R9 ] "r9_clean.ml" []
 
 (* ---------- typed engine: R2 on instantiated types ---------- *)
 
 let test_typed_r2 () =
   (* scalars and aliases-to-scalar pass; structured types and
      still-generalized bodies (the mli-boundary trap) are flagged *)
-  texpect ~rules:[ Lint.R2 ] "typed_r2.ml" [ ("R2", 12, "="); ("R2", 14, "=") ]
+  expect ~rules:[ Lint.R2 ] "typed_r2.ml" [ ("R2", 12, "="); ("R2", 14, "=") ]
 
 (* ---------- rule metadata ---------- *)
 
@@ -237,28 +213,26 @@ let test_rule_families () =
 (* ---------- fingerprints and baselines ---------- *)
 
 let test_fingerprints_unique () =
-  let syntactic =
+  let fps =
     List.concat_map
-      (fun f -> check f)
-      [ "r1_bad.ml"; "r2_bad.ml"; "r3_bad.ml"; "r4_bad.ml"; "r5_bad.ml"; "r6_bad.ml" ]
+      (fun f -> List.map (fun (f : Lint.finding) -> f.fingerprint) (check f))
+      [
+        "r1_bad.ml"; "r2_bad.ml"; "r3_bad.ml"; "r4_bad.ml"; "r5_bad.ml";
+        "r6_bad.ml"; "r7_bad.ml"; "r8_bad.ml"; "r9_bad.ml"; "typed_r2.ml";
+      ]
   in
-  let typed =
-    List.concat_map
-      (fun f -> tcheck f)
-      [ "r7_bad.ml"; "r8_bad.ml"; "r9_bad.ml"; "typed_r2.ml" ]
-  in
-  let fps = List.map (fun (f : Lint.finding) -> f.fingerprint) (syntactic @ typed) in
   Alcotest.(check int)
     "fingerprints are pairwise distinct" (List.length fps)
     (List.length (List.sort_uniq String.compare fps))
 
+let with_temp_file suffix f =
+  let path = Filename.temp_file "sss_lint" suffix in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
 let test_baseline_roundtrip () =
   let findings = check "r1_bad.ml" in
   Alcotest.(check bool) "has findings" true (match findings with [] -> false | _ -> true);
-  let path = Filename.temp_file "sss_lint_baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  with_temp_file ".txt" (fun path ->
       Lint.write_baseline path findings;
       let known = Lint.read_baseline path in
       let fresh, baselined = Lint.apply_baseline ~known findings in
@@ -267,32 +241,27 @@ let test_baseline_roundtrip () =
         "baselined count" (List.length findings)
         (List.length baselined);
       (* a new finding is not masked by the baseline *)
-      let fresh, _ =
-        Lint.apply_baseline ~known (check "r3_bad.ml")
-      in
-      Alcotest.(check int) "new findings stay fresh" 4 (List.length fresh))
-
-(* Fingerprints carry no positions (rule|scope|context|lexeme|n), so a
-   baseline written against one engine survives the other: same code, same
-   identity, different line/col conventions. *)
-let test_baseline_survives_engines () =
-  let typed = tcheck ~rules:[ Lint.R1 ] "r1_harness.ml" in
-  let path = Filename.temp_file "sss_lint_baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Lint.write_baseline path typed;
-      let known = Lint.read_baseline path in
-      let syntactic = check ~rules:[ Lint.R1 ] "r1_harness.ml" in
-      let fresh, baselined = Lint.apply_baseline ~known syntactic in
-      Alcotest.(check int) "typed baseline masks syntactic" 0 (List.length fresh);
-      Alcotest.(check int) "all masked" (List.length syntactic) (List.length baselined))
-
-(* ---------- fixture discovery (mirrors the CLI) ---------- *)
-
-let test_collect_ml () =
-  let files = Lint.collect_ml "lint_fixtures" in
-  Alcotest.(check bool) "collect_ml finds fixtures" true (List.length files >= 21)
+      let fresh, _ = Lint.apply_baseline ~known (check "r3_bad.ml") in
+      Alcotest.(check int) "new findings stay fresh" 4 (List.length fresh);
+      (* fingerprints carry no positions (rule|scope|context|lexeme|n): the
+         same code moved down by inserted lines is still masked *)
+      with_temp_file ".ml" (fun shifted ->
+          let src = In_channel.with_open_bin (fixture "r1_bad.ml") In_channel.input_all in
+          Out_channel.with_open_bin shifted (fun oc ->
+              output_string oc "(* inserted *)\n\n(* lines *)\n";
+              output_string oc src);
+          let moved =
+            Typed_lint.check_source ~scope_as:"lib/core/fixture.ml" shifted
+          in
+          Alcotest.(check (list int))
+            "findings moved down"
+            (List.map (fun (f : Lint.finding) -> f.line + 3) findings)
+            (List.map (fun (f : Lint.finding) -> f.line) moved);
+          let fresh, baselined = Lint.apply_baseline ~known moved in
+          Alcotest.(check int) "moved findings still baselined" 0 (List.length fresh);
+          Alcotest.(check int)
+            "all moved findings masked" (List.length findings)
+            (List.length baselined)))
 
 let () =
   Alcotest.run "lint"
@@ -311,8 +280,6 @@ let () =
           Alcotest.test_case "R7 taint + chain + barrier" `Quick test_typed_r7;
           Alcotest.test_case "typed R1 kills alias laundering" `Quick
             test_typed_r1_alias;
-          Alcotest.test_case "regression: syntactic misses the alias" `Quick
-            test_syntactic_misses_alias;
           Alcotest.test_case "R8 hot-path allocation" `Quick test_typed_r8;
           Alcotest.test_case "R9 escaping mutable state" `Quick test_typed_r9;
           Alcotest.test_case "R2 judges instantiated types" `Quick test_typed_r2;
@@ -333,8 +300,5 @@ let () =
         [
           Alcotest.test_case "fingerprints unique" `Quick test_fingerprints_unique;
           Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
-          Alcotest.test_case "baseline survives engine change" `Quick
-            test_baseline_survives_engines;
-          Alcotest.test_case "collect_ml discovery" `Quick test_collect_ml;
         ] );
     ]

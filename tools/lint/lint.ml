@@ -1,33 +1,21 @@
-(** sss_lint shared core + the legacy syntactic engine.
+(** sss_lint shared core: the rule vocabulary of the typed whole-program
+    engine in {!Typed_lint} — rule names R1-R9, families, directory
+    scoping, suppression attributes, the identifier tables the rules match
+    resolved names against, fingerprints, and baselines.
 
-    This module owns the rule vocabulary shared with the typed
-    whole-program engine in {!Typed_lint} — rule names R1-R9, families,
-    directory scoping, suppression attributes, fingerprints, baselines —
-    and implements the original per-file Parsetree pass for R1-R6.  The
-    syntactic pass needs no build (scope derives from the file path alone)
-    but a single [module U = Unix] alias defeats it, which is why
-    {!Typed_lint} is the default engine; this pass survives as
-    [--engine syntactic] and as the regression baseline demonstrating what
-    typed resolution catches that string matching cannot.
+    The intraprocedural rules, each scoped by directory ({!rule_applies}):
 
-    The syntactic rules, each scoped by directory:
-
-    - R1 [determinism]: no wall-clock or ambient entropy anywhere under
-      [lib/] — [Unix.*], [Sys.time], and the stdlib [Random.*] are banned
-      (the simulator's virtual time and the splitmix [Prng] are the only
-      admissible sources).  [bin/] and [bench/] are exempt by scope.
+    - R1 [determinism]: no wall-clock or ambient entropy — [Unix.*],
+      [Sys.time], and the stdlib [Random.*] are banned (the simulator's
+      virtual time and the splitmix [Prng] are the only admissible
+      sources).  Armed under [lib/] and in the harness trees ([bin/],
+      [bench/], [tools/]); [@wallclock_ok] suppresses only in the latter.
     - R2 [no polymorphic comparison]: in the hot libraries ([lib/data],
-      [lib/sim], [lib/net], [lib/core]) the named polymorphic functions
-      [compare]/[min]/[max]/[Hashtbl.hash] are flagged unless an operand
-      is syntactically scalar (literal, int/float arithmetic, a known
-      length-returning function, or an explicit [(e : int)] coercion);
-      the comparison operators [=]/[<>]/[<]/[>]/[<=]/[>=] are flagged
-      when an operand is manifestly structured (tuple, record, list,
-      constructor or polymorphic variant with a payload, array, string
-      literal, function) or names a vector clock ([vc], [vclock], or a
-      [_vc]/[_vclock] suffix — the exact class of the latent [Vclock]
-      polymorphic-compare bug PR 1 fixed).  [@poly_ok] suppresses.
-    - R3 [Vclock ownership]: applications (or bare mentions) of
+      [lib/sim], [lib/net], [lib/core]) and the harness trees, the
+      polymorphic [compare]/[min]/[max]/[Hashtbl.hash] and the comparison
+      operators must be instantiated at a scalar type.  [@poly_ok]
+      suppresses.
+    - R3 [Vclock ownership]: uses of
       [Vclock.set_into]/[max_into]/[blit]/[unsafe_of_array] must carry
       [@owned] or sit inside an allowlisted function.
     - R4 [iteration order]: [Hashtbl.fold]/[Hashtbl.iter] in the
@@ -42,27 +30,19 @@
       figure printers) is exempt by scope; [@print_ok] suppresses.
     - R6 [no toplevel mutable state]: module-level bindings under [lib/]
       must not construct mutable state — [ref], [Hashtbl.create] (and the
-      other stdlib mutable containers), [Array.make]/[init], [Bytes], or a
-      literal of a record type that declares a [mutable] field in the same
-      file.  Such a binding is shared by every domain once runs fan out
-      through [Sss_par.Pool], so it is both a data race and a determinism
-      leak between runs.  State belongs in per-run values threaded through
-      [Config]/run setup, or in [Atomic.t] (exempt: it is the sanctioned
-      cross-domain primitive).  [@@domain_safe] on the binding suppresses,
-      asserting the value is either never mutated after initialization or
-      safe and intended to be shared.
+      other stdlib mutable containers), [Array.make]/[init], [Bytes], a
+      mutable record, or a [lazy] thunk.  Such a binding is shared by every
+      domain once runs fan out through [Sss_par.Pool], so it is both a data
+      race and a determinism leak between runs.  [Atomic.t] is exempt (the
+      sanctioned cross-domain primitive); [@@domain_safe] on the binding
+      suppresses.
 
-    The checker is syntactic by design: [@poly_ok] therefore means
-    "reviewed: this comparison is statically monomorphic at a scalar type,
-    or deliberately polymorphic on a cold path", not merely "silence". *)
+    R7-R9 work on the whole-program call graph; {!Typed_lint} documents
+    them. *)
 
 type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
 
 let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9 ]
-
-(* The rules the legacy per-file Parsetree pass implements.  R7-R9 need
-   resolved paths and a whole-program call graph: Typed_lint only. *)
-let syntactic_rules = [ R1; R2; R3; R4; R5; R6 ]
 
 let rule_name = function
   | R1 -> "R1"
@@ -140,16 +120,6 @@ exception Parse_error of string
 
 (* ---- path scoping ---------------------------------------------------- *)
 
-(* [lib_sub "a/b/lib/core/state.ml"] is [Some "core"]. *)
-let lib_sub path =
-  let rec go = function
-    | "lib" :: rest -> (
-        match rest with [] -> None | [ _file ] -> Some "" | sub :: _ -> Some sub)
-    | _ :: rest -> go rest
-    | [] -> None
-  in
-  go (String.split_on_char '/' path)
-
 (* The first path component naming a linted top-level tree decides the
    scope: library code ([lib/<sub>]) carries every determinism obligation,
    while the harness trees ([bin/], [bench/], [tools/]) are self-linted for
@@ -203,23 +173,6 @@ let poly_named = [ "compare"; "min"; "max" ]
 
 let poly_ops = [ "="; "<>"; "<"; ">"; "<="; ">=" ]
 
-(* Applications of these are considered int- or float-valued, which makes a
-   surrounding comparison statically monomorphic at a scalar type. *)
-let scalar_funs =
-  [
-    (* arithmetic *)
-    "+"; "-"; "*"; "/"; "mod"; "land"; "lor"; "lxor"; "lsl"; "lsr"; "asr";
-    "succ"; "pred"; "abs"; "~-"; "+."; "-."; "*."; "/."; "~-."; "not";
-    "float_of_int"; "int_of_char"; "int_of_float";
-    (* stdlib lengths and scalar projections *)
-    "Array.length"; "String.length"; "Bytes.length"; "List.length";
-    "Hashtbl.length"; "Queue.length"; "Buffer.length"; "Char.code";
-    "Float.of_int"; "Int.min"; "Int.max"; "Int.abs"; "Float.min"; "Float.max";
-    (* project scalar projections (vector-clock entries, sizes, stamps) *)
-    "Vclock.get"; "Vclock.size"; "Nlog.size"; "Nlog.most_recent_local";
-    "Squeue.length"; "Commitq.length"; "Stampset.cardinal"; "Sim.now";
-  ]
-
 let vclock_owned_ops = [ "set_into"; "max_into"; "blit"; "unsafe_of_array" ]
 
 (* R5: direct stdout/stderr printers.  [Printf.sprintf]/[Format.asprintf]
@@ -235,10 +188,6 @@ let print_funs =
     "Format.print_string"; "Format.print_newline";
   ]
 
-(* ---- traversal ------------------------------------------------------- *)
-
-let ident_string (lid : Longident.t) = String.concat "." (Longident.flatten lid)
-
 (* Strip a [Stdlib.] qualification so [Stdlib.compare] and [compare] are the
    same lexeme. *)
 let strip_stdlib name =
@@ -247,59 +196,20 @@ let strip_stdlib name =
       String.sub name 7 (String.length name - 7)
   | _ -> name
 
-let scalar_types = [ "int"; "float"; "bool"; "char"; "unit" ]
+(* R3: the in-place operation a (resolved) [Vclock.op] name denotes. *)
+let vclock_owned_op name =
+  match List.rev (String.split_on_char '.' name) with
+  | op :: "Vclock" :: _ when List.mem op vclock_owned_ops -> Some op
+  | _ -> None
 
-(* Syntactic approximation of "this expression has an immediate or float
-   type", used to exempt monomorphic comparisons from R2. *)
-let rec scalarish (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_integer _ | Pconst_char _ | Pconst_float _) -> true
-  (* constant constructors ([], None, true, Genesis, ...) compare by tag *)
-  | Pexp_construct (_, None) -> true
-  | Pexp_constraint (inner, ty) -> (
-      match ty.ptyp_desc with
-      | Ptyp_constr ({ txt = Lident t; _ }, []) when List.mem t scalar_types ->
-          true
-      | _ -> scalarish inner)
-  | Pexp_apply (f, _) -> (
-      match f.pexp_desc with
-      | Pexp_ident { txt; _ } ->
-          List.mem (strip_stdlib (ident_string txt)) scalar_funs
-      | _ -> false)
-  | _ -> false
-
-(* Name-based approximation of "this is a vector clock": the one structured
-   type whose polymorphic comparison already bit us once (PR 1). *)
-let vclock_named name =
-  let last =
-    match List.rev (String.split_on_char '.' name) with n :: _ -> n | [] -> name
-  in
-  (* strip a trailing numeric disambiguator: vc1, commit_vc2, ... *)
-  let stem =
-    let n = String.length last in
-    let rec start i =
-      if i > 0 && last.[i - 1] >= '0' && last.[i - 1] <= '9' then start (i - 1)
-      else i
-    in
-    String.sub last 0 (start n)
-  in
-  String.equal stem "vc" || String.equal stem "vclock"
-  || String.ends_with ~suffix:"_vc" stem
-  || String.ends_with ~suffix:"_vclock" stem
-
-(* Operands on which a polymorphic comparison operator is clearly not a
-   scalar comparison: structured literals, or anything vclock-named. *)
-let rec suspectish (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_tuple _ | Pexp_record _ | Pexp_array _ | Pexp_fun _ | Pexp_function _
-    ->
-      true
-  | Pexp_construct (_, Some _) | Pexp_variant (_, Some _) -> true
-  | Pexp_constant (Pconst_string _) -> true
-  | Pexp_ident { txt; _ } -> vclock_named (ident_string txt)
-  | Pexp_field (_, { txt; _ }) -> vclock_named (ident_string txt)
-  | Pexp_constraint (inner, _) -> suspectish inner
-  | _ -> false
+(* R6: applications of these construct mutable state.  [Atomic.make] is
+   deliberately absent: atomics are the sanctioned cross-domain primitive. *)
+let mutable_creators =
+  [
+    "ref"; "Hashtbl.create"; "Queue.create"; "Stack.create"; "Buffer.create";
+    "Array.make"; "Array.create_float"; "Array.init"; "Bytes.create";
+    "Bytes.make"; "Weak.create";
+  ]
 
 let attr_rule (attr : Parsetree.attribute) =
   match attr.attr_name.txt with
@@ -309,350 +219,12 @@ let attr_rule (attr : Parsetree.attribute) =
   | "print_ok" -> Some R5
   | "domain_safe" -> Some R6
   (* harness-side wall-clock measurement; honoured outside lib/ only
-     (push_attrs gates on scope) *)
+     (the engine gates it on scope) *)
   | "wallclock_ok" -> Some R1
   | "alloc_ok" -> Some R8  (* deliberate cold-branch allocation in [@hot] code *)
   | _ -> None
 
-type state = {
-  mutable findings : finding list;
-  suppressed : int array;  (** nesting depth of each rule's suppression *)
-  mutable context : string option list;  (** binding-name stack, innermost first *)
-  occurrences : (string, int) Hashtbl.t;  (** fingerprint deduplication *)
-  rules : rule list;
-  file : string;
-  scope : string;  (** logical path used for rule scoping *)
-  owned_allow : string list;
-  modname : string;
-}
-
-let context_name st =
-  match List.find_map Fun.id st.context with Some c -> c | None -> "<toplevel>"
-
-let enabled st rule =
-  List.mem rule st.rules && rule_applies rule st.scope
-  && st.suppressed.(rule_index rule) = 0
-
-let report st rule ~loc ~lexeme ~message =
-  let context = context_name st in
-  let base =
-    Printf.sprintf "%s|%s|%s|%s" (rule_name rule) st.scope context lexeme
-  in
-  let n = match Hashtbl.find_opt st.occurrences base with Some n -> n + 1 | None -> 0 in
-  Hashtbl.replace st.occurrences base n;
-  let pos = loc.Location.loc_start in
-  st.findings <-
-    {
-      rule;
-      file = st.file;
-      line = pos.Lexing.pos_lnum;
-      col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol;
-      context;
-      lexeme;
-      message;
-      chain = [];
-      fingerprint = Printf.sprintf "%s|%d" base n;
-    }
-    :: st.findings
-
-(* R1: banned ambient-nondeterminism identifiers. *)
-let check_determinism st ~loc name =
-  if enabled st R1 then
-    let banned =
-      match String.split_on_char '.' (strip_stdlib name) with
-      | "Unix" :: _ -> true
-      | "Random" :: _ -> true
-      | [ "Sys"; "time" ] -> true
-      | _ -> false
-    in
-    if banned then
-      report st R1 ~loc ~lexeme:name
-        ~message:
-          (Printf.sprintf
-             "nondeterministic primitive %s is banned in lib/ (use virtual \
-              time / Prng; DESIGN.md: determinism)"
-             name)
-
-(* R3: Vclock in-place operations. *)
-let vclock_owned_op name =
-  match List.rev (String.split_on_char '.' name) with
-  | op :: "Vclock" :: _ when List.mem op vclock_owned_ops -> Some op
-  | _ -> None
-
-let owned_allowed st =
-  let ctx = context_name st in
-  List.exists
-    (fun entry ->
-      String.equal entry ctx || String.equal entry (st.modname ^ "." ^ ctx))
-    st.owned_allow
-
-let check_vclock st ~loc name =
-  if enabled st R3 then
-    match vclock_owned_op name with
-    | Some _ when owned_allowed st -> ()
-    | Some _ ->
-        report st R3 ~loc ~lexeme:name
-          ~message:
-            (Printf.sprintf
-               "in-place Vclock operation %s requires [@owned] (exclusively \
-                owned, never-published clock; DESIGN.md §8)"
-               name)
-    | None -> ()
-
-(* R4: Hashtbl iteration. *)
-let check_iteration st ~loc name =
-  if enabled st R4 then
-    match strip_stdlib name with
-    | "Hashtbl.fold" | "Hashtbl.iter" ->
-        report st R4 ~loc ~lexeme:name
-          ~message:
-            (Printf.sprintf
-               "%s iterates in bucket order; sort the result or annotate \
-                [@order_ok] if the result is order-insensitive"
-               name)
-    | _ -> ()
-
-(* R5: ad-hoc printing on library code paths. *)
-let check_print st ~loc name =
-  if enabled st R5 then
-    if List.mem (strip_stdlib name) print_funs then
-      report st R5 ~loc ~lexeme:name
-        ~message:
-          (Printf.sprintf
-             "%s prints directly from library code; emit a typed trace event \
-              through Obs.emit instead (docs/OBSERVABILITY.md), or annotate \
-              [@print_ok] for deliberate CLI output"
-             name)
-
-(* R2, bare mention (e.g. [List.sort compare]). *)
-let check_poly_bare st ~loc name =
-  if enabled st R2 then
-    let s = strip_stdlib name in
-    if List.mem s poly_named || List.mem s poly_ops || String.equal s "Hashtbl.hash"
-    then
-      report st R2 ~loc ~lexeme:name
-        ~message:
-          (Printf.sprintf
-             "polymorphic %s used as a value in a hot library; pass a \
-              monomorphic comparator (Int.compare, Ids.compare_txn, ...) or \
-              annotate [@poly_ok]"
-             name)
-
-(* R2, application head: exempt if an operand is syntactically scalar.
-   Attributes bind tighter than infix operators, so in [a = b [@poly_ok]]
-   the attribute lands on the operand [b]; honour it there too. *)
-let operand_poly_ok args =
-  List.exists
-    (fun ((_, a) : _ * Parsetree.expression) ->
-      List.exists
-        (fun at -> match attr_rule at with Some R2 -> true | _ -> false)
-        a.pexp_attributes)
-    args
-
-let check_poly_apply st ~loc name args =
-  if enabled st R2 && not (operand_poly_ok args) then
-    let s = strip_stdlib name in
-    let scalar_operand = List.exists (fun (_, a) -> scalarish a) args in
-    if String.equal s "Hashtbl.hash" then
-      report st R2 ~loc ~lexeme:name
-        ~message:
-          "polymorphic Hashtbl.hash in a hot library; use a monomorphic hash \
-           or annotate [@poly_ok]"
-    else if List.mem s poly_named && not scalar_operand then
-      report st R2 ~loc ~lexeme:name
-        ~message:
-          (Printf.sprintf
-             "polymorphic %s on non-scalar operands in a hot library; use \
-              Int.%s / Float.%s / a monomorphic comparator, or annotate \
-              [@poly_ok]"
-             name s s)
-    else if
-      List.mem s poly_ops
-      && (not scalar_operand)
-      && List.exists (fun (_, a) -> suspectish a) args
-    then
-      report st R2 ~loc ~lexeme:name
-        ~message:
-          (Printf.sprintf
-             "polymorphic %s on a structured operand in a hot library; use a \
-              monomorphic comparison (Ids.equal_txn, String.equal, \
-              Vclock.equal, ...) or annotate [@poly_ok]"
-             name)
-
-(* ---- R6: toplevel mutable state -------------------------------------- *)
-
-(* Applications of these construct mutable state.  [Atomic.make] is
-   deliberately absent: atomics are the sanctioned cross-domain primitive. *)
-let mutable_creators =
-  [
-    "ref"; "Hashtbl.create"; "Queue.create"; "Stack.create"; "Buffer.create";
-    "Array.make"; "Array.create_float"; "Array.init"; "Bytes.create";
-    "Bytes.make"; "Weak.create";
-  ]
-
-(* Field names declared [mutable] anywhere in the file: the syntactic
-   stand-in for "this record literal builds a mutable record".  Records
-   whose type lives in another module are invisible to this approximation;
-   the creator table above catches the common stdlib cases. *)
-let mutable_field_names structure =
-  let acc = ref [] in
-  let open Ast_iterator in
-  let type_declaration self (td : Parsetree.type_declaration) =
-    (match td.ptype_kind with
-    | Ptype_record labels ->
-        List.iter
-          (fun (l : Parsetree.label_declaration) ->
-            if l.pld_mutable = Asttypes.Mutable then acc := l.pld_name.txt :: !acc)
-          labels
-    | _ -> ());
-    default_iterator.type_declaration self td
-  in
-  let it = { default_iterator with type_declaration } in
-  it.structure it structure;
-  !acc
-
-(* The RHS shapes that put mutable state (or a lazy thunk, which is not
-   safe to force from two domains) in a module-level binding.  Functions
-   are fine: they build their state per call. *)
-let rec r6_suspect mut_fields (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-      let s = strip_stdlib (ident_string txt) in
-      if List.mem s mutable_creators then Some s else None
-  | Pexp_record (fields, _) ->
-      if
-        List.exists
-          (fun ((lid : _ Asttypes.loc), _) ->
-            let name =
-              match List.rev (Longident.flatten lid.txt) with n :: _ -> n | [] -> ""
-            in
-            List.mem name mut_fields)
-          fields
-      then Some "{mutable record}"
-      else None
-  | Pexp_lazy _ -> Some "lazy"
-  | Pexp_tuple es -> List.find_map (r6_suspect mut_fields) es
-  | Pexp_constraint (inner, _) -> r6_suspect mut_fields inner
-  | Pexp_let (_, _, body) | Pexp_sequence (_, body) -> r6_suspect mut_fields body
-  | _ -> None
-
-let check_r6_binding st ~mut_fields (vb : Parsetree.value_binding) =
-  if
-    enabled st R6
-    && not
-         (List.exists
-            (fun a -> match attr_rule a with Some R6 -> true | _ -> false)
-            vb.pvb_attributes)
-  then
-    match r6_suspect mut_fields vb.pvb_expr with
-    | None -> ()
-    | Some lexeme ->
-        let name =
-          match vb.pvb_pat.ppat_desc with Ppat_var { txt; _ } -> Some txt | _ -> None
-        in
-        st.context <- name :: st.context;
-        report st R6 ~loc:vb.pvb_loc ~lexeme
-          ~message:
-            (Printf.sprintf
-               "module-level binding constructs mutable state (%s), shared \
-                across domains when runs fan out in parallel; make it per-run \
-                state threaded through Config/run setup, use Atomic.t, or \
-                annotate [@@domain_safe] with a justification"
-               lexeme);
-        st.context <- List.tl st.context
-
-(* Module-level bindings only: a [let] inside a function builds per-call
-   state and is exempt.  Nested [module X = struct ... end] items are still
-   module-level state, so the walk descends; functor bodies are skipped
-   (their bindings are per-application). *)
-let rec r6_structure st ~mut_fields (str : Parsetree.structure) =
-  List.iter
-    (fun (item : Parsetree.structure_item) ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) -> List.iter (check_r6_binding st ~mut_fields) vbs
-      | Pstr_module mb -> r6_module_binding st ~mut_fields mb
-      | Pstr_recmodule mbs -> List.iter (r6_module_binding st ~mut_fields) mbs
-      | Pstr_include { pincl_mod = me; _ } -> r6_module_expr st ~mut_fields me
-      | _ -> ())
-    str
-
-and r6_module_binding st ~mut_fields (mb : Parsetree.module_binding) =
-  (* [@@domain_safe] on the module suppresses for its whole body *)
-  if
-    not
-      (List.exists
-         (fun a -> match attr_rule a with Some R6 -> true | _ -> false)
-         mb.pmb_attributes)
-  then
-    r6_module_expr st ~mut_fields mb.pmb_expr
-
-and r6_module_expr st ~mut_fields (me : Parsetree.module_expr) =
-  match me.pmod_desc with
-  | Pmod_structure str -> r6_structure st ~mut_fields str
-  | Pmod_constraint (inner, _) -> r6_module_expr st ~mut_fields inner
-  | _ -> ()
-
-let push_attrs st attrs =
-  let in_lib = match scope_dir st.scope with Lib _ -> true | _ -> false in
-  let pushed =
-    List.filter_map
-      (fun (a : Parsetree.attribute) ->
-        match attr_rule a with
-        (* lib/ has no legitimate wall clock: [@wallclock_ok] only buys
-           suppression in the harness trees *)
-        | Some R1 when in_lib && String.equal a.attr_name.txt "wallclock_ok" ->
-            None
-        | Some r ->
-            st.suppressed.(rule_index r) <- st.suppressed.(rule_index r) + 1;
-            Some r
-        | None -> None)
-      attrs
-  in
-  pushed
-
-let pop_attrs st pushed =
-  List.iter
-    (fun r -> st.suppressed.(rule_index r) <- st.suppressed.(rule_index r) - 1)
-    pushed
-
-let make_iterator st =
-  let open Ast_iterator in
-  let judge_ident ~loc name =
-    check_determinism st ~loc name;
-    check_vclock st ~loc name;
-    check_iteration st ~loc name;
-    check_print st ~loc name
-  in
-  let expr self (e : Parsetree.expression) =
-    let pushed = push_attrs st e.pexp_attributes in
-    (match e.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
-        let name = ident_string txt in
-        judge_ident ~loc name;
-        check_poly_apply st ~loc name args;
-        List.iter (fun (_, a) -> self.expr self a) args
-    | Pexp_ident { txt; loc } ->
-        let name = ident_string txt in
-        judge_ident ~loc name;
-        check_poly_bare st ~loc name
-    | _ -> default_iterator.expr self e);
-    pop_attrs st pushed
-  in
-  let value_binding self (vb : Parsetree.value_binding) =
-    let pushed = push_attrs st vb.pvb_attributes in
-    let name =
-      match vb.pvb_pat.ppat_desc with
-      | Ppat_var { txt; _ } -> Some txt
-      | _ -> None
-    in
-    st.context <- name :: st.context;
-    default_iterator.value_binding self vb;
-    st.context <- List.tl st.context;
-    pop_attrs st pushed
-  in
-  { default_iterator with expr; value_binding }
-
-(* ---- entry points ---------------------------------------------------- *)
+(* ---- parsing ---------------------------------------------------------- *)
 
 let parse_file path =
   let ic =
@@ -673,40 +245,6 @@ let parse_file path =
           | _ -> Printexc.to_string exn
         in
         raise (Parse_error (Printf.sprintf "%s: %s" path msg)))
-
-let modname_of path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
-
-let check_file ?(rules = all_rules) ?(owned_allow = []) ?scope_as path =
-  let scope = match scope_as with Some s -> s | None -> path in
-  let structure = parse_file path in
-  let st =
-    {
-      findings = [];
-      suppressed = Array.make (List.length all_rules) 0;
-      context = [];
-      occurrences = Hashtbl.create 64;
-      rules;
-      file = path;
-      scope;
-      owned_allow;
-      modname = modname_of path;
-    }
-  in
-  let it = make_iterator st in
-  it.structure it structure;
-  if List.mem R6 rules then
-    r6_structure st ~mut_fields:(mutable_field_names structure) structure;
-  List.rev st.findings
-
-(* Recursively collect the [.ml] files under [path] (a file or directory),
-   sorted so findings and fingerprints are stable across filesystems. *)
-let rec collect_ml path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.concat_map (fun entry -> collect_ml (Filename.concat path entry))
-  else if Filename.check_suffix path ".ml" then [ path ]
-  else []
 
 (* ---- baselines ------------------------------------------------------- *)
 

@@ -1,16 +1,10 @@
-(* sss_lint CLI: run the lint engines over the project.
+(* sss_lint CLI: run the typed whole-program engine
+   (tools/lint/typed_lint.ml) over the project.
 
-   Two engines share the CLI, the rule set, and the baseline format:
-
-   - [typed] (default): the whole-program Typedtree analysis
-     (tools/lint/typed_lint.ml).  Input paths are source directories; the
-     CLI locates the corresponding dune [.cmt] artifacts (under the path
-     itself when invoked from inside [_build/default], or under
-     [_build/default/PATH] when invoked from the repo root).  Requires a
-     prior [dune build @check] (or any full build).
-   - [syntactic]: the legacy per-file Parsetree pass (tools/lint/lint.ml),
-     kept for comparison and for the regression test proving what string
-     matching misses.
+   Input paths are source directories; the CLI locates the corresponding
+   dune [.cmt] artifacts (under the path itself when invoked from inside
+   [_build/default], or under [_build/default/PATH] when invoked from the
+   repo root).  Requires a prior [dune build @check] (or any full build).
 
    Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/parse errors. *)
 
@@ -32,11 +26,11 @@ let json_escape s =
 (* Schema 2: top-level object with engine identification; each finding
    carries its rule family and, for interprocedural rules (R7/R9), the
    call-graph chain from entry point to source. *)
-let print_json ~engine_name ~engine_version findings =
+let print_json findings =
   Printf.printf
-    "{\"schema\": 2, \"engine\": {\"name\": \"%s\", \"version\": \"%s\"}, \
+    "{\"schema\": 2, \"engine\": {\"name\": \"typed\", \"version\": \"%s\"}, \
      \"findings\": ["
-    engine_name engine_version;
+    Typed_lint.engine_version;
   List.iteri
     (fun i (f : Lint.finding) ->
       if i > 0 then print_string ",";
@@ -67,7 +61,7 @@ let print_human findings =
       Printf.printf "  fingerprint: %s\n" f.fingerprint)
     findings
 
-(* .cmt discovery for the typed engine: recursively scan both PATH and
+(* .cmt discovery: recursively scan both PATH and
    _build/default/PATH, so the CLI works from the repo root and from inside
    a dune rule's working directory. *)
 let rec collect_cmts path =
@@ -82,7 +76,7 @@ let rec collect_cmts path =
 let cmts_for_path p =
   collect_cmts p @ collect_cmts (Filename.concat "_build/default" p)
 
-let run engine rules paths baseline update_baseline format owned_allow =
+let run rules paths baseline update_baseline format owned_allow =
   let rules =
     match rules with
     | [] -> Lint.all_rules
@@ -96,40 +90,18 @@ let run engine rules paths baseline update_baseline format owned_allow =
             Printf.eprintf "sss_lint: unknown rule %S (use R1..R9)\n" bad;
             exit 2)
   in
-  let engine_name, engine_version, findings =
-    match engine with
-    | `Typed -> (
-        match List.concat_map cmts_for_path paths with
-        | [] ->
-            Printf.eprintf
-              "sss_lint: no .cmt files under %s (run `dune build @check` \
-               first, or pass --engine syntactic)\n"
-              (String.concat ", " paths);
-            exit 2
-        | cmts -> (
-            try
-              ( "typed",
-                Typed_lint.engine_version,
-                Typed_lint.check_cmts ~rules ~owned_allow cmts )
-            with Lint.Parse_error msg ->
-              Printf.eprintf "sss_lint: %s\n" msg;
-              exit 2))
-    | `Syntactic -> (
-        match List.concat_map Lint.collect_ml paths with
-        | [] ->
-            Printf.eprintf "sss_lint: no .ml files under %s\n"
-              (String.concat ", " paths);
-            exit 2
-        | files ->
-            ( "syntactic",
-              "1.0",
-              List.concat_map
-                (fun file ->
-                  try Lint.check_file ~rules ~owned_allow file
-                  with Lint.Parse_error msg ->
-                    Printf.eprintf "sss_lint: parse error: %s\n" msg;
-                    exit 2)
-                files ))
+  let findings =
+    match List.concat_map cmts_for_path paths with
+    | [] ->
+        Printf.eprintf
+          "sss_lint: no .cmt files under %s (run `dune build @check` first)\n"
+          (String.concat ", " paths);
+        exit 2
+    | cmts -> (
+        try Typed_lint.check_cmts ~rules ~owned_allow cmts
+        with Lint.Parse_error msg ->
+          Printf.eprintf "sss_lint: %s\n" msg;
+          exit 2)
   in
   (match (update_baseline, baseline) with
   | true, Some path ->
@@ -144,11 +116,10 @@ let run engine rules paths baseline update_baseline format owned_allow =
   let fresh, baselined = Lint.apply_baseline ~known findings in
   if update_baseline then exit 0;
   (match format with
-  | `Json -> print_json ~engine_name ~engine_version fresh
+  | `Json -> print_json fresh
   | `Human ->
       print_human fresh;
-      Printf.printf "sss_lint: engine %s, rules %s: %d finding(s)%s\n"
-        engine_name
+      Printf.printf "sss_lint: engine typed, rules %s: %d finding(s)%s\n"
         (String.concat "," (List.map Lint.rule_name rules))
         (List.length fresh)
         (match baselined with
@@ -157,16 +128,6 @@ let run engine rules paths baseline update_baseline format owned_allow =
   match fresh with [] -> exit 0 | _ -> exit 1
 
 open Cmdliner
-
-let engine_arg =
-  let doc =
-    "Analysis engine: $(b,typed) (whole-program Typedtree over dune .cmt \
-     artifacts; default) or $(b,syntactic) (legacy per-file Parsetree pass)."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("typed", `Typed); ("syntactic", `Syntactic) ]) `Typed
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let rules_arg =
   let doc =
@@ -180,7 +141,7 @@ let rules_arg =
 let paths_arg =
   let doc =
     "Source directories to lint (scope comes from the source path; the \
-     typed engine reads the matching _build .cmt artifacts)."
+     linter reads the matching _build .cmt artifacts)."
   in
   Arg.(value & pos_all string [ "lib" ] & info [] ~docv:"PATH" ~doc)
 
@@ -215,8 +176,8 @@ let cmd =
     [
       `S Manpage.s_description;
       `P
-        "Analyzes the project (typed whole-program over dune .cmt files by \
-         default) and enforces the project rules of DESIGN.md §8 / \
+        "Analyzes the project as one typed program (the Typedtree in dune's \
+         .cmt files) and enforces the project rules of DESIGN.md §8 / \
          docs/LINT.md:";
       `P (Printf.sprintf "R1: %s" (Lint.rule_doc Lint.R1));
       `P (Printf.sprintf "R2: %s" (Lint.rule_doc Lint.R2));
@@ -237,7 +198,7 @@ let cmd =
   Cmd.v
     (Cmd.info "sss_lint" ~version:"2.0" ~doc ~man)
     Term.(
-      const run $ engine_arg $ rules_arg $ paths_arg $ baseline_arg
+      const run $ rules_arg $ paths_arg $ baseline_arg
       $ update_baseline_arg $ format_arg $ owned_allow_arg)
 
 let () = exit (Cmd.eval cmd)

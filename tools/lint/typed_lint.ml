@@ -1,16 +1,16 @@
 (** sss_lint typed engine: whole-program analysis over dune's [-bin-annot]
     [.cmt] artifacts ([Cmt_format] + [Typedtree] from compiler-libs).
 
-    Where the syntactic pass in {!Lint} matches identifier *strings*, this
-    engine works on resolved [Path.t]s and instantiated types, then links
-    every compilation unit of the project into one program:
+    The engine works on resolved [Path.t]s and instantiated types, not
+    identifier strings, and links every compilation unit of the project
+    into one program:
 
     - {b name resolution}: wrapper-mangled components
       ([Sss_sim__Equeue]) are demangled, library wrapper heads dropped,
       and a project-wide module-alias table (from [Tmod_ident] bindings,
       the [module U = Unix] laundering trick) is applied by iterative
       longest-prefix rewriting — so R1 flags [V.time] when [V] is an
-      alias chain ending at [Unix], which the Parsetree pass cannot see;
+      alias chain ending at [Unix], which no text match can see;
     - {b typed R2}: a polymorphic primitive occurrence is judged by the
       instantiated type at the use site — scalar instantiations
       (int/float/bool/char/unit, or a type alias resolving to one, e.g.
@@ -1304,7 +1304,8 @@ let check_cmts ?rules ?owned_allow cmt_paths =
 
 (* Source mode, for fixture tests: typecheck .ml files in-process (fixtures
    are self-contained modulo stdlib + unix) and run the same analysis.
-   [scope_as] plays the same role as in {!Lint.check_file}. *)
+   [scope_as] is the logical path that decides rule scoping, in place of
+   the file's own. *)
 let typecheck_init = ref false
 
 let typecheck_source path =
