@@ -252,24 +252,6 @@ let write_json file ~scale ~scale_v ~observe ~jobs ~speedup ~metrics reports =
   close_out oc;
   Printf.printf "\nwrote %s\n%!" file
 
-(* ---------- dispatch ---------- *)
-
-let figure_of ~slo_ms = function
-  | "fig3" -> Some fig3
-  | "fig4a" -> Some fig4a
-  | "fig4b" -> Some fig4b
-  | "fig5" -> Some fig5
-  | "fig6" -> Some fig6
-  | "fig7" -> Some fig7
-  | "fig8" -> Some fig8
-  | "abort-rate" -> Some abort_rate
-  | "ablation" -> Some ablation
-  | "skewed" -> Some skewed
-  | "durability" -> Some durability
-  | "saturation" -> Some (fun ctx scale -> saturation ?slo_ms ctx scale)
-  | "all" -> Some all
-  | _ -> None
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let scale = ref Full in
@@ -279,22 +261,11 @@ let () =
   let speedup = ref false in
   let slo_ms = ref None in
   let targets = ref [] in
-  let parse_jobs = function
-    | "max" -> Sss_par.Pool.default_jobs ()
-    | s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> n
-        | _ -> failwith ("bad -j value " ^ s))
-  in
   let rec parse = function
     | [] -> ()
     | "--scale" :: s :: rest ->
         (scale :=
-           match s with
-           | "full" -> Full
-           | "quick" -> Quick
-           | "smoke" -> Smoke
-           | _ -> failwith ("unknown scale " ^ s));
+           match scale_of_string s with Some v -> v | None -> failwith ("unknown scale " ^ s));
         parse rest
     | "--json" :: f :: rest ->
         json_file := Some f;
@@ -303,7 +274,7 @@ let () =
         observe := true;
         parse rest
     | ("-j" | "--jobs") :: n :: rest ->
-        jobs := parse_jobs n;
+        (jobs := match parse_jobs n with Some j -> j | None -> failwith ("bad -j value " ^ n));
         parse rest
     | "--speedup" :: rest ->
         speedup := true;
@@ -320,7 +291,7 @@ let () =
   parse args;
   let targets =
     match List.rev !targets with
-    | [] -> [ "fig3"; "fig4a"; "fig4b"; "fig5"; "fig6"; "fig7"; "fig8"; "abort-rate"; "ablation"; "skewed"; "durability"; "saturation"; "micro" ]
+    | [] -> figure_names @ [ "micro" ]
     | ts -> ts
   in
   let scale = !scale in
@@ -330,7 +301,7 @@ let () =
   Sss_sim.Sim.tune_gc ();
   let run_ctx = ctx ~jobs ~observe_all:!observe () in
   let quiet_ctx = ctx ~jobs:1 ~observe_all:!observe ~out:ignore () in
-  let scale_name = match scale with Full -> "full" | Quick -> "quick" | Smoke -> "smoke" in
+  let scale_name = scale_name scale in
   Printf.printf "SSS reproduction benchmarks (scale: %s, jobs: %d)\n" scale_name jobs;
   let reports = ref [] in
   let time f =
@@ -353,7 +324,7 @@ let () =
   in
   List.iter
     (fun t ->
-      match figure_of ~slo_ms:!slo_ms t with
+      match figure ?slo_ms:!slo_ms t with
       | Some fig ->
           let baseline_wall =
             if speedup then begin

@@ -24,17 +24,12 @@ let system_conv =
   Arg.conv (parse, print)
 
 let scale_conv =
-  let parse = function
-    | "full" -> Ok Full
-    | "quick" -> Ok Quick
-    | "smoke" -> Ok Smoke
-    | s -> Error (`Msg (Printf.sprintf "unknown scale %S (full|quick|smoke)" s))
+  let parse s =
+    match scale_of_string s with
+    | Some scale -> Ok scale
+    | None -> Error (`Msg (Printf.sprintf "unknown scale %S (full|quick|smoke)" s))
   in
-  let print fmt s =
-    Format.pp_print_string fmt
-      (match s with Full -> "full" | Quick -> "quick" | Smoke -> "smoke")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (scale_name s))
 
 let system_t =
   Arg.(value & opt system_conv Sss & info [ "system" ] ~docv:"SYSTEM" ~doc:"sss, walter, 2pc or rococo")
@@ -77,6 +72,7 @@ let point_cmd =
     let o =
       run
         {
+          default_params with
           system;
           nodes;
           degree;
@@ -89,13 +85,8 @@ let point_cmd =
           duration;
           seed;
           strict;
-          priority_network = true;
-          compress = true;
-          zipf = None;
           observe;
           durability = durable;
-          checkpoint_interval = None;
-          crash = None;
           arrival = (if rate > 0.0 then Some (Sss_workload.Driver.Poisson rate) else None);
           queue_capacity = queue;
           workers;
@@ -156,20 +147,15 @@ let figure_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FIGURE"
-          ~doc:
-            "fig3 fig4a fig4b fig5 fig6 fig7 fig8 abort-rate ablation skewed durability \
-             saturation all")
+      & info [] ~docv:"FIGURE" ~doc:(String.concat " " (figure_names @ [ "all" ])))
   in
   let jobs_t =
     let jobs_conv =
       Arg.conv
         ( (fun s ->
-            if String.equal s "max" then Ok (Sss_par.Pool.default_jobs ())
-            else
-              match int_of_string_opt s with
-              | Some n when n >= 1 -> Ok n
-              | _ -> Error (`Msg (Printf.sprintf "bad jobs value %S (N or \"max\")" s))),
+            match parse_jobs s with
+            | Some n -> Ok n
+            | None -> Error (`Msg (Printf.sprintf "bad jobs value %S (N or \"max\")" s))),
           fun ppf n -> Format.fprintf ppf "%d" n )
     in
     Arg.(
@@ -180,26 +166,8 @@ let figure_cmd =
   in
   let run_figure name scale jobs slo_ms =
     Sss_sim.Sim.tune_gc ();
-    let c = ctx ~jobs () in
-    let fig =
-      match name with
-      | "fig3" -> Some fig3
-      | "fig4a" -> Some fig4a
-      | "fig4b" -> Some fig4b
-      | "fig5" -> Some fig5
-      | "fig6" -> Some fig6
-      | "fig7" -> Some fig7
-      | "fig8" -> Some fig8
-      | "abort-rate" -> Some abort_rate
-      | "ablation" -> Some ablation
-      | "skewed" -> Some skewed
-      | "durability" -> Some durability
-      | "saturation" -> Some (fun c scale -> saturation ?slo_ms c scale)
-      | "all" -> Some all
-      | _ -> None
-    in
-    match fig with
-    | Some fig -> ignore (fig c scale)
+    match figure ?slo_ms name with
+    | Some fig -> ignore (fig (ctx ~jobs ()) scale)
     | None -> Printf.eprintf "unknown figure %s\n" name
   in
   let slo_t =
@@ -214,39 +182,17 @@ let figure_cmd =
 
 let verify_cmd =
   let run_verify system nodes degree keys ro clients duration seed dot =
-    let open Sss_sim in
     let open Sss_consistency in
-    let sim = Sim.create () in
-    let config =
-      {
-        Sss_kv.Config.default with
-        nodes;
-        replication_degree = degree;
-        total_keys = keys;
-        seed;
-      }
+    let r =
+      Sss_experiments.Store.drive system
+        { Sss_kv.Config.default with nodes; replication_degree = degree; total_keys = keys; seed }
+        ~ro ~clients ~warmup:(duration /. 4.0) ~duration
     in
-    let profile = Sss_workload.Driver.paper_profile ~read_only_ratio:ro in
-    let load =
-      {
-        Sss_workload.Driver.default_load with
-        clients_per_node = clients;
-        warmup = duration /. 4.0;
-        duration;
-        seed;
-      }
-    in
-    let (Sss_experiments.Store.Store s) = Sss_experiments.Store.create system sim config in
-    let _ =
-      Sss_workload.Driver.run sim ~nodes ~total_keys:keys ~local_keys:s.local_keys ~profile
-        ~load ~ops:s.ops
-    in
-    let history = s.history in
     Printf.printf "transactions: %d committed, %d aborted\n"
-      (Checker.committed_count history)
-      (Checker.aborted_count history);
+      (Checker.committed_count r.history)
+      (Checker.aborted_count r.history);
     let verdicts =
-      Sss_experiments.Store.verdicts system history ~quiescent:(s.quiescent ())
+      Sss_experiments.Store.verdicts system r.history ~quiescent:r.quiescent
     in
     List.iter
       (fun (name, v) ->
@@ -259,7 +205,7 @@ let verify_cmd =
     | None -> ()
     | Some path ->
         let oc = open_out path in
-        output_string oc (Checker.to_dot history);
+        output_string oc (Checker.to_dot r.history);
         close_out oc;
         Printf.printf "dependency graph written to %s\n" path);
     exit (Sss_experiments.Store.exit_code verdicts)

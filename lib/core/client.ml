@@ -4,114 +4,83 @@
 
 open Sss_sim
 open Sss_data
-open Sss_consistency
 open State
 
-type handle = {
-  cl : State.t;
-  home : State.node;
-  id : Ids.txn;
-  ro : bool;
+(* SSS's own per-transaction state on the runtime's handle. *)
+type own = {
   mutable vc : Vclock.t;
   has_read : bool array;
   mutable started : bool;  (* has issued its first read *)
-  mutable rs : (Ids.key * Ids.txn) list;  (* key with the observed version's writer *)
-  mutable ws : (Ids.key * string) list;
   mutable prop_set : (Ids.txn * int) list;
   (* parked writers whose versions this update transaction read; the client
      response is chained behind their external commits *)
   mutable observed_parked : (Ids.txn * Ids.node) list;
-  mutable finished : bool;
-  begin_at : float;
 }
 
-let begin_txn cl ~node:home_id ~read_only =
-  let id = State.begin_txn cl ~node:home_id ~ro:read_only in
-  let home = State.node cl home_id in
-  Hashtbl.replace home.active id ();
-  (* Hardened mode: read-only transactions start from the externally
-     committed (stable) view plus the node's session knowledge, so they
-     only ever observe externally committed data; update transactions (and
-     paper mode) start from the freshest internally committed view
-     (Alg. 5 / §III-A). *)
-  let initial_vc (home : State.node) read_only =
-    if read_only && cl.config.Config.strict_order then
-      Vclock.max home.stable_vc home.coordinated_max
-    else Vclock.max (Nlog.most_recent_vc home.nlog) home.coordinated_max
-  in
-  {
-    cl;
-    home;
-    id;
-    ro = read_only;
-    vc = initial_vc home read_only;
-    has_read = Array.make cl.config.nodes false;
-    started = false;
-    rs = [];
-    ws = [];
-    prop_set = [];
-    observed_parked = [];
-    finished = false;
-    begin_at = now cl;
-  }
+type handle = own State.handle
 
-let txn_id h = h.id
+(* The visibility floor a transaction starts from, at begin and again at
+   its first read.  Hardened mode: read-only transactions start from the
+   externally committed (stable) view plus the node's session knowledge, so
+   they only ever observe externally committed data; update transactions
+   (and paper mode) start from the freshest internally committed view
+   (Alg. 5 / §III-A). *)
+let visibility_floor cl (home : State.node) ~ro =
+  if ro && cl.config.Config.strict_order then Vclock.max home.stable_vc home.coordinated_max
+  else Vclock.max (Nlog.most_recent_vc home.nlog) home.coordinated_max
+
+let begin_txn cl ~node ~read_only =
+  start cl ~node ~read_only (fun home txn ->
+      Hashtbl.replace home.active txn ();
+      {
+        vc = visibility_floor cl home ~ro:read_only;
+        has_read = Array.make cl.config.nodes false;
+        started = false;
+        prop_set = [];
+        observed_parked = [];
+      })
 
 let is_read_only h = h.ro
 
-let read h key =
-  if h.finished then invalid_arg "Sss_kv: read on a finished transaction";
-  match List.assoc_opt key h.ws with
-  | Some v -> v  (* read-your-writes from the write buffer (Alg. 5 line 2) *)
-  | None ->
-      if not h.started then begin
-        h.vc <-
-          (if h.ro && h.cl.config.Config.strict_order then
-             Vclock.max h.home.stable_vc h.home.coordinated_max
-           else Vclock.max (Nlog.most_recent_vc h.home.nlog) h.home.coordinated_max);
-        h.started <- true;
-        (* the bound is now fixed-then-growing, so this is the moment the
-           snapshot can pin the GC watermark (registering at begin would be
-           wrong: the paper-mode refresh is not entry-wise monotone) *)
-        if h.ro then State.gc_register_ro h.cl h.id h.vc
-      end;
-      let req, ivar = Sss_net.Rpc.Pending.fresh h.home.pending_reads in
-      let msg =
+let remote_read h key =
+  let o = h.own in
+  if not o.started then begin
+    o.vc <- visibility_floor h.cl h.home ~ro:h.ro;
+    o.started <- true;
+    (* the bound is now fixed-then-growing, so this is the moment the
+       snapshot can pin the GC watermark (registering at begin would be
+       wrong: the paper-mode refresh is not entry-wise monotone) *)
+    if h.ro then State.gc_register_ro h.cl h.txn o.vc
+  end;
+  (* All replicas are contacted; the fastest answer wins (§III-C). *)
+  let resp =
+    State.fetch h h.home.pending_reads key (fun req ->
         Message.Read_request
           {
             req;
-            txn = h.id;
+            txn = h.txn;
             key;
-            vc = h.vc;
-            has_read = Array.copy h.has_read;
+            vc = o.vc;
+            has_read = Array.copy o.has_read;
             is_update = not h.ro;
-          }
-      in
-      send_nodes h.cl ~src:h.home.id
-        ~dsts:(Replication.replicas h.cl.repl key)
-        msg;
-      (* All replicas are contacted; the fastest answer wins (§III-C). *)
-      let resp = await_read h.cl ivar ~key ~txn:h.id in
-      h.has_read.(resp.from) <- true;
-      h.vc <- Vclock.max h.vc resp.vc;
-      let pair = (key, resp.writer) in
-      if not (List.mem pair h.rs) then h.rs <- pair :: h.rs;
-      List.iter
-        (fun p -> if not (List.mem p h.prop_set) then h.prop_set <- p :: h.prop_set)
-        resp.propagated;
-      (match resp.parked_coord with
-      | Some coord ->
-          let entry = (resp.writer, coord) in
-          if not (List.mem entry h.observed_parked) then
-            h.observed_parked <- entry :: h.observed_parked
-      | None -> ());
-      record h.cl (History.Read { txn = h.id; key; writer = resp.writer });
-      resp.value
+          })
+  in
+  o.has_read.(resp.from) <- true;
+  o.vc <- Vclock.max o.vc resp.vc;
+  List.iter
+    (fun p -> if not (List.mem p o.prop_set) then o.prop_set <- p :: o.prop_set)
+    resp.propagated;
+  (match resp.parked_coord with
+  | Some coord ->
+      let entry = (resp.writer, coord) in
+      if not (List.mem entry o.observed_parked) then
+        o.observed_parked <- entry :: o.observed_parked
+  | None -> ());
+  observed h key resp.writer;
+  resp.value
 
-let write h key value =
-  if h.finished then invalid_arg "Sss_kv: write on a finished transaction";
-  if h.ro then invalid_arg "Sss_kv: write in a read-only transaction";
-  h.ws <- (key, value) :: List.remove_assoc key h.ws
+(* Read-your-writes from the write buffer (Alg. 5 line 2), else [remote_read]. *)
+let read h key = State.read h key remote_read
 
 let read_keys h = List.sort_uniq Int.compare (List.map fst h.rs)
 
@@ -129,14 +98,14 @@ let await_observed_parked h =
         let req, ivar = Sss_net.Rpc.Pending.fresh h.home.pending_finalized in
         send cl ~src:h.home.id ~dst:coord (Message.Wait_finalized { writer; req });
         ivar)
-      h.observed_parked
+      h.own.observed_parked
   in
   List.iter
     (fun ivar ->
       match Sss_net.Rpc.Pending.await_timeout cl.sim ivar ~timeout:Config.ack_timeout with
       | Some () -> ()
       | None ->
-          stalled ~phase:"wait-finalized" (Ids.txn_to_string h.id))
+          stalled ~phase:"wait-finalized" (Ids.txn_to_string h.txn))
     slots
 
 (* Completion waits under durability retry their message: the transport's
@@ -145,7 +114,7 @@ let await_observed_parked h =
    Finalize it receipted.  Re-send to the nodes whose ack is missing every
    few retry periods; the handlers are idempotent.  Without durability the
    single-timeout wait is kept bit-for-bit (no extra timer events). *)
-let await_acks cl (h : handle) box ~dsts ~msg ~phase =
+let await_phase_acks cl (h : handle) box ~dsts ~msg ~phase =
   if cl.config.Config.durability then begin
     let slice = 4. *. Config.retry_max in
     let deadline = now cl +. Config.ack_timeout in
@@ -158,7 +127,7 @@ let await_acks cl (h : handle) box ~dsts ~msg ~phase =
           if not (node_live cl h.home) then
             crashed h.home.id;
           if now cl >= deadline then
-            stalled ~phase (Ids.txn_to_string h.id);
+            stalled ~phase (Ids.txn_to_string h.txn);
           List.iter
             (fun dst ->
               if not (Hashtbl.mem box.acked dst) then send cl ~src:h.home.id ~dst msg)
@@ -170,7 +139,7 @@ let await_acks cl (h : handle) box ~dsts ~msg ~phase =
   else
     match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:Config.ack_timeout with
     | Some () -> ()
-    | None -> stalled ~phase (Ids.txn_to_string h.id)
+    | None -> stalled ~phase (Ids.txn_to_string h.txn)
 
 (* Read-only (and write-free) commit: the client is informed immediately;
    the Remove message then clears this transaction's snapshot-queue entries
@@ -179,26 +148,24 @@ let commit_read_only h =
   let cl = h.cl in
   (* A write-free update transaction may have read a parked writer's data
      (read-only transactions never do): its response chains as well. *)
-  if h.observed_parked <> [] then await_observed_parked h;
-  h.home.coordinated_max <- Vclock.max h.home.coordinated_max h.vc;
-  if h.ro then cl.ext.stats.committed_ro <- cl.ext.stats.committed_ro + 1
-  else cl.ext.stats.committed_update <- cl.ext.stats.committed_update + 1;
-  committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at ~ws:[];
+  if h.own.observed_parked <> [] then await_observed_parked h;
+  h.home.coordinated_max <- Vclock.max h.home.coordinated_max h.own.vc;
+  complete h ~ws:[];
   let keys = read_keys h in
   if keys <> [] then
-    send_nodes cl ~src:h.home.id ~dsts:(replica_nodes cl keys) (Message.Remove { txn = h.id });
+    send_nodes cl ~src:h.home.id ~dsts:(replica_nodes cl keys) (Message.Remove { txn = h.txn });
   true
 
 let mark_finalized h =
-  match Hashtbl.find_opt h.home.unfinalized h.id with
+  match Hashtbl.find_opt h.home.unfinalized h.txn with
   | None -> ()
   | Some waiters ->
-      Hashtbl.remove h.home.unfinalized h.id;
+      Hashtbl.remove h.home.unfinalized h.txn;
       List.iter (fun reply -> reply ()) !waiters
 
 let commit_update h =
   let cl = h.cl in
-  Hashtbl.replace h.home.unfinalized h.id (ref []);
+  Hashtbl.replace h.home.unfinalized h.txn (ref []);
   let rs_keys = read_keys h in
   let ws_keys = List.map fst h.ws in
   let participants =
@@ -209,26 +176,24 @@ let commit_update h =
      they arrive; it is published (in the Decide) after the last
      mutation. *)
   let round =
-    Ac.open_round h.home h.id ~expect:(List.length participants) (Vclock.copy h.vc)
+    Ac.open_round h.home h.txn ~expect:(List.length participants) (Vclock.copy h.own.vc)
   in
   (* Readers whose Remove already chased this transaction must not be
      re-propagated into snapshot-queues. *)
-  let cancelled = take_cancelled h.home h.id in
+  let cancelled = take_cancelled h.home h.txn in
   let prop =
-    List.filter (fun (r, _) -> not (List.exists (Ids.equal_txn r) cancelled)) h.prop_set
+    List.filter (fun (r, _) -> not (List.exists (Ids.equal_txn r) cancelled)) h.own.prop_set
   in
-  remember_ws cl h.home h.id ws_keys;
+  remember_ws cl h.home h.txn ws_keys;
   send_nodes cl ~src:h.home.id ~dsts:participants
     (Message.Prepare
-       { txn = h.id; coord = h.home.id; vc = h.vc; rs = h.rs; ws = h.ws; propagated = prop });
-  match Ac.await_round cl h.home h.id round with
+       { txn = h.txn; coord = h.home.id; vc = h.own.vc; rs = h.rs; ws = h.ws; propagated = prop });
+  match Ac.await_round cl h.home h.txn round with
   | Some reason ->
       send_nodes cl ~src:h.home.id ~dsts:participants
-        (Message.Decide { txn = h.id; vc = h.vc; outcome = false });
+        (Message.Decide { txn = h.txn; vc = h.own.vc; outcome = false });
       mark_finalized h;
-      cl.ext.stats.aborted <- cl.ext.stats.aborted + 1;
-      aborted cl ~txn:h.id ~node:h.home.id ~ro:false ~reason;
-      false
+      refuse h reason
   | None ->
       (* The vote wait suspended: the home node may have crashed under it, in
          which case this fiber holds a stale record and must not decide. *)
@@ -245,7 +210,7 @@ let commit_update h =
       let xact_vn = mint_xact_vn cl h.home ~at_least:max_entry in
       List.iter (fun w -> (Vclock.set_into commit_vc w xact_vn [@owned])) write_nodes;
       if cl.config.Config.durability then
-        Ac.decide cl h.home h.id commit_vc (SDecided { d_txn = h.id; d_vc = commit_vc });
+        Ac.decide cl h.home h.txn commit_vc (SDecided { d_txn = h.txn; d_vc = commit_vc });
       let ack =
         {
           ack_expect = List.length write_nodes;
@@ -254,16 +219,16 @@ let commit_update h =
           ack_done = Sim.Ivar.create ();
         }
       in
-      Hashtbl.replace h.home.ack_boxes h.id ack;
+      Hashtbl.replace h.home.ack_boxes h.txn ack;
       let decide_at = now cl in
       send_nodes cl ~src:h.home.id ~dsts:participants
-        (Message.Decide { txn = h.id; vc = commit_vc; outcome = true });
-      await_acks cl h ack ~dsts:write_nodes
-        ~msg:(Message.Decide { txn = h.id; vc = commit_vc; outcome = true })
+        (Message.Decide { txn = h.txn; vc = commit_vc; outcome = true });
+      await_phase_acks cl h ack ~dsts:write_nodes
+        ~msg:(Message.Decide { txn = h.txn; vc = commit_vc; outcome = true })
         ~phase:"external-commit ack";
       (* a crash fills the ivar to wake this fiber; distinguish it here *)
       if not (node_live cl h.home) then crashed h.home.id;
-      Hashtbl.remove h.home.ack_boxes h.id;
+      Hashtbl.remove h.home.ack_boxes h.txn;
       if cl.config.Config.strict_order then begin
         (* wr-chaining: the parked writers we read from must externally commit
            before our own writes become reader-visible (and a fortiori before
@@ -282,42 +247,36 @@ let commit_update h =
             ack_done = Sim.Ivar.create ();
           }
         in
-        Hashtbl.replace h.home.ack_boxes h.id fin;
-        send_nodes cl ~src:h.home.id ~dsts:write_nodes (Message.Finalize { txn = h.id });
-        await_acks cl h fin ~dsts:write_nodes ~msg:(Message.Finalize { txn = h.id })
+        Hashtbl.replace h.home.ack_boxes h.txn fin;
+        send_nodes cl ~src:h.home.id ~dsts:write_nodes (Message.Finalize { txn = h.txn });
+        await_phase_acks cl h fin ~dsts:write_nodes ~msg:(Message.Finalize { txn = h.txn })
           ~phase:"finalize ack";
         if not (node_live cl h.home) then crashed h.home.id;
-        Hashtbl.remove h.home.ack_boxes h.id
+        Hashtbl.remove h.home.ack_boxes h.txn
       end;
       (* Completion protocol done: in-doubt queries no longer need this
          incarnation (and after a crash the restored decision will say so). *)
-      Ac.completed h.home h.id;
+      Ac.completed h.home h.txn;
       mark_finalized h;
       h.home.coordinated_max <- Vclock.max h.home.coordinated_max commit_vc;
-      cl.ext.stats.committed_update <- cl.ext.stats.committed_update + 1;
       if cl.ext.stats.collect_latencies then
-        cl.ext.stats.latencies <- (h.begin_at, decide_at, now cl) :: cl.ext.stats.latencies;
-      committed cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:ws_keys;
+        cl.ext.stats.latencies <- (h.began, decide_at, now cl) :: cl.ext.stats.latencies;
+      complete h ~ws:ws_keys;
       true
 
 let commit h =
-  if h.finished then invalid_arg "Sss_kv: commit on a finished transaction";
-  h.finished <- true;
-  Hashtbl.remove h.home.active h.id;
-  if h.ro then State.gc_unregister_ro h.cl h.id;
+  close h "commit";
+  Hashtbl.remove h.home.active h.txn;
+  if h.ro then State.gc_unregister_ro h.cl h.txn;
   if h.ws = [] then commit_read_only h else commit_update h
 
 (* Voluntary abort before commit: nothing distributed is held yet except
    the snapshot-queue entries of a read-only transaction's reads, which the
    Remove message clears. *)
 let abort h =
-  if h.finished then invalid_arg "Sss_kv: abort on a finished transaction";
-  h.finished <- true;
-  Hashtbl.remove h.home.active h.id;
-  if h.ro then State.gc_unregister_ro h.cl h.id;
-  let cl = h.cl in
-  cl.ext.stats.aborted <- cl.ext.stats.aborted + 1;
-  aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Client_abort;
+  client_abort h (fun () ->
+      Hashtbl.remove h.home.active h.txn;
+      if h.ro then State.gc_unregister_ro h.cl h.txn);
   let keys = read_keys h in
   if h.ro && keys <> [] then
-    send_nodes cl ~src:h.home.id ~dsts:(replica_nodes cl keys) (Message.Remove { txn = h.id })
+    send_nodes h.cl ~src:h.home.id ~dsts:(replica_nodes h.cl keys) (Message.Remove { txn = h.txn })

@@ -12,13 +12,13 @@ let begin_txn = Client.begin_txn
 
 let read = Client.read
 
-let write = Client.write
+let write = State.write
 
 let commit = Client.commit
 
 let abort = Client.abort
 
-let txn_id = Client.txn_id
+let txn_id = State.txn_id
 
 let with_txn cluster ~node ~read_only ?(max_attempts = 5) f =
   let rec attempt n =
@@ -91,30 +91,16 @@ let crash_node = State.crash_node
 let restart_node = State.restart_node
 
 let quiescent (t : cluster) =
-  let problems = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  Array.iter
-    (fun (n : State.node) ->
-      (* report in sorted key order: the text must not depend on bucket order *)
-      List.iter
+  State.residue_report t (fun (n : State.node) ->
+      (* in sorted key order: the text must not depend on bucket order *)
+      List.concat_map
         (fun key ->
-          let q = Hashtbl.find n.State.squeues key in
-          if not (Squeue.is_empty q) then
-            add "node %d: snapshot-queue of key %d not empty (%d entries)" n.State.id key
-              (Squeue.length q))
+          State.residue n
+            (Printf.sprintf "entries in the snapshot-queue of key %d" key)
+            (Squeue.length (Hashtbl.find n.State.squeues key)))
         (List.sort Int.compare
-           (Hashtbl.fold (fun k _ acc -> k :: acc) n.State.squeues [] [@order_ok]));
-      if Commitq.length n.State.commitq > 0 then
-        add "node %d: commit queue not empty (%d)" n.State.id (Commitq.length n.State.commitq);
-      if Hashtbl.length n.State.prepared > 0 then
-        add "node %d: %d prepared transactions linger" n.State.id
-          (Hashtbl.length n.State.prepared);
-      if Locks.holder_count n.State.locks > 0 then
-        add "node %d: %d transactions still hold locks" n.State.id
-          (Locks.holder_count n.State.locks);
-      if Hashtbl.length n.State.active > 0 then
-        add "node %d: %d transactions still active" n.State.id (Hashtbl.length n.State.active))
-    t.State.nodes;
-  match !problems with
-  | [] -> Ok ()
-  | ps -> Error (String.concat "; " (List.rev ps))
+           (Hashtbl.fold (fun k _ acc -> k :: acc) n.State.squeues [] [@order_ok]))
+      @ State.residue n "commit-queue entries" (Commitq.length n.State.commitq)
+      @ State.residue n "prepared transactions linger" (Hashtbl.length n.State.prepared)
+      @ State.residue n "transactions still hold locks" (Locks.holder_count n.State.locks)
+      @ State.residue n "transactions still active" (Hashtbl.length n.State.active))

@@ -6,8 +6,11 @@
     [Make] builds that substrate once for a protocol's message and node
     types; the protocol keeps only its own logic plus a few hooks: the
     message handler, what a crash wounds, and how a restarted node rebuilds
-    its state from the log (docs/DURABILITY.md).  [Make(..).Commit] adds
-    the atomic commitment SSS, 2PC and Walter share.
+    its state from the log (docs/DURABILITY.md).  It also holds the client
+    front end every store shares: the transaction handle and its guards,
+    the read fan-out, the abort and the write-free commit.
+    [Make(..).Commit] adds the atomic commitment SSS, 2PC and Walter
+    share.
 
     Per-slot state that outlives a node record — liveness, the transaction
     id generator and the log — lives here, keyed by node id, so a crash
@@ -101,6 +104,14 @@ let commitment () =
     sweep_at = retention_limit;
     scans = 0;
   }
+
+(* An apply-ack box: [expected] acks of round [ack_round] fill [all_in]. *)
+type acks = {
+  expected : int;
+  mutable arrived : int;
+  mutable ack_round : int;
+  all_in : unit Sim.Ivar.t;
+}
 
 (* The durable decisions, sorted: the checkpoint's part of the table. *)
 let durable_decisions ac =
@@ -249,18 +260,6 @@ module Make (P : PROTOCOL) = struct
 
   (* ---- transaction lifecycle: history plus observation ---- *)
 
-  (* Mint the next id at a live home and record the begin. *)
-  let begin_txn t ~node ~ro =
-    if List.mem node t.down then crashed node;
-    let txn = Ids.Gen.next t.gens.(node) in
-    record t (History.Begin { txn; ro; node });
-    (match t.obs with
-    | Some o ->
-        Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
-        Obs.emit o ~at:(Sim.now t.sim) (Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
-    | None -> ());
-    txn
-
   (* External commit: the client learns of success now. *)
   let committed t ~txn ~node ~ro ~began ~ws =
     record t (History.Commit { txn; ws });
@@ -328,6 +327,135 @@ module Make (P : PROTOCOL) = struct
 
   let is_primary t node key =
     match Replication.replicas t.repl key with first :: _ -> first = node | [] -> false
+
+  (* ---- the transaction front end ----
+
+     The client side every store shares: the handle and its lifecycle
+     guards, the write buffer with read-your-writes, the read fan-out, the
+     client abort and the write-free commit.  A protocol keeps its own
+     per-transaction state in [own]. *)
+
+  type 'o handle = {
+    cl : t;
+    home : P.node;
+    txn : Ids.txn;
+    ro : bool;
+    began : float;
+    mutable rs : (Ids.key * Ids.txn) list;
+        (* the versions read, as (key, writer), for protocols that validate *)
+    mutable ws : (Ids.key * string) list;  (* the write buffer *)
+    mutable finished : bool;
+    own : 'o;
+  }
+
+  (* Mint the next id at a live home, record the begin, and build the
+     handle around [own home id]. *)
+  let start t ~node ~read_only own =
+    if List.mem node t.down then crashed node;
+    let txn = Ids.Gen.next t.gens.(node) in
+    let ro = read_only in
+    record t (History.Begin { txn; ro; node });
+    (match t.obs with
+    | Some o ->
+        Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
+        Obs.emit o ~at:(Sim.now t.sim) (Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
+    | None -> ());
+    let home = t.nodes.(node) in
+    { cl = t; home; txn; ro; began = now t; rs = []; ws = []; finished = false;
+      own = own home txn }
+
+  let txn_id h = h.txn
+
+  let check h op =
+    if h.finished then invalid_arg (P.system ^ ": " ^ op ^ " on a finished transaction")
+
+  (* Commit and abort end the handle. *)
+  let close h op =
+    check h op;
+    h.finished <- true
+
+  (* Read-your-writes from the buffer, else the protocol's [remote_read]. *)
+  let read h key remote_read =
+    check h "read";
+    match List.assoc_opt key h.ws with Some v -> v | None -> remote_read h key
+
+  let write h key value =
+    check h "write";
+    if h.ro then invalid_arg (P.system ^ ": write in a read-only transaction");
+    h.ws <- (key, value) :: List.remove_assoc key h.ws
+
+  (* One read round trip: a fresh slot in the home's [pending] table,
+     [msg req] to every replica of [key] (the fastest answer wins), then
+     the reply. *)
+  let fetch ?phase h pending key msg =
+    let req, slot = Rpc.Pending.fresh pending in
+    let m = msg req in
+    List.iter
+      (fun dst -> send h.cl ~src:(P.id h.home) ~dst m)
+      (Replication.replicas h.cl.repl key);
+    await_read ?phase h.cl slot ~key ~txn:h.txn
+
+  (* Note a read of [writer]'s version of [key]: once in the read set, and
+     in the history. *)
+  let observed h key writer =
+    if not (List.exists (fun (k, w) -> Int.equal k key && Ids.equal_txn w writer) h.rs) then
+      h.rs <- (key, writer) :: h.rs;
+    record h.cl (History.Read { txn = h.txn; key; writer })
+
+  (* External commit of the handle's transaction. *)
+  let complete h ~ws = committed h.cl ~txn:h.txn ~node:(P.id h.home) ~ro:h.ro ~began:h.began ~ws
+
+  (* A transaction with nothing to validate or install commits with no
+     messages. *)
+  let commit_write_free h =
+    complete h ~ws:[];
+    true
+
+  let refuse h reason =
+    aborted h.cl ~txn:h.txn ~node:(P.id h.home) ~ro:h.ro ~reason;
+    false
+
+  (* The client gives up: [cleanup] releases what the transaction holds
+     before the abort is recorded. *)
+  let client_abort h cleanup =
+    close h "abort";
+    cleanup ();
+    aborted h.cl ~txn:h.txn ~node:(P.id h.home) ~ro:h.ro ~reason:Client_abort
+
+  let abort h = client_abort h ignore
+
+  (* ---- the count-based apply-ack rendezvous (2PC, ROCOCO) ----
+
+     A coordinator that answers its client only once the write replicas
+     confirmed opens a box per transaction and counts their acks.  A box
+     retried in numbered rounds ignores the acks of older rounds. *)
+
+  let open_acks boxes txn ~expect =
+    let b = { expected = expect; arrived = 0; ack_round = 0; all_in = Sim.Ivar.create () } in
+    Hashtbl.replace boxes txn b;
+    b
+
+  let ack_arrived t boxes txn ~round =
+    match Hashtbl.find_opt boxes txn with
+    | Some b when b.ack_round = round ->
+        b.arrived <- b.arrived + 1;
+        if b.arrived = b.expected && not (Sim.Ivar.is_filled b.all_in) then
+          Sim.Ivar.fill t.sim b.all_in ()
+    | Some _ | None -> ()
+
+  (* [true] once every ack of the box's round arrived within [timeout]. *)
+  let acks_within t b ~timeout = Option.is_some (Sim.Ivar.read_timeout t.sim b.all_in ~timeout)
+
+  let await_acks t b ~phase txn =
+    if not (acks_within t b ~timeout:Config.ack_timeout) then
+      stalled ~phase (Ids.txn_to_string txn)
+
+  (* A crash: wake the coordinator fibers parked on the dead record's boxes;
+     they observe the record swap and raise. *)
+  let fill_acks t boxes =
+    List.iter
+      (fun (_, b) -> if not (Sim.Ivar.is_filled b.all_in) then Sim.Ivar.fill t.sim b.all_in ())
+      (sorted_bindings boxes)
 
   (* ---- write-ahead log ---- *)
 
@@ -537,6 +665,19 @@ module Make (P : PROTOCOL) = struct
   let repl t = t.repl
 
   let local_keys t n = Replication.keys_at t.repl n
+
+  (* The sum of [words node] over the cluster: a store gauge. *)
+  let sum_nodes t words = Array.fold_left (fun acc n -> acc + words n) 0 t.nodes
+
+  (* One residue line for [n] leftover [what]s; none when [n] is 0. *)
+  let residue node what n =
+    if n > 0 then [ Printf.sprintf "node %d: %d %s" (P.id node) n what ] else []
+
+  (* A quiescence report from each node's residue lines, in node order. *)
+  let residue_report t residues =
+    match List.concat_map residues (Array.to_list t.nodes) with
+    | [] -> Ok ()
+    | ps -> Error (String.concat "; " ps)
 end
 
 (** The surface every store offers its harnesses — the three baselines

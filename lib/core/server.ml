@@ -99,7 +99,6 @@ let wait_covered_finalizing t node ~bound_local =
     if not ok then t.ext.stats.wait_covered_timeouts <- t.ext.stats.wait_covered_timeouts + 1
 
 let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
-  t.ext.stats.reads_served <- t.ext.stats.reads_served + 1;
   let reply ?parked_coord value rvc writer propagated =
     send t ~src:node.id ~dst:src
       (Message.Read_return { req; value; vc = rvc; writer; propagated; parked_coord })
@@ -567,18 +566,15 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
       end
       else Nlog.most_recent_vc node.nlog
     in
-    Hashtbl.replace node.prepared txn
+    let prep =
       { rs_local = local_rs; ws_local = local_ws; prop_set = propagated; coord;
-        prep_vc; final_vc = None; finalizing = false };
+        prep_vc; final_vc = None; finalizing = false }
+    in
+    Hashtbl.replace node.prepared txn prep;
     (* The yes-vote is a durable promise (presumed abort: a no-vote needs
        no record).  Logged atomically with the CommitQ insertion; the vote
        leaves only once the record did. *)
-    let lsn =
-      log t node
-        (SPrepared
-           { p_txn = txn; p_rs = local_rs; p_ws = local_ws; p_prop = propagated;
-             p_coord = coord; p_vc = prep_vc })
-    in
+    let lsn = log t node (SPrepared { p_txn = txn; p_prep = copy_prep prep }) in
     if t.config.Config.durability then watch t node txn ~coord ~linger:true;
     if log_sync t node lsn && node_live t node then
       send t ~src:node.id ~dst:coord (Message.Vote { txn; ok = true; vc = prep_vc })
@@ -659,19 +655,9 @@ let load_snap t node (s : snap) =
   node.stable_vc <- s.s_stable_vc;
   node.minted <- s.s_minted;
   List.iter
-    (fun (txn, sp) ->
-      Hashtbl.replace node.prepared txn
-        {
-          rs_local = sp.sp_rs;
-          ws_local = sp.sp_ws;
-          prop_set = sp.sp_prop;
-          coord = sp.sp_coord;
-          prep_vc = sp.sp_vc;
-          final_vc = sp.sp_final_vc;
-          finalizing = sp.sp_finalizing;
-        };
-      if sp.sp_ws <> [] && sp.sp_final_vc = None then
-        Commitq.put node.commitq ~txn ~vc:sp.sp_vc)
+    (fun (txn, p) ->
+      Hashtbl.replace node.prepared txn (copy_prep p);
+      if p.ws_local <> [] && p.final_vc = None then Commitq.put node.commitq ~txn ~vc:p.prep_vc)
     s.s_prepared;
   List.iter (fun (txn, vc) -> Ac.restore t node txn vc) s.s_decided;
   node.aborted_decides <- Idset.Txns.copy s.s_aborted;
@@ -680,21 +666,12 @@ let load_snap t node (s : snap) =
   List.iter (fun (txn, entry) -> Hashtbl.replace node.recent_ws txn entry) s.s_recent_ws
 
 let replay_record t node = function
-  | SPrepared { p_txn; p_rs; p_ws; p_prop; p_coord; p_vc } ->
-      Hashtbl.replace node.prepared p_txn
-        {
-          rs_local = p_rs;
-          ws_local = p_ws;
-          prop_set = p_prop;
-          coord = p_coord;
-          prep_vc = p_vc;
-          final_vc = None;
-          finalizing = false;
-        };
+  | SPrepared { p_txn; p_prep = p } ->
+      Hashtbl.replace node.prepared p_txn (copy_prep p);
       (* the prepare's clock bump must stay visible to [bump_local]'s
          uniqueness argument even though the bump itself was volatile *)
-      (Vclock.max_into node.node_vc p_vc [@owned]);
-      if p_ws <> [] then Commitq.put node.commitq ~txn:p_txn ~vc:p_vc
+      (Vclock.max_into node.node_vc p.prep_vc [@owned]);
+      if p.ws_local <> [] then Commitq.put node.commitq ~txn:p_txn ~vc:p.prep_vc
   | SAborted { a_txn } ->
       Idset.Txns.add node.aborted_decides a_txn ~now:(now t);
       Commitq.remove node.commitq a_txn;

@@ -32,7 +32,9 @@ type ack_box = {
   ack_done : unit Sim.Ivar.t;
 }
 
-(* What a participant remembers between Prepare and Finalize. *)
+(* What a participant remembers between Prepare and Finalize.  The
+   prepare log record and the checkpoint hold private copies ([copy_prep]):
+   the live record's last two fields move on. *)
 type prep = {
   rs_local : (Ids.key * Ids.txn) list;
   ws_local : (Ids.key * string) list;
@@ -46,14 +48,8 @@ type prep = {
 (* ---- write-ahead log records and checkpoint snapshot (durability mode) ---- *)
 
 type logrec =
-  | SPrepared of {
-      p_txn : Ids.txn;
-      p_rs : (Ids.key * Ids.txn) list;
-      p_ws : (Ids.key * string) list;
-      p_prop : (Ids.txn * int) list;
-      p_coord : Ids.node;
-      p_vc : Vclock.t;
-    }  (** logged before the yes-vote leaves the node *)
+  | SPrepared of { p_txn : Ids.txn; p_prep : prep }
+      (** logged before the yes-vote leaves the node *)
   | SAborted of { a_txn : Ids.txn }  (** participant processed Decide(abort) *)
   | SApplied of { ap_txn : Ids.txn; ap_vc : Vclock.t }
       (** the CommitQ drain installed the writes (redo uses the ws of the
@@ -63,16 +59,6 @@ type logrec =
           write replica, or a read-only participant's Decide(commit)) *)
   | SDecided of { d_txn : Ids.txn; d_vc : Vclock.t }
       (** coordinator's commit decision; flushed before Decide is sent *)
-
-type sprep = {
-  sp_rs : (Ids.key * Ids.txn) list;
-  sp_ws : (Ids.key * string) list;
-  sp_prop : (Ids.txn * int) list;
-  sp_coord : Ids.node;
-  sp_vc : Vclock.t;
-  sp_final_vc : Vclock.t option;
-  sp_finalizing : bool;
-}
 
 type snap = {
   s_store : Mvstore.image;
@@ -84,7 +70,7 @@ type snap = {
   s_coordinated_max : Vclock.t;
   s_stable_vc : Vclock.t;
   s_minted : int;
-  s_prepared : (Ids.txn * sprep) list;
+  s_prepared : (Ids.txn * prep) list;
   s_decided : (Ids.txn * Vclock.t) list;  (* durable decisions only *)
   s_aborted : Idset.Txns.t;
   s_tombstones : Idset.Txns.t;
@@ -155,10 +141,6 @@ type node = {
 
 type stats = {
   mutable wait_covered_timeouts : int;
-  mutable committed_update : int;
-  mutable committed_ro : int;
-  mutable aborted : int;
-  mutable reads_served : int;
   (* (begin, decide-sent, external-commit) per committed update txn *)
   mutable latencies : (float * float * float) list;
   mutable collect_latencies : bool;
@@ -229,26 +211,25 @@ let make_node sim (config : Config.t) repl id =
 
 (* ---- durability helpers ---- *)
 
+let copy_prep (p : prep) = { p with final_vc = p.final_vc }
+
 (* On-disk size model, in the same spirit as [Message.wire_size]: 16-byte
    record header, 8 bytes per scalar/txn id, raw clocks, values verbatim. *)
+let prep_bytes p =
+  Vcodec.raw_size p.prep_vc
+  + List.fold_left (fun acc _ -> acc + 12) 0 p.rs_local
+  + List.fold_left (fun acc (_, v) -> acc + 12 + String.length v) 0 p.ws_local
+  + (16 * List.length p.prop_set)
+
 let logrec_bytes = function
-  | SPrepared { p_rs; p_ws; p_prop; p_vc; _ } ->
-      16 + 8 + 8
-      + Vcodec.raw_size p_vc
-      + List.fold_left (fun acc _ -> acc + 12) 0 p_rs
-      + List.fold_left (fun acc (_, v) -> acc + 12 + String.length v) 0 p_ws
-      + (16 * List.length p_prop)
+  | SPrepared { p_prep; _ } -> 16 + 8 + 8 + prep_bytes p_prep
   | SAborted _ | SFinalized _ -> 16 + 8
   | SApplied { ap_vc = vc; _ } | SDecided { d_vc = vc; _ } -> 16 + 8 + Vcodec.raw_size vc
 
 let snap_bytes s =
   let vc = Vcodec.raw_size in
-  let sprep_bytes (_, sp) =
-    8 + 8 + vc sp.sp_vc
-    + (match sp.sp_final_vc with Some f -> vc f | None -> 0)
-    + List.fold_left (fun acc _ -> acc + 12) 0 sp.sp_rs
-    + List.fold_left (fun acc (_, v) -> acc + 12 + String.length v) 0 sp.sp_ws
-    + (16 * List.length sp.sp_prop)
+  let checkpointed (_, p) =
+    8 + 8 + prep_bytes p + (match p.final_vc with Some f -> vc f | None -> 0)
   in
   64
   + Mvstore.image_bytes s.s_store
@@ -257,7 +238,7 @@ let snap_bytes s =
       0 s.s_nlog
   + vc s.s_nlog_floor
   + vc s.s_node_vc + vc s.s_coordinated_max + vc s.s_stable_vc
-  + List.fold_left (fun acc sp -> acc + sprep_bytes sp) 0 s.s_prepared
+  + List.fold_left (fun acc p -> acc + checkpointed p) 0 s.s_prepared
   + List.fold_left (fun acc (_, c) -> acc + 8 + vc c) 0 s.s_decided
   + (16 * (Idset.Txns.cardinal s.s_aborted + Idset.Txns.cardinal s.s_tombstones))
   + List.fold_left (fun acc (_, l) -> acc + 8 + (16 * List.length l)) 0 s.s_forwards
@@ -286,19 +267,7 @@ let snap_of (node : node) =
     s_stable_vc = node.stable_vc;
     s_minted = node.minted;
     s_prepared =
-      List.map
-        (fun (txn, (p : prep)) ->
-          ( txn,
-            {
-              sp_rs = p.rs_local;
-              sp_ws = p.ws_local;
-              sp_prop = p.prop_set;
-              sp_coord = p.coord;
-              sp_vc = p.prep_vc;
-              sp_final_vc = p.final_vc;
-              sp_finalizing = p.finalizing;
-            } ))
-        (Runtime.sorted_bindings node.prepared);
+      List.map (fun (txn, p) -> (txn, copy_prep p)) (Runtime.sorted_bindings node.prepared);
     s_decided = Runtime.durable_decisions node.ac;
     s_aborted = Idset.Txns.copy node.aborted_decides;
     s_tombstones = Idset.Txns.copy node.tombstones;
@@ -341,16 +310,7 @@ end)
 let create sim (config : Config.t) hooks =
   let ext =
     {
-      stats =
-        {
-          wait_covered_timeouts = 0;
-          committed_update = 0;
-          committed_ro = 0;
-          aborted = 0;
-          reads_served = 0;
-          latencies = [];
-          collect_latencies = false;
-        };
+      stats = { wait_covered_timeouts = 0; latencies = []; collect_latencies = false };
       gc =
         (if config.gc then
            Some

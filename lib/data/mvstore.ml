@@ -150,6 +150,14 @@ let create ~nodes =
 (* words a string of [len] bytes occupies on the heap (header + padded data) *)
 let str_words len = 1 + ((len + 8) / 8)
 
+let table_words tbl entry =
+  let st = (Hashtbl.stats tbl [@order_ok]) in
+  (Hashtbl.fold
+     (fun _ v acc -> acc + entry v)
+     tbl
+     (st.Hashtbl.num_buckets + (4 * st.Hashtbl.num_bindings))
+   [@order_ok])
+
 let derived_value k = "init:" ^ string_of_int k
 
 let genesis_present t h = Bytes.unsafe_get t.g_state h <> g_dropped

@@ -388,6 +388,16 @@ let staged ctx body =
 
 type scale = Full | Quick | Smoke
 
+let scales = [ ("full", Full); ("quick", Quick); ("smoke", Smoke) ]
+
+let scale_of_string name = List.assoc_opt name scales
+
+let scale_name scale = fst (List.find (fun (_, s) -> s = scale) scales)
+
+let parse_jobs = function
+  | "max" -> Some (Sss_par.Pool.default_jobs ())
+  | s -> ( match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
+
 let node_counts = function
   | Full -> [ 5; 10; 15; 20 ]
   | Quick -> [ 5; 10; 15 ]
@@ -669,7 +679,7 @@ let skewed_body scale ~run ~out =
         run
           { base with system = sys; nodes; keys; ro_ratio = 0.5;
             zipf = (if theta = 0.0 then None else Some theta);
-            degree = (if sys = Rococo then 1 else 2) }
+            degree = Store.paper_degree sys }
       in
       pr out "%-8.2f%14.1f%14.1f%14.1f%14.1f\n" theta (ktxs (o Sss)) (ktxs (o Walter))
         (ktxs (o Twopc)) (ktxs (o Rococo)))
@@ -691,7 +701,7 @@ let durability_body scale ~run ~out =
       let o durability =
         run
           { base with system = sys; nodes = 4; keys; ro_ratio = 0.5;
-            degree = (if sys = Rococo then 1 else 2); durability }
+            degree = Store.paper_degree sys; durability }
       in
       let off = o false and on = o true in
       pr out "%-8s%12.1f%12.1f%14.3f%14.3f%7.0f%%\n" (system_name sys) (ktxs off) (ktxs on)
@@ -831,12 +841,30 @@ let observed_metrics scale =
   let o = run { base with system = Sss; nodes; keys; ro_ratio = 0.5; observe = true } in
   match o.metrics with Some m -> m | None -> "{}"
 
+(* Every figure by its command-line name, in the order [all] runs them. *)
+let figures ?slo_ms () =
+  [
+    ("fig3", fig3);
+    ("fig4a", fig4a);
+    ("fig4b", fig4b);
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("abort-rate", abort_rate);
+    ("ablation", ablation);
+    ("skewed", skewed);
+    ("durability", durability);
+    ("saturation", fun ctx scale -> saturation ?slo_ms ctx scale);
+  ]
+
+let figure_names = List.map fst (figures ())
+
 let all ctx scale =
-  List.fold_left
-    (fun m fig -> meters_sum m (fig ctx scale))
-    meters_zero
-    [ fig3; fig4a; fig4b; fig5; fig6; fig7; fig8; abort_rate; ablation; skewed; durability;
-      (fun ctx scale -> saturation ctx scale) ]
+  List.fold_left (fun m (_, fig) -> meters_sum m (fig ctx scale)) meters_zero (figures ())
+
+let figure ?slo_ms name =
+  if String.equal name "all" then Some all else List.assoc_opt name (figures ?slo_ms ())
 
 (* ---------- recovery trajectory fingerprint ----------
 
@@ -857,7 +885,6 @@ let history_md5 h =
 
 let recovery_smoke () =
   let module Chaos = Sss_chaos.Chaos in
-  let module Driver = Sss_workload.Driver in
   let seed = 7 in
   let any = { Chaos.src = None; dst = None; kinds = [] } in
   let rule ~drop ~dup =
@@ -879,31 +906,36 @@ let recovery_smoke () =
     ]
   in
   let line system (label, durable, plan) =
-    let sim = Sim.create () in
-    let config =
-      {
-        Sss_kv.Config.default with
-        nodes = 4;
-        replication_degree = (if system = Rococo then 1 else 2);
-        total_keys = 24;
-        seed;
-        fault_tolerance = true;
-        durability = durable;
-      }
-    in
-    let (Store.Store s) = Store.create system sim config in
-    ignore (s.chaos ~durable plan : Chaos.handle);
     let r =
-      Driver.run sim ~nodes:4 ~total_keys:24
-        ~local_keys:(fun _ -> [||])
-        ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
-        ~load:
-          { Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03; seed }
-        ~ops:s.ops
+      Store.drive ~plan ~durable system
+        {
+          Sss_kv.Config.default with
+          nodes = 4;
+          replication_degree = Store.paper_degree system;
+          total_keys = 24;
+          seed;
+          fault_tolerance = true;
+          durability = durable;
+        }
+        ~ro:0.5 ~clients:2 ~warmup:0.005 ~duration:0.03
     in
     Printf.sprintf "%s %s des_events %d committed %d history_md5 %s\n"
       (String.lowercase_ascii (system_name system))
-      label (Sim.events_processed sim) r.Driver.committed (history_md5 s.history)
+      label r.des_events r.committed (history_md5 r.history)
   in
   String.concat ""
     (List.concat_map (fun s -> List.map (line s) runs) [ Sss; Twopc; Walter; Rococo ])
+
+(* ---------- golden fixtures ---------- *)
+
+let golden name =
+  if String.equal name "recovery" then Some (recovery_smoke ())
+  else
+    Option.map
+      (fun fig ->
+        let buf = Buffer.create 4096 in
+        let m = fig (ctx ~jobs:1 ~out:(Buffer.add_string buf) ()) Smoke in
+        Printf.bprintf buf "des_events %d\nvirtual_seconds %.6f\ncommitted_txns %d\nruns %d\n"
+          m.des_events m.virtual_seconds m.committed_txns m.runs;
+        Buffer.contents buf)
+      (figure name)

@@ -140,9 +140,6 @@ val ctx :
 
 val jobs : ctx -> int
 
-val run_in : ctx -> params -> outcome
-(** {!run}, with the ctx's [observe_all] override applied. *)
-
 val run_seeds : ctx -> params -> seeds:int list -> outcome list
 (** The same experiment point at each seed, fanned through the ctx's pool;
     results in the seeds' list order.  The shared seed-sweep entry point —
@@ -171,12 +168,19 @@ type meters = {
 
 val meters_zero : meters
 
-val meters_sum : meters -> meters -> meters
-
 (** Experiment scale: [Full] mirrors the paper's parameters (up to 20
     nodes, 5k/10k keys); [Quick] shrinks node counts and durations for a
     fast regeneration; [Smoke] is a seconds-long sanity pass used in CI. *)
 type scale = Full | Quick | Smoke
+
+val scale_of_string : string -> scale option
+(** ["full"], ["quick"] or ["smoke"]. *)
+
+val scale_name : scale -> string
+
+val parse_jobs : string -> int option
+(** A [-j] value: a positive count, or ["max"] for
+    {!Sss_par.Pool.default_jobs}. *)
 
 val base_params : scale -> params
 (** The parameter template every figure at that scale derives its points
@@ -258,6 +262,14 @@ val observed_metrics : scale -> string
 val all : ctx -> scale -> meters
 (** Run every experiment in order. *)
 
+val figure_names : string list
+(** Every figure's command-line name ("fig3", ..., "saturation"), in the
+    order {!all} runs them. *)
+
+val figure : ?slo_ms:float -> string -> (ctx -> scale -> meters) option
+(** The figure of that name, or ["all"]; [slo_ms] reaches {!saturation}
+    run by name. *)
+
 val history_md5 : Sss_consistency.History.t -> string
 (** MD5 over every recorded history event, with its sequence number and
     virtual time — the trajectory fingerprint of {!recovery_smoke}. *)
@@ -268,3 +280,9 @@ val recovery_smoke : unit -> string
     as one line of simulator events, committed count and history MD5.
     [bin/golden.exe recovery] prints it; test/golden/recovery_smoke.txt
     pins it. *)
+
+val golden : string -> string option
+(** A trajectory fixture: ["recovery"] is {!recovery_smoke}; a figure name
+    gives its smoke-scale text at one job, followed by the run's simulator
+    totals.  [bin/golden.exe] prints it; test/golden/*_smoke.txt pin
+    ["fig3"], ["saturation"] and ["recovery"]. *)

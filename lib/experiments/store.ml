@@ -110,9 +110,53 @@ let create system =
       let module M = Of (Rococo_kv.Rococo) in
       M.create ~kv:none system
 
-let checks s =
-  List.map (fun p -> (property_name p, check p s.history)) s.promises
-  @ [ ("quiescent", s.quiescent ()) ]
+(* The promised properties over [history], then quiescence. *)
+let checked system history ~quiescent =
+  List.map (fun p -> (property_name p, check p history)) (promises system)
+  @ [ ("quiescent", quiescent) ]
+
+let checks s = checked s.system s.history ~quiescent:(s.quiescent ())
+
+(* The paper runs ROCOCO unreplicated (§V); the others at degree 2. *)
+let paper_degree = function Rococo -> 1 | Sss | Walter | Twopc -> 2
+
+type report = {
+  system : system;
+  committed : int;
+  des_events : int;
+  history : History.t;
+  quiescent : (unit, string) result;
+  metrics : string option;
+}
+
+let drive ?plan ?(durable = false) system (config : Sss_kv.Config.t) ~ro ~clients ~warmup
+    ~duration =
+  let sim = Sss_sim.Sim.create () in
+  let (Store s) = create system sim config in
+  Option.iter (fun plan -> ignore (s.chaos ~durable plan : Chaos.handle)) plan;
+  let r =
+    Driver.run sim ~nodes:config.nodes ~total_keys:config.total_keys ~local_keys:s.local_keys
+      ~profile:(Driver.paper_profile ~read_only_ratio:ro)
+      ~load:
+        {
+          Driver.default_load with
+          clients_per_node = clients;
+          warmup;
+          duration;
+          seed = config.seed;
+        }
+      ~ops:s.ops
+  in
+  {
+    system;
+    committed = r.Driver.committed;
+    des_events = Sss_sim.Sim.events_processed sim;
+    history = s.history;
+    quiescent = s.quiescent ();
+    metrics = Option.map Sss_obs.Obs.metrics_json s.obs;
+  }
+
+let report_checks r = checked r.system r.history ~quiescent:r.quiescent
 
 type verdict = Pass | Fail of string | Not_promised
 

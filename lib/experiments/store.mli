@@ -24,9 +24,6 @@ type property =
 val properties : property list
 (** Every property, in report order. *)
 
-val property_name : property -> string
-(** Stable kebab-case name ("no-torn-commits", ...). *)
-
 val check : property -> Sss_consistency.History.t -> (unit, string) result
 
 val promises : system -> property list
@@ -61,6 +58,40 @@ val create : system -> Sss_sim.Sim.t -> Sss_kv.Config.t -> any
 
 val checks : 'h t -> (string * (unit, string) result) list
 (** Every promised property over the store's history, then ["quiescent"]. *)
+
+val paper_degree : system -> int
+(** The replication degree the paper's comparisons run a system at:
+    ROCOCO unreplicated (1), every other system 2. *)
+
+(** {1 Driving a store} — the create-drive-check loop of the harnesses *)
+
+(** One closed-loop run, reduced to what the harnesses report. *)
+type report = {
+  system : system;
+  committed : int;  (** commits the workload driver counted *)
+  des_events : int;  (** simulator events the run executed *)
+  history : Sss_consistency.History.t;
+  quiescent : (unit, string) result;  (** taken once the run drained *)
+  metrics : string option;  (** the {!Sss_obs.Obs} metrics JSON iff [config.observe] *)
+}
+
+val drive :
+  ?plan:Sss_chaos.Chaos.plan ->
+  ?durable:bool ->
+  system ->
+  Sss_kv.Config.t ->
+  ro:float ->
+  clients:int ->
+  warmup:float ->
+  duration:float ->
+  report
+(** Build a store on a fresh simulator, install [plan] (with [durable] as
+    in {!t.chaos}), and drive the paper's workload profile at read-only
+    ratio [ro] with [clients] closed-loop clients per node, seeded by
+    [config.seed]. *)
+
+val report_checks : report -> (string * (unit, string) result) list
+(** {!checks} for a driven run. *)
 
 (** {1 Verdicts} — [sss-cli verify] *)
 

@@ -22,8 +22,6 @@ let create ?(lo = 1e-7) ?(ratio = 2.0) ?(buckets = 48) () =
     vmax = neg_infinity;
   }
 
-let bucket_count t = Array.length t.counts
-
 (* Iterative edge walk rather than a log/exp round trip: 48 multiplies at
    most, and the boundary semantics are exact (a value equal to an edge
    lands in the bucket above it, with no floating-point log fuzz). *)

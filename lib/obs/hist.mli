@@ -34,8 +34,6 @@ val min_value : t -> float
 val max_value : t -> float
 (** Largest observed value; [0.0] when empty. *)
 
-val bucket_count : t -> int
-
 val bucket_of : t -> float -> int
 (** Index of the bucket a value falls in. *)
 

@@ -86,19 +86,10 @@ val counters : t -> (string * int) list
 
 val hist : t -> string -> Hist.t option
 
-val hists : t -> (string * Hist.t) list
-(** All histograms, sorted by name. *)
-
 val gauges : t -> (string * (int * int)) list
 (** All gauges as [(name, (current, peak))], sorted by name. *)
 
-val kind_of_event : event -> string
-(** The variant's name in the JSONL dump: ["send"], ["txn_commit"], ... *)
-
 (** {1 Dumps} *)
-
-val event_json : stamped -> string
-(** One trace event as a single-line JSON object. *)
 
 val trace_jsonl : t -> string
 (** The retained trace as JSON Lines, oldest first, one event per line. *)

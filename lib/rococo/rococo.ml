@@ -84,13 +84,6 @@ type cell = {
   mutable ready : (ts * string) list;
 }
 
-type ack_box = {
-  ack_expect : int;
-  mutable ack_count : int;
-  mutable ack_round : int;  (* durability: acks from older retry rounds are stale *)
-  ack_done : unit Sim.Ivar.t;
-}
-
 (* Durability-mode write-ahead-log records (docs/DURABILITY.md). *)
 type logrec =
   | RDispatch of { txn : Ids.txn; key : Ids.key; counter : int }
@@ -114,7 +107,8 @@ type node = {
   mutable counter : int;
   pending_disp : (int * string * Ids.txn) Rpc.Pending.t;
   pending_ro : (string * Ids.txn * bool) Rpc.Pending.t;
-  ack_boxes : (Ids.txn, ack_box) Hashtbl.t;
+  ack_boxes : (Ids.txn, Sss_kv.Runtime.acks) Hashtbl.t;
+      (* durability retries in rounds: acks of older rounds are stale *)
   executed : Sim.Cond.t;
   (* durability mode only *)
   staged : (Ids.txn, ts * (Ids.key * string) list) Hashtbl.t;
@@ -221,17 +215,13 @@ include Rt
 
 type cluster = Rt.t
 
-type handle = {
-  cl : cluster;
-  home : node;
-  id : Ids.txn;
-  ro : bool;
-  mutable rs : (Ids.key * string) list;  (* dispatch-time reads, client-visible *)
-  mutable ws : (Ids.key * string) list;
+(* ROCOCO's own per-transaction state. *)
+type own = {
+  mutable reads : (Ids.key * string) list;  (* dispatch-time reads, client-visible *)
   mutable counters : int list;  (* collected in round 1 *)
-  mutable finished : bool;
-  begin_at : float;
 }
+
+type handle = own Rt.handle
 
 (* Request/response reads (dispatch round-1, read-only rounds).  Without
    durability a single long-timeout wait is enough — the reply can only be
@@ -243,15 +233,17 @@ type handle = {
    client re-issues the request on a short slice; dispatch re-issue simply
    replaces this transaction's pending counter, and read-only reads are
    idempotent. *)
-let read_rpc cl (pending : 'a Rpc.Pending.t) ~(home : node) ~key ~txn ~mk_msg ~phase =
-  let dsts = Replication.replicas cl.repl key in
-  if cl.config.Sss_kv.Config.durability then
+let read_rpc h (pending : 'a Rpc.Pending.t) key msg ~phase =
+  let cl = h.cl and home = h.home in
+  if not cl.config.Sss_kv.Config.durability then fetch ~phase h pending key msg
+  else
+    let dsts = Replication.replicas cl.repl key in
     let rec attempt n =
       if n > cl.config.Sss_kv.Config.retry_limit then
-        stalled ~phase (Printf.sprintf "key %d in %s" key (Ids.txn_to_string txn));
+        stalled ~phase (Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.txn));
       if not (node_live cl home) then crashed home.id;
       let req, ivar = Rpc.Pending.fresh pending in
-      List.iter (fun dst -> send cl ~src:home.id ~dst (mk_msg req)) dsts;
+      List.iter (fun dst -> send cl ~src:home.id ~dst (msg req)) dsts;
       match Rpc.Pending.await_timeout cl.sim ivar ~timeout:(2. *. Sss_kv.Config.retry_max) with
       | Some r -> r
       | None ->
@@ -259,11 +251,6 @@ let read_rpc cl (pending : 'a Rpc.Pending.t) ~(home : node) ~key ~txn ~mk_msg ~p
           attempt (n + 1)
     in
     attempt 0
-  else begin
-    let req, ivar = Rpc.Pending.fresh pending in
-    List.iter (fun dst -> send cl ~src:home.id ~dst (mk_msg req)) dsts;
-    await_read ~phase cl ivar ~key ~txn
-  end
 
 (* Execute every ready piece that can no longer be preceded: the smallest
    positioned ts on the key runs once every still-unpositioned piece is
@@ -409,13 +396,7 @@ let rec dispatch t (node : node) ~src payload =
   | Dispatch_ack { req; counter; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_disp req (counter, value, writer)
   | Commit { txn; ts; writes; round } -> handle_commit t node ~txn ~ts ~writes ~round
-  | Commit_ack { txn; round } -> (
-      match Hashtbl.find_opt node.ack_boxes txn with
-      | Some box when round = box.ack_round ->
-          box.ack_count <- box.ack_count + 1;
-          if box.ack_count = box.ack_expect && not (Sim.Ivar.is_filled box.ack_done) then
-            Sim.Ivar.fill t.sim box.ack_done ()
-      | Some _ | None -> ())
+  | Commit_ack { txn; round } -> ack_arrived t node.ack_boxes txn ~round
   | Ro_read { req; key } ->
       (* wait until no buffered update piece conflicts with the read *)
       let c = cell node key in
@@ -477,10 +458,7 @@ let wound t (old : node) e =
   Rpc.Pending.poison_all t.sim old.pending_disp e;
   Rpc.Pending.poison_all t.sim old.pending_ro e;
   Rpc.Pending.poison_all t.sim old.pending_alive e;
-  List.iter
-    (fun (_, (b : ack_box)) ->
-      if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
-    (Sss_kv.Runtime.sorted_bindings old.ack_boxes)
+  fill_acks t old.ack_boxes
 
 let recover t (node : node) =
   let keys =
@@ -515,119 +493,98 @@ let hooks =
 let create sim config = Rt.create ~hooks ~ext:() sim config
 
 let begin_txn cl ~node ~read_only =
-  let id = Rt.begin_txn cl ~node ~ro:read_only in
-  let home = cl.nodes.(node) in
-  if cl.config.Sss_kv.Config.durability && not read_only then
-    (* the aliveness protocol answers for this transaction from here until
-       commit/abort deregisters it (or a crash wipes the table) *)
-    Hashtbl.replace home.inflight id ();
-  { cl; home; id; ro = read_only; rs = []; ws = []; counters = []; finished = false;
-    begin_at = Sim.now cl.sim }
+  start cl ~node ~read_only (fun home txn ->
+      if cl.config.Sss_kv.Config.durability && not read_only then
+        (* the aliveness protocol answers for this transaction from here until
+           commit/abort deregisters it (or a crash wipes the table) *)
+        Hashtbl.replace home.inflight txn ();
+      { reads = []; counters = [] })
 
 (* Update-transaction read = round-1 dispatch of the piece; read-only reads
    are handled in [commit] (the round-based protocol needs the full key
    set). *)
-let read h key =
-  if h.finished then invalid_arg "Rococo: read on a finished transaction";
-  match List.assoc_opt key h.ws with
-  | Some v -> v
-  | None when h.ro -> (
-      match List.assoc_opt key h.rs with
-      | Some v -> v
-      | None ->
-          let value, _writer, _stable =
-            read_rpc h.cl h.home.pending_ro ~home:h.home ~key ~txn:h.id
-              ~mk_msg:(fun req -> Ro_read { req; key })
-              ~phase:"ro read"
-          in
-          h.rs <- (key, value) :: h.rs;
-          value)
-  | None ->
-      let counter, value, _writer =
-        read_rpc h.cl h.home.pending_disp ~home:h.home ~key ~txn:h.id
-          ~mk_msg:(fun req -> Dispatch { req; txn = h.id; key })
-          ~phase:"dispatch"
-      in
-      h.counters <- counter :: h.counters;
-      h.rs <- (key, value) :: h.rs;
-      value
+let remote_read h key =
+  let o = h.own in
+  if h.ro then
+    match List.assoc_opt key o.reads with
+    | Some v -> v
+    | None ->
+        let value, _writer, _stable =
+          read_rpc h h.home.pending_ro key (fun req -> Ro_read { req; key }) ~phase:"ro read"
+        in
+        o.reads <- (key, value) :: o.reads;
+        value
+  else
+    let counter, value, _writer =
+      read_rpc h h.home.pending_disp key
+        (fun req -> Dispatch { req; txn = h.txn; key })
+        ~phase:"dispatch"
+    in
+    o.counters <- counter :: o.counters;
+    o.reads <- (key, value) :: o.reads;
+    value
 
-let write h key value =
-  if h.finished then invalid_arg "Rococo: write on a finished transaction";
-  if h.ro then invalid_arg "Rococo: write in a read-only transaction";
-  h.ws <- (key, value) :: List.remove_assoc key h.ws
+let read h key = Rt.read h key remote_read
 
 let commit_update h =
-  let cl = h.cl in
+  let cl = h.cl and o = h.own in
   (* every dispatched key must be written back (deferrable RMW pieces); a
      read without a write is treated as an RMW that rewrites the read
      value *)
   List.iter
     (fun (k, v) -> if not (List.mem_assoc k h.ws) then h.ws <- (k, v) :: h.ws)
-    h.rs;
-  let ts = { num = List.fold_left Stdlib.max 0 h.counters; owner = h.id } in
+    o.reads;
+  let ts = { num = List.fold_left Stdlib.max 0 o.counters; owner = h.txn } in
   let servers = replica_nodes cl (List.map fst h.ws) in
+  (* one ack per executed piece per replica *)
   let box =
-    {
-      (* one ack per executed piece per replica *)
-      ack_expect =
-        List.fold_left
-          (fun acc (k, _) -> acc + List.length (Replication.replicas cl.repl k))
-          0 h.ws;
-      ack_count = 0;
-      ack_round = 0;
-      ack_done = Sim.Ivar.create ();
-    }
+    open_acks h.home.ack_boxes h.txn
+      ~expect:
+        (List.fold_left
+           (fun acc (k, _) -> acc + List.length (Replication.replicas cl.repl k))
+           0 h.ws)
   in
-  Hashtbl.replace h.home.ack_boxes h.id box;
   let broadcast round =
     List.iter
       (fun dst ->
-        send cl ~src:h.home.id ~dst (Commit { txn = h.id; ts; writes = h.ws; round }))
+        send cl ~src:h.home.id ~dst (Commit { txn = h.txn; ts; writes = h.ws; round }))
       servers
   in
   if not cl.config.Sss_kv.Config.durability then begin
     broadcast 0;
-    match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:Sss_kv.Config.ack_timeout with
-    | Some () -> ()
-    | None -> stalled ~phase:"commit ack" (Ids.txn_to_string h.id)
+    await_acks cl box ~phase:"commit ack" h.txn
   end
   else begin
     (* a server crash can eat Commit or its acks; retry in numbered rounds
        so re-acknowledgements of stale rounds are never double-counted *)
     let rec rounds round =
       if round > cl.config.Sss_kv.Config.retry_limit then
-        stalled ~phase:"commit ack" (Ids.txn_to_string h.id);
+        stalled ~phase:"commit ack" (Ids.txn_to_string h.txn);
       if not (node_live cl h.home) then crashed h.home.id;
       box.ack_round <- round;
-      box.ack_count <- 0;
+      box.arrived <- 0;
       broadcast round;
-      match
-        Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:(2. *. Sss_kv.Config.retry_max)
-      with
-      | Some () -> ()
-      | None -> rounds (round + 1)
+      if not (acks_within cl box ~timeout:(2. *. Sss_kv.Config.retry_max)) then
+        rounds (round + 1)
     in
     rounds 0;
     if not (node_live cl h.home) then crashed h.home.id
   end;
-  Hashtbl.remove h.home.ack_boxes h.id;
-  Hashtbl.remove h.home.inflight h.id;
-  committed cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:(List.map fst h.ws);
+  Hashtbl.remove h.home.ack_boxes h.txn;
+  Hashtbl.remove h.home.inflight h.txn;
+  complete h ~ws:(List.map fst h.ws);
   true
 
 (* Round-based read-only: re-read the key set until two consecutive rounds
    observe the same versions; abort after a bounded number of attempts. *)
 let commit_read_only h =
   let cl = h.cl in
-  let keys = List.rev_map fst h.rs in
+  let keys = List.rev_map fst h.own.reads in
   let read_round () =
     List.map
       (fun key ->
         let value, writer, stable =
-          read_rpc cl h.home.pending_ro ~home:h.home ~key ~txn:h.id
-            ~mk_msg:(fun req -> Ro_read { req; key })
-            ~phase:"ro round"
+          read_rpc h h.home.pending_ro key (fun req -> Ro_read { req; key }) ~phase:"ro round"
         in
         (key, value, writer, stable))
       keys
@@ -651,44 +608,34 @@ let commit_read_only h =
   match attempt 8 first with
   | Some round ->
       List.iter
-        (fun (key, _, writer, _) -> record cl (History.Read { txn = h.id; key; writer }))
+        (fun (key, _, writer, _) -> record cl (History.Read { txn = h.txn; key; writer }))
         round;
-      committed cl ~txn:h.id ~node:h.home.id ~ro:true ~began:h.begin_at ~ws:[];
+      complete h ~ws:[];
       true
-  | None ->
-      aborted cl ~txn:h.id ~node:h.home.id ~ro:true ~reason:Ro_rounds;
-      false
+  | None -> refuse h Ro_rounds
 
 let commit h =
-  if h.finished then invalid_arg "Rococo: commit on a finished transaction";
-  h.finished <- true;
-  if h.ro then
-    if h.rs = [] then (
-      committed h.cl ~txn:h.id ~node:h.home.id ~ro:true ~began:h.begin_at ~ws:[];
-      true)
-    else commit_read_only h
-  else if h.ws = [] && h.rs = [] then (
-    Hashtbl.remove h.home.inflight h.id;
-    committed h.cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:[];
-    true)
+  close h "commit";
+  if h.ws = [] && h.own.reads = [] then begin
+    (* nothing dispatched: deregister and commit with no messages *)
+    Hashtbl.remove h.home.inflight h.txn;
+    commit_write_free h
+  end
+  else if h.ro then commit_read_only h
   else commit_update h
 
 let abort h =
-  if h.finished then invalid_arg "Rococo: abort on a finished transaction";
-  h.finished <- true;
-  (* deregister first: even if the Cancel below is lost to a crash, the
-     aliveness watchdogs now see a dead transaction and withdraw its
-     pieces *)
-  Hashtbl.remove h.home.inflight h.id;
-  (* withdraw any dispatched pieces so they never gate other transactions *)
-  let keys = List.map fst h.rs in
-  if (not h.ro) && keys <> [] then
-    List.iter
-      (fun dst -> send h.cl ~src:h.home.id ~dst (Cancel { txn = h.id; keys }))
-      (replica_nodes h.cl keys);
-  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Client_abort
-
-let txn_id h = h.id
+  client_abort h (fun () ->
+      (* deregister first: even if the Cancel below is lost to a crash, the
+         aliveness watchdogs now see a dead transaction and withdraw its
+         pieces *)
+      Hashtbl.remove h.home.inflight h.txn;
+      (* withdraw any dispatched pieces so they never gate other transactions *)
+      let keys = List.map fst h.own.reads in
+      if (not h.ro) && keys <> [] then
+        List.iter
+          (fun dst -> send h.cl ~src:h.home.id ~dst (Cancel { txn = h.txn; keys }))
+          (replica_nodes h.cl keys))
 
 (* Resident words of every node's store, under the same heap model as
    [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, the cell
@@ -696,36 +643,23 @@ let txn_id h = h.id
    boxed value strings.  Cold path (end-of-run gauge); the sum is
    bucket-order-insensitive. *)
 let store_words t =
-  let str_words len = 1 + ((len + 8) / 8) in
-  Array.fold_left
-    (fun acc (n : node) ->
-      let st = (Hashtbl.stats n.store [@order_ok]) in
-      (Hashtbl.fold
-         (fun _ (c : cell) a ->
-           let a = a + 6 + str_words (String.length c.value) in
-           let a = a + 16 + (6 * Hashtbl.length c.pending) in
-           List.fold_left
-             (fun a (_, piece) -> a + 3 + 3 + str_words (String.length piece))
-             a c.ready)
-         n.store
-         (acc + st.Hashtbl.num_buckets + (4 * st.Hashtbl.num_bindings))
-       [@order_ok]))
-    0 t.nodes
+  sum_nodes t (fun (n : node) ->
+      Mvstore.table_words n.store (fun (c : cell) ->
+          let a = 6 + Mvstore.str_words (String.length c.value) in
+          let a = a + 16 + (6 * Hashtbl.length c.pending) in
+          List.fold_left
+            (fun a (_, piece) -> a + 3 + 3 + Mvstore.str_words (String.length piece))
+            a c.ready))
 
 let quiescent t =
-  let problems = ref [] in
-  Array.iter
-    (fun (n : node) ->
-      (* report in sorted key order: the text must not depend on bucket order *)
-      List.iter
+  residue_report t (fun (n : node) ->
+      (* in sorted key order: the text must not depend on bucket order *)
+      List.filter_map
         (fun key ->
           let c = Hashtbl.find n.store key in
           if Hashtbl.length c.pending > 0 || c.ready <> [] then
-            problems :=
-              Printf.sprintf "node %d: key %d has %d pending / %d ready pieces" n.id key
-                (Hashtbl.length c.pending) (List.length c.ready)
-              :: !problems)
-        (List.sort Int.compare
-           (Hashtbl.fold (fun k _ acc -> k :: acc) n.store [] [@order_ok])))
-    t.nodes;
-  match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
+            Some
+              (Printf.sprintf "node %d: key %d has %d pending / %d ready pieces" n.id key
+                 (Hashtbl.length c.pending) (List.length c.ready))
+          else None)
+        (List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) n.store [] [@order_ok])))

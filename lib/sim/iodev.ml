@@ -11,13 +11,12 @@ type t = {
   bandwidth : float;  (* bytes per second of sustained transfer *)
   mutable busy_until : float;  (* completion time of the last queued op *)
   mutable ops : int;
-  mutable bytes_moved : int;
 }
 
 let create sim ~op_latency ~bandwidth =
   if op_latency < 0.0 || bandwidth <= 0.0 then
     invalid_arg "Iodev.create: op_latency must be >= 0 and bandwidth > 0";
-  { sim; op_latency; bandwidth; busy_until = 0.0; ops = 0; bytes_moved = 0 }
+  { sim; op_latency; bandwidth; busy_until = 0.0; ops = 0 }
 
 let service_time t ~bytes = t.op_latency +. (float_of_int bytes /. t.bandwidth)
 
@@ -28,9 +27,6 @@ let submit t ~bytes k =
   let finish = start +. service_time t ~bytes in
   t.busy_until <- finish;
   t.ops <- t.ops + 1;
-  t.bytes_moved <- t.bytes_moved + bytes;
   Sim.schedule_callback t.sim ~delay:(finish -. now) k
 
 let ops t = t.ops
-
-let bytes_moved t = t.bytes_moved

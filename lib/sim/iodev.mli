@@ -34,5 +34,3 @@ val service_time : t -> bytes:int -> float
 val ops : t -> int
 (** Operations submitted so far (for telemetry). *)
 
-val bytes_moved : t -> int
-(** Total bytes across all submitted operations (for telemetry). *)

@@ -301,8 +301,6 @@ module Ivar = struct
 
   let is_filled iv = Option.is_some iv.value
 
-  let peek iv = iv.value
-
   let fill sim iv v =
     match iv.value with
     | Some _ -> invalid_arg "Sim.Ivar.fill: already filled"

@@ -153,8 +153,6 @@ module Ivar : sig
 
   val is_filled : 'a t -> bool
 
-  val peek : 'a t -> 'a option
-
   val fill : sim -> 'a t -> 'a -> unit
   (** Resolve the ivar and wake its readers.  Filling twice raises
       [Invalid_argument]. *)

@@ -174,8 +174,6 @@ let await t lsn =
       t.epoch <> epoch || t.durable_lsn >= lsn);
   t.epoch = epoch
 
-let append_wait t r = await t (append t r)
-
 let durable_lsn t = t.durable_lsn
 
 let start_checkpoints t ~interval =

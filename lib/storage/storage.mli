@@ -57,10 +57,6 @@ val await : ('r, 's) t -> int -> bool
     durable ([true]) or the node crashes first ([false]).  Must be called
     from within a fiber. *)
 
-val append_wait : ('r, 's) t -> 'r -> bool
-(** [append_wait t r] is [await t (append t r)] — for records with no
-    paired volatile mutation. *)
-
 val durable_lsn : ('r, 's) t -> int
 (** Highest LSN known durable, or [-1]. *)
 

@@ -1,4 +1,3 @@
-open Sss_sim
 open Sss_data
 open Sss_net
 open Sss_consistency
@@ -49,8 +48,6 @@ type prep = {
   coord : Ids.node;
 }
 
-type ack_box = { ack_expect : int; mutable ack_count : int; ack_done : unit Sim.Ivar.t }
-
 (* Durability-mode write-ahead-log records (docs/DURABILITY.md).  Each is
    appended in the same DES event as the volatile mutation it describes;
    externally-visible actions await the flush. *)
@@ -77,7 +74,7 @@ type node = {
   mutable aborted_decides : Idset.Txns.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
   ac : (unit, unit) Sss_kv.Runtime.commitment;
-  ack_boxes : (Ids.txn, ack_box) Hashtbl.t;
+  ack_boxes : (Ids.txn, Sss_kv.Runtime.acks) Hashtbl.t;
 }
 
 let make_node sim _config repl id =
@@ -161,16 +158,7 @@ end)
 
 type cluster = Rt.t
 
-type handle = {
-  cl : cluster;
-  home : node;
-  id : Ids.txn;
-  ro : bool;
-  mutable rs : (Ids.key * Ids.txn) list;
-  mutable ws : (Ids.key * string) list;
-  mutable finished : bool;
-  begin_at : float;
-}
+type handle = unit Rt.handle
 
 let cell (node : node) key =
   match Hashtbl.find_opt node.store key with
@@ -257,13 +245,7 @@ let rec dispatch t (node : node) ~src payload =
   | Prepare { txn; coord; rs; ws } -> handle_prepare t node ~txn ~coord ~rs ~ws
   | Vote { txn; ok } -> Ac.vote_arrived t node txn ~ok ()
   | Decide { txn; outcome } -> handle_decide t node ~txn ~outcome
-  | Applied { txn } -> (
-      match Hashtbl.find_opt node.ack_boxes txn with
-      | Some box ->
-          box.ack_count <- box.ack_count + 1;
-          if box.ack_count = box.ack_expect && not (Sim.Ivar.is_filled box.ack_done) then
-            Sim.Ivar.fill t.sim box.ack_done ()
-      | None -> ())
+  | Applied { txn } -> ack_arrived t node.ack_boxes txn ~round:0
   | Query { req; txn } -> Ac.answer t node ~src ~req txn
   | Outcome { req; verdict } -> Ac.outcome_arrived t node ~req verdict
 
@@ -306,10 +288,7 @@ let replay_record t (node : node) = function
 let wound t (old : node) e =
   Rpc.Pending.poison_all t.sim old.pending_reads e;
   Ac.wound t old e;
-  List.iter
-    (fun (_, (b : ack_box)) ->
-      if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
-    (Sss_kv.Runtime.sorted_bindings old.ack_boxes)
+  fill_acks t old.ack_boxes
 
 (* In-doubt transactions held their locks when the node went down: restore
    them before admitting new prepares (the set is mutually compatible, so
@@ -331,117 +310,73 @@ let hooks = { handler = dispatch; wound; load = load_snap; replay = replay_recor
 
 let create sim config = Rt.create ~hooks ~ext:() sim config
 
-let begin_txn cl ~node ~read_only =
-  let id = Rt.begin_txn cl ~node ~ro:read_only in
-  { cl; home = cl.nodes.(node); id; ro = read_only; rs = []; ws = []; finished = false;
-    begin_at = Sim.now cl.sim }
+let begin_txn cl ~node ~read_only = start cl ~node ~read_only (fun _ _ -> ())
 
-let read h key =
-  if h.finished then invalid_arg "Twopc: read on a finished transaction";
-  match List.assoc_opt key h.ws with
-  | Some v -> v
-  | None ->
-      let req, ivar = Rpc.Pending.fresh h.home.pending_reads in
-      List.iter
-        (fun dst -> send h.cl ~src:h.home.id ~dst (Read_req { req; key }))
-        (Replication.replicas h.cl.repl key);
-      let value, writer = await_read h.cl ivar ~key ~txn:h.id in
-      let pair = (key, writer) in
-      if not (List.mem pair h.rs) then h.rs <- pair :: h.rs;
-      record h.cl (History.Read { txn = h.id; key; writer });
-      value
+let remote_read h key =
+  let value, writer =
+    fetch h h.home.pending_reads key (fun req -> Read_req { req; key })
+  in
+  observed h key writer;
+  value
 
-let write h key value =
-  if h.finished then invalid_arg "Twopc: write on a finished transaction";
-  if h.ro then invalid_arg "Twopc: write in a read-only transaction";
-  h.ws <- (key, value) :: List.remove_assoc key h.ws
+let read h key = Rt.read h key remote_read
 
-let commit h =
-  if h.finished then invalid_arg "Twopc: commit on a finished transaction";
-  h.finished <- true;
+let commit_validated h =
   let cl = h.cl in
   let keys = List.map fst h.rs @ List.map fst h.ws in
-  if keys = [] then begin
-    committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at ~ws:[];
-    true
-  end
-  else begin
-    let participants = List.sort_uniq Int.compare (h.home.id :: replica_nodes cl keys) in
-    let round = Ac.open_round h.home h.id ~expect:(List.length participants) () in
-    List.iter
-      (fun dst ->
-        send cl ~src:h.home.id ~dst (Prepare { txn = h.id; coord = h.home.id; rs = h.rs; ws = h.ws }))
-      participants;
-    match Ac.await_round cl h.home h.id round with
-    | Some reason ->
-        (* A crashed home can still abort (nothing was promised), so the
-           Decide(false) fan-out runs either way and frees the
-           participants; only the commit path dies with the node. *)
-        List.iter
-          (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.id; outcome = false }))
-          participants;
-        aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason;
-        false
-    | None ->
-        if not (node_live cl h.home) then crashed h.home.id;
-        if cl.config.Sss_kv.Config.durability then
-          Ac.decide cl h.home h.id () (PDecided { txn = h.id });
-        let write_nodes = replica_nodes cl (List.map fst h.ws) in
-        let ack =
-          { ack_expect = List.length write_nodes; ack_count = 0; ack_done = Sim.Ivar.create () }
-        in
-        if write_nodes <> [] then Hashtbl.replace h.home.ack_boxes h.id ack;
-        List.iter
-          (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.id; outcome = true }))
-          participants;
-        (* The client is informed once every write replica applied: later
-           transactions beginning after this response always see the data. *)
-        if write_nodes <> [] then begin
-          (match
-             Sim.Ivar.read_timeout cl.sim ack.ack_done
-               ~timeout:Sss_kv.Config.ack_timeout
-           with
-          | Some () -> ()
-          | None -> stalled ~phase:"apply ack" (Ids.txn_to_string h.id));
-          Hashtbl.remove h.home.ack_boxes h.id;
-          if not (node_live cl h.home) then crashed h.home.id
-        end;
-        Ac.completed h.home h.id;
-        committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at
-          ~ws:(List.map fst h.ws);
-        true
-  end
+  let participants = List.sort_uniq Int.compare (h.home.id :: replica_nodes cl keys) in
+  let round = Ac.open_round h.home h.txn ~expect:(List.length participants) () in
+  List.iter
+    (fun dst ->
+      send cl ~src:h.home.id ~dst
+        (Prepare { txn = h.txn; coord = h.home.id; rs = h.rs; ws = h.ws }))
+    participants;
+  match Ac.await_round cl h.home h.txn round with
+  | Some reason ->
+      (* A crashed home can still abort (nothing was promised), so the
+         Decide(false) fan-out runs either way and frees the
+         participants; only the commit path dies with the node. *)
+      List.iter
+        (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.txn; outcome = false }))
+        participants;
+      refuse h reason
+  | None ->
+      if not (node_live cl h.home) then crashed h.home.id;
+      if cl.config.Sss_kv.Config.durability then
+        Ac.decide cl h.home h.txn () (PDecided { txn = h.txn });
+      let write_nodes = replica_nodes cl (List.map fst h.ws) in
+      let acks =
+        if write_nodes = [] then None
+        else Some (open_acks h.home.ack_boxes h.txn ~expect:(List.length write_nodes))
+      in
+      List.iter
+        (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.txn; outcome = true }))
+        participants;
+      (* The client is informed once every write replica applied: later
+         transactions beginning after this response always see the data. *)
+      Option.iter
+        (fun acks ->
+          await_acks cl acks ~phase:"apply ack" h.txn;
+          Hashtbl.remove h.home.ack_boxes h.txn;
+          if not (node_live cl h.home) then crashed h.home.id)
+        acks;
+      Ac.completed h.home h.txn;
+      complete h ~ws:(List.map fst h.ws);
+      true
 
-let abort h =
-  if h.finished then invalid_arg "Twopc: abort on a finished transaction";
-  h.finished <- true;
-  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Client_abort
-
-let txn_id h = h.id
+let commit h =
+  close h "commit";
+  if h.rs = [] && h.ws = [] then commit_write_free h else commit_validated h
 
 (* Resident words of every node's store, under the same heap model as
    [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, one cell
    record per key, and the boxed value strings (headers included).  Cold
    path (end-of-run gauge); the sum is bucket-order-insensitive. *)
 let store_words t =
-  let str_words len = 1 + ((len + 8) / 8) in
-  Array.fold_left
-    (fun acc (n : node) ->
-      let st = (Hashtbl.stats n.store [@order_ok]) in
-      (Hashtbl.fold
-         (fun _ (c : cell) a -> a + 4 + str_words (String.length c.value))
-         n.store
-         (acc + st.Hashtbl.num_buckets + (4 * st.Hashtbl.num_bindings))
-       [@order_ok]))
-    0 t.nodes
+  sum_nodes t (fun (n : node) ->
+      Mvstore.table_words n.store (fun (c : cell) -> 4 + Mvstore.str_words (String.length c.value)))
 
 let quiescent t =
-  let problems = ref [] in
-  Array.iter
-    (fun (n : node) ->
-      if Hashtbl.length n.prepared > 0 then
-        problems := Printf.sprintf "node %d: %d prepared linger" n.id (Hashtbl.length n.prepared) :: !problems;
-      if Locks.holder_count n.locks > 0 then
-        problems := Printf.sprintf "node %d: %d lock holders" n.id (Locks.holder_count n.locks) :: !problems)
-    t.nodes;
-  match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
+  residue_report t (fun (n : node) ->
+      residue n "prepared linger" (Hashtbl.length n.prepared)
+      @ residue n "lock holders" (Locks.holder_count n.locks))

@@ -240,16 +240,8 @@ type cluster = Rt.t
 
 let primary t key = List.hd (Replication.replicas t.repl key)
 
-type handle = {
-  cl : cluster;
-  home : node;
-  id : Ids.txn;
-  ro : bool;
-  start : Vclock.t;
-  mutable ws : (Ids.key * string) list;
-  mutable finished : bool;
-  begin_at : float;
-}
+(* Walter's own per-transaction state is its start snapshot. *)
+type handle = Vclock.t Rt.handle
 
 (* Newest version whose writer's commit is within the snapshot.  The caller
    guarantees the snapshot is applied locally, so the first visible version
@@ -483,29 +475,16 @@ let hooks = { handler = dispatch; wound; load = load_snap; replay = replay_recor
 
 let create sim config = Rt.create ~hooks ~ext:() sim config
 
-let begin_txn cl ~node ~read_only =
-  let id = Rt.begin_txn cl ~node ~ro:read_only in
-  let home = cl.nodes.(node) in
-  { cl; home; id; ro = read_only; start = home.applied; ws = []; finished = false;
-    begin_at = Sim.now cl.sim }
+let begin_txn cl ~node ~read_only = start cl ~node ~read_only (fun home _ -> home.applied)
 
-let read h key =
-  if h.finished then invalid_arg "Walter: read on a finished transaction";
-  match List.assoc_opt key h.ws with
-  | Some v -> v
-  | None ->
-      let req, ivar = Rpc.Pending.fresh h.home.pending_reads in
-      List.iter
-        (fun dst -> send h.cl ~src:h.home.id ~dst (Read_req { req; key; start = h.start }))
-        (Replication.replicas h.cl.repl key);
-      let value, writer = await_read h.cl ivar ~key ~txn:h.id in
-      record h.cl (History.Read { txn = h.id; key; writer });
-      value
+let remote_read h key =
+  let value, writer =
+    fetch h h.home.pending_reads key (fun req -> Read_req { req; key; start = h.own })
+  in
+  record h.cl (History.Read { txn = h.txn; key; writer });
+  value
 
-let write h key value =
-  if h.finished then invalid_arg "Walter: write on a finished transaction";
-  if h.ro then invalid_arg "Walter: write in a read-only transaction";
-  h.ws <- (key, value) :: List.remove_assoc key h.ws
+let read h key = Rt.read h key remote_read
 
 (* Commit at the home site: bump the site sequence, apply locally (which
    also numbers versions for keys whose primary is the home), answer the
@@ -521,83 +500,69 @@ let commit_at_home h =
   if cl.config.Sss_kv.Config.durability then begin
     (* the local apply, the client answer and the Propagate fan-out all
        wait for the decision's flush *)
-    Hashtbl.replace h.home.origin_log seq (h.id, h.start, h.ws);
-    Ac.decide cl h.home h.id () (WCommit { txn = h.id; seq; start = h.start; writes = h.ws })
+    Hashtbl.replace h.home.origin_log seq (h.txn, h.own, h.ws);
+    Ac.decide cl h.home h.txn () (WCommit { txn = h.txn; seq; start = h.own; writes = h.ws })
   end;
-  apply_committed cl h.home ~txn:h.id ~site:h.home.id ~seq ~start:h.start ~writes:h.ws;
-  committed cl ~txn:h.id ~node:h.home.id ~ro:false ~began:h.begin_at ~ws:(List.map fst h.ws);
+  apply_committed cl h.home ~txn:h.txn ~site:h.home.id ~seq ~start:h.own ~writes:h.ws;
+  complete h ~ws:(List.map fst h.ws);
   for dst = 0 to cl.config.Sss_kv.Config.nodes - 1 do
     if dst <> h.home.id then
       send cl ~src:h.home.id ~dst
-        (Propagate { txn = h.id; site = h.home.id; seq; start = h.start; writes = h.ws })
+        (Propagate { txn = h.txn; site = h.home.id; seq; start = h.own; writes = h.ws })
   done;
-  Ac.completed h.home h.id;
+  Ac.completed h.home h.txn;
   true
 
-let commit h =
-  if h.finished then invalid_arg "Walter: commit on a finished transaction";
-  h.finished <- true;
+let commit_update h =
   let cl = h.cl in
-  if h.ws = [] then begin
-    (* read-only (or write-free): purely local, never aborts *)
-    committed cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~began:h.begin_at ~ws:[];
-    true
-  end
-  else begin
-    (* group written keys by preferred site *)
-    let by_primary = Hashtbl.create 4 in
-    List.iter
-      (fun (k, _) ->
-        let p = primary cl k in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt by_primary p) in
-        Hashtbl.replace by_primary p (k :: prev))
-      h.ws;
-    (* sorted by site id: prepare-message send order must not depend on
-       Hashtbl bucket order *)
-    let sites =
-      (Hashtbl.fold (fun s ks acc -> (s, ks) :: acc) by_primary [] [@order_ok])
-      |> List.sort (fun (s1, _) (s2, _) -> Int.compare s1 s2)
-    in
-    match sites with
-    | [ (s, ks) ] when s = h.home.id ->
-        (* fast path: all preferred sites local *)
-        if
-          Locks.acquire_all h.home.locks h.id ~exclusive:ks ~shared:[]
-            ~timeout:Sss_kv.Config.lock_timeout
-          && List.for_all (fun k -> ww_ok h.home k ~start:h.start) ks
-        then commit_at_home h  (* locks released when the local apply runs *)
-        else begin
-          Locks.release_txn h.home.locks h.id;
-          aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Conflict;
-          false
-        end
-    | _ ->
-        (* slow path: conflict-check at each preferred site *)
-        let sites = List.sort (fun (a, _) (b, _) -> Int.compare a b) sites in
-        let round = Ac.open_round h.home h.id ~expect:(List.length sites) () in
-        List.iter
-          (fun (s, ks) ->
-            send cl ~src:h.home.id ~dst:s
-              (Wprepare { txn = h.id; coord = h.home.id; start = h.start; keys = ks }))
-          sites;
-        let result = Ac.await_round cl h.home h.id round in
-        let all_ok = Option.is_none result in
-        List.iter
-          (fun (s, _) -> send cl ~src:h.home.id ~dst:s (Wdecide { txn = h.id; outcome = all_ok }))
-          sites;
-        match result with
-        | None -> commit_at_home h
-        | Some reason ->
-            aborted cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason;
-            false
-  end
+  (* group written keys by preferred site *)
+  let by_primary = Hashtbl.create 4 in
+  List.iter
+    (fun (k, _) ->
+      let p = primary cl k in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt by_primary p) in
+      Hashtbl.replace by_primary p (k :: prev))
+    h.ws;
+  (* sorted by site id: prepare-message send order must not depend on
+     Hashtbl bucket order *)
+  let sites =
+    (Hashtbl.fold (fun s ks acc -> (s, ks) :: acc) by_primary [] [@order_ok])
+    |> List.sort (fun (s1, _) (s2, _) -> Int.compare s1 s2)
+  in
+  match sites with
+  | [ (s, ks) ] when s = h.home.id ->
+      (* fast path: all preferred sites local *)
+      if
+        Locks.acquire_all h.home.locks h.txn ~exclusive:ks ~shared:[]
+          ~timeout:Sss_kv.Config.lock_timeout
+        && List.for_all (fun k -> ww_ok h.home k ~start:h.own) ks
+      then commit_at_home h  (* locks released when the local apply runs *)
+      else begin
+        Locks.release_txn h.home.locks h.txn;
+        refuse h Conflict
+      end
+  | _ ->
+      (* slow path: conflict-check at each preferred site *)
+      let sites = List.sort (fun (a, _) (b, _) -> Int.compare a b) sites in
+      let round = Ac.open_round h.home h.txn ~expect:(List.length sites) () in
+      List.iter
+        (fun (s, ks) ->
+          send cl ~src:h.home.id ~dst:s
+            (Wprepare { txn = h.txn; coord = h.home.id; start = h.own; keys = ks }))
+        sites;
+      let result = Ac.await_round cl h.home h.txn round in
+      let all_ok = Option.is_none result in
+      List.iter
+        (fun (s, _) -> send cl ~src:h.home.id ~dst:s (Wdecide { txn = h.txn; outcome = all_ok }))
+        sites;
+      match result with
+      | None -> commit_at_home h
+      | Some reason -> refuse h reason
 
-let abort h =
-  if h.finished then invalid_arg "Walter: abort on a finished transaction";
-  h.finished <- true;
-  aborted h.cl ~txn:h.id ~node:h.home.id ~ro:h.ro ~reason:Client_abort
-
-let txn_id h = h.id
+(* Read-only (or write-free) transactions commit locally and never abort. *)
+let commit h =
+  close h "commit";
+  if h.ws = [] then commit_write_free h else commit_update h
 
 (* Resident words of every node's version chains, under the same heap
    model as [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes and
@@ -605,45 +570,22 @@ let txn_id h = h.id
    private [wstart] clock array per version, plus the value strings.  Cold
    path (end-of-run gauge); the sum is bucket-order-insensitive. *)
 let store_words t =
-  let str_words len = 1 + ((len + 8) / 8) in
-  Array.fold_left
-    (fun acc (n : node) ->
-      let st = (Hashtbl.stats n.chains [@order_ok]) in
-      (Hashtbl.fold
-         (fun _ chain a ->
-           List.fold_left
-             (fun a (v : version) ->
-               a + 3 + 6
-               + (Vclock.size v.wstart + 1)
-               + str_words (String.length v.value))
-             (a + 2) !chain)
-         n.chains
-         (acc + st.Hashtbl.num_buckets + (4 * st.Hashtbl.num_bindings))
-       [@order_ok]))
-    0 t.nodes
+  sum_nodes t (fun (n : node) ->
+      Mvstore.table_words n.chains (fun chain ->
+          List.fold_left
+            (fun a (v : version) ->
+              a + 3 + 6 + (Vclock.size v.wstart + 1) + Mvstore.str_words (String.length v.value))
+            2 !chain))
 
 let quiescent t =
-  let problems = ref [] in
-  Array.iter
-    (fun (n : node) ->
-      if Hashtbl.length n.prepared > 0 then
-        problems :=
-          Printf.sprintf "node %d: %d prepared linger" n.id (Hashtbl.length n.prepared)
-          :: !problems;
-      if Locks.holder_count n.locks > 0 then
-        problems :=
-          Printf.sprintf "node %d: %d lock holders" n.id (Locks.holder_count n.locks)
-          :: !problems;
-      (* report in sorted site order: the text must not depend on bucket order *)
-      List.iter
-        (fun site ->
-          let pending = Hashtbl.find n.holdback site in
-          if !pending <> [] then
-            problems :=
-              Printf.sprintf "node %d: %d held-back propagations from site %d" n.id
-                (List.length !pending) site
-              :: !problems)
-        (List.sort Int.compare
-           (Hashtbl.fold (fun s _ acc -> s :: acc) n.holdback [] [@order_ok])))
-    t.nodes;
-  match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
+  residue_report t (fun (n : node) ->
+      residue n "prepared linger" (Hashtbl.length n.prepared)
+      @ residue n "lock holders" (Locks.holder_count n.locks)
+      (* in sorted site order: the text must not depend on bucket order *)
+      @ List.concat_map
+          (fun site ->
+            residue n
+              (Printf.sprintf "held-back propagations from site %d" site)
+              (List.length !(Hashtbl.find n.holdback site)))
+          (List.sort Int.compare
+             (Hashtbl.fold (fun s _ acc -> s :: acc) n.holdback [] [@order_ok])))

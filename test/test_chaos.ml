@@ -65,7 +65,7 @@ type outcome = {
 
 let run system ~plan ~seed =
   let sim = Sim.create () in
-  let degree = if system = Store.Rococo then 1 else 2 in
+  let degree = Store.paper_degree system in
   let (Store.Store s) = Store.create system sim (chaos_config ~degree ~seed) in
   let h = s.chaos plan in
   let result = drive sim ~seed ~ops:s.ops in

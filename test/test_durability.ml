@@ -54,7 +54,7 @@ type outcome = {
 
 let run ?(durability = true) ?(wire_hooks = true) ?(observe = false) system ~plan ~seed =
   let sim = Sim.create () in
-  let degree = if system = Store.Rococo then 1 else 2 in
+  let degree = Store.paper_degree system in
   let config = { (durable_config ~degree ~seed) with durability; observe } in
   let (Store.Store s) = Store.create system sim config in
   let h = s.chaos ~durable:wire_hooks plan in

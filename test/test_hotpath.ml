@@ -199,6 +199,36 @@ let test_inline_dispatch_replays () =
   Alcotest.(check bool) "history byte-identical" true (h1 = h2);
   Alcotest.(check bool) "made progress" true (c1 > 50)
 
+(* The healthy plain-transport path — no fault tolerance, no durability,
+   history recorded — of each system at a fixed seed, pinned by its event
+   count, committed count and history MD5.  The goldens cover this path
+   only through figure totals (no history) and, for ROCOCO, not at all. *)
+let healthy_pins =
+  Sss_experiments.Store.
+    [
+      (Sss, 155373, 1510, "4a671b596f5d94ffbe05d2ee6d039d07");
+      (Twopc, 132968, 776, "a2773510731a1986a380bb7504b31c70");
+      (Walter, 267423, 4331, "bcd8d7e1f675afa7afcc96e485aeecf1");
+      (Rococo, 146719, 2808, "a73ac5b44a4379ffc6575ceadee6eb02");
+    ]
+
+let test_healthy_path_pinned () =
+  let module Store = Sss_experiments.Store in
+  List.iter
+    (fun (system, events, committed, md5) ->
+      let r =
+        Store.drive system
+          { Config.default with nodes = 4; replication_degree = Store.paper_degree system;
+            total_keys = 24; seed = 5 }
+          ~ro:0.5 ~clients:4 ~warmup:0.005 ~duration:0.04
+      in
+      let name = Store.system_name system in
+      Alcotest.(check int) (name ^ " des_events") events r.des_events;
+      Alcotest.(check int) (name ^ " committed") committed r.committed;
+      Alcotest.(check string) (name ^ " history md5") md5
+        (Sss_experiments.Experiments.history_md5 r.history))
+    healthy_pins
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -214,5 +244,9 @@ let () =
       ("stampset", [ QCheck_alcotest.to_alcotest stampset_matches_oracle ]);
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_matches_model ]);
       ( "determinism",
-        [ Alcotest.test_case "inline dispatch replays identically" `Quick test_inline_dispatch_replays ] );
+        [
+          Alcotest.test_case "inline dispatch replays identically" `Quick
+            test_inline_dispatch_replays;
+          Alcotest.test_case "healthy path pinned" `Quick test_healthy_path_pinned;
+        ] );
     ]

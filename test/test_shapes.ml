@@ -122,28 +122,22 @@ let read_fixture fixture_name =
   in
   In_channel.with_open_text fixture In_channel.input_all
 
-let check_golden what fig fixture_name =
-  let buf = Buffer.create 4096 in
-  let c = ctx ~jobs:1 ~out:(Buffer.add_string buf) () in
-  let m = fig c Smoke in
-  Buffer.add_string buf
-    (Printf.sprintf "des_events %d\nvirtual_seconds %.6f\ncommitted_txns %d\nruns %d\n"
-       m.des_events m.virtual_seconds m.committed_txns m.runs);
-  Alcotest.(check string) what (read_fixture fixture_name) (Buffer.contents buf)
+let check_golden what name =
+  Alcotest.(check (option string))
+    what
+    (Some (read_fixture (name ^ "_smoke.txt")))
+    (golden name)
 
-let test_fig3_smoke_golden () = check_golden "fig3 smoke trajectory" fig3 "fig3_smoke.txt"
+let test_fig3_smoke_golden () = check_golden "fig3 smoke trajectory" "fig3"
 
 (* The open-loop engine and online GC under the same byte-level pin: the
    saturation smoke sweep covers Poisson and Ramp arrivals, admission
    rejection, and watermark GC for both SSS and the 2PC baseline. *)
-let test_saturation_smoke_golden () =
-  check_golden "saturation smoke trajectory" saturation "saturation_smoke.txt"
+let test_saturation_smoke_golden () = check_golden "saturation smoke trajectory" "saturation"
 
 (* Crash, recovery and lossy-transport paths of all four systems under the
    same pin: a durable crash/restart run and a drop/duplicate run each. *)
-let test_recovery_smoke_golden () =
-  Alcotest.(check string)
-    "recovery smoke trajectory" (read_fixture "recovery_smoke.txt") (recovery_smoke ())
+let test_recovery_smoke_golden () = check_golden "recovery smoke trajectory" "recovery"
 
 let () =
   Alcotest.run "shapes"
