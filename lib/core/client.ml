@@ -40,8 +40,6 @@ let begin_txn cl ~node ~read_only =
         observed_parked = [];
       })
 
-let is_read_only h = h.ro
-
 let remote_read h key =
   let o = h.own in
   if not o.started then begin
@@ -129,9 +127,8 @@ let await_phase_acks cl (h : handle) box ~dsts ~msg ~phase =
           if now cl >= deadline then
             stalled ~phase (Ids.txn_to_string h.txn);
           List.iter
-            (fun dst ->
-              if not (Hashtbl.mem box.acked dst) then send cl ~src:h.home.id ~dst msg)
-            (List.filter (fun d -> not (Hashtbl.mem box.acked d)) dsts [@order_ok]);
+            (fun dst -> if not (Hashtbl.mem box.acked dst) then send cl ~src:h.home.id ~dst msg)
+            dsts;
           wait ()
     in
     wait ()
@@ -140,6 +137,15 @@ let await_phase_acks cl (h : handle) box ~dsts ~msg ~phase =
     match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:Config.ack_timeout with
     | Some () -> ()
     | None -> stalled ~phase (Ids.txn_to_string h.txn)
+
+(* Open the home's ack box of [h]'s completion [phase]. *)
+let open_phase h phase ~expect =
+  let box =
+    { ack_expect = expect; acked = Hashtbl.create 8; ack_phase = phase;
+      ack_done = Sim.Ivar.create () }
+  in
+  Hashtbl.replace h.home.ack_boxes h.txn box;
+  box
 
 (* Read-only (and write-free) commit: the client is informed immediately;
    the Remove message then clears this transaction's snapshot-queue entries
@@ -180,7 +186,7 @@ let commit_update h =
   in
   (* Readers whose Remove already chased this transaction must not be
      re-propagated into snapshot-queues. *)
-  let cancelled = take_cancelled h.home h.txn in
+  let cancelled = take h.home.cancelled h.txn in
   let prop =
     List.filter (fun (r, _) -> not (List.exists (Ids.equal_txn r) cancelled)) h.own.prop_set
   in
@@ -211,15 +217,7 @@ let commit_update h =
       List.iter (fun w -> (Vclock.set_into commit_vc w xact_vn [@owned])) write_nodes;
       if cl.config.Config.durability then
         Ac.decide cl h.home h.txn commit_vc (SDecided { d_txn = h.txn; d_vc = commit_vc });
-      let ack =
-        {
-          ack_expect = List.length write_nodes;
-          acked = Hashtbl.create 8;
-          ack_phase = `Acks;
-          ack_done = Sim.Ivar.create ();
-        }
-      in
-      Hashtbl.replace h.home.ack_boxes h.txn ack;
+      let ack = open_phase h `Acks ~expect:(List.length write_nodes) in
       let decide_at = now cl in
       send_nodes cl ~src:h.home.id ~dsts:participants
         (Message.Decide { txn = h.txn; vc = commit_vc; outcome = true });
@@ -239,15 +237,7 @@ let commit_update h =
         (* Release the writer entries everywhere and wait for confirmation
            BEFORE informing the client: a reader that finds the entry parked
            can then always safely serialize before this transaction. *)
-        let fin =
-          {
-            ack_expect = List.length write_nodes;
-            acked = Hashtbl.create 8;
-            ack_phase = `Fin;
-            ack_done = Sim.Ivar.create ();
-          }
-        in
-        Hashtbl.replace h.home.ack_boxes h.txn fin;
+        let fin = open_phase h `Fin ~expect:(List.length write_nodes) in
         send_nodes cl ~src:h.home.id ~dsts:write_nodes (Message.Finalize { txn = h.txn });
         await_phase_acks cl h fin ~dsts:write_nodes ~msg:(Message.Finalize { txn = h.txn })
           ~phase:"finalize ack";

@@ -33,8 +33,6 @@ let with_txn cluster ~node ~read_only ?(max_attempts = 5) f =
   in
   attempt max_attempts
 
-let is_read_only = Client.is_read_only
-
 let history = State.history
 
 let stats (t : cluster) = t.State.ext.State.stats
@@ -101,6 +99,6 @@ let quiescent (t : cluster) =
         (List.sort Int.compare
            (Hashtbl.fold (fun k _ acc -> k :: acc) n.State.squeues [] [@order_ok]))
       @ State.residue n "commit-queue entries" (Commitq.length n.State.commitq)
-      @ State.residue n "prepared transactions linger" (Hashtbl.length n.State.prepared)
+      @ State.Ac.lingering n
       @ State.residue n "transactions still hold locks" (Locks.holder_count n.State.locks)
       @ State.residue n "transactions still active" (Hashtbl.length n.State.active))

@@ -86,14 +86,19 @@ type 'd decision = {
   at : float;  (* insertion time, for the retention sweep *)
 }
 
-(** A node's atomic-commitment state: the vote rounds it coordinates, its
-    decision table, and its termination watchdogs' query rendezvous. *)
-type ('v, 'd) commitment = {
+(** A node's atomic-commitment state.  As coordinator: the vote rounds it
+    runs, its decision table, and its termination watchdogs' query
+    rendezvous.  As participant: its prepared entries and its abort
+    fence. *)
+type ('v, 'd, 'p) commitment = {
   rounds : (Ids.txn, 'v round) Hashtbl.t;
   decisions : (Ids.txn, 'd decision) Hashtbl.t;
   outcomes : 'd verdict Rpc.Pending.t;
   mutable sweep_at : int;  (* the table size that triggers the next scan *)
   mutable scans : int;  (* retention scans run so far *)
+  prepared : (Ids.txn, 'p) Hashtbl.t;  (* yes votes whose outcome is not yet settled here *)
+  mutable fence : Idset.Txns.t;
+      (* abort decisions that may have overtaken their own Prepare *)
 }
 
 let commitment () =
@@ -103,7 +108,17 @@ let commitment () =
     outcomes = Rpc.Pending.create ();
     sweep_at = retention_limit;
     scans = 0;
+    prepared = Hashtbl.create 64;
+    fence = Idset.Txns.create ~horizon:retention_horizon;
   }
+
+(** The commitment's part of a checkpoint: the prepared entries, the
+    durable decisions and the fence, in deterministic order. *)
+type ('d, 'p) image = {
+  entries : (Ids.txn * 'p) list;
+  decided : (Ids.txn * 'd) list;
+  fenced : Idset.Txns.t;
+}
 
 (* An apply-ack box: [expected] acks of round [ack_round] fill [all_in]. *)
 type acks = {
@@ -144,9 +159,6 @@ module type PROTOCOL = sig
   (** A pristine node record, its replicas' keys at their initial values:
       used at boot and again for the fresh record a crash swaps in. *)
 
-  val snapshot : node -> snap
-  (** A deep, deterministically ordered checkpoint image. *)
-
   val record_bytes : Config.t -> logrec -> int
   val snapshot_bytes : Config.t -> snap -> int
 end
@@ -180,6 +192,7 @@ module Make (P : PROTOCOL) = struct
     handler : t -> P.node -> src:Ids.node -> P.msg -> unit;
     wound : t -> P.node -> exn -> unit;
         (* a crash: fail or wake every waiter parked on the dead record *)
+    snapshot : P.node -> P.snap;  (* a deep, deterministically ordered checkpoint image *)
     load : t -> P.node -> P.snap -> unit;  (* restart: install the checkpoint *)
     replay : t -> P.node -> P.logrec -> unit;  (* restart: redo one record *)
     recover : t -> P.node -> unit;
@@ -242,7 +255,7 @@ module Make (P : PROTOCOL) = struct
            cover the node's current incarnation, not the boot one. *)
         let w =
           Storage.create sim dev ~record_bytes:(P.record_bytes config)
-            ~snapshot:(fun () -> P.snapshot t.nodes.(id))
+            ~snapshot:(fun () -> t.hooks.snapshot t.nodes.(id))
             ~snapshot_bytes:(P.snapshot_bytes config) ?obs ()
         in
         t.wals.(id) <- Some w;
@@ -515,21 +528,35 @@ module Make (P : PROTOCOL) = struct
       (fun w -> Storage.start_checkpoints w ~interval:t.config.checkpoint_interval)
       t.wals.(id)
 
+  (* One residue line for [n] leftover [what]s; none when [n] is 0. *)
+  let residue node what n =
+    if n > 0 then [ Printf.sprintf "node %d: %d %s" (P.id node) n what ] else []
+
   (* ---- atomic commitment (docs/DURABILITY.md) ----
 
      The vote round, the decision table, the in-doubt answer and the
      termination watchdog, for a protocol whose nodes carry a
-     {!commitment}.  [merge acc v] folds a yes vote's payload into the
-     round's accumulator; [query] and [outcome] build the protocol's
-     in-doubt request and its answer. *)
+     {!commitment}; and the participant's prepared entries from the yes
+     vote to their settlement, with the fence, the checkpoint part and the
+     restart.  [merge acc v] folds a yes vote's payload into the round's
+     accumulator; [query] and [outcome] build the protocol's in-doubt
+     request and its answer; [coord] names an entry's coordinator and
+     [held] the (exclusive, shared) keys it locks while in doubt. *)
   module Commit (A : sig
     type vote
     type decision
+    type prep
 
-    val state : P.node -> (vote, decision) commitment
+    val state : P.node -> (vote, decision, prep) commitment
     val merge : vote -> vote -> unit
     val query : req:int -> Ids.txn -> P.msg
     val outcome : req:int -> decision verdict -> P.msg
+    val locks : P.node -> Locks.t
+    val coord : prep -> Ids.node
+    val held : prep -> Ids.key list * Ids.key list
+
+    val copy : prep -> prep
+    (** A private copy, for an image whose original still changes. *)
   end) =
   struct
     (* Coordinator: register the round before the Prepares leave. *)
@@ -605,23 +632,44 @@ module Make (P : PROTOCOL) = struct
 
     let outcome_arrived t node ~req v = Rpc.Pending.resolve t.sim (A.state node).outcomes req v
 
+    (* ---- participant: the prepared entries ---- *)
+
+    (* Whether [txn] is held in doubt here: prepared, not yet settled. *)
+    let in_doubt node txn = Hashtbl.mem (A.state node).prepared txn
+
+    (* A fenced Prepare votes no: its abort decision overtook it. *)
+    let fenced node txn = Idset.Txns.mem (A.state node).fence txn
+
+    let fence t node txn = Idset.Txns.add (A.state node).fence txn ~now:(now t)
+
+    (* A yes vote: enter [p] and force its log [record] before the vote
+       leaves, since after a crash this node must still be able to honour
+       a commit decision; under durability [watch] the entry from now on.
+       [true] once the record is on disk (at once without durability). *)
+    let prepare t node txn p record ~watch =
+      Hashtbl.replace (A.state node).prepared txn p;
+      let lsn = log t node record in
+      if t.config.durability then watch t node txn p ~linger:true;
+      log_sync t node lsn
+
     (* Termination watchdog for a yes vote whose outcome this participant
        may never hear — the coordinator crashed before deciding, or this
        node restarted with the prepare on disk.  [linger] first waits out
        a healthy decide round-trip (the watchdog spawned at vote time).
-       While [in_doubt ()], ask [coord] once per attempt: [on_committed]
-       returns whether to keep watching, undecided or unanswered attempts
-       back off, and [retry_limit] of them stall the run.  A crash of this
-       node ends the watch: its restart spawns a new one. *)
-    let watch t node ~txn ~coord ~linger ~in_doubt ~on_committed ~on_aborted =
+       While the entry is in doubt, ask its coordinator once per attempt:
+       [on_committed] returns whether to keep watching, undecided or
+       unanswered attempts back off, and [retry_limit] of them stall the
+       run.  A crash of this node ends the watch: its restart spawns a new
+       one. *)
+    let watch t node txn p ~linger ~on_committed ~on_aborted =
       let c = t.config in
       let outcomes = (A.state node).outcomes in
       let rec loop attempt =
-        if node_live t node && in_doubt () then
+        if node_live t node && in_doubt node txn then
           if attempt >= c.Config.retry_limit then stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
           else begin
             let req, slot = Rpc.Pending.fresh outcomes in
-            send t ~src:(P.id node) ~dst:coord (A.query ~req txn);
+            send t ~src:(P.id node) ~dst:(A.coord p) (A.query ~req txn);
             match Rpc.Pending.await_timeout t.sim slot ~timeout:Config.retry_max with
             | Some (Committed { payload; driving }) ->
                 if on_committed payload ~driving then begin
@@ -640,6 +688,47 @@ module Make (P : PROTOCOL) = struct
             if linger then Sim.sleep t.sim (2. *. Config.retry_max);
             loop 0
           with Rpc.Crashed _ -> ())
+
+    (* The commitment's part of a checkpoint, and its reload at restart. *)
+    let image node =
+      let ac = A.state node in
+      {
+        entries = List.map (fun (txn, p) -> (txn, A.copy p)) (sorted_bindings ac.prepared);
+        decided = durable_decisions ac;
+        fenced = Idset.Txns.copy ac.fence;
+      }
+
+    let load t node img =
+      let ac = A.state node in
+      List.iter (fun (txn, p) -> Hashtbl.replace ac.prepared txn (A.copy p)) img.entries;
+      List.iter (fun (txn, d) -> restore t node txn d) img.decided;
+      ac.fence <- Idset.Txns.copy img.fenced
+
+    (* Restart, after replay.  The in-doubt entries held their locks when
+       the node went down: re-take them before the node admits a new
+       Prepare (they co-held them before the crash, so acquisition is
+       immediate).  Then {!rejoin}, run [on_rejoin], and per entry, in txn
+       order, [resume] its interrupted lifecycle and [watch] it until the
+       coordinator's verdict settles it. *)
+    let recover ?(on_rejoin = ignore) ?(resume = fun _ _ -> ()) t node ~watch =
+      let entries = sorted_bindings (A.state node).prepared in
+      List.iter
+        (fun (txn, p) ->
+          let exclusive, shared = A.held p in
+          ignore
+            (Locks.acquire_all (A.locks node) txn ~exclusive ~shared ~timeout:Config.lock_timeout
+              : bool))
+        entries;
+      rejoin t (P.id node);
+      on_rejoin ();
+      List.iter
+        (fun (txn, p) ->
+          resume txn p;
+          watch t node txn p ~linger:false)
+        entries
+
+    (* The quiescence residue of entries no outcome settled. *)
+    let lingering node = residue node "prepared linger" (Hashtbl.length (A.state node).prepared)
 
     (* A crash: fail the watchdogs' queries. *)
     let wound t node e = Rpc.Pending.poison_all t.sim (A.state node).outcomes e
@@ -668,10 +757,6 @@ module Make (P : PROTOCOL) = struct
 
   (* The sum of [words node] over the cluster: a store gauge. *)
   let sum_nodes t words = Array.fold_left (fun acc n -> acc + words n) 0 t.nodes
-
-  (* One residue line for [n] leftover [what]s; none when [n] is 0. *)
-  let residue node what n =
-    if n > 0 then [ Printf.sprintf "node %d: %d %s" (P.id node) n what ] else []
 
   (* A quiescence report from each node's residue lines, in node order. *)
   let residue_report t residues =

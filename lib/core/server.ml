@@ -115,7 +115,7 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
        committed), this update transaction must not reply to its own client
        before that writer does: report the writer's coordinator. *)
     let parked_coord =
-      match Hashtbl.find_opt node.prepared writer with
+      match Hashtbl.find_opt node.ac.prepared writer with
       | Some p when Hashtbl.mem node.writer_since writer -> Some p.coord
       | _ -> None
     in
@@ -125,7 +125,8 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
   end
   else begin
     let me = node.id in
-    if not has_read.(me) then begin
+    let first = not has_read.(me) in
+    if first then begin
       (* First contact by this read-only transaction (Alg. 6 lines 4-14).
          The paper waits for NLog.mostRecentVC[i] >= T.VC[i]; we also wait
          out any CommitQ entry whose clock entry is within the visibility
@@ -144,64 +145,37 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
           Nlog.most_recent_local node.nlog >= Vclock.get vc me
           && (not (Commitq.exists_at_or_below node.commitq ~bound:(Vclock.get vc me)))
           && not (List.exists (Commitq.mem node.commitq) present_on_arrival));
-      admission_control t node key ~bound_local:(Vclock.get vc me);
-      let q = squeue node key in
-      ignore q;
-      (* ExcludedSet, strengthened from Alg. 6 line 7: a read-only
-         transaction observes a writer only once it is externally
-         committed.  Writers its bound does not cover are excluded (the
-         reader serializes before them; its queue entry holds their
-         external commit).  Writers its bound DOES cover cannot be read
-         around (the bound proves someone already observed them), so the
-         read waits for their — already imminent — finalization.  The wait
-         is bounded: stamps minted for new arrivals always exceed the
-         node's issued values, hence the bound.  (The paper's literal
-         bound-conditional exclusion without the wait lets two readers
-         cover two different parked writers and order them divergently —
-         Adya's anomaly; several variants of this were found by property
-         testing.) *)
-      let bound_local = Vclock.get vc me in
-      wait_covered_finalizing t node ~bound_local;
-      let cutoff = parked_cutoff t node ~bound_local in
-      let maxvc = Nlog.visible_max node.nlog ~has_read ~bound:vc ~cutoff in
-      let sid = Vclock.get maxvc me in
-      (* A slow replica can reach this point after the transaction already
-         committed and its Remove was processed here; the tombstone stops
-         the entry from being resurrected unremovably. *)
-      if not (is_tombstoned node txn) then begin
-        Squeue.insert_read q ~txn ~sid;
-        index_reader node txn key
-      end;
-      let skip = version_skipper ~has_read ~maxvc ~me ~cutoff in
-      let ver = Mvstore.select node.store key ~skip in
-      reply
-        (Mvstore.slot_value node.store ver)
-        maxvc
-        (Mvstore.slot_writer node.store ver)
-        []
-    end
-    else begin
-      (* Repeat contact (Alg. 6 lines 15-21): the visibility bound is the
-         transaction's own clock; parked writers within the bound are
-         waited out exactly as on first contact (the cutoff only rises, so
-         earlier reads at this node stay valid). *)
-      let maxvc = vc in
-      let bound_local = Vclock.get vc me in
-      wait_covered_finalizing t node ~bound_local;
-      let cutoff = parked_cutoff t node ~bound_local in
-      let sid = Stdlib.min (Vclock.get maxvc me) (cutoff - 1) in
-      if not (is_tombstoned node txn) then begin
-        Squeue.insert_read (squeue node key) ~txn ~sid;
-        index_reader node txn key
-      end;
-      let skip = version_skipper ~has_read ~maxvc ~me ~cutoff in
-      let ver = Mvstore.select node.store key ~skip in
-      reply
-        (Mvstore.slot_value node.store ver)
-        maxvc
-        (Mvstore.slot_writer node.store ver)
-        []
-    end
+      admission_control t node key ~bound_local:(Vclock.get vc me)
+    end;
+    (* ExcludedSet, strengthened from Alg. 6 line 7: a read-only
+       transaction observes a writer only once it is externally committed.
+       Writers its bound does not cover are excluded (the reader serializes
+       before them; its queue entry holds their external commit).  Writers
+       its bound DOES cover cannot be read around (the bound proves someone
+       already observed them), so the read waits for their — already
+       imminent — finalization.  The wait is bounded: stamps minted for new
+       arrivals always exceed the node's issued values, hence the bound.
+       (The paper's literal bound-conditional exclusion without the wait
+       lets two readers cover two different parked writers and order them
+       divergently — Adya's anomaly; several variants of this were found by
+       property testing.)  On repeat contact (Alg. 6 lines 15-21) the
+       visibility bound is the transaction's own clock, and the cutoff only
+       rises, so earlier reads at this node stay valid. *)
+    let bound_local = Vclock.get vc me in
+    wait_covered_finalizing t node ~bound_local;
+    let cutoff = parked_cutoff t node ~bound_local in
+    let maxvc = if first then Nlog.visible_max node.nlog ~has_read ~bound:vc ~cutoff else vc in
+    let sid = if first then Vclock.get maxvc me else Stdlib.min bound_local (cutoff - 1) in
+    (* A slow replica can reach this point after the transaction already
+       committed and its Remove was processed here; the tombstone stops the
+       entry from being resurrected unremovably. *)
+    if not (is_tombstoned node txn) then begin
+      Squeue.insert_read (squeue node key) ~txn ~sid;
+      index_reader node txn key
+    end;
+    let skip = version_skipper ~has_read ~maxvc ~me ~cutoff in
+    let ver = Mvstore.select node.store key ~skip in
+    reply (Mvstore.slot_value node.store ver) maxvc (Mvstore.slot_writer node.store ver) []
   end
 
 (* Alg. 4, strengthened: wait out every reader that must serialize before
@@ -217,13 +191,13 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
    forces them to wait for its writes on every written key. *)
 let handle_remove t node ~reader =
   Idset.Txns.add node.tombstones reader ~now:(now t);
-  let keys = take_reader_keys node reader in
+  let keys = take node.reader_keys reader in
   List.iter (fun k -> ignore (Squeue.remove (squeue node k) reader)) keys;
   if keys <> [] then Sim.Cond.broadcast t.sim node.squeue_changed;
   List.iter
     (fun (writer, coord) ->
       send t ~src:node.id ~dst:coord (Message.Forward_remove { reader; writer }))
-    (take_forwards node reader)
+    (take node.forwards reader)
 
 (* Wait until no reader entry blocks a writer of stamp [sid] at [key].
    Without durability a blocking entry always has a live owner whose
@@ -237,6 +211,13 @@ let handle_remove t node ~reader =
    the [Remove] promise (ids are never reused and [active] is cleared
    before the removes go out), and the {!Message.Reader_done} answer runs
    the normal remove path. *)
+let probe_reader t node reader =
+  let home = reader.Ids.node in
+  if home = node.id then begin
+    if not (Hashtbl.mem node.active reader) then handle_remove t node ~reader
+  end
+  else send t ~src:node.id ~dst:home (Message.Reader_probe { reader })
+
 let await_writer_unblocked t node ~sid key =
   let q = squeue node key in
   let clear () = not (Squeue.blocks_writer q ~sid) in
@@ -250,14 +231,7 @@ let await_writer_unblocked t node ~sid key =
       then begin
         List.iter
           (fun (e : Squeue.entry) ->
-            if e.Squeue.propagated || e.Squeue.sid < sid then begin
-              let reader = e.Squeue.txn in
-              let home = reader.Ids.node in
-              if home = node.id then begin
-                if not (Hashtbl.mem node.active reader) then handle_remove t node ~reader
-              end
-              else send t ~src:node.id ~dst:home (Message.Reader_probe { reader })
-            end)
+            if e.Squeue.propagated || e.Squeue.sid < sid then probe_reader t node e.Squeue.txn)
           (Squeue.readers q);
         loop ()
       end
@@ -275,16 +249,21 @@ let probe_orphans t node =
   List.iter
     (fun key ->
       List.iter
-        (fun (e : Squeue.entry) ->
-          let reader = e.Squeue.txn in
-          let home = reader.Ids.node in
-          if home = node.id then begin
-            if not (Hashtbl.mem node.active reader) then handle_remove t node ~reader
-          end
-          else send t ~src:node.id ~dst:home (Message.Reader_probe { reader }))
+        (fun (e : Squeue.entry) -> probe_reader t node e.Squeue.txn)
         (Squeue.readers (squeue node key)))
     (List.sort Int.compare
        (Hashtbl.fold (fun k _ acc -> k :: acc) node.squeues [] [@order_ok]))
+
+(* External commit at this replica: the writer's final clock joins the
+   stable view, its prepared entry and parked stamp go, and the retirement
+   is logged; returns the record's lsn. *)
+let retire t node txn =
+  (match Hashtbl.find_opt node.ac.prepared txn with
+  | Some { final_vc = Some fvc; _ } -> node.stable_vc <- Vclock.max node.stable_vc fvc
+  | _ -> ());
+  Hashtbl.remove node.ac.prepared txn;
+  unpark_writer t node txn;
+  log t node (SFinalized { f_txn = txn })
 
 let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
   if t.config.Config.strict_order then begin
@@ -307,15 +286,10 @@ let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
         Sim.Cond.broadcast t.sim node.squeue_changed)
       keys;
     if node_live t node then begin
-      (match (Hashtbl.find_opt node.prepared txn : prep option) with
-      | Some { final_vc = Some fvc; _ } -> node.stable_vc <- Vclock.max node.stable_vc fvc
-      | _ -> ());
-      Hashtbl.remove node.prepared txn;
-      unpark_writer t node txn;
       (* The prepared entry retires here in paper mode, so the retirement
          is what must reach the disk before the Ack (which covers the apply
          record too — serial device). *)
-      let flsn = log t node (SFinalized { f_txn = txn }) in
+      let flsn = retire t node txn in
       let gate = match flsn with Some _ -> flsn | None -> lsn in
       if log_sync t node gate && node_live t node then
         send t ~src:node.id ~dst:coord (Message.Ack { txn })
@@ -329,7 +303,7 @@ let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
 let rec try_drain t node =
   match Commitq.head node.commitq with
   | Some { Commitq.txn; vc; status = Ready } ->
-      let prep = Hashtbl.find node.prepared txn in
+      let prep = Hashtbl.find node.ac.prepared txn in
       let sid = Vclock.get vc node.id in
       prep.final_vc <- Some vc;
       park_writer t node txn ~stamp:sid;
@@ -353,12 +327,7 @@ let rec try_drain t node =
       (match t.ext.gc with Some g -> gc_after_apply t g node ~ws:prep.ws_local | None -> ());
       Commitq.remove node.commitq txn;
       Locks.release_txn node.locks txn;
-      (match t.obs with
-      | Some o ->
-          Sss_obs.Obs.incr o "lock.release";
-          Sss_obs.Obs.emit o ~at:(now t)
-            (Sss_obs.Obs.Lock_release { txn = Ids.txn_to_string txn; node = node.id })
-      | None -> ());
+      observe_lock t node txn ~acquired:false ~keys:0;
       Sim.Cond.broadcast t.sim node.nlog_changed;
       Sim.Cond.broadcast t.sim node.squeue_changed;
       (* Logged in the same event as the apply: redo either replays the
@@ -377,7 +346,7 @@ let rec try_drain t node =
    every replica confirms removal, keeping "parked" synonymous with "not
    yet externally committed". *)
 let handle_finalize t node ~txn ~reply_to =
-  match Hashtbl.find_opt node.prepared txn with
+  match Hashtbl.find_opt node.ac.prepared txn with
   | None -> (
       (* Duplicate finalize; the first one answered — except under
          durability, where "no entry" can mean the retirement is durable
@@ -422,62 +391,45 @@ let handle_finalize t node ~txn ~reply_to =
             keys;
           if node_live t node then begin
             List.iter (fun k -> ignore (Squeue.remove (squeue node k) txn)) keys;
-            (match prep.final_vc with
-            | Some fvc -> node.stable_vc <- Vclock.max node.stable_vc fvc
-            | None -> ());
-            Hashtbl.remove node.prepared txn;
-            unpark_writer t node txn;
             Sim.Cond.broadcast t.sim node.squeue_changed;
-            let lsn = log t node (SFinalized { f_txn = txn }) in
+            let lsn = retire t node txn in
             if log_sync t node lsn && node_live t node then
               send t ~src:node.id ~dst:prep.coord (Message.Finalize_ack { txn })
           end)
 
 let handle_decide t node ~txn ~vc ~outcome =
-  match Hashtbl.find_opt node.prepared txn with
-  | None ->
-      (* We voted false (kept nothing), this is a duplicate decide, or our
-         Prepare is still in flight — remember aborts so a late Prepare
-         cannot resurrect the transaction. *)
-      if not outcome then begin
-        Idset.Txns.add node.aborted_decides txn ~now:(now t);
-        (* Fire-and-forget: losing an abort record only resurrects the
-           prepared entry at recovery, and the in-doubt watchdog re-learns
-           the abort from the coordinator. *)
-        ignore (log t node (SAborted { a_txn = txn }) : int option);
-        Commitq.remove node.commitq txn;
-        Locks.release_txn node.locks txn;
+  match Hashtbl.find_opt node.ac.prepared txn with
+  | Some prep when outcome ->
+      (* node_vc is exclusively owned: fold the decide clock in place *)
+      (Vclock.max_into node.node_vc vc [@owned]);
+      if prep.ws_local <> [] then begin
+        Commitq.update node.commitq ~txn ~vc;
         try_drain t node;
+        (* Readers waiting on the commit queue re-check: the final clock
+           may have moved this entry out of their visibility bound. *)
         Sim.Cond.broadcast t.sim node.nlog_changed
-      end
-  | Some prep ->
-      if outcome then begin
-        (* node_vc is exclusively owned: fold the decide clock in place *)
-        (Vclock.max_into node.node_vc vc [@owned]);
-        if prep.ws_local <> [] then begin
-          Commitq.update node.commitq ~txn ~vc;
-          try_drain t node;
-          (* Readers waiting on the commit queue re-check: the final clock
-             may have moved this entry out of their visibility bound. *)
-          Sim.Cond.broadcast t.sim node.nlog_changed
-        end
-        else begin
-          Locks.release_txn node.locks txn;
-          Hashtbl.remove node.prepared txn;
-          drop_parked_stamp t node txn;
-          (* read-only participant: retire the prepared entry durably *)
-          ignore (log t node (SFinalized { f_txn = txn }) : int option)
-        end
       end
       else begin
-        ignore (log t node (SAborted { a_txn = txn }) : int option);
-        Commitq.remove node.commitq txn;
+        (* read-only participant: retire the prepared entry durably *)
         Locks.release_txn node.locks txn;
-        Hashtbl.remove node.prepared txn;
-        drop_parked_stamp t node txn;
-        try_drain t node;
-        Sim.Cond.broadcast t.sim node.nlog_changed
+        ignore (retire t node txn : int option)
       end
+  | None when outcome -> ()
+  | entry ->
+      (* With no entry we voted false (kept nothing), this is a duplicate
+         decide, or our Prepare is still in flight — fence the abort so a
+         late Prepare cannot resurrect the transaction. *)
+      if Option.is_none entry then Ac.fence t node txn;
+      (* Fire-and-forget: losing an abort record only resurrects the
+         prepared entry at recovery, and the in-doubt watchdog re-learns
+         the abort from the coordinator. *)
+      ignore (log t node (SAborted { a_txn = txn }) : int option);
+      Commitq.remove node.commitq txn;
+      Locks.release_txn node.locks txn;
+      Hashtbl.remove node.ac.prepared txn;
+      drop_parked_stamp t node txn;
+      try_drain t node;
+      Sim.Cond.broadcast t.sim node.nlog_changed
 
 (* The termination watchdog of a prepared entry.  It completes lost
    Decides and — when the coordinator itself crashed mid-completion
@@ -485,10 +437,9 @@ let handle_decide t node ~txn ~vc ~outcome =
    a restarted coordinator answered no client, so finishing without it can
    violate no completion-order constraint.  An entry stays watched until it
    retires. *)
-let watch t node txn ~coord ~linger =
-  let live_prep () = if node_live t node then Hashtbl.find_opt node.prepared txn else None in
-  Ac.watch t node ~txn ~coord ~linger
-    ~in_doubt:(fun () -> Hashtbl.mem node.prepared txn)
+let watch t node txn p ~linger =
+  let live_prep () = if node_live t node then Hashtbl.find_opt node.ac.prepared txn else None in
+  Ac.watch t node txn p ~linger
     ~on_committed:(fun vc ~driving ->
       match live_prep () with
       | None -> false
@@ -519,7 +470,7 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
   let local_rs = List.filter (fun (k, _) -> Replication.is_replica t.repl node.id k) rs in
   let local_ws = List.filter (fun (k, _) -> Replication.is_replica t.repl node.id k) ws in
   let got_locks =
-    (not (was_abort_decided node txn))
+    (not (Ac.fenced node txn))
     && Locks.acquire_all node.locks txn
          ~exclusive:(List.map fst local_ws)
          ~shared:(List.map fst local_rs) ~timeout:Config.lock_timeout
@@ -532,32 +483,17 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
   let ok =
     got_locks
     && validate node local_rs
-    && (not (was_abort_decided node txn))
+    && (not (Ac.fenced node txn))
     && node_live t node
   in
   if not ok then begin
     Locks.release_txn node.locks txn;
-    (match t.obs with
-    | Some o when got_locks ->
-        Sss_obs.Obs.incr o "lock.release";
-        Sss_obs.Obs.emit o ~at:(now t)
-          (Sss_obs.Obs.Lock_release { txn = Ids.txn_to_string txn; node = node.id })
-    | _ -> ());
+    if got_locks then observe_lock t node txn ~acquired:false ~keys:0;
     if node_live t node then
       send t ~src:node.id ~dst:coord (Message.Vote { txn; ok = false; vc })
   end
   else begin
-    (match t.obs with
-    | Some o ->
-        Sss_obs.Obs.incr o "lock.acquire";
-        Sss_obs.Obs.emit o ~at:(now t)
-          (Sss_obs.Obs.Lock_acquire
-             {
-               txn = Ids.txn_to_string txn;
-               node = node.id;
-               keys = List.length local_ws + List.length local_rs;
-             })
-    | None -> ());
+    observe_lock t node txn ~acquired:true ~keys:(List.length local_ws + List.length local_rs);
     let prep_vc =
       if local_ws <> [] then begin
         let vc = bump_local t node in
@@ -570,14 +506,12 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
       { rs_local = local_rs; ws_local = local_ws; prop_set = propagated; coord;
         prep_vc; final_vc = None; finalizing = false }
     in
-    Hashtbl.replace node.prepared txn prep;
     (* The yes-vote is a durable promise (presumed abort: a no-vote needs
-       no record).  Logged atomically with the CommitQ insertion; the vote
-       leaves only once the record did. *)
-    let lsn = log t node (SPrepared { p_txn = txn; p_prep = copy_prep prep }) in
-    if t.config.Config.durability then watch t node txn ~coord ~linger:true;
-    if log_sync t node lsn && node_live t node then
-      send t ~src:node.id ~dst:coord (Message.Vote { txn; ok = true; vc = prep_vc })
+       no record).  Logged atomically with the CommitQ insertion. *)
+    if
+      Ac.prepare t node txn prep (SPrepared { p_txn = txn; p_prep = copy_prep prep }) ~watch
+      && node_live t node
+    then send t ~src:node.id ~dst:coord (Message.Vote { txn; ok = true; vc = prep_vc })
   end
 
 let handle_forward_remove t node ~reader ~writer =
@@ -654,30 +588,28 @@ let load_snap t node (s : snap) =
   node.coordinated_max <- s.s_coordinated_max;
   node.stable_vc <- s.s_stable_vc;
   node.minted <- s.s_minted;
+  Ac.load t node s.s_ac;
   List.iter
     (fun (txn, p) ->
-      Hashtbl.replace node.prepared txn (copy_prep p);
       if p.ws_local <> [] && p.final_vc = None then Commitq.put node.commitq ~txn ~vc:p.prep_vc)
-    s.s_prepared;
-  List.iter (fun (txn, vc) -> Ac.restore t node txn vc) s.s_decided;
-  node.aborted_decides <- Idset.Txns.copy s.s_aborted;
+    s.s_ac.entries;
   node.tombstones <- Idset.Txns.copy s.s_tombstones;
   List.iter (fun (r, l) -> Hashtbl.replace node.forwards r (ref l)) s.s_forwards;
   List.iter (fun (txn, entry) -> Hashtbl.replace node.recent_ws txn entry) s.s_recent_ws
 
 let replay_record t node = function
   | SPrepared { p_txn; p_prep = p } ->
-      Hashtbl.replace node.prepared p_txn (copy_prep p);
+      Hashtbl.replace node.ac.prepared p_txn (copy_prep p);
       (* the prepare's clock bump must stay visible to [bump_local]'s
          uniqueness argument even though the bump itself was volatile *)
       (Vclock.max_into node.node_vc p.prep_vc [@owned]);
       if p.ws_local <> [] then Commitq.put node.commitq ~txn:p_txn ~vc:p.prep_vc
   | SAborted { a_txn } ->
-      Idset.Txns.add node.aborted_decides a_txn ~now:(now t);
+      Ac.fence t node a_txn;
       Commitq.remove node.commitq a_txn;
-      Hashtbl.remove node.prepared a_txn
+      Hashtbl.remove node.ac.prepared a_txn
   | SApplied { ap_txn; ap_vc } -> (
-      match Hashtbl.find_opt node.prepared ap_txn with
+      match Hashtbl.find_opt node.ac.prepared ap_txn with
       | None -> ()
       | Some prep ->
           (* redo of the try_drain bundle, from the prepare's write set *)
@@ -691,13 +623,13 @@ let replay_record t node = function
           Nlog.add node.nlog ~txn:ap_txn ~vc:ap_vc ~ws:(List.map fst prep.ws_local);
           Commitq.remove node.commitq ap_txn)
   | SFinalized { f_txn } -> (
-      match Hashtbl.find_opt node.prepared f_txn with
+      match Hashtbl.find_opt node.ac.prepared f_txn with
       | None -> ()
       | Some prep ->
           (match prep.final_vc with
           | Some fvc -> node.stable_vc <- Vclock.max node.stable_vc fvc
           | None -> ());
-          Hashtbl.remove node.prepared f_txn;
+          Hashtbl.remove node.ac.prepared f_txn;
           Commitq.remove node.commitq f_txn)
   | SDecided { d_txn; d_vc } ->
       (* restored decisions no longer drive completion: in-doubt
@@ -734,25 +666,18 @@ let wound t old exn =
 
 let recover t node =
   let id = node.id in
-  (* Re-derive the volatile side of the prepared table: in-doubt entries
-     re-take their locks (mutually compatible — they co-held them before
-     the crash), applied entries re-park and re-insert their snapshot-queue
-     writer entries. *)
-  let indoubt = Runtime.sorted_bindings node.prepared in
+  (* Re-derive the volatile side of the prepared table: applied entries
+     re-park and re-insert their snapshot-queue writer entries (the
+     in-doubt ones re-take their locks in [Ac.recover]). *)
   List.iter
     (fun (txn, (p : prep)) ->
       match p.final_vc with
-      | None ->
-          ignore
-            (Locks.acquire_all node.locks txn
-               ~exclusive:(List.map fst p.ws_local)
-               ~shared:(List.map fst p.rs_local) ~timeout:Config.lock_timeout
-              : bool)
+      | None -> ()
       | Some fvc ->
           let sid = Vclock.get fvc id in
           park_writer t node txn ~stamp:sid;
           List.iter (fun (k, _) -> Squeue.insert_write (squeue node k) ~txn ~sid) p.ws_local)
-    indoubt;
+    (Runtime.sorted_bindings node.ac.prepared);
   (* The checkpoint may predate read-only completions whose bounds fed past
      watermarks; folding the GC floor into the reborn node's visibility
      floor guarantees its future readers start at or above everything
@@ -760,16 +685,16 @@ let recover t node =
   (match t.ext.gc with
   | Some g -> node.coordinated_max <- Vclock.max node.coordinated_max g.floor_used
   | None -> ());
-  rejoin t id;
-  Sim.Cond.broadcast t.sim node.nlog_changed;
-  Sim.Cond.broadcast t.sim node.squeue_changed;
   (* Resume the interrupted lifecycles: applied entries re-enter the
      pre-commit wait (their Ack may have been lost with us; re-sends are
      deduplicated at the coordinator), finalizing entries re-enter the
-     release path, and every in-doubt entry gets a termination watchdog. *)
-  List.iter
-    (fun (txn, (p : prep)) ->
-      (match p.final_vc with
+     release path. *)
+  Ac.recover t node ~watch
+    ~on_rejoin:(fun () ->
+      Sim.Cond.broadcast t.sim node.nlog_changed;
+      Sim.Cond.broadcast t.sim node.squeue_changed)
+    ~resume:(fun txn (p : prep) ->
+      match p.final_vc with
       | Some _ when p.finalizing -> handle_finalize t node ~txn ~reply_to:None
       | Some fvc ->
           let sid = Vclock.get fvc id in
@@ -777,8 +702,6 @@ let recover t node =
           Sim.spawn t.sim (fun () ->
               pre_commit_wait t node ~txn ~sid ~keys ~coord:p.coord ~lsn:None)
       | None -> ());
-      watch t node txn ~coord:p.coord ~linger:false)
-    indoubt;
   (* Reclaim entries the crash orphaned, here and cluster-wide: redo just
      re-inserted propagated readers whose pre-crash Remove left no durable
      trace, and readers homed here died without sending theirs.  One probe
@@ -788,4 +711,6 @@ let recover t node =
     if dst <> id then send t ~src:id ~dst (Message.Recovered { node = id })
   done
 
-let hooks = { handler = dispatch; wound; load = load_snap; replay = replay_record; recover }
+let hooks =
+  { handler = dispatch; wound; snapshot = snap_of; load = load_snap; replay = replay_record;
+    recover }

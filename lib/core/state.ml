@@ -70,9 +70,7 @@ type snap = {
   s_coordinated_max : Vclock.t;
   s_stable_vc : Vclock.t;
   s_minted : int;
-  s_prepared : (Ids.txn * prep) list;
-  s_decided : (Ids.txn * Vclock.t) list;  (* durable decisions only *)
-  s_aborted : Idset.Txns.t;
+  s_ac : (Vclock.t, prep) Runtime.image;
   s_tombstones : Idset.Txns.t;
   s_forwards : (Ids.txn * (Ids.txn * Ids.node) list) list;
   s_recent_ws : (Ids.txn * (Ids.key list * float)) list;
@@ -105,13 +103,10 @@ type node = {
   (* coordinator-side rendezvous *)
   pending_reads : read_resp Rpc.Pending.t;
   (* vote rounds (the votes' clocks merged), commit decisions with their
-     clocks, and the in-doubt watchdogs' Dquery rendezvous *)
-  ac : (Vclock.t, Vclock.t) Runtime.commitment;
+     clocks, the in-doubt watchdogs' Dquery rendezvous, and the
+     participant's prepared entries and abort fence *)
+  ac : (Vclock.t, Vclock.t, prep) Runtime.commitment;
   ack_boxes : (Ids.txn, ack_box) Hashtbl.t;
-  (* participant-side 2PC state *)
-  prepared : (Ids.txn, prep) Hashtbl.t;
-  (* abort decisions that may have overtaken their own Prepare *)
-  mutable aborted_decides : Idset.Txns.t;
   (* Remove propagation machinery *)
   mutable tombstones : Idset.Txns.t;
   forwards : (Ids.txn, (Ids.txn * Ids.node) list ref) Hashtbl.t;
@@ -186,8 +181,6 @@ let make_node sim (config : Config.t) repl id =
       pending_reads = Rpc.Pending.create ();
       ac = Runtime.commitment ();
       ack_boxes = Hashtbl.create 64;
-      prepared = Hashtbl.create 64;
-      aborted_decides = Idset.Txns.create ~horizon:Runtime.retention_horizon;
       tombstones = Idset.Txns.create ~horizon:Runtime.retention_horizon;
       forwards = Hashtbl.create 256;
       reader_keys = Hashtbl.create 256;
@@ -238,13 +231,55 @@ let snap_bytes s =
       0 s.s_nlog
   + vc s.s_nlog_floor
   + vc s.s_node_vc + vc s.s_coordinated_max + vc s.s_stable_vc
-  + List.fold_left (fun acc p -> acc + checkpointed p) 0 s.s_prepared
-  + List.fold_left (fun acc (_, c) -> acc + 8 + vc c) 0 s.s_decided
-  + (16 * (Idset.Txns.cardinal s.s_aborted + Idset.Txns.cardinal s.s_tombstones))
+  + List.fold_left (fun acc p -> acc + checkpointed p) 0 s.s_ac.entries
+  + List.fold_left (fun acc (_, c) -> acc + 8 + vc c) 0 s.s_ac.decided
+  + (16 * (Idset.Txns.cardinal s.s_ac.fenced + Idset.Txns.cardinal s.s_tombstones))
   + List.fold_left (fun acc (_, l) -> acc + 8 + (16 * List.length l)) 0 s.s_forwards
   + List.fold_left
       (fun acc (_, (ks, _)) -> acc + 16 + (4 * List.length ks))
       0 s.s_recent_ws
+
+include Runtime.Make (struct
+  type nonrec msg = Message.payload
+  type nonrec node = node
+  type nonrec logrec = logrec
+  type nonrec snap = snap
+  type nonrec ext = ext
+
+  let system = "sss"
+  let priority = Message.priority
+  let kind_of = Message.kind_name
+  let tracked token inner = Message.Tracked { token; inner }
+  let receipt token = Message.Delivered { token }
+  let id node = node.id
+  let make_node = make_node
+  let record_bytes _ = logrec_bytes
+  let snapshot_bytes _ = snap_bytes
+end)
+
+module Ac = Commit (struct
+  type vote = Vclock.t
+  type decision = Vclock.t
+  type nonrec prep = prep
+
+  let state node = node.ac
+
+  (* the accumulator is the coordinator's private copy of its clock; the
+     entry-wise max is order-insensitive, so votes fold in as they arrive *)
+  let merge acc vc = (Vclock.max_into acc vc [@owned])
+  let query ~req txn = Message.Dquery { req; txn }
+  let outcome ~req verdict = Message.Doutcome { req; verdict }
+  let locks node = node.locks
+  let coord p = p.coord
+
+  (* an applied entry released its locks in the CommitQ drain *)
+  let held p =
+    match p.final_vc with
+    | None -> (List.map fst p.ws_local, List.map fst p.rs_local)
+    | Some _ -> ([], [])
+
+  let copy = copy_prep
+end)
 
 (* Fuzzy-checkpoint snapshot: everything a reborn node cannot re-derive
    from its peers.  [node_vc] is the only clock mutated in place, so it is
@@ -266,46 +301,11 @@ let snap_of (node : node) =
     s_coordinated_max = node.coordinated_max;
     s_stable_vc = node.stable_vc;
     s_minted = node.minted;
-    s_prepared =
-      List.map (fun (txn, p) -> (txn, copy_prep p)) (Runtime.sorted_bindings node.prepared);
-    s_decided = Runtime.durable_decisions node.ac;
-    s_aborted = Idset.Txns.copy node.aborted_decides;
+    s_ac = Ac.image node;
     s_tombstones = Idset.Txns.copy node.tombstones;
     s_forwards = List.map (fun (r, l) -> (r, !l)) (Runtime.sorted_bindings node.forwards);
     s_recent_ws = Runtime.sorted_bindings node.recent_ws;
   }
-
-include Runtime.Make (struct
-  type nonrec msg = Message.payload
-  type nonrec node = node
-  type nonrec logrec = logrec
-  type nonrec snap = snap
-  type nonrec ext = ext
-
-  let system = "sss"
-  let priority = Message.priority
-  let kind_of = Message.kind_name
-  let tracked token inner = Message.Tracked { token; inner }
-  let receipt token = Message.Delivered { token }
-  let id node = node.id
-  let make_node = make_node
-  let snapshot = snap_of
-  let record_bytes _ = logrec_bytes
-  let snapshot_bytes _ = snap_bytes
-end)
-
-module Ac = Commit (struct
-  type vote = Vclock.t
-  type decision = Vclock.t
-
-  let state node = node.ac
-
-  (* the accumulator is the coordinator's private copy of its clock; the
-     entry-wise max is order-insensitive, so votes fold in as they arrive *)
-  let merge acc vc = (Vclock.max_into acc vc [@owned])
-  let query ~req txn = Message.Dquery { req; txn }
-  let outcome ~req verdict = Message.Doutcome { req; verdict }
-end)
 
 let create sim (config : Config.t) hooks =
   let ext =
@@ -390,6 +390,22 @@ let mint_xact_vn t node ~at_least =
   let fresh = (((base / n) + 1) * n) + node.id in
   node.minted <- fresh;
   fresh
+
+(* Lock telemetry: an acquire of [keys] keys, or (with [acquired] false) a
+   release. *)
+let observe_lock t node txn ~acquired ~keys =
+  match t.obs with
+  | Some o ->
+      let txn = Ids.txn_to_string txn in
+      if acquired then begin
+        Sss_obs.Obs.incr o "lock.acquire";
+        Sss_obs.Obs.emit o ~at:(now t) (Sss_obs.Obs.Lock_acquire { txn; node = node.id; keys })
+      end
+      else begin
+        Sss_obs.Obs.incr o "lock.release";
+        Sss_obs.Obs.emit o ~at:(now t) (Sss_obs.Obs.Lock_release { txn; node = node.id })
+      end
+  | None -> ()
 
 (* ---- parked-writer stamp index ---- *)
 
@@ -521,8 +537,6 @@ let nlog_entries t = Array.fold_left (fun acc node -> acc + Nlog.size node.nlog)
 
 let is_tombstoned node txn = Idset.Txns.mem node.tombstones txn
 
-let was_abort_decided node txn = Idset.Txns.mem node.aborted_decides txn
-
 let recent_ws_horizon = 5.0
 
 let remember_ws t node txn keys =
@@ -543,58 +557,30 @@ let remember_ws t node txn keys =
 let find_ws node txn =
   Option.map fst (Hashtbl.find_opt node.recent_ws txn)
 
-(* ---- reader entry index (reader txn -> keys with entries on this node) ---- *)
+(* ---- list-valued tables: reader txn -> keys with entries on this node,
+   reader -> (writer, coordinator) it was propagated to, writer -> readers
+   whose Remove chased it before it prepared ---- *)
 
-let index_reader node reader key =
-  let keys =
-    match Hashtbl.find_opt node.reader_keys reader with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace node.reader_keys reader r;
-        r
-  in
-  if not (List.mem key !keys) then keys := key :: !keys
+let rec mem_by eq x = function [] -> false | y :: ys -> eq x y || mem_by eq x ys
 
-let take_reader_keys node reader =
-  match Hashtbl.find_opt node.reader_keys reader with
+(* Add [x] to [key]'s list unless an [eq] element is already there. *)
+let add_to tbl key x ~eq =
+  match Hashtbl.find_opt tbl key with
+  | Some r -> if not (mem_by eq x !r) then r := x :: !r
+  | None -> Hashtbl.replace tbl key (ref [ x ])
+
+(* Remove [key]'s list and return it. *)
+let take tbl key =
+  match Hashtbl.find_opt tbl key with
   | None -> []
   | Some r ->
-      Hashtbl.remove node.reader_keys reader;
+      Hashtbl.remove tbl key;
       !r
+
+let index_reader node reader key = add_to node.reader_keys reader key ~eq:Int.equal
 
 let add_forward node ~reader ~writer ~coord =
-  let l =
-    match Hashtbl.find_opt node.forwards reader with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace node.forwards reader r;
-        r
-  in
-  if not (List.mem (writer, coord) !l) then l := (writer, coord) :: !l
+  add_to node.forwards reader (writer, coord) ~eq:(fun (w, c) (w', c') ->
+      Ids.equal_txn w w' && Int.equal c c')
 
-let take_forwards node reader =
-  match Hashtbl.find_opt node.forwards reader with
-  | None -> []
-  | Some r ->
-      Hashtbl.remove node.forwards reader;
-      !r
-
-let add_cancelled node ~writer ~reader =
-  let l =
-    match Hashtbl.find_opt node.cancelled writer with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace node.cancelled writer r;
-        r
-  in
-  if not (List.exists (Ids.equal_txn reader) !l) then l := reader :: !l
-
-let take_cancelled node writer =
-  match Hashtbl.find_opt node.cancelled writer with
-  | None -> []
-  | Some r ->
-      Hashtbl.remove node.cancelled writer;
-      !r
+let add_cancelled node ~writer ~reader = add_to node.cancelled writer reader ~eq:Ids.equal_txn

@@ -206,7 +206,6 @@ module Rt = Sss_kv.Runtime.Make (struct
   let receipt token = Delivered { token }
   let id (n : node) = n.id
   let make_node = make_node
-  let snapshot = snap_of
   let record_bytes _ = logrec_bytes
   let snapshot_bytes _ = snap_bytes
 end)
@@ -487,8 +486,8 @@ let recover t (node : node) =
     keys
 
 let hooks =
-  { handler = dispatch; wound; load = (fun _ -> load_snap); replay = (fun _ -> replay_record);
-    recover }
+  { handler = dispatch; wound; snapshot = snap_of; load = (fun _ -> load_snap);
+    replay = (fun _ -> replay_record); recover }
 
 let create sim config = Rt.create ~hooks ~ext:() sim config
 

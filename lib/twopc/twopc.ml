@@ -61,19 +61,15 @@ type logrec =
    in deterministic (sorted) order. *)
 type snap = {
   s_cells : (Ids.key * string * Ids.txn) list;
-  s_prepared : (Ids.txn * prep) list;
-  s_decided : Ids.txn list;  (* durably decided commits (coordinator role) *)
-  s_aborted : Idset.Txns.t;  (* aborted_decides *)
+  s_ac : (unit, prep) Sss_kv.Runtime.image;
 }
 
 type node = {
   id : Ids.node;
   store : (Ids.key, cell) Hashtbl.t;
   locks : Locks.t;
-  prepared : (Ids.txn, prep) Hashtbl.t;
-  mutable aborted_decides : Idset.Txns.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
-  ac : (unit, unit) Sss_kv.Runtime.commitment;
+  ac : (unit, unit, prep) Sss_kv.Runtime.commitment;
   ack_boxes : (Ids.txn, Sss_kv.Runtime.acks) Hashtbl.t;
 }
 
@@ -87,8 +83,6 @@ let make_node sim _config repl id =
     id;
     store;
     locks = Locks.create sim;
-    prepared = Hashtbl.create 64;
-    aborted_decides = Idset.Txns.create ~horizon:Sss_kv.Runtime.retention_horizon;
     pending_reads = Rpc.Pending.create ();
     ac = Sss_kv.Runtime.commitment ();
     ack_boxes = Hashtbl.create 64;
@@ -109,21 +103,9 @@ let logrec_bytes = function
 let snap_bytes (s : snap) =
   64
   + List.fold_left (fun acc (_, v, _) -> acc + 12 + String.length v) 0 s.s_cells
-  + List.fold_left (fun acc (_, p) -> acc + 8 + prep_bytes p) 0 s.s_prepared
-  + (8 * List.length s.s_decided)
-  + (8 * Idset.Txns.cardinal s.s_aborted)
-
-let snap_of (node : node) =
-  {
-    s_cells =
-      List.sort
-        (fun (a, _, _) (b, _, _) -> Int.compare a b)
-        (Hashtbl.fold (fun k (c : cell) acc -> (k, c.value, c.writer) :: acc)
-           node.store [] [@order_ok]);
-    s_prepared = Sss_kv.Runtime.sorted_bindings node.prepared;
-    s_decided = List.map fst (Sss_kv.Runtime.durable_decisions node.ac);
-    s_aborted = Idset.Txns.copy node.aborted_decides;
-  }
+  + List.fold_left (fun acc (_, p) -> acc + 8 + prep_bytes p) 0 s.s_ac.entries
+  + (8 * List.length s.s_ac.decided)
+  + (8 * Idset.Txns.cardinal s.s_ac.fenced)
 
 module Rt = Sss_kv.Runtime.Make (struct
   type nonrec msg = msg
@@ -139,7 +121,6 @@ module Rt = Sss_kv.Runtime.Make (struct
   let receipt token = Delivered { token }
   let id (n : node) = n.id
   let make_node = make_node
-  let snapshot = snap_of
   let record_bytes _ = logrec_bytes
   let snapshot_bytes _ = snap_bytes
 end)
@@ -149,12 +130,27 @@ include Rt
 module Ac = Commit (struct
   type vote = unit
   type decision = unit
+  type nonrec prep = prep
 
   let state (n : node) = n.ac
   let merge () () = ()
   let query ~req txn = Query { req; txn }
   let outcome ~req verdict = Outcome { req; verdict }
+  let locks (n : node) = n.locks
+  let coord p = p.coord
+  let held p = (List.map fst p.ws_local, List.map fst p.rs_local)
+  let copy p = p
 end)
+
+let snap_of (node : node) =
+  {
+    s_cells =
+      List.sort
+        (fun (a, _, _) (b, _, _) -> Int.compare a b)
+        (Hashtbl.fold (fun k (c : cell) acc -> (k, c.value, c.writer) :: acc)
+           node.store [] [@order_ok]);
+    s_ac = Ac.image node;
+  }
 
 type cluster = Rt.t
 
@@ -171,10 +167,10 @@ let validate node rs =
     rs
 
 let handle_decide t (node : node) ~txn ~outcome =
-  match Hashtbl.find_opt node.prepared txn with
-  | None -> if not outcome then Idset.Txns.add node.aborted_decides txn ~now:(now t)
+  match Hashtbl.find_opt node.ac.prepared txn with
+  | None -> if not outcome then Ac.fence t node txn
   | Some prep ->
-      Hashtbl.remove node.prepared txn;
+      Hashtbl.remove node.ac.prepared txn;
       if outcome then begin
         List.iter
           (fun (k, v) ->
@@ -199,9 +195,8 @@ let handle_decide t (node : node) ~txn ~outcome =
 
 (* The termination watchdog of a yes vote: the coordinator's verdict is
    applied like the Decide it stands in for. *)
-let watch t (node : node) txn (prep : prep) ~linger =
-  Ac.watch t node ~txn ~coord:prep.coord ~linger
-    ~in_doubt:(fun () -> Hashtbl.mem node.prepared txn)
+let watch t (node : node) txn prep ~linger =
+  Ac.watch t node txn prep ~linger
     ~on_committed:(fun () ~driving:_ ->
       handle_decide t node ~txn ~outcome:true;
       false)
@@ -211,13 +206,13 @@ let handle_prepare t (node : node) ~txn ~coord ~rs ~ws =
   let local_rs = List.filter (fun (k, _) -> Replication.is_replica t.repl node.id k) rs in
   let local_ws = List.filter (fun (k, _) -> Replication.is_replica t.repl node.id k) ws in
   let ok =
-    (not (Idset.Txns.mem node.aborted_decides txn))
+    (not (Ac.fenced node txn))
     && Locks.acquire_all node.locks txn
          ~exclusive:(List.map fst local_ws)
          ~shared:(List.map fst local_rs)
          ~timeout:Sss_kv.Config.lock_timeout
     && validate node local_rs
-    && not (Idset.Txns.mem node.aborted_decides txn)
+    && not (Ac.fenced node txn)
   in
   if not ok then begin
     Locks.release_txn node.locks txn;
@@ -225,12 +220,8 @@ let handle_prepare t (node : node) ~txn ~coord ~rs ~ws =
   end
   else begin
     let prep = { rs_local = local_rs; ws_local = local_ws; coord } in
-    Hashtbl.replace node.prepared txn prep;
-    (* force the prepare record before promising "yes": after a crash this
-       node must still be able to honour a commit decision *)
-    let lsn = log t node (PPrepared { txn; prep }) in
-    if t.config.Sss_kv.Config.durability then watch t node txn prep ~linger:true;
-    if log_sync t node lsn then send t ~src:node.id ~dst:coord (Vote { txn; ok = true })
+    if Ac.prepare t node txn prep (PPrepared { txn; prep }) ~watch then
+      send t ~src:node.id ~dst:coord (Vote { txn; ok = true })
   end
 
 let rec dispatch t (node : node) ~src payload =
@@ -258,24 +249,22 @@ let load_snap t (node : node) (s : snap) =
       c.value <- v;
       c.writer <- w)
     s.s_cells;
-  List.iter (fun (txn, p) -> Hashtbl.replace node.prepared txn p) s.s_prepared;
-  List.iter (fun txn -> Ac.restore t node txn ()) s.s_decided;
-  node.aborted_decides <- Idset.Txns.copy s.s_aborted
+  Ac.load t node s.s_ac
 
 (* Redo one durable record.  Replay never records history: installs of
    already-applied writes were recorded before the crash, and in-doubt
    transactions go through the normal decide path afterwards. *)
 let replay_record t (node : node) = function
-  | PPrepared { txn; prep } -> Hashtbl.replace node.prepared txn prep
+  | PPrepared { txn; prep } -> Hashtbl.replace node.ac.prepared txn prep
   | PAborted { txn } ->
-      Hashtbl.remove node.prepared txn;
-      Idset.Txns.add node.aborted_decides txn ~now:(now t)
+      Hashtbl.remove node.ac.prepared txn;
+      Ac.fence t node txn
   | PDecided { txn } -> Ac.restore t node txn ()
   | PApplied { txn } -> (
-      match Hashtbl.find_opt node.prepared txn with
+      match Hashtbl.find_opt node.ac.prepared txn with
       | None -> ()
       | Some prep ->
-          Hashtbl.remove node.prepared txn;
+          Hashtbl.remove node.ac.prepared txn;
           List.iter
             (fun (k, v) ->
               let c = cell node k in
@@ -290,23 +279,11 @@ let wound t (old : node) e =
   Ac.wound t old e;
   fill_acks t old.ack_boxes
 
-(* In-doubt transactions held their locks when the node went down: restore
-   them before admitting new prepares (the set is mutually compatible, so
-   acquisition is immediate), then ask each coordinator for its verdict. *)
-let recover t (node : node) =
-  let indoubt = Sss_kv.Runtime.sorted_bindings node.prepared in
-  List.iter
-    (fun (txn, (p : prep)) ->
-      ignore
-        (Locks.acquire_all node.locks txn
-           ~exclusive:(List.map fst p.ws_local)
-           ~shared:(List.map fst p.rs_local) ~timeout:Sss_kv.Config.lock_timeout
-          : bool))
-    indoubt;
-  rejoin t node.id;
-  List.iter (fun (txn, p) -> watch t node txn p ~linger:false) indoubt
+let recover t node = Ac.recover t node ~watch
 
-let hooks = { handler = dispatch; wound; load = load_snap; replay = replay_record; recover }
+let hooks =
+  { handler = dispatch; wound; snapshot = snap_of; load = load_snap; replay = replay_record;
+    recover }
 
 let create sim config = Rt.create ~hooks ~ext:() sim config
 
@@ -378,5 +355,5 @@ let store_words t =
 
 let quiescent t =
   residue_report t (fun (n : node) ->
-      residue n "prepared linger" (Hashtbl.length n.prepared)
+      Ac.lingering n
       @ residue n "lock holders" (Locks.holder_count n.locks))

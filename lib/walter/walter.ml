@@ -101,9 +101,7 @@ type snap = {
   s_applied : Vclock.t;
   s_site_seq : int;
   s_origin : (int * (Ids.txn * Vclock.t * (Ids.key * string) list)) list;
-  s_committed : Ids.txn list;
-  s_prepared : (Ids.txn * wprep) list;
-  s_aborted : Idset.Txns.t;
+  s_ac : (unit, wprep) Sss_kv.Runtime.image;  (* commits decided here, slow-path entries *)
 }
 
 type node = {
@@ -114,10 +112,9 @@ type node = {
   holdback :
     (Ids.node, (int * (Ids.txn * Vclock.t * (Ids.key * string) list)) list ref) Hashtbl.t;
   locks : Locks.t;
-  prepared : (Ids.txn, wprep) Hashtbl.t;
-  mutable aborted_decides : Idset.Txns.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
-  ac : (unit, unit) Sss_kv.Runtime.commitment;  (* slow-path rounds, commits decided here *)
+  ac : (unit, unit, wprep) Sss_kv.Runtime.commitment;
+      (* slow-path rounds and entries, commits decided here *)
   applied_changed : Sim.Cond.t;
   (* durability mode only *)
   origin_log : (int, Ids.txn * Vclock.t * (Ids.key * string) list) Hashtbl.t;
@@ -148,8 +145,6 @@ let make_node sim (config : Sss_kv.Config.t) repl id =
     site_seq = 0;
     holdback = Hashtbl.create 8;
     locks = Locks.create sim;
-    prepared = Hashtbl.create 64;
-    aborted_decides = Idset.Txns.create ~horizon:Sss_kv.Runtime.retention_horizon;
     pending_reads = Rpc.Pending.create ();
     ac = Sss_kv.Runtime.commitment ();
     applied_changed = Sim.Cond.create ();
@@ -184,26 +179,9 @@ let snap_bytes nodes (s : snap) =
   + List.fold_left
       (fun acc (_, (_, _, ws)) -> acc + 16 + (8 * nodes) + writes_bytes ws)
       0 s.s_origin
-  + (8 * List.length s.s_committed)
-  + List.fold_left (fun acc (_, p) -> acc + 16 + (8 * List.length p.keys)) 0 s.s_prepared
-  + (8 * Idset.Txns.cardinal s.s_aborted)
-
-let snap_of (node : node) =
-  {
-    s_chains =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) node.chains [] [@order_ok]);
-    s_applied = node.applied;
-    s_site_seq = node.site_seq;
-    s_origin =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (Hashtbl.fold (fun s p acc -> (s, p) :: acc) node.origin_log [] [@order_ok]);
-    s_committed = List.map fst (Sss_kv.Runtime.durable_decisions node.ac);
-    s_prepared = Sss_kv.Runtime.sorted_bindings node.prepared;
-    s_aborted = Idset.Txns.copy node.aborted_decides;
-  }
+  + (8 * List.length s.s_ac.decided)
+  + List.fold_left (fun acc (_, p) -> acc + 16 + (8 * List.length p.keys)) 0 s.s_ac.entries
+  + (8 * Idset.Txns.cardinal s.s_ac.fenced)
 
 module Rt = Sss_kv.Runtime.Make (struct
   type nonrec msg = msg
@@ -219,7 +197,6 @@ module Rt = Sss_kv.Runtime.Make (struct
   let receipt token = Delivered { token }
   let id (n : node) = n.id
   let make_node = make_node
-  let snapshot = snap_of
   let record_bytes (c : Sss_kv.Config.t) = logrec_bytes c.nodes
   let snapshot_bytes (c : Sss_kv.Config.t) = snap_bytes c.nodes
 end)
@@ -229,12 +206,32 @@ include Rt
 module Ac = Commit (struct
   type vote = unit
   type decision = unit
+  type prep = wprep
 
   let state (n : node) = n.ac
   let merge () () = ()
   let query ~req txn = Query { req; txn }
   let outcome ~req verdict = Outcome { req; verdict }
+  let locks (n : node) = n.locks
+  let coord (p : wprep) = p.coord
+  let held (p : wprep) = (p.keys, [])
+  let copy p = p
 end)
+
+let snap_of (node : node) =
+  {
+    s_chains =
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) node.chains [] [@order_ok]);
+    s_applied = node.applied;
+    s_site_seq = node.site_seq;
+    s_origin =
+      List.sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (Hashtbl.fold (fun s p acc -> (s, p) :: acc) node.origin_log [] [@order_ok]);
+    s_ac = Ac.image node;
+  }
 
 type cluster = Rt.t
 
@@ -293,7 +290,7 @@ let rec apply_committed t (node : node) ~txn ~site ~seq ~start ~writes =
         end)
       writes;
     node.applied <- Vclock.set node.applied site seq;
-    Hashtbl.remove node.prepared txn;
+    Hashtbl.remove node.ac.prepared txn;
     Locks.release_txn node.locks txn;
     Sim.Cond.broadcast t.sim node.applied_changed;
     (* drain any held-back successors from the same site *)
@@ -322,8 +319,8 @@ let rec apply_committed t (node : node) ~txn ~site ~seq ~start ~writes =
 
 (* A slow-path abort decision, from Wdecide(false) or the watchdog. *)
 let abort_prepared t (node : node) txn =
-  Idset.Txns.add node.aborted_decides txn ~now:(now t);
-  Hashtbl.remove node.prepared txn;
+  Ac.fence t node txn;
+  Hashtbl.remove node.ac.prepared txn;
   (* presumed abort: the record spares recovery a query, but nothing
      externally visible depends on it — no flush wait *)
   ignore (log t node (WAborted { txn }) : int option);
@@ -332,19 +329,19 @@ let abort_prepared t (node : node) txn =
 (* The termination watchdog of a slow-path yes vote.  On "committed"
    nothing is done here: the (re-)propagated write applies the transaction
    and releases its locks. *)
-let watch t (node : node) txn (prep : wprep) ~linger =
-  let in_doubt () = Hashtbl.mem node.prepared txn in
-  Ac.watch t node ~txn ~coord:prep.coord ~linger ~in_doubt
+let watch t (node : node) txn prep ~linger =
+  Ac.watch t node txn prep ~linger
     ~on_committed:(fun () ~driving:_ -> false)
-    ~on_aborted:(fun () -> if node_live t node && in_doubt () then abort_prepared t node txn)
+    ~on_aborted:(fun () ->
+      if node_live t node && Ac.in_doubt node txn then abort_prepared t node txn)
 
 let handle_prepare t (node : node) ~txn ~coord ~start ~keys =
   let ok =
-    (not (Idset.Txns.mem node.aborted_decides txn))
+    (not (Ac.fenced node txn))
     && Locks.acquire_all node.locks txn ~exclusive:keys ~shared:[]
          ~timeout:Sss_kv.Config.lock_timeout
     && List.for_all (fun k -> ww_ok node k ~start) keys
-    && not (Idset.Txns.mem node.aborted_decides txn)
+    && not (Ac.fenced node txn)
     (* the node may have crashed while this fiber waited for the locks:
        a stale record must not vote (or log) on behalf of the fresh one *)
     && node_live t node
@@ -355,12 +352,8 @@ let handle_prepare t (node : node) ~txn ~coord ~start ~keys =
   end
   else begin
     let prep = { keys; coord } in
-    Hashtbl.replace node.prepared txn prep;
-    (* force the prepare record before promising "yes": after a crash this
-       node must still be able to honour a commit decision *)
-    let lsn = log t node (WPrepared { txn; prep }) in
-    if t.config.Sss_kv.Config.durability then watch t node txn prep ~linger:true;
-    if log_sync t node lsn then send t ~src:node.id ~dst:coord (Wvote { txn; ok = true })
+    if Ac.prepare t node txn prep (WPrepared { txn; prep }) ~watch then
+      send t ~src:node.id ~dst:coord (Wvote { txn; ok = true })
   end
 
 let rec dispatch t (node : node) ~src payload =
@@ -410,9 +403,7 @@ let load_snap t (node : node) (s : snap) =
   node.applied <- s.s_applied;
   node.site_seq <- s.s_site_seq;
   List.iter (fun (seq, p) -> Hashtbl.replace node.origin_log seq p) s.s_origin;
-  List.iter (fun txn -> Ac.restore t node txn ()) s.s_committed;
-  List.iter (fun (txn, p) -> Hashtbl.replace node.prepared txn p) s.s_prepared;
-  node.aborted_decides <- Idset.Txns.copy s.s_aborted
+  Ac.load t node s.s_ac
 
 (* Redo one durable record.  Chains are not touched here: own-site commits
    past the applied prefix are re-applied (and re-propagated) in a second
@@ -422,10 +413,10 @@ let replay_record t (node : node) = function
       Hashtbl.replace node.origin_log seq (txn, start, writes);
       Ac.restore t node txn ();
       if seq > node.site_seq then node.site_seq <- seq
-  | WPrepared { txn; prep } -> Hashtbl.replace node.prepared txn prep
+  | WPrepared { txn; prep } -> Hashtbl.replace node.ac.prepared txn prep
   | WAborted { txn } ->
-      Hashtbl.remove node.prepared txn;
-      Idset.Txns.add node.aborted_decides txn ~now:(now t)
+      Hashtbl.remove node.ac.prepared txn;
+      Ac.fence t node txn
 
 let wound t (old : node) e =
   Rpc.Pending.poison_all t.sim old.pending_reads e;
@@ -447,31 +438,22 @@ let recover t (node : node) =
           catchup ()
   in
   catchup ();
-  let indoubt = Sss_kv.Runtime.sorted_bindings node.prepared in
-  (* in-doubt transactions held their (exclusive) locks when the node went
-     down; restore them before admitting new prepares.  The set is mutually
-     compatible, so acquisition is immediate. *)
-  List.iter
-    (fun (txn, (p : wprep)) ->
-      ignore
-        (Locks.acquire_all node.locks txn ~exclusive:p.keys ~shared:[]
-           ~timeout:Sss_kv.Config.lock_timeout
-          : bool))
-    indoubt;
-  rejoin t id;
-  List.iter
-    (fun (txn, seq, start, writes) ->
+  Ac.recover t node ~watch ~on_rejoin:(fun () ->
+      List.iter
+        (fun (txn, seq, start, writes) ->
+          for dst = 0 to t.config.Sss_kv.Config.nodes - 1 do
+            if dst <> id then
+              send t ~src:id ~dst (Propagate { txn; site = id; seq; start; writes })
+          done)
+        (List.rev !resend);
+      (* fetch remote-site commits this replica missed while down *)
       for dst = 0 to t.config.Sss_kv.Config.nodes - 1 do
-        if dst <> id then send t ~src:id ~dst (Propagate { txn; site = id; seq; start; writes })
+        if dst <> id then send t ~src:id ~dst (Pull { have = node.applied })
       done)
-    (List.rev !resend);
-  (* fetch remote-site commits this replica missed while down *)
-  for dst = 0 to t.config.Sss_kv.Config.nodes - 1 do
-    if dst <> id then send t ~src:id ~dst (Pull { have = node.applied })
-  done;
-  List.iter (fun (txn, p) -> watch t node txn p ~linger:false) indoubt
 
-let hooks = { handler = dispatch; wound; load = load_snap; replay = replay_record; recover }
+let hooks =
+  { handler = dispatch; wound; snapshot = snap_of; load = load_snap; replay = replay_record;
+    recover }
 
 let create sim config = Rt.create ~hooks ~ext:() sim config
 
@@ -543,7 +525,6 @@ let commit_update h =
       end
   | _ ->
       (* slow path: conflict-check at each preferred site *)
-      let sites = List.sort (fun (a, _) (b, _) -> Int.compare a b) sites in
       let round = Ac.open_round h.home h.txn ~expect:(List.length sites) () in
       List.iter
         (fun (s, ks) ->
@@ -579,7 +560,7 @@ let store_words t =
 
 let quiescent t =
   residue_report t (fun (n : node) ->
-      residue n "prepared linger" (Hashtbl.length n.prepared)
+      Ac.lingering n
       @ residue n "lock holders" (Locks.holder_count n.locks)
       (* in sorted site order: the text must not depend on bucket order *)
       @ List.concat_map

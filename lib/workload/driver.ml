@@ -116,58 +116,80 @@ let pick_keys rng ~dist ~zipf ~total_keys ~local ~locality ~count =
   in
   fill [] count 0
 
-let client_loop sim ~ops ~rng ~node ~profile ~load ~zipf ~total_keys ~local ~stop ~measure_from
-    ~counters ~latency ~ro_latency ~update_latency =
-  let value_counter = ref 0 in
-  let run_once ~read_only keys =
-    let h = ops.begin_txn ~node ~read_only in
-    if read_only then List.iter (fun k -> ignore (ops.read h k)) keys
-    else
-      List.iter
-        (fun k ->
-          let v = ops.read h k in
-          incr value_counter;
-          ops.write h k (Printf.sprintf "%d:%d.%d (was %s)" node !value_counter k v))
-        keys;
-    ops.commit h
+(* One closed-loop client or open-loop worker: what its transactions draw
+   from and count into. *)
+type 'h client = {
+  sim : Sim.t;
+  ops : 'h ops;
+  rng : Prng.t;
+  node : Ids.node;
+  profile : profile;
+  load : load;
+  zipf : Zipf.t option;
+  total_keys : int;
+  local : Ids.key array;
+  mutable values : int;  (* values written so far: each one is unique *)
+  mutable read_only : bool;  (* the kind of the transaction drawn last *)
+  counters : counters;
+  latency : Stats.t;
+  ro_latency : Stats.t;
+  update_latency : Stats.t;
+}
+
+let run_once c keys =
+  let h = c.ops.begin_txn ~node:c.node ~read_only:c.read_only in
+  if c.read_only then List.iter (fun k -> ignore (c.ops.read h k)) keys
+  else
+    List.iter
+      (fun k ->
+        let v = c.ops.read h k in
+        c.values <- c.values + 1;
+        c.ops.write h k (Printf.sprintf "%d:%d.%d (was %s)" c.node c.values k v))
+      keys;
+  c.ops.commit h
+
+(* Under [Config.durability] a crash of the client's home node abandons
+   the in-flight transaction: no verdict is recorded (the checker accepts
+   incomplete transactions), and the client backs off and moves on —
+   begin_txn keeps raising until the node finishes recovery. *)
+let rec attempt c keys ~aborts_from ~retry_until =
+  match run_once c keys with
+  | exception Sss_net.Rpc.Crashed _ ->
+      Sim.sleep c.sim crashed_backoff;
+      false
+  | false ->
+      if Sim.now c.sim >= aborts_from then c.counters.aborted <- c.counters.aborted + 1;
+      c.load.retry_aborts && Sim.now c.sim < retry_until && attempt c keys ~aborts_from ~retry_until
+  | true -> true
+
+(* One transaction: draw its kind and keys, then attempt it.  An abort
+   counts if it happens at or after [aborts_from], and under
+   [retry_aborts] the transaction is retried before [retry_until].
+   [true] once it committed. *)
+let transaction c ~aborts_from ~retry_until =
+  c.read_only <- Prng.float c.rng 1.0 < c.profile.read_only_ratio;
+  let count = if c.read_only then c.profile.ro_ops else c.profile.update_ops in
+  let keys =
+    pick_keys c.rng ~dist:c.load.dist ~zipf:c.zipf ~total_keys:c.total_keys ~local:c.local
+      ~locality:c.profile.locality ~count
   in
+  attempt c keys ~aborts_from ~retry_until
+
+(* Count a measured commit of latency [elapsed]. *)
+let committed c elapsed =
+  c.counters.committed <- c.counters.committed + 1;
+  if c.read_only then c.counters.committed_ro <- c.counters.committed_ro + 1;
+  Stats.add c.latency elapsed;
+  Stats.add (if c.read_only then c.ro_latency else c.update_latency) elapsed
+
+let client_loop c ~stop ~measure_from =
   let rec txn_loop () =
-    if Sim.now sim < stop then begin
-      let read_only = Prng.float rng 1.0 < profile.read_only_ratio in
-      let count = if read_only then profile.ro_ops else profile.update_ops in
-      let keys =
-        pick_keys rng ~dist:load.dist ~zipf ~total_keys ~local ~locality:profile.locality
-          ~count
-      in
-      let started = Sim.now sim in
-      let rec attempt () =
-        let ok =
-          (* Under [Config.durability] a crash of the client's home node
-             abandons the in-flight transaction: no verdict is recorded
-             (the checker accepts incomplete transactions), and the client
-             backs off and moves on — begin_txn keeps raising until the
-             node finishes recovery. *)
-          try Some (run_once ~read_only keys)
-          with Sss_net.Rpc.Crashed _ ->
-            Sim.sleep sim crashed_backoff;
-            None
-        in
-        match ok with
-        | None -> ()
-        | Some ok ->
-        if not ok then begin
-          if Sim.now sim >= measure_from then counters.aborted <- counters.aborted + 1;
-          if load.retry_aborts && Sim.now sim < stop then attempt () else ()
-        end
-        else if Sim.now sim >= measure_from && started >= measure_from then begin
-          counters.committed <- counters.committed + 1;
-          if read_only then counters.committed_ro <- counters.committed_ro + 1;
-          let elapsed = Sim.now sim -. started in
-          Stats.add latency elapsed;
-          if read_only then Stats.add ro_latency elapsed else Stats.add update_latency elapsed
-        end
-      in
-      attempt ();
+    if Sim.now c.sim < stop then begin
+      let started = Sim.now c.sim in
+      if
+        transaction c ~aborts_from:measure_from ~retry_until:stop
+        && Sim.now c.sim >= measure_from && started >= measure_from
+      then committed c (Sim.now c.sim -. started);
       txn_loop ()
     end
   in
@@ -210,66 +232,29 @@ let open_generator sim ~arng ~arrival ~lane ~capacity ~stop ~measure_from ~ocoun
   lane.gen_done <- true;
   Sim.Cond.broadcast sim lane.nonempty
 
-let open_worker sim ~ops ~rng ~node ~profile ~load ~zipf ~total_keys ~local ~measure_from
-    ~counters ~lane ~latency ~ro_latency ~update_latency ~sojourn ~service ~queue_wait =
-  let value_counter = ref 0 in
-  let run_once ~read_only keys =
-    let h = ops.begin_txn ~node ~read_only in
-    if read_only then List.iter (fun k -> ignore (ops.read h k)) keys
-    else
-      List.iter
-        (fun k ->
-          let v = ops.read h k in
-          incr value_counter;
-          ops.write h k (Printf.sprintf "%d:%d.%d (was %s)" node !value_counter k v))
-        keys;
-    ops.commit h
-  in
+let open_worker c ~measure_from ~lane ~sojourn ~service ~queue_wait =
   let rec serve () =
     match Queue.take_opt lane.queue with
     | Some arrived ->
-        let dequeued = Sim.now sim in
-        let read_only = Prng.float rng 1.0 < profile.read_only_ratio in
-        let count = if read_only then profile.ro_ops else profile.update_ops in
-        let keys =
-          pick_keys rng ~dist:load.dist ~zipf ~total_keys ~local ~locality:profile.locality
-            ~count
-        in
+        let dequeued = Sim.now c.sim in
         (* the measurement window is keyed on ARRIVAL time: a request that
            arrived during warmup but finished inside the window would bias
-           the sojourn distribution low (its queueing happened off-window) *)
+           the sojourn distribution low (its queueing happened off-window);
+           so its aborts count all or none *)
         let measured = arrived >= measure_from in
-        let rec attempt () =
-          let ok =
-            try Some (run_once ~read_only keys)
-            with Sss_net.Rpc.Crashed _ ->
-              Sim.sleep sim crashed_backoff;
-              None
-          in
-          match ok with
-          | None -> ()
-          | Some ok ->
-              if not ok then begin
-                if measured then counters.aborted <- counters.aborted + 1;
-                if load.retry_aborts then attempt ()
-              end
-              else if measured then begin
-                counters.committed <- counters.committed + 1;
-                if read_only then counters.committed_ro <- counters.committed_ro + 1;
-                let finished = Sim.now sim in
-                let svc = finished -. dequeued in
-                Stats.add latency svc;
-                if read_only then Stats.add ro_latency svc else Stats.add update_latency svc;
-                Stats.add service svc;
-                Stats.add sojourn (finished -. arrived);
-                Stats.add queue_wait (dequeued -. arrived)
-              end
-        in
-        attempt ();
+        let aborts_from = if measured then Float.neg_infinity else Float.infinity in
+        if transaction c ~aborts_from ~retry_until:Float.infinity && measured then begin
+          let finished = Sim.now c.sim in
+          let svc = finished -. dequeued in
+          committed c svc;
+          Stats.add service svc;
+          Stats.add sojourn (finished -. arrived);
+          Stats.add queue_wait (dequeued -. arrived)
+        end;
         serve ()
     | None ->
         if not lane.gen_done then begin
-          Sim.Cond.await sim lane.nonempty (fun () ->
+          Sim.Cond.await c.sim lane.nonempty (fun () ->
               (not (Queue.is_empty lane.queue)) || lane.gen_done);
           serve ()
         end
@@ -293,15 +278,19 @@ let run sim ~nodes ~total_keys ~local_keys ~profile ~load ~ops =
   let queue_wait = Stats.create () in
   let measure_from = load.warmup in
   let stop = load.warmup +. load.duration in
+  let client node local =
+    {
+      sim; ops; rng = Prng.split base_rng; node; profile; load; zipf; total_keys; local;
+      values = 0; read_only = false; counters; latency; ro_latency; update_latency;
+    }
+  in
   (match load.open_loop with
   | None ->
       for node = 0 to nodes - 1 do
         let local = local_keys node in
         for _ = 1 to load.clients_per_node do
-          let rng = Prng.split base_rng in
-          Sim.spawn sim (fun () ->
-              client_loop sim ~ops ~rng ~node ~profile ~load ~zipf ~total_keys ~local ~stop
-                ~measure_from ~counters ~latency ~ro_latency ~update_latency)
+          let c = client node local in
+          Sim.spawn sim (fun () -> client_loop c ~stop ~measure_from)
         done
       done
   | Some ol ->
@@ -320,11 +309,9 @@ let run sim ~nodes ~total_keys ~local_keys ~profile ~load ~ops =
             open_generator sim ~arng ~arrival:ol.arrival ~lane ~capacity:ol.queue_capacity
               ~stop ~measure_from ~ocounters);
         for _ = 1 to ol.workers_per_node do
-          let rng = Prng.split base_rng in
+          let c = client node local in
           Sim.spawn sim (fun () ->
-              open_worker sim ~ops ~rng ~node ~profile ~load ~zipf ~total_keys ~local
-                ~measure_from ~counters ~lane ~latency ~ro_latency ~update_latency ~sojourn
-                ~service ~queue_wait)
+              open_worker c ~measure_from ~lane ~sojourn ~service ~queue_wait)
         done
       done);
   Sim.run sim;

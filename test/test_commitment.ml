@@ -1,7 +1,9 @@
 (* The atomic-commitment core of Sss_kv.Runtime, driven through a toy
    protocol whose only messages are the in-doubt query and its answer:
-   the four in-doubt answers, the termination watchdog's exits, and the
-   retention sweep of txn-keyed tables. *)
+   the four in-doubt answers, the termination watchdog's exits, the
+   retention sweep of txn-keyed tables, and the participant's prepared
+   entries — the fence, the restart's relock and re-watch, and the
+   checkpoint. *)
 
 open Sss_sim
 open Sss_data
@@ -13,17 +15,30 @@ type msg =
   | Tracked of { token : int; inner : msg }
   | Delivered of { token : int }
 
-type node = { id : Ids.node; ac : (unit, unit) Runtime.commitment }
+(* A toy prepared entry: its coordinator and the keys it locks
+   exclusively. *)
+type prep = { coord : Ids.node; keys : Ids.key list }
+
+type node = { id : Ids.node; ac : (unit, unit, prep) Runtime.commitment; locks : Locks.t }
+
+type logrec = Prepared of Ids.txn * prep | Decided of Ids.txn
 
 (* the coordinator answers queries only while [answering]; [queries]
-   counts the ones it received *)
-type ext = { mutable answering : bool; mutable queries : int }
+   counts the ones it received and [on_query] sees each count;
+   [held_at_rejoin] is the lock holder count a restarted node had when it
+   rejoined *)
+type ext = {
+  mutable answering : bool;
+  mutable queries : int;
+  mutable on_query : int -> unit;
+  mutable held_at_rejoin : int;
+}
 
 module Rt = Runtime.Make (struct
   type nonrec msg = msg
   type nonrec node = node
-  type logrec = Ids.txn
-  type snap = unit
+  type nonrec logrec = logrec
+  type snap = (unit, prep) Runtime.image
   type nonrec ext = ext
 
   let system = "toy"
@@ -38,42 +53,79 @@ module Rt = Runtime.Make (struct
   let tracked token inner = Tracked { token; inner }
   let receipt token = Delivered { token }
   let id n = n.id
-  let make_node _ _ _ id = { id; ac = Runtime.commitment () }
-  let snapshot _ = ()
+  let make_node sim _ _ id = { id; ac = Runtime.commitment (); locks = Locks.create sim }
   let record_bytes _ _ = 24
-  let snapshot_bytes _ () = 64
+  let snapshot_bytes _ _ = 64
 end)
 
 module Ac = Rt.Commit (struct
   type vote = unit
   type decision = unit
+  type nonrec prep = prep
 
   let state n = n.ac
   let merge () () = ()
   let query ~req txn = Query { req; txn }
   let outcome ~req verdict = Outcome { req; verdict }
+  let locks n = n.locks
+  let coord p = p.coord
+  let held p = (p.keys, [])
+  let copy p = p
 end)
 
 let handler (t : Rt.t) node ~src = function
   | Query { req; txn } ->
       t.ext.queries <- t.ext.queries + 1;
+      t.ext.on_query t.ext.queries;
       if t.ext.answering then Ac.answer t node ~src ~req txn
   | Outcome { req; verdict } -> Ac.outcome_arrived t node ~req verdict
   | Tracked _ | Delivered _ -> ()
 
-let cluster ?(durability = false) ?(answering = true) () =
+(* The toy participant: an outcome settles the entry and frees its keys. *)
+let settle node txn =
+  Hashtbl.remove node.ac.prepared txn;
+  Locks.release_txn node.locks txn
+
+let watch t node txn p ~linger =
+  Ac.watch t node txn p ~linger
+    ~on_committed:(fun () ~driving:_ ->
+      settle node txn;
+      false)
+    ~on_aborted:(fun () -> settle node txn)
+
+(* A Prepare: unless fenced, take the keys and vote yes once the prepare
+   record is durable.  Call from a fiber. *)
+let prepare t node txn p =
+  let ok =
+    (not (Ac.fenced node txn))
+    && Locks.acquire_all node.locks txn ~exclusive:p.keys ~shared:[]
+         ~timeout:Sss_kv.Config.lock_timeout
+    && not (Ac.fenced node txn)
+  in
+  if not ok then Locks.release_txn node.locks txn;
+  ok && Ac.prepare t node txn p (Prepared (txn, p)) ~watch
+
+let cluster ?(durability = false) ?(answering = true) ?(retry_limit = 4) () =
   let sim = Sim.create () in
-  let config = { Sss_kv.Config.default with nodes = 2; durability; retry_limit = 4 } in
+  let config = { Sss_kv.Config.default with nodes = 2; durability; retry_limit } in
   let hooks =
     {
       Rt.handler;
       wound = Ac.wound;
-      load = (fun _ _ () -> ());
-      replay = (fun _ _ _ -> ());
-      recover = (fun t n -> Rt.rejoin t n.id);
+      snapshot = Ac.image;
+      load = Ac.load;
+      replay =
+        (fun t n -> function
+          | Prepared (txn, p) -> Hashtbl.replace n.ac.prepared txn p
+          | Decided txn -> Ac.restore t n txn ());
+      recover =
+        (fun t n ->
+          Ac.recover t n ~watch ~on_rejoin:(fun () ->
+              t.ext.held_at_rejoin <- Locks.holder_count n.locks));
     }
   in
-  (sim, Rt.create ~hooks ~ext:{ answering; queries = 0 } sim config)
+  let ext = { answering; queries = 0; on_query = ignore; held_at_rejoin = 0 } in
+  (sim, Rt.create ~hooks ~ext sim config)
 
 let txn local = { Ids.node = 1; local }
 
@@ -94,7 +146,7 @@ let test_answers () =
   check_verdict "unknown" "aborted" coord (txn 1);
   let round = Ac.open_round coord (txn 2) ~expect:2 () in
   check_verdict "vote round open" "undecided" coord (txn 2);
-  Sim.spawn sim (fun () -> Ac.decide t coord (txn 3) () (txn 3));
+  Sim.spawn sim (fun () -> Ac.decide t coord (txn 3) () (Decided (txn 3)));
   Sim.run_until sim 1e-5;
   check_verdict "decision flushing" "undecided" coord (txn 3);
   Sim.run_until sim 1e-3;
@@ -132,8 +184,12 @@ let test_round_results () =
 
 (* ---------- the termination watchdog ---------- *)
 
-let watch ?(on_committed = fun () ~driving:_ -> false) t ~in_doubt =
-  Ac.watch t t.Rt.nodes.(0) ~txn:(txn 9) ~coord:1 ~linger:false ~in_doubt ~on_committed
+(* Node 0 holds txn 9 in doubt, coordinated by node 1, and watches it;
+   the entry stays until the test settles it. *)
+let watch_entry ?(on_committed = fun () ~driving:_ -> false) t =
+  let node = t.Rt.nodes.(0) and p = { coord = 1; keys = [] } in
+  Hashtbl.replace node.ac.prepared (txn 9) p;
+  Ac.watch t node (txn 9) p ~linger:false ~on_committed
     ~on_aborted:(fun () -> Alcotest.fail "nothing was aborted")
 
 let test_watch_stops_when_settled () =
@@ -141,10 +197,8 @@ let test_watch_stops_when_settled () =
   (* the coordinator keeps answering undecided: its vote round stays open *)
   ignore (Ac.open_round t.nodes.(1) (txn 9) ~expect:2 () : unit Runtime.round);
   (* in doubt for three attempts; a fourth would reach retry_limit *)
-  let checks = ref 0 in
-  watch t ~in_doubt:(fun () ->
-      incr checks;
-      !checks <= 3);
+  t.ext.on_query <- (fun n -> if n = 3 then Hashtbl.remove t.nodes.(0).ac.prepared (txn 9));
+  watch_entry t;
   Sim.run_until sim 1.0;
   Alcotest.(check int) "no query once settled" 3 t.ext.queries
 
@@ -152,7 +206,7 @@ let test_watch_done_on_commit () =
   let sim, t = cluster () in
   Ac.restore t t.nodes.(1) (txn 9) ();
   let heard = ref 0 in
-  watch t ~in_doubt:(fun () -> true) ~on_committed:(fun () ~driving ->
+  watch_entry t ~on_committed:(fun () ~driving ->
       Alcotest.(check bool) "reloaded decision is not driven" false driving;
       incr heard;
       false);
@@ -162,7 +216,7 @@ let test_watch_done_on_commit () =
 
 let test_watch_stalls () =
   let sim, t = cluster ~answering:false () in
-  watch t ~in_doubt:(fun () -> true);
+  watch_entry t;
   (match Sim.run_until sim 1.0 with
   | () -> Alcotest.fail "an unanswered watchdog must stall"
   | exception Sss_net.Rpc.Stalled { phase; _ } ->
@@ -171,13 +225,82 @@ let test_watch_stalls () =
 
 let test_watch_exits_on_crash () =
   let sim, t = cluster ~durability:true ~answering:false () in
-  watch t ~in_doubt:(fun () -> true);
+  watch_entry t;
   (* the query has arrived; the watchdog waits for an answer *)
   Sim.run_until sim 4e-3;
   Alcotest.(check int) "first query" 1 t.ext.queries;
   Rt.crash_node t 0;
   Sim.run_until sim 1.0;
   Alcotest.(check int) "no query after the crash" 1 t.ext.queries
+
+(* ---------- the participant's prepared entries ---------- *)
+
+(* An abort decision that overtook its Prepare fences it: the Prepare
+   votes no and leaves no entry or lock behind, and an unfenced one goes
+   through. *)
+let test_fence () =
+  let sim, t = cluster () in
+  let node = t.nodes.(0) and p = { coord = 1; keys = [ 5 ] } in
+  Ac.fence t node (txn 1);
+  let votes = ref [] in
+  Sim.spawn sim (fun () ->
+      let fenced = prepare t node (txn 1) p in
+      votes := [ fenced; prepare t node (txn 2) p ]);
+  Sim.run_until sim 1.0;
+  Alcotest.(check (list bool)) "fenced no, fresh yes" [ false; true ] !votes;
+  Alcotest.(check bool) "no entry for the fenced" false (Ac.in_doubt node (txn 1));
+  Alcotest.(check bool) "an entry for the fresh one" true (Ac.in_doubt node (txn 2));
+  Alcotest.(check bool) "the fresh one holds the key" true
+    (Locks.holds_exclusive node.locks (txn 2) 5)
+
+(* A restart re-takes an in-doubt entry's locks before the node rejoins,
+   so a new Prepare on its keys is refused; the re-watched entry then
+   settles on the coordinator's verdict. *)
+let test_restart_relocks () =
+  let sim, t = cluster ~durability:true ~retry_limit:64 () in
+  let coord = t.nodes.(1) and p = { coord = 1; keys = [ 5 ] } in
+  (* the coordinator answers undecided until it decides *)
+  ignore (Ac.open_round coord (txn 1) ~expect:1 () : unit Runtime.round);
+  Sim.spawn sim (fun () ->
+      Alcotest.(check bool) "voted yes" true (prepare t t.nodes.(0) (txn 1) p));
+  Sim.run_until sim 0.005;
+  Rt.crash_node t 0;
+  Rt.restart_node t 0;
+  Sim.run_until sim 0.01;
+  let node = t.nodes.(0) in
+  Alcotest.(check int) "locks held at rejoin" 1 t.ext.held_at_rejoin;
+  Alcotest.(check bool) "in doubt after restart" true (Ac.in_doubt node (txn 1));
+  Alcotest.(check bool) "lock re-taken" true (Locks.holds_exclusive node.locks (txn 1) 5);
+  let fresh = ref None in
+  Sim.spawn sim (fun () -> fresh := Some (prepare t node (txn 2) p));
+  Sim.run_until sim 0.015;
+  Alcotest.(check (option bool)) "a new Prepare is refused" (Some false) !fresh;
+  let asked = t.ext.queries in
+  Ac.restore t coord (txn 1) ();
+  Sim.run_until sim 0.1;
+  Alcotest.(check bool) "re-watched after restart" true (asked > 0);
+  Alcotest.(check bool) "settled by the verdict" false (Ac.in_doubt node (txn 1));
+  Alcotest.(check bool) "key free" true (Locks.is_free node.locks 5)
+
+(* The checkpoint holds the prepared, decided and fenced parts: with the
+   log truncated below it, a restart rebuilds all three from it alone. *)
+let test_checkpoint () =
+  let sim, t = cluster ~durability:true ~answering:false ~retry_limit:64 () in
+  let node = t.nodes.(0) in
+  Ac.fence t node (txn 3);
+  Sim.spawn sim (fun () ->
+      ignore (prepare t node (txn 1) { coord = 1; keys = [ 5 ] } : bool);
+      Ac.decide t node (txn 2) () (Decided (txn 2)));
+  (* past the checkpoint interval: the image is on disk *)
+  Sim.run_until sim 0.2;
+  Rt.crash_node t 0;
+  Rt.restart_node t 0;
+  Sim.run_until sim 0.25;
+  let node = t.nodes.(0) in
+  Alcotest.(check bool) "prepared entry" true (Ac.in_doubt node (txn 1));
+  check_verdict "decision" "committed" node (txn 2);
+  Alcotest.(check bool) "fence" true (Ac.fenced node (txn 3));
+  Alcotest.(check bool) "lock re-taken" true (Locks.holds_exclusive node.locks (txn 1) 5)
 
 (* ---------- retention sweep ---------- *)
 
@@ -207,10 +330,11 @@ let test_decision_sweep () =
     Ac.restore t coord (txn i) ()
   done;
   (* decided without durability: no flush, so no fiber is needed *)
-  Ac.decide t coord (txn 100_001) () (txn 100_001);
-  Ac.decide t coord (txn 100_002) () (txn 100_002);
+  Ac.decide t coord (txn 100_001) () (Decided (txn 100_001));
+  Ac.decide t coord (txn 100_002) () (Decided (txn 100_002));
   Ac.completed coord (txn 100_002);
-  Sim.schedule sim ~delay:20.0 (fun () -> Ac.decide t coord (txn 100_003) () (txn 100_003));
+  Sim.schedule sim ~delay:20.0 (fun () ->
+      Ac.decide t coord (txn 100_003) () (Decided (txn 100_003)));
   Sim.run sim;
   Alcotest.(check (list int)) "the driven and the fresh decision stay" [ 100_001; 100_003 ]
     (List.map (fun ((tx : Ids.txn), ()) -> tx.local) (Runtime.durable_decisions coord.ac))
@@ -223,7 +347,7 @@ let test_sweep_cadence () =
   let coord = t.nodes.(1) in
   let n = 3 * Runtime.retention_limit in
   for i = 1 to n do
-    Ac.decide t coord (txn i) () (txn i)
+    Ac.decide t coord (txn i) () (Decided (txn i))
   done;
   Alcotest.(check int) "nothing stale, nothing dropped" n (Hashtbl.length coord.ac.decisions);
   Alcotest.(check bool) "the table was scanned" true (coord.ac.scans > 0);
@@ -246,6 +370,12 @@ let () =
           Alcotest.test_case "done on commit" `Quick test_watch_done_on_commit;
           Alcotest.test_case "stalls after retry_limit" `Quick test_watch_stalls;
           Alcotest.test_case "exits on crash" `Quick test_watch_exits_on_crash;
+        ] );
+      ( "participant",
+        [
+          Alcotest.test_case "fence refuses an overtaken prepare" `Quick test_fence;
+          Alcotest.test_case "restart relocks, then re-watches" `Quick test_restart_relocks;
+          Alcotest.test_case "checkpoint survives a crash" `Quick test_checkpoint;
         ] );
       ( "retention",
         [

@@ -19,6 +19,8 @@
 #                             byte-for-byte, and the bench JSON must show
 #                             admission rejection and GC drops actually
 #                             happened
+#   7. perfbench self-test  — the benchmark must still report each of its
+#                             known-bad configurations as a failure
 #
 # Run from the repository root.
 set -eu
@@ -82,5 +84,11 @@ for key in rejected gc_dropped_versions; do
 done
 rm -f BENCH_sat_check.json
 echo "check: saturation gates OK"
+
+echo "check: perfbench self-test"
+# The known-bad configurations (perfbench/workloads.ml) must each read as
+# failing; --force re-runs it on an unchanged tree, so every line
+# is printed on every gate.
+dune build --force @perfbench/selftest
 
 echo "check: all gates passed"
