@@ -2,11 +2,14 @@ open Sss_data
 
 type check_result = (unit, string) result
 
-module TxnMap = Map.Make (struct
-  type t = Ids.txn
+(* Transactions are keyed by [Ids.pack]: its integer order is
+   [Ids.compare_txn] (genesis packs to 0), so map iteration, edge order and
+   every reported cycle are those of a map keyed by the id record. *)
+module TxnMap = Map.Make (Int)
 
-  let compare = Ids.compare_txn
-end)
+let genesis = Ids.pack Ids.genesis
+
+let name p = Ids.txn_to_string (Ids.unpack p)
 
 type txn_info = {
   mutable ro : bool;
@@ -15,14 +18,16 @@ type txn_info = {
   mutable begin_seq : int;
   mutable home : int;
   mutable aborted : bool;
-  mutable reads : (Ids.key * Ids.txn) list;
+  mutable reads : (Ids.key * int) list;
   mutable installs : Ids.key list;
+  mutable next : (Ids.key * int) list;  (* each installed key's next installer *)
   mutable declared_ws : Ids.key list;
+  mutable vertex : int;  (* index in the graph [check_acyclic] builds *)
 }
 
 type analysis = {
   infos : txn_info TxnMap.t;
-  install_order : (Ids.key, Ids.txn list) Hashtbl.t;  (* oldest first, genesis implicit *)
+  install_order : (Ids.key, int list) Hashtbl.t;  (* oldest first, genesis implicit *)
 }
 
 let fresh_info seq =
@@ -35,12 +40,15 @@ let fresh_info seq =
     aborted = false;
     reads = [];
     installs = [];
+    next = [];
     declared_ws = [];
+    vertex = -1;
   }
 
 let analyse history =
   let infos = ref TxnMap.empty in
   let info seq txn =
+    let txn = Ids.pack txn in
     match TxnMap.find_opt txn !infos with
     | Some i -> i
     | None ->
@@ -48,9 +56,8 @@ let analyse history =
         infos := TxnMap.add txn i !infos;
         i
   in
-  let install_order : (Ids.key, Ids.txn list) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun { History.seq; event; _ } ->
+  let install_order : (Ids.key, int list) Hashtbl.t = Hashtbl.create 256 in
+  History.iter history (fun ~seq ~at:_ event ->
       match event with
       | History.Begin { txn; ro; node } ->
           let i = info seq txn in
@@ -59,7 +66,7 @@ let analyse history =
           i.begin_seq <- seq
       | History.Read { txn; key; writer } ->
           let i = info seq txn in
-          i.reads <- (key, writer) :: i.reads
+          i.reads <- (key, Ids.pack writer) :: i.reads
       | History.Install { txn; key } ->
           let i = info seq txn in
           (* Keep-first dedup: redo recovery can legitimately re-install a
@@ -70,15 +77,14 @@ let analyse history =
           if not (List.mem key i.installs) then begin
             i.installs <- key :: i.installs;
             let prev = Option.value ~default:[] (Hashtbl.find_opt install_order key) in
-            Hashtbl.replace install_order key (txn :: prev)
+            Hashtbl.replace install_order key (Ids.pack txn :: prev)
           end
       | History.Commit { txn; ws } ->
           let i = info seq txn in
           i.committed <- true;
           i.commit_seq <- seq;
           i.declared_ws <- ws
-      | History.Abort { txn } -> (info seq txn).aborted <- true)
-    (History.events history);
+      | History.Abort { txn } -> (info seq txn).aborted <- true);
   (* Collect the keys first: replacing bindings while iterating a Hashtbl
      is undefined behaviour (a key can be visited twice, re-reversing its
      list and corrupting the install order).  Sorted so nothing downstream
@@ -87,13 +93,25 @@ let analyse history =
     List.sort Int.compare
       (Hashtbl.fold (fun k _ acc -> k :: acc) install_order [] [@order_ok])
   in
+  (* Index each version's successor in its key's install order under the
+     version's writer, so a read finds its anti-dependency without a scan. *)
   List.iter
-    (fun k -> Hashtbl.replace install_order k (List.rev (Hashtbl.find install_order k)))
+    (fun k ->
+      let order = List.rev (Hashtbl.find install_order k) in
+      Hashtbl.replace install_order k order;
+      let rec link = function
+        | w :: (w' :: _ as rest) ->
+            let i = TxnMap.find w !infos in
+            i.next <- (k, w') :: i.next;
+            link rest
+        | _ -> ()
+      in
+      link order)
     keys;
   { infos = !infos; install_order }
 
 let in_graph a txn =
-  (not (Ids.equal_txn txn Ids.genesis))
+  (not (Int.equal txn genesis))
   &&
   match TxnMap.find_opt txn a.infos with
   | None -> false
@@ -102,24 +120,14 @@ let in_graph a txn =
 (* Successor of [writer]'s version of [key] in the install order; genesis's
    successor is the first installer. *)
 let next_writer a key writer =
-  match Hashtbl.find_opt a.install_order key with
-  | None -> None
-  | Some order ->
-      if Ids.equal_txn writer Ids.genesis then
-        match order with [] -> None | first :: _ -> Some first
-      else
-        let rec find = function
-          | [] -> None
-          | w :: rest when Ids.equal_txn w writer -> (
-              match rest with [] -> None | nxt :: _ -> Some nxt)
-          | _ :: rest -> find rest
-        in
-        find order
+  if Int.equal writer genesis then
+    Option.bind (Hashtbl.find_opt a.install_order key) (fun order -> List.nth_opt order 0)
+  else Option.bind (TxnMap.find_opt writer a.infos) (fun i -> List.assoc_opt key i.next)
 
 let dependency_edges_of a =
   let edges = ref [] in
   let add src dst label =
-    if in_graph a src && in_graph a dst && not (Ids.equal_txn src dst) then
+    if in_graph a src && in_graph a dst && not (Int.equal src dst) then
       edges := (src, dst, label) :: !edges
   in
   (* wr and rw edges from reads *)
@@ -155,7 +163,7 @@ let dependency_edges_of a =
   List.rev !edges
 
 (* Cycle search over an integer graph, reporting the cycle's members. *)
-let find_cycle ~size succs =
+let find_cycle ~size ~first ~succ =
   let color = Array.make size `White in
   let parent = Array.make size (-1) in
   let cycle = ref None in
@@ -163,18 +171,18 @@ let find_cycle ~size succs =
   let rec dfs v =
     if !cycle = None then begin
       color.(v) <- `Grey;
-      List.iter
-        (fun w ->
-          if !cycle = None then
-            match color.(w) with
-            | `Grey ->
-                let rec walk u acc = if u = w then u :: acc else walk parent.(u) (u :: acc) in
-                cycle := Some (walk v [ w ])
-            | `Black -> ()
-            | `White ->
-                parent.(w) <- v;
-                dfs w)
-        (succs v);
+      for k = first.(v) to first.(v + 1) - 1 do
+        let w = succ.(k) in
+        if !cycle = None then
+          match color.(w) with
+          | `Grey ->
+              let rec walk u acc = if u = w then u :: acc else walk parent.(u) (u :: acc) in
+              cycle := Some (walk v [ w ])
+          | `Black -> ()
+          | `White ->
+              parent.(w) <- v;
+              dfs w
+      done;
       color.(v) <- `Black
     end
   in
@@ -195,8 +203,8 @@ let find_cycle ~size succs =
 let check_acyclic a ~realtime =
   let txns = TxnMap.fold (fun t _ acc -> if in_graph a t then t :: acc else acc) a.infos [] in
   let n = List.length txns in
-  let index = Hashtbl.create (2 * n) in
-  List.iteri (fun i t -> Hashtbl.replace index t i) txns;
+  List.iteri (fun i t -> (TxnMap.find t a.infos).vertex <- i) txns;
+  let index t = (TxnMap.find t a.infos).vertex in
   let names = Array.of_list txns in
   (* Group transactions into "sessions": one group for global real-time
      (everything), one per home node for session real-time. *)
@@ -232,10 +240,10 @@ let check_acyclic a ~realtime =
   in
   let m = List.fold_left (fun acc (_, c) -> acc + Array.length c) 0 chains in
   let size = n + m in
-  let adj = Array.make (Stdlib.max size 1) [] in
-  let add_edge u v = adj.(u) <- v :: adj.(u) in
+  let edges = ref [] in
+  let add_edge u v = edges := (u, v) :: !edges in
   List.iter
-    (fun (src, dst, _) -> add_edge (Hashtbl.find index src) (Hashtbl.find index dst))
+    (fun (src, dst, _) -> add_edge (index src) (index dst))
     (dependency_edges_of a);
   let base = ref n in
   List.iter
@@ -246,7 +254,7 @@ let check_acyclic a ~realtime =
       for k = 0 to mg - 2 do
         add_edge (off + k) (off + k + 1)
       done;
-      Array.iteri (fun k t -> add_edge (Hashtbl.find index t) (off + k)) committed;
+      Array.iteri (fun k t -> add_edge (index t) (off + k)) committed;
       let commit_seqs = Array.map (fun t -> (TxnMap.find t a.infos).commit_seq) committed in
       List.iter
         (fun t ->
@@ -260,13 +268,20 @@ let check_acyclic a ~realtime =
               else search lo (mid - 1) best
           in
           let k = search 0 (mg - 1) (-1) in
-          if k >= 0 then add_edge (off + k) (Hashtbl.find index t))
+          if k >= 0 then add_edge (off + k) (index t))
         group)
     chains;
-  match find_cycle ~size (fun v -> adj.(v)) with
+  (* Vertex [u]'s successors are [succ.(first.(u))] up to [first.(u + 1)],
+     latest edge first.  Flat int arrays leave the minor heap nothing. *)
+  let first = Array.make (size + 1) 0 in
+  List.iter (fun (u, _) -> first.(u + 1) <- first.(u + 1) + 1) !edges;
+  for u = 1 to size do first.(u) <- first.(u) + first.(u - 1) done;
+  let fill = Array.copy first and succ = Array.make first.(size) 0 in
+  List.iter (fun (u, v) -> succ.(fill.(u)) <- v; fill.(u) <- fill.(u) + 1) !edges;
+  match find_cycle ~size ~first ~succ with
   | None -> Ok ()
   | Some cyc ->
-      let pretty v = if v < n then Ids.txn_to_string names.(v) else Printf.sprintf "[rt%d]" (v - n) in
+      let pretty v = if v < n then name names.(v) else Printf.sprintf "[rt%d]" (v - n) in
       Error (Printf.sprintf "cycle: %s" (String.concat " -> " (List.map pretty cyc)))
 
 let external_consistency history = check_acyclic (analyse history) ~realtime:`Session
@@ -293,18 +308,16 @@ let no_lost_updates history =
                 | Some order ->
                     let rec pred prev = function
                       | [] -> None
-                      | w :: rest -> if Ids.equal_txn w txn then Some prev else pred w rest
+                      | w :: rest -> if Int.equal w txn then Some prev else pred w rest
                     in
-                    (match pred Ids.genesis order with
-                    | Some expected when not (Ids.equal_txn expected observed) ->
+                    (match pred genesis order with
+                    | Some expected when not (Int.equal expected observed) ->
                         if !bad = None then
                           bad :=
                             Some
                               (Printf.sprintf
                                  "lost update: %s overwrote k%d reading %s instead of %s"
-                                 (Ids.txn_to_string txn) key
-                                 (Ids.txn_to_string observed)
-                                 (Ids.txn_to_string expected))
+                                 (name txn) key (name observed) (name expected))
                     | _ -> ())))
           i.installs)
     a.infos;
@@ -329,7 +342,7 @@ let no_torn_commits history =
               bad :=
                 Some
                   (Printf.sprintf "torn commit: %s acked to its client but k%d never installed"
-                     (Ids.txn_to_string txn) key))
+                     (name txn) key))
           (List.sort Int.compare i.declared_ws))
     a.infos;
   match !bad with None -> Ok () | Some msg -> Error msg
@@ -340,7 +353,7 @@ let read_only_abort_free history =
   TxnMap.iter
     (fun txn i ->
       if i.ro && i.aborted && !bad = None then
-        bad := Some (Printf.sprintf "read-only %s aborted" (Ids.txn_to_string txn)))
+        bad := Some (Printf.sprintf "read-only %s aborted" (name txn)))
     a.infos;
   match !bad with None -> Ok () | Some msg -> Error msg
 
@@ -356,7 +369,8 @@ let txn_count history =
   let a = analyse history in
   TxnMap.cardinal a.infos
 
-let dependency_edges history = dependency_edges_of (analyse history)
+let dependency_edges history =
+  List.map (fun (s, d, l) -> (Ids.unpack s, Ids.unpack d, l)) (dependency_edges_of (analyse history))
 
 let to_dot history =
   let a = analyse history in
@@ -366,7 +380,7 @@ let to_dot history =
     (fun txn i ->
       if in_graph a txn then
         Buffer.add_string buf
-          (Printf.sprintf "  \"%s\" [shape=%s%s];\n" (Ids.txn_to_string txn)
+          (Printf.sprintf "  \"%s\" [shape=%s%s];\n" (name txn)
              (if i.ro then "ellipse" else "box")
              (if i.committed then "" else ", style=dashed")))
     a.infos;
@@ -375,7 +389,7 @@ let to_dot history =
       let color = match label with "wr" -> "black" | "ww" -> "blue" | _ -> "red" in
       Buffer.add_string buf
         (Printf.sprintf "  \"%s\" -> \"%s\" [label=\"%s\", color=%s];\n"
-           (Ids.txn_to_string src) (Ids.txn_to_string dst) label color))
+           (name src) (name dst) label color))
     (dependency_edges_of a);
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -3,7 +3,13 @@
     Protocol implementations record the externally observable events of
     every transaction here; the {!Checker} then validates consistency
     properties offline.  Recording is optional (benchmarks disable it), and
-    cheap: events are consed onto a list.
+    cheap: the log is columnar, three ints and one unboxed float per event
+    in blocks allocated on first use (so a disabled recorder allocates
+    nothing).  Word 0 holds the tag and its small fields, word 1 the
+    transaction as {!Ids.pack}, word 2 the packed writer of a read or where
+    a commit's write set starts in a side column; [seq] is the index.  The
+    encoding inherits [Ids.pack]'s limits ([local < 2^40], [node < 2^22]);
+    keys must lie within [±2^59].  Reading decodes, so it allocates.
 
     Version identity follows Adya: a version of a key is named by the
     transaction that wrote it, with [Ids.genesis] naming the initial
@@ -38,8 +44,15 @@ val enabled : t -> bool
 val record : t -> at:float -> event -> unit
 (** Append an event stamped with virtual time [at]. *)
 
+val iter : t -> (seq:int -> at:float -> event -> unit) -> unit
+(** Decode the events in recording order ([seq] ascending). *)
+
+val fold : t -> init:'a -> ('a -> seq:int -> at:float -> event -> 'a) -> 'a
+(** {!iter} with an accumulator. *)
+
 val events : t -> stamped list
-(** In recording order ([seq] ascending). *)
+(** In recording order, as a list built on {!fold}: it allocates the whole
+    history again, so it is meant for tests. *)
 
 val length : t -> int
 (** Events recorded so far. *)

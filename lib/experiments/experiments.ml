@@ -876,11 +876,9 @@ let figure ?slo_ms name =
 
 let history_md5 h =
   let b = Buffer.create 65536 in
-  List.iter
-    (fun (s : Sss_consistency.History.stamped) ->
+  Sss_consistency.History.iter h (fun ~seq ~at event ->
       Buffer.add_string b
-        (Format.asprintf "%d %h %a\n" s.seq s.at Sss_consistency.History.pp_event s.event))
-    (Sss_consistency.History.events h);
+        (Format.asprintf "%d %h %a\n" seq at Sss_consistency.History.pp_event event));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let recovery_smoke () =

@@ -271,9 +271,113 @@ let test_strict_vs_session_semantics () =
 
 let test_disabled_recorder () =
   let h = History.create ~enabled:false () in
-  History.record h ~at:0.0 (History.Commit { txn = t1; ws = [] });
+  let words0 = Obj.reachable_words (Obj.repr h) in
+  for i = 0 to 3000 do
+    History.record h ~at:(float_of_int i) (History.Commit { txn = t1; ws = [ i ] })
+  done;
   Alcotest.(check int) "nothing recorded" 0 (History.length h);
+  Alcotest.(check int) "no block allocated" words0 (Obj.reachable_words (Obj.repr h));
   Alcotest.(check int) "no txns" 0 (Checker.txn_count h)
+
+(* ---------- the columnar log ----------
+
+   Every recorded event must read back exactly: its time bit for bit, its
+   sequence number dense, its fields at the encoding's limits. *)
+
+let max_local = (1 lsl 40) - 1
+let max_node = (1 lsl 22) - 2  (* [Ids.pack] stores node + 1 *)
+let max_key = (1 lsl 59) - 1
+
+(* Every sequence starts with these: a genesis writer, empty and multi-key
+   write sets, and ids and keys at the encoding's limits. *)
+let corner_events =
+  let far = tx max_node max_local in
+  History.
+    [
+      Begin { txn = far; ro = true; node = max_node };
+      Read { txn = far; key = max_key; writer = Ids.genesis };
+      Read { txn = t1; key = 0; writer = far };
+      Install { txn = far; key = max_key };
+      Commit { txn = far; ws = [] };
+      Commit { txn = t2; ws = [ 0; max_key; 7; 7 ] };
+      Abort { txn = tx 0 max_local };
+    ]
+
+let gen_event =
+  let open QCheck.Gen in
+  let txn =
+    oneof
+      [
+        return Ids.genesis;
+        map2 tx (int_bound 7) (int_range 1 50);
+        map2 tx (int_range (max_node - 3) max_node) (int_range (max_local - 3) max_local);
+      ]
+  in
+  let key = oneof [ int_bound 20; int_range (max_key - 3) max_key ] in
+  oneof
+    [
+      map3 (fun txn ro node -> History.Begin { txn; ro; node }) txn bool
+        (oneof [ int_bound 7; return max_node ]);
+      map3 (fun txn key writer -> History.Read { txn; key; writer }) txn key txn;
+      map2 (fun txn key -> History.Install { txn; key }) txn key;
+      map2 (fun txn ws -> History.Commit { txn; ws }) txn (list_size (int_bound 5) key);
+      map (fun txn -> History.Abort { txn }) txn;
+    ]
+
+(* Short sequences, and ones spanning more than two 1,024-event blocks. *)
+let gen_recorded =
+  let open QCheck.Gen in
+  let at = oneof [ map Int64.float_of_bits ui64; float; return (-0.0); return Float.nan ] in
+  map
+    (fun l -> List.mapi (fun i e -> (float_of_int i, e)) corner_events @ l)
+    (list_size (oneof [ int_bound 10; int_range 2049 3500 ]) (pair at gen_event))
+
+let same (s : History.stamped) (s' : History.stamped) =
+  Int.equal s.seq s'.seq
+  && Int64.equal (Int64.bits_of_float s.at) (Int64.bits_of_float s'.at)
+  && s.event = s'.event
+
+let history_round_trip =
+  QCheck.Test.make ~name:"history round-trips every event" ~count:25
+    (QCheck.make ~print:(fun l -> Printf.sprintf "%d events" (List.length l)) gen_recorded)
+    (fun recorded ->
+      let h = History.create () in
+      List.iter (fun (at, e) -> History.record h ~at e) recorded;
+      let expected = List.mapi (fun seq (at, event) -> { History.seq; at; event }) recorded in
+      let evs = History.events h in
+      let iterated = ref [] in
+      History.iter h (fun ~seq ~at event -> iterated := { History.seq; at; event } :: !iterated);
+      Int.equal (History.length h) (List.length expected)
+      && Int.equal (List.length evs) (List.length expected)
+      && List.for_all2 same expected evs
+      && List.for_all2 same evs (List.rev !iterated))
+
+(* The log keeps at most five words per event (three ints, the unboxed
+   time, and a share of write sets and the one partly filled block). *)
+let test_history_retention () =
+  let h = History.create () in
+  let n = ref 0 in
+  let at () = float_of_int !n *. 1e-6 in
+  while History.length h < 12_000 do
+    incr n;
+    let txn = tx (!n mod 8) !n in
+    let k = !n mod 500 in
+    History.record h ~at:(at ()) (History.Begin { txn; ro = !n mod 2 = 0; node = !n mod 8 });
+    History.record h ~at:(at ()) (History.Read { txn; key = k; writer = tx 1 (!n / 2) });
+    History.record h ~at:(at ()) (History.Read { txn; key = k + 1; writer = Ids.genesis });
+    if !n mod 2 = 0 then History.record h ~at:(at ()) (History.Commit { txn; ws = [] })
+    else if !n mod 7 = 0 then History.record h ~at:(at ()) (History.Abort { txn })
+    else begin
+      History.record h ~at:(at ()) (History.Install { txn; key = k });
+      History.record h ~at:(at ()) (History.Install { txn; key = k + 1 });
+      History.record h ~at:(at ()) (History.Commit { txn; ws = [ k; k + 1 ] })
+    end
+  done;
+  let words = Obj.reachable_words (Obj.repr h) in
+  let per_event = float_of_int words /. float_of_int (History.length h) in
+  if per_event > 5.0 then
+    Alcotest.failf "history retains %.2f words per event (%d words, %d events), bound 5"
+      per_event words (History.length h)
 
 (* ---------- mutation tests: a real history, minimally corrupted ----------
 
@@ -666,6 +770,11 @@ let () =
           Alcotest.test_case "disabled recorder" `Quick test_disabled_recorder;
           Alcotest.test_case "to_dot" `Quick test_to_dot_renders_edges;
           Alcotest.test_case "strict vs session" `Quick test_strict_vs_session_semantics;
+        ] );
+      ( "history",
+        [
+          QCheck_alcotest.to_alcotest history_round_trip;
+          Alcotest.test_case "retention per event" `Quick test_history_retention;
         ] );
       ( "mutations",
         [

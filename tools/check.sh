@@ -21,6 +21,9 @@
 #                             happened
 #   7. perfbench self-test  — the benchmark must still report each of its
 #                             known-bad configurations as a failure
+#   8. stress --open        — the 100- and 200-node open-loop rungs keep
+#                             version retention flat, end quiescent, and
+#                             pass the checker battery over their history
 #
 # Run from the repository root.
 set -eu
@@ -90,5 +93,10 @@ echo "check: perfbench self-test"
 # failing; --force re-runs it on an unchanged tree, so every line
 # is printed on every gate.
 dune build --force @perfbench/selftest
+
+echo "check: stress --open"
+# The large open-loop ladder records its history; every rung must pass
+# the five-property checker battery over it, not just quiescence.
+dune exec bin/stress.exe -- --open
 
 echo "check: all gates passed"
