@@ -105,15 +105,16 @@ let test_hardening_overhead_bounded_at_standard_profile () =
     true
     (hard >= 0.6 *. paper)
 
-(* Smoke-scale figures pinned byte-for-byte.  The figure's text and the
-   run's simulator totals are a complete fingerprint of the DES trajectory:
-   an engine change that reorders even two equal-time events shifts commit
-   counts and shows up here.  Intentional trajectory changes (new event
-   types, protocol edits) must regenerate the fixture:
+(* Every figure's smoke-scale text, and the recovery fingerprint, pinned
+   byte-for-byte.  The figure's text and the run's simulator totals are a
+   complete fingerprint of the DES trajectory: an engine change that
+   reorders even two equal-time events shifts commit counts and shows up
+   here.  [saturation] covers the open-loop engine and online GC;
+   [recovery] the crash, recovery and lossy-transport paths of all four
+   systems.  Intentional trajectory changes (new event types, protocol
+   edits) must regenerate the fixture:
 
-     dune exec bin/golden.exe -- fig3       > test/golden/fig3_smoke.txt
-     dune exec bin/golden.exe -- saturation > test/golden/saturation_smoke.txt
-     dune exec bin/golden.exe -- recovery   > test/golden/recovery_smoke.txt *)
+     dune exec bin/golden.exe -- NAME > test/golden/NAME_smoke.txt *)
 let read_fixture fixture_name =
   (* cwd is test/ under [dune runtest], the repo root under [dune exec] *)
   let fixture =
@@ -122,22 +123,12 @@ let read_fixture fixture_name =
   in
   In_channel.with_open_text fixture In_channel.input_all
 
-let check_golden what name =
-  Alcotest.(check (option string))
-    what
-    (Some (read_fixture (name ^ "_smoke.txt")))
-    (golden name)
-
-let test_fig3_smoke_golden () = check_golden "fig3 smoke trajectory" "fig3"
-
-(* The open-loop engine and online GC under the same byte-level pin: the
-   saturation smoke sweep covers Poisson and Ramp arrivals, admission
-   rejection, and watermark GC for both SSS and the 2PC baseline. *)
-let test_saturation_smoke_golden () = check_golden "saturation smoke trajectory" "saturation"
-
-(* Crash, recovery and lossy-transport paths of all four systems under the
-   same pin: a durable crash/restart run and a drop/duplicate run each. *)
-let test_recovery_smoke_golden () = check_golden "recovery smoke trajectory" "recovery"
+let golden_case name =
+  Alcotest.test_case (name ^ " smoke golden trajectory") `Slow (fun () ->
+      Alcotest.(check (option string))
+        (name ^ " smoke trajectory")
+        (Some (read_fixture (name ^ "_smoke.txt")))
+        (golden name))
 
 let () =
   Alcotest.run "shapes"
@@ -155,10 +146,8 @@ let () =
           Alcotest.test_case "abort-rate shape" `Slow test_abort_rate_shape;
           Alcotest.test_case "hardening overhead bounded" `Slow
             test_hardening_overhead_bounded_at_standard_profile;
-          Alcotest.test_case "fig3 smoke golden trajectory" `Slow test_fig3_smoke_golden;
-          Alcotest.test_case "saturation smoke golden trajectory" `Slow
-            test_saturation_smoke_golden;
-          Alcotest.test_case "recovery smoke golden trajectory" `Slow
-            test_recovery_smoke_golden;
-        ] );
+        ]
+        @ List.map golden_case
+            [ "fig3"; "saturation"; "recovery"; "fig4a"; "fig4b"; "fig5"; "fig6"; "fig7";
+              "fig8"; "abort-rate"; "ablation"; "skewed"; "durability" ] );
     ]

@@ -24,6 +24,8 @@
 #   8. stress --open        — the 100- and 200-node open-loop rungs keep
 #                             version retention flat, end quiescent, and
 #                             pass the checker battery over their history
+#   9. stress -j max        — the seed/configuration sweep prints
+#                             test/golden/stress.txt byte-for-byte
 #
 # Run from the repository root.
 set -eu
@@ -98,5 +100,17 @@ echo "check: stress --open"
 # The large open-loop ladder records its history; every rung must pass
 # the five-property checker battery over it, not just quiescence.
 dune exec bin/stress.exe -- --open
+
+echo "check: stress sweep"
+# The sweep's summary lines (committed counts, divergence reports) pin the
+# trajectories of every stressed run; a refactor must reproduce them.
+dune exec bin/stress.exe -- -j max > BENCH_stress_check.txt
+if ! cmp -s BENCH_stress_check.txt test/golden/stress.txt; then
+  diff BENCH_stress_check.txt test/golden/stress.txt >&2 || true
+  echo "check FAIL: stress output diverged from test/golden/stress.txt" >&2
+  echo "  (regenerate with 'dune exec bin/stress.exe -- -j max' only if intentional)" >&2
+  exit 1
+fi
+rm -f BENCH_stress_check.txt
 
 echo "check: all gates passed"
