@@ -261,20 +261,33 @@ let () =
   let speedup = ref false in
   let slo_ms = ref None in
   let targets = ref [] in
+  (* Every argument is checked before anything runs: a bad one prints the
+     usage and exits 2. *)
+  let bad fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf
+          "main.exe: %s\nusage: main.exe [--scale full|quick|smoke] [--json FILE] [--observe] \
+           [-j N|max] [--speedup] [--slo MS] [TARGET...]\ntargets: %s\n"
+          msg (String.concat " " (figure_names @ [ "all"; "micro" ]));
+        exit 2)
+      fmt
+  in
   let rec parse = function
     | [] -> ()
     | "--scale" :: s :: rest ->
-        (scale :=
-           match scale_of_string s with Some v -> v | None -> failwith ("unknown scale " ^ s));
+        (scale := match scale_of_string s with Some v -> v | None -> bad "unknown scale %S" s);
         parse rest
     | "--json" :: f :: rest ->
+        let dir = Filename.dirname f in
+        if not (Sys.file_exists dir && Sys.is_directory dir) then bad "no directory %S" dir;
         json_file := Some f;
         parse rest
     | "--observe" :: rest ->
         observe := true;
         parse rest
     | ("-j" | "--jobs") :: n :: rest ->
-        (jobs := match parse_jobs n with Some j -> j | None -> failwith ("bad -j value " ^ n));
+        (jobs := match parse_jobs n with Some j -> j | None -> bad "bad -j value %S" n);
         parse rest
     | "--speedup" :: rest ->
         speedup := true;
@@ -282,11 +295,12 @@ let () =
     | "--slo" :: ms :: rest ->
         (match float_of_string_opt ms with
         | Some v when v > 0.0 -> slo_ms := Some v
-        | _ -> failwith ("bad --slo value " ^ ms));
+        | _ -> bad "bad --slo value %S" ms);
         parse rest
-    | t :: rest ->
+    | t :: rest when Option.is_some (figure t) || String.equal t "micro" ->
         targets := t :: !targets;
         parse rest
+    | t :: _ -> bad "unknown target or option %S" t
   in
   parse args;
   let targets =
@@ -341,14 +355,11 @@ let () =
               minor_collections; major_collections }
             :: !reports
       | None ->
-          if String.equal t "micro" then begin
-            let (), wall_seconds = time run_micro in
-            reports :=
-              { target = t; wall_seconds; baseline_wall = None; m = meters_zero;
-                alloc_words = 0.0; minor_collections = 0; major_collections = 0 }
-              :: !reports
-          end
-          else Printf.eprintf "unknown target %s (skipped)\n" t)
+          let (), wall_seconds = time run_micro in
+          reports :=
+            { target = t; wall_seconds; baseline_wall = None; m = meters_zero;
+              alloc_words = 0.0; minor_collections = 0; major_collections = 0 }
+            :: !reports)
     targets;
   let metrics =
     if !observe then begin

@@ -1,10 +1,9 @@
 (* Regenerate a golden trajectory fixture: a figure's full text followed by
    the run's simulator totals, byte-identical to what the pinned tests in
-   test/test_shapes.ml recompute.  Usage:
+   test/test_shapes.ml recompute.  NAME is any figure name (fig3, ...,
+   saturation) or recovery.  Usage:
 
-     dune exec bin/golden.exe -- fig3       > test/golden/fig3_smoke.txt
-     dune exec bin/golden.exe -- saturation > test/golden/saturation_smoke.txt
-     dune exec bin/golden.exe -- recovery   > test/golden/recovery_smoke.txt
+     dune exec bin/golden.exe -- NAME > test/golden/NAME_smoke.txt
 
    Regenerate (and eyeball the diff) whenever a protocol or engine change
    intentionally moves the DES trajectory. *)
@@ -14,5 +13,5 @@ let () =
   match Sss_experiments.Experiments.golden name with
   | Some text -> print_string text
   | None ->
-      prerr_endline "usage: golden (fig3|saturation|recovery)";
+      prerr_endline "usage: golden (FIGURE|recovery)";
       exit 2

@@ -1,16 +1,17 @@
 (* Command-line interface to the SSS reproduction.
 
    sss-cli point   -- run one experiment point (any system, any parameters)
-   sss-cli figure  -- regenerate one of the paper's figures
    sss-cli verify  -- run a recorded workload and check consistency
+
+   The paper's figures are regenerated by bench/main.exe.
 
    Examples:
      dune exec bin/sss_cli.exe -- point --system sss --nodes 10 --ro 0.8
-     dune exec bin/sss_cli.exe -- figure fig3 --scale quick
      dune exec bin/sss_cli.exe -- verify --nodes 4 --keys 24 --seed 7 *)
 
 open Cmdliner
 open Sss_experiments.Experiments
+module Store = Sss_experiments.Store
 
 let system_conv =
   let parse = function
@@ -22,14 +23,6 @@ let system_conv =
   in
   let print fmt s = Format.pp_print_string fmt (String.lowercase_ascii (system_name s)) in
   Arg.conv (parse, print)
-
-let scale_conv =
-  let parse s =
-    match scale_of_string s with
-    | Some scale -> Ok scale
-    | None -> Error (`Msg (Printf.sprintf "unknown scale %S (full|quick|smoke)" s))
-  in
-  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (scale_name s))
 
 let system_t =
   Arg.(value & opt system_conv Sss & info [ "system" ] ~docv:"SYSTEM" ~doc:"sss, walter, 2pc or rococo")
@@ -43,7 +36,6 @@ let locality_t = Arg.(value & opt float 0.0 & info [ "locality" ] ~doc:"node-loc
 let clients_t = Arg.(value & opt int 10 & info [ "clients" ] ~doc:"closed-loop clients per node")
 let duration_t = Arg.(value & opt float 0.04 & info [ "duration" ] ~doc:"measured window (virtual seconds)")
 let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed")
-let scale_t = Arg.(value & opt scale_conv Quick & info [ "scale" ] ~doc:"full, quick or smoke")
 
 let strict_t =
   Arg.(value & flag & info [ "strict" ] ~doc:"SSS hardened external-commit ordering")
@@ -142,62 +134,29 @@ let point_cmd =
   in
   Cmd.v (Cmd.info "point" ~doc:"Run a single experiment point") term
 
-let figure_cmd =
-  let figure_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FIGURE" ~doc:(String.concat " " (figure_names @ [ "all" ])))
-  in
-  let jobs_t =
-    let jobs_conv =
-      Arg.conv
-        ( (fun s ->
-            match parse_jobs s with
-            | Some n -> Ok n
-            | None -> Error (`Msg (Printf.sprintf "bad jobs value %S (N or \"max\")" s))),
-          fun ppf n -> Format.fprintf ppf "%d" n )
-    in
-    Arg.(
-      value & opt jobs_conv 1
-      & info [ "j"; "jobs" ]
-          ~doc:"Fan the figure's runs across $(docv) domains (\"max\" = all cores)."
-          ~docv:"N")
-  in
-  let run_figure name scale jobs slo_ms =
-    Sss_sim.Sim.tune_gc ();
-    match figure ?slo_ms name with
-    | Some fig -> ignore (fig (ctx ~jobs ()) scale)
-    | None -> Printf.eprintf "unknown figure %s\n" name
-  in
-  let slo_t =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slo" ] ~docv:"MS"
-          ~doc:"Saturation figure: p99 sojourn SLO bound in milliseconds (default 5).")
-  in
-  let term = Term.(const run_figure $ figure_t $ scale_t $ jobs_t $ slo_t) in
-  Cmd.v (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures") term
-
 let verify_cmd =
   let run_verify system nodes degree keys ro clients duration seed dot =
     let open Sss_consistency in
-    let r =
-      Sss_experiments.Store.drive system
+    let module Driver = Sss_workload.Driver in
+    let (Store.Store s) =
+      Store.create system (Sss_sim.Sim.create ())
         { Sss_kv.Config.default with nodes; replication_degree = degree; total_keys = keys; seed }
-        ~ro ~clients ~warmup:(duration /. 4.0) ~duration
+    in
+    let r =
+      Store.drive s
+        ~profile:(Driver.paper_profile ~read_only_ratio:ro)
+        ~load:
+          { Driver.default_load with clients_per_node = clients; warmup = duration /. 4.0;
+            duration; seed }
     in
     Printf.printf "transactions: %d committed, %d aborted\n"
       (Checker.committed_count r.history)
       (Checker.aborted_count r.history);
-    let verdicts =
-      Sss_experiments.Store.verdicts system r.history ~quiescent:r.quiescent
-    in
+    let verdicts = Store.verdicts system r.history ~quiescent:(r.quiescent ()) in
     List.iter
       (fun (name, v) ->
         match v with
-        | Sss_experiments.Store.Pass -> Printf.printf "  %-34s PASS\n" name
+        | Store.Pass -> Printf.printf "  %-34s PASS\n" name
         | Fail msg -> Printf.printf "  %-34s FAIL: %s\n" name msg
         | Not_promised -> Printf.printf "  %-34s n/a (not promised)\n" name)
       verdicts;
@@ -208,7 +167,7 @@ let verify_cmd =
         output_string oc (Checker.to_dot r.history);
         close_out oc;
         Printf.printf "dependency graph written to %s\n" path);
-    exit (Sss_experiments.Store.exit_code verdicts)
+    exit (Store.exit_code verdicts)
   in
   let duration_t =
     Arg.(value & opt float 0.05 & info [ "duration" ] ~doc:"measured window (virtual seconds)")
@@ -233,4 +192,4 @@ let verify_cmd =
 
 let () =
   let info = Cmd.info "sss-cli" ~doc:"SSS (ICDCS'19) reproduction toolkit" in
-  exit (Cmd.eval (Cmd.group info [ point_cmd; figure_cmd; verify_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ point_cmd; verify_cmd ]))

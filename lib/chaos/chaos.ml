@@ -20,6 +20,9 @@ type plan = { seed : int; rules : rule list; events : event list }
 
 let empty = { seed = 0; rules = []; events = [] }
 
+let crash_restart ~seed ~node ~at ~restart_at =
+  { seed; rules = []; events = [ Crash { at; restart_at = Some restart_at; node } ] }
+
 let default_rule =
   {
     target = { src = None; dst = None; kinds = [] };

@@ -66,6 +66,10 @@ type plan = { seed : int; rules : rule list; events : event list }
 val empty : plan
 (** No rules, no events, seed 0 — installing it perturbs nothing. *)
 
+val crash_restart : seed:int -> node:int -> at:float -> restart_at:float -> plan
+(** The one-event plan: crash [node] at [at] and restart it at
+    [restart_at]. *)
+
 val validate : nodes:int -> plan -> (unit, string) result
 (** Check a plan against a cluster size: probabilities in [\[0, 1\]], node
     ids in range, [heal_at > at], [restart_at > at], disjoint partition

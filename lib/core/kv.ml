@@ -78,8 +78,6 @@ let obs = State.obs
 
 let metrics_json (t : cluster) = Option.map Sss_obs.Obs.metrics_json t.State.obs
 
-let trace_jsonl (t : cluster) = Option.map Sss_obs.Obs.trace_jsonl t.State.obs
-
 let transport_retries (t : cluster) = Sss_net.Reliable.retries t.State.rel
 
 let transport_stalled (t : cluster) = Sss_net.Reliable.stalled t.State.rel

@@ -102,9 +102,6 @@ val gc_stats : cluster -> int * int * int
 val metrics_json : cluster -> string option
 (** Shorthand: the sink's {!Sss_obs.Obs.metrics_json} when observing. *)
 
-val trace_jsonl : cluster -> string option
-(** Shorthand: the retained trace as JSON Lines when observing. *)
-
 val transport_retries : cluster -> int
 (** Re-sends performed by the fault-tolerance transport (0 unless
     {!Config.t.fault_tolerance} is on and faults actually bit). *)

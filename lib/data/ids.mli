@@ -14,6 +14,9 @@ type txn = { node : node; local : int }
 val genesis : txn
 (** Pseudo-transaction that wrote the initial version of every key. *)
 
+val boot_value : key -> string
+(** The value {!genesis} wrote to a key: ["init:<key>"], in every store. *)
+
 val compare_txn : txn -> txn -> int
 (** Total order: by node, then local sequence number. *)
 

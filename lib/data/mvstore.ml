@@ -22,7 +22,7 @@
      cell stays — sparse-change neighbours compress, scattered ones never
      cost more than a full clock.  [select]/[truncate_covered] decode
      newest-first into the single [scratch] clock — no per-read allocation.
-   - A genesis version whose value is the boot default ["init:<key>"] is
+   - A genesis version whose value is the boot default ([Ids.boot_value]) is
      fully implicit: one state byte per key, value derived on demand.
      Chains therefore cost 0 slots until first written.
 
@@ -157,8 +157,6 @@ let table_words tbl entry =
      tbl
      (st.Hashtbl.num_buckets + (4 * st.Hashtbl.num_bindings))
    [@order_ok])
-
-let derived_value k = "init:" ^ string_of_int k
 
 let genesis_present t h = Bytes.unsafe_get t.g_state h <> g_dropped
 
@@ -391,7 +389,7 @@ let slot_value t s =
   else begin
     let h = ghandle s in
     if Bytes.get t.g_state h = g_custom_v then Hashtbl.find t.g_custom h
-    else derived_value t.key_of.(h)
+    else Ids.boot_value t.key_of.(h)
   end
 
 let slot_writer t s = if s >= 0 then Ids.unpack t.v_writer.(s) else Ids.genesis
@@ -460,7 +458,7 @@ let chain t k =
 let init_key t k ~value =
   if hmap_find t k < 0 then begin
     let h = new_handle t k in
-    if String.equal value (derived_value k) then Bytes.set t.g_state h g_derived
+    if String.equal value (Ids.boot_value k) then Bytes.set t.g_state h g_derived
     else begin
       Bytes.set t.g_state h g_custom_v;
       Hashtbl.replace t.g_custom h value;
@@ -687,7 +685,7 @@ let restore_chain t k versions =
       done;
       t.head.(h) <- !prev;
       if implicit_genesis then begin
-        if String.equal oldest.value (derived_value k) then
+        if String.equal oldest.value (Ids.boot_value k) then
           Bytes.set t.g_state h g_derived
         else begin
           Bytes.set t.g_state h g_custom_v;

@@ -1,5 +1,7 @@
 open Sss_sim
 open Sss_data
+module Driver = Sss_workload.Driver
+module Stats = Sss_workload.Stats
 
 type system = Store.system = Sss | Walter | Twopc | Rococo
 
@@ -138,62 +140,36 @@ let config_of (p : params) : Sss_kv.Config.t =
   }
 
 let run (p : params) =
-  let sim = Sim.create () in
-  let config = config_of p in
-  let profile =
-    {
-      Sss_workload.Driver.read_only_ratio = p.ro_ratio;
-      update_ops = 2;
-      ro_ops = p.ro_ops;
-      locality = p.locality;
-    }
-  in
-  let load =
-    {
-      Sss_workload.Driver.clients_per_node = p.clients;
-      warmup = p.warmup;
-      duration = p.duration;
-      seed = p.seed;
-      dist =
-        (match p.zipf with
-        | None -> Sss_workload.Driver.Uniform
-        | Some theta -> Sss_workload.Driver.Zipfian theta);
-      retry_aborts = false;
-      open_loop =
-        (match p.arrival with
-        | None -> None
-        | Some arrival ->
-            Some
-              {
-                Sss_workload.Driver.arrival;
-                queue_capacity = p.queue_capacity;
-                workers_per_node = p.workers;
-              });
-    }
-  in
-  let (Store.Store s) = Store.create p.system sim config in
-  (match p.crash with
-  | None -> ()
-  | Some (at, restart_at) ->
-      ignore
-        (s.chaos ~durable:true
-           {
-             Sss_chaos.Chaos.seed = p.seed;
-             rules = [];
-             events =
-               [
-                 Sss_chaos.Chaos.Crash
-                   { at; restart_at = Some restart_at; node = min 2 (p.nodes - 1) };
-               ];
-           }
-          : Sss_chaos.Chaos.handle));
+  let (Store.Store s) = Store.create p.system (Sim.create ()) (config_of p) in
   Option.iter (fun cl -> Sss_kv.Kv.set_collect_latencies cl true) s.kv;
-  let result =
-    Sss_workload.Driver.run sim ~nodes:p.nodes ~total_keys:p.keys ~local_keys:s.local_keys
-      ~profile ~load ~ops:s.ops
+  let r =
+    Store.drive s ~durable:true
+      ?plan:
+        (Option.map
+           (fun (at, restart_at) ->
+             Sss_chaos.Chaos.crash_restart ~seed:p.seed ~node:(min 2 (p.nodes - 1)) ~at
+               ~restart_at)
+           p.crash)
+      ~profile:
+        { Driver.read_only_ratio = p.ro_ratio; update_ops = 2; ro_ops = p.ro_ops;
+          locality = p.locality }
+      ~load:
+        {
+          Driver.default_load with
+          clients_per_node = p.clients;
+          warmup = p.warmup;
+          duration = p.duration;
+          seed = p.seed;
+          dist = (match p.zipf with None -> Driver.Uniform | Some theta -> Driver.Zipfian theta);
+          open_loop =
+            Option.map
+              (fun arrival ->
+                { Driver.arrival; queue_capacity = p.queue_capacity; workers_per_node = p.workers })
+              p.arrival;
+        }
   in
   let sss_internal, sss_wait, timeouts =
-    match s.kv with
+    match r.kv with
     | None -> (None, None, 0)
     | Some cl ->
         let stats = Sss_kv.Kv.stats cl in
@@ -212,33 +188,34 @@ let run (p : params) =
             stats.Sss_kv.State.wait_covered_timeouts )
         end
   in
-  let sss f zero = match s.kv with Some cl -> f cl | None -> zero in
+  let sss f zero = match r.kv with Some cl -> f cl | None -> zero in
   let _, gc_versions, gc_entries = sss Sss_kv.Kv.gc_stats (0, 0, 0) in
+  let d = r.result in
   {
-    throughput = result.Sss_workload.Driver.throughput;
-    committed = result.Sss_workload.Driver.committed;
-    aborted = result.Sss_workload.Driver.aborted;
-    abort_rate = result.Sss_workload.Driver.abort_rate;
-    mean_latency = Sss_workload.Stats.mean result.Sss_workload.Driver.latency;
-    p99_latency = Sss_workload.Stats.percentile result.Sss_workload.Driver.latency 0.99;
-    mean_update_latency = Sss_workload.Stats.mean result.Sss_workload.Driver.update_latency;
-    mean_ro_latency = Sss_workload.Stats.mean result.Sss_workload.Driver.ro_latency;
+    throughput = d.throughput;
+    committed = d.committed;
+    aborted = d.aborted;
+    abort_rate = d.abort_rate;
+    mean_latency = Stats.mean d.latency;
+    p99_latency = Stats.percentile d.latency 0.99;
+    mean_update_latency = Stats.mean d.update_latency;
+    mean_ro_latency = Stats.mean d.ro_latency;
     sss_internal;
     sss_wait;
     wait_covered_timeouts = timeouts;
-    wire_bytes = (s.network_stats ()).Sss_net.Network.bytes;
-    metrics = Option.map Sss_obs.Obs.metrics_json s.obs;
-    des_events = Sim.events_processed sim;
-    virtual_seconds = Sim.now sim;
+    wire_bytes = r.network.Sss_net.Network.bytes;
+    metrics = Option.map Sss_obs.Obs.metrics_json r.obs;
+    des_events = r.des_events;
+    virtual_seconds = r.virtual_seconds;
     wal = sss Sss_kv.Kv.wal_stats Sss_storage.Storage.zero_stats;
-    offered = result.Sss_workload.Driver.offered;
-    accepted = result.Sss_workload.Driver.accepted;
-    rejected = result.Sss_workload.Driver.rejected;
-    p99_sojourn = Sss_workload.Stats.percentile result.Sss_workload.Driver.sojourn 0.99;
-    mean_sojourn = Sss_workload.Stats.mean result.Sss_workload.Driver.sojourn;
-    mean_queue_wait = Sss_workload.Stats.mean result.Sss_workload.Driver.queue_wait;
+    offered = d.offered;
+    accepted = d.accepted;
+    rejected = d.rejected;
+    p99_sojourn = Stats.percentile d.sojourn 0.99;
+    mean_sojourn = Stats.mean d.sojourn;
+    mean_queue_wait = Stats.mean d.queue_wait;
     store_versions = sss Sss_kv.Kv.version_count 0;
-    store_words = s.store_words ();
+    store_words = r.store_words;
     store_mem = sss Sss_kv.Kv.mem_words Mvstore.mem_zero;
     nlog_entries = sss Sss_kv.Kv.nlog_entries 0;
     gc_dropped_versions = gc_versions;
@@ -419,35 +396,44 @@ let pr out fmt = Printf.ksprintf out fmt
 
 let header out title = pr out "\n== %s ==\n" title
 
+(* Every figure's table: a header line of [corner] and the [cols] labels,
+   then per row its [label] and one [cell] per column.  Labels fill the
+   first [width] characters, cells [fmt] (default 14 wide, one decimal). *)
+let table out ?(width = 6) ?(fmt = format_of_string "%14.1f") ~corner ~cols ~label ~rows cell =
+  pr out "%-*s" width corner;
+  List.iter (fun (name, _) -> pr out "%14s" name) cols;
+  pr out "\n";
+  List.iter
+    (fun row ->
+      pr out "%-*s" width (label row);
+      List.iter (fun (_, col) -> pr out fmt (cell row col)) cols;
+      pr out "\n")
+    rows
+
+let by_system = List.map (fun sys -> (system_name sys, sys))
+
+(* Figures 3 and 7: KTxs/sec of 2PC, Walter and SSS at each key space, by
+   node count. *)
+let system_grid scale ~run ~out p =
+  let cols =
+    List.concat_map
+      (fun sys ->
+        List.map
+          (fun keys -> (Printf.sprintf "%s-%dk" (system_name sys) (keys / 1000), (sys, keys)))
+          (keyspaces scale))
+      [ Twopc; Walter; Sss ]
+  in
+  table out ~corner:"nodes" ~cols ~label:string_of_int ~rows:(node_counts scale)
+    (fun nodes (system, keys) -> ktxs (run { p with system; nodes; keys }))
+
 (* ---------- figures ---------- *)
 
 let fig3_body scale ~run ~out =
   header out "Figure 3: throughput vs nodes, replication degree 2 (KTxs/sec)";
-  let base = base_params scale in
   List.iter
     (fun ro ->
       pr out "-- %d%% read-only --\n" (int_of_float (ro *. 100.));
-      pr out "%-6s" "nodes";
-      List.iter
-        (fun sys ->
-          List.iter
-            (fun keys -> pr out "%14s" (Printf.sprintf "%s-%dk" (system_name sys) (keys / 1000)))
-            (keyspaces scale))
-        [ Twopc; Walter; Sss ];
-      pr out "\n";
-      List.iter
-        (fun nodes ->
-          pr out "%-6d" nodes;
-          List.iter
-            (fun sys ->
-              List.iter
-                (fun keys ->
-                  let o = run { base with system = sys; nodes; keys; ro_ratio = ro; degree = 2 } in
-                  pr out "%14.1f" (ktxs o))
-                (keyspaces scale))
-            [ Twopc; Walter; Sss ];
-          pr out "\n")
-        (node_counts scale))
+      system_grid scale ~run ~out { (base_params scale) with ro_ratio = ro; degree = 2 })
     [ 0.2; 0.5; 0.8 ]
 
 let fig3 ctx scale = staged ctx (fig3_body scale)
@@ -459,18 +445,13 @@ let fig4a_body scale ~run ~out =
   let client_options =
     match scale with Full -> [ 5; 10; 16 ] | Quick -> [ 5; 10 ] | Smoke -> [ 4 ]
   in
-  pr out "%-6s%14s%14s\n" "nodes" "SSS" "2PC";
-  List.iter
-    (fun nodes ->
-      let best sys =
-        List.fold_left
-          (fun acc clients ->
-            let o = run { base with system = sys; nodes; keys; ro_ratio = 0.5; clients } in
-            Stdlib.max acc (ktxs o))
-          0.0 client_options
-      in
-      pr out "%-6d%14.1f%14.1f\n" nodes (best Sss) (best Twopc))
-    (node_counts scale)
+  table out ~corner:"nodes" ~cols:(by_system [ Sss; Twopc ]) ~label:string_of_int
+    ~rows:(node_counts scale) (fun nodes sys ->
+      List.fold_left
+        (fun acc clients ->
+          let o = run { base with system = sys; nodes; keys; ro_ratio = 0.5; clients } in
+          Stdlib.max acc (ktxs o))
+        0.0 client_options)
 
 let fig4a ctx scale = staged ctx (fig4a_body scale)
 
@@ -527,47 +508,18 @@ let fig6_body scale ~run ~out =
   let keys = List.hd (keyspaces scale) in
   List.iter
     (fun ro ->
-      pr out "-- %d%% read-only --\n%-6s%14s%14s%14s\n"
-        (int_of_float (ro *. 100.))
-        "nodes" "SSS" "2PC" "ROCOCO";
-      List.iter
-        (fun nodes ->
-          let o sys = run { base with system = sys; nodes; keys; ro_ratio = ro; degree = 1 } in
-          pr out "%-6d%14.1f%14.1f%14.1f\n" nodes (ktxs (o Sss)) (ktxs (o Twopc))
-            (ktxs (o Rococo)))
-        (node_counts scale))
+      pr out "-- %d%% read-only --\n" (int_of_float (ro *. 100.));
+      table out ~corner:"nodes" ~cols:(by_system [ Sss; Twopc; Rococo ]) ~label:string_of_int
+        ~rows:(node_counts scale) (fun nodes system ->
+          ktxs (run { base with system; nodes; keys; ro_ratio = ro; degree = 1 })))
     [ 0.2; 0.8 ]
 
 let fig6 ctx scale = staged ctx (fig6_body scale)
 
 let fig7_body scale ~run ~out =
   header out "Figure 7: throughput, 80% read-only, 50% locality, degree 2 (KTxs/sec)";
-  let base = base_params scale in
-  pr out "%-6s" "nodes";
-  List.iter
-    (fun sys ->
-      List.iter
-        (fun keys -> pr out "%14s" (Printf.sprintf "%s-%dk" (system_name sys) (keys / 1000)))
-        (keyspaces scale))
-    [ Twopc; Walter; Sss ];
-  pr out "\n";
-  List.iter
-    (fun nodes ->
-      pr out "%-6d" nodes;
-      List.iter
-        (fun sys ->
-          List.iter
-            (fun keys ->
-              let o =
-                run
-                  { base with system = sys; nodes; keys; ro_ratio = 0.8; locality = 0.5;
-                    degree = 2 }
-              in
-              pr out "%14.1f" (ktxs o))
-            (keyspaces scale))
-        [ Twopc; Walter; Sss ];
-      pr out "\n")
-    (node_counts scale)
+  system_grid scale ~run ~out
+    { (base_params scale) with ro_ratio = 0.8; locality = 0.5; degree = 2 }
 
 let fig7 ctx scale = staged ctx (fig7_body scale)
 
@@ -605,19 +557,11 @@ let fig8 ctx scale = staged ctx (fig8_body scale)
 let abort_rate_body scale ~run ~out =
   header out "In-text: SSS abort rate at 20% read-only (paper: 6-28% at 5k, 4-14% at 10k)";
   let base = base_params scale in
-  pr out "%-6s" "nodes";
-  List.iter (fun keys -> pr out "%14s" (Printf.sprintf "%dk keys" (keys / 1000))) (keyspaces scale);
-  pr out "\n";
-  List.iter
-    (fun nodes ->
-      pr out "%-6d" nodes;
-      List.iter
-        (fun keys ->
-          let o = run { base with system = Sss; nodes; keys; ro_ratio = 0.2; degree = 2 } in
-          pr out "%13.1f%%" (o.abort_rate *. 100.0))
-        (keyspaces scale);
-      pr out "\n")
-    (node_counts scale)
+  table out ~fmt:"%13.1f%%" ~corner:"nodes"
+    ~cols:(List.map (fun keys -> (Printf.sprintf "%dk keys" (keys / 1000), keys)) (keyspaces scale))
+    ~label:string_of_int ~rows:(node_counts scale) (fun nodes keys ->
+      (run { base with system = Sss; nodes; keys; ro_ratio = 0.2; degree = 2 }).abort_rate
+      *. 100.0)
 
 let abort_rate ctx scale = staged ctx (abort_rate_body scale)
 
@@ -671,19 +615,14 @@ let skewed_body scale ~run ~out =
   let base = base_params scale in
   let keys = List.hd (keyspaces scale) in
   let nodes = latency_nodes scale in
-  pr out "(nodes = %d, theta on X)\n%-8s%14s%14s%14s%14s\n" nodes "theta" "SSS" "Walter"
-    "2PC" "ROCOCO";
-  List.iter
-    (fun theta ->
-      let o sys =
-        run
-          { base with system = sys; nodes; keys; ro_ratio = 0.5;
-            zipf = (if theta = 0.0 then None else Some theta);
-            degree = Store.paper_degree sys }
-      in
-      pr out "%-8.2f%14.1f%14.1f%14.1f%14.1f\n" theta (ktxs (o Sss)) (ktxs (o Walter))
-        (ktxs (o Twopc)) (ktxs (o Rococo)))
-    [ 0.0; 0.6; 0.9; 0.99 ]
+  pr out "(nodes = %d, theta on X)\n" nodes;
+  table out ~width:8 ~corner:"theta" ~cols:(by_system [ Sss; Walter; Twopc; Rococo ])
+    ~label:(Printf.sprintf "%.2f") ~rows:[ 0.0; 0.6; 0.9; 0.99 ] (fun theta sys ->
+      ktxs
+        (run
+           { base with system = sys; nodes; keys; ro_ratio = 0.5;
+             zipf = (if theta = 0.0 then None else Some theta);
+             degree = Store.paper_degree sys }))
 
 let skewed ctx scale = staged ctx (skewed_body scale)
 
@@ -890,13 +829,7 @@ let recovery_smoke () =
   in
   let runs =
     [
-      ( "durable",
-        true,
-        {
-          Chaos.seed;
-          rules = [];
-          events = [ Chaos.Crash { at = 0.015; restart_at = Some 0.019; node = 2 } ];
-        } );
+      ("durable", true, Chaos.crash_restart ~seed ~node:2 ~at:0.015 ~restart_at:0.019);
       ( "lossy",
         false,
         { Chaos.seed; rules = [ rule ~drop:0.03 ~dup:0.0; rule ~drop:0.0 ~dup:0.02 ]; events = [] }
@@ -904,8 +837,8 @@ let recovery_smoke () =
     ]
   in
   let line system (label, durable, plan) =
-    let r =
-      Store.drive ~plan ~durable system
+    let (Store.Store s) =
+      Store.create system (Sim.create ())
         {
           Sss_kv.Config.default with
           nodes = 4;
@@ -915,11 +848,15 @@ let recovery_smoke () =
           fault_tolerance = true;
           durability = durable;
         }
-        ~ro:0.5 ~clients:2 ~warmup:0.005 ~duration:0.03
+    in
+    let r =
+      Store.drive ~plan ~durable s
+        ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
+        ~load:{ Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03; seed }
     in
     Printf.sprintf "%s %s des_events %d committed %d history_md5 %s\n"
       (String.lowercase_ascii (system_name system))
-      label r.des_events r.committed (history_md5 r.history)
+      label r.des_events r.result.committed (history_md5 r.history)
   in
   String.concat ""
     (List.concat_map (fun s -> List.map (line s) runs) [ Sss; Twopc; Walter; Rococo ])

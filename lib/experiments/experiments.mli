@@ -117,8 +117,11 @@ type outcome = {
 }
 
 val run : params -> outcome
-(** Build the cluster, drive the closed-loop workload, return the measured
-    window's statistics.  History recording is off (benchmark mode).
+(** Build the cluster ({!Store.create}), drive the workload and the
+    optional crash ({!Store.drive}), and return the measured window's
+    statistics — scalars only, so a banked outcome keeps no cluster,
+    history or latency sample alive.  History recording is off
+    (benchmark mode) and quiescence is not computed.
 
     [run] is a pure function of its params: it builds its own simulator and
     cluster and touches no module-level state, so concurrent calls from
@@ -285,4 +288,4 @@ val golden : string -> string option
 (** A trajectory fixture: ["recovery"] is {!recovery_smoke}; a figure name
     gives its smoke-scale text at one job, followed by the run's simulator
     totals.  [bin/golden.exe] prints it; test/golden/*_smoke.txt pin
-    ["fig3"], ["saturation"] and ["recovery"]. *)
+    every figure and ["recovery"]. *)

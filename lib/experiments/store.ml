@@ -45,6 +45,8 @@ let promises = function
 
 type 'h t = {
   system : system;
+  sim : Sss_sim.Sim.t;
+  config : Sss_kv.Config.t;
   ops : 'h Driver.ops;
   txn_id : 'h -> Ids.txn;
   local_keys : Ids.node -> Ids.key array;
@@ -66,6 +68,8 @@ module Of (S : Sss_kv.Runtime.STORE) = struct
     Store
       {
         system;
+        sim;
+        config;
         ops =
           {
             Driver.begin_txn = (fun ~node ~read_only -> S.begin_txn cl ~node ~read_only);
@@ -110,53 +114,45 @@ let create system =
       let module M = Of (Rococo_kv.Rococo) in
       M.create ~kv:none system
 
-(* The promised properties over [history], then quiescence. *)
-let checked system history ~quiescent =
-  List.map (fun p -> (property_name p, check p history)) (promises system)
-  @ [ ("quiescent", quiescent) ]
-
-let checks s = checked s.system s.history ~quiescent:(s.quiescent ())
-
 (* The paper runs ROCOCO unreplicated (§V); the others at degree 2. *)
 let paper_degree = function Rococo -> 1 | Sss | Walter | Twopc -> 2
 
-type report = {
+type run = {
   system : system;
-  committed : int;
+  result : Driver.result;
   des_events : int;
+  virtual_seconds : float;
+  network : Network.stats;
+  store_words : int;
   history : History.t;
-  quiescent : (unit, string) result;
-  metrics : string option;
+  obs : Sss_obs.Obs.t option;
+  quiescent : unit -> (unit, string) result;
+  kv : Sss_kv.Kv.cluster option;
 }
 
-let drive ?plan ?(durable = false) system (config : Sss_kv.Config.t) ~ro ~clients ~warmup
-    ~duration =
-  let sim = Sss_sim.Sim.create () in
-  let (Store s) = create system sim config in
+let drive ?plan ?(durable = false) (s : _ t) ~profile ~load =
   Option.iter (fun plan -> ignore (s.chaos ~durable plan : Chaos.handle)) plan;
-  let r =
-    Driver.run sim ~nodes:config.nodes ~total_keys:config.total_keys ~local_keys:s.local_keys
-      ~profile:(Driver.paper_profile ~read_only_ratio:ro)
-      ~load:
-        {
-          Driver.default_load with
-          clients_per_node = clients;
-          warmup;
-          duration;
-          seed = config.seed;
-        }
-      ~ops:s.ops
+  let result =
+    Driver.run s.sim ~nodes:s.config.nodes ~total_keys:s.config.total_keys
+      ~local_keys:s.local_keys ~profile ~load ~ops:s.ops
   in
   {
-    system;
-    committed = r.Driver.committed;
-    des_events = Sss_sim.Sim.events_processed sim;
+    system = s.system;
+    result;
+    des_events = Sss_sim.Sim.events_processed s.sim;
+    virtual_seconds = Sss_sim.Sim.now s.sim;
+    network = s.network_stats ();
+    store_words = s.store_words ();
     history = s.history;
-    quiescent = s.quiescent ();
-    metrics = Option.map Sss_obs.Obs.metrics_json s.obs;
+    obs = s.obs;
+    quiescent = s.quiescent;
+    kv = s.kv;
   }
 
-let report_checks r = checked r.system r.history ~quiescent:r.quiescent
+(* The promised properties over the history, then quiescence. *)
+let checks r =
+  List.map (fun p -> (property_name p, check p r.history)) (promises r.system)
+  @ [ ("quiescent", r.quiescent ()) ]
 
 type verdict = Pass | Fail of string | Not_promised
 

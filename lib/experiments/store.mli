@@ -34,6 +34,8 @@ val promises : system -> property list
 
 type 'h t = {
   system : system;
+  sim : Sss_sim.Sim.t;  (** the simulator the cluster runs on *)
+  config : Sss_kv.Config.t;
   ops : 'h Sss_workload.Driver.ops;
   txn_id : 'h -> Ids.txn;
   local_keys : Ids.node -> Ids.key array;
@@ -56,42 +58,40 @@ type any = Store : 'h t -> any
 
 val create : system -> Sss_sim.Sim.t -> Sss_kv.Config.t -> any
 
-val checks : 'h t -> (string * (unit, string) result) list
-(** Every promised property over the store's history, then ["quiescent"]. *)
-
 val paper_degree : system -> int
 (** The replication degree the paper's comparisons run a system at:
     ROCOCO unreplicated (1), every other system 2. *)
 
-(** {1 Driving a store} — the create-drive-check loop of the harnesses *)
+(** {1 Driving a store} — the one create-drive-read pipeline of every
+    harness: figures, [stress], [sss-cli] and the trajectory pins *)
 
-(** One closed-loop run, reduced to what the harnesses report. *)
-type report = {
+(** One driven run: what a harness reads once the simulator drained. *)
+type run = {
   system : system;
-  committed : int;  (** commits the workload driver counted *)
+  result : Sss_workload.Driver.result;
   des_events : int;  (** simulator events the run executed *)
+  virtual_seconds : float;  (** virtual time the run simulated *)
+  network : Sss_net.Network.stats;
+  store_words : int;  (** as {!t.store_words}, at the end of the run *)
   history : Sss_consistency.History.t;
-  quiescent : (unit, string) result;  (** taken once the run drained *)
-  metrics : string option;  (** the {!Sss_obs.Obs} metrics JSON iff [config.observe] *)
+  obs : Sss_obs.Obs.t option;
+  quiescent : unit -> (unit, string) result;  (** computed only when called *)
+  kv : Sss_kv.Kv.cluster option;  (** [Some] for SSS: its own telemetry *)
 }
 
 val drive :
   ?plan:Sss_chaos.Chaos.plan ->
   ?durable:bool ->
-  system ->
-  Sss_kv.Config.t ->
-  ro:float ->
-  clients:int ->
-  warmup:float ->
-  duration:float ->
-  report
-(** Build a store on a fresh simulator, install [plan] (with [durable] as
-    in {!t.chaos}), and drive the paper's workload profile at read-only
-    ratio [ro] with [clients] closed-loop clients per node, seeded by
-    [config.seed]. *)
+  'h t ->
+  profile:Sss_workload.Driver.profile ->
+  load:Sss_workload.Driver.load ->
+  run
+(** Install [plan] (with [durable] as in {!t.chaos}), run the workload
+    driver on the store's simulator until it drains, and read the
+    end-of-run numbers. *)
 
-val report_checks : report -> (string * (unit, string) result) list
-(** {!checks} for a driven run. *)
+val checks : run -> (string * (unit, string) result) list
+(** Every promised property over the run's history, then ["quiescent"]. *)
 
 (** {1 Verdicts} — [sss-cli verify] *)
 

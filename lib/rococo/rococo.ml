@@ -129,7 +129,7 @@ let make_node _sim _config repl id =
     (fun k ->
       Hashtbl.replace store k
         {
-          value = Printf.sprintf "init:%d" k;
+          value = Ids.boot_value k;
           writer = Ids.genesis;
           pending = Hashtbl.create 8;
           ready = [];

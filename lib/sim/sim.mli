@@ -79,8 +79,10 @@ val sleep : t -> float -> unit
 val suspend : t -> ?prio:int -> ((unit -> unit) -> unit) -> unit
 (** [suspend t register] parks the current fiber and calls [register resume].
     The fiber continues when [resume ()] is invoked (at most once; later
-    calls are errors the caller must prevent).  This is the primitive the
-    higher-level {!Cond} and {!Ivar} are built from. *)
+    calls are errors the caller must prevent), as an event at the current
+    virtual time with priority [prio].  {!Cond} and {!Ivar} are not built
+    on it: they park on the engine's internal [raw_suspend] and resume
+    every waiter of a broadcast or fill from one event. *)
 
 type timer
 (** A pending callback that can be cancelled before it fires. *)

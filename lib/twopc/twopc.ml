@@ -77,7 +77,7 @@ let make_node sim _config repl id =
   let store = Hashtbl.create 256 in
   Array.iter
     (fun k ->
-      Hashtbl.replace store k { value = Printf.sprintf "init:%d" k; writer = Ids.genesis })
+      Hashtbl.replace store k { value = Ids.boot_value k; writer = Ids.genesis })
     (Replication.keys_at repl id);
   {
     id;

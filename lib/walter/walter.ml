@@ -130,7 +130,7 @@ let make_node sim (config : Sss_kv.Config.t) repl id =
         (ref
            [
              {
-               value = Printf.sprintf "init:%d" k;
+               value = Ids.boot_value k;
                writer = Ids.genesis;
                site = 0;
                seq = 0;

@@ -48,35 +48,16 @@ let chaos_load ~seed =
     seed;
   }
 
-let drive sim ~seed ~ops =
-  Driver.run sim ~nodes:4 ~total_keys:24
-    ~local_keys:(fun _ -> [||])
-    ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
-    ~load:(chaos_load ~seed) ~ops
-
-type outcome = {
-  committed : int;
-  checks : (string * (unit, string) result) list;
-  history : History.t;
-  events_processed : int;
-  net_stats : Sss_net.Network.stats;
-  chaos_stats : Chaos.stats;
-}
-
+(* One run of [system] under [plan]: the store's run and what the plan
+   injected. *)
 let run system ~plan ~seed =
-  let sim = Sim.create () in
   let degree = Store.paper_degree system in
-  let (Store.Store s) = Store.create system sim (chaos_config ~degree ~seed) in
+  let (Store.Store s) = Store.create system (Sim.create ()) (chaos_config ~degree ~seed) in
   let h = s.chaos plan in
-  let result = drive sim ~seed ~ops:s.ops in
-  {
-    committed = result.Driver.committed;
-    checks = Store.checks s;
-    history = s.history;
-    events_processed = Sim.events_processed sim;
-    net_stats = s.network_stats ();
-    chaos_stats = Chaos.stats h;
-  }
+  let r =
+    Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(chaos_load ~seed)
+  in
+  (r, Chaos.stats h)
 
 let systems = Store.[ Sss; Twopc; Walter; Rococo ]
 
@@ -90,21 +71,21 @@ let test_sweep () =
     List.iter
       (fun system ->
         let name = Store.system_name system in
-        let o = run system ~plan ~seed in
-        total_committed := !total_committed + o.committed;
+        let o, stats = run system ~plan ~seed in
+        total_committed := !total_committed + o.result.committed;
         (* the plan must actually bite, or the test proves nothing *)
-        if o.chaos_stats.Chaos.injected_drops = 0 then
+        if stats.Chaos.injected_drops = 0 then
           Alcotest.failf "%s seed=%d: plan injected no drops" name seed;
-        if o.chaos_stats.Chaos.partitions <> 1 || o.chaos_stats.Chaos.heals <> 1 then
+        if stats.Chaos.partitions <> 1 || stats.Chaos.heals <> 1 then
           Alcotest.failf "%s seed=%d: partition/heal did not fire" name seed;
-        if o.chaos_stats.Chaos.crashes <> 1 || o.chaos_stats.Chaos.restarts <> 1 then
+        if stats.Chaos.crashes <> 1 || stats.Chaos.restarts <> 1 then
           Alcotest.failf "%s seed=%d: crash/restart did not fire" name seed;
         List.iter
           (fun (check, res) ->
             match res with
             | Ok () -> ()
             | Error msg -> Alcotest.failf "%s seed=%d %s: %s" name seed check msg)
-          o.checks)
+          (Store.checks o))
       systems
   done;
   if !total_committed = 0 then Alcotest.fail "chaos sweep committed nothing"
@@ -115,7 +96,7 @@ let test_sweep () =
 
 let test_sss_ro_abort_zero () =
   for seed = 1 to 20 do
-    let o = run Store.Sss ~plan:(base_plan ~seed) ~seed in
+    let o, _ = run Store.Sss ~plan:(base_plan ~seed) ~seed in
     let ro_txns = Hashtbl.create 64 in
     let ro_aborts = ref 0 and ro_commits = ref 0 in
     List.iter
@@ -138,14 +119,11 @@ let test_deterministic_replay () =
     (fun system ->
       let name = Store.system_name system in
       let seed = 5 in
-      let a = run system ~plan:(base_plan ~seed) ~seed in
-      let b = run system ~plan:(base_plan ~seed) ~seed in
-      Alcotest.(check int)
-        (name ^ ": events processed") a.events_processed b.events_processed;
-      Alcotest.(check bool)
-        (name ^ ": network stats") true (a.net_stats = b.net_stats);
-      Alcotest.(check bool)
-        (name ^ ": chaos stats") true (a.chaos_stats = b.chaos_stats);
+      let a, a_stats = run system ~plan:(base_plan ~seed) ~seed in
+      let b, b_stats = run system ~plan:(base_plan ~seed) ~seed in
+      Alcotest.(check int) (name ^ ": events processed") a.des_events b.des_events;
+      Alcotest.(check bool) (name ^ ": network stats") true (a.network = b.network);
+      Alcotest.(check bool) (name ^ ": chaos stats") true (a_stats = b_stats);
       Alcotest.(check int)
         (name ^ ": history length")
         (History.length a.history) (History.length b.history);
@@ -165,13 +143,13 @@ let test_partition_heal_liveness () =
       events = [ Chaos.Partition { at = 0.008; heal_at; groups = [ [ 0; 1 ]; [ 2; 3 ] ] } ];
     }
   in
-  let o = run Store.Sss ~plan ~seed:3 in
+  let o, _ = run Store.Sss ~plan ~seed:3 in
   List.iter
     (fun (check, res) ->
       match res with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "liveness %s: %s" check msg)
-    o.checks;
+    (Store.checks o);
   (* every node commits something strictly after the heal *)
   let nodes_committing = Hashtbl.create 4 in
   List.iter

@@ -16,12 +16,7 @@ module Store = Sss_experiments.Store
 
 (* crash node 2 mid-window; recovery gets ~a third of the run to finish
    and prove liveness afterwards *)
-let crash_plan ~seed =
-  {
-    Chaos.seed;
-    rules = [];
-    events = [ Chaos.Crash { at = 0.015; restart_at = Some 0.019; node = 2 } ];
-  }
+let crash_plan ~seed = Chaos.crash_restart ~seed ~node:2 ~at:0.015 ~restart_at:0.019
 
 let durable_config ~degree ~seed =
   {
@@ -37,49 +32,30 @@ let durable_config ~degree ~seed =
 let load ~seed =
   { Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03; seed }
 
-let drive sim ~seed ~ops =
-  Driver.run sim ~nodes:4 ~total_keys:24
-    ~local_keys:(fun _ -> [||])
-    ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
-    ~load:(load ~seed) ~ops
-
-type outcome = {
-  committed : int;
-  checks : (string * (unit, string) result) list;
-  history : History.t;
-  events_processed : int;
-  chaos_stats : Chaos.stats;
-  obs : Sss_obs.Obs.t option;
-}
-
+(* One run of [system] under [plan]: the store's run and what the plan
+   injected. *)
 let run ?(durability = true) ?(wire_hooks = true) ?(observe = false) system ~plan ~seed =
-  let sim = Sim.create () in
   let degree = Store.paper_degree system in
   let config = { (durable_config ~degree ~seed) with durability; observe } in
-  let (Store.Store s) = Store.create system sim config in
+  let (Store.Store s) = Store.create system (Sim.create ()) config in
   let h = s.chaos ~durable:wire_hooks plan in
-  let result = drive sim ~seed ~ops:s.ops in
-  {
-    committed = result.Driver.committed;
-    checks = Store.checks s;
-    history = s.history;
-    events_processed = Sim.events_processed sim;
-    chaos_stats = Chaos.stats h;
-    obs = s.obs;
-  }
+  let r =
+    Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed)
+  in
+  (r, Chaos.stats h)
 
 let systems = Store.[ Sss; Twopc; Walter; Rococo ]
 
-let assert_recovered system seed (o : outcome) =
+let assert_recovered system seed ((o : Store.run), stats) =
   let name = Store.system_name system in
-  if o.chaos_stats.Chaos.crashes <> 1 || o.chaos_stats.Chaos.restarts <> 1 then
+  if stats.Chaos.crashes <> 1 || stats.Chaos.restarts <> 1 then
     Alcotest.failf "%s seed=%d: crash/restart did not fire" name seed;
   List.iter
     (fun (check, res) ->
       match res with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "%s seed=%d %s: %s" name seed check msg)
-    o.checks;
+    (Store.checks o);
   (* liveness: work committed after the restart *)
   let after_restart =
     List.exists
@@ -99,7 +75,7 @@ let test_crash_recovery_sweep () =
     List.iter
       (fun system ->
         let o = run system ~plan:(crash_plan ~seed) ~seed in
-        total := !total + o.committed;
+        total := !total + (fst o).result.committed;
         assert_recovered system seed o)
       systems
   done;
@@ -111,28 +87,22 @@ let test_sss_crash_grid () =
   List.iteri
     (fun i at ->
       let seed = 100 + i in
-      let plan =
-        {
-          Chaos.seed;
-          rules = [];
-          events = [ Chaos.Crash { at; restart_at = Some (at +. 0.004); node = 1 } ];
-        }
-      in
-      let o = run Store.Sss ~plan ~seed in
-      if o.chaos_stats.Chaos.crashes <> 1 then Alcotest.failf "grid %d: crash did not fire" i;
+      let plan = Chaos.crash_restart ~seed ~node:1 ~at ~restart_at:(at +. 0.004) in
+      let o, stats = run Store.Sss ~plan ~seed in
+      if stats.Chaos.crashes <> 1 then Alcotest.failf "grid %d: crash did not fire" i;
       List.iter
         (fun (check, res) ->
           match res with
           | Ok () -> ()
           | Error msg -> Alcotest.failf "grid at=%.6f %s: %s" at check msg)
-        o.checks)
+        (Store.checks o))
     [ 0.0100; 0.01002; 0.01004; 0.01006; 0.01008; 0.0101 ]
 
 (* SSS read-only abort-freedom survives durability + crash: no RO abort
    events, and RO work actually committed *)
 let test_sss_ro_abort_free_durable () =
   for seed = 1 to 10 do
-    let o = run Store.Sss ~plan:(crash_plan ~seed) ~seed in
+    let o, _ = run Store.Sss ~plan:(crash_plan ~seed) ~seed in
     let ro_txns = Hashtbl.create 64 in
     let ro_aborts = ref 0 and ro_commits = ref 0 in
     List.iter
@@ -154,9 +124,9 @@ let test_deterministic_replay () =
     (fun system ->
       let name = Store.system_name system in
       let seed = 7 in
-      let a = run system ~plan:(crash_plan ~seed) ~seed in
-      let b = run system ~plan:(crash_plan ~seed) ~seed in
-      Alcotest.(check int) (name ^ ": events processed") a.events_processed b.events_processed;
+      let a, _ = run system ~plan:(crash_plan ~seed) ~seed in
+      let b, _ = run system ~plan:(crash_plan ~seed) ~seed in
+      Alcotest.(check int) (name ^ ": events processed") a.des_events b.des_events;
       if History.events a.history <> History.events b.history then
         Alcotest.failf "%s: durable histories diverge between identical runs" name)
     systems
@@ -179,11 +149,11 @@ let test_golden_covers_indoubt () =
   List.iter
     (fun (system, query_kind) ->
       let seed = 7 in
-      let o = run ~observe:true system ~plan:(crash_plan ~seed) ~seed in
+      let o, _ = run ~observe:true system ~plan:(crash_plan ~seed) ~seed in
       let line =
         Printf.sprintf "%s durable des_events %d committed %d history_md5 %s"
           (String.lowercase_ascii (Store.system_name system))
-          o.events_processed o.committed
+          o.des_events o.result.committed
           (Sss_experiments.Experiments.history_md5 o.history)
       in
       if not (List.mem line golden) then
@@ -332,17 +302,11 @@ let test_sss_tombstone_after_restart () =
 
 let test_gc_across_crash () =
   let seed = 9 and crashed = 2 and crash_at = 0.015 and restart_at = 0.019 in
-  let plan =
-    {
-      Chaos.seed;
-      rules = [];
-      events = [ Chaos.Crash { at = crash_at; restart_at = Some restart_at; node = crashed } ];
-    }
-  in
+  let plan = Chaos.crash_restart ~seed ~node:crashed ~at:crash_at ~restart_at in
   let run gc =
-    let sim = Sim.create () in
     let config = { (durable_config ~degree:2 ~seed) with gc; checkpoint_interval = 0.0 } in
-    let (Store.Store s) = Store.create Store.Sss sim config in
+    let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
+    let sim = s.sim in
     let cl = Option.get s.kv in
     let h = s.chaos ~durable:true plan in
     let dropped () =
@@ -360,19 +324,17 @@ let test_gc_across_crash () =
                g.Sss_kv.State.ro_bounds [@order_ok])
         | None -> ());
     Sim.schedule sim ~delay:(restart_at +. 0.02) (fun () -> after_restart := dropped ());
-    let result =
-      Driver.run sim ~nodes:4 ~total_keys:24
-        ~local_keys:(fun _ -> [||])
+    let r =
+      Store.drive s
         ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
         ~load:{ (load ~seed) with duration = 0.06 }
-        ~ops:s.ops
     in
     if (Chaos.stats h).Chaos.restarts <> 1 then Alcotest.fail "crash/restart did not fire";
     List.iter
       (fun (check, res) ->
         match res with Ok () -> () | Error msg -> Alcotest.failf "gc=%b %s: %s" gc check msg)
-      (Store.checks s);
-    (result.Driver.committed, s.history, !homed, !after_restart, dropped ())
+      (Store.checks r);
+    (r.result.committed, r.history, !homed, !after_restart, dropped ())
   in
   let off_committed, off_history, _, _, _ = run false in
   let committed, history, homed, after_restart, at_end = run true in
@@ -393,9 +355,9 @@ let test_off_trajectory_unchanged () =
   let seed = 7 in
   (* without durability, crash_node/restart_node fall back to the NIC-only
      fault: wiring the hooks must not move a single event *)
-  let bare = run ~durability:false ~wire_hooks:false Store.Sss ~plan:(crash_plan ~seed) ~seed in
-  let hooked = run ~durability:false ~wire_hooks:true Store.Sss ~plan:(crash_plan ~seed) ~seed in
-  Alcotest.(check int) "events identical" bare.events_processed hooked.events_processed;
+  let bare, _ = run ~durability:false ~wire_hooks:false Store.Sss ~plan:(crash_plan ~seed) ~seed in
+  let hooked, _ = run ~durability:false ~wire_hooks:true Store.Sss ~plan:(crash_plan ~seed) ~seed in
+  Alcotest.(check int) "events identical" bare.des_events hooked.des_events;
   if History.events bare.history <> History.events hooked.history then
     Alcotest.fail "durability=off trajectory depends on hook wiring"
 
