@@ -354,7 +354,7 @@ let () =
             { target = t; wall_seconds; baseline_wall; m; alloc_words;
               minor_collections; major_collections }
             :: !reports
-      | None ->
+      | None (* "micro": parse admits no other target *) ->
           let (), wall_seconds = time run_micro in
           reports :=
             { target = t; wall_seconds; baseline_wall = None; m = meters_zero;

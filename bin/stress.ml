@@ -352,7 +352,8 @@ let () =
   let failures, first_metrics = sss_sweep pool ~observe Matrix matrix in
   let torture = Sweep.cross [ (4, 2, 8, 0.5, 4) ] (Sweep.seeds 12) in
   let failures = failures + fst (sss_sweep pool ~observe Torture torture) in
-  let failures = failures + fst (sss_sweep pool ~observe Paper_mode (Sweep.cross configs (Sweep.seeds 6))) in
+  let paper_mode = Sweep.cross configs (Sweep.seeds 6) in
+  let failures = failures + fst (sss_sweep pool ~observe Paper_mode paper_mode) in
   let failures = failures + baseline_sweep pool in
   let failures = failures + durability_sweep pool in
   (match first_metrics with

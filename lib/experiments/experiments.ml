@@ -396,7 +396,7 @@ let pr out fmt = Printf.ksprintf out fmt
 
 let header out title = pr out "\n== %s ==\n" title
 
-(* Every figure's table: a header line of [corner] and the [cols] labels,
+(* The row x column tables: a header line of [corner] and the [cols] labels,
    then per row its [label] and one [cell] per column.  Labels fill the
    first [width] characters, cells [fmt] (default 14 wide, one decimal). *)
 let table out ?(width = 6) ?(fmt = format_of_string "%14.1f") ~corner ~cols ~label ~rows cell =
@@ -852,7 +852,9 @@ let recovery_smoke () =
     let r =
       Store.drive ~plan ~durable s
         ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
-        ~load:{ Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03; seed }
+        ~load:
+          { Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03;
+            seed }
     in
     Printf.sprintf "%s %s des_events %d committed %d history_md5 %s\n"
       (String.lowercase_ascii (system_name system))
