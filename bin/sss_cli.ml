@@ -138,6 +138,15 @@ let verify_cmd =
   let run_verify system nodes degree keys ro clients duration seed dot =
     let open Sss_consistency in
     let module Driver = Sss_workload.Driver in
+    (* a --dot path that cannot be written is refused before the run *)
+    (match dot with
+    | Some path ->
+        let dir = Filename.dirname path in
+        if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+          Printf.eprintf "sss-cli verify: --dot %s: no directory %S\n" path dir;
+          exit 2
+        end
+    | None -> ());
     let (Store.Store s) =
       Store.create system (Sss_sim.Sim.create ())
         { Sss_kv.Config.default with nodes; replication_degree = degree; total_keys = keys; seed }

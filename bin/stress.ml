@@ -12,8 +12,13 @@ open Sss_kv
 open Sss_experiments.Experiments
 module Store = Sss_experiments.Store
 module Pool = Sss_par.Pool
-module Sweep = Sss_par.Sweep
 module Driver = Sss_workload.Driver
+
+(* Seeds [1; ...; n], and the row-major (config x seed) grid: the
+   submission order every sweep below fans through the pool. *)
+let seeds n = List.init n (fun i -> i + 1)
+
+let cross xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
 (* --observe: attach the sss_obs sink to every SSS run and report the first
    run's metrics as a section at the end.  The observer-effect contract says
@@ -73,7 +78,7 @@ let baseline_one seed =
     [ Twopc; Rococo; Walter ]
 
 let baseline_sweep pool =
-  let seeds = Sweep.seeds 8 in
+  let seeds = seeds 8 in
   let failures =
     List.fold_left2
       (fun acc seed per_system ->
@@ -137,7 +142,7 @@ let system_sweep pool ~label ?durable plan seeds =
    including no torn commits — and the cluster must end quiescent. *)
 let durability_sweep pool =
   let plan = Sss_chaos.Chaos.crash_restart ~seed:0 ~node:2 ~at:0.015 ~restart_at:0.019 in
-  let seeds = Sweep.seeds 10 in
+  let seeds = seeds 10 in
   let committed, failures = system_sweep pool ~label:"durable" ~durable:true plan seeds in
   Printf.printf "durability sweep: %d seeds x 4 systems, %d committed, %d failures\n%!"
     (List.length seeds) committed failures;
@@ -157,7 +162,7 @@ let chaos_sweep pool plan_text =
   | Error e ->
       Printf.eprintf "invalid --chaos plan: %s\n" e;
       exit 2);
-  let committed, failures = system_sweep pool ~label:"chaos" plan (Sweep.seeds 20) in
+  let committed, failures = system_sweep pool ~label:"chaos" plan (seeds 20) in
   Printf.printf "chaos sweep: 20 seeds x 4 systems, %d committed, %d failures\n%!" committed
     failures;
   exit (if failures > 0 then 1 else 0)
@@ -348,11 +353,11 @@ let () =
       (8, 2, 64, 0.5, 4);
     ]
   in
-  let matrix = Sweep.cross configs (Sweep.seeds 12) in
+  let matrix = cross configs (seeds 12) in
   let failures, first_metrics = sss_sweep pool ~observe Matrix matrix in
-  let torture = Sweep.cross [ (4, 2, 8, 0.5, 4) ] (Sweep.seeds 12) in
+  let torture = cross [ (4, 2, 8, 0.5, 4) ] (seeds 12) in
   let failures = failures + fst (sss_sweep pool ~observe Torture torture) in
-  let paper_mode = Sweep.cross configs (Sweep.seeds 6) in
+  let paper_mode = cross configs (seeds 6) in
   let failures = failures + fst (sss_sweep pool ~observe Paper_mode paper_mode) in
   let failures = failures + baseline_sweep pool in
   let failures = failures + durability_sweep pool in

@@ -76,8 +76,6 @@ let store_words t = Mvstore.mem_total (mem_words t)
 
 let obs = State.obs
 
-let metrics_json (t : cluster) = Option.map Sss_obs.Obs.metrics_json t.State.obs
-
 let transport_retries (t : cluster) = Sss_net.Reliable.retries t.State.rel
 
 let transport_stalled (t : cluster) = Sss_net.Reliable.stalled t.State.rel

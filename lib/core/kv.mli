@@ -99,9 +99,6 @@ val gc_stats : cluster -> int * int * int
 (** [(watermark refreshes, versions dropped, log entries dropped)] by the
     online GC — all zeros unless {!Config.t.gc} is on. *)
 
-val metrics_json : cluster -> string option
-(** Shorthand: the sink's {!Sss_obs.Obs.metrics_json} when observing. *)
-
 val transport_retries : cluster -> int
 (** Re-sends performed by the fault-tolerance transport (0 unless
     {!Config.t.fault_tolerance} is on and faults actually bit). *)

@@ -26,9 +26,9 @@
      fully implicit: one state byte per key, value derived on demand.
      Chains therefore cost 0 slots until first written.
 
-   Chains only ever change by head-prepend ([install]), suffix-drop
-   ([truncate_covered]) or whole-chain replace ([restore_chain]),
-   so a delta's newer neighbour is stable for the delta's whole lifetime.
+   Chains only ever change by head-prepend ([install]) or suffix-drop
+   ([truncate_covered]), so a delta's newer neighbour is stable for the
+   delta's whole lifetime.
 
    [total] maintains the store's version count incrementally so GC telemetry
    is O(1); all [mem] counters are maintained the same way. *)
@@ -615,85 +615,6 @@ let sweep_covered t ~watermark ~budget =
     end
   done;
   !dropped
-
-(* ---- whole-chain replacement (recovery, tests) ---- *)
-
-let clear_chain t h =
-  let s = t.head.(h) in
-  if s >= 0 then begin
-    ignore (free_tail t s);
-    t.head.(h) <- -1
-  end;
-  if genesis_present t h then drop_genesis t h
-
-(* encoded clock ref of [this] against its newer neighbour [newer]: a
-   delta cell when strictly smaller than a full cell, else a full cell —
-   the same tie-break [demote] applies *)
-let alloc_clock_between t ~newer ~this =
-  let n = t.nodes in
-  let npairs = ref 0 in
-  for i = 0 to n - 1 do
-    if Vclock.get newer i <> Vclock.get this i then incr npairs
-  done;
-  if 1 + (2 * !npairs) >= n + 1 then -2 - alloc_full t this
-  else begin
-    let d = alloc_delta t !npairs in
-    let j = ref (d + 1) in
-    for i = 0 to n - 1 do
-      let ni = Vclock.get newer i and ti = Vclock.get this i in
-      if ni <> ti then begin
-        t.da.(!j) <- i;
-        t.da.(!j + 1) <- ni - ti;
-        j := !j + 2
-      end
-    done;
-    d
-  end
-
-let restore_chain t k versions =
-  match versions with
-  | [] -> ()
-  | _ ->
-      let h =
-        match hmap_find t k with
-        | h when h >= 0 ->
-            clear_chain t h;
-            h
-        | _ -> new_handle t k
-      in
-      let arr = Array.of_list versions in
-      let m = Array.length arr in
-      let oldest = arr.(m - 1) in
-      let implicit_genesis =
-        Ids.equal_txn oldest.writer Ids.genesis && Vclock.is_zero oldest.vc
-      in
-      let e = if implicit_genesis then m - 1 else m in
-      let prev = ref (-1) in
-      for i = e - 1 downto 0 do
-        let v = arr.(i) in
-        let s = alloc_slot t in
-        t.v_value.(s) <- v.value;
-        t.value_words <- t.value_words + str_words (String.length v.value);
-        t.v_writer.(s) <- Ids.pack v.writer;
-        t.v_next.(s) <- !prev;
-        t.v_clock.(s) <-
-          (if Vclock.is_zero v.vc then -1
-           else if i = 0 then -2 - alloc_full t v.vc
-           else alloc_clock_between t ~newer:arr.(i - 1).vc ~this:v.vc);
-        t.total <- t.total + 1;
-        prev := s
-      done;
-      t.head.(h) <- !prev;
-      if implicit_genesis then begin
-        if String.equal oldest.value (Ids.boot_value k) then
-          Bytes.set t.g_state h g_derived
-        else begin
-          Bytes.set t.g_state h g_custom_v;
-          Hashtbl.replace t.g_custom h oldest.value;
-          t.value_words <- t.value_words + str_words (String.length oldest.value)
-        end;
-        t.total <- t.total + 1
-      end
 
 (* Sorted, so callers observe an order independent of table internals. *)
 let keys t =

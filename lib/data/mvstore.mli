@@ -25,16 +25,16 @@
       handles so the GC sweep cursor never hashes.
 
     Reads therefore return opaque {!slot} handles with O(1) accessors; the
-    decoded {!version} record remains for cold paths ({!chain},
-    {!restore_chain}).  A slot handle is only valid until the next mutation
-    of its store ({!install}/{!truncate_covered}/GC may recycle it). *)
+    decoded {!version} record remains for the cold path {!chain}.  A slot
+    handle is only valid until the next mutation of its store
+    ({!install}/{!truncate_covered}/GC may recycle it). *)
 
 type version = {
   value : string;
   vc : Vclock.t;  (** commit vector clock of the writer *)
   writer : Ids.txn;
 }
-(** Decoded view of one version (cold paths: {!chain}, {!restore_chain}). *)
+(** Decoded view of one version (cold path: {!chain}). *)
 
 type t
 
@@ -110,11 +110,6 @@ val sweep_covered : t -> watermark:Vclock.t -> budget:int -> int
 val chains : t -> int
 (** Number of version chains (initialised keys) — O(1); sizes the sweep
     budget. *)
-
-val restore_chain : t -> Ids.key -> version list -> unit
-(** Replace [key]'s whole chain with [versions] (newest first; a no-op when
-    empty).  Used by redo recovery and tests — normal operation only ever
-    prepends through {!install}. *)
 
 val keys : t -> Ids.key list
 (** Every initialised key, sorted ascending. *)

@@ -62,13 +62,8 @@ let readers t = t.reads
 
 let writers t = t.writes
 
-let exists_read_below t ~sid =
-  List.exists (fun e -> (not e.propagated) && e.sid < sid) t.reads
-
 let blocks_writer t ~sid =
   List.exists (fun e -> e.propagated || e.sid < sid) t.reads
-
-let min_read_sid t = match t.reads with [] -> None | e :: _ -> Some e.sid
 
 let is_empty t = t.reads = [] && t.writes = []
 

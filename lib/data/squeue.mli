@@ -61,13 +61,6 @@ val blocks_writer : t -> sid:int -> bool
     reader at all (a propagated entry's snapshot was minted on another
     node, so it is treated conservatively as blocking). *)
 
-val exists_read_below : t -> sid:int -> bool
-(** Is there a {e direct} read-only entry with insertion snapshot strictly
-    below [sid]? *)
-
-val min_read_sid : t -> int option
-(** Smallest reader [sid] of either flavour. *)
-
 val is_empty : t -> bool
 
 val length : t -> int

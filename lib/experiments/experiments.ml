@@ -95,7 +95,6 @@ type outcome = {
   store_versions : int;
   store_words : int;
   store_mem : Mvstore.mem;
-  nlog_entries : int;
   gc_dropped_versions : int;
   gc_dropped_entries : int;
 }
@@ -217,7 +216,6 @@ let run (p : params) =
     store_versions = sss Sss_kv.Kv.version_count 0;
     store_words = r.store_words;
     store_mem = sss Sss_kv.Kv.mem_words Mvstore.mem_zero;
-    nlog_entries = sss Sss_kv.Kv.nlog_entries 0;
     gc_dropped_versions = gc_versions;
     gc_dropped_entries = gc_entries;
   }
@@ -343,7 +341,6 @@ let placeholder_outcome =
     store_versions = 0;
     store_words = 0;
     store_mem = Mvstore.mem_zero;
-    nlog_entries = 0;
     gc_dropped_versions = 0;
     gc_dropped_entries = 0;
   }

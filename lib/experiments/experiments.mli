@@ -111,7 +111,6 @@ type outcome = {
   store_mem : Sss_data.Mvstore.mem;
       (** SSS only: the full accounting breakdown behind [store_words]
           ({!Sss_data.Mvstore.mem_zero} for the other systems) *)
-  nlog_entries : int;  (** SSS only: node-log entries retained at end of run *)
   gc_dropped_versions : int;  (** SSS only: versions reclaimed by online GC *)
   gc_dropped_entries : int;  (** SSS only: log entries reclaimed by online GC *)
 }
@@ -145,8 +144,7 @@ val jobs : ctx -> int
 
 val run_seeds : ctx -> params -> seeds:int list -> outcome list
 (** The same experiment point at each seed, fanned through the ctx's pool;
-    results in the seeds' list order.  The shared seed-sweep entry point —
-    harnesses build the seed list with {!Sss_par.Sweep.seeds}. *)
+    results in the seeds' list order.  The shared seed-sweep entry point. *)
 
 (** Per-figure simulator totals, for the bench harness's [--json] report
     (DES events/sec, virtual-time throughput).  Summed from the outcomes in

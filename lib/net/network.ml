@@ -178,7 +178,6 @@ type 'msg t = {
   mutable pool : 'msg flight array;
   mutable pool_n : int;
   mutable severed : (Sss_data.Ids.node * Sss_data.Ids.node) list;
-  mutable drop_probability : float;
   mutable perturb : (src:Sss_data.Ids.node -> dst:Sss_data.Ids.node -> 'msg -> fault) option;
   mutable observer : 'msg observer option;
   mutable seq : int;
@@ -312,7 +311,6 @@ let create ?(size_of = fun _ -> 0) sim rng ~nodes ~config =
       pool = [||];
       pool_n = 0;
       severed = [];
-      drop_probability = 0.0;
       perturb = None;
       observer = None;
       seq = 0;
@@ -395,12 +393,7 @@ let[@hot] send t ?(prio = 100) ~src ~dst msg =
       Sss_obs.Obs.emit o.obs ~at:(Sim.now t.sim)
         (Sss_obs.Obs.Send { kind; src; dst; bytes = t.size_of msg })
   | None -> ());
-  let lost =
-    t.nodes.(src).crashed
-    || link_severed t src dst
-    || (t.drop_probability > 0.0 && Prng.float t.rng 1.0 < t.drop_probability)
-  in
-  if lost then begin
+  if t.nodes.(src).crashed || link_severed t src dst then begin
     t.dropped <- t.dropped + 1;
     observe_loss t ~src ~dst msg
   end
@@ -447,8 +440,6 @@ let[@hot] send t ?(prio = 100) ~src ~dst msg =
     end
   end
 
-let send_many t ?prio ~src ~dst msg = List.iter (fun d -> send t ?prio ~src ~dst:d msg) dst
-
 let crash t n = t.nodes.(n).crashed <- true
 
 let recover t n = t.nodes.(n).crashed <- false
@@ -459,12 +450,6 @@ let sever t a b = if not (link_severed t a b) then t.severed <- (a, b) :: t.seve
 
 let heal t a b =
   t.severed <- List.filter (fun (x, y) -> not ((x = a && y = b) || (x = b && y = a))) t.severed
-
-let set_drop_probability t p =
-  assert (p >= 0.0 && p <= 1.0);
-  t.drop_probability <- p
-
-let drop_probability t = t.drop_probability
 
 let set_perturb t f = t.perturb <- f
 

@@ -68,8 +68,6 @@ val send : 'msg t -> ?prio:int -> src:Sss_data.Ids.node -> dst:Sss_data.Ids.node
 (** Fire-and-forget; lower [prio] is served first under saturation
     (default 100). *)
 
-val send_many : 'msg t -> ?prio:int -> src:Sss_data.Ids.node -> dst:Sss_data.Ids.node list -> 'msg -> unit
-
 (** {1 Fault injection}
 
     Raw primitives; the declarative layer that drives them from a seeded,
@@ -97,15 +95,6 @@ val sever : 'msg t -> Sss_data.Ids.node -> Sss_data.Ids.node -> unit
 val heal : 'msg t -> Sss_data.Ids.node -> Sss_data.Ids.node -> unit
 (** Restore a severed link; a no-op if the link is intact. *)
 
-val set_drop_probability : 'msg t -> float -> unit
-(** Uniform message loss (default 0): each send is dropped with this
-    probability, drawn from the network's own PRNG (so enabling it changes
-    the jitter draw sequence of the run — use a {!set_perturb} plan with its
-    own PRNG when the surrounding trajectory must stay comparable). *)
-
-val drop_probability : 'msg t -> float
-(** Current uniform loss probability. *)
-
 type fault = { drop : bool; extra_delay : float; duplicates : int }
 (** Verdict of a perturbation hook for one message: lose it, delay it by
     [extra_delay] seconds on top of the modelled latency, and/or deliver
@@ -119,8 +108,8 @@ val set_perturb :
   (src:Sss_data.Ids.node -> dst:Sss_data.Ids.node -> 'msg -> fault) option ->
   unit
 (** Install (or clear, with [None]) a per-send perturbation hook.  The hook
-    runs after the built-in checks (crashed source, severed link, uniform
-    drop), so when it is absent the send path is exactly the healthy one.
+    runs after the built-in checks (crashed source, severed link), so
+    when it is absent the send path is exactly the healthy one.
     Any randomness belongs inside the hook, drawn from the caller's own
     seeded PRNG — [Sss_chaos.Chaos] compiles declarative fault plans
     into such a hook. *)

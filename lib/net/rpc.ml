@@ -64,32 +64,3 @@ module Pending = struct
 
   let outstanding t = Hashtbl.length t.table
 end
-
-module Gather = struct
-  type 'a t = {
-    expect : int;
-    mutable responses : 'a list;  (* reverse arrival order *)
-    mutable count : int;
-    complete : unit Sim.Ivar.t;
-  }
-
-  let create ~expect =
-    { expect; responses = []; count = 0; complete = Sim.Ivar.create () }
-
-  let add sim t v =
-    if t.count < t.expect then begin
-      t.responses <- v :: t.responses;
-      t.count <- t.count + 1;
-      if t.count = t.expect && not (Sim.Ivar.is_filled t.complete) then
-        Sim.Ivar.fill sim t.complete ()
-    end
-
-  let received t = List.rev t.responses
-
-  let await sim t ~timeout =
-    if t.count = t.expect then Some (received t)
-    else
-      match Sim.Ivar.read_timeout sim t.complete ~timeout with
-      | Some () -> Some (received t)
-      | None -> None
-end

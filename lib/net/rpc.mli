@@ -65,21 +65,3 @@ module Pending : sig
 
   val outstanding : 'a t -> int
 end
-
-(** Fan-out collection: "send Prepare to all participants and wait for every
-    Vote, or time out" (2PC). *)
-module Gather : sig
-  type 'a t
-
-  val create : expect:int -> 'a t
-
-  val add : Sss_sim.Sim.t -> 'a t -> 'a -> unit
-  (** Record one response; completing the expected count wakes the
-      waiter.  Extra responses beyond [expect] are ignored. *)
-
-  val await : Sss_sim.Sim.t -> 'a t -> timeout:float -> 'a list option
-  (** All responses in arrival order, or [None] on timeout. *)
-
-  val received : 'a t -> 'a list
-  (** Whatever has arrived so far (arrival order). *)
-end

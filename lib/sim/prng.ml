@@ -39,11 +39,3 @@ let exponential t ~mean =
 let pick t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

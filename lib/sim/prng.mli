@@ -35,6 +35,3 @@ val exponential : t -> mean:float -> float
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice among the elements of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -268,18 +268,6 @@ let make_net () =
   let net = Sss_net.Network.create sim rng ~nodes:2 ~config:net_config in
   (sim, net)
 
-let test_drop_probability_api () =
-  let sim, net = make_net () in
-  Alcotest.(check (float 0.0)) "default" 0.0 (Sss_net.Network.drop_probability net);
-  Sss_net.Network.set_drop_probability net 1.0;
-  Alcotest.(check (float 0.0)) "set" 1.0 (Sss_net.Network.drop_probability net);
-  let got = ref 0 in
-  Sss_net.Network.set_handler net 1 (fun ~src:_ _ -> incr got);
-  Sss_net.Network.send net ~src:0 ~dst:1 "x";
-  Sim.run sim;
-  Alcotest.(check int) "all dropped" 0 !got;
-  Alcotest.(check int) "counted" 1 (Sss_net.Network.stats net).Sss_net.Network.dropped
-
 let test_crash_recover () =
   let sim, net = make_net () in
   let got = ref 0 in
@@ -301,11 +289,15 @@ let test_perturb_duplicates_and_delay () =
   Sss_net.Network.set_handler net 1 (fun ~src:_ _ -> arrivals := Sim.now sim :: !arrivals);
   Sss_net.Network.set_perturb net
     (Some
-       (fun ~src:_ ~dst:_ _ ->
-         { Sss_net.Network.drop = false; extra_delay = 1e-3; duplicates = 1 }));
+       (fun ~src:_ ~dst:_ m ->
+         if String.equal m "drop me" then
+           { Sss_net.Network.no_fault with drop = true }
+         else { Sss_net.Network.drop = false; extra_delay = 1e-3; duplicates = 1 }));
   Sss_net.Network.send net ~src:0 ~dst:1 "dup me";
+  Sss_net.Network.send net ~src:0 ~dst:1 "drop me";
   Sim.run sim;
   Alcotest.(check int) "two copies" 2 (List.length !arrivals);
+  Alcotest.(check int) "drop counted" 1 (Sss_net.Network.stats net).Sss_net.Network.dropped;
   List.iter
     (fun at -> if at < 1e-3 then Alcotest.failf "arrival at %g ignored extra delay" at)
     !arrivals;
@@ -359,7 +351,6 @@ let () =
         ] );
       ( "network",
         [
-          Alcotest.test_case "drop probability api" `Quick test_drop_probability_api;
           Alcotest.test_case "crash/recover" `Quick test_crash_recover;
           Alcotest.test_case "perturb duplicates+delay" `Quick test_perturb_duplicates_and_delay;
         ] );

@@ -188,7 +188,6 @@ type mop =
   | MSelect of int * int array
   | MCovered of int * int array
   | MSweep of int array * int
-  | MRestore of int * (int * int array * (int * int)) list * int
   | MRoundtrip
 
 let mop_to_string op =
@@ -200,8 +199,6 @@ let mop_to_string op =
   | MSelect (k, b) -> Printf.sprintf "select k%d %s" k (arr b)
   | MCovered (k, w) -> Printf.sprintf "covered k%d %s" k (arr w)
   | MSweep (w, b) -> Printf.sprintf "sweep %s budget:%d" (arr w) b
-  | MRestore (k, vs, tail) ->
-      Printf.sprintf "restore k%d %d-versions tail:%d" k (List.length vs) tail
   | MRoundtrip -> "roundtrip"
 
 let mvstore_matches_model =
@@ -218,7 +215,6 @@ let mvstore_matches_model =
     let clock = array_size (return nodes) (int_bound 6) in
     let writer = pair (int_bound (nodes - 1)) (int_range 1 99) in
     let k = int_bound (nkeys - 1) in
-    let ver = triple (int_bound 99) clock writer in
     let op =
       frequency
         [
@@ -227,7 +223,6 @@ let mvstore_matches_model =
           (4, map2 (fun k b -> MSelect (k, b)) k clock);
           (2, map2 (fun k w -> MCovered (k, w)) k clock);
           (2, map2 (fun w b -> MSweep (w, b)) clock (int_range 1 6));
-          (1, map3 (fun k vs tail -> MRestore (k, vs, tail)) k (list_size (int_bound 4) ver) (int_bound 2));
           (1, return MRoundtrip);
         ]
     in
@@ -326,27 +321,6 @@ let mvstore_matches_model =
       | MSweep (w, b) ->
           let got = Mvstore.sweep_covered s ~watermark:(Vclock.of_array w) ~budget:b in
           got = m_sweep w b
-      | MRestore (i, vs, tail) ->
-          let expl =
-            List.map
-              (fun (v, c, (w, l)) ->
-                { mvalue = "r" ^ string_of_int v; mvc = Array.copy c; mwriter = tx w l })
-              vs
-          in
-          let g =
-            match tail with
-            | 0 -> []
-            | 1 ->
-                [ { mvalue = "init:" ^ string_of_int (key i); mvc = zeros (); mwriter = Ids.genesis } ]
-            | _ -> [ { mvalue = "boot"; mvc = zeros (); mwriter = Ids.genesis } ]
-          in
-          let full = expl @ g in
-          Mvstore.restore_chain s (key i)
-            (List.map
-               (fun m -> { Mvstore.value = m.mvalue; vc = Vclock.of_array m.mvc; writer = m.mwriter })
-               full);
-          if full <> [] then model.(i) <- full;
-          true
       | MRoundtrip ->
           let im = Mvstore.image_of s in
           Mvstore.restore s im;
@@ -365,11 +339,8 @@ let test_squeue_ordering () =
   Squeue.insert_read q ~txn:(tx 2 1) ~sid:3;
   Squeue.insert_write q ~txn:(tx 0 1) ~sid:8;
   Alcotest.(check int) "length" 3 (Squeue.length q);
-  Alcotest.(check (option int)) "min read sid" (Some 3) (Squeue.min_read_sid q);
   let reader_sids = List.map (fun e -> e.Squeue.sid) (Squeue.readers q) in
-  Alcotest.(check (list int)) "readers sorted" [ 3; 7 ] reader_sids;
-  Alcotest.(check bool) "read below 8" true (Squeue.exists_read_below q ~sid:8);
-  Alcotest.(check bool) "no read below 3" false (Squeue.exists_read_below q ~sid:3)
+  Alcotest.(check (list int)) "readers sorted" [ 3; 7 ] reader_sids
 
 let test_squeue_idempotent_insert () =
   let q = Squeue.create () in

@@ -1,25 +1,25 @@
 (* Fixture-based tests for sss_lint's typed whole-program engine
    ({!Typed_lint.check_source}): each rule fires exactly where expected on a
    known-bad snippet, stays silent on the annotated clean twin, and respects
-   scoping, allowlists, and baselines.  The fixtures are typechecked
-   in-process, so each is self-contained (stdlib + unix, plus small stubs
-   of the project modules it names). *)
+   scoping.  The fixtures are typechecked in-process, so each is
+   self-contained (stdlib + unix, plus small stubs of the project modules
+   it names). *)
 
 let fixture name = Filename.concat "lint_fixtures" name
 
 (* Default logical scope: a hot, history-affecting library so every rule is
    armed. *)
-let check ?rules ?owned_allow ?(scope = "lib/core/fixture.ml") name =
-  Typed_lint.check_source ?rules ?owned_allow ~scope_as:scope (fixture name)
+let check ?rules ?(scope = "lib/core/fixture.ml") name =
+  Typed_lint.check_source ?rules ~scope_as:scope (fixture name)
 
 let summary (f : Lint.finding) = (Lint.rule_name f.rule, f.line, f.lexeme)
 
 let finding_t = Alcotest.(triple string int string)
 
-let expect ?rules ?owned_allow ?scope name expected =
+let expect ?rules ?scope name expected =
   Alcotest.(check (list finding_t))
     name expected
-    (List.map summary (check ?rules ?owned_allow ?scope name))
+    (List.map summary (check ?rules ?scope name))
 
 (* ---------- each rule fires exactly where expected ---------- *)
 
@@ -137,16 +137,6 @@ let test_wallclock_scoping () =
   expect ~scope:"lib/core/fixture.ml" "r1_harness.ml"
     [ ("R1", 5, "Unix.gettimeofday") ]
 
-(* ---------- R3 allowlist ---------- *)
-
-let test_owned_allowlist () =
-  expect "r3_allow.ml" [ ("R3", 14, "Vclock.unsafe_of_array") ];
-  expect ~owned_allow:[ "recompute" ] "r3_allow.ml" [];
-  (* qualified Module.function form, module derived from the file name *)
-  expect ~owned_allow:[ "R3_allow.recompute" ] "r3_allow.ml" [];
-  expect ~owned_allow:[ "other_fn" ] "r3_allow.ml"
-    [ ("R3", 14, "Vclock.unsafe_of_array") ]
-
 (* ---------- typed engine: R7 determinism taint ---------- *)
 
 let test_typed_r7 () =
@@ -210,59 +200,6 @@ let test_rule_families () =
   Alcotest.(check string) "R6 family" "domain-safety" (fam Lint.R6);
   Alcotest.(check string) "R9 family" "domain-safety" (fam Lint.R9)
 
-(* ---------- fingerprints and baselines ---------- *)
-
-let test_fingerprints_unique () =
-  let fps =
-    List.concat_map
-      (fun f -> List.map (fun (f : Lint.finding) -> f.fingerprint) (check f))
-      [
-        "r1_bad.ml"; "r2_bad.ml"; "r3_bad.ml"; "r4_bad.ml"; "r5_bad.ml";
-        "r6_bad.ml"; "r7_bad.ml"; "r8_bad.ml"; "r9_bad.ml"; "typed_r2.ml";
-      ]
-  in
-  Alcotest.(check int)
-    "fingerprints are pairwise distinct" (List.length fps)
-    (List.length (List.sort_uniq String.compare fps))
-
-let with_temp_file suffix f =
-  let path = Filename.temp_file "sss_lint" suffix in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
-let test_baseline_roundtrip () =
-  let findings = check "r1_bad.ml" in
-  Alcotest.(check bool) "has findings" true (match findings with [] -> false | _ -> true);
-  with_temp_file ".txt" (fun path ->
-      Lint.write_baseline path findings;
-      let known = Lint.read_baseline path in
-      let fresh, baselined = Lint.apply_baseline ~known findings in
-      Alcotest.(check int) "all baselined" 0 (List.length fresh);
-      Alcotest.(check int)
-        "baselined count" (List.length findings)
-        (List.length baselined);
-      (* a new finding is not masked by the baseline *)
-      let fresh, _ = Lint.apply_baseline ~known (check "r3_bad.ml") in
-      Alcotest.(check int) "new findings stay fresh" 4 (List.length fresh);
-      (* fingerprints carry no positions (rule|scope|context|lexeme|n): the
-         same code moved down by inserted lines is still masked *)
-      with_temp_file ".ml" (fun shifted ->
-          let src = In_channel.with_open_bin (fixture "r1_bad.ml") In_channel.input_all in
-          Out_channel.with_open_bin shifted (fun oc ->
-              output_string oc "(* inserted *)\n\n(* lines *)\n";
-              output_string oc src);
-          let moved =
-            Typed_lint.check_source ~scope_as:"lib/core/fixture.ml" shifted
-          in
-          Alcotest.(check (list int))
-            "findings moved down"
-            (List.map (fun (f : Lint.finding) -> f.line + 3) findings)
-            (List.map (fun (f : Lint.finding) -> f.line) moved);
-          let fresh, baselined = Lint.apply_baseline ~known moved in
-          Alcotest.(check int) "moved findings still baselined" 0 (List.length fresh);
-          Alcotest.(check int)
-            "all moved findings masked" (List.length findings)
-            (List.length baselined)))
-
 let () =
   Alcotest.run "lint"
     [
@@ -290,15 +227,9 @@ let () =
           Alcotest.test_case "annotated twins are clean" `Quick test_clean_twins;
           Alcotest.test_case "attribute is the only difference" `Quick
             test_suppression_is_the_attribute;
-          Alcotest.test_case "owned allowlist" `Quick test_owned_allowlist;
           Alcotest.test_case "wallclock_ok is harness-only" `Quick
             test_wallclock_scoping;
         ] );
       ( "scoping",
         [ Alcotest.test_case "path scoping and rule selection" `Quick test_scoping ] );
-      ( "baselines",
-        [
-          Alcotest.test_case "fingerprints unique" `Quick test_fingerprints_unique;
-          Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
-        ] );
     ]

@@ -102,29 +102,6 @@ let test_partition () =
   Sim.run sim;
   Alcotest.(check int) "healed" 1 !count
 
-let test_drop_probability () =
-  let sim, net = make () in
-  let count = ref 0 in
-  Network.set_handler net 1 (fun ~src:_ _ -> incr count);
-  Network.set_drop_probability net 1.0;
-  for _ = 1 to 10 do
-    Network.send net ~src:0 ~dst:1 ()
-  done;
-  Network.set_drop_probability net 0.0;
-  Network.send net ~src:0 ~dst:1 ();
-  Sim.run sim;
-  Alcotest.(check int) "only the reliable one" 1 !count
-
-let test_send_many () =
-  let sim, net = make ~nodes:4 () in
-  let hits = Array.make 4 0 in
-  for n = 0 to 3 do
-    Network.set_handler net n (fun ~src:_ _ -> hits.(n) <- hits.(n) + 1)
-  done;
-  Network.send_many net ~src:0 ~dst:[ 1; 2; 3 ] "fan";
-  Sim.run sim;
-  Alcotest.(check (list int)) "fanout" [ 0; 1; 1; 1 ] (Array.to_list hits)
-
 (* ---------- Rpc ---------- *)
 
 let test_pending_first_wins () =
@@ -143,38 +120,6 @@ let test_pending_unknown_id_ignored () =
   let sim = Sim.create () in
   let p : string Rpc.Pending.t = Rpc.Pending.create () in
   Sim.spawn sim (fun () -> Rpc.Pending.resolve sim p 12345 "ghost");
-  Sim.run sim
-
-let test_gather_complete () =
-  let sim = Sim.create () in
-  let g = Rpc.Gather.create ~expect:3 in
-  let result = ref None in
-  Sim.spawn sim (fun () -> result := Rpc.Gather.await sim g ~timeout:10.0);
-  for i = 1 to 3 do
-    Sim.schedule sim ~delay:(float_of_int i) (fun () -> Rpc.Gather.add sim g i)
-  done;
-  Sim.run sim;
-  Alcotest.(check (option (list int))) "all responses in order" (Some [ 1; 2; 3 ]) !result
-
-let test_gather_timeout () =
-  let sim = Sim.create () in
-  let g = Rpc.Gather.create ~expect:2 in
-  let result = ref (Some [ 99 ]) in
-  Sim.spawn sim (fun () -> result := Rpc.Gather.await sim g ~timeout:1.0);
-  Sim.schedule sim ~delay:0.5 (fun () -> Rpc.Gather.add sim g 1);
-  Sim.run sim;
-  Alcotest.(check (option (list int))) "timed out" None !result;
-  Alcotest.(check (list int)) "partial available" [ 1 ] (Rpc.Gather.received g)
-
-let test_gather_extra_ignored () =
-  let sim = Sim.create () in
-  let g = Rpc.Gather.create ~expect:1 in
-  Sim.spawn sim (fun () ->
-      Rpc.Gather.add sim g "a";
-      Rpc.Gather.add sim g "b";
-      Alcotest.(check (option (list string)))
-        "only the expected one" (Some [ "a" ])
-        (Rpc.Gather.await sim g ~timeout:1.0));
   Sim.run sim
 
 (* --- Reliable transport edge cases ------------------------------------- *)
@@ -388,16 +333,11 @@ let () =
           Alcotest.test_case "crash drops" `Quick test_crash_drops;
           Alcotest.test_case "crashed sender" `Quick test_crashed_sender;
           Alcotest.test_case "partition" `Quick test_partition;
-          Alcotest.test_case "drop probability" `Quick test_drop_probability;
-          Alcotest.test_case "send_many" `Quick test_send_many;
         ] );
       ( "rpc",
         [
           Alcotest.test_case "pending first wins" `Quick test_pending_first_wins;
           Alcotest.test_case "pending unknown id" `Quick test_pending_unknown_id_ignored;
-          Alcotest.test_case "gather complete" `Quick test_gather_complete;
-          Alcotest.test_case "gather timeout" `Quick test_gather_timeout;
-          Alcotest.test_case "gather extra ignored" `Quick test_gather_extra_ignored;
         ] );
       ( "reliable",
         [

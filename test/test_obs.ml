@@ -310,7 +310,7 @@ let test_traced_run_metrics () =
       Alcotest.(check bool) (name ^ " present") true (List.mem_assoc name gauges))
     [ 0; 1; 2 ];
   (* the metrics JSON carries it all *)
-  match Kv.metrics_json cl with
+  match Option.map Obs.metrics_json (Kv.obs cl) with
   | None -> Alcotest.fail "metrics_json absent"
   | Some json ->
       List.iter
@@ -350,7 +350,9 @@ let test_observer_effect_zero () =
 let test_observed_runs_deterministic () =
   let metrics seed =
     let _, cl, _ = run_sss ~observe:true ~seed in
-    match Kv.metrics_json cl with Some m -> m | None -> Alcotest.fail "no metrics"
+    match Option.map Obs.metrics_json (Kv.obs cl) with
+    | Some m -> m
+    | None -> Alcotest.fail "no metrics"
   in
   Alcotest.(check string) "same seed => identical metrics JSON" (metrics 21) (metrics 21);
   Alcotest.(check bool) "different seed => different metrics" true

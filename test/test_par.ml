@@ -1,10 +1,9 @@
 (* sss_par: the deterministic domain-pool runner.  Unit tests for the pool
-   itself (ordering, edge counts, failure propagation), the shared sweep
-   helpers, and the contract the whole experiment engine rests on: running
-   a sweep at -j1 and at -j4 produces byte-identical output. *)
+   itself (ordering, edge counts, failure propagation) and the contract
+   the whole experiment engine rests on: running a sweep at -j1 and at -j4
+   produces byte-identical output. *)
 
 module Pool = Sss_par.Pool
-module Sweep = Sss_par.Sweep
 module E = Sss_experiments.Experiments
 
 (* ---------- pool units ---------- *)
@@ -56,17 +55,6 @@ let test_invalid_jobs () =
   Alcotest.check_raises "jobs=0 rejected" (Invalid_argument "Pool.create: jobs must be >= 1")
     (fun () -> ignore (Pool.create ~jobs:0))
 
-(* ---------- sweep helpers ---------- *)
-
-let test_sweep_helpers () =
-  Alcotest.(check (list int)) "seeds 1..n" [ 1; 2; 3; 4 ] (Sweep.seeds 4);
-  Alcotest.(check (list int)) "seeds with base" [ 11; 12 ] (Sweep.seeds ~base:10 2);
-  Alcotest.(check (list int)) "seeds 0" [] (Sweep.seeds 0);
-  Alcotest.(check (list (pair string int)))
-    "cross is row-major"
-    [ ("a", 1); ("a", 2); ("b", 1); ("b", 2) ]
-    (Sweep.cross [ "a"; "b" ] [ 1; 2 ])
-
 (* ---------- determinism: -j1 and -j4 are byte-identical ---------- *)
 
 let meters_tuple (m : E.meters) =
@@ -88,7 +76,7 @@ let test_figure_determinism () =
 
 let test_run_seeds_determinism () =
   let p = { E.default_params with nodes = 3; keys = 24; clients = 2; duration = 0.01 } in
-  let seeds = Sweep.seeds 6 in
+  let seeds = [ 1; 2; 3; 4; 5; 6 ] in
   let digest outs =
     List.map (fun (o : E.outcome) -> (o.E.committed, o.E.des_events)) outs
   in
@@ -136,7 +124,7 @@ let test_chaos_sweep_determinism () =
     in
     (result.Sss_workload.Driver.committed, Sss_sim.Sim.events_processed sim)
   in
-  let seeds = Sweep.seeds 6 in
+  let seeds = [ 1; 2; 3; 4; 5; 6 ] in
   let at jobs = Pool.map_list (Pool.create ~jobs) chaos_one seeds in
   Alcotest.(check (list (pair int int)))
     "chaos sweep identical at -j1 and -j4" (at 1) (at 4)
@@ -180,7 +168,7 @@ let test_open_loop_run_determinism () =
         ((o.E.offered, o.E.accepted, o.E.rejected), (o.E.committed, o.E.des_events)))
       outs
   in
-  let at jobs = digest (E.run_seeds (E.ctx ~jobs ()) p ~seeds:(Sweep.seeds 6)) in
+  let at jobs = digest (E.run_seeds (E.ctx ~jobs ()) p ~seeds:([ 1; 2; 3; 4; 5; 6 ])) in
   Alcotest.(check
       (list (pair (triple int int int) (pair int int))))
     "open-loop run_seeds identical at -j1 and -j4" (at 1) (at 4)
@@ -197,8 +185,6 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
           Alcotest.test_case "invalid jobs" `Quick test_invalid_jobs;
         ] );
-      ( "sweep",
-        [ Alcotest.test_case "seeds and cross" `Quick test_sweep_helpers ] );
       ( "determinism",
         [
           Alcotest.test_case "figure -j1 = -j4" `Slow test_figure_determinism;

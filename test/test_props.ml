@@ -219,15 +219,6 @@ let test_prng_copy_independent () =
   let xb = Prng.next_int64 b in
   Alcotest.(check int64) "copy continues identically" xa xb
 
-let test_prng_shuffle_permutes () =
-  let g = Prng.create ~seed:3 in
-  let arr = Array.init 20 (fun i -> i) in
-  Prng.shuffle g arr;
-  let sorted = Array.copy arr in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "same multiset" (Array.init 20 (fun i -> i)) sorted;
-  Alcotest.(check bool) "actually shuffled" true (arr <> Array.init 20 (fun i -> i))
-
 (* ---------- Vclock algebra ---------- *)
 
 let vclock_partial_order =
@@ -415,7 +406,6 @@ let () =
           Alcotest.test_case "filter before re-anchor" `Quick test_equeue_filter_before_re_anchor;
           Alcotest.test_case "chi-square uniformity" `Quick test_prng_chi_square_uniform;
           Alcotest.test_case "copy independence" `Quick test_prng_copy_independent;
-          Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
         ] );
       ( "vclock",
         [

@@ -5,9 +5,9 @@
 #   2. dune runtest         — unit/property/golden suites (includes @lint via
 #                             the runtest alias, but run the linter explicitly
 #                             below so a lint failure is unmistakable)
-#   3. sss_lint, no baseline — typed whole-program engine over all four
-#                             source trees; the repo promise is an EMPTY
-#                             baseline, so any finding fails the gate
+#   3. sss_lint             — typed whole-program engine over all four
+#                             source trees; the repo promise is ZERO
+#                             findings, so any finding fails the gate
 #   4. bench/smoke.sh       — fig3 smoke benchmark + throughput-regression
 #                             gate against the committed BENCH_smoke.json
 #   5. durability smoke     — durability=off must not move the fig3 smoke
@@ -36,7 +36,7 @@ dune build
 echo "check: dune runtest"
 dune runtest
 
-echo "check: sss_lint (typed, empty baseline)"
+echo "check: sss_lint (typed, zero findings)"
 # @check materializes fresh .cmt artifacts for every scope, including the
 # executables' (plain `dune build` does not refresh those).
 dune build @check

@@ -1,7 +1,7 @@
 (** sss_lint shared core: the rule vocabulary of the typed whole-program
     engine in {!Typed_lint} — rule names R1-R9, families, directory
     scoping, suppression attributes, the identifier tables the rules match
-    resolved names against, fingerprints, and baselines.
+    resolved names against.
 
     The intraprocedural rules, each scoped by directory ({!rule_applies}):
 
@@ -17,7 +17,7 @@
       suppresses.
     - R3 [Vclock ownership]: uses of
       [Vclock.set_into]/[max_into]/[blit]/[unsafe_of_array] must carry
-      [@owned] or sit inside an allowlisted function.
+      [@owned].
     - R4 [iteration order]: [Hashtbl.fold]/[Hashtbl.iter] in the
       history-affecting libraries ([lib/core], [lib/consistency],
       [lib/data], [lib/twopc], [lib/walter], [lib/rococo]) must carry
@@ -112,8 +112,6 @@ type finding = {
   chain : string list;
       (** call-graph path for interprocedural findings (R7/R9): entry point
           first, flagged definition last; [[]] for intraprocedural rules *)
-  fingerprint : string;
-      (** line-number independent identity: rule|file|context|lexeme|n *)
 }
 
 exception Parse_error of string
@@ -196,11 +194,11 @@ let strip_stdlib name =
       String.sub name 7 (String.length name - 7)
   | _ -> name
 
-(* R3: the in-place operation a (resolved) [Vclock.op] name denotes. *)
-let vclock_owned_op name =
+(* R3: does a (resolved) name denote an in-place [Vclock] operation? *)
+let is_vclock_owned_op name =
   match List.rev (String.split_on_char '.' name) with
-  | op :: "Vclock" :: _ when List.mem op vclock_owned_ops -> Some op
-  | _ -> None
+  | op :: "Vclock" :: _ -> List.mem op vclock_owned_ops
+  | _ -> false
 
 (* R6: applications of these construct mutable state.  [Atomic.make] is
    deliberately absent: atomics are the sanctioned cross-domain primitive. *)
@@ -245,43 +243,3 @@ let parse_file path =
           | _ -> Printexc.to_string exn
         in
         raise (Parse_error (Printf.sprintf "%s: %s" path msg)))
-
-(* ---- baselines ------------------------------------------------------- *)
-
-(* A baseline is a file of accepted fingerprints, one per line ([#] starts a
-   comment).  It is the escape hatch for adopting the linter on a codebase
-   with historical findings without annotating them all at once. *)
-
-let read_baseline path =
-  if not (Sys.file_exists path) then []
-  else
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line ->
-              let line = String.trim line in
-              let acc =
-                if String.equal line "" || Char.equal line.[0] '#' then acc
-                else line :: acc
-              in
-              go acc
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-
-let write_baseline path findings =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc
-        "# sss_lint baseline: accepted fingerprints, one per line.\n";
-      List.iter (fun f -> output_string oc (f.fingerprint ^ "\n")) findings)
-
-(* Split [findings] into (fresh, baselined) against the fingerprints in
-   [known]. *)
-let apply_baseline ~known findings =
-  List.partition (fun f -> not (List.mem f.fingerprint known)) findings

@@ -8,48 +8,6 @@
 
    Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/parse errors. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Schema 2: top-level object with engine identification; each finding
-   carries its rule family and, for interprocedural rules (R7/R9), the
-   call-graph chain from entry point to source. *)
-let print_json findings =
-  Printf.printf
-    "{\"schema\": 2, \"engine\": {\"name\": \"typed\", \"version\": \"%s\"}, \
-     \"findings\": ["
-    Typed_lint.engine_version;
-  List.iteri
-    (fun i (f : Lint.finding) ->
-      if i > 0 then print_string ",";
-      let chain =
-        String.concat ", "
-          (List.map (fun c -> Printf.sprintf "\"%s\"" (json_escape c)) f.chain)
-      in
-      Printf.printf
-        "\n  {\"rule\": \"%s\", \"family\": \"%s\", \"file\": \"%s\", \
-         \"line\": %d, \"col\": %d, \"context\": \"%s\", \"lexeme\": \"%s\", \
-         \"chain\": [%s], \"fingerprint\": \"%s\", \"message\": \"%s\"}"
-        (Lint.rule_name f.rule)
-        (Lint.rule_family f.rule)
-        (json_escape f.file) f.line f.col (json_escape f.context)
-        (json_escape f.lexeme) chain (json_escape f.fingerprint)
-        (json_escape f.message))
-    findings;
-  print_string "\n]}\n"
-
 let print_human findings =
   List.iter
     (fun (f : Lint.finding) ->
@@ -57,8 +15,7 @@ let print_human findings =
         (Lint.rule_name f.rule) f.message;
       (match f.chain with
       | [] -> ()
-      | chain -> Printf.printf "  chain: %s\n" (String.concat " -> " chain));
-      Printf.printf "  fingerprint: %s\n" f.fingerprint)
+      | chain -> Printf.printf "  chain: %s\n" (String.concat " -> " chain)))
     findings
 
 (* .cmt discovery: recursively scan both PATH and
@@ -76,7 +33,7 @@ let rec collect_cmts path =
 let cmts_for_path p =
   collect_cmts p @ collect_cmts (Filename.concat "_build/default" p)
 
-let run rules paths baseline update_baseline format owned_allow =
+let run rules paths =
   let rules =
     match rules with
     | [] -> Lint.all_rules
@@ -98,34 +55,16 @@ let run rules paths baseline update_baseline format owned_allow =
           (String.concat ", " paths);
         exit 2
     | cmts -> (
-        try Typed_lint.check_cmts ~rules ~owned_allow cmts
+        try Typed_lint.check_cmts ~rules cmts
         with Lint.Parse_error msg ->
           Printf.eprintf "sss_lint: %s\n" msg;
           exit 2)
   in
-  (match (update_baseline, baseline) with
-  | true, Some path ->
-      Lint.write_baseline path findings;
-      Printf.printf "sss_lint: wrote %d fingerprints to %s\n"
-        (List.length findings) path
-  | true, None ->
-      Printf.eprintf "sss_lint: --update-baseline requires --baseline FILE\n";
-      exit 2
-  | false, _ -> ());
-  let known = match baseline with Some p -> Lint.read_baseline p | None -> [] in
-  let fresh, baselined = Lint.apply_baseline ~known findings in
-  if update_baseline then exit 0;
-  (match format with
-  | `Json -> print_json fresh
-  | `Human ->
-      print_human fresh;
-      Printf.printf "sss_lint: engine typed, rules %s: %d finding(s)%s\n"
-        (String.concat "," (List.map Lint.rule_name rules))
-        (List.length fresh)
-        (match baselined with
-        | [] -> ""
-        | l -> Printf.sprintf " (+%d baselined)" (List.length l)));
-  match fresh with [] -> exit 0 | _ -> exit 1
+  print_human findings;
+  Printf.printf "sss_lint: engine typed, rules %s: %d finding(s)\n"
+    (String.concat "," (List.map Lint.rule_name rules))
+    (List.length findings);
+  match findings with [] -> exit 0 | _ -> exit 1
 
 open Cmdliner
 
@@ -144,29 +83,6 @@ let paths_arg =
      linter reads the matching _build .cmt artifacts)."
   in
   Arg.(value & pos_all string [ "lib" ] & info [] ~docv:"PATH" ~doc)
-
-let baseline_arg =
-  let doc = "Baseline file of accepted fingerprints to suppress." in
-  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-
-let update_baseline_arg =
-  let doc = "Rewrite the baseline file with the current findings and exit." in
-  Arg.(value & flag & info [ "update-baseline" ] ~doc)
-
-let format_arg =
-  let doc = "Output format: $(b,human) or $(b,json) (schema 2)." in
-  Arg.(
-    value
-    & opt (enum [ ("human", `Human); ("json", `Json) ]) `Human
-    & info [ "format" ] ~docv:"FMT" ~doc)
-
-let owned_allow_arg =
-  let doc =
-    "Function names (optionally Module.fn) allowed to use Vclock in-place \
-     operations without [@owned]."
-  in
-  Arg.(
-    value & opt (list string) [] & info [ "owned-allow" ] ~docv:"FNS" ~doc)
 
 let cmd =
   let doc =
@@ -192,13 +108,11 @@ let cmd =
         "Suppressions: [@poly_ok] (R2), [@owned] (R3), [@order_ok] (R4), \
          [@print_ok] (R5), [@@domain_safe] (R6/R9), [@wallclock_ok] (R1, \
          harness scopes only), [@alloc_ok] (R8), [@deterministic] (R7 \
-         barrier), or a fingerprint baseline file (all rules).";
+         barrier).";
     ]
   in
   Cmd.v
     (Cmd.info "sss_lint" ~version:"2.0" ~doc ~man)
-    Term.(
-      const run $ rules_arg $ paths_arg $ baseline_arg
-      $ update_baseline_arg $ format_arg $ owned_allow_arg)
+    Term.(const run $ rules_arg $ paths_arg)
 
 let () = exit (Cmd.eval cmd)

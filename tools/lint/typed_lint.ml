@@ -111,7 +111,6 @@ type occ = {
   o_line : int;
   o_col : int;
   o_context : string;
-  o_unit : string;
   o_prefixes : string list;  (* qualification candidates, longest first *)
   o_def : string option;  (* canonical name of the enclosing def *)
   o_sup : int;  (* suppression bitmask by Lint.rule_index *)
@@ -227,7 +226,6 @@ let record_occ st ?(comps = []) ?def_name ~loc kind =
       o_line = pos.Lexing.pos_lnum;
       o_col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol;
       o_context = context_name st;
-      o_unit = st.w_unit;
       o_prefixes = prefixes_of ~unit_name:st.w_unit st.modpath;
       o_def = def_name;
       o_sup = sup_mask st;
@@ -866,35 +864,11 @@ let float_exempt =
    argument, it does not build a closure. *)
 let partial_exempt = [ "Obj.magic"; "Obj.repr"; "Obj.obj"; "Sys.opaque_identity" ]
 
-type emitter = {
-  mutable ef : Lint.finding list;
-  counts : (string, int) Hashtbl.t;
-  e_rules : Lint.rule list;
-  e_owned : string list;
-}
+type emitter = { mutable ef : Lint.finding list; e_rules : Lint.rule list }
 
-let emit em rule ~file ~scope ~line ~col ~context ~lexeme ?(chain = []) message
-    =
-  let base =
-    Printf.sprintf "%s|%s|%s|%s" (Lint.rule_name rule) scope context lexeme
-  in
-  let n =
-    match Hashtbl.find_opt em.counts base with Some n -> n + 1 | None -> 0
-  in
-  Hashtbl.replace em.counts base n;
+let emit em rule ~file ~line ~col ~context ~lexeme ?(chain = []) message =
   em.ef <-
-    {
-      Lint.rule;
-      file;
-      line;
-      col;
-      context;
-      lexeme;
-      message;
-      chain;
-      fingerprint = Printf.sprintf "%s|%d" base n;
-    }
-    :: em.ef
+    { Lint.rule; file; line; col; context; lexeme; message; chain } :: em.ef
 
 let occ_enabled em rule (o : occ) =
   List.mem rule em.e_rules
@@ -902,8 +876,8 @@ let occ_enabled em rule (o : occ) =
   && o.o_sup land (1 lsl Lint.rule_index rule) = 0
 
 let emit_at em rule (o : occ) ~lexeme ?chain message =
-  emit em rule ~file:o.o_file ~scope:o.o_scope ~line:o.o_line ~col:o.o_col
-    ~context:o.o_context ~lexeme ?chain message
+  emit em rule ~file:o.o_file ~line:o.o_line ~col:o.o_col ~context:o.o_context
+    ~lexeme ?chain message
 
 (* R1/R3/R4/R5/R2 on one resolved identifier occurrence; returns the R7
    source classification, if any. *)
@@ -921,22 +895,12 @@ let judge_ident em prog (o : occ) ~pclass ~exempt_operand name =
           / Prng; DESIGN.md: determinism)"
          name);
   (* R3 *)
-  (match Lint.vclock_owned_op name with
-  | Some _ when occ_enabled em Lint.R3 o ->
-      let allowed =
-        List.exists
-          (fun entry ->
-            String.equal entry o.o_context
-            || String.equal entry (o.o_unit ^ "." ^ o.o_context))
-          em.e_owned
-      in
-      if not allowed then
-        emit_at em Lint.R3 o ~lexeme:name
-          (Printf.sprintf
-             "in-place Vclock operation %s requires [@owned] (exclusively \
-              owned, never-published clock; DESIGN.md §8)"
-             name)
-  | _ -> ());
+  if Lint.is_vclock_owned_op name && occ_enabled em Lint.R3 o then
+    emit_at em Lint.R3 o ~lexeme:name
+      (Printf.sprintf
+         "in-place Vclock operation %s requires [@owned] (exclusively owned, \
+          never-published clock; DESIGN.md §8)"
+         name);
   (* R4 *)
   let is_hiter =
     String.equal name "Hashtbl.iter" || String.equal name "Hashtbl.fold"
@@ -983,12 +947,10 @@ let judge_ident em prog (o : occ) ~pclass ~exempt_operand name =
   else if is_hiter && not (sup Lint.R4) then Some (name, false)
   else None
 
-let analyze ?(rules = Lint.all_rules) ?(owned_allow = []) prog =
+let analyze ?(rules = Lint.all_rules) prog =
   let occs = List.rev prog.p_occs in
   let def_order = List.rev !(prog.p_def_order) in
-  let em =
-    { ef = []; counts = Hashtbl.create 64; e_rules = rules; e_owned = owned_allow }
-  in
+  let em = { ef = []; e_rules = rules } in
   let edges_rev : (string, string list ref) Hashtbl.t = Hashtbl.create 256 in
   let add_edge caller callee =
     if not (String.equal caller callee) then
@@ -1222,8 +1184,8 @@ let analyze ?(rules = Lint.all_rules) ?(owned_allow = []) prog =
             d.d_result_apps
         with
         | Some f ->
-            emit em Lint.R9 ~file:d.d_file ~scope:d.d_scope ~line:d.d_line
-              ~col:d.d_col ~context:d.d_context ~lexeme:f.d_name
+            emit em Lint.R9 ~file:d.d_file ~line:d.d_line ~col:d.d_col
+              ~context:d.d_context ~lexeme:f.d_name
               ~chain:[ d.d_name; f.d_name ]
               (Printf.sprintf
                  "module-level value calls %s, which returns a closure over \
@@ -1244,15 +1206,13 @@ let analyze ?(rules = Lint.all_rules) ?(owned_allow = []) prog =
 
 (* ---- entry points ----------------------------------------------------- *)
 
-let engine_version = "2.0"
-
 let unit_of_file file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
 
 (* .cmt mode: the real linter.  [paths] are .cmt files produced by dune's
    [-bin-annot]; each carries its repo-relative source path, which provides
    both the display name and the rule scope. *)
-let check_cmts ?rules ?owned_allow cmt_paths =
+let check_cmts ?rules cmt_paths =
   let prog = new_program () in
   let units =
     List.filter_map
@@ -1300,7 +1260,7 @@ let check_cmts ?rules ?owned_allow cmt_paths =
       units
   in
   List.iter (fun (src, _, str) -> walk_unit prog ~file:src ~scope:src str) units;
-  analyze ?rules ?owned_allow prog
+  analyze ?rules prog
 
 (* Source mode, for fixture tests: typecheck .ml files in-process (fixtures
    are self-contained modulo stdlib + unix) and run the same analysis.
@@ -1331,14 +1291,8 @@ let typecheck_source path =
     in
     raise (Lint.Parse_error (Printf.sprintf "%s: %s" path msg))
 
-let check_sources ?rules ?owned_allow files =
-  let prog = new_program () in
-  List.iter
-    (fun (path, scope) ->
-      walk_unit prog ~file:path ~scope (typecheck_source path))
-    files;
-  analyze ?rules ?owned_allow prog
-
-let check_source ?rules ?owned_allow ?scope_as path =
+let check_source ?rules ?scope_as path =
   let scope = match scope_as with Some s -> s | None -> path in
-  check_sources ?rules ?owned_allow [ (path, scope) ]
+  let prog = new_program () in
+  walk_unit prog ~file:path ~scope (typecheck_source path);
+  analyze ?rules prog
