@@ -1,8 +1,7 @@
 (* Benchmark harness.
 
    Usage:  dune exec bench/main.exe -- [--scale full|quick|smoke]
-             [--json FILE] [--observe] [-j N|max] [--speedup] [--slo MS]
-             [targets]
+             [--json FILE] [--observe] [-j N|max] [--speedup] [targets]
 
    Targets are the paper's evaluation artefacts: fig3 fig4a fig4b fig5 fig6
    fig7 fig8 abort-rate (see DESIGN.md §3 for the mapping), the extra
@@ -32,9 +31,10 @@
    [--speedup] additionally times a quiet -j1 baseline per figure target
    and records jobs + per-target speedup in a "parallel" JSON block.
 
-   [--slo MS] sets the saturation figure's p99 sojourn SLO bound (default
-   5 ms): each protocol reports the highest offered rate whose p99 still
-   meets it, echoed as "slo_sustained_rates" in the JSON target. *)
+   Every JSON number of a target is a total over the runs its figure
+   returned.  A target with open-loop Poisson runs (saturation, all) also
+   reports "slo_sustained_rates": per system, the highest offered rate
+   whose p99 sojourn met the fixed 5 ms bound (Experiments.slo_rate). *)
 
 open Sss_experiments.Experiments
 
@@ -113,7 +113,7 @@ type target_report = {
   target : string;
   wall_seconds : float;
   baseline_wall : float option;  (* --speedup: the quiet -j1 wall clock *)
-  m : meters;
+  runs : (params * outcome) list;  (* the figure's runs, in submission order *)
   (* Allocation probe: Gc deltas around the target, so allocation
      regressions show up in the recorded artifact, not just wall clock.
      [Gc.allocated_bytes] is per-domain, so at -j > 1 the numbers cover
@@ -164,37 +164,38 @@ let write_json file ~scale ~scale_v ~observe ~jobs ~speedup ~metrics reports =
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      let events_per_sec =
-        if r.wall_seconds > 0.0 then float_of_int r.m.des_events /. r.wall_seconds
-        else 0.0
+      let sum f = List.fold_left (fun acc (_, o) -> acc + f o) 0 r.runs in
+      let des_events = sum (fun o -> o.des_events) and committed = sum (fun o -> o.committed) in
+      let virtual_seconds =
+        List.fold_left (fun acc (_, o) -> acc +. o.virtual_seconds) 0.0 r.runs
       in
-      let virtual_tput =
-        if r.m.virtual_seconds > 0.0 then
-          float_of_int r.m.committed_txns /. r.m.virtual_seconds
-        else 0.0
-      in
-      let words_per_event =
-        if r.m.des_events > 0 then r.alloc_words /. float_of_int r.m.des_events else 0.0
-      in
-      let words_per_version =
-        if r.m.store_versions > 0 then
-          float_of_int r.m.store_words /. float_of_int r.m.store_versions
-        else 0.0
-      in
+      let store_versions = sum (fun o -> o.store_versions) in
+      let store_words = sum (fun o -> o.store_words) in
+      let ratio a b = if b > 0.0 then a /. b else 0.0 in
+      (* each system with Poisson runs, in run order, and its SLO verdict *)
       let slo_json =
-        match r.m.slo_rates with
+        let name (p, _) = system_name p.system in
+        let systems =
+          List.fold_left
+            (fun acc ((p, _) as run) ->
+              match p.arrival with
+              | Some (Sss_workload.Driver.Poisson _)
+                when not (List.exists (String.equal (name run)) acc) ->
+                  acc @ [ name run ]
+              | _ -> acc)
+            [] r.runs
+        in
+        let cell sys =
+          Printf.sprintf "\"%s\": %s" (json_escape sys)
+            (match slo_rate (List.filter (fun run -> String.equal (name run) sys) r.runs) with
+            | Some v -> Printf.sprintf "%.0f" v
+            | None -> "null")
+        in
+        match systems with
         | [] -> ""
-        | rates ->
-            let cells =
-              List.map
-                (fun (sys, rate) ->
-                  match rate with
-                  | Some v -> Printf.sprintf "\"%s\": %.0f" (json_escape sys) v
-                  | None -> Printf.sprintf "\"%s\": null" (json_escape sys))
-                rates
-            in
+        | _ ->
             Printf.sprintf "\n      \"slo_sustained_rates\": { %s },"
-              (String.concat ", " cells)
+              (String.concat ", " (List.map cell systems))
       in
       Buffer.add_string buf
         (Printf.sprintf
@@ -219,11 +220,20 @@ let write_json file ~scale ~scale_v ~observe ~jobs ~speedup ~metrics reports =
            \      \"minor_collections\": %d,\n\
            \      \"major_collections\": %d\n\
            \    }"
-           (json_escape r.target) r.wall_seconds r.m.des_events events_per_sec
-           r.m.virtual_seconds r.m.committed_txns virtual_tput r.m.runs r.m.offered
-           r.m.accepted r.m.rejected r.m.store_versions r.m.store_words words_per_version
-           r.m.gc_dropped slo_json r.alloc_words words_per_event r.minor_collections
-           r.major_collections))
+           (json_escape r.target) r.wall_seconds des_events
+           (ratio (float_of_int des_events) r.wall_seconds)
+           virtual_seconds committed
+           (ratio (float_of_int committed) virtual_seconds)
+           (List.length r.runs)
+           (sum (fun o -> o.offered))
+           (sum (fun o -> o.accepted))
+           (sum (fun o -> o.rejected))
+           store_versions store_words
+           (ratio (float_of_int store_words) (float_of_int store_versions))
+           (sum (fun o -> o.gc_dropped_versions))
+           slo_json r.alloc_words
+           (ratio r.alloc_words (float_of_int des_events))
+           r.minor_collections r.major_collections))
     reports;
   Buffer.add_string buf "\n  ]";
   if speedup then begin
@@ -259,7 +269,6 @@ let () =
   let observe = ref false in
   let jobs = ref 1 in
   let speedup = ref false in
-  let slo_ms = ref None in
   let targets = ref [] in
   (* Every argument is checked before anything runs: a bad one prints the
      usage and exits 2. *)
@@ -268,7 +277,7 @@ let () =
       (fun msg ->
         Printf.eprintf
           "main.exe: %s\nusage: main.exe [--scale full|quick|smoke] [--json FILE] [--observe] \
-           [-j N|max] [--speedup] [--slo MS] [TARGET...]\ntargets: %s\n"
+           [-j N|max] [--speedup] [TARGET...]\ntargets: %s\n"
           msg (String.concat " " (figure_names @ [ "all"; "micro" ]));
         exit 2)
       fmt
@@ -291,11 +300,6 @@ let () =
         parse rest
     | "--speedup" :: rest ->
         speedup := true;
-        parse rest
-    | "--slo" :: ms :: rest ->
-        (match float_of_string_opt ms with
-        | Some v when v > 0.0 -> slo_ms := Some v
-        | _ -> bad "bad --slo value %S" ms);
         parse rest
     | t :: rest when Option.is_some (figure t) || String.equal t "micro" ->
         targets := t :: !targets;
@@ -338,7 +342,7 @@ let () =
   in
   List.iter
     (fun t ->
-      match figure ?slo_ms:!slo_ms t with
+      match figure t with
       | Some fig ->
           let baseline_wall =
             if speedup then begin
@@ -347,17 +351,17 @@ let () =
             end
             else None
           in
-          let m, wall_seconds, alloc_words, minor_collections, major_collections =
+          let runs, wall_seconds, alloc_words, minor_collections, major_collections =
             time_alloc (fun () -> fig run_ctx scale)
           in
           reports :=
-            { target = t; wall_seconds; baseline_wall; m; alloc_words;
+            { target = t; wall_seconds; baseline_wall; runs; alloc_words;
               minor_collections; major_collections }
             :: !reports
       | None (* "micro": parse admits no other target *) ->
           let (), wall_seconds = time run_micro in
           reports :=
-            { target = t; wall_seconds; baseline_wall = None; m = meters_zero;
+            { target = t; wall_seconds; baseline_wall = None; runs = [];
               alloc_words = 0.0; minor_collections = 0; major_collections = 0 }
             :: !reports)
     targets;

@@ -58,9 +58,33 @@ let queue_t =
 let workers_t =
   Arg.(value & opt int 10 & info [ "workers" ] ~doc:"open loop: service fibers per node")
 
+(* Both commands check their arguments before any cluster is built: a bad
+   one is reported on stderr with exit 2.  [fibers] names the per-node
+   fiber count of the loop that drives the run (--clients or --workers). *)
+let check_args cmd ~nodes ~degree ~keys ~ro ~locality ~duration ~fibers:(flag, n) =
+  let ratio x = 0.0 <= x && x <= 1.0 in
+  List.iter
+    (fun (ok, msg) ->
+      if not ok then begin
+        Printf.eprintf "sss-cli %s: %s\n" cmd msg;
+        exit 2
+      end)
+    [
+      (nodes >= 1, Printf.sprintf "--nodes %d: need at least 1" nodes);
+      ( 1 <= degree && degree <= nodes,
+        Printf.sprintf "--degree %d: need 1 <= degree <= nodes (%d)" degree nodes );
+      (keys >= 1, Printf.sprintf "--keys %d: need at least 1" keys);
+      (ratio ro, Printf.sprintf "--ro %g: need a ratio in [0, 1]" ro);
+      (ratio locality, Printf.sprintf "--locality %g: need a probability in [0, 1]" locality);
+      (duration > 0.0, Printf.sprintf "--duration %g: need a positive window" duration);
+      (n >= 1, Printf.sprintf "%s %d: need at least 1" flag n);
+    ]
+
 let point_cmd =
   let run_point system nodes degree keys ro ro_ops locality clients duration seed strict observe
       durable rate queue workers =
+    check_args "point" ~nodes ~degree ~keys ~ro ~locality ~duration
+      ~fibers:(if rate > 0.0 then ("--workers", workers) else ("--clients", clients));
     let o =
       run
         {
@@ -138,6 +162,8 @@ let verify_cmd =
   let run_verify system nodes degree keys ro clients duration seed dot =
     let open Sss_consistency in
     let module Driver = Sss_workload.Driver in
+    check_args "verify" ~nodes ~degree ~keys ~ro ~locality:0.0 ~duration
+      ~fibers:("--clients", clients);
     (* a --dot path that cannot be written is refused before the run *)
     (match dot with
     | Some path ->

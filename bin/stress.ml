@@ -36,7 +36,9 @@ let checked_run ?plan ?durable ~ro ~clients ~duration system (config : Config.t)
         { Driver.default_load with clients_per_node = clients; warmup = 0.005; duration;
           seed = config.seed }
   in
-  (r.result.committed, Store.checks r, Option.map Sss_obs.Obs.metrics_json r.obs)
+  ( r.result.committed,
+    Store.verdicts r.system r.history ~quiescent:(r.quiescent ()),
+    Option.map Sss_obs.Obs.metrics_json r.obs )
 
 (* Drive one store of [system] on the small 4-node sweep cluster (ROCOCO
    unreplicated, as in the paper's comparisons). *)
@@ -48,20 +50,20 @@ let sweep_run ?durable ?plan ~config ~clients ~duration system =
   in
   (committed, checks)
 
-(* Print a FAIL line for every failed check, [where name] naming the run.
+(* Print a FAIL line for every failed verdict, [where name] naming the run.
    With [tolerate], failures of the two ordering properties are counted as
    divergence reports instead.  Returns the failure and divergence counts. *)
 let report ?(tolerate = false) ~where checks =
   List.fold_left
-    (fun (failed, diverged) (name, res) ->
-      match res with
-      | Ok () -> (failed, diverged)
-      | Error _
+    (fun (failed, diverged) (name, verdict) ->
+      match verdict with
+      | Store.Pass | Not_promised -> (failed, diverged)
+      | Fail _
         when tolerate
              && (String.equal name "external-consistency" || String.equal name "serializability")
         ->
           (failed, diverged + 1)
-      | Error msg ->
+      | Fail msg ->
           Printf.printf "FAIL %s: %s\n%!" (where name) msg;
           (failed + 1, diverged))
     (0, 0) checks
@@ -299,7 +301,8 @@ let open_rung ~nodes ~keys ~assert_footprint () =
       wpv
   end;
   Printf.printf "  checked: %d transactions\n" (Sss_consistency.Checker.txn_count r.history);
-  let failures = !failures + fst (report (Store.checks r) ~where:(fun n -> "open-loop " ^ n)) in
+  let verdicts = Store.verdicts r.system r.history ~quiescent:(r.quiescent ()) in
+  let failures = !failures + fst (report verdicts ~where:(fun n -> "open-loop " ^ n)) in
   Printf.printf "open-loop target: %d failures\n" failures;
   failures
 

@@ -220,82 +220,6 @@ let run (p : params) =
     gc_dropped_entries = gc_entries;
   }
 
-let run_in ctx p = run (if ctx.observe_all then { p with observe = true } else p)
-
-let run_seeds ctx p ~seeds =
-  Sss_par.Pool.map_list ctx.pool (fun seed -> run_in ctx { p with seed }) seeds
-
-(* ---------- simulator meters ----------
-
-   Per-figure simulator totals, for the bench harness's --json report (DES
-   events/sec and virtual-time throughput per target).  Summed from the
-   outcomes in submission order, so the totals — float additions included —
-   are identical at every jobs count. *)
-
-type meters = {
-  des_events : int;  (* simulator events executed *)
-  virtual_seconds : float;  (* virtual time simulated *)
-  committed_txns : int;
-  runs : int;
-  (* open-loop admission totals (zeros for closed-loop figures) *)
-  offered : int;
-  accepted : int;
-  rejected : int;
-  (* GC totals: end-of-run retained versions (summed over runs) and
-     versions dropped by the online policy *)
-  store_versions : int;
-  gc_dropped : int;
-  store_words : int;
-  (* per-protocol highest offered rate meeting the saturation figure's p99
-     SLO, [None] when no rung met it; empty for every other figure *)
-  slo_rates : (string * float option) list;
-}
-
-let meters_zero =
-  {
-    des_events = 0;
-    virtual_seconds = 0.0;
-    committed_txns = 0;
-    runs = 0;
-    offered = 0;
-    accepted = 0;
-    rejected = 0;
-    store_versions = 0;
-    gc_dropped = 0;
-    store_words = 0;
-    slo_rates = [];
-  }
-
-let meters_add m (o : outcome) =
-  {
-    des_events = m.des_events + o.des_events;
-    virtual_seconds = m.virtual_seconds +. o.virtual_seconds;
-    committed_txns = m.committed_txns + o.committed;
-    runs = m.runs + 1;
-    offered = m.offered + o.offered;
-    accepted = m.accepted + o.accepted;
-    rejected = m.rejected + o.rejected;
-    store_versions = m.store_versions + o.store_versions;
-    gc_dropped = m.gc_dropped + o.gc_dropped_versions;
-    store_words = m.store_words + o.store_words;
-    slo_rates = m.slo_rates;
-  }
-
-let meters_sum a b =
-  {
-    des_events = a.des_events + b.des_events;
-    virtual_seconds = a.virtual_seconds +. b.virtual_seconds;
-    committed_txns = a.committed_txns + b.committed_txns;
-    runs = a.runs + b.runs;
-    offered = a.offered + b.offered;
-    accepted = a.accepted + b.accepted;
-    rejected = a.rejected + b.rejected;
-    store_versions = a.store_versions + b.store_versions;
-    gc_dropped = a.gc_dropped + b.gc_dropped;
-    store_words = a.store_words + b.store_words;
-    slo_rates = a.slo_rates @ b.slo_rates;
-  }
-
 (* ---------- staged (two-phase) figure evaluation ----------
 
    A figure body is a function of [~run] and [~out] whose sequence of [run]
@@ -311,8 +235,9 @@ let meters_sum a b =
        outcomes back in order and [out] printing for real.
 
    Because phase 2 is the only phase that prints and consumes results
-   strictly in submission order, the figure's text and meters are
-   byte-identical at any [jobs] — the smoke.sh -j1-vs-jmax gate pins it. *)
+   strictly in submission order, the figure's text and its returned runs
+   are byte-identical at any [jobs] — the smoke.sh -j1-vs-jmax gate pins
+   it. *)
 
 let placeholder_outcome =
   {
@@ -348,7 +273,12 @@ let placeholder_outcome =
 let staged ctx body =
   let specs = ref [] in
   body ~run:(fun p -> specs := p :: !specs; placeholder_outcome) ~out:ignore;
-  let outs = Sss_par.Pool.map ctx.pool (run_in ctx) (Array.of_list (List.rev !specs)) in
+  let specs = List.rev !specs in
+  let outs =
+    Sss_par.Pool.map ctx.pool
+      (fun p -> run (if ctx.observe_all then { p with observe = true } else p))
+      (Array.of_list specs)
+  in
   let idx = ref 0 in
   body
     ~run:(fun _ ->
@@ -356,7 +286,7 @@ let staged ctx body =
       incr idx;
       o)
     ~out:ctx.out;
-  Array.fold_left meters_add meters_zero outs
+  List.combine specs (Array.to_list outs)
 
 (* ---------- scales ---------- *)
 
@@ -677,10 +607,19 @@ let saturation_rates = function
   | Quick -> [ 10_000.; 20_000.; 40_000.; 80_000. ]
   | Smoke -> [ 5_000.; 20_000.; 80_000. ]
 
-let saturation_body scale ~slo_ms ~slo ~run ~out =
-  (* the body is interpreted twice (record + replay); only the replay
-     pass's SLO verdicts survive *)
-  slo := [];
+(* The saturation figure's p99 sojourn bound, in milliseconds. *)
+let slo_ms = 5.0
+
+let slo_rate runs =
+  List.fold_left
+    (fun acc (p, o) ->
+      match p.arrival with
+      | Some (Driver.Poisson rate) when o.p99_sojourn <= slo_ms /. 1e3 ->
+          Some (Option.fold ~none:rate ~some:(Float.max rate) acc)
+      | _ -> acc)
+    None runs
+
+let saturation_body scale ~run ~out =
   header out "Saturation: open-loop throughput and p99 sojourn vs offered load";
   let base = base_params scale in
   let keys = List.hd (keyspaces scale) in
@@ -708,42 +647,33 @@ let saturation_body scale ~slo_ms ~slo ~run ~out =
       let rungs =
         List.map
           (fun rate ->
-            let (o : outcome) =
-              run
-                { base with system = sys; nodes; keys; ro_ratio = 0.5;
-                  arrival = Some (Sss_workload.Driver.Poisson rate) }
+            let p =
+              { base with system = sys; nodes; keys; ro_ratio = 0.5;
+                arrival = Some (Driver.Poisson rate) }
             in
+            let o = run p in
             pr out "%-11.0f%10d%10d%10d%9.1f%12.3f%7.1f%%%10d%9d%10d\n" rate o.offered
               o.accepted o.committed (ktxs o) (o.p99_sojourn *. 1e3)
               (100. *. float_of_int o.rejected /. float_of_int (max 1 o.offered))
               o.store_versions o.gc_dropped_versions o.store_words;
-            (rate, o))
+            (p, o))
           (saturation_rates scale)
       in
       (* end-of-run resident storage at the hottest rung: versions are per
          SSS's exact accounting ([Mvstore.mem_words]); the other systems
          report their modelled store words *)
       (match List.rev rungs with
-      | (_, (last : outcome)) :: _ ->
+      | (_, last) :: _ ->
           if last.store_versions > 0 then
             pr out "   store: %d resident words, %.2f words/version\n" last.store_words
               (float_of_int last.store_words /. float_of_int last.store_versions)
           else pr out "   store: %d resident words\n" last.store_words
       | [] -> ());
-      (* SLO verdict (ROADMAP item 1): the highest offered rate whose p99
-         sojourn still meets the bound *)
-      let met =
-        List.fold_left
-          (fun acc (rate, (o : outcome)) ->
-            if o.p99_sojourn <= slo_ms /. 1e3 then Some rate else acc)
-          None rungs
-      in
-      (match met with
+      match slo_rate rungs with
       | Some rate ->
           pr out "   SLO p99 <= %.3f ms: sustained up to %.0f arrivals/s per node\n" slo_ms
             rate
-      | None -> pr out "   SLO p99 <= %.3f ms: no rung met the bound\n" slo_ms);
-      slo := (system_name sys, met) :: !slo)
+      | None -> pr out "   SLO p99 <= %.3f ms: no rung met the bound\n" slo_ms)
     [ Sss; Twopc ];
   (* one ramp run per system: the arrival rate climbs through the knee
      within a single trajectory, so the aggregate mixes the uncontended
@@ -755,20 +685,17 @@ let saturation_body scale ~slo_ms ~slo ~run ~out =
     "KTxs/s" "p99soj ms" "rej%";
   List.iter
     (fun sys ->
-      let (o : outcome) =
+      let o =
         run
           { base with system = sys; nodes; keys; ro_ratio = 0.5;
-            arrival = Some (Sss_workload.Driver.Ramp { from_rate = lo; to_rate = hi }) }
+            arrival = Some (Driver.Ramp { from_rate = lo; to_rate = hi }) }
       in
       pr out "%-8s%10d%10d%10d%9.1f%12.3f%7.1f%%\n" (system_name sys) o.offered
         o.accepted o.committed (ktxs o) (o.p99_sojourn *. 1e3)
         (100. *. float_of_int o.rejected /. float_of_int (max 1 o.offered)))
     [ Sss; Twopc ]
 
-let saturation ?(slo_ms = 5.0) ctx scale =
-  let slo = ref [] in
-  let m = staged ctx (saturation_body scale ~slo_ms ~slo) in
-  { m with slo_rates = List.rev !slo }
+let saturation ctx scale = staged ctx (saturation_body scale)
 
 let observed_metrics scale =
   let base = base_params scale in
@@ -778,7 +705,7 @@ let observed_metrics scale =
   match o.metrics with Some m -> m | None -> "{}"
 
 (* Every figure by its command-line name, in the order [all] runs them. *)
-let figures ?slo_ms () =
+let figures =
   [
     ("fig3", fig3);
     ("fig4a", fig4a);
@@ -791,16 +718,14 @@ let figures ?slo_ms () =
     ("ablation", ablation);
     ("skewed", skewed);
     ("durability", durability);
-    ("saturation", fun ctx scale -> saturation ?slo_ms ctx scale);
+    ("saturation", saturation);
   ]
 
-let figure_names = List.map fst (figures ())
+let figure_names = List.map fst figures
 
-let all ctx scale =
-  List.fold_left (fun m (_, fig) -> meters_sum m (fig ctx scale)) meters_zero (figures ())
+let all ctx scale = List.concat_map (fun (_, fig) -> fig ctx scale) figures
 
-let figure ?slo_ms name =
-  if String.equal name "all" then Some all else List.assoc_opt name (figures ?slo_ms ())
+let figure name = if String.equal name "all" then Some all else List.assoc_opt name figures
 
 (* ---------- recovery trajectory fingerprint ----------
 
@@ -868,8 +793,12 @@ let golden name =
     Option.map
       (fun fig ->
         let buf = Buffer.create 4096 in
-        let m = fig (ctx ~jobs:1 ~out:(Buffer.add_string buf) ()) Smoke in
+        let runs = List.map snd (fig (ctx ~jobs:1 ~out:(Buffer.add_string buf) ()) Smoke) in
+        let sum f = List.fold_left (fun acc o -> acc + f o) 0 runs in
         Printf.bprintf buf "des_events %d\nvirtual_seconds %.6f\ncommitted_txns %d\nruns %d\n"
-          m.des_events m.virtual_seconds m.committed_txns m.runs;
+          (sum (fun o -> o.des_events))
+          (List.fold_left (fun acc o -> acc +. o.virtual_seconds) 0.0 runs)
+          (sum (fun o -> o.committed))
+          (List.length runs);
         Buffer.contents buf)
       (figure name)

@@ -8,8 +8,10 @@
 
     Figures execute through a {!ctx}: the independent simulator runs behind
     a figure are fanned across a {!Sss_par.Pool} (jobs = 1 by default) and
-    their results consumed strictly in submission order, so a figure's text
-    and {!meters} are byte-identical at every jobs count. *)
+    their results consumed strictly in submission order.  Each figure
+    returns the runs it made, as [(params, outcome)] pairs in submission
+    order; they and the figure's text are byte-identical at every jobs
+    count. *)
 
 type system = Store.system = Sss | Walter | Twopc | Rococo
 
@@ -142,33 +144,6 @@ val ctx :
 
 val jobs : ctx -> int
 
-val run_seeds : ctx -> params -> seeds:int list -> outcome list
-(** The same experiment point at each seed, fanned through the ctx's pool;
-    results in the seeds' list order.  The shared seed-sweep entry point. *)
-
-(** Per-figure simulator totals, for the bench harness's [--json] report
-    (DES events/sec, virtual-time throughput).  Summed from the outcomes in
-    submission order, so identical at every jobs count. *)
-type meters = {
-  des_events : int;  (** simulator events executed *)
-  virtual_seconds : float;  (** virtual time simulated *)
-  committed_txns : int;
-  runs : int;  (** number of {!run} calls banked *)
-  offered : int;  (** open-loop arrivals (0 for closed-loop figures) *)
-  accepted : int;
-  rejected : int;
-  store_versions : int;  (** end-of-run retained versions, summed over runs *)
-  gc_dropped : int;  (** versions reclaimed by the online GC *)
-  store_words : int;
-      (** end-of-run resident store words, summed over runs (words/version
-          = store_words / store_versions is the bench-gated metric) *)
-  slo_rates : (string * float option) list;
-      (** saturation figure only: per protocol, the highest offered rate
-          whose p99 sojourn met the SLO bound ([None]: no rung did) *)
-}
-
-val meters_zero : meters
-
 (** Experiment scale: [Full] mirrors the paper's parameters (up to 20
     nodes, 5k/10k keys); [Quick] shrinks node counts and durations for a
     fast regeneration; [Smoke] is a seconds-long sanity pass used in CI. *)
@@ -187,51 +162,51 @@ val base_params : scale -> params
 (** The parameter template every figure at that scale derives its points
     from (bench/main.ml fingerprints it for the report's meta block). *)
 
-val fig3 : ctx -> scale -> meters
+val fig3 : ctx -> scale -> (params * outcome) list
 (** Throughput vs node count for SSS/Walter/2PC, replication degree 2,
     read-only ratio in {20, 50, 80}%, 5k and 10k keys. *)
 
-val fig4a : ctx -> scale -> meters
+val fig4a : ctx -> scale -> (params * outcome) list
 (** Maximum attainable throughput (best over clients-per-node) for SSS vs
     2PC-baseline, 50% read-only, 5k keys. *)
 
-val fig4b : ctx -> scale -> meters
+val fig4b : ctx -> scale -> (params * outcome) list
 (** Update-transaction latency (begin to external commit) vs clients per
     node, 20 nodes, 50% read-only, 5k keys, SSS vs 2PC-baseline. *)
 
-val fig5 : ctx -> scale -> meters
+val fig5 : ctx -> scale -> (params * outcome) list
 (** Breakdown of SSS update latency: execution+internal commit vs the
     pre-commit (snapshot-queue) wait; the paper reports the wait at ~30% of
     total, and below 28% on average. *)
 
-val fig6 : ctx -> scale -> meters
+val fig6 : ctx -> scale -> (params * outcome) list
 (** SSS vs ROCOCO vs 2PC-baseline, no replication, 5k keys, 20% and 80%
     read-only. *)
 
-val fig7 : ctx -> scale -> meters
+val fig7 : ctx -> scale -> (params * outcome) list
 (** Throughput at 80% read-only with 50% access locality, degree 2, 5k and
     10k keys, SSS/Walter/2PC. *)
 
-val fig8 : ctx -> scale -> meters
+val fig8 : ctx -> scale -> (params * outcome) list
 (** Speedup of SSS over ROCOCO and over 2PC-baseline as the read-only size
     grows through {2,4,8,16} reads; 15 nodes, 80% read-only, no
     replication. *)
 
-val abort_rate : ctx -> scale -> meters
+val abort_rate : ctx -> scale -> (params * outcome) list
 (** In-text measurement: SSS abort rate from 5 to 20 nodes at 20% read-only
     with 5k and 10k keys (paper: 6-28% and 4-14%). *)
 
-val ablation : ctx -> scale -> meters
+val ablation : ctx -> scale -> (params * outcome) list
 (** Design-choice ablation (not in the paper): throughput cost of the
     hardened external-commit ordering that makes the checker properties
     airtight, versus the paper's literal per-key snapshot-queue release. *)
 
-val skewed : ctx -> scale -> meters
+val skewed : ctx -> scale -> (params * outcome) list
 (** Extra experiment (not in the paper): all four systems under zipfian
     key popularity of increasing skew — contention sensitivity beyond the
     paper's uniform-access evaluation. *)
 
-val durability : ctx -> scale -> meters
+val durability : ctx -> scale -> (params * outcome) list
 (** Extra experiment (not in the paper): the durable storage engine's two
     trades.  (a) Steady-state overhead — each system with durability off
     vs on, where durable commits wait for the group-commit fsync before
@@ -241,7 +216,7 @@ val durability : ctx -> scale -> meters
     of more checkpoint write traffic.  EXPERIMENTS.md records the
     measured table. *)
 
-val saturation : ?slo_ms:float -> ctx -> scale -> meters
+val saturation : ctx -> scale -> (params * outcome) list
 (** Extra experiment (not in the paper): open-loop saturation sweep.  A
     Poisson offered-load ladder per node is swept through each protocol's
     capacity knee (SSS and 2PC-baseline, online GC on), reporting accepted
@@ -251,25 +226,26 @@ val saturation : ?slo_ms:float -> ctx -> scale -> meters
     printed latency floor (~2 request/reply rounds) anchors the sojourn
     axis the way Didona et al. anchor their saturation plots.  Each ladder
     closes with the protocol's resident store words (cross-protocol, same
-    heap model) and its SLO verdict: the highest offered rate whose p99
-    sojourn meets [slo_ms] (default 5 ms; bench [--slo]), also returned in
-    [meters.slo_rates] for the [--json] report. *)
+    heap model) and its SLO verdict, {!slo_rate} of its rungs. *)
+
+val slo_rate : (params * outcome) list -> float option
+(** The highest Poisson arrival rate among the runs whose p99 sojourn met
+    the saturation figure's 5 ms bound; [None] when no Poisson run did. *)
 
 val observed_metrics : scale -> string
 (** Run one traced SSS cell (the fig4b/fig5 configuration with
     [observe = true]) and return its metrics JSON — the "metrics" section
     of [bench --json --observe] and [stress --observe]. *)
 
-val all : ctx -> scale -> meters
-(** Run every experiment in order. *)
+val all : ctx -> scale -> (params * outcome) list
+(** Run every experiment in order; their runs, concatenated. *)
 
 val figure_names : string list
 (** Every figure's command-line name ("fig3", ..., "saturation"), in the
     order {!all} runs them. *)
 
-val figure : ?slo_ms:float -> string -> (ctx -> scale -> meters) option
-(** The figure of that name, or ["all"]; [slo_ms] reaches {!saturation}
-    run by name. *)
+val figure : string -> (ctx -> scale -> (params * outcome) list) option
+(** The figure of that name, or ["all"]. *)
 
 val history_md5 : Sss_consistency.History.t -> string
 (** MD5 over every recorded history event, with its sequence number and

@@ -48,7 +48,6 @@ type 'h t = {
   sim : Sss_sim.Sim.t;
   config : Sss_kv.Config.t;
   ops : 'h Driver.ops;
-  txn_id : 'h -> Ids.txn;
   local_keys : Ids.node -> Ids.key array;
   history : History.t;
   obs : Sss_obs.Obs.t option;
@@ -56,7 +55,6 @@ type 'h t = {
   store_words : unit -> int;
   quiescent : unit -> (unit, string) result;
   chaos : ?durable:bool -> Chaos.plan -> Chaos.handle;
-  promises : property list;
   kv : Sss_kv.Kv.cluster option;
 }
 
@@ -77,7 +75,6 @@ module Of (S : Sss_kv.Runtime.STORE) = struct
             write = S.write;
             commit = S.commit;
           };
-        txn_id = S.txn_id;
         local_keys = S.local_keys cl;
         history = S.history cl;
         obs = S.obs cl;
@@ -91,7 +88,6 @@ module Of (S : Sss_kv.Runtime.STORE) = struct
               Chaos.install sim (S.network cl) ~kind_of ~on_crash:(S.crash_node cl)
                 ~on_restart:(S.restart_node cl) plan
             else Chaos.install sim (S.network cl) ~kind_of plan);
-        promises = promises system;
         kv = kv cl;
       }
 end
@@ -148,11 +144,6 @@ let drive ?plan ?(durable = false) (s : _ t) ~profile ~load =
     quiescent = s.quiescent;
     kv = s.kv;
   }
-
-(* The promised properties over the history, then quiescence. *)
-let checks r =
-  List.map (fun p -> (property_name p, check p r.history)) (promises r.system)
-  @ [ ("quiescent", r.quiescent ()) ]
 
 type verdict = Pass | Fail of string | Not_promised
 

@@ -2,9 +2,9 @@
 
     [create] builds a cluster of any system and returns what every harness
     needs from it — the driver's client operations, the history, the
-    network and storage gauges, the chaos installer — plus the list of
-    consistency properties the protocol promises.  Sweeps and tests check
-    exactly [checks]: the promises plus quiescence. *)
+    network and storage gauges, the chaos installer.  Sweeps and tests
+    check exactly {!verdicts}: the properties the protocol promises, plus
+    quiescence. *)
 
 open Sss_data
 
@@ -37,7 +37,6 @@ type 'h t = {
   sim : Sss_sim.Sim.t;  (** the simulator the cluster runs on *)
   config : Sss_kv.Config.t;
   ops : 'h Sss_workload.Driver.ops;
-  txn_id : 'h -> Ids.txn;
   local_keys : Ids.node -> Ids.key array;
   history : Sss_consistency.History.t;
   obs : Sss_obs.Obs.t option;
@@ -50,7 +49,6 @@ type 'h t = {
       (** install a fault plan on the cluster's network; [durable] (default
           [false]) also wires the protocol's crash/restart hooks, so a
           durable node discards its volatile state and replays its log *)
-  promises : property list;  (** [promises system] *)
   kv : Sss_kv.Kv.cluster option;  (** [Some] for SSS: its own telemetry *)
 }
 
@@ -90,10 +88,7 @@ val drive :
     driver on the store's simulator until it drains, and read the
     end-of-run numbers. *)
 
-val checks : run -> (string * (unit, string) result) list
-(** Every promised property over the run's history, then ["quiescent"]. *)
-
-(** {1 Verdicts} — [sss-cli verify] *)
+(** {1 Verdicts} — what [sss-cli verify], [stress] and the tests check *)
 
 type verdict = Pass | Fail of string | Not_promised
 

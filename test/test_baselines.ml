@@ -6,6 +6,7 @@
 open Sss_sim
 open Sss_data
 open Sss_consistency
+module Store = Sss_experiments.Store
 
 let config ?(nodes = 3) ?(degree = 1) ?(keys = 24) ?(seed = 1) () =
   { Sss_kv.Config.default with nodes; replication_degree = degree; total_keys = keys; seed }
@@ -14,28 +15,19 @@ let check_ok what = function
   | Ok () -> ()
   | Error msg -> Alcotest.fail (Printf.sprintf "%s: %s" what msg)
 
-let run_driver sim ~nodes ~keys ~ro ~seed ~ops ~local_keys =
-  Sss_workload.Driver.run sim ~nodes ~total_keys:keys ~local_keys
+(* A 4-node workload run of [system]: 4 clients per node, 5 ms warmup,
+   50 ms measured. *)
+let drive system ~degree ~keys ~ro ~seed =
+  let (Store.Store s) =
+    Store.create system (Sim.create ()) (config ~nodes:4 ~degree ~keys ~seed ())
+  in
+  Store.drive s
     ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:ro)
     ~load:
-      {
-        Sss_workload.Driver.default_load with
-        clients_per_node = 4;
-        warmup = 0.005;
-        duration = 0.05;
-        seed;
-      }
-    ~ops
+      { Sss_workload.Driver.default_load with clients_per_node = 4; warmup = 0.005;
+        duration = 0.05; seed }
 
 (* ---------- 2PC-baseline ---------- *)
-
-let twopc_ops cl =
-  {
-    Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Twopc_kv.Twopc.begin_txn cl ~node ~read_only);
-    read = Twopc_kv.Twopc.read;
-    write = Twopc_kv.Twopc.write;
-    commit = Twopc_kv.Twopc.commit;
-  }
 
 let test_twopc_basic () =
   let sim = Sim.create () in
@@ -55,47 +47,27 @@ let test_twopc_basic () =
   check_ok "quiescent" (Twopc_kv.Twopc.quiescent cl)
 
 let test_twopc_workload () =
-  let sim = Sim.create () in
-  let cl = Twopc_kv.Twopc.create sim (config ~nodes:4 ~degree:2 ~keys:24 ~seed:5 ()) in
-  let result =
-    run_driver sim ~nodes:4 ~keys:24 ~ro:0.5 ~seed:5 ~ops:(twopc_ops cl)
-      ~local_keys:(fun _ -> [||])
-  in
-  Alcotest.(check bool) "progress" true (result.Sss_workload.Driver.committed > 50);
-  let h = Twopc_kv.Twopc.history cl in
+  let r = drive Store.Twopc ~degree:2 ~keys:24 ~ro:0.5 ~seed:5 in
+  Alcotest.(check bool) "progress" true (r.result.committed > 50);
+  let h = r.history in
   check_ok "external consistency" (Checker.external_consistency h);
   check_ok "serializability" (Checker.serializability h);
   check_ok "no lost updates" (Checker.no_lost_updates h);
-  check_ok "quiescent" (Twopc_kv.Twopc.quiescent cl)
+  check_ok "quiescent" (r.quiescent ())
 
 let test_twopc_read_only_can_abort () =
   (* tiny key space: read-only validation conflicts must appear *)
-  let sim = Sim.create () in
-  let cl = Twopc_kv.Twopc.create sim (config ~nodes:4 ~degree:2 ~keys:8 ~seed:3 ()) in
-  let result =
-    run_driver sim ~nodes:4 ~keys:8 ~ro:0.5 ~seed:3 ~ops:(twopc_ops cl)
-      ~local_keys:(fun _ -> [||])
-  in
+  let r = drive Store.Twopc ~degree:2 ~keys:8 ~ro:0.5 ~seed:3 in
   Alcotest.(check bool)
-    (Printf.sprintf "aborts under contention (%d)" result.Sss_workload.Driver.aborted)
-    true
-    (result.Sss_workload.Driver.aborted > 0);
+    (Printf.sprintf "aborts under contention (%d)" r.result.aborted)
+    true (r.result.aborted > 0);
   (* the defining contrast with SSS: 2PC-baseline aborts read-only txns *)
-  (match Checker.read_only_abort_free (Twopc_kv.Twopc.history cl) with
+  (match Checker.read_only_abort_free r.history with
   | Ok () -> Alcotest.fail "expected some read-only aborts in 2PC-baseline"
   | Error _ -> ());
-  check_ok "still externally consistent"
-    (Checker.external_consistency (Twopc_kv.Twopc.history cl))
+  check_ok "still externally consistent" (Checker.external_consistency r.history)
 
 (* ---------- Walter ---------- *)
-
-let walter_ops cl =
-  {
-    Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Walter_kv.Walter.begin_txn cl ~node ~read_only);
-    read = Walter_kv.Walter.read;
-    write = Walter_kv.Walter.write;
-    commit = Walter_kv.Walter.commit;
-  }
 
 let test_walter_basic () =
   let sim = Sim.create () in
@@ -115,19 +87,14 @@ let test_walter_basic () =
   check_ok "quiescent" (Walter_kv.Walter.quiescent cl)
 
 let test_walter_workload () =
-  let sim = Sim.create () in
-  let cl = Walter_kv.Walter.create sim (config ~nodes:4 ~degree:2 ~keys:24 ~seed:7 ()) in
-  let result =
-    run_driver sim ~nodes:4 ~keys:24 ~ro:0.5 ~seed:7 ~ops:(walter_ops cl)
-      ~local_keys:(fun _ -> [||])
-  in
-  Alcotest.(check bool) "progress" true (result.Sss_workload.Driver.committed > 50);
-  let h = Walter_kv.Walter.history cl in
+  let r = drive Store.Walter ~degree:2 ~keys:24 ~ro:0.5 ~seed:7 in
+  Alcotest.(check bool) "progress" true (r.result.committed > 50);
+  let h = r.history in
   (* PSI: intact read-modify-writes and abort-free read-only transactions,
      but NOT serializability (long forks are possible). *)
   check_ok "no lost updates" (Checker.no_lost_updates h);
   check_ok "read-only abort free" (Checker.read_only_abort_free h);
-  check_ok "quiescent" (Walter_kv.Walter.quiescent cl)
+  check_ok "quiescent" (r.quiescent ())
 
 let test_walter_weaker_than_serializable () =
   (* Across seeds and a hot key space, PSI should exhibit at least one
@@ -135,30 +102,15 @@ let test_walter_weaker_than_serializable () =
      Walter's guarantee "much weaker" (§V). *)
   let violations = ref 0 in
   for seed = 1 to 8 do
-    let sim = Sim.create () in
-    let cl = Walter_kv.Walter.create sim (config ~nodes:4 ~degree:2 ~keys:8 ~seed ()) in
-    let _ =
-      run_driver sim ~nodes:4 ~keys:8 ~ro:0.6 ~seed ~ops:(walter_ops cl)
-        ~local_keys:(fun _ -> [||])
-    in
-    (match Checker.serializability (Walter_kv.Walter.history cl) with
-    | Ok () -> ()
-    | Error _ -> incr violations);
-    check_ok "no lost updates" (Checker.no_lost_updates (Walter_kv.Walter.history cl))
+    let r = drive Store.Walter ~degree:2 ~keys:8 ~ro:0.6 ~seed in
+    (match Checker.serializability r.history with Ok () -> () | Error _ -> incr violations);
+    check_ok "no lost updates" (Checker.no_lost_updates r.history)
   done;
   Alcotest.(check bool)
     (Printf.sprintf "observed PSI anomalies in %d/8 runs" !violations)
     true (!violations > 0)
 
 (* ---------- ROCOCO ---------- *)
-
-let rococo_ops cl =
-  {
-    Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Rococo_kv.Rococo.begin_txn cl ~node ~read_only);
-    read = Rococo_kv.Rococo.read;
-    write = Rococo_kv.Rococo.write;
-    commit = Rococo_kv.Rococo.commit;
-  }
 
 let test_rococo_basic () =
   let sim = Sim.create () in
@@ -178,29 +130,18 @@ let test_rococo_basic () =
   check_ok "quiescent" (Rococo_kv.Rococo.quiescent cl)
 
 let test_rococo_workload () =
-  let sim = Sim.create () in
-  let cl = Rococo_kv.Rococo.create sim (config ~nodes:4 ~degree:1 ~keys:24 ~seed:11 ()) in
-  let result =
-    run_driver sim ~nodes:4 ~keys:24 ~ro:0.5 ~seed:11 ~ops:(rococo_ops cl)
-      ~local_keys:(fun _ -> [||])
-  in
-  Alcotest.(check bool) "progress" true (result.Sss_workload.Driver.committed > 50);
-  let h = Rococo_kv.Rococo.history cl in
+  let r = drive Store.Rococo ~degree:1 ~keys:24 ~ro:0.5 ~seed:11 in
+  Alcotest.(check bool) "progress" true (r.result.committed > 50);
+  let h = r.history in
   check_ok "serializability" (Checker.serializability h);
   check_ok "external consistency" (Checker.external_consistency h);
   check_ok "no lost updates" (Checker.no_lost_updates h);
-  check_ok "quiescent" (Rococo_kv.Rococo.quiescent cl)
+  check_ok "quiescent" (r.quiescent ())
 
 let test_rococo_updates_never_abort () =
   (* hot keys: all aborts must come from the round-based read-only path *)
-  let sim = Sim.create () in
-  let cl = Rococo_kv.Rococo.create sim (config ~nodes:4 ~degree:1 ~keys:8 ~seed:13 ()) in
-  let result =
-    run_driver sim ~nodes:4 ~keys:8 ~ro:0.5 ~seed:13 ~ops:(rococo_ops cl)
-      ~local_keys:(fun _ -> [||])
-  in
-  ignore result;
-  let h = Rococo_kv.Rococo.history cl in
+  let r = drive Store.Rococo ~degree:1 ~keys:8 ~ro:0.5 ~seed:13 in
+  let h = r.history in
   (* every aborted txn in the history must be read-only *)
   let events = History.events h in
   let ro_txns = Hashtbl.create 64 in
@@ -221,7 +162,7 @@ let test_rococo_updates_never_abort () =
       | _ -> ())
     events;
   check_ok "serializability under contention" (Checker.serializability h);
-  check_ok "quiescent" (Rococo_kv.Rococo.quiescent cl)
+  check_ok "quiescent" (r.quiescent ())
 
 let () =
   Alcotest.run "baselines"

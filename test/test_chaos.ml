@@ -81,11 +81,10 @@ let test_sweep () =
         if stats.Chaos.crashes <> 1 || stats.Chaos.restarts <> 1 then
           Alcotest.failf "%s seed=%d: crash/restart did not fire" name seed;
         List.iter
-          (fun (check, res) ->
-            match res with
-            | Ok () -> ()
-            | Error msg -> Alcotest.failf "%s seed=%d %s: %s" name seed check msg)
-          (Store.checks o))
+          (function
+            | check, Store.Fail msg -> Alcotest.failf "%s seed=%d %s: %s" name seed check msg
+            | _, (Pass | Not_promised) -> ())
+          (Store.verdicts o.system o.history ~quiescent:(o.quiescent ())))
       systems
   done;
   if !total_committed = 0 then Alcotest.fail "chaos sweep committed nothing"
@@ -145,11 +144,10 @@ let test_partition_heal_liveness () =
   in
   let o, _ = run Store.Sss ~plan ~seed:3 in
   List.iter
-    (fun (check, res) ->
-      match res with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "liveness %s: %s" check msg)
-    (Store.checks o);
+    (function
+      | check, Store.Fail msg -> Alcotest.failf "liveness %s: %s" check msg
+      | _, (Pass | Not_promised) -> ())
+    (Store.verdicts o.system o.history ~quiescent:(o.quiescent ()));
   (* every node commits something strictly after the heal *)
   let nodes_committing = Hashtbl.create 4 in
   List.iter

@@ -51,11 +51,10 @@ let assert_recovered system seed ((o : Store.run), stats) =
   if stats.Chaos.crashes <> 1 || stats.Chaos.restarts <> 1 then
     Alcotest.failf "%s seed=%d: crash/restart did not fire" name seed;
   List.iter
-    (fun (check, res) ->
-      match res with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "%s seed=%d %s: %s" name seed check msg)
-    (Store.checks o);
+    (function
+      | check, Store.Fail msg -> Alcotest.failf "%s seed=%d %s: %s" name seed check msg
+      | _, (Pass | Not_promised) -> ())
+    (Store.verdicts o.system o.history ~quiescent:(o.quiescent ()));
   (* liveness: work committed after the restart *)
   let after_restart =
     List.exists
@@ -91,11 +90,10 @@ let test_sss_crash_grid () =
       let o, stats = run Store.Sss ~plan ~seed in
       if stats.Chaos.crashes <> 1 then Alcotest.failf "grid %d: crash did not fire" i;
       List.iter
-        (fun (check, res) ->
-          match res with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "grid at=%.6f %s: %s" at check msg)
-        (Store.checks o))
+        (function
+          | check, Store.Fail msg -> Alcotest.failf "grid at=%.6f %s: %s" at check msg
+          | _, (Pass | Not_promised) -> ())
+        (Store.verdicts o.system o.history ~quiescent:(o.quiescent ())))
     [ 0.0100; 0.01002; 0.01004; 0.01006; 0.01008; 0.0101 ]
 
 (* SSS read-only abort-freedom survives durability + crash: no RO abort
@@ -331,9 +329,10 @@ let test_gc_across_crash () =
     in
     if (Chaos.stats h).Chaos.restarts <> 1 then Alcotest.fail "crash/restart did not fire";
     List.iter
-      (fun (check, res) ->
-        match res with Ok () -> () | Error msg -> Alcotest.failf "gc=%b %s: %s" gc check msg)
-      (Store.checks r);
+      (function
+        | check, Store.Fail msg -> Alcotest.failf "gc=%b %s: %s" gc check msg
+        | _, (Pass | Not_promised) -> ())
+      (Store.verdicts r.system r.history ~quiescent:(r.quiescent ()));
     (r.result.committed, r.history, !homed, !after_restart, dropped ())
   in
   let off_committed, off_history, _, _, _ = run false in

@@ -57,72 +57,60 @@ let test_invalid_jobs () =
 
 (* ---------- determinism: -j1 and -j4 are byte-identical ---------- *)
 
-let meters_tuple (m : E.meters) =
-  ((m.E.des_events, m.E.virtual_seconds), (m.E.committed_txns, m.E.runs))
+(* Every field of every run a figure returned, in order ([compare], not
+   [=], so an empty window's nan mean equals itself). *)
+let runs =
+  Alcotest.testable
+    (fun ppf l -> Format.fprintf ppf "<%d runs>" (List.length l))
+    (fun a b -> compare a b = 0)
+
+let capture fig jobs =
+  let buf = Buffer.create 4096 in
+  let runs = fig (E.ctx ~jobs ~out:(Buffer.add_string buf) ()) E.Smoke in
+  (Buffer.contents buf, runs)
 
 let test_figure_determinism () =
-  let capture jobs =
-    let buf = Buffer.create 4096 in
-    let c = E.ctx ~jobs ~out:(Buffer.add_string buf) () in
-    let m = E.fig3 c E.Smoke in
-    (Buffer.contents buf, m)
-  in
-  let text1, m1 = capture 1 in
-  let text4, m4 = capture 4 in
+  let text1, runs1 = capture E.fig3 1 in
+  let text4, runs4 = capture E.fig3 4 in
   Alcotest.(check string) "fig3 text identical at -j1 and -j4" text1 text4;
   Alcotest.(check bool) "fig3 prints something" true (String.length text1 > 0);
-  Alcotest.(check (pair (pair int (float 0.)) (pair int int)))
-    "fig3 meters identical" (meters_tuple m1) (meters_tuple m4)
+  Alcotest.check runs "fig3 runs identical" runs1 runs4
 
-let test_run_seeds_determinism () =
+let test_seed_sweep_determinism () =
   let p = { E.default_params with nodes = 3; keys = 24; clients = 2; duration = 0.01 } in
   let seeds = [ 1; 2; 3; 4; 5; 6 ] in
   let digest outs =
     List.map (fun (o : E.outcome) -> (o.E.committed, o.E.des_events)) outs
   in
-  let at jobs = digest (E.run_seeds (E.ctx ~jobs ()) p ~seeds) in
-  Alcotest.(check (list (pair int int)))
-    "run_seeds identical at -j1 and -j4" (at 1) (at 4)
+  let at jobs =
+    digest (Pool.map_list (Pool.create ~jobs) (fun seed -> E.run { p with seed }) seeds)
+  in
+  Alcotest.(check (list (pair int int))) "seed sweep identical at -j1 and -j4" (at 1) (at 4)
 
 (* a chaos sweep through the pool: same fault plan + same seeds => same
    trajectories at any jobs count *)
 let test_chaos_sweep_determinism () =
   let module Chaos = Sss_chaos.Chaos in
+  let module Store = Sss_experiments.Store in
   let any = { Chaos.src = None; dst = None; kinds = [] } in
   let rule drop dup =
     { Chaos.target = any; drop; dup; delay = 0.0; from_ = 0.0; until = Float.infinity }
   in
   let chaos_one seed =
     let plan = { Chaos.seed; rules = [ rule 0.03 0.0; rule 0.0 0.02 ]; events = [] } in
-    let sim = Sss_sim.Sim.create () in
-    let config =
-      { Sss_kv.Config.default with nodes = 4; replication_degree = 2; total_keys = 24;
-        seed; fault_tolerance = true }
+    let (Store.Store s) =
+      Store.create Store.Sss (Sss_sim.Sim.create ())
+        { Sss_kv.Config.default with nodes = 4; replication_degree = 2; total_keys = 24;
+          seed; fault_tolerance = true }
     in
-    let cl = Sss_kv.Kv.create sim config in
-    ignore (Chaos.install sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Message.kind_name plan);
-    let result =
-      Sss_workload.Driver.run sim ~nodes:4 ~total_keys:24
-        ~local_keys:(fun _ -> [||])
+    let r =
+      Store.drive ~plan s
         ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
         ~load:
-          {
-            Sss_workload.Driver.default_load with
-            clients_per_node = 2;
-            warmup = 0.005;
-            duration = 0.02;
-            seed;
-          }
-        ~ops:
-          {
-            Sss_workload.Driver.begin_txn =
-              (fun ~node ~read_only -> Sss_kv.Kv.begin_txn cl ~node ~read_only);
-            read = Sss_kv.Kv.read;
-            write = Sss_kv.Kv.write;
-            commit = Sss_kv.Kv.commit;
-          }
+          { Sss_workload.Driver.default_load with clients_per_node = 2; warmup = 0.005;
+            duration = 0.02; seed }
     in
-    (result.Sss_workload.Driver.committed, Sss_sim.Sim.events_processed sim)
+    (r.result.committed, r.des_events)
   in
   let seeds = [ 1; 2; 3; 4; 5; 6 ] in
   let at jobs = Pool.map_list (Pool.create ~jobs) chaos_one seeds in
@@ -133,20 +121,16 @@ let test_chaos_sweep_determinism () =
    saturation figure (Poisson + Ramp arrivals, admission rejection,
    watermark GC, for two protocols) must be byte-identical at -j1 and -j4 *)
 let test_saturation_determinism () =
-  let capture jobs =
-    let buf = Buffer.create 4096 in
-    let c = E.ctx ~jobs ~out:(Buffer.add_string buf) () in
-    let m = E.saturation c E.Smoke in
-    (Buffer.contents buf, m)
-  in
-  let text1, m1 = capture 1 in
-  let text4, m4 = capture 4 in
+  let text1, runs1 = capture E.saturation 1 in
+  let text4, runs4 = capture E.saturation 4 in
   Alcotest.(check string) "saturation text identical at -j1 and -j4" text1 text4;
   Alcotest.(check bool) "saturation prints something" true (String.length text1 > 0);
-  Alcotest.(check (pair (pair int (float 0.)) (pair int int)))
-    "saturation meters identical" (meters_tuple m1) (meters_tuple m4);
-  Alcotest.(check bool) "saturation sweeps admitted traffic" true (m1.E.accepted > 0);
-  Alcotest.(check bool) "saturation GC collected versions" true (m1.E.gc_dropped > 0)
+  Alcotest.check runs "saturation runs identical" runs1 runs4;
+  let sum f = List.fold_left (fun acc (_, o) -> acc + f o) 0 runs1 in
+  Alcotest.(check bool) "saturation sweeps admitted traffic" true
+    (sum (fun o -> o.E.accepted) > 0);
+  Alcotest.(check bool) "saturation GC collected versions" true
+    (sum (fun o -> o.E.gc_dropped_versions) > 0)
 
 (* a single open-loop + GC point, digested down to its admission counters
    and the DES event total: identical through the pool at any jobs count *)
@@ -168,10 +152,13 @@ let test_open_loop_run_determinism () =
         ((o.E.offered, o.E.accepted, o.E.rejected), (o.E.committed, o.E.des_events)))
       outs
   in
-  let at jobs = digest (E.run_seeds (E.ctx ~jobs ()) p ~seeds:([ 1; 2; 3; 4; 5; 6 ])) in
+  let seeds = [ 1; 2; 3; 4; 5; 6 ] in
+  let at jobs =
+    digest (Pool.map_list (Pool.create ~jobs) (fun seed -> E.run { p with seed }) seeds)
+  in
   Alcotest.(check
       (list (pair (triple int int int) (pair int int))))
-    "open-loop run_seeds identical at -j1 and -j4" (at 1) (at 4)
+    "open-loop runs identical at -j1 and -j4" (at 1) (at 4)
 
 let () =
   Alcotest.run "par"
@@ -188,7 +175,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "figure -j1 = -j4" `Slow test_figure_determinism;
-          Alcotest.test_case "run_seeds -j1 = -j4" `Quick test_run_seeds_determinism;
+          Alcotest.test_case "run_seeds -j1 = -j4" `Quick test_seed_sweep_determinism;
           Alcotest.test_case "chaos sweep -j1 = -j4" `Quick test_chaos_sweep_determinism;
           Alcotest.test_case "saturation -j1 = -j4" `Slow test_saturation_determinism;
           Alcotest.test_case "open-loop run -j1 = -j4" `Quick test_open_loop_run_determinism;
