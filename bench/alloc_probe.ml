@@ -26,8 +26,10 @@ let () =
     incr n;
     if !n < limit then begin
       (* mode selects the delay profile so engine paths can be measured in
-         isolation: 0 = delay-0 wakeups (front fast path), 1 = short hops
-         (buckets), 2 = network mix incl. far-future timers (overflow) *)
+         isolation: 0 = delay-0 wakeups (each chain keeps its start instant,
+         about a hundred to a bucket, so every pop scans a full current
+         bucket), 1 = short hops (buckets), 2 = network mix incl.
+         far-future timers (overflow) *)
       let r = rand () in
       let delay =
         match mode with

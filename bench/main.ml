@@ -19,10 +19,11 @@
    seed, config fingerprint) so regenerated files are comparable; see the
    schema note in EXPERIMENTS.md.
 
-   [--observe] additionally runs one traced SSS cell (Config.observe = true)
-   and emits its sss_obs metrics — printed, and embedded as a "metrics"
-   object when [--json] is also given.  By the observer-effect contract
-   (docs/OBSERVABILITY.md) tracing never changes the measured numbers.
+   [--observe] traces every figure run (Config.observe = true) and emits
+   the first traced SSS run's sss_obs metrics — printed, and embedded as a
+   "metrics" object when [--json] is also given.  By the observer-effect
+   contract (docs/OBSERVABILITY.md) tracing never changes the measured
+   numbers.
 
    [-j N] fans the independent simulator runs behind each figure across N
    domains (sss_par pool; "max" = Pool.default_jobs).  Output — figure text
@@ -366,14 +367,16 @@ let () =
             :: !reports)
     targets;
   let metrics =
-    if !observe then begin
-      Printf.printf "\n== Observed metrics (traced SSS cell) ==\n%!";
-      let m = observed_metrics scale in
-      Printf.printf "%s\n%!" m;
-      Some m
-    end
-    else None
+    if not !observe then None
+    else
+      List.find_map
+        (fun r ->
+          List.find_map
+            (fun ((p : params), (o : outcome)) -> if p.system = Sss then o.metrics else None)
+            r.runs)
+        (List.rev !reports)
   in
+  Option.iter (Printf.printf "\n== Observed metrics (first traced SSS run) ==\n%s\n%!") metrics;
   match !json_file with
   | None -> ()
   | Some f ->

@@ -60,8 +60,10 @@ let workers_t =
 
 (* Both commands check their arguments before any cluster is built: a bad
    one is reported on stderr with exit 2.  [fibers] names the per-node
-   fiber count of the loop that drives the run (--clients or --workers). *)
-let check_args cmd ~nodes ~degree ~keys ~ro ~locality ~duration ~fibers:(flag, n) =
+   fiber count of the loop that drives the run (--clients or --workers);
+   [rate] and [queue] are point's open-loop options. *)
+let check_args ?(rate = 0.0) ?(queue = 0) cmd ~nodes ~degree ~keys ~ro ~locality ~duration
+    ~fibers:(flag, n) =
   let ratio x = 0.0 <= x && x <= 1.0 in
   List.iter
     (fun (ok, msg) ->
@@ -78,12 +80,14 @@ let check_args cmd ~nodes ~degree ~keys ~ro ~locality ~duration ~fibers:(flag, n
       (ratio locality, Printf.sprintf "--locality %g: need a probability in [0, 1]" locality);
       (duration > 0.0, Printf.sprintf "--duration %g: need a positive window" duration);
       (n >= 1, Printf.sprintf "%s %d: need at least 1" flag n);
+      (rate >= 0.0, Printf.sprintf "--rate %g: need a rate >= 0 (0 = closed loop)" rate);
+      (queue >= 0, Printf.sprintf "--queue %d: need a capacity >= 0" queue);
     ]
 
 let point_cmd =
   let run_point system nodes degree keys ro ro_ops locality clients duration seed strict observe
       durable rate queue workers =
-    check_args "point" ~nodes ~degree ~keys ~ro ~locality ~duration
+    check_args "point" ~rate ~queue ~nodes ~degree ~keys ~ro ~locality ~duration
       ~fibers:(if rate > 0.0 then ("--workers", workers) else ("--clients", clients));
     let o =
       run

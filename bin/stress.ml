@@ -27,10 +27,10 @@ let cross xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 (* Drive [system] on a fresh simulator.  Runs return their checks, not
    their history: a pool task checks its own run, and a sweep holds no
    history past it. *)
-let checked_run ?plan ?durable ~ro ~clients ~duration system (config : Config.t) =
+let checked_run ?plan ~ro ~clients ~duration system (config : Config.t) =
   let (Store.Store s) = Store.create system (Sim.create ()) config in
   let r =
-    Store.drive ?plan ?durable s
+    Store.drive ?plan s
       ~profile:(Driver.paper_profile ~read_only_ratio:ro)
       ~load:
         { Driver.default_load with clients_per_node = clients; warmup = 0.005; duration;
@@ -42,9 +42,9 @@ let checked_run ?plan ?durable ~ro ~clients ~duration system (config : Config.t)
 
 (* Drive one store of [system] on the small 4-node sweep cluster (ROCOCO
    unreplicated, as in the paper's comparisons). *)
-let sweep_run ?durable ?plan ~config ~clients ~duration system =
+let sweep_run ?plan ~config ~clients ~duration system =
   let committed, checks, _ =
-    checked_run ?durable ?plan ~ro:0.5 ~clients ~duration system
+    checked_run ?plan ~ro:0.5 ~clients ~duration system
       { config with Config.nodes = 4; replication_degree = Store.paper_degree system;
         total_keys = 24 }
   in
@@ -105,18 +105,16 @@ let baseline_sweep pool =
    never feed the paper-shape figures (see EXPERIMENTS.md). *)
 
 (* One chaos seed: all four systems; returns the committed total and the
-   per-system checks, in SSS, 2PC, Walter, ROCOCO order.  [durable] turns
-   on write-ahead logging and wires the Chaos crash/restart hooks so a
-   fail-stopped node replays its log instead of just dropping messages. *)
-let chaos_one ?(durable = false) base_plan seed =
+   per-system checks, in SSS, 2PC, Walter, ROCOCO order.  [durability]
+   turns on write-ahead logging, so a fail-stopped node replays its log
+   instead of just dropping messages. *)
+let chaos_one ~durability base_plan seed =
   let plan = { base_plan with Sss_chaos.Chaos.seed = base_plan.Sss_chaos.Chaos.seed + seed } in
-  let config = { Config.default with seed; fault_tolerance = true; durability = durable } in
+  let config = { Config.default with seed; fault_tolerance = true; durability } in
   let runs =
     List.map
       (fun system ->
-        let committed, checks =
-          sweep_run ~durable ~plan ~config ~clients:2 ~duration:0.03 system
-        in
+        let committed, checks = sweep_run ~plan ~config ~clients:2 ~duration:0.03 system in
         (committed, (lower system, checks)))
       [ Sss; Twopc; Walter; Rococo ]
   in
@@ -124,7 +122,7 @@ let chaos_one ?(durable = false) base_plan seed =
 
 (* [chaos_one] over [seeds]: print every failed check, return the
    committed total and the failure count. *)
-let system_sweep pool ~label ?durable plan seeds =
+let system_sweep pool ~label ~durability plan seeds =
   List.fold_left2
     (fun (committed, failures) seed (c, per_system) ->
       ( committed + c,
@@ -136,7 +134,7 @@ let system_sweep pool ~label ?durable plan seeds =
                      Printf.sprintf "%s %s seed=%d %s" label system seed name)))
           failures per_system ))
     (0, 0) seeds
-    (Pool.map_list pool (chaos_one ?durable plan) seeds)
+    (Pool.map_list pool (chaos_one ~durability plan) seeds)
 
 (* Durable crash-recovery sweep (always on): every system with write-ahead
    logging enabled, one node fail-stopped mid-run and restarted through log
@@ -145,7 +143,7 @@ let system_sweep pool ~label ?durable plan seeds =
 let durability_sweep pool =
   let plan = Sss_chaos.Chaos.crash_restart ~seed:0 ~node:2 ~at:0.015 ~restart_at:0.019 in
   let seeds = seeds 10 in
-  let committed, failures = system_sweep pool ~label:"durable" ~durable:true plan seeds in
+  let committed, failures = system_sweep pool ~label:"durable" ~durability:true plan seeds in
   Printf.printf "durability sweep: %d seeds x 4 systems, %d committed, %d failures\n%!"
     (List.length seeds) committed failures;
   failures
@@ -164,7 +162,7 @@ let chaos_sweep pool plan_text =
   | Error e ->
       Printf.eprintf "invalid --chaos plan: %s\n" e;
       exit 2);
-  let committed, failures = system_sweep pool ~label:"chaos" plan (seeds 20) in
+  let committed, failures = system_sweep pool ~label:"chaos" ~durability:false plan (seeds 20) in
   Printf.printf "chaos sweep: 20 seeds x 4 systems, %d committed, %d failures\n%!" committed
     failures;
   exit (if failures > 0 then 1 else 0)

@@ -142,7 +142,7 @@ let run (p : params) =
   let (Store.Store s) = Store.create p.system (Sim.create ()) (config_of p) in
   Option.iter (fun cl -> Sss_kv.Kv.set_collect_latencies cl true) s.kv;
   let r =
-    Store.drive s ~durable:true
+    Store.drive s
       ?plan:
         (Option.map
            (fun (at, restart_at) ->
@@ -697,13 +697,6 @@ let saturation_body scale ~run ~out =
 
 let saturation ctx scale = staged ctx (saturation_body scale)
 
-let observed_metrics scale =
-  let base = base_params scale in
-  let keys = List.hd (keyspaces scale) in
-  let nodes = latency_nodes scale in
-  let o = run { base with system = Sss; nodes; keys; ro_ratio = 0.5; observe = true } in
-  match o.metrics with Some m -> m | None -> "{}"
-
 (* Every figure by its command-line name, in the order [all] runs them. *)
 let figures =
   [
@@ -772,7 +765,7 @@ let recovery_smoke () =
         }
     in
     let r =
-      Store.drive ~plan ~durable s
+      Store.drive ~plan s
         ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
         ~load:
           { Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03;

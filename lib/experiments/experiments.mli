@@ -232,11 +232,6 @@ val slo_rate : (params * outcome) list -> float option
 (** The highest Poisson arrival rate among the runs whose p99 sojourn met
     the saturation figure's 5 ms bound; [None] when no Poisson run did. *)
 
-val observed_metrics : scale -> string
-(** Run one traced SSS cell (the fig4b/fig5 configuration with
-    [observe = true]) and return its metrics JSON — the "metrics" section
-    of [bench --json --observe] and [stress --observe]. *)
-
 val all : ctx -> scale -> (params * outcome) list
 (** Run every experiment in order; their runs, concatenated. *)
 

@@ -54,7 +54,7 @@ type 'h t = {
   network_stats : unit -> Network.stats;
   store_words : unit -> int;
   quiescent : unit -> (unit, string) result;
-  chaos : ?durable:bool -> Chaos.plan -> Chaos.handle;
+  chaos : Chaos.plan -> Chaos.handle;
   kv : Sss_kv.Kv.cluster option;
 }
 
@@ -82,12 +82,8 @@ module Of (S : Sss_kv.Runtime.STORE) = struct
         store_words = (fun () -> S.store_words cl);
         quiescent = (fun () -> S.quiescent cl);
         chaos =
-          (fun ?(durable = false) plan ->
-            let kind_of = S.message_kind in
-            if durable then
-              Chaos.install sim (S.network cl) ~kind_of ~on_crash:(S.crash_node cl)
-                ~on_restart:(S.restart_node cl) plan
-            else Chaos.install sim (S.network cl) ~kind_of plan);
+          Chaos.install sim (S.network cl) ~kind_of:S.message_kind
+            ~on_crash:(S.crash_node cl) ~on_restart:(S.restart_node cl);
         kv = kv cl;
       }
 end
@@ -126,8 +122,8 @@ type run = {
   kv : Sss_kv.Kv.cluster option;
 }
 
-let drive ?plan ?(durable = false) (s : _ t) ~profile ~load =
-  Option.iter (fun plan -> ignore (s.chaos ~durable plan : Chaos.handle)) plan;
+let drive ?plan (s : _ t) ~profile ~load =
+  Option.iter (fun plan -> ignore (s.chaos plan : Chaos.handle)) plan;
   let result =
     Driver.run s.sim ~nodes:s.config.nodes ~total_keys:s.config.total_keys
       ~local_keys:s.local_keys ~profile ~load ~ops:s.ops

@@ -45,10 +45,11 @@ type 'h t = {
       (** resident store words under {!Sss_data.Mvstore.mem_words}'s heap
           model — comparable across protocols *)
   quiescent : unit -> (unit, string) result;
-  chaos : ?durable:bool -> Sss_chaos.Chaos.plan -> Sss_chaos.Chaos.handle;
-      (** install a fault plan on the cluster's network; [durable] (default
-          [false]) also wires the protocol's crash/restart hooks, so a
-          durable node discards its volatile state and replays its log *)
+  chaos : Sss_chaos.Chaos.plan -> Sss_chaos.Chaos.handle;
+      (** install a fault plan on the cluster's network with the protocol's
+          crash/restart hooks wired: with [Config.durability] a crashed node
+          discards its volatile state and replays its log; without it the
+          hooks are inert and a crash only cuts the node's NIC *)
   kv : Sss_kv.Kv.cluster option;  (** [Some] for SSS: its own telemetry *)
 }
 
@@ -79,12 +80,11 @@ type run = {
 
 val drive :
   ?plan:Sss_chaos.Chaos.plan ->
-  ?durable:bool ->
   'h t ->
   profile:Sss_workload.Driver.profile ->
   load:Sss_workload.Driver.load ->
   run
-(** Install [plan] (with [durable] as in {!t.chaos}), run the workload
+(** Install [plan] through {!t.chaos}, run the workload
     driver on the store's simulator until it drains, and read the
     end-of-run numbers. *)
 

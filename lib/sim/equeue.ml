@@ -7,18 +7,15 @@
 
    - a window of [nb] *buckets*, each [width] virtual seconds wide, covering
      [origin, origin + nb*width).  A push whose time falls in the window is
-     an O(1) append to its bucket's unsorted stack; an occupancy bitmap (32
-     buckets per word) lets the cursor skip empty stretches a word at a
-     time.
+     an O(1) append to its bucket's unsorted stack; the cursor advances by
+     probing bucket sizes from [cur + 1].
    - the *current* bucket is drained in place: each pop scans its stack for
      the (time, key) minimum and swap-deletes it.  Occupancy is a handful
      of events (bursts of a protocol cascade), so the scan is a few
      contiguous float compares — no sift writes, no copying.  Same-bucket
      pushes (delay-0 wakeups, the highest-volume events) append to it
-     directly.
-   - the *front* rung: a binary min-heap that absorbs the current bucket
-     when its occupancy exceeds [spill] (a broadcast storm landing on one
-     microsecond), restoring O(log k) pops in the degenerate case.
+     directly; a rare burst of many events on one microsecond costs a
+     longer scan per pop while it drains, nothing more.
    - the *overflow* rung: a min-heap for events at or beyond the horizon
      (timers).  When the window drains, the queue re-anchors at the
      earliest overflow event and migrates the events that now fall inside
@@ -28,9 +25,9 @@
    the int [key], which the simulator packs as (priority, sequence) — seq is
    unique, so pop order is fully determined regardless of rung internals,
    and matches a global sort by (time, prio, seq) exactly.  The global
-   minimum always lives in the front rung or the current bucket: appends to
-   the current bucket are bounded by its upper edge, future buckets start at
-   or above that edge, and the overflow rung starts at the horizon.
+   minimum always lives in the current bucket: appends to it are bounded by
+   its upper edge, future buckets start at or above that edge, and the
+   overflow rung starts at the horizon.
 
    Storage is struct-of-arrays: times live in flat [float array]s (no boxed
    floats on push/pop), keys are immediate ints, and the payload is an
@@ -49,7 +46,7 @@ let dummy_fn : fn = fun _ -> ()
 
 let dummy_arg : Obj.t = Obj.repr ()
 
-(* A rung: binary min-heap on (time, key), struct-of-arrays. *)
+(* The overflow rung: binary min-heap on (time, key), struct-of-arrays. *)
 type rung = {
   mutable h_times : float array;
   mutable h_keys : int array;
@@ -74,28 +71,27 @@ let f_origin = 0
 
 let f_horizon = 1
 
-let f_inv_width = 2
+let f_pop_time = 2
 
-let f_width = 3
+(* Tuned to the network models: 1 microsecond buckets, a ~1 ms window.
+   Self-delivery (1us), CPU service (2us) and LAN latency (20us +
+   exponential jitter) all land well inside the window; retry backoffs and
+   await timeouts (0.5 ms - 0.1 s) take the overflow rung. *)
+let nb = 1024
 
-let f_pop_time = 4
+let width = 1e-6
 
-(* Current-bucket occupancy beyond which it spills into the front rung. *)
-let spill = 64
+let inv_width = 1.0 /. width
+
+let span = width *. float_of_int nb
 
 type t = {
   buckets : bucket array;
-  nb : int;
-  front : rung;
   overflow : rung;
   fl : float array;
-  (* Occupancy bitmap over the buckets strictly after [cur], 32 buckets per
-     word: the advance scan skips empty buckets a word at a time instead of
-     probing each bucket record. *)
-  occ : int array;
   mutable cur : int;  (* current bucket index; drained in place *)
   mutable in_window : int;  (* events parked in buckets strictly after [cur] *)
-  mutable size : int;  (* total events across front, buckets and overflow *)
+  mutable size : int;  (* total events across buckets and overflow *)
   (* Index of the current bucket's (time, key) minimum, or -1 when it must
      be rescanned.  [min_time] followed by [pop] shares one scan, and an
      append only compares itself against the cached minimum. *)
@@ -105,30 +101,16 @@ type t = {
   mutable pop_arg : Obj.t;
 }
 
-let mk_rung () =
-  { h_times = [||]; h_keys = [||]; h_fns = [||]; h_args = [||]; h_size = 0 }
-
 let mk_bucket () =
   { b_times = [||]; b_keys = [||]; b_fns = [||]; b_args = [||]; b_size = 0 }
 
-(* Defaults tuned to the network models: 1 microsecond buckets, a ~1 ms
-   window.  Self-delivery (1us), CPU service (2us) and LAN latency
-   (20us + exponential jitter) all land well inside the window; retry
-   backoffs and await timeouts (0.5 ms - 0.1 s) take the overflow rung. *)
-let create ?(buckets = 1024) ?(width = 1e-6) () =
-  if buckets < 1 || width <= 0.0 then invalid_arg "Equeue.create";
-  let fl = Array.make 5 0.0 in
-  fl.(f_origin) <- 0.0;
-  fl.(f_horizon) <- width *. float_of_int buckets;
-  fl.(f_inv_width) <- 1.0 /. width;
-  fl.(f_width) <- width;
+let create () =
+  let fl = Array.make 3 0.0 in
+  fl.(f_horizon) <- span;
   {
-    buckets = Array.init buckets (fun _ -> mk_bucket ());
-    nb = buckets;
-    front = mk_rung ();
-    overflow = mk_rung ();
+    buckets = Array.init nb (fun _ -> mk_bucket ());
+    overflow = { h_times = [||]; h_keys = [||]; h_fns = [||]; h_args = [||]; h_size = 0 };
     fl;
-    occ = Array.make ((buckets + 31) / 32) 0;
     cur = 0;
     in_window = 0;
     size = 0;
@@ -293,22 +275,6 @@ let[@hot] take_bucket t b i =
   Array.unsafe_set b.b_args n dummy_arg;
   t.sc_i <- -1
 
-(* Move a bucket's events into the front rung (degenerate occupancy, or a
-   re-anchored window's first bucket), poisoning the vacated slots so
-   nothing is pinned past its dispatch. *)
-let[@hot] spill_bucket t b =
-  for i = 0 to b.b_size - 1 do
-    rung_push t.front
-      (Array.unsafe_get b.b_times i)
-      (Array.unsafe_get b.b_keys i)
-      (Array.unsafe_get b.b_fns i)
-      (Array.unsafe_get b.b_args i);
-    Array.unsafe_set b.b_fns i dummy_fn;
-    Array.unsafe_set b.b_args i dummy_arg
-  done;
-  b.b_size <- 0;
-  t.sc_i <- -1
-
 (* ---- push ---- *)
 
 let[@hot] push t ~time ~key fn arg =
@@ -317,36 +283,27 @@ let[@hot] push t ~time ~key fn arg =
   if time >= Array.unsafe_get fl f_horizon then
     rung_push t.overflow time key fn arg
   else begin
-    let idx =
-      int_of_float ((time -. Array.unsafe_get fl f_origin) *. Array.unsafe_get fl f_inv_width)
-    in
+    let idx = int_of_float ((time -. Array.unsafe_get fl f_origin) *. inv_width) in
     (* clamp: float rounding may land exactly on nb even though
        time < horizon; monotonicity in [time] is preserved. *)
-    let idx = if idx >= t.nb then t.nb - 1 else idx in
+    let idx = if idx >= nb then nb - 1 else idx in
     if idx <= t.cur then begin
       (* current-bucket append; delay-0 pushes (wakeups, serve kicks) take
-         this path.  Beyond [spill] events the bucket overflows into the
-         front rung instead, keeping the pop scan bounded. *)
+         this path *)
       let b = Array.unsafe_get t.buckets t.cur in
       let i = b.b_size in
-      if i >= spill then rung_push t.front time key fn arg
+      bucket_push b time key fn arg;
+      if i = 0 then t.sc_i <- 0
       else begin
-        bucket_push b time key fn arg;
-        if i = 0 then t.sc_i <- 0
-        else begin
-          let c = t.sc_i in
-          if c >= 0 then begin
-            let mt = Array.unsafe_get b.b_times c in
-            if time < mt || (time = mt && key < Array.unsafe_get b.b_keys c)
-            then t.sc_i <- i
-          end
+        let c = t.sc_i in
+        if c >= 0 then begin
+          let mt = Array.unsafe_get b.b_times c in
+          if time < mt || (time = mt && key < Array.unsafe_get b.b_keys c) then t.sc_i <- i
         end
       end
     end
     else begin
       bucket_push (Array.unsafe_get t.buckets idx) time key fn arg;
-      let w = idx lsr 5 in
-      Array.unsafe_set t.occ w (Array.unsafe_get t.occ w lor (1 lsl (idx land 31)));
       t.in_window <- t.in_window + 1
     end
   end
@@ -359,61 +316,39 @@ let[@hot] re_anchor t =
   let ov = t.overflow in
   let fl = t.fl in
   let origin = ov.h_times.(0) in
-  let horizon = origin +. (Array.unsafe_get fl f_width *. float_of_int t.nb) in
+  let horizon = origin +. span in
   fl.(f_origin) <- origin;
   fl.(f_horizon) <- horizon;
   (* -1, not 0: the migrated minimum lands in bucket 0, and the advance
-     scan starts at [cur + 1].  No push can observe the transient value —
+     probe starts at [cur + 1].  No push can observe the transient value —
      re-anchoring happens inside a pop. *)
   t.cur <- -1;
-  let inv = Array.unsafe_get fl f_inv_width in
   while ov.h_size > 0 && Array.unsafe_get ov.h_times 0 < horizon do
     rung_pop ov t;
     let time = Array.unsafe_get fl f_pop_time in
-    let idx = int_of_float ((time -. origin) *. inv) in
-    let idx = if idx >= t.nb then t.nb - 1 else idx in
+    let idx = int_of_float ((time -. origin) *. inv_width) in
+    let idx = if idx >= nb then nb - 1 else idx in
     bucket_push (Array.unsafe_get t.buckets idx) time t.pop_key t.pop_fn t.pop_arg;
-    let w = idx lsr 5 in
-    Array.unsafe_set t.occ w (Array.unsafe_get t.occ w lor (1 lsl (idx land 31)));
     t.in_window <- t.in_window + 1
   done
 
-(* Ensure the front rung or the current bucket holds the globally minimal
-   event (advancing over empty buckets and re-anchoring from overflow as
-   needed).  Returns false iff the queue is empty.  On return with [true],
-   [t.cur] is a valid bucket index. *)
+(* Ensure the current bucket holds the globally minimal event (advancing
+   over empty buckets and re-anchoring from overflow as needed).  Returns
+   false iff the queue is empty.  On return with [true], [t.cur] is a valid
+   bucket index. *)
 let[@hot] rec ensure_avail t =
-  if t.front.h_size > 0 then true
-  else if t.cur >= 0 && (Array.unsafe_get t.buckets t.cur).b_size > 0 then true
+  if t.cur >= 0 && (Array.unsafe_get t.buckets t.cur).b_size > 0 then true
   else if t.size = 0 then false
   else if t.in_window > 0 then begin
-    (* advance to the next occupied bucket via the occupancy bitmap;
-       [in_window] > 0 guarantees a set bit before [nb] *)
-    let start = t.cur + 1 in
-    let w = ref (start lsr 5) in
-    let bits = ref (Array.unsafe_get t.occ !w land ((-1) lsl (start land 31))) in
-    while !bits = 0 do
-      incr w;
-      assert (!w < Array.length t.occ);
-      bits := Array.unsafe_get t.occ !w
+    (* advance to the next occupied bucket; [in_window] > 0 guarantees one
+       before [nb] *)
+    let i = ref (t.cur + 1) in
+    while t.buckets.(!i).b_size = 0 do
+      incr i
     done;
-    (* index of the lowest set bit (b is a power of two < 2^32) *)
-    let b = !bits land (- !bits) in
-    let j = ref 0 in
-    if b land 0xFFFF0000 <> 0 then j := 16;
-    if b land 0xFF00FF00 <> 0 then j := !j + 8;
-    if b land 0xF0F0F0F0 <> 0 then j := !j + 4;
-    if b land 0xCCCCCCCC <> 0 then j := !j + 2;
-    if b land 0xAAAAAAAA <> 0 then j := !j + 1;
-    let idx = (!w lsl 5) lor !j in
-    (* clearing the bit in the masked word is safe: buckets below [start]
-       are drained, so their bits are already clear *)
-    Array.unsafe_set t.occ !w (!bits lxor b);
-    t.cur <- idx;
+    t.cur <- !i;
     t.sc_i <- -1;
-    let bk = Array.unsafe_get t.buckets idx in
-    t.in_window <- t.in_window - bk.b_size;
-    if bk.b_size > spill then spill_bucket t bk;
+    t.in_window <- t.in_window - (Array.unsafe_get t.buckets !i).b_size;
     true
   end
   else begin
@@ -424,21 +359,8 @@ let[@hot] rec ensure_avail t =
 let[@hot] pop t =
   if not (ensure_avail t) then false
   else begin
-    let f = t.front in
     let b = Array.unsafe_get t.buckets t.cur in
-    (if b.b_size = 0 then rung_pop f t
-     else begin
-       let i = bucket_min_idx t b in
-       if
-         f.h_size > 0
-         &&
-         let ft = Array.unsafe_get f.h_times 0
-         and bt = Array.unsafe_get b.b_times i in
-         ft < bt
-         || (ft = bt && Array.unsafe_get f.h_keys 0 < Array.unsafe_get b.b_keys i)
-       then rung_pop f t
-       else take_bucket t b i
-     end);
+    take_bucket t b (bucket_min_idx t b);
     t.size <- t.size - 1;
     true
   end
@@ -458,18 +380,8 @@ let[@inline] run_popped t =
 let min_time t =
   if not (ensure_avail t) then infinity
   else begin
-    let f = t.front in
     let b = Array.unsafe_get t.buckets t.cur in
-    if b.b_size = 0 then Array.unsafe_get f.h_times 0
-    else begin
-      let i = bucket_min_idx t b in
-      let bt = Array.unsafe_get b.b_times i in
-      if f.h_size > 0 then begin
-        let ft = Array.unsafe_get f.h_times 0 in
-        if ft < bt then ft else bt
-      end
-      else bt
-    end
+    Array.unsafe_get b.b_times (bucket_min_idx t b)
   end
 
 (* ---- dead-entry hooks (the simulator's cancelled timers) ---- *)
@@ -563,33 +475,27 @@ let filter_rung r keep =
   n - m
 
 let filter t keep =
-  let dropped = ref (filter_rung t.front keep + filter_rung t.overflow keep) in
+  let dropped = ref (filter_rung t.overflow keep) in
   Array.iteri
     (fun i b ->
       let n = b.b_size in
       let m = compact_slots keep b.b_times b.b_keys b.b_fns b.b_args n in
       b.b_size <- m;
       dropped := !dropped + (n - m);
-      (* buckets strictly after [cur] are counted in [in_window] and the
-         occupancy bitmap; buckets before it are drained *)
-      if i > t.cur && n > m then begin
-        t.in_window <- t.in_window - (n - m);
-        if m = 0 then t.occ.(i lsr 5) <- t.occ.(i lsr 5) land lnot (1 lsl (i land 31))
-      end)
+      (* buckets strictly after [cur] are counted in [in_window]; buckets
+         before it are drained *)
+      if i > t.cur then t.in_window <- t.in_window - (n - m))
     t.buckets;
   t.sc_i <- -1;
   t.size <- t.size - !dropped
 
 let release t =
   if t.size <> 0 then invalid_arg "Equeue.release: queue not empty";
-  let drop_rung r =
-    r.h_times <- [||];
-    r.h_keys <- [||];
-    r.h_fns <- [||];
-    r.h_args <- [||]
-  in
-  drop_rung t.front;
-  drop_rung t.overflow;
+  let ov = t.overflow in
+  ov.h_times <- [||];
+  ov.h_keys <- [||];
+  ov.h_fns <- [||];
+  ov.h_args <- [||];
   Array.iter
     (fun b ->
       b.b_times <- [||];

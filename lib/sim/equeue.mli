@@ -2,13 +2,12 @@
     [(time, key)].
 
     The queue is O(1) amortized for the timestamp distributions the network
-    models produce: a window of fixed-width buckets absorbs near-future
-    events, the current bucket is drained in place by a scan for its
-    minimum (a handful of contiguous float compares at typical occupancy —
-    no sift, no copy), a small {e front} min-heap takes the spill when one
-    bucket grows pathological, and far-future timers fall back to an
-    {e overflow} rung that re-anchors the window when it drains.  Ties in
-    [time] are broken by the int [key];
+    models produce.  It has two rungs: a window of 1024 buckets of 1
+    microsecond absorbs near-future events, and far-future timers fall back
+    to an {e overflow} min-heap that re-anchors the window when it drains.
+    The current bucket is drained in place by a scan for its minimum (a
+    handful of contiguous float compares at typical occupancy — no sift, no
+    copy).  Ties in [time] are broken by the int [key];
     when keys are unique (the simulator packs [(priority, sequence)] into
     one), pop order equals a global sort by [(time, key)] exactly,
     independent of rung internals.
@@ -24,12 +23,10 @@
 
 type t
 
-val create : ?buckets:int -> ?width:float -> unit -> t
-(** [create ()] returns an empty queue anchored at time 0.0 with [buckets]
-    rungs of [width] virtual seconds each (defaults: 1024 x 1e-6 s, sized
-    for the microsecond-scale network models).  Times pushed must be
-    non-decreasing relative to the last pop (the simulator's no-past-events
-    invariant); far-future times are unrestricted. *)
+val create : unit -> t
+(** [create ()] returns an empty queue anchored at time 0.0.  Times pushed
+    must be non-decreasing relative to the last pop (the simulator's
+    no-past-events invariant); far-future times are unrestricted. *)
 
 val length : t -> int
 (** Number of queued events. *)
@@ -73,9 +70,9 @@ val drop_popped : t -> unit
 
 val filter : t -> ((Obj.t -> unit) -> Obj.t -> bool) -> unit
 (** [filter t keep] removes every queued event whose [(fn, arg)] fails
-    [keep], from the current bucket, the window buckets, the front rung and
-    the overflow rung, then restores each rung's heap order and gives back
-    rung capacity the survivors no longer need.  Survivors keep their
+    [keep], from the current bucket, the window buckets and the overflow
+    rung, then restores the rung's heap order and gives back rung capacity
+    the survivors no longer need.  Survivors keep their
     [(time, key)] order, so a filter never changes which live event pops
     next.  O(length + buckets); meant for occasional compaction. *)
 

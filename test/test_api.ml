@@ -210,7 +210,7 @@ let test_pretty_printers () =
     (String.length (Format.asprintf "%a" Squeue.pp q) > 0)
 
 let test_equeue_surface () =
-  let q = Equeue.create ~buckets:64 ~width:1e-6 () in
+  let q = Equeue.create () in
   let ran = ref 0 in
   let bump _ = incr ran in
   List.iter (fun t -> Equeue.push q ~time:t ~key:0 bump (Obj.repr ())) [ 3e-6; 1e-6; 2e-6 ];

@@ -34,11 +34,11 @@ let load ~seed =
 
 (* One run of [system] under [plan]: the store's run and what the plan
    injected. *)
-let run ?(durability = true) ?(wire_hooks = true) ?(observe = false) system ~plan ~seed =
+let run ?(durability = true) ?(observe = false) system ~plan ~seed =
   let degree = Store.paper_degree system in
   let config = { (durable_config ~degree ~seed) with durability; observe } in
   let (Store.Store s) = Store.create system (Sim.create ()) config in
-  let h = s.chaos ~durable:wire_hooks plan in
+  let h = s.chaos plan in
   let r =
     Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed)
   in
@@ -306,7 +306,7 @@ let test_gc_across_crash () =
     let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
     let sim = s.sim in
     let cl = Option.get s.kv in
-    let h = s.chaos ~durable:true plan in
+    let h = s.chaos plan in
     let dropped () =
       let _, versions, _ = Sss_kv.Kv.gc_stats cl in
       versions
@@ -353,9 +353,19 @@ let test_gc_across_crash () =
 let test_off_trajectory_unchanged () =
   let seed = 7 in
   (* without durability, crash_node/restart_node fall back to the NIC-only
-     fault: wiring the hooks must not move a single event *)
-  let bare, _ = run ~durability:false ~wire_hooks:false Store.Sss ~plan:(crash_plan ~seed) ~seed in
-  let hooked, _ = run ~durability:false ~wire_hooks:true Store.Sss ~plan:(crash_plan ~seed) ~seed in
+     fault: wiring the hooks must not move a single event.  The bare run
+     installs the plan without them. *)
+  let bare =
+    let config = { (durable_config ~degree:2 ~seed) with durability = false } in
+    let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
+    let cl = Option.get s.kv in
+    ignore
+      (Chaos.install s.sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Kv.message_kind
+         (crash_plan ~seed)
+        : Chaos.handle);
+    Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed)
+  in
+  let hooked, _ = run ~durability:false Store.Sss ~plan:(crash_plan ~seed) ~seed in
   Alcotest.(check int) "events identical" bare.des_events hooked.des_events;
   if History.events bare.history <> History.events hooked.history then
     Alcotest.fail "durability=off trajectory depends on hook wiring"

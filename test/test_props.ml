@@ -11,15 +11,20 @@ let tx node local : Ids.txn = { node; local }
    The reference model is a list kept sorted by [(time, key)]; the queue
    must pop in exactly that order.  Pushes respect the simulator's
    no-past-events invariant (never before the last popped time), and the
-   delay profile is chosen to cross every rung: sub-window delays land in
-   calendar buckets, mid delays exercise the occupancy-bitmap scan, and
-   far-future delays go through the overflow heap and its re-anchoring. *)
+   delay profile is chosen to cross both rungs: sub-window delays land in
+   calendar buckets, mid delays make the cursor probe across empty
+   buckets, and far-future delays go through the overflow heap and its
+   re-anchoring. *)
 
 let eq_record out o = out := (Obj.obj o : float * int) :: !out
 
+let eq_insert x l =
+  let rec go = function [] -> [ x ] | y :: tl as l -> if compare x y <= 0 then x :: l else y :: go tl in
+  go l
+
 let eq_delay d =
   if d < 80 then float_of_int d *. 1e-7 (* in-window: calendar buckets *)
-  else if d < 95 then 1e-4 +. (float_of_int (d - 80) *. 1e-5) (* bitmap scan *)
+  else if d < 95 then 1e-4 +. (float_of_int (d - 80) *. 1e-5) (* cursor probe *)
   else 0.01 +. (float_of_int (d - 95) *. 0.2) (* overflow rung *)
 
 let equeue_mixed_ops =
@@ -57,26 +62,40 @@ let equeue_mixed_ops =
       in
       ok && Sss_sim.Equeue.length q = List.length !model)
 
-let equeue_spill_bucket =
-  (* Many events colliding in one calendar bucket must overflow into the
-     spill heap without disturbing the (time, key) order. *)
-  QCheck.Test.make ~name:"equeue same-bucket spill keeps order" ~count:50
-    QCheck.(list_of_size (Gen.int_range 150 250) (int_bound 9))
-    (fun ds ->
+let equeue_same_instant_burst =
+  (* A burst piling onto three instants of one bucket (a broadcast storm
+     landing on one microsecond), with more same-instant events pushed
+     while it drains: the current bucket's scan and its cached minimum must
+     keep the (time, key) order throughout. *)
+  QCheck.Test.make ~name:"equeue same-instant burst keeps order" ~count:50
+    QCheck.(pair (list_of_size (Gen.int_range 150 250) (int_bound 2)) (list (int_bound 3)))
+    (fun (ds, extra) ->
       let q = Sss_sim.Equeue.create () in
-      let out = ref [] in
-      let expect =
-        List.mapi (fun i d -> (float_of_int d *. 1e-8, i)) ds |> List.sort compare
+      let out = ref [] and model = ref [] and next_key = ref 0 in
+      let push time =
+        let key = !next_key in
+        incr next_key;
+        Sss_sim.Equeue.push q ~time ~key (eq_record out) (Obj.repr (time, key));
+        model := eq_insert (time, key) !model
       in
-      List.iteri
-        (fun i d ->
-          let time = float_of_int d *. 1e-8 in
-          Sss_sim.Equeue.push q ~time ~key:i (eq_record out) (Obj.repr (time, i)))
-        ds;
+      List.iter (fun d -> push (float_of_int d *. 1e-8)) ds;
+      let extra = ref extra and ok = ref true in
       while Sss_sim.Equeue.pop q do
-        Sss_sim.Equeue.run_popped q
+        Sss_sim.Equeue.run_popped q;
+        (match (!model, !out) with
+        | hd :: rest, x :: _ when x = hd -> model := rest
+        | _ -> ok := false);
+        (* peek first, so the pushes below meet a cached minimum *)
+        ignore (Sss_sim.Equeue.min_time q : float);
+        match !extra with
+        | n :: rest ->
+            extra := rest;
+            for _ = 1 to n do
+              push (Sss_sim.Equeue.popped_time q)
+            done
+        | [] -> ()
       done;
-      List.rev !out = expect)
+      !ok && !model = [])
 
 let equeue_arena_reuse =
   (* Fill/drain cycles on one queue: recycled slots must behave exactly
@@ -109,13 +128,9 @@ let equeue_arena_reuse =
       !ok)
 
 (* The same model with random [filter] calls.  Ops: 0-99 push at a profile
-   delay; 100-104 a burst of 80 pushes at the watermark, which overflows the
-   current bucket into the front rung; 105-117 pop; 118-129 filter out the
-   keys divisible by 2..13.  Survivors must pop in sorted-model order. *)
-let eq_insert x l =
-  let rec go = function [] -> [ x ] | y :: tl as l -> if compare x y <= 0 then x :: l else y :: go tl in
-  go l
-
+   delay; 100-104 a burst of 80 pushes at the watermark, which piles onto
+   the current bucket; 105-117 pop; 118-129 filter out the keys divisible
+   by 2..13.  Survivors must pop in sorted-model order. *)
 let eq_keep m _fn arg = snd (Obj.obj arg : float * int) mod m <> 0
 
 let equeue_filter_ops =
@@ -400,7 +415,7 @@ let () =
       ( "equeue+prng",
         [
           QCheck_alcotest.to_alcotest equeue_mixed_ops;
-          QCheck_alcotest.to_alcotest equeue_spill_bucket;
+          QCheck_alcotest.to_alcotest equeue_same_instant_burst;
           QCheck_alcotest.to_alcotest equeue_arena_reuse;
           QCheck_alcotest.to_alcotest equeue_filter_ops;
           Alcotest.test_case "filter before re-anchor" `Quick test_equeue_filter_before_re_anchor;
