@@ -62,7 +62,7 @@ let micro_tests () =
   has_read.(3) <- true;
   let bound = Vclock.of_array (Array.make n 500) in
   let store = Mvstore.create ~nodes:n in
-  Mvstore.init_key store 1 ~value:"v0";
+  Mvstore.init_key store 1;
   for i = 1 to 32 do
     Mvstore.install store 1 ~value:"v"
       ~vc:(Vclock.set (Vclock.zero n) 0 i)

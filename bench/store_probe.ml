@@ -103,7 +103,7 @@ let () =
     let s = Mvstore.create ~nodes in
     Mvstore.reserve s keys;
     for k = 0 to keys - 1 do
-      Mvstore.init_key s k ~value:(Ids.boot_value k)
+      Mvstore.init_key s k
     done;
     (* each key's last [keep] installed clocks, oldest at [installed mod
        keep]; the replays never mutate a clock once installed *)
@@ -154,7 +154,7 @@ let () =
   let s = Mvstore.create ~nodes in
   Mvstore.reserve s keys;
   for k = 0 to keys - 1 do
-    Mvstore.init_key s k ~value:(Ids.boot_value k)
+    Mvstore.init_key s k
   done;
   let al = live_words () - base in
   let mem = Mvstore.mem_words s in

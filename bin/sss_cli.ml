@@ -28,7 +28,11 @@ let system_t =
   Arg.(value & opt system_conv Sss & info [ "system" ] ~docv:"SYSTEM" ~doc:"sss, walter, 2pc or rococo")
 
 let nodes_t = Arg.(value & opt int 5 & info [ "nodes" ] ~doc:"cluster size")
-let degree_t = Arg.(value & opt int 2 & info [ "degree" ] ~doc:"replication degree")
+let degree_t =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "degree" ] ~doc:"replication degree (default: 1 for rococo, else 2)")
 let keys_t = Arg.(value & opt int 5000 & info [ "keys" ] ~doc:"key-space size")
 let ro_t = Arg.(value & opt float 0.5 & info [ "ro" ] ~doc:"read-only transaction ratio")
 let ro_ops_t = Arg.(value & opt int 2 & info [ "ro-ops" ] ~doc:"reads per read-only transaction")
@@ -59,11 +63,12 @@ let workers_t =
   Arg.(value & opt int 10 & info [ "workers" ] ~doc:"open loop: service fibers per node")
 
 (* Both commands check their arguments before any cluster is built: a bad
-   one is reported on stderr with exit 2.  [fibers] names the per-node
-   fiber count of the loop that drives the run (--clients or --workers);
-   [rate] and [queue] are point's open-loop options. *)
-let check_args ?(rate = 0.0) ?(queue = 0) cmd ~nodes ~degree ~keys ~ro ~locality ~duration
-    ~fibers:(flag, n) =
+   one is reported on stderr with exit 2.  [degree] is the resolved
+   replication degree, [fibers] names the per-node fiber count of the loop
+   that drives the run (--clients or --workers); [ro_ops], [rate] and
+   [queue] are point's options. *)
+let check_args ?(ro_ops = 1) ?(rate = 0.0) ?(queue = 0) cmd ~system ~nodes ~degree ~keys ~ro
+    ~locality ~duration ~fibers:(flag, n) =
   let ratio x = 0.0 <= x && x <= 1.0 in
   List.iter
     (fun (ok, msg) ->
@@ -75,6 +80,9 @@ let check_args ?(rate = 0.0) ?(queue = 0) cmd ~nodes ~degree ~keys ~ro ~locality
       (nodes >= 1, Printf.sprintf "--nodes %d: need at least 1" nodes);
       ( 1 <= degree && degree <= nodes,
         Printf.sprintf "--degree %d: need 1 <= degree <= nodes (%d)" degree nodes );
+      ( system <> Rococo || degree = 1,
+        Printf.sprintf "--degree %d: rococo runs only at degree 1 (above it, it stalls)" degree );
+      (ro_ops >= 1, Printf.sprintf "--ro-ops %d: need at least 1 read" ro_ops);
       (keys >= 1, Printf.sprintf "--keys %d: need at least 1" keys);
       (ratio ro, Printf.sprintf "--ro %g: need a ratio in [0, 1]" ro);
       (ratio locality, Printf.sprintf "--locality %g: need a probability in [0, 1]" locality);
@@ -87,7 +95,8 @@ let check_args ?(rate = 0.0) ?(queue = 0) cmd ~nodes ~degree ~keys ~ro ~locality
 let point_cmd =
   let run_point system nodes degree keys ro ro_ops locality clients duration seed strict observe
       durable rate queue workers =
-    check_args "point" ~rate ~queue ~nodes ~degree ~keys ~ro ~locality ~duration
+    let degree = Option.value degree ~default:(Store.paper_degree system) in
+    check_args "point" ~ro_ops ~rate ~queue ~system ~nodes ~degree ~keys ~ro ~locality ~duration
       ~fibers:(if rate > 0.0 then ("--workers", workers) else ("--clients", clients));
     let o =
       run
@@ -166,7 +175,8 @@ let verify_cmd =
   let run_verify system nodes degree keys ro clients duration seed dot =
     let open Sss_consistency in
     let module Driver = Sss_workload.Driver in
-    check_args "verify" ~nodes ~degree ~keys ~ro ~locality:0.0 ~duration
+    let degree = Option.value degree ~default:(Store.paper_degree system) in
+    check_args "verify" ~system ~nodes ~degree ~keys ~ro ~locality:0.0 ~duration
       ~fibers:("--clients", clients);
     (* a --dot path that cannot be written is refused before the run *)
     (match dot with

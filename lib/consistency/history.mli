@@ -47,12 +47,9 @@ val record : t -> at:float -> event -> unit
 val iter : t -> (seq:int -> at:float -> event -> unit) -> unit
 (** Decode the events in recording order ([seq] ascending). *)
 
-val fold : t -> init:'a -> ('a -> seq:int -> at:float -> event -> 'a) -> 'a
-(** {!iter} with an accumulator. *)
-
 val events : t -> stamped list
-(** In recording order, as a list built on {!fold}: it allocates the whole
-    history again, so it is meant for tests. *)
+(** In recording order, as a list: it allocates the whole history again,
+    so it is meant for tests. *)
 
 val length : t -> int
 (** Events recorded so far. *)

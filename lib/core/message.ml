@@ -98,10 +98,7 @@ let rec priority = function
 (* Wire-size model: 16-byte header, 8 bytes per scalar/txn id, 4 per key,
    payload strings verbatim; vector clocks either raw (8 bytes/entry) or
    varint-compressed (§III-A metadata compression). *)
-let vc_size ~compress vc =
-  if compress then
-    2 + Vcodec.size (Vcodec.encode ~base:(Vclock.zero (Vclock.size vc)) vc)
-  else Vcodec.raw_size vc
+let vc_size ~compress vc = if compress then 2 + Vcodec.size vc else Vcodec.raw_size vc
 
 let rec wire_size ~compress payload =
   let header = 16 in

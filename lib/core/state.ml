@@ -199,7 +199,7 @@ let make_node sim (config : Config.t) repl id =
   in
   let ks = Replication.keys_at repl id in
   Mvstore.reserve node.store (Array.length ks);
-  Array.iter (fun k -> Mvstore.init_key node.store k ~value:(Ids.boot_value k)) ks;
+  Array.iter (fun k -> Mvstore.init_key node.store k) ks;
   node
 
 (* ---- durability helpers ---- *)

@@ -34,8 +34,6 @@ let update t ~txn ~vc =
 
 let head t = match t.entries with [] -> None | e :: _ -> Some e
 
-let find t txn = List.find_opt (fun e -> Ids.equal_txn e.txn txn) t.entries
-
 let length t = List.length t.entries
 
 let to_list t = t.entries

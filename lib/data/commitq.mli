@@ -36,8 +36,6 @@ val head : t -> entry option
 
 val mem : t -> Ids.txn -> bool
 
-val find : t -> Ids.txn -> entry option
-
 val length : t -> int
 
 val to_list : t -> entry list

@@ -22,8 +22,8 @@
      cell stays — sparse-change neighbours compress, scattered ones never
      cost more than a full clock.  [select]/[truncate_covered] decode
      newest-first into the single [scratch] clock — no per-read allocation.
-   - A genesis version whose value is the boot default ([Ids.boot_value]) is
-     fully implicit: one state byte per key, value derived on demand.
+   - Every key boots with a genesis version valued [Ids.boot_value], fully
+     implicit: one state byte per key, value derived on demand.
      Chains therefore cost 0 slots until first written.
 
    Chains only ever change by head-prepend ([install]) or suffix-drop
@@ -46,9 +46,7 @@ let ghandle s = -2 - s
 (* g_state bytes *)
 let g_derived = '\000' (* implicit genesis present, value = "init:<key>" *)
 
-let g_custom_v = '\001' (* implicit genesis present, value in [g_custom] *)
-
-let g_dropped = '\002' (* genesis collected *)
+let g_dropped = '\001' (* genesis collected *)
 
 let no_value = ""
 
@@ -71,7 +69,6 @@ type t = {
   mutable key_of : int array;  (* handle -> key *)
   mutable head : int array;  (* handle -> newest explicit slot, -1 if none *)
   mutable g_state : Bytes.t;  (* handle -> implicit-genesis state *)
-  g_custom : (int, string) Hashtbl.t;  (* non-default genesis values (tests) *)
   mutable nkeys : int;
   (* version slots *)
   mutable v_value : string array;
@@ -120,7 +117,6 @@ let create ~nodes =
     key_of = [||];
     head = [||];
     g_state = Bytes.empty;
-    g_custom = Hashtbl.create 8;
     nkeys = 0;
     v_value = [||];
     v_writer = [||];
@@ -384,13 +380,7 @@ let[@hot] last t k =
     gslot h
   end
 
-let slot_value t s =
-  if s >= 0 then t.v_value.(s)
-  else begin
-    let h = ghandle s in
-    if Bytes.get t.g_state h = g_custom_v then Hashtbl.find t.g_custom h
-    else Ids.boot_value t.key_of.(h)
-  end
+let slot_value t s = if s >= 0 then t.v_value.(s) else Ids.boot_value t.key_of.(ghandle s)
 
 let slot_writer t s = if s >= 0 then Ids.unpack t.v_writer.(s) else Ids.genesis
 
@@ -455,15 +445,10 @@ let chain t k =
 
 (* ---- writes ---- *)
 
-let init_key t k ~value =
+let init_key t k =
   if hmap_find t k < 0 then begin
     let h = new_handle t k in
-    if String.equal value (Ids.boot_value k) then Bytes.set t.g_state h g_derived
-    else begin
-      Bytes.set t.g_state h g_custom_v;
-      Hashtbl.replace t.g_custom h value;
-      t.value_words <- t.value_words + str_words (String.length value)
-    end;
+    Bytes.set t.g_state h g_derived;
     t.total <- t.total + 1
   end
 
@@ -548,11 +533,6 @@ let free_tail t s0 =
   !freed
 
 let drop_genesis t h =
-  if Bytes.get t.g_state h = g_custom_v then begin
-    let v = Hashtbl.find t.g_custom h in
-    t.value_words <- t.value_words - str_words (String.length v);
-    Hashtbl.remove t.g_custom h
-  end;
   Bytes.set t.g_state h g_dropped;
   t.total <- t.total - 1
 
@@ -632,7 +612,6 @@ type image = {
   i_key_of : int array;
   i_head : int array;
   i_g_state : Bytes.t;
-  i_g_custom : (int * string) list;
   i_slot_top : int;
   i_value : string array;
   i_writer : int array;
@@ -672,9 +651,7 @@ let disk_bytes t =
       end
       else if r <= -2 then bytes := !bytes + (8 * t.nodes);
       s := t.v_next.(c)
-    done;
-    if genesis_present t h && Bytes.get t.g_state h = g_custom_v then
-      bytes := !bytes + String.length (Hashtbl.find t.g_custom h)
+    done
   done;
   !bytes
 
@@ -685,10 +662,6 @@ let image_of t =
     i_key_of = Array.sub t.key_of 0 t.nkeys;
     i_head = Array.sub t.head 0 t.nkeys;
     i_g_state = Bytes.sub t.g_state 0 t.nkeys;
-    i_g_custom =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (Hashtbl.fold (fun h v acc -> (h, v) :: acc) t.g_custom [] [@order_ok]);
     i_slot_top = t.slot_top;
     i_value = Array.sub t.v_value 0 t.slot_top;
     i_writer = Array.sub t.v_writer 0 t.slot_top;
@@ -722,8 +695,6 @@ let restore t im =
     cap := 2 * !cap
   done;
   hmap_rebuild t !cap;
-  Hashtbl.reset t.g_custom;
-  List.iter (fun (h, v) -> Hashtbl.replace t.g_custom h v) im.i_g_custom;
   t.slot_top <- im.i_slot_top;
   t.v_value <- Array.copy im.i_value;
   t.v_writer <- Array.copy im.i_writer;

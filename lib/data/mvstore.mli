@@ -51,8 +51,10 @@ val reserve : t -> int -> unit
     boot path calls it with the node's replica count before the
     {!init_key} loop; purely an allocation hint — never required. *)
 
-val init_key : t -> Ids.key -> value:string -> unit
-(** Install the genesis version for [key]. Idempotent. *)
+val init_key : t -> Ids.key -> unit
+(** Install the genesis version for [key], valued [Ids.boot_value key] and
+    stamped with the all-zero clock.  Idempotent: a key already initialised
+    (or written) is left as it is. *)
 
 val mem : t -> Ids.key -> bool
 (** Whether [key] has been initialised (holds at least its genesis

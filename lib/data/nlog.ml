@@ -35,8 +35,6 @@ let create ~nodes ~node =
     floor_max = Array.make nodes 0;
   }
 
-let node t = t.node
-
 let grow t =
   if t.len = Array.length t.entries then begin
     let cap = 2 * t.len in

@@ -24,9 +24,6 @@ val create : nodes:int -> node:int -> t
 (** [create ~nodes ~node] is the log of node [node] in a cluster of
     [nodes] nodes, seeded with the genesis all-zero entry. *)
 
-val node : t -> int
-(** The owning node's index (fixed at {!create}). *)
-
 val add : t -> txn:Ids.txn -> vc:Vclock.t -> ws:Ids.key list -> unit
 (** Append an internal commit. *)
 
@@ -35,7 +32,7 @@ val most_recent_vc : t -> Vclock.t
     genesis all-zero clock while the log is empty). *)
 
 val most_recent_local : t -> int
-(** [most_recent_local t] = entry [node t] of {!most_recent_vc}. *)
+(** [most_recent_local t] = the owning node's entry of {!most_recent_vc}. *)
 
 val committed_max : t -> Vclock.t
 (** Entry-wise maximum over every clock ever logged (survives pruning). *)

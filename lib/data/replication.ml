@@ -1,7 +1,6 @@
 type t = {
   nodes : int;
   degree : int;
-  total_keys : int;
   base : int array;  (* key -> first replica *)
   at : Ids.key array array;  (* node -> keys stored *)
 }
@@ -24,13 +23,7 @@ let create ~nodes ~degree ~total_keys =
       buckets.(n) <- k :: buckets.(n)
     done
   done;
-  { nodes; degree; total_keys; base; at = Array.map Array.of_list buckets }
-
-let nodes t = t.nodes
-
-let degree t = t.degree
-
-let total_keys t = t.total_keys
+  { nodes; degree; base; at = Array.map Array.of_list buckets }
 
 let replicas t k = List.init t.degree (fun j -> (t.base.(k) + j) mod t.nodes)
 

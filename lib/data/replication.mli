@@ -11,15 +11,6 @@ type t
 val create : nodes:int -> degree:int -> total_keys:int -> t
 (** @raise Invalid_argument if [degree] is not within [1 .. nodes]. *)
 
-val nodes : t -> int
-(** Cluster size this placement was built for. *)
-
-val degree : t -> int
-(** Replicas per key. *)
-
-val total_keys : t -> int
-(** Size of the key space. *)
-
 val replicas : t -> Ids.key -> Ids.node list
 (** The nodes storing the key (constant, length [degree]). *)
 

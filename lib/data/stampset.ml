@@ -59,5 +59,3 @@ let exists_below t x = t.len > 0 && t.data.(0) < x
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
   go (t.len - 1) []
-
-let clear t = t.len <- 0

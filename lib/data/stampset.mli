@@ -36,5 +36,3 @@ val exists_below : t -> int -> bool
 
 val to_list : t -> int list
 (** Ascending. *)
-
-val clear : t -> unit

@@ -69,11 +69,6 @@ let[@hot] blit ~src ~dst = Array.blit src 0 dst 0 (Array.length src)
 
 let blit_into ~src ~dst ~pos = Array.blit src 0 dst pos (Array.length src)
 
-let is_zero (t : t) =
-  let n = Array.length t in
-  let rec loop i = i >= n || (Array.unsafe_get t i = 0 && loop (i + 1)) in
-  loop 0
-
 let leq (a : t) (b : t) =
   assert (Array.length a = Array.length b);
   let n = Array.length a in
@@ -113,5 +108,3 @@ let to_string t =
   "["
   ^ String.concat "," (Array.to_list (Array.map string_of_int t))
   ^ "]"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -59,9 +59,6 @@ val blit_into : src:t -> dst:int array -> pos:int -> unit
     For arena-style storage that packs many clocks into one flat array
     (e.g. {!Mvstore}'s clock arena); the caller owns [dst]. *)
 
-val is_zero : t -> bool
-(** Whether every entry is 0 (the genesis clock). *)
-
 val leq : t -> t -> bool
 (** [leq a b] iff every entry of [a] is <= the matching entry of [b]. *)
 
@@ -78,5 +75,3 @@ val concurrent : t -> t -> bool
 (** Neither [leq a b] nor [leq b a]. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -1,54 +1,15 @@
-type encoded = { data : string; entries : int }
-
 let raw_size vc = 8 * Vclock.size vc
 
 (* zig-zag maps signed deltas to unsigned so small negatives stay small *)
 let zigzag n = if n >= 0 then 2 * n else (-2 * n) - 1
 
-let unzigzag z = if z land 1 = 0 then z / 2 else -((z + 1) / 2)
-
 let varint_size n =
   let rec go z acc = if z < 0x80 then acc else go (z lsr 7) (acc + 1) in
   go (zigzag n) 1
 
-let write_varint buf n =
-  assert (n >= 0);
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
-
-let read_varint s pos =
-  let rec go pos shift acc =
-    let b = Char.code s.[pos] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
-
-let encode ~base vc =
-  if Vclock.size base <> Vclock.size vc then invalid_arg "Vcodec.encode: size mismatch";
-  let buf = Buffer.create 16 in
+let size vc =
+  let bytes = ref 0 in
   for i = 0 to Vclock.size vc - 1 do
-    write_varint buf (zigzag (Vclock.get vc i - Vclock.get base i))
+    bytes := !bytes + varint_size (Vclock.get vc i)
   done;
-  { data = Buffer.contents buf; entries = Vclock.size vc }
-
-let decode ~base e =
-  if Vclock.size base <> e.entries then invalid_arg "Vcodec.decode: size mismatch";
-  let arr = Array.make e.entries 0 in
-  let pos = ref 0 in
-  for i = 0 to e.entries - 1 do
-    let z, next = read_varint e.data !pos in
-    pos := next;
-    arr.(i) <- Vclock.get base i + unzigzag z
-  done;
-  Vclock.of_array arr
-
-let size e = String.length e.data
-
-let bytes e = e.data
+  !bytes

@@ -1,37 +1,24 @@
-(** Vector-clock wire codec (§III-A: "To alleviate these costs we adopt
+(** Vector-clock wire sizes (§III-A: "To alleviate these costs we adopt
     metadata compression").
 
-    Two encodings are provided:
+    Two size models are provided:
     - {!raw_size}: fixed 8 bytes per entry (what a naive implementation
       ships);
-    - {!encode}/{!decode}: LEB128 varints of the entry *deltas* against a
-      base clock both ends already share (the receiving node's last-known
-      clock for the sender).  Commit clocks evolve by small increments, so
-      deltas are tiny and the varints collapse most entries to one byte.
+    - {!size}: one zig-zag LEB128 varint per entry, each entry's value
+      encoded as is (a delta against the all-zero clock).  Entries below 64
+      take one byte, below 8192 two, and so on.
 
-    The simulator never needs real serialization — the codec exists to
-    account for message sizes faithfully (the network layer charges the
-    encoded size) and is fully tested for round-tripping. *)
-
-type encoded
+    The simulator never serializes a clock: the network layer charges these
+    byte counts to account for message sizes faithfully. *)
 
 val raw_size : Vclock.t -> int
 (** Bytes of the uncompressed representation (8 per entry). *)
 
-val encode : base:Vclock.t -> Vclock.t -> encoded
-(** Delta-encode against [base].  Entries may grow or shrink relative to
-    the base (zig-zag encoding); sizes must match. *)
-
-val decode : base:Vclock.t -> encoded -> Vclock.t
-(** Inverse of {!encode} with the same [base]. *)
-
-val size : encoded -> int
-(** Encoded size in bytes. *)
-
-val bytes : encoded -> string
-(** The actual wire bytes (for tests). *)
+val size : Vclock.t -> int
+(** Bytes of the varint representation: the sum of {!varint_size} over the
+    entries. *)
 
 val varint_size : int -> int
-(** Bytes one entry delta occupies under the zig-zag LEB128 encoding.
-    Shared with {!Mvstore}'s checkpoint-image size model, which prices
-    at-rest delta clocks with the same codec the wire uses. *)
+(** Bytes one value occupies under the zig-zag LEB128 encoding.  Shared
+    with {!Mvstore}'s checkpoint-image size model, which prices at-rest
+    delta clocks with the same encoding. *)

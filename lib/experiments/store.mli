@@ -13,25 +13,6 @@ type system = Sss | Walter | Twopc | Rococo
 val system_name : system -> string
 (** "SSS", "Walter", "2PC" or "ROCOCO". *)
 
-(** A checker property ({!Sss_consistency.Checker}). *)
-type property =
-  | External_consistency
-  | Serializability
-  | No_lost_updates
-  | No_torn_commits
-  | Ro_abort_free
-
-val properties : property list
-(** Every property, in report order. *)
-
-val check : property -> Sss_consistency.History.t -> (unit, string) result
-
-val promises : system -> property list
-(** What the protocol guarantees: SSS all five; 2PC external consistency,
-    no lost updates and no torn commits; Walter (PSI) no lost updates, no
-    torn commits and read-only abort-freedom; ROCOCO serializability, no
-    lost updates and no torn commits. *)
-
 type 'h t = {
   system : system;
   sim : Sss_sim.Sim.t;  (** the simulator the cluster runs on *)
@@ -97,8 +78,12 @@ val verdicts :
   Sss_consistency.History.t ->
   quiescent:(unit, string) result ->
   (string * verdict) list
-(** Every property in report order — unpromised ones as [Not_promised],
-    never run — then ["quiescent"]. *)
+(** Every {!Sss_consistency.Checker} property in report order — unpromised
+    ones as [Not_promised], never run — then ["quiescent"].  SSS promises
+    all five; 2PC external consistency, no lost updates and no torn
+    commits; Walter (PSI) no lost updates, no torn commits and read-only
+    abort-freedom; ROCOCO serializability, no lost updates and no torn
+    commits. *)
 
 val exit_code : (string * verdict) list -> int
 (** 1 when any promised property (or quiescence) failed, else 0. *)

@@ -12,8 +12,7 @@ let default_config =
 
 (* Ingress order is (prio, seq) packed into one int — seq is unique and
    assigned at delivery, prio < 2^18, so a single int comparison reproduces
-   the lexicographic order exactly (the same packing the simulator uses for
-   its event keys). *)
+   the lexicographic order exactly. *)
 let[@inline] pack_key ~prio ~seq = (prio lsl 44) lor seq
 
 (* Specialized ingress min-heap on the packed key, struct-of-arrays: keys
@@ -202,8 +201,6 @@ and 'msg flight = {
   f_sent : float array;
   mutable f_msg : Obj.t;
 }
-
-let nodes t = Array.length t.nodes
 
 let set_handler t n f = t.nodes.(n).handler <- f
 

@@ -8,9 +8,9 @@
     node is saturated, higher-priority messages (e.g. Remove) overtake
     lower-priority ones in its ingress queue.
 
-    Failures can be injected for tests: message drop probability, link
-    partitions, and node crashes (crash-stop; a crashed node neither sends
-    nor receives). *)
+    Failures can be injected for tests: per-message faults from a
+    {!set_perturb} hook (drop, delay, duplicate), link partitions, and node
+    crashes (a crashed node neither sends nor receives). *)
 
 type config = {
   latency_base : float;  (** fixed one-way propagation delay, seconds *)
@@ -39,8 +39,6 @@ val create :
     Dispatch is one callback event per delivered message, whose delay is
     the CPU charge; the handler runs inline under its own effect handler
     and parks only if it actually suspends. *)
-
-val nodes : 'msg t -> int
 
 val set_handler : 'msg t -> Sss_data.Ids.node -> (src:Sss_data.Ids.node -> 'msg -> unit) -> unit
 (** Install the message handler for a node.  Each delivery runs the handler

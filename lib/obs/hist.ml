@@ -1,6 +1,12 @@
+(* The one shape every histogram has: bucket 1's lower edge, the geometric
+   growth factor and the bucket count. *)
+let lo = 1e-7
+
+let ratio = 2.0
+
+let buckets = 48
+
 type t = {
-  lo : float;
-  ratio : float;
   counts : int array;
   mutable total : int;
   mutable sum : float;
@@ -8,52 +14,39 @@ type t = {
   mutable vmax : float;
 }
 
-let create ?(lo = 1e-7) ?(ratio = 2.0) ?(buckets = 48) () =
-  if not (lo > 0.0) then invalid_arg "Hist.create: lo must be positive";
-  if not (ratio > 1.0) then invalid_arg "Hist.create: ratio must exceed 1";
-  if buckets < 2 then invalid_arg "Hist.create: need at least 2 buckets";
-  {
-    lo;
-    ratio;
-    counts = Array.make buckets 0;
-    total = 0;
-    sum = 0.0;
-    vmin = infinity;
-    vmax = neg_infinity;
-  }
+let create () =
+  { counts = Array.make buckets 0; total = 0; sum = 0.0; vmin = infinity; vmax = neg_infinity }
 
 (* Iterative edge walk rather than a log/exp round trip: 48 multiplies at
    most, and the boundary semantics are exact (a value equal to an edge
    lands in the bucket above it, with no floating-point log fuzz). *)
-let bucket_of t v =
-  let n = Array.length t.counts in
-  if v < t.lo then 0
+let bucket_of v =
+  if v < lo then 0
   else begin
     let i = ref 1 in
-    let edge = ref (t.lo *. t.ratio) in
-    while !i < n - 1 && v >= !edge do
+    let edge = ref (lo *. ratio) in
+    while !i < buckets - 1 && v >= !edge do
       incr i;
-      edge := !edge *. t.ratio
+      edge := !edge *. ratio
     done;
     !i
   end
 
-let bucket_bounds t i =
-  let n = Array.length t.counts in
-  if i < 0 || i >= n then invalid_arg "Hist.bucket_bounds: index out of range";
-  if i = 0 then (0.0, t.lo)
+let bucket_bounds i =
+  if i < 0 || i >= buckets then invalid_arg "Hist.bucket_bounds: index out of range";
+  if i = 0 then (0.0, lo)
   else begin
-    let lower = ref t.lo in
+    let lower = ref lo in
     for _ = 2 to i do
-      lower := !lower *. t.ratio
+      lower := !lower *. ratio
     done;
-    let upper = if i = n - 1 then infinity else !lower *. t.ratio in
+    let upper = if i = buckets - 1 then infinity else !lower *. ratio in
     (!lower, upper)
   end
 
 let observe t v =
   let v = if v < 0.0 then 0.0 else v in
-  let i = bucket_of t v in
+  let i = bucket_of v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum +. v;
@@ -82,11 +75,10 @@ let percentile t p =
       let r = int_of_float (ceil (p *. float_of_int t.total)) in
       if r < 1 then 1 else r
     in
-    let n = Array.length t.counts in
     let cum = ref 0 in
-    let found = ref (n - 1) in
+    let found = ref (buckets - 1) in
     (try
-       for i = 0 to n - 1 do
+       for i = 0 to buckets - 1 do
          cum := !cum + t.counts.(i);
          if !cum >= rank then begin
            found := i;
@@ -94,16 +86,12 @@ let percentile t p =
          end
        done
      with Exit -> ());
-    let _, upper = bucket_bounds t !found in
+    let _, upper = bucket_bounds !found in
     if upper > t.vmax then t.vmax else upper
   end
 
-let same_shape a b =
-  a.lo = b.lo && a.ratio = b.ratio && Array.length a.counts = Array.length b.counts
-
 let merge a b =
-  if not (same_shape a b) then invalid_arg "Hist.merge: shape mismatch";
-  let m = create ~lo:a.lo ~ratio:a.ratio ~buckets:(Array.length a.counts) () in
+  let m = create () in
   Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
   m.total <- a.total + b.total;
   m.sum <- a.sum +. b.sum;

@@ -1,10 +1,11 @@
 (** Fixed-bucket geometric histograms over virtual-time durations.
 
-    Buckets are fixed at creation: bucket 0 holds values below [lo], bucket
-    [i >= 1] holds [lo * ratio^(i-1) <= v < lo * ratio^i], and the last
-    bucket additionally absorbs everything larger.  The defaults (100 ns
-    lower edge, ratio 2, 48 buckets) span nanoseconds to hours of virtual
-    time, which covers every latency the simulator can produce.
+    Every histogram has the same 48 buckets with lower edge [lo = 1e-7]
+    (100 ns) and ratio 2: bucket 0 holds values below [lo], bucket
+    [i >= 1] holds [lo * 2^(i-1) <= v < lo * 2^i], and the last bucket
+    additionally absorbs everything larger.  That spans nanoseconds to
+    hours of virtual time, which covers every latency the simulator can
+    produce.
 
     Recording is allocation-free after creation and never consults a clock
     or PRNG, so an enabled histogram cannot perturb a trajectory.
@@ -14,10 +15,8 @@
 
 type t
 
-val create : ?lo:float -> ?ratio:float -> ?buckets:int -> unit -> t
-(** [lo] > 0 is bucket 1's lower edge (default [1e-7]); [ratio] > 1 the
-    geometric growth factor (default [2.0]); [buckets] >= 2 the total
-    bucket count (default [48]). *)
+val create : unit -> t
+(** An empty histogram. *)
 
 val observe : t -> float -> unit
 (** Record one (non-negative) value. *)
@@ -34,10 +33,10 @@ val min_value : t -> float
 val max_value : t -> float
 (** Largest observed value; [0.0] when empty. *)
 
-val bucket_of : t -> float -> int
+val bucket_of : float -> int
 (** Index of the bucket a value falls in. *)
 
-val bucket_bounds : t -> int -> float * float
+val bucket_bounds : int -> float * float
 (** [(lower, upper)] edges of a bucket; bucket 0's lower edge is [0.0] and
     the last bucket's upper edge is [infinity]. *)
 
@@ -48,8 +47,7 @@ val percentile : t -> float -> float
 (** [percentile t p] for [0.0 < p <= 1.0]; [0.0] when empty. *)
 
 val merge : t -> t -> t
-(** Combine two histograms of identical shape into a fresh one.
-    @raise Invalid_argument on shape mismatch. *)
+(** Combine two histograms into a fresh one. *)
 
 val to_json : t -> string
 (** [{"count":..,"mean":..,"min":..,"max":..,"p50":..,"p95":..,"p99":..}] *)

@@ -61,8 +61,7 @@ val incr : t -> string -> unit
 val add : t -> string -> int -> unit
 
 val observe : t -> string -> float -> unit
-(** Record a value into a named histogram (created on first use with the
-    {!Hist.create} defaults). *)
+(** Record a value into a named histogram (created on first use). *)
 
 val gauge_set : t -> string -> int -> unit
 (** Set a named gauge's current value; its peak is tracked automatically. *)

@@ -22,9 +22,9 @@
      the window into buckets.
 
    Order is the caller's total order (time, key): ties in time are broken by
-   the int [key], which the simulator packs as (priority, sequence) — seq is
+   the int [key], which the simulator sets to its event sequence number —
    unique, so pop order is fully determined regardless of rung internals,
-   and matches a global sort by (time, prio, seq) exactly.  The global
+   and matches a global sort by (time, seq) exactly.  The global
    minimum always lives in the current bucket: appends to it are bounded by
    its upper edge, future buckets start at or above that edge, and the
    overflow rung starts at the horizon.

@@ -8,8 +8,8 @@
     The current bucket is drained in place by a scan for its minimum (a
     handful of contiguous float compares at typical occupancy — no sift, no
     copy).  Ties in [time] are broken by the int [key];
-    when keys are unique (the simulator packs [(priority, sequence)] into
-    one), pop order equals a global sort by [(time, key)] exactly,
+    when keys are unique (the simulator's key is its event sequence
+    number), pop order equals a global sort by [(time, key)] exactly,
     independent of rung internals.
 
     Payloads are an [(fn, arg)] application rather than a thunk so callers

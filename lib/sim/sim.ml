@@ -1,14 +1,7 @@
-(* Event order is the total order (time, prio, seq).  The priority and the
-   per-simulator sequence number are packed into one int key — seq is unique
-   and bounded by 2^44 events per simulator (20+ days of wall clock at 10M
-   events/sec), so a single int comparison reproduces the lexicographic
-   (prio, seq) tie-break exactly and the ladder queue's pop order is fully
+(* Event order is the total order (time, seq).  The queue key is the
+   per-simulator sequence number, unique and increasing, so events at equal
+   time fire in scheduling order and the queue's pop order is fully
    determined regardless of rung internals. *)
-let seq_bits = 44
-
-let max_prio = 1 lsl (62 - seq_bits)
-
-let[@inline] pack_key ~prio ~seq = (prio lsl seq_bits) lor seq
 
 type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
@@ -93,29 +86,23 @@ let[@inline] now t = Array.unsafe_get t.clock 0
 
 let events_processed t = t.processed
 
-let[@inline] [@hot] enqueue t ~prio ~delay ~fiber run =
+let[@inline] [@hot] push t ~delay fn arg =
   assert (delay >= 0.0);
-  assert (prio >= 0 && prio < max_prio);
-  let key = pack_key ~prio ~seq:t.seq in
-  t.seq <- t.seq + 1;
-  Equeue.push t.events ~time:(now t +. delay) ~key
-    (if fiber then call_fiber else call_thunk)
-    (Obj.repr run)
+  let key = t.seq in
+  t.seq <- key + 1;
+  Equeue.push t.events ~time:(now t +. delay) ~key fn arg
 
-let schedule t ?(prio = 100) ~delay f = enqueue t ~prio ~delay ~fiber:true f
+let[@inline] [@hot] enqueue t ~delay ~fiber run =
+  push t ~delay (if fiber then call_fiber else call_thunk) (Obj.repr run)
 
-let schedule_callback t ?(prio = 100) ~delay f = enqueue t ~prio ~delay ~fiber:false f
+let schedule t ~delay f = enqueue t ~delay ~fiber:true f
 
-let[@hot] schedule_apply (type a) t ?(prio = 100) ~delay (fn : a -> unit) (arg : a) =
-  assert (delay >= 0.0);
-  assert (prio >= 0 && prio < max_prio);
-  let key = pack_key ~prio ~seq:t.seq in
-  t.seq <- t.seq + 1;
-  Equeue.push t.events ~time:(now t +. delay) ~key
-    (Obj.magic (fn : a -> unit) : Obj.t -> unit)
-    (Obj.repr arg)
+let schedule_callback t ~delay f = enqueue t ~delay ~fiber:false f
 
-let spawn t ?prio f = schedule t ?prio ~delay:0.0 f
+let[@hot] schedule_apply (type a) t ~delay (fn : a -> unit) (arg : a) =
+  push t ~delay (Obj.magic (fn : a -> unit) : Obj.t -> unit) (Obj.repr arg)
+
+let spawn t f = schedule t ~delay:0.0 f
 
 let tick t = t.processed <- t.processed + 1
 
@@ -126,12 +113,10 @@ let tick t = t.processed <- t.processed + 1
    event queue. *)
 let raw_suspend register = Effect.perform (Suspend register)
 
-let suspend t ?(prio = 100) register =
-  raw_suspend (fun resume ->
-      register (fun () -> enqueue t ~prio ~delay:0.0 ~fiber:false resume))
+let suspend t register =
+  raw_suspend (fun resume -> register (fun () -> enqueue t ~delay:0.0 ~fiber:false resume))
 
-let sleep t delay =
-  raw_suspend (fun resume -> enqueue t ~prio:100 ~delay ~fiber:false resume)
+let sleep t delay = raw_suspend (fun resume -> enqueue t ~delay ~fiber:false resume)
 
 let set_probe t p = t.probe <- (match p with None -> ignore | Some f -> f)
 
@@ -155,11 +140,7 @@ let fire_timer : Obj.t -> unit =
   tm.fire <- inert;
   f ()
 
-let[@inline] push_timer t ~delay tm =
-  assert (delay >= 0.0);
-  let key = pack_key ~prio:100 ~seq:t.seq in
-  t.seq <- t.seq + 1;
-  Equeue.push t.events ~time:(now t +. delay) ~key fire_timer (Obj.repr tm)
+let[@inline] push_timer t ~delay tm = push t ~delay fire_timer (Obj.repr tm)
 
 let arm t ~delay f =
   let tm = { fire = f } in
@@ -221,7 +202,7 @@ let run_until t limit =
 (* Waiter batching: waking W parked fibers used to enqueue W separate
    events — one heap push and one event-loop turn per waiter.  A broadcast
    or fill now enqueues a single run-queue drain that resumes every waiter
-   in FIFO order at the same (time, prio) instant.  Trajectories are
+   in FIFO order at the same instant.  Trajectories are
    unchanged: the old per-waiter events held consecutive sequence numbers,
    so nothing could interleave between them, and anything a resumed fiber
    schedules lands after the drain either way.  [tick] keeps
@@ -241,8 +222,8 @@ let drain_waiters ((sim, ws) : t * (unit -> unit) list) =
 let wake_all sim ws =
   match ws with
   | [] -> ()
-  | [ w ] -> enqueue sim ~prio:100 ~delay:0.0 ~fiber:false w
-  | ws -> schedule_apply sim ~prio:100 ~delay:0.0 drain_waiters (sim, List.rev ws)
+  | [ w ] -> enqueue sim ~delay:0.0 ~fiber:false w
+  | ws -> schedule_apply sim ~delay:0.0 drain_waiters (sim, List.rev ws)
 
 module Cond = struct
 

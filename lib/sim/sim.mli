@@ -1,7 +1,7 @@
 (** Deterministic discrete-event simulator with lightweight fibers.
 
     The engine maintains a virtual clock and an event queue ordered by
-    [(time, priority, sequence)].  Code that needs to block — a protocol step
+    [(time, sequence)]: events at equal time fire in scheduling order.  Code that needs to block — a protocol step
     waiting for a message, a 2PC coordinator waiting for votes, a transaction
     parked on a snapshot-queue — runs inside a {e fiber}: a cooperative
     thread implemented with OCaml effect handlers.  A fiber suspends by
@@ -30,22 +30,21 @@ val events_processed : t -> int
     plus the logical events counted by {!tick}.  Cancelled timers are not
     events: {!run} discards them uncounted. *)
 
-val schedule : t -> ?prio:int -> delay:float -> (unit -> unit) -> unit
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] as a new fiber at time [now t +. delay].
-    [f] may suspend.  Events at equal time fire in ascending [prio]
-    (default 100), then in scheduling order. *)
+    [f] may suspend.  Events at equal time fire in scheduling order. *)
 
-val spawn : t -> ?prio:int -> (unit -> unit) -> unit
+val spawn : t -> (unit -> unit) -> unit
 (** [spawn t f] is [schedule t ~delay:0.0 f]. *)
 
-val schedule_callback : t -> ?prio:int -> delay:float -> (unit -> unit) -> unit
+val schedule_callback : t -> delay:float -> (unit -> unit) -> unit
 (** Like {!schedule} but the body runs as a bare callback, without the
     effect-handler context of a fiber: it must not suspend (wrap any
     possibly-suspending work in {!run_fiber}).  This is the cheap path for
     the simulator's highest-volume events (message deliveries, CPU
     charges). *)
 
-val schedule_apply : t -> ?prio:int -> delay:float -> ('a -> unit) -> 'a -> unit
+val schedule_apply : t -> delay:float -> ('a -> unit) -> 'a -> unit
 (** [schedule_apply t ~delay fn arg] runs [fn arg] as a bare callback at
     [now t +. delay] — semantically [schedule_callback t ~delay (fun () ->
     fn arg)], but without allocating the closure.  Callers with a
@@ -76,11 +75,11 @@ val sleep : t -> float -> unit
 (** Suspend the current fiber for the given amount of virtual time.  Must be
     called from within a fiber. *)
 
-val suspend : t -> ?prio:int -> ((unit -> unit) -> unit) -> unit
+val suspend : t -> ((unit -> unit) -> unit) -> unit
 (** [suspend t register] parks the current fiber and calls [register resume].
     The fiber continues when [resume ()] is invoked (at most once; later
     calls are errors the caller must prevent), as an event at the current
-    virtual time with priority [prio].  {!Cond} and {!Ivar} are not built
+    virtual time.  {!Cond} and {!Ivar} are not built
     on it: they park on the engine's internal [raw_suspend] and resume
     every waiter of a broadcast or fill from one event. *)
 
@@ -88,8 +87,8 @@ type timer
 (** A pending callback that can be cancelled before it fires. *)
 
 val arm : t -> delay:float -> (unit -> unit) -> timer
-(** [arm t ~delay f] schedules [f] like {!schedule_callback} at the default
-    priority (a bare callback: it must not suspend) and returns a handle
+(** [arm t ~delay f] schedules [f] like {!schedule_callback} (a bare
+    callback: it must not suspend) and returns a handle
     that can {!cancel} it until it fires. *)
 
 val cancel : t -> timer -> bool

@@ -47,8 +47,6 @@ let percentile t p =
 
 let min t = percentile t 0.0
 
-let max t = percentile t 1.0
-
 let clear t =
   t.len <- 0;
   t.sorted <- true

@@ -21,8 +21,5 @@ val percentile : t -> float -> float
 val min : t -> float
 (** Smallest sample; 0.0 when empty. *)
 
-val max : t -> float
-(** Largest sample; 0.0 when empty. *)
-
 val clear : t -> unit
 (** Forget every sample. *)

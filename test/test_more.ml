@@ -246,6 +246,29 @@ let test_stats_interleaved_add_query () =
 
 (* ---------- network under protocol load ---------- *)
 
+(* Message sizes priced through the clock codec, pinned so the network's
+   byte accounting cannot drift: the clock holds one-, two- and three-byte
+   varint entries (9 bytes plus a 2-byte length, or 40 raw). *)
+let test_wire_size_pins () =
+  let module M = Sss_kv.Message in
+  let t = { Ids.node = 2; local = 7 } in
+  let vc = Vclock.of_array [| 0; 63; 64; 8191; 8192 |] in
+  let prepare =
+    M.Prepare
+      {
+        txn = t;
+        coord = 2;
+        vc;
+        rs = [ (3, Ids.genesis); (9, t) ];
+        ws = [ (4, "v4"); (5, "value-5") ];
+        propagated = [ (t, 1) ];
+      }
+  in
+  let vote = M.Vote { txn = t; ok = true; vc } in
+  let sizes m = (M.wire_size ~compress:true m, M.wire_size ~compress:false m) in
+  Alcotest.(check (pair int int)) "prepare" (100, 129) (sizes prepare);
+  Alcotest.(check (pair int int)) "vote" (36, 65) (sizes vote)
+
 let test_remove_priority_matters () =
   (* sanity: the protocol tags Remove/Finalize as highest priority *)
   Alcotest.(check bool) "remove beats read" true
@@ -365,6 +388,7 @@ let () =
           Alcotest.test_case "snapshot stable under churn" `Quick
             test_snapshot_stability_under_churn;
           Alcotest.test_case "remove priority" `Quick test_remove_priority_matters;
+          Alcotest.test_case "wire size pins" `Quick test_wire_size_pins;
         ] );
       ( "workload",
         [

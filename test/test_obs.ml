@@ -17,66 +17,79 @@ let contains ~needle hay =
 
 (* ---------- histograms: bucket boundaries ---------- *)
 
+(* The fixed shape: bucket 0 is [0, 1e-7), bucket i >= 1 starts at
+   [edge (i - 1)], and bucket 47 absorbs everything from [edge 46] up. *)
+let edge k = ldexp 1e-7 k
+
 let test_hist_buckets () =
-  let h = Hist.create ~lo:1.0 ~ratio:2.0 ~buckets:4 () in
-  (* buckets: [0,1) [1,2) [2,4) [4,inf) *)
-  Alcotest.(check int) "below lo" 0 (Hist.bucket_of h 0.5);
-  Alcotest.(check int) "at lo" 1 (Hist.bucket_of h 1.0);
-  Alcotest.(check int) "inside bucket 1" 1 (Hist.bucket_of h 1.999);
-  Alcotest.(check int) "at edge 2" 2 (Hist.bucket_of h 2.0);
-  Alcotest.(check int) "last bucket lower edge" 3 (Hist.bucket_of h 4.0);
-  Alcotest.(check int) "last bucket absorbs" 3 (Hist.bucket_of h 1e12);
-  Alcotest.(check (pair (float 0.0) (float 0.0))) "bucket 0 bounds" (0.0, 1.0)
-    (Hist.bucket_bounds h 0);
-  let lo3, hi3 = Hist.bucket_bounds h 3 in
-  Alcotest.(check (float 0.0)) "last lower" 4.0 lo3;
-  Alcotest.(check bool) "last upper is inf" true (hi3 = infinity)
+  Alcotest.(check int) "below lo" 0 (Hist.bucket_of 0.5e-7);
+  Alcotest.(check int) "at lo" 1 (Hist.bucket_of 1e-7);
+  Alcotest.(check int) "inside bucket 1" 1 (Hist.bucket_of (Float.pred (edge 1)));
+  Alcotest.(check int) "at edge 2" 2 (Hist.bucket_of (edge 1));
+  Alcotest.(check int) "below last bucket" 46 (Hist.bucket_of (Float.pred (edge 46)));
+  Alcotest.(check int) "last bucket lower edge" 47 (Hist.bucket_of (edge 46));
+  Alcotest.(check int) "last bucket absorbs" 47 (Hist.bucket_of 1e12);
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "bucket 0 bounds" (0.0, 1e-7)
+    (Hist.bucket_bounds 0);
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "bucket 3 bounds" (edge 2, edge 3)
+    (Hist.bucket_bounds 3);
+  let lo47, hi47 = Hist.bucket_bounds 47 in
+  Alcotest.(check (float 0.0)) "last lower" (edge 46) lo47;
+  Alcotest.(check bool) "last upper is inf" true (hi47 = infinity);
+  Alcotest.(check int) "48 buckets" 48 (Array.length (Hist.counts (Hist.create ())));
+  Alcotest.check_raises "index past the last bucket"
+    (Invalid_argument "Hist.bucket_bounds: index out of range") (fun () ->
+      ignore (Hist.bucket_bounds 48))
+
+(* The first [n] bucket counts, after checking the rest are empty. *)
+let first_counts h n =
+  let c = Hist.counts h in
+  Alcotest.(check int) "no count past the prefix" 0
+    (Array.fold_left ( + ) 0 (Array.sub c n (Array.length c - n)));
+  Array.to_list (Array.sub c 0 n)
 
 let test_hist_stats () =
-  let h = Hist.create ~lo:1.0 ~ratio:2.0 ~buckets:4 () in
-  List.iter (Hist.observe h) [ 0.5; 1.5; 3.0; 6.0 ];
+  let h = Hist.create () in
+  List.iter (Hist.observe h) [ 0.5e-7; 1.5e-7; 3e-7; 6e-7 ];
   Alcotest.(check int) "count" 4 (Hist.count h);
-  Alcotest.(check (float 1e-9)) "sum" 11.0 (Hist.sum h);
-  Alcotest.(check (float 1e-9)) "mean" 2.75 (Hist.mean h);
-  Alcotest.(check (float 1e-9)) "min" 0.5 (Hist.min_value h);
-  Alcotest.(check (float 1e-9)) "max" 6.0 (Hist.max_value h);
-  Alcotest.(check (list int)) "per-bucket counts" [ 1; 1; 1; 1 ]
-    (Array.to_list (Hist.counts h));
+  Alcotest.(check (float 1e-15)) "sum" 11e-7 (Hist.sum h);
+  Alcotest.(check (float 1e-15)) "mean" 2.75e-7 (Hist.mean h);
+  Alcotest.(check (float 0.0)) "min" 0.5e-7 (Hist.min_value h);
+  Alcotest.(check (float 0.0)) "max" 6e-7 (Hist.max_value h);
+  Alcotest.(check (list int)) "per-bucket counts" [ 1; 1; 1; 1 ] (first_counts h 4);
   (* negative values clamp to 0 instead of being lost *)
   Hist.observe h (-3.0);
   Alcotest.(check int) "negative clamped into bucket 0" 2 (Hist.counts h).(0);
-  Alcotest.(check (float 1e-9)) "clamped min" 0.0 (Hist.min_value h)
+  Alcotest.(check (float 0.0)) "clamped min" 0.0 (Hist.min_value h)
 
 let test_hist_percentile () =
-  let h = Hist.create ~lo:1.0 ~ratio:2.0 ~buckets:4 () in
+  let h = Hist.create () in
   Alcotest.(check (float 0.0)) "empty percentile" 0.0 (Hist.percentile h 0.5);
-  for _ = 1 to 99 do Hist.observe h 1.5 done;
-  Hist.observe h 6.0;
-  (* p50 rank lands in bucket [1,2): reported as that bucket's upper edge *)
-  Alcotest.(check (float 1e-9)) "p50 bucket upper edge" 2.0 (Hist.percentile h 0.5);
-  (* p100 lands in the last occupied bucket; its upper edge (inf for the
-     overflow bucket) clamps to the observed max *)
-  Alcotest.(check (float 1e-9)) "p100 clamps to vmax" 6.0 (Hist.percentile h 1.0);
+  for _ = 1 to 99 do Hist.observe h 1.5e-7 done;
+  Hist.observe h 6e-7;
+  (* p50 rank lands in bucket [1e-7, 2e-7): reported as its upper edge *)
+  Alcotest.(check (float 0.0)) "p50 bucket upper edge" (edge 1) (Hist.percentile h 0.5);
+  (* p100 lands in bucket [4e-7, 8e-7), whose upper edge clamps to the
+     observed max *)
+  Alcotest.(check (float 0.0)) "p100 clamps to vmax" 6e-7 (Hist.percentile h 1.0);
+  (* the last bucket's infinite upper edge clamps the same way *)
+  Hist.observe h 1e12;
+  Alcotest.(check (float 0.0)) "overflow p100 clamps to vmax" 1e12 (Hist.percentile h 1.0);
   Alcotest.check_raises "p out of range"
     (Invalid_argument "Hist.percentile: p outside (0, 1]") (fun () ->
       ignore (Hist.percentile h 1.5))
 
 let test_hist_merge () =
-  let mk () = Hist.create ~lo:1.0 ~ratio:2.0 ~buckets:4 () in
-  let a = mk () and b = mk () in
-  List.iter (Hist.observe a) [ 0.5; 3.0 ];
-  List.iter (Hist.observe b) [ 1.5; 9.0 ];
+  let a = Hist.create () and b = Hist.create () in
+  List.iter (Hist.observe a) [ 0.5e-7; 3e-7 ];
+  List.iter (Hist.observe b) [ 1.5e-7; 9e-7 ];
   let m = Hist.merge a b in
   Alcotest.(check int) "merged count" 4 (Hist.count m);
-  Alcotest.(check (float 1e-9)) "merged sum" 14.0 (Hist.sum m);
-  Alcotest.(check (float 1e-9)) "merged min" 0.5 (Hist.min_value m);
-  Alcotest.(check (float 1e-9)) "merged max" 9.0 (Hist.max_value m);
-  Alcotest.(check (list int)) "merged buckets" [ 1; 1; 1; 1 ]
-    (Array.to_list (Hist.counts m));
-  let odd = Hist.create ~lo:1.0 ~ratio:2.0 ~buckets:6 () in
-  Alcotest.check_raises "shape mismatch"
-    (Invalid_argument "Hist.merge: shape mismatch") (fun () ->
-      ignore (Hist.merge a odd))
+  Alcotest.(check (float 1e-15)) "merged sum" 14e-7 (Hist.sum m);
+  Alcotest.(check (float 0.0)) "merged min" 0.5e-7 (Hist.min_value m);
+  Alcotest.(check (float 0.0)) "merged max" 9e-7 (Hist.max_value m);
+  Alcotest.(check (list int)) "merged buckets" [ 1; 1; 1; 0; 1 ] (first_counts m 5);
+  Alcotest.(check int) "inputs untouched" 2 (Hist.count a)
 
 (* ---------- histogram properties ---------- *)
 
@@ -94,9 +107,8 @@ let prop_bucket_monotone =
   QCheck.Test.make ~name:"hist: bucket_of monotone in the value" ~count:500
     QCheck.(pair (float_bound_exclusive 1e9) (float_bound_exclusive 1e9))
     (fun (a, b) ->
-      let h = Hist.create () in
       let lo = Float.min a b and hi = Float.max a b in
-      Hist.bucket_of h lo <= Hist.bucket_of h hi)
+      Hist.bucket_of lo <= Hist.bucket_of hi)
 
 let prop_merge_is_concat =
   QCheck.Test.make ~name:"hist: merge = observing the concatenation" ~count:100

@@ -123,19 +123,20 @@ let test_sim_time_order () =
     [ ("a", 0.1); ("b", 0.2); ("c", 0.3) ]
     (List.rev !log)
 
-let test_sim_priority_ties () =
+(* Equal-time events fire in scheduling order, whichever entry point
+   scheduled them, including events scheduled while the instant drains. *)
+let test_sim_equal_time_fifo () =
   let sim = Sim.create () in
   let log = ref [] in
   let record tag () = log := tag :: !log in
-  Sim.schedule sim ~prio:50 ~delay:1.0 (record "high");
-  Sim.schedule sim ~prio:100 ~delay:1.0 (record "normal1");
-  Sim.schedule sim ~prio:100 ~delay:1.0 (record "normal2");
-  Sim.schedule sim ~prio:10 ~delay:1.0 (record "urgent");
+  Sim.schedule sim ~delay:1.0 (record "a");
+  Sim.schedule_callback sim ~delay:1.0 (fun () ->
+      record "b" ();
+      Sim.schedule_callback sim ~delay:0.0 (record "e"));
+  Sim.schedule_apply sim ~delay:1.0 (fun tag -> record tag ()) "c";
+  Sim.schedule sim ~delay:0.5 (fun () -> Sim.schedule sim ~delay:0.5 (record "d"));
   Sim.run sim;
-  Alcotest.(check (list string))
-    "priority then FIFO"
-    [ "urgent"; "high"; "normal1"; "normal2" ]
-    (List.rev !log)
+  Alcotest.(check (list string)) "scheduling order" [ "a"; "b"; "c"; "d"; "e" ] (List.rev !log)
 
 let test_sim_sleep () =
   let sim = Sim.create () in
@@ -430,7 +431,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "time order" `Quick test_sim_time_order;
-          Alcotest.test_case "priority ties" `Quick test_sim_priority_ties;
+          Alcotest.test_case "equal-time FIFO" `Quick test_sim_equal_time_fifo;
           Alcotest.test_case "sleep" `Quick test_sim_sleep;
           Alcotest.test_case "run_until" `Quick test_sim_run_until;
           Alcotest.test_case "many fibers" `Quick test_many_fibers;
