@@ -118,7 +118,7 @@ type target_report = {
   (* Allocation probe: Gc deltas around the target, so allocation
      regressions show up in the recorded artifact, not just wall clock.
      [Gc.allocated_bytes] is per-domain, so at -j > 1 the numbers cover
-     only the main domain's share — the smoke gate measures at -j 1. *)
+     only the main domain's share; bench/smoke.sh records the -j 1 run. *)
   alloc_words : float;
   minor_collections : int;
   major_collections : int;

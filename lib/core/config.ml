@@ -32,7 +32,7 @@ let default =
     fault_tolerance = false;
     retry_limit = 64;
     observe = false;
-    trace_capacity = 65536;
+    trace_capacity = 0;
     durability = false;
     checkpoint_interval = 0.05;
   }

@@ -48,17 +48,18 @@ type t = {
           an abandoned send fails with {!Sss_net.Rpc.Stalled} once
           {!ack_timeout} expires) *)
   observe : bool;
-      (** attach an {!Sss_obs.Obs.t} to the cluster: typed trace events,
-          per-message-kind counters and latency histograms, per-node
-          queue-depth gauges (docs/OBSERVABILITY.md).  Observation is
+      (** attach an {!Sss_obs.Obs.t} to the cluster: per-message-kind
+          counters and latency histograms, per-node queue-depth gauges,
+          transaction, lock, clock and snapshot-queue counters
+          (docs/OBSERVABILITY.md).  Observation is
           passive — it draws no randomness and schedules nothing — so
           trajectories, committed counts, and checker verdicts are
           identical with it on or off; with it off (the default) no
           observation code runs at all.  All four systems honour the
           flag. *)
   trace_capacity : int;
-      (** ring capacity of the trace sink when [observe] is set; older
-          events are overwritten (and counted) once exceeded *)
+      (** ignored: the trace ring it sized is gone.  Kept only because the
+          benchmark code still sets it; ROADMAP item 6 deletes it *)
   durability : bool;
       (** give every node a simulated write-ahead log
           ({!Sss_storage.Storage} over {!Sss_sim.Iodev}): commit-path

@@ -219,7 +219,7 @@ module Make (P : PROTOCOL) = struct
           }
     in
     let obs =
-      if config.observe then Some (Obs.create ~capacity:config.trace_capacity ()) else None
+      if config.observe then Some (Obs.create ()) else None
     in
     (match obs with
     | Some o -> Network.set_observer net (Some { Network.obs = o; kind_of = P.kind_of })
@@ -274,35 +274,28 @@ module Make (P : PROTOCOL) = struct
   (* ---- transaction lifecycle: history plus observation ---- *)
 
   (* External commit: the client learns of success now. *)
-  let committed t ~txn ~node ~ro ~began ~ws =
+  let committed t ~txn ~ro ~began ~ws =
     record t (History.Commit { txn; ws });
     match t.obs with
     | Some o ->
         Obs.incr o (if ro then "txn.commit.ro" else "txn.commit.update");
-        Obs.observe o (if ro then "lat.txn.ro" else "lat.txn.update") (Sim.now t.sim -. began);
-        Obs.emit o ~at:(Sim.now t.sim) (Obs.Txn_commit { txn = Ids.txn_to_string txn; node; ro })
+        Obs.observe o (if ro then "lat.txn.ro" else "lat.txn.update") (Sim.now t.sim -. began)
     | None -> ()
 
-  (* Why a transaction aborted; the names are the [txn.abort.*] counters'
-     suffixes, spelled out so observing an abort builds no string. *)
+  (* Why a transaction aborted; each reason has its own [txn.abort.*]
+     counter, spelled out so observing an abort builds no string. *)
   type reason = Client_abort | Vote_false | Vote_timeout | Conflict | Ro_rounds
 
-  let reason_names = function
-    | Client_abort -> ("client", "txn.abort.client")
-    | Vote_false -> ("vote-false", "txn.abort.vote-false")
-    | Vote_timeout -> ("vote-timeout", "txn.abort.vote-timeout")
-    | Conflict -> ("conflict", "txn.abort.conflict")
-    | Ro_rounds -> ("ro-rounds", "txn.abort.ro-rounds")
+  let reason_counter = function
+    | Client_abort -> "txn.abort.client"
+    | Vote_false -> "txn.abort.vote-false"
+    | Vote_timeout -> "txn.abort.vote-timeout"
+    | Conflict -> "txn.abort.conflict"
+    | Ro_rounds -> "txn.abort.ro-rounds"
 
-  let aborted t ~txn ~node ~ro ~reason =
+  let aborted t ~txn ~reason =
     record t (History.Abort { txn });
-    match t.obs with
-    | Some o ->
-        let reason, counter = reason_names reason in
-        Obs.incr o counter;
-        Obs.emit o ~at:(Sim.now t.sim)
-          (Obs.Txn_abort { txn = Ids.txn_to_string txn; node; ro; reason })
-    | None -> ()
+    match t.obs with Some o -> Obs.incr o (reason_counter reason) | None -> ()
 
   (* Record the virtual time elapsed since [since] in a latency histogram. *)
   let observe_since t name ~since =
@@ -369,9 +362,7 @@ module Make (P : PROTOCOL) = struct
     let ro = read_only in
     record t (History.Begin { txn; ro; node });
     (match t.obs with
-    | Some o ->
-        Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update");
-        Obs.emit o ~at:(Sim.now t.sim) (Obs.Txn_begin { txn = Ids.txn_to_string txn; node; ro })
+    | Some o -> Obs.incr o (if ro then "txn.begin.ro" else "txn.begin.update")
     | None -> ());
     let home = t.nodes.(node) in
     { cl = t; home; txn; ro; began = now t; rs = []; ws = []; finished = false;
@@ -416,7 +407,7 @@ module Make (P : PROTOCOL) = struct
     record h.cl (History.Read { txn = h.txn; key; writer })
 
   (* External commit of the handle's transaction. *)
-  let complete h ~ws = committed h.cl ~txn:h.txn ~node:(P.id h.home) ~ro:h.ro ~began:h.began ~ws
+  let complete h ~ws = committed h.cl ~txn:h.txn ~ro:h.ro ~began:h.began ~ws
 
   (* A transaction with nothing to validate or install commits with no
      messages. *)
@@ -425,7 +416,7 @@ module Make (P : PROTOCOL) = struct
     true
 
   let refuse h reason =
-    aborted h.cl ~txn:h.txn ~node:(P.id h.home) ~ro:h.ro ~reason;
+    aborted h.cl ~txn:h.txn ~reason;
     false
 
   (* The client gives up: [cleanup] releases what the transaction holds
@@ -433,7 +424,7 @@ module Make (P : PROTOCOL) = struct
   let client_abort h cleanup =
     close h "abort";
     cleanup ();
-    aborted h.cl ~txn:h.txn ~node:(P.id h.home) ~ro:h.ro ~reason:Client_abort
+    aborted h.cl ~txn:h.txn ~reason:Client_abort
 
   let abort h = client_abort h ignore
 

@@ -327,7 +327,7 @@ let rec try_drain t node =
       (match t.ext.gc with Some g -> gc_after_apply t g node ~ws:prep.ws_local | None -> ());
       Commitq.remove node.commitq txn;
       Locks.release_txn node.locks txn;
-      observe_lock t node txn ~acquired:false ~keys:0;
+      observe_lock t ~acquired:false;
       Sim.Cond.broadcast t.sim node.nlog_changed;
       Sim.Cond.broadcast t.sim node.squeue_changed;
       (* Logged in the same event as the apply: redo either replays the
@@ -488,12 +488,12 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
   in
   if not ok then begin
     Locks.release_txn node.locks txn;
-    if got_locks then observe_lock t node txn ~acquired:false ~keys:0;
+    if got_locks then observe_lock t ~acquired:false;
     if node_live t node then
       send t ~src:node.id ~dst:coord (Message.Vote { txn; ok = false; vc })
   end
   else begin
-    observe_lock t node txn ~acquired:true ~keys:(List.length local_ws + List.length local_rs);
+    observe_lock t ~acquired:true;
     let prep_vc =
       if local_ws <> [] then begin
         let vc = bump_local t node in

@@ -377,11 +377,7 @@ let bump_local t node =
   (* [node_vc] is exclusively owned (never published), so it is bumped in
      place; callers get a private snapshot they may share freely. *)
   (Vclock.set_into node.node_vc node.id fresh [@owned]);
-  (match t.obs with
-  | Some o ->
-      Sss_obs.Obs.incr o "vclock.advance";
-      Sss_obs.Obs.emit o ~at:(now t) (Sss_obs.Obs.Vclock_advance { node = node.id; value = fresh })
-  | None -> ());
+  (match t.obs with Some o -> Sss_obs.Obs.incr o "vclock.advance" | None -> ());
   Vclock.copy node.node_vc
 
 let mint_xact_vn t node ~at_least =
@@ -391,20 +387,10 @@ let mint_xact_vn t node ~at_least =
   node.minted <- fresh;
   fresh
 
-(* Lock telemetry: an acquire of [keys] keys, or (with [acquired] false) a
-   release. *)
-let observe_lock t node txn ~acquired ~keys =
+(* Lock telemetry: an acquire, or (with [acquired] false) a release. *)
+let observe_lock t ~acquired =
   match t.obs with
-  | Some o ->
-      let txn = Ids.txn_to_string txn in
-      if acquired then begin
-        Sss_obs.Obs.incr o "lock.acquire";
-        Sss_obs.Obs.emit o ~at:(now t) (Sss_obs.Obs.Lock_acquire { txn; node = node.id; keys })
-      end
-      else begin
-        Sss_obs.Obs.incr o "lock.release";
-        Sss_obs.Obs.emit o ~at:(now t) (Sss_obs.Obs.Lock_release { txn; node = node.id })
-      end
+  | Some o -> Sss_obs.Obs.incr o (if acquired then "lock.acquire" else "lock.release")
   | None -> ()
 
 (* ---- parked-writer stamp index ---- *)
@@ -418,12 +404,7 @@ let park_writer t node txn ~stamp =
   if not (Hashtbl.mem node.parked_stamp txn) then begin
     Hashtbl.replace node.parked_stamp txn stamp;
     Stampset.add node.parked stamp;
-    match t.obs with
-    | Some o ->
-        Sss_obs.Obs.incr o "sq.park";
-        Sss_obs.Obs.emit o ~at:(now t)
-          (Sss_obs.Obs.Park { txn = Ids.txn_to_string txn; node = node.id; stamp })
-    | None -> ()
+    match t.obs with Some o -> Sss_obs.Obs.incr o "sq.park" | None -> ()
   end
 
 (* Drop only the index entry: must accompany every removal from [prepared]
@@ -434,12 +415,7 @@ let drop_parked_stamp t node txn =
   | Some stamp -> (
       Hashtbl.remove node.parked_stamp txn;
       ignore (Stampset.remove node.parked stamp);
-      match t.obs with
-      | Some o ->
-          Sss_obs.Obs.incr o "sq.unpark";
-          Sss_obs.Obs.emit o ~at:(now t)
-            (Sss_obs.Obs.Unpark { txn = Ids.txn_to_string txn; node = node.id; stamp })
-      | None -> ())
+      match t.obs with Some o -> Sss_obs.Obs.incr o "sq.unpark" | None -> ())
   | None -> ()
 
 let unpark_writer t node txn =

@@ -27,7 +27,7 @@ type params = {
   zipf : float option;  (* skewed key popularity instead of uniform *)
   observe : bool;  (* attach the sss_obs sink; must not change trajectories *)
   durability : bool;  (* write-ahead logging on every node (lib/storage) *)
-  checkpoint_interval : float option;  (* override Config.checkpoint_interval *)
+  checkpoint_interval : float;  (* WAL checkpoint period, virtual seconds *)
   crash : (float * float) option;
       (* fail-stop-recover one node at (crash, restart) virtual seconds; the
          run wires Chaos crash/restart hooks so durable protocols replay
@@ -58,7 +58,7 @@ let default_params =
     zipf = None;
     observe = false;
     durability = false;
-    checkpoint_interval = None;
+    checkpoint_interval = Sss_kv.Config.default.checkpoint_interval;
     crash = None;
     arrival = None;
     queue_capacity = 64;
@@ -128,10 +128,7 @@ let config_of (p : params) : Sss_kv.Config.t =
     compress_metadata = p.compress;
     observe = p.observe;
     durability = p.durability;
-    checkpoint_interval =
-      (match p.checkpoint_interval with
-      | Some i -> i
-      | None -> Sss_kv.Config.default.checkpoint_interval);
+    checkpoint_interval = p.checkpoint_interval;
     (* a crash needs the fault-tolerant transport so survivors retry around
        the dead NIC; crash-free runs keep the default so existing figures
        are untouched *)
@@ -586,7 +583,7 @@ let durability_body scale ~run ~out =
         run
           { base with system = Sss; nodes = 4; keys; ro_ratio = 0.5; degree = 2;
             warmup = 0.005; duration = 0.03; durability = true;
-            checkpoint_interval = Some interval; crash = Some (0.015, 0.019) }
+            checkpoint_interval = interval; crash = Some (0.015, 0.019) }
       in
       let w = o.wal in
       pr out "%-12.1f%13d%12d%14.3f%12.1f\n" (interval *. 1e3)

@@ -47,9 +47,9 @@ type params = {
   durability : bool;
       (** write-ahead logging on every node (default off; see
           docs/DURABILITY.md) *)
-  checkpoint_interval : float option;
-      (** override {!Sss_kv.Config.t.checkpoint_interval} (default [None]:
-          the Config default) *)
+  checkpoint_interval : float;
+      (** {!Sss_kv.Config.t.checkpoint_interval} (default: the Config
+          default) *)
   crash : (float * float) option;
       (** [Some (at, restart_at)]: fail-stop one node mid-run and restart
           it, with {!Sss_chaos.Chaos} crash/restart hooks wired so durable

@@ -234,16 +234,13 @@ let[@hot] return_flight t fl =
 (* ---- dispatch ---- *)
 
 (* Observation of a dispatch: end-to-end latency histogram per message
-   kind plus a Dequeue trace event.  Reads the queue's popped slots; called
-   only when an observer is installed. *)
+   kind.  Reads the queue's popped slots; called only when an observer is
+   installed. *)
 let observe_dispatch t n (o : _ observer) =
   let q = t.nodes.(n).queue in
-  let kind = o.kind_of (Obj.obj q.Iq.p_msg) in
-  let at = Sim.now t.sim in
-  let waited = at -. q.Iq.p_sent.(0) in
-  Sss_obs.Obs.observe o.obs ("lat.msg." ^ kind) waited;
-  Sss_obs.Obs.emit o.obs ~at
-    (Sss_obs.Obs.Dequeue { kind; node = n; depth = q.Iq.size; waited })
+  Sss_obs.Obs.observe o.obs
+    ("lat.msg." ^ o.kind_of (Obj.obj q.Iq.p_msg))
+    (Sim.now t.sim -. q.Iq.p_sent.(0))
 
 (* Drain a node's ingress queue: one plain-callback event per message.  The
    CPU charge is the event's delay; when it fires, [dispatch] runs the
@@ -322,28 +319,24 @@ let create ?(size_of = fun _ -> 0) sim rng ~nodes ~config =
   done;
   t
 
+(* Every lost message — crashed endpoint, severed link, injected loss —
+   bumps [dropped] and, when observed, its kind's [msg.lost.<kind>]. *)
+let lose t msg =
+  t.dropped <- t.dropped + 1;
+  match t.observer with
+  | Some o -> Sss_obs.Obs.incr o.obs ("msg.lost." ^ o.kind_of msg)
+  | None -> ()
+
 let[@hot] deliver t ~prio ~src ~dst ~sent msg =
   let st = t.nodes.(dst) in
-  if st.crashed then begin
-    t.dropped <- t.dropped + 1;
-    match t.observer with
-    | Some o ->
-        Sss_obs.Obs.emit o.obs ~at:(Sim.now t.sim)
-          (Sss_obs.Obs.Drop { kind = o.kind_of msg; src; dst })
-    | None -> ()
-  end
+  if st.crashed then lose t msg
   else begin
     t.seq <- t.seq + 1;
     Iq.push st.queue (pack_key ~prio ~seq:t.seq) src sent (Obj.repr msg);
     (match t.observer with
     | Some o ->
-        let kind = o.kind_of msg in
-        let at = Sim.now t.sim in
-        let depth = st.queue.Iq.size in
-        Sss_obs.Obs.incr o.obs ("msg.recv." ^ kind);
-        Sss_obs.Obs.emit o.obs ~at (Sss_obs.Obs.Recv { kind; src; dst });
-        Sss_obs.Obs.emit o.obs ~at (Sss_obs.Obs.Enqueue { kind; node = dst; depth });
-        Sss_obs.Obs.gauge_set o.obs ("net.queue.node" ^ string_of_int dst) depth
+        Sss_obs.Obs.incr o.obs ("msg.recv." ^ o.kind_of msg);
+        Sss_obs.Obs.gauge_set o.obs ("net.queue.node" ^ string_of_int dst) st.queue.Iq.size
     | None -> ());
     if not st.serving then begin
       st.serving <- true;
@@ -372,28 +365,13 @@ let[@hot] rec severed_mem sev (a : Sss_data.Ids.node) (b : Sss_data.Ids.node) =
 
 let[@hot] link_severed t a b = severed_mem t.severed a b
 
-let observe_loss t ~src ~dst msg =
-  match t.observer with
-  | Some o ->
-      let kind = o.kind_of msg in
-      Sss_obs.Obs.incr o.obs ("msg.lost." ^ kind);
-      Sss_obs.Obs.emit o.obs ~at:(Sim.now t.sim) (Sss_obs.Obs.Drop { kind; src; dst })
-  | None -> ()
-
 let[@hot] send t ?(prio = 100) ~src ~dst msg =
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + t.size_of msg;
   (match t.observer with
-  | Some o ->
-      let kind = o.kind_of msg in
-      Sss_obs.Obs.incr o.obs ("msg.sent." ^ kind);
-      Sss_obs.Obs.emit o.obs ~at:(Sim.now t.sim)
-        (Sss_obs.Obs.Send { kind; src; dst; bytes = t.size_of msg })
+  | Some o -> Sss_obs.Obs.incr o.obs ("msg.sent." ^ o.kind_of msg)
   | None -> ());
-  if t.nodes.(src).crashed || link_severed t src dst then begin
-    t.dropped <- t.dropped + 1;
-    observe_loss t ~src ~dst msg
-  end
+  if t.nodes.(src).crashed || link_severed t src dst then lose t msg
   else begin
     (* Installed fault plans see the message after the built-in loss checks;
        when no perturb is installed this path draws from the network PRNG
@@ -401,10 +379,7 @@ let[@hot] send t ?(prio = 100) ~src ~dst msg =
     let fault =
       match t.perturb with None -> no_fault | Some f -> f ~src ~dst msg
     in
-    if fault.drop then begin
-      t.dropped <- t.dropped + 1;
-      observe_loss t ~src ~dst msg
-    end
+    if fault.drop then lose t msg
     else begin
       let latency =
         if src = dst then t.config.self_latency

@@ -48,13 +48,13 @@ val set_handler : 'msg t -> Sss_data.Ids.node -> (src:Sss_data.Ids.node -> 'msg 
 (** {1 Observation} *)
 
 type 'msg observer = { obs : Sss_obs.Obs.t; kind_of : 'msg -> string }
-(** A trace/metrics sink plus the protocol's message classifier ([kind_of]
+(** A metrics registry plus the protocol's message classifier ([kind_of]
     names a message's kind, e.g. ["Prepare"]). *)
 
 val set_observer : 'msg t -> 'msg observer option -> unit
-(** Install (or remove) an observer.  With one installed the network emits
-    [Send]/[Recv]/[Enqueue]/[Dequeue]/[Drop] trace events, per-kind
-    sent/recv/lost counters, per-kind end-to-end latency histograms
+(** Install (or remove) an observer.  With one installed the network keeps
+    per-kind sent/recv/lost counters ([msg.lost.<kind>] counts every loss
+    that [dropped] in {!stats} counts), per-kind end-to-end latency histograms
     ([lat.msg.<kind>]) and per-node ingress-depth gauges
     ([net.queue.node<i>]).  Observation is passive: it draws no randomness
     and schedules nothing, so trajectories are unchanged. *)

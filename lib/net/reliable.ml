@@ -98,19 +98,11 @@ let send t ?prio ~src ~dst wrap =
            if attempt >= t.retry.limit then begin
              Hashtbl.remove t.awaiting token;
              t.stalled <- t.stalled + 1;
-             match t.obs with
-             | Some o ->
-                 Sss_obs.Obs.incr o "transport.stall";
-                 Sss_obs.Obs.emit o ~at:(Sim.now t.sim) (Sss_obs.Obs.Stall { src; dst })
-             | None -> ()
+             match t.obs with Some o -> Sss_obs.Obs.incr o "transport.stall" | None -> ()
            end
            else begin
              t.retries <- t.retries + 1;
-             (match t.obs with
-             | Some o ->
-                 Sss_obs.Obs.incr o "transport.retry";
-                 Sss_obs.Obs.emit o ~at:(Sim.now t.sim) (Sss_obs.Obs.Retry { src; dst; attempt })
-             | None -> ());
+             (match t.obs with Some o -> Sss_obs.Obs.incr o "transport.retry" | None -> ());
              Network.send t.net ?prio ~src ~dst msg;
              watch (attempt + 1) (Float.min (timeout *. 2.0) t.retry.max)
            end))

@@ -63,10 +63,9 @@ val receive : 'msg t -> int -> bool
     nothing. *)
 
 val set_obs : 'msg t -> Sss_obs.Obs.t option -> unit
-(** Attach (or detach) an observability sink: each re-send then emits a
-    [Retry] trace event and bumps [transport.retry]; each abandoned send
-    emits [Stall] and bumps [transport.stall].  Passive — trajectories are
-    unchanged. *)
+(** Attach (or detach) a metrics registry: each re-send then bumps
+    [transport.retry], and each abandoned send bumps [transport.stall].
+    Passive — trajectories are unchanged. *)
 
 val retries : 'msg t -> int
 (** Total re-sends performed (telemetry). *)

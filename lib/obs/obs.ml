@@ -1,49 +1,13 @@
-type event =
-  | Send of { kind : string; src : int; dst : int; bytes : int }
-  | Recv of { kind : string; src : int; dst : int }
-  | Enqueue of { kind : string; node : int; depth : int }
-  | Dequeue of { kind : string; node : int; depth : int; waited : float }
-  | Drop of { kind : string; src : int; dst : int }
-  | Txn_begin of { txn : string; node : int; ro : bool }
-  | Txn_commit of { txn : string; node : int; ro : bool }
-  | Txn_abort of { txn : string; node : int; ro : bool; reason : string }
-  | Park of { txn : string; node : int; stamp : int }
-  | Unpark of { txn : string; node : int; stamp : int }
-  | Lock_acquire of { txn : string; node : int; keys : int }
-  | Lock_release of { txn : string; node : int }
-  | Vclock_advance of { node : int; value : int }
-  | Retry of { src : int; dst : int; attempt : int }
-  | Stall of { src : int; dst : int }
-
-type stamped = { at : float; seq : int; event : event }
-
 type gauge = { mutable current : int; mutable peak : int }
 
 type t = {
-  capacity : int;
-  ring : stamped array;
-  mutable next : int;  (* total events ever emitted; write slot is next mod capacity *)
   counters : (string, int ref) Hashtbl.t;
   hists : (string, Hist.t) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
 }
 
-let placeholder = { at = 0.0; seq = -1; event = Stall { src = -1; dst = -1 } }
-
-let create ?(capacity = 65536) () =
-  if capacity < 1 then invalid_arg "Obs.create: capacity must be positive";
-  {
-    capacity;
-    ring = Array.make capacity placeholder;
-    next = 0;
-    counters = Hashtbl.create 64;
-    hists = Hashtbl.create 32;
-    gauges = Hashtbl.create 16;
-  }
-
-let emit t ~at event =
-  t.ring.(t.next mod t.capacity) <- { at; seq = t.next; event };
-  t.next <- t.next + 1
+let create () =
+  { counters = Hashtbl.create 64; hists = Hashtbl.create 32; gauges = Hashtbl.create 16 }
 
 let incr t name =
   match Hashtbl.find_opt t.counters name with
@@ -70,15 +34,6 @@ let gauge_set t name v =
       if v > g.peak then g.peak <- v
   | None -> Hashtbl.replace t.gauges name { current = v; peak = v }
 
-let emitted t = t.next
-
-let dropped t = if t.next > t.capacity then t.next - t.capacity else 0
-
-let events t =
-  let retained = if t.next < t.capacity then t.next else t.capacity in
-  let first = t.next - retained in
-  List.init retained (fun i -> t.ring.((first + i) mod t.capacity))
-
 let counter t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 (* All registry read-backs sort by name: Hashtbl order must never reach
@@ -97,23 +52,6 @@ let hists t = sorted_bindings (Hashtbl.fold [@order_ok]) t.hists
 let gauges t =
   List.map (fun (k, g) -> (k, (g.current, g.peak))) (sorted_bindings (Hashtbl.fold [@order_ok]) t.gauges)
 
-let kind_of_event = function
-  | Send _ -> "send"
-  | Recv _ -> "recv"
-  | Enqueue _ -> "enqueue"
-  | Dequeue _ -> "dequeue"
-  | Drop _ -> "drop"
-  | Txn_begin _ -> "txn_begin"
-  | Txn_commit _ -> "txn_commit"
-  | Txn_abort _ -> "txn_abort"
-  | Park _ -> "park"
-  | Unpark _ -> "unpark"
-  | Lock_acquire _ -> "lock_acquire"
-  | Lock_release _ -> "lock_release"
-  | Vclock_advance _ -> "vclock_advance"
-  | Retry _ -> "retry"
-  | Stall _ -> "stall"
-
 let escape s =
   let b = Buffer.create (String.length s + 2) in
   String.iter
@@ -125,50 +63,6 @@ let escape s =
       | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
-  Buffer.contents b
-
-let event_fields = function
-  | Send { kind; src; dst; bytes } ->
-      Printf.sprintf {|"kind":"%s","src":%d,"dst":%d,"bytes":%d|} (escape kind) src dst bytes
-  | Recv { kind; src; dst } ->
-      Printf.sprintf {|"kind":"%s","src":%d,"dst":%d|} (escape kind) src dst
-  | Enqueue { kind; node; depth } ->
-      Printf.sprintf {|"kind":"%s","node":%d,"depth":%d|} (escape kind) node depth
-  | Dequeue { kind; node; depth; waited } ->
-      Printf.sprintf {|"kind":"%s","node":%d,"depth":%d,"waited":%.9g|} (escape kind) node depth
-        waited
-  | Drop { kind; src; dst } ->
-      Printf.sprintf {|"kind":"%s","src":%d,"dst":%d|} (escape kind) src dst
-  | Txn_begin { txn; node; ro } ->
-      Printf.sprintf {|"txn":"%s","node":%d,"ro":%b|} (escape txn) node ro
-  | Txn_commit { txn; node; ro } ->
-      Printf.sprintf {|"txn":"%s","node":%d,"ro":%b|} (escape txn) node ro
-  | Txn_abort { txn; node; ro; reason } ->
-      Printf.sprintf {|"txn":"%s","node":%d,"ro":%b,"reason":"%s"|} (escape txn) node ro
-        (escape reason)
-  | Park { txn; node; stamp } ->
-      Printf.sprintf {|"txn":"%s","node":%d,"stamp":%d|} (escape txn) node stamp
-  | Unpark { txn; node; stamp } ->
-      Printf.sprintf {|"txn":"%s","node":%d,"stamp":%d|} (escape txn) node stamp
-  | Lock_acquire { txn; node; keys } ->
-      Printf.sprintf {|"txn":"%s","node":%d,"keys":%d|} (escape txn) node keys
-  | Lock_release { txn; node } -> Printf.sprintf {|"txn":"%s","node":%d|} (escape txn) node
-  | Vclock_advance { node; value } -> Printf.sprintf {|"node":%d,"value":%d|} node value
-  | Retry { src; dst; attempt } ->
-      Printf.sprintf {|"src":%d,"dst":%d,"attempt":%d|} src dst attempt
-  | Stall { src; dst } -> Printf.sprintf {|"src":%d,"dst":%d|} src dst
-
-let event_json { at; seq; event } =
-  Printf.sprintf {|{"at":%.9g,"seq":%d,"ev":"%s",%s}|} at seq (kind_of_event event)
-    (event_fields event)
-
-let trace_jsonl t =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun s ->
-      Buffer.add_string b (event_json s);
-      Buffer.add_char b '\n')
-    (events t);
   Buffer.contents b
 
 let metrics_json t =
@@ -194,8 +88,5 @@ let metrics_json t =
     (fun b (current, peak) ->
       Buffer.add_string b (Printf.sprintf {|{"current":%d,"peak":%d}|} current peak))
     (gauges t);
-  Buffer.add_string b
-    (Printf.sprintf {|,"trace":{"emitted":%d,"retained":%d,"dropped":%d}}|} (emitted t)
-       (if t.next < t.capacity then t.next else t.capacity)
-       (dropped t));
+  Buffer.add_char b '}';
   Buffer.contents b

@@ -262,6 +262,10 @@ let open_worker c ~measure_from ~lane ~sojourn ~service ~queue_wait =
   serve ()
 
 let run sim ~nodes ~total_keys ~local_keys ~profile ~load ~ops =
+  (* a transaction with no operation sends no message, so a loop of them
+     would never advance virtual time *)
+  if profile.update_ops < 1 || profile.ro_ops < 1 then
+    invalid_arg "Driver.run: update_ops and ro_ops must be at least 1";
   let zipf =
     match load.dist with
     | Uniform -> None

@@ -111,4 +111,7 @@ val run :
   result
 (** Spawns the clients, runs the simulator to completion (clients stop
     issuing after [warmup + duration]; in-flight work drains), and returns
-    the measured-window statistics. *)
+    the measured-window statistics.  @raise Invalid_argument, before
+    spawning anything, if [profile.update_ops] or [profile.ro_ops] is
+    below 1: a transaction with no operation sends no message, so a loop
+    of them would never advance virtual time. *)

@@ -1,18 +1,16 @@
-(* R5 fixture, clean twin: emission through the observability sink, string
+(* R5 fixture, clean twin: observation through the metrics registry, string
    building (always legal), and a deliberate CLI print under [@print_ok]. *)
 
-(* stub of the observability sink *)
+(* stub of the metrics registry *)
 module Sss_obs = struct
   module Obs = struct
     type t = unit
-    type event = Txn_commit of { txn : string; node : int; ro : bool }
 
-    let emit (_ : t) ~at:(_ : float) (_ : event) = ()
+    let incr (_ : t) (_ : string) = ()
   end
 end
 
-let announce_commit obs ~at txn =
-  Sss_obs.Obs.emit obs ~at (Sss_obs.Obs.Txn_commit { txn; node = 0; ro = false })
+let count_commit obs = Sss_obs.Obs.incr obs "txn.commit.update"
 
 let describe_queue depth = Printf.sprintf "queue depth: %d" depth
 

@@ -28,6 +28,27 @@ let check_ok what = function
   | Ok () -> ()
   | Error msg -> Alcotest.fail (Printf.sprintf "%s: %s" what msg)
 
+(* A node's own clock entry only ever grows, and every value it mints is
+   congruent to the node's id modulo the cluster size — also after a
+   larger value was imported into the entry. *)
+let test_bump_local () =
+  let nodes = 3 in
+  let _, cl = make ~nodes () in
+  Array.iter
+    (fun (node : State.node) ->
+      let last = ref (Vclock.get node.node_vc node.id) in
+      let check_bump () =
+        let v = Vclock.get (State.bump_local cl node) node.id in
+        if v <= !last then Alcotest.failf "node %d clock went %d -> %d" node.id !last v;
+        Alcotest.(check int) "minted value is ≡ id mod nodes" node.id (v mod nodes);
+        last := v
+      in
+      for _ = 1 to 4 do check_bump () done;
+      (Vclock.set_into node.node_vc node.id (!last + 7) [@owned]);
+      last := !last + 7;
+      for _ = 1 to 4 do check_bump () done)
+    cl.State.nodes
+
 let test_basic_update_commit () =
   let sim, cl = make () in
   let outcome = ref None in
@@ -330,6 +351,7 @@ let () =
           Alcotest.test_case "read your writes" `Quick test_read_your_writes;
           Alcotest.test_case "ro write rejected" `Quick test_write_on_read_only_rejected;
           Alcotest.test_case "ro snapshot stable" `Quick test_read_only_snapshot_is_stable;
+          Alcotest.test_case "vclock bump strictly increasing" `Quick test_bump_local;
         ] );
       ( "paper-scenarios",
         [

@@ -322,6 +322,32 @@ let test_closed_loop_counters_zero () =
   Alcotest.(check int) "rejected = 0" 0 r.rejected;
   Alcotest.(check bool) "but the closed loop committed" true (r.committed > 10)
 
+(* A transaction with no operation sends no message, so a closed loop of
+   them would never advance virtual time: [Driver.run] refuses the profile
+   before spawning a client. *)
+let test_zero_op_profile_rejected () =
+  let sim = Sim.create () in
+  let nodes = 2 and keys = 16 in
+  let cl = Kv.create sim { Config.default with nodes; replication_degree = 1; total_keys = keys } in
+  let ops =
+    {
+      Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
+      read = Kv.read;
+      write = Kv.write;
+      commit = Kv.commit;
+    }
+  in
+  Alcotest.check_raises "ro_ops = 0 refused"
+    (Invalid_argument "Driver.run: update_ops and ro_ops must be at least 1") (fun () ->
+      ignore
+        (Driver.run sim ~nodes ~total_keys:keys
+           ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
+           ~profile:{ (Driver.paper_profile ~read_only_ratio:1.0) with ro_ops = 0 }
+           ~load:Driver.default_load ~ops
+          : Driver.result));
+  Sim.run sim;
+  Alcotest.(check int) "no client was spawned" 0 (Sim.events_processed sim)
+
 (* ---------- Nlog.prune_covered watermark contract ---------- *)
 
 (* [prune_covered] may drop only entries a live transaction can no longer
@@ -383,6 +409,8 @@ let () =
           Alcotest.test_case "closed loop has no admission counters" `Quick
             test_closed_loop_counters_zero;
         ] );
+      ( "driver",
+        [ Alcotest.test_case "zero-op profile rejected" `Quick test_zero_op_profile_rejected ] );
       ( "nlog-prune",
         [
           Alcotest.test_case "covered prefix only" `Quick test_nlog_prune_covered_prefix;

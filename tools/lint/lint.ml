@@ -24,8 +24,8 @@
       [@order_ok], asserting the result is insensitive to bucket order.
     - R5 [no ad-hoc printing]: the stdout/stderr printers
       ([print_string], [Printf.printf], [Format.eprintf], ...) are banned
-      under [lib/] — trace emission goes through [Obs.emit]
-      (docs/OBSERVABILITY.md) so it is ring-buffered, virtual-time-stamped,
+      under [lib/] — observation goes through the [Obs] registry
+      (docs/OBSERVABILITY.md), which is on virtual time, deterministic,
       and absent when [Config.observe] is off.  [lib/experiments] (the
       figure printers) is exempt by scope; [@print_ok] suppresses.
     - R6 [no toplevel mutable state]: module-level bindings under [lib/]
@@ -84,7 +84,7 @@ let rule_doc = function
   | R2 -> "no bare polymorphic compare in hot libraries and harnesses"
   | R3 -> "Vclock in-place ops require [@owned]"
   | R4 -> "Hashtbl iteration must be [@order_ok] in history-affecting code"
-  | R5 -> "no stdout/stderr printing in lib/; trace through Obs.emit"
+  | R5 -> "no stdout/stderr printing in lib/; observe through the Obs registry"
   | R6 -> "no toplevel mutable state in lib/ (domain-shared across parallel runs)"
   | R7 -> "determinism taint: no nondeterminism source reachable from protocol/engine code"
   | R8 -> "[@hot] functions must not allocate closures, boxed floats, or tuples"
@@ -154,7 +154,7 @@ let rule_applies rule path =
       | R2 -> List.mem sub hot_libs
       | R4 -> List.mem sub history_libs
       (* the experiment harness IS the figure printer; everything else in
-         lib/ must trace through the observability sink *)
+         lib/ must observe through the metrics registry *)
       | R5 -> not (String.equal sub "experiments")
       (* sss_par owns the sanctioned Domain fan-out *)
       | R7 -> not (String.equal sub "par")

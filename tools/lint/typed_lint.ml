@@ -915,8 +915,8 @@ let judge_ident em prog (o : occ) ~pclass ~exempt_operand name =
   if List.mem name Lint.print_funs && occ_enabled em Lint.R5 o then
     emit_at em Lint.R5 o ~lexeme:name
       (Printf.sprintf
-         "%s prints directly from library code; emit a typed trace event \
-          through Obs.emit instead (docs/OBSERVABILITY.md), or annotate \
+         "%s prints directly from library code; record a counter, histogram \
+          or gauge in the Obs registry instead (docs/OBSERVABILITY.md), or annotate \
           [@print_ok] for deliberate CLI output"
          name);
   (* R2, on the instantiated type at the use site *)
