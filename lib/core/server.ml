@@ -35,7 +35,7 @@ let admission_control t node key ~bound_local =
         match Hashtbl.find_opt node.writer_since e.Squeue.txn with
         | Some since -> now t -. since > Config.starvation_threshold
         | None -> false)
-      (Squeue.writers (squeue node key))
+      (squeue_writers node key)
   in
   (* Bounded: this is a delay to let the writer drain, not a gate — an
      unbounded loop here turns a transient pile-up into a livelock (the
@@ -106,8 +106,9 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
   if is_update then begin
     (* Alg. 6 lines 23-27: update transactions read the newest version and
        collect the key's reader entries as transitive anti-dependencies. *)
-    let q = squeue node key in
-    let props = List.map (fun e -> (e.Squeue.txn, e.Squeue.sid)) (Squeue.readers q) in
+    let props =
+      List.map (fun e -> (e.Squeue.txn, e.Squeue.sid)) (squeue_readers node key)
+    in
     List.iter (fun (r, _) -> add_forward node ~reader:r ~writer:txn ~coord:src) props;
     let ver = Mvstore.last node.store key in
     let writer = Mvstore.slot_writer node.store ver in
@@ -192,7 +193,7 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
 let handle_remove t node ~reader =
   Idset.Txns.add node.tombstones reader ~now:(now t);
   let keys = take node.reader_keys reader in
-  List.iter (fun k -> ignore (Squeue.remove (squeue node k) reader)) keys;
+  List.iter (fun k -> squeue_remove node k reader) keys;
   if keys <> [] then Sim.Cond.broadcast t.sim node.squeue_changed;
   List.iter
     (fun (writer, coord) ->
@@ -219,8 +220,13 @@ let probe_reader t node reader =
   else send t ~src:node.id ~dst:home (Message.Reader_probe { reader })
 
 let await_writer_unblocked t node ~sid key =
-  let q = squeue node key in
-  let clear () = not (Squeue.blocks_writer q ~sid) in
+  (* looked up afresh: the key's queue may be dropped and re-created while
+     this fiber waits *)
+  let clear () =
+    match Hashtbl.find_opt node.squeues key with
+    | Some q -> not (Squeue.blocks_writer q ~sid)
+    | None -> true
+  in
   if not t.config.Config.durability then Sim.Cond.await t.sim node.squeue_changed clear
   else
     let slice = 4. *. Config.retry_max in
@@ -232,7 +238,7 @@ let await_writer_unblocked t node ~sid key =
         List.iter
           (fun (e : Squeue.entry) ->
             if e.Squeue.propagated || e.Squeue.sid < sid then probe_reader t node e.Squeue.txn)
-          (Squeue.readers q);
+          (squeue_readers node key);
         loop ()
       end
     in
@@ -250,7 +256,7 @@ let probe_orphans t node =
     (fun key ->
       List.iter
         (fun (e : Squeue.entry) -> probe_reader t node e.Squeue.txn)
-        (Squeue.readers (squeue node key)))
+        (squeue_readers node key))
     (List.sort Int.compare
        (Hashtbl.fold (fun k _ acc -> k :: acc) node.squeues [] [@order_ok]))
 
@@ -282,7 +288,7 @@ let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
     List.iter
       (fun k ->
         await_writer_unblocked t node ~sid k;
-        ignore (Squeue.remove (squeue node k) txn);
+        squeue_remove node k txn;
         Sim.Cond.broadcast t.sim node.squeue_changed)
       keys;
     if node_live t node then begin
@@ -381,7 +387,7 @@ let handle_finalize t node ~txn ~reply_to =
           let entry_sid k =
             List.find_map
               (fun e -> if Ids.equal_txn e.Squeue.txn txn then Some e.Squeue.sid else None)
-              (Squeue.writers (squeue node k))
+              (squeue_writers node k)
           in
           List.iter
             (fun k ->
@@ -390,7 +396,7 @@ let handle_finalize t node ~txn ~reply_to =
               | Some sid -> await_writer_unblocked t node ~sid k)
             keys;
           if node_live t node then begin
-            List.iter (fun k -> ignore (Squeue.remove (squeue node k) txn)) keys;
+            List.iter (fun k -> squeue_remove node k txn) keys;
             Sim.Cond.broadcast t.sim node.squeue_changed;
             let lsn = retire t node txn in
             if log_sync t node lsn && node_live t node then

@@ -352,6 +352,9 @@ let create sim (config : Config.t) hooks =
 
 let node t i = t.nodes.(i)
 
+(* A key has a snapshot-queue only while it holds an entry: inserts go
+   through [squeue], which creates it; [squeue_remove] drops it once empty;
+   the read-only lookups below create nothing. *)
 let squeue node key =
   match Hashtbl.find_opt node.squeues key with
   | Some q -> q
@@ -359,6 +362,19 @@ let squeue node key =
       let q = Squeue.create () in
       Hashtbl.replace node.squeues key q;
       q
+
+let squeue_readers node key =
+  match Hashtbl.find_opt node.squeues key with Some q -> Squeue.readers q | None -> []
+
+let squeue_writers node key =
+  match Hashtbl.find_opt node.squeues key with Some q -> Squeue.writers q | None -> []
+
+let squeue_remove node key txn =
+  match Hashtbl.find_opt node.squeues key with
+  | None -> ()
+  | Some q ->
+      ignore (Squeue.remove q txn : bool);
+      if Squeue.is_empty q then Hashtbl.remove node.squeues key
 
 let send_nodes t ~src ~dsts payload =
   List.iter (fun dst -> send t ~src ~dst payload) dsts

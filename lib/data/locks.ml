@@ -4,6 +4,9 @@ type mode = Shared | Exclusive
 
 type state = { mutable ex : Ids.txn option; mutable sh : Ids.txn list }
 
+(* [table] holds a key only while some transaction locks it: the state is
+   created by the first grant and dropped by the release that frees the key,
+   so an absent key reads as free. *)
 type t = {
   sim : Sim.t;
   table : (Ids.key, state) Hashtbl.t;
@@ -13,14 +16,6 @@ type t = {
 
 let create sim =
   { sim; table = Hashtbl.create 256; held = Hashtbl.create 64; changed = Sim.Cond.create () }
-
-let state t k =
-  match Hashtbl.find_opt t.table k with
-  | Some s -> s
-  | None ->
-      let s = { ex = None; sh = [] } in
-      Hashtbl.replace t.table k s;
-      s
 
 let note_held t txn k =
   let keys =
@@ -35,38 +30,44 @@ let note_held t txn k =
 
 let same = Ids.equal_txn
 
-let can_take s txn = function
-  | Shared -> ( match s.ex with None -> true | Some o -> same o txn)
-  | Exclusive -> (
+(* Looked up afresh on every check: a parked waiter must not hold a state
+   record its key may have dropped (and re-created) since. *)
+let can_take t k txn mode =
+  match Hashtbl.find_opt t.table k with
+  | None -> true
+  | Some s -> (
       (match s.ex with None -> true | Some o -> same o txn)
-      && List.for_all (fun o -> same o txn) s.sh)
+      && match mode with Shared -> true | Exclusive -> List.for_all (fun o -> same o txn) s.sh)
 
-let take t s txn mode k =
+let take t txn mode k =
+  let s =
+    match Hashtbl.find_opt t.table k with
+    | Some s -> s
+    | None ->
+        let s = { ex = None; sh = [] } in
+        Hashtbl.replace t.table k s;
+        s
+  in
   (match mode with
   | Shared -> if not (List.exists (same txn) s.sh) then s.sh <- txn :: s.sh
   | Exclusive -> s.ex <- Some txn);
   note_held t txn k
 
 let acquire t txn mode k ~timeout =
-  let s = state t k in
-  if can_take s txn mode then begin
-    take t s txn mode k;
-    true
-  end
-  else begin
-    let granted =
-      Sim.Cond.await_timeout t.sim t.changed ~timeout (fun () -> can_take s txn mode)
-    in
-    if granted then take t s txn mode k;
-    granted
-  end
+  let granted =
+    can_take t k txn mode
+    || Sim.Cond.await_timeout t.sim t.changed ~timeout (fun () -> can_take t k txn mode)
+  in
+  if granted then take t txn mode k;
+  granted
 
 let release_key t txn k =
   match Hashtbl.find_opt t.table k with
   | None -> ()
   | Some s ->
       (match s.ex with Some o when same o txn -> s.ex <- None | _ -> ());
-      s.sh <- List.filter (fun o -> not (same o txn)) s.sh
+      s.sh <- List.filter (fun o -> not (same o txn)) s.sh;
+      if s.ex = None && s.sh = [] then Hashtbl.remove t.table k
 
 let release_txn t txn =
   (match Hashtbl.find_opt t.held txn with
@@ -96,10 +97,9 @@ let holds_shared t txn k =
   | Some s -> List.exists (same txn) s.sh
   | None -> false
 
-let is_free t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> true
-  | Some s -> s.ex = None && s.sh = []
+let is_free t k = not (Hashtbl.mem t.table k)
+
+let key_count t = Hashtbl.length t.table
 
 let locked_keys t txn =
   match Hashtbl.find_opt t.held txn with Some r -> !r | None -> []

@@ -4,7 +4,11 @@
     installation), re-entrant per transaction, and acquired with a virtual-
     time timeout: SSS resolves distributed deadlock between concurrent
     prepares by timing out and voting abort (§III-E, 1 ms in the paper's
-    testbed). *)
+    testbed).
+
+    The table holds a key's state only while some transaction locks it: the
+    release that frees a key drops its state, and a waiter parked on the key
+    looks the state up again when it wakes. *)
 
 type mode = Shared | Exclusive
 
@@ -36,6 +40,10 @@ val holds_shared : t -> Ids.txn -> Ids.key -> bool
 
 val is_free : t -> Ids.key -> bool
 (** Whether no transaction holds any lock on the key. *)
+
+val key_count : t -> int
+(** Number of keys some transaction currently locks — the keys the table
+    holds state for (tests). *)
 
 val locked_keys : t -> Ids.txn -> Ids.key list
 (** Keys currently held by the transaction (tests). *)

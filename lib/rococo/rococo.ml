@@ -78,8 +78,9 @@ let rec message_kind = function
 type cell = {
   mutable value : string;
   mutable writer : Ids.txn;
-  (* dispatched pieces not yet positioned: txn -> local dispatch counter *)
-  pending : (Ids.txn, int) Hashtbl.t;
+  (* dispatched pieces not yet positioned, with their local dispatch
+     counters; sorted by txn, the order [Runtime.sorted_bindings] gives *)
+  mutable pending : (Ids.txn * int) list;
   (* positioned pieces awaiting execution, sorted by ts *)
   mutable ready : (ts * string) list;
 }
@@ -131,7 +132,7 @@ let make_node _sim _config repl id =
         {
           value = Ids.boot_value k;
           writer = Ids.genesis;
-          pending = Hashtbl.create 8;
+          pending = [];
           ready = [];
         })
     (Replication.keys_at repl id);
@@ -155,6 +156,20 @@ let cell (node : node) key =
   match Hashtbl.find_opt node.store key with
   | Some c -> c
   | None -> invalid_arg "Rococo: unknown key"
+
+let rec add_pending txn d = function
+  | [] -> [ (txn, d) ]
+  | ((o, _) as b) :: rest as all ->
+      let c = Ids.compare_txn txn o in
+      if c < 0 then (txn, d) :: all
+      else if c = 0 then (txn, d) :: rest
+      else b :: add_pending txn d rest
+
+let set_pending c txn d = c.pending <- add_pending txn d c.pending
+
+let drop_pending c txn = c.pending <- List.filter (fun (o, _) -> not (Ids.equal_txn o txn)) c.pending
+
+let is_pending c txn = List.exists (fun (o, _) -> Ids.equal_txn o txn) c.pending
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 
@@ -184,7 +199,7 @@ let snap_of (node : node) =
         (fun (a, _) (b, _) -> Int.compare a b)
         (Hashtbl.fold
            (fun k (c : cell) acc ->
-             (k, (c.value, c.writer, Sss_kv.Runtime.sorted_bindings c.pending, c.ready)) :: acc)
+             (k, (c.value, c.writer, c.pending, c.ready)) :: acc)
            node.store [] [@order_ok]);
     s_counter = node.counter;
     s_staged = Sss_kv.Runtime.sorted_bindings node.staged;
@@ -262,8 +277,7 @@ let rec drain t (node : node) key =
   | (ts, value) :: rest ->
       let could_precede =
         (* disjunction: order-insensitive *)
-        (Hashtbl.fold (fun _ d acc -> acc || d <= ts.num) c.pending false
-        [@order_ok])
+        List.exists (fun (_, d) -> d <= ts.num) c.pending
       in
       if not could_precede then begin
         (* authoritative read-modify-write, in the agreed order *)
@@ -291,7 +305,7 @@ let insert_positioned t (node : node) ~txn ~ts ~writes =
     (fun (key, value) ->
       if Replication.is_replica t.repl node.id key then begin
         let c = cell node key in
-        Hashtbl.remove c.pending txn;
+        drop_pending c txn;
         let rec insert = function
           | [] -> [ (ts, value) ]
           | ((ts', _) as hd) :: rest ->
@@ -343,7 +357,7 @@ let spawn_alive_watchdog t (node : node) ~txn ~key =
     node_live t node
     &&
     match Hashtbl.find_opt node.store key with
-    | Some c -> Hashtbl.mem c.pending txn
+    | Some c -> is_pending c txn
     | None -> false
   in
   Sim.spawn t.sim (fun () ->
@@ -359,7 +373,7 @@ let spawn_alive_watchdog t (node : node) ~txn ~key =
             | Some false when still_pending () ->
                 (* orphaned: withdraw the piece so it stops gating drains *)
                 let c = cell node key in
-                Hashtbl.remove c.pending txn;
+                drop_pending c txn;
                 drain t node key;
                 Sim.Cond.broadcast t.sim node.executed
             | Some false -> ()
@@ -378,7 +392,7 @@ let rec dispatch t (node : node) ~src payload =
   | Dispatch { req; txn; key } ->
       let c = cell node key in
       node.counter <- node.counter + 1;
-      Hashtbl.replace c.pending txn node.counter;
+      set_pending c txn node.counter;
       if not t.config.Sss_kv.Config.durability then
         send t ~src:node.id ~dst:src
           (Dispatch_ack { req; counter = node.counter; value = c.value; writer = c.writer })
@@ -401,9 +415,9 @@ let rec dispatch t (node : node) ~src payload =
       let c = cell node key in
       let _ =
         Sim.Cond.await_timeout t.sim node.executed ~timeout:0.005 (fun () ->
-            Hashtbl.length c.pending = 0 && c.ready = [])
+            c.pending = [] && c.ready = [])
       in
-      let stable = Hashtbl.length c.pending = 0 && c.ready = [] in
+      let stable = c.pending = [] && c.ready = [] in
       send t ~src:node.id ~dst:src (Ro_ret { req; value = c.value; writer = c.writer; stable })
   | Ro_ret { req; value; writer; stable } ->
       Rpc.Pending.resolve t.sim node.pending_ro req (value, writer, stable)
@@ -412,7 +426,7 @@ let rec dispatch t (node : node) ~src payload =
         (fun key ->
           if Replication.is_replica t.repl node.id key then begin
             let c = cell node key in
-            Hashtbl.remove c.pending txn;
+            drop_pending c txn;
             drain t node key;
             Sim.Cond.broadcast t.sim node.executed
           end)
@@ -429,7 +443,7 @@ let load_snap (node : node) (s : snap) =
       let c = cell node k in
       c.value <- value;
       c.writer <- writer;
-      List.iter (fun (txn, d) -> Hashtbl.replace c.pending txn d) pending;
+      List.iter (fun (txn, d) -> set_pending c txn d) pending;
       c.ready <- ready)
     s.s_cells;
   node.counter <- s.s_counter;
@@ -444,7 +458,7 @@ let replay_record (node : node) = function
   | RDispatch { txn; key; counter } -> (
       node.counter <- Stdlib.max node.counter counter;
       match Hashtbl.find_opt node.store key with
-      | Some c -> Hashtbl.replace c.pending txn counter
+      | Some c -> set_pending c txn counter
       | None -> ())
   | RInsert { txn; ts; writes } ->
       Hashtbl.replace node.seen_commits txn ();
@@ -482,7 +496,7 @@ let recover t (node : node) =
       let c = cell node key in
       List.iter
         (fun (txn, _) -> spawn_alive_watchdog t node ~txn ~key)
-        (Sss_kv.Runtime.sorted_bindings c.pending))
+        c.pending)
     keys
 
 let hooks =
@@ -638,14 +652,15 @@ let abort h =
 
 (* Resident words of every node's store, under the same heap model as
    [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, the cell
-   record with its [pending] counter table and [ready] piece list, and the
+   record with its [pending] and [ready] lists (a cons and a pair per
+   piece), and the
    boxed value strings.  Cold path (end-of-run gauge); the sum is
    bucket-order-insensitive. *)
 let store_words t =
   sum_nodes t (fun (n : node) ->
       Mvstore.table_words n.store (fun (c : cell) ->
           let a = 6 + Mvstore.str_words (String.length c.value) in
-          let a = a + 16 + (6 * Hashtbl.length c.pending) in
+          let a = a + (6 * List.length c.pending) in
           List.fold_left
             (fun a (_, piece) -> a + 3 + 3 + Mvstore.str_words (String.length piece))
             a c.ready))
@@ -656,9 +671,9 @@ let quiescent t =
       List.filter_map
         (fun key ->
           let c = Hashtbl.find n.store key in
-          if Hashtbl.length c.pending > 0 || c.ready <> [] then
+          if c.pending <> [] || c.ready <> [] then
             Some
               (Printf.sprintf "node %d: key %d has %d pending / %d ready pieces" n.id key
-                 (Hashtbl.length c.pending) (List.length c.ready))
+                 (List.length c.pending) (List.length c.ready))
           else None)
         (List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) n.store [] [@order_ok])))

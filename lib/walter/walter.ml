@@ -106,7 +106,11 @@ type snap = {
 
 type node = {
   id : Ids.node;
-  chains : (Ids.key, version list ref) Hashtbl.t;  (* newest first by kver *)
+  repl : Replication.t;
+  (* Written keys only, newest first by kver.  Genesis is implicit: a
+     replicated key nobody wrote has no chain, and a chain never holds the
+     genesis version (reads fall back to it past the chain's end). *)
+  chains : (Ids.key, version list ref) Hashtbl.t;
   mutable applied : Vclock.t;  (* committed prefix applied locally, per site *)
   mutable site_seq : int;  (* commits originated at this site *)
   holdback :
@@ -122,26 +126,11 @@ type node = {
 }
 
 let make_node sim (config : Sss_kv.Config.t) repl id =
-  let zero = Vclock.zero config.nodes in
-  let chains = Hashtbl.create 256 in
-  Array.iter
-    (fun k ->
-      Hashtbl.replace chains k
-        (ref
-           [
-             {
-               value = Ids.boot_value k;
-               writer = Ids.genesis;
-               site = 0;
-               seq = 0;
-               wstart = zero;
-             };
-           ]))
-    (Replication.keys_at repl id);
   {
     id;
-    chains;
-    applied = zero;
+    repl;
+    chains = Hashtbl.create 256;
+    applied = Vclock.zero config.nodes;
     site_seq = 0;
     holdback = Hashtbl.create 8;
     locks = Locks.create sim;
@@ -151,10 +140,14 @@ let make_node sim (config : Sss_kv.Config.t) repl id =
     origin_log = Hashtbl.create 64;
   }
 
-let chain (node : node) key =
+(* The key's written versions, newest first ([] before its first write). *)
+let versions (node : node) key =
   match Hashtbl.find_opt node.chains key with
-  | Some r -> r
-  | None -> invalid_arg "Walter: unknown key"
+  | Some r -> !r
+  | None ->
+      if Replication.is_replica node.repl node.id key then []
+      else invalid_arg "Walter: unknown key"
+
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 
@@ -218,12 +211,18 @@ module Ac = Commit (struct
   let copy p = p
 end)
 
+(* The image spells genesis out for every local key, as the chains did
+   before genesis became implicit, so checkpoint bytes do not depend on the
+   in-memory layout; [load_snap] strips it again. *)
 let snap_of (node : node) =
+  let zero = Vclock.zero (Vclock.size node.applied) in
+  let genesis k = { value = Ids.boot_value k; writer = Ids.genesis; site = 0; seq = 0; wstart = zero } in
   {
     s_chains =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) node.chains [] [@order_ok]);
+      Array.fold_right
+        (fun k acc -> (k, versions node k @ [ genesis k ]) :: acc)
+        (Replication.keys_at node.repl node.id)
+        [];
     s_applied = node.applied;
     s_site_seq = node.site_seq;
     s_origin =
@@ -240,42 +239,36 @@ let primary t key = List.hd (Replication.replicas t.repl key)
 (* Walter's own per-transaction state is its start snapshot. *)
 type handle = Vclock.t Rt.handle
 
-(* Newest version whose writer's commit is within the snapshot.  The caller
-   guarantees the snapshot is applied locally, so the first visible version
-   in the (write-order sorted) chain is the newest. *)
+(* Value and writer of the newest version whose writer's commit is within
+   the snapshot.  The caller guarantees the snapshot is applied locally, so
+   the first visible version in the (write-order sorted) chain is the
+   newest; past the chain's end lies genesis, visible in every snapshot. *)
 let visible_read (node : node) key ~start =
   let rec pick = function
-    | [] -> assert false
-    | [ oldest ] -> oldest
-    | v :: rest ->
-        if Ids.equal_txn v.writer Ids.genesis || v.seq <= Vclock.get start v.site then v
-        else pick rest
+    | [] -> (Ids.boot_value key, Ids.genesis)
+    | v :: rest -> if v.seq <= Vclock.get start v.site then (v.value, v.writer) else pick rest
   in
-  pick !(chain node key)
+  pick (versions node key)
 
 (* A write is admissible if the newest version of the key was visible in the
    writer's snapshot (no concurrent committed writer: PSI's write-write
    conflict rule). *)
 let ww_ok (node : node) key ~start =
-  match !(chain node key) with
-  | [] -> true
-  | v :: _ -> Ids.equal_txn v.writer Ids.genesis || v.seq <= Vclock.get start v.site
+  match versions node key with [] -> true | v :: _ -> v.seq <= Vclock.get start v.site
 
 (* Install a version, keeping the chain in write order: write-write
    conflicts serialize same-key writers, so for two versions one writer's
    start snapshot always covers the other's commit. *)
 let install (node : node) key ver =
-  let r = chain node key in
-  let after v older =
-    Ids.equal_txn older.writer Ids.genesis
-    || older.seq <= Vclock.get v.wstart older.site
-  in
+  let after v older = older.seq <= Vclock.get v.wstart older.site in
   let rec insert = function
     | [] -> [ ver ]
     | v :: _ as all when after ver v -> ver :: all
     | v :: rest -> v :: insert rest
   in
-  r := insert !r
+  match Hashtbl.find_opt node.chains key with
+  | Some r -> r := insert !r
+  | None -> Hashtbl.replace node.chains key (ref [ ver ])
 
 (* Apply a committed transaction's writes locally and advance the per-site
    applied prefix (in per-site sequence order; out-of-order deliveries are
@@ -365,8 +358,8 @@ let rec dispatch t (node : node) ~src payload =
          snapshot (Sovran et al. §4): otherwise a lagging replica would
          return stale data the snapshot already covers. *)
       Sim.Cond.await t.sim node.applied_changed (fun () -> Vclock.leq start node.applied);
-      let v = visible_read node key ~start in
-      send t ~src:node.id ~dst:src (Read_ret { req; value = v.value; writer = v.writer })
+      let value, writer = visible_read node key ~start in
+      send t ~src:node.id ~dst:src (Read_ret { req; value; writer })
   | Read_ret { req; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_reads req (value, writer)
   | Wprepare { txn; coord; start; keys } -> handle_prepare t node ~txn ~coord ~start ~keys
@@ -399,7 +392,12 @@ let rec dispatch t (node : node) ~src payload =
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap t (node : node) (s : snap) =
-  List.iter (fun (k, vers) -> chain node k := vers) s.s_chains;
+  List.iter
+    (fun (k, vers) ->
+      match List.filter (fun v -> not (Ids.equal_txn v.writer Ids.genesis)) vers with
+      | [] -> Hashtbl.remove node.chains k
+      | written -> Hashtbl.replace node.chains k (ref written))
+    s.s_chains;
   node.applied <- s.s_applied;
   node.site_seq <- s.s_site_seq;
   List.iter (fun (seq, p) -> Hashtbl.replace node.origin_log seq p) s.s_origin;
@@ -547,7 +545,7 @@ let commit h =
 
 (* Resident words of every node's version chains, under the same heap
    model as [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes and
-   the chain ref per key, then one list cons + boxed version record + the
+   the chain ref per written key (implicit genesis costs nothing), then one list cons + boxed version record + the
    private [wstart] clock array per version, plus the value strings.  Cold
    path (end-of-run gauge); the sum is bucket-order-insensitive. *)
 let store_words t =
@@ -557,6 +555,10 @@ let store_words t =
             (fun a (v : version) ->
               a + 3 + 6 + (Vclock.size v.wstart + 1) + Mvstore.str_words (String.length v.value))
             2 !chain))
+
+let latest t ~node key =
+  let n = t.nodes.(node) in
+  visible_read n key ~start:n.applied
 
 let quiescent t =
   residue_report t (fun (n : node) ->

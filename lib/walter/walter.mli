@@ -22,3 +22,8 @@
     experiment harness drives every system identically. *)
 
 include Sss_kv.Runtime.STORE
+
+val latest : cluster -> node:Sss_data.Ids.node -> Sss_data.Ids.key -> string * Sss_data.Ids.txn
+(** Value and writer of the newest version of the key applied at the node:
+    [Ids.boot_value key] and [Ids.genesis] until someone writes it (tests).
+    @raise Invalid_argument if the node does not replicate the key. *)

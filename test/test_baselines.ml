@@ -110,6 +110,45 @@ let test_walter_weaker_than_serializable () =
     (Printf.sprintf "observed PSI anomalies in %d/8 runs" !violations)
     true (!violations > 0)
 
+(* Genesis is implicit: a key nobody wrote has no chain, yet reads return
+   its boot value from the genesis writer; a key the node does not
+   replicate is still refused. *)
+let test_walter_implicit_genesis () =
+  let module W = Walter_kv.Walter in
+  let sim = Sim.create () in
+  let cl = W.create sim (config ()) in
+  let k = 5 and other = 6 in
+  let replica = List.hd (Replication.replicas (W.repl cl) k) in
+  let stranger = (replica + 1) mod 3 in
+  let writer = ref Ids.genesis in
+  Sim.spawn sim (fun () ->
+      let t = W.begin_txn cl ~node:stranger ~read_only:true in
+      Alcotest.(check string) "unwritten key reads its boot value" (Ids.boot_value k) (W.read t k);
+      ignore (W.commit t);
+      let t = W.begin_txn cl ~node:replica ~read_only:false in
+      W.write t k "new";
+      writer := W.txn_id t;
+      Alcotest.(check bool) "commits" true (W.commit t));
+  Sim.run sim;
+  let read_writers =
+    List.filter_map
+      (fun { History.event; _ } ->
+        match event with History.Read { key; writer; _ } when key = k -> Some writer | _ -> None)
+      (History.events (W.history cl))
+  in
+  Alcotest.(check bool) "the read saw the genesis writer" true
+    (List.exists (Ids.equal_txn Ids.genesis) read_writers);
+  let value, w = W.latest cl ~node:replica other in
+  Alcotest.(check string) "untouched key" (Ids.boot_value other) value;
+  Alcotest.(check bool) "untouched key's writer is genesis" true (Ids.equal_txn w Ids.genesis);
+  let value, w = W.latest cl ~node:replica k in
+  Alcotest.(check string) "written key" "new" value;
+  Alcotest.(check bool) "written key's writer" true (Ids.equal_txn w !writer);
+  (match W.latest cl ~node:stranger k with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a key the node does not replicate must raise");
+  check_ok "quiescent" (W.quiescent cl)
+
 (* ---------- ROCOCO ---------- *)
 
 let test_rococo_basic () =
@@ -178,6 +217,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_walter_basic;
           Alcotest.test_case "workload" `Quick test_walter_workload;
           Alcotest.test_case "weaker than serializable" `Quick test_walter_weaker_than_serializable;
+          Alcotest.test_case "implicit genesis" `Quick test_walter_implicit_genesis;
         ] );
       ( "rococo",
         [

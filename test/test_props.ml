@@ -353,6 +353,7 @@ let test_locks_exclusion_invariant () =
           let k = Prng.int g 4 in
           let mode = if Prng.bool g then Locks.Exclusive else Locks.Shared in
           if Locks.acquire t me mode k ~timeout:0.05 then begin
+            if Locks.is_free t k then incr violations;
             (* invariant: exclusive => sole owner *)
             if Locks.holds_exclusive t me k then begin
               for other = 1 to 30 do
@@ -368,7 +369,32 @@ let test_locks_exclusion_invariant () =
   done;
   Sim.run sim;
   Alcotest.(check int) "no exclusion violations" 0 !violations;
-  Alcotest.(check int) "all released" 0 (Locks.holder_count t)
+  Alcotest.(check int) "all released" 0 (Locks.holder_count t);
+  Alcotest.(check int) "no state for free keys" 0 (Locks.key_count t);
+  (* A key's state is dropped and created again while a waiter is parked
+     on it: the reader releases (the key goes free, its state is dropped)
+     and, in the same event, a second reader takes the key again.  The
+     parked writer must judge the new state, not the one it parked on. *)
+  let k = 9 and r1 = tx 1 1 and w = tx 1 2 and r2 = tx 1 3 in
+  let writer_got = ref nan in
+  Sim.spawn sim (fun () ->
+      assert (Locks.acquire t r1 Locks.Shared k ~timeout:1.0);
+      Sim.spawn sim (fun () ->
+          if Locks.acquire t w Locks.Exclusive k ~timeout:1.0 then writer_got := Sim.now sim);
+      Sim.sleep sim 0.001;
+      Locks.release_txn t r1;
+      Alcotest.(check bool) "state dropped with the last holder" true (Locks.is_free t k);
+      assert (Locks.acquire t r2 Locks.Shared k ~timeout:1.0);
+      Sim.sleep sim 0.001;
+      Alcotest.(check bool) "writer still parked behind the new reader" true
+        (Float.is_nan !writer_got && Locks.holds_shared t r2 k);
+      Locks.release_txn t r2);
+  let t0 = Sim.now sim in
+  Sim.run sim;
+  Alcotest.(check bool) "writer granted once the new reader left" true
+    (Float.abs (!writer_got -. (t0 +. 0.002)) < 1e-9);
+  Locks.release_txn t w;
+  Alcotest.(check int) "released again" 0 (Locks.key_count t)
 
 (* ---------- Replication invariants ---------- *)
 

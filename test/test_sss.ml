@@ -303,7 +303,13 @@ let assert_workload_correct what cl =
   check_ok (what ^ ": serializability") (Checker.serializability h);
   check_ok (what ^ ": no lost updates") (Checker.no_lost_updates h);
   check_ok (what ^ ": read-only abort-free") (Checker.read_only_abort_free h);
-  check_ok (what ^ ": quiescent") (Kv.quiescent cl)
+  check_ok (what ^ ": quiescent") (Kv.quiescent cl);
+  (* per-key state lives only while its key is queued or locked *)
+  Array.iter
+    (fun (n : State.node) ->
+      Alcotest.(check int) (what ^ ": no idle snapshot-queue") 0 (Hashtbl.length n.State.squeues);
+      Alcotest.(check int) (what ^ ": no idle lock state") 0 (Locks.key_count n.State.locks))
+    cl.State.nodes
 
 let test_workload_mixed () =
   let cl, result = run_workload ~nodes:3 ~degree:1 ~keys:24 ~ro_ratio:0.5 ~seed:7 ~duration:0.08 in
