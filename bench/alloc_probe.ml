@@ -48,13 +48,13 @@ let () =
   for _ = 1 to 1024 do
     Sim.schedule_apply sim ~delay:(1e-5 *. rand ()) step ()
   done;
-  let w0 = Gc.allocated_bytes () in
+  let w0 = Sim.allocated_words () in
   let t0 = (Unix.gettimeofday () [@wallclock_ok]) in
   Sim.run sim;
   let t1 = (Unix.gettimeofday () [@wallclock_ok]) in
-  let w1 = Gc.allocated_bytes () in
+  let w1 = Sim.allocated_words () in
   let events = Sim.events_processed sim in
-  let words = (w1 -. w0) /. float_of_int (Sys.word_size / 8) in
+  let words = w1 -. w0 in
   Printf.printf "events          %d\n" events;
   Printf.printf "events/sec      %.0f\n" (float_of_int events /. (t1 -. t0));
   Printf.printf "words/event     %.2f\n" (words /. float_of_int events)

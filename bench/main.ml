@@ -117,7 +117,7 @@ type target_report = {
   runs : (params * outcome) list;  (* the figure's runs, in submission order *)
   (* Allocation probe: Gc deltas around the target, so allocation
      regressions show up in the recorded artifact, not just wall clock.
-     [Gc.allocated_bytes] is per-domain, so at -j > 1 the numbers cover
+     [Sim.allocated_words] is per-domain, so at -j > 1 the numbers cover
      only the main domain's share; bench/smoke.sh records the -j 1 run. *)
   alloc_words : float;
   minor_collections : int;
@@ -331,13 +331,13 @@ let () =
   (* Wrap a measured target with the Gc allocation probe (main domain). *)
   let time_alloc f =
     let s0 = Gc.quick_stat () in
-    let b0 = Gc.allocated_bytes () in
+    let w0 = Sss_sim.Sim.allocated_words () in
     let v, wall = time f in
-    let b1 = Gc.allocated_bytes () in
+    let w1 = Sss_sim.Sim.allocated_words () in
     let s1 = Gc.quick_stat () in
     ( v,
       wall,
-      (b1 -. b0) /. float_of_int (Sys.word_size / 8),
+      w1 -. w0,
       s1.Gc.minor_collections - s0.Gc.minor_collections,
       s1.Gc.major_collections - s0.Gc.major_collections )
   in

@@ -125,14 +125,14 @@ let () =
     let al = live_words () - base in
     let av = Mvstore.version_count s in
     let mem = Mvstore.mem_words s in
-    let w0 = Gc.allocated_bytes () in
+    let w0 = Sss_sim.Sim.allocated_words () in
     let t2 = (Unix.gettimeofday () [@wallclock_ok]) in
     let sink = ref 0 in
     Array.iter
       (fun k -> sink := !sink + String.length (Mvstore.slot_value s (Mvstore.select s k ~skip:deep)))
       sel;
     let t3 = (Unix.gettimeofday () [@wallclock_ok]) in
-    let w1 = Gc.allocated_bytes () in
+    let w1 = Sss_sim.Sim.allocated_words () in
     let t4 = (Unix.gettimeofday () [@wallclock_ok]) in
     Array.iter
       (fun k -> sink := !sink + String.length (Mvstore.slot_value s (Mvstore.select s k ~skip:shallow)))
@@ -144,7 +144,7 @@ let () =
     Printf.printf "  installs/sec         %.0f\n" (float_of_int installs /. (t1 -. t0));
     Printf.printf "  deep selects/sec     %.0f  (%.2f alloc words/select), head selects/sec %.0f\n"
       (float_of_int selects /. (t3 -. t2))
-      ((w1 -. w0) /. float_of_int (Sys.word_size / 8) /. float_of_int selects)
+      ((w1 -. w0) /. float_of_int selects)
       (float_of_int selects /. (t5 -. t4));
     ignore !sink
   in

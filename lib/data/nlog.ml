@@ -21,6 +21,12 @@ type t = {
          (replaced wholesale). *)
 }
 
+(* Filler for the slots at and past [len].  Seeding a fresh array from a
+   live (possibly young) entry would make [Array.make] of more than 256
+   slots run a minor collection first; the fillers are old, and a vacated
+   slot no longer pins the entry it held. *)
+let vacant = { txn = Ids.genesis; vc = Vclock.zero 0; ws = [] }
+
 let create ~nodes ~node =
   let zero = Vclock.zero nodes in
   let genesis = { txn = Ids.genesis; vc = zero; ws = [] } in
@@ -38,10 +44,10 @@ let create ~nodes ~node =
 let grow t =
   if t.len = Array.length t.entries then begin
     let cap = 2 * t.len in
-    let entries = Array.make cap t.entries.(0) in
+    let entries = Array.make cap vacant in
     Array.blit t.entries 0 entries 0 t.len;
     t.entries <- entries;
-    let pmax = Array.make cap t.pmax.(0) in
+    let pmax = Array.make cap [||] in
     Array.blit t.pmax 0 pmax 0 t.len;
     t.pmax <- pmax
   end
@@ -150,12 +156,12 @@ let size t = t.len
    inside every later snapshot). *)
 let drop_prefix t ~from =
   let new_len = t.len - from in
-  let entries = Array.make (Array.length t.entries) t.entries.(0) in
+  let entries = Array.make (Array.length t.entries) vacant in
   Array.blit t.entries from entries 0 new_len;
   t.entries <- entries;
   t.len <- new_len;
   let seed = t.pmax.(from - 1) in
-  let pmax = Array.make (Array.length t.pmax) t.pmax.(0) in
+  let pmax = Array.make (Array.length t.pmax) [||] in
   let prev = ref seed in
   for i = 0 to new_len - 1 do
     let vc = t.entries.(i).vc in

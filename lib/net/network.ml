@@ -223,11 +223,11 @@ let[@hot] return_flight t fl =
   fl.f_msg <- Iq.no_msg;
   fl.f_src <- -1;
   let cap = Array.length t.pool in
-  if t.pool_n = cap then begin
-    let np = Array.make (if cap = 0 then 16 else cap * 2) fl in
-    Array.blit t.pool 0 np 0 cap;
-    t.pool <- np
-  end;
+  if t.pool_n = cap then
+    (* doubling by [append] copies without a seed: [Array.make] of more
+       than 256 slots seeded with a young envelope runs a minor collection
+       first *)
+    t.pool <- (if cap = 0 then Array.make 16 fl else Array.append t.pool t.pool);
   Array.unsafe_set t.pool t.pool_n fl;
   t.pool_n <- t.pool_n + 1
 

@@ -104,11 +104,20 @@ type t = {
 let mk_bucket () =
   { b_times = [||]; b_keys = [||]; b_fns = [||]; b_args = [||]; b_size = 0 }
 
+(* Filler for the bucket array before its own buckets go in: seeded from a
+   fresh (young) bucket, an [Array.make] of more than 256 slots runs a minor
+   collection first. *)
+let vacant = mk_bucket ()
+
 let create () =
   let fl = Array.make 3 0.0 in
   fl.(f_horizon) <- span;
+  let buckets = Array.make nb vacant in
+  for i = 0 to nb - 1 do
+    buckets.(i) <- mk_bucket ()
+  done;
   {
-    buckets = Array.init nb (fun _ -> mk_bucket ());
+    buckets;
     overflow = { h_times = [||]; h_keys = [||]; h_fns = [||]; h_args = [||]; h_size = 0 };
     fl;
     cur = 0;

@@ -71,6 +71,10 @@ let tune_gc () =
     if g.Gc.minor_heap_size < want then Gc.set { g with Gc.minor_heap_size = want }
   end
 
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 let create () =
   tune_gc ();
   {

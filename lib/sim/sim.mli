@@ -22,6 +22,13 @@ val tune_gc : unit -> unit
     domains should call it before spawning, so the resize happens while the
     runtime is single-domain. *)
 
+val allocated_words : unit -> float
+(** Words the calling domain has allocated so far: [Gc.minor_words ()] plus
+    its direct major allocations (major minus promoted words).  Exact at any
+    instant, so a difference of two readings measures a window exactly;
+    [Gc.allocated_bytes] counts minor words only as of the last minor
+    collection, up to a whole nursery late. *)
+
 val now : t -> float
 (** Current virtual time, in seconds. *)
 

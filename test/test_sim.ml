@@ -409,6 +409,54 @@ let test_determinism () =
   in
   Alcotest.(check string) "identical traces" (run_once ()) (run_once ())
 
+(* ---------- GC interaction ---------- *)
+
+let minor_collections () = (Gc.quick_stat ()).Gc.minor_collections
+
+let sink = ref []
+
+let big = ref [||]
+
+(* 200,000 one-element lists (3 words each, minor heap) and 100 arrays of
+   999 slots (1,000 words each, allocated directly in the major heap): the
+   reading must match to within the probe's own few words, also when no
+   minor collection falls inside the window. *)
+let test_allocated_words_exact () =
+  Gc.minor ();
+  let w0 = Sim.allocated_words () in
+  for i = 1 to 200_000 do
+    sink := [ i ]
+  done;
+  for i = 1 to 100 do
+    big := Array.make 999 i
+  done;
+  let w = Sim.allocated_words () -. w0 in
+  if w < 700_000. || w > 700_200. then Alcotest.failf "measured %.0f words, allocated 700000" w
+
+(* An array of more than 256 slots seeded with a young block makes the
+   runtime run a minor collection before allocating it.  Neither a fresh
+   simulator (its 1,024-bucket window) nor a growing node log may do so. *)
+let test_create_forces_no_minor_gc () =
+  ignore (Sys.opaque_identity (Sim.create ()));
+  Gc.minor ();
+  let c0 = minor_collections () in
+  let sim = Sys.opaque_identity (Sim.create ()) in
+  Alcotest.(check int) "minor collections in Sim.create" 0 (minor_collections () - c0);
+  ignore (Sim.now sim)
+
+let test_nlog_growth_forces_no_minor_gc () =
+  let module Nlog = Sss_data.Nlog in
+  ignore (Sim.create ());
+  Gc.minor ();
+  let c0 = minor_collections () in
+  let log = Nlog.create ~nodes:2 ~node:0 in
+  for i = 1 to 4095 do
+    Nlog.add log ~txn:{ Sss_data.Ids.node = 0; local = i }
+      ~vc:(Sss_data.Vclock.of_array [| i; 0 |]) ~ws:[]
+  done;
+  Alcotest.(check int) "log size" 4096 (Nlog.size log);
+  Alcotest.(check int) "minor collections while growing" 0 (minor_collections () - c0)
+
 let () =
   Alcotest.run "sim"
     [
@@ -462,5 +510,12 @@ let () =
             test_cancelled_timer_not_an_event;
           Alcotest.test_case "compacted timers never fire" `Quick test_compacted_timers_never_fire;
           Alcotest.test_case "push after release" `Quick test_push_after_release;
+        ] );
+      ( "gc",
+        [
+          Alcotest.test_case "allocated words exact" `Quick test_allocated_words_exact;
+          Alcotest.test_case "create forces no minor gc" `Quick test_create_forces_no_minor_gc;
+          Alcotest.test_case "nlog growth forces no minor gc" `Quick
+            test_nlog_growth_forces_no_minor_gc;
         ] );
     ]
