@@ -360,7 +360,7 @@ let squeue node key =
   | Some q -> q
   | None ->
       let q = Squeue.create () in
-      Hashtbl.replace node.squeues key q;
+      Hashtbl.add node.squeues key q;
       q
 
 let squeue_readers node key =

@@ -17,6 +17,14 @@ type t = {
 let create sim =
   { sim; table = Hashtbl.create 256; held = Hashtbl.create 64; changed = Sim.Cond.create () }
 
+let state t k =
+  match Hashtbl.find_opt t.table k with
+  | Some s -> s
+  | None ->
+      let s = { ex = None; sh = [] } in
+      Hashtbl.add t.table k s;
+      s
+
 let note_held t txn k =
   let keys =
     match Hashtbl.find_opt t.held txn with
@@ -30,36 +38,34 @@ let note_held t txn k =
 
 let same = Ids.equal_txn
 
-(* Looked up afresh on every check: a parked waiter must not hold a state
-   record its key may have dropped (and re-created) since. *)
-let can_take t k txn mode =
-  match Hashtbl.find_opt t.table k with
-  | None -> true
-  | Some s -> (
+let can_take s txn = function
+  | Shared -> ( match s.ex with None -> true | Some o -> same o txn)
+  | Exclusive -> (
       (match s.ex with None -> true | Some o -> same o txn)
-      && match mode with Shared -> true | Exclusive -> List.for_all (fun o -> same o txn) s.sh)
+      && List.for_all (fun o -> same o txn) s.sh)
 
-let take t txn mode k =
-  let s =
-    match Hashtbl.find_opt t.table k with
-    | Some s -> s
-    | None ->
-        let s = { ex = None; sh = [] } in
-        Hashtbl.replace t.table k s;
-        s
-  in
+let take t s txn mode k =
   (match mode with
   | Shared -> if not (List.exists (same txn) s.sh) then s.sh <- txn :: s.sh
   | Exclusive -> s.ex <- Some txn);
   note_held t txn k
 
 let acquire t txn mode k ~timeout =
-  let granted =
-    can_take t k txn mode
-    || Sim.Cond.await_timeout t.sim t.changed ~timeout (fun () -> can_take t k txn mode)
-  in
-  if granted then take t txn mode k;
-  granted
+  let s = state t k in
+  if can_take s txn mode then begin
+    take t s txn mode k;
+    true
+  end
+  else begin
+    (* looked up afresh on every wake: the key may have gone free (its
+       state dropped) and been taken again since this waiter parked *)
+    let granted =
+      Sim.Cond.await_timeout t.sim t.changed ~timeout (fun () ->
+          match Hashtbl.find_opt t.table k with None -> true | Some s -> can_take s txn mode)
+    in
+    if granted then take t (state t k) txn mode k;
+    granted
+  end
 
 let release_key t txn k =
   match Hashtbl.find_opt t.table k with

@@ -157,19 +157,15 @@ let cell (node : node) key =
   | Some c -> c
   | None -> invalid_arg "Rococo: unknown key"
 
-let rec add_pending txn d = function
-  | [] -> [ (txn, d) ]
-  | ((o, _) as b) :: rest as all ->
-      let c = Ids.compare_txn txn o in
-      if c < 0 then (txn, d) :: all
-      else if c = 0 then (txn, d) :: rest
-      else b :: add_pending txn d rest
-
-let set_pending c txn d = c.pending <- add_pending txn d c.pending
+let set_pending c txn d =
+  let rec add = function
+    | ((o, _) as b) :: rest when Ids.compare_txn o txn < 0 -> b :: add rest
+    | (o, _) :: rest when Ids.equal_txn o txn -> (txn, d) :: rest
+    | l -> (txn, d) :: l
+  in
+  c.pending <- add c.pending
 
 let drop_pending c txn = c.pending <- List.filter (fun (o, _) -> not (Ids.equal_txn o txn)) c.pending
-
-let is_pending c txn = List.exists (fun (o, _) -> Ids.equal_txn o txn) c.pending
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 
@@ -357,7 +353,7 @@ let spawn_alive_watchdog t (node : node) ~txn ~key =
     node_live t node
     &&
     match Hashtbl.find_opt node.store key with
-    | Some c -> is_pending c txn
+    | Some c -> List.exists (fun (o, _) -> Ids.equal_txn o txn) c.pending
     | None -> false
   in
   Sim.spawn t.sim (fun () ->

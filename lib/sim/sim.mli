@@ -23,11 +23,9 @@ val tune_gc : unit -> unit
     runtime is single-domain. *)
 
 val allocated_words : unit -> float
-(** Words the calling domain has allocated so far: [Gc.minor_words ()] plus
-    its direct major allocations (major minus promoted words).  Exact at any
-    instant, so a difference of two readings measures a window exactly;
-    [Gc.allocated_bytes] counts minor words only as of the last minor
-    collection, up to a whole nursery late. *)
+(** Words the calling domain has allocated so far, exact at any instant
+    ([Gc.allocated_bytes] counts minor words only up to the last minor
+    collection, so it can lag by a whole nursery). *)
 
 val now : t -> float
 (** Current virtual time, in seconds. *)

@@ -268,7 +268,7 @@ let install (node : node) key ver =
   in
   match Hashtbl.find_opt node.chains key with
   | Some r -> r := insert !r
-  | None -> Hashtbl.replace node.chains key (ref [ ver ])
+  | None -> Hashtbl.add node.chains key (ref [ ver ])
 
 (* Apply a committed transaction's writes locally and advance the per-site
    applied prefix (in per-site sequence order; out-of-order deliveries are

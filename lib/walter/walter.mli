@@ -24,6 +24,5 @@
 include Sss_kv.Runtime.STORE
 
 val latest : cluster -> node:Sss_data.Ids.node -> Sss_data.Ids.key -> string * Sss_data.Ids.txn
-(** Value and writer of the newest version of the key applied at the node:
-    [Ids.boot_value key] and [Ids.genesis] until someone writes it (tests).
+(** Value and writer of the key's newest version applied at the node (tests).
     @raise Invalid_argument if the node does not replicate the key. *)
