@@ -352,9 +352,8 @@ let create sim (config : Config.t) hooks =
 
 let node t i = t.nodes.(i)
 
-(* A key has a snapshot-queue only while it holds an entry: inserts go
-   through [squeue], which creates it; [squeue_remove] drops it once empty;
-   the read-only lookups below create nothing. *)
+(* A key has a snapshot-queue only while it holds an entry: inserts create
+   it ([squeue]), [squeue_remove] drops it once empty, lookups never create. *)
 let squeue node key =
   match Hashtbl.find_opt node.squeues key with
   | Some q -> q

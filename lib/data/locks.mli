@@ -42,8 +42,7 @@ val is_free : t -> Ids.key -> bool
 (** Whether no transaction holds any lock on the key. *)
 
 val key_count : t -> int
-(** Number of keys some transaction currently locks — the keys the table
-    holds state for (tests). *)
+(** Number of keys the table holds state for: the locked keys (tests). *)
 
 val locked_keys : t -> Ids.txn -> Ids.key list
 (** Keys currently held by the transaction (tests). *)

@@ -165,7 +165,8 @@ let set_pending c txn d =
   in
   c.pending <- add c.pending
 
-let drop_pending c txn = c.pending <- List.filter (fun (o, _) -> not (Ids.equal_txn o txn)) c.pending
+let drop_pending c txn =
+  c.pending <- List.filter (fun (o, _) -> not (Ids.equal_txn o txn)) c.pending
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 

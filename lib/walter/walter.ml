@@ -148,7 +148,6 @@ let versions (node : node) key =
       if Replication.is_replica node.repl node.id key then []
       else invalid_arg "Walter: unknown key"
 
-
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 
 (* byte-size model for log records, same flavour as Message.wire_size *)
@@ -211,12 +210,14 @@ module Ac = Commit (struct
   let copy p = p
 end)
 
-(* The image spells genesis out for every local key, as the chains did
-   before genesis became implicit, so checkpoint bytes do not depend on the
-   in-memory layout; [load_snap] strips it again. *)
+(* The image spells genesis out for every local key, so checkpoint bytes
+   ([snap_bytes]) do not depend on the in-memory layout; [load_snap] strips
+   it again. *)
 let snap_of (node : node) =
   let zero = Vclock.zero (Vclock.size node.applied) in
-  let genesis k = { value = Ids.boot_value k; writer = Ids.genesis; site = 0; seq = 0; wstart = zero } in
+  let genesis k =
+    { value = Ids.boot_value k; writer = Ids.genesis; site = 0; seq = 0; wstart = zero }
+  in
   {
     s_chains =
       Array.fold_right
@@ -545,9 +546,10 @@ let commit h =
 
 (* Resident words of every node's version chains, under the same heap
    model as [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes and
-   the chain ref per written key (implicit genesis costs nothing), then one list cons + boxed version record + the
-   private [wstart] clock array per version, plus the value strings.  Cold
-   path (end-of-run gauge); the sum is bucket-order-insensitive. *)
+   the chain ref per written key (implicit genesis costs nothing), then one
+   list cons + boxed version record + the private [wstart] clock array per
+   version, plus the value strings.  Cold path (end-of-run gauge); the sum
+   is bucket-order-insensitive. *)
 let store_words t =
   sum_nodes t (fun (n : node) ->
       Mvstore.table_words n.chains (fun chain ->
