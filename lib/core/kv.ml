@@ -92,8 +92,7 @@ let quiescent (t : cluster) =
           State.residue n
             (Printf.sprintf "entries in the snapshot-queue of key %d" key)
             (Squeue.length (Hashtbl.find n.State.squeues key)))
-        (List.sort Int.compare
-           (Hashtbl.fold (fun k _ acc -> k :: acc) n.State.squeues [] [@order_ok]))
+        (Runtime.sorted_keys n.State.squeues)
       @ State.residue n "commit-queue entries" (Commitq.length n.State.commitq)
       @ State.Ac.lingering n
       @ State.residue n "transactions still hold locks" (Locks.holder_count n.State.locks)

@@ -29,6 +29,9 @@ let sorted_bindings tbl =
     (fun (a, _) (b, _) -> Ids.compare_txn a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] [@order_ok])
 
+(* The same for int-keyed tables (keys, sites, sequence numbers). *)
+let sorted_keys tbl = List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] [@order_ok])
+
 (* ---- retention of txn-keyed tables ---- *)
 
 let retention_limit = 20_000

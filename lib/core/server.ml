@@ -257,8 +257,7 @@ let probe_orphans t node =
       List.iter
         (fun (e : Squeue.entry) -> probe_reader t node e.Squeue.txn)
         (squeue_readers node key))
-    (List.sort Int.compare
-       (Hashtbl.fold (fun k _ acc -> k :: acc) node.squeues [] [@order_ok]))
+    (Runtime.sorted_keys node.squeues)
 
 (* External commit at this replica: the writer's final clock joins the
    stable view, its prepared entry and parked stamp go, and the retirement

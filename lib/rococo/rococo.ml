@@ -471,9 +471,7 @@ let wound t (old : node) e =
   fill_acks t old.ack_boxes
 
 let recover t (node : node) =
-  let keys =
-    List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) node.store [] [@order_ok])
-  in
+  let keys = Sss_kv.Runtime.sorted_keys node.store in
   rejoin t node.id ~rejoined:(fun () ->
       (* re-execute positioned transactions whose insert was cut short, in
          final-position order; their first durable record fixes the order,
@@ -673,4 +671,4 @@ let quiescent t =
               (Printf.sprintf "node %d: key %d has %d pending / %d ready pieces" n.id key
                  (List.length c.pending) (List.length c.ready))
           else None)
-        (List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) n.store [] [@order_ok])))
+        (Sss_kv.Runtime.sorted_keys n.store))

@@ -227,9 +227,8 @@ let snap_of (node : node) =
     s_applied = node.applied;
     s_site_seq = node.site_seq;
     s_origin =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (Hashtbl.fold (fun s p acc -> (s, p) :: acc) node.origin_log [] [@order_ok]);
+      List.map (fun s -> (s, Hashtbl.find node.origin_log s))
+        (Sss_kv.Runtime.sorted_keys node.origin_log);
     s_ac = Ac.image node;
   }
 
@@ -377,12 +376,7 @@ let rec dispatch t (node : node) ~src payload =
       (* recovery catch-up: re-send this site's own commits the puller has
          not applied yet, in sequence order *)
       let floor = Vclock.get have node.id in
-      let seqs =
-        List.sort Int.compare
-          (Hashtbl.fold
-             (fun s _ acc -> if s > floor then s :: acc else acc)
-             node.origin_log [] [@order_ok])
-      in
+      let seqs = List.filter (fun s -> s > floor) (Sss_kv.Runtime.sorted_keys node.origin_log) in
       List.iter
         (fun seq ->
           let txn, start, writes = Hashtbl.find node.origin_log seq in
@@ -572,5 +566,4 @@ let quiescent t =
             residue n
               (Printf.sprintf "held-back propagations from site %d" site)
               (List.length !(Hashtbl.find n.holdback site)))
-          (List.sort Int.compare
-             (Hashtbl.fold (fun s _ acc -> s :: acc) n.holdback [] [@order_ok])))
+          (Sss_kv.Runtime.sorted_keys n.holdback))
