@@ -66,6 +66,9 @@ type snap = {
 
 type node = {
   id : Ids.node;
+  repl : Replication.t;
+  (* Written keys only: genesis is implicit, so a replicated key nobody
+     wrote has no cell and reads as its boot value from [Ids.genesis]. *)
   store : (Ids.key, cell) Hashtbl.t;
   locks : Locks.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
@@ -74,14 +77,10 @@ type node = {
 }
 
 let make_node sim _config repl id =
-  let store = Hashtbl.create 256 in
-  Array.iter
-    (fun k ->
-      Hashtbl.replace store k { value = Ids.boot_value k; writer = Ids.genesis })
-    (Replication.keys_at repl id);
   {
     id;
-    store;
+    repl;
+    store = Hashtbl.create 256;
     locks = Locks.create sim;
     pending_reads = Rpc.Pending.create ();
     ac = Sss_kv.Runtime.commitment ();
@@ -145,10 +144,11 @@ end)
 let snap_of (node : node) =
   {
     s_cells =
-      List.sort
-        (fun (a, _, _) (b, _, _) -> Int.compare a b)
-        (Hashtbl.fold (fun k (c : cell) acc -> (k, c.value, c.writer) :: acc)
-           node.store [] [@order_ok]);
+      List.map
+        (fun k ->
+          let c = Hashtbl.find node.store k in
+          (k, c.value, c.writer))
+        (Sss_kv.Runtime.sorted_keys node.store);
     s_ac = Ac.image node;
   }
 
@@ -156,14 +156,29 @@ type cluster = Rt.t
 
 type handle = unit Rt.handle
 
+(* A fresh genesis cell for [key]; refused for a key this node does not
+   replicate. *)
+let genesis (node : node) key =
+  if Replication.is_replica node.repl node.id key then
+    { value = Ids.boot_value key; writer = Ids.genesis }
+  else invalid_arg "Twopc: unknown key"
+
+(* The key's current cell, for reading. *)
+let peek (node : node) key =
+  match Hashtbl.find_opt node.store key with Some c -> c | None -> genesis node key
+
+(* The key's cell, for writing: stored from its first write on. *)
 let cell (node : node) key =
   match Hashtbl.find_opt node.store key with
   | Some c -> c
-  | None -> invalid_arg "Twopc: unknown key"
+  | None ->
+      let c = genesis node key in
+      Hashtbl.add node.store key c;
+      c
 
 let validate node rs =
   List.for_all
-    (fun (k, observed) -> Ids.equal_txn (cell node k).writer observed)
+    (fun (k, observed) -> Ids.equal_txn (peek node k).writer observed)
     rs
 
 let handle_decide t (node : node) ~txn ~outcome =
@@ -229,7 +244,7 @@ let rec dispatch t (node : node) ~src payload =
   | Tracked { token; inner } -> if receive t ~me:node.id ~src token then dispatch t node ~src inner
   | Delivered { token } -> Reliable.delivered t.rel token
   | Read_req { req; key } ->
-      let c = cell node key in
+      let c = peek node key in
       send t ~src:node.id ~dst:src (Read_ret { req; value = c.value; writer = c.writer })
   | Read_ret { req; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_reads req (value, writer)
@@ -347,11 +362,16 @@ let commit h =
 
 (* Resident words of every node's store, under the same heap model as
    [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, one cell
-   record per key, and the boxed value strings (headers included).  Cold
-   path (end-of-run gauge); the sum is bucket-order-insensitive. *)
+   record per written key (implicit genesis costs nothing), and the boxed
+   value strings (headers included).  Cold path (end-of-run gauge); the
+   sum is bucket-order-insensitive. *)
 let store_words t =
   sum_nodes t (fun (n : node) ->
       Mvstore.table_words n.store (fun (c : cell) -> 4 + Mvstore.str_words (String.length c.value)))
+
+let latest t ~node key =
+  let c = peek t.nodes.(node) key in
+  (c.value, c.writer)
 
 let quiescent t =
   residue_report t (fun (n : node) ->

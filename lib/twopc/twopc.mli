@@ -19,3 +19,7 @@
     snapshot-queuing-specific fields are ignored. *)
 
 include Sss_kv.Runtime.STORE
+
+val latest : cluster -> node:Sss_data.Ids.node -> Sss_data.Ids.key -> string * Sss_data.Ids.txn
+(** Value and writer of the key's last applied write at the node (tests).
+    @raise Invalid_argument if the node does not replicate the key. *)
