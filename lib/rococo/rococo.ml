@@ -104,6 +104,10 @@ type snap = {
 
 type node = {
   id : Ids.node;
+  repl : Replication.t;
+  (* Keys written or holding pieces only: genesis is implicit, so an idle
+     replicated key nobody wrote has no cell and reads as its boot value
+     from [Ids.genesis]. *)
   store : (Ids.key, cell) Hashtbl.t;
   mutable counter : int;
   pending_disp : (int * string * Ids.txn) Rpc.Pending.t;
@@ -125,20 +129,10 @@ type node = {
 }
 
 let make_node _sim _config repl id =
-  let store = Hashtbl.create 256 in
-  Array.iter
-    (fun k ->
-      Hashtbl.replace store k
-        {
-          value = Ids.boot_value k;
-          writer = Ids.genesis;
-          pending = [];
-          ready = [];
-        })
-    (Replication.keys_at repl id);
   {
     id;
-    store;
+    repl;
+    store = Hashtbl.create 256;
     counter = 0;
     pending_disp = Rpc.Pending.create ();
     pending_ro = Rpc.Pending.create ();
@@ -152,10 +146,31 @@ let make_node _sim _config repl id =
     pending_alive = Rpc.Pending.create ();
   }
 
+(* A fresh genesis cell for [key]; refused for a key this node does not
+   replicate. *)
+let genesis (node : node) key =
+  if Replication.is_replica node.repl node.id key then
+    { value = Ids.boot_value key; writer = Ids.genesis; pending = []; ready = [] }
+  else invalid_arg "Rococo: unknown key"
+
+(* The key's current cell, for reading. *)
+let peek (node : node) key =
+  match Hashtbl.find_opt node.store key with Some c -> c | None -> genesis node key
+
+(* The key's cell, for a piece or a write: stored from the first on. *)
 let cell (node : node) key =
   match Hashtbl.find_opt node.store key with
   | Some c -> c
-  | None -> invalid_arg "Rococo: unknown key"
+  | None ->
+      let c = genesis node key in
+      Hashtbl.add node.store key c;
+      c
+
+(* No buffered piece on [key]. *)
+let idle (node : node) key =
+  match Hashtbl.find_opt node.store key with
+  | Some c -> c.pending = [] && c.ready = []
+  | None -> true
 
 let set_pending c txn d =
   let rec add = function
@@ -167,6 +182,16 @@ let set_pending c txn d =
 
 let drop_pending c txn =
   c.pending <- List.filter (fun (o, _) -> not (Ids.equal_txn o txn)) c.pending
+
+(* Withdraw [txn]'s unpositioned piece on [key]; a cell left with neither
+   pieces nor a write goes with it. *)
+let withdraw (node : node) key txn =
+  match Hashtbl.find_opt node.store key with
+  | None -> ()
+  | Some c ->
+      drop_pending c txn;
+      if c.pending = [] && c.ready = [] && Ids.equal_txn c.writer Ids.genesis then
+        Hashtbl.remove node.store key
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 
@@ -192,12 +217,11 @@ let snap_bytes (s : snap) =
 let snap_of (node : node) =
   {
     s_cells =
-      List.sort
-        (fun (a, _) (b, _) -> Int.compare a b)
-        (Hashtbl.fold
-           (fun k (c : cell) acc ->
-             (k, (c.value, c.writer, c.pending, c.ready)) :: acc)
-           node.store [] [@order_ok]);
+      List.map
+        (fun k ->
+          let c = Hashtbl.find node.store k in
+          (k, (c.value, c.writer, c.pending, c.ready)))
+        (Sss_kv.Runtime.sorted_keys node.store);
     s_counter = node.counter;
     s_staged = Sss_kv.Runtime.sorted_bindings node.staged;
     s_done = Sss_kv.Runtime.sorted_bindings node.done_pieces;
@@ -268,10 +292,9 @@ let read_rpc h (pending : 'a Rpc.Pending.t) key msg ~phase =
    guaranteed a larger position (its dispatch counter already exceeds the
    candidate's position number). *)
 let rec drain t (node : node) key =
-  let c = cell node key in
-  match c.ready with
-  | [] -> ()
-  | (ts, value) :: rest ->
+  match Hashtbl.find_opt node.store key with
+  | None | Some { ready = []; _ } -> ()
+  | Some ({ ready = (ts, value) :: rest; _ } as c) ->
       let could_precede =
         (* disjunction: order-insensitive *)
         List.exists (fun (_, d) -> d <= ts.num) c.pending
@@ -369,8 +392,7 @@ let spawn_alive_watchdog t (node : node) ~txn ~key =
             match Rpc.Pending.await_timeout t.sim slot ~timeout:Sss_kv.Config.retry_max with
             | Some false when still_pending () ->
                 (* orphaned: withdraw the piece so it stops gating drains *)
-                let c = cell node key in
-                drop_pending c txn;
+                withdraw node key txn;
                 drain t node key;
                 Sim.Cond.broadcast t.sim node.executed
             | Some false -> ()
@@ -409,12 +431,10 @@ let rec dispatch t (node : node) ~src payload =
   | Commit_ack { txn; round } -> ack_arrived t node.ack_boxes txn ~round
   | Ro_read { req; key } ->
       (* wait until no buffered update piece conflicts with the read *)
-      let c = cell node key in
       let _ =
-        Sim.Cond.await_timeout t.sim node.executed ~timeout:0.005 (fun () ->
-            c.pending = [] && c.ready = [])
+        Sim.Cond.await_timeout t.sim node.executed ~timeout:0.005 (fun () -> idle node key)
       in
-      let stable = c.pending = [] && c.ready = [] in
+      let stable = idle node key and c = peek node key in
       send t ~src:node.id ~dst:src (Ro_ret { req; value = c.value; writer = c.writer; stable })
   | Ro_ret { req; value; writer; stable } ->
       Rpc.Pending.resolve t.sim node.pending_ro req (value, writer, stable)
@@ -422,8 +442,7 @@ let rec dispatch t (node : node) ~src payload =
       List.iter
         (fun key ->
           if Replication.is_replica t.repl node.id key then begin
-            let c = cell node key in
-            drop_pending c txn;
+            withdraw node key txn;
             drain t node key;
             Sim.Cond.broadcast t.sim node.executed
           end)
@@ -452,11 +471,9 @@ let load_snap (node : node) (s : snap) =
    transactions land in [staged] and re-execute after replay, which never
    records history (first execution already did). *)
 let replay_record (node : node) = function
-  | RDispatch { txn; key; counter } -> (
+  | RDispatch { txn; key; counter } ->
       node.counter <- Stdlib.max node.counter counter;
-      match Hashtbl.find_opt node.store key with
-      | Some c -> set_pending c txn counter
-      | None -> ())
+      set_pending (cell node key) txn counter
   | RInsert { txn; ts; writes } ->
       Hashtbl.replace node.seen_commits txn ();
       node.counter <- Stdlib.max node.counter ts.num;
@@ -488,10 +505,9 @@ let recover t (node : node) =
       List.iter (fun key -> drain t node key) keys);
   List.iter
     (fun key ->
-      let c = cell node key in
       List.iter
         (fun (txn, _) -> spawn_alive_watchdog t node ~txn ~key)
-        c.pending)
+        (Hashtbl.find node.store key).pending)
     keys
 
 let hooks =
@@ -647,8 +663,8 @@ let abort h =
 
 (* Resident words of every node's store, under the same heap model as
    [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, the cell
-   record with its [pending] and [ready] lists (a cons and a pair per
-   piece), and the
+   record of each written or busy key (implicit genesis costs nothing) with
+   its [pending] and [ready] lists (a cons and a pair per piece), and the
    boxed value strings.  Cold path (end-of-run gauge); the sum is
    bucket-order-insensitive. *)
 let store_words t =
@@ -659,6 +675,10 @@ let store_words t =
           List.fold_left
             (fun a (_, piece) -> a + 3 + 3 + Mvstore.str_words (String.length piece))
             a c.ready))
+
+let latest t ~node key =
+  let c = peek t.nodes.(node) key in
+  (c.value, c.writer)
 
 let quiescent t =
   residue_report t (fun (n : node) ->

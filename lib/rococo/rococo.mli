@@ -22,3 +22,7 @@
     paper disables replication for ROCOCO comparisons (degree 1). *)
 
 include Sss_kv.Runtime.STORE
+
+val latest : cluster -> node:Sss_data.Ids.node -> Sss_data.Ids.key -> string * Sss_data.Ids.txn
+(** Value and writer of the key's last executed piece at the node (tests).
+    @raise Invalid_argument if the node does not replicate the key. *)
