@@ -210,20 +210,12 @@ module Ac = Commit (struct
   let copy p = p
 end)
 
-(* The image spells genesis out for every local key, so checkpoint bytes
-   ([snap_bytes]) do not depend on the in-memory layout; [load_snap] strips
-   it again. *)
+(* The image holds written chains only, like the store. *)
 let snap_of (node : node) =
-  let zero = Vclock.zero (Vclock.size node.applied) in
-  let genesis k =
-    { value = Ids.boot_value k; writer = Ids.genesis; site = 0; seq = 0; wstart = zero }
-  in
   {
     s_chains =
-      Array.fold_right
-        (fun k acc -> (k, versions node k @ [ genesis k ]) :: acc)
-        (Replication.keys_at node.repl node.id)
-        [];
+      List.map (fun k -> (k, !(Hashtbl.find node.chains k)))
+        (Sss_kv.Runtime.sorted_keys node.chains);
     s_applied = node.applied;
     s_site_seq = node.site_seq;
     s_origin =
@@ -387,12 +379,7 @@ let rec dispatch t (node : node) ~src payload =
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap t (node : node) (s : snap) =
-  List.iter
-    (fun (k, vers) ->
-      match List.filter (fun v -> not (Ids.equal_txn v.writer Ids.genesis)) vers with
-      | [] -> Hashtbl.remove node.chains k
-      | written -> Hashtbl.replace node.chains k (ref written))
-    s.s_chains;
+  List.iter (fun (k, vers) -> Hashtbl.replace node.chains k (ref vers)) s.s_chains;
   node.applied <- s.s_applied;
   node.site_seq <- s.s_site_seq;
   List.iter (fun (seq, p) -> Hashtbl.replace node.origin_log seq p) s.s_origin;
