@@ -724,17 +724,11 @@ module Make (P : PROTOCOL) = struct
     (* The quiescence residue of entries no outcome settled. *)
     let lingering node = residue node "prepared linger" (Hashtbl.length (A.state node).prepared)
 
-    (* A crash: fail the watchdogs' queries. *)
+    (* A crash: fail the watchdogs' queries.  The dead record's vote-round
+       waiters are left parked: their predicate does not look at liveness,
+       so [vote_timeout] and the coordinator's stale-record check settle
+       them. *)
     let wound t node e = Rpc.Pending.poison_all t.sim (A.state node).outcomes e
-
-    (* Wake the dead record's vote-round waiters.  The round's predicate
-       does not look at liveness, so they re-park until [vote_timeout]
-       and the coordinator's stale-record check settles them; only SSS
-       wakes them, and its pinned trajectories count those events. *)
-    let wake_rounds t node =
-      List.iter
-        (fun (_, r) -> Sim.Cond.broadcast t.sim r.changed)
-        (sorted_bindings (A.state node).rounds)
   end
 
   (* ---- accessors ---- *)

@@ -652,7 +652,6 @@ let wound t old exn =
   Sss_net.Rpc.Pending.poison_all t.sim old.pending_reads exn;
   Sss_net.Rpc.Pending.poison_all t.sim old.pending_finalized exn;
   Ac.wound t old exn;
-  Ac.wake_rounds t old;
   List.iter
     (fun (_, (b : ack_box)) ->
       if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
