@@ -53,7 +53,7 @@ type prep = {
    externally-visible actions await the flush. *)
 type logrec =
   | PPrepared of { txn : Ids.txn; prep : prep }  (* participant voted yes *)
-  | PAborted of { txn : Ids.txn }  (* participant saw Decide(false) *)
+  | PAborted of { txn : Ids.txn }  (* participant saw Decide(false), prepared or not *)
   | PDecided of { txn : Ids.txn }  (* coordinator decided commit *)
   | PApplied of { txn : Ids.txn }  (* participant applied the write set *)
 
@@ -183,7 +183,13 @@ let validate node rs =
 
 let handle_decide t (node : node) ~txn ~outcome =
   match Hashtbl.find_opt node.ac.prepared txn with
-  | None -> if not outcome then Ac.fence t node txn
+  | None ->
+      if not outcome then begin
+        (* the abort overtook its Prepare: fence it, and log the fence
+           fire-and-forget so it survives a crash without a checkpoint *)
+        Ac.fence t node txn;
+        ignore (log t node (PAborted { txn }) : int option)
+      end
   | Some prep ->
       Hashtbl.remove node.ac.prepared txn;
       if outcome then begin

@@ -206,16 +206,19 @@ let crash_and_restart sim net ~crash ~restart =
 
 module Late_prepare (S : Sss_kv.Runtime.STORE) = struct
   (* Node 0 writes a key held only by node 1, whose Prepare is held back:
-     the vote round times out and node 1 learns the abort first.  A later
-     update of another key at node 1 dirties its log (the same key would
-     make Walter refuse the Prepare as a write conflict anyway), so a
-     checkpoint carries the abort decision (2PC logs none for a
-     transaction it never prepared).  Node 1 then crashes and restarts
-     before the Prepare lands, and must refuse it: an accepted Prepare
-     leaves a prepared entry and its locks behind. *)
-  let run name =
+     the vote round times out and node 1 learns the abort first, and logs
+     it.  A later update of another key at node 1 dirties its log (the
+     same key would make Walter refuse the Prepare as a write conflict
+     anyway), so a checkpoint carries the abort decision; with
+     [checkpoints] off, replay of the logged abort must rebuild it.  Node 1
+     then crashes and restarts before the Prepare lands, and must refuse
+     it: an accepted Prepare leaves a prepared entry and its locks
+     behind. *)
+  let run ?(checkpoints = true) name =
     let sim = Sim.create () in
-    let cl = S.create sim (round_trip_config ~degree:1) in
+    let config = round_trip_config ~degree:1 in
+    let config = if checkpoints then config else { config with checkpoint_interval = 0.0 } in
+    let cl = S.create sim config in
     let key, other =
       match keys_at (S.repl cl) [ 1 ] with k :: o :: _ -> (k, o) | _ -> assert false
     in
@@ -247,6 +250,16 @@ let test_late_prepare_after_restart () =
   Sss.run "SSS";
   Twopc.run "2PC";
   Walter.run "Walter"
+
+(* The same with checkpoints off: only the log carries the abort that
+   overtook its Prepare. *)
+let test_late_prepare_replayed () =
+  let module Sss = Late_prepare (Sss_kv.Kv) in
+  let module Twopc = Late_prepare (Twopc_kv.Twopc) in
+  let module Walter = Late_prepare (Walter_kv.Walter) in
+  Sss.run ~checkpoints:false "SSS";
+  Twopc.run ~checkpoints:false "2PC";
+  Walter.run ~checkpoints:false "Walter"
 
 (* A read-only transaction at node 0 reads a key held by nodes 1 and 2;
    node 1's copy of the read request is held back, so node 2 answers, the
@@ -379,6 +392,7 @@ let () =
           Alcotest.test_case "sss crash grid" `Quick test_sss_crash_grid;
           Alcotest.test_case "sss ro abort-free" `Quick test_sss_ro_abort_free_durable;
           Alcotest.test_case "late prepare after restart" `Quick test_late_prepare_after_restart;
+          Alcotest.test_case "late prepare after replay" `Quick test_late_prepare_replayed;
           Alcotest.test_case "sss tombstone after restart" `Quick test_sss_tombstone_after_restart;
           Alcotest.test_case "gc keeps collecting across a crash" `Quick test_gc_across_crash;
         ] );
