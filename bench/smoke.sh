@@ -1,9 +1,9 @@
 #!/bin/sh
 # One-command sanity pass: build, run the test suite, lint, then a
 # seconds-long fig3 benchmark at smoke scale with the JSON perf report.
-# Run from the repository root; refreshes BENCH_smoke.json with the -j 1
-# run (the committed baseline — commit the refresh when a perf change is
-# intentional).  The -j max run of the parallel gate is only compared and
+# Run from the repository root; refreshes BENCH_smoke.json with the median
+# of three -j 1 runs (the committed baseline — commit the refresh when a
+# perf change is intentional).  The -j max run of the parallel gate is only compared and
 # then deleted: its allocation counts cover the main domain alone.
 set -eu
 
@@ -25,14 +25,25 @@ if command -v odoc >/dev/null 2>&1; then
 else
   echo "smoke: odoc not installed; skipping doc build"
 fi
-dune exec bench/main.exe -- --scale smoke fig3 --json BENCH_smoke.json
+# Three -j1 runs (the table is printed once); the one with the median DES
+# events/sec becomes BENCH_smoke.json.  A single run on a shared VM swings
+# by a third, which a 10% bar cannot absorb.
+eps_of() { grep '"des_events_per_sec"' "$1" | head -1 | tr -cd '0-9'; }
+dune exec bench/main.exe -- --scale smoke fig3 --json BENCH_smoke_run1.json
+for i in 2 3; do
+  dune exec bench/main.exe -- --scale smoke fig3 --json BENCH_smoke_run$i.json >/dev/null
+done
+median=$(for i in 1 2 3; do echo "$(eps_of BENCH_smoke_run$i.json) $i"; done \
+  | sort -n | sed -n 2p | cut -d' ' -f2)
+mv BENCH_smoke_run"$median".json BENCH_smoke.json
+rm -f BENCH_smoke_run1.json BENCH_smoke_run2.json BENCH_smoke_run3.json
 
-# Throughput-regression gate: the fresh -j1 run must stay within 10% of
+# Throughput-regression gate: the median -j1 run must stay within 10% of
 # the committed baseline's DES events/sec.  Machine drift is real, so the
 # bar is deliberately loose; a trip means either a genuine engine
 # regression or a slower machine — investigate, and if the new number is
 # the truth, commit the refreshed BENCH_smoke.json.
-new_eps=$(grep '"des_events_per_sec"' BENCH_smoke.json | head -1 | tr -cd '0-9')
+new_eps=$(eps_of BENCH_smoke.json)
 if [ -n "$baseline_eps" ] && [ -n "$new_eps" ]; then
   if awk "BEGIN { exit !($new_eps < 0.9 * $baseline_eps) }"; then
     echo "smoke FAIL: des_events_per_sec $new_eps < 90% of baseline $baseline_eps" >&2
