@@ -159,8 +159,8 @@ module type PROTOCOL = sig
   val id : node -> Ids.node
 
   val make_node : Sim.t -> Config.t -> Replication.t -> Ids.node -> node
-  (** A pristine node record, its replicas' keys at their initial values:
-      used at boot and again for the fresh record a crash swaps in. *)
+  (** A pristine node record, every replicated key at genesis: used at
+      boot and again for the fresh record a crash swaps in. *)
 
   val record_bytes : Config.t -> logrec -> int
   val snapshot_bytes : Config.t -> snap -> int
@@ -480,6 +480,10 @@ module Make (P : PROTOCOL) = struct
      visible — sends, log appends — must re-check this in the event that
      performs it. *)
   let node_live t node = t.nodes.(P.id node) == node
+
+  (* Refuse a key node [id] does not replicate: a caller bug. *)
+  let replicated t id key =
+    if not (Replication.is_replica t.repl id key) then invalid_arg (P.system ^ ": unknown key")
 
   (* ---- crash & restart (durability mode; docs/DURABILITY.md) ---- *)
 

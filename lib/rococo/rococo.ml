@@ -104,7 +104,6 @@ type snap = {
 
 type node = {
   id : Ids.node;
-  repl : Replication.t;
   (* Keys written or holding pieces only: genesis is implicit, so an idle
      replicated key nobody wrote has no cell and reads as its boot value
      from [Ids.genesis]. *)
@@ -128,10 +127,9 @@ type node = {
   pending_alive : bool Rpc.Pending.t;
 }
 
-let make_node _sim _config repl id =
+let make_node _sim _config _repl id =
   {
     id;
-    repl;
     store = Hashtbl.create 256;
     counter = 0;
     pending_disp = Rpc.Pending.create ();
@@ -146,32 +144,6 @@ let make_node _sim _config repl id =
     pending_alive = Rpc.Pending.create ();
   }
 
-(* A fresh genesis cell for [key]; refused for a key this node does not
-   replicate. *)
-let genesis (node : node) key =
-  if Replication.is_replica node.repl node.id key then
-    { value = Ids.boot_value key; writer = Ids.genesis; pending = []; ready = [] }
-  else invalid_arg "Rococo: unknown key"
-
-(* The key's current cell, for reading. *)
-let peek (node : node) key =
-  match Hashtbl.find_opt node.store key with Some c -> c | None -> genesis node key
-
-(* The key's cell, for a piece or a write: stored from the first on. *)
-let cell (node : node) key =
-  match Hashtbl.find_opt node.store key with
-  | Some c -> c
-  | None ->
-      let c = genesis node key in
-      Hashtbl.add node.store key c;
-      c
-
-(* No buffered piece on [key]. *)
-let idle (node : node) key =
-  match Hashtbl.find_opt node.store key with
-  | Some c -> c.pending = [] && c.ready = []
-  | None -> true
-
 let set_pending c txn d =
   let rec add = function
     | ((o, _) as b) :: rest when Ids.compare_txn o txn < 0 -> b :: add rest
@@ -182,16 +154,6 @@ let set_pending c txn d =
 
 let drop_pending c txn =
   c.pending <- List.filter (fun (o, _) -> not (Ids.equal_txn o txn)) c.pending
-
-(* Withdraw [txn]'s unpositioned piece on [key]; a cell left with neither
-   pieces nor a write goes with it. *)
-let withdraw (node : node) key txn =
-  match Hashtbl.find_opt node.store key with
-  | None -> ()
-  | Some c ->
-      drop_pending c txn;
-      if c.pending = [] && c.ready = [] && Ids.equal_txn c.writer Ids.genesis then
-        Hashtbl.remove node.store key
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 
@@ -249,6 +211,27 @@ end)
 include Rt
 
 type cluster = Rt.t
+
+(* The key's cell for reading: a fresh genesis cell while it is idle and
+   unwritten.  [cell] is the one to buffer a piece in, stored from then
+   on. *)
+let peek t (node : node) key =
+  match Hashtbl.find_opt node.store key with
+  | Some c -> c
+  | None ->
+      replicated t node.id key;
+      { value = Ids.boot_value key; writer = Ids.genesis; pending = []; ready = [] }
+
+let cell t (node : node) key =
+  let c = peek t node key in
+  if not (Hashtbl.mem node.store key) then Hashtbl.add node.store key c;
+  c
+
+(* No buffered piece on [key]. *)
+let idle (node : node) key =
+  match Hashtbl.find_opt node.store key with
+  | Some c -> c.pending = [] && c.ready = []
+  | None -> true
 
 (* ROCOCO's own per-transaction state. *)
 type own = {
@@ -316,6 +299,18 @@ let rec drain t (node : node) key =
         drain t node key
       end
 
+(* Withdraw [txn]'s unpositioned piece on [key] (a cell left with neither
+   pieces nor a write goes with it), then run what it held back. *)
+let withdraw t (node : node) key txn =
+  (match Hashtbl.find_opt node.store key with
+  | Some c ->
+      drop_pending c txn;
+      if c.pending = [] && c.ready = [] && Ids.equal_txn c.writer Ids.genesis then
+        Hashtbl.remove node.store key
+  | None -> ());
+  drain t node key;
+  Sim.Cond.broadcast t.sim node.executed
+
 let insert_positioned t (node : node) ~txn ~ts ~writes =
   (* Lamport rule: never hand out a dispatch counter at or below a position
      that may already have executed here, or a later transaction could be
@@ -324,7 +319,7 @@ let insert_positioned t (node : node) ~txn ~ts ~writes =
   List.iter
     (fun (key, value) ->
       if Replication.is_replica t.repl node.id key then begin
-        let c = cell node key in
+        let c = cell t node key in
         drop_pending c txn;
         let rec insert = function
           | [] -> [ (ts, value) ]
@@ -392,9 +387,7 @@ let spawn_alive_watchdog t (node : node) ~txn ~key =
             match Rpc.Pending.await_timeout t.sim slot ~timeout:Sss_kv.Config.retry_max with
             | Some false when still_pending () ->
                 (* orphaned: withdraw the piece so it stops gating drains *)
-                withdraw node key txn;
-                drain t node key;
-                Sim.Cond.broadcast t.sim node.executed
+                withdraw t node key txn
             | Some false -> ()
             | Some true -> loop 0
             | None ->
@@ -409,7 +402,7 @@ let rec dispatch t (node : node) ~src payload =
   | Tracked { token; inner } -> if receive t ~me:node.id ~src token then dispatch t node ~src inner
   | Delivered { token } -> Reliable.delivered t.rel token
   | Dispatch { req; txn; key } ->
-      let c = cell node key in
+      let c = cell t node key in
       node.counter <- node.counter + 1;
       set_pending c txn node.counter;
       if not t.config.Sss_kv.Config.durability then
@@ -434,18 +427,14 @@ let rec dispatch t (node : node) ~src payload =
       let _ =
         Sim.Cond.await_timeout t.sim node.executed ~timeout:0.005 (fun () -> idle node key)
       in
-      let stable = idle node key and c = peek node key in
+      let stable = idle node key and c = peek t node key in
       send t ~src:node.id ~dst:src (Ro_ret { req; value = c.value; writer = c.writer; stable })
   | Ro_ret { req; value; writer; stable } ->
       Rpc.Pending.resolve t.sim node.pending_ro req (value, writer, stable)
   | Cancel { txn; keys } ->
       List.iter
         (fun key ->
-          if Replication.is_replica t.repl node.id key then begin
-            withdraw node key txn;
-            drain t node key;
-            Sim.Cond.broadcast t.sim node.executed
-          end)
+          if Replication.is_replica t.repl node.id key then withdraw t node key txn)
         keys
   | Alive_query { req; txn } ->
       send t ~src:node.id ~dst:src (Alive_ret { req; alive = Hashtbl.mem node.inflight txn })
@@ -453,10 +442,10 @@ let rec dispatch t (node : node) ~src payload =
 
 (* ------------- crash / recovery (durability mode) ------------- *)
 
-let load_snap (node : node) (s : snap) =
+let load_snap t (node : node) (s : snap) =
   List.iter
     (fun (k, (value, writer, pending, ready)) ->
-      let c = cell node k in
+      let c = cell t node k in
       c.value <- value;
       c.writer <- writer;
       List.iter (fun (txn, d) -> set_pending c txn d) pending;
@@ -470,10 +459,10 @@ let load_snap (node : node) (s : snap) =
 (* Redo one durable record into the volatile tables; positioned
    transactions land in [staged] and re-execute after replay, which never
    records history (first execution already did). *)
-let replay_record (node : node) = function
+let replay_record t (node : node) = function
   | RDispatch { txn; key; counter } ->
       node.counter <- Stdlib.max node.counter counter;
-      set_pending (cell node key) txn counter
+      set_pending (cell t node key) txn counter
   | RInsert { txn; ts; writes } ->
       Hashtbl.replace node.seen_commits txn ();
       node.counter <- Stdlib.max node.counter ts.num;
@@ -511,8 +500,8 @@ let recover t (node : node) =
     keys
 
 let hooks =
-  { handler = dispatch; wound; snapshot = snap_of; load = (fun _ -> load_snap);
-    replay = (fun _ -> replay_record); recover }
+  { handler = dispatch; wound; snapshot = snap_of; load = load_snap; replay = replay_record;
+    recover }
 
 let create sim config = Rt.create ~hooks ~ext:() sim config
 
@@ -677,7 +666,7 @@ let store_words t =
             a c.ready))
 
 let latest t ~node key =
-  let c = peek t.nodes.(node) key in
+  let c = peek t t.nodes.(node) key in
   (c.value, c.writer)
 
 let quiescent t =

@@ -66,7 +66,6 @@ type snap = {
 
 type node = {
   id : Ids.node;
-  repl : Replication.t;
   (* Written keys only: genesis is implicit, so a replicated key nobody
      wrote has no cell and reads as its boot value from [Ids.genesis]. *)
   store : (Ids.key, cell) Hashtbl.t;
@@ -76,10 +75,9 @@ type node = {
   ack_boxes : (Ids.txn, Sss_kv.Runtime.acks) Hashtbl.t;
 }
 
-let make_node sim _config repl id =
+let make_node sim _config _repl id =
   {
     id;
-    repl;
     store = Hashtbl.create 256;
     locks = Locks.create sim;
     pending_reads = Rpc.Pending.create ();
@@ -156,30 +154,26 @@ type cluster = Rt.t
 
 type handle = unit Rt.handle
 
-(* A fresh genesis cell for [key]; refused for a key this node does not
-   replicate. *)
-let genesis (node : node) key =
-  if Replication.is_replica node.repl node.id key then
-    { value = Ids.boot_value key; writer = Ids.genesis }
-  else invalid_arg "Twopc: unknown key"
-
-(* The key's current cell, for reading. *)
-let peek (node : node) key =
-  match Hashtbl.find_opt node.store key with Some c -> c | None -> genesis node key
-
-(* The key's cell, for writing: stored from its first write on. *)
-let cell (node : node) key =
+(* The key's cell: a fresh genesis cell before its first write. *)
+let peek t (node : node) key =
   match Hashtbl.find_opt node.store key with
   | Some c -> c
   | None ->
-      let c = genesis node key in
-      Hashtbl.add node.store key c;
-      c
+      replicated t node.id key;
+      { value = Ids.boot_value key; writer = Ids.genesis }
 
-let validate node rs =
-  List.for_all
-    (fun (k, observed) -> Ids.equal_txn (peek node k).writer observed)
-    rs
+(* Write the key; its first write stores its cell. *)
+let install t (node : node) key value writer =
+  match Hashtbl.find_opt node.store key with
+  | Some c ->
+      c.value <- value;
+      c.writer <- writer
+  | None ->
+      replicated t node.id key;
+      Hashtbl.add node.store key { value; writer }
+
+let validate t node rs =
+  List.for_all (fun (k, observed) -> Ids.equal_txn (peek t node k).writer observed) rs
 
 let handle_decide t (node : node) ~txn ~outcome =
   match Hashtbl.find_opt node.ac.prepared txn with
@@ -195,9 +189,7 @@ let handle_decide t (node : node) ~txn ~outcome =
       if outcome then begin
         List.iter
           (fun (k, v) ->
-            let c = cell node k in
-            c.value <- v;
-            c.writer <- txn;
+            install t node k v txn;
             if is_primary t node.id k then record t (History.Install { txn; key = k }))
           prep.ws_local;
         (* the apply and its log record are made in the same DES event *)
@@ -232,7 +224,7 @@ let handle_prepare t (node : node) ~txn ~coord ~rs ~ws =
          ~exclusive:(List.map fst local_ws)
          ~shared:(List.map fst local_rs)
          ~timeout:Sss_kv.Config.lock_timeout
-    && validate node local_rs
+    && validate t node local_rs
     && not (Ac.fenced node txn)
   in
   if not ok then begin
@@ -250,7 +242,7 @@ let rec dispatch t (node : node) ~src payload =
   | Tracked { token; inner } -> if receive t ~me:node.id ~src token then dispatch t node ~src inner
   | Delivered { token } -> Reliable.delivered t.rel token
   | Read_req { req; key } ->
-      let c = peek node key in
+      let c = peek t node key in
       send t ~src:node.id ~dst:src (Read_ret { req; value = c.value; writer = c.writer })
   | Read_ret { req; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_reads req (value, writer)
@@ -264,12 +256,7 @@ let rec dispatch t (node : node) ~src payload =
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap t (node : node) (s : snap) =
-  List.iter
-    (fun (k, v, w) ->
-      let c = cell node k in
-      c.value <- v;
-      c.writer <- w)
-    s.s_cells;
+  List.iter (fun (k, v, w) -> install t node k v w) s.s_cells;
   Ac.load t node s.s_ac
 
 (* Redo one durable record.  Replay never records history: installs of
@@ -286,12 +273,7 @@ let replay_record t (node : node) = function
       | None -> ()
       | Some prep ->
           Hashtbl.remove node.ac.prepared txn;
-          List.iter
-            (fun (k, v) ->
-              let c = cell node k in
-              c.value <- v;
-              c.writer <- txn)
-            prep.ws_local)
+          List.iter (fun (k, v) -> install t node k v txn) prep.ws_local)
 
 (* Wake commit fibers parked on apply acks; they observe the record swap
    and raise. *)
@@ -376,7 +358,7 @@ let store_words t =
       Mvstore.table_words n.store (fun (c : cell) -> 4 + Mvstore.str_words (String.length c.value)))
 
 let latest t ~node key =
-  let c = peek t.nodes.(node) key in
+  let c = peek t t.nodes.(node) key in
   (c.value, c.writer)
 
 let quiescent t =

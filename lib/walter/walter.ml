@@ -106,7 +106,6 @@ type snap = {
 
 type node = {
   id : Ids.node;
-  repl : Replication.t;
   (* Written keys only, newest first by kver.  Genesis is implicit: a
      replicated key nobody wrote has no chain, and a chain never holds the
      genesis version (reads fall back to it past the chain's end). *)
@@ -125,10 +124,9 @@ type node = {
       (* own-site commit order, seq -> payload; serves Pull re-sends *)
 }
 
-let make_node sim (config : Sss_kv.Config.t) repl id =
+let make_node sim (config : Sss_kv.Config.t) _repl id =
   {
     id;
-    repl;
     chains = Hashtbl.create 256;
     applied = Vclock.zero config.nodes;
     site_seq = 0;
@@ -139,14 +137,6 @@ let make_node sim (config : Sss_kv.Config.t) repl id =
     applied_changed = Sim.Cond.create ();
     origin_log = Hashtbl.create 64;
   }
-
-(* The key's written versions, newest first ([] before its first write). *)
-let versions (node : node) key =
-  match Hashtbl.find_opt node.chains key with
-  | Some r -> !r
-  | None ->
-      if Replication.is_replica node.repl node.id key then []
-      else invalid_arg "Walter: unknown key"
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 
@@ -228,6 +218,14 @@ type cluster = Rt.t
 
 let primary t key = List.hd (Replication.replicas t.repl key)
 
+(* The key's written versions, newest first ([] before its first write). *)
+let versions t (node : node) key =
+  match Hashtbl.find_opt node.chains key with
+  | Some r -> !r
+  | None ->
+      replicated t node.id key;
+      []
+
 (* Walter's own per-transaction state is its start snapshot. *)
 type handle = Vclock.t Rt.handle
 
@@ -235,18 +233,18 @@ type handle = Vclock.t Rt.handle
    the snapshot.  The caller guarantees the snapshot is applied locally, so
    the first visible version in the (write-order sorted) chain is the
    newest; past the chain's end lies genesis, visible in every snapshot. *)
-let visible_read (node : node) key ~start =
+let visible_read t (node : node) key ~start =
   let rec pick = function
     | [] -> (Ids.boot_value key, Ids.genesis)
     | v :: rest -> if v.seq <= Vclock.get start v.site then (v.value, v.writer) else pick rest
   in
-  pick (versions node key)
+  pick (versions t node key)
 
 (* A write is admissible if the newest version of the key was visible in the
    writer's snapshot (no concurrent committed writer: PSI's write-write
    conflict rule). *)
-let ww_ok (node : node) key ~start =
-  match versions node key with [] -> true | v :: _ -> v.seq <= Vclock.get start v.site
+let ww_ok t (node : node) key ~start =
+  match versions t node key with [] -> true | v :: _ -> v.seq <= Vclock.get start v.site
 
 (* Install a version, keeping the chain in write order: write-write
    conflicts serialize same-key writers, so for two versions one writer's
@@ -325,7 +323,7 @@ let handle_prepare t (node : node) ~txn ~coord ~start ~keys =
     (not (Ac.fenced node txn))
     && Locks.acquire_all node.locks txn ~exclusive:keys ~shared:[]
          ~timeout:Sss_kv.Config.lock_timeout
-    && List.for_all (fun k -> ww_ok node k ~start) keys
+    && List.for_all (fun k -> ww_ok t node k ~start) keys
     && not (Ac.fenced node txn)
     (* the node may have crashed while this fiber waited for the locks:
        a stale record must not vote (or log) on behalf of the fresh one *)
@@ -350,7 +348,7 @@ let rec dispatch t (node : node) ~src payload =
          snapshot (Sovran et al. §4): otherwise a lagging replica would
          return stale data the snapshot already covers. *)
       Sim.Cond.await t.sim node.applied_changed (fun () -> Vclock.leq start node.applied);
-      let value, writer = visible_read node key ~start in
+      let value, writer = visible_read t node key ~start in
       send t ~src:node.id ~dst:src (Read_ret { req; value; writer })
   | Read_ret { req; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_reads req (value, writer)
@@ -497,7 +495,7 @@ let commit_update h =
       if
         Locks.acquire_all h.home.locks h.txn ~exclusive:ks ~shared:[]
           ~timeout:Sss_kv.Config.lock_timeout
-        && List.for_all (fun k -> ww_ok h.home k ~start:h.own) ks
+        && List.for_all (fun k -> ww_ok cl h.home k ~start:h.own) ks
       then commit_at_home h  (* locks released when the local apply runs *)
       else begin
         Locks.release_txn h.home.locks h.txn;
@@ -541,7 +539,7 @@ let store_words t =
 
 let latest t ~node key =
   let n = t.nodes.(node) in
-  visible_read n key ~start:n.applied
+  visible_read t n key ~start:n.applied
 
 let quiescent t =
   residue_report t (fun (n : node) ->
