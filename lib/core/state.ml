@@ -291,11 +291,10 @@ end)
 let snap_of (node : node) =
   {
     s_store = Mvstore.image_of node.store;
+    (* oldest first: [load_snap] appends in image order *)
     s_nlog =
-      List.filter_map
-        (fun (e : Nlog.entry) ->
-          if Ids.equal_txn e.txn Ids.genesis then None else Some (e.txn, e.vc, e.ws))
-        (Nlog.entries node.nlog);
+      List.rev_map (fun (e : Nlog.entry) -> (e.txn, e.vc, e.ws)) (Nlog.entries node.nlog)
+      |> List.filter (fun (txn, _, _) -> not (Ids.equal_txn txn Ids.genesis));
     s_nlog_floor = Nlog.floor node.nlog;
     s_node_vc = Vclock.copy node.node_vc;
     s_coordinated_max = node.coordinated_max;

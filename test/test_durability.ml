@@ -361,6 +361,42 @@ let test_gc_across_crash () =
   if History.events off_history <> History.events history then
     Alcotest.fail "GC changed the durable crash history"
 
+(* ---------- a checkpointed node log restores in apply order ---------- *)
+
+(* The NLog is ordered by its node's clock component ([Nlog.visible_max]
+   binary-searches it and [most_recent_vc] reads its last entry), so a
+   restart that loads a checkpoint must rebuild it oldest first.  GC is
+   off so the log keeps everything the checkpoints imaged. *)
+let test_nlog_restored_in_order () =
+  for seed = 1 to 5 do
+    let config =
+      { (durable_config ~degree:2 ~seed) with gc = false; checkpoint_interval = 0.005 }
+    in
+    let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
+    let h = s.chaos (crash_plan ~seed) in
+    ignore
+      (Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed)
+        : Store.run);
+    if (Chaos.stats h).Chaos.restarts <> 1 then Alcotest.fail "crash/restart did not fire";
+    Array.iter
+      (fun (n : Sss_kv.State.node) ->
+        (* newest first: strictly decreasing *)
+        let locals =
+          List.map
+            (fun (e : Sss_data.Nlog.entry) -> Sss_data.Vclock.get e.vc n.id)
+            (Sss_data.Nlog.entries n.nlog)
+        in
+        ignore
+          (List.fold_left
+             (fun prev l ->
+               if l >= prev then
+                 Alcotest.failf "seed %d node %d: log local %d before %d" seed n.id l prev;
+               l)
+             max_int locals
+            : int))
+      (Option.get s.kv).Sss_kv.State.nodes
+  done
+
 (* ---------- durability off: the hooks are inert ---------- *)
 
 let test_off_trajectory_unchanged () =
@@ -395,6 +431,7 @@ let () =
           Alcotest.test_case "late prepare after replay" `Quick test_late_prepare_replayed;
           Alcotest.test_case "sss tombstone after restart" `Quick test_sss_tombstone_after_restart;
           Alcotest.test_case "gc keeps collecting across a crash" `Quick test_gc_across_crash;
+          Alcotest.test_case "sss log restored in apply order" `Quick test_nlog_restored_in_order;
         ] );
       ( "determinism",
         [
