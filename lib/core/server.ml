@@ -525,7 +525,7 @@ let handle_forward_remove t node ~reader ~writer =
        reader at all. *)
     add_cancelled node ~writer ~reader
   else
-    match find_ws node writer with
+    match Nlog.Memo.find node.recent_ws writer with
     | Some ws_keys ->
         send_nodes t ~src:node.id ~dsts:(replica_nodes t ws_keys)
           (Message.Remove { txn = reader })
@@ -587,8 +587,7 @@ let rec dispatch t node ~src payload =
 
 let load_snap t node (s : snap) =
   Mvstore.restore node.store s.s_store;
-  List.iter (fun (txn, vc, ws) -> Nlog.add node.nlog ~txn ~vc ~ws) s.s_nlog;
-  Nlog.restore_floor node.nlog s.s_nlog_floor;
+  Nlog.restore node.nlog s.s_nlog;
   node.node_vc <- Vclock.copy s.s_node_vc;
   node.coordinated_max <- s.s_coordinated_max;
   node.stable_vc <- s.s_stable_vc;
@@ -600,7 +599,7 @@ let load_snap t node (s : snap) =
     s.s_ac.entries;
   node.tombstones <- Idset.Txns.copy s.s_tombstones;
   List.iter (fun (r, l) -> Hashtbl.replace node.forwards r (ref l)) s.s_forwards;
-  List.iter (fun (txn, entry) -> Hashtbl.replace node.recent_ws txn entry) s.s_recent_ws
+  Nlog.Memo.restore node.recent_ws s.s_recent_ws
 
 let replay_record t node = function
   | SPrepared { p_txn; p_prep = p } ->

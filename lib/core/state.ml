@@ -62,10 +62,7 @@ type logrec =
 
 type snap = {
   s_store : Mvstore.image;
-  s_nlog : (Ids.txn * Vclock.t * Ids.key list) list;
-  (* the NLog's covered-prune floor: recovery rebuilds the log entry by
-     entry and would otherwise lose the pruned contributions (Config.gc) *)
-  s_nlog_floor : Vclock.t;
+  s_nlog : Nlog.image;
   s_node_vc : Vclock.t;
   s_coordinated_max : Vclock.t;
   s_stable_vc : Vclock.t;
@@ -73,7 +70,7 @@ type snap = {
   s_ac : (Vclock.t, prep) Runtime.image;
   s_tombstones : Idset.Txns.t;
   s_forwards : (Ids.txn * (Ids.txn * Ids.node) list) list;
-  s_recent_ws : (Ids.txn * (Ids.key list * float)) list;
+  s_recent_ws : Nlog.Memo.image;
 }
 
 type node = {
@@ -121,14 +118,13 @@ type node = {
      already dropped) [prepared] record. *)
   parked : Stampset.t;
   parked_stamp : (Ids.txn, int) Hashtbl.t;
-  recent_ws : (Ids.txn, Ids.key list * float) Hashtbl.t;
+  recent_ws : Nlog.Memo.t;  (* write sets coordinated here, for Forward_remove *)
   cancelled : (Ids.txn, Ids.txn list ref) Hashtbl.t;
   active : (Ids.txn, unit) Hashtbl.t;  (* txns begun here, not yet finished *)
   (* update txns coordinated here that are past begin but not yet externally
      committed, with the reply closures of Wait_finalized requests *)
   unfinalized : (Ids.txn, (unit -> unit) list ref) Hashtbl.t;
   pending_finalized : unit Rpc.Pending.t;
-  mutable recent_ws_ops : int;
   (* wake-ups *)
   nlog_changed : Sim.Cond.t;
   squeue_changed : Sim.Cond.t;
@@ -163,6 +159,9 @@ type gc_state = {
 
 type ext = { stats : stats; gc : gc_state option }
 
+(* write sets a coordinator keeps for chasing Removes, in virtual seconds *)
+let recent_ws_horizon = 5.0
+
 (* A pristine node: every key of its replicas at its genesis version. *)
 let make_node sim (config : Config.t) repl id =
   let nodes = config.nodes in
@@ -187,12 +186,11 @@ let make_node sim (config : Config.t) repl id =
       writer_since = Hashtbl.create 64;
       parked = Stampset.create ();
       parked_stamp = Hashtbl.create 64;
-      recent_ws = Hashtbl.create 1024;
+      recent_ws = Nlog.Memo.create ~node:id ~horizon:recent_ws_horizon;
       cancelled = Hashtbl.create 16;
       active = Hashtbl.create 64;
       unfinalized = Hashtbl.create 64;
       pending_finalized = Rpc.Pending.create ();
-      recent_ws_ops = 0;
       nlog_changed = Sim.Cond.create ();
       squeue_changed = Sim.Cond.create ();
     }
@@ -226,18 +224,13 @@ let snap_bytes s =
   in
   64
   + Mvstore.image_bytes s.s_store
-  + List.fold_left
-      (fun acc (_, c, ws) -> acc + 24 + vc c + (4 * List.length ws))
-      0 s.s_nlog
-  + vc s.s_nlog_floor
+  + Nlog.image_bytes s.s_nlog
   + vc s.s_node_vc + vc s.s_coordinated_max + vc s.s_stable_vc
   + List.fold_left (fun acc p -> acc + checkpointed p) 0 s.s_ac.entries
   + List.fold_left (fun acc (_, c) -> acc + 8 + vc c) 0 s.s_ac.decided
   + (16 * (Idset.Txns.cardinal s.s_ac.fenced + Idset.Txns.cardinal s.s_tombstones))
   + List.fold_left (fun acc (_, l) -> acc + 8 + (16 * List.length l)) 0 s.s_forwards
-  + List.fold_left
-      (fun acc (_, (ks, _)) -> acc + 16 + (4 * List.length ks))
-      0 s.s_recent_ws
+  + Nlog.Memo.image_bytes s.s_recent_ws
 
 include Runtime.Make (struct
   type nonrec msg = Message.payload
@@ -291,11 +284,7 @@ end)
 let snap_of (node : node) =
   {
     s_store = Mvstore.image_of node.store;
-    (* oldest first: [load_snap] appends in image order *)
-    s_nlog =
-      List.rev_map (fun (e : Nlog.entry) -> (e.txn, e.vc, e.ws)) (Nlog.entries node.nlog)
-      |> List.filter (fun (txn, _, _) -> not (Ids.equal_txn txn Ids.genesis));
-    s_nlog_floor = Nlog.floor node.nlog;
+    s_nlog = Nlog.image node.nlog;
     s_node_vc = Vclock.copy node.node_vc;
     s_coordinated_max = node.coordinated_max;
     s_stable_vc = node.stable_vc;
@@ -303,7 +292,7 @@ let snap_of (node : node) =
     s_ac = Ac.image node;
     s_tombstones = Idset.Txns.copy node.tombstones;
     s_forwards = List.map (fun (r, l) -> (r, !l)) (Runtime.sorted_bindings node.forwards);
-    s_recent_ws = Runtime.sorted_bindings node.recent_ws;
+    s_recent_ws = Nlog.Memo.image node.recent_ws;
   }
 
 let create sim (config : Config.t) hooks =
@@ -523,29 +512,9 @@ let version_count t =
 
 let nlog_entries t = Array.fold_left (fun acc node -> acc + Nlog.size node.nlog) 0 t.nodes
 
-(* ---- tombstones and recent write-set GC ---- *)
+(* ---- tombstones ---- *)
 
 let is_tombstoned node txn = Idset.Txns.mem node.tombstones txn
-
-let recent_ws_horizon = 5.0
-
-let remember_ws t node txn keys =
-  Hashtbl.replace node.recent_ws txn (keys, now t);
-  node.recent_ws_ops <- node.recent_ws_ops + 1;
-  if node.recent_ws_ops land 4095 = 0 then begin
-    let cutoff = now t -. recent_ws_horizon in
-    let stale =
-      (Hashtbl.fold
-         (fun k (_, at) acc -> if at < cutoff then k :: acc else acc)
-         node.recent_ws []
-      [@order_ok])
-      |> List.sort Ids.compare_txn
-    in
-    List.iter (Hashtbl.remove node.recent_ws) stale
-  end
-
-let find_ws node txn =
-  Option.map fst (Hashtbl.find_opt node.recent_ws txn)
 
 (* ---- list-valued tables: reader txn -> keys with entries on this node,
    reader -> (writer, coordinator) it was propagated to, writer -> readers

@@ -1,201 +1,308 @@
 type entry = { txn : Ids.txn; vc : Vclock.t; ws : Ids.key list }
 
-(* Entries are kept in an append-ordered dynamic array (the node-local clock
-   component strictly increases with application order), together with
-   per-prefix entry-wise maxima so that unconstrained visibility queries are
-   a binary search + O(1) lookup instead of a scan. *)
+(* Entries are kept in append order (the node-local clock component
+   strictly increases with it) in columns of 64-entry blocks: entry [i]'s
+   clock in [vcs] (the caller's published clock, shared, never copied),
+   and in [ints] its packed txn at [2i] and, at [2i + 1], where its write
+   set starts in the flat key column [ws] (it ends where entry [i + 1]'s
+   starts).  Every 16th entry also keeps the prefix maximum up to it in
+   [rows], so any prefix maximum costs at most 15 clock folds. *)
+let bits = 6
+
+let stride = 4 (* log2 of the row spacing *)
+
+let last_in_row = (1 lsl stride) - 1
+
 type t = {
   node : int;
   nodes : int;
-  mutable entries : entry array;
-  mutable pmax : int array array;  (* pmax.(i) = entrywise max of entries 0..i *)
-  mutable len : int;
-  mutable most_recent : Vclock.t;
-  mutable committed_max : Vclock.t;
-  mutable floor_max : int array;
-      (* entrywise max over entries dropped by prune_covered: those entries
-         were below the cluster low-watermark, hence admissible for every
-         live and future visibility query, so constrained queries seed
-         their accumulator here instead of losing the pruned contributions.
-         All-zero until the first covered prune.  Rows are write-once
-         (replaced wholesale). *)
+  mutable vcs : Vclock.t array Col.t;
+  mutable ints : int array Col.t;
+  mutable ws : int array Col.t;
+  mutable rows : Vclock.t array Col.t;  (* row g: max over the seed and entries 0..16g *)
+  mutable top_max : Vclock.t;  (* max over the seed and every entry = committed max *)
+  mutable floor_max : Vclock.t;
+      (* entrywise max over entries dropped by prune_covered: they were
+         below the cluster low-watermark, hence admissible for every live
+         and future visibility query, so constrained queries seed their
+         accumulator here.  Write-once (replaced wholesale), so shared. *)
 }
 
-(* Filler for the slots at and past [len].  Seeding a fresh array from a
-   live (possibly young) entry would make [Array.make] of more than 256
-   slots run a minor collection first; the fillers are old, and a vacated
-   slot no longer pins the entry it held. *)
-let vacant = { txn = Ids.genesis; vc = Vclock.zero 0; ws = [] }
+(* Block and spine filler: an empty clock pins nothing. *)
+let clocks n = Array.make n (Vclock.zero 0)
+
+let ints n = Array.make n 0
+
+(* Empty columns whose prefix maxima start from [seed]. *)
+let reset t ~seed =
+  t.vcs <- Col.create ~bits;
+  t.ints <- Col.create ~bits:(bits + 1);
+  t.ws <- Col.create ~bits:8;
+  t.rows <- Col.create ~bits:(bits - stride);
+  t.top_max <- seed
+
+let size t = Col.length t.vcs
+
+let vc t i = Col.get t.vcs i
+
+let row t i = Col.get t.rows (i lsr stride)
+
+let ws_start t i = Col.get t.ints ((2 * i) + 1)
+
+let ws_stop t i = if i + 1 < size t then ws_start t (i + 1) else Col.length t.ws
+
+let[@hot] push_int c v =
+  if Col.full c then (Col.grow c ints [@alloc_ok]);
+  Col.set c (Col.claim c) v
+
+let[@hot] rec push_keys c = function
+  | [] -> ()
+  | k :: ks ->
+      push_int c k;
+      push_keys c ks
+
+(* Append an entry (its write-set keys are pushed next).  [ints] (two
+   slots an entry) and [rows] (one per 16) fill up with [vcs]. *)
+let[@hot] append t packed vc =
+  if Col.full t.vcs then begin
+    (Col.grow t.vcs clocks [@alloc_ok]);
+    (Col.grow t.ints ints [@alloc_ok]);
+    (Col.grow t.rows clocks [@alloc_ok])
+  end;
+  let i = Col.claim t.vcs in
+  Col.set t.vcs i vc;
+  Col.set t.ints (Col.claim t.ints) packed;
+  Col.set t.ints (Col.claim t.ints) (Col.length t.ws);
+  (* shares a dominating clock: logged clocks are published, so immutable *)
+  t.top_max <- Vclock.max t.top_max vc;
+  if i land last_in_row = 0 then Col.set t.rows (Col.claim t.rows) t.top_max
+
+let[@hot] add t ~txn ~vc ~ws =
+  append t (Ids.pack txn) vc;
+  push_keys t.ws ws
 
 let create ~nodes ~node =
-  let zero = Vclock.zero nodes in
-  let genesis = { txn = Ids.genesis; vc = zero; ws = [] } in
-  {
-    node;
-    nodes;
-    entries = Array.make 64 genesis;
-    pmax = Array.make 64 (Array.make nodes 0);
-    len = 1;
-    most_recent = zero;
-    committed_max = zero;
-    floor_max = Array.make nodes 0;
-  }
+  let zero = Vclock.zero nodes and c () = Col.create ~bits in
+  let t =
+    { node; nodes; vcs = c (); ints = c (); ws = c (); rows = c (); top_max = zero; floor_max = zero }
+  in
+  reset t ~seed:zero;
+  append t (Ids.pack Ids.genesis) zero;
+  t
 
-let grow t =
-  if t.len = Array.length t.entries then begin
-    let cap = 2 * t.len in
-    let entries = Array.make cap vacant in
-    Array.blit t.entries 0 entries 0 t.len;
-    t.entries <- entries;
-    let pmax = Array.make cap [||] in
-    Array.blit t.pmax 0 pmax 0 t.len;
-    t.pmax <- pmax
-  end
+let most_recent_vc t = vc t (size t - 1)
 
-let add t ~txn ~vc ~ws =
-  grow t;
-  t.entries.(t.len) <- { txn; vc; ws };
-  let prev = t.pmax.(t.len - 1) in
-  let m = Array.make t.nodes 0 in
-  for w = 0 to t.nodes - 1 do
-    let v = Vclock.get vc w in
-    let p = Array.unsafe_get prev w in
-    Array.unsafe_set m w (if v > p then v else p)
+let most_recent_local t = Vclock.get (most_recent_vc t) t.node
+
+let committed_max t = t.top_max
+
+(* The prefix maximum at entry [i] as a fresh clock: its row, then the
+   entries after the row's. *)
+let prefix t i =
+  let acc = Vclock.copy (row t i) in
+  for j = (i land lnot last_in_row) + 1 to i do
+    (Vclock.max_into acc (vc t j) [@owned])
   done;
-  t.pmax.(t.len) <- m;
-  t.len <- t.len + 1;
-  t.most_recent <- vc;
-  (* prefix-max rows are write-once, so the committed view can share the
-     row instead of copying it *)
-  t.committed_max <- (Vclock.unsafe_of_array m [@owned])
-
-let most_recent_vc t = t.most_recent
-
-let most_recent_local t = Vclock.get t.most_recent t.node
-
-let committed_max t = t.committed_max
+  acc
 
 (* Largest index whose entry has local component < cutoff (entries are
    strictly increasing in the local component). *)
 let last_below t cutoff =
-  if cutoff = max_int then t.len - 1
+  if cutoff = max_int then size t - 1
   else begin
     let rec search lo hi best =
       if lo > hi then best
       else
         let mid = (lo + hi) / 2 in
-        if Vclock.get t.entries.(mid).vc t.node < cutoff then search (mid + 1) hi mid
+        if Vclock.get (vc t mid) t.node < cutoff then search (mid + 1) hi mid
         else search lo (mid - 1) best
     in
-    search 0 (t.len - 1) (-1)
+    search 0 (size t - 1) (-1)
   end
+
+(* [vc] is within [bound] on every node [w' < w] that [has_read]. *)
+let rec admissible ~has_read ~bound vc w =
+  w = 0
+  || (((not has_read.(w - 1)) || Vclock.get vc (w - 1) <= Vclock.get bound (w - 1))
+     && admissible ~has_read ~bound vc (w - 1))
+
+let rec none_read has_read w = w = 0 || ((not has_read.(w - 1)) && none_read has_read (w - 1))
+
+let rec reached acc ceiling w =
+  w = 0 || (Vclock.get acc (w - 1) >= Vclock.get ceiling (w - 1) && reached acc ceiling (w - 1))
 
 let visible_max t ~has_read ~bound ~cutoff =
   let n = t.nodes in
   let top = last_below t cutoff in
-  let unconstrained =
-    let rec go w = w >= n || ((not has_read.(w)) && go (w + 1)) in
-    go 0
-  in
   if top < 0 then
     (* even with every retained entry excluded by the cutoff, entries
        dropped by a covered prune stay visible: they were below the
        low-watermark, so both admissible and (via the watermark's parked
-       cap) below every present or future cutoff.  The floor row is
-       write-once, so it can be shared like a pmax row. *)
-    (Vclock.unsafe_of_array t.floor_max [@owned])
-  else if unconstrained then
-    (* rows are write-once: share, don't copy (this is the common
-       first-contact read) *)
-    (Vclock.unsafe_of_array t.pmax.(top) [@owned])
+       cap) below every present or future cutoff. *)
+    t.floor_max
+  else if none_read has_read n then
+    (* the common first-contact read: shared, not copied, when [top] is
+       the last entry or carries a row *)
+    if top = size t - 1 then t.top_max
+    else if top land last_in_row = 0 then row t top
+    else prefix t top
   else begin
     (* Ceiling: on already-read nodes we are capped by the bound, elsewhere
        by the maximum over the cutoff prefix; stop once it is reached. *)
-    let row = t.pmax.(top) in
-    let ceiling = Array.make n 0 in
+    let ceiling = prefix t top in
     for w = 0 to n - 1 do
-      let r = Array.unsafe_get row w in
-      Array.unsafe_set ceiling w
-        (if has_read.(w) then Stdlib.min (Vclock.get bound w) r else r)
+      if has_read.(w) && Vclock.get bound w < Vclock.get ceiling w then
+        (Vclock.set_into ceiling w (Vclock.get bound w) [@owned])
     done;
     (* seed with the covered-prune floor (all-zero unless prune_covered
        ran), so constrained queries keep the pruned entries' contributions
        exactly as if they were still in the log *)
-    let acc = Array.copy t.floor_max in
-    let reached () =
-      let rec go w = w >= n || (acc.(w) >= ceiling.(w) && go (w + 1)) in
-      go 0
-    in
-    let admissible vc =
-      let rec go w =
-        w >= n || (((not has_read.(w)) || Vclock.get vc w <= Vclock.get bound w) && go (w + 1))
-      in
-      go 0
-    in
+    let acc = Vclock.copy t.floor_max in
     let i = ref top in
-    let stop = ref false in
-    while (not !stop) && !i >= 0 do
-      let e = t.entries.(!i) in
-      if admissible e.vc then begin
-        for w = 0 to n - 1 do
-          let v = Vclock.get e.vc w in
-          if v > acc.(w) then acc.(w) <- v
-        done;
-        if reached () then stop := true
+    while !i >= 0 do
+      let e = vc t !i in
+      if admissible ~has_read ~bound e n then begin
+        (Vclock.max_into acc e [@owned]);
+        if reached acc ceiling n then i := 0
       end;
       decr i
     done;
-    (Vclock.unsafe_of_array acc [@owned])
+    acc
   end
 
-let size t = t.len
-
-(* Drop entries [0, from): shift the suffix down and rebuild prefix maxima,
-   seeding with the dropped prefix's maximum so visibility bounds never
-   regress because of garbage collection (the pruned transactions stay
-   inside every later snapshot). *)
-let drop_prefix t ~from =
-  let new_len = t.len - from in
-  let entries = Array.make (Array.length t.entries) vacant in
-  Array.blit t.entries from entries 0 new_len;
-  t.entries <- entries;
-  t.len <- new_len;
-  let seed = t.pmax.(from - 1) in
-  let pmax = Array.make (Array.length t.pmax) [||] in
-  let prev = ref seed in
-  for i = 0 to new_len - 1 do
-    let vc = t.entries.(i).vc in
-    let m = Array.init t.nodes (fun w -> Stdlib.max !prev.(w) (Vclock.get vc w)) in
-    pmax.(i) <- m;
-    prev := m
-  done;
-  t.pmax <- pmax
+(* Append entries [from, upto) of [old]'s columns, with their write sets. *)
+let copy_entries t ~old ~from ~upto =
+  for i = from to upto - 1 do
+    append t (Col.get old.ints (2 * i)) (vc old i);
+    for k = ws_start old i to ws_stop old i - 1 do
+      push_int t.ws (Col.get old.ws k)
+    done
+  done
 
 let prune_covered t ~watermark =
   (* Drop the longest prefix of entries entry-wise covered by [watermark]
      (coveredness is not prefix-closed along the log, so later covered
      entries may survive — that is only a missed opportunity, never an
      error), always keeping at least one entry. *)
-  let rec scan i =
-    if i >= t.len - 1 then i
-    else if Vclock.leq t.entries.(i).vc watermark then scan (i + 1)
-    else i
-  in
+  let len = size t in
+  let rec scan i = if i < len - 1 && Vclock.leq (vc t i) watermark then scan (i + 1) else i in
   let from = scan 0 in
   if from > 0 then begin
-    (* fold the dropped contributions into the floor BEFORE the rebuild;
-       pmax rows are cumulative (and already >= the current floor), so the
-       last dropped row is exactly the new floor.  Fresh array: floor rows
-       are shared with readers and must stay write-once. *)
-    t.floor_max <- Array.copy t.pmax.(from - 1);
-    drop_prefix t ~from
+    (* the dropped prefix's maximum is the new floor and seeds the kept
+       entries' rows, so visibility bounds never regress because of
+       garbage collection *)
+    t.floor_max <- prefix t (from - 1);
+    let old = { t with vcs = t.vcs } in
+    reset t ~seed:t.floor_max;
+    copy_entries t ~old ~from ~upto:len
   end;
   from
 
-let floor t = Vclock.of_array t.floor_max
-
-let restore_floor t f = t.floor_max <- Array.init t.nodes (fun w -> Vclock.get f w)
+let floor t = Vclock.copy t.floor_max
 
 let entries t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (t.entries.(i) :: acc) in
-  List.rev (go (t.len - 1) [])
+  List.rev
+    (List.init (size t) (fun i ->
+         let ws = List.init (ws_stop t i - ws_start t i) (fun k -> Col.get t.ws (ws_start t i + k)) in
+         { txn = Ids.unpack (Col.get t.ints (2 * i)); vc = vc t i; ws }))
+
+(* A checkpoint image is a log of the non-genesis entries and the floor. *)
+type image = t
+
+let image t =
+  let img = { t with vcs = t.vcs } in
+  reset img ~seed:(Vclock.zero t.nodes);
+  for i = 0 to size t - 1 do
+    if Col.get t.ints (2 * i) <> 0 then copy_entries img ~old:t ~from:i ~upto:(i + 1)
+  done;
+  img
+
+let image_bytes img =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (acc + 24 + Vcodec.raw_size (vc img i)) in
+  go (size img - 1) ((4 * Col.length img.ws) + Vcodec.raw_size img.floor_max)
+
+let restore t img =
+  copy_entries t ~old:img ~from:0 ~upto:(size img);
+  t.floor_max <- Vclock.copy img.floor_max
+
+module Memo = struct
+  (* Slot [l - lo] of local id [l]: in [at], where its write set (length,
+     then keys) starts in [keys], or -1 when absent; in [times], its
+     insert time. *)
+  type t = { owner : Ids.node; horizon : float; mutable lo : int; mutable ops : int;
+             mutable at : int array Col.t; mutable times : Float.Array.t Col.t;
+             mutable keys : int array Col.t }
+
+  let create ~node ~horizon =
+    { owner = node; horizon; lo = 0; ops = 0; at = Col.create ~bits; times = Col.create ~bits;
+      keys = Col.create ~bits:8 }
+
+  let time m i = Float.Array.get (Col.block m.times i) (Col.pos m.times i)
+
+  (* Point local id [l]'s slot (opening absent ones up to it) at the write
+     set pushed next. *)
+  let[@hot] rec place m l now =
+    let i = l - m.lo in
+    if i < Col.length m.at then begin
+      Col.set m.at i (Col.length m.keys);
+      Float.Array.set (Col.block m.times i) (Col.pos m.times i) now
+    end
+    else begin
+      if Col.full m.at then begin
+        (Col.grow m.at ints [@alloc_ok]);
+        (Col.grow m.times Float.Array.create [@alloc_ok])
+      end;
+      Col.set m.at (Col.claim m.at) (-1);
+      ignore (Col.claim m.times : int);
+      place m l now
+    end
+
+  (* Refill [m] with [old]'s entries inserted at or after [cutoff], slots
+     from local id [lo] (by default the first such entry's). *)
+  let refill ?lo m ~old ~cutoff =
+    let live i = Col.get old.at i >= 0 && time old i >= cutoff in
+    let rec first i = if i < Col.length old.at && not (live i) then first (i + 1) else i in
+    m.lo <- Option.value lo ~default:(old.lo + first 0);
+    m.at <- Col.create ~bits;
+    m.times <- Col.create ~bits;
+    m.keys <- Col.create ~bits:8;
+    for i = 0 to Col.length old.at - 1 do
+      if live i then begin
+        let a = Col.get old.at i in
+        place m (old.lo + i) (time old i);
+        for k = a to a + Col.get old.keys a do push_int m.keys (Col.get old.keys k) done
+      end
+    done
+
+  let compact ?lo m ~cutoff = refill ?lo m ~old:{ m with lo = m.lo } ~cutoff
+
+  let[@hot] add m ~(txn : Ids.txn) ~ws ~now =
+    if txn.node <> m.owner then invalid_arg "Nlog.Memo.add: foreign transaction";
+    if txn.local < m.lo then (compact m ~lo:txn.local ~cutoff:neg_infinity [@alloc_ok]);
+    place m txn.local now;
+    push_int m.keys (List.length ws);
+    push_keys m.keys ws;
+    m.ops <- m.ops + 1;
+    if m.ops land 4095 = 0 then (compact m ~cutoff:(now -. m.horizon) [@alloc_ok])
+
+  let find m (txn : Ids.txn) =
+    let i = txn.local - m.lo in
+    if txn.node <> m.owner || i < 0 || i >= Col.length m.at || Col.get m.at i < 0 then None
+    else
+      let a = Col.get m.at i in
+      Some (List.init (Col.get m.keys a) (fun k -> Col.get m.keys (a + 1 + k)))
+
+  (* An image is a compacted copy: its key column holds live entries only. *)
+  type image = t
+
+  let image m =
+    let img = { m with ops = 0 } in
+    refill img ~old:m ~cutoff:neg_infinity;
+    img
+
+  let image_bytes img =
+    let rec live i n = if i < 0 then n else live (i - 1) (n + Bool.to_int (Col.get img.at i >= 0)) in
+    (12 * live (Col.length img.at - 1) 0) + (4 * Col.length img.keys)
+
+  let restore m img = refill m ~old:img ~cutoff:neg_infinity
+end

@@ -12,17 +12,24 @@
       reading transaction has already observed.
 
     The log is seeded with a genesis all-zero entry so the visible set is
-    never empty. *)
+    never empty.
+
+    {b Layout.}  Entries live in columns of 64-entry blocks: a pointer to
+    the caller's published clock (one commit clock is shared by every
+    participant's log, never copied), the {!Ids.pack}ed transaction, and
+    where its write set starts in one flat key column — three words an
+    entry besides the clock and its keys.  Every 16th entry keeps a
+    pointer to the prefix maximum up to it, so a prefix maximum folds at
+    most 15 clocks.  The write set is kept only for checkpoint images. *)
 
 type entry = { txn : Ids.txn; vc : Vclock.t; ws : Ids.key list }
-(** One internal commit: the transaction, its commit clock, and its write
-    set (key names, for propagation bookkeeping). *)
+(** One internal commit, as {!entries} lists it. *)
 
 type t
 
 val create : nodes:int -> node:int -> t
-(** [create ~nodes ~node] is the log of node [node] in a cluster of
-    [nodes] nodes, seeded with the genesis all-zero entry. *)
+(** The log of node [node] in a cluster of [nodes] nodes, seeded with the
+    genesis all-zero entry. *)
 
 val add : t -> txn:Ids.txn -> vc:Vclock.t -> ws:Ids.key list -> unit
 (** Append an internal commit. *)
@@ -50,8 +57,10 @@ val visible_max :
     reader must serialize before: a coherent local snapshot is a prefix of
     this node's apply order, so everything at or after the first invisible
     writer is invisible too.  Pass [max_int] when nothing is excluded.
-    Scans newest-first and stops early once the accumulated maximum
-    provably cannot grow. *)
+    Without a bound it folds at most 15 clocks, and returns
+    {!committed_max} without allocating when nothing is cut off; with one
+    it scans newest-first and stops once the accumulated maximum provably
+    cannot grow.  The result may be shared: do not mutate it. *)
 
 val size : t -> int
 (** Number of retained entries (shrinks under {!prune_covered}). *)
@@ -67,13 +76,42 @@ val prune_covered : t -> watermark:Vclock.t -> int
 
 val floor : t -> Vclock.t
 (** Entry-wise maximum over every entry dropped by {!prune_covered} (the
-    all-zero clock before the first covered prune).  Exposed so durability
-    checkpoints can persist it. *)
-
-val restore_floor : t -> Vclock.t -> unit
-(** Reinstall a {!floor} captured by a checkpoint (redo recovery rebuilds
-    the log from scratch and would otherwise lose the pruned entries'
-    contributions). *)
+    all-zero clock before the first covered prune). *)
 
 val entries : t -> entry list
 (** Newest first (tests only). *)
+
+type image
+(** A checkpoint's copy of the non-genesis entries, oldest first, and the
+    {!floor}, in columns like the log's.  {!image_bytes} models 24 bytes
+    an entry, its raw clock, 4 bytes a write-set key and the raw floor. *)
+
+val image : t -> image
+val image_bytes : image -> int
+
+val restore : t -> image -> unit
+(** Append an image's entries to a fresh log in apply order, then its
+    floor. *)
+
+(** A coordinator's write sets by transaction, for chasing a reader's
+    [Remove] to the writers it was propagated to.  Slots are indexed by
+    local id ({!Ids.Gen} mints them densely per coordinator): where the
+    write set starts in a flat key column, and the insert time in a float
+    column.  Every 4,096th {!add} drops the entries inserted more than
+    [horizon] earlier.  Images hold the live entries (16 bytes each, 4 a
+    key); {!restore} fills a fresh memo and counts no insert. *)
+module Memo : sig
+  type t
+  type image
+
+  val create : node:Ids.node -> horizon:float -> t
+
+  val add : t -> txn:Ids.txn -> ws:Ids.key list -> now:float -> unit
+  (** Insert or replace the write set of a transaction minted at the
+      memo's node. *)
+
+  val find : t -> Ids.txn -> Ids.key list option
+  val image : t -> image
+  val image_bytes : image -> int
+  val restore : t -> image -> unit
+end

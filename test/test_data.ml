@@ -469,6 +469,25 @@ let test_nlog_prune () =
   ignore (Nlog.prune_covered l ~watermark:(vc [ max_int ]) : int);
   Alcotest.(check int) "never below 1" 1 (Nlog.size l)
 
+(* One commit clock is shared by every participant's log, so what a log
+   costs is what it keeps besides the clocks: about three words an entry
+   plus its write-set keys and a prefix-maximum row per 16 entries.  A
+   record, a boxed txn, a key list and a prefix-maximum row per entry kept
+   about 24. *)
+let test_nlog_retention () =
+  let nodes = 10 and n = 5000 in
+  let clocks =
+    Array.init n (fun i ->
+        vc (List.init nodes (fun w -> if w = 0 then i + 1 else ((i * 7) + (w * 13)) mod 97)))
+  in
+  let l = Nlog.create ~nodes ~node:0 in
+  Array.iteri (fun i c -> Nlog.add l ~txn:(tx 0 (i + 1)) ~vc:c ~ws:[ i mod 24 ]) clocks;
+  let words =
+    Obj.reachable_words (Obj.repr (l, clocks)) - Obj.reachable_words (Obj.repr clocks) - 3
+  in
+  let per_entry = float_of_int words /. float_of_int n in
+  if per_entry > 6.0 then Alcotest.failf "%.1f words an entry besides the clocks" per_entry
+
 (* ---------- Locks ---------- *)
 
 let with_sim f =
@@ -804,6 +823,7 @@ let () =
           Alcotest.test_case "visible max bounded" `Quick test_nlog_visible_max_bounded;
           Alcotest.test_case "visible max cutoff" `Quick test_nlog_visible_max_cutoff;
           Alcotest.test_case "prune" `Quick test_nlog_prune;
+          Alcotest.test_case "retention per entry" `Quick test_nlog_retention;
         ] );
       ( "locks",
         [

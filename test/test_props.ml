@@ -316,6 +316,174 @@ let nlog_prune_preserves_views =
       in
       Vclock.equal before after)
 
+(* ---------- Nlog: the columnar log against a list model ----------
+
+   The model keeps every retained entry in a list with the log's three
+   summary clocks: [seed] (what the prefix maxima start from: the dropped
+   prefix's maximum after a covered prune, zero after a restore), [floor]
+   (what constrained queries start from) and the committed maximum.  Runs
+   of 300-500 operations append 225-375 entries on average, three to six
+   64-entry blocks, so queries cross block and 16-entry row boundaries,
+   before and after prunes and checkpoint round trips. *)
+
+type nlog_model = {
+  mutable es : (Ids.txn * int array * int list) list;  (* oldest first *)
+  mutable seed : int array;
+  mutable floor : int array;
+  mutable top : int array;
+}
+
+let nodes3 = 3
+
+let vmax a b = Array.init nodes3 (fun w -> max a.(w) b.(w))
+
+let nlog_query m ~has_read ~bound ~cutoff =
+  let arr = Array.of_list m.es in
+  let top =
+    if cutoff = max_int then Array.length arr - 1
+    else
+      Array.fold_left (fun acc (i, (_, vc, _)) -> if vc.(0) < cutoff then i else acc) (-1)
+        (Array.mapi (fun i e -> (i, e)) arr)
+  in
+  let upto = Array.to_list (Array.sub arr 0 (top + 1)) in
+  if top < 0 then m.floor
+  else if not (Array.exists Fun.id has_read) then
+    List.fold_left (fun acc (_, vc, _) -> vmax acc vc) m.seed upto
+  else
+    List.fold_left
+      (fun acc (_, vc, _) ->
+        if Array.for_all Fun.id (Array.mapi (fun w r -> (not r) || vc.(w) <= bound.(w)) has_read)
+        then vmax acc vc
+        else acc)
+      m.floor upto
+
+let nlog_columnar_model =
+  QCheck.Test.make ~name:"nlog columnar log matches list model" ~count:40
+    QCheck.(
+      list_of_size (Gen.int_range 300 500)
+        (quad (int_bound 11) (int_bound 20) (int_bound 20) (int_bound 1000)))
+    (fun ops ->
+      let zero = Array.make nodes3 0 in
+      let l = ref (Nlog.create ~nodes:nodes3 ~node:0) in
+      let m = { es = [ (Ids.genesis, zero, []) ]; seed = zero; floor = zero; top = zero } in
+      let local = ref 0 and ok = ref true in
+      let check_query ~has_read ~bound ~cutoff =
+        let got = Nlog.visible_max !l ~has_read ~bound:(Vclock.of_array bound) ~cutoff in
+        if not (Vclock.equal got (Vclock.of_array (nlog_query m ~has_read ~bound ~cutoff))) then
+          ok := false
+      in
+      let cutoffs r =
+        let locals = List.map (fun (_, vc, _) -> vc.(0)) m.es in
+        [ max_int; List.hd locals; (* inside a row group *) List.nth locals (r mod List.length locals) + 1;
+          r mod (!local + 2) ]
+      in
+      List.iter
+        (fun (op, b, c, r) ->
+          match op with
+          | 9 ->
+              let wm = [| r mod (!local + 1); b; c |] in
+              let len = List.length m.es in
+              let rec covered i = function
+                | (_, vc, _) :: tl when i < len - 1 && Array.for_all2 ( <= ) vc wm ->
+                    covered (i + 1) tl
+                | _ -> i
+              in
+              let from = covered 0 m.es in
+              if from > 0 then begin
+                m.floor <- List.fold_left (fun acc (_, vc, _) -> vmax acc vc) m.seed
+                             (List.filteri (fun i _ -> i < from) m.es);
+                m.seed <- m.floor;
+                m.es <- List.filteri (fun i _ -> i >= from) m.es
+              end;
+              if Nlog.prune_covered !l ~watermark:(Vclock.of_array wm) <> from then ok := false
+          | 10 ->
+              List.iter
+                (fun cutoff ->
+                  check_query ~has_read:[| false; r land 1 = 1; r land 2 = 2 |]
+                    ~bound:[| max_int; b; c |] ~cutoff;
+                  check_query ~has_read:[| false; false; false |] ~bound:zero ~cutoff)
+                (cutoffs r)
+          | 11 ->
+              let fresh = Nlog.create ~nodes:nodes3 ~node:0 in
+              Nlog.restore fresh (Nlog.image !l);
+              l := fresh;
+              (* the fresh log's maxima start again from its genesis *)
+              m.es <- (Ids.genesis, zero, []) :: List.filter (fun (t, _, _) -> t <> Ids.genesis) m.es;
+              m.seed <- zero;
+              m.top <- List.fold_left (fun acc (_, vc, _) -> vmax acc vc) zero m.es
+          | _ ->
+              local := !local + 1 + (r mod 3);
+              let vc = [| !local; b; c |] and ws = List.init (r mod 4) (fun k -> (r + k) mod 50) in
+              let txn = tx 0 !local in
+              Nlog.add !l ~txn ~vc:(Vclock.of_array vc) ~ws;
+              m.es <- m.es @ [ (txn, vc, ws) ];
+              m.top <- vmax m.top vc)
+        ops;
+      List.iter
+        (fun cutoff ->
+          check_query ~has_read:[| false; true; false |] ~bound:[| max_int; 10; max_int |] ~cutoff;
+          check_query ~has_read:[| false; false; false |] ~bound:zero ~cutoff)
+        (cutoffs 7);
+      let entries =
+        List.rev_map (fun (e : Nlog.entry) -> (e.txn, Vclock.to_array e.vc, e.ws)) (Nlog.entries !l)
+      in
+      !ok && entries = m.es
+      && Vclock.equal (Nlog.committed_max !l) (Vclock.of_array m.top)
+      && Vclock.equal (Nlog.floor !l) (Vclock.of_array m.floor)
+      && Nlog.size !l = List.length m.es)
+
+(* ---------- Nlog.Memo: the write-set memo against a Hashtbl model ----------
+
+   Local ids arrive out of order (a window behind the newest), some are
+   re-inserted, some lie far below everything kept (a slot-range rebase);
+   with a horizon of 40 ticks every 4,096th insert drops most of the memo.
+   Image round trips restart the memo, and the pruning period with it. *)
+
+let memo_model =
+  QCheck.Test.make ~name:"nlog memo matches hashtbl model" ~count:12
+    QCheck.(list_of_size (Gen.int_range 5000 9000) (triple (int_bound 99) (int_bound 40) (int_bound 4)))
+    (fun ops ->
+      let horizon = 40.0 in
+      let memo = ref (Nlog.Memo.create ~node:1 ~horizon) in
+      let model = Hashtbl.create 64 and ops_n = ref 0 and newest = ref 0 and now = ref 0.0 in
+      let ok = ref true in
+      let check () =
+        for l = 0 to !newest + 3 do
+          let want = Option.map fst (Hashtbl.find_opt model l) in
+          if Nlog.Memo.find !memo (tx 1 l) <> want then ok := false
+        done;
+        if Nlog.Memo.find !memo (tx 0 1) <> None then ok := false
+      in
+      List.iter
+        (fun (op, back, n) ->
+          now := !now +. 0.25;
+          if op = 0 then begin
+            let fresh = Nlog.Memo.create ~node:1 ~horizon in
+            Nlog.Memo.restore fresh (Nlog.Memo.image !memo);
+            memo := fresh;
+            ops_n := 0;
+            check ()
+          end
+          else begin
+            let l =
+              if op = 1 then back (* far below: rebases the slot range *)
+              else if op < 10 then Stdlib.max 1 (!newest - back) (* re-insert or late *)
+              else (newest := !newest + 1; !newest)
+            in
+            let ws = List.init n (fun k -> (l * 7) + k) in
+            Nlog.Memo.add !memo ~txn:(tx 1 l) ~ws ~now:!now;
+            Hashtbl.replace model l (ws, !now);
+            incr ops_n;
+            if !ops_n land 4095 = 0 then begin
+              let cutoff = !now -. horizon in
+              Hashtbl.filter_map_inplace (fun _ (ws, at) -> if at < cutoff then None else Some (ws, at)) model;
+              check ()
+            end
+          end)
+        ops;
+      check ();
+      !ok)
+
 (* ---------- Commitq: random puts/updates/removes keep order ---------- *)
 
 let commitq_ordered =
@@ -457,6 +625,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest nlog_visible_max_model;
           QCheck_alcotest.to_alcotest nlog_prune_preserves_views;
+          QCheck_alcotest.to_alcotest nlog_columnar_model;
+          QCheck_alcotest.to_alcotest memo_model;
         ] );
       ("commitq", [ QCheck_alcotest.to_alcotest commitq_ordered ]);
       ("locks", [ Alcotest.test_case "exclusion invariant" `Quick test_locks_exclusion_invariant ]);
