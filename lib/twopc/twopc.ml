@@ -172,8 +172,16 @@ let install t (node : node) key value writer =
       replicated t node.id key;
       Hashtbl.add node.store key { value; writer }
 
+(* The key's writer, without building a genesis cell for an unwritten key. *)
+let writer t (node : node) key =
+  match Hashtbl.find_opt node.store key with
+  | Some c -> c.writer
+  | None ->
+      replicated t node.id key;
+      Ids.genesis
+
 let validate t node rs =
-  List.for_all (fun (k, observed) -> Ids.equal_txn (peek t node k).writer observed) rs
+  List.for_all (fun (k, observed) -> Ids.equal_txn (writer t node k) observed) rs
 
 let handle_decide t (node : node) ~txn ~outcome =
   match Hashtbl.find_opt node.ac.prepared txn with
