@@ -38,6 +38,7 @@ let get c i = (block c i).(pos c i)
 
 let set c i v = (block c i).(pos c i) <- v
 
+(* A fresh block for an int column. *)
 let ints n = Array.make n 0
 
 let push c v = set c (slot c ints) v

@@ -31,8 +31,6 @@ type t = {
 (* Block and spine filler: an empty clock pins nothing. *)
 let clocks n = Array.make n (Vclock.zero 0)
 
-let ints n = Array.make n 0
-
 (* Empty columns whose prefix maxima start from [seed]. *)
 let reset t ~seed =
   t.vcs <- Col.create ~bits;
@@ -51,14 +49,10 @@ let ws_start t i = Col.get t.ints ((2 * i) + 1)
 
 let ws_stop t i = if i + 1 < size t then ws_start t (i + 1) else Col.length t.ws
 
-let[@hot] push_int c v =
-  if Col.full c then (Col.grow c ints [@alloc_ok]);
-  Col.set c (Col.claim c) v
-
 let[@hot] rec push_keys c = function
   | [] -> ()
   | k :: ks ->
-      push_int c k;
+      Col.push c k;
       push_keys c ks
 
 (* Append an entry (its write-set keys are pushed next).  [ints] (two
@@ -66,7 +60,7 @@ let[@hot] rec push_keys c = function
 let[@hot] append t packed vc =
   if Col.full t.vcs then begin
     (Col.grow t.vcs clocks [@alloc_ok]);
-    (Col.grow t.ints ints [@alloc_ok]);
+    (Col.grow t.ints Col.ints [@alloc_ok]);
     (Col.grow t.rows clocks [@alloc_ok])
   end;
   let i = Col.claim t.vcs in
@@ -175,7 +169,7 @@ let copy_entries t ~old ~from ~upto =
   for i = from to upto - 1 do
     append t (Col.get old.ints (2 * i)) (vc old i);
     for k = ws_start old i to ws_stop old i - 1 do
-      push_int t.ws (Col.get old.ws k)
+      Col.push t.ws (Col.get old.ws k)
     done
   done
 
@@ -249,7 +243,7 @@ module Memo = struct
     end
     else begin
       if Col.full m.at then begin
-        (Col.grow m.at ints [@alloc_ok]);
+        (Col.grow m.at Col.ints [@alloc_ok]);
         (Col.grow m.times Float.Array.create [@alloc_ok])
       end;
       Col.set m.at (Col.claim m.at) (-1);
@@ -270,7 +264,7 @@ module Memo = struct
       if live i then begin
         let a = Col.get old.at i in
         place m (old.lo + i) (time old i);
-        for k = a to a + Col.get old.keys a do push_int m.keys (Col.get old.keys k) done
+        for k = a to a + Col.get old.keys a do Col.push m.keys (Col.get old.keys k) done
       end
     done
 
@@ -280,7 +274,7 @@ module Memo = struct
     if txn.node <> m.owner then invalid_arg "Nlog.Memo.add: foreign transaction";
     if txn.local < m.lo then (compact m ~lo:txn.local ~cutoff:neg_infinity [@alloc_ok]);
     place m txn.local now;
-    push_int m.keys (List.length ws);
+    Col.push m.keys (List.length ws);
     push_keys m.keys ws;
     m.ops <- m.ops + 1;
     if m.ops land 4095 = 0 then (compact m ~cutoff:(now -. m.horizon) [@alloc_ok])
