@@ -215,9 +215,14 @@ let image_bytes img =
   let rec go i acc = if i < 0 then acc else go (i - 1) (acc + 24 + Vcodec.raw_size (vc img i)) in
   go (size img - 1) ((4 * Col.length img.ws) + Vcodec.raw_size img.floor_max)
 
+(* The fresh log's maxima restart from the floor, as after the prune that
+   set it, so unconstrained queries never read below constrained ones. *)
 let restore t img =
-  copy_entries t ~old:img ~from:0 ~upto:(size img);
-  t.floor_max <- Vclock.copy img.floor_max
+  t.floor_max <- Vclock.copy img.floor_max;
+  let old = { t with vcs = t.vcs } in
+  reset t ~seed:t.floor_max;
+  copy_entries t ~old ~from:0 ~upto:(size old);
+  copy_entries t ~old:img ~from:0 ~upto:(size img)
 
 module Memo = struct
   (* Slot [l - lo] of local id [l]: in [at], where its write set (length,

@@ -469,6 +469,30 @@ let test_nlog_prune () =
   ignore (Nlog.prune_covered l ~watermark:(vc [ max_int ]) : int);
   Alcotest.(check int) "never below 1" 1 (Nlog.size l)
 
+(* A restored log's prefix maxima start from the image's floor: every
+   query reads the pruned entry's contribution, as before the round trip. *)
+let test_nlog_restore_floor () =
+  let l = Nlog.create ~nodes:2 ~node:0 in
+  Nlog.add l ~txn:(tx 0 1) ~vc:(vc [ 1; 5 ]) ~ws:[ 1 ];
+  Nlog.add l ~txn:(tx 0 2) ~vc:(vc [ 2; 0 ]) ~ws:[ 2 ];
+  Alcotest.(check int) "genesis and [1,5] pruned" 2 (Nlog.prune_covered l ~watermark:(vc [ 1; 5 ]));
+  let r = Nlog.create ~nodes:2 ~node:0 in
+  Nlog.restore r (Nlog.image l);
+  let reads name got =
+    Alcotest.(check (list int)) name [ 2; 5 ] (Array.to_list (Vclock.to_array got))
+  in
+  List.iter
+    (fun (which, log) ->
+      reads (which ^ " committed max") (Nlog.committed_max log);
+      reads (which ^ " unconstrained")
+        (Nlog.visible_max log ~has_read:[| false; false |] ~bound:(vc [ 0; 0 ]) ~cutoff:max_int);
+      reads (which ^ " constrained")
+        (Nlog.visible_max log ~has_read:[| false; true |] ~bound:(vc [ 0; 9 ]) ~cutoff:max_int))
+    [ ("imaged", l); ("restored", r) ];
+  Alcotest.(check int) "restored genesis pruned" 1 (Nlog.prune_covered r ~watermark:(vc [ 0; 0 ]));
+  Alcotest.(check (list int)) "floor survives a later prune" [ 1; 5 ]
+    (Array.to_list (Vclock.to_array (Nlog.floor r)))
+
 (* One commit clock is shared by every participant's log, so what a log
    costs is what it keeps besides the clocks: about three words an entry
    plus its write-set keys and a prefix-maximum row per 16 entries.  A
@@ -823,6 +847,7 @@ let () =
           Alcotest.test_case "visible max bounded" `Quick test_nlog_visible_max_bounded;
           Alcotest.test_case "visible max cutoff" `Quick test_nlog_visible_max_cutoff;
           Alcotest.test_case "prune" `Quick test_nlog_prune;
+          Alcotest.test_case "restore keeps the floor" `Quick test_nlog_restore_floor;
           Alcotest.test_case "retention per entry" `Quick test_nlog_retention;
         ] );
       ( "locks",

@@ -320,7 +320,7 @@ let nlog_prune_preserves_views =
 
    The model keeps every retained entry in a list with the log's three
    summary clocks: [seed] (what the prefix maxima start from: the dropped
-   prefix's maximum after a covered prune, zero after a restore), [floor]
+   prefix's maximum after a covered prune, kept by a restore), [floor]
    (what constrained queries start from) and the committed maximum.  Runs
    of 300-500 operations append 225-375 entries on average, three to six
    64-entry blocks, so queries cross block and 16-entry row boundaries,
@@ -407,10 +407,10 @@ let nlog_columnar_model =
               let fresh = Nlog.create ~nodes:nodes3 ~node:0 in
               Nlog.restore fresh (Nlog.image !l);
               l := fresh;
-              (* the fresh log's maxima start again from its genesis *)
+              (* the fresh log gains a genesis; its maxima start from the floor *)
               m.es <- (Ids.genesis, zero, []) :: List.filter (fun (t, _, _) -> t <> Ids.genesis) m.es;
-              m.seed <- zero;
-              m.top <- List.fold_left (fun acc (_, vc, _) -> vmax acc vc) zero m.es
+              m.seed <- m.floor;
+              m.top <- List.fold_left (fun acc (_, vc, _) -> vmax acc vc) m.floor m.es
           | _ ->
               local := !local + 1 + (r mod 3);
               let vc = [| !local; b; c |] and ws = List.init (r mod 4) (fun k -> (r + k) mod 50) in
