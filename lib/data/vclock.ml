@@ -69,22 +69,20 @@ let[@hot] blit ~src ~dst = Array.blit src 0 dst 0 (Array.length src)
 
 let blit_into ~src ~dst ~pos = Array.blit src 0 dst pos (Array.length src)
 
-let leq (a : t) (b : t) =
-  assert (Array.length a = Array.length b);
-  let n = Array.length a in
-  let rec loop i =
-    i >= n || (Array.unsafe_get a i <= Array.unsafe_get b i && loop (i + 1))
-  in
-  loop 0
+(* Toplevel recursion: a local [let rec] would capture both clocks in a
+   closure allocated per call, and the store's GC walk calls [leq] once
+   per version. *)
+let[@hot] rec leq_from (a : t) (b : t) i =
+  i >= Array.length a || (Array.unsafe_get a i <= Array.unsafe_get b i && leq_from a b (i + 1))
 
-let equal (a : t) (b : t) =
-  Array.length a = Array.length b
-  &&
-  let n = Array.length a in
-  let rec loop i =
-    i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && loop (i + 1))
-  in
-  loop 0
+let[@hot] leq (a : t) (b : t) =
+  assert (Array.length a = Array.length b);
+  leq_from a b 0
+
+let rec equal_from (a : t) (b : t) i =
+  i >= Array.length a || (Array.unsafe_get a i = Array.unsafe_get b i && equal_from a b (i + 1))
+
+let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from a b 0
 
 let lt a b = leq a b && not (equal a b)
 
