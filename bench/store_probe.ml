@@ -1,25 +1,27 @@
-(* Store-only microbench: the arena store replaying synthetic traffic at a
-   100-node clock size.  Three sections isolate where the bytes go:
+(* Store-only microbench: the version store replaying synthetic traffic at
+   a 100-node clock size.  Three sections isolate where the words go:
 
-   - genesis: K keys initialised, nothing written — the shape that
+   - genesis: K keys initialised, nothing written: the shape that
      dominates 1M-key open-loop clusters (the implicit genesis pays an
      index entry and a byte per key).
    - affine: replica-affine write sets of 4 keys per commit, per-node
-     clocks that advance mostly in their own entry — refcount-shared head
-     cells and sparse delta demotion both engage.
+     clocks that advance mostly in their own entry; the write set shares
+     one commit clock.
    - scattered: uniform single-key commits under a globally racing clock,
-     the no-compression worst case — demotion's size cap keeps every
-     clock at full-cell cost instead of inflating into wide deltas.
+     one clock a version.
 
-   Each section reports GC-measured live words per version (plus the
-   store's own mem_words model, which should agree), and the churn
-   sections report install and select throughput with allocation per
-   deep select (the store decodes into a scratch clock — 0 words).
+   The store keeps each installed clock by reference, so live words count
+   the clocks it retains as well as its columns: in a cluster the node log
+   and the CommitQ hold the same clocks, but here nothing else does.  Each
+   section reports GC-measured live words per version (plus the store's
+   own mem_words model, which prices a clock per distinct writer), and the
+   churn sections report install and select throughput with allocation per
+   deep select (the callback sees each slot's stored clock: 0 words).
    Chains are trimmed to their [keep] newest versions through the
    watermark collector: a key's clocks only grow in both replays, so the
    clock of its [keep]-th newest version, used as the watermark, keeps
-   exactly [keep] versions.  EXPERIMENTS.md records the pre-arena
-   boxed-list layout's numbers for comparison.
+   exactly [keep] versions.  EXPERIMENTS.md records the earlier layouts'
+   numbers for comparison.
 
      store_probe [nodes] [keys] [installs]      (default 100 10000 200000)
 *)
@@ -46,7 +48,7 @@ let () =
   Printf.printf "store probe: %d nodes, %d keys, %d installs, write set %d, chains kept <= %d\n"
     nodes keys installs ws keep;
 
-  (* pre-generated traffic, identical for both stores *)
+  (* pre-generated traffic, so the replays time the store alone *)
   let affine_nodes = Array.init (installs / ws) (fun _ -> rand nodes) in
   let scattered = Array.init installs (fun _ -> (rand keys, rand nodes)) in
   let sel = Array.init selects (fun _ -> rand keys) in
@@ -120,7 +122,7 @@ let () =
           let watermark = (Vclock.unsafe_of_array oldest [@owned]) in
           ignore (Mvstore.truncate_covered s k ~watermark : int));
     let t1 = (Unix.gettimeofday () [@wallclock_ok]) in
-    (* the harness's clock references must not count as store words *)
+    (* the harness's clock references must not count: the store's do *)
     Array.fill recent 0 (Array.length recent) [||];
     let al = live_words () - base in
     let av = Mvstore.version_count s in

@@ -48,8 +48,8 @@ let admission_control t node key ~bound_local =
   in
   loop Config.backoff_initial (4.0 *. Config.backoff_max)
 
-(* The candidate clock [cvc] is the store's scratch decode, borrowed for the
-   duration of the call (see [Mvstore.select]). *)
+(* The candidate clock [cvc] is the version's stored commit clock (see
+   [Mvstore.select]). *)
 let version_skipper ~has_read ~maxvc ~me ~cutoff cvc =
   let n = Array.length has_read in
   let rec over_bound w =

@@ -1,4 +1,4 @@
-(* Arena-backed struct-of-arrays version store.
+(* Struct-of-arrays version store.
 
    Layout (docs/ARCHITECTURE.md "The version store"):
 
@@ -10,28 +10,22 @@
      [v_clock], [v_next]).  [v_next] links newest-to-oldest and doubles as
      the free-list link of recycled slots, so GC churn is in-place reuse
      rather than cons-cell turnover.
-   - [v_clock] is a tagged reference into one of two arenas: [-1] interns
-     the all-zero genesis clock, [r <= -2] is the {e full} clock cell at
-     [ca.(-r - 2)] ([refcount; entries...]), and [r >= 0] is the {e delta}
-     cell at [da.(r)] ([npairs; idx, diff; ...]) against the slot's newer
-     neighbour.  Heads always hold full cells, shared by refcount across a
-     transaction's whole write set (the CommitQ drain re-passes one
-     physical clock, which [alloc_full] memoizes); when [install] demotes
-     the previous head it re-encodes the clock as a delta {e only if that
-     is strictly smaller} ([1 + 2k < nodes + 1] words), otherwise the full
-     cell stays — sparse-change neighbours compress, scattered ones never
-     cost more than a full clock.  [select]/[truncate_covered] decode
-     newest-first into the single [scratch] clock — no per-read allocation.
+   - [v_clock] holds the clock passed to [install] by reference: the
+     writer's published commit clock, which the node log and the CommitQ
+     entry hold too, so a write set shares one clock and a read sees the
+     slot's own clock, with nothing copied or decoded.  Free slots hold
+     [zero], so a freed slot pins no clock.
    - Every key boots with a genesis version valued [Ids.boot_value], fully
      implicit: one state byte per key, value derived on demand.
      Chains therefore cost 0 slots until first written.
 
    Chains only ever change by head-prepend ([install]) or suffix-drop
-   ([truncate_covered]), so a delta's newer neighbour is stable for the
-   delta's whole lifetime.
+   ([truncate_covered]), so a version's newer neighbour, which the image
+   byte model prices it against, is stable for the version's lifetime.
 
    [total] maintains the store's version count incrementally so GC telemetry
-   is O(1); all [mem] counters are maintained the same way. *)
+   is O(1); the [mem] counters are maintained the same way, except the
+   clock gauge, which [mem_words] computes. *)
 
 type version = { value : string; vc : Vclock.t; writer : Ids.txn }
 
@@ -56,7 +50,7 @@ let hmap_empty = min_int
 
 type t = {
   nodes : int;
-  zero : Vclock.t;  (* shared by every decoded genesis version *)
+  zero : Vclock.t;  (* genesis versions' clock; fills free slots *)
   (* key interning *)
   (* key -> handle map: open addressing with linear probing over two int
      arrays — ~2.7 words/binding at the 3/4 load cap, where Hashtbl's boxed
@@ -73,42 +67,21 @@ type t = {
   (* version slots *)
   mutable v_value : string array;
   mutable v_writer : int array;  (* Ids.pack *)
-  mutable v_clock : int array;  (* tagged: -1 zero | <= -2 [ca] cell | >= 0 [da] cell *)
+  mutable v_clock : Vclock.t array;  (* the writer's published clock *)
   mutable v_next : int array;  (* next-older slot, -1 end; free-list link *)
   mutable slot_top : int;
   mutable free_slot : int;
   mutable free_slots : int;
   mutable total : int;
   mutable value_words : int;
-  (* full-clock arena: cells of [1 + nodes] ints = [refcount; entries...];
-     a free cell stores the free-list link in its refcount word *)
-  mutable ca : int array;
-  mutable ca_top : int;
-  mutable ca_free : int;
-  mutable ca_free_cells : int;
-  (* write-set sharing memo: the cell holding the last physically installed
-     clock (invalidated when that cell's refcount reaches zero) *)
-  mutable memo_vc : Vclock.t;
-  mutable memo_ref : int;
-  (* delta arena: cells of [1 + 2k] ints = [k; idx, diff; ...]; per-class
-     free lists (a free cell stores the link in its count word) *)
-  mutable da : int array;
-  mutable da_top : int;
-  da_free : int array;  (* class k -> free-list head, -1 *)
-  mutable da_free_words : int;
   (* GC sweep cursor: handles are visited newest-created-first, the bound
      frozen per pass — the exact order of the previous list-based store, so
      gc-on trajectories are unchanged *)
   mutable sweep_hi : int;
   mutable sweep_pos : int;
-  (* scratch clock for newest-first decodes; [scratch_vc] is the Vclock
-     view lent to [select]'s skip callback *)
-  scratch : int array;
-  scratch_vc : Vclock.t;
 }
 
 let create ~nodes =
-  let scratch = Array.make nodes 0 in
   {
     nodes;
     zero = Vclock.zero nodes;
@@ -127,20 +100,8 @@ let create ~nodes =
     free_slots = 0;
     total = 0;
     value_words = 0;
-    ca = [||];
-    ca_top = 0;
-    ca_free = -1;
-    ca_free_cells = 0;
-    memo_vc = Vclock.zero nodes;
-    memo_ref = -1;
-    da = [||];
-    da_top = 0;
-    da_free = Array.make (nodes + 1) (-1);
-    da_free_words = 0;
     sweep_hi = 0;
     sweep_pos = 0;
-    scratch;
-    scratch_vc = (Vclock.unsafe_of_array scratch [@owned]);
   }
 
 (* words a string of [len] bytes occupies on the heap (header + padded data) *)
@@ -221,31 +182,15 @@ let grow_keys t =
 let grow_slots t =
   let cap = Array.length t.v_next in
   let ncap = if cap = 0 then 256 else 2 * cap in
-  let nv = Array.make ncap no_value in
-  Array.blit t.v_value 0 nv 0 cap;
-  t.v_value <- nv;
-  let grow a =
-    let n = Array.make ncap (-1) in
+  let grow a fill =
+    let n = Array.make ncap fill in
     Array.blit a 0 n 0 cap;
     n
   in
-  t.v_writer <- grow t.v_writer;
-  t.v_clock <- grow t.v_clock;
-  t.v_next <- grow t.v_next
-
-let grow_ca t need =
-  let cap = Array.length t.ca in
-  let ncap = Stdlib.max (Stdlib.max (2 * cap) 256) (t.ca_top + need) in
-  let n = Array.make ncap 0 in
-  Array.blit t.ca 0 n 0 cap;
-  t.ca <- n
-
-let grow_da t need =
-  let cap = Array.length t.da in
-  let ncap = Stdlib.max (Stdlib.max (2 * cap) 256) (t.da_top + need) in
-  let n = Array.make ncap 0 in
-  Array.blit t.da 0 n 0 cap;
-  t.da <- n
+  t.v_value <- grow t.v_value no_value;
+  t.v_writer <- grow t.v_writer (-1);
+  t.v_clock <- grow t.v_clock t.zero;
+  t.v_next <- grow t.v_next (-1)
 
 (* Pre-size the key index for [n] keys: exact dense arrays, next
    power-of-two map under the 3/4 load cap.  The boot path knows each
@@ -279,96 +224,6 @@ let new_handle t k =
   hmap_put t k h;
   h
 
-(* ---- arena cells ---- *)
-
-let take_full_cell t =
-  if t.ca_free >= 0 then begin
-    let c = t.ca_free in
-    t.ca_free <- t.ca.(c);
-    t.ca_free_cells <- t.ca_free_cells - 1;
-    c
-  end
-  else begin
-    let cell = t.nodes + 1 in
-    if t.ca_top + cell > Array.length t.ca then grow_ca t cell;
-    let c = t.ca_top in
-    t.ca_top <- t.ca_top + cell;
-    c
-  end
-
-let[@hot] alloc_full t vc =
-  if t.memo_ref >= 0 && vc == t.memo_vc then begin
-    let c = t.memo_ref in
-    Array.unsafe_set t.ca c (Array.unsafe_get t.ca c + 1);
-    c
-  end
-  else begin
-    let c = take_full_cell t in
-    t.ca.(c) <- 1;
-    Vclock.blit_into ~src:vc ~dst:t.ca ~pos:(c + 1);
-    t.memo_vc <- vc;
-    t.memo_ref <- c;
-    c
-  end
-
-let release_full t c =
-  let rc = t.ca.(c) - 1 in
-  if rc = 0 then begin
-    if t.memo_ref = c then t.memo_ref <- -1;
-    t.ca.(c) <- t.ca_free;
-    t.ca_free <- c;
-    t.ca_free_cells <- t.ca_free_cells + 1
-  end
-  else t.ca.(c) <- rc
-
-let alloc_delta t k =
-  let d = t.da_free.(k) in
-  if d >= 0 then begin
-    t.da_free.(k) <- t.da.(d);
-    t.da_free_words <- t.da_free_words - (1 + (2 * k));
-    t.da.(d) <- k;
-    d
-  end
-  else begin
-    let cell = 1 + (2 * k) in
-    if t.da_top + cell > Array.length t.da then grow_da t cell;
-    let d = t.da_top in
-    t.da_top <- t.da_top + cell;
-    t.da.(d) <- k;
-    d
-  end
-
-let release_delta t d =
-  let k = t.da.(d) in
-  t.da.(d) <- t.da_free.(k);
-  t.da_free.(k) <- d;
-  t.da_free_words <- t.da_free_words + (1 + (2 * k))
-
-(* ---- newest-first clock decode ---- *)
-
-(* scratch := full clock of the head slot [s] (heads are never deltas) *)
-let[@hot] load_head_clock t s =
-  let r = Array.unsafe_get t.v_clock s in
-  if r = -1 then Array.fill t.scratch 0 t.nodes 0
-  else Array.blit t.ca (-1 - r) t.scratch 0 t.nodes
-
-(* scratch holds the clock of [s]'s newer neighbour; rewrite it into the
-   clock of [s]: apply the delta, or load the cell outright for interned
-   zeros and full-cell slots (absolute — the incoming scratch is unused) *)
-let[@hot] step_clock t s =
-  let r = Array.unsafe_get t.v_clock s in
-  if r >= 0 then begin
-    let da = t.da and sc = t.scratch in
-    let k = Array.unsafe_get da r in
-    for j = 0 to k - 1 do
-      let idx = Array.unsafe_get da (r + 1 + (2 * j)) in
-      let diff = Array.unsafe_get da (r + 2 + (2 * j)) in
-      Array.unsafe_set sc idx (Array.unsafe_get sc idx - diff)
-    done
-  end
-  else if r = -1 then Array.fill t.scratch 0 t.nodes 0
-  else Array.blit t.ca (-1 - r) t.scratch 0 t.nodes
-
 (* ---- reads ---- *)
 
 let[@hot] last t k =
@@ -388,18 +243,13 @@ let[@hot] slot_writer_is t s w =
   if s >= 0 then Array.unsafe_get t.v_writer s = Ids.pack w
   else Ids.equal_txn w Ids.genesis
 
-(* scratch holds the clock of [s]; return the first non-skipped version at
-   or below [s].  Toplevel recursion keeps [select]'s spine allocation-free
-   (R8): the only allocations on a select are whatever [skip] itself does. *)
+(* The first non-skipped version at or below [s].  Toplevel recursion
+   keeps [select]'s spine allocation-free (R8): the only allocations on a
+   select are whatever [skip] itself does. *)
 let[@hot] rec select_from t h s ~skip =
   let nx = Array.unsafe_get t.v_next s in
-  if nx >= 0 then
-    if skip t.scratch_vc then begin
-      step_clock t nx;
-      select_from t h nx ~skip
-    end
-    else s
-  else if genesis_present t h && skip t.scratch_vc then gslot h
+  if nx >= 0 then if skip (Array.unsafe_get t.v_clock s) then select_from t h nx ~skip else s
+  else if genesis_present t h && skip (Array.unsafe_get t.v_clock s) then gslot h
   else s
 
 let[@hot] select t k ~skip =
@@ -409,39 +259,21 @@ let[@hot] select t k ~skip =
     assert (genesis_present t h);
     gslot h
   end
-  else begin
-    load_head_clock t s;
-    select_from t h s ~skip
-  end
+  else select_from t h s ~skip
 
 let chain t k =
   let h = find_handle t k in
-  let acc = ref [] in
-  let s = t.head.(h) in
-  if s >= 0 then begin
-    load_head_clock t s;
-    let cur = ref s in
-    let continue = ref true in
-    while !continue do
-      let c = !cur in
-      acc :=
-        {
-          value = t.v_value.(c);
-          vc = Vclock.of_array t.scratch;
-          writer = Ids.unpack t.v_writer.(c);
-        }
-        :: !acc;
-      let nx = t.v_next.(c) in
-      if nx >= 0 then begin
-        step_clock t nx;
-        cur := nx
-      end
-      else continue := false
-    done
-  end;
-  if genesis_present t h then
-    acc := { value = slot_value t (gslot h); vc = t.zero; writer = Ids.genesis } :: !acc;
-  List.rev !acc
+  let rec older s acc =
+    if s < 0 then acc
+    else
+      older t.v_next.(s)
+        ({ value = t.v_value.(s); vc = t.v_clock.(s); writer = Ids.unpack t.v_writer.(s) } :: acc)
+  in
+  let oldest_first = older t.head.(h) [] in
+  List.rev
+    (if genesis_present t h then
+       { value = slot_value t (gslot h); vc = t.zero; writer = Ids.genesis } :: oldest_first
+     else oldest_first)
 
 (* ---- writes ---- *)
 
@@ -466,61 +298,28 @@ let alloc_slot t =
     s
   end
 
-(* The previous head stops being newest: re-encode its full clock as the
-   sparse delta against the incoming clock [vc] (the new head) — but only
-   when the delta cell ([1 + 2k] words) is strictly smaller than the full
-   cell it frees, so scattered-change neighbours never inflate the arena.
-   An interned zero stays interned. *)
-let demote t old ~vc =
-  let r = t.v_clock.(old) in
-  if r <= -2 then begin
-    let c = -2 - r in
-    let n = t.nodes in
-    let npairs = ref 0 in
-    for i = 0 to n - 1 do
-      if Vclock.get vc i <> t.ca.(c + 1 + i) then incr npairs
-    done;
-    if 1 + (2 * !npairs) < n + 1 then begin
-      let d = alloc_delta t !npairs in
-      let j = ref (d + 1) in
-      for i = 0 to n - 1 do
-        let vi = Vclock.get vc i and ci = t.ca.(c + 1 + i) in
-        if vi <> ci then begin
-          t.da.(!j) <- i;
-          t.da.(!j + 1) <- vi - ci;
-          j := !j + 2
-        end
-      done;
-      release_full t c;
-      t.v_clock.(old) <- d
-    end
-  end
-
 let[@hot] install t k ~value ~vc ~writer =
   let h = find_handle t k in
-  let old = Array.unsafe_get t.head h in
-  if old >= 0 then demote t old ~vc;
   let s = alloc_slot t in
   Array.unsafe_set t.v_value s value;
   Array.unsafe_set t.v_writer s (Ids.pack writer);
-  Array.unsafe_set t.v_clock s (-2 - alloc_full t vc);
-  Array.unsafe_set t.v_next s old;
+  Array.unsafe_set t.v_clock s vc;
+  Array.unsafe_set t.v_next s (Array.unsafe_get t.head h);
   Array.unsafe_set t.head h s;
   t.total <- t.total + 1;
   t.value_words <- t.value_words + str_words (String.length value)
 
 (* ---- garbage collection ---- *)
 
-(* Free the slot [s] and everything older, releasing each slot's clock
-   cell whichever arena it lives in.  Returns the count. *)
+(* Free the slot [s] and everything older, dropping each slot's value and
+   clock.  Returns the count. *)
 let free_tail t s0 =
   let freed = ref 0 in
   let s = ref s0 in
   while !s >= 0 do
     let c = !s in
     let nx = t.v_next.(c) in
-    let r = t.v_clock.(c) in
-    if r >= 0 then release_delta t r else if r <= -2 then release_full t (-2 - r);
+    t.v_clock.(c) <- t.zero;
     t.value_words <- t.value_words - str_words (String.length t.v_value.(c));
     t.v_value.(c) <- no_value;
     t.v_next.(c) <- t.free_slot;
@@ -536,44 +335,24 @@ let drop_genesis t h =
   Bytes.set t.g_state h g_dropped;
   t.total <- t.total - 1
 
+(* The newest covered version at or below [s] keeps everything newer;
+   everything older is unreachable and goes.  Returns the count. *)
+let[@hot] rec truncate_from t h s ~watermark =
+  if Vclock.leq (Array.unsafe_get t.v_clock s) watermark then begin
+    let tail = Array.unsafe_get t.v_next s in
+    let d = if tail >= 0 then (Array.unsafe_set t.v_next s (-1); free_tail t tail) else 0 in
+    if genesis_present t h then (drop_genesis t h; d + 1) else d
+  end
+  else
+    let nx = Array.unsafe_get t.v_next s in
+    (* no explicit version covered: the genesis, if still present, is the
+       covered one and has nothing older *)
+    if nx >= 0 then truncate_from t h nx ~watermark else 0
+
 let truncate_covered_h t h ~watermark =
   let s = t.head.(h) in
-  if s < 0 then 0 (* genesis-only chain: covered, nothing older *)
-  else begin
-    load_head_clock t s;
-    let cur = ref s in
-    let dropped = ref (-1) in
-    while !dropped < 0 do
-      let c = !cur in
-      if Vclock.leq t.scratch_vc watermark then begin
-        (* newest covered version: everything older is unreachable *)
-        let tail = t.v_next.(c) in
-        let d = if tail >= 0 then begin
-            t.v_next.(c) <- -1;
-            free_tail t tail
-          end
-          else 0
-        in
-        if genesis_present t h then begin
-          drop_genesis t h;
-          dropped := d + 1
-        end
-        else dropped := d
-      end
-      else begin
-        let nx = t.v_next.(c) in
-        if nx >= 0 then begin
-          step_clock t nx;
-          cur := nx
-        end
-        else
-          (* no explicit version covered; the genesis (if still present) is
-             the covered one and has nothing older *)
-          dropped := 0
-      end
-    done;
-    !dropped
-  end
+  (* a genesis-only chain is covered with nothing older *)
+  if s < 0 then 0 else truncate_from t h s ~watermark
 
 let truncate_covered t k ~watermark =
   truncate_covered_h t (find_handle t k) ~watermark
@@ -615,42 +394,44 @@ type image = {
   i_slot_top : int;
   i_value : string array;
   i_writer : int array;
-  i_clock : int array;
+  i_clock : Vclock.t array;
   i_next : int array;
   i_free_slot : int;
   i_free_slots : int;
   i_total : int;
   i_value_words : int;
-  i_ca : int array;
-  i_ca_free : int;
-  i_ca_free_cells : int;
-  i_da : int array;
-  i_da_free : int array;
-  i_da_free_words : int;
   i_sweep_hi : int;
   i_sweep_pos : int;
   i_bytes : int;
 }
 
+(* A clock below its chain's head, priced as the sparse delta against its
+   newer neighbour (an index byte and the zig-zag varint of each differing
+   entry) when its [1 + 2k] ints would undercut the [nodes + 1] of a raw
+   clock, else raw at 8 bytes an entry. *)
+let older_clock_bytes t ~newer older =
+  let k = ref 0 and bytes = ref 0 in
+  for i = 0 to t.nodes - 1 do
+    let d = Vclock.get newer i - Vclock.get older i in
+    if d <> 0 then begin
+      incr k;
+      bytes := !bytes + 1 + Vcodec.varint_size d
+    end
+  done;
+  if 1 + (2 * !k) < t.nodes + 1 then !bytes else 8 * t.nodes
+
 (* On-disk size model: a compact writer would emit the key index, the live
-   slots verbatim, head clocks raw (8 bytes/entry) and delta clocks with
-   the wire's zig-zag varint codec. *)
+   slots verbatim, head clocks raw and older clocks as above. *)
 let disk_bytes t =
   let bytes = ref (64 + (17 * t.nkeys)) in
   for h = 0 to t.nkeys - 1 do
     let s = ref t.head.(h) in
+    if !s >= 0 then bytes := !bytes + (8 * t.nodes);
     while !s >= 0 do
-      let c = !s in
+      let c = !s and nx = t.v_next.(!s) in
       bytes := !bytes + 12 + String.length t.v_value.(c);
-      let r = t.v_clock.(c) in
-      if r >= 0 then begin
-        let k = t.da.(r) in
-        for j = 0 to k - 1 do
-          bytes := !bytes + 1 + Vcodec.varint_size t.da.(r + 2 + (2 * j))
-        done
-      end
-      else if r <= -2 then bytes := !bytes + (8 * t.nodes);
-      s := t.v_next.(c)
+      if nx >= 0 then bytes := !bytes + older_clock_bytes t ~newer:t.v_clock.(c) t.v_clock.(nx);
+      s := nx
     done
   done;
   !bytes
@@ -671,12 +452,6 @@ let image_of t =
     i_free_slots = t.free_slots;
     i_total = t.total;
     i_value_words = t.value_words;
-    i_ca = Array.sub t.ca 0 t.ca_top;
-    i_ca_free = t.ca_free;
-    i_ca_free_cells = t.ca_free_cells;
-    i_da = Array.sub t.da 0 t.da_top;
-    i_da_free = Array.copy t.da_free;
-    i_da_free_words = t.da_free_words;
     i_sweep_hi = t.sweep_hi;
     i_sweep_pos = t.sweep_pos;
     i_bytes = disk_bytes t;
@@ -704,15 +479,6 @@ let restore t im =
   t.free_slots <- im.i_free_slots;
   t.total <- im.i_total;
   t.value_words <- im.i_value_words;
-  t.ca <- Array.copy im.i_ca;
-  t.ca_top <- Array.length im.i_ca;
-  t.ca_free <- im.i_ca_free;
-  t.ca_free_cells <- im.i_ca_free_cells;
-  t.memo_ref <- -1;
-  t.da <- Array.copy im.i_da;
-  t.da_top <- Array.length im.i_da;
-  Array.blit im.i_da_free 0 t.da_free 0 (Array.length t.da_free);
-  t.da_free_words <- im.i_da_free_words;
   t.sweep_hi <- im.i_sweep_hi;
   t.sweep_pos <- im.i_sweep_pos
 
@@ -722,18 +488,33 @@ type mem = {
   versions : int;
   slot_words : int;
   clock_words : int;
-  clock_free_words : int;
   index_words : int;
   value_words : int;
   free_slots : int;
 }
 
+(* A transaction has one commit clock, which its whole write set shares:
+   a header and [nodes] entries per distinct writer of a live slot. *)
+let clock_words t =
+  let ws = Array.make (t.slot_top - t.free_slots) 0 and n = ref 0 in
+  for h = 0 to t.nkeys - 1 do
+    let s = ref t.head.(h) in
+    while !s >= 0 do
+      ws.(!n) <- t.v_writer.(!s);
+      incr n;
+      s := t.v_next.(!s)
+    done
+  done;
+  Array.sort Int.compare ws;
+  let distinct = ref 0 in
+  Array.iteri (fun i w -> if i = 0 || w <> ws.(i - 1) then incr distinct) ws;
+  !distinct * (1 + t.nodes)
+
 let mem_words t =
   {
     versions = t.total;
     slot_words = (4 * Array.length t.v_next) + 4;
-    clock_words = Array.length t.ca + Array.length t.da + Array.length t.da_free + 3;
-    clock_free_words = (t.ca_free_cells * (t.nodes + 1)) + t.da_free_words;
+    clock_words = clock_words t;
     index_words =
       Array.length t.key_of + Array.length t.head
       + ((Bytes.length t.g_state + 8) / 8)
@@ -748,7 +529,6 @@ let mem_zero =
     versions = 0;
     slot_words = 0;
     clock_words = 0;
-    clock_free_words = 0;
     index_words = 0;
     value_words = 0;
     free_slots = 0;
@@ -759,7 +539,6 @@ let mem_add a b =
     versions = a.versions + b.versions;
     slot_words = a.slot_words + b.slot_words;
     clock_words = a.clock_words + b.clock_words;
-    clock_free_words = a.clock_free_words + b.clock_free_words;
     index_words = a.index_words + b.index_words;
     value_words = a.value_words + b.value_words;
     free_slots = a.free_slots + b.free_slots;

@@ -1,4 +1,4 @@
-(** Per-node multi-version key repository, arena-backed.
+(** Per-node multi-version key repository.
 
     Each key holds a chain of versions, newest first.  A version records the
     value, the commit vector clock of the transaction that produced it, and
@@ -10,16 +10,16 @@
     version store"):
 
     - Versions live in int-indexed {e slots} of growable parallel arrays
-      (value, packed writer, clock reference, next-older link) instead of
-      boxed records in per-key lists; the online GC returns slots to a
-      free list that {!install} recycles, so steady-state churn allocates
-      nothing.
-    - Commit clocks live in a per-store {e clock arena}: the newest version
-      of a chain holds a full clock cell, reference-counted so one cell is
-      shared across a transaction's whole write set; every older version
-      stores only the sparse delta against its newer neighbour, decoded
-      newest-first into a single scratch clock on {!select} — never
-      allocated per read.  Genesis (all-zero) clocks are interned.
+      (value, packed writer, clock, next-older link) instead of boxed
+      records in per-key lists; the online GC returns slots to a free list
+      that {!install} recycles, so steady-state churn allocates nothing.
+    - The clock column holds each version's commit clock {e by reference}:
+      the clock passed to {!install}, which is the writer's published,
+      immutable commit clock that the node log and the CommitQ entry hold
+      too.  A transaction's write set therefore shares one clock, and
+      {!select} hands each slot's own clock to its callback, with nothing
+      copied or decoded.  Freed slots hold the store's all-zero clock, so
+      they pin no clock; genesis versions share it too.
     - Genesis versions whose value is the boot default are fully implicit
       (derived from the key on demand); keys are interned to dense int
       handles so the GC sweep cursor never hashes.
@@ -65,18 +65,19 @@ val last : t -> Ids.key -> slot
 
 val install : t -> Ids.key -> value:string -> vc:Vclock.t -> writer:Ids.txn -> unit
 (** Prepend a new newest version.  The caller (the CommitQ drain) guarantees
-    installation order follows the node-local commit order.  [vc] is
-    adopted into the clock arena: physically re-passing one clock across a
-    write set shares a single reference-counted cell. *)
+    installation order follows the node-local commit order.  [vc] is kept
+    by reference, not copied: it must be the writer's published commit
+    clock, never mutated after the call.  Passing one clock across a write
+    set shares it. *)
 
 val chain : t -> Ids.key -> version list
-(** All versions, newest first (decoded fresh — cold paths only). *)
+(** All versions, newest first (cold paths only).  Each [vc] is the clock
+    its writer installed, physically. *)
 
 val select : t -> Ids.key -> skip:(Vclock.t -> bool) -> slot
 (** Walk the chain newest-first and return the first version whose commit
-    clock [skip] rejects.  The clock passed to [skip] is a scratch decode
-    {e borrowed} from the store: it must not be retained, and [skip] must
-    not re-enter this store.  The genesis version is never skipped if
+    clock [skip] rejects.  [skip] sees each version's own stored clock,
+    which it must not mutate.  The genesis version is never skipped if
     everything else is (its zero clock satisfies every visibility bound),
     so [select] always returns. @raise Not_found on unknown key. *)
 
@@ -122,16 +123,16 @@ val version_count : t -> int
 
 (** {2 Checkpoint images}
 
-    Durable checkpoints deep-copy the store.  An {!image} is an
-    [Array.blit] bulk copy of the arenas — no per-version traversal, no
-    re-boxing — and {!restore} rebuilds a store from it wholesale. *)
+    Durable checkpoints copy the store.  An {!image} is an [Array.sub]
+    bulk copy of the slot and index columns that shares the immutable
+    clocks and values, and {!restore} rebuilds a store from it wholesale. *)
 
 type image
 
 val image_of : t -> image
-(** Deep copy via bulk array blits.  The image is immutable and reusable
-    across multiple {!restore}s (values are shared structurally — strings
-    are immutable). *)
+(** Copy via bulk column copies; its byte size is priced here, once.  The
+    image is immutable and reusable across multiple {!restore}s (values and
+    clocks are shared structurally: both are immutable). *)
 
 val restore : t -> image -> unit
 (** Replace [t]'s entire contents with the image's.  The image must come
@@ -139,20 +140,26 @@ val restore : t -> image -> unit
 
 val image_bytes : image -> int
 (** On-disk size model of the image, in the spirit of [Message.wire_size]:
-    key index + live slots verbatim, full clocks at 8 bytes/entry, delta
-    clocks priced with the {!Vcodec} zig-zag varint codec (the same
-    compression the wire uses, applied at rest). *)
+    64 bytes plus 17 a key for the index, 12 bytes plus the value a live
+    version, and its clock.  A chain's head clock costs [8 * nodes] bytes.
+    An older clock is written as the sparse delta against its newer
+    neighbour when that delta's [k] differing entries satisfy
+    [1 + 2k < nodes + 1], pricing each at 1 byte plus the {!Vcodec} zig-zag
+    varint of [newer - older] (the wire's codec, applied at rest), and at
+    [8 * nodes] bytes otherwise. *)
 
 (** {2 Resident-storage accounting}
 
-    All counters are maintained incrementally; {!mem_words} is O(1) apart
-    from sizing the key-handle table. *)
+    The counters are maintained incrementally, except [clock_words], which
+    {!mem_words} computes with one pass over the live versions and a sort:
+    a gauge, not a hot path. *)
 
 type mem = {
   versions : int;  (** live versions (incl. implicit genesis) *)
   slot_words : int;  (** capacity of the four parallel slot arrays *)
-  clock_words : int;  (** full-clock + delta arena capacity *)
-  clock_free_words : int;  (** of which parked on arena free lists *)
+  clock_words : int;
+      (** [1 + nodes] per distinct writer of a live version: a write set
+          shares its commit clock *)
   index_words : int;  (** key interning: handle table + dense arrays *)
   value_words : int;  (** boxed value strings (headers included) *)
   free_slots : int;  (** recycled slots awaiting reuse *)

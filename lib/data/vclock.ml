@@ -67,8 +67,6 @@ let[@hot] max_into (dst : t) (src : t) =
 
 let[@hot] blit ~src ~dst = Array.blit src 0 dst 0 (Array.length src)
 
-let blit_into ~src ~dst ~pos = Array.blit src 0 dst pos (Array.length src)
-
 (* Toplevel recursion: a local [let rec] would capture both clocks in a
    closure allocated per call, and the store's GC walk calls [leq] once
    per version. *)

@@ -54,11 +54,6 @@ val max_into : t -> t -> unit
 val blit : src:t -> dst:t -> unit
 (** Overwrite the exclusively-owned [dst] with the entries of [src]. *)
 
-val blit_into : src:t -> dst:int array -> pos:int -> unit
-(** Copy the entries of [src] into the raw buffer [dst] starting at [pos].
-    For arena-style storage that packs many clocks into one flat array
-    (e.g. {!Mvstore}'s clock arena); the caller owns [dst]. *)
-
 val leq : t -> t -> bool
 (** [leq a b] iff every entry of [a] is <= the matching entry of [b]. *)
 

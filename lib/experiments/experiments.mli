@@ -107,7 +107,7 @@ type outcome = {
           of run *)
   store_words : int;
       (** end-of-run resident store words: SSS reports the exact
-          arena accounting ({!Sss_kv.Kv.mem_words}); the other systems a
+          store accounting ({!Sss_kv.Kv.mem_words}); the other systems a
           per-protocol heap model of their stores ([store_words] in each
           facade) — comparable across protocols in the saturation figure *)
   store_mem : Sss_data.Mvstore.mem;

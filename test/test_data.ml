@@ -112,8 +112,8 @@ let test_mvstore_truncate () =
   ignore (Mvstore.truncate_covered s 1 ~watermark:(vc [ max_int ]) : int);
   Alcotest.(check int) "never below 1" 1 (List.length (Mvstore.chain s 1))
 
-(* A 200k-version tail freed in one truncate: the arena walks the chain
-   iteratively, so this must not blow the stack (the pre-arena list store
+(* A 200k-version tail freed in one truncate: the store walks the chain
+   iteratively, so this must not blow the stack (the earlier list store
    used a non-tail-recursive take here). *)
 let test_mvstore_long_chain_truncate () =
   let s = Mvstore.create ~nodes:1 in
@@ -130,10 +130,10 @@ let test_mvstore_long_chain_truncate () =
   ignore (Mvstore.truncate_covered s 0 ~watermark:(vc [ n ]) : int);
   Alcotest.(check int) "kept 1" 1 (Mvstore.version_count s)
 
-(* Clock-arena recycling: drive identical install/GC cycles and require the
+(* Slot recycling: drive identical install/GC cycles and require the
    resident footprint and the free-list occupancy to sit exactly where they
-   were once steady state is reached.  A refcount leak (a cell freed never
-   or twice) shows up as arena growth or free-list drift. *)
+   were once steady state is reached.  A leak (a slot freed never or twice)
+   shows up as column growth or free-list drift. *)
 let test_mvstore_arena_recycling () =
   let nodes = 4 and nk = 8 in
   let s = Mvstore.create ~nodes in
@@ -165,10 +165,77 @@ let test_mvstore_arena_recycling () =
   Alcotest.(check int) "chains hold two versions" (2 * nk) m1.Mvstore.versions;
   Alcotest.(check int) "footprint flat across cycles" (Mvstore.mem_total m0)
     (Mvstore.mem_total m1);
-  Alcotest.(check int) "free lists back to baseline" m0.Mvstore.clock_free_words
-    m1.Mvstore.clock_free_words;
   Alcotest.(check int) "slot free list back to baseline" m0.Mvstore.free_slots
     m1.Mvstore.free_slots
+
+(* The store keeps the installed clock itself: [chain] and [select]'s
+   callback see it physically, and a write set's keys share it, so the
+   gauge counts one clock for a two-key commit. *)
+let test_mvstore_shares_clocks () =
+  let nodes = 4 in
+  let s = Mvstore.create ~nodes in
+  Mvstore.init_key s 1;
+  Mvstore.init_key s 2;
+  let cvc = vc [ 3; 1; 0; 2 ] in
+  Mvstore.install s 1 ~value:"a" ~vc:cvc ~writer:(tx 0 1);
+  Mvstore.install s 2 ~value:"a" ~vc:cvc ~writer:(tx 0 1);
+  (match Mvstore.chain s 1 with
+  | v :: _ -> Alcotest.(check bool) "chain returns the installed clock" true (v.Mvstore.vc == cvc)
+  | [] -> Alcotest.fail "empty chain");
+  let seen = ref false in
+  ignore (Mvstore.select s 2 ~skip:(fun c -> seen := c == cvc; false) : Mvstore.slot);
+  Alcotest.(check bool) "select sees the installed clock" true !seen;
+  Alcotest.(check int) "one clock for the write set" (nodes + 1)
+    (Mvstore.mem_words s).Mvstore.clock_words
+
+(* A slot freed by the collector drops its clock: once the node log and
+   the CommitQ let go of a superseded version's clock, so does the store. *)
+let test_mvstore_free_drops_clock () =
+  let s = Mvstore.create ~nodes:2 in
+  Mvstore.init_key s 1;
+  let old = Weak.create 1 in
+  let install_old () =
+    let c = vc [ 1; 0 ] in
+    Weak.set old 0 (Some c);
+    Mvstore.install s 1 ~value:"old" ~vc:c ~writer:(tx 0 1)
+  in
+  install_old ();
+  Mvstore.install s 1 ~value:"new" ~vc:(vc [ 2; 0 ]) ~writer:(tx 0 2);
+  Alcotest.(check int) "old version and genesis dropped" 2
+    (Mvstore.truncate_covered s 1 ~watermark:(vc [ 2; 0 ]));
+  Gc.full_major ();
+  Alcotest.(check bool) "old clock collected" false (Weak.check old 0);
+  ignore (Sys.opaque_identity s)
+
+(* What the store costs besides the values and the clocks it shares with
+   the node log: four slot columns, the key index and the implicit
+   genesis, under five words a version for 1,000 keys of four installs
+   each.  A per-store copy of every clock (an arena cell a version, since
+   these neighbours differ in every entry) kept more than 11 more. *)
+let test_mvstore_retention () =
+  let nodes = 10 and keys = 1000 and per_key = 4 in
+  let n = keys * per_key in
+  let clocks =
+    Array.init n (fun i ->
+        vc (List.init nodes (fun w -> if w = 0 then i + 1 else ((i * 7) + (w * 13)) mod 97)))
+  in
+  let value = "v" in
+  let s = Mvstore.create ~nodes in
+  Mvstore.reserve s keys;
+  for k = 0 to keys - 1 do
+    Mvstore.init_key s k
+  done;
+  Array.iteri (fun i c -> Mvstore.install s (i mod keys) ~value ~vc:c ~writer:(tx 0 (i + 1))) clocks;
+  let versions = Mvstore.version_count s in
+  Alcotest.(check int) "5,000 versions" 5000 versions;
+  let words =
+    Obj.reachable_words (Obj.repr (s, clocks, value))
+    - Obj.reachable_words (Obj.repr (clocks, value))
+    - 1
+  in
+  let per_version = float_of_int words /. float_of_int versions in
+  if per_version > 5.0 then
+    Alcotest.failf "%.2f words a version besides values and clocks" per_version
 
 (* Model-based battery: random op interleavings replayed against both the
    arena store and a boxed list-of-records reference, comparing every chain
@@ -199,7 +266,7 @@ let mop_to_string op =
   | MRoundtrip -> "roundtrip"
 
 let mvstore_matches_model =
-  let nodes = 3 and nkeys = 4 in
+  let nodes = 4 and nkeys = 4 in
   let key i = (2 * i) + 1 in
   let zeros () = Array.make nodes 0 in
   let arr_leq a b =
@@ -209,7 +276,8 @@ let mvstore_matches_model =
   in
   let gen =
     let open QCheck.Gen in
-    let clock = array_size (return nodes) (int_bound 6) in
+    (* mostly small entries; a few wide ones give two-byte varint deltas *)
+    let clock = array_size (return nodes) (frequency [ (4, int_bound 6); (1, int_bound 200) ]) in
     let writer = pair (int_bound (nodes - 1)) (int_range 1 99) in
     let k = int_bound (nkeys - 1) in
     let op =
@@ -259,6 +327,41 @@ let mvstore_matches_model =
       done;
       !dropped
     in
+    (* the image byte model, priced from the list model: heads raw, older
+       clocks as the sparse delta against their newer neighbour when that
+       is smaller, implicit genesis versions free *)
+    let ref_bytes () =
+      let older_bytes ~newer older =
+        let k = ref 0 and b = ref 0 in
+        Array.iteri
+          (fun w o ->
+            let d = newer.(w) - o in
+            if d <> 0 then begin
+              incr k;
+              b := !b + 1 + Vcodec.varint_size d
+            end)
+          older;
+        if 1 + (2 * !k) < nodes + 1 then !b else 8 * nodes
+      in
+      let rec chain_bytes = function
+        | [] -> 0
+        | v :: older ->
+            let clock =
+              match older with
+              | o :: _ when not (Ids.equal_txn o.mwriter Ids.genesis) ->
+                  older_bytes ~newer:v.mvc o.mvc
+              | _ -> 0
+            in
+            12 + String.length v.mvalue + clock + chain_bytes older
+      in
+      Array.fold_left
+        (fun acc ch ->
+          match List.filter (fun v -> not (Ids.equal_txn v.mwriter Ids.genesis)) ch with
+          | [] -> acc
+          | explicit -> acc + (8 * nodes) + chain_bytes explicit)
+        (64 + (17 * nkeys))
+        model
+    in
     let agree () =
       let ok = ref true in
       for i = 0 to nkeys - 1 do
@@ -279,6 +382,7 @@ let mvstore_matches_model =
       !ok
       && Mvstore.version_count s = total
       && (Mvstore.mem_words s).Mvstore.versions = total
+      && Mvstore.image_bytes (Mvstore.image_of s) = ref_bytes ()
     in
     let step op =
       match op with
@@ -825,6 +929,9 @@ let () =
           Alcotest.test_case "truncate" `Quick test_mvstore_truncate;
           Alcotest.test_case "long-chain truncate" `Quick test_mvstore_long_chain_truncate;
           Alcotest.test_case "arena recycling" `Quick test_mvstore_arena_recycling;
+          Alcotest.test_case "shares installed clocks" `Quick test_mvstore_shares_clocks;
+          Alcotest.test_case "retention per version" `Quick test_mvstore_retention;
+          Alcotest.test_case "freed slot drops its clock" `Quick test_mvstore_free_drops_clock;
           QCheck_alcotest.to_alcotest mvstore_matches_model;
         ] );
       ( "squeue",
