@@ -14,7 +14,7 @@
      writer's published commit clock, which the node log and the CommitQ
      entry hold too, so a write set shares one clock and a read sees the
      slot's own clock, with nothing copied or decoded.  Free slots hold
-     [zero], so a freed slot pins no clock.
+     [no_clock], so a freed slot pins no clock.
    - Every key boots with a genesis version valued [Ids.boot_value], fully
      implicit: one state byte per key, value derived on demand.
      Chains therefore cost 0 slots until first written.
@@ -44,13 +44,18 @@ let g_dropped = '\001' (* genesis collected *)
 
 let no_value = ""
 
+(* Free-slot clock: the empty clock is a static atom, so it pins nothing,
+   and growing the column with it never forces the minor collection that
+   [Array.make] runs to fill a large array with a young block. *)
+let no_clock = Vclock.zero 0
+
 (* vacant-probe sentinel of the key->handle map ([Ids.key] is never
    [min_int] — keys are small non-negative ints) *)
 let hmap_empty = min_int
 
 type t = {
   nodes : int;
-  zero : Vclock.t;  (* genesis versions' clock; fills free slots *)
+  zero : Vclock.t;  (* genesis versions' clock *)
   (* key interning *)
   (* key -> handle map: open addressing with linear probing over two int
      arrays — ~2.7 words/binding at the 3/4 load cap, where Hashtbl's boxed
@@ -189,7 +194,7 @@ let grow_slots t =
   in
   t.v_value <- grow t.v_value no_value;
   t.v_writer <- grow t.v_writer (-1);
-  t.v_clock <- grow t.v_clock t.zero;
+  t.v_clock <- grow t.v_clock no_clock;
   t.v_next <- grow t.v_next (-1)
 
 (* Pre-size the key index for [n] keys: exact dense arrays, next
@@ -319,7 +324,7 @@ let free_tail t s0 =
   while !s >= 0 do
     let c = !s in
     let nx = t.v_next.(c) in
-    t.v_clock.(c) <- t.zero;
+    t.v_clock.(c) <- no_clock;
     t.value_words <- t.value_words - str_words (String.length t.v_value.(c));
     t.v_value.(c) <- no_value;
     t.v_next.(c) <- t.free_slot;

@@ -18,8 +18,8 @@
       immutable commit clock that the node log and the CommitQ entry hold
       too.  A transaction's write set therefore shares one clock, and
       {!select} hands each slot's own clock to its callback, with nothing
-      copied or decoded.  Freed slots hold the store's all-zero clock, so
-      they pin no clock; genesis versions share it too.
+      copied or decoded.  Freed slots hold an empty clock, so they pin
+      none; genesis versions share the store's all-zero clock.
     - Genesis versions whose value is the boot default are fully implicit
       (derived from the key on demand); keys are interned to dense int
       handles so the GC sweep cursor never hashes.
