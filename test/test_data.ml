@@ -238,10 +238,10 @@ let test_mvstore_retention () =
     Alcotest.failf "%.2f words a version besides values and clocks" per_version
 
 (* Model-based battery: random op interleavings replayed against both the
-   arena store and a boxed list-of-records reference, comparing every chain
-   (values, clocks, writers) after each step.  This pins the whole decode
-   path — delta chains, interned zeros, implicit genesis, slot reuse, the
-   sweep cursor — to the specification the pre-arena store implemented
+   store and a boxed list-of-records reference, comparing every chain
+   (values, clocks, writers) and the image byte price after each step.
+   This pins implicit genesis, slot reuse, the sweep cursor and the
+   checkpoint size model to the specification a list store implements
    directly. *)
 
 type mver = { mvalue : string; mvc : int array; mwriter : Ids.txn }
@@ -394,7 +394,7 @@ let mvstore_matches_model =
           true
       | MInstall2 (i1, i2, c, (w, l)) ->
           (* one commit touching two keys: the same physical clock is
-             installed twice, exercising the refcount-shared memo cell *)
+             installed twice, as the CommitQ drain does *)
           let cvc = Vclock.of_array c in
           let value = Printf.sprintf "w%d.%d" w l in
           Mvstore.install s (key i1) ~value ~vc:cvc ~writer:(tx w l);
