@@ -219,9 +219,8 @@ let image_bytes img =
    set it, so unconstrained queries never read below constrained ones. *)
 let restore t img =
   t.floor_max <- Vclock.copy img.floor_max;
-  let old = { t with vcs = t.vcs } in
   reset t ~seed:t.floor_max;
-  copy_entries t ~old ~from:0 ~upto:(size old);
+  append t (Ids.pack Ids.genesis) (Vclock.zero t.nodes);
   copy_entries t ~old:img ~from:0 ~upto:(size img)
 
 module Memo = struct

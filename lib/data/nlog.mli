@@ -90,9 +90,9 @@ val image : t -> image
 val image_bytes : image -> int
 
 val restore : t -> image -> unit
-(** Append an image's entries to a fresh log in apply order, and its
-    floor, which also seeds the prefix maxima: every query reads what it
-    read on the imaged log. *)
+(** Refill a log with genesis and an image's entries in apply order, and
+    its floor, which also seeds the prefix maxima: every query reads what
+    it read on the imaged log. *)
 
 (** A coordinator's write sets by transaction, for chasing a reader's
     [Remove] to the writers it was propagated to.  Slots are indexed by
