@@ -226,13 +226,14 @@ let sss_sweep pool ~observe kind grid =
    than the cluster watermark).  Each rung exits non-zero if retention
    grew by more than half of what the run installed, or if the GC never
    reclaimed anything.  A sampler fiber records peak resident store words
-   ([Kv.mem_words]) across the run, and the 100-node rung asserts the
-   compact store's per-version footprint: the pre-arena layout priced a
-   version at ~109 words there (list cons 3 + boxed record 4 + private
-   101-entry clock array 102, before the value), so <= 36 words/version
-   certifies the >= 3x reduction the arena store is gated on.  Once the
-   cluster is quiescent, every rung runs the checker battery (SSS promises
-   all five properties) over the history it recorded. *)
+   ([Kv.mem_words]) across the run, and the 100-node rung bounds the
+   store's footprint at 36 words/version: slot columns and value, plus
+   1 + nodes words per distinct writer, whose commit clock its versions
+   share.  A private 101-entry clock per version (list cons 3 + boxed
+   record 4 + clock array 102) would cost ~109, so the bound catches a
+   store that copies clocks again.  Once the cluster is quiescent, every
+   rung runs the checker battery (SSS promises all five properties) over
+   the history it recorded. *)
 let open_rung ~nodes ~keys ~assert_footprint () =
   let (Store.Store s) =
     Store.create Sss (Sim.create ())
@@ -295,7 +296,7 @@ let open_rung ~nodes ~keys ~assert_footprint () =
   if assert_footprint && wpv > 36.0 then begin
     incr failures;
     Printf.printf
-      "FAIL open-loop: %.2f words/version exceeds the 36.0 bound (3x of the pre-arena ~109)\n"
+      "FAIL open-loop: %.2f words/version exceeds the 36.0 bound (a clock per version costs ~109)\n"
       wpv
   end;
   Printf.printf "  checked: %d transactions\n" (Sss_consistency.Checker.txn_count r.history);
