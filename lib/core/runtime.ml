@@ -123,13 +123,11 @@ type ('d, 'p) image = {
   fenced : Idset.Txns.t;
 }
 
-(* An apply-ack box: [expected] acks of round [ack_round] fill [all_in]. *)
-type acks = {
-  expected : int;
-  mutable arrived : int;
-  mutable ack_round : int;
-  all_in : unit Sim.Ivar.t;
-}
+(* A completion-ack box: the acks still awaited, one entry per expected
+   ack, by sender.  [all_in] fills once none is missing; an ack of another
+   round than [ack_round], or one its sender owes no more, counts for
+   nothing. *)
+type acks = { mutable missing : Ids.node list; mutable ack_round : int; all_in : unit Sim.Ivar.t }
 
 (* The durable decisions, sorted: the checkpoint's part of the table. *)
 let durable_decisions ac =
@@ -431,22 +429,30 @@ module Make (P : PROTOCOL) = struct
 
   let abort h = client_abort h ignore
 
-  (* ---- the count-based apply-ack rendezvous (2PC, ROCOCO) ----
+  (* ---- the completion-ack rendezvous ----
 
      A coordinator that answers its client only once the write replicas
-     confirmed opens a box per transaction and counts their acks.  A box
-     retried in numbered rounds ignores the acks of older rounds. *)
+     confirmed opens a box per transaction listing the acks it awaits, one
+     entry per expected ack, by sender.  An ack settles one of its
+     sender's entries; a surplus ack, or one of another round, is
+     ignored. *)
 
-  let open_acks boxes txn ~expect =
-    let b = { expected = expect; arrived = 0; ack_round = 0; all_in = Sim.Ivar.create () } in
+  let open_acks t boxes txn ~from ~round =
+    let b = { missing = from; ack_round = round; all_in = Sim.Ivar.create () } in
+    if List.is_empty from then Sim.Ivar.fill t.sim b.all_in ();
     Hashtbl.replace boxes txn b;
     b
 
-  let ack_arrived t boxes txn ~round =
+  (* [l] without its first [x]. *)
+  let rec drop_one x = function
+    | [] -> []
+    | y :: l -> if Int.equal x y then l else y :: drop_one x l
+
+  let ack_arrived t boxes txn ~src ~round =
     match Hashtbl.find_opt boxes txn with
-    | Some b when b.ack_round = round ->
-        b.arrived <- b.arrived + 1;
-        if b.arrived = b.expected && not (Sim.Ivar.is_filled b.all_in) then
+    | Some b when b.ack_round = round && List.exists (Int.equal src) b.missing ->
+        b.missing <- drop_one src b.missing;
+        if List.is_empty b.missing && not (Sim.Ivar.is_filled b.all_in) then
           Sim.Ivar.fill t.sim b.all_in ()
     | Some _ | None -> ()
 

@@ -421,7 +421,7 @@ let rec dispatch t (node : node) ~src payload =
   | Dispatch_ack { req; counter; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_disp req (counter, value, writer)
   | Commit { txn; ts; writes; round } -> handle_commit t node ~txn ~ts ~writes ~round
-  | Commit_ack { txn; round } -> ack_arrived t node.ack_boxes txn ~round
+  | Commit_ack { txn; round } -> ack_arrived t node.ack_boxes txn ~src ~round
   | Ro_read { req; key } ->
       (* wait until no buffered update piece conflicts with the read *)
       let _ =
@@ -550,13 +550,8 @@ let commit_update h =
   let ts = { num = List.fold_left Stdlib.max 0 o.counters; owner = h.txn } in
   let servers = replica_nodes cl (List.map fst h.ws) in
   (* one ack per executed piece per replica *)
-  let box =
-    open_acks h.home.ack_boxes h.txn
-      ~expect:
-        (List.fold_left
-           (fun acc (k, _) -> acc + List.length (Replication.replicas cl.repl k))
-           0 h.ws)
-  in
+  let from = List.concat_map (fun (k, _) -> Replication.replicas cl.repl k) h.ws in
+  let box = open_acks cl h.home.ack_boxes h.txn ~from ~round:0 in
   let broadcast round =
     List.iter
       (fun dst ->
@@ -575,7 +570,7 @@ let commit_update h =
         stalled ~phase:"commit ack" (Ids.txn_to_string h.txn);
       if not (node_live cl h.home) then crashed h.home.id;
       box.ack_round <- round;
-      box.arrived <- 0;
+      box.missing <- from;
       broadcast round;
       if not (acks_within cl box ~timeout:(2. *. Sss_kv.Config.retry_max)) then
         rounds (round + 1)

@@ -257,7 +257,7 @@ let rec dispatch t (node : node) ~src payload =
   | Prepare { txn; coord; rs; ws } -> handle_prepare t node ~txn ~coord ~rs ~ws
   | Vote { txn; ok } -> Ac.vote_arrived t node txn ~ok ()
   | Decide { txn; outcome } -> handle_decide t node ~txn ~outcome
-  | Applied { txn } -> ack_arrived t node.ack_boxes txn ~round:0
+  | Applied { txn } -> ack_arrived t node.ack_boxes txn ~src ~round:0
   | Query { req; txn } -> Ac.answer t node ~src ~req txn
   | Outcome { req; verdict } -> Ac.outcome_arrived t node ~req verdict
 
@@ -332,22 +332,17 @@ let commit_validated h =
       if not (node_live cl h.home) then crashed h.home.id;
       if cl.config.Sss_kv.Config.durability then
         Ac.decide cl h.home h.txn () (PDecided { txn = h.txn });
-      let write_nodes = replica_nodes cl (List.map fst h.ws) in
       let acks =
-        if write_nodes = [] then None
-        else Some (open_acks h.home.ack_boxes h.txn ~expect:(List.length write_nodes))
+        open_acks cl h.home.ack_boxes h.txn ~from:(replica_nodes cl (List.map fst h.ws)) ~round:0
       in
       List.iter
         (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.txn; outcome = true }))
         participants;
       (* The client is informed once every write replica applied: later
          transactions beginning after this response always see the data. *)
-      Option.iter
-        (fun acks ->
-          await_acks cl acks ~phase:"apply ack" h.txn;
-          Hashtbl.remove h.home.ack_boxes h.txn;
-          if not (node_live cl h.home) then crashed h.home.id)
-        acks;
+      await_acks cl acks ~phase:"apply ack" h.txn;
+      Hashtbl.remove h.home.ack_boxes h.txn;
+      if not (node_live cl h.home) then crashed h.home.id;
       Ac.completed h.home h.txn;
       complete h ~ws:(List.map fst h.ws);
       true
