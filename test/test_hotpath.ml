@@ -207,7 +207,7 @@ let healthy_pins =
   Sss_experiments.Store.
     [
       (Sss, 155373, 1510, "4a671b596f5d94ffbe05d2ee6d039d07");
-      (Twopc, 132968, 776, "a2773510731a1986a380bb7504b31c70");
+      (Twopc, 141141, 798, "234b3bceed921314bf725884b8438473");
       (Walter, 267423, 4331, "bcd8d7e1f675afa7afcc96e485aeecf1");
       (Rococo, 146719, 2808, "a73ac5b44a4379ffc6575ceadee6eb02");
     ]
