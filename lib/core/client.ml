@@ -2,7 +2,6 @@
     write buffering, and the commit protocol (Alg. 1) including the wait
     for external commit. *)
 
-open Sss_sim
 open Sss_data
 open State
 
@@ -110,42 +109,18 @@ let await_observed_parked h =
    receipt can outrun the processing fiber a crash kills, so "delivered" is
    not "acted on" — a recovered participant holds no trace of the Decide or
    Finalize it receipted.  Re-send to the nodes whose ack is missing every
-   few retry periods; the handlers are idempotent.  Without durability the
-   single-timeout wait is kept bit-for-bit (no extra timer events). *)
-let await_phase_acks cl (h : handle) box ~dsts ~msg ~phase =
+   few retry periods; the handlers are idempotent, and a re-sent ack finds
+   its sender settled.  Without durability the single-timeout wait is kept
+   bit-for-bit (no extra timer events). *)
+let await_phase_acks cl (h : handle) box ~msg ~phase =
   if cl.config.Config.durability then begin
-    let slice = 4. *. Config.retry_max in
     let deadline = now cl +. Config.ack_timeout in
-    let rec wait () =
-      match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:slice with
-      | Some () -> ()
-      | None ->
-          (* a crash of the home node fills the ivar; reaching here means
-             the home survives but some participant has not answered *)
-          if not (node_live cl h.home) then
-            crashed h.home.id;
-          if now cl >= deadline then
-            stalled ~phase (Ids.txn_to_string h.txn);
-          List.iter
-            (fun dst -> if not (Hashtbl.mem box.acked dst) then send cl ~src:h.home.id ~dst msg)
-            dsts;
-          wait ()
-    in
-    wait ()
-  end
-  else
-    match Sim.Ivar.read_timeout cl.sim box.ack_done ~timeout:Config.ack_timeout with
-    | Some () -> ()
-    | None -> stalled ~phase (Ids.txn_to_string h.txn)
-
-(* Open the home's ack box of [h]'s completion [phase]. *)
-let open_phase h phase ~expect =
-  let box =
-    { ack_expect = expect; acked = Hashtbl.create 8; ack_phase = phase;
-      ack_done = Sim.Ivar.create () }
-  in
-  Hashtbl.replace h.home.ack_boxes h.txn box;
-  box
+    while not (acks_within cl box ~timeout:(4. *. Config.retry_max)) do
+      if now cl >= deadline then stalled ~phase (Ids.txn_to_string h.txn);
+      send_nodes cl ~src:h.home.id ~dsts:box.missing msg
+    done
+  end;
+  await_acks cl box ~phase h.txn
 
 (* Read-only (and write-free) commit: the client is informed immediately;
    the Remove message then clears this transaction's snapshot-queue entries
@@ -217,11 +192,11 @@ let commit_update h =
       List.iter (fun w -> (Vclock.set_into commit_vc w xact_vn [@owned])) write_nodes;
       if cl.config.Config.durability then
         Ac.decide cl h.home h.txn commit_vc (SDecided { d_txn = h.txn; d_vc = commit_vc });
-      let ack = open_phase h `Acks ~expect:(List.length write_nodes) in
+      let ack = open_acks cl h.home.ack_boxes h.txn ~from:write_nodes ~round:0 in
       let decide_at = now cl in
       send_nodes cl ~src:h.home.id ~dsts:participants
         (Message.Decide { txn = h.txn; vc = commit_vc; outcome = true });
-      await_phase_acks cl h ack ~dsts:write_nodes
+      await_phase_acks cl h ack
         ~msg:(Message.Decide { txn = h.txn; vc = commit_vc; outcome = true })
         ~phase:"external-commit ack";
       (* a crash fills the ivar to wake this fiber; distinguish it here *)
@@ -237,9 +212,9 @@ let commit_update h =
         (* Release the writer entries everywhere and wait for confirmation
            BEFORE informing the client: a reader that finds the entry parked
            can then always safely serialize before this transaction. *)
-        let fin = open_phase h `Fin ~expect:(List.length write_nodes) in
+        let fin = open_acks cl h.home.ack_boxes h.txn ~from:write_nodes ~round:1 in
         send_nodes cl ~src:h.home.id ~dsts:write_nodes (Message.Finalize { txn = h.txn });
-        await_phase_acks cl h fin ~dsts:write_nodes ~msg:(Message.Finalize { txn = h.txn })
+        await_phase_acks cl h fin ~msg:(Message.Finalize { txn = h.txn })
           ~phase:"finalize ack";
         if not (node_live cl h.home) then crashed h.home.id;
         Hashtbl.remove h.home.ack_boxes h.txn

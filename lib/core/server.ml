@@ -531,24 +531,6 @@ let handle_forward_remove t node ~reader ~writer =
           (Message.Remove { txn = reader })
     | None -> ()  (* long finished; its propagated entries are already gone *)
 
-(* Completion acknowledgements: deduplicated by sender and matched to the
-   phase the box collects for — a participant's recovery re-sends the Ack of
-   a pre-commit wait that may already have counted, and an Ack arriving
-   while the coordinator collects Finalize_acks must not be mistaken for
-   one. *)
-let same_phase a b =
-  match (a, b) with `Acks, `Acks | `Fin, `Fin -> true | (`Acks | `Fin), _ -> false
-
-let ack_arrival t node ~src ~txn ~phase =
-  match Hashtbl.find_opt node.ack_boxes txn with
-  | Some box when same_phase box.ack_phase phase ->
-      if not (Hashtbl.mem box.acked src) then begin
-        Hashtbl.replace box.acked src ();
-        if Hashtbl.length box.acked = box.ack_expect && not (Sim.Ivar.is_filled box.ack_done)
-        then Sim.Ivar.fill t.sim box.ack_done ()
-      end
-  | Some _ | None -> ()
-
 let rec dispatch t node ~src payload =
   match payload with
   | Message.Tracked { token; inner } ->
@@ -563,9 +545,9 @@ let rec dispatch t node ~src payload =
       handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated
   | Message.Vote { txn; ok; vc } -> Ac.vote_arrived t node txn ~ok vc
   | Message.Decide { txn; vc; outcome } -> handle_decide t node ~txn ~vc ~outcome
-  | Message.Ack { txn } -> ack_arrival t node ~src ~txn ~phase:`Acks
+  | Message.Ack { txn } -> ack_arrived t node.ack_boxes txn ~src ~round:0
   | Message.Finalize { txn } -> handle_finalize t node ~txn ~reply_to:(Some src)
-  | Message.Finalize_ack { txn } -> ack_arrival t node ~src ~txn ~phase:`Fin
+  | Message.Finalize_ack { txn } -> ack_arrived t node.ack_boxes txn ~src ~round:1
   | Message.Dquery { req; txn } -> Ac.answer t node ~src ~req txn
   | Message.Doutcome { req; verdict } -> Ac.outcome_arrived t node ~req verdict
   | Message.Wait_finalized { writer; req } -> (
@@ -651,10 +633,7 @@ let wound t old exn =
   Sss_net.Rpc.Pending.poison_all t.sim old.pending_reads exn;
   Sss_net.Rpc.Pending.poison_all t.sim old.pending_finalized exn;
   Ac.wound t old exn;
-  List.iter
-    (fun (_, (b : ack_box)) ->
-      if not (Sim.Ivar.is_filled b.ack_done) then Sim.Ivar.fill t.sim b.ack_done ())
-    (Runtime.sorted_bindings old.ack_boxes);
+  fill_acks t old.ack_boxes;
   Sim.Cond.broadcast t.sim old.nlog_changed;
   Sim.Cond.broadcast t.sim old.squeue_changed;
   (* Read-only transactions homed here die with the node (their clients

@@ -19,19 +19,6 @@ type read_resp = {
   from : Ids.node;
 }
 
-(* Completion-phase rendezvous.  Arrivals are deduplicated by sender and
-   tagged with the phase they acknowledge: after a participant crash its
-   recovery re-sends the Ack of a pre-commit wait that already counted, and
-   without the dedup (or with a single shared counter across the Ack and
-   Finalize_ack phases) the coordinator would move on before every replica
-   really confirmed. *)
-type ack_box = {
-  ack_expect : int;
-  acked : (Ids.node, unit) Hashtbl.t;
-  ack_phase : [ `Acks | `Fin ];
-  ack_done : unit Sim.Ivar.t;
-}
-
 (* What a participant remembers between Prepare and Finalize.  The
    prepare log record and the checkpoint hold private copies ([copy_prep]):
    the live record's last two fields move on. *)
@@ -103,7 +90,9 @@ type node = {
      clocks, the in-doubt watchdogs' Dquery rendezvous, and the
      participant's prepared entries and abort fence *)
   ac : (Vclock.t, Vclock.t, prep) Runtime.commitment;
-  ack_boxes : (Ids.txn, ack_box) Hashtbl.t;
+  ack_boxes : (Ids.txn, Runtime.acks) Hashtbl.t;
+      (* the completion phases' ack boxes: Acks are round 0, Finalize_acks
+         round 1 *)
   (* Remove propagation machinery *)
   mutable tombstones : Idset.Txns.t;
   forwards : (Ids.txn, (Ids.txn * Ids.node) list ref) Hashtbl.t;
