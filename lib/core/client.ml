@@ -120,7 +120,7 @@ let await_phase_acks cl (h : handle) box ~msg ~phase =
       send_nodes cl ~src:h.home.id ~dsts:box.missing msg
     done
   end;
-  await_acks cl box ~phase h.txn
+  await_acks cl h.home box ~phase h.txn
 
 (* Read-only (and write-free) commit: the client is informed immediately;
    the Remove message then clears this transaction's snapshot-queue entries
@@ -199,8 +199,6 @@ let commit_update h =
       await_phase_acks cl h ack
         ~msg:(Message.Decide { txn = h.txn; vc = commit_vc; outcome = true })
         ~phase:"external-commit ack";
-      (* a crash fills the ivar to wake this fiber; distinguish it here *)
-      if not (node_live cl h.home) then crashed h.home.id;
       Hashtbl.remove h.home.ack_boxes h.txn;
       if cl.config.Config.strict_order then begin
         (* wr-chaining: the parked writers we read from must externally commit
@@ -216,7 +214,6 @@ let commit_update h =
         send_nodes cl ~src:h.home.id ~dsts:write_nodes (Message.Finalize { txn = h.txn });
         await_phase_acks cl h fin ~msg:(Message.Finalize { txn = h.txn })
           ~phase:"finalize ack";
-        if not (node_live cl h.home) then crashed h.home.id;
         Hashtbl.remove h.home.ack_boxes h.txn
       end;
       (* Completion protocol done: in-doubt queries no longer need this

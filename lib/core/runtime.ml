@@ -459,10 +459,6 @@ module Make (P : PROTOCOL) = struct
   (* [true] once every ack of the box's round arrived within [timeout]. *)
   let acks_within t b ~timeout = Option.is_some (Sim.Ivar.read_timeout t.sim b.all_in ~timeout)
 
-  let await_acks t b ~phase txn =
-    if not (acks_within t b ~timeout:Config.ack_timeout) then
-      stalled ~phase (Ids.txn_to_string txn)
-
   (* A crash: wake the coordinator fibers parked on the dead record's boxes;
      they observe the record swap and raise. *)
   let fill_acks t boxes =
@@ -486,6 +482,14 @@ module Make (P : PROTOCOL) = struct
      visible — sends, log appends — must re-check this in the event that
      performs it. *)
   let node_live t node = t.nodes.(P.id node) == node
+
+  (* Wait for the box of [home]'s transaction [txn] to fill.  A crash of
+     [home] fills it too ({!fill_acks}), so this raises [Crashed] when the
+     record was swapped meanwhile, and [Stalled] after [ack_timeout]. *)
+  let await_acks t home b ~phase txn =
+    if not (acks_within t b ~timeout:Config.ack_timeout) then
+      stalled ~phase (Ids.txn_to_string txn);
+    if not (node_live t home) then crashed (P.id home)
 
   (* Refuse a key node [id] does not replicate: a caller bug. *)
   let replicated t id key =

@@ -558,10 +558,7 @@ let commit_update h =
         send cl ~src:h.home.id ~dst (Commit { txn = h.txn; ts; writes = h.ws; round }))
       servers
   in
-  if not cl.config.Sss_kv.Config.durability then begin
-    broadcast 0;
-    await_acks cl box ~phase:"commit ack" h.txn
-  end
+  if not cl.config.Sss_kv.Config.durability then broadcast 0
   else begin
     (* a server crash can eat Commit or its acks; retry in numbered rounds
        so re-acknowledgements of stale rounds are never double-counted *)
@@ -575,9 +572,9 @@ let commit_update h =
       if not (acks_within cl box ~timeout:(2. *. Sss_kv.Config.retry_max)) then
         rounds (round + 1)
     in
-    rounds 0;
-    if not (node_live cl h.home) then crashed h.home.id
+    rounds 0
   end;
+  await_acks cl h.home box ~phase:"commit ack" h.txn;
   Hashtbl.remove h.home.ack_boxes h.txn;
   Hashtbl.remove h.home.inflight h.txn;
   complete h ~ws:(List.map fst h.ws);

@@ -340,9 +340,8 @@ let commit_validated h =
         participants;
       (* The client is informed once every write replica applied: later
          transactions beginning after this response always see the data. *)
-      await_acks cl acks ~phase:"apply ack" h.txn;
+      await_acks cl h.home acks ~phase:"apply ack" h.txn;
       Hashtbl.remove h.home.ack_boxes h.txn;
-      if not (node_live cl h.home) then crashed h.home.id;
       Ac.completed h.home h.txn;
       complete h ~ws:(List.map fst h.ws);
       true
