@@ -67,6 +67,56 @@ let test_twopc_read_only_can_abort () =
   | Error _ -> ());
   check_ok "still externally consistent" (Checker.external_consistency r.history)
 
+(* The client is answered only once every write replica applied.  Home
+   node 0 writes key 0, whose replicas are nodes 1 and 2; the second
+   replica's Applied is dropped until 5 ms (the transport retries it).
+   Node 0 and node 1 ack at once, so an ack count that any participant
+   fills would answer long before. *)
+let test_twopc_awaits_write_replicas () =
+  let sim = Sim.create () in
+  let cfg = { (config ~nodes:4 ~degree:2 ()) with Sss_kv.Config.fault_tolerance = true } in
+  let cl = Twopc_kv.Twopc.create sim cfg in
+  let second =
+    match Replication.replicas (Twopc_kv.Twopc.repl cl) 0 with
+    | [ 1; r ] -> r
+    | rs -> Alcotest.failf "key 0 is replicated at [%s]" (String.concat "; " (List.map string_of_int rs))
+  in
+  let plan =
+    {
+      Sss_chaos.Chaos.empty with
+      rules =
+        [
+          {
+            target = { src = Some second; dst = None; kinds = [ "applied" ] };
+            drop = 1.0;
+            dup = 0.0;
+            delay = 0.0;
+            from_ = 0.0;
+            until = 0.005;
+          };
+        ];
+    }
+  in
+  ignore
+    (Sss_chaos.Chaos.install sim (Twopc_kv.Twopc.network cl) ~kind_of:Twopc_kv.Twopc.message_kind
+       plan
+      : Sss_chaos.Chaos.handle);
+  let answered = ref None in
+  Sim.spawn sim (fun () ->
+      let t = Twopc_kv.Twopc.begin_txn cl ~node:0 ~read_only:false in
+      Twopc_kv.Twopc.write t 0 "x";
+      let ok = Twopc_kv.Twopc.commit t in
+      answered := Some (ok, Sim.now sim));
+  Sim.run sim;
+  match !answered with
+  | Some (ok, at) ->
+      Alcotest.(check bool) "commits" true ok;
+      Alcotest.(check bool) (Printf.sprintf "answered after 5 ms (at %.3f ms)" (at *. 1e3)) true
+        (at > 0.005);
+      Alcotest.(check string) "the second replica applied" "x"
+        (fst (Twopc_kv.Twopc.latest cl ~node:second 0))
+  | None -> Alcotest.fail "commit never returned"
+
 (* ---------- Walter ---------- *)
 
 let test_walter_basic () =
@@ -251,6 +301,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_twopc_basic;
           Alcotest.test_case "workload" `Quick test_twopc_workload;
           Alcotest.test_case "read-only can abort" `Quick test_twopc_read_only_can_abort;
+          Alcotest.test_case "answers after every write replica" `Quick
+            test_twopc_awaits_write_replicas;
           Alcotest.test_case "implicit genesis" `Quick Twopc_genesis.test;
         ] );
       ( "walter",

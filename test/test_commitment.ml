@@ -233,6 +233,55 @@ let test_watch_exits_on_crash () =
   Sim.run_until sim 1.0;
   Alcotest.(check int) "no query after the crash" 1 t.ext.queries
 
+(* ---------- the completion-ack box ---------- *)
+
+let filled (b : Runtime.acks) = Sim.Ivar.is_filled b.all_in
+
+let ack t boxes ~src ~round = Rt.ack_arrived t boxes (txn 1) ~src ~round
+
+(* Acks settle their own sender's entries: a surplus one counts for
+   nothing, and a sender listed twice owes two. *)
+let test_box_by_sender () =
+  let _, t = cluster () in
+  let boxes = Hashtbl.create 4 in
+  let b = Rt.open_acks t boxes (txn 1) ~from:[ 0; 1; 1 ] ~round:0 in
+  ack t boxes ~src:0 ~round:0;
+  ack t boxes ~src:0 ~round:0;
+  ack t boxes ~src:1 ~round:0;
+  Alcotest.(check bool) "a surplus ack from a settled sender does not fill" false (filled b);
+  Alcotest.(check (list int)) "the twice-listed sender owes one more" [ 1 ] b.missing;
+  ack t boxes ~src:1 ~round:0;
+  Alcotest.(check bool) "its second ack fills" true (filled b)
+
+let test_box_rounds () =
+  let _, t = cluster () in
+  let boxes = Hashtbl.create 4 in
+  let b = Rt.open_acks t boxes (txn 1) ~from:[ 0 ] ~round:1 in
+  ack t boxes ~src:0 ~round:0;
+  Alcotest.(check bool) "a stale-round ack is ignored" false (filled b);
+  ack t boxes ~src:0 ~round:1;
+  Alcotest.(check bool) "an ack of the round fills" true (filled b);
+  let empty = Rt.open_acks t boxes (txn 2) ~from:[] ~round:0 in
+  Alcotest.(check bool) "no expected sender: already filled" true (filled empty)
+
+(* A crash swaps the home's record and fills its boxes: the waiter wakes
+   at once and raises [Crashed] instead of taking the fill for acks. *)
+let test_box_crash () =
+  let sim, t = cluster ~durability:true () in
+  let home = t.nodes.(1) and boxes = Hashtbl.create 4 in
+  let b = Rt.open_acks t boxes (txn 1) ~from:[ 0 ] ~round:0 in
+  let woke = ref None in
+  Sim.spawn sim (fun () ->
+      match Rt.await_acks t home b ~phase:"ack" (txn 1) with
+      | () -> woke := Some "returned"
+      | exception Sss_net.Rpc.Crashed { node; _ } ->
+          woke := Some (Printf.sprintf "crashed %d at %g" node (Sim.now sim)));
+  Sim.run_until sim 1e-3;
+  Rt.crash_node t 1;
+  Rt.fill_acks t boxes;
+  Sim.run_until sim 1.0;
+  Alcotest.(check (option string)) "woken by the fill" (Some "crashed 1 at 0.001") !woke
+
 (* ---------- the participant's prepared entries ---------- *)
 
 (* An abort decision that overtook its Prepare fences it: the Prepare
@@ -376,6 +425,12 @@ let () =
           Alcotest.test_case "fence refuses an overtaken prepare" `Quick test_fence;
           Alcotest.test_case "restart relocks, then re-watches" `Quick test_restart_relocks;
           Alcotest.test_case "checkpoint survives a crash" `Quick test_checkpoint;
+        ] );
+      ( "ack box",
+        [
+          Alcotest.test_case "acks settle by sender" `Quick test_box_by_sender;
+          Alcotest.test_case "rounds, and the empty box" `Quick test_box_rounds;
+          Alcotest.test_case "a crash wakes the waiter" `Quick test_box_crash;
         ] );
       ( "retention",
         [
