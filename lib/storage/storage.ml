@@ -83,13 +83,10 @@ let create sim dev ~record_bytes ~snapshot ~snapshot_bytes ?obs () =
 let rec start_flush t =
   match t.buffer with
   | [] -> ()
-  | batch ->
+  | (top, _) :: _ as batch ->
       t.flush_inflight <- true;
       let bytes = t.buffer_bytes + flush_header_bytes in
       let count = List.length batch in
-      let top =
-        match batch with (lsn, _) :: _ -> lsn | [] -> assert false
-      in
       t.buffer <- [];
       t.buffer_bytes <- 0;
       let epoch = t.epoch in
