@@ -9,7 +9,7 @@
     [read_only] is accepted by [begin_txn] for interface parity: such
     transactions simply never write, and still validate and may abort.
     [commit] runs the full 2PC (lock, validate, apply) for every
-    transaction; the client is informed once all participants applied.
+    transaction; the client is informed once every write replica applied.
     After a crash, [restart_node] re-takes the locks of in-doubt prepared
     transactions and queries each one's coordinator until its outcome is
     known.
