@@ -61,8 +61,7 @@ let micro_tests () =
   let has_read = Array.make n false in
   has_read.(3) <- true;
   let bound = Vclock.of_array (Array.make n 500) in
-  let store = Mvstore.create ~nodes:n in
-  Mvstore.init_key store 1;
+  let store = Mvstore.create ~nodes:n ~keys:[| 1 |] in
   for i = 1 to 32 do
     Mvstore.install store 1 ~value:"v"
       ~vc:(Vclock.set (Vclock.zero n) 0 i)

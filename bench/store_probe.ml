@@ -1,9 +1,11 @@
 (* Store-only microbench: the version store replaying synthetic traffic at
    a 100-node clock size.  Three sections isolate where the words go:
 
-   - genesis: K keys initialised, nothing written: the shape that
-     dominates 1M-key open-loop clusters (the implicit genesis pays an
-     index entry and a byte per key).
+   - genesis: a store over K keys, nothing written: the shape that
+     dominates 1M-key open-loop clusters (the implicit genesis pays a head
+     word and a state byte per key; the key array belongs to the
+     placement, so, like the traffic arrays, it is built before the
+     baseline and not counted).
    - affine: replica-affine write sets of 4 keys per commit, per-node
      clocks that advance mostly in their own entry; the write set shares
      one commit clock.
@@ -53,6 +55,7 @@ let () =
   let scattered = Array.init installs (fun _ -> (rand keys, rand nodes)) in
   let sel = Array.init selects (fun _ -> rand keys) in
   let kpn = keys / nodes in
+  let key_array = Array.init keys Fun.id in
 
   (* replay the affine schedule: node-affine write sets of [ws] consecutive
      keys, per-node clocks advancing in their own entry, a full merge with
@@ -102,11 +105,7 @@ let () =
   let deep vc = ignore (Sys.opaque_identity vc); true in
   let churn name replay =
     let base = live_words () in
-    let s = Mvstore.create ~nodes in
-    Mvstore.reserve s keys;
-    for k = 0 to keys - 1 do
-      Mvstore.init_key s k
-    done;
+    let s = Mvstore.create ~nodes ~keys:key_array in
     (* each key's last [keep] installed clocks, oldest at [installed mod
        keep]; the replays never mutate a clock once installed *)
     let recent = Array.make (keys * keep) [||] and installed = Array.make keys 0 in
@@ -153,11 +152,7 @@ let () =
 
   (* -- genesis-only footprint -- *)
   let base = live_words () in
-  let s = Mvstore.create ~nodes in
-  Mvstore.reserve s keys;
-  for k = 0 to keys - 1 do
-    Mvstore.init_key s k
-  done;
+  let s = Mvstore.create ~nodes ~keys:key_array in
   let al = live_words () - base in
   let mem = Mvstore.mem_words s in
   Printf.printf "genesis only: %.2f words/version (model %.2f)\n"
@@ -169,4 +164,4 @@ let () =
   churn "scattered" replay_scattered;
   (* the traffic arrays stay live to the end, so every baseline and every
      measurement above counts them alike *)
-  ignore (Sys.opaque_identity (affine_nodes, scattered, sel))
+  ignore (Sys.opaque_identity (affine_nodes, scattered, sel, key_array))

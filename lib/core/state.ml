@@ -154,40 +154,34 @@ let recent_ws_horizon = 5.0
 (* A pristine node: every key of its replicas at its genesis version. *)
 let make_node sim (config : Config.t) repl id =
   let nodes = config.nodes in
-  let node =
-    {
-      id;
-      store = Mvstore.create ~nodes;
-      nlog = Nlog.create ~nodes ~node:id;
-      commitq = Commitq.create ~node:id;
-      locks = Locks.create sim;
-      squeues = Hashtbl.create 256;
-      node_vc = Vclock.zero nodes;
-      coordinated_max = Vclock.zero nodes;
-      stable_vc = Vclock.zero nodes;
-      minted = 0;
-      pending_reads = Rpc.Pending.create ();
-      ac = Runtime.commitment ();
-      ack_boxes = Hashtbl.create 64;
-      tombstones = Idset.Txns.create ~horizon:Runtime.retention_horizon;
-      forwards = Hashtbl.create 256;
-      reader_keys = Hashtbl.create 256;
-      writer_since = Hashtbl.create 64;
-      parked = Stampset.create ();
-      parked_stamp = Hashtbl.create 64;
-      recent_ws = Nlog.Memo.create ~node:id ~horizon:recent_ws_horizon;
-      cancelled = Hashtbl.create 16;
-      active = Hashtbl.create 64;
-      unfinalized = Hashtbl.create 64;
-      pending_finalized = Rpc.Pending.create ();
-      nlog_changed = Sim.Cond.create ();
-      squeue_changed = Sim.Cond.create ();
-    }
-  in
-  let ks = Replication.keys_at repl id in
-  Mvstore.reserve node.store (Array.length ks);
-  Array.iter (fun k -> Mvstore.init_key node.store k) ks;
-  node
+  {
+    id;
+    store = Mvstore.create ~nodes ~keys:(Replication.keys_at repl id);
+    nlog = Nlog.create ~nodes ~node:id;
+    commitq = Commitq.create ~node:id;
+    locks = Locks.create sim;
+    squeues = Hashtbl.create 256;
+    node_vc = Vclock.zero nodes;
+    coordinated_max = Vclock.zero nodes;
+    stable_vc = Vclock.zero nodes;
+    minted = 0;
+    pending_reads = Rpc.Pending.create ();
+    ac = Runtime.commitment ();
+    ack_boxes = Hashtbl.create 64;
+    tombstones = Idset.Txns.create ~horizon:Runtime.retention_horizon;
+    forwards = Hashtbl.create 256;
+    reader_keys = Hashtbl.create 256;
+    writer_since = Hashtbl.create 64;
+    parked = Stampset.create ();
+    parked_stamp = Hashtbl.create 64;
+    recent_ws = Nlog.Memo.create ~node:id ~horizon:recent_ws_horizon;
+    cancelled = Hashtbl.create 16;
+    active = Hashtbl.create 64;
+    unfinalized = Hashtbl.create 64;
+    pending_finalized = Rpc.Pending.create ();
+    nlog_changed = Sim.Cond.create ();
+    squeue_changed = Sim.Cond.create ();
+  }
 
 (* ---- durability helpers ---- *)
 

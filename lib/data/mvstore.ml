@@ -2,10 +2,11 @@
 
    Layout (docs/ARCHITECTURE.md "The version store"):
 
-   - Keys intern to dense handles [0 .. nkeys).  [key_of]/[head] are the
-     handle-indexed views; an open-addressing int map ([h_keys]/[h_vals])
-     takes the public Ids.key to its handle (the only hash lookup on any
-     path — the GC sweep walks handles).
+   - A key's handle is its position in [key_of], the node's strictly
+     ascending replica key array, which the store shares with
+     [Replication] and never mutates.  A binary search takes the public
+     Ids.key to its handle; [head] and [g_state] are the handle-indexed
+     views, and the GC sweep walks handles.
    - Versions are slots in four parallel arrays ([v_value], [v_writer],
      [v_clock], [v_next]).  [v_next] links newest-to-oldest and doubles as
      the free-list link of recycled slots, so GC churn is in-place reuse
@@ -49,26 +50,15 @@ let no_value = ""
    [Array.make] runs to fill a large array with a young block. *)
 let no_clock = Vclock.zero 0
 
-(* vacant-probe sentinel of the key->handle map ([Ids.key] is never
-   [min_int] — keys are small non-negative ints) *)
-let hmap_empty = min_int
-
 type t = {
   nodes : int;
   zero : Vclock.t;  (* genesis versions' clock *)
-  (* key interning *)
-  (* key -> handle map: open addressing with linear probing over two int
-     arrays — ~2.7 words/binding at the 3/4 load cap, where Hashtbl's boxed
-     buckets cost ~5; at 1M+ keys the interning table is itself a top-three
-     heap consumer.  [h_keys] holds [hmap_empty] in vacant probes (bindings
-     are never removed: a collected chain keeps its handle).  Capacity is
-     always a power of two. *)
-  mutable h_keys : int array;
-  mutable h_vals : int array;
-  mutable key_of : int array;  (* handle -> key *)
-  mutable head : int array;  (* handle -> newest explicit slot, -1 if none *)
-  mutable g_state : Bytes.t;  (* handle -> implicit-genesis state *)
-  mutable nkeys : int;
+  (* handle -> key: the node's replica keys, strictly ascending, held by
+     reference (the caller's array is never mutated); a key's handle is
+     its position, found by binary search *)
+  key_of : int array;
+  head : int array;  (* handle -> newest explicit slot, -1 if none *)
+  g_state : Bytes.t;  (* handle -> implicit-genesis state *)
   (* version slots *)
   mutable v_value : string array;
   mutable v_writer : int array;  (* Ids.pack *)
@@ -79,23 +69,28 @@ type t = {
   mutable free_slots : int;
   mutable total : int;
   mutable value_words : int;
-  (* GC sweep cursor: handles are visited newest-created-first, the bound
-     frozen per pass — the exact order of the previous list-based store, so
-     gc-on trajectories are unchanged *)
+  (* GC sweep cursor: handles are visited highest-first, the bound frozen
+     per pass — the exact order of the previous list-based store, so gc-on
+     trajectories are unchanged *)
   mutable sweep_hi : int;
   mutable sweep_pos : int;
 }
 
-let create ~nodes =
+let rec ascending (keys : int array) i =
+  i >= Array.length keys || (keys.(i - 1) < keys.(i) && ascending keys (i + 1))
+
+let create ~nodes ~keys =
+  let keys =
+    if ascending keys 1 then keys
+    else Array.of_list (List.sort_uniq Int.compare (Array.to_list keys))
+  in
+  let n = Array.length keys in
   {
     nodes;
     zero = Vclock.zero nodes;
-    h_keys = Array.make 256 hmap_empty;
-    h_vals = Array.make 256 0;
-    key_of = [||];
-    head = [||];
-    g_state = Bytes.empty;
-    nkeys = 0;
+    key_of = keys;
+    head = Array.make n (-1);
+    g_state = Bytes.make n g_derived;
     v_value = [||];
     v_writer = [||];
     v_clock = [||];
@@ -103,7 +98,7 @@ let create ~nodes =
     slot_top = 0;
     free_slot = -1;
     free_slots = 0;
-    total = 0;
+    total = n;
     value_words = 0;
     sweep_hi = 0;
     sweep_pos = 0;
@@ -122,67 +117,27 @@ let table_words tbl entry =
 
 let genesis_present t h = Bytes.unsafe_get t.g_state h <> g_dropped
 
-(* ---- key -> handle map ---- *)
+(* ---- key -> handle ---- *)
 
-(* Fibonacci-style multiplicative mix; the fold of high into low bits keeps
-   strided key patterns from clustering under the power-of-two mask. *)
-let hmap_hash k mask =
-  let h = k * 0x2545F4914F6CDD1D in
-  ((h lsr 32) lxor h) land mask
-
-let rec hmap_probe keys vals mask k i =
-  let kk = Array.unsafe_get keys i in
-  if kk = k then Array.unsafe_get vals i
-  else if kk = hmap_empty then -1
-  else hmap_probe keys vals mask k ((i + 1) land mask)
-
-(* handle of [k], or -1 *)
-let[@hot] hmap_find t k =
-  let mask = Array.length t.h_keys - 1 in
-  hmap_probe t.h_keys t.h_vals mask k (hmap_hash k mask)
-
-let rec hmap_vacant keys mask k i =
-  let kk = Array.unsafe_get keys i in
-  if kk = hmap_empty || kk = k then i
-  else hmap_vacant keys mask k ((i + 1) land mask)
-
-let hmap_put t k v =
-  let mask = Array.length t.h_keys - 1 in
-  let i = hmap_vacant t.h_keys mask k (hmap_hash k mask) in
-  t.h_keys.(i) <- k;
-  t.h_vals.(i) <- v
-
-(* rehash every live handle into fresh arrays of capacity [cap] *)
-let hmap_rebuild t cap =
-  t.h_keys <- Array.make cap hmap_empty;
-  t.h_vals <- Array.make cap 0;
-  for h = 0 to t.nkeys - 1 do
-    hmap_put t t.key_of.(h) h
-  done
+(* position of [k] in [keys.(lo) .. keys.(hi - 1)], or -1 *)
+let[@hot] rec search (keys : int array) (k : int) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let km = Array.unsafe_get keys mid in
+    if km = k then mid else if km < k then search keys k (mid + 1) hi else search keys k lo mid
 
 let[@hot] find_handle t k =
-  let h = hmap_find t k in
+  let h = search t.key_of k 0 (Array.length t.key_of) in
   if h < 0 then raise Not_found else h
 
-let mem t k = hmap_find t k >= 0
+let mem t k = search t.key_of k 0 (Array.length t.key_of) >= 0
 
-let chains t = t.nkeys
+let chains t = Array.length t.key_of
 
 let version_count t = t.total
 
 (* ---- growth ---- *)
-
-let grow_keys t =
-  let cap = Array.length t.key_of in
-  let ncap = if cap = 0 then 256 else 2 * cap in
-  let nk = Array.make ncap (-1) and nh = Array.make ncap (-1) in
-  Array.blit t.key_of 0 nk 0 cap;
-  Array.blit t.head 0 nh 0 cap;
-  t.key_of <- nk;
-  t.head <- nh;
-  let ng = Bytes.make ncap g_dropped in
-  Bytes.blit t.g_state 0 ng 0 cap;
-  t.g_state <- ng
 
 let grow_slots t =
   let cap = Array.length t.v_next in
@@ -196,38 +151,6 @@ let grow_slots t =
   t.v_writer <- grow t.v_writer (-1);
   t.v_clock <- grow t.v_clock no_clock;
   t.v_next <- grow t.v_next (-1)
-
-(* Pre-size the key index for [n] keys: exact dense arrays, next
-   power-of-two map under the 3/4 load cap.  The boot path knows each
-   node's replica count, and doubling slack on 1M-key clusters would
-   otherwise dominate [mem_words]. *)
-let reserve t n =
-  if n > Array.length t.key_of then begin
-    let nk = Array.make n (-1) and nh = Array.make n (-1) in
-    Array.blit t.key_of 0 nk 0 t.nkeys;
-    Array.blit t.head 0 nh 0 t.nkeys;
-    t.key_of <- nk;
-    t.head <- nh;
-    let ng = Bytes.make n g_dropped in
-    Bytes.blit t.g_state 0 ng 0 t.nkeys;
-    t.g_state <- ng
-  end;
-  let cap = ref (Array.length t.h_keys) in
-  while 4 * n > 3 * !cap do
-    cap := 2 * !cap
-  done;
-  if !cap > Array.length t.h_keys then hmap_rebuild t !cap
-
-let new_handle t k =
-  if t.nkeys >= Array.length t.key_of then grow_keys t;
-  let h = t.nkeys in
-  t.nkeys <- h + 1;
-  t.key_of.(h) <- k;
-  t.head.(h) <- -1;
-  Bytes.set t.g_state h g_dropped;
-  if 4 * (h + 1) > 3 * Array.length t.h_keys then hmap_rebuild t (2 * Array.length t.h_keys);
-  hmap_put t k h;
-  h
 
 (* ---- reads ---- *)
 
@@ -281,13 +204,6 @@ let chain t k =
      else oldest_first)
 
 (* ---- writes ---- *)
-
-let init_key t k =
-  if hmap_find t k < 0 then begin
-    let h = new_handle t k in
-    Bytes.set t.g_state h g_derived;
-    t.total <- t.total + 1
-  end
 
 let alloc_slot t =
   if t.free_slot >= 0 then begin
@@ -367,7 +283,7 @@ let sweep_covered t ~watermark ~budget =
   let n = ref budget in
   while !n > 0 do
     if t.sweep_pos >= t.sweep_hi then begin
-      t.sweep_hi <- t.nkeys;
+      t.sweep_hi <- Array.length t.key_of;
       t.sweep_pos <- 0;
       if t.sweep_hi = 0 then n := 0
     end;
@@ -380,20 +296,13 @@ let sweep_covered t ~watermark ~budget =
   done;
   !dropped
 
-(* Sorted, so callers observe an order independent of table internals. *)
-let keys t =
-  let acc = ref [] in
-  for h = t.nkeys - 1 downto 0 do
-    acc := t.key_of.(h) :: !acc
-  done;
-  List.sort Int.compare !acc
+let keys t = Array.to_list t.key_of
 
 (* ---- checkpoint images ---- *)
 
 type image = {
   i_nodes : int;
   i_nkeys : int;
-  i_key_of : int array;
   i_head : int array;
   i_g_state : Bytes.t;
   i_slot_top : int;
@@ -428,8 +337,9 @@ let older_clock_bytes t ~newer older =
 (* On-disk size model: a compact writer would emit the key index, the live
    slots verbatim, head clocks raw and older clocks as above. *)
 let disk_bytes t =
-  let bytes = ref (64 + (17 * t.nkeys)) in
-  for h = 0 to t.nkeys - 1 do
+  let nkeys = Array.length t.key_of in
+  let bytes = ref (64 + (17 * nkeys)) in
+  for h = 0 to nkeys - 1 do
     let s = ref t.head.(h) in
     if !s >= 0 then bytes := !bytes + (8 * t.nodes);
     while !s >= 0 do
@@ -444,10 +354,9 @@ let disk_bytes t =
 let image_of t =
   {
     i_nodes = t.nodes;
-    i_nkeys = t.nkeys;
-    i_key_of = Array.sub t.key_of 0 t.nkeys;
-    i_head = Array.sub t.head 0 t.nkeys;
-    i_g_state = Bytes.sub t.g_state 0 t.nkeys;
+    i_nkeys = Array.length t.key_of;
+    i_head = Array.copy t.head;
+    i_g_state = Bytes.copy t.g_state;
     i_slot_top = t.slot_top;
     i_value = Array.sub t.v_value 0 t.slot_top;
     i_writer = Array.sub t.v_writer 0 t.slot_top;
@@ -465,16 +374,10 @@ let image_of t =
 let image_bytes im = im.i_bytes
 
 let restore t im =
-  if im.i_nodes <> t.nodes then invalid_arg "Mvstore.restore: cluster size mismatch";
-  t.nkeys <- im.i_nkeys;
-  t.key_of <- Array.copy im.i_key_of;
-  t.head <- Array.copy im.i_head;
-  t.g_state <- Bytes.of_string (Bytes.to_string im.i_g_state);
-  let cap = ref 256 in
-  while 4 * t.nkeys > 3 * !cap do
-    cap := 2 * !cap
-  done;
-  hmap_rebuild t !cap;
+  if im.i_nodes <> t.nodes || im.i_nkeys <> Array.length t.key_of then
+    invalid_arg "Mvstore.restore: image of a differently shaped store";
+  Array.blit im.i_head 0 t.head 0 im.i_nkeys;
+  Bytes.blit im.i_g_state 0 t.g_state 0 im.i_nkeys;
   t.slot_top <- im.i_slot_top;
   t.v_value <- Array.copy im.i_value;
   t.v_writer <- Array.copy im.i_writer;
@@ -502,7 +405,7 @@ type mem = {
    a header and [nodes] entries per distinct writer of a live slot. *)
 let clock_words t =
   let ws = Array.make (t.slot_top - t.free_slots) 0 and n = ref 0 in
-  for h = 0 to t.nkeys - 1 do
+  for h = 0 to Array.length t.head - 1 do
     let s = ref t.head.(h) in
     while !s >= 0 do
       ws.(!n) <- t.v_writer.(!s);
@@ -523,7 +426,6 @@ let mem_words t =
     index_words =
       Array.length t.key_of + Array.length t.head
       + ((Bytes.length t.g_state + 8) / 8)
-      + Array.length t.h_keys + Array.length t.h_vals
       + 8;
     value_words = t.value_words;
     free_slots = t.free_slots;

@@ -3,8 +3,9 @@
     Each key holds a chain of versions, newest first.  A version records the
     value, the commit vector clock of the transaction that produced it, and
     that transaction's identifier (used by the consistency checker to name
-    versions).  Keys are initialised with a genesis version carrying the
-    all-zero clock.
+    versions).  A store holds a fixed key set, given at {!create}: the
+    node's replicas under the static placement (§II).  Every key starts at
+    a genesis version carrying the all-zero clock.
 
     {b Representation} (behaviorally invisible; docs/ARCHITECTURE.md "The
     version store"):
@@ -20,9 +21,11 @@
       {!select} hands each slot's own clock to its callback, with nothing
       copied or decoded.  Freed slots hold an empty clock, so they pin
       none; genesis versions share the store's all-zero clock.
-    - Genesis versions whose value is the boot default are fully implicit
-      (derived from the key on demand); keys are interned to dense int
-      handles so the GC sweep cursor never hashes.
+    - Genesis versions are fully implicit (valued [Ids.boot_value],
+      derived from the key on demand): an idle key costs one head word and
+      one state byte.  A key's int handle is its position in the key array
+      given at {!create}, which the store holds by reference; the GC sweep
+      cursor walks handles.
 
     Reads therefore return opaque {!slot} handles with O(1) accessors; the
     decoded {!version} record remains for the cold path {!chain}.  A slot
@@ -41,27 +44,21 @@ type t
 type slot
 (** Opaque reference to a stored version; valid until the store mutates. *)
 
-val create : nodes:int -> t
-(** [create ~nodes] is an empty store on a cluster of [nodes] nodes (fixes
-    the clock size of genesis versions). *)
-
-val reserve : t -> int -> unit
-(** [reserve t n] pre-sizes the key index for [n] keys (exact dense
-    arrays, minimal hash capacity), avoiding growth-doubling slack.  The
-    boot path calls it with the node's replica count before the
-    {!init_key} loop; purely an allocation hint — never required. *)
-
-val init_key : t -> Ids.key -> unit
-(** Install the genesis version for [key], valued [Ids.boot_value key] and
-    stamped with the all-zero clock.  Idempotent: a key already initialised
-    (or written) is left as it is. *)
+val create : nodes:int -> keys:Ids.key array -> t
+(** [create ~nodes ~keys] is a store on a cluster of [nodes] nodes (which
+    fixes the clock size of genesis versions) holding every key of [keys]
+    at its genesis version, valued [Ids.boot_value key].  A strictly
+    ascending [keys] (as {!Replication.keys_at} returns) is held by
+    reference and must never be mutated afterwards; any other array is
+    sorted and deduplicated into a private copy first.  Allocates the
+    head column and a state byte a key, nothing per key beyond that. *)
 
 val mem : t -> Ids.key -> bool
-(** Whether [key] has been initialised (holds at least its genesis
-    version). *)
+(** Whether [key] is one of the store's keys. *)
 
 val last : t -> Ids.key -> slot
-(** Newest version. @raise Not_found if the key was never initialised. *)
+(** Newest version. @raise Not_found if [key] is not one of the store's
+    keys. *)
 
 val install : t -> Ids.key -> value:string -> vc:Vclock.t -> writer:Ids.txn -> unit
 (** Prepend a new newest version.  The caller (the CommitQ drain) guarantees
@@ -79,7 +76,8 @@ val select : t -> Ids.key -> skip:(Vclock.t -> bool) -> slot
     clock [skip] rejects.  [skip] sees each version's own stored clock,
     which it must not mutate.  The genesis version is never skipped if
     everything else is (its zero clock satisfies every visibility bound),
-    so [select] always returns. @raise Not_found on unknown key. *)
+    so [select] always returns. @raise Not_found if [key] is not one of the
+    store's keys. *)
 
 val slot_value : t -> slot -> string
 (** The stored value (implicit genesis values are derived on demand). *)
@@ -103,19 +101,19 @@ val truncate_covered : t -> Ids.key -> watermark:Vclock.t -> int
 val sweep_covered : t -> watermark:Vclock.t -> budget:int -> int
 (** Advance the store's round-robin sweep cursor by up to [budget] chains,
     applying {!truncate_covered} to each; returns the versions dropped.
-    Chains are visited in creation order (deterministic — never Hashtbl
-    order) over the dense handle index (no hashing), wrapping around once
+    Chains are visited in descending key order (deterministic — never
+    Hashtbl order) over the handle index (no search), wrapping around once
     the pass completes, so repeated calls amortize full-store coverage.
     This is what reclaims keys written once and never again: their
     superseded version only becomes watermark-covered long after any
     apply-time hook last saw the key. *)
 
 val chains : t -> int
-(** Number of version chains (initialised keys) — O(1); sizes the sweep
+(** Number of version chains (the store's keys) — O(1); sizes the sweep
     budget. *)
 
 val keys : t -> Ids.key list
-(** Every initialised key, sorted ascending. *)
+(** Every key of the store, sorted ascending. *)
 
 val version_count : t -> int
 (** Total number of stored versions, across all keys (for tests and GC
@@ -123,9 +121,10 @@ val version_count : t -> int
 
 (** {2 Checkpoint images}
 
-    Durable checkpoints copy the store.  An {!image} is an [Array.sub]
-    bulk copy of the slot and index columns that shares the immutable
-    clocks and values, and {!restore} rebuilds a store from it wholesale. *)
+    Durable checkpoints copy the store.  An {!image} is a bulk copy of the
+    slot columns and the per-key head and state columns that shares the
+    immutable clocks and values; the key array itself is not copied.
+    {!restore} rebuilds a store from it wholesale. *)
 
 type image
 
@@ -136,7 +135,9 @@ val image_of : t -> image
 
 val restore : t -> image -> unit
 (** Replace [t]'s entire contents with the image's.  The image must come
-    from a store created with the same [nodes]. *)
+    from a store created with the same [nodes] over the same key array (a
+    crashed node's fresh store is built from the same placement).
+    @raise Invalid_argument if the cluster size or key count differs. *)
 
 val image_bytes : image -> int
 (** On-disk size model of the image, in the spirit of [Message.wire_size]:
@@ -160,7 +161,9 @@ type mem = {
   clock_words : int;
       (** [1 + nodes] per distinct writer of a live version: a write set
           shares its commit clock *)
-  index_words : int;  (** key interning: handle table + dense arrays *)
+  index_words : int;
+      (** the key array (shared with the placement, counted here once per
+          store), the head column and the state bytes *)
   value_words : int;  (** boxed value strings (headers included) *)
   free_slots : int;  (** recycled slots awaiting reuse *)
 }

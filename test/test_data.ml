@@ -61,32 +61,126 @@ let test_ids_gen () =
 
 (* ---------- Mvstore ---------- *)
 
+(* Every key of the array is at its genesis version from [create] on;
+   an install prepends to it and leaves the other keys alone. *)
 let test_mvstore_genesis () =
-  let s = Mvstore.create ~nodes:2 in
-  Mvstore.init_key s 7;
-  let v = Mvstore.last s 7 in
-  Alcotest.(check string) "genesis value" "init:7" (Mvstore.slot_value s v);
-  Alcotest.(check bool) "genesis writer" true
-    (Ids.equal_txn (Mvstore.slot_writer s v) Ids.genesis);
-  Alcotest.(check bool) "genesis writer (packed)" true
-    (Mvstore.slot_writer_is s v Ids.genesis);
-  (* a second init leaves an installed version in place *)
+  let keys = [| 3; 7; 9 |] in
+  let s = Mvstore.create ~nodes:2 ~keys in
+  Alcotest.(check int) "a version a key" 3 (Mvstore.version_count s);
+  Alcotest.(check int) "a chain a key" 3 (Mvstore.chains s);
+  Array.iter
+    (fun k ->
+      let v = Mvstore.last s k in
+      Alcotest.(check string) "genesis value" (Ids.boot_value k) (Mvstore.slot_value s v);
+      Alcotest.(check bool) "genesis writer" true
+        (Ids.equal_txn (Mvstore.slot_writer s v) Ids.genesis);
+      Alcotest.(check bool) "genesis writer (packed)" true
+        (Mvstore.slot_writer_is s v Ids.genesis);
+      match Mvstore.chain s k with
+      | [ g ] -> Alcotest.(check bool) "genesis clock is zero" true (Vclock.equal g.Mvstore.vc (Vclock.zero 2))
+      | _ -> Alcotest.fail "genesis chain of one")
+    keys;
   Mvstore.install s 7 ~value:"v1" ~vc:(vc [ 1; 0 ]) ~writer:(tx 0 1);
-  Mvstore.init_key s 7;
-  Alcotest.(check string) "init idempotent" "v1" (Mvstore.slot_value s (Mvstore.last s 7));
-  Alcotest.(check int) "no second genesis" 2 (List.length (Mvstore.chain s 7))
+  Alcotest.(check string) "install on top" "v1" (Mvstore.slot_value s (Mvstore.last s 7));
+  Alcotest.(check int) "genesis kept below" 2 (List.length (Mvstore.chain s 7));
+  Alcotest.(check string) "neighbours untouched" "init:9" (Mvstore.slot_value s (Mvstore.last s 9))
+
+(* A key resolves to its position in the array: the first, the last and
+   a middle one; a key outside it, below, between or above, is absent. *)
+let test_mvstore_key_array () =
+  let keys = [| 2; 5; 11; 40; 41; 90 |] in
+  let s = Mvstore.create ~nodes:1 ~keys in
+  Array.iteri
+    (fun i k ->
+      Mvstore.install s k ~value:(string_of_int i) ~vc:(vc [ i + 1 ]) ~writer:(tx 0 (i + 1)))
+    [| 2; 11; 90 |];
+  List.iter
+    (fun (k, want) ->
+      Alcotest.(check string) (Printf.sprintf "key %d" k) want (Mvstore.slot_value s (Mvstore.last s k)))
+    [ (2, "0"); (11, "1"); (90, "2"); (41, "init:41") ];
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (Printf.sprintf "key %d absent" k) false (Mvstore.mem s k);
+      Alcotest.check_raises (Printf.sprintf "last %d" k) Not_found (fun () ->
+          ignore (Mvstore.last s k : Mvstore.slot));
+      Alcotest.check_raises (Printf.sprintf "select %d" k) Not_found (fun () ->
+          ignore (Mvstore.select s k ~skip:(fun _ -> false) : Mvstore.slot)))
+    [ 0; 1; 3; 39; 42; 91; max_int ];
+  Alcotest.(check bool) "present keys" true (Array.for_all (Mvstore.mem s) keys);
+  Alcotest.(check (list int)) "keys" (Array.to_list keys) (Mvstore.keys s);
+  (* the lookup is a closure-free binary search: no allocation *)
+  let w0 = Sss_sim.Sim.allocated_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Mvstore.last s 41))
+  done;
+  let w = Sss_sim.Sim.allocated_words () -. w0 in
+  if w > 32. then Alcotest.failf "1,000 lookups allocated %.0f words" w;
+  (* an unsorted array with a repeat: the store sorts a private copy *)
+  let raw = [| 9; 3; 7; 3 |] in
+  let u = Mvstore.create ~nodes:1 ~keys:raw in
+  Alcotest.(check (list int)) "sorted, deduplicated" [ 3; 7; 9 ] (Mvstore.keys u);
+  Alcotest.(check int) "one genesis a distinct key" 3 (Mvstore.version_count u);
+  Alcotest.(check (array int)) "caller's array untouched" [| 9; 3; 7; 3 |] raw
+
+(* A checkpoint image holds the head and state columns, not the keys, and
+   a fresh store over the same array restores to the same contents. *)
+let test_mvstore_image_shares_keys () =
+  let n = 10_000 in
+  let keys = Array.init n (fun i -> (3 * i) + 1) in
+  let s = Mvstore.create ~nodes:2 ~keys in
+  let im0 = Mvstore.image_of s in
+  let words = Obj.reachable_words (Obj.repr im0) in
+  if words > n + (n / 8) + 64 then
+    Alcotest.failf "an image of %d idle keys holds %d words" n words;
+  for i = 1 to 300 do
+    let k = keys.((i * 37) mod n) in
+    Mvstore.install s k ~value:(Printf.sprintf "v%d" i) ~vc:(vc [ i; i / 2 ]) ~writer:(tx (i mod 2) i)
+  done;
+  ignore (Mvstore.truncate_covered s keys.(37) ~watermark:(vc [ 150; 75 ]) : int);
+  let im = Mvstore.image_of s in
+  let fresh = Mvstore.create ~nodes:2 ~keys in
+  Mvstore.restore fresh im;
+  let same =
+    Array.for_all
+      (fun k ->
+        let a = Mvstore.chain s k and b = Mvstore.chain fresh k in
+        List.length a = List.length b
+        && List.for_all2
+             (fun (x : Mvstore.version) (y : Mvstore.version) ->
+               String.equal x.value y.value && Vclock.equal x.vc y.vc
+               && Ids.equal_txn x.writer y.writer)
+             a b)
+      keys
+  in
+  Alcotest.(check bool) "every chain restored" true same;
+  Alcotest.(check int) "version count" (Mvstore.version_count s) (Mvstore.version_count fresh);
+  Alcotest.(check int) "image price" (Mvstore.image_bytes im)
+    (Mvstore.image_bytes (Mvstore.image_of fresh));
+  Alcotest.check_raises "a store over other keys"
+    (Invalid_argument "Mvstore.restore: image of a differently shaped store") (fun () ->
+      Mvstore.restore (Mvstore.create ~nodes:2 ~keys:[| 1 |]) im)
+
+(* [create] over a key array allocates the head column and a state byte
+   a key, and a constant besides: nothing a key is hashed or boxed. *)
+let test_mvstore_create_allocation () =
+  let n = 100_000 in
+  let keys = Array.init n Fun.id in
+  let w0 = Sss_sim.Sim.allocated_words () in
+  let s = Mvstore.create ~nodes:4 ~keys in
+  let w = Sss_sim.Sim.allocated_words () -. w0 in
+  ignore (Sys.opaque_identity s);
+  if w > float_of_int (n + (n / 8) + 64) then
+    Alcotest.failf "create over %d keys allocated %.0f words" n w
 
 let test_mvstore_install_order () =
-  let s = Mvstore.create ~nodes:2 in
-  Mvstore.init_key s 1;
+  let s = Mvstore.create ~nodes:2 ~keys:[| 1 |] in
   Mvstore.install s 1 ~value:"v1" ~vc:(vc [ 1; 0 ]) ~writer:(tx 0 1);
   Mvstore.install s 1 ~value:"v2" ~vc:(vc [ 2; 0 ]) ~writer:(tx 0 2);
   Alcotest.(check string) "last is newest" "v2" (Mvstore.slot_value s (Mvstore.last s 1));
   Alcotest.(check int) "chain length" 3 (List.length (Mvstore.chain s 1))
 
 let test_mvstore_select () =
-  let s = Mvstore.create ~nodes:2 in
-  Mvstore.init_key s 1;
+  let s = Mvstore.create ~nodes:2 ~keys:[| 1 |] in
   Mvstore.install s 1 ~value:"v1" ~vc:(vc [ 1; 0 ]) ~writer:(tx 0 1);
   Mvstore.install s 1 ~value:"v2" ~vc:(vc [ 2; 0 ]) ~writer:(tx 0 2);
   let bound = vc [ 1; 5 ] in
@@ -97,8 +191,7 @@ let test_mvstore_select () =
   Alcotest.(check string) "fallback to oldest" "init:1" (Mvstore.slot_value s oldest)
 
 let test_mvstore_truncate () =
-  let s = Mvstore.create ~nodes:1 in
-  Mvstore.init_key s 1;
+  let s = Mvstore.create ~nodes:1 ~keys:[| 1 |] in
   for i = 1 to 10 do
     Mvstore.install s 1 ~value:(Printf.sprintf "v%d" i) ~vc:(vc [ i ]) ~writer:(tx 0 i)
   done;
@@ -116,8 +209,7 @@ let test_mvstore_truncate () =
    iteratively, so this must not blow the stack (the earlier list store
    used a non-tail-recursive take here). *)
 let test_mvstore_long_chain_truncate () =
-  let s = Mvstore.create ~nodes:1 in
-  Mvstore.init_key s 0;
+  let s = Mvstore.create ~nodes:1 ~keys:[| 0 |] in
   let n = 200_000 in
   for i = 1 to n do
     Mvstore.install s 0 ~value:"x" ~vc:(vc [ i ]) ~writer:(tx 0 i)
@@ -136,10 +228,7 @@ let test_mvstore_long_chain_truncate () =
    shows up as column growth or free-list drift. *)
 let test_mvstore_arena_recycling () =
   let nodes = 4 and nk = 8 in
-  let s = Mvstore.create ~nodes in
-  for k = 0 to nk - 1 do
-    Mvstore.init_key s k
-  done;
+  let s = Mvstore.create ~nodes ~keys:(Array.init nk Fun.id) in
   let cycle c =
     for j = 0 to 2 do
       let t = (3 * c) + j in
@@ -173,9 +262,7 @@ let test_mvstore_arena_recycling () =
    gauge counts one clock for a two-key commit. *)
 let test_mvstore_shares_clocks () =
   let nodes = 4 in
-  let s = Mvstore.create ~nodes in
-  Mvstore.init_key s 1;
-  Mvstore.init_key s 2;
+  let s = Mvstore.create ~nodes ~keys:[| 1; 2 |] in
   let cvc = vc [ 3; 1; 0; 2 ] in
   Mvstore.install s 1 ~value:"a" ~vc:cvc ~writer:(tx 0 1);
   Mvstore.install s 2 ~value:"a" ~vc:cvc ~writer:(tx 0 1);
@@ -191,8 +278,7 @@ let test_mvstore_shares_clocks () =
 (* A slot freed by the collector drops its clock: once the node log and
    the CommitQ let go of a superseded version's clock, so does the store. *)
 let test_mvstore_free_drops_clock () =
-  let s = Mvstore.create ~nodes:2 in
-  Mvstore.init_key s 1;
+  let s = Mvstore.create ~nodes:2 ~keys:[| 1 |] in
   let old = Weak.create 1 in
   let install_old () =
     let c = vc [ 1; 0 ] in
@@ -220,11 +306,7 @@ let test_mvstore_retention () =
         vc (List.init nodes (fun w -> if w = 0 then i + 1 else ((i * 7) + (w * 13)) mod 97)))
   in
   let value = "v" in
-  let s = Mvstore.create ~nodes in
-  Mvstore.reserve s keys;
-  for k = 0 to keys - 1 do
-    Mvstore.init_key s k
-  done;
+  let s = Mvstore.create ~nodes ~keys:(Array.init keys Fun.id) in
   Array.iteri (fun i c -> Mvstore.install s (i mod keys) ~value ~vc:c ~writer:(tx 0 (i + 1))) clocks;
   let versions = Mvstore.version_count s in
   Alcotest.(check int) "5,000 versions" 5000 versions;
@@ -242,7 +324,9 @@ let test_mvstore_retention () =
    (values, clocks, writers) and the image byte price after each step.
    This pins implicit genesis, slot reuse, the sweep cursor and the
    checkpoint size model to the specification a list store implements
-   directly. *)
+   directly.  Each case builds its store over a random strictly ascending
+   key array; ops name keys by position, and lookups of keys outside the
+   array must miss. *)
 
 type mver = { mvalue : string; mvc : int array; mwriter : Ids.txn }
 
@@ -253,6 +337,7 @@ type mop =
   | MCovered of int * int array
   | MSweep of int array * int
   | MRoundtrip
+  | MLookup of int  (* any key, in the array or not *)
 
 let mop_to_string op =
   let arr a = "[" ^ String.concat ";" (Array.to_list (Array.map string_of_int a)) ^ "]" in
@@ -264,10 +349,10 @@ let mop_to_string op =
   | MCovered (k, w) -> Printf.sprintf "covered k%d %s" k (arr w)
   | MSweep (w, b) -> Printf.sprintf "sweep %s budget:%d" (arr w) b
   | MRoundtrip -> "roundtrip"
+  | MLookup k -> Printf.sprintf "lookup %d" k
 
 let mvstore_matches_model =
-  let nodes = 4 and nkeys = 4 in
-  let key i = (2 * i) + 1 in
+  let nodes = 4 and max_keys = 6 in
   let zeros () = Array.make nodes 0 in
   let arr_leq a b =
     let ok = ref true in
@@ -279,7 +364,8 @@ let mvstore_matches_model =
     (* mostly small entries; a few wide ones give two-byte varint deltas *)
     let clock = array_size (return nodes) (frequency [ (4, int_bound 6); (1, int_bound 200) ]) in
     let writer = pair (int_bound (nodes - 1)) (int_range 1 99) in
-    let k = int_bound (nkeys - 1) in
+    (* a position, reduced modulo the case's key count *)
+    let k = int_bound (max_keys - 1) in
     let op =
       frequency
         [
@@ -289,19 +375,40 @@ let mvstore_matches_model =
           (2, map2 (fun k w -> MCovered (k, w)) k clock);
           (2, map2 (fun w b -> MSweep (w, b)) clock (int_range 1 6));
           (1, return MRoundtrip);
+          (1, map (fun k -> MLookup k) (int_bound 40));
         ]
     in
-    list_size (int_bound 50) op
+    let keys =
+      map
+        (fun l -> Array.of_list (List.sort_uniq Int.compare l))
+        (list_size (int_range 1 max_keys) (int_bound 40))
+    in
+    pair keys (list_size (int_bound 50) op)
   in
-  let print ops = String.concat "; " (List.map mop_to_string ops) in
-  let run ops =
-    let s = Mvstore.create ~nodes in
-    let model = Array.make nkeys [] in
-    (* creation order fixes the handle order the sweep cursor walks *)
-    for i = 0 to nkeys - 1 do
-      Mvstore.init_key s (key i);
-      model.(i) <- [ { mvalue = Ids.boot_value (key i); mvc = zeros (); mwriter = Ids.genesis } ]
-    done;
+  let print (keys, ops) =
+    Printf.sprintf "keys [%s]: %s"
+      (String.concat ";" (Array.to_list (Array.map string_of_int keys)))
+      (String.concat "; " (List.map mop_to_string ops))
+  in
+  let run (keys, ops) =
+    let nkeys = Array.length keys in
+    let s = Mvstore.create ~nodes ~keys in
+    let key i = keys.(i) in
+    let pos i = i mod nkeys in
+    let ops =
+      List.map
+        (function
+          | MInstall (i, c, w) -> MInstall (pos i, c, w)
+          | MInstall2 (i1, i2, c, w) -> MInstall2 (pos i1, pos i2, c, w)
+          | MSelect (i, b) -> MSelect (pos i, b)
+          | MCovered (i, w) -> MCovered (pos i, w)
+          | (MSweep _ | MRoundtrip | MLookup _) as op -> op)
+        ops
+    in
+    (* the key array's order fixes the handle order the sweep cursor walks *)
+    let model =
+      Array.map (fun k -> [ { mvalue = Ids.boot_value k; mvc = zeros (); mwriter = Ids.genesis } ]) keys
+    in
     let m_hi = ref 0 and m_pos = ref 0 in
     let m_covered i w =
       let rec walk kept = function
@@ -425,6 +532,13 @@ let mvstore_matches_model =
           let im = Mvstore.image_of s in
           Mvstore.restore s im;
           Mvstore.image_bytes im > 0
+      | MLookup k -> (
+          let present = Array.mem k keys in
+          Bool.equal (Mvstore.mem s k) present
+          &&
+          match Mvstore.last s k with
+          | (_ : Mvstore.slot) -> present
+          | exception Not_found -> not present)
     in
     List.for_all (fun op -> step op && agree ()) ops
   in
@@ -924,6 +1038,9 @@ let () =
       ( "mvstore",
         [
           Alcotest.test_case "genesis" `Quick test_mvstore_genesis;
+          Alcotest.test_case "key array" `Quick test_mvstore_key_array;
+          Alcotest.test_case "image shares the key array" `Quick test_mvstore_image_shares_keys;
+          Alcotest.test_case "create allocation" `Quick test_mvstore_create_allocation;
           Alcotest.test_case "install order" `Quick test_mvstore_install_order;
           Alcotest.test_case "select" `Quick test_mvstore_select;
           Alcotest.test_case "truncate" `Quick test_mvstore_truncate;
