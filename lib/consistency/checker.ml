@@ -56,7 +56,7 @@ let analyse history =
         infos := TxnMap.add txn i !infos;
         i
   in
-  let install_order : (Ids.key, int list) Hashtbl.t = Hashtbl.create 256 in
+  let install_order : (Ids.key, int list) Hashtbl.t = Hashtbl.create 16 in
   History.iter history (fun ~seq ~at:_ event ->
       match event with
       | History.Begin { txn; ro; node } ->

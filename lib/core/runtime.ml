@@ -106,12 +106,12 @@ type ('v, 'd, 'p) commitment = {
 
 let commitment () =
   {
-    rounds = Hashtbl.create 64;
-    decisions = Hashtbl.create 64;
+    rounds = Hashtbl.create 16;
+    decisions = Hashtbl.create 16;
     outcomes = Rpc.Pending.create ();
     sweep_at = retention_limit;
     scans = 0;
-    prepared = Hashtbl.create 64;
+    prepared = Hashtbl.create 16;
     fence = Idset.Txns.create ~horizon:retention_horizon;
   }
 

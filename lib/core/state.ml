@@ -160,24 +160,24 @@ let make_node sim (config : Config.t) repl id =
     nlog = Nlog.create ~nodes ~node:id;
     commitq = Commitq.create ~node:id;
     locks = Locks.create sim;
-    squeues = Hashtbl.create 256;
+    squeues = Hashtbl.create 16;
     node_vc = Vclock.zero nodes;
     coordinated_max = Vclock.zero nodes;
     stable_vc = Vclock.zero nodes;
     minted = 0;
     pending_reads = Rpc.Pending.create ();
     ac = Runtime.commitment ();
-    ack_boxes = Hashtbl.create 64;
+    ack_boxes = Hashtbl.create 16;
     tombstones = Idset.Txns.create ~horizon:Runtime.retention_horizon;
-    forwards = Hashtbl.create 256;
-    reader_keys = Hashtbl.create 256;
-    writer_since = Hashtbl.create 64;
+    forwards = Hashtbl.create 16;
+    reader_keys = Hashtbl.create 16;
+    writer_since = Hashtbl.create 16;
     parked = Stampset.create ();
-    parked_stamp = Hashtbl.create 64;
+    parked_stamp = Hashtbl.create 16;
     recent_ws = Nlog.Memo.create ~node:id ~horizon:recent_ws_horizon;
     cancelled = Hashtbl.create 16;
-    active = Hashtbl.create 64;
-    unfinalized = Hashtbl.create 64;
+    active = Hashtbl.create 16;
+    unfinalized = Hashtbl.create 16;
     pending_finalized = Rpc.Pending.create ();
     nlog_changed = Sim.Cond.create ();
     squeue_changed = Sim.Cond.create ();
@@ -286,7 +286,7 @@ let create sim (config : Config.t) hooks =
         (if config.gc then
            Some
              {
-               ro_bounds = Hashtbl.create 256;
+               ro_bounds = Hashtbl.create 16;
                wm_cache = Vclock.zero config.nodes;
                floor_used = Vclock.zero config.nodes;
                applies_since_refresh = 0;

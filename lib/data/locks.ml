@@ -15,7 +15,7 @@ type t = {
 }
 
 let create sim =
-  { sim; table = Hashtbl.create 256; held = Hashtbl.create 64; changed = Sim.Cond.create () }
+  { sim; table = Hashtbl.create 16; held = Hashtbl.create 16; changed = Sim.Cond.create () }
 
 let state t k =
   match Hashtbl.find_opt t.table k with

@@ -73,7 +73,7 @@ let create sim net ~retry =
     net;
     retry;
     token = 0;
-    awaiting = Hashtbl.create 256;
+    awaiting = Hashtbl.create 16;
     seen = Sss_data.Idset.create ~horizon:(dedup_horizon retry);
     retries = 0;
     stalled = 0;

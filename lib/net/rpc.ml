@@ -21,7 +21,7 @@ module Pending = struct
 
   type 'a t = { mutable next : int; table : (int, 'a slot) Hashtbl.t }
 
-  let create () = { next = 0; table = Hashtbl.create 64 }
+  let create () = { next = 0; table = Hashtbl.create 16 }
 
   let fresh t =
     t.next <- t.next + 1;

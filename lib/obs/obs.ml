@@ -7,7 +7,7 @@ type t = {
 }
 
 let create () =
-  { counters = Hashtbl.create 64; hists = Hashtbl.create 32; gauges = Hashtbl.create 16 }
+  { counters = Hashtbl.create 16; hists = Hashtbl.create 16; gauges = Hashtbl.create 16 }
 
 let incr t name =
   match Hashtbl.find_opt t.counters name with

@@ -130,15 +130,15 @@ type node = {
 let make_node _sim _config _repl id =
   {
     id;
-    store = Hashtbl.create 256;
+    store = Hashtbl.create 16;
     counter = 0;
     pending_disp = Rpc.Pending.create ();
     pending_ro = Rpc.Pending.create ();
-    ack_boxes = Hashtbl.create 64;
+    ack_boxes = Hashtbl.create 16;
     executed = Sim.Cond.create ();
     staged = Hashtbl.create 16;
-    seen_commits = Hashtbl.create 64;
-    done_pieces = Hashtbl.create 64;
+    seen_commits = Hashtbl.create 16;
+    done_pieces = Hashtbl.create 16;
     rounds = Hashtbl.create 16;
     inflight = Hashtbl.create 16;
     pending_alive = Rpc.Pending.create ();

@@ -78,11 +78,11 @@ type node = {
 let make_node sim _config _repl id =
   {
     id;
-    store = Hashtbl.create 256;
+    store = Hashtbl.create 16;
     locks = Locks.create sim;
     pending_reads = Rpc.Pending.create ();
     ac = Sss_kv.Runtime.commitment ();
-    ack_boxes = Hashtbl.create 64;
+    ack_boxes = Hashtbl.create 16;
   }
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)

@@ -127,7 +127,7 @@ type node = {
 let make_node sim (config : Sss_kv.Config.t) _repl id =
   {
     id;
-    chains = Hashtbl.create 256;
+    chains = Hashtbl.create 16;
     applied = Vclock.zero config.nodes;
     site_seq = 0;
     holdback = Hashtbl.create 8;
@@ -135,7 +135,7 @@ let make_node sim (config : Sss_kv.Config.t) _repl id =
     pending_reads = Rpc.Pending.create ();
     ac = Sss_kv.Runtime.commitment ();
     applied_changed = Sim.Cond.create ();
-    origin_log = Hashtbl.create 64;
+    origin_log = Hashtbl.create 16;
   }
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
