@@ -292,8 +292,10 @@ let rec drain t (node : node) key =
         c.writer <- ts.owner;
         c.ready <- rest;
         Sim.Cond.broadcast t.sim node.executed;
-        Hashtbl.replace node.done_pieces ts.owner
-          (1 + Option.value ~default:0 (Hashtbl.find_opt node.done_pieces ts.owner));
+        (* read only by a durable coordinator retry ([handle_commit]) *)
+        if Option.is_some t.wals.(node.id) then
+          Hashtbl.replace node.done_pieces ts.owner
+            (1 + Option.value ~default:0 (Hashtbl.find_opt node.done_pieces ts.owner));
         let round = Option.value ~default:0 (Hashtbl.find_opt node.rounds ts.owner) in
         send t ~src:node.id ~dst:ts.owner.Ids.node (Commit_ack { txn = ts.owner; round });
         drain t node key
@@ -660,6 +662,8 @@ let store_words t =
 let latest t ~node key =
   let c = peek t t.nodes.(node) key in
   (c.value, c.writer)
+
+let done_pieces t ~node = Hashtbl.length t.nodes.(node).done_pieces
 
 let quiescent t =
   residue_report t (fun (n : node) ->

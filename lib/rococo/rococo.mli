@@ -26,3 +26,8 @@ include Sss_kv.Runtime.STORE
 val latest : cluster -> node:Sss_data.Ids.node -> Sss_data.Ids.key -> string * Sss_data.Ids.txn
 (** Value and writer of the key's last executed piece at the node (tests).
     @raise Invalid_argument if the node does not replicate the key. *)
+
+val done_pieces : cluster -> node:Sss_data.Ids.node -> int
+(** Transactions whose executed-piece count the node keeps (tests).  Only a
+    durable coordinator retry reads the count, so a node without a WAL
+    keeps none. *)

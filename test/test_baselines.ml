@@ -267,6 +267,26 @@ let test_rococo_workload () =
   check_ok "no lost updates" (Checker.no_lost_updates h);
   check_ok "quiescent" (r.quiescent ())
 
+(* The executed-piece count answers a durable coordinator's retry only:
+   a run without a WAL keeps none, while the same updates on a durable
+   cluster keep one a transaction at some replica. *)
+let test_rococo_done_pieces_durable_only () =
+  let run durability =
+    let sim = Sim.create () in
+    let cl = Rococo_kv.Rococo.create sim { (config ()) with durability } in
+    Sim.spawn sim (fun () ->
+        for i = 1 to 6 do
+          let t = Rococo_kv.Rococo.begin_txn cl ~node:(i mod 3) ~read_only:false in
+          ignore (Rococo_kv.Rococo.read t i : string);
+          Rococo_kv.Rococo.write t i "v";
+          Alcotest.(check bool) "commits" true (Rococo_kv.Rococo.commit t)
+        done);
+    Sim.run sim;
+    List.fold_left ( + ) 0 (List.init 3 (fun node -> Rococo_kv.Rococo.done_pieces cl ~node))
+  in
+  Alcotest.(check int) "no WAL: nothing kept" 0 (run false);
+  Alcotest.(check int) "durable: one a transaction" 6 (run true)
+
 let test_rococo_updates_never_abort () =
   (* hot keys: all aborts must come from the round-based read-only path *)
   let r = drive Store.Rococo ~degree:1 ~keys:8 ~ro:0.5 ~seed:13 in
@@ -317,6 +337,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_rococo_basic;
           Alcotest.test_case "workload" `Quick test_rococo_workload;
           Alcotest.test_case "updates never abort" `Quick test_rococo_updates_never_abort;
+          Alcotest.test_case "executed pieces kept only when durable" `Quick
+            test_rococo_done_pieces_durable_only;
           Alcotest.test_case "implicit genesis" `Quick Rococo_genesis.test;
         ] );
     ]
