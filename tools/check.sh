@@ -26,6 +26,10 @@
 #                             pass the checker battery over their history
 #   9. stress -j max        — the seed/configuration sweep prints
 #                             test/golden/stress.txt byte-for-byte
+#  10. no presized tables   — no Hashtbl.create in lib/ asks for more than
+#                             16 buckets (OCaml's minimum): a table grows
+#                             with its traffic, and one that never fills
+#                             would pin its empty buckets for a whole run
 #
 # Run from the repository root.
 set -eu
@@ -112,5 +116,16 @@ if ! cmp -s BENCH_stress_check.txt test/golden/stress.txt; then
   exit 1
 fi
 rm -f BENCH_stress_check.txt
+
+echo "check: no presized tables"
+presized=$(grep -rnE 'Hashtbl\.create[[:space:]]+[0-9]+' lib --include='*.ml' |
+  awk '{ match($0, /Hashtbl\.create[[:space:]]+[0-9]+/);
+         n = substr($0, RSTART, RLENGTH); sub(/^Hashtbl\.create[[:space:]]+/, "", n);
+         if (n + 0 > 16) print }')
+if [ -n "$presized" ]; then
+  echo "$presized" >&2
+  echo "check FAIL: Hashtbl.create above 16 in lib/ (start at 16 and let the table grow)" >&2
+  exit 1
+fi
 
 echo "check: all gates passed"
