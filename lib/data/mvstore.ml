@@ -70,8 +70,7 @@ type t = {
   mutable total : int;
   mutable value_words : int;
   (* GC sweep cursor: handles are visited highest-first, the bound frozen
-     per pass — the exact order of the previous list-based store, so gc-on
-     trajectories are unchanged *)
+     per pass; gc-on trajectories depend on this order *)
   mutable sweep_hi : int;
   mutable sweep_pos : int;
 }
@@ -127,11 +126,13 @@ let[@hot] rec search (keys : int array) (k : int) lo hi =
     let km = Array.unsafe_get keys mid in
     if km = k then mid else if km < k then search keys k (mid + 1) hi else search keys k lo mid
 
+let[@hot] handle t k = search t.key_of k 0 (Array.length t.key_of)
+
 let[@hot] find_handle t k =
-  let h = search t.key_of k 0 (Array.length t.key_of) in
+  let h = handle t k in
   if h < 0 then raise Not_found else h
 
-let mem t k = search t.key_of k 0 (Array.length t.key_of) >= 0
+let mem t k = handle t k >= 0
 
 let chains t = Array.length t.key_of
 
@@ -302,7 +303,6 @@ let keys t = Array.to_list t.key_of
 
 type image = {
   i_nodes : int;
-  i_nkeys : int;
   i_head : int array;
   i_g_state : Bytes.t;
   i_slot_top : int;
@@ -354,7 +354,6 @@ let disk_bytes t =
 let image_of t =
   {
     i_nodes = t.nodes;
-    i_nkeys = Array.length t.key_of;
     i_head = Array.copy t.head;
     i_g_state = Bytes.copy t.g_state;
     i_slot_top = t.slot_top;
@@ -374,10 +373,10 @@ let image_of t =
 let image_bytes im = im.i_bytes
 
 let restore t im =
-  if im.i_nodes <> t.nodes || im.i_nkeys <> Array.length t.key_of then
+  if im.i_nodes <> t.nodes || Array.length im.i_head <> Array.length t.head then
     invalid_arg "Mvstore.restore: image of a differently shaped store";
-  Array.blit im.i_head 0 t.head 0 im.i_nkeys;
-  Bytes.blit im.i_g_state 0 t.g_state 0 im.i_nkeys;
+  Array.blit im.i_head 0 t.head 0 (Array.length t.head);
+  Bytes.blit im.i_g_state 0 t.g_state 0 (Bytes.length t.g_state);
   t.slot_top <- im.i_slot_top;
   t.v_value <- Array.copy im.i_value;
   t.v_writer <- Array.copy im.i_writer;
