@@ -118,15 +118,25 @@ let genesis_present t h = Bytes.unsafe_get t.g_state h <> g_dropped
 
 (* ---- key -> handle ---- *)
 
-(* position of [k] in [keys.(lo) .. keys.(hi - 1)], or -1 *)
-let[@hot] rec search (keys : int array) (k : int) lo hi =
-  if lo >= hi then -1
+(* The last position in [keys.(base) .. keys.(base + n - 1)] holding a key
+   at most [k] ([base] if none), by binary search.  Each step's comparison
+   feeds the next position arithmetically instead of choosing a branch:
+   the node's keys are hashed over the key space, so a branch on them
+   would mispredict about every other step. *)
+let[@hot] rec search (keys : int array) (k : int) base n =
+  if n <= 1 then base
   else
-    let mid = (lo + hi) lsr 1 in
-    let km = Array.unsafe_get keys mid in
-    if km = k then mid else if km < k then search keys k (mid + 1) hi else search keys k lo mid
+    let half = n lsr 1 in
+    let up = Bool.to_int (Array.unsafe_get keys (base + half) <= k) in
+    search keys k (base + (up * half)) (n - half)
 
-let[@hot] handle t k = search t.key_of k 0 (Array.length t.key_of)
+(* handle of [k], or -1 *)
+let[@hot] handle t k =
+  let n = Array.length t.key_of in
+  if n = 0 then -1
+  else
+    let h = search t.key_of k 0 n in
+    if Array.unsafe_get t.key_of h = k then h else -1
 
 let[@hot] find_handle t k =
   let h = handle t k in
