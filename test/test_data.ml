@@ -77,7 +77,9 @@ let test_mvstore_genesis () =
       Alcotest.(check bool) "genesis writer (packed)" true
         (Mvstore.slot_writer_is s v Ids.genesis);
       match Mvstore.chain s k with
-      | [ g ] -> Alcotest.(check bool) "genesis clock is zero" true (Vclock.equal g.Mvstore.vc (Vclock.zero 2))
+      | [ g ] ->
+          Alcotest.(check bool) "genesis clock is zero" true
+            (Vclock.equal g.Mvstore.vc (Vclock.zero 2))
       | _ -> Alcotest.fail "genesis chain of one")
     keys;
   Mvstore.install s 7 ~value:"v1" ~vc:(vc [ 1; 0 ]) ~writer:(tx 0 1);
@@ -96,7 +98,8 @@ let test_mvstore_key_array () =
     [| 2; 11; 90 |];
   List.iter
     (fun (k, want) ->
-      Alcotest.(check string) (Printf.sprintf "key %d" k) want (Mvstore.slot_value s (Mvstore.last s k)))
+      Alcotest.(check string) (Printf.sprintf "key %d" k) want
+        (Mvstore.slot_value s (Mvstore.last s k)))
     [ (2, "0"); (11, "1"); (90, "2"); (41, "init:41") ];
   List.iter
     (fun k ->
@@ -134,7 +137,8 @@ let test_mvstore_image_shares_keys () =
     Alcotest.failf "an image of %d idle keys holds %d words" n words;
   for i = 1 to 300 do
     let k = keys.((i * 37) mod n) in
-    Mvstore.install s k ~value:(Printf.sprintf "v%d" i) ~vc:(vc [ i; i / 2 ]) ~writer:(tx (i mod 2) i)
+    Mvstore.install s k ~value:(Printf.sprintf "v%d" i) ~vc:(vc [ i; i / 2 ])
+      ~writer:(tx (i mod 2) i)
   done;
   ignore (Mvstore.truncate_covered s keys.(37) ~watermark:(vc [ 150; 75 ]) : int);
   let im = Mvstore.image_of s in
@@ -407,7 +411,9 @@ let mvstore_matches_model =
     in
     (* the key array's order fixes the handle order the sweep cursor walks *)
     let model =
-      Array.map (fun k -> [ { mvalue = Ids.boot_value k; mvc = zeros (); mwriter = Ids.genesis } ]) keys
+      Array.map
+        (fun k -> [ { mvalue = Ids.boot_value k; mvc = zeros (); mwriter = Ids.genesis } ])
+        keys
     in
     let m_hi = ref 0 and m_pos = ref 0 in
     let m_covered i w =
