@@ -104,48 +104,55 @@ let baseline_sweep pool =
    so both the workload and the injected faults vary together.  Chaos runs
    never feed the paper-shape figures (see EXPERIMENTS.md). *)
 
-(* One chaos seed: all four systems; returns the committed total and the
-   per-system checks, in SSS, 2PC, Walter, ROCOCO order.  [durability]
+(* One chaos seed: all four systems; returns each system's name,
+   committed count and checks, in [chaos_systems] order.  [durability]
    turns on write-ahead logging, so a fail-stopped node replays its log
    instead of just dropping messages. *)
+let chaos_systems = [ Sss; Twopc; Walter; Rococo ]
+
 let chaos_one ~durability base_plan seed =
   let plan = { base_plan with Sss_chaos.Chaos.seed = base_plan.Sss_chaos.Chaos.seed + seed } in
   let config = { Config.default with seed; fault_tolerance = true; durability } in
-  let runs =
-    List.map
-      (fun system ->
-        let committed, checks = sweep_run ~plan ~config ~clients:2 ~duration:0.03 system in
-        (committed, (lower system, checks)))
-      [ Sss; Twopc; Walter; Rococo ]
-  in
-  (List.fold_left (fun acc (c, _) -> acc + c) 0 runs, List.map snd runs)
+  List.map
+    (fun system ->
+      let committed, checks = sweep_run ~plan ~config ~clients:2 ~duration:0.03 system in
+      (lower system, committed, checks))
+    chaos_systems
 
 (* [chaos_one] over [seeds]: print every failed check, return the
-   committed total and the failure count. *)
+   committed count per system (in [chaos_systems] order) and the failure
+   count. *)
 let system_sweep pool ~label ~durability plan seeds =
   List.fold_left2
-    (fun (committed, failures) seed (c, per_system) ->
-      ( committed + c,
+    (fun (committed, failures) seed runs ->
+      ( List.map2 (fun (system, n) (_, c, _) -> (system, n + c)) committed runs,
         List.fold_left
-          (fun acc (system, checks) ->
+          (fun acc (system, _, checks) ->
             acc
             + fst
                 (report checks ~where:(fun name ->
                      Printf.sprintf "%s %s seed=%d %s" label system seed name)))
-          failures per_system ))
-    (0, 0) seeds
+          failures runs ))
+    (List.map (fun system -> (lower system, 0)) chaos_systems, 0)
+    seeds
     (Pool.map_list pool (chaos_one ~durability plan) seeds)
+
+let total committed = List.fold_left (fun acc (_, n) -> acc + n) 0 committed
 
 (* Durable crash-recovery sweep (always on): every system with write-ahead
    logging enabled, one node fail-stopped mid-run and restarted through log
    replay, across 10 seeds.  Histories must stay checker-accepted —
-   including no torn commits — and the cluster must end quiescent. *)
+   including no torn commits — and the cluster must end quiescent.  The
+   committed total is printed per system too, so a change to one protocol
+   shows which count moved. *)
 let durability_sweep pool =
   let plan = Sss_chaos.Chaos.crash_restart ~seed:0 ~node:2 ~at:0.015 ~restart_at:0.019 in
   let seeds = seeds 10 in
   let committed, failures = system_sweep pool ~label:"durable" ~durability:true plan seeds in
-  Printf.printf "durability sweep: %d seeds x 4 systems, %d committed, %d failures\n%!"
-    (List.length seeds) committed failures;
+  Printf.printf "durability sweep: %d seeds x 4 systems, %d committed (%s), %d failures\n%!"
+    (List.length seeds) (total committed)
+    (String.concat ", " (List.map (fun (system, n) -> Printf.sprintf "%s %d" system n) committed))
+    failures;
   failures
 
 let chaos_sweep pool plan_text =
@@ -163,8 +170,8 @@ let chaos_sweep pool plan_text =
       Printf.eprintf "invalid --chaos plan: %s\n" e;
       exit 2);
   let committed, failures = system_sweep pool ~label:"chaos" ~durability:false plan (seeds 20) in
-  Printf.printf "chaos sweep: 20 seeds x 4 systems, %d committed, %d failures\n%!" committed
-    failures;
+  Printf.printf "chaos sweep: 20 seeds x 4 systems, %d committed, %d failures\n%!"
+    (total committed) failures;
   exit (if failures > 0 then 1 else 0)
 
 (* The SSS sweeps over a (configuration, seed) grid.  [Matrix] runs the
