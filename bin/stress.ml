@@ -119,9 +119,8 @@ let chaos_one ~durability base_plan seed =
       (lower system, committed, checks))
     chaos_systems
 
-(* [chaos_one] over [seeds]: print every failed check, return the
-   committed count per system (in [chaos_systems] order) and the failure
-   count. *)
+(* [chaos_one] over [seeds]: print every failed check, return each
+   system's committed count and the failure count. *)
 let system_sweep pool ~label ~durability plan seeds =
   List.fold_left2
     (fun (committed, failures) seed runs ->
@@ -133,8 +132,7 @@ let system_sweep pool ~label ~durability plan seeds =
                 (report checks ~where:(fun name ->
                      Printf.sprintf "%s %s seed=%d %s" label system seed name)))
           failures runs ))
-    (List.map (fun system -> (lower system, 0)) chaos_systems, 0)
-    seeds
+    (List.map (fun system -> (lower system, 0)) chaos_systems, 0) seeds
     (Pool.map_list pool (chaos_one ~durability plan) seeds)
 
 let total committed = List.fold_left (fun acc (_, n) -> acc + n) 0 committed
@@ -143,8 +141,7 @@ let total committed = List.fold_left (fun acc (_, n) -> acc + n) 0 committed
    logging enabled, one node fail-stopped mid-run and restarted through log
    replay, across 10 seeds.  Histories must stay checker-accepted —
    including no torn commits — and the cluster must end quiescent.  The
-   committed total is printed per system too, so a change to one protocol
-   shows which count moved. *)
+   line names each system's committed count as well as the total. *)
 let durability_sweep pool =
   let plan = Sss_chaos.Chaos.crash_restart ~seed:0 ~node:2 ~at:0.015 ~restart_at:0.019 in
   let seeds = seeds 10 in

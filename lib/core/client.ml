@@ -105,23 +105,6 @@ let await_observed_parked h =
           stalled ~phase:"wait-finalized" (Ids.txn_to_string h.txn))
     slots
 
-(* Completion waits under durability retry their message: the transport's
-   receipt can outrun the processing fiber a crash kills, so "delivered" is
-   not "acted on" — a recovered participant holds no trace of the Decide or
-   Finalize it receipted.  Re-send to the nodes whose ack is missing every
-   few retry periods; the handlers are idempotent, and a re-sent ack finds
-   its sender settled.  Without durability the single-timeout wait is kept
-   bit-for-bit (no extra timer events). *)
-let await_phase_acks cl (h : handle) box ~msg ~phase =
-  if cl.config.Config.durability then begin
-    let deadline = now cl +. Config.ack_timeout in
-    while not (acks_within cl box ~timeout:(4. *. Config.retry_max)) do
-      if now cl >= deadline then stalled ~phase (Ids.txn_to_string h.txn);
-      send_nodes cl ~src:h.home.id ~dsts:box.missing msg
-    done
-  end;
-  await_acks cl h.home box ~phase h.txn
-
 (* Read-only (and write-free) commit: the client is informed immediately;
    the Remove message then clears this transaction's snapshot-queue entries
    on every replica it read (Alg. 1 lines 2-8). *)
@@ -196,9 +179,9 @@ let commit_update h =
       let decide_at = now cl in
       send_nodes cl ~src:h.home.id ~dsts:participants
         (Message.Decide { txn = h.txn; vc = commit_vc; outcome = true });
-      await_phase_acks cl h ack
+      await_completion cl h.home ack
         ~msg:(Message.Decide { txn = h.txn; vc = commit_vc; outcome = true })
-        ~phase:"external-commit ack";
+        ~phase:"external-commit ack" h.txn;
       Hashtbl.remove h.home.ack_boxes h.txn;
       if cl.config.Config.strict_order then begin
         (* wr-chaining: the parked writers we read from must externally commit
@@ -212,8 +195,8 @@ let commit_update h =
            can then always safely serialize before this transaction. *)
         let fin = open_acks cl h.home.ack_boxes h.txn ~from:write_nodes ~round:1 in
         send_nodes cl ~src:h.home.id ~dsts:write_nodes (Message.Finalize { txn = h.txn });
-        await_phase_acks cl h fin ~msg:(Message.Finalize { txn = h.txn })
-          ~phase:"finalize ack";
+        await_completion cl h.home fin ~msg:(Message.Finalize { txn = h.txn })
+          ~phase:"finalize ack" h.txn;
         Hashtbl.remove h.home.ack_boxes h.txn
       end;
       (* Completion protocol done: in-doubt queries no longer need this

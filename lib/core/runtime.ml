@@ -310,6 +310,9 @@ module Make (P : PROTOCOL) = struct
       Reliable.send t.rel ~prio ~src ~dst (fun token -> P.tracked token payload)
     else Network.send t.net ~prio ~src ~dst payload
 
+  (* [payload] to each of [dsts], in list order. *)
+  let send_nodes t ~src ~dsts payload = List.iter (fun dst -> send t ~src ~dst payload) dsts
+
   (* The receiving side of a tracked envelope: receipt every copy (receipts
      can be lost), and [true] only for the first, so protocol handlers never
      see re-deliveries. *)
@@ -394,10 +397,7 @@ module Make (P : PROTOCOL) = struct
      the reply. *)
   let fetch ?phase h pending key msg =
     let req, slot = Rpc.Pending.fresh pending in
-    let m = msg req in
-    List.iter
-      (fun dst -> send h.cl ~src:(P.id h.home) ~dst m)
-      (Replication.replicas h.cl.repl key);
+    send_nodes h.cl ~src:(P.id h.home) ~dsts:(Replication.replicas h.cl.repl key) (msg req);
     await_read ?phase h.cl slot ~key ~txn:h.txn
 
   (* Note a read of [writer]'s version of [key]: once in the read set, and
@@ -490,6 +490,22 @@ module Make (P : PROTOCOL) = struct
     if not (acks_within t b ~timeout:Config.ack_timeout) then
       stalled ~phase (Ids.txn_to_string txn);
     if not (node_live t home) then crashed (P.id home)
+
+  (* The completion wait.  Under durability a receipt is not "acted on": a
+     participant can receipt [msg], crash, and recover with no trace of it.
+     So every 4 x [retry_max] [msg] goes again to the senders still
+     missing, until [ack_timeout]; handlers are idempotent and a surplus
+     ack counts for nothing.  Without durability it is {!await_acks} alone,
+     with no timer event added. *)
+  let await_completion t home b ~msg ~phase txn =
+    if t.config.durability then begin
+      let deadline = now t +. Config.ack_timeout in
+      while not (acks_within t b ~timeout:(4. *. Config.retry_max)) do
+        if now t >= deadline then stalled ~phase (Ids.txn_to_string txn);
+        send_nodes t ~src:(P.id home) ~dsts:(List.sort_uniq Int.compare b.missing) msg
+      done
+    end;
+    await_acks t home b ~phase txn
 
   (* Refuse a key node [id] does not replicate: a caller bug. *)
   let replicated t id key =

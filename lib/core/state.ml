@@ -346,9 +346,6 @@ let squeue_remove node key txn =
       ignore (Squeue.remove q txn : bool);
       if Squeue.is_empty q then Hashtbl.remove node.squeues key
 
-let send_nodes t ~src ~dsts payload =
-  List.iter (fun dst -> send t ~src ~dst payload) dsts
-
 (* Clock values are [raw * nodes + minting_node]: every value is created by
    exactly one bump or one xactVN mint, so equal scalars always denote the
    same transaction.  Without this, two transactions committing through

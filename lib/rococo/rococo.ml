@@ -26,6 +26,10 @@
      bounded number of attempts.  Their cost grows with the number of read
      keys and with contention — the effect Figure 8 measures.
 
+   Under durability the runtime's completion wait re-sends the Commit to
+   the replicas whose acks are missing; a replica positions a transaction
+   once ([seen]) and re-acks only after its last local piece ran.
+
    Replication is disabled in the paper's ROCOCO comparisons (consensus
    replication is out of scope); we honour [replication_degree] but the
    experiments use 1. *)
@@ -44,9 +48,8 @@ let ts_compare a b =
 type msg =
   | Dispatch of { req : int; txn : Ids.txn; key : Ids.key }
   | Dispatch_ack of { req : int; counter : int; value : string; writer : Ids.txn }
-  | Commit of { txn : Ids.txn; ts : ts; writes : (Ids.key * string) list; round : int }
-      (* [round] > 0 only for durability-mode coordinator retries *)
-  | Commit_ack of { txn : Ids.txn; round : int }
+  | Commit of { txn : Ids.txn; ts : ts; writes : (Ids.key * string) list }
+  | Commit_ack of { txn : Ids.txn }
   | Ro_read of { req : int; key : Ids.key }
   | Ro_ret of { req : int; value : string; writer : Ids.txn; stable : bool }
   | Cancel of { txn : Ids.txn; keys : Ids.key list }
@@ -98,8 +101,7 @@ type snap = {
     (Ids.key * (string * Ids.txn * (Ids.txn * int) list * (ts * string) list)) list;
   s_counter : int;
   s_staged : (Ids.txn * (ts * (Ids.key * string) list)) list;
-  s_done : (Ids.txn * int) list;
-  s_seen : Ids.txn list;
+  s_seen : Idset.Txns.t;
 }
 
 type node = {
@@ -111,15 +113,16 @@ type node = {
   mutable counter : int;
   pending_disp : (int * string * Ids.txn) Rpc.Pending.t;
   pending_ro : (string * Ids.txn * bool) Rpc.Pending.t;
-  ack_boxes : (Ids.txn, Sss_kv.Runtime.acks) Hashtbl.t;
-      (* durability retries in rounds: acks of older rounds are stale *)
+  ack_boxes : (Ids.txn, Sss_kv.Runtime.acks) Hashtbl.t;  (* one ack per piece *)
   executed : Sim.Cond.t;
   (* durability mode only *)
   staged : (Ids.txn, ts * (Ids.key * string) list) Hashtbl.t;
       (* positioned transactions whose RInsert flush is still in flight *)
-  seen_commits : (Ids.txn, unit) Hashtbl.t;  (* dedup for coordinator retries *)
-  done_pieces : (Ids.txn, int) Hashtbl.t;  (* locally executed pieces per txn *)
-  rounds : (Ids.txn, int) Hashtbl.t;  (* latest Commit retry round seen *)
+  mutable seen : Idset.Txns.t;
+      (* positioned transactions: a re-sent Commit is never staged twice.
+         A coordinator stops re-sending [ack_timeout] after its dispatch
+         round, so no copy arrives past the 2 x [ack_timeout] horizon (a
+         retired id reads as seen) *)
   inflight : (Ids.txn, unit) Hashtbl.t;
       (* home-side registry of update transactions still being driven by a
          live client fiber; lost in a crash — which is exactly the signal
@@ -137,9 +140,7 @@ let make_node _sim _config _repl id =
     ack_boxes = Hashtbl.create 16;
     executed = Sim.Cond.create ();
     staged = Hashtbl.create 16;
-    seen_commits = Hashtbl.create 16;
-    done_pieces = Hashtbl.create 16;
-    rounds = Hashtbl.create 16;
+    seen = Idset.Txns.create ~horizon:(2. *. Sss_kv.Config.ack_timeout);
     inflight = Hashtbl.create 16;
     pending_alive = Rpc.Pending.create ();
   }
@@ -173,8 +174,7 @@ let snap_bytes (s : snap) =
         + List.fold_left (fun a (_, w) -> a + 20 + String.length w) 0 ready)
       0 s.s_cells
   + List.fold_left (fun acc (_, (_, ws)) -> acc + 24 + writes_bytes ws) 0 s.s_staged
-  + (16 * List.length s.s_done)
-  + (8 * List.length s.s_seen)
+  + (16 * Idset.Txns.cardinal s.s_seen)
 
 let snap_of (node : node) =
   {
@@ -186,8 +186,7 @@ let snap_of (node : node) =
         (Sss_kv.Runtime.sorted_keys node.store);
     s_counter = node.counter;
     s_staged = Sss_kv.Runtime.sorted_bindings node.staged;
-    s_done = Sss_kv.Runtime.sorted_bindings node.done_pieces;
-    s_seen = List.map fst (Sss_kv.Runtime.sorted_bindings node.seen_commits);
+    s_seen = Idset.Txns.copy node.seen;
   }
 
 module Rt = Sss_kv.Runtime.Make (struct
@@ -261,7 +260,7 @@ let read_rpc h (pending : 'a Rpc.Pending.t) key msg ~phase =
         stalled ~phase (Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.txn));
       if not (node_live cl home) then crashed home.id;
       let req, ivar = Rpc.Pending.fresh pending in
-      List.iter (fun dst -> send cl ~src:home.id ~dst (msg req)) dsts;
+      send_nodes cl ~src:home.id ~dsts (msg req);
       match Rpc.Pending.await_timeout cl.sim ivar ~timeout:(2. *. Sss_kv.Config.retry_max) with
       | Some r -> r
       | None ->
@@ -292,12 +291,7 @@ let rec drain t (node : node) key =
         c.writer <- ts.owner;
         c.ready <- rest;
         Sim.Cond.broadcast t.sim node.executed;
-        (* read only by a durable coordinator retry ([handle_commit]) *)
-        if Option.is_some t.wals.(node.id) then
-          Hashtbl.replace node.done_pieces ts.owner
-            (1 + Option.value ~default:0 (Hashtbl.find_opt node.done_pieces ts.owner));
-        let round = Option.value ~default:0 (Hashtbl.find_opt node.rounds ts.owner) in
-        send t ~src:node.id ~dst:ts.owner.Ids.node (Commit_ack { txn = ts.owner; round });
+        send t ~src:node.id ~dst:ts.owner.Ids.node (Commit_ack { txn = ts.owner });
         drain t node key
       end
 
@@ -333,23 +327,33 @@ let insert_positioned t (node : node) ~txn ~ts ~writes =
       end)
     writes
 
-let handle_commit t (node : node) ~txn ~ts ~writes ~round =
+(* Every local piece of the seen [txn] has run: its flush is done and no
+   key holds a ready piece of it. *)
+let pieces_ran (node : node) txn writes =
+  (not (Hashtbl.mem node.staged txn))
+  && List.for_all
+       (fun (key, _) ->
+         match Hashtbl.find_opt node.store key with
+         | Some c -> not (List.exists (fun (ts, _) -> Ids.equal_txn ts.owner txn) c.ready)
+         | None -> true)
+       writes
+
+let handle_commit t (node : node) ~txn ~ts ~writes =
   match t.wals.(node.id) with
   | None -> insert_positioned t node ~txn ~ts ~writes
-  | Some _ when Hashtbl.mem node.seen_commits txn ->
-      (* coordinator retry: the position is already durable (or in flight);
-         never re-stage — re-acknowledge what has executed so far at the
-         newest round so the retry can complete *)
-      let prev = Option.value ~default:0 (Hashtbl.find_opt node.rounds txn) in
-      let round = Stdlib.max round prev in
-      Hashtbl.replace node.rounds txn round;
-      let done_ = Option.value ~default:0 (Hashtbl.find_opt node.done_pieces txn) in
-      for _ = 1 to done_ do
-        send t ~src:node.id ~dst:txn.Ids.node (Commit_ack { txn; round })
-      done
+  | Some _ when Idset.Txns.mem node.seen txn ->
+      (* a coordinator re-send: the position is already durable (or in
+         flight), so it is never staged again.  Once the last local piece
+         ran, re-ack one per local written key; an ack sent before could
+         settle the box while a piece is still to run *)
+      if pieces_ran node txn writes then
+        List.iter
+          (fun (key, _) ->
+            if Replication.is_replica t.repl node.id key then
+              send t ~src:node.id ~dst:txn.Ids.node (Commit_ack { txn }))
+          writes
   | Some _ ->
-      Hashtbl.replace node.rounds txn round;
-      Hashtbl.replace node.seen_commits txn ();
+      Idset.Txns.add node.seen txn ~now:(Sim.now t.sim);
       node.counter <- Stdlib.max node.counter ts.num;
       (* stage + append in one event: a fuzzy checkpoint sees the position
          either in [staged] or (after the flush) in the cells *)
@@ -422,8 +426,8 @@ let rec dispatch t (node : node) ~src payload =
       end
   | Dispatch_ack { req; counter; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_disp req (counter, value, writer)
-  | Commit { txn; ts; writes; round } -> handle_commit t node ~txn ~ts ~writes ~round
-  | Commit_ack { txn; round } -> ack_arrived t node.ack_boxes txn ~src ~round
+  | Commit { txn; ts; writes } -> handle_commit t node ~txn ~ts ~writes
+  | Commit_ack { txn } -> ack_arrived t node.ack_boxes txn ~src ~round:0
   | Ro_read { req; key } ->
       (* wait until no buffered update piece conflicts with the read *)
       let _ =
@@ -455,8 +459,7 @@ let load_snap t (node : node) (s : snap) =
     s.s_cells;
   node.counter <- s.s_counter;
   List.iter (fun (txn, sw) -> Hashtbl.replace node.staged txn sw) s.s_staged;
-  List.iter (fun (txn, n) -> Hashtbl.replace node.done_pieces txn n) s.s_done;
-  List.iter (fun txn -> Hashtbl.replace node.seen_commits txn ()) s.s_seen
+  node.seen <- Idset.Txns.copy s.s_seen
 
 (* Redo one durable record into the volatile tables; positioned
    transactions land in [staged] and re-execute after replay, which never
@@ -466,7 +469,7 @@ let replay_record t (node : node) = function
       node.counter <- Stdlib.max node.counter counter;
       set_pending (cell t node key) txn counter
   | RInsert { txn; ts; writes } ->
-      Hashtbl.replace node.seen_commits txn ();
+      Idset.Txns.add node.seen txn ~now:(Sim.now t.sim);
       node.counter <- Stdlib.max node.counter ts.num;
       Hashtbl.replace node.staged txn (ts, writes)
 
@@ -554,29 +557,9 @@ let commit_update h =
   (* one ack per executed piece per replica *)
   let from = List.concat_map (fun (k, _) -> Replication.replicas cl.repl k) h.ws in
   let box = open_acks cl h.home.ack_boxes h.txn ~from ~round:0 in
-  let broadcast round =
-    List.iter
-      (fun dst ->
-        send cl ~src:h.home.id ~dst (Commit { txn = h.txn; ts; writes = h.ws; round }))
-      servers
-  in
-  if not cl.config.Sss_kv.Config.durability then broadcast 0
-  else begin
-    (* a server crash can eat Commit or its acks; retry in numbered rounds
-       so re-acknowledgements of stale rounds are never double-counted *)
-    let rec rounds round =
-      if round > cl.config.Sss_kv.Config.retry_limit then
-        stalled ~phase:"commit ack" (Ids.txn_to_string h.txn);
-      if not (node_live cl h.home) then crashed h.home.id;
-      box.ack_round <- round;
-      box.missing <- from;
-      broadcast round;
-      if not (acks_within cl box ~timeout:(2. *. Sss_kv.Config.retry_max)) then
-        rounds (round + 1)
-    in
-    rounds 0
-  end;
-  await_acks cl h.home box ~phase:"commit ack" h.txn;
+  let msg = Commit { txn = h.txn; ts; writes = h.ws } in
+  send_nodes cl ~src:h.home.id ~dsts:servers msg;
+  await_completion cl h.home box ~msg ~phase:"commit ack" h.txn;
   Hashtbl.remove h.home.ack_boxes h.txn;
   Hashtbl.remove h.home.inflight h.txn;
   complete h ~ws:(List.map fst h.ws);
@@ -640,9 +623,8 @@ let abort h =
       (* withdraw any dispatched pieces so they never gate other transactions *)
       let keys = List.map fst h.own.reads in
       if (not h.ro) && keys <> [] then
-        List.iter
-          (fun dst -> send h.cl ~src:h.home.id ~dst (Cancel { txn = h.txn; keys }))
-          (replica_nodes h.cl keys))
+        send_nodes h.cl ~src:h.home.id ~dsts:(replica_nodes h.cl keys)
+          (Cancel { txn = h.txn; keys }))
 
 (* Resident words of every node's store, under the same heap model as
    [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, the cell
@@ -662,8 +644,6 @@ let store_words t =
 let latest t ~node key =
   let c = peek t t.nodes.(node) key in
   (c.value, c.writer)
-
-let done_pieces t ~node = Hashtbl.length t.nodes.(node).done_pieces
 
 let quiescent t =
   residue_report t (fun (n : node) ->

@@ -13,10 +13,14 @@
     An update's [read] dispatches the key's piece and returns the
     dispatch-time value; the authoritative read-modify-write happens at
     execution, in the agreed order.  [abort] withdraws dispatched pieces so
-    they never gate other transactions.  After a crash, [restart_node]
-    re-executes positioned transactions cut short by the crash in
-    final-position order and spawns aliveness watchdogs that withdraw
-    restored pieces whose driving client no longer exists.
+    they never gate other transactions.  Under durability the coordinator
+    re-sends its commit to the replicas whose acks are missing (the
+    runtime's completion wait); a replica positions a transaction once and
+    answers a re-send, one ack per local piece, only after its last local
+    piece ran.  After a crash, [restart_node] re-executes positioned
+    transactions cut short by the crash in final-position order and spawns
+    aliveness watchdogs that withdraw restored pieces whose driving client
+    no longer exists.
 
     Deployment parameters are shared with SSS ({!Sss_kv.Config.t}); the
     paper disables replication for ROCOCO comparisons (degree 1). *)
@@ -26,8 +30,3 @@ include Sss_kv.Runtime.STORE
 val latest : cluster -> node:Sss_data.Ids.node -> Sss_data.Ids.key -> string * Sss_data.Ids.txn
 (** Value and writer of the key's last executed piece at the node (tests).
     @raise Invalid_argument if the node does not replicate the key. *)
-
-val done_pieces : cluster -> node:Sss_data.Ids.node -> int
-(** Transactions whose executed-piece count the node keeps (tests).  Only a
-    durable coordinator retry reads the count, so a node without a WAL
-    keeps none. *)

@@ -314,19 +314,14 @@ let commit_validated h =
   let keys = List.map fst h.rs @ List.map fst h.ws in
   let participants = List.sort_uniq Int.compare (h.home.id :: replica_nodes cl keys) in
   let round = Ac.open_round h.home h.txn ~expect:(List.length participants) () in
-  List.iter
-    (fun dst ->
-      send cl ~src:h.home.id ~dst
-        (Prepare { txn = h.txn; coord = h.home.id; rs = h.rs; ws = h.ws }))
-    participants;
+  send_nodes cl ~src:h.home.id ~dsts:participants
+    (Prepare { txn = h.txn; coord = h.home.id; rs = h.rs; ws = h.ws });
   match Ac.await_round cl h.home h.txn round with
   | Some reason ->
       (* A crashed home can still abort (nothing was promised), so the
          Decide(false) fan-out runs either way and frees the
          participants; only the commit path dies with the node. *)
-      List.iter
-        (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.txn; outcome = false }))
-        participants;
+      send_nodes cl ~src:h.home.id ~dsts:participants (Decide { txn = h.txn; outcome = false });
       refuse h reason
   | None ->
       if not (node_live cl h.home) then crashed h.home.id;
@@ -335,9 +330,7 @@ let commit_validated h =
       let acks =
         open_acks cl h.home.ack_boxes h.txn ~from:(replica_nodes cl (List.map fst h.ws)) ~round:0
       in
-      List.iter
-        (fun dst -> send cl ~src:h.home.id ~dst (Decide { txn = h.txn; outcome = true }))
-        participants;
+      send_nodes cl ~src:h.home.id ~dsts:participants (Decide { txn = h.txn; outcome = true });
       (* The client is informed once every write replica applied: later
          transactions beginning after this response always see the data. *)
       await_acks cl h.home acks ~phase:"apply ack" h.txn;

@@ -511,9 +511,8 @@ let commit_update h =
         sites;
       let result = Ac.await_round cl h.home h.txn round in
       let all_ok = Option.is_none result in
-      List.iter
-        (fun (s, _) -> send cl ~src:h.home.id ~dst:s (Wdecide { txn = h.txn; outcome = all_ok }))
-        sites;
+      send_nodes cl ~src:h.home.id ~dsts:(List.map fst sites)
+        (Wdecide { txn = h.txn; outcome = all_ok });
       match result with
       | None -> commit_at_home h
       | Some reason -> refuse h reason

@@ -267,25 +267,102 @@ let test_rococo_workload () =
   check_ok "no lost updates" (Checker.no_lost_updates h);
   check_ok "quiescent" (r.quiescent ())
 
-(* The executed-piece count answers a durable coordinator's retry only:
-   a run without a WAL keeps none, while the same updates on a durable
-   cluster keep one a transaction at some replica. *)
-let test_rococo_done_pieces_durable_only () =
-  let run durability =
+(* Durable ROCOCO keeps no state per finished transaction: with
+   fixed-size values and no history, the cluster's live words after 2,000
+   update transactions exceed those after 200 by at most 2 words per extra
+   transaction (a table binding per transaction would cost over 30). *)
+let test_rococo_durable_retention () =
+  let live n =
     let sim = Sim.create () in
-    let cl = Rococo_kv.Rococo.create sim { (config ()) with durability } in
+    let cl =
+      Rococo_kv.Rococo.create sim
+        { (config ()) with durability = true; record_history = false }
+    in
     Sim.spawn sim (fun () ->
-        for i = 1 to 6 do
+        for i = 1 to n do
           let t = Rococo_kv.Rococo.begin_txn cl ~node:(i mod 3) ~read_only:false in
-          ignore (Rococo_kv.Rococo.read t i : string);
-          Rococo_kv.Rococo.write t i "v";
+          ignore (Rococo_kv.Rococo.read t (i mod 24) : string);
+          Rococo_kv.Rococo.write t (i mod 24) "v";
           Alcotest.(check bool) "commits" true (Rococo_kv.Rococo.commit t)
         done);
     Sim.run sim;
-    List.fold_left ( + ) 0 (List.init 3 (fun node -> Rococo_kv.Rococo.done_pieces cl ~node))
+    check_ok "quiescent" (Rococo_kv.Rococo.quiescent cl);
+    Obj.reachable_words (Obj.repr cl)
   in
-  Alcotest.(check int) "no WAL: nothing kept" 0 (run false);
-  Alcotest.(check int) "durable: one a transaction" 6 (run true)
+  let small = live 200 and large = live 2_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d -> %d within 2 a transaction" small large)
+    true
+    (large - small <= 2 * 1_800)
+
+(* A durable coordinator re-sends its Commit to the replicas whose acks
+   are missing.  Replica 1 holds two of the transaction's pieces and every
+   ack it sends before 40 ms is lost (no fault tolerance, so nothing below
+   retries): the re-sends must not run the pieces again, and the client is
+   answered only once the replica's acks get through. *)
+let test_rococo_resent_commit () =
+  let sim = Sim.create () in
+  let cl =
+    Rococo_kv.Rococo.create sim { (config ~nodes:4 ()) with Sss_kv.Config.durability = true }
+  in
+  let k1, k2 =
+    match Array.to_list (Rococo_kv.Rococo.local_keys cl 1) with
+    | k1 :: k2 :: _ -> (k1, k2)
+    | _ -> Alcotest.fail "node 1 replicates fewer than two keys"
+  in
+  let plan =
+    {
+      Sss_chaos.Chaos.empty with
+      rules =
+        [
+          {
+            target = { src = Some 1; dst = None; kinds = [ "commit_ack" ] };
+            drop = 1.0;
+            dup = 0.0;
+            delay = 0.0;
+            from_ = 0.0;
+            until = 0.040;
+          };
+        ];
+    }
+  in
+  ignore
+    (Sss_chaos.Chaos.install sim (Rococo_kv.Rococo.network cl)
+       ~kind_of:Rococo_kv.Rococo.message_kind plan
+      : Sss_chaos.Chaos.handle);
+  let answered = ref None in
+  Sim.spawn sim (fun () ->
+      let t = Rococo_kv.Rococo.begin_txn cl ~node:0 ~read_only:false in
+      List.iter
+        (fun k ->
+          ignore (Rococo_kv.Rococo.read t k : string);
+          Rococo_kv.Rococo.write t k "x")
+        [ k1; k2 ];
+      let ok = Rococo_kv.Rococo.commit t in
+      answered := Some (Rococo_kv.Rococo.txn_id t, ok, Sim.now sim));
+  Sim.run sim;
+  match !answered with
+  | None -> Alcotest.fail "commit never returned"
+  | Some (txn, ok, at) ->
+      Alcotest.(check bool) "commits" true ok;
+      Alcotest.(check bool) (Printf.sprintf "answered after 40 ms (at %.3f ms)" (at *. 1e3)) true
+        (at > 0.040);
+      List.iter
+        (fun k ->
+          let installs =
+            List.length
+              (List.filter
+                 (fun { History.event; _ } ->
+                   match event with
+                   | History.Install { txn = w; key } -> key = k && Ids.equal_txn w txn
+                   | _ -> false)
+                 (History.events (Rococo_kv.Rococo.history cl)))
+          in
+          Alcotest.(check int) (Printf.sprintf "key %d installed once" k) 1 installs;
+          Alcotest.(check bool) (Printf.sprintf "key %d names the writer" k) true
+            (Ids.equal_txn txn (snd (Rococo_kv.Rococo.latest cl ~node:1 k))))
+        [ k1; k2 ];
+      check_ok "quiescent" (Rococo_kv.Rococo.quiescent cl)
 
 let test_rococo_updates_never_abort () =
   (* hot keys: all aborts must come from the round-based read-only path *)
@@ -337,8 +414,10 @@ let () =
           Alcotest.test_case "basic" `Quick test_rococo_basic;
           Alcotest.test_case "workload" `Quick test_rococo_workload;
           Alcotest.test_case "updates never abort" `Quick test_rococo_updates_never_abort;
-          Alcotest.test_case "executed pieces kept only when durable" `Quick
-            test_rococo_done_pieces_durable_only;
+          Alcotest.test_case "durable ROCOCO retains nothing per transaction" `Quick
+            test_rococo_durable_retention;
+          Alcotest.test_case "re-sent commit runs once and answers last" `Quick
+            test_rococo_resent_commit;
           Alcotest.test_case "implicit genesis" `Quick Rococo_genesis.test;
         ] );
     ]
