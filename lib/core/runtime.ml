@@ -127,7 +127,7 @@ type ('d, 'p) image = {
    ack, by sender.  [all_in] fills once none is missing; an ack of another
    round than [ack_round], or one its sender owes no more, counts for
    nothing. *)
-type acks = { mutable missing : Ids.node list; mutable ack_round : int; all_in : unit Sim.Ivar.t }
+type acks = { mutable missing : Ids.node list; ack_round : int; all_in : unit Sim.Ivar.t }
 
 (* The durable decisions, sorted: the checkpoint's part of the table. *)
 let durable_decisions ac =
