@@ -32,38 +32,11 @@ let sorted_bindings tbl =
 (* The same for int-keyed tables (keys, sites, sequence numbers). *)
 let sorted_keys tbl = List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] [@order_ok])
 
-(* ---- retention of txn-keyed tables ---- *)
-
-let retention_limit = 20_000
-
-(* Also the horizon of the transaction sets ([Sss_data.Idset.Txns]): a
-   transaction minted longer ago than this retires and reads as a
-   member. *)
+(* The retention horizon of txn-keyed state: a commit decision past it
+   retires once no longer driven, and a transaction set ([Idset.Txns])
+   reads an id minted longer ago as a member.  No live protocol step
+   consults an entry that old. *)
 let retention_horizon = 10.0
-
-(* Once [tbl] outgrows [retention_limit], drop the entries stamped before
-   [now - retention_horizon] that are not [pinned], in sorted order so the
-   table's shape never depends on bucket order; returns the dropped keys.
-   No live protocol step consults an entry that old. *)
-let sweep tbl ~now ~at ~pinned =
-  if Hashtbl.length tbl <= retention_limit then []
-  else begin
-    let cutoff = now -. retention_horizon in
-    let stale =
-      (Hashtbl.fold
-         (fun k v acc -> if at v < cutoff && not (pinned v) then k :: acc else acc)
-         tbl []
-      [@order_ok])
-      |> List.sort Ids.compare_txn
-    in
-    List.iter (Hashtbl.remove tbl) stale;
-    stale
-  end
-
-(* A table past the limit is rescanned only after it grew by this much
-   since the last scan, so a table of fresh entries costs no scan per
-   insert. *)
-let sweep_step = retention_limit / 4
 
 (* ---- atomic commitment: the state SSS, 2PC and Walter share ---- *)
 
@@ -81,45 +54,59 @@ type 'v round = {
   changed : Sim.Cond.t;
 }
 
-(* A commit decision: pending while its log record flushes, durable after. *)
-type 'd decision = {
-  payload : 'd;
-  mutable durable : bool;
-  mutable driving : bool;
-  at : float;  (* insertion time, for the retention sweep *)
-}
+(* A commit decision's state byte in the coordinator's column ([Slots]):
+   pending while its log record flushes, then driving while the deciding
+   incarnation runs the completion protocol, then durable. *)
+let pending = 1
+
+let driving = 2
+
+let durable = 3
 
 (** A node's atomic-commitment state.  As coordinator: the vote rounds it
-    runs, its decision table, and its termination watchdogs' query
-    rendezvous.  As participant: its prepared entries and its abort
-    fence. *)
+    runs, its decisions, and its termination watchdogs' query rendezvous.
+    As participant: its prepared entries and its abort fence. *)
 type ('v, 'd, 'p) commitment = {
   rounds : (Ids.txn, 'v round) Hashtbl.t;
-  decisions : (Ids.txn, 'd decision) Hashtbl.t;
+  decisions : 'd Slots.t;
+      (* by local id: a node decides only transactions it coordinates *)
+  mutable retire_at : float;  (* the earliest virtual time of the next retirement pass *)
   outcomes : 'd verdict Rpc.Pending.t;
-  mutable sweep_at : int;  (* the table size that triggers the next scan *)
-  mutable scans : int;  (* retention scans run so far *)
   prepared : (Ids.txn, 'p) Hashtbl.t;  (* yes votes whose outcome is not yet settled here *)
   mutable fence : Idset.Txns.t;
       (* abort decisions that may have overtaken their own Prepare *)
 }
 
-let commitment () =
+let commitment node =
   {
     rounds = Hashtbl.create 16;
-    decisions = Hashtbl.create 16;
+    decisions = Slots.create ~node;
+    retire_at = retention_horizon;
     outcomes = Rpc.Pending.create ();
-    sweep_at = retention_limit;
-    scans = 0;
     prepared = Hashtbl.create 16;
     fence = Idset.Txns.create ~horizon:retention_horizon;
   }
 
-(** The commitment's part of a checkpoint: the prepared entries, the
-    durable decisions and the fence, in deterministic order. *)
+(* A retirement pass, at most one per quarter horizon: durable decisions
+   decided more than [retention_horizon] ago go, pending and driving ones
+   stay whatever their age. *)
+let retire ac ~now =
+  let cutoff = now -. retention_horizon in
+  Slots.retain ac.decisions ~move:Fun.id ~keep:(fun d i ->
+      Slots.state d i <> durable || Slots.time d i >= cutoff);
+  ac.retire_at <- now +. (retention_horizon /. 4.)
+
+(* Move [txn]'s decision from state [from] to [st]; otherwise nothing. *)
+let shift d txn ~from st =
+  let i = Slots.find d txn in
+  if i >= 0 && Slots.state d i = from then Slots.set_state d i st
+
+(** The commitment's part of a checkpoint, in deterministic order: the
+    prepared entries, the durable decisions with their decide stamps, and
+    the fence. *)
 type ('d, 'p) image = {
   entries : (Ids.txn * 'p) list;
-  decided : (Ids.txn * 'd) list;
+  decided : 'd Slots.image;
   fenced : Idset.Txns.t;
 }
 
@@ -128,12 +115,6 @@ type ('d, 'p) image = {
    round than [ack_round], or one its sender owes no more, counts for
    nothing. *)
 type acks = { mutable missing : Ids.node list; ack_round : int; all_in : unit Sim.Ivar.t }
-
-(* The durable decisions, sorted: the checkpoint's part of the table. *)
-let durable_decisions ac =
-  List.filter_map
-    (fun (txn, d) -> if d.durable then Some (txn, d.payload) else None)
-    (sorted_bindings ac.decisions)
 
 module type PROTOCOL = sig
   type msg
@@ -614,42 +595,34 @@ module Make (P : PROTOCOL) = struct
        query reads it as undecided, since it could still be lost with this
        node.  Raises [Crashed] if the node crashed under the flush. *)
     let decide t node txn payload record =
-      let ac = A.state node in
-      let d = { payload; durable = false; driving = true; at = now t } in
-      Hashtbl.replace ac.decisions txn d;
-      if Hashtbl.length ac.decisions > ac.sweep_at then begin
-        ignore (sweep ac.decisions ~now:(now t) ~at:(fun d -> d.at) ~pinned:(fun d -> d.driving)
-                 : Ids.txn list);
-        ac.scans <- ac.scans + 1;
-        ac.sweep_at <- Int.max retention_limit (Hashtbl.length ac.decisions) + sweep_step
-      end;
-      let flush_began = now t in
+      let ac = A.state node and began = now t in
+      Slots.set ac.decisions txn payload ~st:pending ~now:began;
+      if began >= ac.retire_at then retire ac ~now:began;
       let lsn = log t node record in
       if (not (log_sync t node lsn)) || not (node_live t node) then crashed (P.id node);
-      d.durable <- true;
-      observe_since t "lat.commit.durable" ~since:flush_began
+      shift ac.decisions txn ~from:pending driving;
+      observe_since t "lat.commit.durable" ~since:began
 
     (* The coordinator finished driving [txn]'s completion. *)
-    let completed node txn =
-      match Hashtbl.find_opt (A.state node).decisions txn with
-      | Some d -> d.driving <- false
-      | None -> ()
+    let completed node txn = shift (A.state node).decisions txn ~from:driving durable
 
-    (* A decision reloaded at restart: durable, and no longer driven. *)
+    (* A decision replayed from the log at restart: durable, no longer
+       driven, and stamped now, which is no earlier than its decide time. *)
     let restore t node txn payload =
-      Hashtbl.replace (A.state node).decisions txn
-        { payload; durable = true; driving = false; at = now t }
+      Slots.set (A.state node).decisions txn payload ~st:durable ~now:(now t)
 
     (* Durable means committed; a flush in flight or a vote round still
        open means undecided; no trace means presumed abort — never decided,
-       or swept past the retention horizon, by which time no participant
+       or retired past the retention horizon, by which time no participant
        still holds the transaction in doubt. *)
     let verdict node txn =
       let ac = A.state node in
-      match Hashtbl.find_opt ac.decisions txn with
-      | Some d when d.durable -> Committed { payload = d.payload; driving = d.driving }
-      | Some _ -> Undecided
-      | None -> if Hashtbl.mem ac.rounds txn then Undecided else Aborted
+      let i = Slots.find ac.decisions txn in
+      let st = if i < 0 then 0 else Slots.state ac.decisions i in
+      if st = durable || st = driving then
+        Committed { payload = Slots.value ac.decisions i; driving = st = driving }
+      else if st = pending || Hashtbl.mem ac.rounds txn then Undecided
+      else Aborted
 
     let answer t node ~src ~req txn =
       send t ~src:(P.id node) ~dst:src (A.outcome ~req (verdict node txn))
@@ -718,14 +691,14 @@ module Make (P : PROTOCOL) = struct
       let ac = A.state node in
       {
         entries = List.map (fun (txn, p) -> (txn, A.copy p)) (sorted_bindings ac.prepared);
-        decided = durable_decisions ac;
+        decided = Slots.image ac.decisions ~keep:(fun d i -> Slots.state d i <> pending) ~move:Fun.id;
         fenced = Idset.Txns.copy ac.fence;
       }
 
-    let load t node img =
+    let load _ node img =
       let ac = A.state node in
       List.iter (fun (txn, p) -> Hashtbl.replace ac.prepared txn (A.copy p)) img.entries;
-      List.iter (fun (txn, d) -> restore t node txn d) img.decided;
+      Slots.restore ac.decisions img.decided ~st:durable ~move:Fun.id;
       ac.fence <- Idset.Txns.copy img.fenced
 
     (* Restart, after replay.  The in-doubt entries held their locks when

@@ -224,83 +224,50 @@ let restore t img =
   copy_entries t ~old:img ~from:0 ~upto:(size img)
 
 module Memo = struct
-  (* Slot [l - lo] of local id [l]: in [at], where its write set (length,
-     then keys) starts in [keys], or -1 when absent; in [times], its
-     insert time. *)
-  type t = { owner : Ids.node; horizon : float; mutable lo : int; mutable ops : int;
-             mutable at : int array Col.t; mutable times : Float.Array.t Col.t;
+  (* Write sets by coordinator-local id ([Slots]): a slot's payload is where
+     its write set (length, then keys) starts in [keys]. *)
+  type t = { horizon : float; mutable ops : int; slots : int Slots.t;
              mutable keys : int array Col.t }
 
   let create ~node ~horizon =
-    { owner = node; horizon; lo = 0; ops = 0; at = Col.create ~bits; times = Col.create ~bits;
-      keys = Col.create ~bits:8 }
+    { horizon; ops = 0; slots = Slots.create ~node; keys = Col.create ~bits:8 }
 
-  let time m i = Float.Array.get (Col.block m.times i) (Col.pos m.times i)
+  (* Copy the write set at [a] in [old] to the end of [keys]; its new start. *)
+  let copy_ws keys old a =
+    let at = Col.length keys in
+    for k = a to a + Col.get old a do Col.push keys (Col.get old k) done;
+    at
 
-  (* Point local id [l]'s slot (opening absent ones up to it) at the write
-     set pushed next. *)
-  let[@hot] rec place m l now =
-    let i = l - m.lo in
-    if i < Col.length m.at then begin
-      Col.set m.at i (Col.length m.keys);
-      Float.Array.set (Col.block m.times i) (Col.pos m.times i) now
-    end
-    else begin
-      if Col.full m.at then begin
-        (Col.grow m.at Col.ints [@alloc_ok]);
-        (Col.grow m.times Float.Array.create [@alloc_ok])
-      end;
-      Col.set m.at (Col.claim m.at) (-1);
-      ignore (Col.claim m.times : int);
-      place m l now
-    end
-
-  (* Refill [m] with [old]'s entries inserted at or after [cutoff], slots
-     from local id [lo] (by default the first such entry's). *)
-  let refill ?lo m ~old ~cutoff =
-    let live i = Col.get old.at i >= 0 && time old i >= cutoff in
-    let rec first i = if i < Col.length old.at && not (live i) then first (i + 1) else i in
-    m.lo <- Option.value lo ~default:(old.lo + first 0);
-    m.at <- Col.create ~bits;
-    m.times <- Col.create ~bits;
+  (* Keep the write sets inserted at or after [cutoff], and only their keys. *)
+  let compact m ~cutoff =
+    let old = m.keys in
     m.keys <- Col.create ~bits:8;
-    for i = 0 to Col.length old.at - 1 do
-      if live i then begin
-        let a = Col.get old.at i in
-        place m (old.lo + i) (time old i);
-        for k = a to a + Col.get old.keys a do Col.push m.keys (Col.get old.keys k) done
-      end
-    done
+    Slots.retain m.slots ~keep:(fun s i -> Slots.time s i >= cutoff) ~move:(copy_ws m.keys old)
 
-  let compact ?lo m ~cutoff = refill ?lo m ~old:{ m with lo = m.lo } ~cutoff
-
-  let[@hot] add m ~(txn : Ids.txn) ~ws ~now =
-    if txn.node <> m.owner then invalid_arg "Nlog.Memo.add: foreign transaction";
-    if txn.local < m.lo then (compact m ~lo:txn.local ~cutoff:neg_infinity [@alloc_ok]);
-    place m txn.local now;
+  let[@hot] add m ~txn ~ws ~now =
+    Slots.set m.slots txn (Col.length m.keys) ~st:1 ~now;
     Col.push m.keys (List.length ws);
     push_keys m.keys ws;
     m.ops <- m.ops + 1;
     if m.ops land 4095 = 0 then (compact m ~cutoff:(now -. m.horizon) [@alloc_ok])
 
-  let find m (txn : Ids.txn) =
-    let i = txn.local - m.lo in
-    if txn.node <> m.owner || i < 0 || i >= Col.length m.at || Col.get m.at i < 0 then None
+  let find m txn =
+    let i = Slots.find m.slots txn in
+    if i < 0 then None
     else
-      let a = Col.get m.at i in
+      let a = Slots.value m.slots i in
       Some (List.init (Col.get m.keys a) (fun k -> Col.get m.keys (a + 1 + k)))
 
-  (* An image is a compacted copy: its key column holds live entries only. *)
-  type image = t
+  (* An image holds the live write sets and only their keys. *)
+  type image = { islots : int Slots.image; ikeys : int array Col.t }
 
   let image m =
-    let img = { m with ops = 0 } in
-    refill img ~old:m ~cutoff:neg_infinity;
-    img
+    let ikeys = Col.create ~bits:8 in
+    { islots = Slots.image m.slots ~keep:(fun _ _ -> true) ~move:(copy_ws ikeys m.keys); ikeys }
 
-  let image_bytes img =
-    let rec live i n = if i < 0 then n else live (i - 1) (n + Bool.to_int (Col.get img.at i >= 0)) in
-    (12 * live (Col.length img.at - 1) 0) + (4 * Col.length img.keys)
+  let image_bytes img = (12 * Slots.count img.islots) + (4 * Col.length img.ikeys)
 
-  let restore m img = refill m ~old:img ~cutoff:neg_infinity
+  let restore m img =
+    m.keys <- Col.create ~bits:8;
+    Slots.restore m.slots img.islots ~st:1 ~move:(copy_ws m.keys img.ikeys)
 end

@@ -58,9 +58,12 @@ type logrec =
   | PApplied of { txn : Ids.txn }  (* participant applied the write set *)
 
 (* Checkpoint image: a deep copy of everything redo recovery rebuilds,
-   in deterministic (sorted) order. *)
+   in deterministic (sorted) order; the written cells as columns in key
+   order, writers packed ([Ids.pack]). *)
 type snap = {
-  s_cells : (Ids.key * string * Ids.txn) list;
+  s_keys : Ids.key array;
+  s_values : string array;
+  s_writers : int array;
   s_ac : (unit, prep) Sss_kv.Runtime.image;
 }
 
@@ -81,7 +84,7 @@ let make_node sim _config _repl id =
     store = Hashtbl.create 16;
     locks = Locks.create sim;
     pending_reads = Rpc.Pending.create ();
-    ac = Sss_kv.Runtime.commitment ();
+    ac = Sss_kv.Runtime.commitment id;
     ack_boxes = Hashtbl.create 16;
   }
 
@@ -99,9 +102,9 @@ let logrec_bytes = function
 
 let snap_bytes (s : snap) =
   64
-  + List.fold_left (fun acc (_, v, _) -> acc + 12 + String.length v) 0 s.s_cells
+  + Array.fold_left (fun acc v -> acc + 12 + String.length v) 0 s.s_values
   + List.fold_left (fun acc (_, p) -> acc + 8 + prep_bytes p) 0 s.s_ac.entries
-  + (8 * List.length s.s_ac.decided)
+  + (8 * Slots.count s.s_ac.decided)
   + (8 * Idset.Txns.cardinal s.s_ac.fenced)
 
 module Rt = Sss_kv.Runtime.Make (struct
@@ -140,13 +143,12 @@ module Ac = Commit (struct
 end)
 
 let snap_of (node : node) =
+  let s_keys = Array.of_list (Sss_kv.Runtime.sorted_keys node.store) in
+  let cell k = Hashtbl.find node.store k in
   {
-    s_cells =
-      List.map
-        (fun k ->
-          let c = Hashtbl.find node.store k in
-          (k, c.value, c.writer))
-        (Sss_kv.Runtime.sorted_keys node.store);
+    s_keys;
+    s_values = Array.map (fun k -> (cell k).value) s_keys;
+    s_writers = Array.map (fun k -> Ids.pack (cell k).writer) s_keys;
     s_ac = Ac.image node;
   }
 
@@ -264,7 +266,7 @@ let rec dispatch t (node : node) ~src payload =
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap t (node : node) (s : snap) =
-  List.iter (fun (k, v, w) -> install t node k v w) s.s_cells;
+  Array.iteri (fun i k -> install t node k s.s_values.(i) (Ids.unpack s.s_writers.(i))) s.s_keys;
   Ac.load t node s.s_ac
 
 (* Redo one durable record.  Replay never records history: installs of

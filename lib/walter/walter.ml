@@ -133,7 +133,7 @@ let make_node sim (config : Sss_kv.Config.t) _repl id =
     holdback = Hashtbl.create 8;
     locks = Locks.create sim;
     pending_reads = Rpc.Pending.create ();
-    ac = Sss_kv.Runtime.commitment ();
+    ac = Sss_kv.Runtime.commitment id;
     applied_changed = Sim.Cond.create ();
     origin_log = Hashtbl.create 16;
   }
@@ -161,7 +161,7 @@ let snap_bytes nodes (s : snap) =
   + List.fold_left
       (fun acc (_, (_, _, ws)) -> acc + 16 + (8 * nodes) + writes_bytes ws)
       0 s.s_origin
-  + (8 * List.length s.s_ac.decided)
+  + (8 * Slots.count s.s_ac.decided)
   + List.fold_left (fun acc (_, p) -> acc + 16 + (8 * List.length p.keys)) 0 s.s_ac.entries
   + (8 * Idset.Txns.cardinal s.s_ac.fenced)
 

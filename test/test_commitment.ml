@@ -1,7 +1,7 @@
 (* The atomic-commitment core of Sss_kv.Runtime, driven through a toy
    protocol whose only messages are the in-doubt query and its answer:
    the four in-doubt answers, the termination watchdog's exits, the
-   retention sweep of txn-keyed tables, and the participant's prepared
+   decision column and its retirement, and the participant's prepared
    entries — the fence, the restart's relock and re-watch, and the
    checkpoint. *)
 
@@ -53,7 +53,7 @@ module Rt = Runtime.Make (struct
   let tracked token inner = Tracked { token; inner }
   let receipt token = Delivered { token }
   let id n = n.id
-  let make_node sim _ _ id = { id; ac = Runtime.commitment (); locks = Locks.create sim }
+  let make_node sim _ _ id = { id; ac = Runtime.commitment id; locks = Locks.create sim }
   let record_bytes _ _ = 24
   let snapshot_bytes _ _ = 64
 end)
@@ -138,6 +138,9 @@ let verdict_name = function
 let check_verdict what expected node tx =
   Alcotest.(check string) what expected (verdict_name (Ac.verdict node tx))
 
+(* The local ids of a node's checkpointed decisions, in id order. *)
+let imaged node = List.rev (Slots.fold (fun l () _ acc -> l :: acc) (Ac.image node).decided [])
+
 (* ---------- the in-doubt answer ---------- *)
 
 let test_answers () =
@@ -155,8 +158,7 @@ let test_answers () =
   check_verdict "completion done" "committed" coord (txn 3);
   Ac.restore t coord (txn 4) ();
   check_verdict "reloaded" "committed" coord (txn 4);
-  Alcotest.(check (list int)) "checkpointed decisions" [ 3; 4 ]
-    (List.map (fun ((tx : Ids.txn), ()) -> tx.local) (Runtime.durable_decisions coord.ac));
+  Alcotest.(check (list int)) "checkpointed decisions" [ 3; 4 ] (imaged coord);
   (* a round that hears nothing times out and stops answering undecided *)
   Sim.spawn sim (fun () ->
       match Ac.await_round t coord (txn 2) round with
@@ -335,11 +337,11 @@ let test_restart_relocks () =
    log truncated below it, a restart rebuilds all three from it alone. *)
 let test_checkpoint () =
   let sim, t = cluster ~durability:true ~answering:false ~retry_limit:64 () in
-  let node = t.nodes.(0) in
+  let node = t.nodes.(0) and own = { Ids.node = 0; local = 2 } in
   Ac.fence t node (txn 3);
   Sim.spawn sim (fun () ->
       ignore (prepare t node (txn 1) { coord = 1; keys = [ 5 ] } : bool);
-      Ac.decide t node (txn 2) () (Decided (txn 2)));
+      Ac.decide t node own () (Decided own));
   (* past the checkpoint interval: the image is on disk *)
   Sim.run_until sim 0.2;
   Rt.crash_node t 0;
@@ -347,35 +349,18 @@ let test_checkpoint () =
   Sim.run_until sim 0.25;
   let node = t.nodes.(0) in
   Alcotest.(check bool) "prepared entry" true (Ac.in_doubt node (txn 1));
-  check_verdict "decision" "committed" node (txn 2);
+  check_verdict "decision" "committed" node own;
   Alcotest.(check bool) "fence" true (Ac.fenced node (txn 3));
   Alcotest.(check bool) "lock re-taken" true (Locks.holds_exclusive node.locks (txn 1) 5)
 
-(* ---------- retention sweep ---------- *)
+(* ---------- the decision column and its retirement ---------- *)
 
-let test_sweep () =
-  (* local ids 0 .. retention_limit: every 1000th entry is old, and every
-     2000th of those pinned *)
-  let tbl = Hashtbl.create 16 in
-  for i = Runtime.retention_limit downto 0 do
-    Hashtbl.replace tbl (txn i) ((if i mod 1000 = 0 then 1.0 else 5.0), i mod 2000 = 0)
-  done;
-  let sweep ~now =
-    List.map (fun (k : Ids.txn) -> k.local) (Runtime.sweep tbl ~now ~at:fst ~pinned:snd)
-  in
-  Alcotest.(check (list int)) "nothing past the horizon" [] (sweep ~now:11.0);
-  Alcotest.(check (list int)) "old unpinned entries, sorted"
-    (List.init 10 (fun i -> 1000 + (2000 * i)))
-    (sweep ~now:11.5);
-  Alcotest.(check int) "the rest stays" (Runtime.retention_limit - 9) (Hashtbl.length tbl);
-  Alcotest.(check (list int)) "within the limit: no sweep" [] (sweep ~now:100.0)
-
-(* The decision table's own sweep: a decision past the horizon goes, unless
-   its coordinator still drives it. *)
+(* A decision past the horizon goes, unless its coordinator still drives
+   it. *)
 let test_decision_sweep () =
   let sim, t = cluster () in
   let coord = t.nodes.(1) in
-  for i = 1 to Runtime.retention_limit - 2 do
+  for i = 1 to 19_998 do
     Ac.restore t coord (txn i) ()
   done;
   (* decided without durability: no flush, so no fiber is needed *)
@@ -386,24 +371,138 @@ let test_decision_sweep () =
       Ac.decide t coord (txn 100_003) () (Decided (txn 100_003)));
   Sim.run sim;
   Alcotest.(check (list int)) "the driven and the fresh decision stay" [ 100_001; 100_003 ]
-    (List.map (fun ((tx : Ids.txn), ()) -> tx.local) (Runtime.durable_decisions coord.ac))
+    (imaged coord)
 
-(* Past the limit, a table of fresh decisions is rescanned only every
-   [sweep_step] inserts: one scan per insert would fold and sort the whole
-   table 40,000 times here. *)
-let test_sweep_cadence () =
-  let _sim, t = cluster () in
-  let coord = t.nodes.(1) in
-  let n = 3 * Runtime.retention_limit in
-  for i = 1 to n do
-    Ac.decide t coord (txn i) () (Decided (txn i))
+(* At most one retirement pass per quarter horizon, and the passes keep
+   the column to the decisions of about the last horizon: 60,000 decides
+   over 30 s. *)
+let test_retirement_cadence () =
+  let sim, t = cluster () in
+  let coord = t.nodes.(1) and passes = ref 0 in
+  for i = 1 to 60_000 do
+    Sim.run_until sim (float_of_int i *. 5e-4);
+    let before = coord.ac.retire_at in
+    Ac.decide t coord (txn i) () (Decided (txn i));
+    Ac.completed coord (txn i);
+    if coord.ac.retire_at <> before then incr passes
   done;
-  Alcotest.(check int) "nothing stale, nothing dropped" n (Hashtbl.length coord.ac.decisions);
-  Alcotest.(check bool) "the table was scanned" true (coord.ac.scans > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "scans bounded (%d)" coord.ac.scans)
-    true
-    (coord.ac.scans <= 2 * Runtime.retention_limit / Runtime.sweep_step)
+  Alcotest.(check int) "one pass per 2.5 s from 10 s on" 9 !passes;
+  let kept = Slots.length coord.ac.decisions in
+  Alcotest.(check bool) (Printf.sprintf "the last 10-12.5 s kept (%d)" kept) true
+    (kept >= 20_000 && kept <= 25_000)
+
+(* A decision reloaded from a checkpoint keeps its decide time: a restart
+   does not grant it a fresh horizon. *)
+let test_reload_keeps_stamp () =
+  let sim, t = cluster ~durability:true () in
+  let own local = { Ids.node = 0; local } in
+  Sim.spawn sim (fun () ->
+      Ac.decide t t.nodes.(0) (own 1) () (Decided (own 1));
+      Ac.completed t.nodes.(0) (own 1));
+  (* past the checkpoint interval: the image is on disk *)
+  Sim.run_until sim 0.2;
+  Sim.run_until sim 5.0;
+  Rt.crash_node t 0;
+  Rt.restart_node t 0;
+  Sim.run_until sim 5.1;
+  check_verdict "reloaded" "committed" t.nodes.(0) (own 1);
+  (* the first decide past the horizon runs a retirement pass *)
+  Sim.run_until sim 10.2;
+  Sim.spawn sim (fun () -> Ac.decide t t.nodes.(0) (own 2) () (Decided (own 2)));
+  Sim.run_until sim 10.5;
+  check_verdict "retired a horizon after its decide, not its reload" "aborted" t.nodes.(0)
+    (own 1);
+  check_verdict "the fresh one stays" "committed (driving)" t.nodes.(0) (own 2)
+
+(* The column's footprint: about two words per minted id live, and two
+   per durable decision in a checkpoint image, with 3 of every 4 minted
+   ids decided. *)
+let test_retention_per_decision () =
+  let _, t = cluster () in
+  let coord = t.nodes.(1) and minted = 8_000 in
+  for i = 1 to minted do
+    if i mod 4 <> 0 then begin
+      Ac.decide t coord (txn i) () (Decided (txn i));
+      Ac.completed coord (txn i)
+    end
+  done;
+  let per n words = float_of_int words /. float_of_int n in
+  let live = per minted (Obj.reachable_words (Obj.repr coord.ac.decisions)) in
+  let img = (Ac.image coord).decided in
+  let imaged = per (Slots.count img) (Obj.reachable_words (Obj.repr img)) in
+  Alcotest.(check bool) (Printf.sprintf "live %.2f words per minted id" live) true (live <= 2.5);
+  Alcotest.(check bool) (Printf.sprintf "image %.2f words per decision" imaged) true
+    (imaged <= 2.5)
+
+(* The column against a table of (state, stamp) per local id: decides in
+   and out of order, far below the base, and of a foreign transaction;
+   completions, log replays, image/load round trips onto a fresh record,
+   and retirement passes (decides at or past [retire_at] drop the durable
+   decisions older than the horizon; driving ones stay). *)
+let column_model =
+  QCheck.Test.make ~name:"decision column matches a table model" ~count:40
+    QCheck.(list_of_size (Gen.int_range 300 1500) (triple (int_bound 19) (int_bound 30) (int_bound 9)))
+    (fun ops ->
+      let sim, t = cluster () in
+      let model = Hashtbl.create 64 and newest = ref 0 and retire_at = ref 10.0 in
+      let ok = ref true in
+      let coord () = t.Rt.nodes.(1) in
+      let check () =
+        for l = 0 to !newest + 3 do
+          let want =
+            match Hashtbl.find_opt model l with
+            | Some (`Driving, _) -> "committed (driving)"
+            | Some (`Durable, _) -> "committed"
+            | None -> "aborted"
+          in
+          if verdict_name (Ac.verdict (coord ()) (txn l)) <> want then ok := false
+        done;
+        if Ac.verdict (coord ()) { Ids.node = 0; local = 1 } <> Runtime.Aborted then ok := false
+      in
+      List.iter
+        (fun (op, back, dt) ->
+          Sim.run_until sim (Sim.now sim +. (float_of_int dt *. 0.05));
+          let now = Sim.now sim in
+          let l =
+            if back = 30 then 1 + (op * 3) (* far below: moves the base *)
+            else if back < 10 then Stdlib.max 1 (!newest - back) (* late, or again *)
+            else (newest := !newest + 1; !newest)
+          in
+          match op with
+          | 0 ->
+              let img = Ac.image (coord ()) in
+              t.nodes.(1) <- { (coord ()) with ac = Runtime.commitment 1 };
+              Ac.load t (coord ()) img;
+              Hashtbl.filter_map_inplace (fun _ (_, at) -> Some (`Durable, at)) model;
+              retire_at := 10.0;
+              check ()
+          | 1 ->
+              Ac.completed (coord ()) (txn l);
+              (match Hashtbl.find_opt model l with
+              | Some (`Driving, at) -> Hashtbl.replace model l (`Durable, at)
+              | _ -> ())
+          | 2 ->
+              Ac.restore t (coord ()) (txn l) ();
+              Hashtbl.replace model l (`Durable, now)
+          | 3 -> (
+              match Ac.decide t (coord ()) { Ids.node = 0; local = l } () (Decided (txn l)) with
+              | () -> ok := false
+              | exception Invalid_argument _ -> ())
+          | _ ->
+              Ac.decide t (coord ()) (txn l) () (Decided (txn l));
+              Hashtbl.replace model l (`Driving, now);
+              if now >= !retire_at then begin
+                Hashtbl.filter_map_inplace
+                  (fun _ (st, at) ->
+                    if st = `Durable && at < now -. Runtime.retention_horizon then None
+                    else Some (st, at))
+                  model;
+                retire_at := now +. (Runtime.retention_horizon /. 4.)
+              end;
+              if op = 19 then check ())
+        ops;
+      check ();
+      !ok)
 
 let () =
   Alcotest.run "commitment"
@@ -434,8 +533,11 @@ let () =
         ] );
       ( "retention",
         [
-          Alcotest.test_case "sweep" `Quick test_sweep;
           Alcotest.test_case "decision sweep" `Quick test_decision_sweep;
-          Alcotest.test_case "sweep cadence" `Quick test_sweep_cadence;
+          Alcotest.test_case "retirement cadence" `Quick test_retirement_cadence;
+          Alcotest.test_case "reloaded decision keeps its decide time" `Quick
+            test_reload_keeps_stamp;
+          Alcotest.test_case "retention per decision" `Quick test_retention_per_decision;
+          QCheck_alcotest.to_alcotest column_model;
         ] );
     ]
