@@ -148,7 +148,7 @@ let commit_update h =
   let prop =
     List.filter (fun (r, _) -> not (List.exists (Ids.equal_txn r) cancelled)) h.own.prop_set
   in
-  Nlog.Memo.add h.home.recent_ws ~txn:h.txn ~ws:ws_keys ~now:(now cl);
+  Slots.Memo.add h.home.recent_ws ~txn:h.txn ~ws:ws_keys ~now:(now cl);
   send_nodes cl ~src:h.home.id ~dsts:participants
     (Message.Prepare
        { txn = h.txn; coord = h.home.id; vc = h.own.vc; rs = h.rs; ws = h.ws; propagated = prop });

@@ -23,7 +23,7 @@ open Sss_consistency
 module Storage = Sss_storage.Storage
 module Obs = Sss_obs.Obs
 
-(* Deterministic traversal of txn-keyed tables (snapshots, crash sweeps). *)
+(* Deterministic traversal of txn-keyed tables (snapshots, crash wounds). *)
 let sorted_bindings tbl =
   List.sort
     (fun (a, _) (b, _) -> Ids.compare_txn a b)
@@ -57,11 +57,7 @@ type 'v round = {
 (* A commit decision's state byte in the coordinator's column ([Slots]):
    pending while its log record flushes, then driving while the deciding
    incarnation runs the completion protocol, then durable. *)
-let pending = 1
-
-let driving = 2
-
-let durable = 3
+let pending = 1 and driving = 2 and durable = 3
 
 (** A node's atomic-commitment state.  As coordinator: the vote rounds it
     runs, its decisions, and its termination watchdogs' query rendezvous.
@@ -87,28 +83,10 @@ let commitment node =
     fence = Idset.Txns.create ~horizon:retention_horizon;
   }
 
-(* A retirement pass, at most one per quarter horizon: durable decisions
-   decided more than [retention_horizon] ago go, pending and driving ones
-   stay whatever their age. *)
-let retire ac ~now =
-  let cutoff = now -. retention_horizon in
-  Slots.retain ac.decisions ~move:Fun.id ~keep:(fun d i ->
-      Slots.state d i <> durable || Slots.time d i >= cutoff);
-  ac.retire_at <- now +. (retention_horizon /. 4.)
-
-(* Move [txn]'s decision from state [from] to [st]; otherwise nothing. *)
-let shift d txn ~from st =
-  let i = Slots.find d txn in
-  if i >= 0 && Slots.state d i = from then Slots.set_state d i st
-
 (** The commitment's part of a checkpoint, in deterministic order: the
     prepared entries, the durable decisions with their decide stamps, and
     the fence. *)
-type ('d, 'p) image = {
-  entries : (Ids.txn * 'p) list;
-  decided : 'd Slots.image;
-  fenced : Idset.Txns.t;
-}
+type ('d, 'p) image = { entries : (Ids.txn * 'p) list; decided : 'd Slots.image; fenced : Idset.Txns.t }
 
 (* A completion-ack box: the acks still awaited, one entry per expected
    ack, by sender.  [all_in] fills once none is missing; an ack of another
@@ -539,7 +517,7 @@ module Make (P : PROTOCOL) = struct
 
   (* ---- atomic commitment (docs/DURABILITY.md) ----
 
-     The vote round, the decision table, the in-doubt answer and the
+     The vote round, the decision column, the in-doubt answer and the
      termination watchdog, for a protocol whose nodes carry a
      {!commitment}; and the participant's prepared entries from the yes
      vote to their settlement, with the fence, the checkpoint part and the
@@ -597,14 +575,21 @@ module Make (P : PROTOCOL) = struct
     let decide t node txn payload record =
       let ac = A.state node and began = now t in
       Slots.set ac.decisions txn payload ~st:pending ~now:began;
-      if began >= ac.retire_at then retire ac ~now:began;
+      (* a retirement pass, at most one per quarter horizon: the durable
+         decisions decided more than [retention_horizon] ago go, pending
+         and driving ones stay whatever their age *)
+      if began >= ac.retire_at then begin
+        Slots.retain ac.decisions ~move:Fun.id ~keep:(fun d i ->
+            Slots.state d i <> durable || Slots.time d i >= began -. retention_horizon);
+        ac.retire_at <- began +. (retention_horizon /. 4.)
+      end;
       let lsn = log t node record in
       if (not (log_sync t node lsn)) || not (node_live t node) then crashed (P.id node);
-      shift ac.decisions txn ~from:pending driving;
+      Slots.shift ac.decisions txn ~from:pending driving;
       observe_since t "lat.commit.durable" ~since:began
 
     (* The coordinator finished driving [txn]'s completion. *)
-    let completed node txn = shift (A.state node).decisions txn ~from:driving durable
+    let completed node txn = Slots.shift (A.state node).decisions txn ~from:driving durable
 
     (* A decision replayed from the log at restart: durable, no longer
        driven, and stamped now, which is no earlier than its decide time. *)
@@ -691,7 +676,8 @@ module Make (P : PROTOCOL) = struct
       let ac = A.state node in
       {
         entries = List.map (fun (txn, p) -> (txn, A.copy p)) (sorted_bindings ac.prepared);
-        decided = Slots.image ac.decisions ~keep:(fun d i -> Slots.state d i <> pending) ~move:Fun.id;
+        decided =
+          Slots.image ac.decisions ~move:Fun.id ~keep:(fun d i -> Slots.state d i <> pending);
         fenced = Idset.Txns.copy ac.fence;
       }
 

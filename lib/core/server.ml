@@ -525,7 +525,7 @@ let handle_forward_remove t node ~reader ~writer =
        reader at all. *)
     add_cancelled node ~writer ~reader
   else
-    match Nlog.Memo.find node.recent_ws writer with
+    match Slots.Memo.find node.recent_ws writer with
     | Some ws_keys ->
         send_nodes t ~src:node.id ~dsts:(replica_nodes t ws_keys)
           (Message.Remove { txn = reader })
@@ -581,7 +581,7 @@ let load_snap t node (s : snap) =
     s.s_ac.entries;
   node.tombstones <- Idset.Txns.copy s.s_tombstones;
   List.iter (fun (r, l) -> Hashtbl.replace node.forwards r (ref l)) s.s_forwards;
-  Nlog.Memo.restore node.recent_ws s.s_recent_ws
+  Slots.Memo.restore node.recent_ws s.s_recent_ws
 
 let replay_record t node = function
   | SPrepared { p_txn; p_prep = p } ->

@@ -57,7 +57,7 @@ type snap = {
   s_ac : (Vclock.t, prep) Runtime.image;
   s_tombstones : Idset.Txns.t;
   s_forwards : (Ids.txn * (Ids.txn * Ids.node) list) list;
-  s_recent_ws : Nlog.Memo.image;
+  s_recent_ws : Slots.Memo.image;
 }
 
 type node = {
@@ -107,7 +107,7 @@ type node = {
      already dropped) [prepared] record. *)
   parked : Stampset.t;
   parked_stamp : (Ids.txn, int) Hashtbl.t;
-  recent_ws : Nlog.Memo.t;  (* write sets coordinated here, for Forward_remove *)
+  recent_ws : Slots.Memo.t;  (* write sets coordinated here, for Forward_remove *)
   cancelled : (Ids.txn, Ids.txn list ref) Hashtbl.t;
   active : (Ids.txn, unit) Hashtbl.t;  (* txns begun here, not yet finished *)
   (* update txns coordinated here that are past begin but not yet externally
@@ -174,7 +174,7 @@ let make_node sim (config : Config.t) repl id =
     writer_since = Hashtbl.create 16;
     parked = Stampset.create ();
     parked_stamp = Hashtbl.create 16;
-    recent_ws = Nlog.Memo.create ~node:id ~horizon:recent_ws_horizon;
+    recent_ws = Slots.Memo.create ~node:id ~horizon:recent_ws_horizon;
     cancelled = Hashtbl.create 16;
     active = Hashtbl.create 16;
     unfinalized = Hashtbl.create 16;
@@ -213,7 +213,7 @@ let snap_bytes s =
   + Slots.fold (fun _ c _ acc -> acc + 8 + vc c) s.s_ac.decided 0
   + (16 * (Idset.Txns.cardinal s.s_ac.fenced + Idset.Txns.cardinal s.s_tombstones))
   + List.fold_left (fun acc (_, l) -> acc + 8 + (16 * List.length l)) 0 s.s_forwards
-  + Nlog.Memo.image_bytes s.s_recent_ws
+  + Slots.Memo.image_bytes s.s_recent_ws
 
 include Runtime.Make (struct
   type nonrec msg = Message.payload
@@ -275,7 +275,7 @@ let snap_of (node : node) =
     s_ac = Ac.image node;
     s_tombstones = Idset.Txns.copy node.tombstones;
     s_forwards = List.map (fun (r, l) -> (r, !l)) (Runtime.sorted_bindings node.forwards);
-    s_recent_ws = Nlog.Memo.image node.recent_ws;
+    s_recent_ws = Slots.Memo.image node.recent_ws;
   }
 
 let create sim (config : Config.t) hooks =

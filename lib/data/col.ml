@@ -42,3 +42,9 @@ let set c i v = (block c i).(pos c i) <- v
 let ints n = Array.make n 0
 
 let push c v = set c (slot c ints) v
+
+let[@hot] rec push_list c = function
+  | [] -> ()
+  | v :: vs ->
+      push c v;
+      push_list c vs

@@ -49,12 +49,6 @@ let ws_start t i = Col.get t.ints ((2 * i) + 1)
 
 let ws_stop t i = if i + 1 < size t then ws_start t (i + 1) else Col.length t.ws
 
-let[@hot] rec push_keys c = function
-  | [] -> ()
-  | k :: ks ->
-      Col.push c k;
-      push_keys c ks
-
 (* Append an entry (its write-set keys are pushed next).  [ints] (two
    slots an entry) and [rows] (one per 16) fill up with [vcs]. *)
 let[@hot] append t packed vc =
@@ -73,7 +67,7 @@ let[@hot] append t packed vc =
 
 let[@hot] add t ~txn ~vc ~ws =
   append t (Ids.pack txn) vc;
-  push_keys t.ws ws
+  Col.push_list t.ws ws
 
 let create ~nodes ~node =
   let zero = Vclock.zero nodes and c () = Col.create ~bits in
@@ -222,52 +216,3 @@ let restore t img =
   reset t ~seed:t.floor_max;
   append t (Ids.pack Ids.genesis) (Vclock.zero t.nodes);
   copy_entries t ~old:img ~from:0 ~upto:(size img)
-
-module Memo = struct
-  (* Write sets by coordinator-local id ([Slots]): a slot's payload is where
-     its write set (length, then keys) starts in [keys]. *)
-  type t = { horizon : float; mutable ops : int; slots : int Slots.t;
-             mutable keys : int array Col.t }
-
-  let create ~node ~horizon =
-    { horizon; ops = 0; slots = Slots.create ~node; keys = Col.create ~bits:8 }
-
-  (* Copy the write set at [a] in [old] to the end of [keys]; its new start. *)
-  let copy_ws keys old a =
-    let at = Col.length keys in
-    for k = a to a + Col.get old a do Col.push keys (Col.get old k) done;
-    at
-
-  (* Keep the write sets inserted at or after [cutoff], and only their keys. *)
-  let compact m ~cutoff =
-    let old = m.keys in
-    m.keys <- Col.create ~bits:8;
-    Slots.retain m.slots ~keep:(fun s i -> Slots.time s i >= cutoff) ~move:(copy_ws m.keys old)
-
-  let[@hot] add m ~txn ~ws ~now =
-    Slots.set m.slots txn (Col.length m.keys) ~st:1 ~now;
-    Col.push m.keys (List.length ws);
-    push_keys m.keys ws;
-    m.ops <- m.ops + 1;
-    if m.ops land 4095 = 0 then (compact m ~cutoff:(now -. m.horizon) [@alloc_ok])
-
-  let find m txn =
-    let i = Slots.find m.slots txn in
-    if i < 0 then None
-    else
-      let a = Slots.value m.slots i in
-      Some (List.init (Col.get m.keys a) (fun k -> Col.get m.keys (a + 1 + k)))
-
-  (* An image holds the live write sets and only their keys. *)
-  type image = { islots : int Slots.image; ikeys : int array Col.t }
-
-  let image m =
-    let ikeys = Col.create ~bits:8 in
-    { islots = Slots.image m.slots ~keep:(fun _ _ -> true) ~move:(copy_ws ikeys m.keys); ikeys }
-
-  let image_bytes img = (12 * Slots.count img.islots) + (4 * Col.length img.ikeys)
-
-  let restore m img =
-    m.keys <- Col.create ~bits:8;
-    Slots.restore m.slots img.islots ~st:1 ~move:(copy_ws m.keys img.ikeys)
-end

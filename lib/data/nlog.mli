@@ -93,26 +93,3 @@ val restore : t -> image -> unit
 (** Refill a log with genesis and an image's entries in apply order, and
     its floor, which also seeds the prefix maxima: every query reads what
     it read on the imaged log. *)
-
-(** A coordinator's write sets by transaction, for chasing a reader's
-    [Remove] to the writers it was propagated to.  Slots are indexed by
-    local id ({!Ids.Gen} mints them densely per coordinator): where the
-    write set starts in a flat key column, and the insert time in a float
-    column.  Every 4,096th {!add} drops the entries inserted more than
-    [horizon] earlier.  Images hold the live entries (16 bytes each, 4 a
-    key); {!restore} fills a fresh memo and counts no insert. *)
-module Memo : sig
-  type t
-  type image
-
-  val create : node:Ids.node -> horizon:float -> t
-
-  val add : t -> txn:Ids.txn -> ws:Ids.key list -> now:float -> unit
-  (** Insert or replace the write set of a transaction minted at the
-      memo's node. *)
-
-  val find : t -> Ids.txn -> Ids.key list option
-  val image : t -> image
-  val image_bytes : image -> int
-  val restore : t -> image -> unit
-end

@@ -2,118 +2,145 @@
    dense and minted in order per node ([Ids.Gen]), so slot [i] holds local
    id [lo + i]: a payload, a stamp and a state byte (0 = absent), about two
    words a slot where a table pays a bucket, a boxed key and a record.
-   The columns grow in blocks of 64 ([Col]); [retain] refills them from
-   the first slot it keeps, which is how ids retire. *)
+   Slots come in blocks of 64 ([Col]); [retain] refills them from the first
+   slot it keeps, which is how ids retire. *)
 
-let bits = 6
+type 'a block = { vals : 'a array; times : Float.Array.t; states : Bytes.t }
 
-type 'a t = {
-  owner : Ids.node;
-  mutable lo : int;  (* the local id of slot 0 *)
-  mutable vals : 'a array Col.t;
-  mutable times : Float.Array.t Col.t;
-  mutable states : Bytes.t Col.t;
-}
+(* [lo] is slot 0's local id. *)
+type 'a t = { owner : Ids.node; mutable lo : int; mutable slots : 'a block Col.t }
 
-let clear m ~lo =
-  m.lo <- lo;
-  m.vals <- Col.create ~bits;
-  m.times <- Col.create ~bits;
-  m.states <- Col.create ~bits
+let create ~node = { owner = node; lo = 0; slots = Col.create ~bits:6 }
 
-let create ~node =
-  { owner = node; lo = 0; vals = Col.create ~bits; times = Col.create ~bits; states = Col.create ~bits }
+let length m = Col.length m.slots
 
-let length m = Col.length m.states
+let value m i = (Col.block m.slots i).vals.(Col.pos m.slots i)
 
-let value m i = Col.get m.vals i
+let time m i = Float.Array.get (Col.block m.slots i).times (Col.pos m.slots i)
 
-let time m i = Float.Array.get (Col.block m.times i) (Col.pos m.times i)
+let state m i = Bytes.get_uint8 (Col.block m.slots i).states (Col.pos m.slots i)
 
-let state m i = Bytes.get_uint8 (Col.block m.states i) (Col.pos m.states i)
-
-let set_state m i st = Bytes.set_uint8 (Col.block m.states i) (Col.pos m.states i) st
-
-(* The slot of [txn]; -1 when it is foreign, outside the columns or absent. *)
+(* The slot of [txn]; -1 when it is foreign, outside the column or absent. *)
 let[@hot] find m (txn : Ids.txn) =
   let i = txn.local - m.lo in
   if txn.node <> m.owner || i < 0 || i >= length m || state m i = 0 then -1 else i
 
+(* Move [txn]'s slot from state [from] to [st]; otherwise nothing. *)
+let shift m txn ~from st =
+  let i = find m txn in
+  if i >= 0 && state m i = from then
+    Bytes.set_uint8 (Col.block m.slots i).states (Col.pos m.slots i) st
+
 (* Fill local id [l]'s slot, opening absent ones up to it; [v] fills the
-   payload blocks that opens. *)
+   payloads of the blocks that opens. *)
 let[@hot] rec place m l v ~st ~now =
   let i = l - m.lo in
   if i < length m then begin
-    Col.set m.vals i v;
-    Float.Array.set (Col.block m.times i) (Col.pos m.times i) now;
-    set_state m i st
+    let b = Col.block m.slots i and p = Col.pos m.slots i in
+    b.vals.(p) <- v;
+    Float.Array.set b.times p now;
+    Bytes.set_uint8 b.states p st
   end
   else begin
-    if Col.full m.states then begin
-      (Col.grow m.vals (fun n -> Array.make n v) [@alloc_ok]);
-      (Col.grow m.times Float.Array.create [@alloc_ok]);
-      (Col.grow m.states (fun n -> Bytes.make n '\000') [@alloc_ok])
-    end;
-    ignore (Col.claim m.vals : int);
-    ignore (Col.claim m.times : int);
-    ignore (Col.claim m.states : int);
+    if Col.full m.slots then
+      (Col.grow m.slots (fun n ->
+           { vals = Array.make n v; times = Float.Array.create n; states = Bytes.make n '\000' })
+      [@alloc_ok]);
+    ignore (Col.claim m.slots : int);
     place m l v ~st ~now
   end
 
-(* Refill [m] with [old]'s present slots that [keep] accepts, payloads
-   through [move], from local id [lo] (by default the first kept one's). *)
-let refill ?lo m ~old ~keep ~move =
+(* Refill [m] with its present slots that [keep] accepts, payloads through
+   [move], from local id [lo] (by default the first kept one's). *)
+let retain ?lo m ~keep ~move =
+  let old = { m with lo = m.lo } in
   let kept i = state old i <> 0 && keep old i in
   let rec first i = if i < length old && not (kept i) then first (i + 1) else i in
-  clear m ~lo:(Option.value lo ~default:(old.lo + first 0));
+  m.lo <- Option.value lo ~default:(old.lo + first 0);
+  m.slots <- Col.create ~bits:6;
   for i = 0 to length old - 1 do
     if kept i then place m (old.lo + i) (move (value old i)) ~st:(state old i) ~now:(time old i)
   done
 
-let retain ?lo m ~keep ~move = refill ?lo m ~old:{ m with lo = m.lo } ~keep ~move
-
 (* Insert or replace [txn]'s slot; an id below the base moves the base. *)
 let[@hot] set m (txn : Ids.txn) v ~st ~now =
   if txn.node <> m.owner then invalid_arg "Slots.set: foreign transaction";
-  if txn.local < m.lo then (retain m ~lo:txn.local ~keep:(fun _ _ -> true) ~move:Fun.id [@alloc_ok]);
+  if txn.local < m.lo then
+    (retain m ~lo:txn.local ~keep:(fun _ _ -> true) ~move:Fun.id [@alloc_ok]);
   place m txn.local v ~st ~now
 
-(* ---- images ---- *)
-
-(* The kept slots from local id [ilo]: one byte each (1 kept, 0 not), and
-   the kept ones' payloads and stamps packed in id order. *)
-type 'a image = { ilo : int; kept : Bytes.t; ivals : 'a array; itimes : Float.Array.t }
+(* An image: the kept slots' local ids, payloads and stamps, in id order. *)
+type 'a image = { ids : int array; ivals : 'a array; itimes : Float.Array.t }
 
 let image m ~keep ~move =
-  let ks = ref [] in
-  for i = length m - 1 downto 0 do
-    if state m i <> 0 && keep m i then ks := i :: !ks
-  done;
-  match !ks with
-  | [] -> { ilo = 0; kept = Bytes.empty; ivals = [||]; itimes = Float.Array.create 0 }
-  | first :: _ ->
-      let kept = Bytes.make (List.fold_left (fun _ i -> i) first !ks - first + 1) '\000' in
-      List.iter (fun i -> Bytes.set_uint8 kept (i - first) 1) !ks;
-      { ilo = m.lo + first; kept;
-        ivals = Array.of_list (List.map (fun i -> move (value m i)) !ks);
-        itimes = Float.Array.of_list (List.map (time m) !ks) }
+  let ks = List.filter (fun i -> state m i <> 0 && keep m i) (List.init (length m) Fun.id) in
+  { ids = Array.of_list (List.map (( + ) m.lo) ks);
+    ivals = Array.of_list (List.map (fun i -> move (value m i)) ks);
+    itimes = Float.Array.of_list (List.map (time m) ks) }
 
-let count img = Array.length img.ivals
+let count img = Array.length img.ids
 
 (* [f local v stamp acc] over the image's slots, in id order. *)
 let fold f img acc =
-  let acc = ref acc and k = ref 0 in
-  Bytes.iteri
-    (fun i b ->
-      if b <> '\000' then begin
-        acc := f (img.ilo + i) img.ivals.(!k) (Float.Array.get img.itimes !k) !acc;
-        incr k
-      end)
-    img.kept;
+  let acc = ref acc in
+  Array.iteri (fun k l -> acc := f l img.ivals.(k) (Float.Array.get img.itimes k) !acc) img.ids;
   !acc
 
 (* Refill [m] with the image's slots, each in state [st], payloads through
    [move]. *)
 let restore m img ~st ~move =
-  clear m ~lo:img.ilo;
+  m.lo <- (if count img = 0 then 0 else img.ids.(0));
+  m.slots <- Col.create ~bits:6;
   fold (fun l v now () -> place m l (move v) ~st ~now) img ()
+
+(* A coordinator's write sets by transaction, for chasing a reader's
+   [Remove] to the writers it was propagated to: a slot's payload is where
+   the write set (length, then keys) starts in a flat key column.  Every
+   4,096th [add] drops the entries inserted more than [horizon] earlier.
+   Images hold the live entries (16 bytes each, 4 a key); [restore] fills
+   a fresh memo and counts no insert. *)
+module Memo = struct
+  type nonrec t = { horizon : float; mutable ops : int; slots : int t;
+                    mutable keys : int array Col.t }
+
+  let create ~node ~horizon = { horizon; ops = 0; slots = create ~node; keys = Col.create ~bits:8 }
+
+  (* Copy the write set at [a] in [old] to the end of [keys]; its new start. *)
+  let copy_ws keys old a =
+    let at = Col.length keys in
+    for k = a to a + Col.get old a do Col.push keys (Col.get old k) done;
+    at
+
+  (* Keep the write sets inserted at or after [cutoff], and only their keys. *)
+  let compact m ~cutoff =
+    let old = m.keys in
+    m.keys <- Col.create ~bits:8;
+    retain m.slots ~keep:(fun s i -> time s i >= cutoff) ~move:(copy_ws m.keys old)
+
+  let[@hot] add m ~txn ~ws ~now =
+    set m.slots txn (Col.length m.keys) ~st:1 ~now;
+    Col.push m.keys (List.length ws);
+    Col.push_list m.keys ws;
+    m.ops <- m.ops + 1;
+    if m.ops land 4095 = 0 then (compact m ~cutoff:(now -. m.horizon) [@alloc_ok])
+
+  let find m txn =
+    let i = find m.slots txn in
+    if i < 0 then None
+    else
+      let a = value m.slots i in
+      Some (List.init (Col.get m.keys a) (fun k -> Col.get m.keys (a + 1 + k)))
+
+  (* An image holds the live write sets and only their keys. *)
+  type nonrec image = { islots : int image; ikeys : int array Col.t }
+
+  let image m =
+    let ikeys = Col.create ~bits:8 in
+    { islots = image m.slots ~keep:(fun _ _ -> true) ~move:(copy_ws ikeys m.keys); ikeys }
+
+  let image_bytes img = (12 * count img.islots) + (4 * Col.length img.ikeys)
+
+  let restore m img =
+    m.keys <- Col.create ~bits:8;
+    restore m.slots img.islots ~st:1 ~move:(copy_ws m.keys img.ikeys)
+end

@@ -57,9 +57,8 @@ type logrec =
   | PDecided of { txn : Ids.txn }  (* coordinator decided commit *)
   | PApplied of { txn : Ids.txn }  (* participant applied the write set *)
 
-(* Checkpoint image: a deep copy of everything redo recovery rebuilds,
-   in deterministic (sorted) order; the written cells as columns in key
-   order, writers packed ([Ids.pack]). *)
+(* Checkpoint image: a deep copy of everything redo recovery rebuilds, in
+   deterministic order; the written cells as columns by key, writers packed. *)
 type snap = {
   s_keys : Ids.key array;
   s_values : string array;
@@ -144,13 +143,9 @@ end)
 
 let snap_of (node : node) =
   let s_keys = Array.of_list (Sss_kv.Runtime.sorted_keys node.store) in
-  let cell k = Hashtbl.find node.store k in
-  {
-    s_keys;
-    s_values = Array.map (fun k -> (cell k).value) s_keys;
-    s_writers = Array.map (fun k -> Ids.pack (cell k).writer) s_keys;
-    s_ac = Ac.image node;
-  }
+  let cells = Array.map (Hashtbl.find node.store) s_keys in
+  { s_keys; s_values = Array.map (fun c -> c.value) cells;
+    s_writers = Array.map (fun c -> Ids.pack c.writer) cells; s_ac = Ac.image node }
 
 type cluster = Rt.t
 

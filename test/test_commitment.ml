@@ -152,6 +152,7 @@ let test_answers () =
   Sim.spawn sim (fun () -> Ac.decide t coord (txn 3) () (Decided (txn 3)));
   Sim.run_until sim 1e-5;
   check_verdict "decision flushing" "undecided" coord (txn 3);
+  Alcotest.(check (list int)) "a flushing decision is not checkpointed" [] (imaged coord);
   Sim.run_until sim 1e-3;
   check_verdict "decision durable" "committed (driving)" coord (txn 3);
   Ac.completed coord (txn 3);
@@ -414,9 +415,10 @@ let test_reload_keeps_stamp () =
     (own 1);
   check_verdict "the fresh one stays" "committed (driving)" t.nodes.(0) (own 2)
 
-(* The column's footprint: about two words per minted id live, and two
-   per durable decision in a checkpoint image, with 3 of every 4 minted
-   ids decided. *)
+(* The column's footprint, with 3 of every 4 minted ids decided: about
+   two words per minted id live, and three per durable decision in a
+   checkpoint image (a table of records holds about 12, and a sorted list
+   image 6 more). *)
 let test_retention_per_decision () =
   let _, t = cluster () in
   let coord = t.nodes.(1) and minted = 8_000 in
@@ -432,7 +434,7 @@ let test_retention_per_decision () =
   let imaged = per (Slots.count img) (Obj.reachable_words (Obj.repr img)) in
   Alcotest.(check bool) (Printf.sprintf "live %.2f words per minted id" live) true (live <= 2.5);
   Alcotest.(check bool) (Printf.sprintf "image %.2f words per decision" imaged) true
-    (imaged <= 2.5)
+    (imaged <= 3.2)
 
 (* The column against a table of (state, stamp) per local id: decides in
    and out of order, far below the base, and of a foreign transaction;

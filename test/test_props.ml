@@ -432,7 +432,7 @@ let nlog_columnar_model =
       && Vclock.equal (Nlog.floor !l) (Vclock.of_array m.floor)
       && Nlog.size !l = List.length m.es)
 
-(* ---------- Nlog.Memo: the write-set memo against a Hashtbl model ----------
+(* ---------- Slots.Memo: the write-set memo against a Hashtbl model ----------
 
    Local ids arrive out of order (a window behind the newest), some are
    re-inserted, some lie far below everything kept (a slot-range rebase);
@@ -444,22 +444,22 @@ let memo_model =
     QCheck.(list_of_size (Gen.int_range 5000 9000) (triple (int_bound 99) (int_bound 40) (int_bound 4)))
     (fun ops ->
       let horizon = 40.0 in
-      let memo = ref (Nlog.Memo.create ~node:1 ~horizon) in
+      let memo = ref (Slots.Memo.create ~node:1 ~horizon) in
       let model = Hashtbl.create 64 and ops_n = ref 0 and newest = ref 0 and now = ref 0.0 in
       let ok = ref true in
       let check () =
         for l = 0 to !newest + 3 do
           let want = Option.map fst (Hashtbl.find_opt model l) in
-          if Nlog.Memo.find !memo (tx 1 l) <> want then ok := false
+          if Slots.Memo.find !memo (tx 1 l) <> want then ok := false
         done;
-        if Nlog.Memo.find !memo (tx 0 1) <> None then ok := false
+        if Slots.Memo.find !memo (tx 0 1) <> None then ok := false
       in
       List.iter
         (fun (op, back, n) ->
           now := !now +. 0.25;
           if op = 0 then begin
-            let fresh = Nlog.Memo.create ~node:1 ~horizon in
-            Nlog.Memo.restore fresh (Nlog.Memo.image !memo);
+            let fresh = Slots.Memo.create ~node:1 ~horizon in
+            Slots.Memo.restore fresh (Slots.Memo.image !memo);
             memo := fresh;
             ops_n := 0;
             check ()
@@ -471,7 +471,7 @@ let memo_model =
               else (newest := !newest + 1; !newest)
             in
             let ws = List.init n (fun k -> (l * 7) + k) in
-            Nlog.Memo.add !memo ~txn:(tx 1 l) ~ws ~now:!now;
+            Slots.Memo.add !memo ~txn:(tx 1 l) ~ws ~now:!now;
             Hashtbl.replace model l (ws, !now);
             incr ops_n;
             if !ops_n land 4095 = 0 then begin
