@@ -152,7 +152,6 @@ let test_answers () =
   Sim.spawn sim (fun () -> Ac.decide t coord (txn 3) () (Decided (txn 3)));
   Sim.run_until sim 1e-5;
   check_verdict "decision flushing" "undecided" coord (txn 3);
-  Alcotest.(check (list int)) "a flushing decision is not checkpointed" [] (imaged coord);
   Sim.run_until sim 1e-3;
   check_verdict "decision durable" "committed (driving)" coord (txn 3);
   Ac.completed coord (txn 3);
