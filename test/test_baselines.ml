@@ -172,8 +172,9 @@ end
    idle store costs the same whatever the key space, yet reads return the
    key's boot value from the genesis writer, also after a restart from a
    checkpoint (the log is dirtied at 0 and checkpointed every 5 ms; the
-   key's only replica crashes at 50 ms and restarts at 60 ms).  A key the
-   node does not replicate is still refused. *)
+   key's only replica crashes at 50 ms and restarts at 60 ms), and the two
+   written keys keep their own values and writers.  A key the node does not
+   replicate is still refused. *)
 module Implicit_genesis (S : WITH_LATEST) = struct
   let genesis what key (value, writer) =
     Alcotest.(check string) (what ^ " reads its boot value") (Ids.boot_value key) value;
@@ -190,7 +191,9 @@ module Implicit_genesis (S : WITH_LATEST) = struct
     let k = 5 and other = 6 in
     let replica = List.hd (Replication.replicas (S.repl cl) k) in
     let stranger = (replica + 1) mod 3 in
-    let writer = ref Ids.genesis and before = ref "" and after = ref "" in
+    let k2 = List.find (fun x -> x <> k && x <> other) (Array.to_list (S.local_keys cl replica)) in
+    let writer = ref Ids.genesis and writer2 = ref Ids.genesis in
+    let before = ref "" and after = ref "" in
     let read_at key =
       let t = S.begin_txn cl ~node:stranger ~read_only:true in
       let v = S.read t key in
@@ -203,6 +206,10 @@ module Implicit_genesis (S : WITH_LATEST) = struct
         S.write t k "new";
         writer := S.txn_id t;
         Alcotest.(check bool) "commits" true (S.commit t);
+        let t = S.begin_txn cl ~node:replica ~read_only:false in
+        S.write t k2 "newer";
+        writer2 := S.txn_id t;
+        Alcotest.(check bool) "second commits" true (S.commit t);
         Sim.sleep sim 0.1;
         after := read_at other);
     Sim.schedule sim ~delay:0.05 (fun () ->
@@ -229,6 +236,9 @@ module Implicit_genesis (S : WITH_LATEST) = struct
     let value, w = S.latest cl ~node:replica k in
     Alcotest.(check string) "written key" "new" value;
     Alcotest.(check bool) "written key's writer" true (Ids.equal_txn w !writer);
+    let value, w = S.latest cl ~node:replica k2 in
+    Alcotest.(check string) "second written key" "newer" value;
+    Alcotest.(check bool) "second written key's writer" true (Ids.equal_txn w !writer2);
     (match S.latest cl ~node:stranger k with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "a key the node does not replicate must raise");
