@@ -16,6 +16,8 @@ baseline_wpv=$(git show HEAD:BENCH_smoke.json 2>/dev/null \
   | grep '"words_per_version"' | head -1 | sed -n 's/.*: *\([0-9.]*\).*/\1/p' || true)
 baseline_sw=$(git show HEAD:BENCH_smoke.json 2>/dev/null \
   | grep '"store_words"' | head -1 | tr -cd '0-9' || true)
+baseline_aw=$(git show HEAD:BENCH_smoke.json 2>/dev/null \
+  | grep '"allocated_words"' | head -1 | tr -cd '0-9' || true)
 
 dune build
 dune runtest
@@ -80,6 +82,22 @@ if [ -n "$baseline_sw" ] && [ -n "$new_sw" ]; then
   echo "smoke: store-words gate OK ($new_sw words vs baseline $baseline_sw)"
 else
   echo "smoke: store-words gate skipped (no store_words baseline)"
+fi
+
+# Allocation gate: fig3 smoke's allocated words come from
+# Sim.allocated_words, which is deterministic at -j1 (no machine noise), so
+# the bar is exact: any word over the committed figure is a real
+# allocation regression — or an intentional one, in which case commit the
+# refreshed baseline.
+new_aw=$(grep '"allocated_words"' BENCH_smoke.json | head -1 | tr -cd '0-9')
+if [ -n "$baseline_aw" ] && [ -n "$new_aw" ]; then
+  if [ "$new_aw" -gt "$baseline_aw" ]; then
+    echo "smoke FAIL: allocated_words $new_aw > committed $baseline_aw" >&2
+    exit 1
+  fi
+  echo "smoke: allocation gate OK ($new_aw words vs committed $baseline_aw)"
+else
+  echo "smoke: allocation gate skipped (no allocated_words baseline)"
 fi
 
 # Observer-effect gate: the same fig3 smoke run traced (--observe) must

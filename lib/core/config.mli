@@ -97,9 +97,9 @@ val ack_timeout : float
     [durability]) and hardened-mode finalize waits, 2PC apply acks, ROCOCO
     commit acks without [durability], and read replies only under
     [fault_tolerance].  Exceeding
-    it raises {!Sss_net.Rpc.Stalled}, which in a healthy run indicates a
-    protocol bug and under fault injection means the plan out-lasted the
-    retry budget. *)
+    it raises {!Sss_net.Rpc.Stalled} (its [bound] reads ["ack_timeout"]),
+    which in a healthy run indicates a protocol bug and under fault
+    injection means the plan out-lasted the retry budget. *)
 
 val starvation_threshold : float
 (** 5 ms: a writer parked in a snapshot-queue longer than this triggers

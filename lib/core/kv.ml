@@ -74,6 +74,8 @@ let local_keys = State.local_keys
 
 let store_words t = Mvstore.mem_total (mem_words t)
 
+let store_repr (t : cluster) node = Obj.repr t.State.nodes.(node).State.store
+
 let obs = State.obs
 
 let transport_retries (t : cluster) = Sss_net.Reliable.retries t.State.rel

@@ -229,7 +229,7 @@ module Make (P : PROTOCOL) = struct
 
   let crashed id = Rpc.crashed ~system:P.system ~node:id
 
-  let stalled ~phase detail = Rpc.stalled ~system:P.system ~phase detail
+  let stalled ~phase ?(bound = "ack_timeout") d = Rpc.stalled ~system:P.system ~phase ~bound d
 
   (* ---- transaction lifecycle: history plus observation ---- *)
 
@@ -466,9 +466,12 @@ module Make (P : PROTOCOL) = struct
     end;
     await_acks t home b ~phase txn
 
-  (* Refuse a key node [id] does not replicate: a caller bug. *)
-  let replicated t id key =
-    if not (Replication.is_replica t.repl id key) then invalid_arg (P.system ^ ": unknown key")
+  (* [key]'s handle at node [id]: its position in the node's replica key
+     array, which indexes the store's columns.  A key the node does not
+     replicate is a caller bug. *)
+  let[@hot] key_handle t id key =
+    let h = Replication.handle (Replication.keys_at t.repl id) key in
+    if h < 0 then (invalid_arg (P.system ^ ": unknown key") [@alloc_ok]) else h
 
   (* ---- crash & restart (durability mode; docs/DURABILITY.md) ---- *)
 
@@ -648,7 +651,8 @@ module Make (P : PROTOCOL) = struct
       let outcomes = (A.state node).outcomes in
       let rec loop attempt =
         if node_live t node && in_doubt node txn then
-          if attempt >= c.Config.retry_limit then stalled ~phase:"in-doubt" (Ids.txn_to_string txn)
+          if attempt >= c.Config.retry_limit then
+            stalled ~phase:"in-doubt" ~bound:"retry_limit attempts" (Ids.txn_to_string txn)
           else begin
             let req, slot = Rpc.Pending.fresh outcomes in
             send t ~src:(P.id node) ~dst:(A.coord p) (A.query ~req txn);
@@ -788,6 +792,9 @@ module type STORE = sig
   (** Resident words of every node's store, under the heap model of
       [Sss_data.Mvstore.mem_words] — the cross-protocol storage-footprint
       gauge of the saturation figure. *)
+
+  val store_repr : cluster -> Ids.node -> Obj.t
+  (** A node's store, for tests that weigh it with [Obj.reachable_words]. *)
 
   (** {1 Crash & recovery} — durability mode (docs/DURABILITY.md)
 

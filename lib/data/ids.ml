@@ -28,8 +28,10 @@ let local_bits = 40
 
 let pack { node; local } = ((node + 1) lsl local_bits) lor local
 
+let packed_node p = (p lsr local_bits) - 1
+
 let unpack p =
-  { node = (p lsr local_bits) - 1; local = p land ((1 lsl local_bits) - 1) }
+  if p = 0 then genesis else { node = packed_node p; local = p land ((1 lsl local_bits) - 1) }
 
 module Gen = struct
   type nonrec t = { node : node; mutable counter : int }

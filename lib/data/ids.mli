@@ -33,8 +33,11 @@ val pack : txn -> int
     storage; {!genesis} packs to [0].  Requires [local < 2^40] and
     [node < 2^22], both far beyond any simulated run. *)
 
+val packed_node : int -> node
+(** The node of a {!pack}ed identifier, read without unpacking it. *)
+
 val unpack : int -> txn
-(** Inverse of {!pack} (allocates the record). *)
+(** Inverse of {!pack}: {!genesis} itself for [0], else a fresh record. *)
 
 (** Mint node-local transaction identifiers. *)
 module Gen : sig

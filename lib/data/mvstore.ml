@@ -106,43 +106,15 @@ let create ~nodes ~keys =
 (* words a string of [len] bytes occupies on the heap (header + padded data) *)
 let str_words len = 1 + ((len + 8) / 8)
 
-let table_words tbl entry =
-  let st = (Hashtbl.stats tbl [@order_ok]) in
-  (Hashtbl.fold
-     (fun _ v acc -> acc + entry v)
-     tbl
-     (st.Hashtbl.num_buckets + (4 * st.Hashtbl.num_bindings))
-   [@order_ok])
-
 let genesis_present t h = Bytes.unsafe_get t.g_state h <> g_dropped
 
 (* ---- key -> handle ---- *)
 
-(* The last position in [keys.(base) .. keys.(base + n - 1)] holding a key
-   at most [k] ([base] if none), by binary search.  Each step's comparison
-   feeds the next position arithmetically instead of choosing a branch:
-   the node's keys are hashed over the key space, so a branch on them
-   would mispredict about every other step. *)
-let[@hot] rec search (keys : int array) (k : int) base n =
-  if n <= 1 then base
-  else
-    let half = n lsr 1 in
-    let up = Bool.to_int (Array.unsafe_get keys (base + half) <= k) in
-    search keys k (base + (up * half)) (n - half)
-
-(* handle of [k], or -1 *)
-let[@hot] handle t k =
-  let n = Array.length t.key_of in
-  if n = 0 then -1
-  else
-    let h = search t.key_of k 0 n in
-    if Array.unsafe_get t.key_of h = k then h else -1
-
 let[@hot] find_handle t k =
-  let h = handle t k in
+  let h = Replication.handle t.key_of k in
   if h < 0 then raise Not_found else h
 
-let mem t k = handle t k >= 0
+let mem t k = Replication.handle t.key_of k >= 0
 
 let chains t = Array.length t.key_of
 

@@ -174,11 +174,6 @@ val str_words : int -> int
 (** Heap words of a boxed string of that many bytes, header included: the
     value term of this model, which the baselines' store gauges share. *)
 
-val table_words : ('k, 'v) Hashtbl.t -> ('v -> int) -> int
-(** A hash table's words under the same model: its buckets, one binding
-    box per entry, plus [entry v] for each value.  Insensitive to bucket
-    order. *)
-
 val mem_zero : mem
 (** Fold seed for cluster-wide aggregation. *)
 

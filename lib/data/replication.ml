@@ -32,3 +32,22 @@ let is_replica t n k =
   d < t.degree
 
 let keys_at t n = t.at.(n)
+
+(* The last position in [keys.(base) .. keys.(base + n - 1)] holding a key
+   at most [k] ([base] if none), by binary search.  Each step's comparison
+   feeds the next position arithmetically instead of choosing a branch:
+   the node's keys are hashed over the key space, so a branch on them
+   would mispredict about every other step. *)
+let[@hot] rec search (keys : int array) (k : int) base n =
+  if n <= 1 then base
+  else
+    let half = n lsr 1 in
+    let up = Bool.to_int (Array.unsafe_get keys (base + half) <= k) in
+    search keys k (base + (up * half)) (n - half)
+
+let[@hot] handle (keys : Ids.key array) k =
+  let n = Array.length keys in
+  if n = 0 then -1
+  else
+    let h = search keys k 0 n in
+    if Array.unsafe_get keys h = k then h else -1

@@ -20,3 +20,9 @@ val is_replica : t -> Ids.node -> Ids.key -> bool
 val keys_at : t -> Ids.node -> Ids.key array
 (** Every key the node stores (precomputed; used to initialise stores and
     to draw node-local keys for the locality workload of Fig. 7). *)
+
+val handle : Ids.key array -> Ids.key -> int
+(** [handle keys k] is [k]'s position in the strictly ascending [keys]
+    (such as {!keys_at} returns), or [-1]: the index every node store's
+    per-key columns share.  A binary search that neither branches on the
+    keys nor allocates. *)

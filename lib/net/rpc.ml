@@ -1,8 +1,8 @@
 open Sss_sim
 
-exception Stalled of { system : string; phase : string; detail : string }
+exception Stalled of { system : string; phase : string; bound : string; detail : string }
 
-let stalled ~system ~phase detail = raise (Stalled { system; phase; detail })
+let stalled ~system ~phase ~bound detail = raise (Stalled { system; phase; bound; detail })
 
 exception Crashed of { system : string; node : int }
 
@@ -10,8 +10,8 @@ let crashed ~system ~node = raise (Crashed { system; node })
 
 let () =
   Printexc.register_printer (function
-    | Stalled { system; phase; detail } ->
-        Some (Printf.sprintf "Rpc.Stalled(%s: %s stalled beyond the retry budget: %s)" system phase detail)
+    | Stalled { system; phase; bound; detail } ->
+        Some (Printf.sprintf "Rpc.Stalled(%s: %s gave up after %s: %s)" system phase bound detail)
     | Crashed { system; node } ->
         Some (Printf.sprintf "Rpc.Crashed(%s: node %d lost its volatile state)" system node)
     | _ -> None)

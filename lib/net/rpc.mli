@@ -4,16 +4,16 @@
     latency like everything else); these helpers match responses back to
     the fiber that is waiting for them. *)
 
-exception Stalled of { system : string; phase : string; detail : string }
-(** A client-side wait outlived every retry and its backstop timeout: under
-    fault injection this means the fault plan never let the protocol step
-    complete (e.g. a partition that is never healed); in a healthy run it
-    indicates a protocol bug.  Replaces the [failwith]s that used to
-    terminate timed-out commit waits.  [system] names the protocol stack
-    ("sss", "twopc", "walter", "rococo"), [phase] the wait that gave up. *)
+exception Stalled of { system : string; phase : string; bound : string; detail : string }
+(** A protocol wait gave up: under fault injection this means the fault
+    plan never let the protocol step complete (e.g. a partition that is
+    never healed); in a healthy run it indicates a protocol bug.  [system]
+    names the protocol stack ("sss", "twopc", "walter", "rococo"), [phase]
+    the wait that gave up, and [bound] what ran out: ["ack_timeout"] (the
+    wait's backstop timeout) or ["retry_limit attempts"] (its retries). *)
 
-val stalled : system:string -> phase:string -> string -> 'a
-(** [stalled ~system ~phase detail] raises {!Stalled}. *)
+val stalled : system:string -> phase:string -> bound:string -> string -> 'a
+(** [stalled ~system ~phase ~bound detail] raises {!Stalled}. *)
 
 exception Crashed of { system : string; node : int }
 (** Raised by a client-side protocol step whose home node crashed under

@@ -78,14 +78,16 @@ let rec message_kind = function
   | Tracked { inner; _ } -> message_kind inner
   | Delivered _ -> "delivered"
 
-type cell = {
-  mutable value : string;
-  mutable writer : Ids.txn;
+(* A node's store: each key's value and writer, and the pieces buffered
+   on it, in columns by key handle.  An idle unwritten key holds its
+   column words only; it reads its boot value from [Ids.genesis]. *)
+type store = {
+  cells : Cells.t;
   (* dispatched pieces not yet positioned, with their local dispatch
      counters; sorted by txn, the order [Runtime.sorted_bindings] gives *)
-  mutable pending : (Ids.txn * int) list;
+  pending : (Ids.txn * int) list array;
   (* positioned pieces awaiting execution, sorted by ts *)
-  mutable ready : (ts * string) list;
+  ready : (ts * string) list array;
 }
 
 (* Durability-mode write-ahead-log records (docs/DURABILITY.md). *)
@@ -97,8 +99,7 @@ type logrec =
 
 (* Checkpoint image: deep copy, deterministic (sorted) order. *)
 type snap = {
-  s_cells :
-    (Ids.key * (string * Ids.txn * (Ids.txn * int) list * (ts * string) list)) list;
+  s_store : store;
   s_counter : int;
   s_staged : (Ids.txn * (ts * (Ids.key * string) list)) list;
   s_seen : Idset.Txns.t;
@@ -106,10 +107,7 @@ type snap = {
 
 type node = {
   id : Ids.node;
-  (* Keys written or holding pieces only: genesis is implicit, so an idle
-     replicated key nobody wrote has no cell and reads as its boot value
-     from [Ids.genesis]. *)
-  store : (Ids.key, cell) Hashtbl.t;
+  mutable store : store;
   mutable counter : int;
   pending_disp : (int * string * Ids.txn) Rpc.Pending.t;
   pending_ro : (string * Ids.txn * bool) Rpc.Pending.t;
@@ -130,10 +128,13 @@ type node = {
   pending_alive : bool Rpc.Pending.t;
 }
 
-let make_node _sim _config _repl id =
+let make_node _sim _config repl id =
+  let keys = Replication.keys_at repl id in
   {
     id;
-    store = Hashtbl.create 16;
+    store =
+      { cells = Cells.create keys; pending = Array.make (Array.length keys) [];
+        ready = Array.make (Array.length keys) [] };
     counter = 0;
     pending_disp = Rpc.Pending.create ();
     pending_ro = Rpc.Pending.create ();
@@ -145,16 +146,21 @@ let make_node _sim _config _repl id =
     pending_alive = Rpc.Pending.create ();
   }
 
-let set_pending c txn d =
+let set_pending st h txn d =
   let rec add = function
     | ((o, _) as b) :: rest when Ids.compare_txn o txn < 0 -> b :: add rest
     | (o, _) :: rest when Ids.equal_txn o txn -> (txn, d) :: rest
     | l -> (txn, d) :: l
   in
-  c.pending <- add c.pending
+  st.pending.(h) <- add st.pending.(h)
 
-let drop_pending c txn =
-  c.pending <- List.filter (fun (o, _) -> not (Ids.equal_txn o txn)) c.pending
+let drop_pending st h txn =
+  st.pending.(h) <- List.filter (fun (o, _) -> not (Ids.equal_txn o txn)) st.pending.(h)
+
+let copy s = { cells = Cells.copy s.cells; pending = Array.copy s.pending; ready = Array.copy s.ready }
+
+(* No buffered piece on handle [h]. *)
+let idle st h = st.pending.(h) = [] && st.ready.(h) = []
 
 (* ---------- durability (Config.durability; docs/DURABILITY.md) ---------- *)
 
@@ -165,25 +171,24 @@ let logrec_bytes = function
   | RDispatch _ -> 16 + 8 + 8 + 8
   | RInsert { writes; _ } -> 16 + 8 + 16 + writes_bytes writes
 
+(* The written or occupied keys are priced, in ascending key order. *)
 let snap_bytes (s : snap) =
+  let st = s.s_store in
+  let key acc h =
+    if idle st h && Cells.writer_is st.cells h Ids.genesis then acc
+    else
+      acc + 20 + String.length (Cells.peek st.cells h)
+      + (16 * List.length st.pending.(h))
+      + List.fold_left (fun a (_, w) -> a + 20 + String.length w) 0 st.ready.(h)
+  in
   64
-  + List.fold_left
-      (fun acc (_, (v, _, pending, ready)) ->
-        acc + 20 + String.length v
-        + (16 * List.length pending)
-        + List.fold_left (fun a (_, w) -> a + 20 + String.length w) 0 ready)
-      0 s.s_cells
+  + Seq.fold_left key 0 (Seq.init (Array.length st.pending) Fun.id)
   + List.fold_left (fun acc (_, (_, ws)) -> acc + 24 + writes_bytes ws) 0 s.s_staged
   + (16 * Idset.Txns.cardinal s.s_seen)
 
 let snap_of (node : node) =
   {
-    s_cells =
-      List.map
-        (fun k ->
-          let c = Hashtbl.find node.store k in
-          (k, (c.value, c.writer, c.pending, c.ready)))
-        (Sss_kv.Runtime.sorted_keys node.store);
+    s_store = copy node.store;
     s_counter = node.counter;
     s_staged = Sss_kv.Runtime.sorted_bindings node.staged;
     s_seen = Idset.Txns.copy node.seen;
@@ -211,27 +216,6 @@ include Rt
 
 type cluster = Rt.t
 
-(* The key's cell for reading: a fresh genesis cell while it is idle and
-   unwritten.  [cell] is the one to buffer a piece in, stored from then
-   on. *)
-let peek t (node : node) key =
-  match Hashtbl.find_opt node.store key with
-  | Some c -> c
-  | None ->
-      replicated t node.id key;
-      { value = Ids.boot_value key; writer = Ids.genesis; pending = []; ready = [] }
-
-let cell t (node : node) key =
-  let c = peek t node key in
-  if not (Hashtbl.mem node.store key) then Hashtbl.add node.store key c;
-  c
-
-(* No buffered piece on [key]. *)
-let idle (node : node) key =
-  match Hashtbl.find_opt node.store key with
-  | Some c -> c.pending = [] && c.ready = []
-  | None -> true
-
 (* ROCOCO's own per-transaction state. *)
 type own = {
   mutable reads : (Ids.key * string) list;  (* dispatch-time reads, client-visible *)
@@ -257,7 +241,8 @@ let read_rpc h (pending : 'a Rpc.Pending.t) key msg ~phase =
     let dsts = Replication.replicas cl.repl key in
     let rec attempt n =
       if n > cl.config.Sss_kv.Config.retry_limit then
-        stalled ~phase (Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.txn));
+        stalled ~phase ~bound:"retry_limit attempts"
+          (Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.txn));
       if not (node_live cl home) then crashed home.id;
       let req, ivar = Rpc.Pending.fresh pending in
       send_nodes cl ~src:home.id ~dsts (msg req);
@@ -273,38 +258,32 @@ let read_rpc h (pending : 'a Rpc.Pending.t) key msg ~phase =
    positioned ts on the key runs once every still-unpositioned piece is
    guaranteed a larger position (its dispatch counter already exceeds the
    candidate's position number). *)
-let rec drain t (node : node) key =
-  match Hashtbl.find_opt node.store key with
-  | None | Some { ready = []; _ } -> ()
-  | Some ({ ready = (ts, value) :: rest; _ } as c) ->
+let rec drain t (node : node) h =
+  let st = node.store and key = node.store.cells.keys.(h) in
+  match st.ready.(h) with
+  | [] -> ()
+  | (ts, value) :: rest ->
       let could_precede =
         (* disjunction: order-insensitive *)
-        List.exists (fun (_, d) -> d <= ts.num) c.pending
+        List.exists (fun (_, d) -> d <= ts.num) st.pending.(h)
       in
       if not could_precede then begin
         (* authoritative read-modify-write, in the agreed order *)
         if List.hd (Replication.replicas t.repl key) = node.id then begin
-          record t (History.Read { txn = ts.owner; key; writer = c.writer });
+          record t (History.Read { txn = ts.owner; key; writer = Cells.writer st.cells h });
           record t (History.Install { txn = ts.owner; key })
         end;
-        c.value <- value;
-        c.writer <- ts.owner;
-        c.ready <- rest;
+        Cells.set st.cells h ~value ~writer:ts.owner;
+        st.ready.(h) <- rest;
         Sim.Cond.broadcast t.sim node.executed;
         send t ~src:node.id ~dst:ts.owner.Ids.node (Commit_ack { txn = ts.owner });
-        drain t node key
+        drain t node h
       end
 
-(* Withdraw [txn]'s unpositioned piece on [key] (a cell left with neither
-   pieces nor a write goes with it), then run what it held back. *)
-let withdraw t (node : node) key txn =
-  (match Hashtbl.find_opt node.store key with
-  | Some c ->
-      drop_pending c txn;
-      if c.pending = [] && c.ready = [] && Ids.equal_txn c.writer Ids.genesis then
-        Hashtbl.remove node.store key
-  | None -> ());
-  drain t node key;
+(* Withdraw [txn]'s unpositioned piece on [h], then run what it held back. *)
+let withdraw t (node : node) h txn =
+  drop_pending node.store h txn;
+  drain t node h;
   Sim.Cond.broadcast t.sim node.executed
 
 let insert_positioned t (node : node) ~txn ~ts ~writes =
@@ -314,16 +293,17 @@ let insert_positioned t (node : node) ~txn ~ts ~writes =
   node.counter <- Stdlib.max node.counter ts.num;
   List.iter
     (fun (key, value) ->
-      if Replication.is_replica t.repl node.id key then begin
-        let c = cell t node key in
-        drop_pending c txn;
+      let st = node.store in
+      let h = Replication.handle st.cells.keys key in
+      if h >= 0 then begin
+        drop_pending st h txn;
         let rec insert = function
           | [] -> [ (ts, value) ]
           | ((ts', _) as hd) :: rest ->
               if ts_compare ts ts' < 0 then (ts, value) :: hd :: rest else hd :: insert rest
         in
-        c.ready <- insert c.ready;
-        drain t node key
+        st.ready.(h) <- insert st.ready.(h);
+        drain t node h
       end)
     writes
 
@@ -333,9 +313,8 @@ let pieces_ran (node : node) txn writes =
   (not (Hashtbl.mem node.staged txn))
   && List.for_all
        (fun (key, _) ->
-         match Hashtbl.find_opt node.store key with
-         | Some c -> not (List.exists (fun (ts, _) -> Ids.equal_txn ts.owner txn) c.ready)
-         | None -> true)
+         let h = Replication.handle node.store.cells.keys key in
+         h < 0 || not (List.exists (fun (ts, _) -> Ids.equal_txn ts.owner txn) node.store.ready.(h)))
        writes
 
 let handle_commit t (node : node) ~txn ~ts ~writes =
@@ -373,27 +352,23 @@ let handle_commit t (node : node) ~txn ~ts ~writes =
    the owner's home whether the transaction is still in flight and
    withdraws the piece once it is not.  A live answer resets the retry
    budget; only sustained silence stalls. *)
-let spawn_alive_watchdog t (node : node) ~txn ~key =
+let spawn_alive_watchdog t (node : node) ~txn h =
   let still_pending () =
-    node_live t node
-    &&
-    match Hashtbl.find_opt node.store key with
-    | Some c -> List.exists (fun (o, _) -> Ids.equal_txn o txn) c.pending
-    | None -> false
+    node_live t node && List.exists (fun (o, _) -> Ids.equal_txn o txn) node.store.pending.(h)
   in
   Sim.spawn t.sim (fun () ->
       let rec loop attempt =
         Sim.sleep t.sim (2. *. Sss_kv.Config.retry_max);
         if still_pending () then
           if attempt >= t.config.Sss_kv.Config.retry_limit then
-            stalled ~phase:"alive query" (Ids.txn_to_string txn)
+            stalled ~phase:"alive query" ~bound:"retry_limit attempts" (Ids.txn_to_string txn)
           else begin
             let req, slot = Rpc.Pending.fresh node.pending_alive in
             send t ~src:node.id ~dst:txn.Ids.node (Alive_query { req; txn });
             match Rpc.Pending.await_timeout t.sim slot ~timeout:Sss_kv.Config.retry_max with
             | Some false when still_pending () ->
                 (* orphaned: withdraw the piece so it stops gating drains *)
-                withdraw t node key txn
+                withdraw t node h txn
             | Some false -> ()
             | Some true -> loop 0
             | None ->
@@ -408,19 +383,19 @@ let rec dispatch t (node : node) ~src payload =
   | Tracked { token; inner } -> if receive t ~me:node.id ~src token then dispatch t node ~src inner
   | Delivered { token } -> Reliable.delivered t.rel token
   | Dispatch { req; txn; key } ->
-      let c = cell t node key in
+      let h = key_handle t node.id key and cells = node.store.cells in
       node.counter <- node.counter + 1;
-      set_pending c txn node.counter;
+      set_pending node.store h txn node.counter;
+      let value = Cells.peek cells h and writer = Cells.writer cells h in
       if not t.config.Sss_kv.Config.durability then
-        send t ~src:node.id ~dst:src
-          (Dispatch_ack { req; counter = node.counter; value = c.value; writer = c.writer })
+        send t ~src:node.id ~dst:src (Dispatch_ack { req; counter = node.counter; value; writer })
       else begin
         (* the counter promise must survive a crash before the client may
            build a position on it: recovery rebuilds [pending] from these
            records, and [could_precede] gating is unsound without them *)
-        let counter = node.counter and value = c.value and writer = c.writer in
+        let counter = node.counter in
         let lsn = log t node (RDispatch { txn; key; counter }) in
-        spawn_alive_watchdog t node ~txn ~key;
+        spawn_alive_watchdog t node ~txn h;
         if log_sync t node lsn && node_live t node then
           send t ~src:node.id ~dst:src (Dispatch_ack { req; counter; value; writer })
       end
@@ -429,18 +404,23 @@ let rec dispatch t (node : node) ~src payload =
   | Commit { txn; ts; writes } -> handle_commit t node ~txn ~ts ~writes
   | Commit_ack { txn } -> ack_arrived t node.ack_boxes txn ~src ~round:0
   | Ro_read { req; key } ->
+      let h = key_handle t node.id key in
       (* wait until no buffered update piece conflicts with the read *)
       let _ =
-        Sim.Cond.await_timeout t.sim node.executed ~timeout:0.005 (fun () -> idle node key)
+        Sim.Cond.await_timeout t.sim node.executed ~timeout:0.005 (fun () -> idle node.store h)
       in
-      let stable = idle node key and c = peek t node key in
-      send t ~src:node.id ~dst:src (Ro_ret { req; value = c.value; writer = c.writer; stable })
+      let st = node.store in
+      send t ~src:node.id ~dst:src
+        (Ro_ret
+           { req; value = Cells.peek st.cells h; writer = Cells.writer st.cells h;
+             stable = idle st h })
   | Ro_ret { req; value; writer; stable } ->
       Rpc.Pending.resolve t.sim node.pending_ro req (value, writer, stable)
   | Cancel { txn; keys } ->
       List.iter
         (fun key ->
-          if Replication.is_replica t.repl node.id key then withdraw t node key txn)
+          let h = Replication.handle node.store.cells.keys key in
+          if h >= 0 then withdraw t node h txn)
         keys
   | Alive_query { req; txn } ->
       send t ~src:node.id ~dst:src (Alive_ret { req; alive = Hashtbl.mem node.inflight txn })
@@ -448,15 +428,8 @@ let rec dispatch t (node : node) ~src payload =
 
 (* ------------- crash / recovery (durability mode) ------------- *)
 
-let load_snap t (node : node) (s : snap) =
-  List.iter
-    (fun (k, (value, writer, pending, ready)) ->
-      let c = cell t node k in
-      c.value <- value;
-      c.writer <- writer;
-      List.iter (fun (txn, d) -> set_pending c txn d) pending;
-      c.ready <- ready)
-    s.s_cells;
+let load_snap _t (node : node) (s : snap) =
+  node.store <- copy s.s_store;
   node.counter <- s.s_counter;
   List.iter (fun (txn, sw) -> Hashtbl.replace node.staged txn sw) s.s_staged;
   node.seen <- Idset.Txns.copy s.s_seen
@@ -467,7 +440,7 @@ let load_snap t (node : node) (s : snap) =
 let replay_record t (node : node) = function
   | RDispatch { txn; key; counter } ->
       node.counter <- Stdlib.max node.counter counter;
-      set_pending (cell t node key) txn counter
+      set_pending node.store (key_handle t node.id key) txn counter
   | RInsert { txn; ts; writes } ->
       Idset.Txns.add node.seen txn ~now:(Sim.now t.sim);
       node.counter <- Stdlib.max node.counter ts.num;
@@ -482,7 +455,7 @@ let wound t (old : node) e =
   fill_acks t old.ack_boxes
 
 let recover t (node : node) =
-  let keys = Sss_kv.Runtime.sorted_keys node.store in
+  let st = node.store in
   rejoin t node.id ~rejoined:(fun () ->
       (* re-execute positioned transactions whose insert was cut short, in
          final-position order; their first durable record fixes the order,
@@ -496,13 +469,8 @@ let recover t (node : node) =
            (Sss_kv.Runtime.sorted_bindings node.staged));
       (* gates may have vanished with the crash (their Cancel was volatile);
          drains + watchdogs settle every restored key *)
-      List.iter (fun key -> drain t node key) keys);
-  List.iter
-    (fun key ->
-      List.iter
-        (fun (txn, _) -> spawn_alive_watchdog t node ~txn ~key)
-        (Hashtbl.find node.store key).pending)
-    keys
+      Array.iteri (fun h _ -> drain t node h) st.pending);
+  Array.iteri (fun h -> List.iter (fun (txn, _) -> spawn_alive_watchdog t node ~txn h)) st.pending
 
 let hooks =
   { handler = dispatch; wound; snapshot = snap_of; load = load_snap; replay = replay_record;
@@ -626,34 +594,29 @@ let abort h =
         send_nodes h.cl ~src:h.home.id ~dsts:(replica_nodes h.cl keys)
           (Cancel { txn = h.txn; keys }))
 
-(* Resident words of every node's store, under the same heap model as
-   [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, the cell
-   record of each written or busy key (implicit genesis costs nothing) with
-   its [pending] and [ready] lists (a cons and a pair per piece), and the
-   boxed value strings.  Cold path (end-of-run gauge); the sum is
-   bucket-order-insensitive. *)
+(* Resident words of every node's store under [Mvstore.mem_words]'s
+   model: the cells, the record and the two piece columns, and per
+   buffered piece a cons, a pair and the piece (a ts record and a value). *)
 let store_words t =
   sum_nodes t (fun (n : node) ->
-      Mvstore.table_words n.store (fun (c : cell) ->
-          let a = 6 + Mvstore.str_words (String.length c.value) in
-          let a = a + (6 * List.length c.pending) in
-          List.fold_left
-            (fun a (_, piece) -> a + 3 + 3 + Mvstore.str_words (String.length piece))
-            a c.ready))
+      let st = n.store and piece a (_, v) = a + 9 + Mvstore.str_words (String.length v) in
+      Array.fold_left (List.fold_left piece) (Cells.words st.cells + 6 + (2 * Array.length st.ready)) st.ready
+      + Array.fold_left (fun a p -> a + (6 * List.length p)) 0 st.pending)
+
+let store_repr t node = Obj.repr t.nodes.(node).store
 
 let latest t ~node key =
-  let c = peek t t.nodes.(node) key in
-  (c.value, c.writer)
+  let cells = t.nodes.(node).store.cells and h = key_handle t node key in
+  (Cells.peek cells h, Cells.writer cells h)
 
 let quiescent t =
   residue_report t (fun (n : node) ->
-      (* in sorted key order: the text must not depend on bucket order *)
+      let st = n.store in
       List.filter_map
-        (fun key ->
-          let c = Hashtbl.find n.store key in
-          if c.pending <> [] || c.ready <> [] then
+        (fun h ->
+          if idle st h then None
+          else
             Some
-              (Printf.sprintf "node %d: key %d has %d pending / %d ready pieces" n.id key
-                 (List.length c.pending) (List.length c.ready))
-          else None)
-        (Sss_kv.Runtime.sorted_keys n.store))
+              (Printf.sprintf "node %d: key %d has %d pending / %d ready pieces" n.id
+                 st.cells.keys.(h) (List.length st.pending.(h)) (List.length st.ready.(h))))
+        (List.init (Array.length st.pending) Fun.id))

@@ -2,10 +2,6 @@ open Sss_data
 open Sss_net
 open Sss_consistency
 
-(* Single-version store: value and the writer that produced it (version
-   identity, used for validation and by the consistency checker). *)
-type cell = { mutable value : string; mutable writer : Ids.txn }
-
 type msg =
   | Read_req of { req : int; key : Ids.key }
   | Read_ret of { req : int; value : string; writer : Ids.txn }
@@ -58,29 +54,24 @@ type logrec =
   | PApplied of { txn : Ids.txn }  (* participant applied the write set *)
 
 (* Checkpoint image: a deep copy of everything redo recovery rebuilds, in
-   deterministic order; the written cells as columns by key, writers packed. *)
-type snap = {
-  s_keys : Ids.key array;
-  s_values : string array;
-  s_writers : int array;
-  s_ac : (unit, prep) Sss_kv.Runtime.image;
-}
+   deterministic order; the store as a copy of its columns. *)
+type snap = { s_store : Cells.t; s_ac : (unit, prep) Sss_kv.Runtime.image }
 
 type node = {
   id : Ids.node;
-  (* Written keys only: genesis is implicit, so a replicated key nobody
-     wrote has no cell and reads as its boot value from [Ids.genesis]. *)
-  store : (Ids.key, cell) Hashtbl.t;
+  (* single-version: each key's value and the writer that produced it
+     (version identity, used for validation and by the checker) *)
+  mutable store : Cells.t;
   locks : Locks.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
   ac : (unit, unit, prep) Sss_kv.Runtime.commitment;
   ack_boxes : (Ids.txn, Sss_kv.Runtime.acks) Hashtbl.t;
 }
 
-let make_node sim _config _repl id =
+let make_node sim _config repl id =
   {
     id;
-    store = Hashtbl.create 16;
+    store = Cells.create (Replication.keys_at repl id);
     locks = Locks.create sim;
     pending_reads = Rpc.Pending.create ();
     ac = Sss_kv.Runtime.commitment id;
@@ -101,7 +92,7 @@ let logrec_bytes = function
 
 let snap_bytes (s : snap) =
   64
-  + Array.fold_left (fun acc v -> acc + 12 + String.length v) 0 s.s_values
+  + Cells.fold_written (fun h acc -> acc + 12 + String.length s.s_store.values.(h)) s.s_store 0
   + List.fold_left (fun acc (_, p) -> acc + 8 + prep_bytes p) 0 s.s_ac.entries
   + (8 * Slots.count s.s_ac.decided)
   + (8 * Idset.Txns.cardinal s.s_ac.fenced)
@@ -141,44 +132,17 @@ module Ac = Commit (struct
   let copy p = p
 end)
 
-let snap_of (node : node) =
-  let s_keys = Array.of_list (Sss_kv.Runtime.sorted_keys node.store) in
-  let cells = Array.map (Hashtbl.find node.store) s_keys in
-  { s_keys; s_values = Array.map (fun c -> c.value) cells;
-    s_writers = Array.map (fun c -> Ids.pack c.writer) cells; s_ac = Ac.image node }
+let snap_of (node : node) = { s_store = Cells.copy node.store; s_ac = Ac.image node }
 
 type cluster = Rt.t
 
 type handle = unit Rt.handle
 
-(* The key's cell: a fresh genesis cell before its first write. *)
-let peek t (node : node) key =
-  match Hashtbl.find_opt node.store key with
-  | Some c -> c
-  | None ->
-      replicated t node.id key;
-      { value = Ids.boot_value key; writer = Ids.genesis }
-
-(* Write the key; its first write stores its cell. *)
 let install t (node : node) key value writer =
-  match Hashtbl.find_opt node.store key with
-  | Some c ->
-      c.value <- value;
-      c.writer <- writer
-  | None ->
-      replicated t node.id key;
-      Hashtbl.add node.store key { value; writer }
+  Cells.set node.store (key_handle t node.id key) ~value ~writer
 
-(* The key's writer, without building a genesis cell for an unwritten key. *)
-let writer t (node : node) key =
-  match Hashtbl.find_opt node.store key with
-  | Some c -> c.writer
-  | None ->
-      replicated t node.id key;
-      Ids.genesis
-
-let validate t node rs =
-  List.for_all (fun (k, observed) -> Ids.equal_txn (writer t node k) observed) rs
+let validate t (node : node) rs =
+  List.for_all (fun (k, observed) -> Cells.writer_is node.store (key_handle t node.id k) observed) rs
 
 let handle_decide t (node : node) ~txn ~outcome =
   match Hashtbl.find_opt node.ac.prepared txn with
@@ -247,8 +211,9 @@ let rec dispatch t (node : node) ~src payload =
   | Tracked { token; inner } -> if receive t ~me:node.id ~src token then dispatch t node ~src inner
   | Delivered { token } -> Reliable.delivered t.rel token
   | Read_req { req; key } ->
-      let c = peek t node key in
-      send t ~src:node.id ~dst:src (Read_ret { req; value = c.value; writer = c.writer })
+      let h = key_handle t node.id key in
+      send t ~src:node.id ~dst:src
+        (Read_ret { req; value = Cells.peek node.store h; writer = Cells.writer node.store h })
   | Read_ret { req; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_reads req (value, writer)
   | Prepare { txn; coord; rs; ws } -> handle_prepare t node ~txn ~coord ~rs ~ws
@@ -261,7 +226,7 @@ let rec dispatch t (node : node) ~src payload =
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap t (node : node) (s : snap) =
-  Array.iteri (fun i k -> install t node k s.s_values.(i) (Ids.unpack s.s_writers.(i))) s.s_keys;
+  node.store <- Cells.copy s.s_store;
   Ac.load t node s.s_ac
 
 (* Redo one durable record.  Replay never records history: installs of
@@ -340,18 +305,13 @@ let commit h =
   close h "commit";
   if h.rs = [] && h.ws = [] then commit_write_free h else commit_validated h
 
-(* Resident words of every node's store, under the same heap model as
-   [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes, one cell
-   record per written key (implicit genesis costs nothing), and the boxed
-   value strings (headers included).  Cold path (end-of-run gauge); the
-   sum is bucket-order-insensitive. *)
-let store_words t =
-  sum_nodes t (fun (n : node) ->
-      Mvstore.table_words n.store (fun (c : cell) -> 4 + Mvstore.str_words (String.length c.value)))
+let store_words t = sum_nodes t (fun (n : node) -> Cells.words n.store)
+
+let store_repr t node = Obj.repr t.nodes.(node).store
 
 let latest t ~node key =
-  let c = peek t t.nodes.(node) key in
-  (c.value, c.writer)
+  let n = t.nodes.(node) and h = key_handle t node key in
+  (Cells.peek n.store h, Cells.writer n.store h)
 
 let quiescent t =
   residue_report t (fun (n : node) ->

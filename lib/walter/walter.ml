@@ -26,14 +26,6 @@ open Sss_data
 open Sss_net
 open Sss_consistency
 
-type version = {
-  value : string;
-  writer : Ids.txn;
-  site : Ids.node;  (* writer's home site *)
-  seq : int;  (* writer's position in its site's commit order *)
-  wstart : Vclock.t;  (* the writer's start snapshot: orders same-key versions *)
-}
-
 type msg =
   | Read_req of { req : int; key : Ids.key; start : Vclock.t }
   | Read_ret of { req : int; value : string; writer : Ids.txn }
@@ -97,7 +89,7 @@ type logrec =
 
 (* Checkpoint image: deep copy, deterministic (sorted) order. *)
 type snap = {
-  s_chains : (Ids.key * version list) list;
+  s_chains : Chains.t;
   s_applied : Vclock.t;
   s_site_seq : int;
   s_origin : (int * (Ids.txn * Vclock.t * (Ids.key * string) list)) list;
@@ -106,14 +98,10 @@ type snap = {
 
 type node = {
   id : Ids.node;
-  (* Written keys only, newest first by kver.  Genesis is implicit: a
-     replicated key nobody wrote has no chain, and a chain never holds the
-     genesis version (reads fall back to it past the chain's end). *)
-  chains : (Ids.key, version list ref) Hashtbl.t;
+  mutable chains : Chains.t;
   mutable applied : Vclock.t;  (* committed prefix applied locally, per site *)
   mutable site_seq : int;  (* commits originated at this site *)
-  holdback :
-    (Ids.node, (int * (Ids.txn * Vclock.t * (Ids.key * string) list)) list ref) Hashtbl.t;
+  holdback : (int * (Ids.txn * Vclock.t * (Ids.key * string) list)) list array;  (* by site *)
   locks : Locks.t;
   pending_reads : (string * Ids.txn) Rpc.Pending.t;
   ac : (unit, unit, wprep) Sss_kv.Runtime.commitment;
@@ -124,13 +112,13 @@ type node = {
       (* own-site commit order, seq -> payload; serves Pull re-sends *)
 }
 
-let make_node sim (config : Sss_kv.Config.t) _repl id =
+let make_node sim (config : Sss_kv.Config.t) repl id =
   {
     id;
-    chains = Hashtbl.create 16;
+    chains = Chains.create (Replication.keys_at repl id);
     applied = Vclock.zero config.nodes;
     site_seq = 0;
-    holdback = Hashtbl.create 8;
+    holdback = Array.make config.nodes [];
     locks = Locks.create sim;
     pending_reads = Rpc.Pending.create ();
     ac = Sss_kv.Runtime.commitment id;
@@ -150,13 +138,7 @@ let logrec_bytes nodes = function
 
 let snap_bytes nodes (s : snap) =
   64
-  + List.fold_left
-      (fun acc (_, vers) ->
-        acc + 8
-        + List.fold_left
-            (fun a (v : version) -> a + 24 + (8 * nodes) + String.length v.value)
-            0 vers)
-      0 s.s_chains
+  + Chains.image_bytes s.s_chains ~nodes
   + (8 * nodes)
   + List.fold_left
       (fun acc (_, (_, _, ws)) -> acc + 16 + (8 * nodes) + writes_bytes ws)
@@ -200,12 +182,9 @@ module Ac = Commit (struct
   let copy p = p
 end)
 
-(* The image holds written chains only, like the store. *)
 let snap_of (node : node) =
   {
-    s_chains =
-      List.map (fun k -> (k, !(Hashtbl.find node.chains k)))
-        (Sss_kv.Runtime.sorted_keys node.chains);
+    s_chains = Chains.copy node.chains;
     s_applied = node.applied;
     s_site_seq = node.site_seq;
     s_origin =
@@ -218,47 +197,8 @@ type cluster = Rt.t
 
 let primary t key = List.hd (Replication.replicas t.repl key)
 
-(* The key's written versions, newest first ([] before its first write). *)
-let versions t (node : node) key =
-  match Hashtbl.find_opt node.chains key with
-  | Some r -> !r
-  | None ->
-      replicated t node.id key;
-      []
-
 (* Walter's own per-transaction state is its start snapshot. *)
 type handle = Vclock.t Rt.handle
-
-(* Value and writer of the newest version whose writer's commit is within
-   the snapshot.  The caller guarantees the snapshot is applied locally, so
-   the first visible version in the (write-order sorted) chain is the
-   newest; past the chain's end lies genesis, visible in every snapshot. *)
-let visible_read t (node : node) key ~start =
-  let rec pick = function
-    | [] -> (Ids.boot_value key, Ids.genesis)
-    | v :: rest -> if v.seq <= Vclock.get start v.site then (v.value, v.writer) else pick rest
-  in
-  pick (versions t node key)
-
-(* A write is admissible if the newest version of the key was visible in the
-   writer's snapshot (no concurrent committed writer: PSI's write-write
-   conflict rule). *)
-let ww_ok t (node : node) key ~start =
-  match versions t node key with [] -> true | v :: _ -> v.seq <= Vclock.get start v.site
-
-(* Install a version, keeping the chain in write order: write-write
-   conflicts serialize same-key writers, so for two versions one writer's
-   start snapshot always covers the other's commit. *)
-let install (node : node) key ver =
-  let after v older = older.seq <= Vclock.get v.wstart older.site in
-  let rec insert = function
-    | [] -> [ ver ]
-    | v :: _ as all when after ver v -> ver :: all
-    | v :: rest -> v :: insert rest
-  in
-  match Hashtbl.find_opt node.chains key with
-  | Some r -> r := insert !r
-  | None -> Hashtbl.add node.chains key (ref [ ver ])
 
 (* Apply a committed transaction's writes locally and advance the per-site
    applied prefix (in per-site sequence order; out-of-order deliveries are
@@ -267,38 +207,26 @@ let rec apply_committed t (node : node) ~txn ~site ~seq ~start ~writes =
   if seq = Vclock.get node.applied site + 1 then begin
     List.iter
       (fun (k, value) ->
-        if Replication.is_replica t.repl node.id k then begin
+        let h = Replication.handle node.chains.keys k in
+        if h >= 0 then begin
           if primary t k = node.id then record t (History.Install { txn; key = k });
-          install node k { value; writer = txn; site; seq; wstart = start }
+          Chains.install node.chains h ~value ~writer:txn ~seq ~start
         end)
       writes;
     node.applied <- Vclock.set node.applied site seq;
     Hashtbl.remove node.ac.prepared txn;
     Locks.release_txn node.locks txn;
     Sim.Cond.broadcast t.sim node.applied_changed;
-    (* drain any held-back successors from the same site *)
-    match Hashtbl.find_opt node.holdback site with
+    (* drain any held-back successor from the same site *)
+    let next = seq + 1 in
+    match List.assoc_opt next node.holdback.(site) with
     | None -> ()
-    | Some pending -> (
-        let next = Vclock.get node.applied site + 1 in
-        match List.assoc_opt next !pending with
-        | None -> ()
-        | Some (txn', start', writes') ->
-            pending := List.remove_assoc next !pending;
-            apply_committed t node ~txn:txn' ~site ~seq:next ~start:start' ~writes:writes')
+    | Some (txn', start', writes') ->
+        node.holdback.(site) <- List.remove_assoc next node.holdback.(site);
+        apply_committed t node ~txn:txn' ~site ~seq:next ~start:start' ~writes:writes'
   end
-  else if seq > Vclock.get node.applied site then begin
-    let pending =
-      match Hashtbl.find_opt node.holdback site with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.replace node.holdback site r;
-          r
-    in
-    if not (List.mem_assoc seq !pending) then
-      pending := (seq, (txn, start, writes)) :: !pending
-  end
+  else if seq > Vclock.get node.applied site && not (List.mem_assoc seq node.holdback.(site)) then
+    node.holdback.(site) <- (seq, (txn, start, writes)) :: node.holdback.(site)
 
 (* A slow-path abort decision, from Wdecide(false) or the watchdog. *)
 let abort_prepared t (node : node) txn =
@@ -323,7 +251,7 @@ let handle_prepare t (node : node) ~txn ~coord ~start ~keys =
     (not (Ac.fenced node txn))
     && Locks.acquire_all node.locks txn ~exclusive:keys ~shared:[]
          ~timeout:Sss_kv.Config.lock_timeout
-    && List.for_all (fun k -> ww_ok t node k ~start) keys
+    && List.for_all (fun k -> Chains.ww_ok node.chains (key_handle t node.id k) ~start) keys
     && not (Ac.fenced node txn)
     (* the node may have crashed while this fiber waited for the locks:
        a stale record must not vote (or log) on behalf of the fresh one *)
@@ -348,8 +276,10 @@ let rec dispatch t (node : node) ~src payload =
          snapshot (Sovran et al. §4): otherwise a lagging replica would
          return stale data the snapshot already covers. *)
       Sim.Cond.await t.sim node.applied_changed (fun () -> Vclock.leq start node.applied);
-      let value, writer = visible_read t node key ~start in
-      send t ~src:node.id ~dst:src (Read_ret { req; value; writer })
+      let c = node.chains and h = key_handle t node.id key in
+      let s = Chains.visible_read c h ~start in
+      send t ~src:node.id ~dst:src
+        (Read_ret { req; value = Chains.value c h s; writer = Chains.writer c s })
   | Read_ret { req; value; writer } ->
       Rpc.Pending.resolve t.sim node.pending_reads req (value, writer)
   | Wprepare { txn; coord; start; keys } -> handle_prepare t node ~txn ~coord ~start ~keys
@@ -377,7 +307,7 @@ let rec dispatch t (node : node) ~src payload =
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap t (node : node) (s : snap) =
-  List.iter (fun (k, vers) -> Hashtbl.replace node.chains k (ref vers)) s.s_chains;
+  node.chains <- Chains.copy s.s_chains;
   node.applied <- s.s_applied;
   node.site_seq <- s.s_site_seq;
   List.iter (fun (seq, p) -> Hashtbl.replace node.origin_log seq p) s.s_origin;
@@ -495,7 +425,7 @@ let commit_update h =
       if
         Locks.acquire_all h.home.locks h.txn ~exclusive:ks ~shared:[]
           ~timeout:Sss_kv.Config.lock_timeout
-        && List.for_all (fun k -> ww_ok cl h.home k ~start:h.own) ks
+        && List.for_all (fun k -> Chains.ww_ok h.home.chains (key_handle cl h.home.id k) ~start:h.own) ks
       then commit_at_home h  (* locks released when the local apply runs *)
       else begin
         Locks.release_txn h.home.locks h.txn;
@@ -522,32 +452,21 @@ let commit h =
   close h "commit";
   if h.ws = [] then commit_write_free h else commit_update h
 
-(* Resident words of every node's version chains, under the same heap
-   model as [Sss_data.Mvstore.mem_words]: hash buckets + binding boxes and
-   the chain ref per written key (implicit genesis costs nothing), then one
-   list cons + boxed version record + the private [wstart] clock array per
-   version, plus the value strings.  Cold path (end-of-run gauge); the sum
-   is bucket-order-insensitive. *)
-let store_words t =
-  sum_nodes t (fun (n : node) ->
-      Mvstore.table_words n.chains (fun chain ->
-          List.fold_left
-            (fun a (v : version) ->
-              a + 3 + 6 + (Vclock.size v.wstart + 1) + Mvstore.str_words (String.length v.value))
-            2 !chain))
+let store_words t = sum_nodes t (fun (n : node) -> Chains.words n.chains)
+
+let store_repr t node = Obj.repr t.nodes.(node).chains
 
 let latest t ~node key =
-  let n = t.nodes.(node) in
-  visible_read t n key ~start:n.applied
+  let n = t.nodes.(node) and h = key_handle t node key in
+  let s = Chains.visible_read n.chains h ~start:n.applied in
+  (Chains.value n.chains h s, Chains.writer n.chains s)
 
 let quiescent t =
   residue_report t (fun (n : node) ->
       Ac.lingering n
       @ residue n "lock holders" (Locks.holder_count n.locks)
-      (* in sorted site order: the text must not depend on bucket order *)
-      @ List.concat_map
-          (fun site ->
-            residue n
-              (Printf.sprintf "held-back propagations from site %d" site)
-              (List.length !(Hashtbl.find n.holdback site)))
-          (Sss_kv.Runtime.sorted_keys n.holdback))
+      @ List.concat
+          (List.mapi
+             (fun site l ->
+               residue n (Printf.sprintf "held-back propagations from site %d" site) (List.length l))
+             (Array.to_list n.holdback)))

@@ -166,15 +166,19 @@ module type WITH_LATEST = sig
   include Sss_kv.Runtime.STORE
 
   val latest : cluster -> node:Ids.node -> Ids.key -> string * Ids.txn
+
+  val per_key : int
+  (** Column words a replica key costs its node's store, key array included. *)
 end
 
-(* Genesis is implicit: a key nobody wrote has no cell or chain, so an
-   idle store costs the same whatever the key space, yet reads return the
-   key's boot value from the genesis writer, also after a restart from a
-   checkpoint (the log is dirtied at 0 and checkpointed every 5 ms; the
-   key's only replica crashes at 50 ms and restarts at 60 ms), and the two
-   written keys keep their own values and writers.  A key the node does not
-   replicate is still refused. *)
+(* Genesis is implicit: a key nobody wrote holds its column words and
+   nothing else, so an idle store grows by exactly [per_key] words per
+   added replica key, yet reads return the key's boot value from the
+   genesis writer, also after a restart from a checkpoint (the log is
+   dirtied at 0 and checkpointed every 5 ms; the key's only replica
+   crashes at 50 ms and restarts at 60 ms), and the two written keys keep
+   their own values and writers.  A key the node does not replicate is
+   still refused. *)
 module Implicit_genesis (S : WITH_LATEST) = struct
   let genesis what key (value, writer) =
     Alcotest.(check string) (what ^ " reads its boot value") (Ids.boot_value key) value;
@@ -183,7 +187,9 @@ module Implicit_genesis (S : WITH_LATEST) = struct
 
   let test () =
     let idle keys = S.store_words (S.create (Sim.create ()) (config ~keys ())) in
-    Alcotest.(check int) "an idle store does not grow with the key space" (idle 24) (idle 2400);
+    Alcotest.(check int) "an idle store grows by its column words per replica key"
+      (S.per_key * (2400 - 24))
+      (idle 2400 - idle 24);
     let sim = Sim.create () in
     let cl =
       S.create sim { (config ()) with durability = true; checkpoint_interval = 0.005 }
@@ -243,11 +249,49 @@ module Implicit_genesis (S : WITH_LATEST) = struct
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "a key the node does not replicate must raise");
     check_ok "quiescent" (S.quiescent cl)
+
+  (* The store gauge weighs what the heap holds: after a small workload,
+     within 10% of [Obj.reachable_words] of each node's store, summed over
+     the nodes. *)
+  let gauge () =
+    let sim = Sim.create () and nodes = 3 and keys = 200 in
+    let cl = S.create sim (config ~nodes ~keys ~seed:4 ()) in
+    let ops =
+      { Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> S.begin_txn cl ~node ~read_only);
+        read = S.read; write = S.write; commit = S.commit }
+    in
+    ignore
+      (Sss_workload.Driver.run sim ~nodes ~total_keys:keys ~local_keys:(S.local_keys cl)
+         ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
+         ~load:
+           { Sss_workload.Driver.default_load with clients_per_node = 4; warmup = 0.005;
+             duration = 0.05; seed = 4 }
+         ~ops
+        : Sss_workload.Driver.result);
+    let heap =
+      List.fold_left (fun a n -> a + Obj.reachable_words (S.store_repr cl n)) 0 (List.init nodes Fun.id)
+    and gauge = S.store_words cl in
+    if abs (gauge - heap) * 10 > heap then
+      Alcotest.failf "store_words %d vs %d reachable words: off by more than 10%%" gauge heap
 end
 
-module Twopc_genesis = Implicit_genesis (Twopc_kv.Twopc)
-module Walter_genesis = Implicit_genesis (Walter_kv.Walter)
-module Rococo_genesis = Implicit_genesis (Rococo_kv.Rococo)
+module Twopc_genesis = Implicit_genesis (struct
+  include Twopc_kv.Twopc
+
+  let per_key = 3  (* key, value, writer *)
+end)
+
+module Walter_genesis = Implicit_genesis (struct
+  include Walter_kv.Walter
+
+  let per_key = 2  (* key, head *)
+end)
+
+module Rococo_genesis = Implicit_genesis (struct
+  include Rococo_kv.Rococo
+
+  let per_key = 5  (* key, value, writer, pending, ready *)
+end)
 
 (* ---------- ROCOCO ---------- *)
 
@@ -411,6 +455,7 @@ let () =
           Alcotest.test_case "answers after every write replica" `Quick
             test_twopc_awaits_write_replicas;
           Alcotest.test_case "implicit genesis" `Quick Twopc_genesis.test;
+          Alcotest.test_case "store gauge matches the heap" `Quick Twopc_genesis.gauge;
         ] );
       ( "walter",
         [
@@ -418,6 +463,7 @@ let () =
           Alcotest.test_case "workload" `Quick test_walter_workload;
           Alcotest.test_case "weaker than serializable" `Quick test_walter_weaker_than_serializable;
           Alcotest.test_case "implicit genesis" `Quick Walter_genesis.test;
+          Alcotest.test_case "store gauge matches the heap" `Quick Walter_genesis.gauge;
         ] );
       ( "rococo",
         [
@@ -429,5 +475,6 @@ let () =
           Alcotest.test_case "re-sent commit runs once and answers last" `Quick
             test_rococo_resent_commit;
           Alcotest.test_case "implicit genesis" `Quick Rococo_genesis.test;
+          Alcotest.test_case "store gauge matches the heap" `Quick Rococo_genesis.gauge;
         ] );
     ]

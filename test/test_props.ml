@@ -603,6 +603,94 @@ let squeue_remove_model =
              who = 0 || List.exists (fun e -> e.Squeue.txn = tx who 1 && e.Squeue.sid = sid) remaining)
            ops)
 
+(* ---------- Walter's version chains vs the list model ----------
+
+   Same-key writers in write order, at random sites with per-site sequence
+   numbers (gaps stand for the sites' other commits); each writer's start
+   clock lies between its predecessor's start, raised to cover the
+   predecessor's commit, and the commits made so far.  Their installs
+   arrive in a random interleaving that keeps each site's sequence order,
+   as propagation does.  The model is the chain as a list with the
+   write-order insertion Walter's store had as a list: a version goes in
+   front of the first version its writer's start covers. *)
+
+type mver = { mw : Ids.txn; msite : int; mseq : int; mstart : Vclock.t; mvalue : string }
+
+let m_covers start v = v.mseq <= Vclock.get start v.msite
+
+let m_install ver chain =
+  let rec ins = function
+    | [] -> [ ver ]
+    | v :: _ as all when m_covers ver.mstart v -> ver :: all
+    | v :: rest -> v :: ins rest
+  in
+  ins chain
+
+let walter_chain_model =
+  QCheck.Test.make ~name:"walter chain order matches list model" ~count:300 QCheck.int (fun seed ->
+      let g = Prng.create ~seed in
+      let sites = 3 and key = 7 in
+      let committed = Array.make sites 0 in
+      let prev = ref None in
+      let writers =
+        List.init
+          (1 + Prng.int g 12)
+          (fun i ->
+            let site = Prng.int g sites in
+            let lo j =
+              match !prev with
+              | None -> 0
+              | Some p -> Int.max (Vclock.get p.mstart j) (if j = p.msite then p.mseq else 0)
+            in
+            let start =
+              Vclock.of_array
+                (Array.init sites (fun j -> lo j + Prng.int g (committed.(j) - lo j + 1)))
+            in
+            let seq = committed.(site) + 1 + Prng.int g 2 in
+            committed.(site) <- seq;
+            let v = { mw = tx site (i + 1); msite = site; mseq = seq; mstart = start;
+                      mvalue = Printf.sprintf "v%d" i } in
+            prev := Some v;
+            v)
+      in
+      (* a random interleaving of the per-site queues *)
+      let queues = Array.init sites (fun s -> List.filter (fun v -> v.msite = s) writers) in
+      let rec deliver acc =
+        match List.filter (fun s -> queues.(s) <> []) (List.init sites Fun.id) with
+        | [] -> List.rev acc
+        | live ->
+            let s = List.nth live (Prng.int g (List.length live)) in
+            let v = List.hd queues.(s) in
+            queues.(s) <- List.tl queues.(s);
+            deliver (v :: acc)
+      in
+      let c = Walter_kv.Chains.create [| key |] and model = ref [] in
+      let writers_of l = List.map (fun v -> v.mw) l in
+      let same_chain () = List.equal Ids.equal_txn (Walter_kv.Chains.chain c 0) (writers_of !model) in
+      let agrees start =
+        let s = Walter_kv.Chains.visible_read c 0 ~start in
+        let w, value =
+          match List.find_opt (m_covers start) !model with
+          | Some v -> (v.mw, v.mvalue)
+          | None -> (Ids.genesis, Ids.boot_value key)
+        in
+        Ids.equal_txn (Walter_kv.Chains.writer c s) w
+        && String.equal (Walter_kv.Chains.value c 0 s) value
+        && Bool.equal
+             (Walter_kv.Chains.ww_ok c 0 ~start)
+             (match !model with [] -> true | v :: _ -> m_covers start v)
+      in
+      let random_start () =
+        Vclock.of_array (Array.init sites (fun j -> Prng.int g (committed.(j) + 2)))
+      in
+      List.for_all
+        (fun v ->
+          Walter_kv.Chains.install c 0 ~value:v.mvalue ~writer:v.mw ~seq:v.mseq ~start:v.mstart;
+          model := m_install v !model;
+          same_chain () && List.for_all agrees (List.init 4 (fun _ -> random_start ())))
+        (deliver [])
+      && List.equal Ids.equal_txn (Walter_kv.Chains.chain c 0) (List.rev (writers_of writers)))
+
 let () =
   Alcotest.run "props"
     [
@@ -632,4 +720,5 @@ let () =
       ("locks", [ Alcotest.test_case "exclusion invariant" `Quick test_locks_exclusion_invariant ]);
       ("replication", [ QCheck_alcotest.to_alcotest replication_props ]);
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_model ]);
+      ("walter", [ QCheck_alcotest.to_alcotest walter_chain_model ]);
     ]

@@ -9,7 +9,8 @@
 #                             source trees; the repo promise is ZERO
 #                             findings, so any finding fails the gate
 #   4. bench/smoke.sh       — fig3 smoke benchmark + throughput-regression
-#                             gate against the committed BENCH_smoke.json
+#                             gate against the committed BENCH_smoke.json,
+#                             and its exact allocated-words gate
 #   5. durability smoke     — durability=off must not move the fig3 smoke
 #                             trajectory vs the committed baseline, and the
 #                             durable paths (WAL overhead + crash recovery)
