@@ -84,9 +84,15 @@ let commitment node =
   }
 
 (** The commitment's part of a checkpoint, in deterministic order: the
-    prepared entries, the durable decisions with their decide stamps, and
-    the fence. *)
+    prepared entries, a frozen view of the decision column (pending slots
+    included; docs/DURABILITY.md), and the fence. *)
 type ('d, 'p) image = { entries : (Ids.txn * 'p) list; decided : 'd Slots.image; fenced : Idset.Txns.t }
+
+(** [f d acc] over the decisions a checkpoint prices: those driving or
+    durable at the snapshot.  A pending one rides in the image unpriced:
+    its record is in the log's flush, which prices it. *)
+let fold_priced f img acc =
+  Slots.fold (fun _ d _ st acc -> if st = pending then acc else f d acc) img.decided acc
 
 (* A completion-ack box: the acks still awaited, one entry per expected
    ack, by sender.  [all_in] fills once none is missing; an ack of another
@@ -680,15 +686,19 @@ module Make (P : PROTOCOL) = struct
       let ac = A.state node in
       {
         entries = List.map (fun (txn, p) -> (txn, A.copy p)) (sorted_bindings ac.prepared);
-        decided =
-          Slots.image ac.decisions ~move:Fun.id ~keep:(fun d i -> Slots.state d i <> pending);
+        decided = Slots.freeze ac.decisions;
         fenced = Idset.Txns.copy ac.fence;
       }
 
     let load _ node img =
       let ac = A.state node in
       List.iter (fun (txn, p) -> Hashtbl.replace ac.prepared txn (A.copy p)) img.entries;
-      Slots.restore ac.decisions img.decided ~st:durable ~move:Fun.id;
+      Slots.thaw ac.decisions img.decided;
+      Slots.retain ac.decisions ~move:Fun.id ~keep:(fun d i -> Slots.state d i <> pending);
+      Slots.fold
+        (fun local _ _ st () ->
+          Slots.shift ac.decisions { Ids.node = P.id node; local } ~from:st durable)
+        img.decided ();
       ac.fence <- Idset.Txns.copy img.fenced
 
     (* Restart, after replay.  The in-doubt entries held their locks when

@@ -210,7 +210,7 @@ let snap_bytes s =
   + Nlog.image_bytes s.s_nlog
   + vc s.s_node_vc + vc s.s_coordinated_max + vc s.s_stable_vc
   + List.fold_left (fun acc p -> acc + checkpointed p) 0 s.s_ac.entries
-  + Slots.fold (fun _ c _ acc -> acc + 8 + vc c) s.s_ac.decided 0
+  + Runtime.fold_priced (fun c acc -> acc + 8 + vc c) s.s_ac 0
   + (16 * (Idset.Txns.cardinal s.s_ac.fenced + Idset.Txns.cardinal s.s_tombstones))
   + List.fold_left (fun acc (_, l) -> acc + 8 + (16 * List.length l)) 0 s.s_forwards
   + Slots.Memo.image_bytes s.s_recent_ws

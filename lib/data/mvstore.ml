@@ -1,32 +1,15 @@
-(* Struct-of-arrays version store.
+(* Struct-of-arrays version store; the layout is in mvstore.mli and
+   docs/ARCHITECTURE.md "The version store".  Beyond what they say:
 
-   Layout (docs/ARCHITECTURE.md "The version store"):
-
-   - A key's handle is its position in [key_of], the node's strictly
-     ascending replica key array, which the store shares with
-     [Replication] and never mutates.  A binary search takes the public
-     Ids.key to its handle; [head] and [g_state] are the handle-indexed
-     views, and the GC sweep walks handles.
-   - Versions are slots in four parallel arrays ([v_value], [v_writer],
-     [v_clock], [v_next]).  [v_next] links newest-to-oldest and doubles as
-     the free-list link of recycled slots, so GC churn is in-place reuse
-     rather than cons-cell turnover.
-   - [v_clock] holds the clock passed to [install] by reference: the
-     writer's published commit clock, which the node log and the CommitQ
-     entry hold too, so a write set shares one clock and a read sees the
-     slot's own clock, with nothing copied or decoded.  Free slots hold
-     [no_clock], so a freed slot pins no clock.
-   - Every key boots with a genesis version valued [Ids.boot_value], fully
-     implicit: one state byte per key, value derived on demand.
-     Chains therefore cost 0 slots until first written.
-
-   Chains only ever change by head-prepend ([install]) or suffix-drop
-   ([truncate_covered]), so a version's newer neighbour, which the image
-   byte model prices it against, is stable for the version's lifetime.
-
-   [total] maintains the store's version count incrementally so GC telemetry
-   is O(1); the [mem] counters are maintained the same way, except the
-   clock gauge, which [mem_words] computes. *)
+   - a slot's [next] link doubles as the free-list link of recycled
+     slots, and a free slot holds [no_clock], so it pins no clock;
+   - every write goes through [Col.wblock], so a checkpoint image shares
+     each slot block until the store next writes to it;
+   - chains only ever change by head-prepend ([install]) or suffix-drop
+     ([truncate_covered]), so a version's newer neighbour, which the image
+     byte model prices it against, is stable for the version's lifetime;
+   - [total] and the [mem] counters are maintained incrementally, except
+     the clock gauge, which [mem_words] computes. *)
 
 type version = { value : string; vc : Vclock.t; writer : Ids.txn }
 
@@ -50,6 +33,23 @@ let no_value = ""
    [Array.make] runs to fill a large array with a young block. *)
 let no_clock = Vclock.zero 0
 
+type block = {
+  value : string array;
+  writer : int array;  (* Ids.pack *)
+  clock : Vclock.t array;  (* the writer's published clock *)
+  next : int array;  (* next-older slot, -1 end; free-list link *)
+}
+
+let bits = 6
+
+let block n =
+  { value = Array.make n no_value; writer = Array.make n (-1); clock = Array.make n no_clock;
+    next = Array.make n (-1) }
+
+let copy_block b =
+  { value = Array.copy b.value; writer = Array.copy b.writer; clock = Array.copy b.clock;
+    next = Array.copy b.next }
+
 type t = {
   nodes : int;
   zero : Vclock.t;  (* genesis versions' clock *)
@@ -59,12 +59,7 @@ type t = {
   key_of : int array;
   head : int array;  (* handle -> newest explicit slot, -1 if none *)
   g_state : Bytes.t;  (* handle -> implicit-genesis state *)
-  (* version slots *)
-  mutable v_value : string array;
-  mutable v_writer : int array;  (* Ids.pack *)
-  mutable v_clock : Vclock.t array;  (* the writer's published clock *)
-  mutable v_next : int array;  (* next-older slot, -1 end; free-list link *)
-  mutable slot_top : int;
+  mutable slots : block Col.t;  (* version slots; its length is the slot high-water mark *)
   mutable free_slot : int;
   mutable free_slots : int;
   mutable total : int;
@@ -90,11 +85,7 @@ let create ~nodes ~keys =
     key_of = keys;
     head = Array.make n (-1);
     g_state = Bytes.make n g_derived;
-    v_value = [||];
-    v_writer = [||];
-    v_clock = [||];
-    v_next = [||];
-    slot_top = 0;
+    slots = Col.create ~bits;
     free_slot = -1;
     free_slots = 0;
     total = n;
@@ -120,20 +111,22 @@ let chains t = Array.length t.key_of
 
 let version_count t = t.total
 
-(* ---- growth ---- *)
+(* ---- slot access ---- *)
 
-let grow_slots t =
-  let cap = Array.length t.v_next in
-  let ncap = if cap = 0 then 256 else 2 * cap in
-  let grow a fill =
-    let n = Array.make ncap fill in
-    Array.blit a 0 n 0 cap;
-    n
-  in
-  t.v_value <- grow t.v_value no_value;
-  t.v_writer <- grow t.v_writer (-1);
-  t.v_clock <- grow t.v_clock no_clock;
-  t.v_next <- grow t.v_next (-1)
+let blk t s = Array.unsafe_get t.slots.blocks (s lsr bits)
+
+let pos s = s land ((1 lsl bits) - 1)
+
+let next t s = Array.unsafe_get (blk t s).next (pos s)
+
+let clock t s = Array.unsafe_get (blk t s).clock (pos s)
+
+let writer t s = Array.unsafe_get (blk t s).writer (pos s)
+
+let value t s = (blk t s).value.(pos s)
+
+(* Slot [s]'s block, for writing. *)
+let[@hot] wblk t s = Col.wblock t.slots s copy_block
 
 (* ---- reads ---- *)
 
@@ -146,21 +139,21 @@ let[@hot] last t k =
     gslot h
   end
 
-let slot_value t s = if s >= 0 then t.v_value.(s) else Ids.boot_value t.key_of.(ghandle s)
+let slot_value t s = if s >= 0 then value t s else Ids.boot_value t.key_of.(ghandle s)
 
-let slot_writer t s = if s >= 0 then Ids.unpack t.v_writer.(s) else Ids.genesis
+let slot_writer t s = if s >= 0 then Ids.unpack (writer t s) else Ids.genesis
 
 let[@hot] slot_writer_is t s w =
-  if s >= 0 then Array.unsafe_get t.v_writer s = Ids.pack w
+  if s >= 0 then writer t s = Ids.pack w
   else Ids.equal_txn w Ids.genesis
 
 (* The first non-skipped version at or below [s].  Toplevel recursion
    keeps [select]'s spine allocation-free (R8): the only allocations on a
    select are whatever [skip] itself does. *)
 let[@hot] rec select_from t h s ~skip =
-  let nx = Array.unsafe_get t.v_next s in
-  if nx >= 0 then if skip (Array.unsafe_get t.v_clock s) then select_from t h nx ~skip else s
-  else if genesis_present t h && skip (Array.unsafe_get t.v_clock s) then gslot h
+  let nx = next t s in
+  if nx >= 0 then if skip (clock t s) then select_from t h nx ~skip else s
+  else if genesis_present t h && skip (clock t s) then gslot h
   else s
 
 let[@hot] select t k ~skip =
@@ -177,8 +170,7 @@ let chain t k =
   let rec older s acc =
     if s < 0 then acc
     else
-      older t.v_next.(s)
-        ({ value = t.v_value.(s); vc = t.v_clock.(s); writer = Ids.unpack t.v_writer.(s) } :: acc)
+      older (next t s) ({ value = value t s; vc = clock t s; writer = Ids.unpack (writer t s) } :: acc)
   in
   let oldest_first = older t.head.(h) [] in
   List.rev
@@ -191,24 +183,20 @@ let chain t k =
 let alloc_slot t =
   if t.free_slot >= 0 then begin
     let s = t.free_slot in
-    t.free_slot <- t.v_next.(s);
+    t.free_slot <- next t s;
     t.free_slots <- t.free_slots - 1;
     s
   end
-  else begin
-    if t.slot_top >= Array.length t.v_next then grow_slots t;
-    let s = t.slot_top in
-    t.slot_top <- s + 1;
-    s
-  end
+  else Col.slot t.slots block
 
 let[@hot] install t k ~value ~vc ~writer =
   let h = find_handle t k in
   let s = alloc_slot t in
-  Array.unsafe_set t.v_value s value;
-  Array.unsafe_set t.v_writer s (Ids.pack writer);
-  Array.unsafe_set t.v_clock s vc;
-  Array.unsafe_set t.v_next s (Array.unsafe_get t.head h);
+  let b = wblk t s and p = pos s in
+  Array.unsafe_set b.value p value;
+  Array.unsafe_set b.writer p (Ids.pack writer);
+  Array.unsafe_set b.clock p vc;
+  Array.unsafe_set b.next p (Array.unsafe_get t.head h);
   Array.unsafe_set t.head h s;
   t.total <- t.total + 1;
   t.value_words <- t.value_words + str_words (String.length value)
@@ -222,11 +210,12 @@ let free_tail t s0 =
   let s = ref s0 in
   while !s >= 0 do
     let c = !s in
-    let nx = t.v_next.(c) in
-    t.v_clock.(c) <- no_clock;
-    t.value_words <- t.value_words - str_words (String.length t.v_value.(c));
-    t.v_value.(c) <- no_value;
-    t.v_next.(c) <- t.free_slot;
+    let b = wblk t c and p = pos c in
+    let nx = b.next.(p) in
+    b.clock.(p) <- no_clock;
+    t.value_words <- t.value_words - str_words (String.length b.value.(p));
+    b.value.(p) <- no_value;
+    b.next.(p) <- t.free_slot;
     t.free_slot <- c;
     t.free_slots <- t.free_slots + 1;
     incr freed;
@@ -242,13 +231,13 @@ let drop_genesis t h =
 (* The newest covered version at or below [s] keeps everything newer;
    everything older is unreachable and goes.  Returns the count. *)
 let[@hot] rec truncate_from t h s ~watermark =
-  if Vclock.leq (Array.unsafe_get t.v_clock s) watermark then begin
-    let tail = Array.unsafe_get t.v_next s in
-    let d = if tail >= 0 then (Array.unsafe_set t.v_next s (-1); free_tail t tail) else 0 in
+  if Vclock.leq (clock t s) watermark then begin
+    let tail = next t s in
+    let d = if tail >= 0 then (Array.unsafe_set (wblk t s).next (pos s) (-1); free_tail t tail) else 0 in
     if genesis_present t h then (drop_genesis t h; d + 1) else d
   end
   else
-    let nx = Array.unsafe_get t.v_next s in
+    let nx = next t s in
     (* no explicit version covered: the genesis, if still present, is the
        covered one and has nothing older *)
     if nx >= 0 then truncate_from t h nx ~watermark else 0
@@ -283,23 +272,9 @@ let keys t = Array.to_list t.key_of
 
 (* ---- checkpoint images ---- *)
 
-type image = {
-  i_nodes : int;
-  i_head : int array;
-  i_g_state : Bytes.t;
-  i_slot_top : int;
-  i_value : string array;
-  i_writer : int array;
-  i_clock : Vclock.t array;
-  i_next : int array;
-  i_free_slot : int;
-  i_free_slots : int;
-  i_total : int;
-  i_value_words : int;
-  i_sweep_hi : int;
-  i_sweep_pos : int;
-  i_bytes : int;
-}
+(* A frozen store: copies of the head and state columns and a view of the
+   slot blocks; the key array stays with the store. *)
+type image = { frozen : t; bytes : int }
 
 (* A clock below its chain's head, priced as the sparse delta against its
    newer neighbour (an index byte and the zig-zag varint of each differing
@@ -325,51 +300,35 @@ let disk_bytes t =
     let s = ref t.head.(h) in
     if !s >= 0 then bytes := !bytes + (8 * t.nodes);
     while !s >= 0 do
-      let c = !s and nx = t.v_next.(!s) in
-      bytes := !bytes + 12 + String.length t.v_value.(c);
-      if nx >= 0 then bytes := !bytes + older_clock_bytes t ~newer:t.v_clock.(c) t.v_clock.(nx);
+      let c = !s and nx = next t !s in
+      bytes := !bytes + 12 + String.length (value t c);
+      if nx >= 0 then bytes := !bytes + older_clock_bytes t ~newer:(clock t c) (clock t nx);
       s := nx
     done
   done;
   !bytes
 
 let image_of t =
-  {
-    i_nodes = t.nodes;
-    i_head = Array.copy t.head;
-    i_g_state = Bytes.copy t.g_state;
-    i_slot_top = t.slot_top;
-    i_value = Array.sub t.v_value 0 t.slot_top;
-    i_writer = Array.sub t.v_writer 0 t.slot_top;
-    i_clock = Array.sub t.v_clock 0 t.slot_top;
-    i_next = Array.sub t.v_next 0 t.slot_top;
-    i_free_slot = t.free_slot;
-    i_free_slots = t.free_slots;
-    i_total = t.total;
-    i_value_words = t.value_words;
-    i_sweep_hi = t.sweep_hi;
-    i_sweep_pos = t.sweep_pos;
-    i_bytes = disk_bytes t;
-  }
+  let frozen =
+    { t with key_of = [||]; head = Array.copy t.head; g_state = Bytes.copy t.g_state;
+             slots = Col.freeze t.slots }
+  in
+  { frozen; bytes = disk_bytes t }
 
-let image_bytes im = im.i_bytes
+let image_bytes im = im.bytes
 
-let restore t im =
-  if im.i_nodes <> t.nodes || Array.length im.i_head <> Array.length t.head then
+let restore t { frozen = f; _ } =
+  if f.nodes <> t.nodes || Array.length f.head <> Array.length t.head then
     invalid_arg "Mvstore.restore: image of a differently shaped store";
-  Array.blit im.i_head 0 t.head 0 (Array.length t.head);
-  Bytes.blit im.i_g_state 0 t.g_state 0 (Bytes.length t.g_state);
-  t.slot_top <- im.i_slot_top;
-  t.v_value <- Array.copy im.i_value;
-  t.v_writer <- Array.copy im.i_writer;
-  t.v_clock <- Array.copy im.i_clock;
-  t.v_next <- Array.copy im.i_next;
-  t.free_slot <- im.i_free_slot;
-  t.free_slots <- im.i_free_slots;
-  t.total <- im.i_total;
-  t.value_words <- im.i_value_words;
-  t.sweep_hi <- im.i_sweep_hi;
-  t.sweep_pos <- im.i_sweep_pos
+  Array.blit f.head 0 t.head 0 (Array.length t.head);
+  Bytes.blit f.g_state 0 t.g_state 0 (Bytes.length t.g_state);
+  t.slots <- Col.thaw f.slots;
+  t.free_slot <- f.free_slot;
+  t.free_slots <- f.free_slots;
+  t.total <- f.total;
+  t.value_words <- f.value_words;
+  t.sweep_hi <- f.sweep_hi;
+  t.sweep_pos <- f.sweep_pos
 
 (* ---- resident-storage accounting ---- *)
 
@@ -385,13 +344,13 @@ type mem = {
 (* A transaction has one commit clock, which its whole write set shares:
    a header and [nodes] entries per distinct writer of a live slot. *)
 let clock_words t =
-  let ws = Array.make (t.slot_top - t.free_slots) 0 and n = ref 0 in
+  let ws = Array.make (Col.length t.slots - t.free_slots) 0 and n = ref 0 in
   for h = 0 to Array.length t.head - 1 do
     let s = ref t.head.(h) in
     while !s >= 0 do
-      ws.(!n) <- t.v_writer.(!s);
+      ws.(!n) <- writer t !s;
       incr n;
-      s := t.v_next.(!s)
+      s := next t !s
     done
   done;
   Array.sort Int.compare ws;
@@ -402,7 +361,11 @@ let clock_words t =
 let mem_words t =
   {
     versions = t.total;
-    slot_words = (4 * Array.length t.v_next) + 4;
+    slot_words =
+      (Col.used t.slots * (5 + (4 * ((1 lsl bits) + 1))))
+      + Array.length t.slots.blocks
+      + ((Bytes.length t.slots.shared + 8) / 8)
+      + 12;
     clock_words = clock_words t;
     index_words =
       Array.length t.key_of + Array.length t.head

@@ -10,10 +10,11 @@
     {b Representation} (behaviorally invisible; docs/ARCHITECTURE.md "The
     version store"):
 
-    - Versions live in int-indexed {e slots} of growable parallel arrays
-      (value, packed writer, clock, next-older link) instead of boxed
-      records in per-key lists; the online GC returns slots to a free list
-      that {!install} recycles, so steady-state churn allocates nothing.
+    - Versions live in int-indexed {e slots} of parallel arrays (value,
+      packed writer, clock, next-older link) in 64-slot copy-on-write
+      blocks ({!Col}) instead of boxed records in per-key lists; the
+      online GC returns slots to a free list that {!install} recycles, so
+      steady-state churn allocates nothing.
     - The clock column holds each version's commit clock {e by reference}:
       the clock passed to {!install}, which is the writer's published,
       immutable commit clock that the node log and the CommitQ entry hold
@@ -121,22 +122,23 @@ val version_count : t -> int
 
 (** {2 Checkpoint images}
 
-    Durable checkpoints copy the store.  An {!image} is a bulk copy of the
-    slot columns and the per-key head and state columns that shares the
-    immutable clocks and values; the key array itself is not copied.
-    {!restore} rebuilds a store from it wholesale. *)
+    An {!image} is a frozen view of the store: copies of the per-key head
+    and state columns and a {!Col.freeze} of the slot blocks, which it
+    shares with the store until the store next writes to each (the key
+    array is not copied).  It costs the two by-key columns and the block
+    spine, not the versions. *)
 
 type image
 
 val image_of : t -> image
-(** Copy via bulk column copies; its byte size is priced here, once.  The
-    image is immutable and reusable across multiple {!restore}s (values and
-    clocks are shared structurally: both are immutable). *)
+(** Freeze the store; its byte size is priced here, once.  The image is
+    immutable and reusable across multiple {!restore}s. *)
 
 val restore : t -> image -> unit
-(** Replace [t]'s entire contents with the image's.  The image must come
-    from a store created with the same [nodes] over the same key array (a
-    crashed node's fresh store is built from the same placement).
+(** Replace [t]'s entire contents with the image's, sharing its slot
+    blocks until [t] writes to them.  The image must come from a store
+    created with the same [nodes] over the same key array (a crashed
+    node's fresh store is built from the same placement).
     @raise Invalid_argument if the cluster size or key count differs. *)
 
 val image_bytes : image -> int
@@ -157,7 +159,7 @@ val image_bytes : image -> int
 
 type mem = {
   versions : int;  (** live versions (incl. implicit genesis) *)
-  slot_words : int;  (** capacity of the four parallel slot arrays *)
+  slot_words : int;  (** the slot blocks, their spine and marks *)
   clock_words : int;
       (** [1 + nodes] per distinct writer of a live version: a write set
           shares its commit clock *)

@@ -194,25 +194,29 @@ let entries t =
          let ws = List.init (ws_stop t i - ws_start t i) (fun k -> Col.get t.ws (ws_start t i + k)) in
          { txn = Ids.unpack (Col.get t.ints (2 * i)); vc = vc t i; ws }))
 
-(* A checkpoint image is a log of the non-genesis entries and the floor. *)
+(* A checkpoint image is a frozen view of the log's columns, its maxima
+   and its floor.  Appends write through [Col.set], which copies a block
+   an image still holds, so the image never sees a later entry. *)
 type image = t
 
 let image t =
-  let img = { t with vcs = t.vcs } in
-  reset img ~seed:(Vclock.zero t.nodes);
-  for i = 0 to size t - 1 do
-    if Col.get t.ints (2 * i) <> 0 then copy_entries img ~old:t ~from:i ~upto:(i + 1)
-  done;
-  img
+  let f = Col.freeze in
+  { t with vcs = f t.vcs; ints = f t.ints; ws = f t.ws; rows = f t.rows }
 
+(* The genesis entry, which every log starts from, is not priced. *)
 let image_bytes img =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (acc + 24 + Vcodec.raw_size (vc img i)) in
+  let rec go i acc =
+    if i < 0 then acc
+    else go (i - 1) (if Col.get img.ints (2 * i) = 0 then acc else acc + 24 + Vcodec.raw_size (vc img i))
+  in
   go (size img - 1) ((4 * Col.length img.ws) + Vcodec.raw_size img.floor_max)
 
-(* The fresh log's maxima restart from the floor, as after the prune that
-   set it, so unconstrained queries never read below constrained ones. *)
+(* The restored log is the imaged one, sharing its blocks. *)
 let restore t img =
-  t.floor_max <- Vclock.copy img.floor_max;
-  reset t ~seed:t.floor_max;
-  append t (Ids.pack Ids.genesis) (Vclock.zero t.nodes);
-  copy_entries t ~old:img ~from:0 ~upto:(size img)
+  let f = Col.thaw in
+  t.vcs <- f img.vcs;
+  t.ints <- f img.ints;
+  t.ws <- f img.ws;
+  t.rows <- f img.rows;
+  t.top_max <- img.top_max;
+  t.floor_max <- img.floor_max

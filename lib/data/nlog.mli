@@ -20,7 +20,8 @@
     where its write set starts in one flat key column — three words an
     entry besides the clock and its keys.  Every 16th entry keeps a
     pointer to the prefix maximum up to it, so a prefix maximum folds at
-    most 15 clocks.  The write set is kept only for checkpoint images. *)
+    most 15 clocks.  The write set is kept only for checkpoint images,
+    which share the log's blocks until the log next writes to one. *)
 
 type entry = { txn : Ids.txn; vc : Vclock.t; ws : Ids.key list }
 (** One internal commit, as {!entries} lists it. *)
@@ -82,14 +83,14 @@ val entries : t -> entry list
 (** Newest first (tests only). *)
 
 type image
-(** A checkpoint's copy of the non-genesis entries, oldest first, and the
-    {!floor}, in columns like the log's.  {!image_bytes} models 24 bytes
-    an entry, its raw clock, 4 bytes a write-set key and the raw floor. *)
+(** A checkpoint's frozen view of the log: its columns, which it shares
+    with the log until the log writes to a block, its maxima and its
+    {!floor}.  {!image_bytes} models 24 bytes a non-genesis entry, its raw
+    clock, 4 bytes a write-set key and the raw floor. *)
 
 val image : t -> image
 val image_bytes : image -> int
 
 val restore : t -> image -> unit
-(** Refill a log with genesis and an image's entries in apply order, and
-    its floor, which also seeds the prefix maxima: every query reads what
-    it read on the imaged log. *)
+(** Make a log the imaged one, sharing the image's blocks: every query
+    reads what it read on the imaged log, and the image stays reusable. *)

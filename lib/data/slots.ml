@@ -25,18 +25,21 @@ let[@hot] find m (txn : Ids.txn) =
   let i = txn.local - m.lo in
   if txn.node <> m.owner || i < 0 || i >= length m || state m i = 0 then -1 else i
 
+let copy_block b =
+  { vals = Array.copy b.vals; times = Float.Array.copy b.times; states = Bytes.copy b.states }
+
 (* Move [txn]'s slot from state [from] to [st]; otherwise nothing. *)
 let shift m txn ~from st =
   let i = find m txn in
   if i >= 0 && state m i = from then
-    Bytes.set_uint8 (Col.block m.slots i).states (Col.pos m.slots i) st
+    Bytes.set_uint8 (Col.wblock m.slots i copy_block).states (Col.pos m.slots i) st
 
 (* Fill local id [l]'s slot, opening absent ones up to it; [v] fills the
    payloads of the blocks that opens. *)
 let[@hot] rec place m l v ~st ~now =
   let i = l - m.lo in
   if i < length m then begin
-    let b = Col.block m.slots i and p = Col.pos m.slots i in
+    let b = Col.wblock m.slots i copy_block and p = Col.pos m.slots i in
     b.vals.(p) <- v;
     Float.Array.set b.times p now;
     Bytes.set_uint8 b.states p st
@@ -69,36 +72,32 @@ let[@hot] set m (txn : Ids.txn) v ~st ~now =
     (retain m ~lo:txn.local ~keep:(fun _ _ -> true) ~move:Fun.id [@alloc_ok]);
   place m txn.local v ~st ~now
 
-(* An image: the kept slots' local ids, payloads and stamps, in id order. *)
-type 'a image = { ids : int array; ivals : 'a array; itimes : Float.Array.t }
+(* An image is a frozen view ([Col.freeze]): it shares every block with
+   the column until a write copies it, so it costs the spine. *)
+type 'a image = 'a t
 
-let image m ~keep ~move =
-  let ks = List.filter (fun i -> state m i <> 0 && keep m i) (List.init (length m) Fun.id) in
-  { ids = Array.of_list (List.map (( + ) m.lo) ks);
-    ivals = Array.of_list (List.map (fun i -> move (value m i)) ks);
-    itimes = Float.Array.of_list (List.map (time m) ks) }
+let freeze m = { m with slots = Col.freeze m.slots }
 
-let count img = Array.length img.ids
-
-(* [f local v stamp acc] over the image's slots, in id order. *)
+(* [f local v stamp state acc] over the image's present slots, in id
+   order. *)
 let fold f img acc =
   let acc = ref acc in
-  Array.iteri (fun k l -> acc := f l img.ivals.(k) (Float.Array.get img.itimes k) !acc) img.ids;
+  for i = 0 to length img - 1 do
+    if state img i <> 0 then acc := f (img.lo + i) (value img i) (time img i) (state img i) !acc
+  done;
   !acc
 
-(* Refill [m] with the image's slots, each in state [st], payloads through
-   [move]. *)
-let restore m img ~st ~move =
-  m.lo <- (if count img = 0 then 0 else img.ids.(0));
-  m.slots <- Col.create ~bits:6;
-  fold (fun l v now () -> place m l (move v) ~st ~now) img ()
+(* Start [m] from the image's slots, sharing its blocks. *)
+let thaw m img =
+  m.lo <- img.lo;
+  m.slots <- Col.thaw img.slots
 
 (* A coordinator's write sets by transaction, for chasing a reader's
    [Remove] to the writers it was propagated to: a slot's payload is where
    the write set (length, then keys) starts in a flat key column.  Every
    4,096th [add] drops the entries inserted more than [horizon] earlier.
-   Images hold the live entries (16 bytes each, 4 a key); [restore] fills
-   a fresh memo and counts no insert. *)
+   Images price the live entries (16 bytes each, 4 a key); [restore]
+   counts no insert. *)
 module Memo = struct
   type nonrec t = { horizon : float; mutable ops : int; slots : int t;
                     mutable keys : int array Col.t }
@@ -131,16 +130,16 @@ module Memo = struct
       let a = value m.slots i in
       Some (List.init (Col.get m.keys a) (fun k -> Col.get m.keys (a + 1 + k)))
 
-  (* An image holds the live write sets and only their keys. *)
-  type nonrec image = { islots : int image; ikeys : int array Col.t }
+  (* An image is a frozen view of both columns; it prices the present
+     write sets alone, not the keys of replaced or dropped ones. *)
+  type nonrec image = t
 
-  let image m =
-    let ikeys = Col.create ~bits:8 in
-    { islots = image m.slots ~keep:(fun _ _ -> true) ~move:(copy_ws ikeys m.keys); ikeys }
+  let image m = { m with slots = freeze m.slots; keys = Col.freeze m.keys }
 
-  let image_bytes img = (12 * count img.islots) + (4 * Col.length img.ikeys)
+  let image_bytes img =
+    fold (fun _ a _ _ acc -> acc + 16 + (4 * Col.get img.keys a)) img.slots 0
 
   let restore m img =
-    m.keys <- Col.create ~bits:8;
-    restore m.slots img.islots ~st:1 ~move:(copy_ws m.keys img.ikeys)
+    m.keys <- Col.thaw img.keys;
+    thaw m.slots img.slots
 end

@@ -94,7 +94,7 @@ let snap_bytes (s : snap) =
   64
   + Cells.fold_written (fun h acc -> acc + 12 + String.length s.s_store.values.(h)) s.s_store 0
   + List.fold_left (fun acc (_, p) -> acc + 8 + prep_bytes p) 0 s.s_ac.entries
-  + (8 * Slots.count s.s_ac.decided)
+  + Sss_kv.Runtime.fold_priced (fun () acc -> acc + 8) s.s_ac 0
   + (8 * Idset.Txns.cardinal s.s_ac.fenced)
 
 module Rt = Sss_kv.Runtime.Make (struct

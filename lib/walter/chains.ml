@@ -20,6 +20,10 @@ let block n =
   { value = Array.make n ""; writer = Array.make n 0; seq = Array.make n 0;
     start = Array.make n (Vclock.zero 0); next = Array.make n (-1) }
 
+let copy_block b =
+  { value = Array.copy b.value; writer = Array.copy b.writer; seq = Array.copy b.seq;
+    start = Array.copy b.start; next = Array.copy b.next }
+
 let create keys = { keys; head = Array.make (Array.length keys) (-1); slots = Col.create ~bits:6 }
 
 let blk t s = Col.block t.slots s
@@ -52,7 +56,7 @@ let ww_ok t h ~start = t.head.(h) < 0 || covers t t.head.(h) start
    other's commit, and a version goes in front of the first it covers. *)
 let install t h ~value ~writer ~seq ~start =
   let s = Col.slot t.slots block in
-  let b = blk t s and p = Col.pos t.slots s in
+  let b = Col.wblock t.slots s copy_block and p = Col.pos t.slots s in
   b.value.(p) <- value;
   b.writer.(p) <- Ids.pack writer;
   b.seq.(p) <- seq;
@@ -61,7 +65,8 @@ let install t h ~value ~writer ~seq ~start =
     if o >= 0 && not (covers t o start) then sink o (next t o)
     else begin
       b.next.(p) <- o;
-      if newer < 0 then t.head.(h) <- s else (blk t newer).next.(Col.pos t.slots newer) <- s
+      if newer < 0 then t.head.(h) <- s
+      else (Col.wblock t.slots newer copy_block).next.(Col.pos t.slots newer) <- s
     end
   in
   sink (-1) t.head.(h)
@@ -71,14 +76,10 @@ let rec fold_chain t f s acc = if s < 0 then acc else fold_chain t f (next t s) 
 
 let chain t h = List.rev (fold_chain t (fun s l -> writer t s :: l) t.head.(h) [])
 
-(* An image copies the head column and every block. *)
-let copy t =
-  let copy_block b =
-    { value = Array.copy b.value; writer = Array.copy b.writer; seq = Array.copy b.seq;
-      start = Array.copy b.start; next = Array.copy b.next }
-  in
-  let slots = { t.slots with blocks = Array.map copy_block t.slots.blocks } in
-  { t with head = Array.copy t.head; slots }
+(* An image copies the head column and freezes the blocks ([Col.freeze]),
+   which it shares until the chains write to them; restoring one thaws
+   it the same way. *)
+let freeze t = { t with head = Array.copy t.head; slots = Col.freeze t.slots }
 
 (* Priced per written key, in ascending key order: 8 bytes, then each
    version's 24, its clock and its value. *)

@@ -87,7 +87,8 @@ type logrec =
   | WPrepared of { txn : Ids.txn; prep : wprep }  (* slow-path yes vote *)
   | WAborted of { txn : Ids.txn }  (* slow-path Wdecide(false) seen *)
 
-(* Checkpoint image: deep copy, deterministic (sorted) order. *)
+(* Checkpoint image: frozen chains, the rest copied in deterministic
+   (sorted) order. *)
 type snap = {
   s_chains : Chains.t;
   s_applied : Vclock.t;
@@ -143,7 +144,7 @@ let snap_bytes nodes (s : snap) =
   + List.fold_left
       (fun acc (_, (_, _, ws)) -> acc + 16 + (8 * nodes) + writes_bytes ws)
       0 s.s_origin
-  + (8 * Slots.count s.s_ac.decided)
+  + Sss_kv.Runtime.fold_priced (fun () acc -> acc + 8) s.s_ac 0
   + List.fold_left (fun acc (_, p) -> acc + 16 + (8 * List.length p.keys)) 0 s.s_ac.entries
   + (8 * Idset.Txns.cardinal s.s_ac.fenced)
 
@@ -184,7 +185,7 @@ end)
 
 let snap_of (node : node) =
   {
-    s_chains = Chains.copy node.chains;
+    s_chains = Chains.freeze node.chains;
     s_applied = node.applied;
     s_site_seq = node.site_seq;
     s_origin =
@@ -307,7 +308,7 @@ let rec dispatch t (node : node) ~src payload =
 (* ------------- crash / recovery (durability mode) ------------- *)
 
 let load_snap t (node : node) (s : snap) =
-  node.chains <- Chains.copy s.s_chains;
+  node.chains <- Chains.freeze s.s_chains;
   node.applied <- s.s_applied;
   node.site_seq <- s.s_site_seq;
   List.iter (fun (seq, p) -> Hashtbl.replace node.origin_log seq p) s.s_origin;

@@ -139,7 +139,7 @@ let check_verdict what expected node tx =
   Alcotest.(check string) what expected (verdict_name (Ac.verdict node tx))
 
 (* The local ids of a node's checkpointed decisions, in id order. *)
-let imaged node = List.rev (Slots.fold (fun l () _ acc -> l :: acc) (Ac.image node).decided [])
+let imaged node = List.rev (Slots.fold (fun l () _ _ acc -> l :: acc) (Ac.image node).decided [])
 
 (* ---------- the in-doubt answer ---------- *)
 
@@ -430,7 +430,7 @@ let test_retention_per_decision () =
   let per n words = float_of_int words /. float_of_int n in
   let live = per minted (Obj.reachable_words (Obj.repr coord.ac.decisions)) in
   let img = (Ac.image coord).decided in
-  let imaged = per (Slots.count img) (Obj.reachable_words (Obj.repr img)) in
+  let imaged = per (Slots.fold (fun _ () _ _ n -> n + 1) img 0) (Obj.reachable_words (Obj.repr img)) in
   Alcotest.(check bool) (Printf.sprintf "live %.2f words per minted id" live) true (live <= 2.5);
   Alcotest.(check bool) (Printf.sprintf "image %.2f words per decision" imaged) true
     (imaged <= 3.2)

@@ -713,8 +713,10 @@ let test_nlog_restore_floor () =
       reads (which ^ " constrained")
         (Nlog.visible_max log ~has_read:[| false; true |] ~bound:(vc [ 0; 9 ]) ~cutoff:max_int))
     [ ("imaged", l); ("restored", r) ];
-  Alcotest.(check int) "restored genesis pruned" 1 (Nlog.prune_covered r ~watermark:(vc [ 0; 0 ]));
-  Alcotest.(check (list int)) "floor survives a later prune" [ 1; 5 ]
+  Alcotest.(check int) "restored as imaged" (Nlog.size l) (Nlog.size r);
+  Nlog.add r ~txn:(tx 0 3) ~vc:(vc [ 3; 0 ]) ~ws:[];
+  Alcotest.(check int) "a later prune" 1 (Nlog.prune_covered r ~watermark:(vc [ 2; 0 ]));
+  Alcotest.(check (list int)) "floor survives a later prune" [ 2; 5 ]
     (Array.to_list (Vclock.to_array (Nlog.floor r)))
 
 (* One commit clock is shared by every participant's log, so what a log

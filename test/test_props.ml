@@ -406,11 +406,8 @@ let nlog_columnar_model =
           | 11 ->
               let fresh = Nlog.create ~nodes:nodes3 ~node:0 in
               Nlog.restore fresh (Nlog.image !l);
-              l := fresh;
-              (* the fresh log gains a genesis; its maxima start from the floor *)
-              m.es <- (Ids.genesis, zero, []) :: List.filter (fun (t, _, _) -> t <> Ids.genesis) m.es;
-              m.seed <- m.floor;
-              m.top <- List.fold_left (fun acc (_, vc, _) -> vmax acc vc) m.floor m.es
+              (* the restored log is the imaged one: the model stays *)
+              l := fresh
           | _ ->
               local := !local + 1 + (r mod 3);
               let vc = [| !local; b; c |] and ws = List.init (r mod 4) (fun k -> (r + k) mod 50) in
