@@ -693,8 +693,9 @@ module Make (P : PROTOCOL) = struct
     let load _ node img =
       let ac = A.state node in
       List.iter (fun (txn, p) -> Hashtbl.replace ac.prepared txn (A.copy p)) img.entries;
+      (* every imaged decision reloads durable, one still flushing at the
+         snapshot included (docs/DURABILITY.md) *)
       Slots.thaw ac.decisions img.decided;
-      Slots.retain ac.decisions ~move:Fun.id ~keep:(fun d i -> Slots.state d i <> pending);
       Slots.fold
         (fun local _ _ st () ->
           Slots.shift ac.decisions { Ids.node = P.id node; local } ~from:st durable)

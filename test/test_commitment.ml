@@ -414,6 +414,26 @@ let test_reload_keeps_stamp () =
     (own 1);
   check_verdict "the fresh one stays" "committed (driving)" t.nodes.(0) (own 2)
 
+(* A decision still flushing when a checkpoint's snapshot is taken: its
+   record lies below the checkpoint's boundary, so once the image lands no
+   replay brings it back, and the image itself must carry it.  Decide at
+   0.04998 s, snapshot at 0.05 s (the first append armed the timer at 0),
+   flush done at 0.05003 s. *)
+let test_flushing_decision_survives_checkpoint () =
+  let sim, t = cluster ~durability:true () in
+  let own local = { Ids.node = 0; local } in
+  Sim.spawn sim (fun () -> Ac.decide t t.nodes.(0) (own 1) () (Decided (own 1)));
+  Sim.run_until sim 0.04998;
+  Sim.spawn sim (fun () -> Ac.decide t t.nodes.(0) (own 2) () (Decided (own 2)));
+  Sim.run_until sim 0.05001;
+  check_verdict "flushing at the snapshot" "undecided" t.nodes.(0) (own 2);
+  Sim.run_until sim 0.2;
+  check_verdict "before the crash" "committed (driving)" t.nodes.(0) (own 2);
+  Rt.crash_node t 0;
+  Rt.restart_node t 0;
+  Sim.run_until sim 0.3;
+  check_verdict "after the restart" "committed" t.nodes.(0) (own 2)
+
 (* The column's footprint, with 3 of every 4 minted ids decided: about
    two words per minted id live, and three per durable decision in a
    checkpoint image (a table of records holds about 12, and a sorted list
@@ -512,6 +532,8 @@ let () =
         [
           Alcotest.test_case "four in-doubt answers" `Quick test_answers;
           Alcotest.test_case "vote round results" `Quick test_round_results;
+          Alcotest.test_case "a flushing decision survives a checkpoint" `Quick
+            test_flushing_decision_survives_checkpoint;
         ] );
       ( "watchdog",
         [
