@@ -448,6 +448,9 @@ module Make (P : PROTOCOL) = struct
      performs it. *)
   let node_live t node = t.nodes.(P.id node) == node
 
+  (* Node [id]'s last completed checkpoint image, if any. *)
+  let checkpoint t id = Option.bind t.wals.(id) Storage.checkpoint
+
   (* Wait for the box of [home]'s transaction [txn] to fill.  A crash of
      [home] fills it too ({!fill_acks}), so this raises [Crashed] when the
      record was swapped meanwhile, and [Stalled] after [ack_timeout]. *)

@@ -173,6 +173,8 @@ let await t lsn =
 
 let durable_lsn t = t.durable_lsn
 
+let checkpoint t = Option.map fst t.checkpoint
+
 let start_checkpoints t ~interval =
   if interval > 0.0 then begin
     t.ckpt_interval <- interval;

@@ -60,6 +60,9 @@ val await : ('r, 's) t -> int -> bool
 val durable_lsn : ('r, 's) t -> int
 (** Highest LSN known durable, or [-1]. *)
 
+val checkpoint : ('r, 's) t -> 's option
+(** The last completed checkpoint's image (tests weigh it). *)
+
 val start_checkpoints : ('r, 's) t -> interval:float -> unit
 (** Enable fuzzy checkpoints at most every [interval] seconds of virtual
     time: call the snapshot closure, write it to the device, and — once

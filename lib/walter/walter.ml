@@ -456,6 +456,7 @@ let commit h =
 let store_words t = sum_nodes t (fun (n : node) -> Chains.words n.chains)
 
 let store_repr t node = Obj.repr t.nodes.(node).chains
+let checkpoint_chains t node = Option.map (fun s -> s.s_chains) (checkpoint t node)
 
 let latest t ~node key =
   let n = t.nodes.(node) and h = key_handle t node key in

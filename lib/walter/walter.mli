@@ -23,6 +23,9 @@
 
 include Sss_kv.Runtime.STORE
 
+val checkpoint_chains : cluster -> Sss_data.Ids.node -> Chains.t option
+(** The chains of the node's last completed checkpoint image (tests). *)
+
 val latest : cluster -> node:Sss_data.Ids.node -> Sss_data.Ids.key -> string * Sss_data.Ids.txn
 (** Value and writer of the key's newest version applied at the node (tests).
     @raise Invalid_argument if the node does not replicate the key. *)

@@ -397,6 +397,65 @@ let test_nlog_restored_in_order () =
       (Option.get s.kv).Sss_kv.State.nodes
   done
 
+(* ---------- checkpoint images share the live node's blocks ---------- *)
+
+(* A durable run to quiescence: 3 nodes, 24 keys, no history, [n]
+   sequential read-modify-writes with fixed-size values.  The last
+   checkpoint was armed by the last append, so no node changed after its
+   snapshot, and an image that shares the live node's blocks holds only
+   its own spines, record headers and by-key columns. *)
+let quiesced (type c) (module S : Sss_kv.Runtime.STORE with type cluster = c) n =
+  let sim = Sim.create () in
+  let config = { (durable_config ~degree:2 ~seed:1) with nodes = 3; record_history = false } in
+  let cl = S.create sim config in
+  Sim.spawn sim (fun () ->
+      for i = 1 to n do
+        let t = S.begin_txn cl ~node:(i mod 3) ~read_only:false in
+        ignore (S.read t (i mod 24) : string);
+        S.write t (i mod 24) "v";
+        if not (S.commit t) then Alcotest.fail "a sequential update must commit"
+      done);
+  Sim.run sim;
+  (match S.quiescent cl with Ok () -> () | Error e -> Alcotest.fail e);
+  cl
+
+(* Words reachable from [image] but not from [live]. *)
+let image_only live image =
+  Obj.reachable_words (Obj.repr (live, image)) - Obj.reachable_words (Obj.repr live)
+
+(* Checkpoint-only words a node, after [n] transactions: SSS's whole
+   checkpoint against its node record, Walter's chain image against its
+   chains. *)
+let sss_image_only n =
+  let cl = quiesced (module Sss_kv.Kv) n in
+  Array.map
+    (fun (node : Sss_kv.State.node) -> image_only node (Sss_kv.State.checkpoint cl node.id))
+    cl.Sss_kv.State.nodes
+
+let walter_image_only n =
+  let module W = Walter_kv.Walter in
+  let cl = quiesced (module W) n in
+  Array.init 3 (fun i -> image_only (W.store_repr cl i) (W.checkpoint_chains cl i))
+
+(* The bound grows by a word per 16 transactions: about 1.2 words of
+   spine and marks per 64-slot block.  A deep copy costs several words a
+   version (at 3,000 transactions, thousands of words a node). *)
+let test_images_share_blocks () =
+  let check name per_node base =
+    List.iter
+      (fun n ->
+        let bound = base + (n / 16) in
+        Array.iteri
+          (fun i w ->
+            if w > bound then
+              Alcotest.failf "%s, %d txns: node %d's checkpoint holds %d words of its own (bound %d)"
+                name n i w bound)
+          (per_node n))
+      [ 300; 3_000 ]
+  in
+  check "sss" sss_image_only 200;
+  check "walter" walter_image_only 40
+
 (* ---------- durability off: the hooks are inert ---------- *)
 
 let test_off_trajectory_unchanged () =
@@ -432,6 +491,7 @@ let () =
           Alcotest.test_case "sss tombstone after restart" `Quick test_sss_tombstone_after_restart;
           Alcotest.test_case "gc keeps collecting across a crash" `Quick test_gc_across_crash;
           Alcotest.test_case "sss log restored in apply order" `Quick test_nlog_restored_in_order;
+          Alcotest.test_case "checkpoint images share the live blocks" `Quick test_images_share_blocks;
         ] );
       ( "determinism",
         [

@@ -688,6 +688,143 @@ let walter_chain_model =
         (deliver [])
       && List.equal Ids.equal_txn (Walter_kv.Chains.chain c 0) (List.rev (writers_of writers)))
 
+(* ---------- Frozen means frozen: images against deep-copy models ----------
+
+   Each structure takes random mutations (installs, GC sweeps and the
+   free-slot reuse after them, prunes, state shifts, re-bases and
+   compaction) interleaved with images.  At each image a deep-copy model
+   is read off the live structure, and the image's byte price is taken.
+   At the end every image must still match both: restored onto a fresh
+   structure, which is then mutated, and restored again onto another,
+   whose own mutations must not reach the first. *)
+
+let frozen ~name ?(count = 40) ~steps ~every ~create ~mutate ~image ~restore ~model ~bytes () =
+  QCheck.Test.make ~name ~count QCheck.int (fun seed ->
+      let g = Prng.create ~seed in
+      let live = create () and imgs = ref [] in
+      for _ = 1 to steps do
+        if Prng.int g every = 0 then begin
+          let img = image live in
+          imgs := (img, model live, bytes img) :: !imgs
+        end
+        else mutate g live
+      done;
+      List.for_all
+        (fun (img, m, b) ->
+          let a = create () and again = create () in
+          restore a img;
+          model a = m
+          && begin
+               for _ = 1 to 40 do mutate g a done;
+               restore again img;
+               model again = m
+             end
+          &&
+          (* two stores restored from one image write apart *)
+          let ma = model a in
+          for _ = 1 to 40 do mutate g again done;
+          model a = ma && bytes img = b)
+        !imgs)
+
+let stamp = ref 0 (* a counter every mutation draws clocks and ids from *)
+
+let tick () = incr stamp; !stamp
+
+let frozen_keys = [| 1; 3; 5; 7; 9; 11 |]
+
+let mvstore_frozen =
+  frozen ~name:"mvstore images stay frozen" ~steps:600 ~every:40
+    ~create:(fun () -> Mvstore.create ~nodes:2 ~keys:frozen_keys)
+    ~mutate:(fun g s ->
+      let k = Prng.pick g frozen_keys in
+      match Prng.int g 5 with
+      | 0 -> ignore (Mvstore.truncate_covered s k ~watermark:(Vclock.of_array [| tick () - Prng.int g 40; 9 |]) : int)
+      | 1 -> ignore (Mvstore.sweep_covered s ~watermark:(Vclock.of_array [| tick () - Prng.int g 40; 9 |]) ~budget:3 : int)
+      | _ ->
+          let c = tick () in
+          Mvstore.install s k ~value:(Printf.sprintf "v%d" c) ~vc:(Vclock.of_array [| c; Prng.int g 9 |])
+            ~writer:(tx (c mod 2) c))
+    ~image:Mvstore.image_of ~restore:Mvstore.restore ~bytes:Mvstore.image_bytes
+    ~model:(fun s ->
+      (* each chain's clocks newest first, which name their versions here,
+         by a walk bounded so that a cycle fails instead of looping *)
+      let clocks k =
+        let seen = ref [] and n = ref 0 in
+        let skip c = incr n; seen := Vclock.to_array c :: !seen; !n < 1000 in
+        let newest = Mvstore.last s k in
+        ignore (Mvstore.select s k ~skip : Mvstore.slot);
+        (Mvstore.slot_value s newest, Mvstore.slot_writer s newest, !seen)
+      in
+      (Mvstore.version_count s, Array.map clocks frozen_keys))
+    ()
+
+let nlog_frozen =
+  frozen ~name:"nlog images stay frozen" ~steps:600 ~every:40
+    ~create:(fun () -> Nlog.create ~nodes:2 ~node:0)
+    ~mutate:(fun g l ->
+      if Prng.int g 6 = 0 then
+        ignore (Nlog.prune_covered l ~watermark:(Vclock.of_array [| !stamp - Prng.int g 60; Prng.int g 9 |]) : int)
+      else
+        let c = tick () in
+        Nlog.add l ~txn:(tx 0 c) ~vc:(Vclock.of_array [| c; Prng.int g 9 |])
+          ~ws:(List.init (Prng.int g 4) (fun i -> c + i)))
+    ~image:Nlog.image ~restore:Nlog.restore ~bytes:Nlog.image_bytes
+    ~model:(fun l ->
+      ( List.map (fun (e : Nlog.entry) -> (e.txn, Vclock.to_array e.vc, e.ws)) (Nlog.entries l),
+        Vclock.to_array (Nlog.committed_max l), Vclock.to_array (Nlog.floor l), Nlog.size l ))
+    ()
+
+let slots_frozen =
+  frozen ~name:"slots images stay frozen" ~steps:800 ~every:50
+    ~create:(fun () -> Slots.create ~node:1)
+    ~mutate:(fun g m ->
+      let near () = tx 1 (Int.max 0 (!stamp - Prng.int g 100)) in
+      match Prng.int g 8 with
+      | 0 -> Slots.shift m (near ()) ~from:(1 + Prng.int g 3) (1 + Prng.int g 3)
+      | 1 ->
+          let r = Prng.int g 4 in
+          Slots.retain m ~keep:(fun s i -> (Slots.value s i + r) mod 4 > 0) ~move:Fun.id
+      | 2 -> Slots.set m (tx 1 (Int.max 0 (!stamp - 300 - Prng.int g 100))) (tick ()) ~st:1 ~now:0.5
+      | _ ->
+          let c = tick () in
+          Slots.set m (if Prng.bool g then tx 1 c else near ()) c ~st:(1 + Prng.int g 3)
+            ~now:(float_of_int c))
+    ~image:Slots.freeze ~restore:Slots.thaw ~bytes:(fun i -> Slots.fold (fun _ _ _ _ n -> n + 1) i 0)
+    ~model:(fun m -> Slots.fold (fun l v at st acc -> (l, v, at, st) :: acc) m [])
+    ()
+
+(* more than 4,096 adds, so the memo compacts in between *)
+let memo_frozen =
+  let span = 6_000 in
+  frozen ~name:"memo images stay frozen" ~count:6 ~steps:span ~every:600
+    ~create:(fun () -> Slots.Memo.create ~node:1 ~horizon:40.0)
+    ~mutate:(fun g m ->
+      let c = tick () in
+      let l = if Prng.int g 4 = 0 then Prng.int g span else c mod span in
+      Slots.Memo.add m ~txn:(tx 1 l) ~ws:(List.init (Prng.int g 4) (fun i -> c + i))
+        ~now:(float_of_int c *. 0.01))
+    ~image:Slots.Memo.image ~restore:Slots.Memo.restore ~bytes:Slots.Memo.image_bytes
+    ~model:(fun m -> List.init span (fun l -> Slots.Memo.find m (tx 1 l)))
+    ()
+
+let chains_frozen =
+  let module C = Walter_kv.Chains in
+  frozen ~name:"walter chain images stay frozen" ~steps:600 ~every:40
+    ~create:(fun () -> ref (C.create frozen_keys))
+    ~mutate:(fun g c ->
+      let n = tick () in
+      C.install !c (Prng.int g (Array.length frozen_keys)) ~value:(Printf.sprintf "v%d" n)
+        ~writer:(tx (n mod 3) n) ~seq:n
+        ~start:(Vclock.of_array (Array.init 3 (fun _ -> n - Prng.int g 30))))
+    ~image:(fun c -> C.freeze !c) ~restore:(fun c img -> c := C.freeze img)
+    ~bytes:(fun img -> C.image_bytes img ~nodes:3)
+    ~model:(fun c ->
+      (* a bounded walk: a chain a stray write turned into a cycle fails
+         the comparison instead of looping *)
+      let rec walk s n acc = if s < 0 || n = 0 then acc else walk (C.next !c s) (n - 1) ((C.writer !c s, C.value !c 0 s) :: acc) in
+      Array.map (fun h -> walk h 1000 []) !c.C.head)
+    ()
+
 let () =
   Alcotest.run "props"
     [
@@ -718,4 +855,7 @@ let () =
       ("replication", [ QCheck_alcotest.to_alcotest replication_props ]);
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_model ]);
       ("walter", [ QCheck_alcotest.to_alcotest walter_chain_model ]);
+      ( "frozen",
+        List.map QCheck_alcotest.to_alcotest
+          [ mvstore_frozen; nlog_frozen; slots_frozen; memo_frozen; chains_frozen ] );
     ]
