@@ -158,7 +158,7 @@ module Make (P : PROTOCOL) = struct
     handler : t -> P.node -> src:Ids.node -> P.msg -> unit;
     wound : t -> P.node -> exn -> unit;
         (* a crash: fail or wake every waiter parked on the dead record *)
-    snapshot : P.node -> P.snap;  (* a deep, deterministically ordered checkpoint image *)
+    snapshot : P.node -> P.snap;  (* an immutable, deterministically ordered checkpoint image *)
     load : t -> P.node -> P.snap -> unit;  (* restart: install the checkpoint *)
     replay : t -> P.node -> P.logrec -> unit;  (* restart: redo one record *)
     recover : t -> P.node -> unit;

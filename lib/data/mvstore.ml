@@ -79,20 +79,9 @@ let create ~nodes ~keys =
     else Array.of_list (List.sort_uniq Int.compare (Array.to_list keys))
   in
   let n = Array.length keys in
-  {
-    nodes;
-    zero = Vclock.zero nodes;
-    key_of = keys;
-    head = Array.make n (-1);
-    g_state = Bytes.make n g_derived;
-    slots = Col.create ~bits;
-    free_slot = -1;
-    free_slots = 0;
-    total = n;
-    value_words = 0;
-    sweep_hi = 0;
-    sweep_pos = 0;
-  }
+  { nodes; zero = Vclock.zero nodes; key_of = keys; head = Array.make n (-1);
+    g_state = Bytes.make n g_derived; slots = Col.create ~bits; free_slot = -1; free_slots = 0;
+    total = n; value_words = 0; sweep_hi = 0; sweep_pos = 0 }
 
 (* words a string of [len] bytes occupies on the heap (header + padded data) *)
 let str_words len = 1 + ((len + 8) / 8)
@@ -151,9 +140,10 @@ let[@hot] slot_writer_is t s w =
    keeps [select]'s spine allocation-free (R8): the only allocations on a
    select are whatever [skip] itself does. *)
 let[@hot] rec select_from t h s ~skip =
-  let nx = next t s in
-  if nx >= 0 then if skip (clock t s) then select_from t h nx ~skip else s
-  else if genesis_present t h && skip (clock t s) then gslot h
+  let b = blk t s and p = pos s in
+  let nx = Array.unsafe_get b.next p in
+  if nx >= 0 then if skip (Array.unsafe_get b.clock p) then select_from t h nx ~skip else s
+  else if genesis_present t h && skip (Array.unsafe_get b.clock p) then gslot h
   else s
 
 let[@hot] select t k ~skip =
@@ -376,24 +366,12 @@ let mem_words t =
   }
 
 let mem_zero =
-  {
-    versions = 0;
-    slot_words = 0;
-    clock_words = 0;
-    index_words = 0;
-    value_words = 0;
-    free_slots = 0;
-  }
+  { versions = 0; slot_words = 0; clock_words = 0; index_words = 0; value_words = 0; free_slots = 0 }
 
 let mem_add a b =
-  {
-    versions = a.versions + b.versions;
-    slot_words = a.slot_words + b.slot_words;
-    clock_words = a.clock_words + b.clock_words;
-    index_words = a.index_words + b.index_words;
-    value_words = a.value_words + b.value_words;
-    free_slots = a.free_slots + b.free_slots;
-  }
+  { versions = a.versions + b.versions; slot_words = a.slot_words + b.slot_words;
+    clock_words = a.clock_words + b.clock_words; index_words = a.index_words + b.index_words;
+    value_words = a.value_words + b.value_words; free_slots = a.free_slots + b.free_slots }
 
 let mem_total m = m.slot_words + m.clock_words + m.index_words + m.value_words
 

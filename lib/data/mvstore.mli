@@ -8,25 +8,12 @@
     a genesis version carrying the all-zero clock.
 
     {b Representation} (behaviorally invisible; docs/ARCHITECTURE.md "The
-    version store"):
-
-    - Versions live in int-indexed {e slots} of parallel arrays (value,
-      packed writer, clock, next-older link) in 64-slot copy-on-write
-      blocks ({!Col}) instead of boxed records in per-key lists; the
-      online GC returns slots to a free list that {!install} recycles, so
-      steady-state churn allocates nothing.
-    - The clock column holds each version's commit clock {e by reference}:
-      the clock passed to {!install}, which is the writer's published,
-      immutable commit clock that the node log and the CommitQ entry hold
-      too.  A transaction's write set therefore shares one clock, and
-      {!select} hands each slot's own clock to its callback, with nothing
-      copied or decoded.  Freed slots hold an empty clock, so they pin
-      none; genesis versions share the store's all-zero clock.
-    - Genesis versions are fully implicit (valued [Ids.boot_value],
-      derived from the key on demand): an idle key costs one head word and
-      one state byte.  A key's int handle is its position in the key array
-      given at {!create}, which the store holds by reference; the GC sweep
-      cursor walks handles.
+    version store" has the details): versions are int-indexed {e slots} of
+    parallel columns (value, packed writer, the writer's commit clock by
+    reference, next-older link) in 64-slot copy-on-write {!Col} blocks,
+    recycled through a free list the online GC feeds; genesis versions are
+    implicit, a state byte a key; a key's handle is its position in the
+    key array given at {!create}, which the store holds by reference.
 
     Reads therefore return opaque {!slot} handles with O(1) accessors; the
     decoded {!version} record remains for the cold path {!chain}.  A slot

@@ -1,7 +1,7 @@
 (* Write-ahead log with group commit, fuzzy checkpoints and redo recovery,
    simulated on the virtual clock through Iodev.  See storage.mli for the
-   three disciplines (atomic apply+append, durable-before-visible, copying
-   snapshots) that make redo recovery correct without page idempotence. *)
+   three disciplines (atomic apply+append, durable-before-visible,
+   immutable snapshots) that make redo recovery correct without page idempotence. *)
 
 open Sss_sim
 

@@ -15,9 +15,9 @@
     {- {b Durable before externally visible}: any action that makes an
        effect observable outside the node (sending a vote, a decision, a
        client acknowledgement) first {!await}s the corresponding record.}
-    {- {b Copying snapshots}: the snapshot closure returns a deep copy;
-       the live state keeps mutating while the checkpoint write is in
-       flight.}}
+    {- {b Immutable snapshots}: the snapshot closure returns an image no
+       later write reaches (a copy, or a copy-on-write view); the live
+       state keeps mutating while the checkpoint write is in flight.}}
 
     Group commit falls out of the device being serial: the first buffered
     append starts a flush immediately, and every append that arrives while
@@ -42,9 +42,10 @@ val create :
   unit ->
   ('r, 's) t
 (** [create sim dev ~record_bytes ~snapshot ~snapshot_bytes ()] is an empty
-    log on the given device.  [snapshot] must return a deep copy of the
-    node state it covers (it is called at checkpoint time and again
-    never mutated); [snapshot_bytes] prices the checkpoint write. *)
+    log on the given device.  [snapshot] must return an immutable image
+    of the node state it covers (it is called at checkpoint time and the
+    image is never mutated); [snapshot_bytes] prices the checkpoint
+    write. *)
 
 val append : ('r, 's) t -> 'r -> int
 (** Buffer one record and return its log sequence number.  Starts a group
