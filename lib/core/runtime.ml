@@ -701,7 +701,8 @@ module Make (P : PROTOCOL) = struct
       Slots.thaw ac.decisions img.decided;
       Slots.fold
         (fun local _ _ st () ->
-          Slots.shift ac.decisions { Ids.node = P.id node; local } ~from:st durable)
+          if st <> durable then
+            Slots.shift ac.decisions { Ids.node = P.id node; local } ~from:st durable)
         img.decided ();
       ac.fence <- Idset.Txns.copy img.fenced
 

@@ -205,10 +205,8 @@ let image t =
 
 (* The genesis entry, which every log starts from, is not priced. *)
 let image_bytes img =
-  let rec go i acc =
-    if i < 0 then acc
-    else go (i - 1) (if Col.get img.ints (2 * i) = 0 then acc else acc + 24 + Vcodec.raw_size (vc img i))
-  in
+  let entry i = if Col.get img.ints (2 * i) = 0 then 0 else 24 + Vcodec.raw_size (vc img i) in
+  let rec go i acc = if i < 0 then acc else go (i - 1) (acc + entry i) in
   go (size img - 1) ((4 * Col.length img.ws) + Vcodec.raw_size img.floor_max)
 
 (* The restored log is the imaged one, sharing its blocks. *)
