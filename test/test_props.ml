@@ -698,7 +698,8 @@ let walter_chain_model =
    structure, which is then mutated, and restored again onto another,
    whose own mutations must not reach the first. *)
 
-let frozen ~name ?(count = 40) ~steps ~every ~create ~mutate ~image ~restore ~model ~bytes () =
+let frozen ~name ?(count = 40) ?(refill = fun _ _ -> true) ~steps ~every ~create ~mutate ~image
+    ~restore ~model ~bytes () =
   QCheck.Test.make ~name ~count QCheck.int (fun seed ->
       let g = Prng.create ~seed in
       let live = create () and imgs = ref [] in
@@ -714,6 +715,7 @@ let frozen ~name ?(count = 40) ~steps ~every ~create ~mutate ~image ~restore ~mo
           let a = create () and again = create () in
           restore a img;
           model a = m
+          && refill a m
           && begin
                for _ = 1 to 40 do mutate g a done;
                restore again img;
@@ -732,8 +734,36 @@ let tick () = incr stamp; !stamp
 
 let frozen_keys = [| 1; 3; 5; 7; 9; 11 |]
 
+(* Each chain's newest value and writer and its clocks, oldest first
+   (they name the versions here), read by a walk bounded so that a cycle
+   fails instead of looping. *)
+let mvstore_model s =
+  let clocks k =
+    let seen = ref [] and n = ref 0 in
+    let skip c = incr n; seen := Vclock.to_array c :: !seen; !n < 1000 in
+    let newest = Mvstore.last s k in
+    ignore (Mvstore.select s k ~skip : Mvstore.slot);
+    (Mvstore.slot_value s newest, Mvstore.slot_writer s newest, !seen)
+  in
+  (Mvstore.version_count s, Array.map clocks frozen_keys)
+
+(* Installs into a restored store use up the free list it was imaged
+   with: every chain must then read as before plus the new versions, so a
+   free list that a stray write reached fails here, before a GC sweep
+   could loop on it. *)
+let mvstore_refill s (count, chains) =
+  let n = (Mvstore.mem_words s).free_slots + 2 and expect = Array.copy chains in
+  for i = 1 to n do
+    let c = tick () and j = i mod Array.length frozen_keys in
+    let value = Printf.sprintf "v%d" c and writer = tx (c mod 2) c in
+    Mvstore.install s frozen_keys.(j) ~value ~vc:(Vclock.of_array [| c; 0 |]) ~writer;
+    let _, _, clocks = expect.(j) in
+    expect.(j) <- (value, writer, clocks @ [ [| c; 0 |] ])
+  done;
+  mvstore_model s = (count + n, expect)
+
 let mvstore_frozen =
-  frozen ~name:"mvstore images stay frozen" ~steps:600 ~every:40
+  frozen ~name:"mvstore images stay frozen" ~steps:600 ~every:40 ~refill:mvstore_refill
     ~create:(fun () -> Mvstore.create ~nodes:2 ~keys:frozen_keys)
     ~mutate:(fun g s ->
       let k = Prng.pick g frozen_keys in
@@ -744,18 +774,7 @@ let mvstore_frozen =
           let c = tick () in
           Mvstore.install s k ~value:(Printf.sprintf "v%d" c) ~vc:(Vclock.of_array [| c; Prng.int g 9 |])
             ~writer:(tx (c mod 2) c))
-    ~image:Mvstore.image_of ~restore:Mvstore.restore ~bytes:Mvstore.image_bytes
-    ~model:(fun s ->
-      (* each chain's clocks newest first, which name their versions here,
-         by a walk bounded so that a cycle fails instead of looping *)
-      let clocks k =
-        let seen = ref [] and n = ref 0 in
-        let skip c = incr n; seen := Vclock.to_array c :: !seen; !n < 1000 in
-        let newest = Mvstore.last s k in
-        ignore (Mvstore.select s k ~skip : Mvstore.slot);
-        (Mvstore.slot_value s newest, Mvstore.slot_writer s newest, !seen)
-      in
-      (Mvstore.version_count s, Array.map clocks frozen_keys))
+    ~image:Mvstore.image_of ~restore:Mvstore.restore ~bytes:Mvstore.image_bytes ~model:mvstore_model
     ()
 
 let nlog_frozen =

@@ -2,7 +2,7 @@
 # Same-run pairs: a speed or size claim against revision REV, measured in
 # one sitting so that machine drift hits both sides alike.
 #
-#   tools/ab.sh REV [TARGET] [K]
+#   tools/ab.sh REV [TARGET] [K] [SECONDS]
 #
 # Builds REV in a temporary git worktree (removed on exit) and the working
 # tree, then runs K interleaved pairs of TARGET, alternating which side
@@ -10,20 +10,21 @@
 # side and the number of pairs in which the working tree reads higher.
 #
 # TARGET is a perfbench workload (paper-closed, open-durable,
-# checked-faults: --seed 1 --trace 0, --seconds $AB_SECONDS, default 5) or
-# fig3 (bench/main.exe --scale smoke fig3 at -j1).  K defaults to 10.
+# checked-faults: --seed 1 --trace 0 --seconds SECONDS, default 5) or fig3
+# (bench/main.exe --scale smoke fig3 at -j1, the default).  K defaults to
+# 10.
 # Nothing in the working tree changes: outputs go to a temporary
 # directory ($TMPDIR, or /tmp).  Run from the repository root.
 set -eu
 
 if [ $# -lt 1 ]; then
-  echo "usage: tools/ab.sh REV [paper-closed|open-durable|checked-faults|fig3] [K]" >&2
+  echo "usage: tools/ab.sh REV [paper-closed|open-durable|checked-faults|fig3] [K] [SECONDS]" >&2
   exit 2
 fi
 rev=$1
 target=${2:-fig3}
 k=${3:-10}
-seconds=${AB_SECONDS:-5}
+seconds=${4:-5}
 case $target in
   paper-closed | open-durable | checked-faults) exe=perfbench/perfbench.exe ;;
   fig3) exe=bench/main.exe ;;
