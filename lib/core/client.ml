@@ -30,7 +30,7 @@ let visibility_floor cl (home : State.node) ~ro =
 
 let begin_txn cl ~node ~read_only =
   start cl ~node ~read_only (fun home txn ->
-      Hashtbl.replace home.active txn ();
+      Hashtbl.replace home.coordinated txn (Open []);
       {
         vc = visibility_floor cl home ~ro:read_only;
         has_read = Array.make cl.config.nodes false;
@@ -115,21 +115,14 @@ let commit_read_only h =
   if h.own.observed_parked <> [] then await_observed_parked h;
   h.home.coordinated_max <- Vclock.max h.home.coordinated_max h.own.vc;
   complete h ~ws:[];
+  finish h.home h.txn;
   let keys = read_keys h in
   if keys <> [] then
     send_nodes cl ~src:h.home.id ~dsts:(replica_nodes cl keys) (Message.Remove { txn = h.txn });
   true
 
-let mark_finalized h =
-  match Hashtbl.find_opt h.home.unfinalized h.txn with
-  | None -> ()
-  | Some waiters ->
-      Hashtbl.remove h.home.unfinalized h.txn;
-      List.iter (fun reply -> reply ()) !waiters
-
-let commit_update h =
+let commit_update h ~chased =
   let cl = h.cl in
-  Hashtbl.replace h.home.unfinalized h.txn (ref []);
   let rs_keys = read_keys h in
   let ws_keys = List.map fst h.ws in
   let participants =
@@ -144,9 +137,8 @@ let commit_update h =
   in
   (* Readers whose Remove already chased this transaction must not be
      re-propagated into snapshot-queues. *)
-  let cancelled = take h.home.cancelled h.txn in
   let prop =
-    List.filter (fun (r, _) -> not (List.exists (Ids.equal_txn r) cancelled)) h.own.prop_set
+    List.filter (fun (r, _) -> not (List.exists (Ids.equal_txn r) chased)) h.own.prop_set
   in
   Slots.Memo.add h.home.recent_ws ~txn:h.txn ~ws:ws_keys ~now:(now cl);
   send_nodes cl ~src:h.home.id ~dsts:participants
@@ -156,7 +148,7 @@ let commit_update h =
   | Some reason ->
       send_nodes cl ~src:h.home.id ~dsts:participants
         (Message.Decide { txn = h.txn; vc = h.own.vc; outcome = false });
-      mark_finalized h;
+      finish h.home h.txn;
       refuse h reason
   | None ->
       (* The vote wait suspended: the home node may have crashed under it, in
@@ -202,7 +194,7 @@ let commit_update h =
       (* Completion protocol done: in-doubt queries no longer need this
          incarnation (and after a crash the restored decision will say so). *)
       Ac.completed h.home h.txn;
-      mark_finalized h;
+      finish h.home h.txn;
       h.home.coordinated_max <- Vclock.max h.home.coordinated_max commit_vc;
       if cl.ext.stats.collect_latencies then
         cl.ext.stats.latencies <- (h.began, decide_at, now cl) :: cl.ext.stats.latencies;
@@ -211,16 +203,16 @@ let commit_update h =
 
 let commit h =
   close h "commit";
-  Hashtbl.remove h.home.active h.txn;
+  let chased = start_finishing h.home h.txn in
   if h.ro then State.gc_unregister_ro h.cl h.txn;
-  if h.ws = [] then commit_read_only h else commit_update h
+  if h.ws = [] then commit_read_only h else commit_update h ~chased
 
 (* Voluntary abort before commit: nothing distributed is held yet except
    the snapshot-queue entries of a read-only transaction's reads, which the
    Remove message clears. *)
 let abort h =
   client_abort h (fun () ->
-      Hashtbl.remove h.home.active h.txn;
+      finish h.home h.txn;
       if h.ro then State.gc_unregister_ro h.cl h.txn);
   let keys = read_keys h in
   if h.ro && keys <> [] then

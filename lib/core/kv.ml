@@ -98,4 +98,5 @@ let quiescent (t : cluster) =
       @ State.residue n "commit-queue entries" (Commitq.length n.State.commitq)
       @ State.Ac.lingering n
       @ State.residue n "transactions still hold locks" (Locks.holder_count n.State.locks)
-      @ State.residue n "transactions still active" (Hashtbl.length n.State.active))
+      @ State.residue n "coordinated transactions unfinished" (Hashtbl.length n.State.coordinated)
+      @ State.residue n "parked stamps" (Stampset.length n.State.parked))

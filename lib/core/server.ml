@@ -32,9 +32,10 @@ let admission_control t node key ~bound_local =
       (fun e ->
         e.Squeue.sid > bound_local
         &&
-        match Hashtbl.find_opt node.writer_since e.Squeue.txn with
-        | Some since -> now t -. since > Config.starvation_threshold
-        | None -> false)
+        match Hashtbl.find_opt node.ac.prepared e.Squeue.txn with
+        | Some { final_vc = Some _; parked_at; _ } ->
+            now t -. parked_at > Config.starvation_threshold
+        | _ -> false)
       (squeue_writers node key)
   in
   (* Bounded: this is a delay to let the writer drain, not a gate — an
@@ -72,9 +73,6 @@ let version_skipper ~has_read ~maxvc ~me ~cutoff cvc =
    writers are read directly.  Covered stamps are all <= the bound < every
    uncovered stamp, so the result is still a prefix of the apply order. *)
 let parked_cutoff t node ~bound_local =
-  (* Served by the sorted stamp index kept in sync by
-     [State.park_writer]/[unpark_writer]; a [writer_since] fold here would
-     be O(parked) per read. *)
   let found =
     if t.config.Config.strict_order then Stampset.min_elt node.parked
     else Stampset.first_above node.parked bound_local
@@ -117,7 +115,7 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
        before that writer does: report the writer's coordinator. *)
     let parked_coord =
       match Hashtbl.find_opt node.ac.prepared writer with
-      | Some p when Hashtbl.mem node.writer_since writer -> Some p.coord
+      | Some { final_vc = Some _; coord; _ } -> Some coord
       | _ -> None
     in
     reply ?parked_coord
@@ -208,14 +206,14 @@ let handle_remove t node ~reader =
    prepare's apply re-inserts propagated readers nobody will ever remove
    again; and a home-node crash kills readers whose [Remove] was never sent
    at all.  So under durability a wait that overstays a retry slice probes
-   each blocking reader's home node — "no longer active there" is exactly
-   the [Remove] promise (ids are never reused and [active] is cleared
-   before the removes go out), and the {!Message.Reader_done} answer runs
-   the normal remove path. *)
+   each blocking reader's home node — "no longer open there" is exactly
+   the [Remove] promise (ids are never reused and a reader stops being
+   open before its removes go out), and the {!Message.Reader_done} answer
+   runs the normal remove path. *)
 let probe_reader t node reader =
   let home = reader.Ids.node in
   if home = node.id then begin
-    if not (Hashtbl.mem node.active reader) then handle_remove t node ~reader
+    if not (is_open node reader) then handle_remove t node ~reader
   end
   else send t ~src:node.id ~dst:home (Message.Reader_probe { reader })
 
@@ -260,14 +258,13 @@ let probe_orphans t node =
     (Runtime.sorted_keys node.squeues)
 
 (* External commit at this replica: the writer's final clock joins the
-   stable view, its prepared entry and parked stamp go, and the retirement
+   stable view, its prepared entry goes (unparking it), and the retirement
    is logged; returns the record's lsn. *)
 let retire t node txn =
   (match Hashtbl.find_opt node.ac.prepared txn with
   | Some { final_vc = Some fvc; _ } -> node.stable_vc <- Vclock.max node.stable_vc fvc
   | _ -> ());
-  Hashtbl.remove node.ac.prepared txn;
-  unpark_writer t node txn;
+  drop_prepared t node txn;
   log t node (SFinalized { f_txn = txn })
 
 let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
@@ -310,8 +307,7 @@ let rec try_drain t node =
   | Some { Commitq.txn; vc; status = Ready } ->
       let prep = Hashtbl.find node.ac.prepared txn in
       let sid = Vclock.get vc node.id in
-      prep.final_vc <- Some vc;
-      park_writer t node txn ~stamp:sid;
+      park_writer t node prep vc;
       List.iter
         (fun (k, v) ->
           Mvstore.install node.store k ~value:v ~vc ~writer:txn;
@@ -431,8 +427,7 @@ let handle_decide t node ~txn ~vc ~outcome =
       ignore (log t node (SAborted { a_txn = txn }) : int option);
       Commitq.remove node.commitq txn;
       Locks.release_txn node.locks txn;
-      Hashtbl.remove node.ac.prepared txn;
-      drop_parked_stamp t node txn;
+      drop_prepared t node txn;
       try_drain t node;
       Sim.Cond.broadcast t.sim node.nlog_changed
 
@@ -509,7 +504,7 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
     in
     let prep =
       { rs_local = local_rs; ws_local = local_ws; prop_set = propagated; coord;
-        prep_vc; final_vc = None; finalizing = false }
+        prep_vc; final_vc = None; parked_at = 0.; finalizing = false }
     in
     (* The yes-vote is a durable promise (presumed abort: a no-vote needs
        no record).  Logged atomically with the CommitQ insertion. *)
@@ -519,12 +514,10 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
     then send t ~src:node.id ~dst:coord (Message.Vote { txn; ok = true; vc = prep_vc })
   end
 
+(* An open writer has not prepared yet: [chase] makes sure it never
+   propagates this reader at all. *)
 let handle_forward_remove t node ~reader ~writer =
-  if Hashtbl.mem node.active writer then
-    (* The writer has not prepared yet: make sure it never propagates this
-       reader at all. *)
-    add_cancelled node ~writer ~reader
-  else
+  if not (chase node ~writer ~reader) then
     match Slots.Memo.find node.recent_ws writer with
     | Some ws_keys ->
         send_nodes t ~src:node.id ~dsts:(replica_nodes t ws_keys)
@@ -551,16 +544,16 @@ let rec dispatch t node ~src payload =
   | Message.Dquery { req; txn } -> Ac.answer t node ~src ~req txn
   | Message.Doutcome { req; verdict } -> Ac.outcome_arrived t node ~req verdict
   | Message.Wait_finalized { writer; req } -> (
-      match Hashtbl.find_opt node.unfinalized writer with
-      | Some waiters ->
+      match Hashtbl.find_opt node.coordinated writer with
+      | Some (Finishing replies) ->
           let reply () = send t ~src:node.id ~dst:src (Message.Finalized { req }) in
-          waiters := reply :: !waiters
-      | None -> send t ~src:node.id ~dst:src (Message.Finalized { req }))
+          Hashtbl.replace node.coordinated writer (Finishing (reply :: replies))
+      | _ -> send t ~src:node.id ~dst:src (Message.Finalized { req }))
   | Message.Finalized { req } -> Sss_net.Rpc.Pending.resolve t.sim node.pending_finalized req ()
   | Message.Remove { txn } -> handle_remove t node ~reader:txn
   | Message.Forward_remove { reader; writer } -> handle_forward_remove t node ~reader ~writer
   | Message.Reader_probe { reader } ->
-      if not (Hashtbl.mem node.active reader) then
+      if not (is_open node reader) then
         send t ~src:node.id ~dst:src (Message.Reader_done { reader })
   | Message.Reader_done { reader } -> handle_remove t node ~reader
   | Message.Recovered { node = _ } -> probe_orphans t node
@@ -642,8 +635,8 @@ let wound t old exn =
   match t.ext.gc with
   | Some g ->
       List.iter
-        (fun (txn, ()) -> Hashtbl.remove g.ro_bounds txn)
-        (Runtime.sorted_bindings old.active)
+        (fun (txn, _) -> Hashtbl.remove g.ro_bounds txn)
+        (Runtime.sorted_bindings old.coordinated)
   | None -> ()
 
 let recover t node =
@@ -656,8 +649,8 @@ let recover t node =
       match p.final_vc with
       | None -> ()
       | Some fvc ->
+          park_writer t node p fvc;
           let sid = Vclock.get fvc id in
-          park_writer t node txn ~stamp:sid;
           List.iter (fun (k, _) -> Squeue.insert_write (squeue node k) ~txn ~sid) p.ws_local)
     (Runtime.sorted_bindings node.ac.prepared);
   (* The checkpoint may predate read-only completions whose bounds fed past

@@ -29,8 +29,15 @@ type prep = {
   coord : Ids.node;
   prep_vc : Vclock.t;  (* the clock sent with the yes-vote (CommitQ position) *)
   mutable final_vc : Vclock.t option;  (* set when the writes are applied *)
+  mutable parked_at : float;  (* when it parked: the apply, or the restart *)
   mutable finalizing : bool;  (* the coordinator's Finalize has arrived *)
 }
+
+(* A transaction this node coordinates, from its begin until its commit or
+   abort returns: open, with the readers whose Removes chased it here
+   before it prepared (it must not propagate them), then finishing, with
+   the replies owed to Wait_finalized requests, sent when it ends. *)
+type coordinated = Open of Ids.txn list | Finishing of (unit -> unit) list
 
 (* ---- write-ahead log records and checkpoint snapshot (durability mode) ---- *)
 
@@ -97,22 +104,12 @@ type node = {
   mutable tombstones : Idset.Txns.t;
   forwards : (Ids.txn, (Ids.txn * Ids.node) list ref) Hashtbl.t;
   reader_keys : (Ids.txn, Ids.key list ref) Hashtbl.t;
-  writer_since : (Ids.txn, float) Hashtbl.t;
-  (* Sorted index over the local apply stamps of parked writers (entries of
-     [writer_since] whose [prepared] record carries a final clock).  The
-     read path needs the minimum parked stamp and the smallest stamp above
-     a bound once or twice per read; the index answers both in O(1)/O(log n)
-     where a [writer_since] fold would be O(parked).  [parked_stamp]
-     remembers each writer's stamp so removal never needs the (possibly
-     already dropped) [prepared] record. *)
+  (* The local stamps of the parked writers: the prepared entries that
+     carry a final clock ([park_writer]).  The read path needs the minimum
+     and the smallest stamp above a bound once or twice per read. *)
   parked : Stampset.t;
-  parked_stamp : (Ids.txn, int) Hashtbl.t;
   recent_ws : Slots.Memo.t;  (* write sets coordinated here, for Forward_remove *)
-  cancelled : (Ids.txn, Ids.txn list ref) Hashtbl.t;
-  active : (Ids.txn, unit) Hashtbl.t;  (* txns begun here, not yet finished *)
-  (* update txns coordinated here that are past begin but not yet externally
-     committed, with the reply closures of Wait_finalized requests *)
-  unfinalized : (Ids.txn, (unit -> unit) list ref) Hashtbl.t;
+  coordinated : (Ids.txn, coordinated) Hashtbl.t;
   pending_finalized : unit Rpc.Pending.t;
   (* wake-ups *)
   nlog_changed : Sim.Cond.t;
@@ -171,13 +168,9 @@ let make_node sim (config : Config.t) repl id =
     tombstones = Idset.Txns.create ~horizon:Runtime.retention_horizon;
     forwards = Hashtbl.create 16;
     reader_keys = Hashtbl.create 16;
-    writer_since = Hashtbl.create 16;
     parked = Stampset.create ();
-    parked_stamp = Hashtbl.create 16;
     recent_ws = Slots.Memo.create ~node:id ~horizon:recent_ws_horizon;
-    cancelled = Hashtbl.create 16;
-    active = Hashtbl.create 16;
-    unfinalized = Hashtbl.create 16;
+    coordinated = Hashtbl.create 16;
     pending_finalized = Rpc.Pending.create ();
     nlog_changed = Sim.Cond.create ();
     squeue_changed = Sim.Cond.create ();
@@ -376,34 +369,26 @@ let observe_lock t ~acquired =
   | Some o -> Sss_obs.Obs.incr o (if acquired then "lock.acquire" else "lock.release")
   | None -> ()
 
-(* ---- parked-writer stamp index ---- *)
+(* ---- parked writers ---- *)
 
-(* A writer is parked while it is in [writer_since] with a final clock in
-   [prepared]; these helpers keep [parked]/[parked_stamp] exactly in sync
-   with that definition. *)
+(* A writer is parked here exactly while its prepared entry carries a
+   final clock: [park_writer] sets the clock and indexes its stamp, and
+   every removal from [prepared] outside redo (which runs before any entry
+   re-parks) goes through [drop_prepared]. *)
 
-let park_writer t node txn ~stamp =
-  Hashtbl.replace node.writer_since txn (now t);
-  if not (Hashtbl.mem node.parked_stamp txn) then begin
-    Hashtbl.replace node.parked_stamp txn stamp;
-    Stampset.add node.parked stamp;
-    match t.obs with Some o -> Sss_obs.Obs.incr o "sq.park" | None -> ()
-  end
+let park_writer t node (p : prep) vc =
+  p.final_vc <- Some vc;
+  p.parked_at <- now t;
+  Stampset.add node.parked (Vclock.get vc node.id);
+  match t.obs with Some o -> Sss_obs.Obs.incr o "sq.park" | None -> ()
 
-(* Drop only the index entry: must accompany every removal from [prepared]
-   (having a [prepared] record is what qualifies a [writer_since] entry as
-   parked). *)
-let drop_parked_stamp t node txn =
-  match Hashtbl.find_opt node.parked_stamp txn with
-  | Some stamp -> (
-      Hashtbl.remove node.parked_stamp txn;
-      ignore (Stampset.remove node.parked stamp);
+let drop_prepared t node txn =
+  (match Hashtbl.find_opt node.ac.prepared txn with
+  | Some { final_vc = Some fvc; _ } -> (
+      ignore (Stampset.remove node.parked (Vclock.get fvc node.id) : bool);
       match t.obs with Some o -> Sss_obs.Obs.incr o "sq.unpark" | None -> ())
-  | None -> ()
-
-let unpark_writer t node txn =
-  drop_parked_stamp t node txn;
-  Hashtbl.remove node.writer_since txn
+  | _ -> ());
+  Hashtbl.remove node.ac.prepared txn
 
 (* ---- online version GC (Config.gc) ----
 
@@ -497,8 +482,7 @@ let nlog_entries t = Array.fold_left (fun acc node -> acc + Nlog.size node.nlog)
 let is_tombstoned node txn = Idset.Txns.mem node.tombstones txn
 
 (* ---- list-valued tables: reader txn -> keys with entries on this node,
-   reader -> (writer, coordinator) it was propagated to, writer -> readers
-   whose Remove chased it before it prepared ---- *)
+   reader -> (writer, coordinator) it was propagated to ---- *)
 
 let rec mem_by eq x = function [] -> false | y :: ys -> eq x y || mem_by eq x ys
 
@@ -522,4 +506,30 @@ let add_forward node ~reader ~writer ~coord =
   add_to node.forwards reader (writer, coord) ~eq:(fun (w, c) (w', c') ->
       Ids.equal_txn w w' && Int.equal c c')
 
-let add_cancelled node ~writer ~reader = add_to node.cancelled writer reader ~eq:Ids.equal_txn
+(* ---- the transactions a node coordinates ---- *)
+
+let is_open node txn =
+  match Hashtbl.find_opt node.coordinated txn with Some (Open _) -> true | _ -> false
+
+(* A reader's Remove chased [writer] here: [true] if [writer] is still
+   open, which then never propagates [reader]. *)
+let chase node ~writer ~reader =
+  match Hashtbl.find_opt node.coordinated writer with
+  | Some (Open rs) ->
+      Hashtbl.replace node.coordinated writer (Open (reader :: rs));
+      true
+  | _ -> false
+
+(* The commit begins: [txn] is no longer open.  Returns the readers that
+   chased it. *)
+let start_finishing node txn =
+  let chased = match Hashtbl.find_opt node.coordinated txn with Some (Open rs) -> rs | _ -> [] in
+  Hashtbl.replace node.coordinated txn (Finishing []);
+  chased
+
+(* The end of [txn] here, by commit or abort: its entry goes, and the
+   Wait_finalized replies it owes leave. *)
+let finish node txn =
+  let owed = match Hashtbl.find_opt node.coordinated txn with Some (Finishing l) -> l | _ -> [] in
+  Hashtbl.remove node.coordinated txn;
+  List.iter (fun reply -> reply ()) owed

@@ -456,6 +456,47 @@ let test_images_share_blocks () =
   check "sss" sss_image_only 200;
   check "walter" walter_image_only 40
 
+(* ---------- parked means prepared with a final clock ---------- *)
+
+(* At every event, each node's parked-stamp index holds exactly the own
+   entries of the final clocks its prepared entries carry: a contended
+   durable run with a crash and restart, in hardened and in paper mode. *)
+let test_parked_is_prepared_and_applied () =
+  let module St = Sss_kv.State in
+  List.iter
+    (fun strict_order ->
+      let seed = 3 in
+      let config = { (durable_config ~degree:2 ~seed) with total_keys = 8; strict_order } in
+      let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
+      let cl = Option.get s.kv in
+      let stamps = ref 0 in
+      let check () =
+        Array.iter
+          (fun (node : St.node) ->
+            let want =
+              Hashtbl.fold
+                (fun _ (p : St.prep) acc ->
+                  match p.final_vc with
+                  | Some vc -> Sss_data.Vclock.get vc node.id :: acc
+                  | None -> acc)
+                node.ac.Sss_kv.Runtime.prepared []
+            in
+            let got = Sss_data.Stampset.to_list node.parked in
+            if got <> List.sort Int.compare want then
+              Alcotest.failf "strict_order=%b, node %d at %.6f: parked [%s], applied entries [%s]"
+                strict_order node.id (Sim.now s.sim)
+                (String.concat " " (List.map string_of_int got))
+                (String.concat " " (List.map string_of_int (List.sort Int.compare want)));
+            stamps := !stamps + List.length got)
+          cl.St.nodes
+      in
+      Sim.set_probe s.sim (Some check);
+      let h = s.chaos (crash_plan ~seed) in
+      let o = Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed) in
+      assert_recovered Store.Sss seed (o, Chaos.stats h);
+      if !stamps = 0 then Alcotest.failf "strict_order=%b: no writer ever parked" strict_order)
+    [ true; false ]
+
 (* ---------- durability off: the hooks are inert ---------- *)
 
 let test_off_trajectory_unchanged () =
@@ -492,6 +533,8 @@ let () =
           Alcotest.test_case "gc keeps collecting across a crash" `Quick test_gc_across_crash;
           Alcotest.test_case "sss log restored in apply order" `Quick test_nlog_restored_in_order;
           Alcotest.test_case "checkpoint images share the live blocks" `Quick test_images_share_blocks;
+          Alcotest.test_case "parked is prepared and applied" `Quick
+            test_parked_is_prepared_and_applied;
         ] );
       ( "determinism",
         [

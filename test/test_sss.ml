@@ -269,6 +269,35 @@ let test_ro_abort_then_cleanup () =
   Sim.run sim;
   check_ok "abort cleaned snapshot queues" (Kv.quiescent cl)
 
+(* A read-only R and an update W, both homed on node 0, read a key of
+   node 1.  R's commit Removes its entry there, and the Remove chases W
+   home through Forward_remove while W is still open.  Whichever way W
+   then ends, aborted or committed with no writes, its coordinator keeps
+   no entry for it. *)
+let test_chased_writer_leaves_no_entry () =
+  List.iter
+    (fun (what, finish) ->
+      let sim, cl = make ~nodes:2 ~degree:1 () in
+      let k = key_on cl 1 and home = State.node cl 0 in
+      Sim.spawn sim (fun () ->
+          let r = Kv.begin_txn cl ~node:0 ~read_only:true in
+          ignore (Kv.read r k);
+          let w = Kv.begin_txn cl ~node:0 ~read_only:false in
+          ignore (Kv.read w k);
+          ignore (Kv.commit r);
+          Sim.sleep sim 0.005;
+          (match Hashtbl.find_opt home.State.coordinated (Kv.txn_id w) with
+          | Some (State.Open [ r' ]) when Ids.equal_txn r' (Kv.txn_id r) -> ()
+          | _ -> Alcotest.failf "%s: R's Remove did not chase W" what);
+          finish w;
+          Sim.sleep sim 0.010;
+          Alcotest.(check bool)
+            (what ^ ": no coordinator entry for W") false
+            (Hashtbl.mem home.State.coordinated (Kv.txn_id w)));
+      Sim.run sim;
+      check_ok (what ^ ": quiescent") (Kv.quiescent cl))
+    [ ("abort", Kv.abort); ("write-free commit", fun w -> ignore (Kv.commit w : bool)) ]
+
 (* Run a random closed-loop workload and verify every property the paper
    claims, via the checker. *)
 let run_workload ~nodes ~degree ~keys ~ro_ratio ~seed ~duration =
@@ -367,6 +396,8 @@ let () =
           Alcotest.test_case "fig2 non-conflicting order" `Quick test_fig2_no_divergent_orders;
           Alcotest.test_case "conflict aborts one" `Quick test_conflicting_update_aborts;
           Alcotest.test_case "ro abort cleanup" `Quick test_ro_abort_then_cleanup;
+          Alcotest.test_case "chased writer leaves no entry" `Quick
+            test_chased_writer_leaves_no_entry;
         ] );
       ( "workloads",
         [

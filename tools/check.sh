@@ -31,6 +31,8 @@
 #                             16 buckets (OCaml's minimum): a table grows
 #                             with its traffic, and one that never fills
 #                             would pin its empty buckets for a whole run
+#  11. line budget          — lib/ + bin/ stay within 13,500 lines and the
+#                             linter within 1,700 (ROADMAP, quality aim)
 #
 # Run from the repository root.
 set -eu
@@ -126,6 +128,15 @@ presized=$(grep -rnE 'Hashtbl\.create[[:space:]]+[0-9]+' lib --include='*.ml' |
 if [ -n "$presized" ]; then
   echo "$presized" >&2
   echo "check FAIL: Hashtbl.create above 16 in lib/ (start at 16 and let the table grow)" >&2
+  exit 1
+fi
+
+echo "check: line budget"
+lines=$(cat lib/*/*.ml lib/*/*.mli bin/*.ml | wc -l)
+lint_lines=$(cat tools/lint/*.ml | wc -l)
+echo "  lib/ + bin/: $lines lines (budget 13500); tools/lint: $lint_lines lines (budget 1700)"
+if [ "$lines" -gt 13500 ] || [ "$lint_lines" -gt 1700 ]; then
+  echo "check FAIL: over the line budget (ROADMAP: the same behaviour from less code)" >&2
   exit 1
 fi
 
