@@ -106,8 +106,9 @@ let await_observed_parked h =
     slots
 
 (* Read-only (and write-free) commit: the client is informed immediately;
-   the Remove message then clears this transaction's snapshot-queue entries
-   on every replica it read (Alg. 1 lines 2-8). *)
+   the Remove message then clears a read-only transaction's snapshot-queue
+   entries on every replica it read (Alg. 1 lines 2-8).  An update
+   transaction's reads left no entry to clear. *)
 let commit_read_only h =
   let cl = h.cl in
   (* A write-free update transaction may have read a parked writer's data
@@ -117,7 +118,7 @@ let commit_read_only h =
   complete h ~ws:[];
   finish h.home h.txn;
   let keys = read_keys h in
-  if keys <> [] then
+  if h.ro && keys <> [] then
     send_nodes cl ~src:h.home.id ~dsts:(replica_nodes cl keys) (Message.Remove { txn = h.txn });
   true
 
@@ -155,7 +156,7 @@ let commit_update h ~chased =
          which case this fiber holds a stale record and must not decide. *)
       if not (node_live cl h.home) then crashed h.home.id;
       (* Equalise the write replicas' entries of the merged clock so every
-         CommitQ orders this transaction identically. *)
+         commit queue orders this transaction identically. *)
       let commit_vc = round.acc in
       let write_nodes = replica_nodes cl ws_keys in
       let max_entry =

@@ -10,7 +10,6 @@ type t = {
   priority_network : bool;
   compress_metadata : bool;
   fault_tolerance : bool;
-  retry_limit : int;
   observe : bool;
   trace_capacity : int;
   durability : bool;
@@ -30,7 +29,6 @@ let default =
     priority_network = true;
     compress_metadata = true;
     fault_tolerance = false;
-    retry_limit = 64;
     observe = false;
     trace_capacity = 0;
     durability = false;
@@ -45,5 +43,6 @@ let backoff_initial = 0.5e-3
 let backoff_max = 8e-3
 let retry_initial = 0.5e-3
 let retry_max = 8e-3
+let retry_limit = 64
 let fsync_latency = 5e-5
 let disk_bandwidth = 2e9

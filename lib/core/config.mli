@@ -41,12 +41,6 @@ type t = {
           telemetry, PRNG draw sequence — is then byte-for-byte what the
           committed benchmark figures were produced with.  All four systems
           (SSS and the three baselines) honour this flag. *)
-  retry_limit : int;
-      (** fault-tolerance mode: re-send attempts before a tracked send is
-          abandoned (64 — together with {!retry_max} this rides out fault
-          windows of several hundred ms; a foreground wait that depended on
-          an abandoned send fails with {!Sss_net.Rpc.Stalled} once
-          {!ack_timeout} expires) *)
   observe : bool;
       (** attach an {!Sss_obs.Obs.t} to the cluster: per-message-kind
           counters and latency histograms, per-node queue-depth gauges,
@@ -116,6 +110,15 @@ val retry_initial : float
 
 val retry_max : float
 (** 8 ms: exponential backoff cap between re-sends. *)
+
+val retry_limit : int
+(** 64: fault-tolerance mode's re-send attempts before a tracked send is
+    abandoned (together with {!retry_max} this rides out fault windows of
+    several hundred ms; a foreground wait that depended on an abandoned
+    send fails with {!Sss_net.Rpc.Stalled} once {!ack_timeout} expires),
+    and the attempt budget of the waits bounded by a count (the in-doubt
+    termination watchdog, ROCOCO's durable read re-issue and aliveness
+    watchdog). *)
 
 val fsync_latency : float
 (** 50 µs: fixed per-operation cost of a log device write (fsync floor). *)

@@ -95,7 +95,7 @@ let quiescent (t : cluster) =
             (Printf.sprintf "entries in the snapshot-queue of key %d" key)
             (Squeue.length (Hashtbl.find n.State.squeues key)))
         (Runtime.sorted_keys n.State.squeues)
-      @ State.residue n "commit-queue entries" (Commitq.length n.State.commitq)
+      @ State.residue n "commit-queue entries" (Stampset.length n.State.queued)
       @ State.Ac.lingering n
       @ State.residue n "transactions still hold locks" (Locks.holder_count n.State.locks)
       @ State.residue n "coordinated transactions unfinished" (Hashtbl.length n.State.coordinated)

@@ -106,4 +106,4 @@ val transport_retries : cluster -> int
 
 val transport_stalled : cluster -> int
 (** Tracked sends abandoned after the retry budget; nonzero means the fault
-    plan out-lasted {!Config.t.retry_limit}. *)
+    plan out-lasted {!Config.retry_limit}. *)

@@ -181,7 +181,7 @@ module Make (P : PROTOCOL) = struct
           {
             Reliable.initial = Config.retry_initial;
             max = Config.retry_max;
-            limit = config.retry_limit;
+            limit = Config.retry_limit;
           }
     in
     let obs =
@@ -656,11 +656,10 @@ module Make (P : PROTOCOL) = struct
        run.  A crash of this node ends the watch: its restart spawns a new
        one. *)
     let watch t node txn p ~linger ~on_committed ~on_aborted =
-      let c = t.config in
       let outcomes = (A.state node).outcomes in
       let rec loop attempt =
         if node_live t node && in_doubt node txn then
-          if attempt >= c.Config.retry_limit then
+          if attempt >= Config.retry_limit then
             stalled ~phase:"in-doubt" ~bound:"retry_limit attempts" (Ids.txn_to_string txn)
           else begin
             let req, slot = Rpc.Pending.fresh outcomes in

@@ -28,15 +28,9 @@ let validate node rs =
    whose bound covers the writer never block it and pass straight through. *)
 let admission_control t node key ~bound_local =
   let old_writer () =
-    List.exists
-      (fun e ->
-        e.Squeue.sid > bound_local
-        &&
-        match Hashtbl.find_opt node.ac.prepared e.Squeue.txn with
-        | Some { final_vc = Some _; parked_at; _ } ->
-            now t -. parked_at > Config.starvation_threshold
-        | _ -> false)
-      (squeue_writers node key)
+    Stampset.exists_above node.parked bound_local (fun w ->
+        stands_on node w key
+        && now t -. (Hashtbl.find node.ac.prepared w).parked_at > Config.starvation_threshold)
   in
   (* Bounded: this is a delay to let the writer drain, not a gate — an
      unbounded loop here turns a transient pile-up into a livelock (the
@@ -74,7 +68,7 @@ let version_skipper ~has_read ~maxvc ~me ~cutoff cvc =
    uncovered stamp, so the result is still a prefix of the apply order. *)
 let parked_cutoff t node ~bound_local =
   let found =
-    if t.config.Config.strict_order then Stampset.min_elt node.parked
+    if t.config.Config.strict_order then Stampset.min_stamp node.parked
     else Stampset.first_above node.parked bound_local
   in
   match found with Some stamp -> stamp | None -> max_int
@@ -128,7 +122,7 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
     if first then begin
       (* First contact by this read-only transaction (Alg. 6 lines 4-14).
          The paper waits for NLog.mostRecentVC[i] >= T.VC[i]; we also wait
-         out any CommitQ entry whose clock entry is within the visibility
+         out any commit-queue entry whose clock entry is within the visibility
          bound.  Clock entries only grow from prepare to decide and every
          value is a unique mint, so once no queued entry is at or below the
          bound, nothing not yet applied here can belong to the reader's
@@ -136,14 +130,12 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
          by a committed-elsewhere transaction could cover an entry still in
          this queue). *)
       let present_on_arrival =
-        if t.config.Config.strict_order then
-          List.map (fun e -> e.Commitq.txn) (Commitq.to_list node.commitq)
-        else []
+        if t.config.Config.strict_order then Stampset.to_list node.queued else []
       in
       Sim.Cond.await t.sim node.nlog_changed (fun () ->
           Nlog.most_recent_local node.nlog >= Vclock.get vc me
-          && (not (Commitq.exists_at_or_below node.commitq ~bound:(Vclock.get vc me)))
-          && not (List.exists (Commitq.mem node.commitq) present_on_arrival));
+          && (not (Stampset.exists_leq node.queued (Vclock.get vc me)))
+          && not (List.exists (fun (_, txn) -> is_queued node txn) present_on_arrival));
       admission_control t node key ~bound_local:(Vclock.get vc me)
     end;
     (* ExcludedSet, strengthened from Alg. 6 line 7: a read-only
@@ -179,7 +171,7 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
 
 (* Alg. 4, strengthened: wait out every reader that must serialize before
    this writer, then tell the coordinator.  Unlike the per-key pseudocode we
-   do NOT drop the writer entries here — they stay until the coordinator's
+   do NOT release the writer entries here — they stay until the coordinator's
    Finalize (external commit).  Removing them per key as each wait clears
    would let a fresh reader serialize after the writer through one key and
    complete while the writer is still held on another key, after which a
@@ -267,26 +259,26 @@ let retire t node txn =
   drop_prepared t node txn;
   log t node (SFinalized { f_txn = txn })
 
-let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
+let pre_commit_wait t node txn (p : prep) ~sid ~lsn =
   if t.config.Config.strict_order then begin
-    List.iter (fun k -> await_writer_unblocked t node ~sid k) keys;
+    List.iter (fun (k, _) -> await_writer_unblocked t node ~sid k) p.ws_local;
     (* The Ack promises the writes survive this node: it must not outrun
        their log records.  [lsn] is the apply record; the device is serial
        FIFO, so awaiting it covers the whole log prefix. *)
     if log_sync t node lsn && node_live t node then
-      send t ~src:node.id ~dst:coord (Message.Ack { txn })
+      send t ~src:node.id ~dst:p.coord (Message.Ack { txn })
   end
   else begin
-    (* Paper mode: Alg. 4 literally — drop each writer entry as soon as its
-       key's wait first clears; readers arriving later at that key simply
-       observe the version.  Fast, but the per-key staggered release is the
-       source of the anomalies documented in DESIGN.md. *)
+    (* Paper mode: Alg. 4 literally — release each writer entry as soon as
+       its key's wait first clears; readers arriving later at that key
+       simply observe the version.  Fast, but the per-key staggered release
+       is the source of the anomalies documented in DESIGN.md. *)
     List.iter
-      (fun k ->
+      (fun (k, _) ->
         await_writer_unblocked t node ~sid k;
-        squeue_remove node k txn;
+        p.released <- k :: p.released;
         Sim.Cond.broadcast t.sim node.squeue_changed)
-      keys;
+      p.ws_local;
     if node_live t node then begin
       (* The prepared entry retires here in paper mode, so the retirement
          is what must reach the disk before the Ack (which covers the apply
@@ -294,57 +286,59 @@ let pre_commit_wait t node ~txn ~sid ~keys ~coord ~lsn =
       let flsn = retire t node txn in
       let gate = match flsn with Some _ -> flsn | None -> lsn in
       if log_sync t node gate && node_live t node then
-        send t ~src:node.id ~dst:coord (Message.Ack { txn })
+        send t ~src:node.id ~dst:p.coord (Message.Ack { txn })
     end
   end
 
-(* Alg. 2 lines 29-36 fused with Alg. 3: commit ready transactions from the
-   head of the CommitQ in the order of this node's clock entry, making the
-   apply and the snapshot-queue insertion atomic (no window in which the
-   version is visible but its writer is not yet parked). *)
-let rec try_drain t node =
-  match Commitq.head node.commitq with
-  | Some { Commitq.txn; vc; status = Ready } ->
-      let prep = Hashtbl.find node.ac.prepared txn in
-      let sid = Vclock.get vc node.id in
-      park_writer t node prep vc;
+(* Alg. 2 lines 29-36 fused with Alg. 3: apply a decided transaction at the
+   head of the commit queue and park it in the same event (no window in
+   which the version is visible but its writer is not yet parked). *)
+let apply t node txn prep vc =
+  let sid = Vclock.get vc node.id in
+  ignore (Stampset.remove node.queued sid txn : bool);
+  park_writer t node txn prep vc;
+  List.iter
+    (fun (k, v) ->
+      Mvstore.install node.store k ~value:v ~vc ~writer:txn;
+      if is_primary t node.id k then record t (History.Install { txn; key = k });
       List.iter
-        (fun (k, v) ->
-          Mvstore.install node.store k ~value:v ~vc ~writer:txn;
-          if is_primary t node.id k then record t (History.Install { txn; key = k });
-          let q = squeue node k in
-          Squeue.insert_write q ~txn ~sid;
-          List.iter
-            (fun (r, rsid) ->
-              if not (is_tombstoned node r) then begin
-                Squeue.insert_propagated q ~txn:r ~sid:rsid;
-                index_reader node r k
-              end)
-            prep.prop_set)
-        prep.ws_local;
-      Nlog.add node.nlog ~txn ~vc ~ws:(List.map fst prep.ws_local);
-      (* watermark-driven collection: drop only state no live or future
-         read-only snapshot can still reach (State.gc_after_apply) *)
-      (match t.ext.gc with Some g -> gc_after_apply t g node ~ws:prep.ws_local | None -> ());
-      Commitq.remove node.commitq txn;
-      Locks.release_txn node.locks txn;
-      observe_lock t ~acquired:false;
-      Sim.Cond.broadcast t.sim node.nlog_changed;
-      Sim.Cond.broadcast t.sim node.squeue_changed;
-      (* Logged in the same event as the apply: redo either replays the
-         whole install-park-insert bundle or none of it. *)
-      let lsn = log t node (SApplied { ap_txn = txn; ap_vc = vc }) in
-      let keys = List.map fst prep.ws_local in
-      Sim.spawn t.sim (fun () ->
-          pre_commit_wait t node ~txn ~sid ~keys ~coord:prep.coord ~lsn);
-      try_drain t node
-  | _ -> ()
+        (fun (r, rsid) ->
+          if not (is_tombstoned node r) then begin
+            Squeue.insert_propagated (squeue node k) ~txn:r ~sid:rsid;
+            index_reader node r k
+          end)
+        prep.prop_set)
+    prep.ws_local;
+  Nlog.add node.nlog ~txn ~vc ~ws:(List.map fst prep.ws_local);
+  (* watermark-driven collection: drop only state no live or future
+     read-only snapshot can still reach (State.gc_after_apply) *)
+  (match t.ext.gc with Some g -> gc_after_apply t g node ~ws:prep.ws_local | None -> ());
+  Locks.release_txn node.locks txn;
+  observe_lock t ~acquired:false;
+  Sim.Cond.broadcast t.sim node.nlog_changed;
+  Sim.Cond.broadcast t.sim node.squeue_changed;
+  (* Logged in the same event as the apply: redo either replays the
+     whole install-park-insert bundle or none of it. *)
+  let lsn = log t node (SApplied { ap_txn = txn; ap_vc = vc }) in
+  Sim.spawn t.sim (fun () -> pre_commit_wait t node txn prep ~sid ~lsn)
 
-(* Every write replica's pre-commit wait cleared once; remove the writer
+(* Commit decided transactions from the head of the commit queue, in the
+   order of this node's clock entry. *)
+let rec try_drain t node =
+  match Stampset.min_txn node.queued with
+  | Some txn -> (
+      match Hashtbl.find node.ac.prepared txn with
+      | { decided = Some vc; _ } as prep ->
+          apply t node txn prep vc;
+          try_drain t node
+      | _ -> ()  (* the head awaits its Decide *))
+  | None -> ()
+
+(* Every write replica's pre-commit wait cleared once; release the writer
    entries so the transaction can externally commit.  New readers may have
    serialized before it since the Ack (they found the entry still parked),
    so the wait condition is re-checked — the client is only informed after
-   every replica confirms removal, keeping "parked" synonymous with "not
+   every replica confirms the release, keeping "parked" synonymous with "not
    yet externally committed". *)
 let handle_finalize t node ~txn ~reply_to =
   match Hashtbl.find_opt node.ac.prepared txn with
@@ -362,7 +356,6 @@ let handle_finalize t node ~txn ~reply_to =
       prep.finalizing <- true;
       Sim.Cond.broadcast t.sim node.squeue_changed;
       Sim.spawn t.sim (fun () ->
-          let keys = List.map fst prep.ws_local in
           let my_sid =
             match prep.final_vc with Some fvc -> Vclock.get fvc node.id | None -> 0
           in
@@ -378,20 +371,12 @@ let handle_finalize t node ~txn ~reply_to =
           let earlier_parked () = Stampset.exists_below node.parked my_sid in
           Sim.Cond.await t.sim node.squeue_changed (fun () -> not (earlier_parked ()));
           (* Re-check for readers that serialized below this writer since
-             the Ack: their clients must not be outrun. *)
-          let entry_sid k =
-            List.find_map
-              (fun e -> if Ids.equal_txn e.Squeue.txn txn then Some e.Squeue.sid else None)
-              (squeue_writers node k)
-          in
+             the Ack: their clients must not be outrun.  Retiring the entry
+             releases every key at once. *)
           List.iter
-            (fun k ->
-              match entry_sid k with
-              | None -> ()
-              | Some sid -> await_writer_unblocked t node ~sid k)
-            keys;
+            (fun (k, _) -> if stands_on node txn k then await_writer_unblocked t node ~sid:my_sid k)
+            prep.ws_local;
           if node_live t node then begin
-            List.iter (fun k -> squeue_remove node k txn) keys;
             Sim.Cond.broadcast t.sim node.squeue_changed;
             let lsn = retire t node txn in
             if log_sync t node lsn && node_live t node then
@@ -404,7 +389,8 @@ let handle_decide t node ~txn ~vc ~outcome =
       (* node_vc is exclusively owned: fold the decide clock in place *)
       (Vclock.max_into node.node_vc vc [@owned]);
       if prep.ws_local <> [] then begin
-        Commitq.update node.commitq ~txn ~vc;
+        (* a duplicate after the apply changes nothing *)
+        if Option.is_none prep.final_vc then decide_queued node txn prep vc;
         try_drain t node;
         (* Readers waiting on the commit queue re-check: the final clock
            may have moved this entry out of their visibility bound. *)
@@ -425,7 +411,6 @@ let handle_decide t node ~txn ~vc ~outcome =
          prepared entry at recovery, and the in-doubt watchdog re-learns
          the abort from the coordinator. *)
       ignore (log t node (SAborted { a_txn = txn }) : int option);
-      Commitq.remove node.commitq txn;
       Locks.release_txn node.locks txn;
       drop_prepared t node txn;
       try_drain t node;
@@ -477,7 +462,7 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
   in
   (* The coordinator's vote timeout can beat a lock wait: its Decide(abort)
      then overtakes this very Prepare.  A late success here would strand an
-     orphan in the CommitQ, so the abort decision wins.  The lock wait is
+     orphan in the commit queue, so the abort decision wins.  The lock wait is
      also a suspension: the node may have crashed under it, in which case
      nothing externally visible may happen on this (stale) record. *)
   let ok =
@@ -494,20 +479,14 @@ let handle_prepare t node ~txn ~coord ~vc ~rs ~ws ~propagated =
   end
   else begin
     observe_lock t ~acquired:true;
-    let prep_vc =
-      if local_ws <> [] then begin
-        let vc = bump_local t node in
-        Commitq.put node.commitq ~txn ~vc;
-        vc
-      end
-      else Nlog.most_recent_vc node.nlog
-    in
+    let prep_vc = if local_ws <> [] then bump_local t node else Nlog.most_recent_vc node.nlog in
     let prep =
-      { rs_local = local_rs; ws_local = local_ws; prop_set = propagated; coord;
-        prep_vc; final_vc = None; parked_at = 0.; finalizing = false }
+      { rs_local = local_rs; ws_local = local_ws; prop_set = propagated; coord; prep_vc;
+        decided = None; final_vc = None; parked_at = 0.; released = []; finalizing = false }
     in
+    enqueue node txn prep;
     (* The yes-vote is a durable promise (presumed abort: a no-vote needs
-       no record).  Logged atomically with the CommitQ insertion. *)
+       no record).  Logged atomically with the commit-queue insertion. *)
     if
       Ac.prepare t node txn prep (SPrepared { p_txn = txn; p_prep = copy_prep prep }) ~watch
       && node_live t node
@@ -568,10 +547,6 @@ let load_snap t node (s : snap) =
   node.stable_vc <- s.s_stable_vc;
   node.minted <- s.s_minted;
   Ac.load t node s.s_ac;
-  List.iter
-    (fun (txn, p) ->
-      if p.ws_local <> [] && p.final_vc = None then Commitq.put node.commitq ~txn ~vc:p.prep_vc)
-    s.s_ac.entries;
   node.tombstones <- Idset.Txns.copy s.s_tombstones;
   List.iter (fun (r, l) -> Hashtbl.replace node.forwards r (ref l)) s.s_forwards;
   Slots.Memo.restore node.recent_ws s.s_recent_ws
@@ -581,11 +556,9 @@ let replay_record t node = function
       Hashtbl.replace node.ac.prepared p_txn (copy_prep p);
       (* the prepare's clock bump must stay visible to [bump_local]'s
          uniqueness argument even though the bump itself was volatile *)
-      (Vclock.max_into node.node_vc p.prep_vc [@owned]);
-      if p.ws_local <> [] then Commitq.put node.commitq ~txn:p_txn ~vc:p.prep_vc
+      (Vclock.max_into node.node_vc p.prep_vc [@owned])
   | SAborted { a_txn } ->
       Ac.fence t node a_txn;
-      Commitq.remove node.commitq a_txn;
       Hashtbl.remove node.ac.prepared a_txn
   | SApplied { ap_txn; ap_vc } -> (
       match Hashtbl.find_opt node.ac.prepared ap_txn with
@@ -599,8 +572,7 @@ let replay_record t node = function
             prep.ws_local;
           (* watermark GC waits for the next live apply: replay must not
              consult a watermark computed against the pre-crash registry *)
-          Nlog.add node.nlog ~txn:ap_txn ~vc:ap_vc ~ws:(List.map fst prep.ws_local);
-          Commitq.remove node.commitq ap_txn)
+          Nlog.add node.nlog ~txn:ap_txn ~vc:ap_vc ~ws:(List.map fst prep.ws_local))
   | SFinalized { f_txn } -> (
       match Hashtbl.find_opt node.ac.prepared f_txn with
       | None -> ()
@@ -608,8 +580,7 @@ let replay_record t node = function
           (match prep.final_vc with
           | Some fvc -> node.stable_vc <- Vclock.max node.stable_vc fvc
           | None -> ());
-          Hashtbl.remove node.ac.prepared f_txn;
-          Commitq.remove node.commitq f_txn)
+          Hashtbl.remove node.ac.prepared f_txn)
   | SDecided { d_txn; d_vc } ->
       (* restored decisions no longer drive completion: in-doubt
          participants asking about them must self-finalize *)
@@ -641,17 +612,12 @@ let wound t old exn =
 
 let recover t node =
   let id = node.id in
-  (* Re-derive the volatile side of the prepared table: applied entries
-     re-park and re-insert their snapshot-queue writer entries (the
+  (* Rebuild the writer indexes from the prepared table: applied entries
+     re-park, the others with writes re-queue at their vote stamp (the
      in-doubt ones re-take their locks in [Ac.recover]). *)
   List.iter
     (fun (txn, (p : prep)) ->
-      match p.final_vc with
-      | None -> ()
-      | Some fvc ->
-          park_writer t node p fvc;
-          let sid = Vclock.get fvc id in
-          List.iter (fun (k, _) -> Squeue.insert_write (squeue node k) ~txn ~sid) p.ws_local)
+      match p.final_vc with Some fvc -> park_writer t node txn p fvc | None -> enqueue node txn p)
     (Runtime.sorted_bindings node.ac.prepared);
   (* The checkpoint may predate read-only completions whose bounds fed past
      watermarks; folding the GC floor into the reborn node's visibility
@@ -673,9 +639,7 @@ let recover t node =
       | Some _ when p.finalizing -> handle_finalize t node ~txn ~reply_to:None
       | Some fvc ->
           let sid = Vclock.get fvc id in
-          let keys = List.map fst p.ws_local in
-          Sim.spawn t.sim (fun () ->
-              pre_commit_wait t node ~txn ~sid ~keys ~coord:p.coord ~lsn:None)
+          Sim.spawn t.sim (fun () -> pre_commit_wait t node txn p ~sid ~lsn:None)
       | None -> ());
   (* Reclaim entries the crash orphaned, here and cluster-wide: redo just
      re-inserted propagated readers whose pre-crash Remove left no durable

@@ -19,17 +19,21 @@ type read_resp = {
   from : Ids.node;
 }
 
-(* What a participant remembers between Prepare and Finalize.  The
-   prepare log record and the checkpoint hold private copies ([copy_prep]):
-   the live record's last two fields move on. *)
+(* What a participant remembers between Prepare and Finalize: the only
+   record of a writer here, which the commit queue and the parked index
+   merely order by stamp.  The prepare log record and the checkpoint hold
+   private copies ([copy_prep]) without the volatile [decided] and
+   [released]. *)
 type prep = {
   rs_local : (Ids.key * Ids.txn) list;
   ws_local : (Ids.key * string) list;
   prop_set : (Ids.txn * int) list;
   coord : Ids.node;
-  prep_vc : Vclock.t;  (* the clock sent with the yes-vote (CommitQ position) *)
+  prep_vc : Vclock.t;  (* the clock sent with the yes-vote *)
+  mutable decided : Vclock.t option;  (* the Decide's clock, until applied *)
   mutable final_vc : Vclock.t option;  (* set when the writes are applied *)
   mutable parked_at : float;  (* when it parked: the apply, or the restart *)
+  mutable released : Ids.key list;  (* paper mode: keys its pre-commit wait cleared *)
   mutable finalizing : bool;  (* the coordinator's Finalize has arrived *)
 }
 
@@ -46,7 +50,7 @@ type logrec =
       (** logged before the yes-vote leaves the node *)
   | SAborted of { a_txn : Ids.txn }  (** participant processed Decide(abort) *)
   | SApplied of { ap_txn : Ids.txn; ap_vc : Vclock.t }
-      (** the CommitQ drain installed the writes (redo uses the ws of the
+      (** the commit-queue drain installed the writes (redo uses the ws of the
           matching [SPrepared]) *)
   | SFinalized of { f_txn : Ids.txn }
       (** the prepared entry retired after commit (external commit at a
@@ -71,7 +75,6 @@ type node = {
   id : Ids.node;
   store : Mvstore.t;
   nlog : Nlog.t;
-  commitq : Commitq.t;
   locks : Locks.t;
   squeues : (Ids.key, Squeue.t) Hashtbl.t;
   mutable node_vc : Vclock.t;
@@ -104,9 +107,11 @@ type node = {
   mutable tombstones : Idset.Txns.t;
   forwards : (Ids.txn, (Ids.txn * Ids.node) list ref) Hashtbl.t;
   reader_keys : (Ids.txn, Ids.key list ref) Hashtbl.t;
-  (* The local stamps of the parked writers: the prepared entries that
-     carry a final clock ([park_writer]).  The read path needs the minimum
-     and the smallest stamp above a bound once or twice per read. *)
+  (* The two writer indexes over [ac.prepared], by stamp at this node
+     (see "writer indexes" below): the commit queue, and the parked
+     writers, whose minimum and smallest stamp above a bound the read path
+     needs once or twice per read. *)
+  queued : Stampset.t;
   parked : Stampset.t;
   recent_ws : Slots.Memo.t;  (* write sets coordinated here, for Forward_remove *)
   coordinated : (Ids.txn, coordinated) Hashtbl.t;
@@ -155,7 +160,6 @@ let make_node sim (config : Config.t) repl id =
     id;
     store = Mvstore.create ~nodes ~keys:(Replication.keys_at repl id);
     nlog = Nlog.create ~nodes ~node:id;
-    commitq = Commitq.create ~node:id;
     locks = Locks.create sim;
     squeues = Hashtbl.create 16;
     node_vc = Vclock.zero nodes;
@@ -168,6 +172,7 @@ let make_node sim (config : Config.t) repl id =
     tombstones = Idset.Txns.create ~horizon:Runtime.retention_horizon;
     forwards = Hashtbl.create 16;
     reader_keys = Hashtbl.create 16;
+    queued = Stampset.create ();
     parked = Stampset.create ();
     recent_ws = Slots.Memo.create ~node:id ~horizon:recent_ws_horizon;
     coordinated = Hashtbl.create 16;
@@ -178,7 +183,7 @@ let make_node sim (config : Config.t) repl id =
 
 (* ---- durability helpers ---- *)
 
-let copy_prep (p : prep) = { p with final_vc = p.final_vc }
+let copy_prep (p : prep) = { p with decided = None; released = [] }
 
 (* On-disk size model, in the same spirit as [Message.wire_size]: 16-byte
    record header, 8 bytes per scalar/txn id, raw clocks, values verbatim. *)
@@ -241,7 +246,7 @@ module Ac = Commit (struct
   let locks node = node.locks
   let coord p = p.coord
 
-  (* an applied entry released its locks in the CommitQ drain *)
+  (* an applied entry released its locks in the commit-queue drain *)
   let held p =
     match p.final_vc with
     | None -> (List.map fst p.ws_local, List.map fst p.rs_local)
@@ -253,8 +258,8 @@ end)
 (* Fuzzy-checkpoint snapshot: everything a reborn node cannot re-derive
    from its peers.  [node_vc] is the only clock mutated in place, so it is
    the only one copied; the rest are published (hence frozen) values.
-   CommitQ entries, snapshot-queues and parked stamps are derived from
-   [prepared] at recovery; reader entries are deliberately volatile (losing
+   The commit queue and the parked stamps are derived from [prepared] at
+   recovery; reader entries are deliberately volatile (losing
    one can only make a writer's client answer earlier, never produce a
    stale read — docs/DURABILITY.md). *)
 let snap_of (node : node) =
@@ -329,9 +334,6 @@ let squeue node key =
 let squeue_readers node key =
   match Hashtbl.find_opt node.squeues key with Some q -> Squeue.readers q | None -> []
 
-let squeue_writers node key =
-  match Hashtbl.find_opt node.squeues key with Some q -> Squeue.writers q | None -> []
-
 let squeue_remove node key txn =
   match Hashtbl.find_opt node.squeues key with
   | None -> ()
@@ -369,26 +371,58 @@ let observe_lock t ~acquired =
   | Some o -> Sss_obs.Obs.incr o (if acquired then "lock.acquire" else "lock.release")
   | None -> ()
 
-(* ---- parked writers ---- *)
+(* ---- writer indexes ---- *)
 
-(* A writer is parked here exactly while its prepared entry carries a
-   final clock: [park_writer] sets the clock and indexes its stamp, and
-   every removal from [prepared] outside redo (which runs before any entry
-   re-parks) goes through [drop_prepared]. *)
+(* A write-bearing prepared entry is queued until its writes apply, then
+   parked until it retires: queued exactly while it has no final clock,
+   parked exactly while it has one.  [queued] orders the first by their
+   current stamp: the Decide clock's own entry once the Decide arrived,
+   the vote clock's before.  [parked] orders the second by the final
+   clock's own entry.  Entries enter in [enqueue] and [park_writer] (and
+   in [Server.recover], which rebuilds both from the table), and every
+   removal from [prepared] outside redo goes through [drop_prepared]. *)
 
-let park_writer t node (p : prep) vc =
+let queue_stamp node p = Vclock.get (Option.value p.decided ~default:p.prep_vc) node.id
+
+let enqueue node txn p = if p.ws_local <> [] then Stampset.add node.queued (queue_stamp node p) txn
+
+(* The Decide of a queued entry re-keys it by the decision's clock. *)
+let decide_queued node txn p vc =
+  ignore (Stampset.remove node.queued (queue_stamp node p) txn : bool);
+  p.decided <- Some vc;
+  Stampset.add node.queued (queue_stamp node p) txn
+
+let park_writer t node txn (p : prep) vc =
   p.final_vc <- Some vc;
   p.parked_at <- now t;
-  Stampset.add node.parked (Vclock.get vc node.id);
+  Stampset.add node.parked (Vclock.get vc node.id) txn;
   match t.obs with Some o -> Sss_obs.Obs.incr o "sq.park" | None -> ()
 
 let drop_prepared t node txn =
   (match Hashtbl.find_opt node.ac.prepared txn with
   | Some { final_vc = Some fvc; _ } -> (
-      ignore (Stampset.remove node.parked (Vclock.get fvc node.id) : bool);
+      ignore (Stampset.remove node.parked (Vclock.get fvc node.id) txn : bool);
       match t.obs with Some o -> Sss_obs.Obs.incr o "sq.unpark" | None -> ())
-  | _ -> ());
+  | Some p -> ignore (Stampset.remove node.queued (queue_stamp node p) txn : bool)
+  | None -> ());
   Hashtbl.remove node.ac.prepared txn
+
+(* Whether [txn] is still in the commit queue here. *)
+let is_queued node txn =
+  match Hashtbl.find_opt node.ac.prepared txn with
+  | Some p -> p.ws_local <> [] && Option.is_none p.final_vc
+  | None -> false
+
+(* The writer entry of parked [txn] on [key] (the paper's writer sequence
+   of that key's snapshot-queue): it stands from the apply until the
+   pre-commit wait releases [key] -- key by key in paper mode, every key
+   at the retirement in hardened mode. *)
+let stands_on node txn key =
+  match Hashtbl.find_opt node.ac.prepared txn with
+  | Some { final_vc = Some _; ws_local; released; _ } ->
+      List.exists (fun (k, _) -> Int.equal k key) ws_local
+      && not (List.exists (Int.equal key) released)
+  | _ -> false
 
 (* ---- online version GC (Config.gc) ----
 
@@ -437,11 +471,11 @@ let gc_unregister_ro t txn =
    snapshot-queue cutoff at this node. *)
 let node_watermark g (node : node) =
   let wm = g.wm_cache in
-  match Stampset.min_elt node.parked with
+  match Stampset.min_stamp node.parked with
   | Some s when Vclock.get wm node.id > s - 1 -> Vclock.set wm node.id (s - 1)
   | _ -> wm
 
-(* Hook run by the CommitQ drain after each apply when [Config.gc] is on:
+(* Hook run by the commit-queue drain after each apply when [Config.gc] is on:
    refresh the cached watermark every 256 applies, collect the chains the
    apply just extended, advance the node's round-robin chain sweep (what
    reclaims keys written once and never touched again), and prune the node

@@ -1,11 +1,9 @@
 (** Snapshot-queues — the paper's core new data structure (§III-A).
 
-    Each key has one snapshot-queue holding (a) the read-only transactions
-    that read the key and (b) the update transactions that overwrote it
-    while a read-only transaction was reading it (i.e. writers parked in
-    their Pre-Commit phase).  Entries carry an {e insertion snapshot}: the
-    value of the transaction's vector clock at this node's position when
-    the entry was added.  Conflicting transactions with a smaller insertion
+    Each key has one snapshot-queue holding the read-only transactions
+    that read the key.  Entries carry an {e insertion snapshot}: the value
+    of the transaction's vector clock at this node's position when the
+    entry was added.  Conflicting transactions with a smaller insertion
     snapshot serialize first.
 
     Reader entries come in two flavours:
@@ -17,10 +15,12 @@
       propagated entry as blocking (the reader is known to serialize before
       the writer chain that carried it here).
 
-    Following the implementation note in §V, the queue is split in two —
-    one sequence for readers and one for writers — so read-side scans do
-    not traverse writer entries and vice versa.  Both sequences are kept
-    ordered by [(sid, txn)]. *)
+    Following the implementation note in §V, readers and writers are kept
+    apart.  This module holds the reader sequence, ordered by
+    [(sid, txn)].  The writer sequence is not stored: a writer stands on a
+    key while it is parked (its stamp is in the node's parked index,
+    {!Stampset}) and its pre-commit wait has not released the key (the
+    prepared entry records the released keys). *)
 
 type entry = { txn : Ids.txn; sid : int; propagated : bool }
 
@@ -36,10 +36,6 @@ val insert_read : t -> txn:Ids.txn -> sid:int -> unit
 val insert_propagated : t -> txn:Ids.txn -> sid:int -> unit
 (** Add a propagated (transitive anti-dependency) reader entry. *)
 
-val insert_write : t -> txn:Ids.txn -> sid:int -> unit
-(** Add an update-transaction entry (Pre-Commit start). Idempotent like
-    {!insert_read}. *)
-
 val remove : t -> Ids.txn -> bool
 (** Drop every entry of the given transaction; returns whether anything was
     removed. *)
@@ -50,10 +46,6 @@ val readers : t -> entry list
 (** All read-only entries (direct and propagated) ordered by insertion
     snapshot — what an update transaction's read collects into its
     [PropagatedSet] (Alg. 6 line 25). *)
-
-val writers : t -> entry list
-(** Update entries ordered by insertion snapshot (used to build the
-    [ExcludedSet], Alg. 6 line 7). *)
 
 val blocks_writer : t -> sid:int -> bool
 (** Pre-Commit exit condition (Alg. 4): [true] while there is a direct

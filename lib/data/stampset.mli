@@ -1,11 +1,14 @@
-(** Sorted multiset of integer stamps.
+(** Sorted multiset of (stamp, transaction) pairs.
 
-    Backs the parked-writer index on each node: the set of apply stamps of
-    update transactions that are applied but not yet externally committed.
-    The read path queries it once or twice per read ([min_elt],
-    [first_above], [exists_leq]); insertions and removals happen once per
-    update transaction.  Duplicate stamps are permitted ([remove] drops one
-    occurrence). *)
+    Backs the two writer indexes each node keeps over its prepared entries:
+    the commit queue (write-bearing entries not yet applied, by their
+    current clock entry at the node) and the parked writers (applied but
+    not yet externally committed, by their apply stamp).  Pairs are ordered
+    by stamp, then by transaction ({!Ids.compare_txn}, the order of
+    {!Ids.pack}); equal stamps are permitted.  The read path queries the
+    stamps once or twice per read ([min_stamp], [first_above],
+    [exists_leq]); insertions and removals happen a few times per update
+    transaction. *)
 
 type t
 
@@ -13,26 +16,29 @@ val create : unit -> t
 
 val length : t -> int
 
-val is_empty : t -> bool
+val add : t -> int -> Ids.txn -> unit
 
-val add : t -> int -> unit
+val remove : t -> int -> Ids.txn -> bool
+(** Remove the pair; [false] if absent. *)
 
-val remove : t -> int -> bool
-(** Remove one occurrence; [false] if absent. *)
-
-val mem : t -> int -> bool
-
-val min_elt : t -> int option
+val min_stamp : t -> int option
 (** O(1). *)
 
+val min_txn : t -> Ids.txn option
+(** The transaction of the least pair; O(1). *)
+
 val first_above : t -> int -> int option
-(** Smallest element strictly greater than the argument; O(log n). *)
+(** Smallest stamp strictly greater than the argument; O(log n). *)
 
 val exists_leq : t -> int -> bool
-(** Some element <= the argument; O(1). *)
+(** Some stamp <= the argument; O(1). *)
 
 val exists_below : t -> int -> bool
-(** Some element < the argument; O(1). *)
+(** Some stamp < the argument; O(1). *)
 
-val to_list : t -> int list
+val exists_above : t -> int -> (Ids.txn -> bool) -> bool
+(** Some pair with a stamp strictly greater than the argument whose
+    transaction satisfies the predicate. *)
+
+val to_list : t -> (int * Ids.txn) list
 (** Ascending. *)

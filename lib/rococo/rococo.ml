@@ -240,7 +240,7 @@ let read_rpc h (pending : 'a Rpc.Pending.t) key msg ~phase =
   else
     let dsts = Replication.replicas cl.repl key in
     let rec attempt n =
-      if n > cl.config.Sss_kv.Config.retry_limit then
+      if n > Sss_kv.Config.retry_limit then
         stalled ~phase ~bound:"retry_limit attempts"
           (Printf.sprintf "key %d in %s" key (Ids.txn_to_string h.txn));
       if not (node_live cl home) then crashed home.id;
@@ -360,7 +360,7 @@ let spawn_alive_watchdog t (node : node) ~txn h =
       let rec loop attempt =
         Sim.sleep t.sim (2. *. Sss_kv.Config.retry_max);
         if still_pending () then
-          if attempt >= t.config.Sss_kv.Config.retry_limit then
+          if attempt >= Sss_kv.Config.retry_limit then
             stalled ~phase:"alive query" ~bound:"retry_limit attempts" (Ids.txn_to_string txn)
           else begin
             let req, slot = Rpc.Pending.fresh node.pending_alive in

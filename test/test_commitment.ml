@@ -105,9 +105,9 @@ let prepare t node txn p =
   if not ok then Locks.release_txn node.locks txn;
   ok && Ac.prepare t node txn p (Prepared (txn, p)) ~watch
 
-let cluster ?(durability = false) ?(answering = true) ?(retry_limit = 4) () =
+let cluster ?(durability = false) ?(answering = true) () =
   let sim = Sim.create () in
-  let config = { Sss_kv.Config.default with nodes = 2; durability; retry_limit } in
+  let config = { Sss_kv.Config.default with nodes = 2; durability } in
   let hooks =
     {
       Rt.handler;
@@ -198,7 +198,7 @@ let test_watch_stops_when_settled () =
   let sim, t = cluster () in
   (* the coordinator keeps answering undecided: its vote round stays open *)
   ignore (Ac.open_round t.nodes.(1) (txn 9) ~expect:2 () : unit Runtime.round);
-  (* in doubt for three attempts; a fourth would reach retry_limit *)
+  (* in doubt for three attempts, then settled *)
   t.ext.on_query <- (fun n -> if n = 3 then Hashtbl.remove t.nodes.(0).ac.prepared (txn 9));
   watch_entry t;
   Sim.run_until sim 1.0;
@@ -223,7 +223,7 @@ let test_watch_stalls () =
   | () -> Alcotest.fail "an unanswered watchdog must stall"
   | exception Sss_net.Rpc.Stalled { phase; _ } ->
       Alcotest.(check string) "phase" "in-doubt" phase);
-  Alcotest.(check int) "retry_limit queries" t.config.retry_limit t.ext.queries
+  Alcotest.(check int) "retry_limit queries" Sss_kv.Config.retry_limit t.ext.queries
 
 let test_watch_exits_on_crash () =
   let sim, t = cluster ~durability:true ~answering:false () in
@@ -308,7 +308,7 @@ let test_fence () =
    so a new Prepare on its keys is refused; the re-watched entry then
    settles on the coordinator's verdict. *)
 let test_restart_relocks () =
-  let sim, t = cluster ~durability:true ~retry_limit:64 () in
+  let sim, t = cluster ~durability:true () in
   let coord = t.nodes.(1) and p = { coord = 1; keys = [ 5 ] } in
   (* the coordinator answers undecided until it decides *)
   ignore (Ac.open_round coord (txn 1) ~expect:1 () : unit Runtime.round);
@@ -336,7 +336,7 @@ let test_restart_relocks () =
 (* The checkpoint holds the prepared, decided and fenced parts: with the
    log truncated below it, a restart rebuilds all three from it alone. *)
 let test_checkpoint () =
-  let sim, t = cluster ~durability:true ~answering:false ~retry_limit:64 () in
+  let sim, t = cluster ~durability:true ~answering:false () in
   let node = t.nodes.(0) and own = { Ids.node = 0; local = 2 } in
   Ac.fence t node (txn 3);
   Sim.spawn sim (fun () ->

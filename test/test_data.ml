@@ -557,10 +557,10 @@ let test_squeue_ordering () =
   let q = Squeue.create () in
   Squeue.insert_read q ~txn:(tx 1 1) ~sid:7;
   Squeue.insert_read q ~txn:(tx 2 1) ~sid:3;
-  Squeue.insert_write q ~txn:(tx 0 1) ~sid:8;
+  Squeue.insert_propagated q ~txn:(tx 0 1) ~sid:8;
   Alcotest.(check int) "length" 3 (Squeue.length q);
   let reader_sids = List.map (fun e -> e.Squeue.sid) (Squeue.readers q) in
-  Alcotest.(check (list int)) "readers sorted" [ 3; 7 ] reader_sids
+  Alcotest.(check (list int)) "readers sorted" [ 3; 7; 8 ] reader_sids
 
 let test_squeue_idempotent_insert () =
   let q = Squeue.create () in
@@ -576,10 +576,10 @@ let test_squeue_remove () =
   let q = Squeue.create () in
   Squeue.insert_read q ~txn:(tx 1 1) ~sid:5;
   Squeue.insert_read q ~txn:(tx 1 1) ~sid:6;
-  Squeue.insert_write q ~txn:(tx 2 1) ~sid:9;
+  Squeue.insert_propagated q ~txn:(tx 2 1) ~sid:9;
   Alcotest.(check bool) "removed" true (Squeue.remove q (tx 1 1));
   Alcotest.(check bool) "all entries gone" false (Squeue.mem q (tx 1 1));
-  Alcotest.(check bool) "writer stays" true (Squeue.mem q (tx 2 1));
+  Alcotest.(check bool) "other reader stays" true (Squeue.mem q (tx 2 1));
   Alcotest.(check bool) "second remove is false" false (Squeue.remove q (tx 1 1));
   Alcotest.(check bool) "not empty yet" false (Squeue.is_empty q);
   ignore (Squeue.remove q (tx 2 1));
@@ -593,43 +593,6 @@ let squeue_sorted_property =
       List.iter (fun (who, sid) -> Squeue.insert_read q ~txn:(tx who 1) ~sid) ops;
       let sids = List.map (fun e -> e.Squeue.sid) (Squeue.readers q) in
       List.sort Int.compare sids = sids)
-
-(* ---------- Commitq ---------- *)
-
-let test_commitq_order_and_head () =
-  let q = Commitq.create ~node:0 in
-  Commitq.put q ~txn:(tx 0 1) ~vc:(vc [ 5; 0 ]);
-  Commitq.put q ~txn:(tx 0 2) ~vc:(vc [ 3; 0 ]);
-  (match Commitq.head q with
-  | Some e ->
-      Alcotest.(check bool) "lowest vc[i] first" true (Ids.equal_txn e.Commitq.txn (tx 0 2))
-  | None -> Alcotest.fail "expected head");
-  (* Ready-ing the head with a larger final clock can reorder it. *)
-  Commitq.update q ~txn:(tx 0 2) ~vc:(vc [ 9; 0 ]);
-  (match Commitq.head q with
-  | Some e ->
-      Alcotest.(check bool) "reordered" true (Ids.equal_txn e.Commitq.txn (tx 0 1));
-      Alcotest.(check bool) "still pending" true (e.Commitq.status = Commitq.Pending)
-  | None -> Alcotest.fail "expected head");
-  Commitq.remove q (tx 0 1);
-  (match Commitq.head q with
-  | Some e ->
-      Alcotest.(check bool) "ready head" true (e.Commitq.status = Commitq.Ready)
-  | None -> Alcotest.fail "expected head");
-  Commitq.remove q (tx 0 2);
-  Alcotest.(check int) "drained" 0 (Commitq.length q)
-
-let test_commitq_duplicate_put_rejected () =
-  let q = Commitq.create ~node:0 in
-  Commitq.put q ~txn:(tx 0 1) ~vc:(vc [ 1 ]);
-  Alcotest.check_raises "duplicate put"
-    (Invalid_argument "Commitq.put: duplicate transaction") (fun () ->
-      Commitq.put q ~txn:(tx 0 1) ~vc:(vc [ 2 ]))
-
-let test_commitq_update_missing_is_noop () =
-  let q = Commitq.create ~node:0 in
-  Commitq.update q ~txn:(tx 0 9) ~vc:(vc [ 1 ]);
-  Alcotest.(check int) "still empty" 0 (Commitq.length q)
 
 (* ---------- Nlog ---------- *)
 
@@ -1065,12 +1028,6 @@ let () =
           Alcotest.test_case "idempotent insert" `Quick test_squeue_idempotent_insert;
           Alcotest.test_case "remove" `Quick test_squeue_remove;
           QCheck_alcotest.to_alcotest squeue_sorted_property;
-        ] );
-      ( "commitq",
-        [
-          Alcotest.test_case "order and head" `Quick test_commitq_order_and_head;
-          Alcotest.test_case "duplicate put" `Quick test_commitq_duplicate_put_rejected;
-          Alcotest.test_case "update missing" `Quick test_commitq_update_missing_is_noop;
         ] );
       ( "nlog",
         [

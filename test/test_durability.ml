@@ -456,45 +456,66 @@ let test_images_share_blocks () =
   check "sss" sss_image_only 200;
   check "walter" walter_image_only 40
 
-(* ---------- parked means prepared with a final clock ---------- *)
+(* ---------- the writer indexes are the prepared entries ---------- *)
 
-(* At every event, each node's parked-stamp index holds exactly the own
-   entries of the final clocks its prepared entries carry: a contended
-   durable run with a crash and restart, in hardened and in paper mode. *)
+(* At every event, each node's two writer indexes hold exactly what its
+   prepared entries imply: the parked index the (final stamp, txn) pairs
+   of the entries that carry a final clock, the commit queue the (current
+   stamp, txn) pairs of the write-bearing ones that do not, where the
+   current stamp is the Decide clock's own entry once decided and the vote
+   clock's before.  A contended durable run with a crash and restart, in
+   hardened and in paper mode. *)
 let test_parked_is_prepared_and_applied () =
   let module St = Sss_kv.State in
+  let module Ids = Sss_data.Ids in
+  let module Vc = Sss_data.Vclock in
+  let order (s, a) (s', b) =
+    let c = Int.compare s s' in
+    if c <> 0 then c else Int.compare (Ids.pack a) (Ids.pack b)
+  in
+  let show l =
+    String.concat " " (List.map (fun (s, t) -> Printf.sprintf "%d:%s" s (Ids.txn_to_string t)) l)
+  in
   List.iter
     (fun strict_order ->
       let seed = 3 in
       let config = { (durable_config ~degree:2 ~seed) with total_keys = 8; strict_order } in
       let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
       let cl = Option.get s.kv in
-      let stamps = ref 0 in
+      let stamps = ref 0 and queued = ref 0 in
       let check () =
         Array.iter
           (fun (node : St.node) ->
-            let want =
-              Hashtbl.fold
-                (fun _ (p : St.prep) acc ->
-                  match p.final_vc with
-                  | Some vc -> Sss_data.Vclock.get vc node.id :: acc
-                  | None -> acc)
-                node.ac.Sss_kv.Runtime.prepared []
+            let entries = Sss_kv.Runtime.sorted_bindings node.ac.Sss_kv.Runtime.prepared in
+            let implied pick =
+              List.sort order
+                (List.filter_map
+                   (fun (txn, p) -> Option.map (fun vc -> (Vc.get vc node.id, txn)) (pick p))
+                   entries)
             in
-            let got = Sss_data.Stampset.to_list node.parked in
-            if got <> List.sort Int.compare want then
-              Alcotest.failf "strict_order=%b, node %d at %.6f: parked [%s], applied entries [%s]"
-                strict_order node.id (Sim.now s.sim)
-                (String.concat " " (List.map string_of_int got))
-                (String.concat " " (List.map string_of_int (List.sort Int.compare want)));
-            stamps := !stamps + List.length got)
+            let agree what want got =
+              if not (List.equal (fun (x, a) (y, b) -> x = y && Ids.equal_txn a b) want got)
+              then
+                Alcotest.failf "strict_order=%b, node %d at %.6f: %s [%s], prepared entries imply [%s]"
+                  strict_order node.id (Sim.now s.sim) what (show got) (show want)
+            in
+            let parked = Sss_data.Stampset.to_list node.parked in
+            agree "parked" (implied (fun (p : St.prep) -> p.final_vc)) parked;
+            agree "queued"
+              (implied (fun (p : St.prep) ->
+                   if p.ws_local = [] || Option.is_some p.final_vc then None
+                   else Some (Option.value p.decided ~default:p.prep_vc)))
+              (Sss_data.Stampset.to_list node.queued);
+            stamps := !stamps + List.length parked;
+            queued := !queued + Sss_data.Stampset.length node.queued)
           cl.St.nodes
       in
       Sim.set_probe s.sim (Some check);
       let h = s.chaos (crash_plan ~seed) in
       let o = Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed) in
       assert_recovered Store.Sss seed (o, Chaos.stats h);
-      if !stamps = 0 then Alcotest.failf "strict_order=%b: no writer ever parked" strict_order)
+      if !stamps = 0 then Alcotest.failf "strict_order=%b: no writer ever parked" strict_order;
+      if !queued = 0 then Alcotest.failf "strict_order=%b: no writer ever queued" strict_order)
     [ true; false ]
 
 (* ---------- durability off: the hooks are inert ---------- *)

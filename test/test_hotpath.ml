@@ -1,6 +1,6 @@
 (* Properties for the hot-path optimizations: the sharing/in-place Vclock
-   operations against a naive reference, the parked-writer Stampset index
-   against a sorted-list oracle, the single-pass Squeue.remove against a
+   operations against a naive reference, the Stampset behind the commit
+   queue and the parked index against a sorted-list model, the single-pass Squeue.remove against a
    filter model, and run-to-run determinism of the full SSS cluster on the
    network's inline dispatch path. *)
 
@@ -73,46 +73,69 @@ let test_vclock_blit () =
   Vclock.set_into dst 0 7;
   Alcotest.(check int) "blit did not alias" 4 (Vclock.get src 0)
 
-(* ---------- Stampset vs sorted-list oracle ---------- *)
+(* ---------- Stampset vs sorted-list model ---------- *)
 
-let rec remove_one x = function
-  | [] -> []
-  | y :: rest -> if y = x then rest else y :: remove_one x rest
+(* The commit queue and the parked index: (stamp, txn) pairs, at most one
+   per transaction, entered, re-keyed (a Decide moving a queued entry) and
+   removed in any order.  Stamps come from a small range so that equal
+   stamps, ordered by transaction, are common. *)
 
-let probes = [ 0; 1; 7; 15; 29; 30 ]
+let model_order (s, a) (s', b) =
+  let c = Int.compare s s' in
+  if c <> 0 then c else Int.compare (Ids.pack a) (Ids.pack b)
 
-let stampset_matches_oracle =
-  QCheck.Test.make ~name:"stampset matches sorted-list oracle" ~count:300
-    QCheck.(list (pair bool (int_bound 30)))
+let probes = [ -1; 0; 1; 3; 5; 6 ]
+
+let stampset_matches_model =
+  QCheck.Test.make ~name:"stampset matches sorted-list model" ~count:500
+    QCheck.(list (triple (int_bound 2) (int_bound 5) (int_bound 7)))
     (fun ops ->
       let s = Stampset.create () in
       let model = ref [] in
+      let find txn = List.find_opt (fun (_, t) -> Ids.equal_txn t txn) !model in
+      let without txn = List.filter (fun (_, t) -> not (Ids.equal_txn t txn)) !model in
+      let set l = model := List.sort model_order l in
       List.for_all
-        (fun (is_add, x) ->
+        (fun (op, x, i) ->
+          let txn : Ids.txn = { node = i mod 3; local = i / 3 } in
           let op_ok =
-            if is_add then begin
-              Stampset.add s x;
-              model := List.sort compare (x :: !model);
-              true
-            end
-            else begin
-              let present = List.mem x !model in
-              let removed = Stampset.remove s x in
-              if present then model := remove_one x !model;
-              removed = present
-            end
+            match (op, find txn) with
+            | 0, None ->
+                Stampset.add s x txn;
+                set ((x, txn) :: !model);
+                true
+            | 1, Some (old, _) ->
+                (* re-key *)
+                let removed = Stampset.remove s old txn in
+                Stampset.add s x txn;
+                set ((x, txn) :: without txn);
+                removed
+            | 2, found ->
+                (* remove at [x]: present only if the pair is *)
+                let present = match found with Some (y, _) -> y = x | None -> false in
+                if present then set (without txn);
+                Stampset.remove s x txn = present
+            | _ -> true
           in
-          op_ok
-          && Stampset.to_list s = !model
+          let l = Stampset.to_list s in
+          let rec sorted = function
+            | a :: (b :: _ as rest) -> model_order a b < 0 && sorted rest
+            | _ -> true
+          in
+          let stamps = List.map fst !model in
+          op_ok && sorted l
+          && List.equal (fun (x, a) (y, b) -> x = y && Ids.equal_txn a b) l !model
           && Stampset.length s = List.length !model
-          && Stampset.is_empty s = (!model = [])
-          && Stampset.min_elt s = (match !model with [] -> None | h :: _ -> Some h)
+          && Stampset.min_stamp s = (match !model with [] -> None | (h, _) :: _ -> Some h)
+          && Option.equal Ids.equal_txn (Stampset.min_txn s)
+               (match !model with [] -> None | (_, t) :: _ -> Some t)
           && List.for_all
                (fun p ->
-                 Stampset.mem s p = List.mem p !model
-                 && Stampset.first_above s p = List.find_opt (fun y -> y > p) !model
-                 && Stampset.exists_leq s p = List.exists (fun y -> y <= p) !model
-                 && Stampset.exists_below s p = List.exists (fun y -> y < p) !model)
+                 Stampset.first_above s p = List.find_opt (fun y -> y > p) stamps
+                 && Stampset.exists_leq s p = List.exists (fun y -> y <= p) stamps
+                 && Stampset.exists_below s p = List.exists (fun y -> y < p) stamps
+                 && Stampset.exists_above s p (fun t -> t.Ids.node = 1)
+                    = List.exists (fun (y, t) -> y > p && t.Ids.node = 1) !model)
                probes)
         ops)
 
@@ -124,27 +147,24 @@ let squeue_remove_matches_model =
   QCheck.Test.make ~name:"squeue remove matches filter model" ~count:300
     QCheck.(
       pair
-        (list (quad (int_bound 2) (int_bound 2) (int_bound 3) (int_bound 20)))
+        (list (quad bool (int_bound 2) (int_bound 3) (int_bound 20)))
         (pair (int_bound 2) (int_bound 3)))
     (fun (inserts, (vn, vl)) ->
       let q = Squeue.create () in
       List.iter
-        (fun (kind, node, local, sid) ->
+        (fun (propagated, node, local, sid) ->
           let txn : Ids.txn = { node; local } in
-          match kind with
-          | 0 -> Squeue.insert_read q ~txn ~sid
-          | 1 -> Squeue.insert_propagated q ~txn ~sid
-          | _ -> Squeue.insert_write q ~txn ~sid)
+          if propagated then Squeue.insert_propagated q ~txn ~sid
+          else Squeue.insert_read q ~txn ~sid)
         inserts;
       let victim : Ids.txn = { node = vn; local = vl } in
-      let before_r = Squeue.readers q and before_w = Squeue.writers q in
+      let before = Squeue.readers q in
       let was_present = Squeue.mem q victim in
       let removed = Squeue.remove q victim in
       let keep (e : Squeue.entry) = not (Ids.equal_txn e.txn victim) in
       removed = was_present
       && (not (Squeue.mem q victim))
-      && Squeue.readers q = List.filter keep before_r
-      && Squeue.writers q = List.filter keep before_w)
+      && Squeue.readers q = List.filter keep before)
 
 (* ---------- inline-dispatch determinism ---------- *)
 
@@ -247,7 +267,7 @@ let () =
           Alcotest.test_case "unsafe_of_array shares" `Quick test_vclock_unsafe_of_array_shares;
           Alcotest.test_case "blit" `Quick test_vclock_blit;
         ] );
-      ("stampset", [ QCheck_alcotest.to_alcotest stampset_matches_oracle ]);
+      ("stampset", [ QCheck_alcotest.to_alcotest stampset_matches_model ]);
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_matches_model ]);
       ( "determinism",
         [

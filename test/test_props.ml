@@ -481,29 +481,6 @@ let memo_model =
       check ();
       !ok)
 
-(* ---------- Commitq: random puts/updates/removes keep order ---------- *)
-
-let commitq_ordered =
-  QCheck.Test.make ~name:"commitq entries always sorted by local clock" ~count:200
-    QCheck.(list (pair (int_bound 20) (int_bound 100)))
-    (fun ops ->
-      let q = Commitq.create ~node:0 in
-      List.iteri
-        (fun i (who, v) ->
-          let txn = tx who i in
-          if not (Commitq.mem q txn) then
-            Commitq.put q ~txn ~vc:(Vclock.of_array [| v |]);
-          if i mod 3 = 0 then
-            Commitq.update q ~txn ~vc:(Vclock.of_array [| v + 5 |]);
-          if i mod 7 = 0 then Commitq.remove q txn)
-        ops;
-      let rec sorted = function
-        | a :: (b :: _ as rest) ->
-            Vclock.get a.Commitq.vc 0 <= Vclock.get b.Commitq.vc 0 && sorted rest
-        | _ -> true
-      in
-      sorted (Commitq.to_list q))
-
 (* ---------- Locks: random acquire/release keeps exclusion ---------- *)
 
 let test_locks_exclusion_invariant () =
@@ -869,7 +846,6 @@ let () =
           QCheck_alcotest.to_alcotest nlog_columnar_model;
           QCheck_alcotest.to_alcotest memo_model;
         ] );
-      ("commitq", [ QCheck_alcotest.to_alcotest commitq_ordered ]);
       ("locks", [ Alcotest.test_case "exclusion invariant" `Quick test_locks_exclusion_invariant ]);
       ("replication", [ QCheck_alcotest.to_alcotest replication_props ]);
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_model ]);

@@ -7,7 +7,7 @@ open Sss_data
 open Sss_kv
 open Sss_consistency
 
-let make ?(nodes = 2) ?(degree = 1) ?(keys = 16) ?(seed = 1) () =
+let make ?(nodes = 2) ?(degree = 1) ?(keys = 16) ?(seed = 1) ?(observe = false) () =
   let sim = Sim.create () in
   let config =
     {
@@ -16,6 +16,7 @@ let make ?(nodes = 2) ?(degree = 1) ?(keys = 16) ?(seed = 1) () =
       replication_degree = degree;
       total_keys = keys;
       seed;
+      observe;
     }
   in
   let cl = Kv.create sim config in
@@ -149,6 +150,37 @@ let test_fig1_anti_dependency_delays_external_commit () =
   | l -> Alcotest.fail (Printf.sprintf "expected 1 latency record, got %d" (List.length l)));
   check_ok "external consistency" (Checker.external_consistency (Kv.history cl));
   check_ok "quiescent (snapshot queues drained)" (Kv.quiescent cl)
+
+(* A Decide that arrives again after the apply (a lost-Decide retry, the
+   watchdog's completion) changes nothing: the writer stays parked under
+   its final clock and does not re-enter the commit queue. *)
+let test_duplicate_decide_after_apply () =
+  let sim, cl = make ~nodes:2 ~degree:1 () in
+  let ky = key_on cl 1 and node = State.node cl 1 in
+  let checked = ref false in
+  Sim.spawn sim (fun () ->
+      let r = Kv.begin_txn cl ~node:0 ~read_only:true in
+      ignore (Kv.read r ky);
+      Sim.sleep sim 0.010;
+      ignore (Kv.commit r));
+  Sim.schedule sim ~delay:0.001 (fun () ->
+      let w = Kv.begin_txn cl ~node:1 ~read_only:false in
+      Kv.write w ky "y1";
+      Sim.schedule sim ~delay:0.004 (fun () ->
+          (* applied, and held by the reader's entry *)
+          let txn = Kv.txn_id w in
+          let p = Hashtbl.find node.State.ac.Runtime.prepared txn in
+          let vc = Option.get p.State.final_vc in
+          let parked = Stampset.to_list node.State.parked in
+          Server.handle_decide cl node ~txn ~vc ~outcome:true;
+          Alcotest.(check int) "commit queue stays empty" 0 (Stampset.length node.State.queued);
+          Alcotest.(check bool) "still parked" true (parked = Stampset.to_list node.State.parked);
+          Alcotest.(check bool) "final clock kept" true (Option.get p.State.final_vc == vc);
+          checked := true);
+      ignore (Kv.commit w : bool));
+  Sim.run sim;
+  Alcotest.(check bool) "checked while parked" true !checked;
+  check_ok "quiescent" (Kv.quiescent cl)
 
 (* While an update transaction is parked in a snapshot-queue, its written
    keys are already visible to subsequent *update* transactions (the
@@ -298,6 +330,22 @@ let test_chased_writer_leaves_no_entry () =
       check_ok (what ^ ": quiescent") (Kv.quiescent cl))
     [ ("abort", Kv.abort); ("write-free commit", fun w -> ignore (Kv.commit w : bool)) ]
 
+(* An update transaction's reads leave no snapshot-queue entry, so one
+   that commits with no writes has nothing to Remove: it sends no Remove,
+   and the replica it read keeps no tombstone for it. *)
+let test_write_free_update_sends_no_remove () =
+  let sim, cl = make ~nodes:2 ~degree:1 ~observe:true () in
+  Sim.spawn sim (fun () ->
+      let w = Kv.begin_txn cl ~node:0 ~read_only:false in
+      ignore (Kv.read w (key_on cl 1));
+      ignore (Kv.commit w : bool));
+  Sim.run sim;
+  let o = Option.get (Kv.obs cl) in
+  Alcotest.(check int) "Remove messages" 0 (Sss_obs.Obs.counter o "msg.sent.remove");
+  Alcotest.(check int) "tombstones at node 1" 0
+    (Idset.Txns.cardinal (State.node cl 1).State.tombstones);
+  check_ok "quiescent" (Kv.quiescent cl)
+
 (* Run a random closed-loop workload and verify every property the paper
    claims, via the checker. *)
 let run_workload ~nodes ~degree ~keys ~ro_ratio ~seed ~duration =
@@ -393,9 +441,13 @@ let () =
           Alcotest.test_case "fig1 anti-dependency delay" `Quick
             test_fig1_anti_dependency_delays_external_commit;
           Alcotest.test_case "pre-commit visibility" `Quick test_precommit_values_visible;
+          Alcotest.test_case "duplicate decide after apply" `Quick
+            test_duplicate_decide_after_apply;
           Alcotest.test_case "fig2 non-conflicting order" `Quick test_fig2_no_divergent_orders;
           Alcotest.test_case "conflict aborts one" `Quick test_conflicting_update_aborts;
           Alcotest.test_case "ro abort cleanup" `Quick test_ro_abort_then_cleanup;
+          Alcotest.test_case "write-free update sends no Remove" `Quick
+            test_write_free_update_sends_no_remove;
           Alcotest.test_case "chased writer leaves no entry" `Quick
             test_chased_writer_leaves_no_entry;
         ] );

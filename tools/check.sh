@@ -21,7 +21,9 @@
 #                             admission rejection and GC drops actually
 #                             happened
 #   7. perfbench self-test  — the benchmark must still report each of its
-#                             known-bad configurations as a failure
+#                             known-bad configurations as a failure, with
+#                             output test/golden/perfbench_selftest.txt
+#                             byte-for-byte
 #   8. stress --open        — the 100- and 200-node open-loop rungs keep
 #                             version retention flat, end quiescent, and
 #                             pass the checker battery over their history
@@ -99,9 +101,17 @@ echo "check: saturation gates OK"
 
 echo "check: perfbench self-test"
 # The known-bad configurations (perfbench/workloads.ml) must each read as
-# failing; --force re-runs it on an unchanged tree, so every line
-# is printed on every gate.
-dune build --force @perfbench/selftest
+# failing, and their lines (attempted, failed and stalled counts, the
+# checks that failed) pin the trajectories of the runs behind them.
+dune build perfbench/perfbench.exe
+./_build/default/perfbench/perfbench.exe --selftest > BENCH_selftest_check.txt
+if ! cmp -s BENCH_selftest_check.txt test/golden/perfbench_selftest.txt; then
+  diff BENCH_selftest_check.txt test/golden/perfbench_selftest.txt >&2 || true
+  echo "check FAIL: perfbench self-test output diverged from test/golden/perfbench_selftest.txt" >&2
+  echo "  (regenerate with 'perfbench.exe --selftest' only if intentional)" >&2
+  exit 1
+fi
+rm -f BENCH_selftest_check.txt
 
 echo "check: stress --open"
 # The large open-loop ladder records its history; every rung must pass
