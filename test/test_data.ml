@@ -594,6 +594,48 @@ let squeue_sorted_property =
       let sids = List.map (fun e -> e.Squeue.sid) (Squeue.readers q) in
       List.sort Int.compare sids = sids)
 
+(* ---------- Commit queue ----------
+
+   The commit queue is a Stampset index over the node's prepared entries:
+   an entry enters at its vote clock's own entry and a Decide re-keys it by
+   the decision clock's.  Whether the entry is decided lives in the
+   prepared entry itself, so only the order is checked here. *)
+
+let test_commitq_order_and_head () =
+  let q = Stampset.create () in
+  Stampset.add q 5 (tx 0 1);
+  Stampset.add q 3 (tx 0 2);
+  let head () =
+    match Stampset.min_txn q with Some t -> t | None -> Alcotest.fail "expected head"
+  in
+  Alcotest.(check bool) "lowest vc[i] first" true (Ids.equal_txn (head ()) (tx 0 2));
+  (* Re-keying the head by a larger decision clock can reorder it. *)
+  Alcotest.(check bool) "re-key finds the entry" true (Stampset.remove q 3 (tx 0 2));
+  Stampset.add q 9 (tx 0 2);
+  Alcotest.(check bool) "reordered" true (Ids.equal_txn (head ()) (tx 0 1));
+  Alcotest.(check (option int)) "head stamp" (Some 5) (Stampset.min_stamp q);
+  (* Equal stamps from different mints order by transaction. *)
+  Stampset.add q 5 (tx 1 0);
+  Alcotest.(check bool) "tie broken by txn" true (Ids.equal_txn (head ()) (tx 0 1));
+  Alcotest.(check bool) "removed" true (Stampset.remove q 5 (tx 0 1));
+  Alcotest.(check bool) "tied entry next" true (Ids.equal_txn (head ()) (tx 1 0));
+  ignore (Stampset.remove q 5 (tx 1 0) : bool);
+  Alcotest.(check bool) "decided head" true (Ids.equal_txn (head ()) (tx 0 2));
+  ignore (Stampset.remove q 9 (tx 0 2) : bool);
+  Alcotest.(check int) "drained" 0 (Stampset.length q);
+  Alcotest.(check (option int)) "no head" None (Stampset.min_stamp q)
+
+(* A duplicate Decide after the apply finds no queued pair: removing an
+   absent pair reports it and leaves the queue as it was. *)
+let test_commitq_update_missing_is_noop () =
+  let q = Stampset.create () in
+  Alcotest.(check bool) "absent" false (Stampset.remove q 1 (tx 0 9));
+  Alcotest.(check int) "still empty" 0 (Stampset.length q);
+  Stampset.add q 4 (tx 0 1);
+  Alcotest.(check bool) "other txn at the stamp" false (Stampset.remove q 4 (tx 0 9));
+  Alcotest.(check bool) "same txn at another stamp" false (Stampset.remove q 5 (tx 0 1));
+  Alcotest.(check int) "entry kept" 1 (Stampset.length q)
+
 (* ---------- Nlog ---------- *)
 
 let test_nlog_most_recent () =
@@ -1028,6 +1070,11 @@ let () =
           Alcotest.test_case "idempotent insert" `Quick test_squeue_idempotent_insert;
           Alcotest.test_case "remove" `Quick test_squeue_remove;
           QCheck_alcotest.to_alcotest squeue_sorted_property;
+        ] );
+      ( "commitq",
+        [
+          Alcotest.test_case "order and head" `Quick test_commitq_order_and_head;
+          Alcotest.test_case "update missing" `Quick test_commitq_update_missing_is_noop;
         ] );
       ( "nlog",
         [

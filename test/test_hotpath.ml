@@ -1,8 +1,9 @@
 (* Properties for the hot-path optimizations: the sharing/in-place Vclock
    operations against a naive reference, the Stampset behind the commit
-   queue and the parked index against a sorted-list model, the single-pass Squeue.remove against a
-   filter model, and run-to-run determinism of the full SSS cluster on the
-   network's inline dispatch path. *)
+   queue and the parked index against a sorted-list oracle, the
+   single-pass Squeue.remove against a filter model, and run-to-run
+   determinism of the full SSS cluster on the network's inline dispatch
+   path. *)
 
 open Sss_sim
 open Sss_data
@@ -73,7 +74,7 @@ let test_vclock_blit () =
   Vclock.set_into dst 0 7;
   Alcotest.(check int) "blit did not alias" 4 (Vclock.get src 0)
 
-(* ---------- Stampset vs sorted-list model ---------- *)
+(* ---------- Stampset vs sorted-list oracle ---------- *)
 
 (* The commit queue and the parked index: (stamp, txn) pairs, at most one
    per transaction, entered, re-keyed (a Decide moving a queued entry) and
@@ -86,8 +87,8 @@ let model_order (s, a) (s', b) =
 
 let probes = [ -1; 0; 1; 3; 5; 6 ]
 
-let stampset_matches_model =
-  QCheck.Test.make ~name:"stampset matches sorted-list model" ~count:500
+let stampset_matches_oracle =
+  QCheck.Test.make ~name:"stampset matches sorted-list oracle" ~count:500
     QCheck.(list (triple (int_bound 2) (int_bound 5) (int_bound 7)))
     (fun ops ->
       let s = Stampset.create () in
@@ -267,7 +268,7 @@ let () =
           Alcotest.test_case "unsafe_of_array shares" `Quick test_vclock_unsafe_of_array_shares;
           Alcotest.test_case "blit" `Quick test_vclock_blit;
         ] );
-      ("stampset", [ QCheck_alcotest.to_alcotest stampset_matches_model ]);
+      ("stampset", [ QCheck_alcotest.to_alcotest stampset_matches_oracle ]);
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_matches_model ]);
       ( "determinism",
         [

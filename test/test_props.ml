@@ -481,6 +481,45 @@ let memo_model =
       check ();
       !ok)
 
+(* ---------- Commit queue: random puts/re-keys/removes keep order ----------
+
+   The commit queue is a Stampset index over the prepared entries: an
+   entry enters at its vote clock's own entry, a Decide re-keys it by the
+   decision clock's, and the apply or an abort removes it. *)
+
+let commitq_ordered =
+  QCheck.Test.make ~name:"commitq entries always sorted by local clock" ~count:200
+    QCheck.(list (pair (int_bound 20) (int_bound 100)))
+    (fun ops ->
+      let q = Stampset.create () in
+      let stamp = Hashtbl.create 16 in
+      List.iteri
+        (fun i (who, v) ->
+          let txn = tx who i in
+          if not (Hashtbl.mem stamp txn) then begin
+            Stampset.add q v txn;
+            Hashtbl.replace stamp txn v
+          end;
+          if i mod 3 = 0 then begin
+            ignore (Stampset.remove q (Hashtbl.find stamp txn) txn : bool);
+            Stampset.add q (v + 5) txn;
+            Hashtbl.replace stamp txn (v + 5)
+          end;
+          if i mod 7 = 0 then begin
+            ignore (Stampset.remove q (Hashtbl.find stamp txn) txn : bool);
+            Hashtbl.remove stamp txn
+          end)
+        ops;
+      let rec sorted = function
+        | (s, a) :: ((s', b) :: _ as rest) ->
+            (s < s' || (s = s' && Ids.compare_txn a b < 0)) && sorted rest
+        | _ -> true
+      in
+      let l = Stampset.to_list q in
+      sorted l
+      && List.length l = Hashtbl.length stamp
+      && List.for_all (fun (s, txn) -> Hashtbl.find_opt stamp txn = Some s) l)
+
 (* ---------- Locks: random acquire/release keeps exclusion ---------- *)
 
 let test_locks_exclusion_invariant () =
@@ -846,6 +885,7 @@ let () =
           QCheck_alcotest.to_alcotest nlog_columnar_model;
           QCheck_alcotest.to_alcotest memo_model;
         ] );
+      ("commitq", [ QCheck_alcotest.to_alcotest commitq_ordered ]);
       ("locks", [ Alcotest.test_case "exclusion invariant" `Quick test_locks_exclusion_invariant ]);
       ("replication", [ QCheck_alcotest.to_alcotest replication_props ]);
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_model ]);
