@@ -45,9 +45,9 @@ let remote_read h key =
     o.vc <- visibility_floor h.cl h.home ~ro:h.ro;
     o.started <- true;
     (* the bound is now fixed-then-growing, so this is the moment the
-       snapshot can pin the GC watermark (registering at begin would be
-       wrong: the paper-mode refresh is not entry-wise monotone) *)
-    if h.ro then State.gc_register_ro h.cl h.txn o.vc
+       snapshot can pin the GC watermark (pinning at begin would be wrong:
+       the paper-mode refresh is not entry-wise monotone) *)
+    if h.ro then Hashtbl.replace h.home.coordinated h.txn (Reading o.vc)
   end;
   (* All replicas are contacted; the fastest answer wins (§III-C). *)
   let resp =
@@ -205,16 +205,13 @@ let commit_update h ~chased =
 let commit h =
   close h "commit";
   let chased = start_finishing h.home h.txn in
-  if h.ro then State.gc_unregister_ro h.cl h.txn;
   if h.ws = [] then commit_read_only h else commit_update h ~chased
 
 (* Voluntary abort before commit: nothing distributed is held yet except
    the snapshot-queue entries of a read-only transaction's reads, which the
    Remove message clears. *)
 let abort h =
-  client_abort h (fun () ->
-      finish h.home h.txn;
-      if h.ro then State.gc_unregister_ro h.cl h.txn);
+  client_abort h (fun () -> finish h.home h.txn);
   let keys = read_keys h in
   if h.ro && keys <> [] then
     send_nodes h.cl ~src:h.home.id ~dsts:(replica_nodes h.cl keys) (Message.Remove { txn = h.txn })

@@ -99,4 +99,5 @@ let quiescent (t : cluster) =
       @ State.Ac.lingering n
       @ State.residue n "transactions still hold locks" (Locks.holder_count n.State.locks)
       @ State.residue n "coordinated transactions unfinished" (Hashtbl.length n.State.coordinated)
+      @ State.residue n "reader records" (Hashtbl.length n.State.readers)
       @ State.residue n "parked stamps" (Stampset.length n.State.parked))

@@ -27,8 +27,10 @@
       aborted it.  [abort] also clears a read-only transaction's
       snapshot-queue entries;
     - [quiescent] checks that snapshot-queues and commit queues are empty
-      and that no lock, prepared entry, parked stamp or coordinator-table
-      entry (open or finishing transaction) remains;
+      and that no lock, prepared entry, parked stamp, coordinator-table
+      entry (open, reading or finishing transaction) or reader record (a
+      read-only transaction's keys and forwards at a participant, which
+      its Remove takes) remains;
     - [restart_node] re-installs applied writes from the log, re-takes the
       locks of in-doubt prepared transactions, re-parks applied but
       unfinalized writers, reconnects the NIC, resumes interrupted

@@ -182,13 +182,16 @@ let handle_read t node ~src ~req ~txn ~key ~vc ~has_read ~is_update =
    forces them to wait for its writes on every written key. *)
 let handle_remove t node ~reader =
   Idset.Txns.add node.tombstones reader ~now:(now t);
-  let keys = take node.reader_keys reader in
-  List.iter (fun k -> squeue_remove node k reader) keys;
-  if keys <> [] then Sim.Cond.broadcast t.sim node.squeue_changed;
-  List.iter
-    (fun (writer, coord) ->
-      send t ~src:node.id ~dst:coord (Message.Forward_remove { reader; writer }))
-    (take node.forwards reader)
+  match Hashtbl.find_opt node.readers reader with
+  | None -> ()
+  | Some r ->
+      Hashtbl.remove node.readers reader;
+      List.iter (fun k -> squeue_remove node k reader) r.keys;
+      if r.keys <> [] then Sim.Cond.broadcast t.sim node.squeue_changed;
+      List.iter
+        (fun (writer, coord) ->
+          send t ~src:node.id ~dst:coord (Message.Forward_remove { reader; writer }))
+        r.forwards
 
 (* Wait until no reader entry blocks a writer of stamp [sid] at [key].
    Without durability a blocking entry always has a live owner whose
@@ -548,7 +551,8 @@ let load_snap t node (s : snap) =
   node.minted <- s.s_minted;
   Ac.load t node s.s_ac;
   node.tombstones <- Idset.Txns.copy s.s_tombstones;
-  List.iter (fun (r, l) -> Hashtbl.replace node.forwards r (ref l)) s.s_forwards;
+  let restore (r, forwards) = Hashtbl.replace node.readers r { keys = []; forwards } in
+  List.iter restore s.s_forwards;
   Slots.Memo.restore node.recent_ws s.s_recent_ws
 
 let replay_record t node = function
@@ -599,16 +603,7 @@ let wound t old exn =
   Ac.wound t old exn;
   fill_acks t old.ack_boxes;
   Sim.Cond.broadcast t.sim old.nlog_changed;
-  Sim.Cond.broadcast t.sim old.squeue_changed;
-  (* Read-only transactions homed here die with the node (their clients
-     observe Crashed and abandon them): release their watermark pins, or
-     the GC floor would stay anchored to a snapshot nobody can use. *)
-  match t.ext.gc with
-  | Some g ->
-      List.iter
-        (fun (txn, _) -> Hashtbl.remove g.ro_bounds txn)
-        (Runtime.sorted_bindings old.coordinated)
-  | None -> ()
+  Sim.Cond.broadcast t.sim old.squeue_changed
 
 let recover t node =
   let id = node.id in

@@ -39,9 +39,17 @@ type prep = {
 
 (* A transaction this node coordinates, from its begin until its commit or
    abort returns: open, with the readers whose Removes chased it here
-   before it prepared (it must not propagate them), then finishing, with
-   the replies owed to Wait_finalized requests, sent when it ends. *)
-type coordinated = Open of Ids.txn list | Finishing of (unit -> unit) list
+   before it prepared (it must not propagate them); a read-only one
+   reading from its first read, with the visibility bound that pins the GC
+   watermark ([cluster_watermark]); then finishing, with the replies owed
+   to Wait_finalized requests, sent when it ends. *)
+type coordinated = Open of Ids.txn list | Reading of Vclock.t | Finishing of (unit -> unit) list
+
+(* A read-only transaction at a participant, from its first entry here
+   until its Remove: the keys whose snapshot-queues hold its entries, and
+   the (writer, coordinator) pairs those entries were propagated to, which
+   the Remove chases. *)
+type reader = { mutable keys : Ids.key list; mutable forwards : (Ids.txn * Ids.node) list }
 
 (* ---- write-ahead log records and checkpoint snapshot (durability mode) ---- *)
 
@@ -105,8 +113,7 @@ type node = {
          round 1 *)
   (* Remove propagation machinery *)
   mutable tombstones : Idset.Txns.t;
-  forwards : (Ids.txn, (Ids.txn * Ids.node) list ref) Hashtbl.t;
-  reader_keys : (Ids.txn, Ids.key list ref) Hashtbl.t;
+  readers : (Ids.txn, reader) Hashtbl.t;
   (* The two writer indexes over [ac.prepared], by stamp at this node
      (see "writer indexes" below): the commit queue, and the parked
      writers, whose minimum and smallest stamp above a bound the read path
@@ -128,16 +135,11 @@ type stats = {
   mutable collect_latencies : bool;
 }
 
-(* Online GC bookkeeping ([None] unless [Config.gc]).  [ro_bounds] holds
-   the visibility bound of every live read-only transaction, registered at
-   its first read (where the bound is refreshed and then only grows) and
-   removed at commit/abort/crash; the cluster low-watermark is the
-   entry-wise minimum over these and every node's [coordinated_max] — the
-   floor below which no live or future reader can look. *)
+(* Online GC bookkeeping ([None] unless [Config.gc]); the inputs of the
+   cluster low-watermark live in the nodes ([cluster_watermark]). *)
 type gc_state = {
-  ro_bounds : (Ids.txn, Vclock.t) Hashtbl.t;
   (* cached cluster watermark: every input is monotone (given first-read
-     registration), so a stale cache is merely conservative *)
+     pinning), so a stale cache is merely conservative *)
   mutable wm_cache : Vclock.t;
   (* running max over watermarks ever applied; folded into a reborn node's
      [coordinated_max] so recovery can never re-expose collected state *)
@@ -170,8 +172,7 @@ let make_node sim (config : Config.t) repl id =
     ac = Runtime.commitment id;
     ack_boxes = Hashtbl.create 16;
     tombstones = Idset.Txns.create ~horizon:Runtime.retention_horizon;
-    forwards = Hashtbl.create 16;
-    reader_keys = Hashtbl.create 16;
+    readers = Hashtbl.create 16;
     queued = Stampset.create ();
     parked = Stampset.create ();
     recent_ws = Slots.Memo.create ~node:id ~horizon:recent_ws_horizon;
@@ -261,7 +262,8 @@ end)
    The commit queue and the parked stamps are derived from [prepared] at
    recovery; reader entries are deliberately volatile (losing
    one can only make a writer's client answer earlier, never produce a
-   stale read — docs/DURABILITY.md). *)
+   stale read — docs/DURABILITY.md), so only the readers' forwards are
+   imaged. *)
 let snap_of (node : node) =
   {
     s_store = Mvstore.image_of node.store;
@@ -272,7 +274,10 @@ let snap_of (node : node) =
     s_minted = node.minted;
     s_ac = Ac.image node;
     s_tombstones = Idset.Txns.copy node.tombstones;
-    s_forwards = List.map (fun (r, l) -> (r, !l)) (Runtime.sorted_bindings node.forwards);
+    s_forwards =
+      List.filter_map
+        (fun (r, rd) -> if rd.forwards = [] then None else Some (r, rd.forwards))
+        (Runtime.sorted_bindings node.readers);
     s_recent_ws = Slots.Memo.image node.recent_ws;
   }
 
@@ -284,7 +289,6 @@ let create sim (config : Config.t) hooks =
         (if config.gc then
            Some
              {
-               ro_bounds = Hashtbl.create 16;
                wm_cache = Vclock.zero config.nodes;
                floor_used = Vclock.zero config.nodes;
                applies_since_refresh = 0;
@@ -427,42 +431,35 @@ let stands_on node txn key =
 (* ---- online version GC (Config.gc) ----
 
    The cluster low-watermark is the entry-wise minimum over (a) every
-   node's [coordinated_max] and (b) every registered live read-only bound.
-   Every future read-only bound dominates its home's [coordinated_max]
-   (both the strict and the paper-mode first-read refresh fold it in), and
-   registered bounds only grow after registration, so the watermark is
-   non-decreasing and a cached value stays valid.  GC passes add no events
-   and draw no randomness: with the policy on, trajectories are identical
-   to GC-off (verified by a test_consistency property test). *)
+   node's [coordinated_max] and (b) every [Reading] coordinator entry's
+   bound, the pin a read-only transaction takes at its first read (where
+   its bound is refreshed and becomes monotone) and drops at commit or
+   abort, or with its home's record at a crash.  Every future read-only
+   bound dominates its home's [coordinated_max] (both the strict and the
+   paper-mode first-read refresh fold it in), and pinned bounds only grow
+   after pinning, so the watermark is non-decreasing and a cached value
+   stays valid.  GC passes add no events and draw no randomness: with the
+   policy on, trajectories are identical to GC-off (verified by a
+   test_consistency property test). *)
 
-let cluster_watermark t g =
+let cluster_watermark t =
   let n = t.config.Config.nodes in
   let wm = Array.make n max_int in
+  let lower vc =
+    for w = 0 to n - 1 do
+      let c = Vclock.get vc w in
+      if c < wm.(w) then wm.(w) <- c
+    done
+  in
   Array.iter
     (fun node ->
-      for w = 0 to n - 1 do
-        let c = Vclock.get node.coordinated_max w in
-        if c < wm.(w) then wm.(w) <- c
-      done)
+      lower node.coordinated_max;
+      (Hashtbl.iter
+         (fun _ -> function Reading b -> lower b | Open _ | Finishing _ -> ())
+         node.coordinated [@order_ok]))
     t.nodes;
-  (Hashtbl.fold
-     (fun _ b () ->
-       for w = 0 to n - 1 do
-         let c = Vclock.get b w in
-         if c < wm.(w) then wm.(w) <- c
-       done)
-     g.ro_bounds () [@order_ok]);
   (* [wm] is never written after adoption *)
   (Vclock.unsafe_of_array wm [@owned])
-
-(* A read-only transaction enters the watermark at its first read — the
-   moment its bound is refreshed and becomes monotone (a paper-mode bound
-   registered at begin could still shrink at the refresh). *)
-let gc_register_ro t txn bound =
-  match t.ext.gc with Some g -> Hashtbl.replace g.ro_bounds txn bound | None -> ()
-
-let gc_unregister_ro t txn =
-  match t.ext.gc with Some g -> Hashtbl.remove g.ro_bounds txn | None -> ()
 
 (* The watermark as applicable to [node]'s own store and log: the local
    component additionally capped below the minimum parked apply stamp, so
@@ -485,7 +482,7 @@ let gc_after_apply t g (node : node) ~ws =
   let refreshed = g.applies_since_refresh >= 256 in
   if refreshed then begin
     g.applies_since_refresh <- 0;
-    let wm = cluster_watermark t g in
+    let wm = cluster_watermark t in
     g.wm_cache <- wm;
     g.floor_used <- Vclock.max g.floor_used wm;
     g.refreshes <- g.refreshes + 1
@@ -515,35 +512,32 @@ let nlog_entries t = Array.fold_left (fun acc node -> acc + Nlog.size node.nlog)
 
 let is_tombstoned node txn = Idset.Txns.mem node.tombstones txn
 
-(* ---- list-valued tables: reader txn -> keys with entries on this node,
-   reader -> (writer, coordinator) it was propagated to ---- *)
+(* ---- reader records ---- *)
 
-let rec mem_by eq x = function [] -> false | y :: ys -> eq x y || mem_by eq x ys
+let reader_record node txn =
+  match Hashtbl.find_opt node.readers txn with
+  | Some r -> r
+  | None ->
+      let r = { keys = []; forwards = [] } in
+      Hashtbl.replace node.readers txn r;
+      r
 
-(* Add [x] to [key]'s list unless an [eq] element is already there. *)
-let add_to tbl key x ~eq =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> if not (mem_by eq x !r) then r := x :: !r
-  | None -> Hashtbl.replace tbl key (ref [ x ])
+let index_reader node reader key =
+  let r = reader_record node reader in
+  if not (List.mem key r.keys) then r.keys <- key :: r.keys
 
-(* Remove [key]'s list and return it. *)
-let take tbl key =
-  match Hashtbl.find_opt tbl key with
-  | None -> []
-  | Some r ->
-      Hashtbl.remove tbl key;
-      !r
-
-let index_reader node reader key = add_to node.reader_keys reader key ~eq:Int.equal
+let rec mem_forward w c = function
+  | [] -> false
+  | (w', c') :: l -> (Ids.equal_txn w w' && Int.equal c c') || mem_forward w c l
 
 let add_forward node ~reader ~writer ~coord =
-  add_to node.forwards reader (writer, coord) ~eq:(fun (w, c) (w', c') ->
-      Ids.equal_txn w w' && Int.equal c c')
+  let r = reader_record node reader in
+  if not (mem_forward writer coord r.forwards) then r.forwards <- (writer, coord) :: r.forwards
 
 (* ---- the transactions a node coordinates ---- *)
 
 let is_open node txn =
-  match Hashtbl.find_opt node.coordinated txn with Some (Open _) -> true | _ -> false
+  match Hashtbl.find_opt node.coordinated txn with Some (Open _ | Reading _) -> true | _ -> false
 
 (* A reader's Remove chased [writer] here: [true] if [writer] is still
    open, which then never propagates [reader]. *)

@@ -325,15 +325,12 @@ let test_gc_across_crash () =
       versions
     in
     (* live read-only transactions homed at the crashed node just before
-       the crash, as the watermark sees them *)
+       the crash, as the watermark sees them: their [Reading] pins *)
     let homed = ref 0 and after_restart = ref 0 in
     Sim.schedule sim ~delay:(crash_at -. 1e-5) (fun () ->
-        match cl.Sss_kv.State.ext.Sss_kv.State.gc with
-        | Some g ->
-            (Hashtbl.iter
-               (fun (txn : Sss_data.Ids.txn) _ -> if txn.node = crashed then incr homed)
-               g.Sss_kv.State.ro_bounds [@order_ok])
-        | None -> ());
+        (Hashtbl.iter
+           (fun _ -> function Sss_kv.State.Reading _ -> incr homed | _ -> ())
+           cl.Sss_kv.State.nodes.(crashed).Sss_kv.State.coordinated [@order_ok]));
     Sim.schedule sim ~delay:(restart_at +. 0.02) (fun () -> after_restart := dropped ());
     let r =
       Store.drive s

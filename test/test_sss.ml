@@ -330,6 +330,73 @@ let test_chased_writer_leaves_no_entry () =
       check_ok (what ^ ": quiescent") (Kv.quiescent cl))
     [ ("abort", Kv.abort); ("write-free commit", fun w -> ignore (Kv.commit w : bool)) ]
 
+(* A read-only transaction pins the GC watermark through its coordinator
+   entry alone: from its first read the entry reads [Reading b], and the
+   cluster watermark stays at or below [b] while updates homed on both
+   nodes (on keys the reader did not read) raise every [coordinated_max]
+   past it.  At commit the entry goes, and the watermark rises past [b]. *)
+let test_ro_pin_lives_in_coordinator_entry () =
+  let sim, cl = make ~nodes:2 ~degree:1 () in
+  let home = State.node cl 0 in
+  let keys_1 = Replication.keys_at cl.State.repl 1 in
+  let k0 = key_on cl 0 and read_key = keys_1.(0) and written_key = keys_1.(1) in
+  let update node =
+    let w = Kv.begin_txn cl ~node ~read_only:false in
+    Kv.write w k0 "a";
+    Kv.write w written_key "b";
+    Alcotest.(check bool) "update committed" true (Kv.commit w)
+  in
+  Sim.spawn sim (fun () ->
+      update 0;
+      update 1;
+      let r = Kv.begin_txn cl ~node:0 ~read_only:true in
+      ignore (Kv.read r read_key);
+      let b =
+        match Hashtbl.find_opt home.State.coordinated (Kv.txn_id r) with
+        | Some (State.Reading b) -> b
+        | _ -> Alcotest.fail "no Reading entry after the first read"
+      in
+      update 0;
+      update 1;
+      let pinned = State.cluster_watermark cl in
+      Alcotest.(check bool)
+        (Printf.sprintf "watermark %s at most the pin %s" (Vclock.to_string pinned)
+           (Vclock.to_string b))
+        true (Vclock.leq pinned b);
+      ignore (Kv.commit r : bool);
+      Alcotest.(check bool) "no entry after commit" false
+        (Hashtbl.mem home.State.coordinated (Kv.txn_id r));
+      Alcotest.(check bool) "the watermark rose past the pin" false
+        (Vclock.leq (State.cluster_watermark cl) b));
+  Sim.run sim;
+  check_ok "quiescent" (Kv.quiescent cl)
+
+(* A participant keeps one record per reader: a read-only R and an update
+   W, both homed on node 0, read key k of node 1, R first, so node 1
+   records R's entry on k and its propagation to W.  R's Remove takes the
+   whole record and chases W with one Forward_remove. *)
+let test_reader_record_goes_with_remove () =
+  let sim, cl = make ~nodes:2 ~degree:1 ~observe:true () in
+  let k = key_on cl 1 and node1 = State.node cl 1 in
+  Sim.spawn sim (fun () ->
+      let r = Kv.begin_txn cl ~node:0 ~read_only:true in
+      ignore (Kv.read r k);
+      let w = Kv.begin_txn cl ~node:0 ~read_only:false in
+      ignore (Kv.read w k);
+      (match Hashtbl.find_opt node1.State.readers (Kv.txn_id r) with
+      | Some { State.keys = [ k' ]; forwards = [ (w', 0) ] }
+        when k' = k && Ids.equal_txn w' (Kv.txn_id w) -> ()
+      | _ -> Alcotest.fail "node 1 does not hold R's record as keys [k], forwards [(W, 0)]");
+      ignore (Kv.commit r : bool);
+      Sim.sleep sim 0.005;
+      Alcotest.(check bool) "no record for R at node 1" false
+        (Hashtbl.mem node1.State.readers (Kv.txn_id r));
+      Kv.abort w);
+  Sim.run sim;
+  let o = Option.get (Kv.obs cl) in
+  Alcotest.(check int) "Forward_remove messages" 1 (Sss_obs.Obs.counter o "msg.sent.forward_remove");
+  check_ok "quiescent" (Kv.quiescent cl)
+
 (* An update transaction's reads leave no snapshot-queue entry, so one
    that commits with no writes has nothing to Remove: it sends no Remove,
    and the replica it read keeps no tombstone for it. *)
@@ -450,6 +517,10 @@ let () =
             test_write_free_update_sends_no_remove;
           Alcotest.test_case "chased writer leaves no entry" `Quick
             test_chased_writer_leaves_no_entry;
+          Alcotest.test_case "a read-only pin lives in its coordinator entry" `Quick
+            test_ro_pin_lives_in_coordinator_entry;
+          Alcotest.test_case "a reader's record goes with its Remove" `Quick
+            test_reader_record_goes_with_remove;
         ] );
       ( "workloads",
         [
