@@ -49,6 +49,12 @@ let remove t x txn =
     t.len <- t.len - 1;
     (* the vacated slot must not keep a retired transaction alive *)
     t.txns.(t.len) <- Ids.genesis;
+    (* a drained set gives back the capacity of its busiest moment *)
+    let cap = Array.length t.stamps in
+    if cap > 8 && 4 * t.len <= cap then begin
+      t.stamps <- Array.sub t.stamps 0 (cap / 2);
+      t.txns <- Array.sub t.txns 0 (cap / 2)
+    end;
     true
   end
   else false

@@ -19,7 +19,8 @@ val length : t -> int
 val add : t -> int -> Ids.txn -> unit
 
 val remove : t -> int -> Ids.txn -> bool
-(** Remove the pair; [false] if absent. *)
+(** Remove the pair; [false] if absent.  The capacity halves once a
+    quarter of it is in use, down to the initial 8 pairs. *)
 
 val min_stamp : t -> int option
 (** O(1). *)

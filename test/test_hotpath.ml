@@ -140,6 +140,30 @@ let stampset_matches_oracle =
                probes)
         ops)
 
+(* A commit queue drained after a burst gives its capacity back: 1,000
+   pairs in, all out (odd stamps first, so removals hit the middle too),
+   and the set weighs what a fresh one does, give or take a few words. *)
+let test_stampset_drained_shrinks () =
+  let s = Stampset.create () in
+  let txn i : Ids.txn = { node = i mod 3; local = i } in
+  for i = 0 to 999 do Stampset.add s i (txn i) done;
+  List.iter
+    (fun odd ->
+      for i = 0 to 999 do
+        if i mod 2 = odd then Alcotest.(check bool) "removed" true (Stampset.remove s i (txn i))
+      done;
+      if odd = 1 then
+        Alcotest.(check (list int)) "the even stamps remain, in order"
+          (List.init 500 (fun i -> 2 * i))
+          (List.map fst (Stampset.to_list s)))
+    [ 1; 0 ];
+  Alcotest.(check int) "drained" 0 (Stampset.length s);
+  let fresh = Obj.reachable_words (Obj.repr (Stampset.create ())) in
+  let drained = Obj.reachable_words (Obj.repr s) in
+  Alcotest.(check bool)
+    (Printf.sprintf "drained %d words, fresh %d" drained fresh)
+    true (drained <= fresh + 4)
+
 (* ---------- Squeue.remove vs filter model ---------- *)
 
 let squeue_remove_matches_model =
@@ -268,7 +292,12 @@ let () =
           Alcotest.test_case "unsafe_of_array shares" `Quick test_vclock_unsafe_of_array_shares;
           Alcotest.test_case "blit" `Quick test_vclock_blit;
         ] );
-      ("stampset", [ QCheck_alcotest.to_alcotest stampset_matches_oracle ]);
+      ( "stampset",
+        [
+          QCheck_alcotest.to_alcotest stampset_matches_oracle;
+          Alcotest.test_case "a drained set gives back its capacity" `Quick
+            test_stampset_drained_shrinks;
+        ] );
       ("squeue", [ QCheck_alcotest.to_alcotest squeue_remove_matches_model ]);
       ( "determinism",
         [
