@@ -4,10 +4,14 @@
 #
 #   tools/ab.sh REV [TARGET] [K] [SECONDS]
 #
-# Builds REV in a temporary git worktree (removed on exit) and the working
-# tree, then runs K interleaved pairs of TARGET, alternating which side
-# runs first, and prints for every metric the median and quartiles of each
-# side and the number of pairs in which the working tree reads higher.
+# Builds REV from a `git archive` export in a temporary directory (removed
+# on exit) and the working tree, then runs K interleaved pairs of TARGET,
+# alternating which side runs first, and prints for every metric the
+# median and quartiles of each side and the number of pairs in which the
+# working tree reads higher.  For a perfbench workload it then prints one
+# verdict per end_to_end metric of BENCHMARK.json: WORSE when the working
+# tree's median is worse than REV's by more than the metric's bound, read
+# as a fraction of REV's median; ok otherwise.
 #
 # TARGET is a perfbench workload (paper-closed, open-durable,
 # checked-faults: --seed 1 --trace 0 --seconds SECONDS, default 5) or fig3
@@ -33,14 +37,10 @@ esac
 
 root=$(pwd)
 tmp=$(mktemp -d)
-cleanup() {
-  git -C "$root" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
-  rm -rf "$tmp"
-  git -C "$root" worktree prune
-}
-trap cleanup EXIT INT TERM
+trap 'rm -rf "$tmp"' EXIT INT TERM
 
-git worktree add --detach "$tmp/base" "$rev" >/dev/null 2>&1
+mkdir "$tmp/base"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
 # its own dune root, or dune would resolve the enclosing one
 printf '(lang dune 3.0)\n' >"$tmp/base/dune-workspace"
 # both sides run from copies, so later edits or builds in the working
@@ -79,10 +79,11 @@ while [ "$i" -le "$k" ]; do
   i=$((i + 1))
 done
 
-python3 - "$tmp" "$k" "$rev" "$target" <<'EOF'
+python3 - "$tmp" "$k" "$rev" "$target" "$root/BENCHMARK.json" <<'EOF'
 import json, statistics, sys
 
-tmp, k, rev, target = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+tmp, k, rev, target, benchmark = sys.argv[1:]
+k = int(k)
 
 def metrics(path):
     d = json.load(open(path))
@@ -110,4 +111,18 @@ for m in base[0]:
     c = [r[m] for r in change]
     higher = sum(1 for x, y in zip(b, c) if y > x)
     print(f"{m:<34} {summary(b):<38} {summary(c):<38} {higher}/{k}")
+
+if target != "fig3":
+    print(f"verdicts: the change's median against the base's, bounds from {benchmark}")
+    for e in json.load(open(benchmark))["end_to_end"]:
+        m = e["name"]
+        if not all(m in r for r in base + change):
+            print(f"{m:<34} missing")
+            continue
+        b = statistics.median(r[m] for r in base)
+        c = statistics.median(r[m] for r in change)
+        worse_by = c - b if e["better"] == "lower" else b - c
+        verdict = "WORSE" if worse_by > e["bound"] * abs(b) else "ok"
+        print(f"{m:<34} {verdict:<6} {fmt(b)} -> {fmt(c)} "
+              f"(bound {e['bound']}, {e['better']} is better)")
 EOF
