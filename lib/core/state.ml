@@ -526,6 +526,8 @@ let index_reader node reader key =
   let r = reader_record node reader in
   if not (List.mem key r.keys) then r.keys <- key :: r.keys
 
+(* a top-level recursion, not [List.exists] with a closure: it runs for
+   every reader entry an update transaction's read meets *)
 let rec mem_forward w c = function
   | [] -> false
   | (w', c') :: l -> (Ids.equal_txn w w' && Int.equal c c') || mem_forward w c l
