@@ -38,6 +38,7 @@
    whose p99 sojourn met the fixed 5 ms bound (Experiments.slo_rate). *)
 
 open Sss_experiments.Experiments
+module Spec = Sss_experiments.Spec
 
 (* ---------- micro benchmarks (Bechamel) ---------- *)
 
@@ -113,7 +114,7 @@ type target_report = {
   target : string;
   wall_seconds : float;
   baseline_wall : float option;  (* --speedup: the quiet -j1 wall clock *)
-  runs : (params * outcome) list;  (* the figure's runs, in submission order *)
+  runs : (Spec.t * outcome) list;  (* the figure's runs, in submission order *)
   (* Allocation probe: Gc deltas around the target, so allocation
      regressions show up in the recorded artifact, not just wall clock.
      [Sim.allocated_words] is per-domain, so at -j > 1 the numbers cover
@@ -133,17 +134,11 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* Deterministic fingerprint of the parameters every target derives from:
-   same binary + same scale => same hash, so regenerated BENCH_*.json files
-   are comparable (EXPERIMENTS.md "Report schema"). *)
+(* Deterministic fingerprint of the spec every target derives from: same
+   binary + same scale => same hash, so regenerated BENCH_*.json files are
+   comparable (EXPERIMENTS.md "Report schema"). *)
 let config_fingerprint scale =
-  let p = base_params scale in
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf
-          "nodes=%d;degree=%d;keys=%d;ro=%g;ro_ops=%d;locality=%g;clients=%d;warmup=%g;duration=%g;seed=%d;strict=%b;prio=%b;compress=%b;queue=%d;workers=%d"
-          p.nodes p.degree p.keys p.ro_ratio p.ro_ops p.locality p.clients p.warmup p.duration
-          p.seed p.strict p.priority_network p.compress p.queue_capacity p.workers))
+  Digest.to_hex (Digest.string (Spec.to_string (base_spec scale)))
 
 let write_json file ~scale ~scale_v ~observe ~jobs ~speedup ~metrics reports =
   let buf = Buffer.create 1024 in
@@ -160,7 +155,7 @@ let write_json file ~scale ~scale_v ~observe ~jobs ~speedup ~metrics reports =
        \    \"jobs\": %d\n\
        \  },\n\
        \  \"targets\": ["
-       scale scale (base_params scale_v).seed (config_fingerprint scale_v) observe jobs);
+       scale scale (base_spec scale_v).config.seed (config_fingerprint scale_v) observe jobs);
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
@@ -174,12 +169,12 @@ let write_json file ~scale ~scale_v ~observe ~jobs ~speedup ~metrics reports =
       let ratio a b = if b > 0.0 then a /. b else 0.0 in
       (* each system with Poisson runs, in run order, and its SLO verdict *)
       let slo_json =
-        let name (p, _) = system_name p.system in
+        let name ((s : Spec.t), _) = system_name s.system in
         let systems =
           List.fold_left
-            (fun acc ((p, _) as run) ->
-              match p.arrival with
-              | Some (Sss_workload.Driver.Poisson _)
+            (fun acc ((s : Spec.t), _ as run) ->
+              match s.load.open_loop with
+              | Some { arrival = Poisson _; _ }
                 when not (List.exists (String.equal (name run)) acc) ->
                   acc @ [ name run ]
               | _ -> acc)
@@ -371,7 +366,7 @@ let () =
       List.find_map
         (fun r ->
           List.find_map
-            (fun ((p : params), (o : outcome)) -> if p.system = Sss then o.metrics else None)
+            (fun ((s : Spec.t), o) -> if s.system = Sss then o.metrics else None)
             r.runs)
         (List.rev !reports)
   in

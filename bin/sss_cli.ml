@@ -12,6 +12,7 @@
 open Cmdliner
 open Sss_experiments.Experiments
 module Store = Sss_experiments.Store
+module Spec = Sss_experiments.Spec
 
 let system_conv =
   let parse = function
@@ -98,27 +99,23 @@ let point_cmd =
     let degree = Option.value degree ~default:(Store.paper_degree system) in
     check_args "point" ~ro_ops ~rate ~queue ~system ~nodes ~degree ~keys ~ro ~locality ~duration
       ~fibers:(if rate > 0.0 then ("--workers", workers) else ("--clients", clients));
+    let base = base_spec Full in
     let o =
       run
         {
-          default_params with
           system;
-          nodes;
-          degree;
-          keys;
-          ro_ratio = ro;
-          ro_ops;
-          locality;
-          clients;
-          warmup = duration /. 4.0;
-          duration;
-          seed;
-          strict;
-          observe;
-          durability = durable;
-          arrival = (if rate > 0.0 then Some (Sss_workload.Driver.Poisson rate) else None);
-          queue_capacity = queue;
-          workers;
+          config =
+            { base.config with nodes; replication_degree = degree; total_keys = keys; seed;
+              strict_order = strict; observe; durability = durable };
+          profile = { base.profile with read_only_ratio = ro; ro_ops; locality };
+          load =
+            { base.load with clients_per_node = clients; warmup = duration /. 4.0; duration; seed;
+              open_loop =
+                (if rate > 0.0 then
+                   Some
+                     { arrival = Poisson rate; queue_capacity = queue; workers_per_node = workers }
+                 else None) };
+          plan = None;
         }
     in
     Printf.printf "system      : %s\n" (system_name system);
@@ -174,7 +171,6 @@ let point_cmd =
 let verify_cmd =
   let run_verify system nodes degree keys ro clients duration seed dot =
     let open Sss_consistency in
-    let module Driver = Sss_workload.Driver in
     let degree = Option.value degree ~default:(Store.paper_degree system) in
     check_args "verify" ~system ~nodes ~degree ~keys ~ro ~locality:0.0 ~duration
       ~fibers:("--clients", clients);
@@ -187,17 +183,12 @@ let verify_cmd =
           exit 2
         end
     | None -> ());
-    let (Store.Store s) =
-      Store.create system (Sss_sim.Sim.create ())
+    let spec =
+      Spec.make ~ro ~clients ~warmup:(duration /. 4.0) ~duration system
         { Sss_kv.Config.default with nodes; replication_degree = degree; total_keys = keys; seed }
     in
-    let r =
-      Store.drive s
-        ~profile:(Driver.paper_profile ~read_only_ratio:ro)
-        ~load:
-          { Driver.default_load with clients_per_node = clients; warmup = duration /. 4.0;
-            duration; seed }
-    in
+    let r = Spec.run spec in
+    Printf.printf "run: %s\n" (Spec.to_string spec);
     Printf.printf "transactions: %d committed, %d aborted\n"
       (Checker.committed_count r.history)
       (Checker.aborted_count r.history);

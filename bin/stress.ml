@@ -1,5 +1,6 @@
 (* Seed/configuration sweep for the SSS checker properties.  Exits non-zero
-   on the first violation, printing the offending configuration.
+   when a run violates a property, printing a FAIL line with the run's
+   spec (Spec.to_string) for each violation.
 
    [-j N] fans the independent runs of each sweep across N domains
    (sss_par pool; "max" = Pool.default_jobs).  Tasks never print — every
@@ -11,49 +12,40 @@ open Sss_data
 open Sss_kv
 open Sss_experiments.Experiments
 module Store = Sss_experiments.Store
+module Spec = Sss_experiments.Spec
 module Pool = Sss_par.Pool
 module Driver = Sss_workload.Driver
 
-(* Seeds [1; ...; n], and the row-major (config x seed) grid: the
-   submission order every sweep below fans through the pool. *)
+(* Seeds [1; ...; n]: the submission order every sweep below fans through
+   the pool. *)
 let seeds n = List.init n (fun i -> i + 1)
-
-let cross xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
 (* --observe: attach the sss_obs sink to every SSS run and report the first
    run's metrics as a section at the end.  The observer-effect contract says
    this must not change any committed count or checker verdict. *)
 
-(* Drive [system] on a fresh simulator.  Runs return their checks, not
-   their history: a pool task checks its own run, and a sweep holds no
-   history past it. *)
-let checked_run ?plan ~ro ~clients ~duration system (config : Config.t) =
-  let (Store.Store s) = Store.create system (Sim.create ()) config in
-  let r =
-    Store.drive ?plan s
-      ~profile:(Driver.paper_profile ~read_only_ratio:ro)
-      ~load:
-        { Driver.default_load with clients_per_node = clients; warmup = 0.005; duration;
-          seed = config.seed }
-  in
+(* [system] on the small 4-node sweep cluster (ROCOCO unreplicated, as in
+   the paper's comparisons), half read-only. *)
+let sweep_spec ?plan ~config ~clients ~duration system =
+  Spec.make ?plan ~clients ~duration system
+    { config with Config.nodes = 4; replication_degree = Store.paper_degree system;
+      total_keys = 24 }
+
+(* Drive [spec].  Runs return their checks, not their history: a pool task
+   checks its own run, and a sweep holds no history past it. *)
+let checked_run spec =
+  let r = Spec.run spec in
   ( r.result.committed,
     Store.verdicts r.system r.history ~quiescent:(r.quiescent ()),
     Option.map Sss_obs.Obs.metrics_json r.obs )
 
-(* Drive one store of [system] on the small 4-node sweep cluster (ROCOCO
-   unreplicated, as in the paper's comparisons). *)
-let sweep_run ?plan ~config ~clients ~duration system =
-  let committed, checks, _ =
-    checked_run ?plan ~ro:0.5 ~clients ~duration system
-      { config with Config.nodes = 4; replication_degree = Store.paper_degree system;
-        total_keys = 24 }
-  in
-  (committed, checks)
+(* Every FAIL line names what failed and the spec that reruns it. *)
+let fail spec what msg = Printf.printf "FAIL %s: %s -- %s\n%!" what msg (Spec.to_string spec)
 
-(* Print a FAIL line for every failed verdict, [where name] naming the run.
-   With [tolerate], failures of the two ordering properties are counted as
+(* Print a FAIL line for every failed verdict of [spec]'s run.  With
+   [tolerate], failures of the two ordering properties are counted as
    divergence reports instead.  Returns the failure and divergence counts. *)
-let report ?(tolerate = false) ~where checks =
+let report ?(tolerate = false) spec checks =
   List.fold_left
     (fun (failed, diverged) (name, verdict) ->
       match verdict with
@@ -64,36 +56,25 @@ let report ?(tolerate = false) ~where checks =
         ->
           (failed, diverged + 1)
       | Fail msg ->
-          Printf.printf "FAIL %s: %s\n%!" (where name) msg;
+          fail spec name msg;
           (failed + 1, diverged))
     (0, 0) checks
 
-let lower system = String.lowercase_ascii (system_name system)
+let failures runs = List.fold_left (fun acc (spec, checks) -> acc + fst (report spec checks)) 0 runs
 
-(* One baseline seed: the three non-SSS systems, checks in 2PC, ROCOCO,
-   Walter order (the print order of the pre-pool sequential sweep). *)
+(* One baseline seed: the three non-SSS systems, in 2PC, ROCOCO, Walter
+   order (the print order of the pre-pool sequential sweep). *)
 let baseline_one seed =
   List.map
     (fun system ->
-      ( lower system,
-        snd (sweep_run ~config:{ Config.default with seed } ~clients:4 ~duration:0.04 system) ))
+      let spec = sweep_spec ~config:{ Config.default with seed } ~clients:4 ~duration:0.04 system in
+      let _, checks, _ = checked_run spec in
+      (spec, checks))
     [ Twopc; Rococo; Walter ]
 
 let baseline_sweep pool =
   let seeds = seeds 8 in
-  let failures =
-    List.fold_left2
-      (fun acc seed per_system ->
-        List.fold_left
-          (fun acc (system, checks) ->
-            acc
-            + fst
-                (report checks ~where:(fun name ->
-                     Printf.sprintf "%s %s seed=%d" system name seed)))
-          acc per_system)
-      0 seeds
-      (Pool.map_list pool baseline_one seeds)
-  in
+  let failures = failures (List.concat (Pool.map_list pool baseline_one seeds)) in
   Printf.printf "baselines: %d runs, %d failures\n%!" (3 * List.length seeds) failures;
   failures
 
@@ -104,10 +85,10 @@ let baseline_sweep pool =
    so both the workload and the injected faults vary together.  Chaos runs
    never feed the paper-shape figures (see EXPERIMENTS.md). *)
 
-(* One chaos seed: all four systems; returns each system's name,
-   committed count and checks, in [chaos_systems] order.  [durability]
-   turns on write-ahead logging, so a fail-stopped node replays its log
-   instead of just dropping messages. *)
+(* One chaos seed: all four systems, in [chaos_systems] order, each with
+   its committed count and checks.  [durability] turns on write-ahead
+   logging, so a fail-stopped node replays its log instead of just dropping
+   messages. *)
 let chaos_systems = [ Sss; Twopc; Walter; Rococo ]
 
 let chaos_one ~durability base_plan seed =
@@ -115,24 +96,21 @@ let chaos_one ~durability base_plan seed =
   let config = { Config.default with seed; fault_tolerance = true; durability } in
   List.map
     (fun system ->
-      let committed, checks = sweep_run ~plan ~config ~clients:2 ~duration:0.03 system in
-      (lower system, committed, checks))
+      let spec = sweep_spec ~plan ~config ~clients:2 ~duration:0.03 system in
+      let committed, checks, _ = checked_run spec in
+      (committed, (spec, checks)))
     chaos_systems
+
+let lower system = String.lowercase_ascii (system_name system)
 
 (* [chaos_one] over [seeds]: print every failed check, return each
    system's committed count and the failure count. *)
-let system_sweep pool ~label ~durability plan seeds =
-  List.fold_left2
-    (fun (committed, failures) seed runs ->
-      ( List.map2 (fun (system, n) (_, c, _) -> (system, n + c)) committed runs,
-        List.fold_left
-          (fun acc (system, _, checks) ->
-            acc
-            + fst
-                (report checks ~where:(fun name ->
-                     Printf.sprintf "%s %s seed=%d %s" label system seed name)))
-          failures runs ))
-    (List.map (fun system -> (lower system, 0)) chaos_systems, 0) seeds
+let system_sweep pool ~durability plan seeds =
+  List.fold_left
+    (fun (committed, failed) runs ->
+      ( List.map2 (fun (system, n) (c, _) -> (system, n + c)) committed runs,
+        failed + failures (List.map snd runs) ))
+    (List.map (fun system -> (lower system, 0)) chaos_systems, 0)
     (Pool.map_list pool (chaos_one ~durability plan) seeds)
 
 let total committed = List.fold_left (fun acc (_, n) -> acc + n) 0 committed
@@ -145,7 +123,7 @@ let total committed = List.fold_left (fun acc (_, n) -> acc + n) 0 committed
 let durability_sweep pool =
   let plan = Sss_chaos.Chaos.crash_restart ~seed:0 ~node:2 ~at:0.015 ~restart_at:0.019 in
   let seeds = seeds 10 in
-  let committed, failures = system_sweep pool ~label:"durable" ~durability:true plan seeds in
+  let committed, failures = system_sweep pool ~durability:true plan seeds in
   Printf.printf "durability sweep: %d seeds x 4 systems, %d committed (%s), %d failures\n%!"
     (List.length seeds) (total committed)
     (String.concat ", " (List.map (fun (system, n) -> Printf.sprintf "%s %d" system n) committed))
@@ -166,7 +144,7 @@ let chaos_sweep pool plan_text =
   | Error e ->
       Printf.eprintf "invalid --chaos plan: %s\n" e;
       exit 2);
-  let committed, failures = system_sweep pool ~label:"chaos" ~durability:false plan (seeds 20) in
+  let committed, failures = system_sweep pool ~durability:false plan (seeds 20) in
   Printf.printf "chaos sweep: 20 seeds x 4 systems, %d committed, %d failures\n%!"
     (total committed) failures;
   exit (if failures > 0 then 1 else 0)
@@ -182,32 +160,29 @@ let chaos_sweep pool plan_text =
    still hold.  Returns the failures and the first run's metrics. *)
 type sweep = Matrix | Torture | Paper_mode
 
-let sss_sweep pool ~observe kind grid =
-  let results =
-    Pool.map_list pool
-      (fun ((nodes, degree, keys, ro, clients), seed) ->
-        checked_run ~ro ~clients ~duration:0.04 Sss
-          { Config.default with nodes; replication_degree = degree; total_keys = keys; seed;
-            strict_order = kind <> Paper_mode; observe })
-      grid
-  in
-  let last_seed = List.fold_left (fun m (_, seed) -> Int.max m seed) 0 grid in
+(* The [kind] sweep's grid: each (nodes, degree, keys, ro, clients)
+   configuration at seeds 1..[n], row-major. *)
+let sss_grid kind ~observe configs n =
+  List.concat_map
+    (fun (nodes, degree, keys, ro, clients) ->
+      List.map
+        (fun seed ->
+          Spec.make ~ro ~clients ~duration:0.04 Sss
+            { Config.default with nodes; replication_degree = degree; total_keys = keys; seed;
+              strict_order = kind <> Paper_mode; observe })
+        (seeds n))
+    configs
+
+let sss_sweep pool kind grid =
+  let results = Pool.map_list pool checked_run grid in
+  let last_seed = List.fold_left (fun m (s : Spec.t) -> Int.max m s.config.seed) 0 grid in
   let committed, failures, diverged =
     List.fold_left2
-      (fun (committed, failures, diverged) ((nodes, degree, keys, ro, _), seed) (c, checks, _) ->
-        let where name =
-          match kind with
-          | Matrix ->
-              Printf.sprintf "%s: nodes=%d degree=%d keys=%d ro=%.1f seed=%d (%d committed)"
-                name nodes degree keys ro seed c
-          | Torture -> Printf.sprintf "torture %s seed=%d" name seed
-          | Paper_mode ->
-              Printf.sprintf "paper-mode %s nodes=%d keys=%d seed=%d" name nodes keys seed
-        in
-        let f, d = report ~tolerate:(kind <> Matrix) checks ~where in
-        if kind = Matrix && seed = last_seed then
-          Printf.printf "config nodes=%d degree=%d keys=%d ro=%.1f done\n%!" nodes degree keys
-            ro;
+      (fun (committed, failures, diverged) (s : Spec.t) (c, checks, _) ->
+        let f, d = report ~tolerate:(kind <> Matrix) s checks in
+        if kind = Matrix && s.config.seed = last_seed then
+          Printf.printf "config nodes=%d degree=%d keys=%d ro=%.1f done\n%!" s.config.nodes
+            s.config.replication_degree s.config.total_keys s.profile.read_only_ratio;
         (committed + c, failures + f, diverged + d))
       (0, 0, 0) grid results
   in
@@ -239,38 +214,29 @@ let sss_sweep pool ~observe kind grid =
    rung runs the checker battery (SSS promises all five properties) over
    the history it recorded. *)
 let open_rung ~nodes ~keys ~assert_footprint () =
-  let (Store.Store s) =
-    Store.create Sss (Sim.create ())
+  let warmup = 0.002 and duration = 0.03 in
+  let spec =
+    Spec.make ~warmup ~duration Sss
       { Config.default with nodes; replication_degree = 2; total_keys = keys; seed = 42 }
   in
-  let cl = Option.get s.kv in
-  let baseline = Kv.version_count cl in
-  let warmup = 0.002 and duration = 0.03 in
-  let peak = ref 0 in
-  Sim.spawn s.sim (fun () ->
-      let deadline = warmup +. duration in
-      while Sim.now s.sim < deadline do
-        peak := Stdlib.max !peak (Mvstore.mem_total (Kv.mem_words cl));
-        Sim.sleep s.sim 0.001
-      done);
-  let r =
-    Store.drive s
-      ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
-      ~load:
-        {
-          Driver.default_load with
-          warmup;
-          duration;
-          seed = 42;
-          open_loop =
-            Some
-              { Driver.arrival = Driver.Poisson 2000.0; queue_capacity = 64; workers_per_node = 4 };
-        }
+  let open_loop = { Driver.arrival = Poisson 2000.0; queue_capacity = 64; workers_per_node = 4 } in
+  let spec = { spec with load = { spec.load with open_loop = Some open_loop } } in
+  let baseline = ref 0 and peak = ref 0 in
+  let sampler (Store.Store s) =
+    let cl = Option.get s.kv in
+    baseline := Kv.version_count cl;
+    Sim.spawn s.sim (fun () ->
+        while Sim.now s.sim < warmup +. duration do
+          peak := Stdlib.max !peak (Mvstore.mem_total (Kv.mem_words cl));
+          Sim.sleep s.sim 0.001
+        done)
   in
+  let r = Spec.run ~setup:sampler spec in
+  let cl = Option.get r.kv in
   let result = r.result in
   let retained = Kv.version_count cl in
   let refreshes, dropped_v, dropped_e = Kv.gc_stats cl in
-  let slack = retained - baseline in
+  let slack = retained - !baseline in
   let installed = slack + dropped_v in
   let mem = Kv.mem_words cl in
   peak := Stdlib.max !peak (Mvstore.mem_total mem);
@@ -280,32 +246,28 @@ let open_rung ~nodes ~keys ~assert_footprint () =
     nodes (keys / 1000) result.offered result.accepted result.committed;
   Printf.printf
     "  versions: baseline %d, installed %d, dropped %d, retained %+d (%d watermark refreshes, %d log entries dropped)\n"
-    baseline installed dropped_v slack refreshes dropped_e;
+    !baseline installed dropped_v slack refreshes dropped_e;
   Printf.printf "  store: %d resident words (peak %d), %.2f words/version\n"
     (Mvstore.mem_total mem) !peak wpv;
-  let failures = ref 0 in
-  if result.committed = 0 then begin
-    incr failures;
-    Printf.printf "FAIL open-loop: nothing committed\n"
-  end;
-  if dropped_v = 0 then begin
-    incr failures;
-    Printf.printf "FAIL open-loop: GC reclaimed no versions\n"
-  end;
-  if slack * 2 > installed then begin
-    incr failures;
-    Printf.printf "FAIL open-loop: version retention not flat (%d of %d installed remain)\n"
-      slack installed
-  end;
-  if assert_footprint && wpv > 36.0 then begin
-    incr failures;
-    Printf.printf
-      "FAIL open-loop: %.2f words/version exceeds the 36.0 bound (a clock per version costs ~109)\n"
-      wpv
-  end;
+  let checks =
+    [
+      (result.committed > 0, "committed", "nothing committed");
+      (dropped_v > 0, "gc", "GC reclaimed no versions");
+      ( slack * 2 <= installed,
+        "retention",
+        Printf.sprintf "version retention not flat (%d of %d installed remain)" slack installed );
+      ( (not assert_footprint) || wpv <= 36.0,
+        "footprint",
+        Printf.sprintf "%.2f words/version exceeds the 36.0 bound (a clock per version costs ~109)"
+          wpv );
+    ]
+  in
+  List.iter (fun (ok, what, msg) -> if not ok then fail spec what msg) checks;
   Printf.printf "  checked: %d transactions\n" (Sss_consistency.Checker.txn_count r.history);
   let verdicts = Store.verdicts r.system r.history ~quiescent:(r.quiescent ()) in
-  let failures = !failures + fst (report verdicts ~where:(fun n -> "open-loop " ^ n)) in
+  let failures =
+    List.length (List.filter (fun (ok, _, _) -> not ok) checks) + fst (report spec verdicts)
+  in
   Printf.printf "open-loop target: %d failures\n" failures;
   failures
 
@@ -359,12 +321,12 @@ let () =
       (8, 2, 64, 0.5, 4);
     ]
   in
-  let matrix = cross configs (seeds 12) in
-  let failures, first_metrics = sss_sweep pool ~observe Matrix matrix in
-  let torture = cross [ (4, 2, 8, 0.5, 4) ] (seeds 12) in
-  let failures = failures + fst (sss_sweep pool ~observe Torture torture) in
-  let paper_mode = cross configs (seeds 6) in
-  let failures = failures + fst (sss_sweep pool ~observe Paper_mode paper_mode) in
+  let matrix = sss_grid Matrix ~observe configs 12 in
+  let failures, first_metrics = sss_sweep pool Matrix matrix in
+  let torture = sss_grid Torture ~observe [ (4, 2, 8, 0.5, 4) ] 12 in
+  let failures = failures + fst (sss_sweep pool Torture torture) in
+  let paper_mode = sss_grid Paper_mode ~observe configs 6 in
+  let failures = failures + fst (sss_sweep pool Paper_mode paper_mode) in
   let failures = failures + baseline_sweep pool in
   let failures = failures + durability_sweep pool in
   (match first_metrics with

@@ -1,4 +1,3 @@
-open Sss_sim
 open Sss_data
 module Driver = Sss_workload.Driver
 module Stats = Sss_workload.Stats
@@ -6,64 +5,6 @@ module Stats = Sss_workload.Stats
 type system = Store.system = Sss | Walter | Twopc | Rococo
 
 let system_name = Store.system_name
-
-type params = {
-  system : system;
-  nodes : int;
-  degree : int;
-  keys : int;
-  ro_ratio : float;
-  ro_ops : int;
-  locality : float;
-  clients : int;
-  warmup : float;
-  duration : float;
-  seed : int;
-  strict : bool;
-      (* SSS only: hardened external-commit ordering (DESIGN.md) instead of
-         the paper's literal per-key release *)
-  priority_network : bool;  (* §V's prioritized message queues *)
-  compress : bool;  (* SSS only: §III-A metadata compression (byte telemetry) *)
-  zipf : float option;  (* skewed key popularity instead of uniform *)
-  observe : bool;  (* attach the sss_obs sink; must not change trajectories *)
-  durability : bool;  (* write-ahead logging on every node (lib/storage) *)
-  checkpoint_interval : float;  (* WAL checkpoint period, virtual seconds *)
-  crash : (float * float) option;
-      (* fail-stop-recover one node at (crash, restart) virtual seconds; the
-         run wires Chaos crash/restart hooks so durable protocols replay
-         their log *)
-  arrival : Sss_workload.Driver.arrival option;
-      (* open-loop arrival process per node; [None] = the paper's closed
-         loop (byte-identical to builds without the open-loop engine) *)
-  queue_capacity : int;  (* open loop: max waiting arrivals per node *)
-  workers : int;  (* open loop: service fibers per node *)
-}
-
-let default_params =
-  {
-    system = Sss;
-    nodes = 5;
-    degree = 2;
-    keys = 5000;
-    ro_ratio = 0.5;
-    ro_ops = 2;
-    locality = 0.0;
-    clients = 10;
-    warmup = 0.01;
-    duration = 0.04;
-    seed = 42;
-    strict = false;
-    priority_network = true;
-    compress = true;
-    zipf = None;
-    observe = false;
-    durability = false;
-    checkpoint_interval = Sss_kv.Config.default.checkpoint_interval;
-    crash = None;
-    arrival = None;
-    queue_capacity = 64;
-    workers = 10;
-  }
 
 type outcome = {
   throughput : float;
@@ -115,55 +56,12 @@ let ctx ?(jobs = 1) ?(observe_all = false) ?(out = print_string) () =
 
 let jobs c = Sss_par.Pool.jobs c.pool
 
-let config_of (p : params) : Sss_kv.Config.t =
-  {
-    Sss_kv.Config.default with
-    nodes = p.nodes;
-    replication_degree = p.degree;
-    total_keys = p.keys;
-    record_history = false;
-    seed = p.seed;
-    strict_order = p.strict;
-    priority_network = p.priority_network;
-    compress_metadata = p.compress;
-    observe = p.observe;
-    durability = p.durability;
-    checkpoint_interval = p.checkpoint_interval;
-    (* a crash needs the fault-tolerant transport so survivors retry around
-       the dead NIC; crash-free runs keep the default so existing figures
-       are untouched *)
-    fault_tolerance = Sss_kv.Config.default.fault_tolerance || p.crash <> None;
-  }
+(* Every figure run reports SSS's latency breakdown. *)
+let collect_latencies (Store.Store s) =
+  Option.iter (fun cl -> Sss_kv.Kv.set_collect_latencies cl true) s.kv
 
-let run (p : params) =
-  let (Store.Store s) = Store.create p.system (Sim.create ()) (config_of p) in
-  Option.iter (fun cl -> Sss_kv.Kv.set_collect_latencies cl true) s.kv;
-  let r =
-    Store.drive s
-      ?plan:
-        (Option.map
-           (fun (at, restart_at) ->
-             Sss_chaos.Chaos.crash_restart ~seed:p.seed ~node:(min 2 (p.nodes - 1)) ~at
-               ~restart_at)
-           p.crash)
-      ~profile:
-        { Driver.read_only_ratio = p.ro_ratio; update_ops = 2; ro_ops = p.ro_ops;
-          locality = p.locality }
-      ~load:
-        {
-          Driver.default_load with
-          clients_per_node = p.clients;
-          warmup = p.warmup;
-          duration = p.duration;
-          seed = p.seed;
-          dist = (match p.zipf with None -> Driver.Uniform | Some theta -> Driver.Zipfian theta);
-          open_loop =
-            Option.map
-              (fun arrival ->
-                { Driver.arrival; queue_capacity = p.queue_capacity; workers_per_node = p.workers })
-              p.arrival;
-        }
-  in
+let run spec =
+  let r = Spec.run ~setup:collect_latencies spec in
   let sss_internal, sss_wait, timeouts =
     match r.kv with
     | None -> (None, None, 0)
@@ -273,7 +171,8 @@ let staged ctx body =
   let specs = List.rev !specs in
   let outs =
     Sss_par.Pool.map ctx.pool
-      (fun p -> run (if ctx.observe_all then { p with observe = true } else p))
+      (fun (p : Spec.t) ->
+        run (if ctx.observe_all then { p with config = { p.config with observe = true } } else p))
       (Array.of_list specs)
   in
   let idx = ref 0 in
@@ -309,10 +208,36 @@ let keyspaces = function
   | Quick -> [ 1000; 2000 ]
   | Smoke -> [ 200 ]
 
-let base_params = function
-  | Full -> default_params
-  | Quick -> { default_params with clients = 8; duration = 0.025; warmup = 0.008 }
-  | Smoke -> { default_params with clients = 4; duration = 0.01; warmup = 0.004 }
+(* The paper's defaults (§V): 5 nodes, degree 2, 5000 keys, 50% read-only,
+   the paper's literal release (not the hardened ordering), no history;
+   10 clients per node, 10 ms warmup and 40 ms measured at full scale. *)
+let base_spec scale =
+  let clients_per_node, warmup, duration =
+    match scale with
+    | Full -> (10, 0.01, 0.04)
+    | Quick -> (8, 0.008, 0.025)
+    | Smoke -> (4, 0.004, 0.01)
+  in
+  {
+    Spec.system = Sss;
+    config =
+      { Sss_kv.Config.default with nodes = 5; total_keys = 5000; record_history = false;
+        seed = 42; strict_order = false };
+    profile = Driver.paper_profile ~read_only_ratio:0.5;
+    load = { Driver.default_load with clients_per_node; warmup; duration; seed = 42 };
+    plan = None;
+  }
+
+(* [s] on [nodes] nodes over [keys] keys, at replication [degree]. *)
+let sized (s : Spec.t) ?(degree = s.config.replication_degree) ~nodes keys =
+  { s with config = { s.config with nodes; total_keys = keys; replication_degree = degree } }
+
+(* [s] at read-only ratio [ro], with [ro_ops] reads per read-only transaction. *)
+let mix (s : Spec.t) ?(ro_ops = s.profile.ro_ops) ro =
+  { s with profile = { s.profile with read_only_ratio = ro; ro_ops } }
+
+let with_clients (s : Spec.t) clients_per_node =
+  { s with load = { s.load with clients_per_node } }
 
 let ktxs o = o.throughput /. 1000.0
 
@@ -338,7 +263,7 @@ let by_system = List.map (fun sys -> (system_name sys, sys))
 
 (* Figures 3 and 7: KTxs/sec of 2PC, Walter and SSS at each key space, by
    node count. *)
-let system_grid scale ~run ~out p =
+let system_grid scale ~run ~out (p : Spec.t) =
   let cols =
     List.concat_map
       (fun sys ->
@@ -348,7 +273,7 @@ let system_grid scale ~run ~out p =
       [ Twopc; Walter; Sss ]
   in
   table out ~corner:"nodes" ~cols ~label:string_of_int ~rows:(node_counts scale)
-    (fun nodes (system, keys) -> ktxs (run { p with system; nodes; keys }))
+    (fun nodes (system, keys) -> ktxs (run { (sized p ~nodes keys) with system }))
 
 (* ---------- figures ---------- *)
 
@@ -357,23 +282,23 @@ let fig3_body scale ~run ~out =
   List.iter
     (fun ro ->
       pr out "-- %d%% read-only --\n" (int_of_float (ro *. 100.));
-      system_grid scale ~run ~out { (base_params scale) with ro_ratio = ro; degree = 2 })
+      system_grid scale ~run ~out (mix (base_spec scale) ro))
     [ 0.2; 0.5; 0.8 ]
 
 let fig3 ctx scale = staged ctx (fig3_body scale)
 
 let fig4a_body scale ~run ~out =
   header out "Figure 4(a): maximum attainable throughput, 50% read-only, 5k keys (KTxs/sec)";
-  let base = base_params scale in
+  let base = base_spec scale in
   let keys = List.hd (keyspaces scale) in
   let client_options =
     match scale with Full -> [ 5; 10; 16 ] | Quick -> [ 5; 10 ] | Smoke -> [ 4 ]
   in
   table out ~corner:"nodes" ~cols:(by_system [ Sss; Twopc ]) ~label:string_of_int
-    ~rows:(node_counts scale) (fun nodes sys ->
+    ~rows:(node_counts scale) (fun nodes system ->
       List.fold_left
         (fun acc clients ->
-          let o = run { base with system = sys; nodes; keys; ro_ratio = 0.5; clients } in
+          let o = run { (with_clients (sized base ~nodes keys) clients) with system } in
           Stdlib.max acc (ktxs o))
         0.0 client_options)
 
@@ -384,9 +309,8 @@ let latency_nodes = function Full -> 20 | Quick -> 10 | Smoke -> 5
 let fig4b_body scale ~run ~out =
   header out
     "Figure 4(b): transaction latency begin->external commit (ms), 50% read-only, 5k keys";
-  let base = base_params scale in
-  let keys = List.hd (keyspaces scale) in
   let nodes = latency_nodes scale in
+  let base = sized (base_spec scale) ~nodes (List.hd (keyspaces scale)) in
   (* mean over ALL committed transactions: the paper's measurement includes
      read-only transactions, whose cost is where SSS and the 2PC baseline
      differ most (2PC validates and locks them). *)
@@ -394,8 +318,8 @@ let fig4b_body scale ~run ~out =
     "SSS(update)" "2PC(update)";
   List.iter
     (fun clients ->
-      let sss = run { base with system = Sss; nodes; keys; ro_ratio = 0.5; clients } in
-      let tp = run { base with system = Twopc; nodes; keys; ro_ratio = 0.5; clients } in
+      let sss = run (with_clients base clients) in
+      let tp = run { (with_clients base clients) with system = Twopc } in
       pr out "%-10d%14.3f%14.3f%16.3f%16.3f\n" clients (sss.mean_latency *. 1e3)
         (tp.mean_latency *. 1e3)
         (sss.mean_update_latency *. 1e3)
@@ -407,14 +331,13 @@ let fig4b ctx scale = staged ctx (fig4b_body scale)
 let fig5_body scale ~run ~out =
   header out
     "Figure 5: SSS update latency breakdown (ms): execution+internal vs snapshot-queue wait";
-  let base = base_params scale in
-  let keys = List.hd (keyspaces scale) in
   let nodes = latency_nodes scale in
+  let base = sized (base_spec scale) ~nodes (List.hd (keyspaces scale)) in
   pr out "(nodes = %d)\n%-10s%14s%14s%14s%10s\n" nodes "clients" "total" "internal"
     "sq-wait" "wait%";
   List.iter
     (fun clients ->
-      let o = run { base with system = Sss; nodes; keys; ro_ratio = 0.5; clients } in
+      let o = run (with_clients base clients) in
       match (o.sss_internal, o.sss_wait) with
       | Some internal, Some wait ->
           let total = internal +. wait in
@@ -428,28 +351,29 @@ let fig5 ctx scale = staged ctx (fig5_body scale)
 
 let fig6_body scale ~run ~out =
   header out "Figure 6: SSS vs ROCOCO vs 2PC, no replication, 5k keys (KTxs/sec)";
-  let base = base_params scale in
+  let base = base_spec scale in
   let keys = List.hd (keyspaces scale) in
   List.iter
     (fun ro ->
       pr out "-- %d%% read-only --\n" (int_of_float (ro *. 100.));
       table out ~corner:"nodes" ~cols:(by_system [ Sss; Twopc; Rococo ]) ~label:string_of_int
         ~rows:(node_counts scale) (fun nodes system ->
-          ktxs (run { base with system; nodes; keys; ro_ratio = ro; degree = 1 })))
+          ktxs (run { (mix (sized base ~degree:1 ~nodes keys) ro) with system })))
     [ 0.2; 0.8 ]
 
 let fig6 ctx scale = staged ctx (fig6_body scale)
 
 let fig7_body scale ~run ~out =
   header out "Figure 7: throughput, 80% read-only, 50% locality, degree 2 (KTxs/sec)";
+  let base = base_spec scale in
   system_grid scale ~run ~out
-    { (base_params scale) with ro_ratio = 0.8; locality = 0.5; degree = 2 }
+    { base with profile = { base.profile with read_only_ratio = 0.8; locality = 0.5 } }
 
 let fig7 ctx scale = staged ctx (fig7_body scale)
 
 let fig8_body scale ~run ~out =
   header out "Figure 8: speedup of SSS as read-only size grows (15 nodes, 80% read-only)";
-  let base = base_params scale in
+  let base = base_spec scale in
   let nodes = match scale with Full -> 15 | Quick -> 10 | Smoke -> 5 in
   pr out "(nodes = %d)\n%-8s" nodes "ro-size";
   List.iter
@@ -464,10 +388,7 @@ let fig8_body scale ~run ~out =
       pr out "%-8d" ro_ops;
       List.iter
         (fun keys ->
-          let o sys =
-            run
-              { base with system = sys; nodes; keys; ro_ratio = 0.8; ro_ops; degree = 1 }
-          in
+          let o system = run { (mix (sized base ~degree:1 ~nodes keys) ~ro_ops 0.8) with system } in
           let sss = (o Sss).throughput in
           let roc = (o Rococo).throughput in
           let tp = (o Twopc).throughput in
@@ -480,49 +401,44 @@ let fig8 ctx scale = staged ctx (fig8_body scale)
 
 let abort_rate_body scale ~run ~out =
   header out "In-text: SSS abort rate at 20% read-only (paper: 6-28% at 5k, 4-14% at 10k)";
-  let base = base_params scale in
+  let base = mix (base_spec scale) 0.2 in
   table out ~fmt:"%13.1f%%" ~corner:"nodes"
     ~cols:(List.map (fun keys -> (Printf.sprintf "%dk keys" (keys / 1000), keys)) (keyspaces scale))
     ~label:string_of_int ~rows:(node_counts scale) (fun nodes keys ->
-      (run { base with system = Sss; nodes; keys; ro_ratio = 0.2; degree = 2 }).abort_rate
-      *. 100.0)
+      (run (sized base ~nodes keys)).abort_rate *. 100.0)
 
 let abort_rate ctx scale = staged ctx (abort_rate_body scale)
 
 let ablation_body scale ~run ~out =
   header out
     "Ablation: SSS paper-literal release vs hardened external-commit ordering (KTxs/sec)";
-  let base = base_params scale in
-  let keys = List.hd (keyspaces scale) in
   let nodes = latency_nodes scale in
+  let base = sized (base_spec scale) ~nodes (List.hd (keyspaces scale)) in
   pr out "(nodes = %d, 80%% read-only)\n%-8s%14s%14s%10s\n" nodes "ro-size" "paper"
     "hardened" "cost";
   List.iter
     (fun ro_ops ->
-      let o strict =
-        run { base with system = Sss; nodes; keys; ro_ratio = 0.8; ro_ops; degree = 1; strict }
+      let o strict_order =
+        let s = mix base ~ro_ops 0.8 in
+        run { s with config = { s.config with replication_degree = 1; strict_order } }
       in
       let paper = ktxs (o false) and hard = ktxs (o true) in
       pr out "%-8d%14.1f%14.1f%9.0f%%\n" ro_ops paper hard
         (100. *. (paper -. hard) /. paper))
     [ 2; 8; 16 ];
   header out "Ablation: prioritized network queues (the §V optimization) (KTxs/sec)";
-  let nodes2 = latency_nodes scale in
-  pr out "(nodes = %d, 50%% read-only, saturated clients)\n%-12s%14s%14s\n" nodes2
+  pr out "(nodes = %d, 50%% read-only, saturated clients)\n%-12s%14s%14s\n" nodes
     "" "prioritized" "fifo";
-  let o pn =
-    run
-      { base with system = Sss; nodes = nodes2; keys; ro_ratio = 0.5;
-        clients = base.clients * 2; priority_network = pn }
+  let o priority_network =
+    let s = with_clients base (base.load.clients_per_node * 2) in
+    run { s with config = { s.config with priority_network } }
   in
   let yes = o true and no = o false in
   pr out "%-12s%14.1f%14.1f\n" "throughput" (ktxs yes) (ktxs no);
   pr out "%-12s%13.3fms%13.3fms\n" "p99 latency" (yes.p99_latency *. 1e3)
     (no.p99_latency *. 1e3);
   header out "Ablation: vector-clock metadata compression (bytes on the wire)";
-  let o compress =
-    run { base with system = Sss; nodes = nodes2; keys; ro_ratio = 0.5; compress }
-  in
+  let o compress_metadata = run { base with config = { base.config with compress_metadata } } in
   let comp = o true and rawb = o false in
   pr out "%-14s%16s%16s\n" "" "compressed" "raw";
   pr out "%-14s%13.1f KB%13.1f KB\n" "total traffic"
@@ -536,23 +452,20 @@ let ablation ctx scale = staged ctx (ablation_body scale)
 
 let skewed_body scale ~run ~out =
   header out "Extra (not in the paper): zipfian key popularity, 50% read-only (KTxs/sec)";
-  let base = base_params scale in
-  let keys = List.hd (keyspaces scale) in
   let nodes = latency_nodes scale in
+  let base = base_spec scale in
   pr out "(nodes = %d, theta on X)\n" nodes;
   table out ~width:8 ~corner:"theta" ~cols:(by_system [ Sss; Walter; Twopc; Rococo ])
-    ~label:(Printf.sprintf "%.2f") ~rows:[ 0.0; 0.6; 0.9; 0.99 ] (fun theta sys ->
-      ktxs
-        (run
-           { base with system = sys; nodes; keys; ro_ratio = 0.5;
-             zipf = (if theta = 0.0 then None else Some theta);
-             degree = Store.paper_degree sys }))
+    ~label:(Printf.sprintf "%.2f") ~rows:[ 0.0; 0.6; 0.9; 0.99 ] (fun theta system ->
+      let s = sized base ~degree:(Store.paper_degree system) ~nodes (List.hd (keyspaces scale)) in
+      let dist = if theta = 0.0 then Driver.Uniform else Driver.Zipfian theta in
+      ktxs (run { s with system; load = { s.load with dist } }))
 
 let skewed ctx scale = staged ctx (skewed_body scale)
 
 let durability_body scale ~run ~out =
   header out "Durability: WAL group-commit overhead, and recovery vs checkpoint interval";
-  let base = base_params scale in
+  let base = base_spec scale in
   let keys = List.hd (keyspaces scale) in
   (* (a) steady-state cost of the log: the same workload with durability
      off and on; durable commits pay the fsync before acknowledging *)
@@ -560,33 +473,41 @@ let durability_body scale ~run ~out =
   pr out "%-8s%12s%12s%14s%14s%8s\n" "system" "off KTxs" "on KTxs" "off upd ms" "on upd ms"
     "cost";
   List.iter
-    (fun sys ->
+    (fun system ->
       let o durability =
-        run
-          { base with system = sys; nodes = 4; keys; ro_ratio = 0.5;
-            degree = Store.paper_degree sys; durability }
+        let s = sized base ~degree:(Store.paper_degree system) ~nodes:4 keys in
+        run { s with system; config = { s.config with durability } }
       in
       let off = o false and on = o true in
-      pr out "%-8s%12.1f%12.1f%14.3f%14.3f%7.0f%%\n" (system_name sys) (ktxs off) (ktxs on)
+      pr out "%-8s%12.1f%12.1f%14.3f%14.3f%7.0f%%\n" (system_name system) (ktxs off) (ktxs on)
         (off.mean_update_latency *. 1e3)
         (on.mean_update_latency *. 1e3)
         (100. *. (ktxs off -. ktxs on) /. Float.max 1e-9 (ktxs off)))
     [ Sss; Walter; Twopc; Rococo ];
   (* (b) the checkpoint-cadence trade: a crash at 15 ms (restart 19 ms)
      replays the log tail past the last completed checkpoint, so shorter
-     intervals buy faster recovery with more checkpoint write traffic *)
+     intervals buy faster recovery with more checkpoint write traffic.  The
+     crash needs the fault-tolerant transport, so survivors retry around
+     the dead NIC. *)
   pr out "-- SSS recovery vs checkpoint interval (crash one node at 15 ms, restart 19 ms) --\n";
   pr out "%-12s%13s%12s%14s%12s\n" "interval ms" "checkpoints" "replayed" "recovery ms" "KTxs";
+  let plan =
+    Sss_chaos.Chaos.crash_restart ~seed:base.config.seed ~node:2 ~at:0.015 ~restart_at:0.019
+  in
+  let crashed = sized base ~nodes:4 keys in
+  let crashed =
+    {
+      crashed with
+      config = { crashed.config with durability = true; fault_tolerance = true };
+      load = { crashed.load with warmup = 0.005; duration = 0.03 };
+      plan = Some plan;
+    }
+  in
   List.iter
-    (fun interval ->
-      let o =
-        run
-          { base with system = Sss; nodes = 4; keys; ro_ratio = 0.5; degree = 2;
-            warmup = 0.005; duration = 0.03; durability = true;
-            checkpoint_interval = interval; crash = Some (0.015, 0.019) }
-      in
+    (fun checkpoint_interval ->
+      let o = run { crashed with config = { crashed.config with checkpoint_interval } } in
       let w = o.wal in
-      pr out "%-12.1f%13d%12d%14.3f%12.1f\n" (interval *. 1e3)
+      pr out "%-12.1f%13d%12d%14.3f%12.1f\n" (checkpoint_interval *. 1e3)
         w.Sss_storage.Storage.checkpoints w.Sss_storage.Storage.replayed_records
         (w.Sss_storage.Storage.recovery_seconds *. 1e3)
         (ktxs o))
@@ -609,18 +530,23 @@ let slo_ms = 5.0
 
 let slo_rate runs =
   List.fold_left
-    (fun acc (p, o) ->
-      match p.arrival with
-      | Some (Driver.Poisson rate) when o.p99_sojourn <= slo_ms /. 1e3 ->
+    (fun acc ((s : Spec.t), o) ->
+      match s.load.open_loop with
+      | Some { arrival = Driver.Poisson rate; _ } when o.p99_sojourn <= slo_ms /. 1e3 ->
           Some (Option.fold ~none:rate ~some:(Float.max rate) acc)
       | _ -> acc)
     None runs
 
 let saturation_body scale ~run ~out =
   header out "Saturation: open-loop throughput and p99 sojourn vs offered load";
-  let base = base_params scale in
   let keys = List.hd (keyspaces scale) in
   let nodes = match scale with Full -> 10 | Quick -> 5 | Smoke -> 3 in
+  let base = sized (base_spec scale) ~nodes keys in
+  let queue_capacity = 64 and workers_per_node = 10 in
+  let arriving system arrival =
+    { base with system;
+      load = { base.load with open_loop = Some { arrival; queue_capacity; workers_per_node } } }
+  in
   (* An open-loop client observes at minimum the protocol's blocking
      structure: a read round plus a commit round, each a request/reply
      exchange — about 2 RTTs plus message service, independent of load.
@@ -634,7 +560,7 @@ let saturation_body scale ~run ~out =
   pr out
     "(nodes = %d, %d keys, 50%% read-only, Poisson arrivals per node,\n\
     \ admission queue %d, %d workers/node, GC on)\n"
-    nodes keys base.queue_capacity base.workers;
+    nodes keys queue_capacity workers_per_node;
   pr out "latency floor (~2 RTTs, cf. Didona et al.): %.3f ms\n" (floor_s *. 1e3);
   List.iter
     (fun sys ->
@@ -644,10 +570,7 @@ let saturation_body scale ~run ~out =
       let rungs =
         List.map
           (fun rate ->
-            let p =
-              { base with system = sys; nodes; keys; ro_ratio = 0.5;
-                arrival = Some (Driver.Poisson rate) }
-            in
+            let p = arriving sys (Driver.Poisson rate) in
             let o = run p in
             pr out "%-11.0f%10d%10d%10d%9.1f%12.3f%7.1f%%%10d%9d%10d\n" rate o.offered
               o.accepted o.committed (ktxs o) (o.p99_sojourn *. 1e3)
@@ -682,11 +605,7 @@ let saturation_body scale ~run ~out =
     "KTxs/s" "p99soj ms" "rej%";
   List.iter
     (fun sys ->
-      let o =
-        run
-          { base with system = sys; nodes; keys; ro_ratio = 0.5;
-            arrival = Some (Driver.Ramp { from_rate = lo; to_rate = hi }) }
-      in
+      let o = run (arriving sys (Driver.Ramp { from_rate = lo; to_rate = hi })) in
       pr out "%-8s%10d%10d%10d%9.1f%12.3f%7.1f%%\n" (system_name sys) o.offered
         o.accepted o.committed (ktxs o) (o.p99_sojourn *. 1e3)
         (100. *. float_of_int o.rejected /. float_of_int (max 1 o.offered)))
@@ -748,25 +667,12 @@ let recovery_smoke () =
       );
     ]
   in
-  let line system (label, durable, plan) =
-    let (Store.Store s) =
-      Store.create system (Sim.create ())
-        {
-          Sss_kv.Config.default with
-          nodes = 4;
-          replication_degree = Store.paper_degree system;
-          total_keys = 24;
-          seed;
-          fault_tolerance = true;
-          durability = durable;
-        }
-    in
+  let line system (label, durability, plan) =
     let r =
-      Store.drive ~plan s
-        ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
-        ~load:
-          { Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03;
-            seed }
+      Spec.run
+        (Spec.make ~plan ~clients:2 ~duration:0.03 system
+           { Sss_kv.Config.default with nodes = 4; replication_degree = Store.paper_degree system;
+             total_keys = 24; seed; fault_tolerance = true; durability })
     in
     Printf.sprintf "%s %s des_events %d committed %d history_md5 %s\n"
       (String.lowercase_ascii (system_name system))

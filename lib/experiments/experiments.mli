@@ -9,66 +9,13 @@
     Figures execute through a {!ctx}: the independent simulator runs behind
     a figure are fanned across a {!Sss_par.Pool} (jobs = 1 by default) and
     their results consumed strictly in submission order.  Each figure
-    returns the runs it made, as [(params, outcome)] pairs in submission
+    returns the runs it made, as [(spec, outcome)] pairs in submission
     order; they and the figure's text are byte-identical at every jobs
     count. *)
 
 type system = Store.system = Sss | Walter | Twopc | Rococo
 
 val system_name : system -> string
-
-type params = {
-  system : system;
-  nodes : int;
-  degree : int;
-  keys : int;
-  ro_ratio : float;
-  ro_ops : int;  (** reads per read-only transaction *)
-  locality : float;  (** probability of accessing a node-local key *)
-  clients : int;  (** closed-loop clients per node *)
-  warmup : float;
-  duration : float;
-  seed : int;
-  strict : bool;
-      (** SSS only: run the hardened external-commit ordering (see
-          DESIGN.md) instead of the paper's literal per-key release;
-          defaults to the paper's behaviour for benchmark fidelity *)
-  priority_network : bool;
-      (** SSS only: the §V prioritized message queues (default on) *)
-  compress : bool;
-      (** SSS only: §III-A vector-clock compression for the byte
-          telemetry (default on) *)
-  zipf : float option;
-      (** skewed key popularity (YCSB zipfian theta) instead of uniform *)
-  observe : bool;
-      (** attach the {!Sss_obs.Obs} sink to the run (default off).  By the
-          observer-effect contract this must not change trajectories — see
-          docs/OBSERVABILITY.md and the gate in bench/smoke.sh *)
-  durability : bool;
-      (** write-ahead logging on every node (default off; see
-          docs/DURABILITY.md) *)
-  checkpoint_interval : float;
-      (** {!Sss_kv.Config.t.checkpoint_interval} (default: the Config
-          default) *)
-  crash : (float * float) option;
-      (** [Some (at, restart_at)]: fail-stop one node mid-run and restart
-          it, with {!Sss_chaos.Chaos} crash/restart hooks wired so durable
-          protocols discard volatile state and replay their log.  Enables
-          the fault-tolerant transport for the run. *)
-  arrival : Sss_workload.Driver.arrival option;
-      (** [Some process]: drive the run open-loop — arrivals from the given
-          process instead of [clients] think-free loops.  [None] (default)
-          keeps the paper's closed loop, byte-identical to builds without
-          the open-loop engine. *)
-  queue_capacity : int;
-      (** open loop: bounded admission queue per node; arrivals beyond it
-          are rejected (counted, not queued) *)
-  workers : int;  (** open loop: service fibers per node *)
-}
-
-val default_params : params
-(** SSS, 5 nodes, degree 2, 5000 keys, 50% read-only, 10 clients/node,
-    10 ms warmup + 40 ms measured. *)
 
 type outcome = {
   throughput : float;  (** committed transactions per second of virtual time *)
@@ -86,13 +33,13 @@ type outcome = {
   wait_covered_timeouts : int;  (** SSS only; 0 in all reported runs *)
   wire_bytes : int;  (** SSS only: total network bytes (compression-aware) *)
   metrics : string option;
-      (** [Some json] iff the run had [observe = true]: the
+      (** [Some json] iff the run's [config.observe]: the
           {!Sss_obs.Obs.metrics_json} of the cluster's sink *)
   des_events : int;  (** simulator events this run executed *)
   virtual_seconds : float;  (** virtual time this run simulated *)
   wal : Sss_storage.Storage.stats;
       (** SSS only: cluster-wide write-ahead-log telemetry —
-          {!Sss_storage.Storage.zero_stats} when [durability] is off or
+          {!Sss_storage.Storage.zero_stats} when [config.durability] is off or
           the system does not expose it *)
   offered : int;  (** open loop: arrivals in the measured window *)
   accepted : int;  (** open loop: arrivals admitted to a queue *)
@@ -117,14 +64,12 @@ type outcome = {
   gc_dropped_entries : int;  (** SSS only: log entries reclaimed by online GC *)
 }
 
-val run : params -> outcome
-(** Build the cluster ({!Store.create}), drive the workload and the
-    optional crash ({!Store.drive}), and return the measured window's
+val run : Spec.t -> outcome
+(** Drive the spec ({!Spec.run}) and return the measured window's
     statistics — scalars only, so a banked outcome keeps no cluster,
-    history or latency sample alive.  History recording is off
-    (benchmark mode) and quiescence is not computed.
+    history or latency sample alive.  Quiescence is not computed.
 
-    [run] is a pure function of its params: it builds its own simulator and
+    [run] is a pure function of its spec: it builds its own simulator and
     cluster and touches no module-level state, so concurrent calls from
     pool domains are safe (lint rule R6 polices the library). *)
 
@@ -158,55 +103,59 @@ val parse_jobs : string -> int option
 (** A [-j] value: a positive count, or ["max"] for
     {!Sss_par.Pool.default_jobs}. *)
 
-val base_params : scale -> params
-(** The parameter template every figure at that scale derives its points
-    from (bench/main.ml fingerprints it for the report's meta block). *)
+val base_spec : scale -> Spec.t
+(** The spec every figure at that scale derives its points from: SSS, 5
+    nodes, degree 2, 5000 keys, 50% read-only, the paper's literal release
+    ([strict_order = false]), no history, seed 42, closed loop; 10 clients
+    per node, 10 ms warmup and 40 ms measured at [Full] (8, 8 ms, 25 ms at
+    [Quick]; 4, 4 ms, 10 ms at [Smoke]).  bench/main.ml fingerprints its
+    {!Spec.to_string} for the report's meta block. *)
 
-val fig3 : ctx -> scale -> (params * outcome) list
+val fig3 : ctx -> scale -> (Spec.t * outcome) list
 (** Throughput vs node count for SSS/Walter/2PC, replication degree 2,
     read-only ratio in {20, 50, 80}%, 5k and 10k keys. *)
 
-val fig4a : ctx -> scale -> (params * outcome) list
+val fig4a : ctx -> scale -> (Spec.t * outcome) list
 (** Maximum attainable throughput (best over clients-per-node) for SSS vs
     2PC-baseline, 50% read-only, 5k keys. *)
 
-val fig4b : ctx -> scale -> (params * outcome) list
+val fig4b : ctx -> scale -> (Spec.t * outcome) list
 (** Update-transaction latency (begin to external commit) vs clients per
     node, 20 nodes, 50% read-only, 5k keys, SSS vs 2PC-baseline. *)
 
-val fig5 : ctx -> scale -> (params * outcome) list
+val fig5 : ctx -> scale -> (Spec.t * outcome) list
 (** Breakdown of SSS update latency: execution+internal commit vs the
     pre-commit (snapshot-queue) wait; the paper reports the wait at ~30% of
     total, and below 28% on average. *)
 
-val fig6 : ctx -> scale -> (params * outcome) list
+val fig6 : ctx -> scale -> (Spec.t * outcome) list
 (** SSS vs ROCOCO vs 2PC-baseline, no replication, 5k keys, 20% and 80%
     read-only. *)
 
-val fig7 : ctx -> scale -> (params * outcome) list
+val fig7 : ctx -> scale -> (Spec.t * outcome) list
 (** Throughput at 80% read-only with 50% access locality, degree 2, 5k and
     10k keys, SSS/Walter/2PC. *)
 
-val fig8 : ctx -> scale -> (params * outcome) list
+val fig8 : ctx -> scale -> (Spec.t * outcome) list
 (** Speedup of SSS over ROCOCO and over 2PC-baseline as the read-only size
     grows through {2,4,8,16} reads; 15 nodes, 80% read-only, no
     replication. *)
 
-val abort_rate : ctx -> scale -> (params * outcome) list
+val abort_rate : ctx -> scale -> (Spec.t * outcome) list
 (** In-text measurement: SSS abort rate from 5 to 20 nodes at 20% read-only
     with 5k and 10k keys (paper: 6-28% and 4-14%). *)
 
-val ablation : ctx -> scale -> (params * outcome) list
+val ablation : ctx -> scale -> (Spec.t * outcome) list
 (** Design-choice ablation (not in the paper): throughput cost of the
     hardened external-commit ordering that makes the checker properties
     airtight, versus the paper's literal per-key snapshot-queue release. *)
 
-val skewed : ctx -> scale -> (params * outcome) list
+val skewed : ctx -> scale -> (Spec.t * outcome) list
 (** Extra experiment (not in the paper): all four systems under zipfian
     key popularity of increasing skew — contention sensitivity beyond the
     paper's uniform-access evaluation. *)
 
-val durability : ctx -> scale -> (params * outcome) list
+val durability : ctx -> scale -> (Spec.t * outcome) list
 (** Extra experiment (not in the paper): the durable storage engine's two
     trades.  (a) Steady-state overhead — each system with durability off
     vs on, where durable commits wait for the group-commit fsync before
@@ -216,7 +165,7 @@ val durability : ctx -> scale -> (params * outcome) list
     of more checkpoint write traffic.  EXPERIMENTS.md records the
     measured table. *)
 
-val saturation : ctx -> scale -> (params * outcome) list
+val saturation : ctx -> scale -> (Spec.t * outcome) list
 (** Extra experiment (not in the paper): open-loop saturation sweep.  A
     Poisson offered-load ladder per node is swept through each protocol's
     capacity knee (SSS and 2PC-baseline, online GC on), reporting accepted
@@ -228,18 +177,18 @@ val saturation : ctx -> scale -> (params * outcome) list
     closes with the protocol's resident store words (cross-protocol, same
     heap model) and its SLO verdict, {!slo_rate} of its rungs. *)
 
-val slo_rate : (params * outcome) list -> float option
+val slo_rate : (Spec.t * outcome) list -> float option
 (** The highest Poisson arrival rate among the runs whose p99 sojourn met
     the saturation figure's 5 ms bound; [None] when no Poisson run did. *)
 
-val all : ctx -> scale -> (params * outcome) list
+val all : ctx -> scale -> (Spec.t * outcome) list
 (** Run every experiment in order; their runs, concatenated. *)
 
 val figure_names : string list
 (** Every figure's command-line name ("fig3", ..., "saturation"), in the
     order {!all} runs them. *)
 
-val figure : string -> (ctx -> scale -> (params * outcome) list) option
+val figure : string -> (ctx -> scale -> (Spec.t * outcome) list) option
 (** The figure of that name, or ["all"]. *)
 
 val history_md5 : Sss_consistency.History.t -> string

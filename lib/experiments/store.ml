@@ -88,8 +88,9 @@ module Of (S : Sss_kv.Runtime.STORE) = struct
       }
 end
 
-(* The one place that names each protocol's module: every harness reaches
-   a store through here. *)
+(* The one place outside perfbench that names each protocol's module
+   (perfbench/cell.ml still repeats this dispatch): every other harness
+   reaches a store through here, by way of [Spec.run]. *)
 let create system =
   let none _ = None in
   match system with
@@ -120,10 +121,10 @@ type run = {
   obs : Sss_obs.Obs.t option;
   quiescent : unit -> (unit, string) result;
   kv : Sss_kv.Kv.cluster option;
+  chaos : Chaos.stats option;
 }
 
-let drive ?plan (s : _ t) ~profile ~load =
-  Option.iter (fun plan -> ignore (s.chaos plan : Chaos.handle)) plan;
+let drive ?chaos (s : _ t) ~profile ~load =
   let result =
     Driver.run s.sim ~nodes:s.config.nodes ~total_keys:s.config.total_keys
       ~local_keys:s.local_keys ~profile ~load ~ops:s.ops
@@ -139,6 +140,7 @@ let drive ?plan (s : _ t) ~profile ~load =
     obs = s.obs;
     quiescent = s.quiescent;
     kv = s.kv;
+    chaos = Option.map Chaos.stats chaos;
   }
 
 type verdict = Pass | Fail of string | Not_promised

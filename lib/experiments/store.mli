@@ -37,13 +37,14 @@ type 'h t = {
 type any = Store : 'h t -> any
 
 val create : system -> Sss_sim.Sim.t -> Sss_kv.Config.t -> any
+(** Harnesses reach it through {!Spec.run}. *)
 
 val paper_degree : system -> int
 (** The replication degree the paper's comparisons run a system at:
     ROCOCO unreplicated (1), every other system 2. *)
 
-(** {1 Driving a store} — the one create-drive-read pipeline of every
-    harness: figures, [stress], [sss-cli] and the trajectory pins *)
+(** {1 Driving a store} — the run half of {!Spec.run}, the one
+    create-drive-read pipeline of every harness outside perfbench *)
 
 (** One driven run: what a harness reads once the simulator drained. *)
 type run = {
@@ -57,17 +58,19 @@ type run = {
   obs : Sss_obs.Obs.t option;
   quiescent : unit -> (unit, string) result;  (** computed only when called *)
   kv : Sss_kv.Kv.cluster option;  (** [Some] for SSS: its own telemetry *)
+  chaos : Sss_chaos.Chaos.stats option;
+      (** what the run's fault plan injected; [None] without a plan *)
 }
 
 val drive :
-  ?plan:Sss_chaos.Chaos.plan ->
+  ?chaos:Sss_chaos.Chaos.handle ->
   'h t ->
   profile:Sss_workload.Driver.profile ->
   load:Sss_workload.Driver.load ->
   run
-(** Install [plan] through {!t.chaos}, run the workload
-    driver on the store's simulator until it drains, and read the
-    end-of-run numbers. *)
+(** Run the workload driver on the store's simulator until it drains and
+    read the end-of-run numbers; [chaos] is the handle of the plan
+    installed on the store. *)
 
 (** {1 Verdicts} — what [sss-cli verify], [stress] and the tests check *)
 

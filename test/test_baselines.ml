@@ -16,16 +16,17 @@ let check_ok what = function
   | Error msg -> Alcotest.fail (Printf.sprintf "%s: %s" what msg)
 
 (* A 4-node workload run of [system]: 4 clients per node, 5 ms warmup,
-   50 ms measured. *)
+   50 ms measured.  Returns the run and a [check_ok] that names the
+   run's spec. *)
 let drive system ~degree ~keys ~ro ~seed =
-  let (Store.Store s) =
-    Store.create system (Sim.create ()) (config ~nodes:4 ~degree ~keys ~seed ())
+  let spec =
+    Sss_experiments.Spec.make ~ro ~clients:4 ~duration:0.05 system
+      (config ~nodes:4 ~degree ~keys ~seed ())
   in
-  Store.drive s
-    ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:ro)
-    ~load:
-      { Sss_workload.Driver.default_load with clients_per_node = 4; warmup = 0.005;
-        duration = 0.05; seed }
+  let fail what msg =
+    Alcotest.failf "%s: %s -- %s" what msg (Sss_experiments.Spec.to_string spec)
+  in
+  (Sss_experiments.Spec.run spec, fun what -> Result.iter_error (fail what))
 
 (* ---------- 2PC-baseline ---------- *)
 
@@ -47,17 +48,17 @@ let test_twopc_basic () =
   check_ok "quiescent" (Twopc_kv.Twopc.quiescent cl)
 
 let test_twopc_workload () =
-  let r = drive Store.Twopc ~degree:2 ~keys:24 ~ro:0.5 ~seed:5 in
+  let r, check_run = drive Store.Twopc ~degree:2 ~keys:24 ~ro:0.5 ~seed:5 in
   Alcotest.(check bool) "progress" true (r.result.committed > 50);
   let h = r.history in
-  check_ok "external consistency" (Checker.external_consistency h);
-  check_ok "serializability" (Checker.serializability h);
-  check_ok "no lost updates" (Checker.no_lost_updates h);
-  check_ok "quiescent" (r.quiescent ())
+  check_run "external consistency" (Checker.external_consistency h);
+  check_run "serializability" (Checker.serializability h);
+  check_run "no lost updates" (Checker.no_lost_updates h);
+  check_run "quiescent" (r.quiescent ())
 
 let test_twopc_read_only_can_abort () =
   (* tiny key space: read-only validation conflicts must appear *)
-  let r = drive Store.Twopc ~degree:2 ~keys:8 ~ro:0.5 ~seed:3 in
+  let r, check_run = drive Store.Twopc ~degree:2 ~keys:8 ~ro:0.5 ~seed:3 in
   Alcotest.(check bool)
     (Printf.sprintf "aborts under contention (%d)" r.result.aborted)
     true (r.result.aborted > 0);
@@ -65,7 +66,7 @@ let test_twopc_read_only_can_abort () =
   (match Checker.read_only_abort_free r.history with
   | Ok () -> Alcotest.fail "expected some read-only aborts in 2PC-baseline"
   | Error _ -> ());
-  check_ok "still externally consistent" (Checker.external_consistency r.history)
+  check_run "still externally consistent" (Checker.external_consistency r.history)
 
 (* The client is answered only once every write replica applied.  Home
    node 0 writes key 0, whose replicas are nodes 1 and 2; the second
@@ -137,14 +138,14 @@ let test_walter_basic () =
   check_ok "quiescent" (Walter_kv.Walter.quiescent cl)
 
 let test_walter_workload () =
-  let r = drive Store.Walter ~degree:2 ~keys:24 ~ro:0.5 ~seed:7 in
+  let r, check_run = drive Store.Walter ~degree:2 ~keys:24 ~ro:0.5 ~seed:7 in
   Alcotest.(check bool) "progress" true (r.result.committed > 50);
   let h = r.history in
   (* PSI: intact read-modify-writes and abort-free read-only transactions,
      but NOT serializability (long forks are possible). *)
-  check_ok "no lost updates" (Checker.no_lost_updates h);
-  check_ok "read-only abort free" (Checker.read_only_abort_free h);
-  check_ok "quiescent" (r.quiescent ())
+  check_run "no lost updates" (Checker.no_lost_updates h);
+  check_run "read-only abort free" (Checker.read_only_abort_free h);
+  check_run "quiescent" (r.quiescent ())
 
 let test_walter_weaker_than_serializable () =
   (* Across seeds and a hot key space, PSI should exhibit at least one
@@ -152,9 +153,9 @@ let test_walter_weaker_than_serializable () =
      Walter's guarantee "much weaker" (§V). *)
   let violations = ref 0 in
   for seed = 1 to 8 do
-    let r = drive Store.Walter ~degree:2 ~keys:8 ~ro:0.6 ~seed in
+    let r, check_run = drive Store.Walter ~degree:2 ~keys:8 ~ro:0.6 ~seed in
     (match Checker.serializability r.history with Ok () -> () | Error _ -> incr violations);
-    check_ok "no lost updates" (Checker.no_lost_updates r.history)
+    check_run "no lost updates" (Checker.no_lost_updates r.history)
   done;
   Alcotest.(check bool)
     (Printf.sprintf "observed PSI anomalies in %d/8 runs" !violations)
@@ -320,13 +321,13 @@ let test_rococo_basic () =
   check_ok "quiescent" (Rococo_kv.Rococo.quiescent cl)
 
 let test_rococo_workload () =
-  let r = drive Store.Rococo ~degree:1 ~keys:24 ~ro:0.5 ~seed:11 in
+  let r, check_run = drive Store.Rococo ~degree:1 ~keys:24 ~ro:0.5 ~seed:11 in
   Alcotest.(check bool) "progress" true (r.result.committed > 50);
   let h = r.history in
-  check_ok "serializability" (Checker.serializability h);
-  check_ok "external consistency" (Checker.external_consistency h);
-  check_ok "no lost updates" (Checker.no_lost_updates h);
-  check_ok "quiescent" (r.quiescent ())
+  check_run "serializability" (Checker.serializability h);
+  check_run "external consistency" (Checker.external_consistency h);
+  check_run "no lost updates" (Checker.no_lost_updates h);
+  check_run "quiescent" (r.quiescent ())
 
 (* Durable ROCOCO keeps no state per finished transaction: with
    fixed-size values and no history, the cluster's live words after 2,000
@@ -427,7 +428,7 @@ let test_rococo_resent_commit () =
 
 let test_rococo_updates_never_abort () =
   (* hot keys: all aborts must come from the round-based read-only path *)
-  let r = drive Store.Rococo ~degree:1 ~keys:8 ~ro:0.5 ~seed:13 in
+  let r, check_run = drive Store.Rococo ~degree:1 ~keys:8 ~ro:0.5 ~seed:13 in
   let h = r.history in
   (* every aborted txn in the history must be read-only *)
   let events = History.events h in
@@ -448,8 +449,8 @@ let test_rococo_updates_never_abort () =
             (Hashtbl.find ro_txns txn)
       | _ -> ())
     events;
-  check_ok "serializability under contention" (Checker.serializability h);
-  check_ok "quiescent" (r.quiescent ())
+  check_run "serializability under contention" (Checker.serializability h);
+  check_run "quiescent" (r.quiescent ())
 
 let () =
   Alcotest.run "baselines"

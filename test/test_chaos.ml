@@ -7,8 +7,8 @@
 open Sss_sim
 open Sss_consistency
 module Chaos = Sss_chaos.Chaos
-module Driver = Sss_workload.Driver
 module Store = Sss_experiments.Store
+module Spec = Sss_experiments.Spec
 
 let any = { Chaos.src = None; dst = None; kinds = [] }
 
@@ -39,25 +39,26 @@ let chaos_config ~degree ~seed =
     fault_tolerance = true;
   }
 
-let chaos_load ~seed =
-  {
-    Driver.default_load with
-    clients_per_node = 2;
-    warmup = 0.005;
-    duration = 0.03;
-    seed;
-  }
-
-(* One run of [system] under [plan]: the store's run and what the plan
-   injected. *)
+(* One run of [system] under [plan]: its spec and the store's run, whose
+   [chaos] is what the plan injected. *)
 let run system ~plan ~seed =
-  let degree = Store.paper_degree system in
-  let (Store.Store s) = Store.create system (Sim.create ()) (chaos_config ~degree ~seed) in
-  let h = s.chaos plan in
-  let r =
-    Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(chaos_load ~seed)
+  let spec =
+    Spec.make ~plan ~clients:2 ~duration:0.03 system
+      (chaos_config ~degree:(Store.paper_degree system) ~seed)
   in
-  (r, Chaos.stats h)
+  (spec, Spec.run spec)
+
+(* Fail, naming the run's spec. *)
+let failf spec fmt =
+  Printf.ksprintf (fun msg -> Alcotest.failf "%s -- %s" msg (Spec.to_string spec)) fmt
+
+(* Every property the run's system promises holds, and it ended quiescent. *)
+let assert_verdicts spec (o : Store.run) =
+  List.iter
+    (function
+      | check, Store.Fail msg -> failf spec "%s: %s" check msg
+      | _, (Pass | Not_promised) -> ())
+    (Store.verdicts o.system o.history ~quiescent:(o.quiescent ()))
 
 let systems = Store.[ Sss; Twopc; Walter; Rococo ]
 
@@ -70,21 +71,16 @@ let test_sweep () =
     let plan = base_plan ~seed in
     List.iter
       (fun system ->
-        let name = Store.system_name system in
-        let o, stats = run system ~plan ~seed in
+        let spec, o = run system ~plan ~seed in
+        let stats = Option.get o.chaos in
         total_committed := !total_committed + o.result.committed;
         (* the plan must actually bite, or the test proves nothing *)
-        if stats.Chaos.injected_drops = 0 then
-          Alcotest.failf "%s seed=%d: plan injected no drops" name seed;
+        if stats.Chaos.injected_drops = 0 then failf spec "plan injected no drops";
         if stats.Chaos.partitions <> 1 || stats.Chaos.heals <> 1 then
-          Alcotest.failf "%s seed=%d: partition/heal did not fire" name seed;
+          failf spec "partition/heal did not fire";
         if stats.Chaos.crashes <> 1 || stats.Chaos.restarts <> 1 then
-          Alcotest.failf "%s seed=%d: crash/restart did not fire" name seed;
-        List.iter
-          (function
-            | check, Store.Fail msg -> Alcotest.failf "%s seed=%d %s: %s" name seed check msg
-            | _, (Pass | Not_promised) -> ())
-          (Store.verdicts o.system o.history ~quiescent:(o.quiescent ())))
+          failf spec "crash/restart did not fire";
+        assert_verdicts spec o)
       systems
   done;
   if !total_committed = 0 then Alcotest.fail "chaos sweep committed nothing"
@@ -95,7 +91,7 @@ let test_sweep () =
 
 let test_sss_ro_abort_zero () =
   for seed = 1 to 20 do
-    let o, _ = run Store.Sss ~plan:(base_plan ~seed) ~seed in
+    let spec, o = run Store.Sss ~plan:(base_plan ~seed) ~seed in
     let ro_txns = Hashtbl.create 64 in
     let ro_aborts = ref 0 and ro_commits = ref 0 in
     List.iter
@@ -106,8 +102,8 @@ let test_sss_ro_abort_zero () =
         | History.Commit { txn; _ } -> if Hashtbl.mem ro_txns txn then incr ro_commits
         | _ -> ())
       (History.events o.history);
-    Alcotest.(check int) (Printf.sprintf "seed %d: RO aborts" seed) 0 !ro_aborts;
-    if !ro_commits = 0 then Alcotest.failf "seed %d: no RO transaction committed" seed
+    if !ro_aborts > 0 then failf spec "%d RO aborts" !ro_aborts;
+    if !ro_commits = 0 then failf spec "no RO transaction committed"
   done
 
 (* ---------- determinism: same plan + same seed => byte-identical
@@ -118,16 +114,16 @@ let test_deterministic_replay () =
     (fun system ->
       let name = Store.system_name system in
       let seed = 5 in
-      let a, a_stats = run system ~plan:(base_plan ~seed) ~seed in
-      let b, b_stats = run system ~plan:(base_plan ~seed) ~seed in
+      let spec, a = run system ~plan:(base_plan ~seed) ~seed in
+      let _, b = run system ~plan:(base_plan ~seed) ~seed in
       Alcotest.(check int) (name ^ ": events processed") a.des_events b.des_events;
       Alcotest.(check bool) (name ^ ": network stats") true (a.network = b.network);
-      Alcotest.(check bool) (name ^ ": chaos stats") true (a_stats = b_stats);
+      Alcotest.(check bool) (name ^ ": chaos stats") true (a.chaos = b.chaos);
       Alcotest.(check int)
         (name ^ ": history length")
         (History.length a.history) (History.length b.history);
       if History.events a.history <> History.events b.history then
-        Alcotest.failf "%s: histories diverge between identical runs" name)
+        failf spec "histories diverge between identical runs")
     systems
 
 (* ---------- liveness: after the partition heals, every node's clients
@@ -142,12 +138,8 @@ let test_partition_heal_liveness () =
       events = [ Chaos.Partition { at = 0.008; heal_at; groups = [ [ 0; 1 ]; [ 2; 3 ] ] } ];
     }
   in
-  let o, _ = run Store.Sss ~plan ~seed:3 in
-  List.iter
-    (function
-      | check, Store.Fail msg -> Alcotest.failf "liveness %s: %s" check msg
-      | _, (Pass | Not_promised) -> ())
-    (Store.verdicts o.system o.history ~quiescent:(o.quiescent ()));
+  let spec, o = run Store.Sss ~plan ~seed:3 in
+  assert_verdicts spec o;
   (* every node commits something strictly after the heal *)
   let nodes_committing = Hashtbl.create 4 in
   List.iter
@@ -159,7 +151,7 @@ let test_partition_heal_liveness () =
     (History.events o.history);
   for node = 0 to 3 do
     if not (Hashtbl.mem nodes_committing node) then
-      Alcotest.failf "node %d committed nothing after the heal" node
+      failf spec "node %d committed nothing after the heal" node
   done
 
 (* ---------- DSL ---------- *)

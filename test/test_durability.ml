@@ -11,8 +11,8 @@
 open Sss_sim
 open Sss_consistency
 module Chaos = Sss_chaos.Chaos
-module Driver = Sss_workload.Driver
 module Store = Sss_experiments.Store
+module Spec = Sss_experiments.Spec
 
 (* crash node 2 mid-window; recovery gets ~a third of the run to finish
    and prove liveness afterwards *)
@@ -29,32 +29,35 @@ let durable_config ~degree ~seed =
     durability = true;
   }
 
-let load ~seed =
-  { Driver.default_load with clients_per_node = 2; warmup = 0.005; duration = 0.03; seed }
+(* A durable run of [system] under [plan]. *)
+let durable_spec ?(durability = true) ?(observe = false) system ~plan ~seed =
+  let config = durable_config ~degree:(Store.paper_degree system) ~seed in
+  Spec.make ~plan ~clients:2 ~duration:0.03 system { config with durability; observe }
 
-(* One run of [system] under [plan]: the store's run and what the plan
-   injected. *)
-let run ?(durability = true) ?(observe = false) system ~plan ~seed =
-  let degree = Store.paper_degree system in
-  let config = { (durable_config ~degree ~seed) with durability; observe } in
-  let (Store.Store s) = Store.create system (Sim.create ()) config in
-  let h = s.chaos plan in
-  let r =
-    Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed)
-  in
-  (r, Chaos.stats h)
+(* Its spec and the store's run, whose [chaos] is what the plan injected. *)
+let run ?durability ?observe system ~plan ~seed =
+  let spec = durable_spec ?durability ?observe system ~plan ~seed in
+  (spec, Spec.run spec)
 
 let systems = Store.[ Sss; Twopc; Walter; Rococo ]
 
-let assert_recovered system seed ((o : Store.run), stats) =
-  let name = Store.system_name system in
-  if stats.Chaos.crashes <> 1 || stats.Chaos.restarts <> 1 then
-    Alcotest.failf "%s seed=%d: crash/restart did not fire" name seed;
+(* Fail, naming the run's spec. *)
+let failf spec fmt =
+  Printf.ksprintf (fun msg -> Alcotest.failf "%s -- %s" msg (Spec.to_string spec)) fmt
+
+(* Every property the run's system promises holds, and it ended quiescent. *)
+let assert_verdicts spec (o : Store.run) =
   List.iter
     (function
-      | check, Store.Fail msg -> Alcotest.failf "%s seed=%d %s: %s" name seed check msg
+      | check, Store.Fail msg -> failf spec "%s: %s" check msg
       | _, (Pass | Not_promised) -> ())
-    (Store.verdicts o.system o.history ~quiescent:(o.quiescent ()));
+    (Store.verdicts o.system o.history ~quiescent:(o.quiescent ()))
+
+let assert_recovered spec (o : Store.run) =
+  let stats = Option.get o.chaos in
+  if stats.Chaos.crashes <> 1 || stats.Chaos.restarts <> 1 then
+    failf spec "crash/restart did not fire";
+  assert_verdicts spec o;
   (* liveness: work committed after the restart *)
   let after_restart =
     List.exists
@@ -64,7 +67,7 @@ let assert_recovered system seed ((o : Store.run), stats) =
         | _ -> false)
       (History.events o.history)
   in
-  if not after_restart then Alcotest.failf "%s seed=%d: nothing committed after recovery" name seed
+  if not after_restart then failf spec "nothing committed after recovery"
 
 (* ---------- the sweep: every system, 10 seeds, crash mid-run ---------- *)
 
@@ -73,9 +76,9 @@ let test_crash_recovery_sweep () =
   for seed = 1 to 10 do
     List.iter
       (fun system ->
-        let o = run system ~plan:(crash_plan ~seed) ~seed in
-        total := !total + (fst o).result.committed;
-        assert_recovered system seed o)
+        let spec, o = run system ~plan:(crash_plan ~seed) ~seed in
+        total := !total + o.result.committed;
+        assert_recovered spec o)
       systems
   done;
   if !total = 0 then Alcotest.fail "durable sweep committed nothing"
@@ -87,20 +90,16 @@ let test_sss_crash_grid () =
     (fun i at ->
       let seed = 100 + i in
       let plan = Chaos.crash_restart ~seed ~node:1 ~at ~restart_at:(at +. 0.004) in
-      let o, stats = run Store.Sss ~plan ~seed in
-      if stats.Chaos.crashes <> 1 then Alcotest.failf "grid %d: crash did not fire" i;
-      List.iter
-        (function
-          | check, Store.Fail msg -> Alcotest.failf "grid at=%.6f %s: %s" at check msg
-          | _, (Pass | Not_promised) -> ())
-        (Store.verdicts o.system o.history ~quiescent:(o.quiescent ())))
+      let spec, o = run Store.Sss ~plan ~seed in
+      if (Option.get o.chaos).Chaos.crashes <> 1 then failf spec "grid %d: crash did not fire" i;
+      assert_verdicts spec o)
     [ 0.0100; 0.01002; 0.01004; 0.01006; 0.01008; 0.0101 ]
 
 (* SSS read-only abort-freedom survives durability + crash: no RO abort
    events, and RO work actually committed *)
 let test_sss_ro_abort_free_durable () =
   for seed = 1 to 10 do
-    let o, _ = run Store.Sss ~plan:(crash_plan ~seed) ~seed in
+    let spec, o = run Store.Sss ~plan:(crash_plan ~seed) ~seed in
     let ro_txns = Hashtbl.create 64 in
     let ro_aborts = ref 0 and ro_commits = ref 0 in
     List.iter
@@ -111,8 +110,8 @@ let test_sss_ro_abort_free_durable () =
         | History.Commit { txn; _ } -> if Hashtbl.mem ro_txns txn then incr ro_commits
         | _ -> ())
       (History.events o.history);
-    Alcotest.(check int) (Printf.sprintf "seed %d: RO aborts" seed) 0 !ro_aborts;
-    if !ro_commits = 0 then Alcotest.failf "seed %d: no RO transaction committed" seed
+    if !ro_aborts > 0 then failf spec "%d RO aborts" !ro_aborts;
+    if !ro_commits = 0 then failf spec "no RO transaction committed"
   done
 
 (* ---------- determinism: a durable crashy run replays byte-identically ---------- *)
@@ -122,11 +121,11 @@ let test_deterministic_replay () =
     (fun system ->
       let name = Store.system_name system in
       let seed = 7 in
-      let a, _ = run system ~plan:(crash_plan ~seed) ~seed in
-      let b, _ = run system ~plan:(crash_plan ~seed) ~seed in
+      let spec, a = run system ~plan:(crash_plan ~seed) ~seed in
+      let _, b = run system ~plan:(crash_plan ~seed) ~seed in
       Alcotest.(check int) (name ^ ": events processed") a.des_events b.des_events;
       if History.events a.history <> History.events b.history then
-        Alcotest.failf "%s: durable histories diverge between identical runs" name)
+        failf spec "durable histories diverge between identical runs")
     systems
 
 (* ---------- the recovery golden covers the atomic-commitment paths ----------
@@ -147,7 +146,7 @@ let test_golden_covers_indoubt () =
   List.iter
     (fun (system, query_kind) ->
       let seed = 7 in
-      let o, _ = run ~observe:true system ~plan:(crash_plan ~seed) ~seed in
+      let spec, o = run ~observe:true system ~plan:(crash_plan ~seed) ~seed in
       let line =
         Printf.sprintf "%s durable des_events %d committed %d history_md5 %s"
           (String.lowercase_ascii (Store.system_name system))
@@ -155,12 +154,12 @@ let test_golden_covers_indoubt () =
           (Sss_experiments.Experiments.history_md5 o.history)
       in
       if not (List.mem line golden) then
-        Alcotest.failf "observed run %S is not in the recovery golden" line;
+        failf spec "observed run %S is not in the recovery golden" line;
       let queries =
         match o.obs with Some obs -> Sss_obs.Obs.counter obs ("msg.sent." ^ query_kind) | None -> 0
       in
       if queries = 0 then
-        Alcotest.failf "%s: the golden run sent no in-doubt query" (Store.system_name system))
+        failf spec "the golden run sent no in-doubt query")
     Store.[ (Sss, "dquery"); (Twopc, "query"); (Walter, "query") ]
 
 (* ---------- abort decisions and tombstones survive a checkpoint ----------
@@ -315,35 +314,30 @@ let test_gc_across_crash () =
   let seed = 9 and crashed = 2 and crash_at = 0.015 and restart_at = 0.019 in
   let plan = Chaos.crash_restart ~seed ~node:crashed ~at:crash_at ~restart_at in
   let run gc =
-    let config = { (durable_config ~degree:2 ~seed) with gc; checkpoint_interval = 0.0 } in
-    let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
-    let sim = s.sim in
-    let cl = Option.get s.kv in
-    let h = s.chaos plan in
-    let dropped () =
+    let s = durable_spec Store.Sss ~plan ~seed in
+    let spec =
+      { s with config = { s.config with gc; checkpoint_interval = 0.0 };
+        load = { s.load with duration = 0.06 } }
+    in
+    let dropped cl =
       let _, versions, _ = Sss_kv.Kv.gc_stats cl in
       versions
     in
     (* live read-only transactions homed at the crashed node just before
        the crash, as the watermark sees them: their [Reading] pins *)
     let homed = ref 0 and after_restart = ref 0 in
-    Sim.schedule sim ~delay:(crash_at -. 1e-5) (fun () ->
-        (Hashtbl.iter
-           (fun _ -> function Sss_kv.State.Reading _ -> incr homed | _ -> ())
-           cl.Sss_kv.State.nodes.(crashed).Sss_kv.State.coordinated [@order_ok]));
-    Sim.schedule sim ~delay:(restart_at +. 0.02) (fun () -> after_restart := dropped ());
-    let r =
-      Store.drive s
-        ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
-        ~load:{ (load ~seed) with duration = 0.06 }
+    let setup (Store.Store s) =
+      let cl = Option.get s.kv in
+      Sim.schedule s.sim ~delay:(crash_at -. 1e-5) (fun () ->
+          (Hashtbl.iter
+             (fun _ -> function Sss_kv.State.Reading _ -> incr homed | _ -> ())
+             cl.Sss_kv.State.nodes.(crashed).Sss_kv.State.coordinated [@order_ok]));
+      Sim.schedule s.sim ~delay:(restart_at +. 0.02) (fun () -> after_restart := dropped cl)
     in
-    if (Chaos.stats h).Chaos.restarts <> 1 then Alcotest.fail "crash/restart did not fire";
-    List.iter
-      (function
-        | check, Store.Fail msg -> Alcotest.failf "gc=%b %s: %s" gc check msg
-        | _, (Pass | Not_promised) -> ())
-      (Store.verdicts r.system r.history ~quiescent:(r.quiescent ()));
-    (r.result.committed, r.history, !homed, !after_restart, dropped ())
+    let r = Spec.run ~setup spec in
+    if (Option.get r.chaos).Chaos.restarts <> 1 then failf spec "crash/restart did not fire";
+    assert_verdicts spec r;
+    (r.result.committed, r.history, !homed, !after_restart, dropped (Option.get r.kv))
   in
   let off_committed, off_history, _, _, _ = run false in
   let committed, history, homed, after_restart, at_end = run true in
@@ -366,15 +360,10 @@ let test_gc_across_crash () =
    off so the log keeps everything the checkpoints imaged. *)
 let test_nlog_restored_in_order () =
   for seed = 1 to 5 do
-    let config =
-      { (durable_config ~degree:2 ~seed) with gc = false; checkpoint_interval = 0.005 }
-    in
-    let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
-    let h = s.chaos (crash_plan ~seed) in
-    ignore
-      (Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed)
-        : Store.run);
-    if (Chaos.stats h).Chaos.restarts <> 1 then Alcotest.fail "crash/restart did not fire";
+    let s = durable_spec Store.Sss ~plan:(crash_plan ~seed) ~seed in
+    let spec = { s with config = { s.config with gc = false; checkpoint_interval = 0.005 } } in
+    let r = Spec.run spec in
+    if (Option.get r.chaos).Chaos.restarts <> 1 then failf spec "crash/restart did not fire";
     Array.iter
       (fun (n : Sss_kv.State.node) ->
         (* newest first: strictly decreasing *)
@@ -387,11 +376,11 @@ let test_nlog_restored_in_order () =
           (List.fold_left
              (fun prev l ->
                if l >= prev then
-                 Alcotest.failf "seed %d node %d: log local %d before %d" seed n.id l prev;
+                 failf spec "node %d: log local %d before %d" n.id l prev;
                l)
              max_int locals
             : int))
-      (Option.get s.kv).Sss_kv.State.nodes
+      (Option.get r.kv).Sss_kv.State.nodes
   done
 
 (* ---------- checkpoint images share the live node's blocks ---------- *)
@@ -476,11 +465,10 @@ let test_parked_is_prepared_and_applied () =
   List.iter
     (fun strict_order ->
       let seed = 3 in
-      let config = { (durable_config ~degree:2 ~seed) with total_keys = 8; strict_order } in
-      let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
-      let cl = Option.get s.kv in
+      let s = durable_spec Store.Sss ~plan:(crash_plan ~seed) ~seed in
+      let spec = { s with config = { s.config with total_keys = 8; strict_order } } in
       let stamps = ref 0 and queued = ref 0 in
-      let check () =
+      let check sim cl () =
         Array.iter
           (fun (node : St.node) ->
             let entries = Sss_kv.Runtime.sorted_bindings node.ac.Sss_kv.Runtime.prepared in
@@ -493,8 +481,8 @@ let test_parked_is_prepared_and_applied () =
             let agree what want got =
               if not (List.equal (fun (x, a) (y, b) -> x = y && Ids.equal_txn a b) want got)
               then
-                Alcotest.failf "strict_order=%b, node %d at %.6f: %s [%s], prepared entries imply [%s]"
-                  strict_order node.id (Sim.now s.sim) what (show got) (show want)
+                failf spec "node %d at %.6f: %s [%s], prepared entries imply [%s]" node.id
+                  (Sim.now sim) what (show got) (show want)
             in
             let parked = Sss_data.Stampset.to_list node.parked in
             agree "parked" (implied (fun (p : St.prep) -> p.final_vc)) parked;
@@ -507,12 +495,11 @@ let test_parked_is_prepared_and_applied () =
             queued := !queued + Sss_data.Stampset.length node.queued)
           cl.St.nodes
       in
-      Sim.set_probe s.sim (Some check);
-      let h = s.chaos (crash_plan ~seed) in
-      let o = Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed) in
-      assert_recovered Store.Sss seed (o, Chaos.stats h);
-      if !stamps = 0 then Alcotest.failf "strict_order=%b: no writer ever parked" strict_order;
-      if !queued = 0 then Alcotest.failf "strict_order=%b: no writer ever queued" strict_order)
+      let probe (Store.Store s) = Sim.set_probe s.sim (Some (check s.sim (Option.get s.kv))) in
+      let o = Spec.run ~setup:probe spec in
+      assert_recovered spec o;
+      if !stamps = 0 then failf spec "no writer ever parked";
+      if !queued = 0 then failf spec "no writer ever queued")
     [ true; false ]
 
 (* ---------- durability off: the hooks are inert ---------- *)
@@ -522,20 +509,18 @@ let test_off_trajectory_unchanged () =
   (* without durability, crash_node/restart_node fall back to the NIC-only
      fault: wiring the hooks must not move a single event.  The bare run
      installs the plan without them. *)
-  let bare =
-    let config = { (durable_config ~degree:2 ~seed) with durability = false } in
-    let (Store.Store s) = Store.create Store.Sss (Sim.create ()) config in
+  let install_bare (Store.Store s) =
     let cl = Option.get s.kv in
     ignore
       (Chaos.install s.sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Kv.message_kind
          (crash_plan ~seed)
-        : Chaos.handle);
-    Store.drive s ~profile:(Driver.paper_profile ~read_only_ratio:0.5) ~load:(load ~seed)
+        : Chaos.handle)
   in
-  let hooked, _ = run ~durability:false Store.Sss ~plan:(crash_plan ~seed) ~seed in
+  let hooked_spec, hooked = run ~durability:false Store.Sss ~plan:(crash_plan ~seed) ~seed in
+  let bare = Spec.run ~setup:install_bare { hooked_spec with plan = None } in
   Alcotest.(check int) "events identical" bare.des_events hooked.des_events;
   if History.events bare.history <> History.events hooked.history then
-    Alcotest.fail "durability=off trajectory depends on hook wiring"
+    failf hooked_spec "durability=off trajectory depends on hook wiring"
 
 let () =
   Alcotest.run "durability"

@@ -261,22 +261,16 @@ let test_healthy_path_pinned () =
   let module Store = Sss_experiments.Store in
   List.iter
     (fun (system, events, committed, md5) ->
-      let (Store.Store s) =
-        Store.create system (Sim.create ())
+      let spec =
+        Sss_experiments.Spec.make ~clients:4 ~duration:0.04 system
           { Config.default with nodes = 4; replication_degree = Store.paper_degree system;
             total_keys = 24; seed = 5 }
       in
-      let r =
-        Store.drive s
-          ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
-          ~load:
-            { Sss_workload.Driver.default_load with clients_per_node = 4; warmup = 0.005;
-              duration = 0.04; seed = 5 }
-      in
-      let name = Store.system_name system in
-      Alcotest.(check int) (name ^ " des_events") events r.des_events;
-      Alcotest.(check int) (name ^ " committed") committed r.result.committed;
-      Alcotest.(check string) (name ^ " history md5") md5
+      let r = Sss_experiments.Spec.run spec in
+      let name = Sss_experiments.Spec.to_string spec in
+      Alcotest.(check int) (name ^ ": des_events") events r.des_events;
+      Alcotest.(check int) (name ^ ": committed") committed r.result.committed;
+      Alcotest.(check string) (name ^ ": history md5") md5
         (Sss_experiments.Experiments.history_md5 r.history))
     healthy_pins
 

@@ -10,41 +10,24 @@ let check_ok what = function
   | Ok () -> ()
   | Error msg -> Alcotest.fail (Printf.sprintf "%s: %s" what msg)
 
-let make ?(nodes = 3) ?(degree = 1) ?(keys = 24) ?(seed = 1) ?(strict = true) () =
-  let sim = Sim.create () in
-  let config =
-    {
-      Config.default with
-      nodes;
-      replication_degree = degree;
-      total_keys = keys;
-      seed;
-      strict_order = strict;
-    }
-  in
-  (sim, Kv.create sim config)
+let config ?(nodes = 3) ?(degree = 1) ?(keys = 24) ?(seed = 1) ?(strict = true) () =
+  { Config.default with nodes; replication_degree = degree; total_keys = keys; seed;
+    strict_order = strict }
 
-let run_workload sim cl ~nodes ~keys ~ro ~seed ~duration =
-  let ops =
-    {
-      Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-      read = Kv.read;
-      write = Kv.write;
-      commit = Kv.commit;
-    }
-  in
-  Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-    ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-    ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:ro)
-    ~load:
-      {
-        Sss_workload.Driver.default_load with
-        clients_per_node = 4;
-        warmup = 0.005;
-        duration;
-        seed;
-      }
-    ~ops
+let make ?nodes ?degree ?keys ?seed () =
+  let sim = Sim.create () in
+  (sim, Kv.create sim (config ?nodes ?degree ?keys ?seed ()))
+
+module Spec = Sss_experiments.Spec
+
+(* SSS on [config]: 4 clients per node, [ro] read-only, 5 ms warmup,
+   [duration] measured. *)
+let sss ~ro ~duration config = Spec.make ~ro ~clients:4 ~duration Sss config
+
+(* Drive [spec]: its run, and a [check_ok] that names the spec. *)
+let drive spec =
+  let fail what msg = Alcotest.failf "%s: %s -- %s" what msg (Spec.to_string spec) in
+  (Spec.run spec, fun what -> Result.iter_error (fail what))
 
 (* ---------- paper mode ---------- *)
 
@@ -52,44 +35,21 @@ let test_paper_mode_liveness_and_core_properties () =
   (* Paper mode must stay live and keep the per-transaction guarantees
      (no lost updates, abort-free reads); full serializability under hot
      contention is exactly what it gives up (DESIGN.md findings). *)
-  let sim, cl = make ~nodes:4 ~degree:2 ~keys:32 ~seed:3 ~strict:false () in
-  let r = run_workload sim cl ~nodes:4 ~keys:32 ~ro:0.5 ~seed:3 ~duration:0.05 in
-  Alcotest.(check bool) "progress" true (r.Sss_workload.Driver.committed > 100);
-  let h = Kv.history cl in
-  check_ok "no lost updates" (Checker.no_lost_updates h);
-  check_ok "read-only abort free" (Checker.read_only_abort_free h);
-  check_ok "quiescent" (Kv.quiescent cl)
+  let r, check_run =
+    drive (sss ~ro:0.5 ~duration:0.05 (config ~nodes:4 ~degree:2 ~keys:32 ~seed:3 ~strict:false ()))
+  in
+  Alcotest.(check bool) "progress" true (r.result.committed > 100);
+  check_run "no lost updates" (Checker.no_lost_updates r.history);
+  check_run "read-only abort free" (Checker.read_only_abort_free r.history);
+  check_run "quiescent" (r.quiescent ())
 
 let test_paper_mode_faster_on_long_reads () =
   (* The ablation in one assertion: under long read-only scans, the paper's
      literal release outperforms the hardened ordering. *)
   let throughput strict =
-    let sim, cl = make ~nodes:4 ~degree:1 ~keys:64 ~seed:5 ~strict () in
-    let ops =
-      {
-        Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-        read = Kv.read;
-        write = Kv.write;
-        commit = Kv.commit;
-      }
-    in
-    let r =
-      Sss_workload.Driver.run sim ~nodes:4 ~total_keys:64
-        ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-        ~profile:
-          { Sss_workload.Driver.read_only_ratio = 0.8; update_ops = 2; ro_ops = 12;
-            locality = 0.0 }
-        ~load:
-          {
-            Sss_workload.Driver.default_load with
-            clients_per_node = 6;
-            warmup = 0.005;
-            duration = 0.04;
-            seed = 5;
-          }
-        ~ops
-    in
-    r.Sss_workload.Driver.throughput
+    let config = config ~nodes:4 ~keys:64 ~seed:5 ~strict () in
+    let s = Spec.make ~ro:0.8 ~clients:6 ~duration:0.04 Sss config in
+    (Spec.run { s with profile = { s.profile with ro_ops = 12 } }).result.throughput
   in
   let paper = throughput false and hardened = throughput true in
   Alcotest.(check bool)
@@ -105,16 +65,12 @@ let test_paper_mode_faster_on_long_reads () =
    same trajectory and shows what would otherwise be retained. *)
 let test_gc_bounds_state () =
   let run gc =
-    let sim = Sim.create () in
-    let cl =
-      Kv.create sim
-        { Config.default with nodes = 3; replication_degree = 1; total_keys = 8; seed = 11; gc }
-    in
-    let r = run_workload sim cl ~nodes:3 ~keys:8 ~ro:0.2 ~seed:11 ~duration:0.08 in
-    (r, cl)
+    let config = { (config ~keys:8 ~seed:11 ()) with gc } in
+    let r, check_run = drive (sss ~ro:0.2 ~duration:0.08 config) in
+    (r, Option.get r.kv, check_run)
   in
-  let r, cl = run true and _, off = run false in
-  Alcotest.(check bool) "progress" true (r.Sss_workload.Driver.committed > 200);
+  let r, cl, check_run = run true and _, off, _ = run false in
+  Alcotest.(check bool) "progress" true (r.result.committed > 200);
   Array.iteri
     (fun i (n : State.node) ->
       let kept = Mvstore.version_count n.State.store
@@ -129,20 +85,19 @@ let test_gc_bounds_state () =
         true
         (4 * kept < unbounded))
     cl.State.nodes;
-  check_ok "still externally consistent under GC"
-    (Checker.external_consistency (Kv.history cl));
-  check_ok "quiescent" (Kv.quiescent cl)
+  check_run "still externally consistent under GC" (Checker.external_consistency r.history);
+  check_run "quiescent" (r.quiescent ())
 
 (* ---------- replication degree 3 with history ---------- *)
 
 let test_degree3_consistency () =
-  let sim, cl = make ~nodes:5 ~degree:3 ~keys:20 ~seed:21 () in
-  let r = run_workload sim cl ~nodes:5 ~keys:20 ~ro:0.8 ~seed:21 ~duration:0.04 in
-  Alcotest.(check bool) "progress" true (r.Sss_workload.Driver.committed > 100);
-  let h = Kv.history cl in
-  check_ok "external consistency" (Checker.external_consistency h);
-  check_ok "serializability" (Checker.serializability h);
-  check_ok "quiescent" (Kv.quiescent cl)
+  let r, check_run =
+    drive (sss ~ro:0.8 ~duration:0.04 (config ~nodes:5 ~degree:3 ~keys:20 ~seed:21 ()))
+  in
+  Alcotest.(check bool) "progress" true (r.result.committed > 100);
+  check_run "external consistency" (Checker.external_consistency r.history);
+  check_run "serializability" (Checker.serializability r.history);
+  check_run "quiescent" (r.quiescent ())
 
 (* ---------- repeat contact: multi-read snapshot stability ---------- *)
 
@@ -292,9 +247,8 @@ let test_hardening_fixes_documented_anomaly () =
      serialization cycle the checker catches; the hardened ordering removes
      it on the very same workload and seed. *)
   let run strict =
-    let sim, cl = make ~nodes:4 ~degree:2 ~keys:8 ~seed:7 ~strict () in
-    let _ = run_workload sim cl ~nodes:4 ~keys:8 ~ro:0.5 ~seed:7 ~duration:0.04 in
-    Checker.serializability (Kv.history cl)
+    let s = sss ~ro:0.5 ~duration:0.04 (config ~nodes:4 ~degree:2 ~keys:8 ~seed:7 ~strict ()) in
+    Checker.serializability (Spec.run s).history
   in
   (match run false with
   | Error _ -> ()  (* the witness: Adya divergence under the paper's rules *)
@@ -305,14 +259,13 @@ let test_hardening_fixes_documented_anomaly () =
 
 let test_compression_reduces_traffic () =
   let run compress =
-    let sim = Sim.create () in
-    let config =
-      { Config.default with nodes = 3; total_keys = 24; compress_metadata = compress;
-        record_history = false }
+    let s =
+      sss ~ro:0.5 ~duration:0.02
+        { Config.default with nodes = 3; total_keys = 24; compress_metadata = compress;
+          record_history = false }
     in
-    let cl = Kv.create sim config in
-    let r = run_workload sim cl ~nodes:3 ~keys:24 ~ro:0.5 ~seed:8 ~duration:0.02 in
-    (r.Sss_workload.Driver.committed, (Kv.network_stats cl).Sss_net.Network.bytes)
+    let r = Spec.run { s with load = { s.load with seed = 8 } } in
+    (r.result.committed, r.network.bytes)
   in
   let committed_c, bytes_c = run true in
   let committed_r, bytes_r = run false in
@@ -323,9 +276,9 @@ let test_compression_reduces_traffic () =
 
 let test_mode_determinism () =
   let fingerprint strict =
-    let sim, cl = make ~nodes:3 ~degree:2 ~keys:16 ~seed:33 ~strict () in
-    let r = run_workload sim cl ~nodes:3 ~keys:16 ~ro:0.5 ~seed:33 ~duration:0.03 in
-    (r.Sss_workload.Driver.committed, r.Sss_workload.Driver.aborted)
+    let s = sss ~ro:0.5 ~duration:0.03 (config ~nodes:3 ~degree:2 ~keys:16 ~seed:33 ~strict ()) in
+    let r = Spec.run s in
+    (r.result.committed, r.result.aborted)
   in
   Alcotest.(check (pair int int)) "strict deterministic" (fingerprint true) (fingerprint true);
   Alcotest.(check (pair int int)) "paper deterministic" (fingerprint false) (fingerprint false)
@@ -333,35 +286,103 @@ let test_mode_determinism () =
 let test_experiments_smoke () =
   (* every system runs through the experiment harness and reports sane
      numbers (tiny scale) *)
+  let module E = Sss_experiments.Experiments in
   List.iter
-    (fun sys ->
-      let o =
-        Sss_experiments.Experiments.run
-          {
-            Sss_experiments.Experiments.default_params with
-            system = sys;
-            nodes = 3;
-            degree = 1;
-            keys = 60;
-            clients = 3;
-            warmup = 0.002;
-            duration = 0.01;
-          }
+    (fun system ->
+      let s = E.base_spec E.Full in
+      let spec =
+        {
+          s with
+          system;
+          config = { s.config with nodes = 3; replication_degree = 1; total_keys = 60 };
+          load = { s.load with clients_per_node = 3; warmup = 0.002; duration = 0.01 };
+        }
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s throughput > 0"
-           (Sss_experiments.Experiments.system_name sys))
-        true
-        (o.Sss_experiments.Experiments.throughput > 0.0);
-      Alcotest.(check bool) "latency sane" true
-        (o.Sss_experiments.Experiments.mean_latency > 0.0
-        && o.Sss_experiments.Experiments.mean_latency < 0.01))
-    [
-      Sss_experiments.Experiments.Sss;
-      Sss_experiments.Experiments.Walter;
-      Sss_experiments.Experiments.Twopc;
-      Sss_experiments.Experiments.Rococo;
+      let o = E.run spec in
+      let line = Spec.to_string spec in
+      Alcotest.(check bool) (line ^ ": throughput > 0") true (o.throughput > 0.0);
+      Alcotest.(check bool) (line ^ ": latency sane") true
+        (o.mean_latency > 0.0 && o.mean_latency < 0.01))
+    E.[ Sss; Walter; Twopc; Rococo ]
+
+(* Spec.to_string names every field: a copy of [base] that differs in one
+   field prints a different line.  [Config.trace_capacity] is the one field
+   left out (no run reads it).  Each record's copies are counted against its
+   runtime size, so a field added without a copy here fails the test. *)
+let test_spec_line_names_every_field () =
+  let module Chaos = Sss_chaos.Chaos in
+  let s = Sss_experiments.Experiments.base_spec Smoke in
+  let o = { Sss_workload.Driver.arrival = Poisson 1e3; queue_capacity = 8; workers_per_node = 2 } in
+  let plan = Chaos.crash_restart ~seed:1 ~node:2 ~at:0.01 ~restart_at:0.02 in
+  let base = { s with load = { s.load with open_loop = Some o }; plan = Some plan } in
+  let c = base.config and n = base.config.network and p = base.profile and l = base.load in
+  let cf f = { base with config = f c } and pf f = { base with profile = f p } in
+  let nf f = cf (fun c -> { c with network = f n }) and lf f = { base with load = f l } in
+  let of_ f = lf (fun l -> { l with open_loop = Some (f o) }) in
+  let plf f = { base with plan = Some (f plan) } in
+  let groups =
+    [ ("spec", Obj.repr base,
+       [ ("system", { base with system = Walter }); ("config", cf (fun c -> { c with seed = 9 }));
+         ("profile", pf (fun p -> { p with ro_ops = 3 })); ("plan", { base with plan = None });
+         ("load", lf (fun l -> { l with open_loop = None })) ]);
+      ("config", Obj.repr c,
+       [ ("nodes", cf (fun c -> { c with nodes = 6 }));
+         ("seed", cf (fun c -> { c with seed = 43 }));
+         ("replication_degree", cf (fun c -> { c with replication_degree = 3 }));
+         ("total_keys", cf (fun c -> { c with total_keys = 7 }));
+         ("network", nf (fun n -> { n with latency_base = 1e-4 }));
+         ("record_history", cf (fun c -> { c with record_history = not c.record_history }));
+         ("strict_order", cf (fun c -> { c with strict_order = not c.strict_order }));
+         ("gc", cf (fun c -> { c with gc = not c.gc }));
+         ("priority_network", cf (fun c -> { c with priority_network = not c.priority_network }));
+         ("compress_metadata", cf (fun c -> { c with compress_metadata = false }));
+         ("fault_tolerance", cf (fun c -> { c with fault_tolerance = not c.fault_tolerance }));
+         ("observe", cf (fun c -> { c with observe = not c.observe }));
+         ("durability", cf (fun c -> { c with durability = not c.durability }));
+         ("checkpoint_interval", cf (fun c -> { c with checkpoint_interval = 0.051 }));
+         ("trace_capacity", cf (fun c -> { c with trace_capacity = 99 })) ]);
+      ("network", Obj.repr n,
+       [ ("latency_base", nf (fun n -> { n with latency_base = 2.5e-5 }));
+         ("latency_jitter", nf (fun n -> { n with latency_jitter = 0.0 }));
+         ("self_latency", nf (fun n -> { n with self_latency = 1.5e-6 }));
+         ("cpu_per_message", nf (fun n -> { n with cpu_per_message = 2.000001e-6 })) ]);
+      ("profile", Obj.repr p,
+       [ ("read_only_ratio", pf (fun p -> { p with read_only_ratio = 0.51 }));
+         ("update_ops", pf (fun p -> { p with update_ops = 3 }));
+         ("ro_ops", pf (fun p -> { p with ro_ops = 4 }));
+         ("locality", pf (fun p -> { p with locality = 0.5 })) ]);
+      ("load", Obj.repr l,
+       [ ("clients_per_node", lf (fun l -> { l with clients_per_node = 5 }));
+         ("warmup", lf (fun l -> { l with warmup = 0.0041 }));
+         ("duration", lf (fun l -> { l with duration = 0.011 }));
+         ("seed", lf (fun l -> { l with seed = 41 }));
+         ("dist", lf (fun l -> { l with dist = Zipfian 0.9 }));
+         ("retry_aborts", lf (fun l -> { l with retry_aborts = not l.retry_aborts }));
+         ("open_loop", of_ (fun o -> { o with arrival = Ramp { from_rate = 1.; to_rate = 2. } }))
+       ]);
+      ("open_loop", Obj.repr o,
+       [ ("arrival", of_ (fun o -> { o with arrival = Poisson 1001.0 }));
+         ("queue_capacity", of_ (fun o -> { o with queue_capacity = 9 }));
+         ("workers_per_node", of_ (fun o -> { o with workers_per_node = 3 })) ]);
+      ("plan", Obj.repr plan,
+       [ ("seed", plf (fun p -> { p with seed = 2 }));
+         ("events", plf (fun p -> { p with events = [] }));
+         ("rules", plf (fun p -> { p with rules = (Result.get_ok (Chaos.parse "dup(p=1)")).rules }))
+       ])
     ]
+  in
+  let line = Spec.to_string base in
+  List.iter
+    (fun (record, repr, copies) ->
+      Alcotest.(check int) (record ^ ": a copy per field") (Obj.size repr) (List.length copies);
+      List.iter
+        (fun (field, copy) ->
+          let same = String.equal (Spec.to_string copy) line in
+          if same <> String.equal field "trace_capacity" then
+            Alcotest.failf "%s.%s is %s the line %s" record field
+              (if same then "missing from" else "printed in") line)
+        copies)
+    groups
 
 let () =
   Alcotest.run "more"
@@ -379,7 +400,10 @@ let () =
             test_hardening_fixes_documented_anomaly;
         ] );
       ( "experiments",
-        [ Alcotest.test_case "harness smoke, all systems" `Quick test_experiments_smoke ] );
+        [
+          Alcotest.test_case "harness smoke, all systems" `Quick test_experiments_smoke;
+          Alcotest.test_case "spec line names every field" `Quick test_spec_line_names_every_field;
+        ] );
       ( "gc",
         [ Alcotest.test_case "bounded state, same guarantees" `Quick test_gc_bounds_state ] );
       ( "protocol",

@@ -76,14 +76,27 @@ let test_figure_determinism () =
   Alcotest.(check bool) "fig3 prints something" true (String.length text1 > 0);
   Alcotest.check runs "fig3 runs identical" runs1 runs4
 
+(* [spec] with its cluster and workload both at [seed] *)
+let seeded (spec : Sss_experiments.Spec.t) seed =
+  { spec with config = { spec.config with seed }; load = { spec.load with seed } }
+
+(* A 3-node, 24-key point with [clients] per node, or [open_loop]. *)
+let small ?(clients = 10) ?(duration = 0.01) ?open_loop () =
+  let s = E.base_spec E.Full in
+  {
+    s with
+    config = { s.config with nodes = 3; total_keys = 24 };
+    load = { s.load with clients_per_node = clients; duration; open_loop };
+  }
+
 let test_seed_sweep_determinism () =
-  let p = { E.default_params with nodes = 3; keys = 24; clients = 2; duration = 0.01 } in
+  let p = small ~clients:2 () in
   let seeds = [ 1; 2; 3; 4; 5; 6 ] in
   let digest outs =
     List.map (fun (o : E.outcome) -> (o.E.committed, o.E.des_events)) outs
   in
   let at jobs =
-    digest (Pool.map_list (Pool.create ~jobs) (fun seed -> E.run { p with seed }) seeds)
+    digest (Pool.map_list (Pool.create ~jobs) (fun seed -> E.run (seeded p seed)) seeds)
   in
   Alcotest.(check (list (pair int int))) "seed sweep identical at -j1 and -j4" (at 1) (at 4)
 
@@ -91,24 +104,17 @@ let test_seed_sweep_determinism () =
    trajectories at any jobs count *)
 let test_chaos_sweep_determinism () =
   let module Chaos = Sss_chaos.Chaos in
-  let module Store = Sss_experiments.Store in
   let any = { Chaos.src = None; dst = None; kinds = [] } in
   let rule drop dup =
     { Chaos.target = any; drop; dup; delay = 0.0; from_ = 0.0; until = Float.infinity }
   in
   let chaos_one seed =
     let plan = { Chaos.seed; rules = [ rule 0.03 0.0; rule 0.0 0.02 ]; events = [] } in
-    let (Store.Store s) =
-      Store.create Store.Sss (Sss_sim.Sim.create ())
-        { Sss_kv.Config.default with nodes = 4; replication_degree = 2; total_keys = 24;
-          seed; fault_tolerance = true }
-    in
     let r =
-      Store.drive ~plan s
-        ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
-        ~load:
-          { Sss_workload.Driver.default_load with clients_per_node = 2; warmup = 0.005;
-            duration = 0.02; seed }
+      Sss_experiments.Spec.run
+        (Sss_experiments.Spec.make ~plan ~clients:2 ~duration:0.02 Sss
+           { Sss_kv.Config.default with nodes = 4; replication_degree = 2; total_keys = 24;
+             seed; fault_tolerance = true })
     in
     (r.result.committed, r.des_events)
   in
@@ -136,15 +142,8 @@ let test_saturation_determinism () =
    and the DES event total: identical through the pool at any jobs count *)
 let test_open_loop_run_determinism () =
   let p =
-    {
-      E.default_params with
-      nodes = 3;
-      keys = 24;
-      duration = 0.02;
-      arrival = Some (Sss_workload.Driver.Poisson 4_000.0);
-      queue_capacity = 8;
-      workers = 4;
-    }
+    small ~duration:0.02
+      ~open_loop:{ arrival = Poisson 4_000.0; queue_capacity = 8; workers_per_node = 4 } ()
   in
   let digest outs =
     List.map
@@ -154,7 +153,7 @@ let test_open_loop_run_determinism () =
   in
   let seeds = [ 1; 2; 3; 4; 5; 6 ] in
   let at jobs =
-    digest (Pool.map_list (Pool.create ~jobs) (fun seed -> E.run { p with seed }) seeds)
+    digest (Pool.map_list (Pool.create ~jobs) (fun seed -> E.run (seeded p seed)) seeds)
   in
   Alcotest.(check
       (list (pair (triple int int int) (pair int int))))

@@ -4,22 +4,25 @@
 
 open Sss_experiments.Experiments
 
-let base =
+(* A 6-node, 600-key cluster at [degree] running [system] at read-only
+   ratio [ro] with [ro_ops] reads per read-only transaction. *)
+let spec ?(nodes = 6) ?(keys = 600) ?(degree = 2) ?(ro_ops = 2) ?(strict = false) system ro =
+  let s = base_spec Full in
+  let config = { s.config with nodes; total_keys = keys; replication_degree = degree } in
   {
-    default_params with
-    nodes = 6;
-    keys = 600;
-    clients = 6;
-    warmup = 0.008;
-    duration = 0.03;
+    s with
+    system;
+    config = { config with strict_order = strict };
+    profile = { s.profile with read_only_ratio = ro; ro_ops };
+    load = { s.load with clients_per_node = 6; warmup = 0.008; duration = 0.03 };
   }
 
 let thr p = (run p).throughput
 
 (* Fig. 3: at high read ratios SSS clearly outperforms the 2PC baseline. *)
 let test_sss_beats_2pc_read_dominated () =
-  let sss = thr { base with system = Sss; ro_ratio = 0.8 } in
-  let tp = thr { base with system = Twopc; ro_ratio = 0.8 } in
+  let sss = thr (spec Sss 0.8) in
+  let tp = thr (spec Twopc 0.8) in
   Alcotest.(check bool)
     (Printf.sprintf "SSS %.0f > 1.3x 2PC %.0f at 80%% RO" sss tp)
     true
@@ -28,8 +31,8 @@ let test_sss_beats_2pc_read_dominated () =
 (* Fig. 3: Walter (weaker PSI) stays at or above SSS at 80% RO, but the gap
    is bounded (the paper converges to ~1.1x). *)
 let test_walter_gap_bounded () =
-  let sss = thr { base with system = Sss; ro_ratio = 0.8 } in
-  let walter = thr { base with system = Walter; ro_ratio = 0.8 } in
+  let sss = thr (spec Sss 0.8) in
+  let walter = thr (spec Walter 0.8) in
   Alcotest.(check bool)
     (Printf.sprintf "Walter %.0f within [0.9x, 1.8x] of SSS %.0f" walter sss)
     true
@@ -37,8 +40,8 @@ let test_walter_gap_bounded () =
 
 (* Fig. 3: 2PC is competitive at 20% read-only (within 35% of SSS). *)
 let test_2pc_competitive_write_heavy () =
-  let sss = thr { base with system = Sss; ro_ratio = 0.2 } in
-  let tp = thr { base with system = Twopc; ro_ratio = 0.2 } in
+  let sss = thr (spec Sss 0.2) in
+  let tp = thr (spec Twopc 0.2) in
   let ratio = sss /. tp in
   Alcotest.(check bool)
     (Printf.sprintf "SSS/2PC at 20%% RO = %.2f (competitive)" ratio)
@@ -47,7 +50,7 @@ let test_2pc_competitive_write_heavy () =
 
 (* Fig. 6: ROCOCO ahead on write-heavy, SSS ahead on read-heavy. *)
 let test_rococo_crossover () =
-  let p ro sys = { base with system = sys; ro_ratio = ro; degree = 1 } in
+  let p ro sys = spec ~degree:1 sys ro in
   let write_heavy = thr (p 0.2 Sss) /. thr (p 0.2 Rococo) in
   let read_heavy = thr (p 0.8 Sss) /. thr (p 0.8 Rococo) in
   Alcotest.(check bool)
@@ -57,7 +60,7 @@ let test_rococo_crossover () =
 
 (* Fig. 8: the SSS/ROCOCO speedup grows with the read-only size. *)
 let test_speedup_grows_with_ro_size () =
-  let p ro_ops sys = { base with system = sys; ro_ratio = 0.8; ro_ops; degree = 1 } in
+  let p ro_ops sys = spec ~degree:1 ~ro_ops sys 0.8 in
   let s2 = thr (p 2 Sss) /. thr (p 2 Rococo) in
   let s8 = thr (p 8 Sss) /. thr (p 8 Rococo) in
   Alcotest.(check bool)
@@ -68,7 +71,7 @@ let test_speedup_grows_with_ro_size () =
 (* Fig. 5 / in-text: the snapshot-queue wait is a meaningful but bounded
    fraction of update latency (the paper reports ~30%). *)
 let test_wait_fraction_bounded () =
-  let o = run { base with system = Sss; ro_ratio = 0.5 } in
+  let o = run (spec Sss 0.5) in
   match (o.sss_internal, o.sss_wait) with
   | Some internal, Some wait ->
       let frac = wait /. (internal +. wait) in
@@ -81,7 +84,7 @@ let test_wait_fraction_bounded () =
 (* In-text: abort rate rises with node count and falls with key-space size. *)
 let test_abort_rate_shape () =
   let ar nodes keys =
-    (run { base with system = Sss; ro_ratio = 0.2; nodes; keys }).abort_rate
+    (run (spec ~nodes ~keys Sss 0.2)).abort_rate
   in
   let small_cluster = ar 3 600 in
   let big_cluster = ar 6 600 in
@@ -98,8 +101,8 @@ let test_abort_rate_shape () =
 (* Hardened mode preserves every shape above at the standard profile within
    a modest overhead. *)
 let test_hardening_overhead_bounded_at_standard_profile () =
-  let paper = thr { base with system = Sss; ro_ratio = 0.8 } in
-  let hard = thr { base with system = Sss; ro_ratio = 0.8; strict = true } in
+  let paper = thr (spec Sss 0.8) in
+  let hard = thr (spec ~strict:true Sss 0.8) in
   Alcotest.(check bool)
     (Printf.sprintf "hardened %.0f >= 60%% of paper %.0f" hard paper)
     true

@@ -416,30 +416,10 @@ let test_write_free_update_sends_no_remove () =
 (* Run a random closed-loop workload and verify every property the paper
    claims, via the checker. *)
 let run_workload ~nodes ~degree ~keys ~ro_ratio ~seed ~duration =
-  let sim, cl = make ~nodes ~degree ~keys ~seed () in
-  let ops =
-    {
-      Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-      read = Kv.read;
-      write = Kv.write;
-      commit = Kv.commit;
-    }
-  in
-  let result =
-    Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-      ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-      ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:ro_ratio)
-      ~load:
-        {
-          Sss_workload.Driver.default_load with
-          clients_per_node = 4;
-          warmup = 0.01;
-          duration;
-          seed;
-        }
-      ~ops
-  in
-  (cl, result)
+  let module Spec = Sss_experiments.Spec in
+  let config = { Config.default with nodes; replication_degree = degree; total_keys = keys; seed } in
+  let r = Spec.run (Spec.make ~ro:ro_ratio ~clients:4 ~warmup:0.01 ~duration Sss config) in
+  (Option.get r.kv, r.result)
 
 let assert_workload_correct what cl =
   let h = Kv.history cl in

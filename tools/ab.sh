@@ -14,9 +14,11 @@
 # as a fraction of REV's median; ok otherwise.
 #
 # TARGET is a perfbench workload (paper-closed, open-durable,
-# checked-faults: --seed 1 --trace 0 --seconds SECONDS, default 5) or fig3
-# (bench/main.exe --scale smoke fig3 at -j1, the default).  K defaults to
-# 10.
+# checked-faults: --seed 1 --trace 0 --seconds SECONDS, by default
+# BENCHMARK.json's run_seconds, the length the benchmark runs at; shorter
+# runs have fewer repetitions, so one minor collection can move a cell's
+# median) or fig3 (bench/main.exe --scale smoke fig3 at -j1, the default).
+# K defaults to 10.
 # Nothing in the working tree changes: outputs go to a temporary
 # directory ($TMPDIR, or /tmp).  Run from the repository root.
 set -eu
@@ -28,7 +30,7 @@ fi
 rev=$1
 target=${2:-fig3}
 k=${3:-10}
-seconds=${4:-5}
+seconds=${4:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}
 case $target in
   paper-closed | open-durable | checked-faults) exe=perfbench/perfbench.exe ;;
   fig3) exe=bench/main.exe ;;

@@ -35,6 +35,13 @@
 #                             would pin its empty buckets for a whole run
 #  11. line budget          — lib/ + bin/ stay within 13,500 lines and the
 #                             linter within 1,700 (ROADMAP, quality aim)
+#  12. one run pipeline     — Store.create and Store.drive appear in lib/,
+#                             bin/, bench/ and test/ only in
+#                             lib/experiments/{store,spec}.ml: every other
+#                             harness runs a Spec.t through Spec.run.
+#                             perfbench/ is exempt: cell.ml keeps its own
+#                             store dispatch until a benchmark change
+#                             moves it onto Spec.run
 #
 # Run from the repository root.
 set -eu
@@ -147,6 +154,15 @@ lint_lines=$(cat tools/lint/*.ml | wc -l)
 echo "  lib/ + bin/: $lines lines (budget 13500); tools/lint: $lint_lines lines (budget 1700)"
 if [ "$lines" -gt 13500 ] || [ "$lint_lines" -gt 1700 ]; then
   echo "check FAIL: over the line budget (ROADMAP: the same behaviour from less code)" >&2
+  exit 1
+fi
+
+echo "check: one run pipeline"
+stray=$(grep -rn 'Store\.create\|Store\.drive' lib bin bench test |
+  grep -v '^lib/experiments/store\.ml:\|^lib/experiments/spec\.ml:' || true)
+if [ -n "$stray" ]; then
+  echo "$stray" >&2
+  echo "check FAIL: Store.create/Store.drive outside lib/experiments/{store,spec}.ml (build a Spec.t and call Spec.run)" >&2
   exit 1
 fi
 
