@@ -100,6 +100,10 @@ val to_string : plan -> string
 (** Canonical textual form; [parse (to_string p) = Ok p] for every plan
     (floats are printed with enough digits to round-trip). *)
 
+val float_str : float -> string
+(** The shortest decimal that parses back to the same float (["inf"] for
+    infinity): how {!to_string} prints every float. *)
+
 (** {1 Installing} *)
 
 type handle

@@ -299,29 +299,7 @@ let create sim (config : Config.t) hooks =
          else None);
     }
   in
-  let t =
-    create ~size_of:(Message.wire_size ~compress:config.compress_metadata) ~hooks ~ext sim config
-  in
-  (* Sample per-node ingress depths on DES ticks (amortized: every 1024th
-     event).  The probe is passive, so the trajectory is the same with or
-     without it. *)
-  (match t.obs with
-  | Some o ->
-      Sim.set_probe sim
-        (Some
-           (fun () ->
-             if Sim.events_processed sim land 1023 = 0 then
-               for i = 0 to config.nodes - 1 do
-                 Sss_obs.Obs.gauge_set o ("net.queue.node" ^ string_of_int i)
-                   (Network.queue_depth t.net i);
-                 (* storage-retention gauges (GC telemetry; O(1) counters) *)
-                 Sss_obs.Obs.gauge_set o ("store.versions.node" ^ string_of_int i)
-                   (Mvstore.version_count t.nodes.(i).store);
-                 Sss_obs.Obs.gauge_set o ("nlog.entries.node" ^ string_of_int i)
-                   (Nlog.size t.nodes.(i).nlog)
-               done))
-  | None -> ());
-  t
+  create ~size_of:(Message.wire_size ~compress:config.compress_metadata) ~hooks ~ext sim config
 
 let node t i = t.nodes.(i)
 

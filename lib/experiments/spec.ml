@@ -19,10 +19,7 @@ let make ?plan ?(ro = 0.5) ?(clients = 10) ?(warmup = 0.005) ~duration system
     plan;
   }
 
-(* The shortest decimal that parses back to the same float. *)
-let fl f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+let fl = Sss_chaos.Chaos.float_str
 
 let to_string { system; config = c; profile = p; load = l; plan } =
   let n = c.network in

@@ -22,8 +22,13 @@ val make :
   t
 (** [system] on [config] under the paper's profile at read-only ratio [ro]
     (default 0.5): [clients] closed-loop clients per node (default 10),
-    [warmup] (default 5 ms) then [duration] of measured virtual time, the
-    load seeded with [config.seed]. *)
+    [warmup] (default 5 ms) then [duration] of measured virtual time.
+
+    A run has two seeds: [config.seed] drives the network's latency jitter,
+    [load.seed] the workload (key and read-only draws, open-loop arrivals).
+    [make] sets both from [config.seed]; a spec that needs them apart
+    updates [load.seed] afterwards.  {!to_string} prints them as [seed=]
+    and [load_seed=]. *)
 
 val to_string : t -> string
 (** One line naming every field (floats round-trip; the plan last, in
@@ -33,5 +38,6 @@ val to_string : t -> string
 val run : ?setup:(Store.any -> unit) -> t -> Store.run
 (** Create the {!Store} on a fresh simulator, install [plan] through its
     [chaos] installer, run [setup] on it (probes, samplers, a bare fault
-    plan), then drive it.  The run's [chaos] holds what the plan
-    injected. *)
+    plan), then drive it.  [setup] runs before the first event: virtual
+    time 0, no event processed, the plan scheduled but not yet fired.  The
+    run's [chaos] holds what the plan injected. *)

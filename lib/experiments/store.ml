@@ -53,6 +53,7 @@ type 'h t = {
   obs : Sss_obs.Obs.t option;
   network_stats : unit -> Network.stats;
   store_words : unit -> int;
+  store_repr : Ids.node -> Obj.t;
   quiescent : unit -> (unit, string) result;
   chaos : Chaos.plan -> Chaos.handle;
   kv : Sss_kv.Kv.cluster option;
@@ -80,10 +81,13 @@ module Of (S : Sss_kv.Runtime.STORE) = struct
         obs = S.obs cl;
         network_stats = (fun () -> Network.stats (S.network cl));
         store_words = (fun () -> S.store_words cl);
+        store_repr = S.store_repr cl;
         quiescent = (fun () -> S.quiescent cl);
         chaos =
-          Chaos.install sim (S.network cl) ~kind_of:S.message_kind
-            ~on_crash:(S.crash_node cl) ~on_restart:(S.restart_node cl);
+          (* a lambda, so a run without a plan builds no hook closures *)
+          (fun plan ->
+            Chaos.install sim (S.network cl) ~kind_of:S.message_kind
+              ~on_crash:(S.crash_node cl) ~on_restart:(S.restart_node cl) plan);
         kv = kv cl;
       }
 end

@@ -25,6 +25,7 @@ type 'h t = {
   store_words : unit -> int;
       (** resident store words under {!Sss_data.Mvstore.mem_words}'s heap
           model — comparable across protocols *)
+  store_repr : Ids.node -> Obj.t;  (** a node's store, for weighing it on the heap *)
   quiescent : unit -> (unit, string) result;
   chaos : Sss_chaos.Chaos.plan -> Sss_chaos.Chaos.handle;
       (** install a fault plan on the cluster's network with the protocol's

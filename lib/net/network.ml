@@ -206,8 +206,6 @@ let set_handler t n f = t.nodes.(n).handler <- f
 
 let set_observer t o = t.observer <- o
 
-let queue_depth t n = t.nodes.(n).queue.Iq.size
-
 (* ---- flight pool ---- *)
 
 let[@hot] take_flight t =

@@ -59,9 +59,6 @@ val set_observer : 'msg t -> 'msg observer option -> unit
     ([net.queue.node<i>]).  Observation is passive: it draws no randomness
     and schedules nothing, so trajectories are unchanged. *)
 
-val queue_depth : 'msg t -> Sss_data.Ids.node -> int
-(** Current ingress-queue depth of a node (for gauge sampling). *)
-
 val send : 'msg t -> ?prio:int -> src:Sss_data.Ids.node -> dst:Sss_data.Ids.node -> 'msg -> unit
 (** Fire-and-forget; lower [prio] is served first under saturation
     (default 100). *)

@@ -130,64 +130,37 @@ let test_with_txn_exception_aborts () =
 
 (* ---------- driver knobs ---------- *)
 
-let driver_ops cl =
-  {
-    Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-    read = Kv.read;
-    write = Kv.write;
-    commit = Kv.commit;
-  }
+module Spec = Sss_experiments.Spec
+
+(* [what], naming [spec]. *)
+let named spec what = what ^ " -- " ^ Spec.to_string spec
 
 let test_driver_retry_aborts () =
   (* with retry_aborts, aborted update transactions are re-attempted on the
      same keys; commits should exceed the no-retry run under contention *)
-  let run retry =
-    let sim, cl = make ~nodes:3 ~keys:6 () in
-    let r =
-      Sss_workload.Driver.run sim ~nodes:3 ~total_keys:6
-        ~local_keys:(fun _ -> [||])
-        ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.0)
-        ~load:
-          {
-            Sss_workload.Driver.default_load with
-            clients_per_node = 3;
-            warmup = 0.002;
-            duration = 0.02;
-            retry_aborts = retry;
-            seed = 4;
-          }
-        ~ops:(driver_ops cl)
-    in
-    r
+  let s =
+    Spec.make ~ro:0.0 ~clients:3 ~warmup:0.002 ~duration:0.02 Sss
+      { Config.default with nodes = 3; replication_degree = 1; total_keys = 6 }
   in
-  let no_retry = run false and retry = run true in
-  Alcotest.(check bool) "contention produced aborts" true
-    (no_retry.Sss_workload.Driver.aborted > 0);
-  Alcotest.(check bool) "both made progress" true
-    (retry.Sss_workload.Driver.committed > 0 && no_retry.Sss_workload.Driver.committed > 0)
+  let spec retry = { s with load = { s.load with retry_aborts = retry; seed = 4 } } in
+  let no_retry = (Spec.run (spec false)).result and retry = (Spec.run (spec true)).result in
+  let named = named (spec false) in
+  Alcotest.(check bool) (named "contention produced aborts") true (no_retry.aborted > 0);
+  Alcotest.(check bool) (named "both made progress") true
+    (retry.committed > 0 && no_retry.committed > 0)
 
 let test_driver_locality_draws_local () =
-  let sim, cl = make ~nodes:2 ~keys:16 () in
-  let local0 = Replication.keys_at cl.State.repl 0 in
-  let r =
-    Sss_workload.Driver.run sim ~nodes:2 ~total_keys:16
-      ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-      ~profile:
-        { Sss_workload.Driver.read_only_ratio = 1.0; update_ops = 2; ro_ops = 2;
-          locality = 1.0 }
-      ~load:
-        {
-          Sss_workload.Driver.default_load with
-          clients_per_node = 2;
-          warmup = 0.001;
-          duration = 0.01;
-          seed = 6;
-        }
-      ~ops:(driver_ops cl)
+  let s =
+    Spec.make ~ro:1.0 ~clients:2 ~warmup:0.001 ~duration:0.01 Sss
+      { Config.default with nodes = 2; replication_degree = 1; total_keys = 16 }
   in
-  Alcotest.(check bool) "progress" true (r.Sss_workload.Driver.committed > 10);
+  let spec =
+    { s with profile = { s.profile with locality = 1.0 }; load = { s.load with seed = 6 } }
+  in
+  let r = Spec.run spec and named = named spec in
+  let local0 = Kv.local_keys (Option.get r.kv) 0 in
+  Alcotest.(check bool) (named "progress") true (r.result.committed > 10);
   (* with locality = 1.0, clients on node 0 only ever read node-0 keys *)
-  let h = Kv.history cl in
   let ok = ref true in
   List.iter
     (fun { Sss_consistency.History.event; _ } ->
@@ -195,8 +168,8 @@ let test_driver_locality_draws_local () =
       | Sss_consistency.History.Read { txn; key; _ } ->
           if txn.Ids.node = 0 && not (Array.exists (( = ) key) local0) then ok := false
       | _ -> ())
-    (Sss_consistency.History.events h);
-  Alcotest.(check bool) "node-0 clients stayed local" true !ok
+    (Sss_consistency.History.events r.history);
+  Alcotest.(check bool) (named "node-0 clients stayed local") true !ok
 
 (* ---------- utility contracts ---------- *)
 

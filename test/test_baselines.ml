@@ -255,28 +255,18 @@ end
 (* The store gauge weighs what the heap holds: after a small workload,
    within 10% of [Obj.reachable_words] of each node's store, summed over
    the nodes.  SSS's [Mvstore] gauge is held to the same bar. *)
-module Gauge (S : Sss_kv.Runtime.STORE) = struct
-  let test () =
-    let sim = Sim.create () and nodes = 3 and keys = 200 in
-    let cl = S.create sim (config ~nodes ~keys ~seed:4 ()) in
-    let ops =
-      { Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> S.begin_txn cl ~node ~read_only);
-        read = S.read; write = S.write; commit = S.commit }
-    in
-    ignore
-      (Sss_workload.Driver.run sim ~nodes ~total_keys:keys ~local_keys:(S.local_keys cl)
-         ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
-         ~load:
-           { Sss_workload.Driver.default_load with clients_per_node = 4; warmup = 0.005;
-             duration = 0.05; seed = 4 }
-         ~ops
-        : Sss_workload.Driver.result);
-    let heap =
-      List.fold_left (fun a n -> a + Obj.reachable_words (S.store_repr cl n)) 0 (List.init nodes Fun.id)
-    and gauge = S.store_words cl in
-    if abs (gauge - heap) * 10 > heap then
-      Alcotest.failf "store_words %d vs %d reachable words: off by more than 10%%" gauge heap
-end
+let test_gauge system () =
+  let spec =
+    Sss_experiments.Spec.make ~clients:4 ~duration:0.05 system (config ~keys:200 ~seed:4 ())
+  in
+  let store_repr = ref (fun _ -> Obj.repr ()) in
+  let setup (Store.Store s) = store_repr := s.store_repr in
+  let r = Sss_experiments.Spec.run ~setup spec in
+  let weigh a n = a + Obj.reachable_words (!store_repr n) in
+  let heap = List.fold_left weigh 0 (List.init spec.config.nodes Fun.id) in
+  if abs (r.store_words - heap) * 10 > heap then
+    Alcotest.failf "store_words %d vs %d reachable words: off by more than 10%% -- %s"
+      r.store_words heap (Sss_experiments.Spec.to_string spec)
 
 module Twopc_genesis = Implicit_genesis (struct
   include Twopc_kv.Twopc
@@ -295,11 +285,6 @@ module Rococo_genesis = Implicit_genesis (struct
 
   let per_key = 5  (* key, value, writer, pending, ready *)
 end)
-
-module Twopc_gauge = Gauge (Twopc_kv.Twopc)
-module Walter_gauge = Gauge (Walter_kv.Walter)
-module Rococo_gauge = Gauge (Rococo_kv.Rococo)
-module Sss_gauge = Gauge (Sss_kv.Kv)
 
 (* ---------- ROCOCO ---------- *)
 
@@ -463,7 +448,7 @@ let () =
           Alcotest.test_case "answers after every write replica" `Quick
             test_twopc_awaits_write_replicas;
           Alcotest.test_case "implicit genesis" `Quick Twopc_genesis.test;
-          Alcotest.test_case "store gauge matches the heap" `Quick Twopc_gauge.test;
+          Alcotest.test_case "store gauge matches the heap" `Quick (test_gauge Twopc);
         ] );
       ( "walter",
         [
@@ -471,7 +456,7 @@ let () =
           Alcotest.test_case "workload" `Quick test_walter_workload;
           Alcotest.test_case "weaker than serializable" `Quick test_walter_weaker_than_serializable;
           Alcotest.test_case "implicit genesis" `Quick Walter_genesis.test;
-          Alcotest.test_case "store gauge matches the heap" `Quick Walter_gauge.test;
+          Alcotest.test_case "store gauge matches the heap" `Quick (test_gauge Walter);
         ] );
       ( "rococo",
         [
@@ -483,7 +468,7 @@ let () =
           Alcotest.test_case "re-sent commit runs once and answers last" `Quick
             test_rococo_resent_commit;
           Alcotest.test_case "implicit genesis" `Quick Rococo_genesis.test;
-          Alcotest.test_case "store gauge matches the heap" `Quick Rococo_gauge.test;
+          Alcotest.test_case "store gauge matches the heap" `Quick (test_gauge Rococo);
         ] );
-      ("sss", [ Alcotest.test_case "store gauge matches the heap" `Quick Sss_gauge.test ]);
+      ("sss", [ Alcotest.test_case "store gauge matches the heap" `Quick (test_gauge Sss) ]);
     ]

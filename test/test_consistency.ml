@@ -3,6 +3,8 @@
 
 open Sss_data
 open Sss_consistency
+module Store = Sss_experiments.Store
+module Spec = Sss_experiments.Spec
 
 let tx node local : Ids.txn = { node; local }
 
@@ -387,35 +389,14 @@ let test_history_retention () =
    serving a read from a stale version, acknowledging commits out of order,
    and losing an install. *)
 
-let real_history () =
-  let sim = Sss_sim.Sim.create () in
-  let config =
+let real_spec =
+  Spec.make ~ro:0.3 ~clients:3 ~duration:0.03 Sss
     { Sss_kv.Config.default with nodes = 2; replication_degree = 1; total_keys = 12; seed = 5 }
-  in
-  let cl = Sss_kv.Kv.create sim config in
-  let ops =
-    {
-      Sss_workload.Driver.begin_txn =
-        (fun ~node ~read_only -> Sss_kv.Kv.begin_txn cl ~node ~read_only);
-      read = Sss_kv.Kv.read;
-      write = Sss_kv.Kv.write;
-      commit = Sss_kv.Kv.commit;
-    }
-  in
-  ignore
-    (Sss_workload.Driver.run sim ~nodes:2 ~total_keys:12
-       ~local_keys:(fun n -> Replication.keys_at cl.Sss_kv.State.repl n)
-       ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.3)
-       ~load:
-         {
-           Sss_workload.Driver.default_load with
-           clients_per_node = 3;
-           warmup = 0.005;
-           duration = 0.03;
-           seed = 5;
-         }
-       ~ops);
-  History.events (Sss_kv.Kv.history cl)
+
+let real_history () = History.events (Spec.run real_spec).history
+
+(* [what], naming the real history's run. *)
+let real what = what ^ " -- " ^ Spec.to_string real_spec
 
 let rebuild events =
   let h = History.create () in
@@ -461,9 +442,9 @@ let find_anchored_read evs =
 
 let test_mutation_stale_read () =
   let evs = real_history () in
-  check_ok "unmutated history is clean" (Checker.external_consistency (rebuild evs));
+  check_ok (real "unmutated history is clean") (Checker.external_consistency (rebuild evs));
   match find_anchored_read evs with
-  | None -> Alcotest.fail "no anchored read in the real history (workload too small?)"
+  | None -> Alcotest.fail (real "no anchored read in the real history (workload too small?)")
   | Some (seq, txn, key, _writer) ->
       (* the bug: a replica answers from a version the reader's own session
          has already seen superseded *)
@@ -479,9 +460,9 @@ let test_mutation_stale_read () =
 
 let test_mutation_swapped_commit_order () =
   let evs = real_history () in
-  check_ok "unmutated history is clean" (Checker.external_consistency (rebuild evs));
+  check_ok (real "unmutated history is clean") (Checker.external_consistency (rebuild evs));
   match find_anchored_read evs with
-  | None -> Alcotest.fail "no anchored read in the real history"
+  | None -> Alcotest.fail (real "no anchored read in the real history")
   | Some (_, reader, _, _writer) ->
       (* the bug: the coordinator acknowledges the reader's commit before
          the writer it depends on even began — recorded completion order
@@ -503,7 +484,7 @@ let test_mutation_swapped_commit_order () =
 
 let test_mutation_dropped_install () =
   let evs = real_history () in
-  check_ok "unmutated history is clean" (Checker.no_lost_updates (rebuild evs));
+  check_ok (real "unmutated history is clean") (Checker.no_lost_updates (rebuild evs));
   (* a committed RMW chain: R read W's version of a key and installed its
      own version of the same key *)
   let target =
@@ -521,7 +502,7 @@ let test_mutation_dropped_install () =
         | _ -> None)
   in
   match target with
-  | None -> Alcotest.fail "no committed RMW chain in the real history"
+  | None -> Alcotest.fail (real "no committed RMW chain in the real history")
   | Some (key, w) ->
       (* the bug: a replica loses the predecessor's install, so the chain's
          version order no longer contains the version the RMW observed *)
@@ -546,7 +527,7 @@ let tear_first_commit evs =
         | _ -> None)
   in
   match target with
-  | None -> Alcotest.fail "no committed update in the real history"
+  | None -> Alcotest.fail (real "no committed update in the real history")
   | Some (txn, key) ->
       List.filter
         (fun (s : History.stamped) ->
@@ -557,17 +538,17 @@ let tear_first_commit evs =
 
 let test_mutation_torn_commit () =
   let evs = real_history () in
-  check_ok "unmutated history has no torn commits" (Checker.no_torn_commits (rebuild evs));
+  check_ok (real "unmutated history has no torn commits") (Checker.no_torn_commits (rebuild evs));
   check_err "torn commit rejected" (Checker.no_torn_commits (rebuild (tear_first_commit evs)))
 
 (* [sss-cli verify]'s verdicts: a property the system does not promise is
    reported as such, never failed; a promised one that fails makes the
    exit status 1. *)
 let test_verify_verdicts () =
-  let module Store = Sss_experiments.Store in
   let verify system h = Store.verdicts system h ~quiescent:(Ok ()) in
   let evs = real_history () in
-  Alcotest.(check int) "clean history" 0 (Store.exit_code (verify Store.Walter (rebuild evs)));
+  Alcotest.(check int) (real "clean history") 0
+    (Store.exit_code (verify Store.Walter (rebuild evs)));
   Alcotest.(check int)
     "torn commit under walter" 1
     (Store.exit_code (verify Store.Walter (rebuild (tear_first_commit evs))));
@@ -604,7 +585,7 @@ let test_duplicate_install_accepted () =
         match s.event with History.Install _ -> Some s | _ -> None)
   in
   match first_install with
-  | None -> Alcotest.fail "no install in the real history"
+  | None -> Alcotest.fail (real "no install in the real history")
   | Some dup ->
       let duplicated = evs @ [ { dup with seq = List.length evs } ] in
       check_ok "duplicate install still clean" (Checker.external_consistency (rebuild duplicated));
@@ -622,26 +603,18 @@ let test_duplicate_install_accepted () =
    with GC on and off. *)
 
 let gc_run ?(sabotage = false) ?(keys = 18) ?(ro = 0.5) ~gc ~seed () =
-  let sim = Sss_sim.Sim.create () in
-  let config =
-    {
-      Sss_kv.Config.default with
-      nodes = 3;
-      replication_degree = 1;
-      total_keys = keys;
-      seed;
-      gc;
-    }
+  let spec =
+    Spec.make ~ro ~clients:4 ~duration:0.08 Sss
+      { Sss_kv.Config.default with nodes = 3; replication_degree = 1; total_keys = keys; seed; gc }
   in
-  let cl = Sss_kv.Kv.create sim config in
-  if sabotage then begin
-    (* the modelled bug: a GC that ignores the snapshot low-watermark and
-       slashes every chain to its newest version, repeatedly, mid-run (an
-       all-max_int watermark covers every version, keeping the newest) *)
+  (* the modelled bug: a GC that ignores the snapshot low-watermark and
+     slashes every chain to its newest version, repeatedly, mid-run (an
+     all-max_int watermark covers every version, keeping the newest) *)
+  let sabotage_fiber (Store.Store s) =
     let everything = Vclock.of_array (Array.make 3 max_int) in
-    Sss_sim.Sim.spawn sim (fun () ->
+    Sss_sim.Sim.spawn s.sim (fun () ->
         for _ = 1 to 30 do
-          Sss_sim.Sim.sleep sim 0.002;
+          Sss_sim.Sim.sleep s.sim 0.002;
           Array.iter
             (fun (n : Sss_kv.State.node) ->
               List.iter
@@ -650,32 +623,11 @@ let gc_run ?(sabotage = false) ?(keys = 18) ?(ro = 0.5) ~gc ~seed () =
                     (Mvstore.truncate_covered n.Sss_kv.State.store k ~watermark:everything
                       : int))
                 (Mvstore.keys n.Sss_kv.State.store))
-            cl.Sss_kv.State.nodes
+            (Option.get s.kv).Sss_kv.State.nodes
         done)
-  end;
-  let ops =
-    {
-      Sss_workload.Driver.begin_txn =
-        (fun ~node ~read_only -> Sss_kv.Kv.begin_txn cl ~node ~read_only);
-      read = Sss_kv.Kv.read;
-      write = Sss_kv.Kv.write;
-      commit = Sss_kv.Kv.commit;
-    }
   in
-  ignore
-    (Sss_workload.Driver.run sim ~nodes:3 ~total_keys:keys
-       ~local_keys:(fun n -> Replication.keys_at cl.Sss_kv.State.repl n)
-       ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:ro)
-       ~load:
-         {
-           Sss_workload.Driver.default_load with
-           clients_per_node = 4;
-           warmup = 0.005;
-           duration = 0.08;
-           seed;
-         }
-       ~ops);
-  cl
+  let r = Spec.run ~setup:(if sabotage then sabotage_fiber else ignore) spec in
+  ((fun what -> what ^ " -- " ^ Spec.to_string spec), Option.get r.kv)
 
 let checker_verdict cl =
   let h = Sss_kv.Kv.history cl in
@@ -689,11 +641,12 @@ let checker_verdict cl =
 
 let test_over_eager_truncate_caught () =
   (* same run without the sabotage fiber is checker-clean... *)
-  check_ok "un-sabotaged run is clean" (checker_verdict (gc_run ~gc:false ~seed:21 ()));
+  let named, clean = gc_run ~gc:false ~seed:21 () in
+  check_ok (named "un-sabotaged run is clean") (checker_verdict clean);
   (* ...and with it, paused read-only transactions are served versions
      newer than their snapshot bound, which the checker flags *)
-  check_err "over-eager truncate caught"
-    (checker_verdict (gc_run ~sabotage:true ~gc:false ~seed:21 ()))
+  let named, sabotaged = gc_run ~sabotage:true ~gc:false ~seed:21 () in
+  check_err (named "over-eager truncate caught") (checker_verdict sabotaged)
 
 (* A printable fingerprint of the full event history: every begin, read
    (with the version's writer), install, commit and abort, in recorded
@@ -727,8 +680,8 @@ let test_gc_does_not_change_history () =
   List.iter
     (fun (seed, keys, ro) ->
       let run gc = gc_run ~keys ~ro ~gc ~seed () in
-      let off = run false and on = run true in
-      let what fmt = Printf.sprintf ("seed %d: " ^^ fmt) seed in
+      let _, off = run false and named, on = run true in
+      let what fmt = Printf.ksprintf named ("seed %d: " ^^ fmt) seed in
       (* the GC-on run must have actually collected something, or this test
          proves nothing *)
       let _, dropped_versions, _ = Sss_kv.Kv.gc_stats on in

@@ -5,7 +5,6 @@
    determinism of the full SSS cluster on the network's inline dispatch
    path. *)
 
-open Sss_sim
 open Sss_data
 open Sss_kv
 
@@ -193,56 +192,38 @@ let squeue_remove_matches_model =
 
 (* ---------- inline-dispatch determinism ---------- *)
 
+module Spec = Sss_experiments.Spec
+
 (* One seeded workload on a fresh cluster.  Everything observable is
-   returned: committed/aborted counts, simulator event count, network
-   telemetry, and the full recorded history (timestamps included). *)
+   returned: the spec line, committed/aborted counts, simulator event
+   count, network telemetry, and the full recorded history (timestamps
+   included). *)
 let run_seeded () =
-  let sim = Sim.create () in
-  let nodes = 3 and keys = 16 in
-  let config =
-    { Config.default with nodes; replication_degree = 2; total_keys = keys; seed = 23 }
+  let spec =
+    Spec.make ~clients:4 ~warmup:0.01 ~duration:0.05 Sss
+      { Config.default with nodes = 3; replication_degree = 2; total_keys = 16; seed = 23 }
   in
-  let cl = Kv.create sim config in
-  let ops =
-    {
-      Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-      read = Kv.read;
-      write = Kv.write;
-      commit = Kv.commit;
-    }
-  in
-  let result =
-    Sss_workload.Driver.run sim ~nodes ~total_keys:keys
-      ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-      ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
-      ~load:
-        {
-          Sss_workload.Driver.default_load with
-          clients_per_node = 4;
-          warmup = 0.01;
-          duration = 0.05;
-          seed = 23;
-        }
-      ~ops
-  in
-  ( result.Sss_workload.Driver.committed,
-    result.Sss_workload.Driver.aborted,
-    Sim.events_processed sim,
-    Sss_net.Network.stats cl.State.net,
-    Sss_consistency.History.events (Kv.history cl) )
+  let r = Spec.run spec in
+  ( Spec.to_string spec,
+    r.result.committed,
+    r.result.aborted,
+    r.des_events,
+    r.network,
+    Sss_consistency.History.events r.history )
 
 (* Inline dispatch and the cancellable transport timers must not let
    anything but the seed steer an execution: two runs coincide exactly. *)
 let test_inline_dispatch_replays () =
-  let c1, a1, e1, s1, h1 = run_seeded () in
-  let c2, a2, e2, s2, h2 = run_seeded () in
-  Alcotest.(check int) "committed" c1 c2;
-  Alcotest.(check int) "aborted" a1 a2;
-  Alcotest.(check int) "events processed" e1 e2;
-  Alcotest.(check bool) "network stats" true (s1 = s2);
-  Alcotest.(check int) "history length" (List.length h1) (List.length h2);
-  Alcotest.(check bool) "history byte-identical" true (h1 = h2);
-  Alcotest.(check bool) "made progress" true (c1 > 50)
+  let line, c1, a1, e1, s1, h1 = run_seeded () in
+  let _, c2, a2, e2, s2, h2 = run_seeded () in
+  let named what = what ^ " -- " ^ line in
+  Alcotest.(check int) (named "committed") c1 c2;
+  Alcotest.(check int) (named "aborted") a1 a2;
+  Alcotest.(check int) (named "events processed") e1 e2;
+  Alcotest.(check bool) (named "network stats") true (s1 = s2);
+  Alcotest.(check int) (named "history length") (List.length h1) (List.length h2);
+  Alcotest.(check bool) (named "history byte-identical") true (h1 = h2);
+  Alcotest.(check bool) (named "made progress") true (c1 > 50)
 
 (* The healthy plain-transport path — no fault tolerance, no durability,
    history recorded — of each system at a fixed seed, pinned by its event
@@ -262,12 +243,12 @@ let test_healthy_path_pinned () =
   List.iter
     (fun (system, events, committed, md5) ->
       let spec =
-        Sss_experiments.Spec.make ~clients:4 ~duration:0.04 system
+        Spec.make ~clients:4 ~duration:0.04 system
           { Config.default with nodes = 4; replication_degree = Store.paper_degree system;
             total_keys = 24; seed = 5 }
       in
-      let r = Sss_experiments.Spec.run spec in
-      let name = Sss_experiments.Spec.to_string spec in
+      let r = Spec.run spec in
+      let name = Spec.to_string spec in
       Alcotest.(check int) (name ^ ": des_events") events r.des_events;
       Alcotest.(check int) (name ^ ": committed") committed r.result.committed;
       Alcotest.(check string) (name ^ ": history md5") md5

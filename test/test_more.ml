@@ -305,6 +305,28 @@ let test_experiments_smoke () =
         (o.mean_latency > 0.0 && o.mean_latency < 0.01))
     E.[ Sss; Walter; Twopc; Rococo ]
 
+(* [Spec.run]'s contract with [setup], which the tests' helpers rely on:
+   [setup] runs before the first event, after the plan is installed and
+   before any of it fires.  A crash planned at time 0 is pending when
+   [setup] looks, and fires ahead of a callback [setup] schedules at 0. *)
+let test_spec_setup_before_first_event () =
+  let plan = Sss_chaos.Chaos.crash_restart ~seed:1 ~node:1 ~at:0.0 ~restart_at:0.001 in
+  let config = { (config ()) with fault_tolerance = true } in
+  let spec = Spec.make ~plan ~clients:2 ~duration:0.005 Sss config in
+  let named what = what ^ " -- " ^ Spec.to_string spec in
+  let at_setup = ref None and crashed_first = ref false in
+  let setup (Sss_experiments.Store.Store s) =
+    let crashed () = Sss_net.Network.is_crashed (Kv.network (Option.get s.kv)) 1 in
+    at_setup := Some (Sim.events_processed s.sim, Sim.now s.sim, crashed ());
+    Sim.schedule_callback s.sim ~delay:0.0 (fun () -> crashed_first := crashed ())
+  in
+  let r = Spec.run ~setup spec in
+  Alcotest.(check (option (triple int (float 0.0) bool)))
+    (named "setup: no event run, time 0, the crash pending") (Some (0, 0.0, false)) !at_setup;
+  Alcotest.(check bool) (named "the plan's crash fired before setup's callback") true
+    !crashed_first;
+  Alcotest.(check int) (named "the plan crashed once") 1 (Option.get r.chaos).crashes
+
 (* Spec.to_string names every field: a copy of [base] that differs in one
    field prints a different line.  [Config.trace_capacity] is the one field
    left out (no run reads it).  Each record's copies are counted against its
@@ -403,6 +425,8 @@ let () =
         [
           Alcotest.test_case "harness smoke, all systems" `Quick test_experiments_smoke;
           Alcotest.test_case "spec line names every field" `Quick test_spec_line_names_every_field;
+          Alcotest.test_case "spec runs setup before the first event" `Quick
+            test_spec_setup_before_first_event;
         ] );
       ( "gc",
         [ Alcotest.test_case "bounded state, same guarantees" `Quick test_gc_bounds_state ] );

@@ -3,13 +3,13 @@
    the observer-effect contract — observe=true must not change a
    trajectory, observe=false must not even allocate a sink. *)
 
-open Sss_sim
-open Sss_data
 open Sss_kv
 open Sss_consistency
 module Chaos = Sss_chaos.Chaos
 module Obs = Sss_obs.Obs
 module Hist = Sss_obs.Hist
+module Store = Sss_experiments.Store
+module Spec = Sss_experiments.Spec
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -167,10 +167,10 @@ let test_json_shapes () =
 
 (* ---------- registry assertions over a real SSS run ---------- *)
 
-(* With a fault plan the run uses the fault-tolerant transport, so the
-   protocol survives the plan's losses. *)
+(* An SSS run and a labeller that names its spec.  With a fault plan the
+   run uses the fault-tolerant transport, so the protocol survives the
+   plan's losses. *)
 let run_sss ?plan ~observe ~seed () =
-  let sim = Sim.create () in
   let config =
     {
       Config.default with
@@ -182,39 +182,13 @@ let run_sss ?plan ~observe ~seed () =
       fault_tolerance = Option.is_some plan;
     }
   in
-  let cl = Kv.create sim config in
-  Option.iter
-    (fun plan ->
-      ignore (Chaos.install sim (Kv.network cl) ~kind_of:Kv.message_kind plan : Chaos.handle))
-    plan;
-  let ops =
-    {
-      Sss_workload.Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-      read = Kv.read;
-      write = Kv.write;
-      commit = Kv.commit;
-    }
-  in
-  let result =
-    Sss_workload.Driver.run sim ~nodes:3 ~total_keys:24
-      ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-      ~profile:(Sss_workload.Driver.paper_profile ~read_only_ratio:0.5)
-      ~load:
-        {
-          Sss_workload.Driver.default_load with
-          clients_per_node = 4;
-          warmup = 0.005;
-          duration = 0.04;
-          seed;
-        }
-      ~ops
-  in
-  (sim, cl, result)
+  let spec = Spec.make ?plan ~clients:4 ~duration:0.04 Sss config in
+  ((fun what -> what ^ " -- " ^ Spec.to_string spec), Spec.run spec)
 
-let obs_exn cl =
-  match Kv.obs cl with
+let obs_exn named (r : Store.run) =
+  match r.obs with
   | Some o -> o
-  | None -> Alcotest.fail "observe=true but no sink attached"
+  | None -> Alcotest.fail (named "observe=true but no sink attached")
 
 (* The sum of every counter whose name starts with [prefix]. *)
 let counter_sum o prefix =
@@ -223,61 +197,60 @@ let counter_sum o prefix =
     0 (Obs.counters o)
 
 let test_traced_run_events () =
-  let _, cl, result = run_sss ~observe:true ~seed:7 () in
-  let o = obs_exn cl in
-  Alcotest.(check bool) "made progress" true (result.Sss_workload.Driver.committed > 50);
-  Alcotest.(check bool) "ran read-only transactions" true (Obs.counter o "txn.begin.ro" > 0);
+  let named, r = run_sss ~observe:true ~seed:7 () in
+  let o = obs_exn named r in
+  let check_int what = Alcotest.(check int) (named what) in
+  let check_true what = Alcotest.(check bool) (named what) true in
+  check_true "made progress" (r.result.committed > 50);
+  check_true "ran read-only transactions" (Obs.counter o "txn.begin.ro" > 0);
   (* the paper's headline property, visible in the registry: every
      read-only transaction begun commits, and the aborts the counters
      record are the driver's update aborts *)
-  Alcotest.(check int) "every read-only transaction commits" (Obs.counter o "txn.begin.ro")
+  check_int "every read-only transaction commits" (Obs.counter o "txn.begin.ro")
     (Obs.counter o "txn.commit.ro");
-  Alcotest.(check int) "no read-only round abort" 0 (Obs.counter o "txn.abort.ro-rounds");
-  Alcotest.(check int) "aborts counted by reason"
+  check_int "no read-only round abort" 0 (Obs.counter o "txn.abort.ro-rounds");
+  check_int "aborts counted by reason"
     (Obs.counter o "txn.begin.update" - Obs.counter o "txn.commit.update")
     (counter_sum o "txn.abort.");
-  Alcotest.(check bool) "saw vclock advances" true (Obs.counter o "vclock.advance" > 0);
+  check_true "saw vclock advances" (Obs.counter o "vclock.advance" > 0);
   (* every park is matched by an unpark before quiescence *)
-  Alcotest.(check int) "park = unpark at quiescence" (Obs.counter o "sq.park")
-    (Obs.counter o "sq.unpark");
-  Alcotest.(check bool) "parking actually happened" true (Obs.counter o "sq.park" > 0);
+  check_int "park = unpark at quiescence" (Obs.counter o "sq.park") (Obs.counter o "sq.unpark");
+  check_true "parking actually happened" (Obs.counter o "sq.park" > 0);
   (* the observed run is still checker-clean *)
-  let h = Kv.history cl in
-  (match Checker.external_consistency h with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("external consistency: " ^ e));
-  (match Checker.read_only_abort_free h with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("ro abort-free: " ^ e));
-  match Kv.quiescent cl with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("quiescent: " ^ e)
+  List.iter
+    (fun (what, verdict) ->
+      Result.iter_error (fun e -> Alcotest.fail (named (what ^ ": " ^ e))) verdict)
+    [
+      ("external consistency", Checker.external_consistency r.history);
+      ("ro abort-free", Checker.read_only_abort_free r.history);
+      ("quiescent", r.quiescent ());
+    ]
 
 let test_traced_run_metrics () =
-  let _, cl, _ = run_sss ~observe:true ~seed:7 () in
-  let o = obs_exn cl in
+  let named, r = run_sss ~observe:true ~seed:7 () in
+  let o = obs_exn named r in
   (* non-zero latency histograms for the protocol's message kinds *)
   List.iter
     (fun kind ->
       let name = "lat.msg." ^ kind in
       match Obs.hist o name with
       | Some h ->
-          Alcotest.(check bool) (name ^ " non-empty") true (Hist.count h > 0);
-          Alcotest.(check bool) (name ^ " positive mean") true (Hist.mean h > 0.0)
-      | None -> Alcotest.fail (name ^ " missing"))
+          Alcotest.(check bool) (named (name ^ " non-empty")) true (Hist.count h > 0);
+          Alcotest.(check bool) (named (name ^ " positive mean")) true (Hist.mean h > 0.0)
+      | None -> Alcotest.fail (named (name ^ " missing")))
     [ "read_request"; "read_return"; "prepare"; "vote"; "decide"; "ack" ];
   (* per-class transaction latency *)
   List.iter
     (fun name ->
       match Obs.hist o name with
-      | Some h -> Alcotest.(check bool) (name ^ " non-empty") true (Hist.count h > 0)
-      | None -> Alcotest.fail (name ^ " missing"))
+      | Some h -> Alcotest.(check bool) (named (name ^ " non-empty")) true (Hist.count h > 0)
+      | None -> Alcotest.fail (named (name ^ " missing")))
     [ "lat.txn.ro"; "lat.txn.update" ];
   (* sent/recv counters pair up per kind on a lossless network *)
   List.iter
     (fun kind ->
       Alcotest.(check int)
-        (Printf.sprintf "sent=recv for %s" kind)
+        (named ("sent=recv for " ^ kind))
         (Obs.counter o ("msg.sent." ^ kind))
         (Obs.counter o ("msg.recv." ^ kind)))
     [ "prepare"; "vote"; "decide"; "read_request"; "read_return" ];
@@ -286,63 +259,56 @@ let test_traced_run_metrics () =
   List.iter
     (fun n ->
       let name = Printf.sprintf "net.queue.node%d" n in
-      Alcotest.(check bool) (name ^ " present") true (List.mem_assoc name gauges))
+      Alcotest.(check bool) (named (name ^ " present")) true (List.mem_assoc name gauges))
     [ 0; 1; 2 ];
   (* the metrics JSON carries it all *)
-  match Option.map Obs.metrics_json (Kv.obs cl) with
-  | None -> Alcotest.fail "metrics_json absent"
-  | Some json ->
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool) ("metrics has " ^ needle) true
-            (contains ~needle json))
-        [ "lat.msg.prepare"; "lat.txn.ro"; "txn.commit.ro"; "vclock.advance" ]
+  let json = Obs.metrics_json o in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (named ("metrics has " ^ needle)) true (contains ~needle json))
+    [ "lat.msg.prepare"; "lat.txn.ro"; "txn.commit.ro"; "vclock.advance" ]
 
 (* Every message the network loses shows up under [msg.lost.<kind>],
    including those that reach a crashed destination. *)
 let test_losses_counted () =
   let plan = Chaos.crash_restart ~seed:3 ~node:1 ~at:0.015 ~restart_at:0.025 in
-  let _, cl, _ = run_sss ~plan ~observe:true ~seed:7 () in
-  let o = obs_exn cl in
-  let dropped = (Kv.network_stats cl).Sss_net.Network.dropped in
-  Alcotest.(check bool) "the crash lost messages" true (dropped > 0);
-  Alcotest.(check int) "msg.lost.* sums to the network's dropped" dropped
+  let named, r = run_sss ~plan ~observe:true ~seed:7 () in
+  let o = obs_exn named r in
+  let dropped = r.network.dropped in
+  Alcotest.(check bool) (named "the crash lost messages") true (dropped > 0);
+  Alcotest.(check int) (named "msg.lost.* sums to the network's dropped") dropped
     (counter_sum o "msg.lost.")
 
 (* ---------- the observer-effect contract ---------- *)
 
 let test_observer_effect_zero () =
-  let sim_off, cl_off, r_off = run_sss ~observe:false ~seed:13 () in
-  let sim_on, cl_on, r_on = run_sss ~observe:true ~seed:13 () in
-  Alcotest.(check (option unit)) "observe=false allocates no sink" None
-    (Option.map ignore (Kv.obs cl_off));
-  Alcotest.(check int) "same DES event count" (Sim.events_processed sim_off)
-    (Sim.events_processed sim_on);
-  Alcotest.(check (float 0.0)) "same virtual end time" (Sim.now sim_off) (Sim.now sim_on);
-  Alcotest.(check int) "same committed" r_off.Sss_workload.Driver.committed
-    r_on.Sss_workload.Driver.committed;
-  Alcotest.(check int) "same aborted" r_off.Sss_workload.Driver.aborted
-    r_on.Sss_workload.Driver.aborted;
-  let verdict cl =
-    let h = Kv.history cl in
+  let named, off = run_sss ~observe:false ~seed:13 () in
+  let _, on = run_sss ~observe:true ~seed:13 () in
+  Alcotest.(check (option unit)) (named "observe=false allocates no sink") None
+    (Option.map ignore off.obs);
+  Alcotest.(check int) (named "same DES event count") off.des_events on.des_events;
+  Alcotest.(check (float 0.0)) (named "same virtual end time") off.virtual_seconds
+    on.virtual_seconds;
+  Alcotest.(check int) (named "same committed") off.result.committed on.result.committed;
+  Alcotest.(check int) (named "same aborted") off.result.aborted on.result.aborted;
+  let verdict (r : Store.run) =
+    let h = r.history in
     ( Result.is_ok (Checker.external_consistency h),
       Result.is_ok (Checker.serializability h),
       Result.is_ok (Checker.no_lost_updates h),
       Result.is_ok (Checker.read_only_abort_free h) )
   in
   Alcotest.(check (pair (pair bool bool) (pair bool bool)))
-    "same checker verdicts"
-    (let a, b, c, d = verdict cl_off in
+    (named "same checker verdicts")
+    (let a, b, c, d = verdict off in
      ((a, b), (c, d)))
-    (let a, b, c, d = verdict cl_on in
+    (let a, b, c, d = verdict on in
      ((a, b), (c, d)))
 
 let test_observed_runs_deterministic () =
   let metrics seed =
-    let _, cl, _ = run_sss ~observe:true ~seed () in
-    match Option.map Obs.metrics_json (Kv.obs cl) with
-    | Some m -> m
-    | None -> Alcotest.fail "no metrics"
+    let named, r = run_sss ~observe:true ~seed () in
+    Obs.metrics_json (obs_exn named r)
   in
   Alcotest.(check string) "same seed => identical metrics JSON" (metrics 21) (metrics 21);
   Alcotest.(check bool) "different seed => different metrics" true

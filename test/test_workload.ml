@@ -7,6 +7,8 @@ open Sss_sim
 open Sss_data
 open Sss_kv
 open Sss_workload
+module Store = Sss_experiments.Store
+module Spec = Sss_experiments.Spec
 
 (* ---------- Zipfian sampling ---------- *)
 
@@ -198,66 +200,41 @@ let ramp_bounded_property =
 
 (* ---------- Open-loop admission queue ---------- *)
 
+(* An open-loop SSS run and a labeller that names its spec. *)
 let open_loop_run ~queue_capacity ~workers ~rate ~seed =
-  let sim = Sim.create () in
-  let nodes = 2 and keys = 16 in
-  let config =
-    { Config.default with nodes; replication_degree = 1; total_keys = keys; seed }
+  let s =
+    Spec.make ~duration:0.05 Sss
+      { Config.default with nodes = 2; replication_degree = 1; total_keys = 16; seed }
   in
-  let cl = Kv.create sim config in
-  let ops =
-    {
-      Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-      read = Kv.read;
-      write = Kv.write;
-      commit = Kv.commit;
-    }
+  let open_loop =
+    Some { Driver.arrival = Driver.Poisson rate; queue_capacity; workers_per_node = workers }
   in
-  let result =
-    Driver.run sim ~nodes ~total_keys:keys
-      ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-      ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
-      ~load:
-        {
-          Driver.default_load with
-          warmup = 0.005;
-          duration = 0.05;
-          seed;
-          open_loop =
-            Some
-              {
-                Driver.arrival = Driver.Poisson rate;
-                queue_capacity;
-                workers_per_node = workers;
-              };
-        }
-      ~ops
-  in
-  (cl, result)
+  let spec = { s with load = { s.load with open_loop } } in
+  ((fun what -> what ^ " -- " ^ Spec.to_string spec), Spec.run spec)
 
 (* Capacity 0 is a pure-loss system: every arrival is rejected, nothing is
    admitted, nothing commits — but the offered load is still counted. *)
 let test_queue_capacity_zero () =
-  let cl, (r : Driver.result) = open_loop_run ~queue_capacity:0 ~workers:2 ~rate:2_000.0 ~seed:3 in
-  Alcotest.(check bool) "arrivals were offered" true (r.offered > 50);
-  Alcotest.(check int) "none accepted" 0 r.accepted;
-  Alcotest.(check int) "all rejected" r.offered r.rejected;
-  Alcotest.(check int) "none committed" 0 r.committed;
-  (match Kv.quiescent cl with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("quiescent: " ^ m))
+  let named, run = open_loop_run ~queue_capacity:0 ~workers:2 ~rate:2_000.0 ~seed:3 in
+  let r = run.result in
+  Alcotest.(check bool) (named "arrivals were offered") true (r.offered > 50);
+  Alcotest.(check int) (named "none accepted") 0 r.accepted;
+  Alcotest.(check int) (named "all rejected") r.offered r.rejected;
+  Alcotest.(check int) (named "none committed") 0 r.committed;
+  Result.iter_error (fun m -> Alcotest.fail (named ("quiescent: " ^ m))) (run.quiescent ())
 
 (* Capacity 1 admits work but sheds most of an overload; the admission
    accounting is exact: offered = accepted + rejected, and only accepted
    work can commit. *)
 let test_queue_capacity_one () =
-  let _, (r : Driver.result) = open_loop_run ~queue_capacity:1 ~workers:1 ~rate:5_000.0 ~seed:4 in
-  Alcotest.(check bool) "arrivals were offered" true (r.offered > 100);
-  Alcotest.(check int) "offered = accepted + rejected" r.offered (r.accepted + r.rejected);
-  Alcotest.(check bool) "some work admitted" true (r.accepted > 0);
-  Alcotest.(check bool) "overload is shed" true (r.rejected > 0);
+  let named, run = open_loop_run ~queue_capacity:1 ~workers:1 ~rate:5_000.0 ~seed:4 in
+  let r = run.result in
+  Alcotest.(check bool) (named "arrivals were offered") true (r.offered > 100);
+  Alcotest.(check int) (named "offered = accepted + rejected") r.offered (r.accepted + r.rejected);
+  Alcotest.(check bool) (named "some work admitted") true (r.accepted > 0);
+  Alcotest.(check bool) (named "overload is shed") true (r.rejected > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "committed %d <= accepted %d" r.committed r.accepted)
+    (named (Printf.sprintf "committed %d <= accepted %d" r.committed r.accepted))
     true
     (r.committed <= r.accepted)
 
@@ -265,17 +242,19 @@ let test_queue_capacity_one () =
    sojourn of every committed transaction decomposes into queueing plus
    service. *)
 let test_queue_uncontended_accounting () =
-  let _, (r : Driver.result) = open_loop_run ~queue_capacity:64 ~workers:8 ~rate:500.0 ~seed:5 in
-  Alcotest.(check int) "nothing rejected" 0 r.rejected;
-  Alcotest.(check int) "everything accepted" r.offered r.accepted;
-  Alcotest.(check bool) "made progress" true (r.committed > 10);
+  let named, run = open_loop_run ~queue_capacity:64 ~workers:8 ~rate:500.0 ~seed:5 in
+  let r = run.result in
+  Alcotest.(check int) (named "nothing rejected") 0 r.rejected;
+  Alcotest.(check int) (named "everything accepted") r.offered r.accepted;
+  Alcotest.(check bool) (named "made progress") true (r.committed > 10);
   let mean s = Stats.mean s in
   Alcotest.(check bool)
-    (Printf.sprintf "mean sojourn %.6f >= mean service %.6f" (mean r.sojourn)
-       (mean r.service))
+    (named
+       (Printf.sprintf "mean sojourn %.6f >= mean service %.6f" (mean r.sojourn)
+          (mean r.service)))
     true
     (mean r.sojourn >= mean r.service -. 1e-12);
-  Alcotest.(check (float 1e-9)) "sojourn = queue wait + service"
+  Alcotest.(check (float 1e-9)) (named "sojourn = queue wait + service")
     (mean r.sojourn)
     (mean r.queue_wait +. mean r.service)
 
@@ -283,70 +262,51 @@ let test_queue_uncontended_accounting () =
    seeded, so replays are exactly identical. *)
 let test_open_loop_determinism () =
   let snap () =
-    let _, (r : Driver.result) = open_loop_run ~queue_capacity:4 ~workers:2 ~rate:3_000.0 ~seed:6 in
-    (r.offered, r.accepted, r.rejected, r.committed, Stats.mean r.sojourn)
+    let named, run = open_loop_run ~queue_capacity:4 ~workers:2 ~rate:3_000.0 ~seed:6 in
+    let r = run.result in
+    (named, (r.offered, r.accepted, r.rejected, r.committed, Stats.mean r.sojourn))
   in
-  let o1, a1, j1, c1, s1 = snap () and o2, a2, j2, c2, s2 = snap () in
-  Alcotest.(check int) "offered replays" o1 o2;
-  Alcotest.(check int) "accepted replays" a1 a2;
-  Alcotest.(check int) "rejected replays" j1 j2;
-  Alcotest.(check int) "committed replays" c1 c2;
-  Alcotest.(check bool) "sojourn replays" true (s1 = s2)
+  let named, (o1, a1, j1, c1, s1) = snap () and _, (o2, a2, j2, c2, s2) = snap () in
+  Alcotest.(check int) (named "offered replays") o1 o2;
+  Alcotest.(check int) (named "accepted replays") a1 a2;
+  Alcotest.(check int) (named "rejected replays") j1 j2;
+  Alcotest.(check int) (named "committed replays") c1 c2;
+  Alcotest.(check bool) (named "sojourn replays") true (s1 = s2)
 
 (* Closed-loop runs report no open-loop traffic at all: the admission
    counters exist only when the arrival engine is on. *)
 let test_closed_loop_counters_zero () =
-  let sim = Sim.create () in
-  let nodes = 2 and keys = 16 in
-  let config =
-    { Config.default with nodes; replication_degree = 1; total_keys = keys; seed = 8 }
+  let spec =
+    Spec.make ~duration:0.02 Sss
+      { Config.default with nodes = 2; replication_degree = 1; total_keys = 16; seed = 8 }
   in
-  let cl = Kv.create sim config in
-  let ops =
-    {
-      Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-      read = Kv.read;
-      write = Kv.write;
-      commit = Kv.commit;
-    }
-  in
-  let (r : Driver.result) =
-    Driver.run sim ~nodes ~total_keys:keys
-      ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-      ~profile:(Driver.paper_profile ~read_only_ratio:0.5)
-      ~load:{ Driver.default_load with warmup = 0.005; duration = 0.02; seed = 8 }
-      ~ops
-  in
-  Alcotest.(check int) "offered = 0" 0 r.offered;
-  Alcotest.(check int) "accepted = 0" 0 r.accepted;
-  Alcotest.(check int) "rejected = 0" 0 r.rejected;
-  Alcotest.(check bool) "but the closed loop committed" true (r.committed > 10)
+  let r = (Spec.run spec).result in
+  let named what = what ^ " -- " ^ Spec.to_string spec in
+  Alcotest.(check int) (named "offered = 0") 0 r.offered;
+  Alcotest.(check int) (named "accepted = 0") 0 r.accepted;
+  Alcotest.(check int) (named "rejected = 0") 0 r.rejected;
+  Alcotest.(check bool) (named "but the closed loop committed") true (r.committed > 10)
 
 (* A transaction with no operation sends no message, so a closed loop of
    them would never advance virtual time: [Driver.run] refuses the profile
    before spawning a client. *)
 let test_zero_op_profile_rejected () =
-  let sim = Sim.create () in
-  let nodes = 2 and keys = 16 in
-  let cl = Kv.create sim { Config.default with nodes; replication_degree = 1; total_keys = keys } in
-  let ops =
+  let spec =
     {
-      Driver.begin_txn = (fun ~node ~read_only -> Kv.begin_txn cl ~node ~read_only);
-      read = Kv.read;
-      write = Kv.write;
-      commit = Kv.commit;
+      Spec.system = Sss;
+      config = { Config.default with nodes = 2; replication_degree = 1; total_keys = 16 };
+      profile = { (Driver.paper_profile ~read_only_ratio:1.0) with ro_ops = 0 };
+      load = Driver.default_load;
+      plan = None;
     }
   in
-  Alcotest.check_raises "ro_ops = 0 refused"
+  let named what = what ^ " -- " ^ Spec.to_string spec and sim = ref None in
+  Alcotest.check_raises (named "ro_ops = 0 refused")
     (Invalid_argument "Driver.run: update_ops and ro_ops must be at least 1") (fun () ->
-      ignore
-        (Driver.run sim ~nodes ~total_keys:keys
-           ~local_keys:(fun n -> Replication.keys_at cl.State.repl n)
-           ~profile:{ (Driver.paper_profile ~read_only_ratio:1.0) with ro_ops = 0 }
-           ~load:Driver.default_load ~ops
-          : Driver.result));
+      ignore (Spec.run ~setup:(fun (Store.Store s) -> sim := Some s.sim) spec : Store.run));
+  let sim = Option.get !sim in
   Sim.run sim;
-  Alcotest.(check int) "no client was spawned" 0 (Sim.events_processed sim)
+  Alcotest.(check int) (named "no client was spawned") 0 (Sim.events_processed sim)
 
 (* ---------- Nlog.prune_covered watermark contract ---------- *)
 

@@ -37,11 +37,15 @@
 #                             linter within 1,700 (ROADMAP, quality aim)
 #  12. one run pipeline     — Store.create and Store.drive appear in lib/,
 #                             bin/, bench/ and test/ only in
-#                             lib/experiments/{store,spec}.ml: every other
-#                             harness runs a Spec.t through Spec.run.
-#                             perfbench/ is exempt: cell.ml keeps its own
-#                             store dispatch until a benchmark change
-#                             moves it onto Spec.run
+#                             lib/experiments/{store,spec}.ml, and a
+#                             Driver.run call or a hand-built Driver.ops
+#                             record only in lib/experiments/store.ml
+#                             (Store.drive is the one Driver.run caller):
+#                             every other harness and test runs a Spec.t
+#                             through Spec.run.  perfbench/ is exempt:
+#                             cell.ml keeps its own store dispatch and
+#                             driver until a benchmark change moves it
+#                             onto Spec.run
 #
 # Run from the repository root.
 set -eu
@@ -163,6 +167,15 @@ stray=$(grep -rn 'Store\.create\|Store\.drive' lib bin bench test |
 if [ -n "$stray" ]; then
   echo "$stray" >&2
   echo "check FAIL: Store.create/Store.drive outside lib/experiments/{store,spec}.ml (build a Spec.t and call Spec.run)" >&2
+  exit 1
+fi
+# A call is Driver.run followed by its arguments; a record is built by
+# naming its begin_txn field (Driver.begin_txn = ..., { begin_txn = ... }).
+stray=$(grep -rnE 'Driver\.run([[:space:]]|$)|(Driver\.|[{][[:space:]]*)begin_txn[[:space:]]*[=;]' \
+  lib bin bench test | grep -v '^lib/experiments/store\.ml:' || true)
+if [ -n "$stray" ]; then
+  echo "$stray" >&2
+  echo "check FAIL: Driver.run or a Driver.ops record outside lib/experiments/store.ml (build a Spec.t and call Spec.run)" >&2
   exit 1
 fi
 
