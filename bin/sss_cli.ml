@@ -25,22 +25,33 @@ let system_conv =
   let print fmt s = Format.pp_print_string fmt (String.lowercase_ascii (system_name s)) in
   Arg.conv (parse, print)
 
-let system_t =
-  Arg.(value & opt system_conv Sss & info [ "system" ] ~docv:"SYSTEM" ~doc:"sss, walter, 2pc or rococo")
+(* The flags both commands share, as the spec they describe (each command
+   its own defaults): a quarter of the measured window is warmup. *)
+let spec_t ~nodes ~keys ~clients ~duration =
+  let make system nodes degree keys ro clients duration seed =
+    Spec.make ~ro ~clients ~warmup:(duration /. 4.0) ~duration system
+      { Sss_kv.Config.default with nodes; total_keys = keys; seed;
+        replication_degree = Option.value degree ~default:(Store.paper_degree system) }
+  in
+  let int_t default name doc = Arg.(value & opt int default & info [ name ] ~doc) in
+  Term.(
+    const make
+    $ Arg.(
+        value & opt system_conv Sss
+        & info [ "system" ] ~docv:"SYSTEM" ~doc:"sss, walter, 2pc or rococo")
+    $ int_t nodes "nodes" "cluster size"
+    $ Arg.(
+        value & opt (some int) None
+        & info [ "degree" ] ~doc:"replication degree (default: 1 for rococo, else 2)")
+    $ int_t keys "keys" "key-space size"
+    $ Arg.(value & opt float 0.5 & info [ "ro" ] ~doc:"read-only transaction ratio")
+    $ int_t clients "clients" "closed-loop clients per node"
+    $ Arg.(
+        value & opt float duration & info [ "duration" ] ~doc:"measured window (virtual seconds)")
+    $ int_t 42 "seed" "PRNG seed")
 
-let nodes_t = Arg.(value & opt int 5 & info [ "nodes" ] ~doc:"cluster size")
-let degree_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "degree" ] ~doc:"replication degree (default: 1 for rococo, else 2)")
-let keys_t = Arg.(value & opt int 5000 & info [ "keys" ] ~doc:"key-space size")
-let ro_t = Arg.(value & opt float 0.5 & info [ "ro" ] ~doc:"read-only transaction ratio")
 let ro_ops_t = Arg.(value & opt int 2 & info [ "ro-ops" ] ~doc:"reads per read-only transaction")
 let locality_t = Arg.(value & opt float 0.0 & info [ "locality" ] ~doc:"node-local key probability")
-let clients_t = Arg.(value & opt int 10 & info [ "clients" ] ~doc:"closed-loop clients per node")
-let duration_t = Arg.(value & opt float 0.04 & info [ "duration" ] ~doc:"measured window (virtual seconds)")
-let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed")
 
 let strict_t =
   Arg.(value & flag & info [ "strict" ] ~doc:"SSS hardened external-commit ordering")
@@ -63,61 +74,34 @@ let queue_t =
 let workers_t =
   Arg.(value & opt int 10 & info [ "workers" ] ~doc:"open loop: service fibers per node")
 
-(* Both commands check their arguments before any cluster is built: a bad
-   one is reported on stderr with exit 2.  [degree] is the resolved
-   replication degree, [fibers] names the per-node fiber count of the loop
-   that drives the run (--clients or --workers); [ro_ops], [rate] and
-   [queue] are point's options. *)
-let check_args ?(ro_ops = 1) ?(rate = 0.0) ?(queue = 0) cmd ~system ~nodes ~degree ~keys ~ro
-    ~locality ~duration ~fibers:(flag, n) =
-  let ratio x = 0.0 <= x && x <= 1.0 in
-  List.iter
-    (fun (ok, msg) ->
-      if not ok then begin
-        Printf.eprintf "sss-cli %s: %s\n" cmd msg;
-        exit 2
-      end)
-    [
-      (nodes >= 1, Printf.sprintf "--nodes %d: need at least 1" nodes);
-      ( 1 <= degree && degree <= nodes,
-        Printf.sprintf "--degree %d: need 1 <= degree <= nodes (%d)" degree nodes );
-      ( system <> Rococo || degree = 1,
-        Printf.sprintf "--degree %d: rococo runs only at degree 1 (above it, it stalls)" degree );
-      (ro_ops >= 1, Printf.sprintf "--ro-ops %d: need at least 1 read" ro_ops);
-      (keys >= 1, Printf.sprintf "--keys %d: need at least 1" keys);
-      (ratio ro, Printf.sprintf "--ro %g: need a ratio in [0, 1]" ro);
-      (ratio locality, Printf.sprintf "--locality %g: need a probability in [0, 1]" locality);
-      (duration > 0.0, Printf.sprintf "--duration %g: need a positive window" duration);
-      (n >= 1, Printf.sprintf "%s %d: need at least 1" flag n);
-      (rate >= 0.0, Printf.sprintf "--rate %g: need a rate >= 0 (0 = closed loop)" rate);
-      (queue >= 0, Printf.sprintf "--queue %d: need a capacity >= 0" queue);
-    ]
+(* Both commands check their spec before any cluster is built: one that
+   [Spec.check] refuses is reported on stderr with exit 2. *)
+let refuse_invalid cmd =
+  Result.iter_error (fun msg ->
+      Printf.eprintf "sss-cli %s: %s\n" cmd msg;
+      exit 2)
 
 let point_cmd =
-  let run_point system nodes degree keys ro ro_ops locality clients duration seed strict observe
-      durable rate queue workers =
-    let degree = Option.value degree ~default:(Store.paper_degree system) in
-    check_args "point" ~ro_ops ~rate ~queue ~system ~nodes ~degree ~keys ~ro ~locality ~duration
-      ~fibers:(if rate > 0.0 then ("--workers", workers) else ("--clients", clients));
-    let base = base_spec Full in
-    let o =
-      run
-        {
-          system;
-          config =
-            { base.config with nodes; replication_degree = degree; total_keys = keys; seed;
-              strict_order = strict; observe; durability = durable };
-          profile = { base.profile with read_only_ratio = ro; ro_ops; locality };
-          load =
-            { base.load with clients_per_node = clients; warmup = duration /. 4.0; duration; seed;
-              open_loop =
-                (if rate > 0.0 then
-                   Some
-                     { arrival = Poisson rate; queue_capacity = queue; workers_per_node = workers }
-                 else None) };
-          plan = None;
-        }
+  let run_point (spec : Spec.t) ro_ops locality strict observe durable rate queue workers =
+    let system = spec.system in
+    let spec =
+      { spec with
+        config =
+          { spec.config with record_history = false; strict_order = strict; observe;
+            durability = durable };
+        profile = { spec.profile with ro_ops; locality };
+        load =
+          { spec.load with
+            open_loop =
+              (* --rate 0 is the closed loop; with a negative --rate or
+                 --queue, an open loop the check refuses *)
+              (if rate = 0.0 && queue >= 0 then None
+               else
+                 Some { arrival = Poisson rate; queue_capacity = queue; workers_per_node = workers })
+          } }
     in
+    refuse_invalid "point" (Spec.check spec);
+    let o = run spec in
     Printf.printf "system      : %s\n" (system_name system);
     Printf.printf "throughput  : %.1f KTxs/sec\n" (o.throughput /. 1000.);
     Printf.printf "committed   : %d\n" o.committed;
@@ -162,37 +146,27 @@ let point_cmd =
   in
   let term =
     Term.(
-      const run_point $ system_t $ nodes_t $ degree_t $ keys_t $ ro_t $ ro_ops_t $ locality_t
-      $ clients_t $ duration_t $ seed_t $ strict_t $ observe_t $ durable_t $ rate_t $ queue_t
-      $ workers_t)
+      const run_point
+      $ spec_t ~nodes:5 ~keys:5000 ~clients:10 ~duration:0.04
+      $ ro_ops_t $ locality_t $ strict_t $ observe_t $ durable_t $ rate_t $ queue_t $ workers_t)
   in
   Cmd.v (Cmd.info "point" ~doc:"Run a single experiment point") term
 
 let verify_cmd =
-  let run_verify system nodes degree keys ro clients duration seed dot =
+  let run_verify (spec : Spec.t) dot =
     let open Sss_consistency in
-    let degree = Option.value degree ~default:(Store.paper_degree system) in
-    check_args "verify" ~system ~nodes ~degree ~keys ~ro ~locality:0.0 ~duration
-      ~fibers:("--clients", clients);
-    (* a --dot path that cannot be written is refused before the run *)
-    (match dot with
-    | Some path ->
-        let dir = Filename.dirname path in
-        if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-          Printf.eprintf "sss-cli verify: --dot %s: no directory %S\n" path dir;
-          exit 2
-        end
-    | None -> ());
-    let spec =
-      Spec.make ~ro ~clients ~warmup:(duration /. 4.0) ~duration system
-        { Sss_kv.Config.default with nodes; replication_degree = degree; total_keys = keys; seed }
-    in
+    (* so is a --dot path that cannot be written *)
+    refuse_invalid "verify"
+      (match Option.map (fun path -> (path, Filename.dirname path)) dot with
+      | Some (path, dir) when not (Sys.file_exists dir && Sys.is_directory dir) ->
+          Error (Printf.sprintf "--dot %s: no directory %S" path dir)
+      | _ -> Spec.check spec);
     let r = Spec.run spec in
     Printf.printf "run: %s\n" (Spec.to_string spec);
     Printf.printf "transactions: %d committed, %d aborted\n"
-      (Checker.committed_count r.history)
-      (Checker.aborted_count r.history);
-    let verdicts = Store.verdicts system r.history ~quiescent:(r.quiescent ()) in
+      (Checker.committed_count r.store.history)
+      (Checker.aborted_count r.store.history);
+    let verdicts = Store.verdicts spec.system r.store.history ~quiescent:(r.store.quiescent ()) in
     List.iter
       (fun (name, v) ->
         match v with
@@ -204,24 +178,16 @@ let verify_cmd =
     | None -> ()
     | Some path ->
         let oc = open_out path in
-        output_string oc (Checker.to_dot r.history);
+        output_string oc (Checker.to_dot r.store.history);
         close_out oc;
         Printf.printf "dependency graph written to %s\n" path);
     exit (Store.exit_code verdicts)
   in
-  let duration_t =
-    Arg.(value & opt float 0.05 & info [ "duration" ] ~doc:"measured window (virtual seconds)")
-  in
-  let keys_t = Arg.(value & opt int 64 & info [ "keys" ] ~doc:"key-space size") in
-  let clients_t = Arg.(value & opt int 4 & info [ "clients" ] ~doc:"clients per node") in
-  let nodes_t = Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"cluster size") in
   let dot_t =
     Arg.(value & opt (some string) None & info [ "dot" ] ~doc:"write the dependency graph (Graphviz)")
   in
   let term =
-    Term.(
-      const run_verify $ system_t $ nodes_t $ degree_t $ keys_t $ ro_t $ clients_t $ duration_t
-      $ seed_t $ dot_t)
+    Term.(const run_verify $ spec_t ~nodes:4 ~keys:64 ~clients:4 ~duration:0.05 $ dot_t)
   in
   Cmd.v
     (Cmd.info "verify"

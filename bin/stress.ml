@@ -36,8 +36,8 @@ let sweep_spec ?plan ~config ~clients ~duration system =
 let checked_run spec =
   let r = Spec.run spec in
   ( r.result.committed,
-    Store.verdicts r.system r.history ~quiescent:(r.quiescent ()),
-    Option.map Sss_obs.Obs.metrics_json r.obs )
+    Store.verdicts r.store.system r.store.history ~quiescent:(r.store.quiescent ()),
+    Option.map Sss_obs.Obs.metrics_json r.store.obs )
 
 (* Every FAIL line names what failed and the spec that reruns it. *)
 let fail spec what msg = Printf.printf "FAIL %s: %s -- %s\n%!" what msg (Spec.to_string spec)
@@ -91,12 +91,14 @@ let baseline_sweep pool =
    messages. *)
 let chaos_systems = [ Sss; Twopc; Walter; Rococo ]
 
+let chaos_spec ~durability (plan : Sss_chaos.Chaos.plan) seed =
+  sweep_spec ~plan:{ plan with seed = plan.seed + seed } ~clients:2 ~duration:0.03
+    ~config:{ Config.default with seed; fault_tolerance = true; durability }
+
 let chaos_one ~durability base_plan seed =
-  let plan = { base_plan with Sss_chaos.Chaos.seed = base_plan.Sss_chaos.Chaos.seed + seed } in
-  let config = { Config.default with seed; fault_tolerance = true; durability } in
   List.map
     (fun system ->
-      let spec = sweep_spec ~plan ~config ~clients:2 ~duration:0.03 system in
+      let spec = chaos_spec ~durability base_plan seed system in
       let committed, checks, _ = checked_run spec in
       (committed, (spec, checks)))
     chaos_systems
@@ -139,11 +141,11 @@ let chaos_sweep pool plan_text =
         Printf.eprintf "bad --chaos plan: %s\n" e;
         exit 2
   in
-  (match Chaos.validate ~nodes:4 plan with
-  | Ok () -> ()
-  | Error e ->
-      Printf.eprintf "invalid --chaos plan: %s\n" e;
-      exit 2);
+  (* the sweep's specs differ only in their seeds and systems *)
+  Spec.check (chaos_spec ~durability:false plan 1 Sss)
+  |> Result.iter_error (fun e ->
+         Printf.eprintf "invalid --chaos plan: %s\n" e;
+         exit 2);
   let committed, failures = system_sweep pool ~durability:false plan (seeds 20) in
   Printf.printf "chaos sweep: 20 seeds x 4 systems, %d committed, %d failures\n%!"
     (total committed) failures;
@@ -222,7 +224,7 @@ let open_rung ~nodes ~keys ~assert_footprint () =
   let open_loop = { Driver.arrival = Poisson 2000.0; queue_capacity = 64; workers_per_node = 4 } in
   let spec = { spec with load = { spec.load with open_loop = Some open_loop } } in
   let baseline = ref 0 and peak = ref 0 in
-  let sampler (Store.Store s) =
+  let sampler (s : Store.t) =
     let cl = Option.get s.kv in
     baseline := Kv.version_count cl;
     Sim.spawn s.sim (fun () ->
@@ -232,7 +234,7 @@ let open_rung ~nodes ~keys ~assert_footprint () =
         done)
   in
   let r = Spec.run ~setup:sampler spec in
-  let cl = Option.get r.kv in
+  let cl = Option.get r.store.kv in
   let result = r.result in
   let retained = Kv.version_count cl in
   let refreshes, dropped_v, dropped_e = Kv.gc_stats cl in
@@ -263,8 +265,10 @@ let open_rung ~nodes ~keys ~assert_footprint () =
     ]
   in
   List.iter (fun (ok, what, msg) -> if not ok then fail spec what msg) checks;
-  Printf.printf "  checked: %d transactions\n" (Sss_consistency.Checker.txn_count r.history);
-  let verdicts = Store.verdicts r.system r.history ~quiescent:(r.quiescent ()) in
+  Printf.printf "  checked: %d transactions\n" (Sss_consistency.Checker.txn_count r.store.history);
+  let verdicts =
+    Store.verdicts r.store.system r.store.history ~quiescent:(r.store.quiescent ())
+  in
   let failures =
     List.length (List.filter (fun (ok, _, _) -> not ok) checks) + fst (report spec verdicts)
   in

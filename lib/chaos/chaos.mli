@@ -73,8 +73,8 @@ val crash_restart : seed:int -> node:int -> at:float -> restart_at:float -> plan
 val validate : nodes:int -> plan -> (unit, string) result
 (** Check a plan against a cluster size: probabilities in [\[0, 1\]], node
     ids in range, [heal_at > at], [restart_at > at], disjoint partition
-    groups, [from_ <= until].  {!install} does not call this — harnesses
-    should. *)
+    groups, [from_ <= until].  {!install} does not call this;
+    [Sss_experiments.Spec.check] does, for every run's plan. *)
 
 (** {1 The plan DSL}
 

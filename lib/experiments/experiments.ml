@@ -57,13 +57,13 @@ let ctx ?(jobs = 1) ?(observe_all = false) ?(out = print_string) () =
 let jobs c = Sss_par.Pool.jobs c.pool
 
 (* Every figure run reports SSS's latency breakdown. *)
-let collect_latencies (Store.Store s) =
+let collect_latencies (s : Store.t) =
   Option.iter (fun cl -> Sss_kv.Kv.set_collect_latencies cl true) s.kv
 
 let run spec =
   let r = Spec.run ~setup:collect_latencies spec in
   let sss_internal, sss_wait, timeouts =
-    match r.kv with
+    match r.store.kv with
     | None -> (None, None, 0)
     | Some cl ->
         let stats = Sss_kv.Kv.stats cl in
@@ -82,7 +82,7 @@ let run spec =
             stats.Sss_kv.State.wait_covered_timeouts )
         end
   in
-  let sss f zero = match r.kv with Some cl -> f cl | None -> zero in
+  let sss f zero = match r.store.kv with Some cl -> f cl | None -> zero in
   let _, gc_versions, gc_entries = sss Sss_kv.Kv.gc_stats (0, 0, 0) in
   let d = r.result in
   {
@@ -98,7 +98,7 @@ let run spec =
     sss_wait;
     wait_covered_timeouts = timeouts;
     wire_bytes = r.network.Sss_net.Network.bytes;
-    metrics = Option.map Sss_obs.Obs.metrics_json r.obs;
+    metrics = Option.map Sss_obs.Obs.metrics_json r.store.obs;
     des_events = r.des_events;
     virtual_seconds = r.virtual_seconds;
     wal = sss Sss_kv.Kv.wal_stats Sss_storage.Storage.zero_stats;
@@ -676,7 +676,7 @@ let recovery_smoke () =
     in
     Printf.sprintf "%s %s des_events %d committed %d history_md5 %s\n"
       (String.lowercase_ascii (system_name system))
-      label r.des_events r.result.committed (history_md5 r.history)
+      label r.des_events r.result.committed (history_md5 r.store.history)
   in
   String.concat ""
     (List.concat_map (fun s -> List.map (line s) runs) [ Sss; Twopc; Walter; Rococo ])

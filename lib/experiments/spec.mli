@@ -35,9 +35,21 @@ val to_string : t -> string
     {!Sss_chaos.Chaos.to_string}'s form).  [Config.trace_capacity] is the
     one field left out: no run reads it. *)
 
-val run : ?setup:(Store.any -> unit) -> t -> Store.run
-(** Create the {!Store} on a fresh simulator, install [plan] through its
-    [chaos] installer, run [setup] on it (probes, samplers, a bare fault
-    plan), then drive it.  [setup] runs before the first event: virtual
-    time 0, no event processed, the plan scheduled but not yet fired.  The
-    run's [chaos] holds what the plan injected. *)
+exception Invalid of string
+(** A spec {!check} refuses, with its message. *)
+
+val check : t -> (unit, string) result
+(** What makes a spec runnable: [1 <= degree <= nodes] (ROCOCO only at 1:
+    above it, it stalls), a key, ratios in [\[0, 1\]], a read per
+    read-only transaction, a positive window, a client per node (open
+    loop: a worker, a queue capacity >= 0, positive rates), and a plan
+    {!Sss_chaos.Chaos.validate} accepts against [config.nodes].  The
+    [Error] names the first broken field as {!to_string} prints it. *)
+
+val run : ?setup:(Store.t -> unit) -> t -> Store.run
+(** {!check} the spec, create the {!Store} on a fresh simulator, install
+    [plan] through its [chaos] installer, run [setup] on it (probes,
+    samplers, a bare fault plan), then drive it.  [setup] runs before the
+    first event: virtual time 0, no event processed, the plan scheduled but
+    not yet fired.  The run's [chaos] holds what the plan injected.
+    @raise Invalid, before any simulator is built, when {!check} refuses. *)

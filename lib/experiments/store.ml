@@ -13,42 +13,10 @@ let system_name = function
   | Twopc -> "2PC"
   | Rococo -> "ROCOCO"
 
-type property =
-  | External_consistency
-  | Serializability
-  | No_lost_updates
-  | No_torn_commits
-  | Ro_abort_free
-
-let properties =
-  [ External_consistency; Serializability; No_lost_updates; No_torn_commits; Ro_abort_free ]
-
-let property_name = function
-  | External_consistency -> "external-consistency"
-  | Serializability -> "serializability"
-  | No_lost_updates -> "no-lost-updates"
-  | No_torn_commits -> "no-torn-commits"
-  | Ro_abort_free -> "ro-abort-free"
-
-let check = function
-  | External_consistency -> Checker.external_consistency
-  | Serializability -> Checker.serializability
-  | No_lost_updates -> Checker.no_lost_updates
-  | No_torn_commits -> Checker.no_torn_commits
-  | Ro_abort_free -> Checker.read_only_abort_free
-
-let promises = function
-  | Sss -> properties
-  | Twopc -> [ External_consistency; No_lost_updates; No_torn_commits ]
-  | Walter -> [ No_lost_updates; No_torn_commits; Ro_abort_free ]
-  | Rococo -> [ Serializability; No_lost_updates; No_torn_commits ]
-
-type 'h t = {
+type t = {
   system : system;
   sim : Sss_sim.Sim.t;
-  config : Sss_kv.Config.t;
-  ops : 'h Driver.ops;
-  local_keys : Ids.node -> Ids.key array;
+  workload : profile:Driver.profile -> load:Driver.load -> Driver.result;
   history : History.t;
   obs : Sss_obs.Obs.t option;
   network_stats : unit -> Network.stats;
@@ -59,38 +27,36 @@ type 'h t = {
   kv : Sss_kv.Kv.cluster option;
 }
 
-type any = Store : 'h t -> any
-
-module Of (S : Sss_kv.Runtime.STORE) = struct
-  let create ~kv system sim config =
-    let cl = S.create sim config in
-    Store
-      {
-        system;
-        sim;
-        config;
-        ops =
-          {
-            Driver.begin_txn = (fun ~node ~read_only -> S.begin_txn cl ~node ~read_only);
-            read = S.read;
-            write = S.write;
-            commit = S.commit;
-          };
-        local_keys = S.local_keys cl;
-        history = S.history cl;
-        obs = S.obs cl;
-        network_stats = (fun () -> Network.stats (S.network cl));
-        store_words = (fun () -> S.store_words cl);
-        store_repr = S.store_repr cl;
-        quiescent = (fun () -> S.quiescent cl);
-        chaos =
-          (* a lambda, so a run without a plan builds no hook closures *)
-          (fun plan ->
-            Chaos.install sim (S.network cl) ~kind_of:S.message_kind
-              ~on_crash:(S.crash_node cl) ~on_restart:(S.restart_node cl) plan);
-        kv = kv cl;
-      }
-end
+let of_store (type c) (module S : Sss_kv.Runtime.STORE with type cluster = c)
+    ~(kv : c -> Sss_kv.Kv.cluster option) system sim (config : Sss_kv.Config.t) =
+  let cl = S.create sim config in
+  {
+    system;
+    sim;
+    workload =
+      (fun ~profile ~load ->
+        Driver.run sim ~nodes:config.nodes ~total_keys:config.total_keys
+          ~local_keys:(S.local_keys cl) ~profile ~load
+          ~ops:
+            {
+              Driver.begin_txn = (fun ~node ~read_only -> S.begin_txn cl ~node ~read_only);
+              read = S.read;
+              write = S.write;
+              commit = S.commit;
+            });
+    history = S.history cl;
+    obs = S.obs cl;
+    network_stats = (fun () -> Network.stats (S.network cl));
+    store_words = (fun () -> S.store_words cl);
+    store_repr = S.store_repr cl;
+    quiescent = (fun () -> S.quiescent cl);
+    chaos =
+      (* a lambda, so a run without a plan builds no hook closures *)
+      (fun plan ->
+        Chaos.install sim (S.network cl) ~kind_of:S.message_kind ~on_crash:(S.crash_node cl)
+          ~on_restart:(S.restart_node cl) plan);
+    kv = kv cl;
+  }
 
 (* The one place outside perfbench that names each protocol's module
    (perfbench/cell.ml still repeats this dispatch): every other harness
@@ -98,65 +64,54 @@ end
 let create system =
   let none _ = None in
   match system with
-  | Sss ->
-      let module M = Of (Sss_kv.Kv) in
-      M.create ~kv:Option.some system
-  | Walter ->
-      let module M = Of (Walter_kv.Walter) in
-      M.create ~kv:none system
-  | Twopc ->
-      let module M = Of (Twopc_kv.Twopc) in
-      M.create ~kv:none system
-  | Rococo ->
-      let module M = Of (Rococo_kv.Rococo) in
-      M.create ~kv:none system
+  | Sss -> of_store (module Sss_kv.Kv) ~kv:Option.some system
+  | Walter -> of_store (module Walter_kv.Walter) ~kv:none system
+  | Twopc -> of_store (module Twopc_kv.Twopc) ~kv:none system
+  | Rococo -> of_store (module Rococo_kv.Rococo) ~kv:none system
 
 (* The paper runs ROCOCO unreplicated (§V); the others at degree 2. *)
 let paper_degree = function Rococo -> 1 | Sss | Walter | Twopc -> 2
 
 type run = {
-  system : system;
+  store : t;
   result : Driver.result;
   des_events : int;
   virtual_seconds : float;
   network : Network.stats;
   store_words : int;
-  history : History.t;
-  obs : Sss_obs.Obs.t option;
-  quiescent : unit -> (unit, string) result;
-  kv : Sss_kv.Kv.cluster option;
   chaos : Chaos.stats option;
 }
 
-let drive ?chaos (s : _ t) ~profile ~load =
-  let result =
-    Driver.run s.sim ~nodes:s.config.nodes ~total_keys:s.config.total_keys
-      ~local_keys:s.local_keys ~profile ~load ~ops:s.ops
-  in
+let drive ?chaos store ~profile ~load =
+  let result = store.workload ~profile ~load in
   {
-    system = s.system;
+    store;
     result;
-    des_events = Sss_sim.Sim.events_processed s.sim;
-    virtual_seconds = Sss_sim.Sim.now s.sim;
-    network = s.network_stats ();
-    store_words = s.store_words ();
-    history = s.history;
-    obs = s.obs;
-    quiescent = s.quiescent;
-    kv = s.kv;
+    des_events = Sss_sim.Sim.events_processed store.sim;
+    virtual_seconds = Sss_sim.Sim.now store.sim;
+    network = store.network_stats ();
+    store_words = store.store_words ();
     chaos = Option.map Chaos.stats chaos;
   }
 
 type verdict = Pass | Fail of string | Not_promised
 
+(* Every checker property in report order, with the systems that promise it. *)
+let properties =
+  [
+    ("external-consistency", Checker.external_consistency, [ Sss; Twopc ]);
+    ("serializability", Checker.serializability, [ Sss; Rococo ]);
+    ("no-lost-updates", Checker.no_lost_updates, [ Sss; Walter; Twopc; Rococo ]);
+    ("no-torn-commits", Checker.no_torn_commits, [ Sss; Walter; Twopc; Rococo ]);
+    ("ro-abort-free", Checker.read_only_abort_free, [ Sss; Walter ]);
+  ]
+
 let verdicts system history ~quiescent =
-  let promised = promises system in
+  let verdict = function Ok () -> Pass | Error msg -> Fail msg in
   List.map
-    (fun p ->
-      ( property_name p,
-        if not (List.mem p promised) then Not_promised
-        else match check p history with Ok () -> Pass | Error msg -> Fail msg ))
+    (fun (name, check, promised) ->
+      (name, if List.mem system promised then verdict (check history) else Not_promised))
     properties
-  @ [ ("quiescent", match quiescent with Ok () -> Pass | Error msg -> Fail msg) ]
+  @ [ ("quiescent", verdict quiescent) ]
 
 let exit_code vs = if List.exists (function _, Fail _ -> true | _ -> false) vs then 1 else 0

@@ -1,8 +1,8 @@
 (** The store descriptor: SSS and the three baselines behind one record.
 
     [create] builds a cluster of any system and returns what every harness
-    needs from it — the driver's client operations, the history, the
-    network and storage gauges, the chaos installer.  Sweeps and tests
+    needs from it — the workload driver bound to the cluster, the history,
+    the network and storage gauges, the chaos installer.  Sweeps and tests
     check exactly {!verdicts}: the properties the protocol promises, plus
     quiescence. *)
 
@@ -13,12 +13,16 @@ type system = Sss | Walter | Twopc | Rococo
 val system_name : system -> string
 (** "SSS", "Walter", "2PC" or "ROCOCO". *)
 
-type 'h t = {
+type t = {
   system : system;
   sim : Sss_sim.Sim.t;  (** the simulator the cluster runs on *)
-  config : Sss_kv.Config.t;
-  ops : 'h Sss_workload.Driver.ops;
-  local_keys : Ids.node -> Ids.key array;
+  workload :
+    profile:Sss_workload.Driver.profile ->
+    load:Sss_workload.Driver.load ->
+    Sss_workload.Driver.result;
+      (** {!Sss_workload.Driver.run} on the cluster's client operations
+          and node-local keys: the one [Driver.run] call outside perfbench;
+          harnesses reach it through {!drive} *)
   history : Sss_consistency.History.t;
   obs : Sss_obs.Obs.t option;
   network_stats : unit -> Sss_net.Network.stats;
@@ -35,9 +39,7 @@ type 'h t = {
   kv : Sss_kv.Kv.cluster option;  (** [Some] for SSS: its own telemetry *)
 }
 
-type any = Store : 'h t -> any
-
-val create : system -> Sss_sim.Sim.t -> Sss_kv.Config.t -> any
+val create : system -> Sss_sim.Sim.t -> Sss_kv.Config.t -> t
 (** Harnesses reach it through {!Spec.run}. *)
 
 val paper_degree : system -> int
@@ -47,25 +49,23 @@ val paper_degree : system -> int
 (** {1 Driving a store} — the run half of {!Spec.run}, the one
     create-drive-read pipeline of every harness outside perfbench *)
 
-(** One driven run: what a harness reads once the simulator drained. *)
+(** One driven run: what a harness reads once the simulator drained.  The
+    store itself carries the rest — [r.store.history], [.obs], [.kv],
+    [.system], and [.quiescent ()], computed only when called. *)
 type run = {
-  system : system;
+  store : t;
   result : Sss_workload.Driver.result;
   des_events : int;  (** simulator events the run executed *)
   virtual_seconds : float;  (** virtual time the run simulated *)
   network : Sss_net.Network.stats;
   store_words : int;  (** as {!t.store_words}, at the end of the run *)
-  history : Sss_consistency.History.t;
-  obs : Sss_obs.Obs.t option;
-  quiescent : unit -> (unit, string) result;  (** computed only when called *)
-  kv : Sss_kv.Kv.cluster option;  (** [Some] for SSS: its own telemetry *)
   chaos : Sss_chaos.Chaos.stats option;
       (** what the run's fault plan injected; [None] without a plan *)
 }
 
 val drive :
   ?chaos:Sss_chaos.Chaos.handle ->
-  'h t ->
+  t ->
   profile:Sss_workload.Driver.profile ->
   load:Sss_workload.Driver.load ->
   run

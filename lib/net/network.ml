@@ -232,13 +232,15 @@ let[@hot] return_flight t fl =
 (* ---- dispatch ---- *)
 
 (* Observation of a dispatch: end-to-end latency histogram per message
-   kind.  Reads the queue's popped slots; called only when an observer is
-   installed. *)
+   kind, and the queue depth it leaves behind (the enqueue side sets the
+   gauge too, so [current] is the live depth).  Reads the queue's popped
+   slots; called only when an observer is installed. *)
 let observe_dispatch t n (o : _ observer) =
   let q = t.nodes.(n).queue in
   Sss_obs.Obs.observe o.obs
     ("lat.msg." ^ o.kind_of (Obj.obj q.Iq.p_msg))
-    (Sim.now t.sim -. q.Iq.p_sent.(0))
+    (Sim.now t.sim -. q.Iq.p_sent.(0));
+  Sss_obs.Obs.gauge_set o.obs ("net.queue.node" ^ string_of_int n) q.Iq.size
 
 (* Drain a node's ingress queue: one plain-callback event per message.  The
    CPU charge is the event's delay; when it fires, [dispatch] runs the

@@ -12,13 +12,15 @@ type key_dist = Uniform | Zipfian of float
 
 type profile = {
   read_only_ratio : float;
-  update_ops : int;
   ro_ops : int;
   locality : float;
 }
 
-let paper_profile ~read_only_ratio =
-  { read_only_ratio; update_ops = 2; ro_ops = 2; locality = 0.0 }
+let paper_profile ~read_only_ratio = { read_only_ratio; ro_ops = 2; locality = 0.0 }
+
+(* Keys an update transaction reads then overwrites: the paper's two
+   read-modify-writes (§V). *)
+let update_ops = 2
 
 type arrival = Poisson of float | Ramp of { from_rate : float; to_rate : float }
 
@@ -168,7 +170,7 @@ let rec attempt c keys ~aborts_from ~retry_until =
    [true] once it committed. *)
 let transaction c ~aborts_from ~retry_until =
   c.read_only <- Prng.float c.rng 1.0 < c.profile.read_only_ratio;
-  let count = if c.read_only then c.profile.ro_ops else c.profile.update_ops in
+  let count = if c.read_only then c.profile.ro_ops else update_ops in
   let keys =
     pick_keys c.rng ~dist:c.load.dist ~zipf:c.zipf ~total_keys:c.total_keys ~local:c.local
       ~locality:c.profile.locality ~count
@@ -264,8 +266,7 @@ let open_worker c ~measure_from ~lane ~sojourn ~service ~queue_wait =
 let run sim ~nodes ~total_keys ~local_keys ~profile ~load ~ops =
   (* a transaction with no operation sends no message, so a loop of them
      would never advance virtual time *)
-  if profile.update_ops < 1 || profile.ro_ops < 1 then
-    invalid_arg "Driver.run: update_ops and ro_ops must be at least 1";
+  if profile.ro_ops < 1 then invalid_arg "Driver.run: ro_ops must be at least 1";
   let zipf =
     match load.dist with
     | Uniform -> None

@@ -3,8 +3,8 @@
     In the default closed loop, clients are colocated with nodes; each
     issues a new transaction only when the previous one returned, so load
     self-throttles and saturation is invisible by construction.  Update
-    transactions read then overwrite [update_ops] keys; read-only
-    transactions read [ro_ops] keys.  Keys are drawn uniformly, zipfian, or
+    transactions read then overwrite two keys, the paper's
+    read-modify-writes (§V); read-only transactions read [ro_ops] keys.  Keys are drawn uniformly, zipfian, or
     from the local node's replicas with probability [locality] (Fig. 7's
     50%-locality configuration).
 
@@ -35,7 +35,6 @@ type key_dist = Uniform | Zipfian of float
 
 type profile = {
   read_only_ratio : float;
-  update_ops : int;  (** keys read and written by an update transaction *)
   ro_ops : int;  (** keys read by a read-only transaction *)
   locality : float;  (** probability of drawing a node-local key *)
 }
@@ -112,6 +111,6 @@ val run :
 (** Spawns the clients, runs the simulator to completion (clients stop
     issuing after [warmup + duration]; in-flight work drains), and returns
     the measured-window statistics.  @raise Invalid_argument, before
-    spawning anything, if [profile.update_ops] or [profile.ro_ops] is
-    below 1: a transaction with no operation sends no message, so a loop
-    of them would never advance virtual time. *)
+    spawning anything, if [profile.ro_ops] is below 1: a transaction with
+    no operation sends no message, so a loop of them would never advance
+    virtual time. *)

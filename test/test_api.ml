@@ -158,7 +158,7 @@ let test_driver_locality_draws_local () =
     { s with profile = { s.profile with locality = 1.0 }; load = { s.load with seed = 6 } }
   in
   let r = Spec.run spec and named = named spec in
-  let local0 = Kv.local_keys (Option.get r.kv) 0 in
+  let local0 = Kv.local_keys (Option.get r.store.kv) 0 in
   Alcotest.(check bool) (named "progress") true (r.result.committed > 10);
   (* with locality = 1.0, clients on node 0 only ever read node-0 keys *)
   let ok = ref true in
@@ -168,7 +168,7 @@ let test_driver_locality_draws_local () =
       | Sss_consistency.History.Read { txn; key; _ } ->
           if txn.Ids.node = 0 && not (Array.exists (( = ) key) local0) then ok := false
       | _ -> ())
-    (Sss_consistency.History.events r.history);
+    (Sss_consistency.History.events r.store.history);
   Alcotest.(check bool) (named "node-0 clients stayed local") true !ok
 
 (* ---------- utility contracts ---------- *)

@@ -118,6 +118,44 @@ let test_rococo_conflicting_updates_both_commit () =
   check_ok "serializable nonetheless" (Checker.serializability (Rococo_kv.Rococo.history cl));
   check_ok "quiescent" (Rococo_kv.Rococo.quiescent cl)
 
+(* Durable ROCOCO's aliveness watchdog: a piece whose driving client is
+   gone must not gate its key forever.  A client at node 0 dispatches a
+   piece on a key of node 1 and never commits; node 0 then crashes and
+   restarts, forgetting the transaction.  Node 1's watchdog asks node 0
+   whether it is still in flight, hears no, and withdraws the piece, so a
+   later update on the key commits. *)
+let test_rococo_watchdog_withdraws_orphan () =
+  let module R = Rococo_kv.Rococo in
+  let sim = Sim.create () in
+  let config =
+    { (config ~nodes:3 ~degree:1 ~keys:12 ()) with
+      durability = true; fault_tolerance = true; observe = true }
+  in
+  let cl = R.create sim config in
+  let key = (R.local_keys cl 1).(0) in
+  let plan = Sss_chaos.Chaos.crash_restart ~seed:1 ~node:0 ~at:0.005 ~restart_at:0.01 in
+  ignore
+    (Sss_chaos.Chaos.install sim (R.network cl) ~kind_of:R.message_kind
+       ~on_crash:(R.crash_node cl) ~on_restart:(R.restart_node cl) plan
+      : Sss_chaos.Chaos.handle);
+  Sim.spawn sim (fun () ->
+      let t = R.begin_txn cl ~node:0 ~read_only:false in
+      ignore (R.read t key : string));
+  let later = ref None in
+  Sim.spawn sim (fun () ->
+      Sim.sleep sim 0.05;
+      let t = R.begin_txn cl ~node:2 ~read_only:false in
+      ignore (R.read t key : string);
+      R.write t key "later";
+      later := Some (R.commit t));
+  Sim.run sim;
+  let obs = Option.get (R.obs cl) in
+  Alcotest.(check bool) "node 1 asked node 0 about the orphan" true
+    (Sss_obs.Obs.counter obs "msg.sent.alive_query" > 0);
+  Alcotest.(check (option bool)) "the later update committed" (Some true) !later;
+  Alcotest.(check string) "and wrote the key" "later" (fst (R.latest cl ~node:1 key));
+  check_ok "quiescent" (R.quiescent cl)
+
 let test_rococo_ro_waits_out_conflicts () =
   (* A read-only transaction issued while update pieces are buffered returns
      a consistent (post-update) state rather than a torn one. *)
@@ -213,6 +251,8 @@ let () =
           Alcotest.test_case "conflicting updates both commit" `Quick
             test_rococo_conflicting_updates_both_commit;
           Alcotest.test_case "read-only atomic view" `Quick test_rococo_ro_waits_out_conflicts;
+          Alcotest.test_case "watchdog withdraws an orphaned piece" `Quick
+            test_rococo_watchdog_withdraws_orphan;
         ] );
       ( "twopc",
         [

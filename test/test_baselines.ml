@@ -50,11 +50,11 @@ let test_twopc_basic () =
 let test_twopc_workload () =
   let r, check_run = drive Store.Twopc ~degree:2 ~keys:24 ~ro:0.5 ~seed:5 in
   Alcotest.(check bool) "progress" true (r.result.committed > 50);
-  let h = r.history in
+  let h = r.store.history in
   check_run "external consistency" (Checker.external_consistency h);
   check_run "serializability" (Checker.serializability h);
   check_run "no lost updates" (Checker.no_lost_updates h);
-  check_run "quiescent" (r.quiescent ())
+  check_run "quiescent" (r.store.quiescent ())
 
 let test_twopc_read_only_can_abort () =
   (* tiny key space: read-only validation conflicts must appear *)
@@ -63,10 +63,10 @@ let test_twopc_read_only_can_abort () =
     (Printf.sprintf "aborts under contention (%d)" r.result.aborted)
     true (r.result.aborted > 0);
   (* the defining contrast with SSS: 2PC-baseline aborts read-only txns *)
-  (match Checker.read_only_abort_free r.history with
+  (match Checker.read_only_abort_free r.store.history with
   | Ok () -> Alcotest.fail "expected some read-only aborts in 2PC-baseline"
   | Error _ -> ());
-  check_run "still externally consistent" (Checker.external_consistency r.history)
+  check_run "still externally consistent" (Checker.external_consistency r.store.history)
 
 (* The client is answered only once every write replica applied.  Home
    node 0 writes key 0, whose replicas are nodes 1 and 2; the second
@@ -140,12 +140,12 @@ let test_walter_basic () =
 let test_walter_workload () =
   let r, check_run = drive Store.Walter ~degree:2 ~keys:24 ~ro:0.5 ~seed:7 in
   Alcotest.(check bool) "progress" true (r.result.committed > 50);
-  let h = r.history in
+  let h = r.store.history in
   (* PSI: intact read-modify-writes and abort-free read-only transactions,
      but NOT serializability (long forks are possible). *)
   check_run "no lost updates" (Checker.no_lost_updates h);
   check_run "read-only abort free" (Checker.read_only_abort_free h);
-  check_run "quiescent" (r.quiescent ())
+  check_run "quiescent" (r.store.quiescent ())
 
 let test_walter_weaker_than_serializable () =
   (* Across seeds and a hot key space, PSI should exhibit at least one
@@ -154,8 +154,8 @@ let test_walter_weaker_than_serializable () =
   let violations = ref 0 in
   for seed = 1 to 8 do
     let r, check_run = drive Store.Walter ~degree:2 ~keys:8 ~ro:0.6 ~seed in
-    (match Checker.serializability r.history with Ok () -> () | Error _ -> incr violations);
-    check_run "no lost updates" (Checker.no_lost_updates r.history)
+    (match Checker.serializability r.store.history with Ok () -> () | Error _ -> incr violations);
+    check_run "no lost updates" (Checker.no_lost_updates r.store.history)
   done;
   Alcotest.(check bool)
     (Printf.sprintf "observed PSI anomalies in %d/8 runs" !violations)
@@ -260,7 +260,7 @@ let test_gauge system () =
     Sss_experiments.Spec.make ~clients:4 ~duration:0.05 system (config ~keys:200 ~seed:4 ())
   in
   let store_repr = ref (fun _ -> Obj.repr ()) in
-  let setup (Store.Store s) = store_repr := s.store_repr in
+  let setup (s : Store.t) = store_repr := s.store_repr in
   let r = Sss_experiments.Spec.run ~setup spec in
   let weigh a n = a + Obj.reachable_words (!store_repr n) in
   let heap = List.fold_left weigh 0 (List.init spec.config.nodes Fun.id) in
@@ -308,11 +308,11 @@ let test_rococo_basic () =
 let test_rococo_workload () =
   let r, check_run = drive Store.Rococo ~degree:1 ~keys:24 ~ro:0.5 ~seed:11 in
   Alcotest.(check bool) "progress" true (r.result.committed > 50);
-  let h = r.history in
+  let h = r.store.history in
   check_run "serializability" (Checker.serializability h);
   check_run "external consistency" (Checker.external_consistency h);
   check_run "no lost updates" (Checker.no_lost_updates h);
-  check_run "quiescent" (r.quiescent ())
+  check_run "quiescent" (r.store.quiescent ())
 
 (* Durable ROCOCO keeps no state per finished transaction: with
    fixed-size values and no history, the cluster's live words after 2,000
@@ -414,7 +414,7 @@ let test_rococo_resent_commit () =
 let test_rococo_updates_never_abort () =
   (* hot keys: all aborts must come from the round-based read-only path *)
   let r, check_run = drive Store.Rococo ~degree:1 ~keys:8 ~ro:0.5 ~seed:13 in
-  let h = r.history in
+  let h = r.store.history in
   (* every aborted txn in the history must be read-only *)
   let events = History.events h in
   let ro_txns = Hashtbl.create 64 in
@@ -435,7 +435,7 @@ let test_rococo_updates_never_abort () =
       | _ -> ())
     events;
   check_run "serializability under contention" (Checker.serializability h);
-  check_run "quiescent" (r.quiescent ())
+  check_run "quiescent" (r.store.quiescent ())
 
 let () =
   Alcotest.run "baselines"

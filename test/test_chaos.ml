@@ -58,7 +58,7 @@ let assert_verdicts spec (o : Store.run) =
     (function
       | check, Store.Fail msg -> failf spec "%s: %s" check msg
       | _, (Pass | Not_promised) -> ())
-    (Store.verdicts o.system o.history ~quiescent:(o.quiescent ()))
+    (Store.verdicts o.store.system o.store.history ~quiescent:(o.store.quiescent ()))
 
 let systems = Store.[ Sss; Twopc; Walter; Rococo ]
 
@@ -101,7 +101,7 @@ let test_sss_ro_abort_zero () =
         | History.Abort { txn } -> if Hashtbl.mem ro_txns txn then incr ro_aborts
         | History.Commit { txn; _ } -> if Hashtbl.mem ro_txns txn then incr ro_commits
         | _ -> ())
-      (History.events o.history);
+      (History.events o.store.history);
     if !ro_aborts > 0 then failf spec "%d RO aborts" !ro_aborts;
     if !ro_commits = 0 then failf spec "no RO transaction committed"
   done
@@ -121,8 +121,8 @@ let test_deterministic_replay () =
       Alcotest.(check bool) (name ^ ": chaos stats") true (a.chaos = b.chaos);
       Alcotest.(check int)
         (name ^ ": history length")
-        (History.length a.history) (History.length b.history);
-      if History.events a.history <> History.events b.history then
+        (History.length a.store.history) (History.length b.store.history);
+      if History.events a.store.history <> History.events b.store.history then
         failf spec "histories diverge between identical runs")
     systems
 
@@ -148,7 +148,7 @@ let test_partition_heal_liveness () =
       | History.Commit { txn; _ } when s.History.at > heal_at ->
           Hashtbl.replace nodes_committing txn.Sss_data.Ids.node ()
       | _ -> ())
-    (History.events o.history);
+    (History.events o.store.history);
   for node = 0 to 3 do
     if not (Hashtbl.mem nodes_committing node) then
       failf spec "node %d committed nothing after the heal" node

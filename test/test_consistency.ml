@@ -393,7 +393,7 @@ let real_spec =
   Spec.make ~ro:0.3 ~clients:3 ~duration:0.03 Sss
     { Sss_kv.Config.default with nodes = 2; replication_degree = 1; total_keys = 12; seed = 5 }
 
-let real_history () = History.events (Spec.run real_spec).history
+let real_history () = History.events (Spec.run real_spec).store.history
 
 (* [what], naming the real history's run. *)
 let real what = what ^ " -- " ^ Spec.to_string real_spec
@@ -610,7 +610,7 @@ let gc_run ?(sabotage = false) ?(keys = 18) ?(ro = 0.5) ~gc ~seed () =
   (* the modelled bug: a GC that ignores the snapshot low-watermark and
      slashes every chain to its newest version, repeatedly, mid-run (an
      all-max_int watermark covers every version, keeping the newest) *)
-  let sabotage_fiber (Store.Store s) =
+  let sabotage_fiber (s : Store.t) =
     let everything = Vclock.of_array (Array.make 3 max_int) in
     Sss_sim.Sim.spawn s.sim (fun () ->
         for _ = 1 to 30 do
@@ -627,7 +627,7 @@ let gc_run ?(sabotage = false) ?(keys = 18) ?(ro = 0.5) ~gc ~seed () =
         done)
   in
   let r = Spec.run ~setup:(if sabotage then sabotage_fiber else ignore) spec in
-  ((fun what -> what ^ " -- " ^ Spec.to_string spec), Option.get r.kv)
+  ((fun what -> what ^ " -- " ^ Spec.to_string spec), Option.get r.store.kv)
 
 let checker_verdict cl =
   let h = Sss_kv.Kv.history cl in

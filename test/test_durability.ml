@@ -51,7 +51,7 @@ let assert_verdicts spec (o : Store.run) =
     (function
       | check, Store.Fail msg -> failf spec "%s: %s" check msg
       | _, (Pass | Not_promised) -> ())
-    (Store.verdicts o.system o.history ~quiescent:(o.quiescent ()))
+    (Store.verdicts o.store.system o.store.history ~quiescent:(o.store.quiescent ()))
 
 let assert_recovered spec (o : Store.run) =
   let stats = Option.get o.chaos in
@@ -65,7 +65,7 @@ let assert_recovered spec (o : Store.run) =
         match s.History.event with
         | History.Commit _ -> s.History.at > 0.019
         | _ -> false)
-      (History.events o.history)
+      (History.events o.store.history)
   in
   if not after_restart then failf spec "nothing committed after recovery"
 
@@ -109,7 +109,7 @@ let test_sss_ro_abort_free_durable () =
         | History.Abort { txn } -> if Hashtbl.mem ro_txns txn then incr ro_aborts
         | History.Commit { txn; _ } -> if Hashtbl.mem ro_txns txn then incr ro_commits
         | _ -> ())
-      (History.events o.history);
+      (History.events o.store.history);
     if !ro_aborts > 0 then failf spec "%d RO aborts" !ro_aborts;
     if !ro_commits = 0 then failf spec "no RO transaction committed"
   done
@@ -124,7 +124,7 @@ let test_deterministic_replay () =
       let spec, a = run system ~plan:(crash_plan ~seed) ~seed in
       let _, b = run system ~plan:(crash_plan ~seed) ~seed in
       Alcotest.(check int) (name ^ ": events processed") a.des_events b.des_events;
-      if History.events a.history <> History.events b.history then
+      if History.events a.store.history <> History.events b.store.history then
         failf spec "durable histories diverge between identical runs")
     systems
 
@@ -151,12 +151,14 @@ let test_golden_covers_indoubt () =
         Printf.sprintf "%s durable des_events %d committed %d history_md5 %s"
           (String.lowercase_ascii (Store.system_name system))
           o.des_events o.result.committed
-          (Sss_experiments.Experiments.history_md5 o.history)
+          (Sss_experiments.Experiments.history_md5 o.store.history)
       in
       if not (List.mem line golden) then
         failf spec "observed run %S is not in the recovery golden" line;
       let queries =
-        match o.obs with Some obs -> Sss_obs.Obs.counter obs ("msg.sent." ^ query_kind) | None -> 0
+        match o.store.obs with
+        | Some obs -> Sss_obs.Obs.counter obs ("msg.sent." ^ query_kind)
+        | None -> 0
       in
       if queries = 0 then
         failf spec "the golden run sent no in-doubt query")
@@ -326,7 +328,7 @@ let test_gc_across_crash () =
     (* live read-only transactions homed at the crashed node just before
        the crash, as the watermark sees them: their [Reading] pins *)
     let homed = ref 0 and after_restart = ref 0 in
-    let setup (Store.Store s) =
+    let setup (s : Store.t) =
       let cl = Option.get s.kv in
       Sim.schedule s.sim ~delay:(crash_at -. 1e-5) (fun () ->
           (Hashtbl.iter
@@ -337,7 +339,7 @@ let test_gc_across_crash () =
     let r = Spec.run ~setup spec in
     if (Option.get r.chaos).Chaos.restarts <> 1 then failf spec "crash/restart did not fire";
     assert_verdicts spec r;
-    (r.result.committed, r.history, !homed, !after_restart, dropped (Option.get r.kv))
+    (r.result.committed, r.store.history, !homed, !after_restart, dropped (Option.get r.store.kv))
   in
   let off_committed, off_history, _, _, _ = run false in
   let committed, history, homed, after_restart, at_end = run true in
@@ -380,7 +382,7 @@ let test_nlog_restored_in_order () =
                l)
              max_int locals
             : int))
-      (Option.get r.kv).Sss_kv.State.nodes
+      (Option.get r.store.kv).Sss_kv.State.nodes
   done
 
 (* ---------- checkpoint images share the live node's blocks ---------- *)
@@ -495,7 +497,7 @@ let test_parked_is_prepared_and_applied () =
             queued := !queued + Sss_data.Stampset.length node.queued)
           cl.St.nodes
       in
-      let probe (Store.Store s) = Sim.set_probe s.sim (Some (check s.sim (Option.get s.kv))) in
+      let probe (s : Store.t) = Sim.set_probe s.sim (Some (check s.sim (Option.get s.kv))) in
       let o = Spec.run ~setup:probe spec in
       assert_recovered spec o;
       if !stamps = 0 then failf spec "no writer ever parked";
@@ -509,7 +511,7 @@ let test_off_trajectory_unchanged () =
   (* without durability, crash_node/restart_node fall back to the NIC-only
      fault: wiring the hooks must not move a single event.  The bare run
      installs the plan without them. *)
-  let install_bare (Store.Store s) =
+  let install_bare (s : Store.t) =
     let cl = Option.get s.kv in
     ignore
       (Chaos.install s.sim (Sss_kv.Kv.network cl) ~kind_of:Sss_kv.Kv.message_kind
@@ -519,7 +521,7 @@ let test_off_trajectory_unchanged () =
   let hooked_spec, hooked = run ~durability:false Store.Sss ~plan:(crash_plan ~seed) ~seed in
   let bare = Spec.run ~setup:install_bare { hooked_spec with plan = None } in
   Alcotest.(check int) "events identical" bare.des_events hooked.des_events;
-  if History.events bare.history <> History.events hooked.history then
+  if History.events bare.store.history <> History.events hooked.store.history then
     failf hooked_spec "durability=off trajectory depends on hook wiring"
 
 let () =

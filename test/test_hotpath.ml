@@ -209,7 +209,7 @@ let run_seeded () =
     r.result.aborted,
     r.des_events,
     r.network,
-    Sss_consistency.History.events r.history )
+    Sss_consistency.History.events r.store.history )
 
 (* Inline dispatch and the cancellable transport timers must not let
    anything but the seed steer an execution: two runs coincide exactly. *)
@@ -252,7 +252,7 @@ let test_healthy_path_pinned () =
       Alcotest.(check int) (name ^ ": des_events") events r.des_events;
       Alcotest.(check int) (name ^ ": committed") committed r.result.committed;
       Alcotest.(check string) (name ^ ": history md5") md5
-        (Sss_experiments.Experiments.history_md5 r.history))
+        (Sss_experiments.Experiments.history_md5 r.store.history))
     healthy_pins
 
 let () =

@@ -39,9 +39,9 @@ let test_paper_mode_liveness_and_core_properties () =
     drive (sss ~ro:0.5 ~duration:0.05 (config ~nodes:4 ~degree:2 ~keys:32 ~seed:3 ~strict:false ()))
   in
   Alcotest.(check bool) "progress" true (r.result.committed > 100);
-  check_run "no lost updates" (Checker.no_lost_updates r.history);
-  check_run "read-only abort free" (Checker.read_only_abort_free r.history);
-  check_run "quiescent" (r.quiescent ())
+  check_run "no lost updates" (Checker.no_lost_updates r.store.history);
+  check_run "read-only abort free" (Checker.read_only_abort_free r.store.history);
+  check_run "quiescent" (r.store.quiescent ())
 
 let test_paper_mode_faster_on_long_reads () =
   (* The ablation in one assertion: under long read-only scans, the paper's
@@ -67,7 +67,7 @@ let test_gc_bounds_state () =
   let run gc =
     let config = { (config ~keys:8 ~seed:11 ()) with gc } in
     let r, check_run = drive (sss ~ro:0.2 ~duration:0.08 config) in
-    (r, Option.get r.kv, check_run)
+    (r, Option.get r.store.kv, check_run)
   in
   let r, cl, check_run = run true and _, off, _ = run false in
   Alcotest.(check bool) "progress" true (r.result.committed > 200);
@@ -85,8 +85,8 @@ let test_gc_bounds_state () =
         true
         (4 * kept < unbounded))
     cl.State.nodes;
-  check_run "still externally consistent under GC" (Checker.external_consistency r.history);
-  check_run "quiescent" (r.quiescent ())
+  check_run "still externally consistent under GC" (Checker.external_consistency r.store.history);
+  check_run "quiescent" (r.store.quiescent ())
 
 (* ---------- replication degree 3 with history ---------- *)
 
@@ -95,9 +95,9 @@ let test_degree3_consistency () =
     drive (sss ~ro:0.8 ~duration:0.04 (config ~nodes:5 ~degree:3 ~keys:20 ~seed:21 ()))
   in
   Alcotest.(check bool) "progress" true (r.result.committed > 100);
-  check_run "external consistency" (Checker.external_consistency r.history);
-  check_run "serializability" (Checker.serializability r.history);
-  check_run "quiescent" (r.quiescent ())
+  check_run "external consistency" (Checker.external_consistency r.store.history);
+  check_run "serializability" (Checker.serializability r.store.history);
+  check_run "quiescent" (r.store.quiescent ())
 
 (* ---------- repeat contact: multi-read snapshot stability ---------- *)
 
@@ -248,7 +248,7 @@ let test_hardening_fixes_documented_anomaly () =
      it on the very same workload and seed. *)
   let run strict =
     let s = sss ~ro:0.5 ~duration:0.04 (config ~nodes:4 ~degree:2 ~keys:8 ~seed:7 ~strict ()) in
-    Checker.serializability (Spec.run s).history
+    Checker.serializability (Spec.run s).store.history
   in
   (match run false with
   | Error _ -> ()  (* the witness: Adya divergence under the paper's rules *)
@@ -315,7 +315,7 @@ let test_spec_setup_before_first_event () =
   let spec = Spec.make ~plan ~clients:2 ~duration:0.005 Sss config in
   let named what = what ^ " -- " ^ Spec.to_string spec in
   let at_setup = ref None and crashed_first = ref false in
-  let setup (Sss_experiments.Store.Store s) =
+  let setup (s : Sss_experiments.Store.t) =
     let crashed () = Sss_net.Network.is_crashed (Kv.network (Option.get s.kv)) 1 in
     at_setup := Some (Sim.events_processed s.sim, Sim.now s.sim, crashed ());
     Sim.schedule_callback s.sim ~delay:0.0 (fun () -> crashed_first := crashed ())
@@ -326,6 +326,40 @@ let test_spec_setup_before_first_event () =
   Alcotest.(check bool) (named "the plan's crash fired before setup's callback") true
     !crashed_first;
   Alcotest.(check int) (named "the plan crashed once") 1 (Option.get r.chaos).crashes
+
+(* [Spec.run] refuses a spec [Spec.check] rejects with [Spec.Invalid],
+   before it builds a simulator: [setup] never runs.  A valid spec without
+   a plan passes the check without allocating. *)
+let test_spec_run_refuses_invalid () =
+  let base = Spec.make ~clients:2 ~duration:0.005 Sss (config ~nodes:4 ()) in
+  Alcotest.(check (result unit string)) "the base spec is runnable" (Ok ()) (Spec.check base);
+  (* a valid spec without a plan is checked without allocating *)
+  let w0 = Sim.allocated_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Spec.check base))
+  done;
+  let w = Sim.allocated_words () -. w0 in
+  if w > 32. then Alcotest.failf "1,000 checks allocated %.0f words" w;
+  List.iter
+    (fun (what, spec) ->
+      let named s = what ^ ": " ^ s ^ " -- " ^ Spec.to_string spec in
+      let set_up = ref false in
+      (match Spec.run ~setup:(fun _ -> set_up := true) spec with
+      | _ -> Alcotest.fail (named "ran")
+      | exception Spec.Invalid msg ->
+          Alcotest.(check (result unit string)) (named "check names the same rule")
+            (Error msg) (Spec.check spec));
+      Alcotest.(check bool) (named "setup never called") false !set_up)
+    [
+      ( "rococo at degree 2",
+        { base with system = Rococo; config = { base.config with replication_degree = 2 } } );
+      ("ro_ops = 0", { base with profile = { base.profile with ro_ops = 0 } });
+      ( "crash of node 9 of 4",
+        { base with
+          plan = Some (Sss_chaos.Chaos.crash_restart ~seed:1 ~node:9 ~at:0.001 ~restart_at:0.002)
+        } );
+      ("duration = 0", { base with load = { base.load with duration = 0.0 } });
+    ]
 
 (* Spec.to_string names every field: a copy of [base] that differs in one
    field prints a different line.  [Config.trace_capacity] is the one field
@@ -370,7 +404,6 @@ let test_spec_line_names_every_field () =
          ("cpu_per_message", nf (fun n -> { n with cpu_per_message = 2.000001e-6 })) ]);
       ("profile", Obj.repr p,
        [ ("read_only_ratio", pf (fun p -> { p with read_only_ratio = 0.51 }));
-         ("update_ops", pf (fun p -> { p with update_ops = 3 }));
          ("ro_ops", pf (fun p -> { p with ro_ops = 4 }));
          ("locality", pf (fun p -> { p with locality = 0.5 })) ]);
       ("load", Obj.repr l,
@@ -427,6 +460,8 @@ let () =
           Alcotest.test_case "spec line names every field" `Quick test_spec_line_names_every_field;
           Alcotest.test_case "spec runs setup before the first event" `Quick
             test_spec_setup_before_first_event;
+          Alcotest.test_case "spec run refuses an invalid spec" `Quick
+            test_spec_run_refuses_invalid;
         ] );
       ( "gc",
         [ Alcotest.test_case "bounded state, same guarantees" `Quick test_gc_bounds_state ] );

@@ -186,7 +186,7 @@ let run_sss ?plan ~observe ~seed () =
   ((fun what -> what ^ " -- " ^ Spec.to_string spec), Spec.run spec)
 
 let obs_exn named (r : Store.run) =
-  match r.obs with
+  match r.store.obs with
   | Some o -> o
   | None -> Alcotest.fail (named "observe=true but no sink attached")
 
@@ -221,9 +221,9 @@ let test_traced_run_events () =
     (fun (what, verdict) ->
       Result.iter_error (fun e -> Alcotest.fail (named (what ^ ": " ^ e))) verdict)
     [
-      ("external consistency", Checker.external_consistency r.history);
-      ("ro abort-free", Checker.read_only_abort_free r.history);
-      ("quiescent", r.quiescent ());
+      ("external consistency", Checker.external_consistency r.store.history);
+      ("ro abort-free", Checker.read_only_abort_free r.store.history);
+      ("quiescent", r.store.quiescent ());
     ]
 
 let test_traced_run_metrics () =
@@ -254,13 +254,18 @@ let test_traced_run_metrics () =
         (Obs.counter o ("msg.sent." ^ kind))
         (Obs.counter o ("msg.recv." ^ kind)))
     [ "prepare"; "vote"; "decide"; "read_request"; "read_return" ];
-  (* queue-depth gauges were sampled for every node *)
+  (* queue-depth gauges track every node's live depth: each queue is empty
+     once the run drained, and the peaks are this run's deepest queues *)
   let gauges = Obs.gauges o in
   List.iter
-    (fun n ->
+    (fun (n, peak) ->
       let name = Printf.sprintf "net.queue.node%d" n in
-      Alcotest.(check bool) (named (name ^ " present")) true (List.mem_assoc name gauges))
-    [ 0; 1; 2 ];
+      match List.assoc_opt name gauges with
+      | Some (current, p) ->
+          Alcotest.(check int) (named (name ^ " drained")) 0 current;
+          Alcotest.(check int) (named (name ^ " peak")) peak p
+      | None -> Alcotest.fail (named (name ^ " missing")))
+    [ (0, 8); (1, 6); (2, 5) ];
   (* the metrics JSON carries it all *)
   let json = Obs.metrics_json o in
   List.iter
@@ -285,14 +290,14 @@ let test_observer_effect_zero () =
   let named, off = run_sss ~observe:false ~seed:13 () in
   let _, on = run_sss ~observe:true ~seed:13 () in
   Alcotest.(check (option unit)) (named "observe=false allocates no sink") None
-    (Option.map ignore off.obs);
+    (Option.map ignore off.store.obs);
   Alcotest.(check int) (named "same DES event count") off.des_events on.des_events;
   Alcotest.(check (float 0.0)) (named "same virtual end time") off.virtual_seconds
     on.virtual_seconds;
   Alcotest.(check int) (named "same committed") off.result.committed on.result.committed;
   Alcotest.(check int) (named "same aborted") off.result.aborted on.result.aborted;
   let verdict (r : Store.run) =
-    let h = r.history in
+    let h = r.store.history in
     ( Result.is_ok (Checker.external_consistency h),
       Result.is_ok (Checker.serializability h),
       Result.is_ok (Checker.no_lost_updates h),

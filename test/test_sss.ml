@@ -419,7 +419,7 @@ let run_workload ~nodes ~degree ~keys ~ro_ratio ~seed ~duration =
   let module Spec = Sss_experiments.Spec in
   let config = { Config.default with nodes; replication_degree = degree; total_keys = keys; seed } in
   let r = Spec.run (Spec.make ~ro:ro_ratio ~clients:4 ~warmup:0.01 ~duration Sss config) in
-  (Option.get r.kv, r.result)
+  (Option.get r.store.kv, r.result)
 
 let assert_workload_correct what cl =
   let h = Kv.history cl in

@@ -221,7 +221,7 @@ let test_queue_capacity_zero () =
   Alcotest.(check int) (named "none accepted") 0 r.accepted;
   Alcotest.(check int) (named "all rejected") r.offered r.rejected;
   Alcotest.(check int) (named "none committed") 0 r.committed;
-  Result.iter_error (fun m -> Alcotest.fail (named ("quiescent: " ^ m))) (run.quiescent ())
+  Result.iter_error (fun m -> Alcotest.fail (named ("quiescent: " ^ m))) (run.store.quiescent ())
 
 (* Capacity 1 admits work but sheds most of an overload; the admission
    accounting is exact: offered = accepted + rejected, and only accepted
@@ -288,8 +288,8 @@ let test_closed_loop_counters_zero () =
   Alcotest.(check bool) (named "but the closed loop committed") true (r.committed > 10)
 
 (* A transaction with no operation sends no message, so a closed loop of
-   them would never advance virtual time: [Driver.run] refuses the profile
-   before spawning a client. *)
+   them would never advance virtual time: [Spec.run] refuses the profile
+   before it builds a simulator. *)
 let test_zero_op_profile_rejected () =
   let spec =
     {
@@ -300,13 +300,11 @@ let test_zero_op_profile_rejected () =
       plan = None;
     }
   in
-  let named what = what ^ " -- " ^ Spec.to_string spec and sim = ref None in
+  let named what = what ^ " -- " ^ Spec.to_string spec and set_up = ref false in
   Alcotest.check_raises (named "ro_ops = 0 refused")
-    (Invalid_argument "Driver.run: update_ops and ro_ops must be at least 1") (fun () ->
-      ignore (Spec.run ~setup:(fun (Store.Store s) -> sim := Some s.sim) spec : Store.run));
-  let sim = Option.get !sim in
-  Sim.run sim;
-  Alcotest.(check int) (named "no client was spawned") 0 (Sim.events_processed sim)
+    (Spec.Invalid "ro_ops=0: need at least 1 read") (fun () ->
+      ignore (Spec.run ~setup:(fun _ -> set_up := true) spec : Store.run));
+  Alcotest.(check bool) (named "no store was built") false !set_up
 
 (* ---------- Nlog.prune_covered watermark contract ---------- *)
 
