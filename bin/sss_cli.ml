@@ -155,7 +155,7 @@ let point_cmd =
 let verify_cmd =
   let run_verify (spec : Spec.t) dot =
     let open Sss_consistency in
-    (* so is a --dot path that cannot be written *)
+    (* a --dot path that cannot be written is refused before the run too *)
     refuse_invalid "verify"
       (match Option.map (fun path -> (path, Filename.dirname path)) dot with
       | Some (path, dir) when not (Sys.file_exists dir && Sys.is_directory dir) ->
