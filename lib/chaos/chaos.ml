@@ -36,43 +36,60 @@ let default_rule =
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
+(* Each check conses its message onto [ps] only when it fails, so checking
+   a valid plan allocates nothing but a partition's list of nodes seen. *)
+let node_problem ~nodes scope i what n ps =
+  if n >= 0 && n < nodes then ps
+  else Printf.sprintf "%s %d: %s %d out of range [0, %d)" scope i what n nodes :: ps
+
+let problem ok scope i what x why ps =
+  if ok then ps else Printf.sprintf "%s %d: %s %g %s" scope i what x why :: ps
+
+let in_unit p = p >= 0.0 && p <= 1.0
+
+let order_problem ok scope i what x why y ps =
+  if ok then ps else Printf.sprintf "%s %d: %s %g %s %g" scope i what x why y :: ps
+
+let rule_problems ~nodes i (r : rule) ps =
+  let ps = problem (in_unit r.drop) "rule" i "drop" r.drop "outside [0, 1]" ps in
+  let ps = problem (in_unit r.dup) "rule" i "dup" r.dup "outside [0, 1]" ps in
+  let ps = problem (r.delay >= 0.0) "rule" i "delay" r.delay "negative" ps in
+  let ps = match r.target.src with None -> ps | Some n -> node_problem ~nodes "rule" i "src" n ps in
+  let ps = match r.target.dst with None -> ps | Some n -> node_problem ~nodes "rule" i "dst" n ps in
+  let ps = problem (r.from_ >= 0.0) "rule" i "from" r.from_ "negative" ps in
+  order_problem (not (r.from_ > r.until)) "rule" i "from" r.from_ "after until" r.until ps
+
+let event_problems ~nodes i ev ps =
+  match ev with
+  | Partition { at; heal_at; groups } ->
+      let ps = problem (at >= 0.0) "event" i "partition at" at "negative" ps in
+      let ps = order_problem (heal_at > at) "event" i "heal" heal_at "not after at" at ps in
+      let ps =
+        if List.length groups >= 2 then ps
+        else Printf.sprintf "event %d: partition needs >= 2 groups" i :: ps
+      in
+      let step (seen, ps) n =
+        let ps = node_problem ~nodes "event" i "partition node" n ps in
+        if List.mem n seen then (seen, Printf.sprintf "event %d: node %d in two groups" i n :: ps)
+        else (n :: seen, ps)
+      in
+      snd (List.fold_left (List.fold_left step) ([], ps) groups)
+  | Crash { at; restart_at; node } -> (
+      let ps = problem (at >= 0.0) "event" i "crash at" at "negative" ps in
+      let ps = node_problem ~nodes "event" i "crash node" node ps in
+      match restart_at with
+      | Some r -> order_problem (r > at) "event" i "restart" r "not after at" at ps
+      | None -> ps)
+
+let rec problems f ~nodes i ps = function
+  | [] -> ps
+  | x :: xs -> problems f ~nodes (i + 1) (f ~nodes i x ps) xs
+
 let validate ~nodes plan =
-  let problems = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let check_node what n = if n < 0 || n >= nodes then add "%s %d out of range [0, %d)" what n nodes in
-  let check_prob what p = if not (p >= 0.0 && p <= 1.0) then add "%s %g outside [0, 1]" what p in
-  List.iteri
-    (fun i (r : rule) ->
-      check_prob (Printf.sprintf "rule %d: drop" i) r.drop;
-      check_prob (Printf.sprintf "rule %d: dup" i) r.dup;
-      if not (r.delay >= 0.0) then add "rule %d: delay %g negative" i r.delay;
-      Option.iter (check_node (Printf.sprintf "rule %d: src" i)) r.target.src;
-      Option.iter (check_node (Printf.sprintf "rule %d: dst" i)) r.target.dst;
-      if not (r.from_ >= 0.0) then add "rule %d: from %g negative" i r.from_;
-      if r.from_ > r.until then add "rule %d: from %g after until %g" i r.from_ r.until)
-    plan.rules;
-  List.iteri
-    (fun i ev ->
-      match ev with
-      | Partition { at; heal_at; groups } ->
-          if not (at >= 0.0) then add "event %d: partition at %g negative" i at;
-          if not (heal_at > at) then add "event %d: heal %g not after at %g" i heal_at at;
-          if List.length groups < 2 then add "event %d: partition needs >= 2 groups" i;
-          let seen = ref [] in
-          List.iter
-            (List.iter (fun n ->
-                 check_node (Printf.sprintf "event %d: partition node" i) n;
-                 if List.mem n !seen then add "event %d: node %d in two groups" i n
-                 else seen := n :: !seen))
-            groups
-      | Crash { at; restart_at; node } ->
-          if not (at >= 0.0) then add "event %d: crash at %g negative" i at;
-          check_node (Printf.sprintf "event %d: crash node" i) node;
-          Option.iter
-            (fun r -> if not (r > at) then add "event %d: restart %g not after at %g" i r at)
-            restart_at)
-    plan.events;
-  match !problems with [] -> Ok () | ps -> Error (String.concat "; " (List.rev ps))
+  let ps = problems rule_problems ~nodes 0 [] plan.rules in
+  match problems event_problems ~nodes 0 ps plan.events with
+  | [] -> Ok ()
+  | ps -> Error (String.concat "; " (List.rev ps))
 
 (* ------------------------------------------------------------------ *)
 (* DSL                                                                 *)
@@ -172,60 +189,46 @@ let build_crash ~clause kvs =
 
 let parse s =
   try
-    let plan =
-      List.fold_left
-        (fun plan clause ->
-          let clause = String.trim clause in
-          if clause = "" then plan
-          else
-            match String.index_opt clause '(' with
-            | None -> (
-                match String.index_opt clause '=' with
-                | Some i when String.trim (String.sub clause 0 i) = "seed" ->
-                    let v = String.trim (String.sub clause (i + 1) (String.length clause - i - 1)) in
-                    { plan with seed = parse_int ~clause:"seed" "seed" v }
-                | _ -> bad "unrecognised clause %S" clause)
-            | Some i ->
-                let name = String.trim (String.sub clause 0 i) in
-                if clause.[String.length clause - 1] <> ')' then
-                  bad "%s: missing closing paren in %S" name clause;
-                let args = String.sub clause (i + 1) (String.length clause - i - 2) in
-                let kvs = split_kvs ~clause:name args in
-                let plan =
-                  match name with
-                  | "drop" | "dup" | "delay" | "rule" ->
-                      { plan with rules = plan.rules @ [ build_rule ~clause:name kvs ] }
-                  | "partition" ->
-                      { plan with events = plan.events @ [ build_partition ~clause:name kvs ] }
-                  | "crash" ->
-                      { plan with events = plan.events @ [ build_crash ~clause:name kvs ] }
-                  | _ -> bad "unknown clause %S" name
-                in
-                plan)
-        empty
-        (String.split_on_char ';' s)
-    in
-    Ok plan
+    Ok
+      (List.fold_left
+         (fun plan clause ->
+           let clause = String.trim clause in
+           if clause = "" then plan
+           else
+             match String.index_opt clause '(' with
+             | None -> (
+                 match String.index_opt clause '=' with
+                 | Some i when String.trim (String.sub clause 0 i) = "seed" ->
+                     let v = String.trim (String.sub clause (i + 1) (String.length clause - i - 1)) in
+                     { plan with seed = parse_int ~clause:"seed" "seed" v }
+                 | _ -> bad "unrecognised clause %S" clause)
+             | Some i -> (
+                 let name = String.trim (String.sub clause 0 i) in
+                 if clause.[String.length clause - 1] <> ')' then
+                   bad "%s: missing closing paren in %S" name clause;
+                 let args = String.sub clause (i + 1) (String.length clause - i - 2) in
+                 let kvs = split_kvs ~clause:name args in
+                 match name with
+                 | "drop" | "dup" | "delay" | "rule" ->
+                     { plan with rules = plan.rules @ [ build_rule ~clause:name kvs ] }
+                 | "partition" ->
+                     { plan with events = plan.events @ [ build_partition ~clause:name kvs ] }
+                 | "crash" -> { plan with events = plan.events @ [ build_crash ~clause:name kvs ] }
+                 | _ -> bad "unknown clause %S" name))
+         empty
+         (String.split_on_char ';' s))
   with Bad m -> Error m
 
 let rule_str (r : rule) =
+  let fl k x unset = if x = unset then [] else [ Printf.sprintf "%s=%s" k (float_str x) ] in
+  let node k = function Some n -> [ Printf.sprintf "%s=%d" k n ] | None -> [] in
+  let kinds = match r.target.kinds with [] -> [] | ks -> [ "kind=" ^ String.concat "+" ks ] in
   let parts =
-    List.concat
-      [
-        (if r.drop <> 0.0 then [ Printf.sprintf "drop=%s" (float_str r.drop) ] else []);
-        (if r.dup <> 0.0 then [ Printf.sprintf "dup=%s" (float_str r.dup) ] else []);
-        (if r.delay <> 0.0 then [ Printf.sprintf "delay=%s" (float_str r.delay) ] else []);
-        (if r.target.kinds <> [] then
-           [ Printf.sprintf "kind=%s" (String.concat "+" r.target.kinds) ]
-         else []);
-        (match r.target.src with Some s -> [ Printf.sprintf "src=%d" s ] | None -> []);
-        (match r.target.dst with Some d -> [ Printf.sprintf "dst=%d" d ] | None -> []);
-        (if r.from_ <> 0.0 then [ Printf.sprintf "from=%s" (float_str r.from_) ] else []);
-        (if r.until <> Float.infinity then [ Printf.sprintf "until=%s" (float_str r.until) ]
-         else []);
-      ]
+    [ fl "drop" r.drop 0.0; fl "dup" r.dup 0.0; fl "delay" r.delay 0.0; kinds;
+      node "src" r.target.src; node "dst" r.target.dst; fl "from" r.from_ 0.0;
+      fl "until" r.until Float.infinity ]
   in
-  "rule(" ^ String.concat "," parts ^ ")"
+  "rule(" ^ String.concat "," (List.concat parts) ^ ")"
 
 let event_str = function
   | Partition { at; heal_at; groups } ->
@@ -283,16 +286,12 @@ let matches (r : rule) ~src ~dst ~kind ~now =
   && (r.target.kinds = [] || List.mem kind r.target.kinds)
   && now >= r.from_ && now < r.until
 
-(* Every (a, b) with a and b in different groups — the links a partition
-   cuts. *)
-let cross_pairs groups =
-  let rec pairs = function
-    | [] -> []
-    | g :: rest ->
-        List.concat_map (fun a -> List.concat_map (fun b -> [ (a, b) ]) (List.concat rest)) g
-        @ pairs rest
-  in
-  pairs groups
+(* Every (a, b) with a in a group and b in a later one: the links a
+   partition cuts. *)
+let rec cross_pairs = function
+  | [] -> []
+  | g :: rest ->
+      List.concat_map (fun a -> List.map (fun b -> (a, b)) (List.concat rest)) g @ cross_pairs rest
 
 let install sim net ~kind_of ?on_crash ?on_restart plan =
   let rng = Prng.create ~seed:plan.seed in

@@ -238,12 +238,17 @@ let test_validate () =
     }
   in
   let bad_prob = { Chaos.empty with rules = [ rule ~drop:1.5 () ] } in
+  let two_problems = { bad_node with rules = [ rule ~dup:(-0.5) () ] } in
   List.iter
-    (fun plan ->
-      match Chaos.validate ~nodes:4 plan with
-      | Ok () -> Alcotest.fail "validate should reject the plan"
-      | Error _ -> ())
-    [ bad_node; bad_heal; bad_prob ];
+    (fun (plan, msg) ->
+      Alcotest.(check (result unit string)) msg (Error msg) (Chaos.validate ~nodes:4 plan))
+    [
+      (bad_node, "event 0: crash node 9 out of range [0, 4)");
+      (bad_heal, "event 0: heal 0.1 not after at 0.2");
+      (bad_prob, "rule 0: drop 1.5 outside [0, 1]");
+      ( two_problems,
+        "rule 0: dup -0.5 outside [0, 1]; event 0: crash node 9 out of range [0, 4)" );
+    ];
   Alcotest.(check (result unit string))
     "good plan" (Ok ())
     (Chaos.validate ~nodes:4 (base_plan ~seed:1))

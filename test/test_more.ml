@@ -333,13 +333,17 @@ let test_spec_setup_before_first_event () =
 let test_spec_run_refuses_invalid () =
   let base = Spec.make ~clients:2 ~duration:0.005 Sss (config ~nodes:4 ()) in
   Alcotest.(check (result unit string)) "the base spec is runnable" (Ok ()) (Spec.check base);
-  (* a valid spec without a plan is checked without allocating *)
-  let w0 = Sim.allocated_words () in
-  for _ = 1 to 1000 do
-    ignore (Sys.opaque_identity (Spec.check base))
-  done;
-  let w = Sim.allocated_words () -. w0 in
-  if w > 32. then Alcotest.failf "1,000 checks allocated %.0f words" w;
+  (* a valid spec is checked without allocating, with or without a plan *)
+  let crash = Sss_chaos.Chaos.crash_restart ~seed:1 ~node:2 ~at:0.001 ~restart_at:0.002 in
+  List.iter
+    (fun (what, spec) ->
+      let w0 = Sim.allocated_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Spec.check spec))
+      done;
+      let w = Sim.allocated_words () -. w0 in
+      if w > 32. then Alcotest.failf "1,000 checks %s allocated %.0f words" what w)
+    [ ("without a plan", base); ("with a crash plan", { base with plan = Some crash }) ];
   List.iter
     (fun (what, spec) ->
       let named s = what ^ ": " ^ s ^ " -- " ^ Spec.to_string spec in
