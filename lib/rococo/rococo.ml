@@ -346,12 +346,12 @@ let handle_commit t (node : node) ~txn ~ts ~writes =
       end
 
 (* Durability only: a dispatched-but-unpositioned piece gates every later
-   piece on its key ([could_precede]).  If the driving client is gone — its
-   home crashed, or it abandoned the attempt — nothing will ever position
-   or cancel the piece, so each one gets a watchdog that periodically asks
-   the owner's home whether the transaction is still in flight and
-   withdraws the piece once it is not.  A live answer resets the retry
-   budget; only sustained silence stalls. *)
+   piece on its key ([could_precede]).  Its watchdog asks the owner's home
+   whether the transaction is in flight, and withdraws the piece once the
+   home's [inflight] no longer lists it: after a home crash, or an abort
+   whose [Cancel] was lost.  A handle neither committed nor aborted keeps
+   its pieces and its watchdog polls for ever; a live answer resets the
+   retry budget, and only sustained silence stalls. *)
 let spawn_alive_watchdog t (node : node) ~txn h =
   let still_pending () =
     node_live t node && List.exists (fun (o, _) -> Ids.equal_txn o txn) node.store.pending.(h)
