@@ -28,7 +28,7 @@
    [-j N] fans the independent simulator runs behind each figure across N
    domains (sss_par pool; "max" = Pool.default_jobs).  Output — figure text
    and every deterministic JSON field — is byte-identical at any N; only
-   wall-clock fields change.  The smoke.sh parallel gate pins this.
+   wall-clock fields change; test_par "figure -j1 = -j4" pins this.
    [--speedup] additionally times a quiet -j1 baseline per figure target
    and records jobs + per-target speedup in a "parallel" JSON block.
 
@@ -118,7 +118,7 @@ type target_report = {
   (* Allocation probe: Gc deltas around the target, so allocation
      regressions show up in the recorded artifact, not just wall clock.
      [Sim.allocated_words] is per-domain, so at -j > 1 the numbers cover
-     only the main domain's share; bench/smoke.sh records the -j 1 run. *)
+     only the main domain's share; tools/check.sh gates the -j 1 run. *)
   alloc_words : float;
   minor_collections : int;
   major_collections : int;

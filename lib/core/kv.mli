@@ -92,7 +92,7 @@ val version_count : cluster -> int
 val mem_words : cluster -> Sss_data.Mvstore.mem
 (** Resident-storage accounting summed over every node's MV-store
     ({!Sss_data.Mvstore.mem_words}): the words/version figure gated by
-    bench/smoke.sh and asserted by [stress --open].  [store_words] is its
+    tools/check.sh and asserted by [stress --open].  [store_words] is its
     [Mvstore.mem_total]. *)
 
 val nlog_entries : cluster -> int

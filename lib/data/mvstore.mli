@@ -174,4 +174,4 @@ val mem_total : mem -> int
 
 val words_per_version : mem -> float
 (** [mem_total / versions] (0 when empty) — the headline footprint metric
-    gated by bench/smoke.sh and asserted by [stress --open]. *)
+    gated by tools/check.sh and asserted by [stress --open]. *)

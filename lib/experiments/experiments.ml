@@ -131,8 +131,7 @@ let run spec =
 
    Because phase 2 is the only phase that prints and consumes results
    strictly in submission order, the figure's text and its returned runs
-   are byte-identical at any [jobs] — the smoke.sh -j1-vs-jmax gate pins
-   it. *)
+   are byte-identical at any [jobs]; test_par "figure -j1 = -j4" pins it. *)
 
 let placeholder_outcome =
   {

@@ -83,7 +83,7 @@ val ctx :
 (** [jobs] defaults to 1 (fully sequential, no domains spawned);
     [Sss_par.Pool.default_jobs ()] gives the machine width.  [observe_all]
     forces [observe = true] on every run the ctx executes (bench's
-    [--observe] flag; the smoke.sh observer-effect gate diffs trajectories
+    [--observe] flag; tools/check.sh's observer-effect gate diffs trajectories
     with this on vs off).  [out] receives every byte the figures print
     (default [print_string]); pass [ignore] for a quiet timing run. *)
 

@@ -7,7 +7,7 @@
     protocols hold an [Obs.t option] and skip every call site when it is
     [None], which keeps the disabled case allocation-free (the
     observer-effect contract pinned by [test/test_obs.ml] and the
-    [bench/smoke.sh] gate).
+    [tools/check.sh] gate).
 
     See docs/OBSERVABILITY.md for the metric naming scheme. *)
 
