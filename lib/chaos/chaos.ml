@@ -36,8 +36,7 @@ let default_rule =
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
-(* Each check conses its message onto [ps] only when it fails, so checking
-   a valid plan allocates nothing but a partition's list of nodes seen. *)
+(* A check builds its message only if it fails: valid rules and crashes allocate nothing. *)
 let node_problem ~nodes scope i what n ps =
   if n >= 0 && n < nodes then ps
   else Printf.sprintf "%s %d: %s %d out of range [0, %d)" scope i what n nodes :: ps
@@ -189,34 +188,36 @@ let build_crash ~clause kvs =
 
 let parse s =
   try
-    Ok
-      (List.fold_left
-         (fun plan clause ->
-           let clause = String.trim clause in
-           if clause = "" then plan
-           else
-             match String.index_opt clause '(' with
-             | None -> (
-                 match String.index_opt clause '=' with
-                 | Some i when String.trim (String.sub clause 0 i) = "seed" ->
-                     let v = String.trim (String.sub clause (i + 1) (String.length clause - i - 1)) in
-                     { plan with seed = parse_int ~clause:"seed" "seed" v }
-                 | _ -> bad "unrecognised clause %S" clause)
-             | Some i -> (
-                 let name = String.trim (String.sub clause 0 i) in
-                 if clause.[String.length clause - 1] <> ')' then
-                   bad "%s: missing closing paren in %S" name clause;
-                 let args = String.sub clause (i + 1) (String.length clause - i - 2) in
-                 let kvs = split_kvs ~clause:name args in
-                 match name with
-                 | "drop" | "dup" | "delay" | "rule" ->
-                     { plan with rules = plan.rules @ [ build_rule ~clause:name kvs ] }
-                 | "partition" ->
-                     { plan with events = plan.events @ [ build_partition ~clause:name kvs ] }
-                 | "crash" -> { plan with events = plan.events @ [ build_crash ~clause:name kvs ] }
-                 | _ -> bad "unknown clause %S" name))
-         empty
-         (String.split_on_char ';' s))
+    let plan =
+      List.fold_left
+        (fun plan clause ->
+          let clause = String.trim clause in
+          if clause = "" then plan
+          else
+            match String.index_opt clause '(' with
+            | None -> (
+                match String.index_opt clause '=' with
+                | Some i when String.trim (String.sub clause 0 i) = "seed" ->
+                    let v = String.trim (String.sub clause (i + 1) (String.length clause - i - 1)) in
+                    { plan with seed = parse_int ~clause:"seed" "seed" v }
+                | _ -> bad "unrecognised clause %S" clause)
+            | Some i -> (
+                let name = String.trim (String.sub clause 0 i) in
+                if clause.[String.length clause - 1] <> ')' then
+                  bad "%s: missing closing paren in %S" name clause;
+                let args = String.sub clause (i + 1) (String.length clause - i - 2) in
+                let kvs = split_kvs ~clause:name args in
+                match name with
+                | "drop" | "dup" | "delay" | "rule" ->
+                    { plan with rules = plan.rules @ [ build_rule ~clause:name kvs ] }
+                | "partition" ->
+                    { plan with events = plan.events @ [ build_partition ~clause:name kvs ] }
+                | "crash" -> { plan with events = plan.events @ [ build_crash ~clause:name kvs ] }
+                | _ -> bad "unknown clause %S" name))
+        empty
+        (String.split_on_char ';' s)
+    in
+    Ok plan
   with Bad m -> Error m
 
 let rule_str (r : rule) =

@@ -12,17 +12,16 @@
 
     An update's [read] dispatches the key's piece and returns the
     dispatch-time value; the authoritative read-modify-write happens at
-    execution, in the agreed order.  [abort] cancels dispatched pieces so
-    they never gate other transactions.  Under durability a piece's
-    watchdog withdraws it once its home no longer lists the transaction in
-    flight: after a home crash, or an abort whose [Cancel] was lost.  An
-    update handle neither committed nor aborted keeps its pieces, and
-    their watchdogs poll for ever.  The coordinator re-sends its commit to
-    the replicas whose acks are missing; a replica positions a transaction
-    once and answers a re-send, one ack per local piece, only after its
-    last local piece ran.  After a crash, [restart_node] re-executes
-    positioned transactions cut short by the crash in final-position order
-    and gives every restored piece a watchdog.
+    execution, in the agreed order.  [abort] cancels dispatched pieces so they
+    never gate other transactions.  Under durability a piece's watchdog
+    withdraws it once its home no longer lists the transaction in flight:
+    after a home crash, or an abort whose [Cancel] was lost.  An update handle
+    neither committed nor aborted keeps its pieces, and their watchdogs poll
+    for ever.  The coordinator re-sends its commit to replicas whose acks are
+    missing; a replica positions a transaction once and acks a re-send, one
+    per local piece, after its last local piece ran.  [restart_node]
+    re-executes the positioned transactions a crash cut short, in
+    final-position order, and gives each restored piece a watchdog.
 
     Deployment parameters are shared with SSS ({!Sss_kv.Config.t}); the
     paper disables replication for ROCOCO comparisons (degree 1). *)

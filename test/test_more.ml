@@ -335,6 +335,12 @@ let test_spec_run_refuses_invalid () =
   Alcotest.(check (result unit string)) "the base spec is runnable" (Ok ()) (Spec.check base);
   (* a valid spec is checked without allocating, with or without a plan *)
   let crash = Sss_chaos.Chaos.crash_restart ~seed:1 ~node:2 ~at:0.001 ~restart_at:0.002 in
+  let lossy =
+    { crash with
+      rules =
+        [ { target = { src = Some 0; dst = None; kinds = [ "prepare" ] }; drop = 0.1; dup = 0.0;
+            delay = 0.001; from_ = 0.0; until = 0.004 } ] }
+  in
   List.iter
     (fun (what, spec) ->
       let w0 = Sim.allocated_words () in
@@ -343,7 +349,8 @@ let test_spec_run_refuses_invalid () =
       done;
       let w = Sim.allocated_words () -. w0 in
       if w > 32. then Alcotest.failf "1,000 checks %s allocated %.0f words" what w)
-    [ ("without a plan", base); ("with a crash plan", { base with plan = Some crash }) ];
+    [ ("without a plan", base); ("with a crash plan", { base with plan = Some crash });
+      ("with a crash plan and a rule", { base with plan = Some lossy }) ];
   List.iter
     (fun (what, spec) ->
       let named s = what ^ ": " ^ s ^ " -- " ^ Spec.to_string spec in
