@@ -70,6 +70,12 @@ start_state=$(state)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 fail() { echo "check FAIL: $*" >&2; exit 1; }
+# matches OUT GOLDEN REGEN: fail, showing the diff, unless OUT equals GOLDEN
+matches() {
+  cmp -s "$1" "$2" && return
+  diff "$1" "$2" >&2 || true
+  fail "output diverged from $2 (regenerate with '$3' only if intentional)"
+}
 
 echo "check: dune build"
 dune build
@@ -163,11 +169,7 @@ echo "check: perfbench self-test"
 # checks that failed) pin the trajectories of the runs behind them.
 dune build perfbench/perfbench.exe
 ./_build/default/perfbench/perfbench.exe --selftest >"$tmp/selftest.txt"
-if ! cmp -s "$tmp/selftest.txt" test/golden/perfbench_selftest.txt; then
-  diff "$tmp/selftest.txt" test/golden/perfbench_selftest.txt >&2 || true
-  fail "perfbench self-test output diverged from test/golden/perfbench_selftest.txt" \
-    "(regenerate with 'perfbench.exe --selftest' only if intentional)"
-fi
+matches "$tmp/selftest.txt" test/golden/perfbench_selftest.txt "perfbench.exe --selftest"
 
 echo "check: stress --open"
 # The large open-loop ladder records its history; every rung must pass
@@ -178,11 +180,7 @@ echo "check: stress sweep"
 # The sweep's summary lines (committed counts, divergence reports) pin the
 # trajectories of every stressed run; a refactor must reproduce them.
 dune exec bin/stress.exe -- -j max >"$tmp/stress.txt"
-if ! cmp -s "$tmp/stress.txt" test/golden/stress.txt; then
-  diff "$tmp/stress.txt" test/golden/stress.txt >&2 || true
-  fail "stress output diverged from test/golden/stress.txt" \
-    "(regenerate with 'dune exec bin/stress.exe -- -j max' only if intentional)"
-fi
+matches "$tmp/stress.txt" test/golden/stress.txt "dune exec bin/stress.exe -- -j max"
 
 echo "check: no presized tables"
 presized=$(grep -rnE 'Hashtbl\.create[[:space:]]+[0-9]+' lib --include='*.ml' |
