@@ -118,8 +118,9 @@ for m in base[0]:
     print(f"{m:<34} {summary(b):<38} {summary(c):<38} {higher}/{k}")
 
 if target == "fig3":
-    # Both must hold: a 10-pair median alone moves with minutes of machine
-    # drift, and reading lower in 9 pairs in 10 is the same-run standard.
+    # Both must hold: the median of ten short, noisy runs can fall 10% on
+    # code that is no slower and reads lower in only half the pairs, while
+    # reading lower in 9 pairs in 10 is the same-run standard for a change.
     m = "des_events_per_sec"
     lower = sum(1 for x, y in zip(base, change) if y[m] < x[m])
     b = statistics.median(r[m] for r in base)
